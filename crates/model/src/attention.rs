@@ -616,7 +616,7 @@ impl<'w> MultiHeadAttention<'w> {
             head_scratch.resize_with(self.heads, HeadScratch::default);
         }
 
-        let lane_handles: Vec<Option<&mut (dyn FaultInjector + Send)>> = if noop {
+        let lane_handles: Vec<Option<Box<dyn FaultInjector + Send + '_>>> = if noop {
             (0..self.heads).map(|_| None).collect()
         } else {
             faults
@@ -630,7 +630,7 @@ impl<'w> MultiHeadAttention<'w> {
         {
             let cache_ref: &dyn KvCacheBackend = cache;
             let mut jobs: Vec<Job<'_>> = Vec::with_capacity(self.heads);
-            for ((((hs, out), labels), lane), (h, qh)) in head_scratch
+            for ((((hs, out), labels), mut lane), (h, qh)) in head_scratch
                 .iter_mut()
                 .zip(concat.chunks_exact_mut(hd))
                 .zip(attention.iter_mut())
@@ -639,7 +639,7 @@ impl<'w> MultiHeadAttention<'w> {
             {
                 jobs.push(Box::new(move || {
                     let mut local_noop = NoFaults;
-                    let fault_ref: &mut dyn FaultInjector = match lane {
+                    let fault_ref: &mut dyn FaultInjector = match lane.as_deref_mut() {
                         Some(lane) => lane,
                         None => &mut local_noop,
                     };

@@ -3,9 +3,12 @@
 
 use kelle::accuracy::{evaluate_method, AccuracyConfig, Method};
 use kelle::cache::CacheBudget;
-use kelle::edram::RefreshPolicy;
-use kelle::model::fault::BitFlipRates;
-use kelle::workloads::TaskKind;
+use kelle::edram::{RefreshIntervals, RefreshPolicy, RetentionModel};
+use kelle::faults::to_model_rates;
+use kelle::model::fault::{BitFlipRates, ProbabilisticFaults};
+use kelle::model::generation::{evaluate_against_reference, run_reference, GenerationConfig};
+use kelle::model::{FullKvCache, ModelConfig, ModelKind, SurrogateModel};
+use kelle::workloads::{TaskKind, TokenStreamGenerator};
 
 fn quick(task: TaskKind) -> AccuracyConfig {
     let mut config = AccuracyConfig::for_task(task);
@@ -110,26 +113,71 @@ fn table2_kelle_competitive_with_h2o_and_better_than_streaming() {
 
 #[test]
 fn table4_2drp_beats_uniform_at_matched_average_rate() {
-    // Compare 2DRP against a uniform policy with the same *average* bit-flip
-    // rate; the paper's Table 4 shows 2DRP preserves accuracy better.
-    let task = TaskKind::ArcEasy;
-    let twodrp_policy = RefreshPolicy::two_dimensional_default();
-    let retention = kelle::edram::RetentionModel::default();
-    let avg_rate = twodrp_policy.bit_flip_rates(&retention).average();
+    // Table 4: at the same average bit-flip rate, spending the refreshes on
+    // the bits and tokens that matter (2DRP) preserves the output
+    // distribution better than spreading them evenly (uniform).
+    //
+    // Operating point: the §8.3.4 sweep's 262 µs average (default intervals
+    // × 0.25).  At the default intervals themselves the surrogate's KL proxy
+    // is saturated — any MSB rate of 1e-3 or more scrambles attention and
+    // every policy scores ≈ 1.0, whatever the cache keeps — so there is no
+    // ordering to measure there; at × 0.25 all four classes still flip and
+    // the proxy has range (16-seed means: 2DRP 0.79–0.81, uniform and the
+    // control 0.98–1.00, standard error ≈ 0.01).
+    //
+    // The negative control swaps each token group's MSB and LSB intervals —
+    // the same four rates protecting the wrong byte — and must score worse
+    // than 2DRP, so the ordering cannot hold because faults do not matter.
+    const MARGIN: f64 = 1.1;
+    const FAULT_SEEDS: u64 = 16;
+    let model = SurrogateModel::new(ModelConfig::for_kind(ModelKind::Llama2_7b), 42);
+    let prompt = TokenStreamGenerator::new(model.dims().vocab, 42).prompt(TaskKind::ArcEasy, 0);
+    let config = GenerationConfig::greedy(prompt.decode_len);
+    let reference = run_reference(&model, &prompt.tokens, config);
+    // Mean KL from the fault-free reference with every cached token kept
+    // (`FullKvCache`: no eviction, so retention faults are the only source of
+    // divergence), averaged over the fault realisations of `rates`.
+    let mean_fault_kl = |rates: BitFlipRates| -> f64 {
+        let total: f64 = (0..FAULT_SEEDS)
+            .map(|seed| {
+                let (fidelity, _) = evaluate_against_reference(
+                    &model,
+                    &prompt.tokens,
+                    config,
+                    &reference,
+                    &mut FullKvCache::new(),
+                    &mut ProbabilisticFaults::new(rates, seed),
+                );
+                fidelity.mean_kl
+            })
+            .sum();
+        total / FAULT_SEEDS as f64
+    };
 
-    let twodrp = evaluate_method(
-        &quick(task).with_refresh_policy(twodrp_policy),
-        Method::Kelle,
-    );
-    let uniform = evaluate_method(
-        &quick(task).with_explicit_rates(BitFlipRates::uniform(avg_rate)),
-        Method::Kelle,
+    let retention = RetentionModel::default();
+    let intervals = RefreshIntervals::paper_default().scaled(0.25);
+    let byte_swapped = RefreshIntervals {
+        hst_msb_us: intervals.hst_lsb_us,
+        hst_lsb_us: intervals.hst_msb_us,
+        lst_msb_us: intervals.lst_lsb_us,
+        lst_lsb_us: intervals.lst_msb_us,
+    };
+    let rates_of = |intervals| {
+        to_model_rates(RefreshPolicy::TwoDimensional(intervals).bit_flip_rates(&retention))
+    };
+    let twodrp_rates = rates_of(intervals);
+
+    let twodrp = mean_fault_kl(twodrp_rates);
+    let uniform = mean_fault_kl(BitFlipRates::uniform(twodrp_rates.average()));
+    let control = mean_fault_kl(rates_of(byte_swapped));
+    assert!(twodrp > 0.0, "2DRP faults must be observable");
+    assert!(
+        twodrp * MARGIN <= uniform,
+        "2DRP KL {twodrp} vs uniform KL {uniform}"
     );
     assert!(
-        twodrp.fidelity.mean_kl <= uniform.fidelity.mean_kl * 1.05 + 1e-6,
-        "2DRP KL {} vs uniform KL {}",
-        twodrp.fidelity.mean_kl,
-        uniform.fidelity.mean_kl
+        twodrp * MARGIN <= control,
+        "2DRP KL {twodrp} vs byte-swapped KL {control}"
     );
 }
 

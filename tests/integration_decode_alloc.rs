@@ -1,9 +1,10 @@
 //! Decode-hot-path acceptance tests for the arena storage rewrite:
 //!
 //! 1. **Zero steady-state heap growth** — once the scratch buffers and policy
-//!    arenas have warmed up, a decode step with `NoFaults` must not grow the
-//!    heap at all (measured with a counting global allocator, per thread so
-//!    parallel tests cannot pollute the ledger).
+//!    arenas have warmed up, a decode step must not grow the heap at all,
+//!    with `NoFaults` or with 2DRP retention faults (measured with a counting
+//!    global allocator, per thread so parallel tests cannot pollute the
+//!    ledger).
 //! 2. **Byte-identical token streams** — the borrowed `EntryRef` hot path
 //!    must generate exactly the tokens *and* probability bits of the
 //!    historical materialize-then-compute implementation
@@ -17,6 +18,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use kelle::cache::{CacheBudget, CachePolicy};
+use kelle::edram::{RefreshPolicy, RetentionModel};
+use kelle::fault_injector_for_policy;
 use kelle::model::fault::{BitFlipRates, FaultInjector, NoFaults, ProbabilisticFaults};
 use kelle::model::generation::{
     decode_step, prefill, run_with, run_with_via_entries, GenerationConfig, GenerationState,
@@ -86,12 +89,11 @@ fn budget() -> CacheBudget {
         .with_sink_tokens(2)
 }
 
-/// Acceptance criterion 1: with `NoFaults` and a budgeted policy at steady
-/// state (arenas at capacity, scratch warm), each decode step's net heap
-/// delta is exactly zero — transient allocations must be matched by frees,
-/// and nothing may accumulate.
-#[test]
-fn decode_steps_have_zero_steady_state_heap_growth() {
+/// Asserts that, for each budgeted policy at steady state (arenas at
+/// capacity, scratch warm), each decode step's net heap delta is exactly zero
+/// — transient allocations must be matched by frees, and nothing may
+/// accumulate.
+fn assert_zero_steady_state_heap_growth(faults: &mut dyn FaultInjector) {
     let model = small_model(7);
     let heads = model.dims().heads;
     for policy in [
@@ -100,25 +102,18 @@ fn decode_steps_have_zero_steady_state_heap_growth() {
         CachePolicy::Aerp,
     ] {
         let mut cache = policy.build(budget(), heads);
-        let mut faults = NoFaults;
         let mut state = GenerationState::new();
-        prefill(
-            &model,
-            &mut state,
-            &prompt(24, 1),
-            cache.as_mut(),
-            &mut faults,
-        );
+        prefill(&model, &mut state, &prompt(24, 1), cache.as_mut(), faults);
         // Warm up: reach eviction steady state and grow every scratch buffer
         // and arena to its working capacity.  AERP's cross-head retained-set
         // union takes a while to hit its high-water mark (the input slab
         // grows until then), hence the generous warm-up window.
         for _ in 0..192 {
-            let _ = decode_step(&model, &mut state, None, cache.as_mut(), &mut faults);
+            let _ = decode_step(&model, &mut state, None, cache.as_mut(), faults);
         }
         let start = net_heap_bytes();
         for step in 0..32 {
-            let out = decode_step(&model, &mut state, None, cache.as_mut(), &mut faults);
+            let out = decode_step(&model, &mut state, None, cache.as_mut(), faults);
             drop(out);
             assert_eq!(
                 net_heap_bytes() - start,
@@ -128,6 +123,27 @@ fn decode_steps_have_zero_steady_state_heap_growth() {
             );
         }
     }
+}
+
+/// Acceptance criterion 1: zero steady-state heap growth with `NoFaults`
+/// (keys and values read by reference straight out of the arenas).
+#[test]
+fn decode_steps_have_zero_steady_state_heap_growth() {
+    assert_zero_steady_state_heap_growth(&mut NoFaults);
+}
+
+/// The same guarantee on the staged-read path the serving engine runs: 2DRP
+/// retention faults at the default rates.  Fault lanes are created on a
+/// `(layer, head)`'s first read and must not allocate afterwards.
+#[test]
+fn decode_steps_have_zero_steady_state_heap_growth_under_2drp_faults() {
+    let mut faults = fault_injector_for_policy(
+        &RefreshPolicy::two_dimensional_default(),
+        &RetentionModel::default(),
+        17,
+    );
+    assert_zero_steady_state_heap_growth(&mut faults);
+    assert!(faults.stats().bits_flipped > 0);
 }
 
 /// Acceptance criterion 2: for every policy the borrowed-view hot path and
