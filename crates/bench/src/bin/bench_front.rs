@@ -48,14 +48,10 @@ fn main() {
         "migrated"
     );
     for row in &report.rows {
-        let executor = match row.executor {
-            kelle::ExecutorKind::Sticky => "sticky",
-            kelle::ExecutorKind::Stealing => "stealing",
-        };
         println!(
             "{:>8} {:>10} {:>12} {:>11.4} {:>14.0} {:>11} {:>10.2} {:>8}",
             row.workers,
-            executor,
+            row.executor,
             row.decode_tokens,
             row.wall_seconds,
             row.decode_tokens_per_sec,

@@ -536,14 +536,10 @@ fn front() {
         "workers", "executor", "decode tok", "crossings", "cross/tick", "migrated", "ticks"
     );
     for row in &report.rows {
-        let executor = match row.executor {
-            kelle::ExecutorKind::Sticky => "sticky",
-            kelle::ExecutorKind::Stealing => "stealing",
-        };
         println!(
             "{:>8} {:>10} {:>12} {:>11} {:>10.2} {:>8} {:>6}",
             row.workers,
-            executor,
+            row.executor,
             row.decode_tokens,
             row.queue_crossings,
             row.crossings_per_tick,

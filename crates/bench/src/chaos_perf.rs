@@ -242,7 +242,6 @@ fn timed_run(
             requests,
             ServeOptions::new()
                 .parallel()
-                .fallible()
                 .with_scheduler(config)
                 .streaming(&mut sink),
         )

@@ -2,11 +2,12 @@
 //! sticky-shard executor vs. the work-stealing pool on a long-lived fleet.
 //!
 //! Per worker count the sweep serves the *same* deterministic
-//! [`FrontScenario`] fleet through `kelle::front` twice — once on
-//! [`ExecutorKind::Sticky`] (sessions pinned to worker shards, only
-//! per-tick step results cross threads) and once on
-//! [`ExecutorKind::Stealing`] (whole sessions round-trip through the shared
-//! task queue every tick) — and reports, per row:
+//! [`FrontScenario`] fleet twice — once through `kelle::front` (sticky:
+//! sessions pinned to worker shards, only per-tick step results cross
+//! threads) and once through `serve(.., ServeOptions::new().parallel())`
+//! over the same tick-0 fleet (stealing: whole sessions round-trip through
+//! the shared task queue every tick; the very reference the front
+//! determinism gate compares against) — and reports, per row:
 //!
 //! * coordinator↔worker queue crossings, total and per scheduler tick (the
 //!   number the sticky shard exists to shrink);
@@ -25,9 +26,14 @@ use std::time::Instant;
 
 use kelle::workloads::FrontScenario;
 use kelle::{
-    BatchOutcome, ExecutorKind, FrontConfig, KelleEngine, PrefixSharingConfig, ServeRequest,
+    BatchOutcome, FrontConfig, KelleEngine, PrefixSharingConfig, ServeOptions, ServeRequest,
     StreamPoll, TokenStream,
 };
+
+/// Row label of the front's sticky-shard executor.
+const STICKY: &str = "sticky";
+/// Row label of the synchronous path's work-stealing pool.
+const STEALING: &str = "stealing";
 
 /// Configuration of one front-end sweep.
 #[derive(Debug, Clone)]
@@ -63,8 +69,9 @@ impl FrontPerfConfig {
 pub struct FrontPerfRow {
     /// Worker threads behind the front.
     pub workers: usize,
-    /// Executor protocol driving the decode ticks.
-    pub executor: ExecutorKind,
+    /// Executor protocol driving the decode ticks: `"sticky"` (the front)
+    /// or `"stealing"` (the synchronous parallel path).
+    pub executor: &'static str,
     /// Fleet decode tokens generated (identical on every row by design).
     pub decode_tokens: usize,
     /// End-to-end wall time (submit through final commit) in seconds.
@@ -97,13 +104,6 @@ pub struct FrontPerfReport {
 }
 
 impl FrontPerfReport {
-    fn executor_label(kind: ExecutorKind) -> &'static str {
-        match kind {
-            ExecutorKind::Sticky => "sticky",
-            ExecutorKind::Stealing => "stealing",
-        }
-    }
-
     /// Serializes the report as JSON (hand-rolled: the workspace has no JSON
     /// dependency).
     pub fn to_json(&self) -> String {
@@ -122,7 +122,7 @@ impl FrontPerfReport {
                  \"queue_crossings\": {}, \"crossings_per_tick\": {:.4}, \
                  \"sessions_migrated\": {}, \"ticks\": {}, \"streams_identical\": {}}}{}\n",
                 row.workers,
-                Self::executor_label(row.executor),
+                row.executor,
                 row.decode_tokens,
                 row.wall_seconds,
                 row.decode_tokens_per_sec,
@@ -171,13 +171,17 @@ fn requests_for(scenario: &FrontScenario) -> Vec<ServeRequest> {
         .collect()
 }
 
-/// Serves the fleet once through the front on the given executor, timing
-/// the whole serve (submission through final commit) and collecting every
-/// token stream.
+/// One way of serving the fleet: `(engine, requests, stream capacity)` to
+/// every token stream plus the batch outcome.
+type ServeFleet =
+    fn(&KelleEngine, Vec<ServeRequest>, Option<usize>) -> (Vec<Vec<usize>>, BatchOutcome);
+
+/// Serves the fleet once through `serve`, timing the whole serve (submission
+/// through final commit) and collecting every token stream.
 fn serve_fleet(
     config: &FrontPerfConfig,
     workers: usize,
-    kind: ExecutorKind,
+    serve: ServeFleet,
 ) -> (Vec<Vec<usize>>, BatchOutcome, f64) {
     let engine = engine(config, workers);
     assert!(
@@ -185,12 +189,41 @@ fn serve_fleet(
         "publication must succeed"
     );
     let requests = requests_for(&config.scenario);
-    let mut front_config = FrontConfig::default().with_executor(kind);
-    if let Some(capacity) = config.scenario.stream_capacity {
+    let start = Instant::now();
+    let (streams, outcome) = serve(&engine, requests, config.scenario.stream_capacity);
+    let wall_s = start.elapsed().as_secs_f64();
+    (streams, outcome, wall_s)
+}
+
+/// The stealing row: the same tick-0 fleet through the synchronous path's
+/// work-stealing pool (which has no stream buffers to bound).
+fn serve_through_pool(
+    engine: &KelleEngine,
+    requests: Vec<ServeRequest>,
+    _stream_capacity: Option<usize>,
+) -> (Vec<Vec<usize>>, BatchOutcome) {
+    let mut streams = vec![Vec::new(); requests.len()];
+    let mut sink = |request: usize, token: usize| streams[request].push(token);
+    let outcome = engine
+        .serve(
+            requests,
+            ServeOptions::new().parallel().streaming(&mut sink),
+        )
+        .expect("benchmark fleet runs without chaos");
+    (streams, outcome)
+}
+
+/// The sticky row: the fleet through `kelle::front`.
+fn serve_through_front(
+    engine: &KelleEngine,
+    requests: Vec<ServeRequest>,
+    stream_capacity: Option<usize>,
+) -> (Vec<Vec<usize>>, BatchOutcome) {
+    let mut front_config = FrontConfig::default();
+    if let Some(capacity) = stream_capacity {
         front_config = front_config.with_stream_capacity(capacity);
     }
-    let start = Instant::now();
-    let (streams, outcome) = engine.front(front_config, |front| {
+    engine.front(front_config, |front| {
         let handles: Vec<TokenStream> = requests
             .into_iter()
             .map(|request| front.submit(request).expect("unbounded admission queue"))
@@ -212,9 +245,7 @@ fn serve_fleet(
                 tokens
             })
             .collect::<Vec<_>>()
-    });
-    let wall_s = start.elapsed().as_secs_f64();
-    (streams, outcome, wall_s)
+    })
 }
 
 /// Runs the full sweep: both executor protocols at every worker count.
@@ -232,8 +263,12 @@ pub fn run(config: FrontPerfConfig) -> FrontPerfReport {
     let mut rows = Vec::new();
     for &workers in &config.scenario.worker_counts {
         let mut per_kind = Vec::new();
-        for kind in [ExecutorKind::Sticky, ExecutorKind::Stealing] {
-            let (streams, outcome, wall_s) = serve_fleet(&config, workers, kind);
+        let protocols: [(&'static str, ServeFleet); 2] = [
+            (STICKY, serve_through_front),
+            (STEALING, serve_through_pool),
+        ];
+        for (kind, serve) in protocols {
+            let (streams, outcome, wall_s) = serve_fleet(&config, workers, serve);
             let streams_identical = match &reference {
                 None => {
                     reference = Some(streams);
@@ -243,7 +278,7 @@ pub fn run(config: FrontPerfConfig) -> FrontPerfReport {
             };
             assert!(
                 streams_identical,
-                "{kind:?} at {workers} workers changed a token stream"
+                "{kind} at {workers} workers changed a token stream"
             );
             per_kind.push(FrontPerfRow {
                 workers,
@@ -296,8 +331,8 @@ mod tests {
         assert!(report.rows.iter().all(|r| r.decode_tokens == 18));
         for pair in report.rows.chunks(2) {
             let (sticky, stealing) = (&pair[0], &pair[1]);
-            assert_eq!(sticky.executor, ExecutorKind::Sticky);
-            assert_eq!(stealing.executor, ExecutorKind::Stealing);
+            assert_eq!(sticky.executor, STICKY);
+            assert_eq!(stealing.executor, STEALING);
             assert_eq!(sticky.workers, stealing.workers);
             // Same deterministic tick count, strictly less queue traffic,
             // and pinning never migrates a session.
@@ -333,7 +368,7 @@ mod tests {
             rows: vec![
                 FrontPerfRow {
                     workers: 2,
-                    executor: ExecutorKind::Sticky,
+                    executor: STICKY,
                     decode_tokens: 1536,
                     wall_seconds: 0.5,
                     decode_tokens_per_sec: 3072.0,
@@ -345,7 +380,7 @@ mod tests {
                 },
                 FrontPerfRow {
                     workers: 2,
-                    executor: ExecutorKind::Stealing,
+                    executor: STEALING,
                     decode_tokens: 1536,
                     wall_seconds: 0.75,
                     decode_tokens_per_sec: 2048.0,

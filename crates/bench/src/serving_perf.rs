@@ -214,7 +214,9 @@ fn serve_fleet(config: &ServingPerfConfig, workers: Option<usize>) -> (BatchOutc
             }
             let prefill_s = start.elapsed().as_secs_f64();
             let start = Instant::now();
-            let outcome = scheduler.run_to_completion_streaming_with(&mut pool, |_, _| {});
+            let outcome = scheduler
+                .run_with(&mut pool, |_| {})
+                .expect("benchmark fleet runs without chaos");
             (outcome, prefill_s, start.elapsed().as_secs_f64())
         }),
     }

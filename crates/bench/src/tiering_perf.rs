@@ -212,7 +212,7 @@ pub fn run(config: TieringPerfConfig) -> TieringPerfReport {
     let start = Instant::now();
     let reference = reference_engine
         .serve(requests_for(&config.scenario), ServeOptions::new())
-        .expect("infallible options cannot fail");
+        .expect("no chaos configured, no worker can be lost");
     let unbounded_seconds = start.elapsed().as_secs_f64();
 
     let tiered_engine = engine(&config);
@@ -223,7 +223,7 @@ pub fn run(config: TieringPerfConfig) -> TieringPerfReport {
             requests_for(&config.scenario),
             ServeOptions::new().with_scheduler(SchedulerConfig::default().with_tiering(tiering)),
         )
-        .expect("infallible options cannot fail");
+        .expect("no chaos configured, no worker can be lost");
     let tiered_seconds = start.elapsed().as_secs_f64();
 
     let streams_identical = reference

@@ -281,7 +281,7 @@ fn replay(
                 .with_scheduler(scheduler)
                 .streaming(&mut sink),
         )
-        .expect("infallible options cannot fail");
+        .expect("no chaos configured, no worker can be lost");
     let wall_s = start.elapsed().as_secs_f64();
     (events, outcome.slo.clone(), outcome.report(), wall_s)
 }

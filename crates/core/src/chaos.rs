@@ -318,7 +318,10 @@ impl fmt::Debug for Checkpoint<'_> {
     }
 }
 
-/// Infrastructure failures surfaced by the fallible serving entry points.
+/// Infrastructure failures surfaced by
+/// [`KelleEngine::serve`](crate::engine::KelleEngine::serve),
+/// [`BatchScheduler::run_with`](crate::scheduler::BatchScheduler::run_with)
+/// and [`try_step_with`](crate::scheduler::BatchScheduler::try_step_with).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// A worker thread carrying a session's decode step panicked and the

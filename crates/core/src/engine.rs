@@ -15,18 +15,17 @@
 //!   scheduler that interleaves decode steps across many sessions, with every
 //!   execution axis selected through [`ServeOptions`] — shared-capacity
 //!   arbitration and admission policy ([`SchedulerConfig`]), inline vs.
-//!   worker-pool execution ([`ServeOptions::parallel`]), token streaming
-//!   ([`ServeOptions::streaming`]) and typed fault surfacing
-//!   ([`ServeOptions::fallible`]).  Token streams are bit-identical across
+//!   worker-pool execution ([`ServeOptions::parallel`]) and token streaming
+//!   ([`ServeOptions::streaming`]).  Token streams are bit-identical across
 //!   every axis combination; only cost, ordering and metrics change.
 //!
-//! The historical `serve_batch*` / `try_serve_batch*` matrix survives as thin
-//! deprecated wrappers over [`KelleEngine::serve`]; each wrapper's doctest
-//! proves the delegation is exact.
+//! (The non-blocking submit/poll front-end, [`KelleEngine::front`], lives in
+//! [`crate::front`].)
 
-use crate::parallel;
+use crate::chaos::ServeError;
+use crate::parallel::{InlineExecutor, StepExecutor, WorkerPool};
 use crate::prefix::{PrefixHit, PrefixKey, PrefixSharingConfig, PrefixStore, PrefixStoreStats};
-use crate::scheduler::{BatchOutcome, BatchScheduler, SchedulerConfig};
+use crate::scheduler::{BatchOutcome, BatchScheduler, SchedulerConfig, ServeEvent};
 use crate::session::{ServeRequest, Session, TurnOutcome};
 use kelle_arch::{Platform, PlatformKind, PlatformReport};
 use kelle_cache::{CacheBudget, CachePolicy};
@@ -58,7 +57,8 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Cross-session prefix KV sharing (see [`crate::prefix`]).
     pub prefix: PrefixSharingConfig,
-    /// Worker threads used by the `serve_batch_parallel*` entry points (see
+    /// Worker threads used by [`KelleEngine::serve`] under
+    /// [`ServeOptions::parallel`] and by [`KelleEngine::front`] (see
     /// [`crate::parallel`]).  `1` (the default) still runs the full
     /// coordinator/worker protocol on a single worker; token streams and
     /// batch metrics are bit-identical for every value.
@@ -176,9 +176,10 @@ impl EngineBuilder {
         self.prefix_sharing(PrefixSharingConfig::enabled())
     }
 
-    /// Sets the number of worker threads the `serve_batch_parallel*` entry
-    /// points fan per-session prefill/decode steps out to (see
-    /// [`crate::parallel`] for the threading model).  Clamped to at least 1;
+    /// Sets the number of worker threads [`KelleEngine::serve`] under
+    /// [`ServeOptions::parallel`] and [`KelleEngine::front`] fan per-session
+    /// prefill/decode steps out to (see [`crate::parallel`] for the
+    /// threading model).  Clamped to at least 1;
     /// the worker count never changes token streams, fault statistics or
     /// batch metrics — only wall-clock time.
     pub fn workers(mut self, workers: usize) -> Self {
@@ -239,8 +240,8 @@ impl From<TurnOutcome> for ServeOutcome {
 
 /// Aggregate statistics across the lifetime of an engine.
 ///
-/// One *request* is one served turn: a `serve` call, a `Session::turn`, or one
-/// admitted request completing inside `serve_batch`.
+/// One *request* is one served turn: a `serve_one` call, a `Session::turn`, or
+/// one admitted request completing inside `serve`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Requests served.
@@ -282,16 +283,12 @@ impl EngineStats {
     }
 }
 
-/// Execution options for the unified batch entry point
-/// [`KelleEngine::serve`].
-///
-/// One value of this struct selects every axis the historical `serve_batch*`
-/// matrix spread across ten method names:
+/// Execution options for the batch entry point [`KelleEngine::serve`].
 ///
 /// * **Scheduling** — [`with_scheduler`](ServeOptions::with_scheduler)
 ///   carries the full [`SchedulerConfig`]: shared-capacity arbitration,
-///   admission policy, tiering, chaos injection, the parallelism axis and
-///   the [`SloSpec`](crate::scheduler::SloSpec) the batch's
+///   admission policy, tiering, chaos injection and the
+///   [`SloSpec`](crate::scheduler::SloSpec) the batch's
 ///   [`SloReport`](crate::scheduler::SloReport) is graded against.
 /// * **Execution** — [`parallel`](ServeOptions::parallel) fans per-session
 ///   prefill/decode compute across the engine's configured
@@ -300,10 +297,6 @@ impl EngineStats {
 /// * **Streaming** — [`streaming`](ServeOptions::streaming) registers a
 ///   `(request_index, token)` sink invoked on the coordinating thread in
 ///   exactly the order single-threaded serving would deliver tokens.
-/// * **Fallibility** — [`fallible`](ServeOptions::fallible) surfaces an
-///   unrecoverable worker loss as the typed
-///   [`ServeError::WorkerLost`](crate::chaos::ServeError) instead of a
-///   panic (the entry point chaos-hardened serving drives).
 ///
 /// ```rust
 /// use kelle::{KelleEngine, SchedulerConfig, ServeOptions, ServeRequest};
@@ -320,7 +313,7 @@ impl EngineStats {
 ///             .parallel()
 ///             .streaming(&mut sink),
 ///     )
-///     .expect("infallible options cannot fail");
+///     .expect("no chaos configured, no worker can be lost");
 /// assert_eq!(batch.outcomes[0].generated.len(), 4);
 /// assert_eq!(tokens.len(), 4);
 /// ```
@@ -328,7 +321,6 @@ impl EngineStats {
 pub struct ServeOptions<'cb> {
     scheduler: SchedulerConfig,
     parallel: bool,
-    fallible: bool,
     sink: Option<&'cb mut dyn FnMut(usize, usize)>,
 }
 
@@ -337,7 +329,6 @@ impl std::fmt::Debug for ServeOptions<'_> {
         f.debug_struct("ServeOptions")
             .field("scheduler", &self.scheduler)
             .field("parallel", &self.parallel)
-            .field("fallible", &self.fallible)
             .field("sink", &self.sink.as_ref().map(|_| "FnMut(usize, usize)"))
             .finish()
     }
@@ -345,13 +336,13 @@ impl std::fmt::Debug for ServeOptions<'_> {
 
 impl<'cb> ServeOptions<'cb> {
     /// Default options: default scheduler (unbounded capacity), inline
-    /// execution, no streaming sink, infallible.
+    /// execution, no streaming sink.
     pub fn new() -> Self {
         ServeOptions::default()
     }
 
     /// Runs the batch under an explicit [`SchedulerConfig`] (capacity,
-    /// admission policy, tiering, chaos, parallel axis, SLO spec).
+    /// admission policy, tiering, chaos, SLO spec).
     pub fn with_scheduler(mut self, config: SchedulerConfig) -> Self {
         self.scheduler = config;
         self
@@ -373,15 +364,6 @@ impl<'cb> ServeOptions<'cb> {
         self
     }
 
-    /// Surfaces unrecoverable worker loss as the typed
-    /// [`ServeError::WorkerLost`](crate::chaos::ServeError) instead of a
-    /// panic, so callers can distinguish infrastructure failure from request
-    /// failure.
-    pub fn fallible(mut self) -> Self {
-        self.fallible = true;
-        self
-    }
-
     /// The scheduler configuration the batch will run under.
     pub fn scheduler(&self) -> &SchedulerConfig {
         &self.scheduler
@@ -390,11 +372,6 @@ impl<'cb> ServeOptions<'cb> {
     /// Whether the batch fans out across worker threads.
     pub fn is_parallel(&self) -> bool {
         self.parallel
-    }
-
-    /// Whether worker loss surfaces as a typed error instead of a panic.
-    pub fn is_fallible(&self) -> bool {
-        self.fallible
     }
 }
 
@@ -698,8 +675,9 @@ impl KelleEngine {
     /// Full-scale KV footprint in bytes of a request retaining `tokens`
     /// tokens, under the configured platform's cache policy, hardware budget
     /// `N'` and batch size — the unit of account of the capacity ledger used
-    /// by [`serve_batch_with`](KelleEngine::serve_batch_with), and the same
-    /// per-token byte cost the hardware step simulation charges.
+    /// by [`serve`](KelleEngine::serve) under a bounded
+    /// [`SchedulerConfig`], and the same per-token byte cost the hardware
+    /// step simulation charges.
     pub fn kv_footprint_bytes(&self, tokens: usize) -> u64 {
         let resident = self
             .platform
@@ -710,13 +688,12 @@ impl KelleEngine {
     }
 
     /// Serves many requests under the continuous-batching scheduler — the
-    /// single batch entry point of the engine.
+    /// synchronous batch entry point of the engine.
     ///
     /// [`ServeOptions`] selects every execution axis: the scheduler
     /// configuration (shared-capacity arbitration, admission policy,
-    /// tiering, chaos, SLO spec), inline vs. worker-pool execution, an
-    /// optional streaming sink, and whether worker loss surfaces as a typed
-    /// error.  Requests carrying an
+    /// tiering, chaos, SLO spec), inline vs. worker-pool execution, and an
+    /// optional streaming sink.  Requests carrying an
     /// [`arrival_tick`](ServeRequest::arrival_tick) join the waiting queue
     /// at that scheduler tick instead of immediately, which is how trace
     /// replay drives open-loop arrivals.
@@ -727,8 +704,15 @@ impl KelleEngine {
     ///
     /// Returns per-request outcomes in submission order plus the batch's
     /// aggregate statistics, which equal the component-wise sum of serving
-    /// the same requests sequentially.  With default (infallible) options
-    /// the call cannot fail and the `Result` can be unwrapped directly.
+    /// the same requests sequentially.
+    ///
+    /// # Errors
+    ///
+    /// An unrecoverable worker loss — a task panic the chaos replay budget
+    /// could not absorb — surfaces as [`ServeError::WorkerLost`], so callers
+    /// can tell infrastructure failure from request failure.  Without a
+    /// [`ChaosConfig`](crate::chaos::ChaosConfig) no worker is ever lost and
+    /// the `Result` can be unwrapped directly.
     ///
     /// ```rust
     /// use kelle::{KelleEngine, ServeOptions, ServeRequest};
@@ -739,376 +723,35 @@ impl KelleEngine {
     ///         vec![ServeRequest::new(vec![1, 2, 3], 4)],
     ///         ServeOptions::new(),
     ///     )
-    ///     .expect("infallible options cannot fail");
+    ///     .expect("no chaos configured, no worker can be lost");
     /// assert_eq!(batch.outcomes[0].generated.len(), 4);
     /// ```
-    pub fn serve(
-        &self,
+    pub fn serve<'e>(
+        &'e self,
         requests: Vec<ServeRequest>,
         options: ServeOptions<'_>,
-    ) -> Result<BatchOutcome, crate::chaos::ServeError> {
+    ) -> Result<BatchOutcome, ServeError> {
         let ServeOptions {
             scheduler: config,
-            parallel: fan_out,
-            fallible,
+            parallel,
             mut sink,
         } = options;
-        let on_token = move |request: usize, token: usize| {
-            if let Some(sink) = sink.as_mut() {
-                sink(request, token);
-            }
-        };
-        if fan_out {
-            if fallible {
-                parallel::try_serve_batch_parallel(
-                    self,
-                    requests,
-                    config,
-                    self.config.workers,
-                    on_token,
-                )
-            } else {
-                Ok(parallel::serve_batch_parallel(
-                    self,
-                    requests,
-                    config,
-                    self.config.workers,
-                    on_token,
-                ))
-            }
-        } else {
+        let run = |executor: &mut dyn StepExecutor<'e>| {
             let mut scheduler = BatchScheduler::with_config(self, config);
             for request in requests {
-                scheduler.submit(request);
+                scheduler.submit_with(request, executor);
             }
-            if fallible {
-                scheduler.try_run_to_completion_streaming_with(
-                    &mut crate::parallel::InlineExecutor,
-                    on_token,
-                )
-            } else {
-                Ok(scheduler.run_to_completion_streaming(on_token))
-            }
+            scheduler.run_with(executor, |event| {
+                if let (ServeEvent::Token { request, token, .. }, Some(sink)) = (event, &mut sink) {
+                    sink(request, token);
+                }
+            })
+        };
+        if parallel {
+            std::thread::scope(|scope| run(&mut WorkerPool::start(scope, self.config.workers)))
+        } else {
+            run(&mut InlineExecutor)
         }
-    }
-
-    /// Deprecated alias for [`serve`](KelleEngine::serve) with default
-    /// [`ServeOptions`].
-    ///
-    /// ```rust
-    /// # #![allow(deprecated)]
-    /// use kelle::{KelleEngine, ServeOptions, ServeRequest};
-    /// let requests = vec![ServeRequest::new(vec![1, 2, 3], 2)];
-    /// let old = KelleEngine::builder().seed(3).build().serve_batch(requests.clone());
-    /// let new = KelleEngine::builder().seed(3).build()
-    ///     .serve(requests, ServeOptions::new()).unwrap();
-    /// assert_eq!(old.outcomes[0].generated, new.outcomes[0].generated);
-    /// assert_eq!(old.stats, new.stats);
-    /// ```
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `KelleEngine::serve` with `ServeOptions::new()`"
-    )]
-    pub fn serve_batch(&self, requests: Vec<ServeRequest>) -> BatchOutcome {
-        self.serve(requests, ServeOptions::new())
-            .expect("infallible options cannot fail")
-    }
-
-    /// Deprecated alias for [`serve`](KelleEngine::serve) with
-    /// [`ServeOptions::streaming`].
-    ///
-    /// ```rust
-    /// # #![allow(deprecated)]
-    /// use kelle::{KelleEngine, ServeOptions, ServeRequest};
-    /// let requests = vec![ServeRequest::new(vec![1, 2, 3], 2)];
-    /// let mut old_tokens = Vec::new();
-    /// KelleEngine::builder().seed(3).build()
-    ///     .serve_batch_streaming(requests.clone(), |r, t| old_tokens.push((r, t)));
-    /// let mut new_tokens = Vec::new();
-    /// let mut sink = |r: usize, t: usize| new_tokens.push((r, t));
-    /// KelleEngine::builder().seed(3).build()
-    ///     .serve(requests, ServeOptions::new().streaming(&mut sink)).unwrap();
-    /// assert_eq!(old_tokens, new_tokens);
-    /// ```
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `KelleEngine::serve` with `ServeOptions::new().streaming(sink)`"
-    )]
-    pub fn serve_batch_streaming(
-        &self,
-        requests: Vec<ServeRequest>,
-        mut on_token: impl FnMut(usize, usize),
-    ) -> BatchOutcome {
-        self.serve(requests, ServeOptions::new().streaming(&mut on_token))
-            .expect("infallible options cannot fail")
-    }
-
-    /// Deprecated alias for [`serve`](KelleEngine::serve) with
-    /// [`ServeOptions::with_scheduler`].
-    ///
-    /// ```rust
-    /// # #![allow(deprecated)]
-    /// use kelle::{KelleEngine, SchedulerConfig, ServeOptions, ServeRequest};
-    /// let requests = vec![ServeRequest::new(vec![1, 2, 3], 2)];
-    /// let config = SchedulerConfig::default().with_kv_capacity_bytes(1 << 20);
-    /// let old = KelleEngine::builder().seed(3).build()
-    ///     .serve_batch_with(requests.clone(), config);
-    /// let new = KelleEngine::builder().seed(3).build()
-    ///     .serve(requests, ServeOptions::new().with_scheduler(config)).unwrap();
-    /// assert_eq!(old.outcomes[0].generated, new.outcomes[0].generated);
-    /// assert_eq!(old.contention, new.contention);
-    /// ```
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `KelleEngine::serve` with `ServeOptions::new().with_scheduler(config)`"
-    )]
-    pub fn serve_batch_with(
-        &self,
-        requests: Vec<ServeRequest>,
-        config: SchedulerConfig,
-    ) -> BatchOutcome {
-        self.serve(requests, ServeOptions::new().with_scheduler(config))
-            .expect("infallible options cannot fail")
-    }
-
-    /// Deprecated alias for [`serve`](KelleEngine::serve) with
-    /// [`ServeOptions::with_scheduler`] + [`ServeOptions::streaming`].
-    ///
-    /// ```rust
-    /// # #![allow(deprecated)]
-    /// use kelle::{KelleEngine, SchedulerConfig, ServeOptions, ServeRequest};
-    /// let requests = vec![ServeRequest::new(vec![1, 2, 3], 2)];
-    /// let config = SchedulerConfig::default();
-    /// let mut old_tokens = Vec::new();
-    /// KelleEngine::builder().seed(3).build()
-    ///     .serve_batch_streaming_with(requests.clone(), config, |r, t| old_tokens.push((r, t)));
-    /// let mut new_tokens = Vec::new();
-    /// let mut sink = |r: usize, t: usize| new_tokens.push((r, t));
-    /// KelleEngine::builder().seed(3).build()
-    ///     .serve(requests, ServeOptions::new().with_scheduler(config).streaming(&mut sink))
-    ///     .unwrap();
-    /// assert_eq!(old_tokens, new_tokens);
-    /// ```
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `KelleEngine::serve` with `ServeOptions::new().with_scheduler(config).streaming(sink)`"
-    )]
-    pub fn serve_batch_streaming_with(
-        &self,
-        requests: Vec<ServeRequest>,
-        config: SchedulerConfig,
-        mut on_token: impl FnMut(usize, usize),
-    ) -> BatchOutcome {
-        self.serve(
-            requests,
-            ServeOptions::new()
-                .with_scheduler(config)
-                .streaming(&mut on_token),
-        )
-        .expect("infallible options cannot fail")
-    }
-
-    /// Deprecated alias for [`serve`](KelleEngine::serve) with
-    /// [`ServeOptions::parallel`].
-    ///
-    /// ```rust
-    /// # #![allow(deprecated)]
-    /// use kelle::{KelleEngine, ServeOptions, ServeRequest};
-    /// let requests = vec![ServeRequest::new(vec![1, 2, 3], 2)];
-    /// let old = KelleEngine::builder().seed(3).workers(2).build()
-    ///     .serve_batch_parallel(requests.clone());
-    /// let new = KelleEngine::builder().seed(3).workers(2).build()
-    ///     .serve(requests, ServeOptions::new().parallel()).unwrap();
-    /// assert_eq!(old.outcomes[0].generated, new.outcomes[0].generated);
-    /// ```
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `KelleEngine::serve` with `ServeOptions::new().parallel()`"
-    )]
-    pub fn serve_batch_parallel(&self, requests: Vec<ServeRequest>) -> BatchOutcome {
-        self.serve(requests, ServeOptions::new().parallel())
-            .expect("infallible options cannot fail")
-    }
-
-    /// Deprecated alias for [`serve`](KelleEngine::serve) with
-    /// [`ServeOptions::parallel`] + [`ServeOptions::with_scheduler`].
-    ///
-    /// ```rust
-    /// # #![allow(deprecated)]
-    /// use kelle::{KelleEngine, SchedulerConfig, ServeOptions, ServeRequest};
-    /// let requests = vec![ServeRequest::new(vec![1, 2, 3], 2)];
-    /// let config = SchedulerConfig::default();
-    /// let old = KelleEngine::builder().seed(3).workers(2).build()
-    ///     .serve_batch_parallel_with(requests.clone(), config);
-    /// let new = KelleEngine::builder().seed(3).workers(2).build()
-    ///     .serve(requests, ServeOptions::new().parallel().with_scheduler(config)).unwrap();
-    /// assert_eq!(old.outcomes[0].generated, new.outcomes[0].generated);
-    /// ```
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `KelleEngine::serve` with `ServeOptions::new().parallel().with_scheduler(config)`"
-    )]
-    pub fn serve_batch_parallel_with(
-        &self,
-        requests: Vec<ServeRequest>,
-        config: SchedulerConfig,
-    ) -> BatchOutcome {
-        self.serve(
-            requests,
-            ServeOptions::new().parallel().with_scheduler(config),
-        )
-        .expect("infallible options cannot fail")
-    }
-
-    /// Deprecated alias for [`serve`](KelleEngine::serve) with
-    /// [`ServeOptions::parallel`] + [`ServeOptions::streaming`].
-    ///
-    /// ```rust
-    /// # #![allow(deprecated)]
-    /// use kelle::{KelleEngine, ServeOptions, ServeRequest};
-    /// let requests = vec![ServeRequest::new(vec![1, 2, 3], 2)];
-    /// let mut old_tokens = Vec::new();
-    /// KelleEngine::builder().seed(3).workers(2).build()
-    ///     .serve_batch_parallel_streaming(requests.clone(), |r, t| old_tokens.push((r, t)));
-    /// let mut new_tokens = Vec::new();
-    /// let mut sink = |r: usize, t: usize| new_tokens.push((r, t));
-    /// KelleEngine::builder().seed(3).workers(2).build()
-    ///     .serve(requests, ServeOptions::new().parallel().streaming(&mut sink)).unwrap();
-    /// assert_eq!(old_tokens, new_tokens);
-    /// ```
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `KelleEngine::serve` with `ServeOptions::new().parallel().streaming(sink)`"
-    )]
-    pub fn serve_batch_parallel_streaming(
-        &self,
-        requests: Vec<ServeRequest>,
-        mut on_token: impl FnMut(usize, usize),
-    ) -> BatchOutcome {
-        self.serve(
-            requests,
-            ServeOptions::new().parallel().streaming(&mut on_token),
-        )
-        .expect("infallible options cannot fail")
-    }
-
-    /// Deprecated alias for [`serve`](KelleEngine::serve) with
-    /// [`ServeOptions::parallel`] + [`ServeOptions::with_scheduler`] +
-    /// [`ServeOptions::streaming`].
-    ///
-    /// ```rust
-    /// # #![allow(deprecated)]
-    /// use kelle::{KelleEngine, SchedulerConfig, ServeOptions, ServeRequest};
-    /// let requests = vec![ServeRequest::new(vec![1, 2, 3], 2)];
-    /// let config = SchedulerConfig::default();
-    /// let mut old_tokens = Vec::new();
-    /// KelleEngine::builder().seed(3).workers(2).build()
-    ///     .serve_batch_parallel_streaming_with(requests.clone(), config,
-    ///         |r, t| old_tokens.push((r, t)));
-    /// let mut new_tokens = Vec::new();
-    /// let mut sink = |r: usize, t: usize| new_tokens.push((r, t));
-    /// KelleEngine::builder().seed(3).workers(2).build()
-    ///     .serve(requests,
-    ///         ServeOptions::new().parallel().with_scheduler(config).streaming(&mut sink))
-    ///     .unwrap();
-    /// assert_eq!(old_tokens, new_tokens);
-    /// ```
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `KelleEngine::serve` with `ServeOptions::new().parallel().with_scheduler(config).streaming(sink)`"
-    )]
-    pub fn serve_batch_parallel_streaming_with(
-        &self,
-        requests: Vec<ServeRequest>,
-        config: SchedulerConfig,
-        mut on_token: impl FnMut(usize, usize),
-    ) -> BatchOutcome {
-        self.serve(
-            requests,
-            ServeOptions::new()
-                .parallel()
-                .with_scheduler(config)
-                .streaming(&mut on_token),
-        )
-        .expect("infallible options cannot fail")
-    }
-
-    /// Deprecated alias for [`serve`](KelleEngine::serve) with
-    /// [`ServeOptions::parallel`] + [`ServeOptions::fallible`] +
-    /// [`ServeOptions::with_scheduler`].
-    ///
-    /// ```rust
-    /// # #![allow(deprecated)]
-    /// use kelle::{KelleEngine, SchedulerConfig, ServeOptions, ServeRequest};
-    /// let requests = vec![ServeRequest::new(vec![1, 2, 3], 2)];
-    /// let config = SchedulerConfig::default();
-    /// let old = KelleEngine::builder().seed(3).workers(2).build()
-    ///     .try_serve_batch_parallel_with(requests.clone(), config).unwrap();
-    /// let new = KelleEngine::builder().seed(3).workers(2).build()
-    ///     .serve(requests,
-    ///         ServeOptions::new().parallel().fallible().with_scheduler(config))
-    ///     .unwrap();
-    /// assert_eq!(old.outcomes[0].generated, new.outcomes[0].generated);
-    /// ```
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `KelleEngine::serve` with `ServeOptions::new().parallel().fallible().with_scheduler(config)`"
-    )]
-    pub fn try_serve_batch_parallel_with(
-        &self,
-        requests: Vec<ServeRequest>,
-        config: SchedulerConfig,
-    ) -> Result<BatchOutcome, crate::chaos::ServeError> {
-        self.serve(
-            requests,
-            ServeOptions::new()
-                .parallel()
-                .fallible()
-                .with_scheduler(config),
-        )
-    }
-
-    /// Deprecated alias for [`serve`](KelleEngine::serve) with every option
-    /// set: [`ServeOptions::parallel`] + [`ServeOptions::fallible`] +
-    /// [`ServeOptions::with_scheduler`] + [`ServeOptions::streaming`].
-    ///
-    /// ```rust
-    /// # #![allow(deprecated)]
-    /// use kelle::{KelleEngine, SchedulerConfig, ServeOptions, ServeRequest};
-    /// let requests = vec![ServeRequest::new(vec![1, 2, 3], 2)];
-    /// let config = SchedulerConfig::default();
-    /// let mut old_tokens = Vec::new();
-    /// KelleEngine::builder().seed(3).workers(2).build()
-    ///     .try_serve_batch_parallel_streaming_with(requests.clone(), config,
-    ///         |r, t| old_tokens.push((r, t)))
-    ///     .unwrap();
-    /// let mut new_tokens = Vec::new();
-    /// let mut sink = |r: usize, t: usize| new_tokens.push((r, t));
-    /// KelleEngine::builder().seed(3).workers(2).build()
-    ///     .serve(requests,
-    ///         ServeOptions::new().parallel().fallible()
-    ///             .with_scheduler(config).streaming(&mut sink))
-    ///     .unwrap();
-    /// assert_eq!(old_tokens, new_tokens);
-    /// ```
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `KelleEngine::serve` with `ServeOptions::new().parallel().fallible().with_scheduler(config).streaming(sink)`"
-    )]
-    pub fn try_serve_batch_parallel_streaming_with(
-        &self,
-        requests: Vec<ServeRequest>,
-        config: SchedulerConfig,
-        mut on_token: impl FnMut(usize, usize),
-    ) -> Result<BatchOutcome, crate::chaos::ServeError> {
-        self.serve(
-            requests,
-            ServeOptions::new()
-                .parallel()
-                .fallible()
-                .with_scheduler(config)
-                .streaming(&mut on_token),
-        )
     }
 
     /// Folds one completed turn into the lifetime statistics.

@@ -426,7 +426,7 @@ pub fn serving_batch(
         .collect();
     let batch = engine
         .serve(requests, crate::engine::ServeOptions::new())
-        .expect("infallible options cannot fail");
+        .expect("no chaos configured, no worker can be lost");
     let mean_request_latency_s = batch
         .outcomes
         .iter()
@@ -509,7 +509,7 @@ pub fn serving_contention(
                     requests.clone(),
                     crate::engine::ServeOptions::new().with_scheduler(config),
                 )
-                .expect("infallible options cannot fail");
+                .expect("no chaos configured, no worker can be lost");
             let dram_energy_j = batch
                 .outcomes
                 .iter()

@@ -6,17 +6,13 @@
 //! without blocking and read tokens back through bounded per-session
 //! [`TokenStream`]s, while the scheduler's admission queue, deadlines,
 //! [`cancel`](ServingFront::cancel) and [`drain`](ServingFront::drain) are
-//! all first-class on the handle.  Two executor protocols drive the decode
-//! ticks:
-//!
-//! * [`ExecutorKind::Sticky`] (the default) pins every session to a worker
-//!   shard ([`StickyShardPool`]): the session object is parked on its shard
-//!   and only per-tick step results cross threads to the coordinator
-//!   commit, so a fleet of long-lived sessions generates O(steps) queue
-//!   traffic instead of O(steps × session moves);
-//! * [`ExecutorKind::Stealing`] round-trips whole sessions through the
-//!   shared task queue every tick ([`WorkerPool`]) — the PR-5 protocol,
-//!   better when per-tick work is heavily skewed.
+//! all first-class on the handle.  Decode ticks run on a
+//! [`StickyShardPool`]: every session is pinned to a worker shard, the
+//! session object is parked there and only per-tick step results cross
+//! threads to the coordinator commit, so a fleet of long-lived sessions
+//! generates O(steps) queue traffic instead of the O(steps × session moves)
+//! of the work-stealing [`WorkerPool`](crate::parallel::WorkerPool) behind
+//! the synchronous [`KelleEngine::serve`].
 //!
 //! # Cooperative pumping
 //!
@@ -50,8 +46,7 @@
 //! For a fixed submission sequence, the committed token streams,
 //! probability bits and fault statistics are bit-identical to the
 //! synchronous parallel [`KelleEngine::serve`] path for all five
-//! cache policies, both [`ParallelAxis`](crate::parallel::ParallelAxis)
-//! modes and any worker count, with either executor — gated by
+//! cache policies and any worker count — gated by
 //! `tests/integration_front.rs`.
 //!
 //! ```
@@ -84,31 +79,16 @@ use parking_lot::Mutex;
 
 use crate::chaos::{ServeError, ShedReason};
 use crate::engine::KelleEngine;
-use crate::parallel::{StepExecutor, StickyShardPool, WorkerPool};
+use crate::parallel::{StepExecutor, StickyShardPool};
 use crate::scheduler::{BatchOutcome, BatchScheduler, SchedulerConfig, StepEvent};
 use crate::session::ServeRequest;
-
-/// Which executor protocol drives the front-end's decode ticks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// Pin sessions to worker shards ([`StickyShardPool`]); only per-tick
-    /// step results cross threads.  The right default for long-lived
-    /// session fleets.
-    #[default]
-    Sticky,
-    /// Round-trip whole sessions through the shared task queue every tick
-    /// ([`WorkerPool`]); work-stealing balances skewed per-tick load.
-    Stealing,
-}
 
 /// Configuration for [`KelleEngine::front`].
 #[derive(Debug, Clone, Default)]
 pub struct FrontConfig {
     /// Scheduler configuration (capacity, admission policy, tiering,
-    /// chaos, parallel axis) the front drives.
+    /// chaos) the front drives.
     pub scheduler: SchedulerConfig,
-    /// Executor protocol for decode ticks.
-    pub executor: ExecutorKind,
     /// Admission backpressure: maximum waiting (queued, unadmitted)
     /// requests before [`ServingFront::submit`] rejects with
     /// [`SubmitError::QueueFull`].  `None` (default) never rejects.
@@ -120,8 +100,8 @@ pub struct FrontConfig {
 }
 
 impl FrontConfig {
-    /// Default configuration: sticky executor, unbounded queue and streams,
-    /// default scheduler.
+    /// Default configuration: unbounded queue and streams, default
+    /// scheduler.
     pub fn new() -> Self {
         Self::default()
     }
@@ -129,12 +109,6 @@ impl FrontConfig {
     /// Sets the scheduler configuration.
     pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the executor protocol.
-    pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
-        self.executor = executor;
         self
     }
 
@@ -493,7 +467,7 @@ impl<'x, 'e> ServingFront<'x, 'e> {
 impl KelleEngine {
     /// Opens a [`ServingFront`] over this engine and hands it to `serve`.
     ///
-    /// The executor ([`FrontConfig::executor`]) runs on
+    /// The sticky-shard executor runs on
     /// [`workers`](crate::engine::EngineBuilder::workers) scoped threads for
     /// the duration of the call.  When `serve` returns, any requests still
     /// in flight are pumped to completion (paused streams are resumed), and
@@ -510,29 +484,16 @@ impl KelleEngine {
     ) -> (R, BatchOutcome) {
         let FrontConfig {
             scheduler,
-            executor,
             queue_capacity,
             stream_capacity,
         } = config;
-        let workers = self.config().workers;
         std::thread::scope(|scope| {
             let scheduler = BatchScheduler::with_config(self, scheduler);
-            match executor {
-                ExecutorKind::Sticky => {
-                    let mut pool = StickyShardPool::start(scope, workers);
-                    let mut front =
-                        ServingFront::new(scheduler, &mut pool, queue_capacity, stream_capacity);
-                    let result = serve(&mut front);
-                    (result, front.into_outcome())
-                }
-                ExecutorKind::Stealing => {
-                    let mut pool = WorkerPool::start(scope, workers);
-                    let mut front =
-                        ServingFront::new(scheduler, &mut pool, queue_capacity, stream_capacity);
-                    let result = serve(&mut front);
-                    (result, front.into_outcome())
-                }
-            }
+            let mut pool = StickyShardPool::start(scope, self.config().workers);
+            let mut front =
+                ServingFront::new(scheduler, &mut pool, queue_capacity, stream_capacity);
+            let result = serve(&mut front);
+            (result, front.into_outcome())
         })
     }
 }
@@ -560,38 +521,34 @@ mod tests {
         let baseline = engine
             .serve(requests(), crate::engine::ServeOptions::new())
             .unwrap();
-        for kind in [ExecutorKind::Sticky, ExecutorKind::Stealing] {
-            let (streams, outcome) =
-                engine.front(FrontConfig::default().with_executor(kind), |front| {
-                    let handles: Vec<TokenStream> = requests()
-                        .into_iter()
-                        .map(|request| front.submit(request).expect("unbounded queue"))
-                        .collect();
-                    handles
-                        .iter()
-                        .map(|stream| {
-                            let mut tokens = Vec::new();
-                            loop {
-                                match front.recv(stream) {
-                                    StreamPoll::Token(token) => tokens.push(token),
-                                    StreamPoll::Finished { shed } => {
-                                        assert_eq!(shed, None);
-                                        break;
-                                    }
-                                    StreamPoll::Pending => unreachable!("live streams progress"),
-                                }
+        let (streams, outcome) = engine.front(FrontConfig::default(), |front| {
+            let handles: Vec<TokenStream> = requests()
+                .into_iter()
+                .map(|request| front.submit(request).expect("unbounded queue"))
+                .collect();
+            handles
+                .iter()
+                .map(|stream| {
+                    let mut tokens = Vec::new();
+                    loop {
+                        match front.recv(stream) {
+                            StreamPoll::Token(token) => tokens.push(token),
+                            StreamPoll::Finished { shed } => {
+                                assert_eq!(shed, None);
+                                break;
                             }
-                            tokens
-                        })
-                        .collect::<Vec<_>>()
-                });
-            for (index, (tokens, reference)) in
-                streams.iter().zip(baseline.outcomes.iter()).enumerate()
-            {
-                assert_eq!(tokens, &reference.generated, "request {index} ({kind:?})");
-            }
-            assert_eq!(outcome.stats, baseline.stats, "{kind:?}");
+                            StreamPoll::Pending => unreachable!("live streams progress"),
+                        }
+                    }
+                    tokens
+                })
+                .collect::<Vec<_>>()
+        });
+        for (index, (tokens, reference)) in streams.iter().zip(baseline.outcomes.iter()).enumerate()
+        {
+            assert_eq!(tokens, &reference.generated, "request {index}");
         }
+        assert_eq!(outcome.stats, baseline.stats);
     }
 
     #[test]
@@ -745,18 +702,17 @@ mod tests {
         let long_lived: Vec<ServeRequest> = (0..6)
             .map(|i| ServeRequest::new(vec![i + 1, i + 2], 24))
             .collect();
-        let run = |kind: ExecutorKind| {
-            let requests = long_lived.clone();
-            engine
-                .front(FrontConfig::default().with_executor(kind), move |front| {
-                    for request in requests {
-                        front.submit(request).expect("unbounded queue");
-                    }
-                })
-                .1
-        };
-        let sticky = run(ExecutorKind::Sticky);
-        let stealing = run(ExecutorKind::Stealing);
+        let requests = long_lived.clone();
+        let ((), sticky) = engine.front(FrontConfig::default(), move |front| {
+            for request in requests {
+                front.submit(request).expect("unbounded queue");
+            }
+        });
+        // The same tick-0 fleet through the work-stealing pool of the
+        // synchronous path.
+        let stealing = engine
+            .serve(long_lived, crate::engine::ServeOptions::new().parallel())
+            .unwrap();
         for (a, b) in sticky.outcomes.iter().zip(stealing.outcomes.iter()) {
             assert_eq!(a.generated, b.generated);
         }

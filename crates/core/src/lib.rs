@@ -13,8 +13,8 @@
 //! entry points of increasing generality: one-shot [`KelleEngine::serve_one`],
 //! persistent [`Session`]s whose KV cache survives across turns, and the
 //! unified continuous-batching entry [`KelleEngine::serve`], whose
-//! [`ServeOptions`] select capacity arbitration, parallel execution,
-//! streaming and fallibility on one call.
+//! [`ServeOptions`] select capacity arbitration, parallel execution and
+//! streaming on one call.
 //!
 //! ```rust
 //! use kelle::{CachePolicy, KelleEngine, ServeOptions, ServeRequest};
@@ -44,7 +44,7 @@
 //! let mut sink = |request: usize, _token: usize| assert!(request < 2);
 //! let batch = engine
 //!     .serve(requests.clone(), ServeOptions::new().streaming(&mut sink))
-//!     .expect("infallible options cannot fail");
+//!     .expect("no chaos configured, no worker can be lost");
 //! assert_eq!(batch.outcomes.len(), 2);
 //! assert_eq!(batch.stats.tokens_generated, 8);
 //!
@@ -63,7 +63,7 @@
 //!             SchedulerConfig::default().with_kv_capacity_bytes(capacity / 2),
 //!         ),
 //!     )
-//!     .expect("infallible options cannot fail");
+//!     .expect("no chaos configured, no worker can be lost");
 //! for (a, b) in batch.outcomes.iter().zip(contended.outcomes.iter()) {
 //!     assert_eq!(a.generated, b.generated);
 //! }
@@ -136,11 +136,11 @@ pub use engine::{
 };
 pub use experiment::{EndToEndRow, EndToEndSummary};
 pub use faults::fault_injector_for_policy;
-pub use front::{ExecutorKind, FrontConfig, ServingFront, StreamPoll, SubmitError, TokenStream};
+pub use front::{FrontConfig, ServingFront, StreamPoll, SubmitError, TokenStream};
 pub use kelle_cache::CachePolicy;
 pub use parallel::{
-    InlineExecutor, ParallelAxis, ParallelMetrics, PoolRunner, SessionTask, StepExecutor,
-    StickyOutcome, StickyShardPool, StickyStep, TaskFailure, TaskOutput, TickResult, WorkerPool,
+    InlineExecutor, ParallelMetrics, PoolRunner, SessionTask, StepExecutor, StickyOutcome,
+    StickyShardPool, StickyStep, TaskFailure, TaskOutput, TickResult, WorkerPool,
 };
 pub use prefix::{
     PrefixHit, PrefixKey, PrefixSharingConfig, PrefixStore, PrefixStoreStats, RadixPrefixIndex,

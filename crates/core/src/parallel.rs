@@ -26,11 +26,11 @@
 //! coordinating thread, batched into a **per-tick commit** in request
 //! submission order.
 //!
-//! **Intra-session (fork-join):** the second axis.  Under
-//! [`ParallelAxis::Intra`] (or `Auto` on a narrow batch) sessions stay on
-//! the coordinator and each decode step forks its per-head attention jobs
-//! and row-blocked projection jobs across the *same* workers through
-//! [`PoolRunner`].  Per-head fault-RNG draws come from deterministic
+//! **Intra-session (fork-join):** the second axis.  When a decode batch is
+//! too narrow to keep the [`WorkerPool`] busy (one session, or fewer than
+//! half a session per worker) the sessions stay on the coordinator and each
+//! decode step forks its per-head attention jobs and row-blocked projection
+//! jobs across the *same* workers through [`PoolRunner`].  Per-head fault-RNG draws come from deterministic
 //! `(layer, head)` lanes (see [`kelle_model::fault::FaultInjector`]), so
 //! fork order can never reorder a shared random stream; cache observation
 //! callbacks are replayed serially in head order after the fork joins.
@@ -82,24 +82,26 @@
 //! for every worker count** — pinned by the `integration_parallel` suite
 //! (all five cache policies, prefix hits, contention-limited admission) and
 //! re-checked in CI at `--workers 1,2,4` by the determinism gate.
-//! Throughput scaling lives in `BENCH_serving.json` (emitted by the
-//! `bench_serving` binary: aggregate decode tokens/s vs worker count on the
-//! 8-session shared-prompt fleet).
+//! Throughput scaling is measured by the `bench_serving` binary (aggregate
+//! decode tokens/s vs worker count on the 8-session shared-prompt fleet).
 //!
 //! # Entry points
 //!
 //! Most callers want [`KelleEngine::serve`] with [`ServeOptions::parallel`]
 //! plus [`EngineBuilder::workers`]; driving a [`BatchScheduler`] manually
-//! with a [`WorkerPool`] — as [`serve_batch_parallel`] does — is the
-//! low-level interface benchmarks use to time individual phases.
+//! with a [`WorkerPool`] ([`BatchScheduler::submit_with`] /
+//! [`BatchScheduler::step_with`]) is the low-level interface benchmarks use
+//! to time individual phases.
 //!
+//! [`KelleEngine::serve`]: crate::engine::KelleEngine::serve
+//! [`BatchScheduler`]: crate::scheduler::BatchScheduler
+//! [`BatchScheduler::submit_with`]: crate::scheduler::BatchScheduler::submit_with
+//! [`BatchScheduler::step_with`]: crate::scheduler::BatchScheduler::step_with
+//! [`BatchOutcome`]: crate::scheduler::BatchOutcome
 //! [`ServeOptions::parallel`]: crate::engine::ServeOptions::parallel
 //! [`EngineBuilder::workers`]: crate::engine::EngineBuilder::workers
 
-use crate::chaos::ServeError;
-use crate::engine::KelleEngine;
-use crate::scheduler::{BatchOutcome, BatchScheduler, SchedulerConfig};
-use crate::session::{PrefillPlan, ServeRequest, Session};
+use crate::session::{PrefillPlan, Session};
 use kelle_model::DecodeStep;
 use kelle_tensor::par::{Job, ParallelRunner};
 use serde::{Deserialize, Serialize};
@@ -109,33 +111,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
-
-/// Which axis of parallelism a scheduler tick fans decode compute out on
-/// (the [`SchedulerConfig::with_parallel_axis`] knob).
-///
-/// Both axes produce **bit-identical** token streams, probability bits and
-/// fault statistics — the axis changes wall-clock time only.  Session
-/// parallelism wins when the batch is wide (many independent sessions keep
-/// every worker busy); intra-session parallelism wins when the batch is
-/// narrow (a single session cannot saturate the pool, so its per-head
-/// attention and row-blocked projections are fanned out instead).
-///
-/// [`SchedulerConfig::with_parallel_axis`]: crate::scheduler::SchedulerConfig::with_parallel_axis
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum ParallelAxis {
-    /// One task per session; whole sessions move to workers (the classic
-    /// batch axis).
-    Session,
-    /// Sessions decode one at a time on the coordinator; each decode step's
-    /// per-head attention and projection row blocks fan out to the workers
-    /// through a [`PoolRunner`].
-    Intra,
-    /// Pick per tick: intra-session when the batch is too narrow to keep
-    /// the pool busy (one task, or fewer than half a task per worker),
-    /// session-parallel otherwise.
-    #[default]
-    Auto,
-}
 
 /// Cross-thread traffic counters for one batch, reported on
 /// [`BatchOutcome::parallel`](crate::scheduler::BatchOutcome::parallel).
@@ -176,7 +151,8 @@ impl ParallelMetrics {
 /// One unit of per-session compute: a session together with the prefill or
 /// decode step to run on it.
 ///
-/// Tasks are created by the [`BatchScheduler`]'s fan-out phases and consumed
+/// Tasks are created by the
+/// [`BatchScheduler`](crate::scheduler::BatchScheduler)'s fan-out phases and consumed
 /// by a [`StepExecutor`]; an executor's only obligation is to call
 /// [`run`](SessionTask::run) on every task exactly once (on any thread — the
 /// task owns everything it needs) and hand all outputs back.
@@ -239,45 +215,18 @@ impl<'e> SessionTask<'e> {
         self.index
     }
 
-    /// Executes the task, consuming it and returning the session inside the
-    /// output.
-    pub fn run(self) -> TaskOutput<'e> {
-        let SessionTask {
-            index,
-            mut session,
-            work,
-            sabotage,
-        } = self;
-        let payload = match work {
-            Work::Decode => {
-                let tokens_before = session.position();
-                let step = session.decode_one();
-                Payload::Decode {
-                    step,
-                    tokens_before,
-                }
-            }
-            Work::Prefill { tokens, plan } => Payload::Prefill {
-                computed: session.prefill_planned(&tokens, plan),
-            },
-        };
-        if sabotage {
-            panic!("chaos: injected worker panic (request {index})");
-        }
-        TaskOutput {
-            index,
-            session,
-            payload,
-            worker: None,
-        }
+    /// Whether this is a decode-step task (as opposed to an admission
+    /// prefill).
+    fn is_decode(&self) -> bool {
+        matches!(self.work, Work::Decode)
     }
 
-    /// [`run`](SessionTask::run) with decode compute fanned out through
-    /// `runner` — the intra-session axis.  Prefill tasks ignore the runner
-    /// (a prefill is a one-off cost the session axis already covers);
-    /// decode output is bit-identical to [`run`](SessionTask::run) by the
-    /// [`ParallelRunner`] partitioning contract.
-    pub fn run_with(self, runner: &dyn ParallelRunner) -> TaskOutput<'e> {
+    /// Executes the task, consuming it and returning the session inside the
+    /// output.  With a `runner`, decode compute fans out through it — the
+    /// intra-session axis — bit-identically to the sequential step by the
+    /// [`ParallelRunner`] partitioning contract; prefill tasks ignore the
+    /// runner (a prefill is a one-off cost the session axis already covers).
+    pub fn run(self, runner: Option<&dyn ParallelRunner>) -> TaskOutput<'e> {
         let SessionTask {
             index,
             mut session,
@@ -287,7 +236,10 @@ impl<'e> SessionTask<'e> {
         let payload = match work {
             Work::Decode => {
                 let tokens_before = session.position();
-                let step = session.decode_one_with(runner);
+                let step = match runner {
+                    Some(runner) => session.decode_one_with(runner),
+                    None => session.decode_one(),
+                };
                 Payload::Decode {
                     step,
                     tokens_before,
@@ -386,8 +338,8 @@ impl TaskFailure {
     }
 }
 
-/// The partitioned result of one fallible fan-out: the outputs of every task
-/// that completed plus a [`TaskFailure`] for every task that panicked.
+/// The partitioned result of one fan-out: the outputs of every task that
+/// completed plus a [`TaskFailure`] for every task that panicked.
 #[derive(Debug)]
 pub struct TickResult<'e> {
     /// Outputs of the tasks that completed (any order).
@@ -397,10 +349,10 @@ pub struct TickResult<'e> {
 }
 
 impl<'e> TickResult<'e> {
-    /// Unwraps into the outputs, resurfacing the first failure as a panic —
-    /// the legacy infallible behaviour.  The full batch has already been
-    /// drained, so a caller that catches the panic keeps a reusable
-    /// executor.
+    /// Unwraps into the outputs, resurfacing the first failure as a panic
+    /// (how the scheduler's admission flush treats a crashed prefill).  The
+    /// full batch has already been drained, so a caller that catches the
+    /// panic keeps a reusable executor.
     pub fn into_outputs(self) -> Vec<TaskOutput<'e>> {
         if let Some(failure) = self.failures.into_iter().next() {
             std::panic::resume_unwind(Box::new(failure.message));
@@ -481,19 +433,19 @@ pub struct StickyOutcome {
     pub failures: Vec<TaskFailure>,
 }
 
-/// Executes batches of [`SessionTask`]s for the [`BatchScheduler`].
+/// Executes batches of [`SessionTask`]s for the
+/// [`BatchScheduler`](crate::scheduler::BatchScheduler).
 ///
 /// The contract is deliberately loose — outputs may come back in any order,
 /// tasks may run on any thread — because the scheduler re-establishes
 /// determinism at commit time by sorting outputs on request index.  The
 /// stock executors are [`InlineExecutor`] (sequential, the default behind
-/// [`BatchScheduler::step`]), the work-stealing [`WorkerPool`] and the
-/// pinned [`StickyShardPool`].
+/// [`BatchScheduler::step`](crate::scheduler::BatchScheduler::step)), the
+/// work-stealing [`WorkerPool`] and the pinned [`StickyShardPool`].
 ///
-/// The `try_*` pair is the fallible surface the chaos-hardened scheduler
-/// drives: a task panic becomes a [`TaskFailure`] in the returned
-/// [`TickResult`] instead of unwinding the coordinator, so surviving
-/// sessions commit and the lost step can replay from checkpoint.
+/// A task panic never unwinds the coordinator: it becomes a [`TaskFailure`]
+/// in the returned [`TickResult`], so surviving sessions commit and the
+/// chaos-hardened scheduler can replay the lost step from checkpoint.
 ///
 /// # The sticky surface
 ///
@@ -503,46 +455,12 @@ pub struct StickyOutcome {
 /// [`step_parked`](StepExecutor::step_parked) /
 /// [`recall`](StepExecutor::recall); the scheduler then keeps each active
 /// session parked on the executor and commits from [`StickyStep`]s instead
-/// of round-tripping whole sessions.  The defaults make every pre-existing
-/// executor trivially correct: not sticky, nothing ever parked, `recall`
-/// finds nothing.
+/// of round-tripping whole sessions.  The defaults describe an executor
+/// that is not sticky: nothing is ever parked, `recall` finds nothing.
 pub trait StepExecutor<'e> {
-    /// Runs every task exactly once and returns all outputs (any order).
-    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> Vec<TaskOutput<'e>>;
-
-    /// [`execute`](StepExecutor::execute) with an axis hint (see
-    /// [`ParallelAxis`]).  Executors without a second axis — like
-    /// [`InlineExecutor`] — ignore the hint; this default delegates to
-    /// `execute`.  Outputs must be bit-identical for every axis.
-    fn execute_axis(
-        &mut self,
-        tasks: Vec<SessionTask<'e>>,
-        axis: ParallelAxis,
-    ) -> Vec<TaskOutput<'e>> {
-        let _ = axis;
-        self.execute(tasks)
-    }
-
-    /// Fallible [`execute`](StepExecutor::execute): partitions the batch
-    /// into completed outputs and per-task failures.  This default delegates
-    /// to `execute` (which panics on failure); the stock executors override
-    /// it to catch task panics instead.
-    fn try_execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e> {
-        TickResult {
-            outputs: self.execute(tasks),
-            failures: Vec::new(),
-        }
-    }
-
-    /// Fallible [`execute_axis`](StepExecutor::execute_axis).
-    fn try_execute_axis(
-        &mut self,
-        tasks: Vec<SessionTask<'e>>,
-        axis: ParallelAxis,
-    ) -> TickResult<'e> {
-        let _ = axis;
-        self.try_execute(tasks)
-    }
+    /// Runs every task exactly once and partitions the batch into completed
+    /// outputs (any order) and one [`TaskFailure`] per task that panicked.
+    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e>;
 
     /// Whether this executor holds sessions resident between ticks (see the
     /// trait-level *sticky surface* section).  Defaults to `false`.
@@ -576,18 +494,15 @@ pub trait StepExecutor<'e> {
 }
 
 /// Runs every task inline on the calling thread, in order — the executor
-/// behind the classic single-threaded [`BatchScheduler::step`] /
+/// behind the classic single-threaded
+/// [`BatchScheduler::step`](crate::scheduler::BatchScheduler::step) /
 /// [`BatchScheduler::submit`](crate::scheduler::BatchScheduler::submit).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct InlineExecutor;
 
 impl<'e> StepExecutor<'e> for InlineExecutor {
-    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> Vec<TaskOutput<'e>> {
-        tasks.into_iter().map(SessionTask::run).collect()
-    }
-
-    fn try_execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e> {
-        run_tasks_caught(tasks, SessionTask::run)
+    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e> {
+        run_tasks_caught(tasks, |task| task.run(None))
     }
 }
 
@@ -760,9 +675,9 @@ impl<'e> TaskQueue<WorkItem<'e>> {
 /// engine (`Session<'e>` holds `&'e KelleEngine`) without any `'static`
 /// gymnastics; dropping the pool closes the queue and the scope joins the
 /// workers.  A panic inside a task is caught on the worker, carried back,
-/// and resurfaced on the coordinating thread by
-/// [`execute`](StepExecutor::execute) — a crashed task can therefore never
-/// deadlock the coordinator waiting for a result that will not come.
+/// and reported as a [`TaskFailure`] by [`execute`](StepExecutor::execute) —
+/// a crashed task can therefore never deadlock the coordinator waiting for a
+/// result that will not come.
 #[derive(Debug)]
 pub struct WorkerPool<'e> {
     queue: Arc<TaskQueue<WorkItem<'e>>>,
@@ -787,15 +702,16 @@ impl<'e> WorkerPool<'e> {
                     match item {
                         WorkItem::Task(task) => {
                             let index = task.index();
-                            let output = std::panic::catch_unwind(AssertUnwindSafe(|| task.run()))
-                                .map(|mut output| {
-                                    output.worker = Some(id);
-                                    output
-                                })
-                                .map_err(|cause| TaskFailure {
-                                    index,
-                                    message: panic_message(cause.as_ref()),
-                                });
+                            let output =
+                                std::panic::catch_unwind(AssertUnwindSafe(|| task.run(None)))
+                                    .map(|mut output| {
+                                        output.worker = Some(id);
+                                        output
+                                    })
+                                    .map_err(|cause| TaskFailure {
+                                        index,
+                                        message: panic_message(cause.as_ref()),
+                                    });
                             if sender.send(output).is_err() {
                                 // The coordinator is gone; nothing left to
                                 // work for.
@@ -823,7 +739,7 @@ impl<'e> WorkerPool<'e> {
 
     /// A fork-join [`ParallelRunner`] over this pool's workers, with the
     /// calling thread participating as one extra lane — the intra-session
-    /// axis ([`ParallelAxis::Intra`]).
+    /// axis.
     pub fn runner(&self) -> PoolRunner<'e> {
         PoolRunner {
             queue: Arc::clone(&self.queue),
@@ -899,30 +815,28 @@ impl<'e> ParallelRunner for PoolRunner<'e> {
 }
 
 impl<'e> StepExecutor<'e> for WorkerPool<'e> {
-    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> Vec<TaskOutput<'e>> {
-        // Resurface the first task panic so the failure mode matches
-        // single-threaded serving; the full batch has been drained by then,
-        // so the pool stays reusable by a caller that catches it.
-        self.try_execute(tasks).into_outputs()
-    }
-
-    fn execute_axis(
-        &mut self,
-        tasks: Vec<SessionTask<'e>>,
-        axis: ParallelAxis,
-    ) -> Vec<TaskOutput<'e>> {
-        self.try_execute_axis(tasks, axis).into_outputs()
-    }
-
-    fn try_execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e> {
+    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e> {
+        // The axis is chosen per fan-out from what the pool can see.  A
+        // decode batch too narrow to keep the workers busy — one session, or
+        // fewer than half a session per worker — takes the intra-session
+        // axis; wider batches, and admission prefills at any width, move
+        // whole sessions through the queue.  Both axes produce the same bits.
+        let narrow = tasks.len() == 1 || tasks.len() * 2 <= self.workers;
+        if narrow && tasks.iter().all(SessionTask::is_decode) {
+            // Decode the sessions one at a time on this thread, each step
+            // fanned out per head / per row block across the pool.  Running
+            // in index order here makes the scheduler's commit-time sort a
+            // no-op, exactly like sequential serving.  Each task's panic is
+            // caught individually — one crashed session must not drop the
+            // not-yet-run sessions queued behind it mid-tick.
+            let runner = self.runner();
+            return run_tasks_caught(tasks, |task| task.run(Some(&runner)));
+        }
         let count = tasks.len();
         let mut result = TickResult {
             outputs: Vec::with_capacity(count),
             failures: Vec::new(),
         };
-        if count == 0 {
-            return result;
-        }
         self.queue
             .push_all(tasks.into_iter().map(WorkItem::Task).collect());
         // Every task sends exactly one result (panics are caught and carried
@@ -936,29 +850,6 @@ impl<'e> StepExecutor<'e> for WorkerPool<'e> {
             }
         }
         result
-    }
-
-    fn try_execute_axis(
-        &mut self,
-        tasks: Vec<SessionTask<'e>>,
-        axis: ParallelAxis,
-    ) -> TickResult<'e> {
-        let intra = match axis {
-            ParallelAxis::Session => false,
-            ParallelAxis::Intra => true,
-            ParallelAxis::Auto => tasks.len() == 1 || tasks.len() * 2 <= self.workers,
-        };
-        if !intra {
-            return self.try_execute(tasks);
-        }
-        // Narrow batch: decode the sessions one at a time on this thread,
-        // each step fanned out per head / per row block across the pool.
-        // Running in index order here makes the scheduler's commit-time sort
-        // a no-op, exactly like sequential serving.  Each task's panic is
-        // caught individually — one crashed session must not drop the
-        // not-yet-run sessions queued behind it mid-tick.
-        let runner = self.runner();
-        run_tasks_caught(tasks, |task| task.run_with(&runner))
     }
 }
 
@@ -1024,10 +915,6 @@ enum ShardReply<'e> {
 /// (checkpoint/replay needs sessions on the coordinator between attempts) —
 /// are routed to the owning shard too, so a fleet served through this pool
 /// reports [`ParallelMetrics::sessions_migrated`] `== 0`.
-///
-/// The [`ParallelAxis`] hint is ignored: sticky execution is already
-/// session-sharded, and the hint is a wall-clock knob that can never change
-/// output bits.
 #[derive(Debug)]
 pub struct StickyShardPool<'e> {
     shards: Vec<Sender<ShardCommand<'e>>>,
@@ -1099,15 +986,16 @@ impl<'e> StickyShardPool<'e> {
                         }
                         ShardCommand::Task(task) => {
                             let index = task.index();
-                            let output = std::panic::catch_unwind(AssertUnwindSafe(|| task.run()))
-                                .map(|mut output| {
-                                    output.worker = Some(shard);
-                                    output
-                                })
-                                .map_err(|cause| TaskFailure {
-                                    index,
-                                    message: panic_message(cause.as_ref()),
-                                });
+                            let output =
+                                std::panic::catch_unwind(AssertUnwindSafe(|| task.run(None)))
+                                    .map(|mut output| {
+                                        output.worker = Some(shard);
+                                        output
+                                    })
+                                    .map_err(|cause| TaskFailure {
+                                        index,
+                                        message: panic_message(cause.as_ref()),
+                                    });
                             if replies.send(ShardReply::Task(Box::new(output))).is_err() {
                                 return;
                             }
@@ -1171,11 +1059,7 @@ impl<'e> StickyShardPool<'e> {
 }
 
 impl<'e> StepExecutor<'e> for StickyShardPool<'e> {
-    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> Vec<TaskOutput<'e>> {
-        self.try_execute(tasks).into_outputs()
-    }
-
-    fn try_execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e> {
+    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e> {
         let count = tasks.len();
         for task in tasks {
             let shard = self.shard_of(task.index());
@@ -1230,57 +1114,12 @@ impl<'e> StepExecutor<'e> for StickyShardPool<'e> {
     }
 }
 
-/// Serves `requests` through a [`BatchScheduler`] whose per-session compute
-/// fans out across `workers` threads — the driver behind
-/// [`KelleEngine::serve`] with [`crate::engine::ServeOptions::parallel`].
-///
-/// `on_token` runs on the coordinating thread and observes `(request,
-/// token)` pairs in exactly the single-threaded order.  The outcome is
-/// bit-identical to
-/// sequential serving with the same scheduler config for every worker
-/// count.
-pub fn serve_batch_parallel(
-    engine: &KelleEngine,
-    requests: Vec<ServeRequest>,
-    config: SchedulerConfig,
-    workers: usize,
-    on_token: impl FnMut(usize, usize),
-) -> BatchOutcome {
-    std::thread::scope(|scope| {
-        let mut pool = WorkerPool::start(scope, workers);
-        let mut scheduler = BatchScheduler::with_config(engine, config);
-        for request in requests {
-            scheduler.submit_with(request, &mut pool);
-        }
-        scheduler.run_to_completion_streaming_with(&mut pool, on_token)
-    })
-}
-
-/// Fallible [`serve_batch_parallel`]: an unrecoverable worker loss (a task
-/// panic the chaos replay budget could not absorb) surfaces as
-/// [`ServeError::WorkerLost`] instead of unwinding the coordinator, so
-/// callers can distinguish infrastructure failure from request failure.
-pub fn try_serve_batch_parallel(
-    engine: &KelleEngine,
-    requests: Vec<ServeRequest>,
-    config: SchedulerConfig,
-    workers: usize,
-    on_token: impl FnMut(usize, usize),
-) -> Result<BatchOutcome, ServeError> {
-    std::thread::scope(|scope| {
-        let mut pool = WorkerPool::start(scope, workers);
-        let mut scheduler = BatchScheduler::with_config(engine, config);
-        for request in requests {
-            scheduler.submit_with(request, &mut pool);
-        }
-        scheduler.try_run_to_completion_streaming_with(&mut pool, on_token)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::engine::{EngineConfig, KelleEngine, ServeOptions};
+    use crate::scheduler::BatchOutcome;
+    use crate::session::ServeRequest;
 
     fn engine() -> KelleEngine {
         KelleEngine::new(EngineConfig::default())
@@ -1294,20 +1133,24 @@ mod tests {
         ]
     }
 
+    /// Serves through [`ServeOptions::parallel`] on a `workers`-wide pool.
+    fn serve_pooled(
+        requests: Vec<ServeRequest>,
+        workers: usize,
+        options: ServeOptions<'_>,
+    ) -> BatchOutcome {
+        KelleEngine::builder()
+            .workers(workers)
+            .build()
+            .serve(requests, options.parallel())
+            .expect("no chaos configured")
+    }
+
     #[test]
     fn pool_matches_inline_execution_for_any_worker_count() {
-        let engine = engine();
-        let baseline = engine
-            .serve(requests(), crate::engine::ServeOptions::new())
-            .unwrap();
+        let baseline = engine().serve(requests(), ServeOptions::new()).unwrap();
         for workers in [1, 2, 4] {
-            let parallel = serve_batch_parallel(
-                &engine,
-                requests(),
-                SchedulerConfig::default(),
-                workers,
-                |_, _| {},
-            );
+            let parallel = serve_pooled(requests(), workers, ServeOptions::new());
             for (a, b) in baseline.outcomes.iter().zip(parallel.outcomes.iter()) {
                 assert_eq!(a.generated, b.generated, "workers={workers}");
                 assert_eq!(a.faults, b.faults, "workers={workers}");
@@ -1322,54 +1165,111 @@ mod tests {
 
     #[test]
     fn streaming_order_is_the_sequential_order() {
-        let engine = engine();
         let mut sequential = Vec::new();
         let mut sink = |request: usize, token: usize| sequential.push((request, token));
-        engine
-            .serve(
-                requests(),
-                crate::engine::ServeOptions::new().streaming(&mut sink),
-            )
+        engine()
+            .serve(requests(), ServeOptions::new().streaming(&mut sink))
             .unwrap();
         let mut parallel = Vec::new();
-        serve_batch_parallel(
-            &engine,
-            requests(),
-            SchedulerConfig::default(),
-            4,
-            |request, token| parallel.push((request, token)),
-        );
+        let mut sink = |request: usize, token: usize| parallel.push((request, token));
+        serve_pooled(requests(), 4, ServeOptions::new().streaming(&mut sink));
         assert_eq!(sequential, parallel);
     }
 
     #[test]
     fn every_axis_matches_inline_serving_bitwise() {
-        let engine = engine();
-        let baseline = engine
-            .serve(requests(), crate::engine::ServeOptions::new())
-            .unwrap();
-        for axis in [
-            ParallelAxis::Session,
-            ParallelAxis::Intra,
-            ParallelAxis::Auto,
-        ] {
+        // The pool picks the axis per decode fan-out from the batch width:
+        // intra-session for one task or at most half a task per worker,
+        // session otherwise.  Only the session axis moves sessions through
+        // the queue (2 crossings per decode), so the crossing count pins
+        // which axis each tick took while the streams pin that it is
+        // invisible.
+        let all = requests();
+        for width in 1..=all.len() {
+            let requests = all[..width].to_vec();
+            let baseline = engine()
+                .serve(requests.clone(), ServeOptions::new())
+                .unwrap();
             for workers in [1, 2, 4] {
-                let config = SchedulerConfig::default().with_parallel_axis(axis);
-                let parallel =
-                    serve_batch_parallel(&engine, requests(), config, workers, |_, _| {});
+                let parallel = serve_pooled(requests.clone(), workers, ServeOptions::new());
                 for (a, b) in baseline.outcomes.iter().zip(parallel.outcomes.iter()) {
-                    assert_eq!(a.generated, b.generated, "axis={axis:?} workers={workers}");
-                    assert_eq!(a.faults, b.faults, "axis={axis:?} workers={workers}");
+                    assert_eq!(a.generated, b.generated, "width={width} workers={workers}");
+                    assert_eq!(a.faults, b.faults, "width={width} workers={workers}");
                 }
                 assert_eq!(
                     baseline.stats, parallel.stats,
-                    "axis={axis:?} workers={workers}"
+                    "width={width} workers={workers}"
                 );
                 assert_eq!(
                     baseline.contention, parallel.contention,
-                    "axis={axis:?} workers={workers}"
+                    "width={width} workers={workers}"
+                );
+                let ticks = requests.iter().map(ServeRequest::decode_len).max().unwrap();
+                let decode_crossings: usize = (0..ticks)
+                    .map(|tick| requests.iter().filter(|r| r.decode_len() > tick).count())
+                    .filter(|&active| active > 1 && active * 2 > workers)
+                    .map(|active| 2 * active)
+                    .sum();
+                assert_eq!(
+                    parallel.parallel.queue_crossings as usize,
+                    2 * width + decode_crossings,
+                    "width={width} workers={workers}: prefills always cross, decodes only on the session axis"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn both_axes_match_inline_decode_in_probability_bits_for_all_policies() {
+        use kelle_cache::CachePolicy;
+        // On four workers two decode tasks take the intra axis and four the
+        // session axis; every step must carry the token, probability bits
+        // and fault draws of inline `decode_one`.
+        for policy in CachePolicy::all() {
+            let engine = KelleEngine::builder().policy(policy).build();
+            let prefilled = |index: usize| {
+                let mut session = engine.open_session();
+                session.prefill(&[1 + index, 2, 3, 4 + index]);
+                session
+            };
+            std::thread::scope(|scope| {
+                let mut pool = WorkerPool::start(scope, 4);
+                for width in [2, 4] {
+                    let mut sessions: Vec<_> = (0..width).map(prefilled).collect();
+                    let mut references: Vec<_> = (0..width).map(prefilled).collect();
+                    for _ in 0..4 {
+                        let tasks = sessions
+                            .drain(..)
+                            .enumerate()
+                            .map(|(index, session)| SessionTask::decode(index, session))
+                            .collect();
+                        let mut outputs = pool.execute(tasks).into_outputs();
+                        outputs.sort_by_key(TaskOutput::index);
+                        for (output, reference) in outputs.into_iter().zip(&mut references) {
+                            assert_eq!(
+                                output.worker().is_some(),
+                                width == 4,
+                                "width {width} took the wrong axis"
+                            );
+                            let (_, session, step, _) = output.into_decode();
+                            let expected = reference.decode_one();
+                            let label = format!("policy={}, width={width}", policy.name());
+                            assert_eq!(step.token, expected.token, "{label}");
+                            assert_eq!(
+                                step.probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                                expected
+                                    .probs
+                                    .iter()
+                                    .map(|p| p.to_bits())
+                                    .collect::<Vec<_>>(),
+                                "{label}: probability bits"
+                            );
+                            assert_eq!(session.fault_stats(), reference.fault_stats(), "{label}");
+                            sessions.push(session);
+                        }
+                    }
+                }
+            });
         }
     }
 
@@ -1432,7 +1332,8 @@ mod tests {
     fn empty_task_batch_is_a_no_op() {
         std::thread::scope(|scope| {
             let mut pool: WorkerPool<'_> = WorkerPool::start(scope, 2);
-            assert!(StepExecutor::execute(&mut pool, Vec::new()).is_empty());
+            let result = pool.execute(Vec::new());
+            assert!(result.outputs.is_empty() && result.failures.is_empty());
         });
     }
 
@@ -1460,11 +1361,12 @@ mod tests {
 
     #[test]
     fn intra_axis_failures_spare_queued_sessions() {
-        // Regression for the intra-axis fan-out: a panicking session must
-        // not take the sessions queued behind it down with it mid-map.
+        // Regression for the intra-axis fan-out (two decodes on four workers
+        // are narrow enough to take it): a panicking session must not take
+        // the sessions queued behind it down with it mid-map.
         let engine = engine();
         std::thread::scope(|scope| {
-            let mut pool = WorkerPool::start(scope, 2);
+            let mut pool = WorkerPool::start(scope, 4);
             // An un-prefilled session panics inside decode_one.
             let broken = engine.open_session();
             let mut healthy = engine.open_session();
@@ -1473,9 +1375,14 @@ mod tests {
                 SessionTask::decode(0, broken),
                 SessionTask::decode(1, healthy),
             ];
-            let result = pool.try_execute_axis(tasks, ParallelAxis::Intra);
+            let result = pool.execute(tasks);
             assert_eq!(result.outputs.len(), 1, "the healthy session survives");
             assert_eq!(result.outputs[0].index(), 1);
+            assert_eq!(
+                result.outputs[0].worker(),
+                None,
+                "decoded on the coordinator"
+            );
             assert_eq!(result.failures.len(), 1);
             assert_eq!(result.failures[0].index(), 0);
         });
@@ -1493,15 +1400,19 @@ mod tests {
                 SessionTask::decode(3, healthy),
                 SessionTask::decode(9, broken),
             ];
-            let result = pool.try_execute(tasks);
+            let result = pool.execute(tasks);
             assert_eq!(result.outputs.len(), 1);
             assert_eq!(result.outputs[0].index(), 3);
+            assert!(
+                result.outputs[0].worker().is_some(),
+                "moved through the queue"
+            );
             assert_eq!(result.failures.len(), 1);
             assert_eq!(result.failures[0].index(), 9);
             // The channel was fully drained: the pool serves the next batch.
             let mut next = engine.open_session();
             next.prefill(&[7, 8]);
-            let outputs = pool.execute(vec![SessionTask::decode(0, next)]);
+            let outputs = pool.execute(vec![SessionTask::decode(0, next)]).outputs;
             assert_eq!(outputs.len(), 1);
         });
     }
@@ -1513,7 +1424,7 @@ mod tests {
         session.prefill(&[1, 2, 3]);
         let mut task = SessionTask::decode(5, session);
         task.arm_sabotage();
-        let result = InlineExecutor.try_execute(vec![task]);
+        let result = InlineExecutor.execute(vec![task]);
         assert!(result.outputs.is_empty());
         assert_eq!(result.failures.len(), 1);
         assert_eq!(result.failures[0].index(), 5);
@@ -1616,7 +1527,9 @@ mod tests {
             a.prefill(&[1, 2]);
             let mut b = engine.open_session();
             b.prefill(&[3, 4]);
-            let outputs = pool.execute(vec![SessionTask::decode(4, a), SessionTask::decode(5, b)]);
+            let outputs = pool
+                .execute(vec![SessionTask::decode(4, a), SessionTask::decode(5, b)])
+                .into_outputs();
             assert_eq!(outputs.len(), 2);
             for output in &outputs {
                 assert_eq!(
@@ -1633,19 +1546,29 @@ mod tests {
         let engine = engine();
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, 2);
-            let mut session = engine.open_session();
-            session.prefill(&[1, 2, 3]);
-            let outputs = pool.execute(vec![SessionTask::decode(0, session)]);
-            assert_eq!(outputs.len(), 1);
-            assert!(
-                matches!(outputs[0].worker(), Some(w) if w < 2),
-                "stealing-pool outputs carry the worker id"
-            );
+            // Two decodes on two workers: wide enough for the session axis.
+            let tasks = (0..2)
+                .map(|index| {
+                    let mut session = engine.open_session();
+                    session.prefill(&[1, 2, 3]);
+                    SessionTask::decode(index, session)
+                })
+                .collect();
+            let outputs = pool.execute(tasks).into_outputs();
+            assert_eq!(outputs.len(), 2);
+            for output in &outputs {
+                assert!(
+                    matches!(output.worker(), Some(w) if w < 2),
+                    "stealing-pool outputs carry the worker id"
+                );
+            }
         });
         // Inline execution never crosses a thread.
         let mut session = engine.open_session();
         session.prefill(&[1, 2, 3]);
-        let outputs = InlineExecutor.execute(vec![SessionTask::decode(0, session)]);
+        let outputs = InlineExecutor
+            .execute(vec![SessionTask::decode(0, session)])
+            .into_outputs();
         assert_eq!(outputs[0].worker(), None);
     }
 
@@ -1675,13 +1598,16 @@ mod tests {
                 SessionTask::decode(0, session),
                 SessionTask::decode(1, broken),
             ];
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| pool.execute(tasks)));
+            let result =
+                std::panic::catch_unwind(AssertUnwindSafe(|| pool.execute(tasks).into_outputs()));
             assert!(result.is_err(), "the task panic must reach the caller");
             // The failed batch was fully drained: a fresh batch on the same
             // pool sees only its own outputs.
             let mut healthy = engine.open_session();
             healthy.prefill(&[4, 5, 6]);
-            let outputs = pool.execute(vec![SessionTask::decode(7, healthy)]);
+            let outputs = pool
+                .execute(vec![SessionTask::decode(7, healthy)])
+                .into_outputs();
             assert_eq!(outputs.len(), 1);
             assert_eq!(outputs[0].index(), 7);
         });

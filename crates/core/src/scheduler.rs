@@ -47,9 +47,7 @@ use crate::chaos::{
     ChaosConfig, ChaosMetrics, ChaosPlan, Checkpoint, MigrationFaults, ServeError, ShedReason,
 };
 use crate::engine::{EngineStats, KelleEngine, ServeOutcome};
-use crate::parallel::{
-    InlineExecutor, ParallelAxis, ParallelMetrics, SessionTask, StepExecutor, TaskOutput,
-};
+use crate::parallel::{InlineExecutor, ParallelMetrics, SessionTask, StepExecutor, TaskOutput};
 use crate::session::{ServeRequest, Session};
 use crate::tier::{TierConfig, TierManager, TieringMetrics};
 use kelle_arch::{PhaseMetrics, PlatformReport};
@@ -114,13 +112,6 @@ pub struct SchedulerConfig {
     /// only; resident KV is demoted/promoted across tiers with migration
     /// costs reported in [`BatchOutcome::tiering`].
     pub tiering: Option<TierConfig>,
-    /// Which parallelism axis [`step_with`](BatchScheduler::step_with) fans
-    /// decode compute out on (executors without a second axis, like
-    /// [`InlineExecutor`], ignore it).  `#[serde(default)]` keeps configs
-    /// serialized before this field loadable; the default
-    /// ([`ParallelAxis::Auto`]) picks per tick based on batch width.
-    #[serde(default)]
-    pub parallel_axis: ParallelAxis,
     /// Deterministic fault injection (see [`crate::chaos`]).  `None` or an
     /// all-zero config disables injection entirely — the chaos path then
     /// takes no checkpoints and allocates nothing extra per tick.
@@ -165,16 +156,6 @@ impl SchedulerConfig {
         self
     }
 
-    /// Sets the decode parallelism axis (builder style).
-    /// [`ParallelAxis::Auto`] — the default — switches between session
-    /// fan-out and intra-session per-head fan-out based on how wide the
-    /// batch is each tick; both axes are bit-identical, so this knob only
-    /// moves wall-clock time.
-    pub fn with_parallel_axis(mut self, axis: ParallelAxis) -> Self {
-        self.parallel_axis = axis;
-        self
-    }
-
     /// Enables deterministic fault injection (builder style).  The plan is
     /// seeded from the config, so two schedulers built from equal configs
     /// inject the identical fault sequence.
@@ -202,16 +183,14 @@ pub struct StepEvent {
     pub finished: bool,
 }
 
-/// One streaming event of the event-aware driving loop
-/// ([`BatchScheduler::try_run_to_completion_events_with`]) and the
-/// `kelle::front` token streams: a generated token, or a request leaving the
-/// batch early.
+/// One streaming event of the driving loop ([`BatchScheduler::run_with`])
+/// and the `kelle::front` token streams: a generated token, or a request
+/// leaving the batch early.
 ///
-/// The classic `on_token` callbacks only ever see tokens — a shed request
-/// simply went quiet until the final [`BatchOutcome`] reported why.  This
-/// event stream closes that gap: deadline/timeout sheds, cancellations,
-/// drains and worker losses surface *as they happen*, after the tick's
-/// tokens, in request-index order.
+/// Deadline/timeout sheds, cancellations, drains and worker losses surface
+/// *as they happen*, after the tick's tokens, in request-index order —
+/// instead of a shed request simply going quiet until the final
+/// [`BatchOutcome`] reports why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeEvent {
     /// A generated token (identical to the [`StepEvent`] stream).
@@ -562,12 +541,27 @@ impl std::fmt::Display for BatchIncomplete<'_> {
 
 impl std::error::Error for BatchIncomplete<'_> {}
 
+/// Where an active request's [`Session`] lives.
+//
+// The slot that holds this is itself boxed, and the session moves by value
+// into and out of executor tasks every tick: boxing `Here` would add an
+// allocation per session per tick to a decode path that has none.
+#[allow(clippy::large_enum_variant)]
+enum Residency<'e> {
+    /// On the coordinator, inside the slot.
+    Here(Session<'e>),
+    /// Parked on its sticky executor shard until recalled.
+    Parked,
+    /// Out on a worker executing this tick's decode step — or, if that step
+    /// panicked with no checkpoint to restore from, gone for good.  A slot
+    /// still in this state when its tick's outputs are in is shed before
+    /// the tick ends, so it is never observable between public calls.
+    Lost,
+}
+
 struct Slot<'e> {
     request: ServeRequest,
-    /// `Some` between public calls — unless the slot is `parked`, in which
-    /// case the session lives on its sticky executor shard; taken while the
-    /// session is out on a worker executing this tick's decode step.
-    session: Option<Session<'e>>,
+    session: Residency<'e>,
     prefilled: usize,
     generated: Vec<usize>,
     trace: DecodeTrace,
@@ -586,9 +580,6 @@ struct Slot<'e> {
     /// stream — a session is a pure function of its own state — only *when*
     /// its tokens are produced.
     paused: bool,
-    /// Sticky execution: the session is parked on its executor shard and
-    /// `session` is `None` until it is recalled.
-    parked: bool,
     /// Worker that ran the last committed step (`None`: coordinator) —
     /// feeds [`ParallelMetrics::sessions_migrated`].
     last_worker: Option<usize>,
@@ -764,9 +755,8 @@ impl<'e> BatchScheduler<'e> {
 
     /// Drains the sheds recorded since the last call, in the order they
     /// happened — the streaming-path complement of the final outcome's
-    /// [`ShedReason`]s.
-    /// [`try_run_to_completion_events_with`](BatchScheduler::try_run_to_completion_events_with)
-    /// and the `kelle::front` streams are built on this.
+    /// [`ShedReason`]s.  [`run_with`](BatchScheduler::run_with) and the
+    /// `kelle::front` streams are built on this.
     pub fn take_shed_events(&mut self) -> Vec<(usize, ShedReason)> {
         std::mem::take(&mut self.shed_events)
     }
@@ -843,12 +833,6 @@ impl<'e> BatchScheduler<'e> {
             self.pump_admission(executor);
         }
         index
-    }
-
-    /// Alias of [`submit`](BatchScheduler::submit), kept for source
-    /// compatibility with the pre-admission-pipeline scheduler.
-    pub fn admit(&mut self, request: ServeRequest) -> usize {
-        self.submit(request)
     }
 
     /// Number of requests currently decoding.
@@ -1120,7 +1104,9 @@ impl<'e> BatchScheduler<'e> {
         if pending.is_empty() {
             return;
         }
-        let mut outputs = executor.execute(std::mem::take(pending));
+        // A crashed prefill has no committed state to replay from: its panic
+        // resurfaces on the coordinator.
+        let mut outputs = executor.execute(std::mem::take(pending)).into_outputs();
         outputs.sort_by_key(TaskOutput::index);
         for output in outputs {
             self.activate(output);
@@ -1154,7 +1140,7 @@ impl<'e> BatchScheduler<'e> {
         let position = session.position();
         self.states[index] = RequestState::Active(Box::new(Slot {
             request,
-            session: Some(session),
+            session: Residency::Here(session),
             prefilled,
             generated: Vec::with_capacity(remaining),
             trace: DecodeTrace::default(),
@@ -1164,7 +1150,6 @@ impl<'e> BatchScheduler<'e> {
             shared,
             position,
             paused: false,
-            parked: false,
             last_worker: worker,
         }));
     }
@@ -1199,19 +1184,6 @@ impl<'e> BatchScheduler<'e> {
             Ok(events) => events,
             Err(error) => panic!("{error}"),
         }
-    }
-
-    /// Fallible [`step`](BatchScheduler::step): one inline-executed tick,
-    /// with a retry-budget exhaustion surfacing as
-    /// [`ServeError::WorkerLost`] instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::WorkerLost`] when an injected worker panic
-    /// exhausts its replay budget; the scheduler stays consistent and can
-    /// keep stepping or drain.
-    pub fn try_step(&mut self) -> Result<Vec<StepEvent>, ServeError> {
-        self.try_step_with(&mut InlineExecutor)
     }
 
     /// Fallible [`step_with`](BatchScheduler::step_with): a worker loss that
@@ -1270,37 +1242,39 @@ impl<'e> BatchScheduler<'e> {
                     );
                 }
                 if sticky {
-                    if !slot.parked {
+                    match std::mem::replace(&mut slot.session, Residency::Parked) {
                         // First sticky tick since activation (or since a
                         // recall brought the session back): one crossing to
                         // its shard, where it stays.
-                        let session = slot
-                            .session
-                            .take()
-                            .expect("session is resident between steps");
-                        slot.parked = true;
-                        executor.park(index, session);
-                        self.parallel.queue_crossings += 1;
+                        Residency::Here(session) => {
+                            executor.park(index, session);
+                            self.parallel.queue_crossings += 1;
+                        }
+                        Residency::Parked => {}
+                        Residency::Lost => {
+                            unreachable!("a lost session is shed in the tick that lost it")
+                        }
                     }
                     step_indices.push(index);
                     continue;
                 }
+                let session = match std::mem::replace(&mut slot.session, Residency::Lost) {
+                    Residency::Here(session) => session,
+                    Residency::Parked => {
+                        panic!("request {index} is parked on another (sticky) executor")
+                    }
+                    Residency::Lost => {
+                        unreachable!("a lost session is shed in the tick that lost it")
+                    }
+                };
                 if self.chaos.is_some() && !self.checkpoints.contains_key(&index) {
                     // First fan-out since activation: checkpoint the
                     // committed (post-prefill) state before the session
                     // leaves the coordinator.
-                    let session = slot
-                        .session
-                        .as_ref()
-                        .expect("session is resident between steps");
                     self.checkpoints
-                        .insert(index, Checkpoint::capture(session, self.tick - 1));
+                        .insert(index, Checkpoint::capture(&session, self.tick - 1));
                     self.chaos_metrics.checkpoints_taken += 1;
                 }
-                let session = slot
-                    .session
-                    .take()
-                    .expect("session is resident between steps");
                 let mut task = SessionTask::decode(index, session);
                 if self
                     .chaos
@@ -1340,7 +1314,7 @@ impl<'e> BatchScheduler<'e> {
                 })
                 .collect();
         } else {
-            let mut result = executor.try_execute_axis(tasks, self.config.parallel_axis);
+            let mut result = executor.execute(tasks);
 
             // Replay lost sessions from their checkpoints, bounded by the
             // plan's retry budget.  A replay re-forks the last committed
@@ -1375,7 +1349,7 @@ impl<'e> BatchScheduler<'e> {
                     }
                     retry_tasks.push(task);
                 }
-                let retry = executor.try_execute_axis(retry_tasks, self.config.parallel_axis);
+                let retry = executor.execute(retry_tasks);
                 result.outputs.extend(retry.outputs);
                 result.failures = retry.failures;
             }
@@ -1388,8 +1362,15 @@ impl<'e> BatchScheduler<'e> {
                 let RequestState::Active(slot) = &mut self.states[index] else {
                     unreachable!("decode outputs come from active slots");
                 };
-                slot.session = Some(session);
-                slot.parked = false;
+                if self.chaos.is_some() && slot.remaining > 1 {
+                    // Refresh the checkpoint at the boundary this step
+                    // commits (unless it finishes the request) so a panic on
+                    // a later tick replays one step, not the whole request.
+                    self.checkpoints
+                        .insert(index, Checkpoint::capture(&session, self.tick));
+                    self.chaos_metrics.checkpoints_taken += 1;
+                }
+                slot.session = Residency::Here(session);
                 if worker.is_some() {
                     // The whole session crossed to a worker and back.
                     self.parallel.queue_crossings += 2;
@@ -1448,19 +1429,6 @@ impl<'e> BatchScheduler<'e> {
                 tier.note_growth(index, growth, self.tick);
             }
             let finished = slot.remaining == 0;
-            if self.chaos.is_some() && !finished {
-                // Refresh the checkpoint at the new committed boundary so a
-                // panic on a later tick replays one step, not the whole
-                // request.  Chaos forces the classic protocol, so the
-                // session is coordinator-resident here.
-                let session = slot
-                    .session
-                    .as_ref()
-                    .expect("session was just committed back");
-                self.checkpoints
-                    .insert(index, Checkpoint::capture(session, self.tick));
-                self.chaos_metrics.checkpoints_taken += 1;
-            }
             events.push(StepEvent {
                 request: index,
                 token: step.token,
@@ -1499,7 +1467,7 @@ impl<'e> BatchScheduler<'e> {
                 let session = checkpoint.restore();
                 self.chaos_metrics.restored_sessions += 1;
                 if let RequestState::Active(slot) = &mut self.states[index] {
-                    slot.session = Some(session);
+                    slot.session = Residency::Here(session);
                 }
             }
             self.chaos_metrics.lost_requests += 1;
@@ -1524,32 +1492,38 @@ impl<'e> BatchScheduler<'e> {
         }
     }
 
-    /// Brings a parked session back to the coordinator (one queue crossing)
-    /// so it can be finalized.  A no-op for resident sessions; if the shard
-    /// lost the session (a decode panic dropped it), the slot simply stays
-    /// session-less and finalization degrades to a synthetic outcome.
-    fn ensure_resident(&mut self, index: usize, executor: &mut dyn StepExecutor<'e>) {
-        let parked = matches!(&self.states[index], RequestState::Active(slot) if slot.parked);
-        if !parked {
-            return;
-        }
-        let session = executor.recall(index);
-        if let RequestState::Active(slot) = &mut self.states[index] {
-            slot.parked = false;
-            if let Some(session) = session {
-                slot.session = Some(session);
-                self.parallel.queue_crossings += 1;
+    /// Takes a finalizing slot's session onto the coordinator, recalling it
+    /// from its shard (one queue crossing) when parked.  `None` when the
+    /// session was lost — to a decode panic on a worker, or on its shard —
+    /// in which case finalization degrades to a synthetic outcome.
+    fn resident_session(
+        &mut self,
+        index: usize,
+        session: Residency<'e>,
+        executor: &mut dyn StepExecutor<'e>,
+    ) -> Option<Session<'e>> {
+        match session {
+            Residency::Here(session) => Some(session),
+            Residency::Parked => {
+                let session = executor.recall(index);
+                if session.is_some() {
+                    self.parallel.queue_crossings += 1;
+                }
+                session
             }
+            Residency::Lost => None,
         }
     }
 
     /// Finalises a request: derives its capacity grant from the contention it
     /// experienced, simulates its hardware cost, and releases its lease.
     fn complete(&mut self, index: usize, executor: &mut dyn StepExecutor<'e>) {
-        self.ensure_resident(index, executor);
         let state = std::mem::replace(&mut self.states[index], RequestState::Taken);
         let RequestState::Active(mut slot) = state else {
             unreachable!("only active requests complete");
+        };
+        let Some(mut session) = self.resident_session(index, slot.session, executor) else {
+            unreachable!("a request completes on a step its session survived");
         };
         let kv_bytes = self.ledger.lease_bytes(slot.lease);
         let peak = slot.peak_concurrent_bytes;
@@ -1590,18 +1564,14 @@ impl<'e> BatchScheduler<'e> {
 
         let generated = std::mem::take(&mut slot.generated);
         let trace = std::mem::take(&mut slot.trace);
-        let turn = slot
-            .session
-            .as_mut()
-            .expect("session is resident between steps")
-            .finish_turn(
-                generated,
-                trace,
-                slot.prefilled,
-                slot.request.decode_len(),
-                slot.request.label(),
-                granted,
-            );
+        let turn = session.finish_turn(
+            generated,
+            trace,
+            slot.prefilled,
+            slot.request.decode_len(),
+            slot.request.label(),
+            granted,
+        );
         self.stats = self.stats.merged(EngineStats::from_turn(&turn));
         self.ledger.release(slot.lease);
         if let Some(tier) = self.tier.as_mut() {
@@ -1698,7 +1668,6 @@ impl<'e> BatchScheduler<'e> {
         reason: ShedReason,
         executor: &mut dyn StepExecutor<'e>,
     ) {
-        self.ensure_resident(index, executor);
         let state = std::mem::replace(&mut self.states[index], RequestState::Taken);
         let RequestState::Active(mut slot) = state else {
             unreachable!("only active requests shed through shed_active");
@@ -1706,8 +1675,8 @@ impl<'e> BatchScheduler<'e> {
         let kv_bytes = self.ledger.lease_bytes(slot.lease);
         let generated = std::mem::take(&mut slot.generated);
         let trace = std::mem::take(&mut slot.trace);
-        let outcome = match slot.session.as_mut() {
-            Some(session) if !generated.is_empty() => {
+        let outcome = match self.resident_session(index, slot.session, executor) {
+            Some(mut session) if !generated.is_empty() => {
                 let decode_len = generated.len();
                 let turn = session.finish_turn(
                     generated,
@@ -1855,67 +1824,35 @@ impl<'e> BatchScheduler<'e> {
     }
 
     /// Drives [`step`](BatchScheduler::step) until every submitted request
-    /// has finished, then collects the outcome.  This is the panic-free
-    /// driver behind the sequential [`KelleEngine::serve`] path.
+    /// has finished, then collects the outcome — the inline convenience
+    /// over [`run_with`](BatchScheduler::run_with).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unrecoverable worker loss, which only a configured
+    /// [`ChaosConfig`] can produce; drive [`run_with`](BatchScheduler::run_with)
+    /// to receive it as a typed error instead.
     pub fn run_to_completion(self) -> BatchOutcome {
-        self.run_to_completion_streaming(|_, _| {})
+        self.run_with(&mut InlineExecutor, |_| {})
+            .unwrap_or_else(|error| panic!("{error}"))
     }
 
-    /// Like [`run_to_completion`](BatchScheduler::run_to_completion),
-    /// invoking `on_token` with `(request_index, token)` as tokens are
-    /// generated.
-    pub fn run_to_completion_streaming(self, on_token: impl FnMut(usize, usize)) -> BatchOutcome {
-        self.run_to_completion_streaming_with(&mut InlineExecutor, on_token)
-    }
-
-    /// Drives [`step_with`](BatchScheduler::step_with) until every submitted
-    /// request has finished, streaming tokens from the coordinating thread
-    /// in the same order single-threaded serving would deliver them.
-    pub fn run_to_completion_streaming_with(
-        mut self,
-        executor: &mut dyn StepExecutor<'e>,
-        mut on_token: impl FnMut(usize, usize),
-    ) -> BatchOutcome {
-        while !self.is_idle() {
-            for event in self.step_with(executor) {
-                on_token(event.request, event.token);
-            }
-        }
-        self.finish()
-            .expect("scheduler is idle, finish cannot fail")
-    }
-
-    /// Fallible
-    /// [`run_to_completion_streaming_with`](BatchScheduler::run_to_completion_streaming_with):
-    /// drives [`try_step_with`](BatchScheduler::try_step_with) until idle.
+    /// Drives [`try_step_with`](BatchScheduler::try_step_with) until every
+    /// submitted request has finished, delivering the [`ServeEvent`] stream
+    /// from the coordinating thread: tokens as they commit, in the order
+    /// single-threaded serving would deliver them, **and** sheds (deadline,
+    /// queue timeout, cancellation, drain, worker loss) as they happen.
+    /// Within a tick tokens are delivered before that tick's sheds, both in
+    /// request-index order.
+    ///
+    /// # Errors
+    ///
     /// An unrecoverable worker loss aborts the drive with
     /// [`ServeError::WorkerLost`]; the lost request was already finalized
-    /// with its partial output, but the remaining in-flight work is dropped
-    /// with the scheduler — callers that must not lose the batch should
-    /// step/drain a scheduler they own instead.
-    pub fn try_run_to_completion_streaming_with(
-        mut self,
-        executor: &mut dyn StepExecutor<'e>,
-        mut on_token: impl FnMut(usize, usize),
-    ) -> Result<BatchOutcome, ServeError> {
-        while !self.is_idle() {
-            for event in self.try_step_with(executor)? {
-                on_token(event.request, event.token);
-            }
-        }
-        Ok(self
-            .finish()
-            .expect("scheduler is idle, finish cannot fail"))
-    }
-
-    /// Like
-    /// [`try_run_to_completion_streaming_with`](BatchScheduler::try_run_to_completion_streaming_with)
-    /// but delivering the full [`ServeEvent`] stream: tokens as they commit
-    /// **and** sheds (deadline, queue timeout, cancellation, drain, worker
-    /// loss) as they happen, instead of only reporting sheds in the final
-    /// outcome.  Within a tick tokens are delivered before that tick's
-    /// sheds, both in request-index order.
-    pub fn try_run_to_completion_events_with(
+    /// with its partial output (and its shed delivered), but the remaining
+    /// in-flight work is dropped with the scheduler — callers that must not
+    /// lose the batch should step/drain a scheduler they own instead.
+    pub fn run_with(
         mut self,
         executor: &mut dyn StepExecutor<'e>,
         mut on_event: impl FnMut(ServeEvent),
@@ -2143,7 +2080,6 @@ mod tests {
             kv_capacity_bytes: Some(0),
             admission: AdmissionPolicy::Fcfs,
             tiering: None,
-            parallel_axis: ParallelAxis::Auto,
             chaos: None,
             slo: SloSpec::default(),
         };
@@ -2608,7 +2544,7 @@ mod tests {
                 for request in &requests {
                     scheduler.submit_with(request.clone(), &mut pool);
                 }
-                scheduler.try_run_to_completion_streaming_with(&mut pool, |_, _| {})
+                scheduler.run_with(&mut pool, |_| {})
             })
             .expect("retry budget absorbs every injected panic");
             assert!(

@@ -205,7 +205,8 @@ impl ParallelScenario {
 
 /// A long-lived session fleet for the async serving front-end
 /// (`kelle::front`): short prompts, long decode tails, served through the
-/// submit/poll API with a sticky-shard and a work-stealing executor.
+/// submit/poll API's sticky-shard executor and, for comparison, through the
+/// synchronous path's work-stealing pool.
 ///
 /// The shape is the opposite of [`ParallelScenario::edge_fleet`]'s
 /// prefill-heavy burst: here almost all the work is decode ticks on

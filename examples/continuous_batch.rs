@@ -35,7 +35,7 @@ fn main() {
     };
     let batch = engine
         .serve(requests, ServeOptions::new().streaming(&mut sink))
-        .expect("infallible options cannot fail");
+        .expect("no chaos configured, no worker can be lost");
     println!("  {line}");
 
     println!("\nper-request outcomes:");

@@ -37,7 +37,7 @@ fn main() {
             ServeOptions::new()
                 .with_scheduler(SchedulerConfig::default().with_kv_capacity_bytes(total)),
         )
-        .expect("infallible options cannot fail");
+        .expect("no chaos configured, no worker can be lost");
 
     for (label, scale, admission) in [
         ("ample capacity, fcfs", 1.0, AdmissionPolicy::Fcfs),
@@ -58,7 +58,7 @@ fn main() {
             .with_admission(admission);
         let batch = engine
             .serve(requests.clone(), ServeOptions::new().with_scheduler(config))
-            .expect("infallible options cannot fail");
+            .expect("no chaos configured, no worker can be lost");
 
         println!("\n=== {label} ===");
         println!(

@@ -33,7 +33,7 @@ fn main() {
     let start = Instant::now();
     let reference = engine
         .serve(requests.clone(), ServeOptions::new())
-        .expect("infallible options cannot fail");
+        .expect("no chaos configured, no worker can be lost");
     println!(
         "\nsequential:          {:>8.2}s, {} tokens",
         start.elapsed().as_secs_f64(),
@@ -49,7 +49,7 @@ fn main() {
         let start = Instant::now();
         let outcome = engine
             .serve(requests.clone(), ServeOptions::new().parallel())
-            .expect("infallible options cannot fail");
+            .expect("no chaos configured, no worker can be lost");
         let elapsed = start.elapsed().as_secs_f64();
 
         // The whole point: worker counts only move wall-clock time.

@@ -30,7 +30,7 @@ fn main() {
     let cold_engine = KelleEngine::builder().policy(CachePolicy::Full).build();
     let cold = cold_engine
         .serve(requests.clone(), ServeOptions::new())
-        .expect("infallible options cannot fail");
+        .expect("no chaos configured, no worker can be lost");
     let cold_prefilled: usize = cold.outcomes.iter().map(|o| o.prefilled_tokens).sum();
 
     // Sharing: publish once, then every session hits.
@@ -41,7 +41,7 @@ fn main() {
     assert!(engine.publish_prefix(&system));
     let batch = engine
         .serve(requests, ServeOptions::new())
-        .expect("infallible options cannot fail");
+        .expect("no chaos configured, no worker can be lost");
     let prefilled: usize = batch.outcomes.iter().map(|o| o.prefilled_tokens).sum();
 
     println!("\nwithout sharing: {cold_prefilled} prompt tokens computed");

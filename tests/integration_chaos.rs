@@ -1,12 +1,9 @@
-#![allow(deprecated)]
-// The serve_batch* wrappers are exercised on purpose: these
-// suites double as delegation coverage for the unified `KelleEngine::serve`.
-
 //! Chaos-hardening acceptance suite: deterministic fault injection
 //! (`kelle::chaos`) must leave every surviving token stream, per-step trace,
 //! probability-bearing fault statistics and per-request hardware outcomes
 //! **bit-identical** to a fault-free run — for all five cache policies,
-//! both decode-parallelism axes, every worker count, with tiering enabled so
+//! both decode-parallelism axes (a wide mix on the session axis, one-session
+//! batches on the intra axis), every worker count, with tiering enabled so
 //! transient migration faults fire alongside worker panics and admission
 //! blips.  Shedding (deadlines, queue timeouts, `cancel`, `drain`) and the
 //! typed [`ServeError::WorkerLost`] exit must release every byte they held.
@@ -18,8 +15,8 @@
 
 use kelle::tier::TierConfig;
 use kelle::{
-    BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, KelleEngine, ParallelAxis,
-    PrefixSharingConfig, SchedulerConfig, ServeError, ServeRequest, ShedReason,
+    BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, InlineExecutor, KelleEngine,
+    PrefixSharingConfig, SchedulerConfig, ServeError, ServeOptions, ServeRequest, ShedReason,
 };
 use proptest::prelude::*;
 
@@ -118,6 +115,19 @@ fn sharing_engine(seed: u64, workers: usize) -> KelleEngine {
     engine
 }
 
+/// [`KelleEngine::serve`] under `config`, fanned out across the engine's
+/// workers.
+fn serve_parallel(
+    engine: &KelleEngine,
+    requests: Vec<ServeRequest>,
+    config: SchedulerConfig,
+) -> Result<BatchOutcome, ServeError> {
+    engine.serve(
+        requests,
+        ServeOptions::new().parallel().with_scheduler(config),
+    )
+}
+
 /// A hostile-but-recoverable fault plan: every class injects, the replay
 /// budget is sized so no request is ever lost.
 fn storm(seed: u64) -> ChaosConfig {
@@ -136,39 +146,112 @@ fn tiny_tiering(engine: &KelleEngine, tokens: usize) -> TierConfig {
     TierConfig::with_edram_budget(engine.kv_footprint_bytes(tokens))
 }
 
+/// Serves `requests` through the storm on an eDRAM of `edram_tokens` and
+/// asserts full recovery against the fault-free `baseline`.  Returns the
+/// chaotic outcome.
+fn assert_storm_recovers(
+    engine: &KelleEngine,
+    requests: Vec<ServeRequest>,
+    edram_tokens: usize,
+    baseline: &BatchOutcome,
+    seed: u64,
+    label: &str,
+) -> BatchOutcome {
+    let config = SchedulerConfig::default()
+        .with_tiering(tiny_tiering(engine, edram_tokens))
+        .with_chaos(storm(seed));
+    let chaotic =
+        serve_parallel(engine, requests, config).unwrap_or_else(|error| panic!("{label}: {error}"));
+    assert_streams_identical(baseline, &chaotic, label);
+    assert_eq!(
+        chaotic.chaos.lost_requests, 0,
+        "{label}: the replay budget must absorb every panic"
+    );
+    assert_eq!(
+        chaotic.chaos.restored_sessions, chaotic.chaos.replayed_steps,
+        "{label}: every replay restores exactly one checkpoint"
+    );
+    assert!(
+        chaotic.chaos.checkpoints_taken > 0,
+        "{label}: chaos-enabled runs checkpoint every committed tick"
+    );
+    chaotic
+}
+
 #[test]
 fn chaos_recovery_is_bit_identical_across_policies_axes_workers_and_seeds() {
-    let baseline = sharing_engine(7, 1).serve_batch(policy_mix());
-    for axis in [ParallelAxis::Session, ParallelAxis::Intra] {
-        for workers in worker_counts() {
-            for seed in chaos_seeds() {
+    // Session axis: on an eDRAM that admits most of the six-request policy
+    // mix at once (and still overflows, so migrations fire) the batch is
+    // wide enough to move whole sessions through the queue on every pool
+    // under test.
+    let wide_edram = shared_prefix().len() + 30;
+    let solo_edram = shared_prefix().len() + 6;
+    let baseline = sharing_engine(7, 1)
+        .serve(policy_mix(), ServeOptions::new())
+        .expect("no chaos configured");
+    // Intra axis: a one-session batch decodes on the coordinator at every
+    // worker count, so a sabotaged step is lost and replayed there — one
+    // long-lived session per policy.
+    let solo = |policy: CachePolicy| {
+        let mut prompt = shared_prefix();
+        prompt.extend([41, 42, 43]);
+        vec![ServeRequest::builder(prompt)
+            .decode_len(16)
+            .policy(policy)
+            .build()]
+    };
+    let solo_baselines: Vec<BatchOutcome> = CachePolicy::all()
+        .into_iter()
+        .map(|policy| {
+            sharing_engine(7, 1)
+                .serve(solo(policy), ServeOptions::new())
+                .expect("no chaos configured")
+        })
+        .collect();
+    for workers in worker_counts() {
+        for seed in chaos_seeds() {
+            let label = format!("session axis, workers={workers}, chaos seed={seed}");
+            let engine = sharing_engine(7, workers);
+            let chaotic =
+                assert_storm_recovers(&engine, policy_mix(), wide_edram, &baseline, seed, &label);
+            assert!(
+                chaotic.chaos.injected_panics > 0,
+                "{label}: the storm must actually panic workers"
+            );
+            assert!(
+                chaotic.parallel.queue_crossings > 2 * policy_mix().len() as u64,
+                "{label}: decode steps must have moved sessions through the queue"
+            );
+            assert!(
+                chaotic.tiering.demotions > 0,
+                "{label}: the mix must overflow the eDRAM tier"
+            );
+
+            let mut solo_panics = 0;
+            for (policy, solo_baseline) in CachePolicy::all().into_iter().zip(&solo_baselines) {
+                let label = format!(
+                    "intra axis, policy={}, workers={workers}, chaos seed={seed}",
+                    policy.name()
+                );
                 let engine = sharing_engine(7, workers);
-                let config = SchedulerConfig::default()
-                    .with_parallel_axis(axis)
-                    .with_tiering(tiny_tiering(&engine, shared_prefix().len() + 6))
-                    .with_chaos(storm(seed));
-                let label = format!("axis={axis:?}, workers={workers}, chaos seed={seed}");
-                let chaotic = engine
-                    .try_serve_batch_parallel_with(policy_mix(), config)
-                    .unwrap_or_else(|error| panic!("{label}: {error}"));
-                assert_streams_identical(&baseline, &chaotic, &label);
-                assert!(
-                    chaotic.chaos.injected_panics > 0,
-                    "{label}: the storm must actually panic workers"
+                let chaotic = assert_storm_recovers(
+                    &engine,
+                    solo(policy),
+                    solo_edram,
+                    solo_baseline,
+                    seed,
+                    &label,
                 );
+                solo_panics += chaotic.chaos.injected_panics;
                 assert_eq!(
-                    chaotic.chaos.lost_requests, 0,
-                    "{label}: the replay budget must absorb every panic"
-                );
-                assert_eq!(
-                    chaotic.chaos.restored_sessions, chaotic.chaos.replayed_steps,
-                    "{label}: every replay restores exactly one checkpoint"
-                );
-                assert!(
-                    chaotic.chaos.checkpoints_taken > 0,
-                    "{label}: chaos-enabled runs checkpoint every committed tick"
+                    chaotic.parallel.queue_crossings, 2,
+                    "{label}: only the admission prefill crosses the queue"
                 );
             }
+            assert!(
+                solo_panics > 0,
+                "workers={workers}, chaos seed={seed}: the storm must panic intra-axis steps"
+            );
         }
     }
 }
@@ -180,8 +263,7 @@ fn injected_faults_never_leak_capacity_or_tier_residency() {
         let config = SchedulerConfig::default()
             .with_tiering(tiny_tiering(&engine, shared_prefix().len() + 6))
             .with_chaos(storm(seed));
-        let outcome = engine
-            .try_serve_batch_parallel_with(policy_mix(), config)
+        let outcome = serve_parallel(&engine, policy_mix(), config)
             .expect("the replay budget absorbs every fault");
         // Conservation holds through retried and abandoned migrations:
         // whatever left a tier arrived somewhere else, and only successful
@@ -262,7 +344,7 @@ fn cancel_and_drain_release_everything_after_faults() {
         // drain the rest.
         for _ in 0..2 {
             scheduler
-                .try_step()
+                .try_step_with(&mut InlineExecutor)
                 .expect("the replay budget absorbs every fault");
         }
         assert!(scheduler.cancel(4), "request 4 is live and cancellable");
@@ -296,34 +378,96 @@ fn cancel_and_drain_release_everything_after_faults() {
 
 #[test]
 fn exhausted_replay_budget_surfaces_typed_worker_lost() {
-    let engine = KelleEngine::builder().seed(5).build();
+    // Default options, inline and parallel: an unrecoverable loss is always
+    // the typed error, never a panic.
     let chaos = ChaosConfig::default()
         .with_seed(1)
         .with_worker_panics(1000)
         .with_max_retries(0);
     let config = SchedulerConfig::default().with_chaos(chaos);
-    let error = engine
-        .try_serve_batch_parallel_with(vec![ServeRequest::new(vec![1, 2, 3], 4)], config)
-        .expect_err("a certain panic with no retries cannot recover");
-    let ServeError::WorkerLost {
-        request, attempts, ..
-    } = error;
-    assert_eq!(request, 0);
-    assert_eq!(attempts, 1);
+    let request = || vec![ServeRequest::new(vec![1, 2, 3], 4)];
+    let inline = KelleEngine::builder()
+        .seed(5)
+        .build()
+        .serve(request(), ServeOptions::new().with_scheduler(config));
+    let mut errors = vec![inline.expect_err("a certain panic with no retries cannot recover")];
+    for workers in worker_counts() {
+        let engine = KelleEngine::builder().seed(5).workers(workers).build();
+        errors.push(
+            serve_parallel(&engine, request(), config)
+                .expect_err("a certain panic with no retries cannot recover"),
+        );
+    }
+    for error in errors {
+        let ServeError::WorkerLost {
+            request, attempts, ..
+        } = error;
+        assert_eq!(request, 0);
+        assert_eq!(attempts, 1);
+    }
+}
+
+/// The lost request behind a [`ServeError::WorkerLost`] is finalized as
+/// [`ShedReason::WorkerLost`] and leaves nothing behind on the ledger or in
+/// any tier — on the inline executor and on every pool.
+#[test]
+fn a_lost_worker_sheds_its_request_and_leaks_nothing() {
+    use kelle::{StepExecutor, WorkerPool};
+    fn drive<'e>(engine: &'e KelleEngine, executor: &mut dyn StepExecutor<'e>, label: &str) {
+        let chaos = ChaosConfig::default()
+            .with_seed(1)
+            .with_worker_panics(1000)
+            .with_max_retries(0);
+        let config = SchedulerConfig::default()
+            .with_tiering(tiny_tiering(engine, 8))
+            .with_chaos(chaos);
+        let mut scheduler = BatchScheduler::with_config(engine, config);
+        scheduler.submit_with(ServeRequest::new(vec![1, 2, 3], 4), executor);
+        let error = scheduler
+            .try_step_with(executor)
+            .expect_err("a certain panic with no retries cannot recover");
+        assert!(
+            matches!(error, ServeError::WorkerLost { request: 0, .. }),
+            "{label}"
+        );
+        assert!(
+            scheduler.is_idle(),
+            "{label}: the lost request was finalized"
+        );
+        assert_eq!(scheduler.ledger().live_bytes(), 0, "{label}: live KV");
+        assert_eq!(scheduler.ledger().shared_bytes(), 0, "{label}: shared KV");
+        let tier = scheduler.tier().expect("tiering is enabled");
+        assert_eq!(tier.session_tier(0), None, "{label}: tier residency");
+        let outcome = scheduler.finish().expect("idle after the loss");
+        assert_eq!(
+            outcome.outcomes[0].shed,
+            Some(ShedReason::WorkerLost),
+            "{label}"
+        );
+        assert_eq!(outcome.chaos.lost_requests, 1, "{label}");
+    }
+    let engine = KelleEngine::builder().seed(5).build();
+    drive(&engine, &mut InlineExecutor, "inline");
+    for workers in worker_counts() {
+        std::thread::scope(|scope| {
+            let mut pool = WorkerPool::start(scope, workers);
+            drive(&engine, &mut pool, &format!("workers={workers}"));
+        });
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random fleets under random fault storms, tiering and both axes:
-    /// every stream survives bit-identical to the fault-free run, nothing
-    /// is lost, and tier traffic stays conserved.
+    /// Random fleets under random fault storms and tiering, on whichever
+    /// axis the pool picks for their width: every stream survives
+    /// bit-identical to the fault-free run, nothing is lost, and tier
+    /// traffic stays conserved.
     #[test]
     fn random_mixes_survive_random_storms_bit_identically(
         seed in 0u64..500,
         chaos_seed in 0u64..500,
         shapes in proptest::collection::vec(0usize..10_000, 2..6),
-        axis_pick in 0usize..2,
         workers_pick in 0usize..3,
         edram_tokens in 1usize..24,
         panic_rate in 1u32..400,
@@ -345,9 +489,12 @@ proptest! {
                     .build()
             })
             .collect();
-        let baseline = KelleEngine::builder().seed(seed).build().serve_batch(requests.clone());
+        let baseline = KelleEngine::builder()
+            .seed(seed)
+            .build()
+            .serve(requests.clone(), ServeOptions::new())
+            .expect("no chaos configured");
 
-        let axis = [ParallelAxis::Session, ParallelAxis::Intra][axis_pick];
         let workers = [1usize, 2, 4][workers_pick];
         let engine = KelleEngine::builder().seed(seed).workers(workers).build();
         let chaos = ChaosConfig::default()
@@ -357,11 +504,9 @@ proptest! {
             .with_ledger_blips(blip_rate)
             .with_max_retries(16);
         let config = SchedulerConfig::default()
-            .with_parallel_axis(axis)
             .with_tiering(tiny_tiering(&engine, edram_tokens))
             .with_chaos(chaos);
-        let chaotic = engine
-            .try_serve_batch_parallel_with(requests, config)
+        let chaotic = serve_parallel(&engine, requests, config)
             .expect("a 16-replay budget absorbs any sub-40% panic rate");
 
         prop_assert_eq!(chaotic.chaos.lost_requests, 0);

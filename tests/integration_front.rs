@@ -1,25 +1,20 @@
-#![allow(deprecated)]
-// The serve_batch* wrappers are exercised on purpose: these
-// suites double as delegation coverage for the unified `KelleEngine::serve`.
-
 //! Front-end acceptance suite: the async submit/poll serving surface
 //! (`kelle::front`) must deliver **bit-identical** token streams, traces,
 //! probability-bearing fault statistics and batch metrics to the synchronous
-//! `serve_batch_parallel` path — for all five cache policies, both
-//! parallelism axes, every worker count and both executor protocols
-//! (sticky-shard and work-stealing) — while adding backpressure, mid-stream
+//! `KelleEngine::serve` path, inline and `.parallel()` — for all five cache
+//! policies and every worker count — while adding backpressure, mid-stream
 //! cancel/drain and chaos tolerance on top.
 //!
 //! The CI determinism gate runs this suite at explicit worker counts via
 //! `KELLE_TEST_WORKERS` (comma-separated, default {1, 2, 4}) and chaos seeds
 //! via `KELLE_CHAOS_SEEDS` (default {7, 11, 23}).
 
-use kelle::front::{ExecutorKind, FrontConfig, StreamPoll, SubmitError, TokenStream};
+use kelle::front::{FrontConfig, StreamPoll, SubmitError, TokenStream};
 use kelle::scheduler::ServeEvent;
 use kelle::tier::TierConfig;
 use kelle::{
     BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, InlineExecutor, KelleEngine,
-    ParallelAxis, PrefixSharingConfig, SchedulerConfig, ServeRequest, ServingFront, ShedReason,
+    PrefixSharingConfig, SchedulerConfig, ServeOptions, ServeRequest, ServingFront, ShedReason,
 };
 
 /// Worker counts under test: `KELLE_TEST_WORKERS` or {1, 2, 4} by default.
@@ -116,6 +111,17 @@ fn sharing_engine(seed: u64, workers: usize) -> KelleEngine {
     engine
 }
 
+/// Inline [`KelleEngine::serve`] under `config`.
+fn serve(
+    engine: &KelleEngine,
+    requests: Vec<ServeRequest>,
+    config: SchedulerConfig,
+) -> BatchOutcome {
+    engine
+        .serve(requests, ServeOptions::new().with_scheduler(config))
+        .expect("no chaos configured")
+}
+
 /// Drains one stream to its end, returning its tokens and terminal shed.
 fn read_stream(
     front: &mut ServingFront<'_, '_>,
@@ -137,39 +143,38 @@ fn read_stream(
 #[test]
 fn front_streams_are_bit_identical_to_synchronous_serving() {
     let sequential_engine = sharing_engine(7, 1);
-    let sequential = sequential_engine.serve_batch(policy_mix());
-    for kind in [ExecutorKind::Sticky, ExecutorKind::Stealing] {
-        for axis in [ParallelAxis::Session, ParallelAxis::Intra] {
-            for workers in worker_counts() {
-                let label = format!("kind={kind:?}, axis={axis:?}, workers={workers}");
-                let engine = sharing_engine(7, workers);
-                let config = FrontConfig::default()
-                    .with_executor(kind)
-                    .with_scheduler(SchedulerConfig::default().with_parallel_axis(axis));
-                let (streams, outcome) = engine.front(config, |front| {
-                    let handles: Vec<TokenStream> = policy_mix()
-                        .into_iter()
-                        .map(|request| front.submit(request).expect("unbounded queue"))
-                        .collect();
-                    handles
-                        .iter()
-                        .map(|stream| read_stream(front, stream))
-                        .collect::<Vec<_>>()
-                });
-                assert_outcomes_identical(&sequential, &outcome, &label);
-                for (i, ((tokens, shed), reference)) in
-                    streams.iter().zip(sequential.outcomes.iter()).enumerate()
-                {
-                    assert_eq!(tokens, &reference.generated, "{label}: stream {i}");
-                    assert_eq!(*shed, None, "{label}: stream {i} finishes naturally");
-                }
-                assert_eq!(
-                    engine.prefix_stats(),
-                    sequential_engine.prefix_stats(),
-                    "{label}: prefix-store traffic"
-                );
-            }
+    let sequential = serve(&sequential_engine, policy_mix(), SchedulerConfig::default());
+    for workers in worker_counts() {
+        let label = format!("workers={workers}");
+        let engine = sharing_engine(7, workers);
+        let (streams, outcome) = engine.front(FrontConfig::default(), |front| {
+            let handles: Vec<TokenStream> = policy_mix()
+                .into_iter()
+                .map(|request| front.submit(request).expect("unbounded queue"))
+                .collect();
+            handles
+                .iter()
+                .map(|stream| read_stream(front, stream))
+                .collect::<Vec<_>>()
+        });
+        assert_outcomes_identical(&sequential, &outcome, &label);
+        for (i, ((tokens, shed), reference)) in
+            streams.iter().zip(sequential.outcomes.iter()).enumerate()
+        {
+            assert_eq!(tokens, &reference.generated, "{label}: stream {i}");
+            assert_eq!(*shed, None, "{label}: stream {i} finishes naturally");
         }
+        assert_eq!(
+            engine.prefix_stats(),
+            sequential_engine.prefix_stats(),
+            "{label}: prefix-store traffic"
+        );
+        // The work-stealing pool of the synchronous parallel path commits
+        // the same batch.
+        let synchronous = sharing_engine(7, workers)
+            .serve(policy_mix(), ServeOptions::new().parallel())
+            .expect("no chaos configured");
+        assert_outcomes_identical(&synchronous, &outcome, &format!("{label}, vs .parallel()"));
     }
 }
 
@@ -213,7 +218,8 @@ fn a_full_admission_queue_rejects_typed_and_blocking_submit_waits() {
         rejections > 0,
         "the bounded queue must reject at least once"
     );
-    let baseline = engine.serve_batch_with(
+    let baseline = serve(
+        &engine,
         requests,
         SchedulerConfig::unbounded().with_kv_capacity_bytes(engine.kv_footprint_bytes(4)),
     );
@@ -225,9 +231,7 @@ fn a_full_admission_queue_rejects_typed_and_blocking_submit_waits() {
 #[test]
 fn idle_paused_sessions_consume_no_queue_traffic() {
     let engine = KelleEngine::builder().seed(5).workers(2).build();
-    let config = FrontConfig::default()
-        .with_executor(ExecutorKind::Sticky)
-        .with_stream_capacity(1);
+    let config = FrontConfig::default().with_stream_capacity(1);
     let requests: Vec<ServeRequest> = (0..4)
         .map(|i| ServeRequest::new(vec![i + 1, i + 7], 16))
         .collect();
@@ -261,7 +265,7 @@ fn idle_paused_sessions_consume_no_queue_traffic() {
             assert_eq!(tokens.len(), 16, "the full decode, buffered token included");
         }
     });
-    let baseline = engine.serve_batch(requests);
+    let baseline = serve(&engine, requests, SchedulerConfig::default());
     for (a, b) in outcome.outcomes.iter().zip(baseline.outcomes.iter()) {
         assert_eq!(a.generated, b.generated, "the soak never changes bits");
     }
@@ -270,12 +274,10 @@ fn idle_paused_sessions_consume_no_queue_traffic() {
 #[test]
 fn cancel_and_drain_through_the_front_release_every_byte() {
     let engine = sharing_engine(9, 2);
-    let config = FrontConfig::default()
-        .with_executor(ExecutorKind::Sticky)
-        .with_scheduler(
-            SchedulerConfig::default()
-                .with_tiering(TierConfig::with_edram_budget(engine.kv_footprint_bytes(30))),
-        );
+    let config = FrontConfig::default().with_scheduler(
+        SchedulerConfig::default()
+            .with_tiering(TierConfig::with_edram_budget(engine.kv_footprint_bytes(30))),
+    );
     let ((), outcome) = engine.front(config, |front| {
         let doomed = front
             .submit(
@@ -318,54 +320,56 @@ fn cancel_and_drain_through_the_front_release_every_byte() {
 
 #[test]
 fn chaos_storms_through_the_front_are_bit_identical_and_leak_free() {
-    let baseline = sharing_engine(7, 1).serve_batch(policy_mix());
-    for kind in [ExecutorKind::Sticky, ExecutorKind::Stealing] {
-        for seed in chaos_seeds() {
-            let label = format!("kind={kind:?}, chaos seed={seed}");
-            let engine = sharing_engine(7, 2);
-            let chaos = ChaosConfig::default()
-                .with_seed(seed)
-                .with_worker_panics(200)
-                .with_migration_faults(250)
-                .with_ledger_blips(100)
-                .with_max_retries(12);
-            let config = FrontConfig::default().with_executor(kind).with_scheduler(
-                SchedulerConfig::default()
-                    .with_tiering(TierConfig::with_edram_budget(
-                        engine.kv_footprint_bytes(shared_prefix().len() + 6),
-                    ))
-                    .with_chaos(chaos),
-            );
-            let (streams, outcome) = engine.front(config, |front| {
-                let handles: Vec<TokenStream> = policy_mix()
-                    .into_iter()
-                    .map(|request| front.submit(request).expect("unbounded queue"))
-                    .collect();
-                let streams: Vec<_> = handles
-                    .iter()
-                    .map(|stream| read_stream(front, stream))
-                    .collect();
-                assert!(
-                    front.worker_losses().is_empty(),
-                    "{label}: the replay budget must absorb every panic"
-                );
-                // Nothing leaks once the storm settles.
-                assert_eq!(front.scheduler().ledger().live_bytes(), 0, "{label}");
-                assert_eq!(front.scheduler().ledger().shared_bytes(), 0, "{label}");
-                streams
-            });
-            for (i, ((tokens, shed), reference)) in
-                streams.iter().zip(baseline.outcomes.iter()).enumerate()
-            {
-                assert_eq!(tokens, &reference.generated, "{label}: stream {i}");
-                assert_eq!(*shed, None, "{label}: stream {i} survives the storm");
-            }
+    let baseline = serve(
+        &sharing_engine(7, 1),
+        policy_mix(),
+        SchedulerConfig::default(),
+    );
+    for seed in chaos_seeds() {
+        let label = format!("chaos seed={seed}");
+        let engine = sharing_engine(7, 2);
+        let chaos = ChaosConfig::default()
+            .with_seed(seed)
+            .with_worker_panics(200)
+            .with_migration_faults(250)
+            .with_ledger_blips(100)
+            .with_max_retries(12);
+        let config = FrontConfig::default().with_scheduler(
+            SchedulerConfig::default()
+                .with_tiering(TierConfig::with_edram_budget(
+                    engine.kv_footprint_bytes(shared_prefix().len() + 6),
+                ))
+                .with_chaos(chaos),
+        );
+        let (streams, outcome) = engine.front(config, |front| {
+            let handles: Vec<TokenStream> = policy_mix()
+                .into_iter()
+                .map(|request| front.submit(request).expect("unbounded queue"))
+                .collect();
+            let streams: Vec<_> = handles
+                .iter()
+                .map(|stream| read_stream(front, stream))
+                .collect();
             assert!(
-                outcome.chaos.injected_panics > 0,
-                "{label}: the storm must actually panic workers"
+                front.worker_losses().is_empty(),
+                "{label}: the replay budget must absorb every panic"
             );
-            assert_eq!(outcome.chaos.lost_requests, 0, "{label}");
+            // Nothing leaks once the storm settles.
+            assert_eq!(front.scheduler().ledger().live_bytes(), 0, "{label}");
+            assert_eq!(front.scheduler().ledger().shared_bytes(), 0, "{label}");
+            streams
+        });
+        for (i, ((tokens, shed), reference)) in
+            streams.iter().zip(baseline.outcomes.iter()).enumerate()
+        {
+            assert_eq!(tokens, &reference.generated, "{label}: stream {i}");
+            assert_eq!(*shed, None, "{label}: stream {i} survives the storm");
         }
+        assert!(
+            outcome.chaos.injected_panics > 0,
+            "{label}: the storm must actually panic workers"
+        );
+        assert_eq!(outcome.chaos.lost_requests, 0, "{label}");
     }
 }
 
@@ -376,18 +380,16 @@ fn sticky_shards_cross_the_queue_strictly_less_than_stealing() {
         let fleet: Vec<ServeRequest> = (0..6)
             .map(|i| ServeRequest::new(vec![i + 1, i + 2, i + 3], 24))
             .collect();
-        let run = |kind: ExecutorKind| {
-            let requests = fleet.clone();
-            engine
-                .front(FrontConfig::default().with_executor(kind), move |front| {
-                    for request in requests {
-                        front.submit(request).expect("unbounded queue");
-                    }
-                })
-                .1
-        };
-        let sticky = run(ExecutorKind::Sticky);
-        let stealing = run(ExecutorKind::Stealing);
+        let requests = fleet.clone();
+        let ((), sticky) = engine.front(FrontConfig::default(), move |front| {
+            for request in requests {
+                front.submit(request).expect("unbounded queue");
+            }
+        });
+        // The same tick-0 fleet through the synchronous path's stealing pool.
+        let stealing = engine
+            .serve(fleet, ServeOptions::new().parallel())
+            .expect("no chaos configured");
         for (a, b) in sticky.outcomes.iter().zip(stealing.outcomes.iter()) {
             assert_eq!(a.generated, b.generated, "workers={workers}");
         }
@@ -429,7 +431,7 @@ fn shed_reasons_surface_through_the_event_stream_as_they_happen() {
     let mut tokens = Vec::new();
     let mut sheds = Vec::new();
     let outcome = scheduler
-        .try_run_to_completion_events_with(&mut InlineExecutor, |event| match event {
+        .run_with(&mut InlineExecutor, |event| match event {
             ServeEvent::Token { request, token, .. } => tokens.push((request, token)),
             ServeEvent::Shed { request, reason } => sheds.push((request, reason)),
         })

@@ -1,14 +1,11 @@
-#![allow(deprecated)]
-// The serve_batch* wrappers are exercised on purpose: these
-// suites double as delegation coverage for the unified `KelleEngine::serve`.
-
 //! Intra-session parallelism acceptance suite: fanning one session's decode
 //! step across the worker pool (per-head attention jobs + row-blocked
 //! projections) must be **bit-identical** to sequential decode — token
 //! streams, per-step probability bits and fault statistics — for every
 //! worker count, all five cache policies and fault-enabled refresh
-//! configurations, on both the session API and the batch scheduler's
-//! [`ParallelAxis`] knob.
+//! configurations, on both the session API and the worker pool's own
+//! per-tick axis choice (intra-session for a decode batch of one task or at
+//! most half a task per worker, session-parallel otherwise).
 //!
 //! The CI determinism gate runs this suite at explicit worker counts via the
 //! `KELLE_TEST_WORKERS` environment variable (comma-separated, e.g.
@@ -17,7 +14,7 @@
 use kelle::edram::RefreshPolicy;
 use kelle::parallel::WorkerPool;
 use kelle::tier::TierConfig;
-use kelle::{CachePolicy, KelleEngine, ParallelAxis, SchedulerConfig, ServeRequest};
+use kelle::{BatchOutcome, CachePolicy, KelleEngine, SchedulerConfig, ServeOptions, ServeRequest};
 use proptest::prelude::*;
 
 /// Worker counts under test: `KELLE_TEST_WORKERS` (the CI determinism gate
@@ -44,11 +41,74 @@ fn worker_counts() -> Vec<usize> {
 /// retention faults at a rate high enough that the fixtures below actually
 /// exercise the per-(layer, head) fault-RNG partitioning, per `policy`.
 fn faulty_engine(policy: CachePolicy, seed: u64) -> KelleEngine {
+    faulty_engine_on(policy, seed, 1)
+}
+
+/// [`faulty_engine`] with `workers` threads behind `ServeOptions::parallel`.
+fn faulty_engine_on(policy: CachePolicy, seed: u64, workers: usize) -> KelleEngine {
     KelleEngine::builder()
         .policy(policy)
         .refresh_policy(RefreshPolicy::Uniform(240.0))
         .seed(seed)
+        .workers(workers)
         .build()
+}
+
+/// [`KelleEngine::serve`] under `config`, inline or across the engine's workers.
+fn serve(
+    engine: &KelleEngine,
+    requests: Vec<ServeRequest>,
+    config: SchedulerConfig,
+    parallel: bool,
+) -> BatchOutcome {
+    let options = ServeOptions::new().with_scheduler(config);
+    let options = if parallel {
+        options.parallel()
+    } else {
+        options
+    };
+    engine
+        .serve(requests, options)
+        .expect("no chaos configured")
+}
+
+/// Queue crossings the pool's axis rule predicts for an unbounded batch:
+/// every admission prefill crosses (2 each); a decode tick crosses (2 per
+/// active session) only on the session axis — more than one session *and*
+/// more than half a session per worker.
+fn expected_crossings(requests: &[ServeRequest], workers: usize) -> u64 {
+    let ticks = requests
+        .iter()
+        .map(ServeRequest::decode_len)
+        .max()
+        .unwrap_or(0);
+    let decode: usize = (0..ticks)
+        .map(|tick| requests.iter().filter(|r| r.decode_len() > tick).count())
+        .filter(|&active| active > 1 && active * 2 > workers)
+        .map(|active| 2 * active)
+        .sum();
+    (2 * requests.len() + decode) as u64
+}
+
+/// Asserts streams, traces, fault/cache statistics and batch metrics match.
+fn assert_batches_identical(sequential: &BatchOutcome, outcome: &BatchOutcome, label: &str) {
+    assert_eq!(outcome.outcomes.len(), sequential.outcomes.len(), "{label}");
+    for (i, (a, b)) in sequential
+        .outcomes
+        .iter()
+        .zip(outcome.outcomes.iter())
+        .enumerate()
+    {
+        assert_eq!(a.generated, b.generated, "{label}: stream of request {i}");
+        assert_eq!(a.trace, b.trace, "{label}: trace of request {i}");
+        assert_eq!(a.faults, b.faults, "{label}: fault stats of request {i}");
+        assert_eq!(a.cache, b.cache, "{label}: cache stats of request {i}");
+    }
+    assert_eq!(outcome.stats, sequential.stats, "{label}: aggregate stats");
+    assert_eq!(
+        outcome.contention, sequential.contention,
+        "{label}: contention metrics"
+    );
 }
 
 fn prompt(seed: usize) -> Vec<usize> {
@@ -127,7 +187,7 @@ fn intra_decode_is_bit_identical_to_sequential_for_all_policies_with_faults() {
 }
 
 /// One request per cache policy with staggered decode lengths, so the batch
-/// narrows as requests complete (auto mode flips from session- to
+/// narrows as requests complete (the pool flips from session- to
 /// intra-parallel mid-run).
 fn policy_mix() -> Vec<ServeRequest> {
     CachePolicy::all()
@@ -144,39 +204,63 @@ fn policy_mix() -> Vec<ServeRequest> {
 
 #[test]
 fn every_axis_serves_batches_bit_identically_to_sequential() {
-    let sequential_engine = faulty_engine(CachePolicy::Aerp, 11);
-    let sequential = sequential_engine.serve_batch(policy_mix());
-    for axis in [
-        ParallelAxis::Session,
-        ParallelAxis::Intra,
-        ParallelAxis::Auto,
-    ] {
-        for workers in worker_counts() {
-            let engine = faulty_engine(CachePolicy::Aerp, 11);
-            let outcome = kelle::parallel::serve_batch_parallel(
-                &engine,
-                policy_mix(),
-                SchedulerConfig::default().with_parallel_axis(axis),
-                workers,
-                |_, _| {},
+    let sequential = serve(
+        &faulty_engine(CachePolicy::Aerp, 11),
+        policy_mix(),
+        SchedulerConfig::default(),
+        false,
+    );
+    for workers in worker_counts() {
+        let engine = faulty_engine_on(CachePolicy::Aerp, 11, workers);
+        let outcome = serve(&engine, policy_mix(), SchedulerConfig::default(), true);
+        let label = format!("workers={workers}");
+        assert_batches_identical(&sequential, &outcome, &label);
+        // The narrowing batch crossed the queue exactly where the axis rule
+        // says the session axis ran.
+        assert_eq!(
+            outcome.parallel.queue_crossings,
+            expected_crossings(&policy_mix(), workers),
+            "{label}: axis taken per tick"
+        );
+    }
+}
+
+/// On a 4-worker pool a 1- or 2-session batch decodes on the intra axis
+/// (zero decode crossings) and a 5-session batch on the session axis (2 per
+/// session per tick) — bit-identically to inline serving, under faults, for
+/// all five policies.  (Per-step probability bits of the same pool runner
+/// are pinned by `intra_decode_is_bit_identical_…` above.)
+#[test]
+fn batch_width_picks_the_axis_on_a_four_worker_pool() {
+    let decode_len = 6;
+    for policy in CachePolicy::all() {
+        for width in [1usize, 2, 5] {
+            let requests: Vec<ServeRequest> = (0..width)
+                .map(|i| ServeRequest::new(prompt(i), decode_len))
+                .collect();
+            let sequential = serve(
+                &faulty_engine(policy, 11),
+                requests.clone(),
+                SchedulerConfig::default(),
+                false,
             );
-            let label = format!("axis={axis:?}, workers={workers}");
-            assert_eq!(outcome.outcomes.len(), sequential.outcomes.len(), "{label}");
-            for (i, (a, b)) in sequential
-                .outcomes
-                .iter()
-                .zip(outcome.outcomes.iter())
-                .enumerate()
-            {
-                assert_eq!(a.generated, b.generated, "{label}: stream of request {i}");
-                assert_eq!(a.trace, b.trace, "{label}: trace of request {i}");
-                assert_eq!(a.faults, b.faults, "{label}: fault stats of request {i}");
-                assert_eq!(a.cache, b.cache, "{label}: cache stats of request {i}");
-            }
-            assert_eq!(outcome.stats, sequential.stats, "{label}: aggregate stats");
+            let outcome = serve(
+                &faulty_engine_on(policy, 11, 4),
+                requests,
+                SchedulerConfig::default(),
+                true,
+            );
+            let label = format!("policy={}, width={width}", policy.name());
+            assert_batches_identical(&sequential, &outcome, &label);
+            let decode_crossings = outcome.parallel.queue_crossings - 2 * width as u64;
+            let expected = if width <= 2 {
+                0
+            } else {
+                2 * width * decode_len
+            };
             assert_eq!(
-                outcome.contention, sequential.contention,
-                "{label}: contention metrics"
+                decode_crossings, expected as u64,
+                "{label}: decode crossings"
             );
         }
     }
@@ -185,14 +269,15 @@ fn every_axis_serves_batches_bit_identically_to_sequential() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random request mixes served with a random parallel axis *and* tiering
-    /// enabled are bit-identical to sequential serving: the two parallelism
-    /// axes compose with the memory-hierarchy overlay at any worker count.
+    /// Random request mixes served with tiering enabled are bit-identical to
+    /// sequential serving whichever axis the pool picks: narrow pools keep
+    /// wide mixes on the session axis, the 10-worker pool is at least twice
+    /// as wide as any mix and decodes every tick on the intra axis — both
+    /// compose with the memory-hierarchy overlay.
     #[test]
     fn random_mixes_are_axis_and_worker_invariant_with_tiering(
         seed in 0u64..500,
         shapes in proptest::collection::vec(0usize..10_000, 2..6),
-        axis_pick in 0usize..3,
         capacity_tokens in 8usize..40,
     ) {
         // Each sampled integer encodes one request's shape: prompt length in
@@ -212,23 +297,14 @@ proptest! {
                     .build()
             })
             .collect();
-        let axis = [ParallelAxis::Session, ParallelAxis::Intra, ParallelAxis::Auto][axis_pick];
         let engine = KelleEngine::builder().seed(seed).build();
-        let config = SchedulerConfig::default()
-            .with_tiering(TierConfig::with_edram_budget(
-                engine.kv_footprint_bytes(capacity_tokens),
-            ))
-            .with_parallel_axis(axis);
-        let sequential = engine.serve_batch_with(requests.clone(), config);
-        for workers in [2, 3] {
-            let engine = KelleEngine::builder().seed(seed).build();
-            let parallel = kelle::parallel::serve_batch_parallel(
-                &engine,
-                requests.clone(),
-                config,
-                workers,
-                |_, _| {},
-            );
+        let config = SchedulerConfig::default().with_tiering(TierConfig::with_edram_budget(
+            engine.kv_footprint_bytes(capacity_tokens),
+        ));
+        let sequential = serve(&engine, requests.clone(), config, false);
+        for workers in [2, 3, 10] {
+            let engine = KelleEngine::builder().seed(seed).workers(workers).build();
+            let parallel = serve(&engine, requests.clone(), config, true);
             prop_assert_eq!(sequential.outcomes.len(), parallel.outcomes.len());
             for (a, b) in sequential.outcomes.iter().zip(parallel.outcomes.iter()) {
                 prop_assert_eq!(&a.generated, &b.generated);

@@ -1,7 +1,3 @@
-#![allow(deprecated)]
-// The serve_batch* wrappers are exercised on purpose: these
-// suites double as delegation coverage for the unified `KelleEngine::serve`.
-
 //! Parallel-equivalence acceptance suite: the threaded serving front-end
 //! (`kelle::parallel`) must be **bit-identical** to the single-threaded
 //! scheduler — token streams, per-step traces, probability-bearing fault
@@ -15,7 +11,7 @@
 
 use kelle::{
     AdmissionPolicy, BatchOutcome, CachePolicy, KelleEngine, PrefixSharingConfig, SchedulerConfig,
-    ServeRequest,
+    ServeOptions, ServeRequest,
 };
 use proptest::prelude::*;
 
@@ -91,28 +87,48 @@ fn policy_mix() -> Vec<ServeRequest> {
     requests
 }
 
-fn sharing_engine(seed: u64) -> KelleEngine {
+fn sharing_engine(seed: u64, workers: usize) -> KelleEngine {
     let engine = KelleEngine::builder()
         .prefix_sharing(PrefixSharingConfig::enabled())
         .seed(seed)
+        .workers(workers)
         .build();
     assert!(engine.publish_prefix(&shared_prefix()));
     engine
 }
 
+/// Inline [`KelleEngine::serve`] under `config`.
+fn serve(
+    engine: &KelleEngine,
+    requests: Vec<ServeRequest>,
+    config: SchedulerConfig,
+) -> BatchOutcome {
+    engine
+        .serve(requests, ServeOptions::new().with_scheduler(config))
+        .expect("no chaos configured")
+}
+
+/// [`KelleEngine::serve`] under `config`, fanned out across the engine's workers.
+fn serve_parallel(
+    engine: &KelleEngine,
+    requests: Vec<ServeRequest>,
+    config: SchedulerConfig,
+) -> BatchOutcome {
+    engine
+        .serve(
+            requests,
+            ServeOptions::new().parallel().with_scheduler(config),
+        )
+        .expect("no chaos configured")
+}
+
 #[test]
 fn parallel_matches_sequential_for_all_policies_with_prefix_hits() {
-    let sequential_engine = sharing_engine(7);
-    let sequential = sequential_engine.serve_batch(policy_mix());
+    let sequential_engine = sharing_engine(7, 1);
+    let sequential = serve(&sequential_engine, policy_mix(), SchedulerConfig::default());
     for workers in worker_counts() {
-        let engine = sharing_engine(7);
-        let parallel = kelle::parallel::serve_batch_parallel(
-            &engine,
-            policy_mix(),
-            SchedulerConfig::default(),
-            workers,
-            |_, _| {},
-        );
+        let engine = sharing_engine(7, workers);
+        let parallel = serve_parallel(&engine, policy_mix(), SchedulerConfig::default());
         assert_outcomes_identical(&sequential, &parallel, &format!("workers={workers}"));
         // The prefix store saw the same traffic (lookups, hits, hit tokens).
         assert_eq!(engine.prefix_stats(), sequential_engine.prefix_stats());
@@ -123,27 +139,20 @@ fn parallel_matches_sequential_for_all_policies_with_prefix_hits() {
 fn parallel_matches_sequential_under_contention_for_every_admission_policy() {
     // Capacity fits roughly two prompts: requests queue, overtake (under
     // shortest-prompt-first / capacity-fit) and back-fill across ticks.
-    let probe = sharing_engine(7);
+    let probe = sharing_engine(7, 1);
     let capacity = probe.kv_footprint_bytes(2 * (shared_prefix().len() + 3));
     for admission in AdmissionPolicy::all() {
         let config = SchedulerConfig::default()
             .with_kv_capacity_bytes(capacity)
             .with_admission(admission);
-        let sequential = sharing_engine(7).serve_batch_with(policy_mix(), config);
+        let sequential = serve(&sharing_engine(7, 1), policy_mix(), config);
         assert!(
             sequential.contention.total_queue_ticks > 0,
             "the fixture must actually contend ({})",
             admission.name()
         );
         for workers in worker_counts() {
-            let engine = sharing_engine(7);
-            let parallel = kelle::parallel::serve_batch_parallel(
-                &engine,
-                policy_mix(),
-                config,
-                workers,
-                |_, _| {},
-            );
+            let parallel = serve_parallel(&sharing_engine(7, workers), policy_mix(), config);
             assert_outcomes_identical(
                 &sequential,
                 &parallel,
@@ -156,21 +165,21 @@ fn parallel_matches_sequential_under_contention_for_every_admission_policy() {
 #[test]
 fn parallel_streaming_preserves_token_order_and_engine_stats() {
     let mut sequential_tokens = Vec::new();
-    let sequential_engine = sharing_engine(11);
-    sequential_engine.serve_batch_streaming(policy_mix(), |request, token| {
-        sequential_tokens.push((request, token));
-    });
+    let sequential_engine = sharing_engine(11, 1);
+    let mut sink = |request: usize, token: usize| sequential_tokens.push((request, token));
+    sequential_engine
+        .serve(policy_mix(), ServeOptions::new().streaming(&mut sink))
+        .expect("no chaos configured");
     for workers in worker_counts() {
-        let engine = KelleEngine::builder()
-            .prefix_sharing(PrefixSharingConfig::enabled())
-            .seed(11)
-            .workers(workers)
-            .build();
-        assert!(engine.publish_prefix(&shared_prefix()));
+        let engine = sharing_engine(11, workers);
         let mut parallel_tokens = Vec::new();
-        engine.serve_batch_parallel_streaming(policy_mix(), |request, token| {
-            parallel_tokens.push((request, token));
-        });
+        let mut sink = |request: usize, token: usize| parallel_tokens.push((request, token));
+        engine
+            .serve(
+                policy_mix(),
+                ServeOptions::new().parallel().streaming(&mut sink),
+            )
+            .expect("no chaos configured");
         assert_eq!(
             sequential_tokens, parallel_tokens,
             "streaming order must match at workers={workers}"
@@ -201,10 +210,14 @@ fn parallel_serializes_auto_publication_like_sequential_serving() {
         .collect();
 
     let sequential_engine = build(1);
-    let sequential = sequential_engine.serve_batch(requests.clone());
+    let sequential = serve(
+        &sequential_engine,
+        requests.clone(),
+        SchedulerConfig::default(),
+    );
     for workers in worker_counts() {
         let engine = build(workers);
-        let parallel = engine.serve_batch_parallel(requests.clone());
+        let parallel = serve_parallel(&engine, requests.clone(), SchedulerConfig::default());
         assert_outcomes_identical(&sequential, &parallel, &format!("workers={workers}"));
         assert_eq!(
             engine.prefix_stats(),
@@ -246,16 +259,10 @@ proptest! {
         let engine = KelleEngine::builder().seed(seed).build();
         let config = SchedulerConfig::default()
             .with_kv_capacity_bytes(engine.kv_footprint_bytes(capacity_tokens));
-        let sequential = engine.serve_batch_with(requests.clone(), config);
+        let sequential = serve(&engine, requests.clone(), config);
         for workers in [2, 3] {
-            let engine = KelleEngine::builder().seed(seed).build();
-            let parallel = kelle::parallel::serve_batch_parallel(
-                &engine,
-                requests.clone(),
-                config,
-                workers,
-                |_, _| {},
-            );
+            let engine = KelleEngine::builder().seed(seed).workers(workers).build();
+            let parallel = serve_parallel(&engine, requests.clone(), config);
             prop_assert_eq!(sequential.outcomes.len(), parallel.outcomes.len());
             for (a, b) in sequential.outcomes.iter().zip(parallel.outcomes.iter()) {
                 prop_assert_eq!(&a.generated, &b.generated);

@@ -1,7 +1,3 @@
-#![allow(deprecated)]
-// The serve_batch* wrappers are exercised on purpose: these
-// suites double as delegation coverage for the unified `KelleEngine::serve`.
-
 //! Acceptance tests of cross-session prefix KV sharing (`kelle::prefix`).
 //!
 //! The load-bearing guarantee: a prefix-cache hit is **observationally
@@ -13,7 +9,9 @@
 use kelle::edram::RefreshPolicy;
 use kelle::model::CacheStats;
 use kelle::workloads::SharedPromptScenario;
-use kelle::{CachePolicy, EngineConfig, KelleEngine, PrefixSharingConfig, ServeRequest};
+use kelle::{
+    CachePolicy, EngineConfig, KelleEngine, PrefixSharingConfig, ServeOptions, ServeRequest,
+};
 use proptest::prelude::*;
 
 /// A deterministic prompt of `len` tokens.
@@ -191,7 +189,9 @@ fn eight_sessions_share_a_256_token_system_prompt() {
 
     let sharing = build(true);
     assert!(sharing.publish_prefix(&system));
-    let batch = sharing.serve_batch(requests.clone());
+    let batch = sharing
+        .serve(requests.clone(), ServeOptions::new())
+        .expect("no chaos configured");
 
     // (a) Prefill compute for the shared prefix executed once: every
     // session computed only its 8-token suffix; the store holds exactly one
@@ -220,7 +220,9 @@ fn eight_sessions_share_a_256_token_system_prompt() {
 
     // (c) Every session's stream is bit-identical to its cold-start run.
     let cold = build(false);
-    let cold_batch = cold.serve_batch(requests);
+    let cold_batch = cold
+        .serve(requests, ServeOptions::new())
+        .expect("no chaos configured");
     assert_eq!(
         cold_batch.contention.peak_residency_bytes,
         8 * full_bytes,

@@ -1,7 +1,3 @@
-#![allow(deprecated)]
-// The serve_batch* wrappers are exercised on purpose: these
-// suites double as delegation coverage for the unified `KelleEngine::serve`.
-
 //! Property-based tests (proptest) on the core invariants of the
 //! reproduction, spanning several crates.
 
@@ -10,7 +6,9 @@ use kelle::edram::{CapacityLedger, RefreshPolicy, RetentionModel};
 use kelle::model::fault::NoFaults;
 use kelle::model::{FullKvCache, ModelConfig, ModelKind, SurrogateModel};
 use kelle::tensor::{ops, QuantFormat, QuantizedVector};
-use kelle::{AdmissionPolicy, CachePolicy, KelleEngine, SchedulerConfig, ServeRequest};
+use kelle::{
+    AdmissionPolicy, CachePolicy, KelleEngine, SchedulerConfig, ServeOptions, ServeRequest,
+};
 use proptest::prelude::*;
 
 fn surrogate() -> SurrogateModel {
@@ -271,7 +269,9 @@ proptest! {
             })
             .collect();
 
-        let unbounded = engine.serve_batch(requests.clone());
+        let unbounded = engine
+            .serve(requests.clone(), ServeOptions::new())
+            .expect("no chaos configured");
 
         let total: u64 = requests
             .iter()
@@ -280,7 +280,9 @@ proptest! {
         let config = SchedulerConfig::default()
             .with_kv_capacity_bytes((total / capacity_denominator).max(1))
             .with_admission(AdmissionPolicy::all()[policy_pick]);
-        let bounded = engine.serve_batch_with(requests, config);
+        let bounded = engine
+            .serve(requests, ServeOptions::new().with_scheduler(config))
+            .expect("no chaos configured");
 
         for (a, b) in unbounded.outcomes.iter().zip(bounded.outcomes.iter()) {
             prop_assert_eq!(&a.generated, &b.generated);

@@ -1,18 +1,26 @@
-#![allow(deprecated)]
-// The serve_batch* wrappers are exercised on purpose: these
-// suites double as delegation coverage for the unified `KelleEngine::serve`.
-
 //! Integration tests for the session-oriented serving API: multi-turn KV
 //! reuse, the policy registry, and the continuous-batching scheduler.
 
 use kelle::accuracy::Method;
 use kelle::cache::CacheBudget;
 use kelle::{
-    AdmissionPolicy, CachePolicy, EngineStats, KelleEngine, SchedulerConfig, ServeRequest,
+    AdmissionPolicy, BatchOutcome, CachePolicy, EngineStats, KelleEngine, SchedulerConfig,
+    ServeOptions, ServeRequest,
 };
 
 fn engine_with_policy(policy: CachePolicy) -> KelleEngine {
     KelleEngine::builder().policy(policy).seed(7).build()
+}
+
+/// Inline [`KelleEngine::serve`] under `config`.
+fn serve(
+    engine: &KelleEngine,
+    requests: Vec<ServeRequest>,
+    config: SchedulerConfig,
+) -> BatchOutcome {
+    engine
+        .serve(requests, ServeOptions::new().with_scheduler(config))
+        .expect("no chaos configured")
 }
 
 /// A session serving two chained turns must produce the same token stream as
@@ -133,7 +141,7 @@ fn batch_scheduler_is_fair() {
     let mut scheduler = kelle::BatchScheduler::new(&engine);
     let decode_lens = [3usize, 5, 4, 6];
     for (i, &decode_len) in decode_lens.iter().enumerate() {
-        scheduler.admit(ServeRequest::new(vec![i + 1, i + 2, i + 3], decode_len));
+        scheduler.submit(ServeRequest::new(vec![i + 1, i + 2, i + 3], decode_len));
     }
 
     let mut steps_taken = vec![0usize; decode_lens.len()];
@@ -168,7 +176,7 @@ fn batch_scheduler_is_fair() {
     }
 }
 
-/// `serve_batch` over N >= 4 concurrent sessions returns per-request outcomes
+/// `serve` over N >= 4 concurrent sessions returns per-request outcomes
 /// identical to sequential serving, and an aggregate that equals the sum of
 /// the sequential serves' stats.
 #[test]
@@ -194,7 +202,7 @@ fn serve_batch_matches_sequential_serving() {
     assert!(requests.len() >= 4);
 
     let batch_engine = engine_with_policy(CachePolicy::Aerp);
-    let batch = batch_engine.serve_batch(requests.clone());
+    let batch = serve(&batch_engine, requests.clone(), SchedulerConfig::default());
     assert_eq!(batch.outcomes.len(), requests.len());
 
     let sequential_engine = engine_with_policy(CachePolicy::Aerp);
@@ -245,9 +253,10 @@ fn streaming_callback_observes_every_token() {
         ServeRequest::new(vec![4, 5, 6], 4),
     ];
     let mut streamed: Vec<(usize, usize)> = Vec::new();
-    let batch = engine.serve_batch_streaming(requests, |request, token| {
-        streamed.push((request, token));
-    });
+    let mut sink = |request: usize, token: usize| streamed.push((request, token));
+    let batch = engine
+        .serve(requests, ServeOptions::new().streaming(&mut sink))
+        .expect("no chaos configured");
 
     let streamed_for = |request: usize| -> Vec<usize> {
         streamed
@@ -286,14 +295,18 @@ fn contention_request_mix() -> Vec<ServeRequest> {
 
 /// Acceptance criterion of the capacity-arbitration refactor, part 1: with
 /// the shared eDRAM capacity sized to hold every admitted request's final
-/// footprint, `serve_batch_with` reproduces the unbounded scheduler exactly —
+/// footprint, a bounded `serve` reproduces the unbounded scheduler exactly —
 /// same tokens, same traces, same aggregate stats, and zero queueing/spill.
 #[test]
 fn ample_capacity_reproduces_unbounded_serving_exactly() {
     let requests = contention_request_mix();
 
     let unbounded_engine = engine_with_policy(CachePolicy::Aerp);
-    let unbounded = unbounded_engine.serve_batch(requests.clone());
+    let unbounded = serve(
+        &unbounded_engine,
+        requests.clone(),
+        SchedulerConfig::default(),
+    );
     assert_eq!(unbounded.contention.capacity_bytes, None);
 
     let bounded_engine = engine_with_policy(CachePolicy::Aerp);
@@ -301,7 +314,8 @@ fn ample_capacity_reproduces_unbounded_serving_exactly() {
         .iter()
         .map(|r| bounded_engine.kv_footprint_bytes(r.prompt().len() + r.decode_len()))
         .sum();
-    let bounded = bounded_engine.serve_batch_with(
+    let bounded = serve(
+        &bounded_engine,
         requests,
         SchedulerConfig::default().with_kv_capacity_bytes(total),
     );
@@ -327,14 +341,19 @@ fn halved_capacity_queues_and_spills_without_changing_tokens() {
     let requests = contention_request_mix();
 
     let unbounded_engine = engine_with_policy(CachePolicy::Aerp);
-    let unbounded = unbounded_engine.serve_batch(requests.clone());
+    let unbounded = serve(
+        &unbounded_engine,
+        requests.clone(),
+        SchedulerConfig::default(),
+    );
 
     let bounded_engine = engine_with_policy(CachePolicy::Aerp);
     let total: u64 = requests
         .iter()
         .map(|r| bounded_engine.kv_footprint_bytes(r.prompt().len() + r.decode_len()))
         .sum();
-    let halved = bounded_engine.serve_batch_with(
+    let halved = serve(
+        &bounded_engine,
         requests,
         SchedulerConfig::default().with_kv_capacity_bytes(total / 2),
     );
@@ -386,7 +405,11 @@ fn halved_capacity_queues_and_spills_without_changing_tokens() {
 #[test]
 fn admission_policies_preserve_streams_and_order() {
     let requests = contention_request_mix();
-    let reference = engine_with_policy(CachePolicy::Aerp).serve_batch(requests.clone());
+    let reference = serve(
+        &engine_with_policy(CachePolicy::Aerp),
+        requests.clone(),
+        SchedulerConfig::default(),
+    );
     let engine = engine_with_policy(CachePolicy::Aerp);
     let total: u64 = requests
         .iter()
@@ -396,7 +419,7 @@ fn admission_policies_preserve_streams_and_order() {
         let config = SchedulerConfig::default()
             .with_kv_capacity_bytes(total / 2)
             .with_admission(admission);
-        let batch = engine.serve_batch_with(requests.clone(), config);
+        let batch = serve(&engine, requests.clone(), config);
         for (a, b) in reference.outcomes.iter().zip(batch.outcomes.iter()) {
             assert_eq!(a.generated, b.generated, "{admission:?}");
         }

@@ -1,7 +1,3 @@
-#![allow(deprecated)]
-// The serve_batch* wrappers are exercised on purpose: these
-// suites double as delegation coverage for the unified `KelleEngine::serve`.
-
 //! Tiered-memory acceptance suite: the eDRAM → DRAM → NVMe hierarchy
 //! (`kelle::tier`) must keep token streams, per-step traces,
 //! probability-bearing fault statistics and per-request hardware outcomes
@@ -18,7 +14,7 @@ use kelle::edram::MemoryTier;
 use kelle::tier::{TierConfig, TieringMetrics};
 use kelle::{
     BatchOutcome, BatchScheduler, CachePolicy, KelleEngine, PrefixSharingConfig, SchedulerConfig,
-    ServeRequest,
+    ServeOptions, ServeRequest,
 };
 use proptest::prelude::*;
 
@@ -90,13 +86,25 @@ fn policy_mix() -> Vec<ServeRequest> {
     requests
 }
 
-fn sharing_engine(seed: u64) -> KelleEngine {
+fn sharing_engine(seed: u64, workers: usize) -> KelleEngine {
     let engine = KelleEngine::builder()
         .prefix_sharing(PrefixSharingConfig::enabled())
         .seed(seed)
+        .workers(workers)
         .build();
     assert!(engine.publish_prefix(&shared_prefix()));
     engine
+}
+
+/// Inline [`KelleEngine::serve`] under `config`.
+fn serve(
+    engine: &KelleEngine,
+    requests: Vec<ServeRequest>,
+    config: SchedulerConfig,
+) -> BatchOutcome {
+    engine
+        .serve(requests, ServeOptions::new().with_scheduler(config))
+        .expect("no chaos configured")
 }
 
 /// A tiering config whose eDRAM holds roughly `tokens` full-scale KV tokens.
@@ -106,14 +114,18 @@ fn tiny_tiering(engine: &KelleEngine, tokens: usize) -> TierConfig {
 
 #[test]
 fn tiering_is_bit_identical_for_all_policies() {
-    let baseline = sharing_engine(7).serve_batch(policy_mix());
+    let baseline = serve(
+        &sharing_engine(7, 1),
+        policy_mix(),
+        SchedulerConfig::default(),
+    );
 
     // eDRAM fits roughly one prompt: the mix overflows on chip, queues,
     // demotes and promotes — and changes nothing observable.
-    let engine = sharing_engine(7);
+    let engine = sharing_engine(7, 1);
     let config =
         SchedulerConfig::default().with_tiering(tiny_tiering(&engine, shared_prefix().len() + 6));
-    let tiered = engine.serve_batch_with(policy_mix(), config);
+    let tiered = serve(&engine, policy_mix(), config);
 
     assert_streams_identical(&baseline, &tiered, "tiered vs unlimited");
     assert_ne!(tiered.tiering, TieringMetrics::default());
@@ -130,20 +142,22 @@ fn tiering_is_bit_identical_for_all_policies() {
 
 #[test]
 fn parallel_tiered_serving_matches_sequential_tiered_serving() {
-    let probe = sharing_engine(7);
+    let probe = sharing_engine(7, 1);
     let config =
         SchedulerConfig::default().with_tiering(tiny_tiering(&probe, shared_prefix().len() + 6));
-    let sequential = probe.serve_batch_with(policy_mix(), config);
-    let baseline = sharing_engine(7).serve_batch(policy_mix());
+    let sequential = serve(&probe, policy_mix(), config);
+    let baseline = serve(
+        &sharing_engine(7, 1),
+        policy_mix(),
+        SchedulerConfig::default(),
+    );
     for workers in worker_counts() {
-        let engine = sharing_engine(7);
-        let parallel = kelle::parallel::serve_batch_parallel(
-            &engine,
-            policy_mix(),
-            config,
-            workers,
-            |_, _| {},
-        );
+        let parallel = sharing_engine(7, workers)
+            .serve(
+                policy_mix(),
+                ServeOptions::new().parallel().with_scheduler(config),
+            )
+            .expect("no chaos configured");
         // Worker-count invariance is *total*: queueing, contention, prefix
         // and tiering metrics all match the sequential tiered run exactly
         // (the tier manager lives on the coordinating thread).
@@ -188,11 +202,11 @@ fn mid_stream_demote_promote_round_trips_are_invisible() {
         })
         .collect();
     let engine = KelleEngine::builder().seed(13).build();
-    let baseline = engine.serve_batch(requests.clone());
+    let baseline = serve(&engine, requests.clone(), SchedulerConfig::default());
 
     let tiered_engine = KelleEngine::builder().seed(13).build();
     let config = SchedulerConfig::default().with_tiering(tiny_tiering(&tiered_engine, 1));
-    let tiered = tiered_engine.serve_batch_with(requests, config);
+    let tiered = serve(&tiered_engine, requests, config);
 
     assert_streams_identical(&baseline, &tiered, "thrashing fleet");
     // Each session demotes after every non-final decode tick and promotes
@@ -211,7 +225,7 @@ fn mid_stream_demote_promote_round_trips_are_invisible() {
 
 #[test]
 fn referenced_shared_segment_demotes_and_replays_consistently() {
-    let engine = sharing_engine(17);
+    let engine = sharing_engine(17, 1);
     let prefix_len = shared_prefix().len();
     let segment_bytes = engine.kv_footprint_bytes(prefix_len);
     // eDRAM comfortably fits the segment plus one session's private bytes,
@@ -260,7 +274,7 @@ fn referenced_shared_segment_demotes_and_replays_consistently() {
     assert_eq!(tiered.prefix.deduplicated_bytes, 2 * segment_bytes);
 
     // Streams match the unlimited run request-for-request.
-    let baseline = sharing_engine(17).serve_batch(requests);
+    let baseline = serve(&sharing_engine(17, 1), requests, SchedulerConfig::default());
     assert_streams_identical(&baseline, &tiered, "segment demotion");
 }
 
@@ -270,7 +284,7 @@ fn store_eviction_of_a_referenced_prefix_is_copy_safe_for_budgeted_policies() {
     let prefix_b: Vec<usize> = (0..24).map(|i| (i * 11 + 3) % 512).collect();
 
     // Probe the store footprint of one published segment.
-    let probe = sharing_engine(19);
+    let probe = sharing_engine(19, 1);
     let segment_store_bytes = probe.prefix_stats().resident_bytes;
     assert!(segment_store_bytes > 0);
 
@@ -306,12 +320,20 @@ fn store_eviction_of_a_referenced_prefix_is_copy_safe_for_budgeted_policies() {
     );
 
     // The decode that straddled the eviction matches an eviction-free run.
-    let baseline = sharing_engine(19).serve_batch(vec![request]);
+    let baseline = serve(
+        &sharing_engine(19, 1),
+        vec![request],
+        SchedulerConfig::default(),
+    );
     assert_streams_identical(&baseline, &outcome, "eviction mid-stream");
 
     // A later request on the evicted prefix misses cleanly — and, sharing
     // being stream-invariant, still generates the same tokens.
-    let follow = engine.serve_batch(vec![ServeRequest::new(prompt.clone(), 3)]);
+    let follow = serve(
+        &engine,
+        vec![ServeRequest::new(prompt.clone(), 3)],
+        SchedulerConfig::default(),
+    );
     assert_eq!(
         follow.outcomes[0].prefix_hit_tokens, 0,
         "A is gone from the store"
@@ -351,12 +373,12 @@ proptest! {
             })
             .collect();
         let engine = KelleEngine::builder().seed(seed).build();
-        let baseline = engine.serve_batch(requests.clone());
+        let baseline = serve(&engine, requests.clone(), SchedulerConfig::default());
 
         let tiered_engine = KelleEngine::builder().seed(seed).build();
         let tiering = tiny_tiering(&tiered_engine, edram_tokens);
         let config = SchedulerConfig::default().with_tiering(tiering);
-        let tiered = tiered_engine.serve_batch_with(requests, config);
+        let tiered = serve(&tiered_engine, requests, config);
 
         for (a, b) in baseline.outcomes.iter().zip(tiered.outcomes.iter()) {
             prop_assert_eq!(&a.generated, &b.generated);

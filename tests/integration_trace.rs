@@ -85,7 +85,7 @@ fn replay(engine: &KelleEngine, trace: &Trace, admission: AdmissionPolicy) -> Ba
             requests,
             ServeOptions::new().parallel().with_scheduler(scheduler),
         )
-        .expect("infallible options cannot fail")
+        .expect("no chaos configured, no worker can be lost")
 }
 
 #[test]
@@ -184,7 +184,7 @@ fn one_recording_pass_publishes_every_intermediate_boundary() {
         prompt.extend([7, 3, 9]);
         let outcome = engine
             .serve(vec![ServeRequest::new(prompt, 2)], ServeOptions::new())
-            .expect("infallible options cannot fail");
+            .expect("no chaos configured, no worker can be lost");
         assert_eq!(
             outcome.outcomes[0].prefix_hit_tokens, boundary,
             "a prompt extending the {boundary}-token level must reuse it"
@@ -232,10 +232,10 @@ fn hierarchy_replay_is_bit_identical_to_cold_sessions_for_all_five_policies() {
             .collect();
         let warm_outcome = warm
             .serve(requests.clone(), ServeOptions::new())
-            .expect("infallible options cannot fail");
+            .expect("no chaos configured, no worker can be lost");
         let cold_outcome = cold
             .serve(requests, ServeOptions::new())
-            .expect("infallible options cannot fail");
+            .expect("no chaos configured, no worker can be lost");
 
         let depth = trace.publications[0].tokens.len();
         for (i, (w, c)) in warm_outcome
