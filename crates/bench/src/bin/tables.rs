@@ -2,8 +2,8 @@
 //!
 //! Usage: `cargo run -p kelle-bench --bin tables [-- --table <id>]`
 //! where `<id>` is one of `1`, `2`, `3`, `4`, `5`, `6`, `7`, `8`, `9`,
-//! `area-power`, `bandwidth`, `chaos`, `contention`, `decode_perf`, `front`,
-//! `intra`, `prefix`, `serving`, `tiering`, `trace`, or `all` (default).
+//! `area-power`, `bandwidth`, `chaos`, `contention`, `decode_perf`, `intra`,
+//! `prefix`, `serving`, `tiering`, `trace`, or `all` (default).
 
 use kelle::accuracy::{evaluate_all_methods, evaluate_method, AccuracyConfig, Method};
 use kelle::arch::InferenceWorkload;
@@ -78,9 +78,6 @@ fn main() {
     }
     if all || which == "chaos" {
         chaos();
-    }
-    if all || which == "front" {
-        front();
     }
     if all || which == "trace" {
         trace();
@@ -526,29 +523,6 @@ fn chaos() {
         report.metrics.lost_requests,
     );
     println!("(every surviving stream verified bit-identical to the clean run)");
-}
-
-fn front() {
-    header("Serving front-end: sticky-shard vs work-stealing, long-lived fleet");
-    let report = kelle_bench::front_perf::run(kelle_bench::front_perf::FrontPerfConfig::quick());
-    println!(
-        "{:>8} {:>10} {:>12} {:>11} {:>10} {:>8} {:>6}",
-        "workers", "executor", "decode tok", "crossings", "cross/tick", "migrated", "ticks"
-    );
-    for row in &report.rows {
-        println!(
-            "{:>8} {:>10} {:>12} {:>11} {:>10.2} {:>8} {:>6}",
-            row.workers,
-            row.executor,
-            row.decode_tokens,
-            row.queue_crossings,
-            row.crossings_per_tick,
-            row.sessions_migrated,
-            row.ticks,
-        );
-    }
-    println!("(token streams are bit-identical on every row; the sticky shard pins");
-    println!(" sessions to workers so only per-tick step results cross the queue)");
 }
 
 fn trace() {

@@ -18,9 +18,6 @@
 //!   `BENCH_tiering.json`, built on [`tiering_perf`];
 //! * `src/bin/bench_chaos.rs` — the chaos-recovery sweep emitting
 //!   `BENCH_chaos.json`, built on [`chaos_perf`];
-//! * `src/bin/bench_front.rs` — the front-end executor-protocol sweep
-//!   (sticky-shard vs work-stealing) emitting `BENCH_front.json`, built on
-//!   [`front_perf`];
 //! * `src/bin/bench_trace.rs` — the fleet-scale trace replay and
 //!   admission-policy shootout emitting `BENCH_trace.json`, built on
 //!   [`trace_perf`].
@@ -29,7 +26,6 @@
 
 pub mod chaos_perf;
 pub mod decode_perf;
-pub mod front_perf;
 pub mod intra_perf;
 pub mod prefix_perf;
 pub mod serving_perf;

@@ -27,7 +27,8 @@ use std::time::Instant;
 
 use kelle::workloads::ParallelScenario;
 use kelle::{
-    BatchOutcome, BatchScheduler, KelleEngine, PrefixSharingConfig, ServeRequest, WorkerPool,
+    BatchOutcome, BatchScheduler, InlineExecutor, KelleEngine, PrefixSharingConfig, ServeRequest,
+    StepExecutor, WorkerPool,
 };
 
 /// Configuration of one threaded-serving sweep.
@@ -183,9 +184,21 @@ fn requests_for(scenario: &ParallelScenario) -> Vec<ServeRequest> {
         .collect()
 }
 
+/// Runs `drive` on the execution mode under test: `None` is the classic
+/// single-threaded executor, `Some(n)` an `n`-worker pool.  Both speak the
+/// same resident-session protocol, so every measurement has one body.
+fn with_executor<'e, R>(
+    workers: Option<usize>,
+    drive: impl FnOnce(&mut dyn StepExecutor<'e>) -> R,
+) -> R {
+    match workers {
+        None => drive(&mut InlineExecutor::default()),
+        Some(workers) => std::thread::scope(|scope| drive(&mut WorkerPool::start(scope, workers))),
+    }
+}
+
 /// Serves the fleet once, timing the prefill (submit) and decode phases
-/// separately.  `workers == None` drives the classic single-threaded
-/// scheduler; `Some(n)` drives it through an `n`-worker pool.
+/// separately.
 fn serve_fleet(config: &ServingPerfConfig, workers: Option<usize>) -> (BatchOutcome, f64, f64) {
     let engine = engine(config);
     assert!(
@@ -193,33 +206,19 @@ fn serve_fleet(config: &ServingPerfConfig, workers: Option<usize>) -> (BatchOutc
         "publication must succeed"
     );
     let requests = requests_for(&config.scenario);
-    match workers {
-        None => {
-            let mut scheduler = BatchScheduler::new(&engine);
-            let start = Instant::now();
-            for request in requests {
-                scheduler.submit(request);
-            }
-            let prefill_s = start.elapsed().as_secs_f64();
-            let start = Instant::now();
-            let outcome = scheduler.run_to_completion();
-            (outcome, prefill_s, start.elapsed().as_secs_f64())
+    with_executor(workers, |executor| {
+        let mut scheduler = BatchScheduler::new(&engine);
+        let start = Instant::now();
+        for request in requests {
+            scheduler.submit_with(request, executor);
         }
-        Some(workers) => std::thread::scope(|scope| {
-            let mut pool = WorkerPool::start(scope, workers);
-            let mut scheduler = BatchScheduler::new(&engine);
-            let start = Instant::now();
-            for request in requests {
-                scheduler.submit_with(request, &mut pool);
-            }
-            let prefill_s = start.elapsed().as_secs_f64();
-            let start = Instant::now();
-            let outcome = scheduler
-                .run_with(&mut pool, |_| {})
-                .expect("benchmark fleet runs without chaos");
-            (outcome, prefill_s, start.elapsed().as_secs_f64())
-        }),
-    }
+        let prefill_s = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let outcome = scheduler
+            .run_with(executor, |_| {})
+            .expect("benchmark fleet runs without chaos");
+        (outcome, prefill_s, start.elapsed().as_secs_f64())
+    })
 }
 
 /// Serves the fleet's first session *alone* through the given execution
@@ -235,33 +234,18 @@ fn single_session_token_latencies(config: &ServingPerfConfig, workers: Option<us
         .into_iter()
         .next()
         .expect("the fleet has at least one session");
-    match workers {
-        None => {
-            let mut scheduler = BatchScheduler::new(&engine);
-            scheduler.submit(request);
-            let mut latencies = Vec::new();
-            while !scheduler.is_idle() {
-                let start = Instant::now();
-                let events = scheduler.step();
-                let elapsed = start.elapsed().as_secs_f64();
-                latencies.extend(std::iter::repeat_n(elapsed, events.len()));
-            }
-            latencies
+    with_executor(workers, |executor| {
+        let mut scheduler = BatchScheduler::new(&engine);
+        scheduler.submit_with(request, executor);
+        let mut latencies = Vec::new();
+        while !scheduler.is_idle() {
+            let start = Instant::now();
+            let events = scheduler.step_with(executor);
+            let elapsed = start.elapsed().as_secs_f64();
+            latencies.extend(std::iter::repeat_n(elapsed, events.len()));
         }
-        Some(workers) => std::thread::scope(|scope| {
-            let mut pool = WorkerPool::start(scope, workers);
-            let mut scheduler = BatchScheduler::new(&engine);
-            scheduler.submit_with(request, &mut pool);
-            let mut latencies = Vec::new();
-            while !scheduler.is_idle() {
-                let start = Instant::now();
-                let events = scheduler.step_with(&mut pool);
-                let elapsed = start.elapsed().as_secs_f64();
-                latencies.extend(std::iter::repeat_n(elapsed, events.len()));
-            }
-            latencies
-        }),
-    }
+        latencies
+    })
 }
 
 /// Nearest-rank percentile of the latency samples, in microseconds.

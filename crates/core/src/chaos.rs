@@ -22,10 +22,11 @@
 //!   Both are only ever consulted on the coordinator thread, whose decision
 //!   sequence is identical for every worker count, so the draws are too.
 //!
-//! Recovery leans on the scheduler's per-tick commit protocol: sessions are
-//! snapshotted into cheap [`Checkpoint`]s at committed tick boundaries, a
-//! panicked worker's in-flight session steps are re-executed from checkpoint
-//! with a bounded retry budget, and exhaustion surfaces as the typed
+//! Recovery leans on the scheduler's per-tick commit protocol and happens
+//! where the session lives: the executor shard snapshots each session into a
+//! cheap [`Checkpoint`] at the committed tick boundary it is about to leave,
+//! restores it in place when the step panics, the coordinator re-issues the
+//! step with a bounded retry budget, and exhaustion surfaces as the typed
 //! [`ServeError::WorkerLost`] instead of a raw `resume_unwind`.
 
 use std::fmt;
@@ -280,27 +281,20 @@ impl ShedReason {
 
 /// A cheap snapshot of a session at a committed tick boundary.
 ///
-/// Captured by the scheduler for every active session while chaos is
-/// enabled; when a worker carrying the live session panics, the checkpoint
-/// is re-hydrated into a fresh [`Session`] and the lost decode step replays
-/// deterministically (same state, same RNG stream, same token).
+/// Captured on the executor shard the session lives on, before every decode
+/// step taken while chaos is enabled; when that step panics, the checkpoint
+/// is re-hydrated into a fresh [`Session`] in the lost one's place and the
+/// step replays deterministically (same state, same RNG stream, same token).
 pub struct Checkpoint<'e> {
     session: Session<'e>,
-    tick: u64,
 }
 
 impl<'e> Checkpoint<'e> {
-    /// Snapshots `session` as of committed tick `tick`.
-    pub fn capture(session: &Session<'e>, tick: u64) -> Self {
+    /// Snapshots `session`, which must sit at a committed tick boundary.
+    pub fn capture(session: &Session<'e>) -> Self {
         Checkpoint {
             session: session.fork(),
-            tick,
         }
-    }
-
-    /// The committed tick this checkpoint corresponds to.
-    pub fn tick(&self) -> u64 {
-        self.tick
     }
 
     /// Re-hydrates the checkpoint into a live session (the checkpoint
@@ -313,7 +307,7 @@ impl<'e> Checkpoint<'e> {
 impl fmt::Debug for Checkpoint<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Checkpoint")
-            .field("tick", &self.tick)
+            .field("position", &self.session.position())
             .finish_non_exhaustive()
     }
 }

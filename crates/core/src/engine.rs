@@ -750,7 +750,7 @@ impl KelleEngine {
         if parallel {
             std::thread::scope(|scope| run(&mut WorkerPool::start(scope, self.config.workers)))
         } else {
-            run(&mut InlineExecutor)
+            run(&mut InlineExecutor::default())
         }
     }
 

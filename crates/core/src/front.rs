@@ -6,13 +6,12 @@
 //! without blocking and read tokens back through bounded per-session
 //! [`TokenStream`]s, while the scheduler's admission queue, deadlines,
 //! [`cancel`](ServingFront::cancel) and [`drain`](ServingFront::drain) are
-//! all first-class on the handle.  Decode ticks run on a
-//! [`StickyShardPool`]: every session is pinned to a worker shard, the
-//! session object is parked there and only per-tick step results cross
-//! threads to the coordinator commit, so a fleet of long-lived sessions
-//! generates O(steps) queue traffic instead of the O(steps × session moves)
-//! of the work-stealing [`WorkerPool`](crate::parallel::WorkerPool) behind
-//! the synchronous [`KelleEngine::serve`].
+//! all first-class on the handle.  Decode ticks run on the same
+//! [`WorkerPool`] as the synchronous [`KelleEngine::serve`]: every session
+//! is pinned to a worker shard, lives there from its admission prefill until
+//! it finishes, and only per-tick step results cross threads to the
+//! coordinator commit — a fleet of long-lived, mostly idle sessions costs
+//! two queue crossings per session, however many ticks it stays.
 //!
 //! # Cooperative pumping
 //!
@@ -37,7 +36,7 @@
 //!   until a slot frees or progress becomes impossible).
 //! * **Streams**: [`FrontConfig::with_stream_capacity`] bounds each token
 //!   buffer; a session whose consumer stopped polling is *paused* — skipped
-//!   by decode fan-out, its parked KV untouched, consuming zero queue
+//!   by decode fan-out, its resident KV untouched, consuming zero queue
 //!   traffic — and resumes when the consumer catches up.  Pausing changes
 //!   scheduling, never token bits.
 //!
@@ -79,7 +78,7 @@ use parking_lot::Mutex;
 
 use crate::chaos::{ServeError, ShedReason};
 use crate::engine::KelleEngine;
-use crate::parallel::{StepExecutor, StickyShardPool};
+use crate::parallel::{StepExecutor, WorkerPool};
 use crate::scheduler::{BatchOutcome, BatchScheduler, SchedulerConfig, StepEvent};
 use crate::session::ServeRequest;
 
@@ -364,8 +363,8 @@ impl<'x, 'e> ServingFront<'x, 'e> {
         }
     }
 
-    /// Cancels a request mid-stream through the executor (a parked session
-    /// is recalled so its partial turn finalizes for real).  The stream
+    /// Cancels a request mid-stream through the executor (the resident
+    /// session is taken back so its partial turn finalizes for real).  The stream
     /// terminates with [`ShedReason::Cancelled`]; tokens generated so far
     /// stay buffered and in the final outcome.  Returns `false` when the
     /// request is unknown or already finished.
@@ -467,7 +466,7 @@ impl<'x, 'e> ServingFront<'x, 'e> {
 impl KelleEngine {
     /// Opens a [`ServingFront`] over this engine and hands it to `serve`.
     ///
-    /// The sticky-shard executor runs on
+    /// The [`WorkerPool`] runs on
     /// [`workers`](crate::engine::EngineBuilder::workers) scoped threads for
     /// the duration of the call.  When `serve` returns, any requests still
     /// in flight are pumped to completion (paused streams are resumed), and
@@ -489,7 +488,7 @@ impl KelleEngine {
         } = config;
         std::thread::scope(|scope| {
             let scheduler = BatchScheduler::with_config(self, scheduler);
-            let mut pool = StickyShardPool::start(scope, self.config().workers);
+            let mut pool = WorkerPool::start(scope, self.config().workers);
             let mut front =
                 ServingFront::new(scheduler, &mut pool, queue_capacity, stream_capacity);
             let result = serve(&mut front);
@@ -698,33 +697,31 @@ mod tests {
 
     #[test]
     fn sticky_front_crosses_the_queue_less_than_stealing() {
+        // "Stealing" is gone; what is left to pin is the absolute price of
+        // pinned residency — one crossing in with the prefill, one out when
+        // taken, none per tick — on the front and on the synchronous path
+        // alike, since both run the same pool.
         let engine = KelleEngine::builder().workers(2).build();
         let long_lived: Vec<ServeRequest> = (0..6)
             .map(|i| ServeRequest::new(vec![i + 1, i + 2], 24))
             .collect();
         let requests = long_lived.clone();
-        let ((), sticky) = engine.front(FrontConfig::default(), move |front| {
+        let ((), front) = engine.front(FrontConfig::default(), move |front| {
             for request in requests {
                 front.submit(request).expect("unbounded queue");
             }
         });
-        // The same tick-0 fleet through the work-stealing pool of the
-        // synchronous path.
-        let stealing = engine
+        let synchronous = engine
             .serve(long_lived, crate::engine::ServeOptions::new().parallel())
             .unwrap();
-        for (a, b) in sticky.outcomes.iter().zip(stealing.outcomes.iter()) {
+        for (a, b) in front.outcomes.iter().zip(synchronous.outcomes.iter()) {
             assert_eq!(a.generated, b.generated);
         }
-        assert_eq!(sticky.parallel.ticks, stealing.parallel.ticks);
-        assert!(
-            sticky.parallel.queue_crossings < stealing.parallel.queue_crossings,
-            "sticky {} !< stealing {}",
-            sticky.parallel.queue_crossings,
-            stealing.parallel.queue_crossings,
-        );
+        assert_eq!(front.parallel, synchronous.parallel);
+        assert_eq!(front.parallel.ticks, 24);
+        assert_eq!(front.parallel.queue_crossings, 2 * 6);
         assert_eq!(
-            sticky.parallel.sessions_migrated, 0,
+            front.parallel.sessions_migrated, 0,
             "pinning never migrates"
         );
     }

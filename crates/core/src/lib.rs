@@ -86,17 +86,17 @@
 //!   metrics of [`BatchOutcome`] and the [`SloReport`] graded against a
 //!   configurable [`SloSpec`];
 //! * [`parallel`] — the threaded serving back-end:
-//!   [`ServeOptions::parallel`] fans per-session prefill/decode
-//!   compute across [`EngineBuilder::workers`] worker threads with
-//!   bit-identical token streams, fault statistics and batch metrics for
-//!   every worker count;
+//!   [`ServeOptions::parallel`] pins each session to one of
+//!   [`EngineBuilder::workers`] worker threads ([`WorkerPool`]), where it
+//!   lives from its admission prefill until it finishes, so only per-tick
+//!   step results cross threads — with bit-identical token streams, fault
+//!   statistics and batch metrics for every worker count;
 //! * [`front`] — the non-blocking serving front-end:
 //!   [`KelleEngine::front`] opens submit/poll sessions with per-request
 //!   [`TokenStream`]s, typed admission backpressure
 //!   ([`SubmitError::QueueFull`]), stream-level pause/resume, first-class
-//!   cancel/deadline/drain, and a sticky-shard executor
-//!   ([`StickyShardPool`]) that pins sessions to workers so only per-tick
-//!   step results cross threads — bit-identical to the synchronous path;
+//!   cancel/deadline/drain, on the same [`WorkerPool`] — bit-identical to
+//!   the synchronous path;
 //! * [`prefix`] — cross-session prefix KV sharing: publish a common system
 //!   prompt once ([`KelleEngine::publish_prefix`]) and every session whose
 //!   prompt starts with it replays the shared segment (bit-identical
@@ -139,8 +139,8 @@ pub use faults::fault_injector_for_policy;
 pub use front::{FrontConfig, ServingFront, StreamPoll, SubmitError, TokenStream};
 pub use kelle_cache::CachePolicy;
 pub use parallel::{
-    InlineExecutor, ParallelMetrics, PoolRunner, SessionTask, StepExecutor, StickyOutcome,
-    StickyShardPool, StickyStep, TaskFailure, TaskOutput, TickResult, WorkerPool,
+    Admission, InlineExecutor, ParallelMetrics, PoolRunner, Prefilled, ResidentStep, StepExecutor,
+    StepRequest, TaskFailure, WorkerPool,
 };
 pub use prefix::{
     PrefixHit, PrefixKey, PrefixSharingConfig, PrefixStore, PrefixStoreStats, RadixPrefixIndex,

@@ -1,106 +1,67 @@
-//! Threaded serving front-end: deterministic multi-worker decode over the
-//! batch scheduler.
+//! Threaded serving back-end: deterministic multi-worker decode over the
+//! batch scheduler, through one resident-session tick protocol.
 //!
-//! Kelle's edge-serving story assumes the accelerator pipeline is kept busy
-//! by many concurrent sessions.  On the functional side that means the
-//! per-session prefill/decode compute of a served batch — by far the
-//! dominant cost — should spread across host cores, *without* the
-//! nondeterminism that usually comes with threading.  This module is that
-//! front-end: a work-stealing worker pool plus the task protocol the
-//! [`BatchScheduler`] fans compute out through.
+//! Kelle's serving story keeps the accelerator fed by many concurrent
+//! sessions whose KV state *stays put*.  The functional model has the same
+//! shape: a session lives on its executor from admission to finalization,
+//! and only results cross back to the coordinator.
 //!
-//! # Threading model
+//! # The protocol
 //!
-//! **Sharded per worker (moves):** whole [`Session`]s — the KV-cache backend
-//! over its arenas, the fault-RNG stream, the generation cursor.  Sessions
-//! are `Send` and mutually independent: a decode step touches only its own
-//! session plus shared *read-only* state (the model weights through
-//! `&KelleEngine`, and published prefix segments through their
-//! `Arc<ArenaGrid>` bases — reads need no lock).  A session is owned by
-//! exactly one task at a time, so workers never contend on session state.
+//! The [`BatchScheduler`] drives every tick through a [`StepExecutor`]:
 //!
-//! **Coordinator-owned (never crosses threads):** the admission pipeline,
-//! the waiting queue, the [`CapacityLedger`](kelle_edram::CapacityLedger),
-//! the prefix store's index and statistics, request timings and the engine's
-//! lifetime statistics.  All mutations of shared serving state happen on the
-//! coordinating thread, batched into a **per-tick commit** in request
-//! submission order.
+//! 1. [`admit`](StepExecutor::admit) — run a planned prefill *where the
+//!    session will live* and keep it there; a [`Prefilled`] (cursors and a
+//!    hit count, no session) comes back.
+//! 2. [`step`](StepExecutor::step) — decode one token on each named resident
+//!    session; a [`ResidentStep`] per survivor and a [`TaskFailure`] per
+//!    panicked step come back.
+//! 3. [`take`](StepExecutor::take) — hand a session back for completion,
+//!    shed or cancellation.
 //!
-//! **Intra-session (fork-join):** the second axis.  When a decode batch is
-//! too narrow to keep the [`WorkerPool`] busy (one session, or fewer than
-//! half a session per worker) the sessions stay on the coordinator and each
-//! decode step forks its per-head attention jobs and row-blocked projection
-//! jobs across the *same* workers through [`PoolRunner`].  Per-head fault-RNG draws come from deterministic
-//! `(layer, head)` lanes (see [`kelle_model::fault::FaultInjector`]), so
-//! fork order can never reorder a shared random stream; cache observation
-//! callbacks are replayed serially in head order after the fork joins.
-//! Both axes therefore produce **bit-identical** tokens, probability bits
-//! and fault statistics — pinned by the `integration_intra` suite for all
-//! five cache policies and re-checked in CI at `--workers 1,2,4`.
+//! Both executors run the same private shard body: [`InlineExecutor`] on the
+//! caller's thread, [`WorkerPool`] on each of its threads behind a mailbox,
+//! with request `index` pinned to shard `index % workers`.  A session costs
+//! two queue crossings in its lifetime (in with its prefill, out when taken),
+//! none per tick, and never migrates — [`ParallelMetrics`] reports both.
+//! Everything else stays on the coordinator: the waiting queue, admission
+//! decisions and their prefix-store *plans* (in admission order; a plan that
+//! will publish a prefix is flushed before the next is made), the
+//! [`CapacityLedger`](kelle_edram::CapacityLedger), timings and statistics.
 //!
-//! # Sticky shards
+//! **Chaos lives on the shard.**  With a [`ChaosConfig`] each step request
+//! asks the shard to checkpoint the committed boundary the session is about
+//! to leave and carries the plan's sabotage flag.  A panicked step restores
+//! the checkpoint *in place*; the coordinator's bounded retry loop re-issues
+//! the step for the failed indices, and at budget exhaustion `take` hands
+//! back the restored session so the shed finalizes a real partial turn.
+//! Without a `ChaosConfig` there is no checkpoint and a panicked session is
+//! simply gone.
 //!
-//! The work-stealing [`WorkerPool`] moves **whole sessions** through the
-//! shared queue twice per tick (fan-out and result).  For long-lived,
-//! mostly-idle fleets — the `kelle::front` shape — that per-tick traffic is
-//! pure overhead: the session's KV backend never needed to leave its
-//! worker.  The [`StickyShardPool`] fixes the shape: each session is
-//! **pinned to a shard** (`index % workers`) and parked *on* its worker
-//! between ticks; per tick only a [`StickyStep`] — the decoded step, two
-//! cursors and the shard id, no session — crosses back to the coordinator.
-//! Commit stays on the coordinator, sorted by request index, so streams
-//! remain bit-identical to the stealing pool and to sequential serving
-//! ([`ParallelMetrics::queue_crossings`] on the [`BatchOutcome`] is what
-//! turns the saved traffic into a measured number).  Sessions never migrate
-//! between shards, so a pinned fleet reports `sessions_migrated == 0`.
+//! **Narrow batches fork inside the step.**  With at most half a session per
+//! worker, each shard fans its step's per-head attention and row-blocked
+//! projection jobs out to the idle workers through a [`PoolRunner`] — the
+//! session still does not move.
 //!
 //! # Why determinism holds
 //!
-//! Each scheduler tick is a fan-out/commit cycle
-//! ([`BatchScheduler::step_with`]):
+//! A step is a pure function of the session it runs on; a session is on one
+//! thread for its whole life; per-head fault draws come from deterministic
+//! `(layer, head)` lanes ([`kelle_model::fault::FaultInjector`]), so fork
+//! order cannot reorder a random stream; and the coordinator sorts each
+//! tick's results by request index before committing — ledger growth,
+//! completions (hardware simulation, `f64` accumulation) and admission
+//! back-fill happen in submission order.  Streams, probability bits, fault
+//! statistics and every [`BatchOutcome`] metric are therefore bit-identical
+//! to single-threaded serving at every worker count, panic storm or not — CI
+//! gates it at `KELLE_TEST_WORKERS=1,2,4` with the
+//! `integration_{parallel,intra,front,chaos}` suites.
 //!
-//! 1. every active session moves into a [`SessionTask`]; workers steal tasks
-//!    from a shared injector queue and run them in whatever order the OS
-//!    schedules — which is fine, because task results are a pure function of
-//!    the session they own;
-//! 2. the coordinator collects all outputs, sorts them by request index, and
-//!    commits the tick — token/trace bookkeeping, one batched ledger commit
-//!    ([`commit_growth`](kelle_edram::CapacityLedger::commit_growth)),
-//!    completions (hardware simulation + engine statistics, still in index
-//!    order, so even f64 accumulation order is preserved) and admission
-//!    back-fill — exactly as single-threaded serving would.
-//!
-//! Admission prefills follow the same split ([`BatchScheduler`]'s admission
-//! pump): candidate selection, ledger reservations and the prefix-store
-//! *plan* run on the coordinator in admission order; only the planned
-//! compute fans out.  A plan that will publish a prefix boundary
-//! (auto-publish) is flushed before the next admission is planned, so store
-//! visibility matches the sequential order too.
-//!
-//! The result: token streams, probability bits, fault statistics and every
-//! [`BatchOutcome`] metric are **bit-identical to single-threaded serving
-//! for every worker count** — pinned by the `integration_parallel` suite
-//! (all five cache policies, prefix hits, contention-limited admission) and
-//! re-checked in CI at `--workers 1,2,4` by the determinism gate.
-//! Throughput scaling is measured by the `bench_serving` binary (aggregate
-//! decode tokens/s vs worker count on the 8-session shared-prompt fleet).
-//!
-//! # Entry points
-//!
-//! Most callers want [`KelleEngine::serve`] with [`ServeOptions::parallel`]
-//! plus [`EngineBuilder::workers`]; driving a [`BatchScheduler`] manually
-//! with a [`WorkerPool`] ([`BatchScheduler::submit_with`] /
-//! [`BatchScheduler::step_with`]) is the low-level interface benchmarks use
-//! to time individual phases.
-//!
-//! [`KelleEngine::serve`]: crate::engine::KelleEngine::serve
 //! [`BatchScheduler`]: crate::scheduler::BatchScheduler
-//! [`BatchScheduler::submit_with`]: crate::scheduler::BatchScheduler::submit_with
-//! [`BatchScheduler::step_with`]: crate::scheduler::BatchScheduler::step_with
 //! [`BatchOutcome`]: crate::scheduler::BatchOutcome
-//! [`ServeOptions::parallel`]: crate::engine::ServeOptions::parallel
-//! [`EngineBuilder::workers`]: crate::engine::EngineBuilder::workers
+//! [`ChaosConfig`]: crate::chaos::ChaosConfig
 
+use crate::chaos::Checkpoint;
 use crate::session::{PrefillPlan, Session};
 use kelle_model::DecodeStep;
 use kelle_tensor::par::{Job, ParallelRunner};
@@ -109,28 +70,24 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::Scope;
 
 /// Cross-thread traffic counters for one batch, reported on
 /// [`BatchOutcome::parallel`](crate::scheduler::BatchOutcome::parallel).
 ///
-/// These measure the *executor protocol*, not the streams: every execution
-/// mode produces bit-identical tokens, and this struct is how the
-/// sticky-shard win over work stealing becomes a number instead of a claim
-/// (`bench_front` → `BENCH_front.json`).  Inline and intra-axis execution
-/// move nothing across threads, so they count zero crossings.
+/// These measure the *executor protocol*, not the streams: every executor
+/// produces bit-identical tokens.  Inline execution moves nothing across
+/// threads and counts zero crossings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelMetrics {
-    /// Whole-session cross-thread transfers: +2 per decode output and +2
-    /// per admission prefill on the work-stealing pool (fan-out plus
-    /// result), +1 per park and +1 per recall on the sticky pool.  Step
-    /// results crossing back from a sticky shard move no session and count
-    /// zero.
+    /// Whole-session cross-thread transfers: +1 when a session goes to its
+    /// pool shard with its prefill, +1 when it is taken back.  Step results
+    /// move no session and count zero, so a tick costs nothing here.
     pub queue_crossings: u64,
-    /// Ticks on which a session's step ran on a *different* worker than its
-    /// previous step — always zero for pinned (sticky) execution, typically
-    /// nonzero under work stealing.
+    /// Steps that ran on a different shard than the one the session was
+    /// admitted to — zero by construction under pinning; counted rather than
+    /// assumed so a broken pin shows up as a number.
     pub sessions_migrated: u64,
     /// Scheduler ticks the batch ran for (the denominator of
     /// crossings-per-tick).
@@ -148,178 +105,90 @@ impl ParallelMetrics {
     }
 }
 
-/// One unit of per-session compute: a session together with the prefill or
-/// decode step to run on it.
-///
-/// Tasks are created by the
-/// [`BatchScheduler`](crate::scheduler::BatchScheduler)'s fan-out phases and consumed
-/// by a [`StepExecutor`]; an executor's only obligation is to call
-/// [`run`](SessionTask::run) on every task exactly once (on any thread — the
-/// task owns everything it needs) and hand all outputs back.
+/// One admission on its way to the shard it will live on: the freshly opened
+/// session together with its planned prefill (the plan was resolved on the
+/// coordinator; `Cold`/`Hit` executions touch no shared state).
 #[derive(Debug)]
-pub struct SessionTask<'e> {
+pub struct Admission<'e> {
     index: usize,
     session: Session<'e>,
-    work: Work,
-    /// Chaos-plan sabotage: when set, the task panics *after* its step
-    /// computes, so the mutated session is genuinely lost mid-tick (the
-    /// strongest case for checkpoint/replay recovery).
-    sabotage: bool,
+    tokens: Vec<usize>,
+    plan: PrefillPlan,
 }
 
-#[derive(Debug)]
-enum Work {
-    /// One decode step ([`Session::decode_one`]).
-    Decode,
-    /// A planned prefill of the request's prompt (the plan was resolved on
-    /// the coordinator; `Cold`/`Hit` executions touch no shared state).
-    Prefill {
-        tokens: Vec<usize>,
-        plan: PrefillPlan,
-    },
-}
-
-impl<'e> SessionTask<'e> {
-    /// A decode-step task for request `index`.
-    pub(crate) fn decode(index: usize, session: Session<'e>) -> Self {
-        SessionTask {
-            index,
-            session,
-            work: Work::Decode,
-            sabotage: false,
-        }
-    }
-
-    /// A planned-prefill task for request `index`.
-    pub(crate) fn prefill(
+impl<'e> Admission<'e> {
+    pub(crate) fn new(
         index: usize,
         session: Session<'e>,
         tokens: Vec<usize>,
         plan: PrefillPlan,
     ) -> Self {
-        SessionTask {
+        Admission {
             index,
             session,
-            work: Work::Prefill { tokens, plan },
-            sabotage: false,
+            tokens,
+            plan,
         }
     }
 
-    /// Arms the chaos sabotage: the task will panic after computing its step.
-    pub(crate) fn arm_sabotage(&mut self) {
-        self.sabotage = true;
-    }
-
-    /// The request index (submission order) this task belongs to.
+    /// The request index (submission order) being admitted.
     pub fn index(&self) -> usize {
         self.index
     }
-
-    /// Whether this is a decode-step task (as opposed to an admission
-    /// prefill).
-    fn is_decode(&self) -> bool {
-        matches!(self.work, Work::Decode)
-    }
-
-    /// Executes the task, consuming it and returning the session inside the
-    /// output.  With a `runner`, decode compute fans out through it — the
-    /// intra-session axis — bit-identically to the sequential step by the
-    /// [`ParallelRunner`] partitioning contract; prefill tasks ignore the
-    /// runner (a prefill is a one-off cost the session axis already covers).
-    pub fn run(self, runner: Option<&dyn ParallelRunner>) -> TaskOutput<'e> {
-        let SessionTask {
-            index,
-            mut session,
-            work,
-            sabotage,
-        } = self;
-        let payload = match work {
-            Work::Decode => {
-                let tokens_before = session.position();
-                let step = match runner {
-                    Some(runner) => session.decode_one_with(runner),
-                    None => session.decode_one(),
-                };
-                Payload::Decode {
-                    step,
-                    tokens_before,
-                }
-            }
-            Work::Prefill { tokens, plan } => Payload::Prefill {
-                computed: session.prefill_planned(&tokens, plan),
-            },
-        };
-        if sabotage {
-            panic!("chaos: injected worker panic (request {index})");
-        }
-        TaskOutput {
-            index,
-            session,
-            payload,
-            worker: None,
-        }
-    }
 }
 
-/// The result of running one [`SessionTask`]: the session comes back to the
-/// coordinator together with what the step produced.
-#[derive(Debug)]
-pub struct TaskOutput<'e> {
-    index: usize,
-    session: Session<'e>,
-    payload: Payload,
-    /// Worker thread that ran the task (`None` when it ran inline on the
-    /// coordinator) — feeds [`ParallelMetrics::sessions_migrated`].
-    worker: Option<usize>,
+/// What comes back from a completed [`Admission`]: everything the coordinator
+/// needs to activate the slot — and not the session, which stays resident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Prefilled {
+    /// The request index the session belongs to.
+    pub index: usize,
+    /// Prompt tokens whose prefill was actually computed.
+    pub computed: usize,
+    /// Prompt tokens replayed from a shared prefix segment instead.
+    pub prefix_hit_tokens: usize,
+    /// Session position after the prefill.
+    pub position: usize,
+    /// The pool shard the session now lives on (`None`: inline, on the
+    /// caller's thread).
+    pub worker: Option<usize>,
 }
 
-#[derive(Debug)]
-enum Payload {
-    Decode {
-        step: DecodeStep,
-        /// Session position before the step (for the lease-growth delta).
-        tokens_before: usize,
-    },
-    Prefill {
-        /// Prompt tokens whose prefill was actually computed.
-        computed: usize,
-    },
+/// One session's share of a decode fan-out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepRequest {
+    /// The resident session to step.
+    pub index: usize,
+    /// Chaos: checkpoint the session before stepping (it sits at a committed
+    /// boundary) so a panicked step can be restored in place.  Set on the
+    /// first attempt of a tick, clear on replays — the boundary has not
+    /// moved.
+    pub checkpoint: bool,
+    /// Chaos: panic *after* the step computes, so the mutated session is
+    /// genuinely lost mid-tick (the strongest case for checkpoint/replay).
+    pub sabotage: bool,
 }
 
-impl<'e> TaskOutput<'e> {
-    /// The request index this output belongs to (the scheduler sorts outputs
-    /// by it before committing a tick).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// The worker thread that ran the task, or `None` when it ran inline on
-    /// the coordinator (the [`InlineExecutor`] and the intra axis).
-    pub fn worker(&self) -> Option<usize> {
-        self.worker
-    }
-
-    pub(crate) fn into_decode(self) -> (usize, Session<'e>, DecodeStep, usize) {
-        match self.payload {
-            Payload::Decode {
-                step,
-                tokens_before,
-            } => (self.index, self.session, step, tokens_before),
-            Payload::Prefill { .. } => unreachable!("decode fan-out produced a prefill output"),
-        }
-    }
-
-    pub(crate) fn into_prefill(self) -> (usize, Session<'e>, usize) {
-        match self.payload {
-            Payload::Prefill { computed } => (self.index, self.session, computed),
-            Payload::Decode { .. } => unreachable!("admission fan-out produced a decode output"),
-        }
-    }
+/// One decode step of a resident session: everything the coordinator needs
+/// to commit the tick, and nothing else.
+#[derive(Debug, Clone)]
+pub struct ResidentStep {
+    /// The request index (submission order) the step belongs to.
+    pub index: usize,
+    /// The decoded step (token, probability bits, fault draws).
+    pub step: DecodeStep,
+    /// Session position before the step (for the lease-growth delta).
+    pub tokens_before: usize,
+    /// Session position after the step (the coordinator's cursor mirror —
+    /// it cannot ask the session directly).
+    pub position: usize,
+    /// The shard that ran the step (`None`: inline).
+    pub worker: Option<usize>,
 }
 
-/// A task whose execution panicked: the session it owned is lost, but the
-/// tick survives — surviving outputs still commit and the scheduler can
-/// replay the lost step from checkpoint.
+/// A prefill or step that could not run to completion — it panicked, or it
+/// named a session this executor does not hold.  The tick survives: other
+/// results still commit and the scheduler decides between replay and shed.
 #[derive(Debug, Clone)]
 pub struct TaskFailure {
     index: usize,
@@ -327,37 +196,14 @@ pub struct TaskFailure {
 }
 
 impl TaskFailure {
-    /// The request index whose task failed.
+    /// The request index whose prefill or step failed.
     pub fn index(&self) -> usize {
         self.index
     }
 
-    /// The stringified panic payload.
+    /// The stringified panic payload, or why the request could not be run.
     pub fn message(&self) -> &str {
         &self.message
-    }
-}
-
-/// The partitioned result of one fan-out: the outputs of every task that
-/// completed plus a [`TaskFailure`] for every task that panicked.
-#[derive(Debug)]
-pub struct TickResult<'e> {
-    /// Outputs of the tasks that completed (any order).
-    pub outputs: Vec<TaskOutput<'e>>,
-    /// One entry per task whose execution panicked.
-    pub failures: Vec<TaskFailure>,
-}
-
-impl<'e> TickResult<'e> {
-    /// Unwraps into the outputs, resurfacing the first failure as a panic
-    /// (how the scheduler's admission flush treats a crashed prefill).  The
-    /// full batch has already been drained, so a caller that catches the
-    /// panic keeps a reusable executor.
-    pub fn into_outputs(self) -> Vec<TaskOutput<'e>> {
-        if let Some(failure) = self.failures.into_iter().next() {
-            std::panic::resume_unwind(Box::new(failure.message));
-        }
-        self.outputs
     }
 }
 
@@ -373,167 +219,191 @@ fn panic_message(cause: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `tasks` through `run` one at a time, catching each panic into a
-/// [`TaskFailure`] so one crashed task cannot take the rest of the batch
-/// down with it.
-fn run_tasks_caught<'e>(
-    tasks: Vec<SessionTask<'e>>,
-    mut run: impl FnMut(SessionTask<'e>) -> TaskOutput<'e>,
-) -> TickResult<'e> {
-    let mut result = TickResult {
-        outputs: Vec::with_capacity(tasks.len()),
-        failures: Vec::new(),
-    };
-    for task in tasks {
-        let index = task.index();
-        match std::panic::catch_unwind(AssertUnwindSafe(|| run(task))) {
-            Ok(output) => result.outputs.push(output),
-            Err(cause) => result.failures.push(TaskFailure {
+/// Where sessions live while the [`BatchScheduler`](crate::scheduler::BatchScheduler)
+/// serves them (see the [module docs](self) for the protocol).
+///
+/// Results may come back in any order — the scheduler re-establishes
+/// determinism at commit time by sorting on request index — but every
+/// admission and every step request is answered exactly once, and a panic
+/// inside one never unwinds the caller or disturbs another session.  A
+/// scheduler must be driven through one executor from its first submission
+/// to its last take: sessions admitted to one executor are not resident on
+/// another, whose steps for them fail with a [`TaskFailure`] naming the
+/// request.
+pub trait StepExecutor<'e> {
+    /// Runs every planned prefill on the shard its session is pinned to and
+    /// leaves the session resident there.  A panicked prefill loses its
+    /// session and reports a [`TaskFailure`].
+    fn admit(&mut self, admissions: Vec<Admission<'e>>) -> Vec<Result<Prefilled, TaskFailure>>;
+
+    /// Decodes one step on each named resident session without moving it.
+    /// A panicked step restores the session from its checkpoint in place
+    /// when it has one ([`StepRequest::checkpoint`]) and drops it otherwise.
+    fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>>;
+
+    /// Takes the resident session for `index` back (completion, shed,
+    /// cancellation); `None` when this executor does not hold it.
+    fn take(&mut self, index: usize) -> Option<Session<'e>>;
+}
+
+/// A resident session and, under chaos, its last committed boundary.
+#[derive(Debug)]
+struct Resident<'e> {
+    session: Session<'e>,
+    checkpoint: Option<Checkpoint<'e>>,
+}
+
+/// The one body of the resident-session protocol: a map of the sessions that
+/// live here and the three operations on it.  [`InlineExecutor`] is one
+/// shard on the caller's thread; a [`WorkerPool`] is one per worker thread.
+#[derive(Debug, Default)]
+struct Shard<'e> {
+    /// Pool shard id stamped on results (`None`: inline).
+    worker: Option<usize>,
+    resident: HashMap<usize, Resident<'e>>,
+}
+
+impl<'e> Shard<'e> {
+    fn admit(&mut self, admission: Admission<'e>) -> Result<Prefilled, TaskFailure> {
+        let Admission {
+            index,
+            mut session,
+            tokens,
+            plan,
+        } = admission;
+        // The session moves *into* the unwind boundary: a panicking prefill
+        // has no committed state worth keeping and drops it right here.
+        let (session, computed) = std::panic::catch_unwind(AssertUnwindSafe(move || {
+            let computed = session.prefill_planned(&tokens, plan);
+            (session, computed)
+        }))
+        .map_err(|cause| TaskFailure {
+            index,
+            message: panic_message(cause.as_ref()),
+        })?;
+        let prefilled = Prefilled {
+            index,
+            computed,
+            prefix_hit_tokens: session.prefix_hit_tokens(),
+            position: session.position(),
+            worker: self.worker,
+        };
+        self.resident.insert(
+            index,
+            Resident {
+                session,
+                checkpoint: None,
+            },
+        );
+        Ok(prefilled)
+    }
+
+    /// With a `runner`, the step's per-head and row-block jobs fork through
+    /// it — bit-identically to the sequential step by the [`ParallelRunner`]
+    /// partitioning contract.
+    fn step(
+        &mut self,
+        request: StepRequest,
+        runner: Option<&dyn ParallelRunner>,
+    ) -> Result<ResidentStep, TaskFailure> {
+        let StepRequest {
+            index,
+            checkpoint,
+            sabotage,
+        } = request;
+        let Some(resident) = self.resident.get_mut(&index) else {
+            let place = match self.worker {
+                Some(shard) => format!("pool shard {shard}"),
+                None => "the inline executor".to_string(),
+            };
+            return Err(TaskFailure {
                 index,
-                message: panic_message(cause.as_ref()),
+                message: format!(
+                    "request {index} is not resident on {place}: \
+                     it was admitted through a different executor, or already taken"
+                ),
+            });
+        };
+        if checkpoint {
+            resident.checkpoint = Some(Checkpoint::capture(&resident.session));
+        }
+        let session = &mut resident.session;
+        let tokens_before = session.position();
+        let stepped = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let step = match runner {
+                Some(runner) => session.decode_one_with(runner),
+                None => session.decode_one(),
+            };
+            if sabotage {
+                panic!("chaos: injected worker panic (request {index})");
+            }
+            step
+        }));
+        match stepped {
+            Ok(step) => Ok(ResidentStep {
+                index,
+                step,
+                tokens_before,
+                position: resident.session.position(),
+                worker: self.worker,
             }),
+            Err(cause) => {
+                // The half-stepped session is unusable.  Put the committed
+                // boundary back in its place, or — with no checkpoint — let
+                // it go.
+                match &resident.checkpoint {
+                    Some(checkpoint) => resident.session = checkpoint.restore(),
+                    None => {
+                        self.resident.remove(&index);
+                    }
+                }
+                Err(TaskFailure {
+                    index,
+                    message: panic_message(cause.as_ref()),
+                })
+            }
         }
     }
-    result
-}
 
-/// One decode step of a shard-resident session: everything the coordinator
-/// needs to commit the tick, and nothing else — crucially, **not** the
-/// session, which stays parked on its worker.
-///
-/// This is the sticky-shard protocol's whole point: a [`StickyStep`] is a
-/// few dozen bytes where a [`TaskOutput`] round-trips the entire session
-/// (KV backend, fault RNG, cursors) through the queue.
-#[derive(Debug, Clone)]
-pub struct StickyStep {
-    /// The request index (submission order) the step belongs to.
-    pub index: usize,
-    /// The decoded step (token, probability bits, fault draws).
-    pub step: DecodeStep,
-    /// Session position before the step (for the lease-growth delta).
-    pub tokens_before: usize,
-    /// Session position after the step (the coordinator's cursor mirror —
-    /// it can no longer ask the session directly).
-    pub position: usize,
-    /// The shard that ran the step (always `index % workers` for a pinned
-    /// session; feeds [`ParallelMetrics::sessions_migrated`]).
-    pub worker: usize,
-}
-
-/// The partitioned result of one sticky fan-out
-/// ([`StepExecutor::step_parked`]): a [`StickyStep`] per surviving session
-/// plus a [`TaskFailure`] per session whose step panicked (the panicking
-/// session is dropped on its worker — exactly the loss semantics of a
-/// crashed stealing-pool task).
-#[derive(Debug)]
-pub struct StickyOutcome {
-    /// Steps of the sessions that survived (any order).
-    pub steps: Vec<StickyStep>,
-    /// One entry per session whose step panicked.
-    pub failures: Vec<TaskFailure>,
-}
-
-/// Executes batches of [`SessionTask`]s for the
-/// [`BatchScheduler`](crate::scheduler::BatchScheduler).
-///
-/// The contract is deliberately loose — outputs may come back in any order,
-/// tasks may run on any thread — because the scheduler re-establishes
-/// determinism at commit time by sorting outputs on request index.  The
-/// stock executors are [`InlineExecutor`] (sequential, the default behind
-/// [`BatchScheduler::step`](crate::scheduler::BatchScheduler::step)), the
-/// work-stealing [`WorkerPool`] and the pinned [`StickyShardPool`].
-///
-/// A task panic never unwinds the coordinator: it becomes a [`TaskFailure`]
-/// in the returned [`TickResult`], so surviving sessions commit and the
-/// chaos-hardened scheduler can replay the lost step from checkpoint.
-///
-/// # The sticky surface
-///
-/// Executors that can hold sessions resident between ticks return `true`
-/// from [`is_sticky`](StepExecutor::is_sticky) and implement
-/// [`park`](StepExecutor::park) /
-/// [`step_parked`](StepExecutor::step_parked) /
-/// [`recall`](StepExecutor::recall); the scheduler then keeps each active
-/// session parked on the executor and commits from [`StickyStep`]s instead
-/// of round-tripping whole sessions.  The defaults describe an executor
-/// that is not sticky: nothing is ever parked, `recall` finds nothing.
-pub trait StepExecutor<'e> {
-    /// Runs every task exactly once and partitions the batch into completed
-    /// outputs (any order) and one [`TaskFailure`] per task that panicked.
-    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e>;
-
-    /// Whether this executor holds sessions resident between ticks (see the
-    /// trait-level *sticky surface* section).  Defaults to `false`.
-    fn is_sticky(&self) -> bool {
-        false
-    }
-
-    /// Parks `session` on its shard, where it stays resident until
-    /// [`recall`](StepExecutor::recall)ed.  The scheduler only calls this on
-    /// executors whose [`is_sticky`](StepExecutor::is_sticky) is `true`.
-    fn park(&mut self, index: usize, session: Session<'e>) {
-        let _ = index;
-        drop(session);
-        panic!("park requires a sticky executor");
-    }
-
-    /// Runs one decode step on every parked session in `indices`, returning
-    /// the steps without moving any session.  Sticky executors only.
-    fn step_parked(&mut self, indices: &[usize]) -> StickyOutcome {
-        let _ = indices;
-        panic!("step_parked requires a sticky executor");
-    }
-
-    /// Takes the parked session for `index` back from its shard (completion,
-    /// shed, cancellation).  Non-sticky executors never hold a session, so
-    /// the default returns `None`.
-    fn recall(&mut self, index: usize) -> Option<Session<'e>> {
-        let _ = index;
-        None
+    fn take(&mut self, index: usize) -> Option<Session<'e>> {
+        self.resident
+            .remove(&index)
+            .map(|resident| resident.session)
     }
 }
 
-/// Runs every task inline on the calling thread, in order — the executor
-/// behind the classic single-threaded
+/// Keeps every session on the calling thread and steps them in order — the
+/// executor behind the classic single-threaded
 /// [`BatchScheduler::step`](crate::scheduler::BatchScheduler::step) /
 /// [`BatchScheduler::submit`](crate::scheduler::BatchScheduler::submit).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InlineExecutor;
+#[derive(Debug, Default)]
+pub struct InlineExecutor<'e> {
+    shard: Shard<'e>,
+}
 
-impl<'e> StepExecutor<'e> for InlineExecutor {
-    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e> {
-        run_tasks_caught(tasks, |task| task.run(None))
+impl<'e> StepExecutor<'e> for InlineExecutor<'e> {
+    fn admit(&mut self, admissions: Vec<Admission<'e>>) -> Vec<Result<Prefilled, TaskFailure>> {
+        admissions
+            .into_iter()
+            .map(|admission| self.shard.admit(admission))
+            .collect()
     }
-}
 
-/// What the injector queue carries: whole session steps (the session axis)
-/// or per-head/row-block jobs of a single decode step (the intra axis).
-/// One tick fans out on exactly one axis, so the two variants never
-/// interleave within a fan-out — a worker running a `Job` can never be
-/// holding a `Task` the same fork's latch is waiting on.
-//
-// A `Task` is ~900 bytes (the session's planned work rides inline) versus a
-// `Job`'s two pointers, but boxing tasks would trade two moves per task per
-// tick for an allocation per task per tick on the session axis — the wrong
-// trade for a queue that holds at most one tick's small task fan-out.
-#[allow(clippy::large_enum_variant)]
-enum WorkItem<'e> {
-    Task(SessionTask<'e>),
-    Job(HeapJob),
-}
+    fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>> {
+        requests
+            .iter()
+            .map(|&request| self.shard.step(request, None))
+            .collect()
+    }
 
-impl std::fmt::Debug for WorkItem<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorkItem::Task(task) => f.debug_tuple("Task").field(&task.index()).finish(),
-            WorkItem::Job(_) => f.debug_tuple("Job").finish(),
-        }
+    fn take(&mut self, index: usize) -> Option<Session<'e>> {
+        self.shard.take(index)
     }
 }
 
 /// One forked job of a [`PoolRunner::run`] call, heap-boxed for the queue.
 ///
-/// The closure is transmuted to `'static` so it can sit in the `'e`-typed
+/// The closure is transmuted to `'static` so it can sit in the pool's job
 /// queue; this is sound because the runner blocks on `latch` until every
 /// forked job has run — the borrows inside the closure strictly outlive its
 /// execution (the classic scoped-spawn argument).
@@ -590,98 +460,122 @@ impl Latch {
     }
 }
 
-/// The shared injector queue workers steal tasks from.
-#[derive(Debug)]
-struct TaskQueue<T> {
-    state: Mutex<QueueState<T>>,
-    ready: Condvar,
+/// What the coordinator asks of one shard.  A shard's mailbox is FIFO, so an
+/// `Admit` is always observed before the `Step`/`Take` that names it.
+enum Command<'e> {
+    // Boxed: an admission carries a whole session, dwarfing the other two —
+    // and it is sent once per session, not once per tick.
+    Admit(Box<Admission<'e>>),
+    /// Step these resident sessions (all pinned to this shard); `fork` fans
+    /// each step's jobs out to the pool's idle workers.
+    Step {
+        requests: Vec<StepRequest>,
+        fork: bool,
+    },
+    Take(usize),
 }
 
-#[derive(Debug)]
-struct QueueState<T> {
-    tasks: VecDeque<T>,
+/// What a pool worker does next.
+enum Work<'e> {
+    Command(Command<'e>),
+    Job(HeapJob),
+}
+
+/// Everything the pool's threads wait on, under one lock: a FIFO mailbox per
+/// shard plus the job queue any idle worker serves.
+struct Lines<'e> {
+    mailboxes: Vec<VecDeque<Command<'e>>>,
+    jobs: VecDeque<HeapJob>,
     closed: bool,
 }
 
-impl<T> TaskQueue<T> {
-    fn new() -> Self {
-        TaskQueue {
-            state: Mutex::new(QueueState {
-                tasks: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
+struct Switchboard<'e> {
+    lines: Mutex<Lines<'e>>,
+    /// One condvar per shard, so a command wakes only the worker it is for.
+    ready: Vec<Condvar>,
+}
+
+impl std::fmt::Debug for Switchboard<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Switchboard")
+            .field("shards", &self.ready.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'e> Switchboard<'e> {
+    fn lock(&self) -> MutexGuard<'_, Lines<'e>> {
+        self.lines.lock().expect("pool switchboard poisoned")
     }
 
-    /// Injects a batch of tasks and wakes every worker.
-    fn push_all(&self, items: Vec<T>) {
-        let mut state = self.state.lock().expect("task queue poisoned");
-        state.tasks.extend(items);
-        drop(state);
-        self.ready.notify_all();
+    fn send(&self, shard: usize, command: Command<'e>) {
+        self.lock().mailboxes[shard].push_back(command);
+        self.ready[shard].notify_one();
     }
 
-    /// Steals the next task; blocks while the queue is open but empty,
-    /// returns `None` once it is closed and drained.
-    fn steal(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("task queue poisoned");
+    fn fork(&self, jobs: impl Iterator<Item = HeapJob>) {
+        self.lock().jobs.extend(jobs);
+        self.ready.iter().for_each(Condvar::notify_one);
+    }
+
+    /// The next thing for `shard`'s worker to do — forked jobs first, so a
+    /// join never waits behind a mailbox; blocks while there is nothing,
+    /// returns `None` once the pool is closed.
+    fn next(&self, shard: usize) -> Option<Work<'e>> {
+        let mut lines = self.lock();
         loop {
-            if let Some(task) = state.tasks.pop_front() {
-                return Some(task);
-            }
-            if state.closed {
+            if lines.closed {
                 return None;
             }
-            state = self.ready.wait(state).expect("task queue poisoned");
+            if let Some(job) = lines.jobs.pop_front() {
+                return Some(Work::Job(job));
+            }
+            if let Some(command) = lines.mailboxes[shard].pop_front() {
+                return Some(Work::Command(command));
+            }
+            lines = self.ready[shard]
+                .wait(lines)
+                .expect("pool switchboard poisoned");
         }
     }
 
-    /// Closes the queue: workers drain what is left and exit.
-    fn close(&self) {
-        let mut state = self.state.lock().expect("task queue poisoned");
-        state.closed = true;
-        drop(state);
-        self.ready.notify_all();
-    }
-}
-
-impl<'e> TaskQueue<WorkItem<'e>> {
-    /// Pops the next queued intra-axis job without blocking; leaves session
-    /// tasks alone (the coordinator only helps with jobs while it waits on
-    /// a fork's latch).
+    /// Pops a queued job without blocking (a forking thread helps drain the
+    /// queue while it waits on its latch).
     fn try_steal_job(&self) -> Option<HeapJob> {
-        let mut state = self.state.lock().expect("task queue poisoned");
-        match state.tasks.front() {
-            Some(WorkItem::Job(_)) => match state.tasks.pop_front() {
-                Some(WorkItem::Job(job)) => Some(job),
-                _ => unreachable!("front of the queue was a job"),
-            },
-            _ => None,
-        }
+        self.lock().jobs.pop_front()
+    }
+
+    /// Closes the pool: workers exit at their next wait.  Runs from `Drop`,
+    /// possibly mid-unwind, so a poisoned lock is entered rather than
+    /// panicked on — setting a flag leaves the lines valid.
+    fn close(&self) {
+        self.lines
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        self.ready.iter().for_each(Condvar::notify_one);
     }
 }
 
-/// A work-stealing pool of scoped worker threads executing [`SessionTask`]s.
+/// The pooled executor: `workers` scoped threads, each one shard of the
+/// resident-session protocol behind its own mailbox.  Request `index` lives
+/// on shard `index % workers` from its admission prefill until it is taken,
+/// so per tick one small command goes to each busy shard and one
+/// [`ResidentStep`] per session comes back.
 ///
-/// Tasks go into one shared injector queue; idle workers steal from it (the
-/// degenerate — and provably balanced — form of work stealing: a single
-/// global deque), run the task they won, and send the output back over a
-/// channel.  Dynamic stealing rather than static sharding is what keeps all
-/// workers busy when sessions finish at different ticks and the active set
-/// shrinks unevenly.
-///
-/// The pool is tied to a [`std::thread::scope`] so tasks may borrow the
+/// The pool is tied to a [`std::thread::scope`] so sessions may borrow the
 /// engine (`Session<'e>` holds `&'e KelleEngine`) without any `'static`
-/// gymnastics; dropping the pool closes the queue and the scope joins the
-/// workers.  A panic inside a task is caught on the worker, carried back,
-/// and reported as a [`TaskFailure`] by [`execute`](StepExecutor::execute) —
-/// a crashed task can therefore never deadlock the coordinator waiting for a
-/// result that will not come.
+/// gymnastics; dropping the pool closes it and the scope joins the workers,
+/// who drop whatever sessions they still hold.  Panics inside a prefill or a
+/// step are caught on the shard and answered as [`TaskFailure`]s — a crashed
+/// session can never leave the coordinator waiting for a reply that will not
+/// come.
 #[derive(Debug)]
 pub struct WorkerPool<'e> {
-    queue: Arc<TaskQueue<WorkItem<'e>>>,
-    results: Receiver<Result<TaskOutput<'e>, TaskFailure>>,
+    board: Arc<Switchboard<'e>>,
+    prefilled: Receiver<Result<Prefilled, TaskFailure>>,
+    steps: Receiver<Result<ResidentStep, TaskFailure>>,
+    taken: Receiver<Option<Session<'e>>>,
     workers: usize,
 }
 
@@ -692,42 +586,67 @@ impl<'e> WorkerPool<'e> {
         'e: 'scope,
     {
         let workers = workers.max(1);
-        let queue = Arc::new(TaskQueue::new());
-        let (sender, results) = channel::<Result<TaskOutput<'e>, TaskFailure>>();
+        let board = Arc::new(Switchboard {
+            lines: Mutex::new(Lines {
+                mailboxes: (0..workers).map(|_| VecDeque::new()).collect(),
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
+            ready: (0..workers).map(|_| Condvar::new()).collect(),
+        });
+        let (prefilled_tx, prefilled) = channel();
+        let (steps_tx, steps) = channel();
+        let (taken_tx, taken) = channel();
         for id in 0..workers {
-            let queue: Arc<TaskQueue<WorkItem<'e>>> = Arc::clone(&queue);
-            let sender: Sender<Result<TaskOutput<'e>, TaskFailure>> = sender.clone();
+            let board: Arc<Switchboard<'e>> = Arc::clone(&board);
+            let prefilled: Sender<Result<Prefilled, TaskFailure>> = prefilled_tx.clone();
+            let steps: Sender<Result<ResidentStep, TaskFailure>> = steps_tx.clone();
+            let taken: Sender<Option<Session<'e>>> = taken_tx.clone();
             scope.spawn(move || {
-                while let Some(item) = queue.steal() {
-                    match item {
-                        WorkItem::Task(task) => {
-                            let index = task.index();
-                            let output =
-                                std::panic::catch_unwind(AssertUnwindSafe(|| task.run(None)))
-                                    .map(|mut output| {
-                                        output.worker = Some(id);
-                                        output
-                                    })
-                                    .map_err(|cause| TaskFailure {
-                                        index,
-                                        message: panic_message(cause.as_ref()),
-                                    });
-                            if sender.send(output).is_err() {
-                                // The coordinator is gone; nothing left to
-                                // work for.
-                                break;
-                            }
+                let mut shard = Shard {
+                    worker: Some(id),
+                    resident: HashMap::new(),
+                };
+                // The forking shard is a lane itself; the coordinator, parked
+                // on the reply channel, is not.
+                let runner = PoolRunner {
+                    board: Arc::clone(&board),
+                    lanes: workers,
+                };
+                while let Some(work) = board.next(id) {
+                    let delivered = match work {
+                        // Completion is reported through the fork's latch.
+                        Work::Job(job) => {
+                            job.run();
+                            true
                         }
-                        // Intra-axis job: completion is reported through its
-                        // fork's latch, not the result channel.
-                        WorkItem::Job(job) => job.run(),
+                        Work::Command(Command::Admit(admission)) => {
+                            prefilled.send(shard.admit(*admission)).is_ok()
+                        }
+                        Work::Command(Command::Step { requests, fork }) => {
+                            let runner = fork.then_some(&runner as &dyn ParallelRunner);
+                            requests
+                                .into_iter()
+                                .all(|request| steps.send(shard.step(request, runner)).is_ok())
+                        }
+                        Work::Command(Command::Take(index)) => {
+                            taken.send(shard.take(index)).is_ok()
+                        }
+                    };
+                    if !delivered {
+                        // The coordinator is gone; nothing left to work for.
+                        break;
                     }
                 }
+                // Resident sessions are dropped here, on the shard that owns
+                // them.
             });
         }
         WorkerPool {
-            queue,
-            results,
+            board,
+            prefilled,
+            steps,
+            taken,
             workers,
         }
     }
@@ -738,70 +657,122 @@ impl<'e> WorkerPool<'e> {
     }
 
     /// A fork-join [`ParallelRunner`] over this pool's workers, with the
-    /// calling thread participating as one extra lane — the intra-session
-    /// axis.
+    /// calling thread participating as one extra lane.
     pub fn runner(&self) -> PoolRunner<'e> {
         PoolRunner {
-            queue: Arc::clone(&self.queue),
+            board: Arc::clone(&self.board),
             lanes: self.workers + 1,
         }
     }
+
+    /// The shard that owns request `index` — the pinning function.
+    fn shard_of(&self, index: usize) -> usize {
+        index % self.workers
+    }
+
+    /// Whether a decode batch this wide forks inside each step: at most half
+    /// a session per worker leaves enough idle workers to be worth feeding.
+    fn forks(&self, width: usize) -> bool {
+        width * 2 <= self.workers
+    }
 }
 
-/// Fork-join executor for the **intra-session axis**: fans the per-head /
-/// per-row-block [`Job`]s of one decode step out across a [`WorkerPool`]'s
-/// workers, with the thread calling [`run`](ParallelRunner::run)
-/// participating as one lane.
+/// Receives exactly the `count` replies a call asked for, so reply lines are
+/// empty between calls and the pool stays reusable after any failure.
+fn drain<T>(replies: &Receiver<T>, count: usize) -> Vec<T> {
+    (0..count)
+        .map(|_| {
+            replies
+                .recv()
+                .expect("workers outlive the pool (scoped) and keep their reply senders")
+        })
+        .collect()
+}
+
+impl<'e> StepExecutor<'e> for WorkerPool<'e> {
+    fn admit(&mut self, admissions: Vec<Admission<'e>>) -> Vec<Result<Prefilled, TaskFailure>> {
+        let count = admissions.len();
+        for admission in admissions {
+            let shard = self.shard_of(admission.index());
+            self.board.send(shard, Command::Admit(Box::new(admission)));
+        }
+        drain(&self.prefilled, count)
+    }
+
+    fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>> {
+        let fork = self.forks(requests.len());
+        let mut per_shard = vec![Vec::new(); self.workers];
+        for &request in requests {
+            per_shard[self.shard_of(request.index)].push(request);
+        }
+        for (shard, requests) in per_shard.into_iter().enumerate() {
+            if !requests.is_empty() {
+                self.board.send(shard, Command::Step { requests, fork });
+            }
+        }
+        drain(&self.steps, requests.len())
+    }
+
+    fn take(&mut self, index: usize) -> Option<Session<'e>> {
+        self.board.send(self.shard_of(index), Command::Take(index));
+        drain(&self.taken, 1).pop().flatten()
+    }
+}
+
+impl Drop for WorkerPool<'_> {
+    fn drop(&mut self) {
+        self.board.close();
+    }
+}
+
+/// Fork-join executor over a [`WorkerPool`]'s workers: fans the per-head /
+/// per-row-block [`Job`]s of one decode step out to whichever workers are
+/// idle, with the thread calling [`run`](ParallelRunner::run) participating
+/// as one lane.
 ///
-/// `run` pushes `jobs[1..]` onto the pool's injector queue, executes
-/// `jobs[0]` inline, helps drain remaining jobs while it waits, and blocks
-/// on a countdown latch until every job has finished — only then does it
-/// return, which is what lets jobs borrow the caller's stack (the
-/// [`ParallelRunner`] contract).  A panicking job is resurfaced here after
-/// the join, so a crashed head can never leave the pool stuck.
+/// `run` queues `jobs[1..]` on the pool, executes `jobs[0]` inline, helps
+/// drain remaining jobs while it waits, and blocks on a countdown latch
+/// until every job has finished — only then does it return, which is what
+/// lets jobs borrow the caller's stack (the [`ParallelRunner`] contract).  A
+/// panicking job is resurfaced here after the join, so a crashed head can
+/// never leave the pool stuck.
 #[derive(Debug)]
 pub struct PoolRunner<'e> {
-    queue: Arc<TaskQueue<WorkItem<'e>>>,
+    board: Arc<Switchboard<'e>>,
     lanes: usize,
 }
 
-impl<'e> ParallelRunner for PoolRunner<'e> {
+impl ParallelRunner for PoolRunner<'_> {
     fn lanes(&self) -> usize {
         self.lanes
     }
 
     fn run<'a>(&self, jobs: Vec<Job<'a>>) {
-        if jobs.len() <= 1 {
-            for job in jobs {
-                job();
-            }
-            return;
-        }
-        let latch = Arc::new(Latch::new(jobs.len() - 1));
         let mut jobs = jobs.into_iter();
-        let first = jobs.next().expect("jobs.len() > 1");
-        let items: Vec<WorkItem<'e>> = jobs
-            .map(|job| {
-                // SAFETY: `run` does not return until the latch counts every
-                // forked job down (even if `first` panics — see below), so
-                // the `'a` borrows inside the closure strictly outlive its
-                // execution although the queue's type erases them to
-                // `'static`.
-                let job: Job<'static> =
-                    unsafe { std::mem::transmute::<Job<'a>, Job<'static>>(job) };
-                WorkItem::Job(HeapJob {
-                    job,
-                    latch: Arc::clone(&latch),
-                })
-            })
-            .collect();
-        self.queue.push_all(items);
+        let Some(first) = jobs.next() else {
+            return;
+        };
+        if jobs.len() == 0 {
+            return first();
+        }
+        let latch = Arc::new(Latch::new(jobs.len()));
+        self.board.fork(jobs.map(|job| {
+            // SAFETY: `run` does not return until the latch counts every
+            // forked job down (even if `first` panics — see below), so the
+            // `'a` borrows inside the closure strictly outlive its execution
+            // although the queue's type erases them to `'static`.
+            let job: Job<'static> = unsafe { std::mem::transmute::<Job<'a>, Job<'static>>(job) };
+            HeapJob {
+                job,
+                latch: Arc::clone(&latch),
+            }
+        }));
         // The first job runs inline: the caller is a full lane, and with
         // more jobs than lanes it keeps helping below.  Its panic (if any)
         // must not unwind past the latch wait — forked jobs still borrow
         // this stack frame.
         let first_result = std::panic::catch_unwind(AssertUnwindSafe(first));
-        while let Some(job) = self.queue.try_steal_job() {
+        while let Some(job) = self.board.try_steal_job() {
             job.run();
         }
         latch.wait();
@@ -814,311 +785,11 @@ impl<'e> ParallelRunner for PoolRunner<'e> {
     }
 }
 
-impl<'e> StepExecutor<'e> for WorkerPool<'e> {
-    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e> {
-        // The axis is chosen per fan-out from what the pool can see.  A
-        // decode batch too narrow to keep the workers busy — one session, or
-        // fewer than half a session per worker — takes the intra-session
-        // axis; wider batches, and admission prefills at any width, move
-        // whole sessions through the queue.  Both axes produce the same bits.
-        let narrow = tasks.len() == 1 || tasks.len() * 2 <= self.workers;
-        if narrow && tasks.iter().all(SessionTask::is_decode) {
-            // Decode the sessions one at a time on this thread, each step
-            // fanned out per head / per row block across the pool.  Running
-            // in index order here makes the scheduler's commit-time sort a
-            // no-op, exactly like sequential serving.  Each task's panic is
-            // caught individually — one crashed session must not drop the
-            // not-yet-run sessions queued behind it mid-tick.
-            let runner = self.runner();
-            return run_tasks_caught(tasks, |task| task.run(Some(&runner)));
-        }
-        let count = tasks.len();
-        let mut result = TickResult {
-            outputs: Vec::with_capacity(count),
-            failures: Vec::new(),
-        };
-        self.queue
-            .push_all(tasks.into_iter().map(WorkItem::Task).collect());
-        // Every task sends exactly one result (panics are caught and carried
-        // back as failures), so draining `count` results — even past the
-        // first failure — leaves the channel empty and the pool reusable.
-        for _ in 0..count {
-            match self.results.recv() {
-                Ok(Ok(output)) => result.outputs.push(output),
-                Ok(Err(failure)) => result.failures.push(failure),
-                Err(_) => unreachable!("workers outlive the pool (scoped) and senders persist"),
-            }
-        }
-        result
-    }
-}
-
-impl Drop for WorkerPool<'_> {
-    fn drop(&mut self) {
-        self.queue.close();
-    }
-}
-
-/// What a sticky shard is asked to do.  Per-shard channels are FIFO, so a
-/// `Park` is always observed before the `Step`/`Recall` that targets it.
-enum ShardCommand<'e> {
-    /// Hold this session resident until it is stepped or recalled.
-    Park(usize, Session<'e>),
-    /// Decode one step on each of these resident sessions (all pinned to
-    /// this shard), replying with a [`StickyStep`] per session.
-    Step(Vec<usize>),
-    /// Run a moved task (admission prefill, or a chaos-mode decode) and
-    /// reply with its [`TaskOutput`].
-    Task(SessionTask<'e>),
-    /// Hand the resident session back over the dedicated reply channel.
-    Recall(usize, Sender<Option<Session<'e>>>),
-}
-
-impl std::fmt::Debug for ShardCommand<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardCommand::Park(index, _) => f.debug_tuple("Park").field(index).finish(),
-            ShardCommand::Step(indices) => f.debug_tuple("Step").field(indices).finish(),
-            ShardCommand::Task(task) => f.debug_tuple("Task").field(&task.index()).finish(),
-            ShardCommand::Recall(index, _) => f.debug_tuple("Recall").field(index).finish(),
-        }
-    }
-}
-
-/// A shard's answer on the shared reply channel.  Each coordinator call
-/// drains exactly the replies it asked for before returning, so step and
-/// task replies never interleave across calls.
-#[derive(Debug)]
-enum ShardReply<'e> {
-    Step(Result<StickyStep, TaskFailure>),
-    // Boxed: a TaskOutput carries a whole session, dwarfing a StickyStep.
-    Task(Box<Result<TaskOutput<'e>, TaskFailure>>),
-}
-
-/// A pool of scoped worker threads with **pinned sessions**: request `index`
-/// always lives on shard `index % workers`, parked in the worker's local map
-/// between ticks, so per-tick traffic to the coordinator is one
-/// [`StickyStep`] per session instead of the whole session twice.
-///
-/// # Determinism
-///
-/// The commit discipline is untouched: shards compute, the coordinator
-/// sorts step results by request index and commits in submission order —
-/// the same fan-out/commit cycle as the [`WorkerPool`], minus the session
-/// moves.  Pinning also cannot change *what* a step computes: a session is
-/// a pure function of its own state, and it is on exactly one thread at a
-/// time either way.  Streams are therefore bit-identical to the stealing
-/// pool and to sequential serving (`integration_front`, CI-gated at
-/// workers 1/2/4).
-///
-/// Moved tasks — admission prefills, and every decode when chaos is active
-/// (checkpoint/replay needs sessions on the coordinator between attempts) —
-/// are routed to the owning shard too, so a fleet served through this pool
-/// reports [`ParallelMetrics::sessions_migrated`] `== 0`.
-#[derive(Debug)]
-pub struct StickyShardPool<'e> {
-    shards: Vec<Sender<ShardCommand<'e>>>,
-    replies: Receiver<ShardReply<'e>>,
-    workers: usize,
-}
-
-impl<'e> StickyShardPool<'e> {
-    /// Spawns `workers` (clamped to at least 1) scoped shard threads.
-    pub fn start<'scope>(scope: &'scope Scope<'scope, '_>, workers: usize) -> StickyShardPool<'e>
-    where
-        'e: 'scope,
-    {
-        let workers = workers.max(1);
-        let (reply_sender, replies) = channel::<ShardReply<'e>>();
-        let mut shards = Vec::with_capacity(workers);
-        for shard in 0..workers {
-            let (sender, commands) = channel::<ShardCommand<'e>>();
-            let replies = reply_sender.clone();
-            scope.spawn(move || {
-                let mut resident: HashMap<usize, Session<'e>> = HashMap::new();
-                while let Ok(command) = commands.recv() {
-                    match command {
-                        ShardCommand::Park(index, session) => {
-                            resident.insert(index, session);
-                        }
-                        ShardCommand::Step(indices) => {
-                            for index in indices {
-                                let reply = match resident.remove(&index) {
-                                    // The session moves *into* the unwind
-                                    // boundary: a panicking step drops it
-                                    // here, mirroring a lost stealing-pool
-                                    // task.
-                                    Some(mut session) => {
-                                        std::panic::catch_unwind(AssertUnwindSafe(move || {
-                                            let tokens_before = session.position();
-                                            let step = session.decode_one();
-                                            (session, step, tokens_before)
-                                        }))
-                                        .map(|(session, step, tokens_before)| {
-                                            let position = session.position();
-                                            resident.insert(index, session);
-                                            StickyStep {
-                                                index,
-                                                step,
-                                                tokens_before,
-                                                position,
-                                                worker: shard,
-                                            }
-                                        })
-                                        .map_err(
-                                            |cause| TaskFailure {
-                                                index,
-                                                message: panic_message(cause.as_ref()),
-                                            },
-                                        )
-                                    }
-                                    None => Err(TaskFailure {
-                                        index,
-                                        message: format!(
-                                            "sticky shard {shard}: request {index} is not parked"
-                                        ),
-                                    }),
-                                };
-                                if replies.send(ShardReply::Step(reply)).is_err() {
-                                    return;
-                                }
-                            }
-                        }
-                        ShardCommand::Task(task) => {
-                            let index = task.index();
-                            let output =
-                                std::panic::catch_unwind(AssertUnwindSafe(|| task.run(None)))
-                                    .map(|mut output| {
-                                        output.worker = Some(shard);
-                                        output
-                                    })
-                                    .map_err(|cause| TaskFailure {
-                                        index,
-                                        message: panic_message(cause.as_ref()),
-                                    });
-                            if replies.send(ShardReply::Task(Box::new(output))).is_err() {
-                                return;
-                            }
-                        }
-                        ShardCommand::Recall(index, back) => {
-                            // A closed reply channel means the coordinator
-                            // gave up mid-recall; keep serving.
-                            let _ = back.send(resident.remove(&index));
-                        }
-                    }
-                }
-                // Channel closed: the pool was dropped.  Parked sessions are
-                // dropped here, on the shard that owns them.
-            });
-            shards.push(sender);
-        }
-        StickyShardPool {
-            shards,
-            replies,
-            workers,
-        }
-    }
-
-    /// Number of shard threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The shard that owns request `index` — the pinning function.
-    fn shard_of(&self, index: usize) -> usize {
-        index % self.workers
-    }
-
-    fn send(&self, shard: usize, command: ShardCommand<'e>) {
-        self.shards[shard]
-            .send(command)
-            .expect("shard threads outlive the pool (scoped)");
-    }
-
-    /// Drains exactly `count` task replies (the step variant cannot appear:
-    /// every call drains its own replies fully before returning).
-    fn drain_task_replies(&self, count: usize) -> TickResult<'e> {
-        let mut result = TickResult {
-            outputs: Vec::with_capacity(count),
-            failures: Vec::new(),
-        };
-        for _ in 0..count {
-            match self.replies.recv() {
-                Ok(ShardReply::Task(reply)) => match *reply {
-                    Ok(output) => result.outputs.push(output),
-                    Err(failure) => result.failures.push(failure),
-                },
-                Ok(ShardReply::Step(_)) => {
-                    unreachable!("step replies are drained by the call that requested them")
-                }
-                Err(_) => unreachable!("shards outlive the pool (scoped) and senders persist"),
-            }
-        }
-        result
-    }
-}
-
-impl<'e> StepExecutor<'e> for StickyShardPool<'e> {
-    fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> TickResult<'e> {
-        let count = tasks.len();
-        for task in tasks {
-            let shard = self.shard_of(task.index());
-            self.send(shard, ShardCommand::Task(task));
-        }
-        self.drain_task_replies(count)
-    }
-
-    fn is_sticky(&self) -> bool {
-        true
-    }
-
-    fn park(&mut self, index: usize, session: Session<'e>) {
-        let shard = self.shard_of(index);
-        self.send(shard, ShardCommand::Park(index, session));
-    }
-
-    fn step_parked(&mut self, indices: &[usize]) -> StickyOutcome {
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.workers];
-        for &index in indices {
-            per_shard[self.shard_of(index)].push(index);
-        }
-        for (shard, mine) in per_shard.into_iter().enumerate() {
-            if !mine.is_empty() {
-                self.send(shard, ShardCommand::Step(mine));
-            }
-        }
-        let mut outcome = StickyOutcome {
-            steps: Vec::with_capacity(indices.len()),
-            failures: Vec::new(),
-        };
-        for _ in 0..indices.len() {
-            match self.replies.recv() {
-                Ok(ShardReply::Step(Ok(step))) => outcome.steps.push(step),
-                Ok(ShardReply::Step(Err(failure))) => outcome.failures.push(failure),
-                Ok(ShardReply::Task(_)) => {
-                    unreachable!("task replies are drained by the call that requested them")
-                }
-                Err(_) => unreachable!("shards outlive the pool (scoped) and senders persist"),
-            }
-        }
-        outcome
-    }
-
-    fn recall(&mut self, index: usize) -> Option<Session<'e>> {
-        let shard = self.shard_of(index);
-        let (back, session) = channel();
-        self.send(shard, ShardCommand::Recall(index, back));
-        session
-            .recv()
-            .expect("the shard answers every recall before exiting")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, KelleEngine, ServeOptions};
-    use crate::scheduler::BatchOutcome;
+    use crate::scheduler::{BatchOutcome, BatchScheduler};
     use crate::session::ServeRequest;
 
     fn engine() -> KelleEngine {
@@ -1144,6 +815,66 @@ mod tests {
             .build()
             .serve(requests, options.parallel())
             .expect("no chaos configured")
+    }
+
+    /// A cold admission of `tokens` for request `index`.
+    fn admission<'e>(engine: &'e KelleEngine, index: usize, tokens: &[usize]) -> Admission<'e> {
+        let mut session = engine.open_session();
+        let plan = session.plan_prefill(tokens);
+        Admission::new(index, session, tokens.to_vec(), plan)
+    }
+
+    /// Admits one session per `(index, tokens)` pair, asserting none failed.
+    fn admit_all<'e>(
+        executor: &mut dyn StepExecutor<'e>,
+        engine: &'e KelleEngine,
+        fleet: &[(usize, &[usize])],
+    ) -> Vec<Prefilled> {
+        let admissions = fleet
+            .iter()
+            .map(|&(index, tokens)| admission(engine, index, tokens))
+            .collect();
+        let mut prefilled: Vec<Prefilled> = executor
+            .admit(admissions)
+            .into_iter()
+            .map(|result| result.expect("healthy prefill"))
+            .collect();
+        prefilled.sort_by_key(|prefilled| prefilled.index);
+        prefilled
+    }
+
+    /// A plain (chaos-free) step request.
+    fn plain(index: usize) -> StepRequest {
+        StepRequest {
+            index,
+            checkpoint: false,
+            sabotage: false,
+        }
+    }
+
+    /// A step request that panics after computing, with no checkpoint: the
+    /// stand-in for any session whose decode crashes.
+    fn crashing(index: usize) -> StepRequest {
+        StepRequest {
+            sabotage: true,
+            ..plain(index)
+        }
+    }
+
+    /// Splits step results into survivors (sorted by index) and failures.
+    fn partition(
+        results: Vec<Result<ResidentStep, TaskFailure>>,
+    ) -> (Vec<ResidentStep>, Vec<TaskFailure>) {
+        let mut steps = Vec::new();
+        let mut failures = Vec::new();
+        for result in results {
+            match result {
+                Ok(step) => steps.push(step),
+                Err(failure) => failures.push(failure),
+            }
+        }
+        steps.sort_by_key(|step| step.index);
+        (steps, failures)
     }
 
     #[test]
@@ -1178,12 +909,11 @@ mod tests {
 
     #[test]
     fn every_axis_matches_inline_serving_bitwise() {
-        // The pool picks the axis per decode fan-out from the batch width:
-        // intra-session for one task or at most half a task per worker,
-        // session otherwise.  Only the session axis moves sessions through
-        // the queue (2 crossings per decode), so the crossing count pins
-        // which axis each tick took while the streams pin that it is
-        // invisible.
+        // The pool forks inside the step when the decode batch is at most
+        // half a session per worker and steps sessions whole otherwise;
+        // widths 1..=3 on 1, 2 and 4 workers cover both sides of that rule.
+        // Neither moves a session, so the streams pin that the choice is
+        // invisible and the crossing count pins that it is free.
         let all = requests();
         for width in 1..=all.len() {
             let requests = all[..width].to_vec();
@@ -1204,59 +934,60 @@ mod tests {
                     baseline.contention, parallel.contention,
                     "width={width} workers={workers}"
                 );
-                let ticks = requests.iter().map(ServeRequest::decode_len).max().unwrap();
-                let decode_crossings: usize = (0..ticks)
-                    .map(|tick| requests.iter().filter(|r| r.decode_len() > tick).count())
-                    .filter(|&active| active > 1 && active * 2 > workers)
-                    .map(|active| 2 * active)
-                    .sum();
                 assert_eq!(
                     parallel.parallel.queue_crossings as usize,
-                    2 * width + decode_crossings,
-                    "width={width} workers={workers}: prefills always cross, decodes only on the session axis"
+                    2 * width,
+                    "width={width} workers={workers}: in with the prefill, out when taken, nothing per tick"
                 );
+                assert_eq!(parallel.parallel.sessions_migrated, 0);
             }
+            assert_eq!(baseline.parallel.queue_crossings, 0, "inline never crosses");
         }
     }
 
     #[test]
     fn both_axes_match_inline_decode_in_probability_bits_for_all_policies() {
         use kelle_cache::CachePolicy;
-        // On four workers two decode tasks take the intra axis and four the
-        // session axis; every step must carry the token, probability bits
-        // and fault draws of inline `decode_one`.
+        // On four workers a two-session decode batch forks inside the step
+        // and a four-session batch does not; every step must carry the
+        // token, probability bits and fault draws of inline `decode_one`.
         for policy in CachePolicy::all() {
             let engine = KelleEngine::builder().policy(policy).build();
-            let prefilled = |index: usize| {
-                let mut session = engine.open_session();
-                session.prefill(&[1 + index, 2, 3, 4 + index]);
-                session
-            };
+            let prompt = |index: usize| vec![1 + index, 2, 3, 4 + index];
             std::thread::scope(|scope| {
                 let mut pool = WorkerPool::start(scope, 4);
+                assert!(pool.forks(2) && !pool.forks(4));
                 for width in [2, 4] {
-                    let mut sessions: Vec<_> = (0..width).map(prefilled).collect();
-                    let mut references: Vec<_> = (0..width).map(prefilled).collect();
+                    let prompts: Vec<Vec<usize>> = (0..width).map(prompt).collect();
+                    let fleet: Vec<(usize, &[usize])> = prompts
+                        .iter()
+                        .enumerate()
+                        .map(|(index, tokens)| (index, tokens.as_slice()))
+                        .collect();
+                    admit_all(&mut pool, &engine, &fleet);
+                    let mut references: Vec<_> = prompts
+                        .iter()
+                        .map(|tokens| {
+                            let mut session = engine.open_session();
+                            session.prefill(tokens);
+                            session
+                        })
+                        .collect();
+                    let requests: Vec<StepRequest> = (0..width).map(plain).collect();
                     for _ in 0..4 {
-                        let tasks = sessions
-                            .drain(..)
-                            .enumerate()
-                            .map(|(index, session)| SessionTask::decode(index, session))
-                            .collect();
-                        let mut outputs = pool.execute(tasks).into_outputs();
-                        outputs.sort_by_key(TaskOutput::index);
-                        for (output, reference) in outputs.into_iter().zip(&mut references) {
-                            assert_eq!(
-                                output.worker().is_some(),
-                                width == 4,
-                                "width {width} took the wrong axis"
-                            );
-                            let (_, session, step, _) = output.into_decode();
+                        let (steps, failures) = partition(pool.step(&requests));
+                        assert!(failures.is_empty());
+                        for (resident, reference) in steps.iter().zip(&mut references) {
                             let expected = reference.decode_one();
                             let label = format!("policy={}, width={width}", policy.name());
-                            assert_eq!(step.token, expected.token, "{label}");
+                            assert_eq!(resident.step.token, expected.token, "{label}");
                             assert_eq!(
-                                step.probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                                resident
+                                    .step
+                                    .probs
+                                    .iter()
+                                    .map(|p| p.to_bits())
+                                    .collect::<Vec<_>>(),
                                 expected
                                     .probs
                                     .iter()
@@ -1264,9 +995,11 @@ mod tests {
                                     .collect::<Vec<_>>(),
                                 "{label}: probability bits"
                             );
-                            assert_eq!(session.fault_stats(), reference.fault_stats(), "{label}");
-                            sessions.push(session);
                         }
+                    }
+                    for (index, reference) in references.iter().enumerate() {
+                        let session = pool.take(index).expect("resident until taken");
+                        assert_eq!(session.fault_stats(), reference.fault_stats());
                     }
                 }
             });
@@ -1332,26 +1065,24 @@ mod tests {
     fn empty_task_batch_is_a_no_op() {
         std::thread::scope(|scope| {
             let mut pool: WorkerPool<'_> = WorkerPool::start(scope, 2);
-            let result = pool.execute(Vec::new());
-            assert!(result.outputs.is_empty() && result.failures.is_empty());
+            assert!(pool.admit(Vec::new()).is_empty());
+            assert!(pool.step(&[]).is_empty());
         });
     }
 
     #[test]
     fn coordinator_unwind_mid_tick_joins_cleanly() {
-        // Regression: a coordinator that unwinds mid-tick — after fanning
-        // tasks out but before draining results — must still join the pool
-        // cleanly.  Drop closes the queue, the workers drain the in-flight
-        // task (their send fails once the receiver is gone) and exit; the
-        // scope joins instead of hanging.
+        // Regression: a coordinator that unwinds mid-tick — after sending a
+        // shard its work but before draining the reply — must still join the
+        // pool cleanly.  Drop closes the switchboard, the worker finishes or
+        // abandons the in-flight command (its reply fails once the receiver
+        // is gone) and exits; the scope joins instead of hanging.
         let engine = engine();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             std::thread::scope(|scope| {
                 let pool: WorkerPool<'_> = WorkerPool::start(scope, 2);
-                let mut session = engine.open_session();
-                session.prefill(&[1, 2, 3]);
-                pool.queue
-                    .push_all(vec![WorkItem::Task(SessionTask::decode(0, session))]);
+                let admission = admission(&engine, 0, &[1, 2, 3]);
+                pool.board.send(0, Command::Admit(Box::new(admission)));
                 panic!("coordinator unwinds mid-tick");
             });
         }));
@@ -1361,30 +1092,21 @@ mod tests {
 
     #[test]
     fn intra_axis_failures_spare_queued_sessions() {
-        // Regression for the intra-axis fan-out (two decodes on four workers
-        // are narrow enough to take it): a panicking session must not take
-        // the sessions queued behind it down with it mid-map.
+        // Two decodes on four workers are narrow enough to fork inside the
+        // step, and requests 0 and 4 share shard 0: the crash of the first
+        // must not take the session queued behind it on the same shard down
+        // with it.
         let engine = engine();
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, 4);
-            // An un-prefilled session panics inside decode_one.
-            let broken = engine.open_session();
-            let mut healthy = engine.open_session();
-            healthy.prefill(&[1, 2, 3]);
-            let tasks = vec![
-                SessionTask::decode(0, broken),
-                SessionTask::decode(1, healthy),
-            ];
-            let result = pool.execute(tasks);
-            assert_eq!(result.outputs.len(), 1, "the healthy session survives");
-            assert_eq!(result.outputs[0].index(), 1);
-            assert_eq!(
-                result.outputs[0].worker(),
-                None,
-                "decoded on the coordinator"
-            );
-            assert_eq!(result.failures.len(), 1);
-            assert_eq!(result.failures[0].index(), 0);
+            admit_all(&mut pool, &engine, &[(0, &[1, 2]), (4, &[1, 2, 3])]);
+            assert!(pool.forks(2));
+            let (steps, failures) = partition(pool.step(&[crashing(0), plain(4)]));
+            assert_eq!(steps.len(), 1, "the healthy session survives");
+            assert_eq!(steps[0].index, 4);
+            assert_eq!(steps[0].worker, Some(0));
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].index(), 0);
         });
     }
 
@@ -1393,83 +1115,84 @@ mod tests {
         let engine = engine();
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, 2);
-            let broken = engine.open_session();
-            let mut healthy = engine.open_session();
-            healthy.prefill(&[4, 5, 6]);
-            let tasks = vec![
-                SessionTask::decode(3, healthy),
-                SessionTask::decode(9, broken),
-            ];
-            let result = pool.execute(tasks);
-            assert_eq!(result.outputs.len(), 1);
-            assert_eq!(result.outputs[0].index(), 3);
-            assert!(
-                result.outputs[0].worker().is_some(),
-                "moved through the queue"
-            );
-            assert_eq!(result.failures.len(), 1);
-            assert_eq!(result.failures[0].index(), 9);
-            // The channel was fully drained: the pool serves the next batch.
-            let mut next = engine.open_session();
-            next.prefill(&[7, 8]);
-            let outputs = pool.execute(vec![SessionTask::decode(0, next)]).outputs;
-            assert_eq!(outputs.len(), 1);
+            admit_all(&mut pool, &engine, &[(3, &[4, 5, 6]), (9, &[1, 2])]);
+            let (steps, failures) = partition(pool.step(&[plain(3), crashing(9)]));
+            assert_eq!(steps.len(), 1);
+            assert_eq!(steps[0].index, 3);
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].index(), 9);
+            // The reply line was fully drained: the next tick sees only its
+            // own results.
+            let (steps, failures) = partition(pool.step(&[plain(3)]));
+            assert_eq!(steps.len(), 1);
+            assert!(failures.is_empty());
         });
     }
 
     #[test]
     fn sabotaged_task_fails_with_the_chaos_message() {
         let engine = engine();
-        let mut session = engine.open_session();
-        session.prefill(&[1, 2, 3]);
-        let mut task = SessionTask::decode(5, session);
-        task.arm_sabotage();
-        let result = InlineExecutor.execute(vec![task]);
-        assert!(result.outputs.is_empty());
-        assert_eq!(result.failures.len(), 1);
-        assert_eq!(result.failures[0].index(), 5);
+        let mut inline = InlineExecutor::default();
+        admit_all(&mut inline, &engine, &[(5, &[1, 2, 3])]);
+        let sabotaged = StepRequest {
+            index: 5,
+            checkpoint: true,
+            sabotage: true,
+        };
+        let (steps, failures) = partition(inline.step(&[sabotaged]));
+        assert!(steps.is_empty());
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].index(), 5);
         assert!(
-            result.failures[0].message().contains("chaos"),
+            failures[0].message().contains("chaos"),
             "message: {}",
-            result.failures[0].message()
+            failures[0].message()
         );
+        // The checkpoint went back in place: the replay attempt (same
+        // boundary, so no new checkpoint) steps from position 3 again, and a
+        // second sabotage still leaves the boundary to take back.
+        let (steps, _) = partition(inline.step(&[plain(5)]));
+        assert_eq!(steps[0].tokens_before, 3);
+        let (_, failures) = partition(inline.step(&[crashing(5)]));
+        assert_eq!(failures.len(), 1);
+        let restored = inline.take(5).expect("restored in place, not lost");
+        assert_eq!(restored.position(), 3);
     }
 
     #[test]
     fn sticky_pool_steps_parked_sessions_without_moving_them() {
         let engine = engine();
         std::thread::scope(|scope| {
-            let mut pool = StickyShardPool::start(scope, 2);
-            assert!(pool.is_sticky());
+            let mut pool = WorkerPool::start(scope, 2);
             assert_eq!(pool.workers(), 2);
-            for index in 0..3 {
-                let mut session = engine.open_session();
-                session.prefill(&[1, 2, 3 + index]);
-                pool.park(index, session);
-            }
-            let indices = [0, 1, 2];
-            let outcome = pool.step_parked(&indices);
-            assert!(outcome.failures.is_empty());
-            assert_eq!(outcome.steps.len(), 3);
-            let mut steps = outcome.steps;
-            steps.sort_by_key(|s| s.index);
+            let fleet: Vec<Vec<usize>> = (0..3).map(|index| vec![1, 2, 3 + index]).collect();
+            let fleet: Vec<(usize, &[usize])> = fleet
+                .iter()
+                .enumerate()
+                .map(|(index, tokens)| (index, tokens.as_slice()))
+                .collect();
+            admit_all(&mut pool, &engine, &fleet);
+            let requests = [plain(0), plain(1), plain(2)];
+            let (steps, failures) = partition(pool.step(&requests));
+            assert!(failures.is_empty());
+            assert_eq!(steps.len(), 3);
             for (i, step) in steps.iter().enumerate() {
                 assert_eq!(step.index, i);
                 assert_eq!(step.tokens_before, 3);
                 assert_eq!(step.position, 4);
                 // Pinned: the shard is always index % workers.
-                assert_eq!(step.worker, i % 2);
+                assert_eq!(step.worker, Some(i % 2));
             }
             // The sessions stayed resident: a second tick steps them again.
-            let outcome = pool.step_parked(&indices);
-            assert_eq!(outcome.steps.len(), 3);
-            assert!(outcome.steps.iter().all(|s| s.tokens_before == 4));
-            // Recall hands the stepped session back; recalling twice (or an
+            let (steps, _) = partition(pool.step(&requests));
+            assert_eq!(steps.len(), 3);
+            assert!(steps.iter().all(|s| s.tokens_before == 4));
+            // Take hands the stepped session back; taking twice (or an
             // unknown index) finds nothing.
-            let session = pool.recall(1).expect("request 1 is parked");
+            let session = pool.take(1).expect("request 1 is resident");
             assert_eq!(session.position(), 5);
-            assert!(pool.recall(1).is_none());
-            assert!(pool.recall(99).is_none());
+            assert!(pool.take(1).is_none());
+            assert!(pool.take(99).is_none());
         });
     }
 
@@ -1479,18 +1202,15 @@ mod tests {
         let mut reference = engine.open_session();
         reference.prefill(&[1, 2, 3]);
         std::thread::scope(|scope| {
-            let mut pool = StickyShardPool::start(scope, 3);
-            let mut session = engine.open_session();
-            session.prefill(&[1, 2, 3]);
-            pool.park(7, session);
+            let mut pool = WorkerPool::start(scope, 3);
+            admit_all(&mut pool, &engine, &[(7, &[1, 2, 3])]);
             for _ in 0..5 {
                 let expected = reference.decode_one();
-                let outcome = pool.step_parked(&[7]);
-                assert!(outcome.failures.is_empty());
-                assert_eq!(outcome.steps.len(), 1);
-                let step = &outcome.steps[0];
-                assert_eq!(step.step.token, expected.token);
-                assert_eq!(step.worker, 7 % 3);
+                let (steps, failures) = partition(pool.step(&[plain(7)]));
+                assert!(failures.is_empty());
+                assert_eq!(steps.len(), 1);
+                assert_eq!(steps[0].step.token, expected.token);
+                assert_eq!(steps[0].worker, Some(7 % 3));
             }
         });
     }
@@ -1499,77 +1219,58 @@ mod tests {
     fn sticky_step_panic_loses_only_that_session() {
         let engine = engine();
         std::thread::scope(|scope| {
-            let mut pool = StickyShardPool::start(scope, 2);
-            // An un-prefilled session panics inside decode_one.
-            pool.park(0, engine.open_session());
-            let mut healthy = engine.open_session();
-            healthy.prefill(&[4, 5, 6]);
-            pool.park(1, healthy);
-            let outcome = pool.step_parked(&[0, 1]);
-            assert_eq!(outcome.steps.len(), 1, "the healthy session survives");
-            assert_eq!(outcome.steps[0].index, 1);
-            assert_eq!(outcome.failures.len(), 1);
-            assert_eq!(outcome.failures[0].index(), 0);
-            // The crashed session is gone from its shard...
-            assert!(pool.recall(0).is_none());
+            let mut pool = WorkerPool::start(scope, 2);
+            admit_all(&mut pool, &engine, &[(0, &[1, 2]), (1, &[4, 5, 6])]);
+            let (steps, failures) = partition(pool.step(&[crashing(0), plain(1)]));
+            assert_eq!(steps.len(), 1, "the healthy session survives");
+            assert_eq!(steps[0].index, 1);
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].index(), 0);
+            // With no checkpoint the crashed session is gone from its
+            // shard...
+            assert!(pool.take(0).is_none());
             // ...and the survivor keeps ticking.
-            let outcome = pool.step_parked(&[1]);
-            assert_eq!(outcome.steps.len(), 1);
+            let (steps, _) = partition(pool.step(&[plain(1)]));
+            assert_eq!(steps.len(), 1);
         });
     }
 
     #[test]
     fn sticky_pool_runs_moved_tasks_on_the_owning_shard() {
+        // The one thing that moves is the admission, and it goes to the
+        // shard that will own the session.
         let engine = engine();
         std::thread::scope(|scope| {
-            let mut pool = StickyShardPool::start(scope, 2);
-            let mut a = engine.open_session();
-            a.prefill(&[1, 2]);
-            let mut b = engine.open_session();
-            b.prefill(&[3, 4]);
-            let outputs = pool
-                .execute(vec![SessionTask::decode(4, a), SessionTask::decode(5, b)])
-                .into_outputs();
-            assert_eq!(outputs.len(), 2);
-            for output in &outputs {
-                assert_eq!(
-                    output.worker(),
-                    Some(output.index() % 2),
-                    "moved tasks stay pinned to the owning shard"
-                );
+            let mut pool = WorkerPool::start(scope, 2);
+            let prefilled = admit_all(&mut pool, &engine, &[(4, &[1, 2]), (5, &[3, 4])]);
+            assert_eq!(prefilled.len(), 2);
+            for prefilled in &prefilled {
+                assert_eq!(prefilled.worker, Some(prefilled.index % 2));
+                assert_eq!(prefilled.computed, 2);
+                assert_eq!(prefilled.position, 2);
             }
         });
     }
 
     #[test]
     fn stealing_pool_stamps_the_worker_that_ran_each_task() {
+        // Every result names where it ran: a pool shard, or nowhere but the
+        // caller's thread.
         let engine = engine();
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, 2);
-            // Two decodes on two workers: wide enough for the session axis.
-            let tasks = (0..2)
-                .map(|index| {
-                    let mut session = engine.open_session();
-                    session.prefill(&[1, 2, 3]);
-                    SessionTask::decode(index, session)
-                })
-                .collect();
-            let outputs = pool.execute(tasks).into_outputs();
-            assert_eq!(outputs.len(), 2);
-            for output in &outputs {
-                assert!(
-                    matches!(output.worker(), Some(w) if w < 2),
-                    "stealing-pool outputs carry the worker id"
-                );
+            admit_all(&mut pool, &engine, &[(0, &[1, 2, 3]), (1, &[1, 2, 3])]);
+            let (steps, _) = partition(pool.step(&[plain(0), plain(1)]));
+            assert_eq!(steps.len(), 2);
+            for step in &steps {
+                assert!(matches!(step.worker, Some(w) if w < 2));
             }
         });
-        // Inline execution never crosses a thread.
-        let mut session = engine.open_session();
-        session.prefill(&[1, 2, 3]);
-        let outputs = InlineExecutor
-            .execute(vec![SessionTask::decode(0, session)])
-            .into_outputs();
-        assert_eq!(outputs[0].worker(), None);
+        let mut inline = InlineExecutor::default();
+        let prefilled = admit_all(&mut inline, &engine, &[(0, &[1, 2, 3])]);
+        assert_eq!(prefilled[0].worker, None);
+        let (steps, _) = partition(inline.step(&[plain(0)]));
+        assert_eq!(steps[0].worker, None);
     }
 
     #[test]
@@ -1586,30 +1287,78 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate_and_leave_the_pool_reusable() {
+        // A prefill that panics on its shard (an empty first prompt) comes
+        // back as a failure naming the request instead of deadlocking the
+        // coordinator, loses only its own session, and leaves the pool
+        // serving the next batch.
         let engine = engine();
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, 2);
-            let mut session = engine.open_session();
-            session.prefill(&[1, 2, 3]);
-            // An un-prefilled session panics inside decode_one; the pool
-            // must resurface that panic instead of deadlocking.
-            let broken = engine.open_session();
-            let tasks = vec![
-                SessionTask::decode(0, session),
-                SessionTask::decode(1, broken),
-            ];
-            let result =
-                std::panic::catch_unwind(AssertUnwindSafe(|| pool.execute(tasks).into_outputs()));
-            assert!(result.is_err(), "the task panic must reach the caller");
-            // The failed batch was fully drained: a fresh batch on the same
-            // pool sees only its own outputs.
-            let mut healthy = engine.open_session();
-            healthy.prefill(&[4, 5, 6]);
-            let outputs = pool
-                .execute(vec![SessionTask::decode(7, healthy)])
-                .into_outputs();
-            assert_eq!(outputs.len(), 1);
-            assert_eq!(outputs[0].index(), 7);
+            let broken = Admission::new(1, engine.open_session(), Vec::new(), PrefillPlan::Cold);
+            let results = pool.admit(vec![admission(&engine, 0, &[1, 2, 3]), broken]);
+            assert_eq!(results.len(), 2);
+            let failure = results
+                .iter()
+                .find_map(|result| result.as_ref().err())
+                .expect("the empty prefill panicked");
+            assert_eq!(failure.index(), 1);
+            assert!(
+                pool.take(1).is_none(),
+                "a crashed prefill leaves no session"
+            );
+            let (steps, failures) = partition(pool.step(&[plain(0)]));
+            assert_eq!(steps.len(), 1);
+            assert!(failures.is_empty());
+            admit_all(&mut pool, &engine, &[(7, &[4, 5, 6])]);
+            let (steps, _) = partition(pool.step(&[plain(0), plain(7)]));
+            assert_eq!(steps.len(), 2);
+        });
+    }
+
+    #[test]
+    fn misaddressed_steps_fail_naming_the_request() {
+        // A step for an index the executor does not hold answers with a
+        // failure naming the request — no hang, no silent loss...
+        let engine = engine();
+        std::thread::scope(|scope| {
+            let mut pool = WorkerPool::start(scope, 2);
+            admit_all(&mut pool, &engine, &[(0, &[1, 2, 3])]);
+            let (steps, failures) = partition(pool.step(&[plain(0), plain(5)]));
+            assert_eq!(steps.len(), 1);
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].index(), 5);
+            assert!(
+                failures[0].message().contains("request 5 is not resident"),
+                "message: {}",
+                failures[0].message()
+            );
+        });
+        // ...and so does a scheduler handed a second executor mid-run: its
+        // session lives in the first one.
+        std::thread::scope(|scope| {
+            let mut pool = WorkerPool::start(scope, 2);
+            let mut scheduler = BatchScheduler::new(&engine);
+            let request = scheduler.submit(ServeRequest::new(vec![1, 2, 3], 4));
+            let error = scheduler
+                .try_step_with(&mut pool)
+                .expect_err("the pool never saw this session");
+            match error {
+                crate::chaos::ServeError::WorkerLost {
+                    request: lost,
+                    message,
+                    ..
+                } => {
+                    assert_eq!(lost, request);
+                    assert!(message.contains(&format!("request {request} is not resident")));
+                }
+            }
+            // The request was shed, not left dangling: the batch finishes.
+            assert!(scheduler.is_idle());
+            let outcome = scheduler.finish().expect("idle");
+            assert_eq!(
+                outcome.outcomes[request].shed,
+                Some(crate::chaos::ShedReason::WorkerLost)
+            );
         });
     }
 }

@@ -43,20 +43,20 @@
 //! unbounded capacity (the default) every request is admitted at submit time
 //! with the whole memory granted, reproducing the PR 1 scheduler exactly.
 
-use crate::chaos::{
-    ChaosConfig, ChaosMetrics, ChaosPlan, Checkpoint, MigrationFaults, ServeError, ShedReason,
-};
+use crate::chaos::{ChaosConfig, ChaosMetrics, ChaosPlan, MigrationFaults, ServeError, ShedReason};
 use crate::engine::{EngineStats, KelleEngine, ServeOutcome};
-use crate::parallel::{InlineExecutor, ParallelMetrics, SessionTask, StepExecutor, TaskOutput};
+use crate::parallel::{
+    Admission, InlineExecutor, ParallelMetrics, Prefilled, ResidentStep, StepExecutor, StepRequest,
+};
 use crate::session::{ServeRequest, Session};
 use crate::tier::{TierConfig, TierManager, TieringMetrics};
 use kelle_arch::{PhaseMetrics, PlatformReport};
 use kelle_cache::{BudgetPartitioner, CacheBudget, PartitionMode};
 use kelle_edram::{CapacityLedger, LeaseId};
-use kelle_model::{CacheStats, DecodeStep, DecodeTrace, FaultStats};
+use kelle_model::{CacheStats, DecodeTrace, FaultStats};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Which waiting request the admission stage promotes next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -460,9 +460,7 @@ pub struct BatchOutcome {
     pub chaos: ChaosMetrics,
     /// Cross-thread traffic accounting of the executor protocol (all zeros
     /// for inline serving).  Like [`BatchOutcome::tiering`], these are
-    /// *cost* metrics: every execution mode produces bit-identical streams,
-    /// and this is where the sticky-shard executor's saved queue traffic
-    /// becomes a measured number.
+    /// *cost* metrics: every executor produces bit-identical streams.
     pub parallel: ParallelMetrics,
     /// Serving-quality report: TTFT/TPOT/queue-time distributions and
     /// goodput under the configured [`SloSpec`].
@@ -541,27 +539,11 @@ impl std::fmt::Display for BatchIncomplete<'_> {
 
 impl std::error::Error for BatchIncomplete<'_> {}
 
-/// Where an active request's [`Session`] lives.
-//
-// The slot that holds this is itself boxed, and the session moves by value
-// into and out of executor tasks every tick: boxing `Here` would add an
-// allocation per session per tick to a decode path that has none.
-#[allow(clippy::large_enum_variant)]
-enum Residency<'e> {
-    /// On the coordinator, inside the slot.
-    Here(Session<'e>),
-    /// Parked on its sticky executor shard until recalled.
-    Parked,
-    /// Out on a worker executing this tick's decode step — or, if that step
-    /// panicked with no checkpoint to restore from, gone for good.  A slot
-    /// still in this state when its tick's outputs are in is shed before
-    /// the tick ends, so it is never observable between public calls.
-    Lost,
-}
-
-struct Slot<'e> {
+/// The coordinator's record of an active request.  The [`Session`] itself is
+/// resident on the executor from admission until it is taken back for
+/// finalization; the slot holds only what commits need.
+struct Slot {
     request: ServeRequest,
-    session: Residency<'e>,
     prefilled: usize,
     generated: Vec<usize>,
     trace: DecodeTrace,
@@ -572,22 +554,23 @@ struct Slot<'e> {
     /// `(tag, full-scale bytes)`.
     shared: Option<(u64, u64)>,
     /// Coordinator mirror of the session's token position, updated at every
-    /// commit — the scheduler can observe a parked session's cursor without
-    /// recalling it.
+    /// commit — the scheduler observes the resident session's cursor without
+    /// taking it.
     position: usize,
     /// Backpressure: a paused slot is skipped by decode fan-out (its session
     /// stays exactly where it is) until resumed.  Pausing can never change a
     /// stream — a session is a pure function of its own state — only *when*
     /// its tokens are produced.
     paused: bool,
-    /// Worker that ran the last committed step (`None`: coordinator) —
-    /// feeds [`ParallelMetrics::sessions_migrated`].
-    last_worker: Option<usize>,
+    /// Pool shard the session was admitted to (`None`: inline).  Taking a
+    /// session back from a shard is a queue crossing, and a step reported
+    /// from anywhere else is a migration.
+    worker: Option<usize>,
 }
 
 /// An admitted request whose prefill is executing (possibly on a worker):
-/// the ledger state was committed at admission time, the session comes back
-/// through the executor.
+/// the ledger state was committed at admission time, the [`Prefilled`]
+/// cursors come back through the executor.
 struct Admitted {
     request: ServeRequest,
     lease: LeaseId,
@@ -608,28 +591,12 @@ struct AdmissionFootprint {
     shared: Option<(u64, u64)>,
 }
 
-/// One decode step awaiting the coordinator commit, unified across the two
-/// fan-out shapes: a classic [`TaskOutput`] (whole session moved back) and a
-/// sticky [`StickyStep`](crate::parallel::StickyStep) (session stayed on its
-/// shard).  The commit loop runs over these in request-index order, so both
-/// shapes commit bit-identically.
-struct PendingCommit {
-    index: usize,
-    step: DecodeStep,
-    /// Session position before the step (for the lease-growth delta).
-    tokens_before: usize,
-    /// Session position after the step (the slot's new mirror).
-    position: usize,
-    /// Worker that ran the step (`None`: coordinator).
-    worker: Option<usize>,
-}
-
-enum RequestState<'e> {
+enum RequestState {
     Waiting(ServeRequest),
     /// Admission committed, prefill in flight through the executor; never
     /// observable between public calls (admission pumps always flush).
     Admitted(Box<Admitted>),
-    Active(Box<Slot<'e>>),
+    Active(Box<Slot>),
     Finished(ServeOutcome),
     /// Transient placeholder while ownership moves through
     /// activation/completion; never observable between public calls.
@@ -643,7 +610,7 @@ pub struct BatchScheduler<'e> {
     config: SchedulerConfig,
     ledger: CapacityLedger,
     tier: Option<TierManager>,
-    states: Vec<RequestState<'e>>,
+    states: Vec<RequestState>,
     timings: Vec<RequestTiming>,
     waiting: VecDeque<usize>,
     /// Requests submitted with a future [`ServeRequest::arrival_tick`],
@@ -659,10 +626,10 @@ pub struct BatchScheduler<'e> {
     /// Seeded fault-injection plan; `None` when chaos is disabled.
     chaos: Option<ChaosPlan>,
     chaos_metrics: ChaosMetrics,
-    /// Last committed-boundary checkpoint per active request.  Populated
-    /// only while chaos is enabled, so the chaos-off decode path stays
-    /// allocation-free.
-    checkpoints: BTreeMap<usize, Checkpoint<'e>>,
+    /// Where sessions live when the scheduler is driven through its plain
+    /// [`submit`](BatchScheduler::submit) / [`step`](BatchScheduler::step)
+    /// entry points.
+    inline: InlineExecutor<'e>,
     /// Set by [`drain`](BatchScheduler::drain): admission stops pumping and
     /// the machine winds down to idle.
     draining: bool,
@@ -715,7 +682,7 @@ impl<'e> BatchScheduler<'e> {
                 .filter(ChaosConfig::enabled)
                 .map(ChaosPlan::new),
             chaos_metrics: ChaosMetrics::default(),
-            checkpoints: BTreeMap::new(),
+            inline: InlineExecutor::default(),
             draining: false,
             parallel: ParallelMetrics::default(),
             shed_events: Vec::new(),
@@ -764,8 +731,7 @@ impl<'e> BatchScheduler<'e> {
     /// Pauses or resumes decode for an active request (stream backpressure:
     /// the `kelle::front` pauses a session whose consumer stopped polling).
     /// A paused slot is skipped by decode fan-out — its session stays
-    /// wherever it is, parked or resident — and consumes no queue traffic
-    /// until resumed.  Returns `false` when the request is not active.
+    /// resident where it is — and consumes no queue traffic until resumed.  Returns `false` when the request is not active.
     /// Pausing never changes a token stream, only when it is produced.
     pub(crate) fn set_paused(&mut self, index: usize, paused: bool) -> bool {
         match self.states.get_mut(index) {
@@ -789,15 +755,26 @@ impl<'e> BatchScheduler<'e> {
     /// request is pre-filled right away).  Returns the request's index, which
     /// later [`StepEvent`]s, timings and the final outcome vector refer to.
     pub fn submit(&mut self, request: ServeRequest) -> usize {
-        self.submit_with(request, &mut InlineExecutor)
+        self.inline(|scheduler, executor| scheduler.submit_with(request, executor))
+    }
+
+    /// Runs `f` against the scheduler's own [`InlineExecutor`] — the body of
+    /// every entry point that takes no executor.
+    fn inline<R>(&mut self, f: impl FnOnce(&mut Self, &mut dyn StepExecutor<'e>) -> R) -> R {
+        let mut executor = std::mem::take(&mut self.inline);
+        let result = f(self, &mut executor);
+        self.inline = executor;
+        result
     }
 
     /// [`submit`](BatchScheduler::submit) running admission prefills through
     /// `executor` (e.g. a [`WorkerPool`](crate::parallel::WorkerPool)) — the
     /// threaded front-end's submission path.  Admission decisions, ledger
     /// reservations and prefix-store planning stay on the calling thread in
-    /// admission order; only the prefill compute fans out, so the resulting
-    /// state is bit-identical to [`submit`](BatchScheduler::submit).
+    /// admission order; only the prefill compute fans out — and the session
+    /// stays where its prefill ran — so the resulting state is bit-identical
+    /// to [`submit`](BatchScheduler::submit).  Drive the scheduler through
+    /// the same executor from here on: that is where its sessions live.
     ///
     /// A request whose [`arrival_tick`](ServeRequest::arrival_tick) lies in
     /// the future is *scheduled* instead of queued: it stays invisible to
@@ -961,7 +938,7 @@ impl<'e> BatchScheduler<'e> {
             return;
         }
         let engine = self.engine;
-        let mut pending: Vec<SessionTask<'e>> = Vec::new();
+        let mut pending: Vec<Admission<'e>> = Vec::new();
         loop {
             let candidate = match self.config.admission {
                 AdmissionPolicy::Fcfs => self.waiting.front().map(|&index| (0, index)),
@@ -1061,14 +1038,14 @@ impl<'e> BatchScheduler<'e> {
 
     /// Commits the admission of a waiting request: opens the session, plans
     /// its first prefill against the prefix store (coordinator-side, in
-    /// admission order) and queues the compute as an executor task.  Returns
-    /// whether the planned prefill will publish a prefix boundary.
+    /// admission order) and queues session and plan for the executor.
+    /// Returns whether the planned prefill will publish a prefix boundary.
     fn commit_admission(
         &mut self,
         index: usize,
         lease: LeaseId,
         shared: Option<(u64, u64)>,
-        pending: &mut Vec<SessionTask<'e>>,
+        pending: &mut Vec<Admission<'e>>,
     ) -> bool {
         let request = match std::mem::replace(&mut self.states[index], RequestState::Taken) {
             RequestState::Waiting(request) => request,
@@ -1079,7 +1056,7 @@ impl<'e> BatchScheduler<'e> {
         let publishes = plan.publishes();
         self.timings[index].admitted_tick = self.tick;
         self.timings[index].queue_ticks = self.tick - self.timings[index].submitted_tick;
-        pending.push(SessionTask::prefill(
+        pending.push(Admission::new(
             index,
             session,
             request.prompt().to_vec(),
@@ -1099,25 +1076,41 @@ impl<'e> BatchScheduler<'e> {
     fn flush_admissions(
         &mut self,
         executor: &mut dyn StepExecutor<'e>,
-        pending: &mut Vec<SessionTask<'e>>,
+        pending: &mut Vec<Admission<'e>>,
     ) {
         if pending.is_empty() {
             return;
         }
         // A crashed prefill has no committed state to replay from: its panic
-        // resurfaces on the coordinator.
-        let mut outputs = executor.execute(std::mem::take(pending)).into_outputs();
-        outputs.sort_by_key(TaskOutput::index);
-        for output in outputs {
-            self.activate(output);
+        // resurfaces on the coordinator — after the whole batch has been
+        // answered, so a caller that catches it keeps a reusable executor.
+        let mut prefilled: Vec<Prefilled> = executor
+            .admit(std::mem::take(pending))
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|failure| {
+                panic!(
+                    "admission prefill of request {} panicked: {}",
+                    failure.index(),
+                    failure.message()
+                )
+            });
+        prefilled.sort_by_key(|prefilled| prefilled.index);
+        for prefilled in prefilled {
+            self.activate(prefilled);
         }
     }
 
-    /// Installs an admitted request's pre-filled session into its decode
-    /// slot.
-    fn activate(&mut self, output: TaskOutput<'e>) {
-        let worker = output.worker();
-        let (index, session, prefilled) = output.into_prefill();
+    /// Opens the decode slot of an admitted request whose pre-filled session
+    /// is now resident on the executor.
+    fn activate(&mut self, prefilled: Prefilled) {
+        let Prefilled {
+            index,
+            computed,
+            prefix_hit_tokens,
+            position,
+            worker,
+        } = prefilled;
         let admitted = match std::mem::replace(&mut self.states[index], RequestState::Taken) {
             RequestState::Admitted(admitted) => admitted,
             _ => unreachable!("only admitted requests are activated"),
@@ -1128,20 +1121,18 @@ impl<'e> BatchScheduler<'e> {
             shared,
             live_at_admission,
         } = *admitted;
-        if session.prefix_hit_tokens() > 0 {
+        if prefix_hit_tokens > 0 {
             self.prefix.hit_requests += 1;
-            self.prefix.hit_tokens += session.prefix_hit_tokens() as u64;
+            self.prefix.hit_tokens += prefix_hit_tokens as u64;
         }
         if worker.is_some() {
-            // The session crossed to a worker for its prefill and back.
-            self.parallel.queue_crossings += 2;
+            // The session crossed to its shard with its prefill; it stays.
+            self.parallel.queue_crossings += 1;
         }
         let remaining = request.decode_len();
-        let position = session.position();
         self.states[index] = RequestState::Active(Box::new(Slot {
             request,
-            session: Residency::Here(session),
-            prefilled,
+            prefilled: computed,
             generated: Vec::with_capacity(remaining),
             trace: DecodeTrace::default(),
             remaining,
@@ -1150,7 +1141,7 @@ impl<'e> BatchScheduler<'e> {
             shared,
             position,
             paused: false,
-            last_worker: worker,
+            worker,
         }));
     }
 
@@ -1160,16 +1151,17 @@ impl<'e> BatchScheduler<'e> {
     /// requests release their capacity and the waiting queue is back-filled
     /// before the call returns.
     pub fn step(&mut self) -> Vec<StepEvent> {
-        self.step_with(&mut InlineExecutor)
+        self.inline(|scheduler, executor| scheduler.try_step_with(executor))
+            .unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// [`step`](BatchScheduler::step) with the per-session decode compute
     /// fanned out through `executor` — the tick protocol of the threaded
     /// front-end (see [`crate::parallel`]):
     ///
-    /// 1. **Fan out** — every active session moves into a decode task;
-    ///    sessions are mutually independent, so workers may execute them in
-    ///    any order and produce bit-identical results.
+    /// 1. **Fan out** — every unpaused active session is stepped where it
+    ///    lives; sessions are mutually independent, so shards may run them
+    ///    in any order and produce bit-identical results.
     /// 2. **Commit (coordinator, submission order)** — returned steps are
     ///    applied in request-index order: token/trace bookkeeping, one
     ///    batched ledger commit
@@ -1195,14 +1187,13 @@ impl<'e> BatchScheduler<'e> {
     ///
     /// With chaos enabled the tick additionally:
     ///
-    /// * arms sessions the [`ChaosPlan`] marks for a worker panic this tick,
-    /// * replays failed sessions from their last committed-boundary
-    ///   [`Checkpoint`] (bounded by
-    ///   [`max_retries`](ChaosConfig::max_retries)) — the replay recomputes
-    ///   the identical decode step, so surviving streams stay bit-identical
-    ///   to a chaos-free run,
-    /// * refreshes each surviving session's checkpoint at the new committed
-    ///   boundary.
+    /// * has each shard checkpoint its sessions at the committed boundary
+    ///   they are about to leave, and arms the ones the [`ChaosPlan`] marks
+    ///   for a worker panic this tick,
+    /// * re-issues the step for sessions whose step panicked (bounded by
+    ///   [`max_retries`](ChaosConfig::max_retries)) — the shard restored the
+    ///   checkpoint in place, so the replay recomputes the identical decode
+    ///   step and surviving streams stay bit-identical to a chaos-free run.
     pub fn try_step_with(
         &mut self,
         executor: &mut dyn StepExecutor<'e>,
@@ -1211,23 +1202,14 @@ impl<'e> BatchScheduler<'e> {
         self.release_arrivals();
         self.shed_expired(executor);
         let memory = &self.engine.platform().memory;
-        // Sticky execution needs sessions to stay parked on their shards;
-        // chaos needs them on the coordinator between attempts (checkpoint
-        // capture and replay re-dispatch).  Chaos wins: with injection
-        // active the tick falls back to the classic move protocol — a
-        // sticky executor still pins every moved task to its owning shard.
-        let sticky = executor.is_sticky() && self.chaos.is_none();
         // Per-tick buffers are O(active requests) and amortized into noise
-        // by the decode compute they carry; ownership must cross the
-        // executor boundary, so they cannot be scheduler-resident.
-        let mut tasks = Vec::with_capacity(self.states.len());
-        let mut step_indices = Vec::new();
+        // by the decode compute they stand for.
+        let mut requests = Vec::with_capacity(self.states.len());
         for index in 0..self.states.len() {
-            if let RequestState::Active(slot) = &mut self.states[index] {
+            if let RequestState::Active(slot) = &self.states[index] {
                 if slot.paused {
-                    // Backpressured: the session sits this tick out,
-                    // wherever it lives (resident or parked) — zero queue
-                    // traffic either way.
+                    // Backpressured: the session sits this tick out, resident
+                    // where it is — zero queue traffic.
                     continue;
                 }
                 if let Some(tier) = self.tier.as_mut() {
@@ -1241,164 +1223,60 @@ impl<'e> BatchScheduler<'e> {
                         self.chaos.as_mut().map(|p| p as &mut dyn MigrationFaults),
                     );
                 }
-                if sticky {
-                    match std::mem::replace(&mut slot.session, Residency::Parked) {
-                        // First sticky tick since activation (or since a
-                        // recall brought the session back): one crossing to
-                        // its shard, where it stays.
-                        Residency::Here(session) => {
-                            executor.park(index, session);
-                            self.parallel.queue_crossings += 1;
-                        }
-                        Residency::Parked => {}
-                        Residency::Lost => {
-                            unreachable!("a lost session is shed in the tick that lost it")
-                        }
-                    }
-                    step_indices.push(index);
-                    continue;
-                }
-                let session = match std::mem::replace(&mut slot.session, Residency::Lost) {
-                    Residency::Here(session) => session,
-                    Residency::Parked => {
-                        panic!("request {index} is parked on another (sticky) executor")
-                    }
-                    Residency::Lost => {
-                        unreachable!("a lost session is shed in the tick that lost it")
-                    }
-                };
-                if self.chaos.is_some() && !self.checkpoints.contains_key(&index) {
-                    // First fan-out since activation: checkpoint the
-                    // committed (post-prefill) state before the session
-                    // leaves the coordinator.
-                    self.checkpoints
-                        .insert(index, Checkpoint::capture(&session, self.tick - 1));
-                    self.chaos_metrics.checkpoints_taken += 1;
-                }
-                let mut task = SessionTask::decode(index, session);
-                if self
-                    .chaos
-                    .as_ref()
-                    .is_some_and(|plan| plan.worker_panic(self.tick, index, 0))
-                {
-                    task.arm_sabotage();
-                    self.chaos_metrics.injected_panics += 1;
-                }
-                tasks.push(task);
+                requests.push(self.step_request(index, 0));
             }
         }
-        // Fan out, collecting this tick's commits from whichever protocol is
-        // active.  Both paths produce the same `PendingCommit` shape, so the
-        // commit loop below is shared — and since commits are sorted by
-        // request index before they land, the committed bits cannot depend
-        // on which protocol (or worker count) produced them.
+        // No chaos, no replay budget: a panicked session has no checkpoint.
         let max_retries = self
             .chaos
             .as_ref()
             .map_or(0, |plan| plan.config().max_retries);
         let mut attempt = 0u32;
-        let mut pending: Vec<PendingCommit>;
-        let lost;
-        if sticky {
-            let outcome = executor.step_parked(&step_indices);
-            lost = outcome.failures;
-            pending = outcome
-                .steps
-                .into_iter()
-                .map(|step| PendingCommit {
-                    index: step.index,
-                    step: step.step,
-                    tokens_before: step.tokens_before,
-                    position: step.position,
-                    worker: Some(step.worker),
-                })
-                .collect();
-        } else {
-            let mut result = executor.execute(tasks);
-
-            // Replay lost sessions from their checkpoints, bounded by the
-            // plan's retry budget.  A replay re-forks the last committed
-            // state and recomputes the very same decode step, so the
-            // committed bits are those the lost execution would have
-            // produced.
-            while !result.failures.is_empty() && self.chaos.is_some() && attempt < max_retries {
-                attempt += 1;
-                // One modelled backoff tick per replay round; the functional
-                // tick counter must stay chaos-invariant, so this is metrics
-                // only.
-                self.chaos_metrics.backoff_ticks += 1;
-                let failures = std::mem::take(&mut result.failures);
-                let mut retry_tasks = Vec::with_capacity(failures.len());
-                for failure in failures {
-                    let index = failure.index();
-                    let checkpoint = self
-                        .checkpoints
-                        .get(&index)
-                        .expect("chaos keeps a checkpoint for every active session");
-                    let session = checkpoint.restore();
-                    self.chaos_metrics.restored_sessions += 1;
-                    self.chaos_metrics.replayed_steps += 1;
-                    let mut task = SessionTask::decode(index, session);
-                    if self
-                        .chaos
-                        .as_ref()
-                        .is_some_and(|plan| plan.worker_panic(self.tick, index, attempt))
-                    {
-                        task.arm_sabotage();
-                        self.chaos_metrics.injected_panics += 1;
+        let mut pending: Vec<ResidentStep> = Vec::with_capacity(requests.len());
+        let mut lost = Vec::new();
+        loop {
+            for result in executor.step(&requests) {
+                match result {
+                    Ok(step) => pending.push(step),
+                    Err(failure) => {
+                        if self.chaos.is_some() {
+                            // The shard put the checkpoint back in place.
+                            self.chaos_metrics.restored_sessions += 1;
+                        }
+                        lost.push(failure);
                     }
-                    retry_tasks.push(task);
                 }
-                let retry = executor.execute(retry_tasks);
-                result.outputs.extend(retry.outputs);
-                result.failures = retry.failures;
             }
-            lost = std::mem::take(&mut result.failures);
-            pending = Vec::with_capacity(result.outputs.len());
-            for output in result.outputs {
-                let worker = output.worker();
-                let (index, session, step, tokens_before) = output.into_decode();
-                let position = session.position();
-                let RequestState::Active(slot) = &mut self.states[index] else {
-                    unreachable!("decode outputs come from active slots");
-                };
-                if self.chaos.is_some() && slot.remaining > 1 {
-                    // Refresh the checkpoint at the boundary this step
-                    // commits (unless it finishes the request) so a panic on
-                    // a later tick replays one step, not the whole request.
-                    self.checkpoints
-                        .insert(index, Checkpoint::capture(&session, self.tick));
-                    self.chaos_metrics.checkpoints_taken += 1;
-                }
-                slot.session = Residency::Here(session);
-                if worker.is_some() {
-                    // The whole session crossed to a worker and back.
-                    self.parallel.queue_crossings += 2;
-                }
-                pending.push(PendingCommit {
-                    index,
-                    step,
-                    tokens_before,
-                    position,
-                    worker,
-                });
+            if lost.is_empty() || attempt == max_retries {
+                break;
+            }
+            // Replay: re-issuing the step on the restored session recomputes
+            // the very decode step the lost execution would have committed.
+            // One modelled backoff tick per round; the functional tick
+            // counter must stay chaos-invariant, so this is metrics only.
+            attempt += 1;
+            self.chaos_metrics.backoff_ticks += 1;
+            requests.clear();
+            for failure in lost.drain(..) {
+                self.chaos_metrics.replayed_steps += 1;
+                requests.push(self.step_request(failure.index(), attempt));
             }
         }
         // Commit in request index (= submission) order: the ledger, trace,
         // and tier observations land identically for every executor.
-        pending.sort_by_key(|commit| commit.index);
+        pending.sort_by_key(|step| step.index);
 
         let mut events = Vec::with_capacity(pending.len());
         let mut completed = Vec::new();
         let mut growths = Vec::with_capacity(pending.len());
-        for commit in pending {
-            let PendingCommit {
+        for resident in pending {
+            let ResidentStep {
                 index,
                 step,
                 tokens_before,
                 position,
                 worker,
-            } = commit;
+            } = resident;
             // Grow the lease by the decoded token's full-scale KV bytes
             // (zero once the hardware budget N' saturates).
             let growth = self
@@ -1416,12 +1294,9 @@ impl<'e> BatchScheduler<'e> {
             slot.trace.steps.push(step.record);
             slot.remaining -= 1;
             growths.push((slot.lease, growth));
-            if let (Some(previous), Some(current)) = (slot.last_worker, worker) {
-                if previous != current {
-                    self.parallel.sessions_migrated += 1;
-                }
+            if worker != slot.worker {
+                self.parallel.sessions_migrated += 1;
             }
-            slot.last_worker = worker;
             if let Some(tier) = self.tier.as_mut() {
                 // Decode growth lands on the session's tier (eDRAM during a
                 // tick, thanks to promote-before-tick) and counts as a
@@ -1452,26 +1327,19 @@ impl<'e> BatchScheduler<'e> {
         for index in completed {
             self.complete(index, executor);
         }
-        // Requests whose retry budget is exhausted: restore the last
-        // committed state (so the shed finalizes a real partial turn), then
-        // shed them.  The first loss is reported to the caller; the
-        // scheduler itself stays consistent either way.
+        // Requests whose retry budget is exhausted are shed.  Under chaos
+        // the shard restored each to its last committed state, so the shed
+        // takes back a real partial turn to finalize.  The first loss is
+        // reported to the caller; the scheduler itself stays consistent
+        // either way.
         let worker_lost = lost.first().map(|failure| ServeError::WorkerLost {
             request: failure.index(),
             attempts: attempt + 1,
             message: failure.message().to_string(),
         });
         for failure in lost {
-            let index = failure.index();
-            if let Some(checkpoint) = self.checkpoints.get(&index) {
-                let session = checkpoint.restore();
-                self.chaos_metrics.restored_sessions += 1;
-                if let RequestState::Active(slot) = &mut self.states[index] {
-                    slot.session = Residency::Here(session);
-                }
-            }
             self.chaos_metrics.lost_requests += 1;
-            self.shed_active(index, ShedReason::WorkerLost, executor);
+            self.shed_active(failure.index(), ShedReason::WorkerLost, executor);
         }
         if let Some(tier) = self.tier.as_mut() {
             // End-of-tick rebalance, after completions freed their bytes:
@@ -1492,27 +1360,44 @@ impl<'e> BatchScheduler<'e> {
         }
     }
 
-    /// Takes a finalizing slot's session onto the coordinator, recalling it
-    /// from its shard (one queue crossing) when parked.  `None` when the
-    /// session was lost — to a decode panic on a worker, or on its shard —
-    /// in which case finalization degrades to a synthetic outcome.
-    fn resident_session(
+    /// This tick's step request for `index`, execution `attempt`: under
+    /// chaos the first attempt checkpoints the boundary it leaves, and any
+    /// attempt the [`ChaosPlan`] marks is sabotaged.
+    fn step_request(&mut self, index: usize, attempt: u32) -> StepRequest {
+        let sabotage = self
+            .chaos
+            .as_ref()
+            .is_some_and(|plan| plan.worker_panic(self.tick, index, attempt));
+        if sabotage {
+            self.chaos_metrics.injected_panics += 1;
+        }
+        let checkpoint = self.chaos.is_some() && attempt == 0;
+        if checkpoint {
+            self.chaos_metrics.checkpoints_taken += 1;
+        }
+        StepRequest {
+            index,
+            checkpoint,
+            sabotage,
+        }
+    }
+
+    /// Takes a finalizing slot's session back from the executor (one queue
+    /// crossing when it lived on a pool shard).  `None` when the session is
+    /// gone — lost to a decode panic with no checkpoint, or resident on a
+    /// different executor than the one asked — in which case finalization
+    /// degrades to a synthetic outcome.
+    fn take_session(
         &mut self,
         index: usize,
-        session: Residency<'e>,
+        worker: Option<usize>,
         executor: &mut dyn StepExecutor<'e>,
     ) -> Option<Session<'e>> {
-        match session {
-            Residency::Here(session) => Some(session),
-            Residency::Parked => {
-                let session = executor.recall(index);
-                if session.is_some() {
-                    self.parallel.queue_crossings += 1;
-                }
-                session
-            }
-            Residency::Lost => None,
+        let session = executor.take(index);
+        if session.is_some() && worker.is_some() {
+            self.parallel.queue_crossings += 1;
         }
+        session
     }
 
     /// Finalises a request: derives its capacity grant from the contention it
@@ -1522,8 +1407,8 @@ impl<'e> BatchScheduler<'e> {
         let RequestState::Active(mut slot) = state else {
             unreachable!("only active requests complete");
         };
-        let Some(mut session) = self.resident_session(index, slot.session, executor) else {
-            unreachable!("a request completes on a step its session survived");
+        let Some(mut session) = self.take_session(index, slot.worker, executor) else {
+            unreachable!("request {index} completed on a step its resident session just ran");
         };
         let kv_bytes = self.ledger.lease_bytes(slot.lease);
         let peak = slot.peak_concurrent_bytes;
@@ -1585,7 +1470,6 @@ impl<'e> BatchScheduler<'e> {
                 }
             }
         }
-        self.checkpoints.remove(&index);
         self.states[index] = RequestState::Finished(turn.into());
     }
 
@@ -1660,8 +1544,7 @@ impl<'e> BatchScheduler<'e> {
     /// releasing its lease, tier placement and shared-prefix attachment.
     /// With a resident session and at least one token the partial turn is
     /// finalized for real (hardware simulation, engine statistics); a
-    /// token-less or session-less shed produces a synthetic outcome.  A
-    /// parked session is recalled from its shard first.
+    /// token-less or session-less shed produces a synthetic outcome.
     fn shed_active(
         &mut self,
         index: usize,
@@ -1675,7 +1558,7 @@ impl<'e> BatchScheduler<'e> {
         let kv_bytes = self.ledger.lease_bytes(slot.lease);
         let generated = std::mem::take(&mut slot.generated);
         let trace = std::mem::take(&mut slot.trace);
-        let outcome = match self.resident_session(index, slot.session, executor) {
+        let outcome = match self.take_session(index, slot.worker, executor) {
             Some(mut session) if !generated.is_empty() => {
                 let decode_len = generated.len();
                 let turn = session.finish_turn(
@@ -1709,7 +1592,6 @@ impl<'e> BatchScheduler<'e> {
                 }
             }
         }
-        self.checkpoints.remove(&index);
         self.shed_events.push((index, reason));
         self.states[index] = RequestState::Finished(outcome);
     }
@@ -1720,16 +1602,17 @@ impl<'e> BatchScheduler<'e> {
     /// capacity immediately.  Returns `false` when the index is unknown or
     /// the request already finished.
     ///
-    /// A session parked on a sticky executor cannot be recalled through this
-    /// entry point (there is no executor to ask); its partial output is kept
-    /// but finalized synthetically.  Prefer
+    /// A session resident on a [`WorkerPool`](crate::parallel::WorkerPool)
+    /// cannot be taken back through this entry point (it only asks the
+    /// scheduler's own inline executor); its partial output is kept but
+    /// finalized synthetically.  Use
     /// [`cancel_with`](BatchScheduler::cancel_with) when stepping through a
-    /// sticky executor.
+    /// pool.
     pub fn cancel(&mut self, request: usize) -> bool {
-        self.cancel_with(request, &mut InlineExecutor)
+        self.inline(|scheduler, executor| scheduler.cancel_with(request, executor))
     }
 
-    /// [`cancel`](BatchScheduler::cancel), recalling a parked session from
+    /// [`cancel`](BatchScheduler::cancel), taking the session back from
     /// `executor` so the partial turn finalizes for real.
     pub fn cancel_with(&mut self, request: usize, executor: &mut dyn StepExecutor<'e>) -> bool {
         match self.states.get(request) {
@@ -1754,7 +1637,7 @@ impl<'e> BatchScheduler<'e> {
     /// been released — [`finish`](BatchScheduler::finish) cannot fail.
     /// Draining is terminal: requests submitted afterwards queue forever.
     pub fn drain(&mut self) -> Result<(), ServeError> {
-        self.drain_with(&mut InlineExecutor)
+        self.inline(|scheduler, executor| scheduler.drain_with(executor))
     }
 
     /// [`drain`](BatchScheduler::drain) stepping through `executor`.  A
@@ -1808,8 +1691,7 @@ impl<'e> BatchScheduler<'e> {
             .iter()
             .enumerate()
             .filter_map(|(index, state)| match state {
-                // The mirror, not the session: a sticky executor may be
-                // holding the session itself parked on its shard.
+                // The mirror: the session itself is resident on the executor.
                 RequestState::Active(slot) => Some((index, slot.position)),
                 _ => None,
             })
@@ -1832,8 +1714,9 @@ impl<'e> BatchScheduler<'e> {
     /// Panics on an unrecoverable worker loss, which only a configured
     /// [`ChaosConfig`] can produce; drive [`run_with`](BatchScheduler::run_with)
     /// to receive it as a typed error instead.
-    pub fn run_to_completion(self) -> BatchOutcome {
-        self.run_with(&mut InlineExecutor, |_| {})
+    pub fn run_to_completion(mut self) -> BatchOutcome {
+        let mut executor = std::mem::take(&mut self.inline);
+        self.run_with(&mut executor, |_| {})
             .unwrap_or_else(|error| panic!("{error}"))
     }
 
@@ -2571,9 +2454,10 @@ mod tests {
             .with_max_retries(0);
         let config = SchedulerConfig::default().with_chaos(chaos);
         let mut scheduler = BatchScheduler::with_config(&engine, config);
-        scheduler.submit(ServeRequest::new(vec![1, 2, 3], 4));
+        let mut executor = InlineExecutor::default();
+        scheduler.submit_with(ServeRequest::new(vec![1, 2, 3], 4), &mut executor);
         let err = scheduler
-            .try_step_with(&mut InlineExecutor)
+            .try_step_with(&mut executor)
             .expect_err("a certain panic with no retries must be lost");
         match err {
             ServeError::WorkerLost {

@@ -142,7 +142,7 @@ impl TierConfig {
     }
 }
 
-/// Residency and migration-traffic summary of one tier.
+/// One tier's residency and migration-traffic summary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TierUsageMetrics {
     /// Peak bytes ever resident in the tier, including transient

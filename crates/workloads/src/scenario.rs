@@ -205,18 +205,14 @@ impl ParallelScenario {
 
 /// A long-lived session fleet for the async serving front-end
 /// (`kelle::front`): short prompts, long decode tails, served through the
-/// submit/poll API's sticky-shard executor and, for comparison, through the
-/// synchronous path's work-stealing pool.
+/// submit/poll API.
 ///
 /// The shape is the opposite of [`ParallelScenario::edge_fleet`]'s
 /// prefill-heavy burst: here almost all the work is decode ticks on
-/// sessions that stay resident for a long time, which is exactly where the
-/// sticky-shard executor's queue-traffic win shows up (a stealing executor
-/// moves every session across the task queue twice per tick; a sticky one
-/// moves only per-tick step results).  `bench_front` sweeps this scenario
-/// at each worker count with both executors and asserts the streams are
-/// bit-identical while measuring queue-crossings/tick and tokens/s.
-/// Pure data, deterministic in its seed.
+/// sessions that stay resident for a long time — the shape that makes
+/// per-tick executor traffic, rather than admission, the cost that counts,
+/// and the reason sessions live on their worker shard instead of moving
+/// through a queue every tick.  Pure data, deterministic in its seed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FrontScenario {
     /// The long-lived session fleet.
@@ -246,8 +242,8 @@ impl FrontScenario {
 
     /// The acceptance-shape fleet: 16 long-lived sessions (64-token shared
     /// system prompt, 8-token user turns) each decoding 96 tokens, served
-    /// at 1, 2 and 4 workers.  Decode dominates prefill ~6:1, the shape the
-    /// sticky-shard executor exists for.
+    /// at 1, 2 and 4 workers.  Decode dominates prefill ~6:1, the shape
+    /// pinned residency exists for.
     pub fn long_lived_fleet() -> Self {
         FrontScenario::new(
             SharedPromptScenario::new(16, 64, 8).with_decode_len(96),

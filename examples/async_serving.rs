@@ -1,7 +1,7 @@
 //! Async serving front-end: the long-lived fleet submitted through
 //! `kelle::front`'s non-blocking submit/poll API, with a bounded admission
 //! queue, per-stream backpressure, a mid-stream cancellation and a graceful
-//! drain, on the front's sticky-shard executor.
+//! drain, with every session pinned to its shard of the worker pool.
 //!
 //! Run with `cargo run --release --example async_serving`.
 

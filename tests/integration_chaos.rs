@@ -2,8 +2,9 @@
 //! (`kelle::chaos`) must leave every surviving token stream, per-step trace,
 //! probability-bearing fault statistics and per-request hardware outcomes
 //! **bit-identical** to a fault-free run — for all five cache policies,
-//! both decode-parallelism axes (a wide mix on the session axis, one-session
-//! batches on the intra axis), every worker count, with tiering enabled so
+//! both decode shapes (a wide mix stepped whole on its shards, one-session
+//! batches that fork inside the step), every worker count, with tiering
+//! enabled so
 //! transient migration faults fire alongside worker panics and admission
 //! blips.  Shedding (deadlines, queue timeouts, `cancel`, `drain`) and the
 //! typed [`ServeError::WorkerLost`] exit must release every byte they held.
@@ -182,16 +183,16 @@ fn assert_storm_recovers(
 fn chaos_recovery_is_bit_identical_across_policies_axes_workers_and_seeds() {
     // Session axis: on an eDRAM that admits most of the six-request policy
     // mix at once (and still overflows, so migrations fire) the batch is
-    // wide enough to move whole sessions through the queue on every pool
-    // under test.
+    // wide enough that every pool under test steps its sessions whole.
     let wide_edram = shared_prefix().len() + 30;
     let solo_edram = shared_prefix().len() + 6;
     let baseline = sharing_engine(7, 1)
         .serve(policy_mix(), ServeOptions::new())
         .expect("no chaos configured");
-    // Intra axis: a one-session batch decodes on the coordinator at every
-    // worker count, so a sabotaged step is lost and replayed there — one
-    // long-lived session per policy.
+    // Intra axis: a one-session batch forks inside the step wherever the
+    // pool has an idle worker to feed, so a sabotaged forked step is
+    // restored and replayed on its shard — one long-lived session per
+    // policy.
     let solo = |policy: CachePolicy| {
         let mut prompt = shared_prefix();
         prompt.extend([41, 42, 43]);
@@ -218,10 +219,13 @@ fn chaos_recovery_is_bit_identical_across_policies_axes_workers_and_seeds() {
                 chaotic.chaos.injected_panics > 0,
                 "{label}: the storm must actually panic workers"
             );
-            assert!(
-                chaotic.parallel.queue_crossings > 2 * policy_mix().len() as u64,
-                "{label}: decode steps must have moved sessions through the queue"
+            assert_eq!(
+                chaotic.parallel.queue_crossings,
+                2 * policy_mix().len() as u64,
+                "{label}: each session crosses in with its prefill and out when taken; \
+                 checkpoints, restores and replays all happen where it lives"
             );
+            assert_eq!(chaotic.parallel.sessions_migrated, 0, "{label}");
             assert!(
                 chaotic.tiering.demotions > 0,
                 "{label}: the mix must overflow the eDRAM tier"
@@ -245,7 +249,7 @@ fn chaos_recovery_is_bit_identical_across_policies_axes_workers_and_seeds() {
                 solo_panics += chaotic.chaos.injected_panics;
                 assert_eq!(
                     chaotic.parallel.queue_crossings, 2,
-                    "{label}: only the admission prefill crosses the queue"
+                    "{label}: one crossing in with the prefill, one out when taken"
                 );
             }
             assert!(
@@ -334,23 +338,30 @@ fn cancel_and_drain_release_everything_after_faults() {
             .with_tiering(tiny_tiering(&engine, shared_prefix().len() + 6))
             .with_chaos(storm(seed));
         let mut scheduler = BatchScheduler::with_config(&engine, config);
+        let mut executor = InlineExecutor::default();
         let requests = policy_mix();
         let total = requests.len();
         for request in requests {
-            scheduler.submit(request);
+            scheduler.submit_with(request, &mut executor);
         }
         // Let faults inject and recover for a couple of ticks, then cancel
         // the longest-running request (decode length 7 — still live) and
         // drain the rest.
         for _ in 0..2 {
             scheduler
-                .try_step_with(&mut InlineExecutor)
+                .try_step_with(&mut executor)
                 .expect("the replay budget absorbs every fault");
         }
-        assert!(scheduler.cancel(4), "request 4 is live and cancellable");
-        assert!(!scheduler.cancel(4), "cancel is idempotent");
+        assert!(
+            scheduler.cancel_with(4, &mut executor),
+            "request 4 is live and cancellable"
+        );
+        assert!(
+            !scheduler.cancel_with(4, &mut executor),
+            "cancel is idempotent"
+        );
         scheduler
-            .drain()
+            .drain_with(&mut executor)
             .expect("drain finishes in-flight work despite the storm");
         assert!(scheduler.is_draining());
         assert!(scheduler.is_idle());
@@ -447,7 +458,7 @@ fn a_lost_worker_sheds_its_request_and_leaks_nothing() {
         assert_eq!(outcome.chaos.lost_requests, 1, "{label}");
     }
     let engine = KelleEngine::builder().seed(5).build();
-    drive(&engine, &mut InlineExecutor, "inline");
+    drive(&engine, &mut InlineExecutor::default(), "inline");
     for workers in worker_counts() {
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, workers);

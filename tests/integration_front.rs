@@ -49,9 +49,8 @@ fn chaos_seeds() -> Vec<u64> {
 }
 
 /// Asserts two batch outcomes are bit-identical in every stream-affecting
-/// observable.  Executor-protocol traffic (`parallel`) is *expected* to
-/// differ — that asymmetry is the point of the sticky shard — so it is not
-/// compared here.
+/// observable.  Executor-protocol traffic (`parallel`) is a cost metric that
+/// differs between inline and pooled execution, so it is not compared here.
 fn assert_outcomes_identical(a: &BatchOutcome, b: &BatchOutcome, label: &str) {
     assert_eq!(a.outcomes.len(), b.outcomes.len(), "{label}: request count");
     for (i, (x, y)) in a.outcomes.iter().zip(b.outcomes.iter()).enumerate() {
@@ -169,12 +168,13 @@ fn front_streams_are_bit_identical_to_synchronous_serving() {
             sequential_engine.prefix_stats(),
             "{label}: prefix-store traffic"
         );
-        // The work-stealing pool of the synchronous parallel path commits
-        // the same batch.
+        // The synchronous parallel path runs the same pool and commits the
+        // same batch, at the same queue traffic.
         let synchronous = sharing_engine(7, workers)
             .serve(policy_mix(), ServeOptions::new().parallel())
             .expect("no chaos configured");
         assert_outcomes_identical(&synchronous, &outcome, &format!("{label}, vs .parallel()"));
+        assert_eq!(synchronous.parallel, outcome.parallel, "{label}");
     }
 }
 
@@ -248,7 +248,7 @@ fn idle_paused_sessions_consume_no_queue_traffic() {
         }
         let soak_start = *front.scheduler().parallel_metrics();
         // The soak: an idle (unpolled) fleet pumped hard must move nothing
-        // across threads — the parked sessions stay on their shards.
+        // across threads — the resident sessions stay on their shards.
         for _ in 0..50 {
             assert!(!front.pump(), "a fully paused front makes no progress");
         }
@@ -318,6 +318,25 @@ fn cancel_and_drain_through_the_front_release_every_byte() {
     assert_eq!(outcome.outcomes[1].shed, None);
 }
 
+/// A tiered front configuration (eDRAM for the shared prefix plus six
+/// tokens), with a recoverable every-class fault storm when `seed` is given.
+fn stormy_front(engine: &KelleEngine, seed: Option<u64>) -> FrontConfig {
+    let tiered = SchedulerConfig::default().with_tiering(TierConfig::with_edram_budget(
+        engine.kv_footprint_bytes(shared_prefix().len() + 6),
+    ));
+    FrontConfig::default().with_scheduler(match seed {
+        Some(seed) => tiered.with_chaos(
+            ChaosConfig::default()
+                .with_seed(seed)
+                .with_worker_panics(200)
+                .with_migration_faults(250)
+                .with_ledger_blips(100)
+                .with_max_retries(12),
+        ),
+        None => tiered,
+    })
+}
+
 #[test]
 fn chaos_storms_through_the_front_are_bit_identical_and_leak_free() {
     let baseline = serve(
@@ -328,19 +347,7 @@ fn chaos_storms_through_the_front_are_bit_identical_and_leak_free() {
     for seed in chaos_seeds() {
         let label = format!("chaos seed={seed}");
         let engine = sharing_engine(7, 2);
-        let chaos = ChaosConfig::default()
-            .with_seed(seed)
-            .with_worker_panics(200)
-            .with_migration_faults(250)
-            .with_ledger_blips(100)
-            .with_max_retries(12);
-        let config = FrontConfig::default().with_scheduler(
-            SchedulerConfig::default()
-                .with_tiering(TierConfig::with_edram_budget(
-                    engine.kv_footprint_bytes(shared_prefix().len() + 6),
-                ))
-                .with_chaos(chaos),
-        );
+        let config = stormy_front(&engine, Some(seed));
         let (streams, outcome) = engine.front(config, |front| {
             let handles: Vec<TokenStream> = policy_mix()
                 .into_iter()
@@ -373,37 +380,91 @@ fn chaos_storms_through_the_front_are_bit_identical_and_leak_free() {
     }
 }
 
+/// Regression (failed while a `ChaosConfig` dropped the front back to moving
+/// whole sessions every tick): a panic storm through the front keeps pinned
+/// execution.  Checkpoints, restores and replays all happen on the shard, so
+/// the storm's queue traffic is exactly the clean run's.
+#[test]
+fn chaos_through_the_front_keeps_sessions_pinned() {
+    let baseline = serve(
+        &sharing_engine(7, 1),
+        policy_mix(),
+        SchedulerConfig::default(),
+    );
+    let through_front = |engine: &KelleEngine, seed: Option<u64>| {
+        let ((), outcome) = engine.front(stormy_front(engine, seed), |front| {
+            for request in policy_mix() {
+                front.submit(request).expect("unbounded queue");
+            }
+        });
+        outcome
+    };
+    for workers in worker_counts() {
+        let clean = through_front(&sharing_engine(7, workers), None);
+        assert_eq!(
+            clean.parallel.queue_crossings,
+            2 * policy_mix().len() as u64
+        );
+        for seed in chaos_seeds() {
+            let label = format!("workers={workers}, chaos seed={seed}");
+            let stormy = through_front(&sharing_engine(7, workers), Some(seed));
+            assert!(stormy.chaos.injected_panics > 0, "{label}: the storm fires");
+            assert_eq!(stormy.chaos.lost_requests, 0, "{label}");
+            assert_eq!(
+                stormy.parallel.queue_crossings, clean.parallel.queue_crossings,
+                "{label}: a storm moves no session"
+            );
+            assert_eq!(stormy.parallel.sessions_migrated, 0, "{label}");
+            for (i, (x, y)) in baseline.outcomes.iter().zip(&stormy.outcomes).enumerate() {
+                assert_eq!(x.generated, y.generated, "{label}: stream {i}");
+                assert_eq!(x.trace, y.trace, "{label}: trace {i}");
+                assert_eq!(x.faults, y.faults, "{label}: fault stats {i}");
+                assert_eq!(x.hardware, y.hardware, "{label}: hardware {i}");
+                assert_eq!(y.shed, None, "{label}: request {i} survives");
+            }
+        }
+    }
+}
+
 #[test]
 fn sticky_shards_cross_the_queue_strictly_less_than_stealing() {
+    // With one pool there is no stealing executor left to compare against;
+    // the price of pinned residency is pinned absolutely instead: one
+    // crossing in with the prefill, one out when taken, none per tick — on
+    // the front and on the synchronous path alike.
     for workers in worker_counts() {
         let engine = KelleEngine::builder().seed(13).workers(workers).build();
         let fleet: Vec<ServeRequest> = (0..6)
             .map(|i| ServeRequest::new(vec![i + 1, i + 2, i + 3], 24))
             .collect();
         let requests = fleet.clone();
-        let ((), sticky) = engine.front(FrontConfig::default(), move |front| {
+        let ((), front) = engine.front(FrontConfig::default(), move |front| {
             for request in requests {
                 front.submit(request).expect("unbounded queue");
             }
         });
-        // The same tick-0 fleet through the synchronous path's stealing pool.
-        let stealing = engine
-            .serve(fleet, ServeOptions::new().parallel())
+        let synchronous = engine
+            .serve(fleet.clone(), ServeOptions::new().parallel())
             .expect("no chaos configured");
-        for (a, b) in sticky.outcomes.iter().zip(stealing.outcomes.iter()) {
+        for (a, b) in front.outcomes.iter().zip(synchronous.outcomes.iter()) {
             assert_eq!(a.generated, b.generated, "workers={workers}");
         }
-        assert_eq!(sticky.parallel.ticks, stealing.parallel.ticks);
-        assert!(
-            sticky.parallel.queue_crossings < stealing.parallel.queue_crossings,
-            "workers={workers}: sticky {} !< stealing {}",
-            sticky.parallel.queue_crossings,
-            stealing.parallel.queue_crossings,
-        );
-        assert_eq!(
-            sticky.parallel.sessions_migrated, 0,
-            "workers={workers}: pinning never migrates"
-        );
+        for outcome in [&front, &synchronous] {
+            assert_eq!(outcome.parallel.ticks, 24, "workers={workers}");
+            assert_eq!(
+                outcome.parallel.queue_crossings,
+                2 * fleet.len() as u64,
+                "workers={workers}: two crossings per session, whatever its lifetime"
+            );
+            assert_eq!(
+                outcome.parallel.sessions_migrated, 0,
+                "workers={workers}: pinning never migrates"
+            );
+        }
+        let inline = engine
+            .serve(fleet, ServeOptions::new())
+            .expect("no chaos configured");
+        assert_eq!(inline.parallel.queue_crossings, 0, "inline never crosses");
     }
 }
 
@@ -415,23 +476,26 @@ fn shed_reasons_surface_through_the_event_stream_as_they_happen() {
     let capacity = engine.kv_footprint_bytes(4);
     let config = SchedulerConfig::default().with_kv_capacity_bytes(capacity);
     let mut scheduler = BatchScheduler::with_config(&engine, config);
-    scheduler.submit(
+    let mut executor = InlineExecutor::default();
+    scheduler.submit_with(
         ServeRequest::builder(vec![1, 2, 3, 4])
             .decode_len(10)
             .deadline_ticks(4)
             .build(),
+        &mut executor,
     );
-    scheduler.submit(
+    scheduler.submit_with(
         ServeRequest::builder(vec![5, 6, 7, 8])
             .decode_len(2)
             .queue_timeout_ticks(2)
             .build(),
+        &mut executor,
     );
     assert_eq!(scheduler.waiting(), 1, "the fixture must queue request 1");
     let mut tokens = Vec::new();
     let mut sheds = Vec::new();
     let outcome = scheduler
-        .run_with(&mut InlineExecutor, |event| match event {
+        .run_with(&mut executor, |event| match event {
             ServeEvent::Token { request, token, .. } => tokens.push((request, token)),
             ServeEvent::Shed { request, reason } => sheds.push((request, reason)),
         })

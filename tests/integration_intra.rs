@@ -4,8 +4,8 @@
 //! streams, per-step probability bits and fault statistics — for every
 //! worker count, all five cache policies and fault-enabled refresh
 //! configurations, on both the session API and the worker pool's own
-//! per-tick axis choice (intra-session for a decode batch of one task or at
-//! most half a task per worker, session-parallel otherwise).
+//! per-tick choice (fork inside each step for a decode batch of at most half
+//! a session per worker, step sessions whole otherwise).
 //!
 //! The CI determinism gate runs this suite at explicit worker counts via the
 //! `KELLE_TEST_WORKERS` environment variable (comma-separated, e.g.
@@ -72,22 +72,11 @@ fn serve(
         .expect("no chaos configured")
 }
 
-/// Queue crossings the pool's axis rule predicts for an unbounded batch:
-/// every admission prefill crosses (2 each); a decode tick crosses (2 per
-/// active session) only on the session axis — more than one session *and*
-/// more than half a session per worker.
-fn expected_crossings(requests: &[ServeRequest], workers: usize) -> u64 {
-    let ticks = requests
-        .iter()
-        .map(ServeRequest::decode_len)
-        .max()
-        .unwrap_or(0);
-    let decode: usize = (0..ticks)
-        .map(|tick| requests.iter().filter(|r| r.decode_len() > tick).count())
-        .filter(|&active| active > 1 && active * 2 > workers)
-        .map(|active| 2 * active)
-        .sum();
-    (2 * requests.len() + decode) as u64
+/// Queue crossings of an unbounded batch on any pool: each session crosses
+/// to its shard with its prefill and back when it is taken — nothing per
+/// tick, whichever way the pool runs the step.
+fn expected_crossings(requests: &[ServeRequest]) -> u64 {
+    2 * requests.len() as u64
 }
 
 /// Asserts streams, traces, fault/cache statistics and batch metrics match.
@@ -215,21 +204,24 @@ fn every_axis_serves_batches_bit_identically_to_sequential() {
         let outcome = serve(&engine, policy_mix(), SchedulerConfig::default(), true);
         let label = format!("workers={workers}");
         assert_batches_identical(&sequential, &outcome, &label);
-        // The narrowing batch crossed the queue exactly where the axis rule
-        // says the session axis ran.
+        // The batch narrows from whole-session steps to forked ones mid-run
+        // without a session ever moving.
         assert_eq!(
             outcome.parallel.queue_crossings,
-            expected_crossings(&policy_mix(), workers),
-            "{label}: axis taken per tick"
+            expected_crossings(&policy_mix()),
+            "{label}: crossings"
         );
+        assert_eq!(outcome.parallel.sessions_migrated, 0, "{label}");
     }
 }
 
-/// On a 4-worker pool a 1- or 2-session batch decodes on the intra axis
-/// (zero decode crossings) and a 5-session batch on the session axis (2 per
-/// session per tick) — bit-identically to inline serving, under faults, for
-/// all five policies.  (Per-step probability bits of the same pool runner
-/// are pinned by `intra_decode_is_bit_identical_…` above.)
+/// On a 4-worker pool a 1- or 2-session batch forks inside each step and a
+/// 5-session batch steps its sessions whole — bit-identically to inline
+/// serving, under faults, for all five policies, and at the same queue
+/// traffic: the sessions stay on their shards either way.  (Which widths
+/// fork is pinned next to the rule, in `kelle::parallel`'s unit tests;
+/// per-step probability bits of the same pool runner by
+/// `intra_decode_is_bit_identical_…` above.)
 #[test]
 fn batch_width_picks_the_axis_on_a_four_worker_pool() {
     let decode_len = 6;
@@ -246,21 +238,16 @@ fn batch_width_picks_the_axis_on_a_four_worker_pool() {
             );
             let outcome = serve(
                 &faulty_engine_on(policy, 11, 4),
-                requests,
+                requests.clone(),
                 SchedulerConfig::default(),
                 true,
             );
             let label = format!("policy={}, width={width}", policy.name());
             assert_batches_identical(&sequential, &outcome, &label);
-            let decode_crossings = outcome.parallel.queue_crossings - 2 * width as u64;
-            let expected = if width <= 2 {
-                0
-            } else {
-                2 * width * decode_len
-            };
             assert_eq!(
-                decode_crossings, expected as u64,
-                "{label}: decode crossings"
+                outcome.parallel.queue_crossings,
+                expected_crossings(&requests),
+                "{label}: no decode tick crosses the queue"
             );
         }
     }
@@ -270,10 +257,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random request mixes served with tiering enabled are bit-identical to
-    /// sequential serving whichever axis the pool picks: narrow pools keep
-    /// wide mixes on the session axis, the 10-worker pool is at least twice
-    /// as wide as any mix and decodes every tick on the intra axis — both
-    /// compose with the memory-hierarchy overlay.
+    /// sequential serving however the pool runs the step: narrow pools step
+    /// wide mixes whole, the 10-worker pool is at least twice as wide as any
+    /// mix and forks inside every step — both compose with the
+    /// memory-hierarchy overlay.
     #[test]
     fn random_mixes_are_axis_and_worker_invariant_with_tiering(
         seed in 0u64..500,
