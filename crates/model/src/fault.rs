@@ -19,41 +19,64 @@
 //! # Sampling
 //!
 //! The model is one independent Bernoulli(`p`) decision per stored bit, `p`
-//! being the rate of the bit's (token group, significance) class.  A lane
-//! decides it by comparing an 80-bit uniform integer `U` with the fixed-point
-//! threshold `P = ⌊p·2⁸⁰⌋` and flipping iff `U < P`, reading `U` lazily:
+//! being the rate of the bit's (token group, significance) class.  2DRP makes
+//! the two significance classes differ by one to two orders of magnitude, so
+//! a lane realises them with two samplers:
 //!
-//! * `hi = ⌊p·2¹⁶⌋` and `rest = ⌊frac(p·2¹⁶)·2⁶⁴⌋` are computed once per
-//!   class, so `P = hi·2⁶⁴ + rest`.  Every step is exact in IEEE-754 double
-//!   arithmetic: scaling by a power of two only moves the exponent, `floor`
-//!   and the subtraction of an integer part are exact, and `frac·2⁶⁴ < 2⁶⁴`
-//!   converts to `u64` by truncation.  A `p` below `2⁻²⁸` loses the bits of
-//!   its 53-bit significand that lie below `2⁻⁸⁰`; every other `p` in `[0, 1]`
-//!   is represented exactly, so `Pr[flip] = P/2⁸⁰` equals `p` to within
-//!   `2⁻⁸⁰` always, and exactly for every rate 2DRP produces.
-//! * The top 16 bits of `U` are one 16-bit chunk of keystream — four
-//!   decisions per `next_u64`, chunks taken from the low end.  `chunk < hi`
-//!   flips, `chunk > hi` does not, and neither needs the low 64 bits of `U`.
-//!   Only the tie `chunk == hi`, probability `2⁻¹⁶` per decision, draws one
-//!   more `u64` from the same generator and flips iff it is `< rest`.
-//! * Draw order within a word: the eight LSB-class bits from bit 0 up, then
-//!   the eight MSB-class bits from bit 8 up.  A class whose threshold is zero
-//!   draws nothing at all, so an all-zero rate configuration never advances
-//!   any generator (the serving layer relies on that to share prefixes
-//!   across fault seeds when the refresh policy cannot corrupt).  `p = 1`
-//!   has `hi = 2¹⁶`, which no chunk reaches: every bit flips, no tie draw.
+//! * **LSB classes (`p` ≈ 2–5 %): one decision per bit.**  With roughly one
+//!   LSB byte in six holding a flip there is little to skip.  A decision
+//!   compares an 80-bit uniform integer `U` with the fixed-point threshold
+//!   `P = ⌊p·2⁸⁰⌋` and flips iff `U < P`, reading `U` lazily.  `hi = ⌊p·2¹⁶⌋`
+//!   and `rest = ⌊frac(p·2¹⁶)·2⁶⁴⌋` are computed once per class, so
+//!   `P = hi·2⁶⁴ + rest`; every step is exact in IEEE-754 double arithmetic
+//!   (scaling by a power of two only moves the exponent, `floor` and the
+//!   subtraction of an integer part are exact, and `frac·2⁶⁴ < 2⁶⁴` converts
+//!   to `u64` by truncation), so `Pr[flip] = P/2⁸⁰` equals `p` to within
+//!   `2⁻⁸⁰` always, and exactly for every rate 2DRP produces.  The top 16
+//!   bits of `U` are one 16-bit chunk of keystream — four decisions per
+//!   `next_u64`, chunks taken from the low end.  `chunk < hi` flips,
+//!   `chunk > hi` does not; only the tie `chunk == hi`, probability `2⁻¹⁶`
+//!   per decision, draws one more `u64` and flips iff it is `< rest`.
+//!   `p = 1` has `hi = 2¹⁶`, which no chunk reaches: every bit flips.
+//! * **MSB classes (`p` ≈ 10⁻⁴–10⁻², 97–99.9 % of bytes intact): one draw
+//!   per flip.**  The number of intact bits before the next flip of a
+//!   Bernoulli(`p`) sequence is geometric, `Pr[gap ≥ k] = (1−p)ᵏ`, so the
+//!   lane keeps, per token group, the count of MSB-class bits still to pass
+//!   before that group's next flip and redraws it only when a flip lands.
+//!   A draw is one `next_u64` `u` looked up in the class's survival table
+//!   `surv[k] ≈ (1−p)^(k+1)·2⁶⁴`, `k < 256`: the gap is the number of entries
+//!   above `u`, and a `u` below `surv[255]` adds 256 and draws again (the
+//!   geometric law is memoryless).  The table is integer-only: `surv[0] =
+//!   2⁶⁴ − ⌊p·2⁶⁴⌋` (an exact power-of-two scaling) and `surv[k+1] =
+//!   ⌊surv[k]·surv[0] / 2⁶⁴⌋` in `u128` — no logarithm, no `pow`, so every
+//!   platform builds the same table.  Each step truncates by less than one
+//!   unit, so `surv[k]` is within `k + 1` units of `(1−p)^(k+1)·2⁶⁴` and every
+//!   gap probability within `2⁻⁵⁵` of the geometric law.  `p < 2⁻⁶⁴` rounds
+//!   to "never", `p ≥ 1` is "all eight bits, no draw".  The counter carries
+//!   across words, rows and calls; a group's first gap is drawn by that
+//!   group's first read.
+//!
+//! Draw order within a word: the eight LSB chunks from bit 0 up (tie draws
+//! where they fall), then one gap redraw per MSB flip that lands in the word,
+//! from bit 8 up.  A class that can never flip draws nothing at all, so an
+//! all-zero rate configuration never advances any generator (the serving
+//! layer relies on that to share prefixes across fault seeds when the
+//! refresh policy cannot corrupt).
 //!
 //! A lane's stream therefore depends only on the injector seed, the lane's
 //! `(layer, head)` label and the lane's own sequence of `(group, len)` reads
 //! — not on the values read, on other lanes, or on which thread runs it.
 //! Reading a row through [`FaultInjector::corrupt_slice`] is by definition
 //! the same as reading its words one by one through
-//! [`FaultInjector::corrupt`].
+//! [`FaultInjector::corrupt`].  `Clone` captures a lane's generator, its
+//! unread LSB chunks, both groups' gap counters and its statistics; the
+//! survival tables are shared, not copied.
 
 use kelle_tensor::fp16;
 use kelle_tensor::rng::{self, DetRng};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Importance group of a token, as classified by the cache policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -275,15 +298,66 @@ impl Threshold {
     }
 }
 
-/// The two thresholds a stored word of one token group is read against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Gap-sampling form of one rate class: how far it is to the next flipped bit
+/// of a Bernoulli(`p`) sequence.  See the module docs.
+#[derive(Debug, Clone)]
+enum Gap {
+    /// `p < 2⁻⁶⁴` (or not a probability): no bit ever flips, nothing is drawn.
+    Never,
+    /// `p ≥ 1`: every bit flips, nothing is drawn.
+    Always,
+    /// `surv[k] ≈ (1−p)^(k+1)·2⁶⁴`, strictly the integer recurrence of
+    /// [`Gap::new`]; non-increasing.  Shared by every clone of the injector.
+    Table(Arc<[u64; Gap::SPAN]>),
+}
+
+impl Gap {
+    /// Gap lengths one table lookup resolves; longer gaps add `SPAN` and
+    /// look up again.
+    const SPAN: usize = 256;
+
+    fn new(p: f64) -> Self {
+        if p >= 1.0 {
+            return Gap::Always;
+        }
+        // ⌊p·2⁶⁴⌋: the scaling is exact and the cast truncates.  Also catches
+        // NaN and negatives (both cast to 0); a rate is a probability,
+        // anything else is "off".
+        let flip = (p * 18_446_744_073_709_551_616.0) as u64;
+        if flip == 0 {
+            return Gap::Never;
+        }
+        let keep = flip.wrapping_neg(); // 2⁶⁴ − flip, which fits: flip ≥ 1
+        let mut surv = [keep; Gap::SPAN];
+        for k in 1..Gap::SPAN {
+            surv[k] = ((u128::from(surv[k - 1]) * u128::from(keep)) >> 64) as u64;
+        }
+        Gap::Table(Arc::new(surv))
+    }
+
+    /// Draws the number of intact bits before the next flip.
+    #[inline]
+    fn draw(surv: &[u64; Gap::SPAN], rng: &mut DetRng) -> u64 {
+        let mut passed = 0;
+        loop {
+            let u = rng.next_u64();
+            if u >= surv[Gap::SPAN - 1] {
+                return passed + surv.partition_point(|&s| u < s) as u64;
+            }
+            passed += Gap::SPAN as u64;
+        }
+    }
+}
+
+/// The two samplers a stored word of one token group is read against.
+#[derive(Debug, Clone)]
 struct WordThresholds {
     lsb: Threshold,
-    msb: Threshold,
+    msb: Gap,
 }
 
 /// [`BitFlipRates`] in sampling form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct Thresholds {
     hst: WordThresholds,
     lst: WordThresholds,
@@ -293,7 +367,7 @@ impl Thresholds {
     fn new(rates: &BitFlipRates) -> Self {
         let word = |group| WordThresholds {
             lsb: Threshold::new(rates.rate(group, SignificanceGroup::Lsb)),
-            msb: Threshold::new(rates.rate(group, SignificanceGroup::Msb)),
+            msb: Gap::new(rates.rate(group, SignificanceGroup::Msb)),
         };
         Thresholds {
             hst: word(TokenGroup::HighScore),
@@ -301,10 +375,10 @@ impl Thresholds {
         }
     }
 
-    fn of(&self, group: TokenGroup) -> WordThresholds {
+    fn of(&self, group: TokenGroup) -> &WordThresholds {
         match group {
-            TokenGroup::HighScore => self.hst,
-            TokenGroup::LowScore => self.lst,
+            TokenGroup::HighScore => &self.hst,
+            TokenGroup::LowScore => &self.lst,
         }
     }
 }
@@ -313,14 +387,18 @@ impl Thresholds {
 ///
 /// A lane owns its own RNG (seeded from the parent seed and the lane's
 /// `(layer, head)` label via [`rng::lane`]), the unread 16-bit chunks of the
-/// last keystream word it drew, and its own counters, so the draws consumed
-/// for one attention head never shift the stream of another.
+/// last keystream word it drew, each token group's distance to its next MSB
+/// flip, and its own counters, so the draws consumed for one attention head
+/// never shift the stream of another.
 #[derive(Debug, Clone)]
 struct FaultLane {
     rng: DetRng,
     /// Unread chunks of the last keystream word, next chunk in the low bits.
     pool: u64,
     pool_left: u8,
+    /// Per token group: MSB-class bits still to pass before the next flip;
+    /// `None` until the group's first read draws it.
+    msb_gap: [Option<u64>; 2],
     stats: FaultStats,
 }
 
@@ -330,6 +408,7 @@ impl FaultLane {
             rng: rng::lane(seed, layer as u64, head as u64),
             pool: 0,
             pool_left: 0,
+            msb_gap: [None; 2],
             stats: FaultStats::default(),
         }
     }
@@ -362,29 +441,64 @@ impl FaultLane {
         (0..8).fold(0, |mask, bit| mask | u16::from(self.flips(t)) << bit)
     }
 
-    /// Flip mask for one stored word: LSB byte first, then MSB byte.
+    /// Flip mask for the eight bits of one byte of a `group` token, lowest
+    /// bit first, walked by gaps: whatever flips land in the next eight bits
+    /// of the group's MSB-class sequence.
     #[inline]
-    fn word_mask(&mut self, t: WordThresholds) -> u16 {
-        self.byte_mask(t.lsb) | self.byte_mask(t.msb) << 8
+    fn gap_mask(&mut self, gap: &Gap, group: TokenGroup) -> u16 {
+        let surv = match gap {
+            Gap::Never => return 0,
+            Gap::Always => return 0xff,
+            Gap::Table(surv) => &**surv,
+        };
+        let slot = &mut self.msb_gap[group as usize];
+        let mut left = match *slot {
+            Some(left) => left,
+            None => Gap::draw(surv, &mut self.rng),
+        };
+        let mut mask = 0;
+        let mut bit = 0;
+        while left < 8 - bit {
+            bit += left;
+            mask |= 1 << bit;
+            bit += 1;
+            left = Gap::draw(surv, &mut self.rng);
+        }
+        *slot = Some(left - (8 - bit));
+        mask
     }
 
-    fn corrupt(&mut self, value: f32, t: WordThresholds) -> f32 {
+    /// Flip mask for one stored word: LSB byte first, then MSB byte.
+    #[inline]
+    fn word_mask(&mut self, t: &WordThresholds, group: TokenGroup) -> u16 {
+        self.byte_mask(t.lsb) | self.gap_mask(&t.msb, group) << 8
+    }
+
+    fn corrupt(&mut self, value: f32, t: &WordThresholds, group: TokenGroup) -> f32 {
         self.stats.words_examined += 1;
-        let mask = self.word_mask(t);
+        let mask = self.word_mask(t, group);
         if mask == 0 {
             return value;
         }
         self.stats.bits_flipped += u64::from(mask.count_ones());
-        let corrupted = fp16::f16_bits_to_f32(fp16::f32_to_f16_bits(value) ^ mask);
-        // A flipped exponent bit can produce Inf/NaN; physical systems would
-        // read the garbage value, but propagating NaN through softmax makes
-        // the divergence metric saturate instantly and hides the relative
-        // ordering the experiments measure.  Clamp to the FP16 finite range.
-        if corrupted.is_finite() {
-            corrupted
-        } else {
-            fp16::f16_bits_to_f32(0x7BFF) * corrupted.signum().max(-1.0)
-        }
+        read_flipped(value, mask)
+    }
+}
+
+/// What a read returns for `value` stored as FP16 with the `mask` bits
+/// flipped.
+fn read_flipped(value: f32, mask: u16) -> f32 {
+    let bits = fp16::f32_to_f16_bits(value) ^ mask;
+    let corrupted = fp16::f16_bits_to_f32(bits);
+    // A flipped exponent bit can produce Inf/NaN; physical systems would
+    // read the garbage value, but propagating NaN through softmax makes
+    // the divergence metric saturate instantly and hides the relative
+    // ordering the experiments measure.  Clamp to the FP16 finite range,
+    // keeping the stored sign bit (a NaN has no sign to ask for).
+    if corrupted.is_finite() {
+        corrupted
+    } else {
+        fp16::f16_bits_to_f32(bits & 0x8000 | 0x7BFF)
     }
 }
 
@@ -399,13 +513,13 @@ struct LaneHandle<'a> {
 
 impl FaultInjector for LaneHandle<'_> {
     fn corrupt(&mut self, value: f32, group: TokenGroup) -> f32 {
-        self.lane.corrupt(value, self.thresholds.of(group))
+        self.lane.corrupt(value, self.thresholds.of(group), group)
     }
 
     fn corrupt_slice(&mut self, values: &mut [f32], group: TokenGroup) {
         let t = self.thresholds.of(group);
         for v in values.iter_mut() {
-            *v = self.lane.corrupt(*v, t);
+            *v = self.lane.corrupt(*v, t, group);
         }
     }
 
@@ -425,7 +539,8 @@ impl FaultInjector for LaneHandle<'_> {
 /// threads.  [`stats`](FaultInjector::stats) sums the lane counters.
 ///
 /// `Clone` snapshots the full injector state (rates, every lane's RNG
-/// position, unread keystream chunks and counters); the prefix-sharing
+/// position, unread keystream chunks, gap counters and statistics — the
+/// survival tables are shared behind an `Arc`); the prefix-sharing
 /// machinery uses this to capture the exact post-prefix fault stream so a
 /// cache-hit session resumes the stream bit-identically to a cold one.
 #[derive(Debug, Clone)]
@@ -778,14 +893,145 @@ mod tests {
         }
     }
 
+    /// `a · b` on little-endian base-2³² limbs.
+    fn limbs_mul(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut out = vec![0u32; a.len() + b.len()];
+        for (i, &x) in a.iter().enumerate() {
+            let mut carry = 0u64;
+            for (j, &y) in b.iter().enumerate() {
+                let t = u64::from(x) * u64::from(y) + u64::from(out[i + j]) + carry;
+                out[i + j] = t as u32;
+                carry = t >> 32;
+            }
+            out[i + b.len()] = carry as u32;
+        }
+        out
+    }
+
+    /// The 128 bits of `limbs` from bit `shift` up: `⌊limbs / 2^shift⌋` when
+    /// that fits.
+    fn limbs_shr(limbs: &[u32], shift: usize) -> u128 {
+        let bit = |i: usize| limbs.get(i / 32).map_or(0, |limb| limb >> (i % 32) & 1);
+        (0..128).fold(0, |acc, i| acc | u128::from(bit(shift + i)) << i)
+    }
+
+    #[test]
+    fn survival_tables_match_the_exact_powers() {
+        let mut rates = vec![2f64.powi(-40), 1.0 - 2f64.powi(-53), 2f64.powi(-64), 0.5];
+        for r in PAPER_RATES {
+            rates.extend([r.hst_msb, r.hst_lsb, r.lst_msb, r.lst_lsb]);
+        }
+        for p in rates {
+            let Gap::Table(surv) = Gap::new(p) else {
+                panic!("p = {p:e} has a table");
+            };
+            // p·2⁸⁰ is an integer for these rates, so (1 − p)^k is exactly
+            // keep^k / 2^(80·k).
+            let flip = floor_p_times_2_80(p);
+            assert_eq!(flip as f64 / 2f64.powi(80), p);
+            let keep = (1u128 << 80) - flip;
+            let keep: Vec<u32> = (0..3).map(|i| (keep >> (32 * i)) as u32).collect();
+            let mut power = vec![1u32];
+            for k in 1..=Gap::SPAN {
+                power = limbs_mul(&power, &keep);
+                let exact = limbs_shr(&power, 80 * k - 64);
+                assert!(
+                    exact.abs_diff(u128::from(surv[k - 1])) <= k as u128,
+                    "p = {p:e}, k = {k}: table {} vs ⌊(1−p)^k·2⁶⁴⌋ = {exact}",
+                    surv[k - 1]
+                );
+            }
+        }
+        for off in [
+            2f64.powi(-65),
+            f64::MIN_POSITIVE / 4.0,
+            0.0,
+            -0.0,
+            -0.25,
+            f64::NAN,
+        ] {
+            assert!(matches!(Gap::new(off), Gap::Never), "p = {off:e}");
+        }
+        for on in [1.0, 7.0] {
+            assert!(matches!(Gap::new(on), Gap::Always), "p = {on:e}");
+        }
+    }
+
+    /// Asserts that Pearson's χ² over `(observed, expected)` cells stays
+    /// below the Wilson–Hilferty upper 0.1 % point for `cells − 1` degrees of
+    /// freedom.
+    fn assert_chi2_fits(what: &str, cells: &[(f64, f64)]) {
+        let chi2: f64 = cells.iter().map(|(o, e)| (o - e) * (o - e) / e).sum();
+        let df = (cells.len() - 1) as f64;
+        let a = 2.0 / (9.0 * df);
+        let critical = df * (1.0 - a + 3.09 * a.sqrt()).powi(3);
+        assert!(
+            chi2 <= critical,
+            "{what}: χ² {chi2:.1} over {} cells exceeds {critical:.1}",
+            cells.len()
+        );
+    }
+
+    fn gaps(p: f64, seed: u64, draws: usize) -> Vec<u64> {
+        let Gap::Table(surv) = Gap::new(p) else {
+            panic!("p = {p:e} has a table");
+        };
+        let mut rng = rng::lane(seed, 0, 0);
+        (0..draws).map(|_| Gap::draw(&surv, &mut rng)).collect()
+    }
+
+    #[test]
+    fn gap_lengths_follow_the_geometric_law() {
+        const DRAWS: usize = 1_000_000;
+        // Pr[gap ≥ 256] is 0.93 and 0.42 for these two, so both the table
+        // and the add-256-and-redraw tail carry weight.
+        for p in [PAPER_RATES[0].hst_msb, PAPER_RATES[0].lst_msb] {
+            // One cell per length while its expectation stays ≥ 5, then one
+            // cell for everything longer.
+            let mut cells = Vec::new();
+            let mut expected = DRAWS as f64 * p;
+            while expected >= 5.0 {
+                cells.push((0.0, expected));
+                expected *= 1.0 - p;
+            }
+            cells.push((0.0, expected / p));
+            assert!(cells.len() > 3 * Gap::SPAN);
+            let last = cells.len() - 1;
+            for gap in gaps(p, 41, DRAWS) {
+                cells[(gap as usize).min(last)].0 += 1.0;
+            }
+            assert_chi2_fits(&format!("p = {p:e}"), &cells);
+        }
+    }
+
+    #[test]
+    fn consecutive_gaps_are_uncorrelated() {
+        const DRAWS: usize = 1_000_000;
+        let gaps: Vec<f64> = gaps(PAPER_RATES[0].lst_msb, 43, DRAWS)
+            .into_iter()
+            .map(|g| g as f64)
+            .collect();
+        let mean = gaps.iter().sum::<f64>() / DRAWS as f64;
+        let variance = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>();
+        let covariance: f64 = gaps.windows(2).map(|w| (w[0] - mean) * (w[1] - mean)).sum();
+        // Lag-1 autocorrelation of independent draws is N(0, 1/DRAWS).
+        let r = covariance / variance;
+        assert!(r.abs() <= 4.0 / (DRAWS as f64).sqrt(), "lag-1 r = {r:e}");
+    }
+
     /// Per-bit-position flip counts and the flips-per-word histogram of
-    /// `words` words read against `t` on a fresh lane.
-    fn sample_masks(t: WordThresholds, seed: u64, words: usize) -> ([u64; 16], [u64; 17]) {
+    /// `words` words of a `group` token read on a fresh lane.
+    fn sample_masks(
+        thresholds: &Thresholds,
+        group: TokenGroup,
+        seed: u64,
+        words: usize,
+    ) -> ([u64; 16], [u64; 17]) {
         let mut lane = FaultLane::new(seed, 2, 5);
         let mut per_bit = [0u64; 16];
         let mut per_word = [0u64; 17];
         for _ in 0..words {
-            let mask = lane.word_mask(t);
+            let mask = lane.word_mask(thresholds.of(group), group);
             per_word[mask.count_ones() as usize] += 1;
             for (bit, count) in per_bit.iter_mut().enumerate() {
                 *count += u64::from(mask >> bit & 1);
@@ -800,7 +1046,7 @@ mod tests {
         for (setting, rates) in PAPER_RATES.iter().enumerate() {
             let thresholds = Thresholds::new(rates);
             for group in GROUPS {
-                let (per_bit, _) = sample_masks(thresholds.of(group), 31 + setting as u64, WORDS);
+                let (per_bit, _) = sample_masks(&thresholds, group, 31 + setting as u64, WORDS);
                 for (bit, &count) in per_bit.iter().enumerate() {
                     let p = rates.rate(group, SignificanceGroup::of_bit(bit as u8));
                     let mean = WORDS as f64 * p;
@@ -826,7 +1072,7 @@ mod tests {
         let rates = PAPER_RATES[0];
         let thresholds = Thresholds::new(&rates);
         for group in GROUPS {
-            let (_, observed) = sample_masks(thresholds.of(group), 77, WORDS);
+            let (_, observed) = sample_masks(&thresholds, group, 77, WORDS);
             // Flips per word = Binomial(8, lsb) + Binomial(8, msb).
             let lsb = binomial8(rates.rate(group, SignificanceGroup::Lsb));
             let msb = binomial8(rates.rate(group, SignificanceGroup::Msb));
@@ -848,54 +1094,60 @@ mod tests {
                 }
             }
             assert_eq!(tail_exp, 0.0, "k = 0 closes the last cell");
-            let chi2: f64 = cells.iter().map(|(o, e)| (o - e) * (o - e) / e).sum();
-            // Wilson–Hilferty upper 0.1 % point of χ² with `df` degrees.
-            let df = (cells.len() - 1) as f64;
-            let a = 2.0 / (9.0 * df);
-            let critical = df * (1.0 - a + 3.09 * a.sqrt()).powi(3);
-            assert!(
-                chi2 <= critical,
-                "{group:?}: χ² {chi2:.1} over {} cells exceeds {critical:.1}",
-                cells.len()
-            );
+            assert_chi2_fits(&format!("{group:?}"), &cells);
         }
     }
 
     #[test]
     fn zero_rate_classes_consume_no_keystream() {
         let untouched = FaultLane::new(3, 1, 4).rng.next_u64();
+        let group = TokenGroup::LowScore;
 
         let mut lane = FaultLane::new(3, 1, 4);
         let never = WordThresholds {
             lsb: Threshold::NEVER,
-            msb: Threshold::NEVER,
+            msb: Gap::Never,
         };
         for i in 0..1000 {
-            assert_eq!(lane.corrupt(i as f32 * 0.5, never), i as f32 * 0.5);
+            assert_eq!(lane.corrupt(i as f32 * 0.5, &never, group), i as f32 * 0.5);
         }
         assert_eq!(lane.pool_left, 0);
+        assert_eq!(lane.msb_gap, [None; 2]);
         assert_eq!(lane.rng.next_u64(), untouched);
         assert_eq!(lane.stats.words_examined, 1000);
 
-        // A word with one live class reads exactly that byte's eight chunks.
+        // A certain MSB class flips its byte without reading anything.
         let mut lane = FaultLane::new(3, 1, 4);
         let msb_only = WordThresholds {
             lsb: Threshold::NEVER,
-            msb: Threshold::new(1.0),
+            msb: Gap::new(1.0),
         };
-        assert_eq!(lane.word_mask(msb_only), 0xff00);
+        assert_eq!(lane.word_mask(&msb_only, group), 0xff00);
+        assert_eq!(lane.msb_gap, [None; 2]);
+        assert_eq!(lane.rng.next_u64(), untouched);
+
+        // A word whose only live class is the LSB one reads exactly that
+        // byte's eight chunks.
+        let mut lane = FaultLane::new(3, 1, 4);
+        let lsb_only = WordThresholds {
+            lsb: Threshold::new(0.5),
+            msb: Gap::Never,
+        };
+        assert_eq!(lane.word_mask(&lsb_only, group) & 0xff00, 0);
         let mut reference = FaultLane::new(3, 1, 4).rng;
         reference.next_u64();
         reference.next_u64();
         assert_eq!(lane.pool_left, 0);
+        assert_eq!(lane.msb_gap, [None; 2]);
         assert_eq!(lane.rng.next_u64(), reference.next_u64());
     }
 
     #[test]
     fn certain_rate_flips_all_sixteen_bits() {
         let mut lane = FaultLane::new(9, 0, 0);
-        let always = Thresholds::new(&BitFlipRates::uniform(1.0)).of(TokenGroup::LowScore);
-        assert!((0..4096).all(|_| lane.word_mask(always) == 0xffff));
+        let always = Thresholds::new(&BitFlipRates::uniform(1.0));
+        let group = TokenGroup::LowScore;
+        assert!((0..4096).all(|_| lane.word_mask(always.of(group), group) == 0xffff));
 
         let mut inj = ProbabilisticFaults::new(BitFlipRates::uniform(1.0), 9);
         let mut row = vec![0.375f32; 64];
@@ -907,21 +1159,26 @@ mod tests {
 
     #[test]
     fn rates_below_one_chunk_are_reached_through_the_tie_draw() {
-        // p < 2⁻¹⁶: `hi` is 0, so a bit can flip only when its chunk ties at 0
-        // and the extra 64-bit draw falls below `rest`.
+        // p < 2⁻¹⁶: the LSB threshold's `hi` is 0, so an LSB bit can flip only
+        // when its chunk ties at 0 and the extra 64-bit draw falls below
+        // `rest`; the MSB byte reaches the same rate through gaps that are
+        // ~100 000 bits long.  Each byte must show its own eight bits' worth.
         let p = 1e-5;
         let t = Threshold::new(p);
         assert_eq!(t.hi, 0);
         assert!(t.rest > 0);
         const WORDS: usize = 2_000_000;
-        let (per_bit, _) = sample_masks(WordThresholds { lsb: t, msb: t }, 5, WORDS);
-        let flips: u64 = per_bit.iter().sum();
-        let mean = 16.0 * WORDS as f64 * p;
-        assert!(
-            (flips as f64 - mean).abs() <= 4.0 * mean.sqrt(),
-            "{flips} flips, expected {mean:.0} ± {:.0}",
-            mean.sqrt()
-        );
+        let thresholds = Thresholds::new(&BitFlipRates::uniform(p));
+        let (per_bit, _) = sample_masks(&thresholds, TokenGroup::HighScore, 5, WORDS);
+        let mean = 8.0 * WORDS as f64 * p;
+        for (byte, bits) in [("LSB", &per_bit[..8]), ("MSB", &per_bit[8..])] {
+            let flips: u64 = bits.iter().sum();
+            assert!(
+                (flips as f64 - mean).abs() <= 4.0 * mean.sqrt(),
+                "{byte} byte: {flips} flips, expected {mean:.0} ± {:.0}",
+                mean.sqrt()
+            );
+        }
     }
 
     #[test]
@@ -954,6 +1211,38 @@ mod tests {
     }
 
     #[test]
+    fn msb_masks_do_not_depend_on_how_a_row_is_split() {
+        // MSB classes only, so every changed word shows a gap-sampled flip.
+        let rates = BitFlipRates {
+            hst_lsb: 0.0,
+            lst_lsb: 0.0,
+            ..PAPER_RATES[2]
+        };
+        let row = [0.375f32; 64];
+        let mut whole = ProbabilisticFaults::new(rates, 17);
+        let mut split = ProbabilisticFaults::new(rates, 17);
+        let mut flipped_words = 0;
+        for _ in 0..200 {
+            for group in GROUPS {
+                let mut a = row;
+                whole.corrupt_slice(&mut a, group);
+                let mut b = row;
+                for part in b.chunks_mut(8) {
+                    split.corrupt_slice(part, group);
+                }
+                assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits));
+                flipped_words += a.iter().filter(|&&v| v != 0.375).count();
+            }
+        }
+        assert!(flipped_words > 100);
+        let (whole, split) = (&mut whole.lanes[0], &mut split.lanes[0]);
+        assert!(whole.msb_gap.iter().all(Option::is_some));
+        assert_eq!(whole.msb_gap, split.msb_gap);
+        assert_eq!(whole.stats, split.stats);
+        assert_eq!(whole.rng.next_u64(), split.rng.next_u64());
+    }
+
+    #[test]
     fn clone_taken_mid_pool_resumes_identically() {
         let t = Threshold::new(0.3);
         let unbroken: Vec<bool> = {
@@ -971,5 +1260,65 @@ mod tests {
             assert_eq!(head, unbroken, "original after {taken_after} decisions");
             assert_eq!(tail, unbroken, "snapshot after {taken_after} decisions");
         }
+
+        // Mid-gap: both groups' counters are part of the snapshot.
+        let thresholds = Thresholds::new(&PAPER_RATES[2]);
+        let masks = |lane: &mut FaultLane, words: usize| -> Vec<u16> {
+            (0..words)
+                .map(|i| {
+                    let group = GROUPS[i % 3 % 2];
+                    lane.word_mask(thresholds.of(group), group)
+                })
+                .collect()
+        };
+        let mut lane = FaultLane::new(13, 2, 2);
+        let unbroken = masks(&mut lane, 6000);
+        let mut lane = FaultLane::new(13, 2, 2);
+        let head = masks(&mut lane, 12);
+        assert!(lane
+            .msb_gap
+            .iter()
+            .all(|gap| gap.is_some_and(|left| left > 0)));
+        let mut snapshot = lane.clone();
+        for resumed in [&mut lane, &mut snapshot] {
+            let tail = masks(resumed, 6000 - 12);
+            assert_eq!([&head[..], &tail[..]].concat(), unbroken);
+        }
+        assert!(unbroken.iter().filter(|&&mask| mask >> 8 != 0).count() > 50);
+    }
+
+    #[test]
+    fn non_finite_reads_clamp_by_the_stored_sign_bit() {
+        let max = fp16::f16_bits_to_f32(0x7BFF);
+        assert_eq!(max, 65504.0);
+        // 1 ≤ |v| < 2 has exponent 01111: flipping bit 14 makes it all ones.
+        assert_eq!(read_flipped(1.5, 1 << 14), max);
+        assert_eq!(read_flipped(-1.5, 1 << 14), -max);
+
+        let masks: Vec<u16> = (0..16).map(|bit| 1 << bit).chain([0xff00]).collect();
+        let mut clamped = 0;
+        for stored in 0..=u16::MAX {
+            let value = fp16::f16_bits_to_f32(stored);
+            if !value.is_finite() {
+                continue; // the cache never stores one
+            }
+            assert_eq!(fp16::f32_to_f16_bits(value), stored);
+            for &mask in &masks {
+                let read = read_flipped(value, mask);
+                let exact = fp16::f16_bits_to_f32(stored ^ mask);
+                if exact.is_finite() {
+                    assert_eq!(read.to_bits(), exact.to_bits());
+                } else {
+                    clamped += 1;
+                    let sign = if (stored ^ mask) & 0x8000 == 0 {
+                        1.0
+                    } else {
+                        -1.0
+                    };
+                    assert_eq!(read, sign * max, "{stored:#06x} ^ {mask:#06x}");
+                }
+            }
+        }
+        assert!(clamped > 0);
     }
 }

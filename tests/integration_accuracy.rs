@@ -18,19 +18,81 @@ fn quick(task: TaskKind) -> AccuracyConfig {
 
 #[test]
 fn fig8a_ppl_degrades_monotonically_with_error_rate() {
-    // Uniform bit-flip error sweep: higher rates must not improve fidelity.
-    let mut previous_kl = -1.0;
-    for rate in [0.0, 1e-4, 1e-3, 1e-2, 5e-2] {
-        let config = quick(TaskKind::WikiText2)
-            .with_explicit_rates(BitFlipRates::uniform(rate))
-            .with_refresh_policy(RefreshPolicy::Conservative);
-        let result = evaluate_method(&config, Method::Kelle);
+    // Uniform bit-flip error sweep under Kelle's own cache (AERP at the
+    // default budget): higher rates must not improve fidelity.
+    //
+    // One fault realisation cannot show that.  The KL proxy has range only
+    // below a rate of 1e-4 (eviction alone scores 0.49, 1e-5 about 0.71);
+    // from 1e-4 up some exponent bit flips in nearly every row read, the
+    // output is scrambled and the proxy sits on a plateau of ≈ 0.98 where
+    // single seeds scatter by ±0.05 and 48-seed means still drift by 1 %
+    // (0.987 at 1e-3, 0.977 at 1e-2) — neighbours there are not ordered.  So
+    // each rate is the mean over sixteen fault seeds of the same prompt;
+    // while the proxy has range each step must grow by more than two
+    // standard errors of the difference, and from 1e-4 on every rate must
+    // stay on the plateau, far above anything an unsaturated rate scores.
+    const FAULT_SEEDS: u64 = 16;
+    const RATES: [f64; 6] = [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2];
+    const UNSATURATED: usize = 3;
+    let accuracy = quick(TaskKind::WikiText2);
+    let model = SurrogateModel::new(ModelConfig::for_kind(accuracy.model), 42);
+    let prompt = TokenStreamGenerator::new(model.dims().vocab, 42).prompt(accuracy.task, 0);
+    let config = GenerationConfig::greedy(prompt.decode_len);
+    let reference = run_reference(&model, &prompt.tokens, config);
+    // (mean, standard error of the mean) of the KL from the fault-free
+    // reference over the fault realisations of a uniform `rate`; rate 0
+    // draws nothing, so it has one realisation.
+    let kl_at = |rate: f64| -> (f64, f64) {
+        let seeds = if rate > 0.0 { FAULT_SEEDS } else { 1 };
+        let kls: Vec<f64> = (0..seeds)
+            .map(|seed| {
+                let mut cache = Method::Kelle
+                    .policy()
+                    .build(accuracy.budget, model.dims().heads);
+                let (fidelity, _) = evaluate_against_reference(
+                    &model,
+                    &prompt.tokens,
+                    config,
+                    &reference,
+                    cache.as_mut(),
+                    &mut ProbabilisticFaults::new(BitFlipRates::uniform(rate), seed),
+                );
+                fidelity.mean_kl
+            })
+            .collect();
+        let n = kls.len() as f64;
+        let mean = kls.iter().sum::<f64>() / n;
+        let squares: f64 = kls.iter().map(|kl| (kl - mean) * (kl - mean)).sum();
+        (mean, (squares / (n - 1.0).max(1.0) / n).sqrt())
+    };
+    // The rates are independent and this is the suite's longest test: run
+    // them side by side.
+    let sweep: Vec<(f64, f64)> = std::thread::scope(|scope| {
+        let runs: Vec<_> = RATES
+            .iter()
+            .map(|&rate| scope.spawn(move || kl_at(rate)))
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("sweep thread"))
+            .collect()
+    });
+
+    for (step, pair) in sweep[..UNSATURATED].windows(2).enumerate() {
+        let ((low, low_se), (high, high_se)) = (pair[0], pair[1]);
+        let two_se = 2.0 * (low_se * low_se + high_se * high_se).sqrt();
         assert!(
-            result.fidelity.mean_kl >= previous_kl - 0.05,
-            "rate {rate}: KL {} < previous {previous_kl}",
-            result.fidelity.mean_kl
+            high - two_se > low,
+            "rate {} → {}: KL {low} ± {low_se} → {high} ± {high_se}",
+            RATES[step],
+            RATES[step + 1]
         );
-        previous_kl = result.fidelity.mean_kl;
+    }
+    let (plateau, _) = sweep[UNSATURATED - 1];
+    for (rate, (kl, se)) in RATES.iter().zip(&sweep).skip(UNSATURATED) {
+        assert!(
+            (kl / plateau - 1.0).abs() < 0.05,
+            "rate {rate}: KL {kl} ± {se} left the plateau at {plateau}"
+        );
     }
 }
 

@@ -3,9 +3,12 @@
 
 use kelle::accuracy::Method;
 use kelle::cache::CacheBudget;
+use kelle::edram::{RefreshPolicy, RetentionModel};
+use kelle::model::fault::{FaultInjector, FaultStats, ProbabilisticFaults, TokenGroup};
+use kelle::model::generation::{run_with, GenerationConfig};
 use kelle::{
-    AdmissionPolicy, BatchOutcome, CachePolicy, EngineStats, KelleEngine, SchedulerConfig,
-    ServeOptions, ServeRequest,
+    fault_injector_for_policy, AdmissionPolicy, BatchOutcome, CachePolicy, EngineStats,
+    KelleEngine, SchedulerConfig, ServeOptions, ServeRequest,
 };
 
 fn engine_with_policy(policy: CachePolicy) -> KelleEngine {
@@ -455,4 +458,83 @@ fn per_request_policy_overrides_apply() {
             .build(),
     );
     assert_eq!(full.cache.evictions, 0);
+}
+
+/// Reads every row one word at a time: forwards everything but
+/// `corrupt_slice` (the trait's word-by-word default) and `split_lanes`.
+#[derive(Debug)]
+struct WordByWord(ProbabilisticFaults);
+
+impl FaultInjector for WordByWord {
+    fn corrupt(&mut self, value: f32, group: TokenGroup) -> f32 {
+        self.0.corrupt(value, group)
+    }
+
+    fn begin_lane(&mut self, layer: usize, head: usize) {
+        self.0.begin_lane(layer, head);
+    }
+
+    fn stats(&self) -> FaultStats {
+        self.0.stats()
+    }
+}
+
+/// An anchor for the fault lane outside its own sampler tests: what a served
+/// 2DRP decode reports must follow from the refresh policy's rates and from
+/// the reads the attention pass makes, whatever realises the flips.
+#[test]
+fn served_2drp_error_rate_sits_between_the_token_group_means() {
+    let policy = RefreshPolicy::two_dimensional_default();
+    let retention = RetentionModel::default();
+    let rates = policy.bit_flip_rates(&retention);
+    // Half of a word's bits are MSB-class, half LSB-class.
+    let hst_mean = (rates.hst_msb + rates.hst_lsb) / 2.0;
+    let lst_mean = (rates.lst_msb + rates.lst_lsb) / 2.0;
+    assert!(hst_mean < lst_mean);
+
+    let prompt: Vec<usize> = (0..24).map(|t| (3 + 5 * t) % 97).collect();
+    let requests = || vec![ServeRequest::new(prompt.clone(), 48)];
+    let engine = engine_with_policy(CachePolicy::Aerp);
+    assert_eq!(engine.config().refresh_policy, policy);
+    let inline = serve(&engine, requests(), SchedulerConfig::default());
+    let faults = inline.outcomes[0].faults;
+    // A served word is an HST or an LST word, and the decode reads both.
+    let observed = faults.bit_error_rate();
+    assert!(
+        hst_mean < observed && observed < lst_mean,
+        "bit error rate {observed} outside ({hst_mean}, {lst_mean})"
+    );
+
+    // The sampler decides which bits flip, never how many words are read.
+    for workers in [1, 2, 4] {
+        let engine = KelleEngine::builder()
+            .policy(CachePolicy::Aerp)
+            .seed(7)
+            .workers(workers)
+            .build();
+        let parallel = engine
+            .serve(requests(), ServeOptions::new().parallel())
+            .expect("no chaos configured");
+        assert_eq!(parallel.outcomes[0].faults, faults, "{workers} workers");
+    }
+    let config = GenerationConfig::greedy(48);
+    let run = |faults: &mut dyn FaultInjector| {
+        let dims = engine.model().dims();
+        let mut cache = CachePolicy::Aerp.build(engine.config().budget, dims.heads);
+        let output = run_with(
+            engine.model(),
+            &prompt,
+            config,
+            None,
+            cache.as_mut(),
+            faults,
+        );
+        (output.generated, faults.stats())
+    };
+    let by_row = run(&mut fault_injector_for_policy(&policy, &retention, 7));
+    let by_word = run(&mut WordByWord(fault_injector_for_policy(
+        &policy, &retention, 7,
+    )));
+    assert_eq!(by_row, by_word);
+    assert!(by_row.1.words_examined > 0);
 }
