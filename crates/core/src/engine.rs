@@ -726,32 +726,47 @@ impl KelleEngine {
     ///     .expect("no chaos configured, no worker can be lost");
     /// assert_eq!(batch.outcomes[0].generated.len(), 4);
     /// ```
-    pub fn serve<'e>(
-        &'e self,
+    pub fn serve(
+        &self,
         requests: Vec<ServeRequest>,
         options: ServeOptions<'_>,
     ) -> Result<BatchOutcome, ServeError> {
         let ServeOptions {
-            scheduler: config,
+            scheduler,
             parallel,
-            mut sink,
+            sink,
         } = options;
-        let run = |executor: &mut dyn StepExecutor<'e>| {
-            let mut scheduler = BatchScheduler::with_config(self, config);
-            for request in requests {
-                scheduler.submit_with(request, executor);
-            }
-            scheduler.run_with(executor, |event| {
-                if let (ServeEvent::Token { request, token, .. }, Some(sink)) = (event, &mut sink) {
-                    sink(request, token);
-                }
-            })
-        };
         if parallel {
-            std::thread::scope(|scope| run(&mut WorkerPool::start(scope, self.config.workers)))
+            std::thread::scope(|scope| {
+                let mut pool = WorkerPool::start(scope, self.config.workers);
+                self.serve_on(requests, scheduler, sink, &mut pool)
+            })
         } else {
-            run(&mut InlineExecutor::default())
+            self.serve_on(requests, scheduler, sink, &mut InlineExecutor::default())
         }
+    }
+
+    /// [`serve`](KelleEngine::serve) on a given executor: the whole list is
+    /// enqueued and then admitted at once, so its prefills reach the
+    /// executor in as few [`admit`](StepExecutor::admit) calls as prefix
+    /// publication allows and fan out over the shards.
+    fn serve_on<'e>(
+        &'e self,
+        requests: Vec<ServeRequest>,
+        config: SchedulerConfig,
+        mut sink: Option<&mut dyn FnMut(usize, usize)>,
+        executor: &mut dyn StepExecutor<'e>,
+    ) -> Result<BatchOutcome, ServeError> {
+        let mut scheduler = BatchScheduler::with_config(self, config);
+        for request in requests {
+            scheduler.enqueue(request);
+        }
+        scheduler.admit_waiting(executor);
+        scheduler.run_with(executor, |event| {
+            if let (ServeEvent::Token { request, token, .. }, Some(sink)) = (event, &mut sink) {
+                sink(request, token);
+            }
+        })
     }
 
     /// Folds one completed turn into the lifetime statistics.
@@ -764,6 +779,7 @@ impl KelleEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{Admission, Prefilled, ResidentStep, StepRequest, TaskFailure};
 
     fn engine() -> KelleEngine {
         KelleEngine::new(EngineConfig::default())
@@ -998,5 +1014,71 @@ mod tests {
         assert_eq!(sum.tokens_generated, 4);
         assert_eq!(sum.evictions, 6);
         assert!((sum.hardware_energy_j - 8.0).abs() < 1e-12);
+    }
+
+    /// An [`InlineExecutor`] that writes down what each `admit` call carried.
+    #[derive(Default)]
+    struct Recording<'e> {
+        inner: InlineExecutor<'e>,
+        /// Request indices of every `admit` call, in call order.
+        admits: Vec<Vec<usize>>,
+    }
+
+    impl<'e> StepExecutor<'e> for Recording<'e> {
+        fn admit(&mut self, admissions: Vec<Admission<'e>>) -> Vec<Result<Prefilled, TaskFailure>> {
+            self.admits
+                .push(admissions.iter().map(Admission::index).collect());
+            self.inner.admit(admissions)
+        }
+
+        fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>> {
+            self.inner.step(requests)
+        }
+
+        fn take(&mut self, index: usize) -> Option<Session<'e>> {
+            self.inner.take(index)
+        }
+    }
+
+    #[test]
+    fn serve_hands_a_whole_list_to_the_executor_in_one_admit_call() {
+        let engine = engine();
+        let requests: Vec<ServeRequest> = (0..5)
+            .map(|i| ServeRequest::new(vec![i + 1, i + 2, i + 3], 2))
+            .collect();
+        let mut executor = Recording::default();
+        let batch = engine
+            .serve_on(requests, SchedulerConfig::default(), None, &mut executor)
+            .unwrap();
+        assert_eq!(executor.admits, vec![vec![0, 1, 2, 3, 4]]);
+        assert_eq!(batch.contention.total_queue_ticks, 0);
+    }
+
+    #[test]
+    fn a_publishing_prefill_is_flushed_before_the_next_request_is_planned() {
+        let engine = KelleEngine::builder()
+            .prefix_sharing(PrefixSharingConfig::enabled().with_auto_publish(6))
+            .build();
+        let system: Vec<usize> = (10..16).collect();
+        let behind_system = |tail: usize| {
+            let mut prompt = system.clone();
+            prompt.extend([tail, tail + 1]);
+            ServeRequest::new(prompt, 2)
+        };
+        let requests = vec![
+            ServeRequest::new(vec![1, 2, 3], 2),
+            behind_system(100),
+            behind_system(200),
+            ServeRequest::new(vec![4, 5, 6], 2),
+        ];
+        let mut executor = Recording::default();
+        let batch = engine
+            .serve_on(requests, SchedulerConfig::default(), None, &mut executor)
+            .unwrap();
+        // Request 1 publishes the system prompt: the flush barrier closes the
+        // batch behind it, so request 2's plan sees the publication and hits.
+        assert_eq!(executor.admits, vec![vec![0, 1], vec![2, 3]]);
+        assert_eq!(batch.outcomes[1].prefix_hit_tokens, 0);
+        assert_eq!(batch.outcomes[2].prefix_hit_tokens, system.len());
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! [`KelleEngine::front`] opens a [`ServingFront`] over the engine's
 //! [`BatchScheduler`]: callers [`submit`](ServingFront::submit) requests
-//! without blocking and read tokens back through bounded per-session
+//! without blocking — a submit registers the request and returns, no prefill
+//! runs inside it — and read tokens back through bounded per-session
 //! [`TokenStream`]s, while the scheduler's admission queue, deadlines,
 //! [`cancel`](ServingFront::cancel) and [`drain`](ServingFront::drain) are
 //! all first-class on the handle.  Decode ticks run on the same
@@ -25,6 +26,22 @@
 //! `poll` calls can change *when* tokens are produced but never *which*
 //! tokens.
 //!
+//! # Admission happens at the pump
+//!
+//! Admission is a phase of the tick boundary, not a side effect of
+//! `submit`.  Everything submitted since the last pump is admitted together
+//! at the start of the next one — planned on the coordinator in submission
+//! order, prefilled as one batch across the worker shards — and decodes its
+//! first token in that same pump.  [`cancel`](ServingFront::cancel),
+//! [`drain`](ServingFront::drain), the queue-capacity check and the end of
+//! the serve closure admit first as well, so every outcome, timing and
+//! [`SubmitError::QueueFull`] verdict is the one admitting inside each
+//! `submit` would have produced; only wall-clock time moves (two clients'
+//! prefills overlap instead of queueing behind each other).  Between a
+//! submit and the next pump, [`scheduler()`](ServingFront::scheduler) reports
+//! the request under [`waiting`](BatchScheduler::waiting), not
+//! [`active`](BatchScheduler::active).
+//!
 //! # Backpressure
 //!
 //! Two independent valves:
@@ -45,7 +62,9 @@
 //! For a fixed submission sequence, the committed token streams,
 //! probability bits and fault statistics are bit-identical to the
 //! synchronous parallel [`KelleEngine::serve`] path for all five
-//! cache policies and any worker count — gated by
+//! cache policies and any worker count, and the whole [`BatchOutcome`] is
+//! equal to a hand-driven scheduler admitting eagerly at every submit under
+//! any interleaving of submit, pump, cancel and drain — gated by
 //! `tests/integration_front.rs`.
 //!
 //! ```
@@ -231,6 +250,10 @@ pub struct ServingFront<'x, 'e> {
     scheduler: BatchScheduler<'e>,
     executor: &'x mut dyn StepExecutor<'e>,
     streams: Vec<Arc<Mutex<StreamState>>>,
+    /// Requests whose stream had not terminated when backpressure last
+    /// looked — all it walks, so a long-lived front's finished requests cost
+    /// a pump nothing.
+    live: Vec<usize>,
     queue_capacity: Option<usize>,
     stream_capacity: Option<usize>,
     worker_losses: Vec<ServeError>,
@@ -258,27 +281,34 @@ impl<'x, 'e> ServingFront<'x, 'e> {
             scheduler,
             executor,
             streams: Vec::new(),
+            live: Vec::new(),
             queue_capacity,
             stream_capacity,
             worker_losses: Vec::new(),
         }
     }
 
-    /// Submits a request without blocking.  The request is admitted
-    /// (pre-filled through the executor) immediately if capacity allows,
-    /// else it queues; either way the returned [`TokenStream`] will carry
-    /// its tokens.  Rejects with [`SubmitError::QueueFull`] when the
-    /// waiting queue is at [`FrontConfig::queue_capacity`], and
-    /// [`SubmitError::Draining`] after [`drain`](ServingFront::drain).
+    /// Submits a request without blocking: the request is registered with
+    /// the scheduler and the call returns — no prefill runs here.  Admission
+    /// happens at the next [`pump`](ServingFront::pump) (or
+    /// [`recv`](ServingFront::recv), [`cancel`](ServingFront::cancel),
+    /// [`drain`](ServingFront::drain), or when the serve closure returns),
+    /// together with everything else submitted since the last one, so the
+    /// prefills run side by side on the worker shards; until then
+    /// [`scheduler()`](ServingFront::scheduler) reports the request as
+    /// waiting.  Either way the returned [`TokenStream`] will carry its
+    /// tokens.  Rejects with [`SubmitError::QueueFull`] when the waiting
+    /// queue — counted after admission, as if every earlier submit had been
+    /// admitted on the spot — is at [`FrontConfig::queue_capacity`], and
+    /// with [`SubmitError::Draining`] after [`drain`](ServingFront::drain).
     pub fn submit(&mut self, request: ServeRequest) -> Result<TokenStream, SubmitError> {
         if self.scheduler.is_draining() {
             return Err(SubmitError::Draining);
         }
-        let waiting = self.scheduler.waiting();
-        if self.queue_capacity.is_some_and(|cap| waiting >= cap) {
+        if let Some(waiting) = self.full_queue() {
             return Err(SubmitError::QueueFull { waiting });
         }
-        let index = self.scheduler.submit_with(request, self.executor);
+        let index = self.scheduler.enqueue(request);
         debug_assert_eq!(
             index,
             self.streams.len(),
@@ -286,11 +316,24 @@ impl<'x, 'e> ServingFront<'x, 'e> {
         );
         let shared = Arc::new(Mutex::new(StreamState::default()));
         self.streams.push(Arc::clone(&shared));
-        self.deliver_sheds();
+        self.live.push(index);
         Ok(TokenStream {
             request: index,
             shared,
         })
+    }
+
+    /// The waiting-queue depth, if it is at [`FrontConfig::queue_capacity`].
+    /// Requests submitted since the last pump still sit in the queue
+    /// unadmitted, so before rejecting on their account admission runs: the
+    /// verdict is the one eager admission at every submit would have given.
+    fn full_queue(&mut self) -> Option<usize> {
+        let capacity = self.queue_capacity?;
+        if self.scheduler.waiting() >= capacity {
+            self.scheduler.admit_waiting(self.executor);
+        }
+        let waiting = self.scheduler.waiting();
+        (waiting >= capacity).then_some(waiting)
     }
 
     /// [`submit`](ServingFront::submit), pumping scheduler ticks while the
@@ -303,8 +346,7 @@ impl<'x, 'e> ServingFront<'x, 'e> {
             if self.scheduler.is_draining() {
                 return Err(SubmitError::Draining);
             }
-            let waiting = self.scheduler.waiting();
-            if self.queue_capacity.is_some_and(|cap| waiting >= cap) {
+            if let Some(waiting) = self.full_queue() {
                 if !self.pump() {
                     return Err(SubmitError::QueueFull { waiting });
                 }
@@ -314,18 +356,24 @@ impl<'x, 'e> ServingFront<'x, 'e> {
         }
     }
 
-    /// Runs one cooperative scheduler tick: applies stream backpressure,
-    /// steps every unpaused active session through the executor, and
-    /// delivers the committed tokens and sheds into their streams.  Returns
-    /// whether the call made progress (delivered an event or changed
-    /// admission state); `false` means pumping again is futile until the
-    /// caller reads a stream or submits/cancels.
+    /// Runs one cooperative scheduler tick: admits everything submitted
+    /// since the last pump (one batch of prefills across the worker shards),
+    /// applies stream backpressure, steps every unpaused active session
+    /// through the executor, and delivers the committed tokens and sheds
+    /// into their streams — so a request's first token arrives with the
+    /// pump that follows its submit.  Returns whether the call made
+    /// progress (delivered an event or changed admission state); `false`
+    /// means pumping again is futile until the caller reads a stream or
+    /// submits/cancels.
     ///
     /// An unrecoverable worker loss during the tick sheds the lost request
     /// (its stream terminates with [`ShedReason::WorkerLost`]) and is
     /// recorded in [`worker_losses`](ServingFront::worker_losses) — the
     /// front itself keeps serving.
     pub fn pump(&mut self) -> bool {
+        // First, so backpressure and the progress verdict below see the
+        // state eager admission would have left behind.
+        self.scheduler.admit_waiting(self.executor);
         self.apply_backpressure();
         if self.scheduler.is_idle() {
             return false;
@@ -381,6 +429,7 @@ impl<'x, 'e> ServingFront<'x, 'e> {
     /// the way are absorbed into
     /// [`worker_losses`](ServingFront::worker_losses).
     pub fn drain(&mut self) {
+        self.scheduler.admit_waiting(self.executor);
         self.scheduler.begin_drain();
         self.deliver_sheds();
         while !self.scheduler.is_idle() {
@@ -410,15 +459,17 @@ impl<'x, 'e> ServingFront<'x, 'e> {
         if self.scheduler.is_draining() {
             return;
         }
-        for (index, shared) in self.streams.iter().enumerate() {
-            let state = shared.lock();
+        let (streams, scheduler) = (&self.streams, &mut self.scheduler);
+        self.live.retain(|&index| {
+            let state = streams[index].lock();
             if state.terminal.is_some() {
-                continue;
+                return false;
             }
             let paused = state.tokens.len() >= capacity;
             drop(state);
-            self.scheduler.set_paused(index, paused);
-        }
+            scheduler.set_paused(index, paused);
+            true
+        });
     }
 
     fn deliver(&mut self, events: &[StepEvent]) {
@@ -447,7 +498,7 @@ impl<'x, 'e> ServingFront<'x, 'e> {
     /// paused stream, pumps the remaining work to completion and collects
     /// the batch outcome.
     fn into_outcome(mut self) -> BatchOutcome {
-        for index in 0..self.streams.len() {
+        for &index in &self.live {
             self.scheduler.set_paused(index, false);
         }
         while !self.scheduler.is_idle() {

@@ -3,13 +3,20 @@
 //! [`BatchScheduler`] keeps many [`Session`]s in flight at once, arbitrating
 //! one shared eDRAM budget across them.  Serving is a three-stage pipeline:
 //!
-//! 1. **Submit** — [`submit`](BatchScheduler::submit) enqueues a request into
-//!    the waiting queue.  It does *not* guarantee immediate service.
-//! 2. **Admit** — a configurable [`AdmissionPolicy`] promotes waiting
-//!    requests into active decode slots whenever the [`CapacityLedger`] can
-//!    host their prefill KV footprint (computed at full hardware scale, the
-//!    same per-token byte cost [`Platform::simulate`](kelle_arch::Platform)
-//!    charges).  Admission pre-fills the prompt and opens a capacity lease.
+//! 1. **Submit** — [`enqueue`](BatchScheduler::enqueue) registers a request
+//!    in the waiting queue.  It does *not* guarantee immediate service.
+//! 2. **Admit** — at the tick boundary
+//!    ([`admit_waiting`](BatchScheduler::admit_waiting) for the requests
+//!    submitted since the last tick, back-fill at the end of every step) a
+//!    configurable [`AdmissionPolicy`] promotes waiting requests into active
+//!    decode slots whenever the [`CapacityLedger`] can host their prefill KV
+//!    footprint (computed at full hardware scale, the same per-token byte
+//!    cost [`Platform::simulate`](kelle_arch::Platform) charges).  Admission
+//!    opens a capacity lease and pre-fills the prompt — all the prefills of
+//!    one boundary as one batch on the executor.
+//!    [`submit`](BatchScheduler::submit) /
+//!    [`submit_with`](BatchScheduler::submit_with) do both stages in one
+//!    call, for a scheduler driven by hand.
 //! 3. **Step** — each [`step`](BatchScheduler::step) runs one decode step for
 //!    every active request in admission order (round-robin fairness), grows
 //!    each lease by the decoded token's KV bytes, releases capacity when a
@@ -613,6 +620,13 @@ pub struct BatchScheduler<'e> {
     states: Vec<RequestState>,
     timings: Vec<RequestTiming>,
     waiting: VecDeque<usize>,
+    /// How many requests at the tail of `waiting` were
+    /// [`enqueue`](BatchScheduler::enqueue)d since the last admission and
+    /// have not been offered to the admission policy yet.
+    fresh: usize,
+    /// Requests in [`RequestState::Active`], counted where the state is
+    /// entered and left.
+    active: usize,
     /// Requests submitted with a future [`ServeRequest::arrival_tick`],
     /// keyed `(arrival, index)`: they join the waiting queue — and become
     /// visible to admission — only once the tick clock reaches their
@@ -672,6 +686,8 @@ impl<'e> BatchScheduler<'e> {
             states: Vec::new(),
             timings: Vec::new(),
             waiting: VecDeque::new(),
+            fresh: 0,
+            active: 0,
             scheduled: BinaryHeap::new(),
             stats: EngineStats::default(),
             tick: 0,
@@ -750,10 +766,12 @@ impl<'e> BatchScheduler<'e> {
         self.engine.kv_footprint_bytes(tokens)
     }
 
-    /// Enqueues a request into the waiting queue and immediately pumps
-    /// admission (so with room available — always, when unbounded — the
-    /// request is pre-filled right away).  Returns the request's index, which
-    /// later [`StepEvent`]s, timings and the final outcome vector refer to.
+    /// [`enqueue`](BatchScheduler::enqueue)s a request and immediately
+    /// [admits](BatchScheduler::admit_waiting) it on the scheduler's own
+    /// [`InlineExecutor`] (so with room available — always, when unbounded —
+    /// the request is pre-filled right away).  Returns the request's index,
+    /// which later [`StepEvent`]s, timings and the final outcome vector refer
+    /// to.
     pub fn submit(&mut self, request: ServeRequest) -> usize {
         self.inline(|scheduler, executor| scheduler.submit_with(request, executor))
     }
@@ -767,14 +785,34 @@ impl<'e> BatchScheduler<'e> {
         result
     }
 
-    /// [`submit`](BatchScheduler::submit) running admission prefills through
-    /// `executor` (e.g. a [`WorkerPool`](crate::parallel::WorkerPool)) — the
-    /// threaded front-end's submission path.  Admission decisions, ledger
-    /// reservations and prefix-store planning stay on the calling thread in
-    /// admission order; only the prefill compute fans out — and the session
-    /// stays where its prefill ran — so the resulting state is bit-identical
-    /// to [`submit`](BatchScheduler::submit).  Drive the scheduler through
-    /// the same executor from here on: that is where its sessions live.
+    /// [`enqueue`](BatchScheduler::enqueue), then
+    /// [`admit_waiting`](BatchScheduler::admit_waiting) through `executor`
+    /// (e.g. a [`WorkerPool`](crate::parallel::WorkerPool)) — eager
+    /// submission for a hand-driven scheduler: the call returns once the
+    /// request's prefill has run, if it was admitted.  Callers that submit
+    /// several requests between two ticks ([`KelleEngine::serve`], the
+    /// [`front`](crate::front)) enqueue them all and admit once instead, so
+    /// the prefills run side by side on the executor's shards; the resulting
+    /// state is bit-identical either way.  Drive the scheduler through the
+    /// same executor from here on: that is where its sessions live.
+    pub fn submit_with(
+        &mut self,
+        request: ServeRequest,
+        executor: &mut dyn StepExecutor<'e>,
+    ) -> usize {
+        let index = self.enqueue(request);
+        self.admit_waiting(executor);
+        index
+    }
+
+    /// Registers a request — the first half of a submission, with no
+    /// executor work — and returns its index.  The request joins the waiting
+    /// queue ([`waiting`](BatchScheduler::waiting) counts it) and is offered
+    /// to admission by the next [`admit_waiting`](BatchScheduler::admit_waiting),
+    /// which every entry point that takes an executor runs before anything
+    /// else: an enqueued request is admitted in the tick it was submitted in
+    /// and decodes from the next, exactly like an eager
+    /// [`submit_with`](BatchScheduler::submit_with).
     ///
     /// A request whose [`arrival_tick`](ServeRequest::arrival_tick) lies in
     /// the future is *scheduled* instead of queued: it stays invisible to
@@ -783,11 +821,7 @@ impl<'e> BatchScheduler<'e> {
     /// (`submitted_tick` is its arrival, so queue-time and TTFT metrics
     /// measure from arrival).  This is how a whole workload trace is loaded
     /// up front and replayed deterministically.
-    pub fn submit_with(
-        &mut self,
-        request: ServeRequest,
-        executor: &mut dyn StepExecutor<'e>,
-    ) -> usize {
+    pub fn enqueue(&mut self, request: ServeRequest) -> usize {
         let index = self.states.len();
         let arrival = request.arrival_tick();
         let future = arrival > self.tick;
@@ -807,17 +841,41 @@ impl<'e> BatchScheduler<'e> {
             self.scheduled.push(Reverse((arrival, index)));
         } else {
             self.waiting.push_back(index);
-            self.pump_admission(executor);
+            self.fresh += 1;
         }
         index
     }
 
+    /// Admits the requests [`enqueue`](BatchScheduler::enqueue)d since the
+    /// last admission — the second half of a submission, and a no-op when
+    /// there are none.  Admission decisions, ledger reservations and
+    /// prefix-store planning stay on the calling thread; the planned
+    /// prefills are handed to `executor` together, one
+    /// [`admit`](StepExecutor::admit) per flush, so they fan out over its
+    /// shards — and each session stays where its prefill ran.
+    ///
+    /// The new requests are offered to the admission policy one at a time,
+    /// in submission order — the candidate sequence (and ledger-blip draws)
+    /// of one eager [`submit_with`](BatchScheduler::submit_with) per request
+    /// — so batching changes wall-clock time and nothing else, under every
+    /// [`AdmissionPolicy`] and [`ChaosConfig`].
+    pub fn admit_waiting(&mut self, executor: &mut dyn StepExecutor<'e>) {
+        if self.fresh == 0 {
+            return;
+        }
+        let fresh = self.waiting.split_off(self.waiting.len() - self.fresh);
+        self.fresh = 0;
+        let mut pending = Vec::new();
+        for index in fresh {
+            self.waiting.push_back(index);
+            self.plan_admissions(executor, &mut pending);
+        }
+        self.flush_admissions(executor, &mut pending);
+    }
+
     /// Number of requests currently decoding.
     pub fn active(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s, RequestState::Active(_)))
-            .count()
+        self.active
     }
 
     /// Number of requests still in the waiting queue.
@@ -829,7 +887,7 @@ impl<'e> BatchScheduler<'e> {
     /// for a future arrival tick keeps the machine busy: stepping advances
     /// the clock through the idle gap until it arrives.
     pub fn is_idle(&self) -> bool {
-        self.active() == 0 && self.waiting.is_empty() && self.scheduled.is_empty()
+        self.active == 0 && self.waiting.is_empty() && self.scheduled.is_empty()
     }
 
     /// Number of requests scheduled for a future arrival tick.
@@ -928,9 +986,23 @@ impl<'e> BatchScheduler<'e> {
     ///    on) it immediately: the next candidate's plan — which in
     ///    sequential serving runs after the publication — still observes it.
     ///
-    /// Every admission pumped in one call is flushed before it returns, so
+    /// Every admission planned in one call is flushed before it returns, so
     /// the `Admitted` state is never observable between public calls.
     fn pump_admission(&mut self, executor: &mut dyn StepExecutor<'e>) {
+        let mut pending = Vec::new();
+        self.plan_admissions(executor, &mut pending);
+        self.flush_admissions(executor, &mut pending);
+    }
+
+    /// The commit phase of [`pump_admission`](Self::pump_admission): plans
+    /// admissions onto `pending` until the queue is empty or its next
+    /// candidate has to wait.  Only a `Publish` plan is flushed here; the
+    /// caller flushes the rest.
+    fn plan_admissions(
+        &mut self,
+        executor: &mut dyn StepExecutor<'e>,
+        pending: &mut Vec<Admission<'e>>,
+    ) {
         if self.draining {
             // A draining scheduler stops admitting; whatever is active
             // finishes, everything else stays queued (or was already shed by
@@ -938,7 +1010,6 @@ impl<'e> BatchScheduler<'e> {
             return;
         }
         let engine = self.engine;
-        let mut pending: Vec<Admission<'e>> = Vec::new();
         loop {
             let candidate = match self.config.admission {
                 AdmissionPolicy::Fcfs => self.waiting.front().map(|&index| (0, index)),
@@ -969,7 +1040,7 @@ impl<'e> BatchScheduler<'e> {
             let charge = self.admission_charge(&footprint);
             let fits = self.admission_fits(charge);
             if fits
-                && (self.active() > 0 || !pending.is_empty())
+                && (self.active > 0 || !pending.is_empty())
                 && self.chaos.as_mut().is_some_and(ChaosPlan::ledger_blip)
             {
                 // Transient reservation failure: the candidate stays queued
@@ -984,7 +1055,7 @@ impl<'e> BatchScheduler<'e> {
                 self.ledger
                     .reserve(footprint.private_bytes)
                     .expect("admission_fits covered the private bytes")
-            } else if self.active() == 0 && pending.is_empty() {
+            } else if self.active == 0 && pending.is_empty() {
                 // Forward-progress guarantee: an empty machine admits the
                 // candidate even if it oversubscribes on its own.  Under
                 // tiering an oversized session lands in eDRAM anyway; the
@@ -1024,16 +1095,15 @@ impl<'e> BatchScheduler<'e> {
                 }
             }
             self.waiting.remove(queue_pos);
-            let publishes = self.commit_admission(index, lease, footprint.shared, &mut pending);
+            let publishes = self.commit_admission(index, lease, footprint.shared, pending);
             if publishes {
                 // The prefill will publish a prefix boundary; later
                 // candidates' plans must observe the publication, exactly as
                 // they would after a sequential activation.  Flush before
                 // planning anything else.
-                self.flush_admissions(executor, &mut pending);
+                self.flush_admissions(executor, pending);
             }
         }
-        self.flush_admissions(executor, &mut pending);
     }
 
     /// Commits the admission of a waiting request: opens the session, plans
@@ -1130,6 +1200,7 @@ impl<'e> BatchScheduler<'e> {
             self.parallel.queue_crossings += 1;
         }
         let remaining = request.decode_len();
+        self.active += 1;
         self.states[index] = RequestState::Active(Box::new(Slot {
             request,
             prefilled: computed,
@@ -1178,7 +1249,9 @@ impl<'e> BatchScheduler<'e> {
         }
     }
 
-    /// Fallible [`step_with`](BatchScheduler::step_with): a worker loss that
+    /// Fallible [`step_with`](BatchScheduler::step_with) — which first
+    /// [admits](BatchScheduler::admit_waiting) whatever was enqueued since
+    /// the last tick.  A worker loss that
     /// exhausts the chaos retry budget surfaces as
     /// [`ServeError::WorkerLost`] instead of a panic.  Even on `Err` the
     /// scheduler stays consistent — the lost request is finalized with its
@@ -1198,6 +1271,7 @@ impl<'e> BatchScheduler<'e> {
         &mut self,
         executor: &mut dyn StepExecutor<'e>,
     ) -> Result<Vec<StepEvent>, ServeError> {
+        self.admit_waiting(executor);
         self.tick += 1;
         self.release_arrivals();
         self.shed_expired(executor);
@@ -1407,6 +1481,7 @@ impl<'e> BatchScheduler<'e> {
         let RequestState::Active(mut slot) = state else {
             unreachable!("only active requests complete");
         };
+        self.active -= 1;
         let Some(mut session) = self.take_session(index, slot.worker, executor) else {
             unreachable!("request {index} completed on a step its resident session just ran");
         };
@@ -1555,6 +1630,7 @@ impl<'e> BatchScheduler<'e> {
         let RequestState::Active(mut slot) = state else {
             unreachable!("only active requests shed through shed_active");
         };
+        self.active -= 1;
         let kv_bytes = self.ledger.lease_bytes(slot.lease);
         let generated = std::mem::take(&mut slot.generated);
         let trace = std::mem::take(&mut slot.trace);
@@ -1613,8 +1689,11 @@ impl<'e> BatchScheduler<'e> {
     }
 
     /// [`cancel`](BatchScheduler::cancel), taking the session back from
-    /// `executor` so the partial turn finalizes for real.
+    /// `executor` so the partial turn finalizes for real.  Requests enqueued
+    /// since the last tick are admitted first: the cancelled one is shed
+    /// from the state an eager submission would have put it in.
     pub fn cancel_with(&mut self, request: usize, executor: &mut dyn StepExecutor<'e>) -> bool {
+        self.admit_waiting(executor);
         match self.states.get(request) {
             Some(RequestState::Waiting(_)) => {
                 self.chaos_metrics.cancelled_requests += 1;
@@ -1644,8 +1723,9 @@ impl<'e> BatchScheduler<'e> {
     /// [`ServeError::WorkerLost`] mid-drain sheds the lost request and
     /// surfaces the error; calling again resumes the wind-down.
     pub fn drain_with(&mut self, executor: &mut dyn StepExecutor<'e>) -> Result<(), ServeError> {
+        self.admit_waiting(executor);
         self.begin_drain();
-        while self.active() > 0 {
+        while self.active > 0 {
             self.try_step_with(executor)?;
         }
         Ok(())
@@ -1654,12 +1734,15 @@ impl<'e> BatchScheduler<'e> {
     /// The non-blocking half of [`drain`](BatchScheduler::drain): stops
     /// admission, sheds every waiting request as [`ShedReason::Drained`] and
     /// resumes any backpressure-paused slot so the wind-down cannot stall —
-    /// but does **not** step the active sessions.  Keep calling
+    /// but does **not** step the active sessions.  A request
+    /// [`enqueue`](BatchScheduler::enqueue)d and not yet admitted counts as
+    /// waiting and is shed too.  Keep calling
     /// [`try_step_with`](BatchScheduler::try_step_with) until
     /// [`is_idle`](BatchScheduler::is_idle); this is what the front-end's
     /// cooperative [`drain`](crate::front::ServingFront::drain) does.
     pub fn begin_drain(&mut self) {
         self.draining = true;
+        self.fresh = 0;
         let waiting: Vec<usize> = self.waiting.iter().copied().collect();
         for index in waiting {
             self.chaos_metrics.drained_requests += 1;

@@ -3,7 +3,10 @@
 //! probability-bearing fault statistics and batch metrics to the synchronous
 //! `KelleEngine::serve` path, inline and `.parallel()` — for all five cache
 //! policies and every worker count — while adding backpressure, mid-stream
-//! cancel/drain and chaos tolerance on top.
+//! cancel/drain and chaos tolerance on top.  Admission is deferred to the
+//! tick boundary (`submit` only enqueues), which must be invisible too: a
+//! seeded submit/pump/cancel/drain interleaving is compared, whole outcome
+//! against whole outcome, with a scheduler admitting eagerly at every submit.
 //!
 //! The CI determinism gate runs this suite at explicit worker counts via
 //! `KELLE_TEST_WORKERS` (comma-separated, default {1, 2, 4}) and chaos seeds
@@ -15,6 +18,7 @@ use kelle::tier::TierConfig;
 use kelle::{
     BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, InlineExecutor, KelleEngine,
     PrefixSharingConfig, SchedulerConfig, ServeOptions, ServeRequest, ServingFront, ShedReason,
+    WorkerPool,
 };
 
 /// Worker counts under test: `KELLE_TEST_WORKERS` or {1, 2, 4} by default.
@@ -544,4 +548,250 @@ fn shed_reasons_surface_through_the_event_stream_as_they_happen() {
             assert!(none.is_empty(), "a queue timeout never decoded");
         },
     );
+}
+
+/// Pins the rejection sequence of a bounded queue across deferred admission:
+/// capacity for one active session and room for one waiting request reject
+/// exactly the third back-to-back submit, reporting one request waiting — the
+/// verdicts eager admission at every submit gives.
+#[test]
+fn queue_full_fires_for_the_same_submits_as_eager_admission() {
+    let engine = KelleEngine::builder().seed(3).workers(2).build();
+    let config = FrontConfig::default()
+        .with_queue_capacity(1)
+        .with_scheduler(
+            SchedulerConfig::unbounded().with_kv_capacity_bytes(engine.kv_footprint_bytes(4)),
+        );
+    let request = |i: usize| ServeRequest::new(vec![10 + i, 20 + i, 30 + i], 3);
+    let ((), outcome) = engine.front(config, |front| {
+        assert!(front.submit(request(0)).is_ok());
+        // Submitted, not yet admitted: the request waits until the next pump.
+        assert_eq!(front.scheduler().active(), 0);
+        assert_eq!(front.scheduler().waiting(), 1);
+        assert!(front.submit(request(1)).is_ok());
+        assert_eq!(
+            front.submit(request(2)).unwrap_err(),
+            SubmitError::QueueFull { waiting: 1 }
+        );
+        // The capacity check settled admission: request 0 runs, 1 waits.
+        assert_eq!(front.scheduler().active(), 1);
+        assert_eq!(front.scheduler().waiting(), 1);
+    });
+    assert_eq!(outcome.outcomes.len(), 2);
+    assert!(outcome.outcomes.iter().all(|o| o.shed.is_none()));
+}
+
+/// SplitMix64: the interleaving test's only source of randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// One call on the serving surface.
+#[derive(Debug, Clone)]
+enum Op {
+    Submit(ServeRequest),
+    Pump,
+    Cancel(usize),
+    Drain,
+}
+
+const SYSTEM_LEN: usize = 8;
+
+/// A seeded call sequence: bursts of submits (every cache policy in turn;
+/// one prompt in three starts with a system prompt nobody published, so its
+/// first cold prefill auto-publishes it mid-burst) between pumps, with the
+/// odd cancel and — in the last third, at most once — a drain.
+fn interleaving(seed: u64) -> Vec<Op> {
+    let mut rng = Rng(seed);
+    let policies = CachePolicy::all();
+    let system: Vec<usize> = (0..SYSTEM_LEN).map(|i| (i * 11 + 3) % 512).collect();
+    let (mut ops, mut submitted, mut drained) = (Vec::new(), 0usize, false);
+    for step in 0..48 {
+        match rng.below(20) {
+            0..=8 => {
+                let mut prompt = if submitted % 3 == 1 {
+                    system.clone()
+                } else {
+                    Vec::new()
+                };
+                let unique = 2 + rng.below(10);
+                prompt.extend((0..unique).map(|i| (submitted * 37 + i * 13 + 1) % 512));
+                ops.push(Op::Submit(
+                    ServeRequest::builder(prompt)
+                        .decode_len(1 + rng.below(6))
+                        .policy(policies[submitted % policies.len()])
+                        .build(),
+                ));
+                submitted += 1;
+            }
+            9..=16 => ops.push(Op::Pump),
+            17 | 18 if submitted > 0 => ops.push(Op::Cancel(rng.below(submitted))),
+            19 if step > 32 && !drained => {
+                drained = true;
+                ops.push(Op::Drain);
+            }
+            _ => ops.push(Op::Pump),
+        }
+    }
+    ops
+}
+
+/// An engine whose prefix store starts empty and auto-publishes.
+fn interleaving_engine(workers: usize) -> KelleEngine {
+    KelleEngine::builder()
+        .prefix_sharing(PrefixSharingConfig::enabled().with_auto_publish(SYSTEM_LEN))
+        .seed(17)
+        .workers(workers)
+        .build()
+}
+
+const QUEUE_CAPACITY: usize = 3;
+
+/// eDRAM for about two of the scenario's sessions, so admission queues and
+/// tiers migrate; under `chaos_seed` a quarter of the reservations that
+/// would fit blip and a quarter of the migrations fail.
+fn interleaving_config(engine: &KelleEngine, chaos_seed: Option<u64>) -> SchedulerConfig {
+    let tiered = SchedulerConfig::default().with_tiering(TierConfig::with_edram_budget(
+        engine.kv_footprint_bytes(2 * SYSTEM_LEN + 12),
+    ));
+    match chaos_seed {
+        Some(seed) => tiered.with_chaos(
+            ChaosConfig::default()
+                .with_seed(seed)
+                .with_ledger_blips(250)
+                .with_migration_faults(250),
+        ),
+        None => tiered,
+    }
+}
+
+/// The interleaving through a [`ServingFront`]: `submit` only enqueues and
+/// admission happens at the next pump, cancel, drain or capacity check.
+/// Returns, per submit, whether the queue rejected it.
+fn through_the_front(
+    ops: &[Op],
+    workers: usize,
+    chaos_seed: Option<u64>,
+) -> (Vec<bool>, BatchOutcome) {
+    let engine = interleaving_engine(workers);
+    let config = FrontConfig::default()
+        .with_queue_capacity(QUEUE_CAPACITY)
+        .with_scheduler(interleaving_config(&engine, chaos_seed));
+    engine.front(config, |front| {
+        let mut rejected = Vec::new();
+        for op in ops {
+            match op {
+                Op::Submit(request) => match front.submit(request.clone()) {
+                    Ok(_) => rejected.push(false),
+                    Err(SubmitError::QueueFull { .. }) => rejected.push(true),
+                    Err(SubmitError::Draining) => {}
+                },
+                Op::Pump => {
+                    front.pump();
+                }
+                Op::Cancel(request) => {
+                    front.cancel(*request);
+                }
+                Op::Drain => front.drain(),
+            }
+        }
+        rejected
+    })
+}
+
+/// The reference: the same calls on a hand-driven [`BatchScheduler`] that
+/// admits eagerly — `submit_with` runs the prefill before it returns.
+fn eagerly_by_hand(
+    ops: &[Op],
+    workers: usize,
+    chaos_seed: Option<u64>,
+) -> (Vec<bool>, BatchOutcome) {
+    let engine = interleaving_engine(workers);
+    let config = interleaving_config(&engine, chaos_seed);
+    std::thread::scope(|scope| {
+        let mut pool = WorkerPool::start(scope, workers);
+        let mut scheduler = BatchScheduler::with_config(&engine, config);
+        let mut rejected = Vec::new();
+        for op in ops {
+            match op {
+                Op::Submit(_) if scheduler.is_draining() => {}
+                Op::Submit(request) => {
+                    let full = scheduler.waiting() >= QUEUE_CAPACITY;
+                    rejected.push(full);
+                    if !full {
+                        scheduler.submit_with(request.clone(), &mut pool);
+                    }
+                }
+                Op::Pump if scheduler.is_idle() => {}
+                Op::Pump => {
+                    scheduler
+                        .try_step_with(&mut pool)
+                        .expect("no worker panics configured");
+                }
+                Op::Cancel(request) => {
+                    scheduler.cancel_with(*request, &mut pool);
+                }
+                Op::Drain => scheduler
+                    .drain_with(&mut pool)
+                    .expect("no worker panics configured"),
+            }
+        }
+        let outcome = scheduler
+            .run_with(&mut pool, |_| {})
+            .expect("no worker panics configured");
+        (rejected, outcome)
+    })
+}
+
+/// Deferred admission is invisible: whatever the interleaving of submits,
+/// pumps, cancels and drains, the front produces the `BatchOutcome` of a
+/// scheduler that admits at every submit — streams, probability bits, fault
+/// statistics, timings, SLO report, contention, prefix, tiering, chaos and
+/// executor-traffic metrics, and the same `QueueFull` verdicts.
+#[test]
+fn deferred_admission_matches_eager_admission_under_any_interleaving() {
+    let chaos: Vec<Option<u64>> = std::iter::once(None)
+        .chain(chaos_seeds().into_iter().map(Some))
+        .collect();
+    let (mut batched, mut blips, mut hits) = (false, 0, 0);
+    for scenario in [1u64, 2, 3] {
+        let ops = interleaving(scenario);
+        batched |= ops
+            .windows(2)
+            .any(|pair| matches!(pair, [Op::Submit(_), Op::Submit(_)]));
+        for workers in worker_counts() {
+            for &chaos_seed in &chaos {
+                let label = format!("scenario={scenario}, workers={workers}, chaos={chaos_seed:?}");
+                let (front_rejected, front) = through_the_front(&ops, workers, chaos_seed);
+                let (eager_rejected, eager) = eagerly_by_hand(&ops, workers, chaos_seed);
+                assert_eq!(
+                    front_rejected, eager_rejected,
+                    "{label}: QueueFull verdicts"
+                );
+                assert_outcomes_identical(&eager, &front, &label);
+                assert_eq!(eager.slo, front.slo, "{label}: SLO report");
+                assert_eq!(eager.tiering, front.tiering, "{label}: tiering metrics");
+                assert_eq!(eager.chaos, front.chaos, "{label}: chaos metrics");
+                assert_eq!(eager.parallel, front.parallel, "{label}: executor traffic");
+                blips += front.chaos.ledger_blips;
+                hits += front.prefix.hit_requests;
+            }
+        }
+    }
+    // The scenarios exercise what could tell the two apart.
+    assert!(batched, "some submits must arrive back to back");
+    assert!(blips > 0, "some reservation must blip");
+    assert!(hits > 0, "some request must hit a prefix published mid-run");
 }
