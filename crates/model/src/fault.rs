@@ -19,58 +19,58 @@
 //! # Sampling
 //!
 //! The model is one independent Bernoulli(`p`) decision per stored bit, `p`
-//! being the rate of the bit's (token group, significance) class.  2DRP makes
-//! the two significance classes differ by one to two orders of magnitude, so
-//! a lane realises them with two samplers:
+//! being the rate of the bit's (token group, significance) class.  At 2DRP's
+//! rates (`p` ≈ 2–5 % for the LSB classes, 10⁻⁴–10⁻² for the MSB ones) five
+//! LSB bytes in six and 97–99.9 % of MSB bytes hold no flip, so all four
+//! classes are realised by one sampler that pays **one draw per flip**, not
+//! per bit.
 //!
-//! * **LSB classes (`p` ≈ 2–5 %): one decision per bit.**  With roughly one
-//!   LSB byte in six holding a flip there is little to skip.  A decision
-//!   compares an 80-bit uniform integer `U` with the fixed-point threshold
-//!   `P = ⌊p·2⁸⁰⌋` and flips iff `U < P`, reading `U` lazily.  `hi = ⌊p·2¹⁶⌋`
-//!   and `rest = ⌊frac(p·2¹⁶)·2⁶⁴⌋` are computed once per class, so
-//!   `P = hi·2⁶⁴ + rest`; every step is exact in IEEE-754 double arithmetic
-//!   (scaling by a power of two only moves the exponent, `floor` and the
-//!   subtraction of an integer part are exact, and `frac·2⁶⁴ < 2⁶⁴` converts
-//!   to `u64` by truncation), so `Pr[flip] = P/2⁸⁰` equals `p` to within
-//!   `2⁻⁸⁰` always, and exactly for every rate 2DRP produces.  The top 16
-//!   bits of `U` are one 16-bit chunk of keystream — four decisions per
-//!   `next_u64`, chunks taken from the low end.  `chunk < hi` flips,
-//!   `chunk > hi` does not; only the tie `chunk == hi`, probability `2⁻¹⁶`
-//!   per decision, draws one more `u64` and flips iff it is `< rest`.
-//!   `p = 1` has `hi = 2¹⁶`, which no chunk reaches: every bit flips.
-//! * **MSB classes (`p` ≈ 10⁻⁴–10⁻², 97–99.9 % of bytes intact): one draw
-//!   per flip.**  The number of intact bits before the next flip of a
-//!   Bernoulli(`p`) sequence is geometric, `Pr[gap ≥ k] = (1−p)ᵏ`, so the
-//!   lane keeps, per token group, the count of MSB-class bits still to pass
-//!   before that group's next flip and redraws it only when a flip lands.
-//!   A draw is one `next_u64` `u` looked up in the class's survival table
-//!   `surv[k] ≈ (1−p)^(k+1)·2⁶⁴`, `k < 256`: the gap is the number of entries
-//!   above `u`, and a `u` below `surv[255]` adds 256 and draws again (the
-//!   geometric law is memoryless).  The table is integer-only: `surv[0] =
-//!   2⁶⁴ − ⌊p·2⁶⁴⌋` (an exact power-of-two scaling) and `surv[k+1] =
-//!   ⌊surv[k]·surv[0] / 2⁶⁴⌋` in `u128` — no logarithm, no `pow`, so every
-//!   platform builds the same table.  Each step truncates by less than one
-//!   unit, so `surv[k]` is within `k + 1` units of `(1−p)^(k+1)·2⁶⁴` and every
-//!   gap probability within `2⁻⁵⁵` of the geometric law.  `p < 2⁻⁶⁴` rounds
-//!   to "never", `p ≥ 1` is "all eight bits, no draw".  The counter carries
-//!   across words, rows and calls; a group's first gap is drawn by that
-//!   group's first read.
+//! The number of intact bits before the next flip of a Bernoulli(`p`)
+//! sequence is geometric, `Pr[gap ≥ k] = (1−p)ᵏ`, so a lane keeps, per class,
+//! the count of that class's bits still to pass before its next flip and
+//! redraws it only when a flip lands: an intact byte costs a compare and a
+//! subtract.  A draw is one `next_u64` `u` looked up in the class's survival
+//! table `surv[k] ≈ (1−p)^(k+1)·2⁶⁴`, `k < 256`: the gap is the number of
+//! entries above `u`, and a `u` below `surv[255]` adds 256 and draws again
+//! (the geometric law is memoryless).  The table is integer-only: `surv[0] =
+//! 2⁶⁴ − ⌊p·2⁶⁴⌋` (an exact power-of-two scaling) and `surv[k+1] =
+//! ⌊surv[k]·surv[0] / 2⁶⁴⌋` in `u128` — no logarithm, no `pow`, so every
+//! platform builds the same table.  Each step truncates by less than one
+//! unit, so `surv[k]` is within `k + 1` units of `(1−p)^(k+1)·2⁶⁴` and every
+//! gap probability within `2⁻⁵⁵` of the geometric law.  `p < 2⁻⁶⁴` rounds
+//! to "never", `p ≥ 1` is "all eight bits, no draw".
 //!
-//! Draw order within a word: the eight LSB chunks from bit 0 up (tie draws
-//! where they fall), then one gap redraw per MSB flip that lands in the word,
-//! from bit 8 up.  A class that can never flip draws nothing at all, so an
-//! all-zero rate configuration never advances any generator (the serving
-//! layer relies on that to share prefixes across fault seeds when the
-//! refresh policy cannot corrupt).
+//! One table serves every rate above 0.27 % — all LSB classes 2DRP produces —
+//! at ≈1 draw per gap.  Below that `surv[255] ≥ 2⁶³`: most gaps outrun the
+//! table, and adding 256 per draw would cost `1/(256·p)` draws per gap (a
+//! stall of seconds at `p` = 10⁻¹²).  Such a class stacks a coarser table on
+//! top, built by the same recurrence from `surv[255]` — the survival of one
+//! whole 256-bit block — and so on until a table's last entry is below `2⁶³`
+//! (two tables down to `p` ≈ 10⁻⁵, eight at `p = 2⁻⁶⁴`).  A gap is then drawn
+//! digit by digit in base 256, which is exact because the digits of a
+//! geometric variable are independent: the top digit by add-256-and-redraw
+//! on the top table (under two draws on average), every lower digit by one
+//! draw scaled into the part of its table that lies below 256.  A level's
+//! keep is the truncated last entry of the level below, within `2·256ˡ` units
+//! of `(1−p)^(256ˡ)·2⁶⁴` — less than `2⁻⁶³` per bit it stands for.  Any rate
+//! therefore costs at most a few tens of draws per gap.
+//!
+//! Draw order within a word: one redraw per LSB flip from bit 0 up, then one
+//! per MSB flip from bit 8 up; a class's first gap is drawn by that class's
+//! first read, and the counters carry across words, rows and calls.  A class
+//! that can never flip draws nothing at all, so an all-zero rate
+//! configuration never advances any generator (the serving layer relies on
+//! that to share prefixes across fault seeds when the refresh policy cannot
+//! corrupt).
 //!
 //! A lane's stream therefore depends only on the injector seed, the lane's
 //! `(layer, head)` label and the lane's own sequence of `(group, len)` reads
 //! — not on the values read, on other lanes, or on which thread runs it.
 //! Reading a row through [`FaultInjector::corrupt_slice`] is by definition
 //! the same as reading its words one by one through
-//! [`FaultInjector::corrupt`].  `Clone` captures a lane's generator, its
-//! unread LSB chunks, both groups' gap counters and its statistics; the
-//! survival tables are shared, not copied.
+//! [`FaultInjector::corrupt`].  `Clone` captures a lane's generator, its four
+//! gap counters and its statistics; the survival tables are shared, not
+//! copied.
 
 use kelle_tensor::fp16;
 use kelle_tensor::rng::{self, DetRng};
@@ -222,6 +222,11 @@ impl FaultInjector for NoFaults {
 /// This is the interface point between the refresh policy (which knows refresh
 /// intervals and retention physics) and the functional model (which knows
 /// values and token groups).
+///
+/// A rate is a probability: `p ≥ 1` flips every bit, and `p < 2⁻⁶⁴`, a
+/// negative or a NaN never flips one.  Every rate in between costs a bounded
+/// handful of keystream draws per flip, however small it is (module docs of
+/// [`crate::fault`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BitFlipRates {
     /// Flip probability per bit for MSBs of high-score tokens.
@@ -266,38 +271,6 @@ impl BitFlipRates {
     }
 }
 
-/// Fixed-point image of one rate class's flip probability: `⌊p·2⁸⁰⌋` split
-/// into its top 16 bits (`hi`, up to `2¹⁶` itself for `p = 1`) and its low
-/// 64 bits (`rest`).  See the module docs for why both are exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Threshold {
-    hi: u32,
-    rest: u64,
-}
-
-impl Threshold {
-    const NEVER: Threshold = Threshold { hi: 0, rest: 0 };
-
-    fn new(p: f64) -> Self {
-        if p >= 1.0 {
-            return Threshold {
-                hi: 1 << 16,
-                rest: 0,
-            };
-        }
-        // Also catches NaN; a rate is a probability, anything else is "off".
-        if p.is_nan() || p <= 0.0 {
-            return Threshold::NEVER;
-        }
-        let scaled = p * 65_536.0;
-        let hi = scaled.floor();
-        Threshold {
-            hi: hi as u32,
-            rest: ((scaled - hi) * 18_446_744_073_709_551_616.0) as u64,
-        }
-    }
-}
-
 /// Gap-sampling form of one rate class: how far it is to the next flipped bit
 /// of a Bernoulli(`p`) sequence.  See the module docs.
 #[derive(Debug, Clone)]
@@ -306,14 +279,17 @@ enum Gap {
     Never,
     /// `p ≥ 1`: every bit flips, nothing is drawn.
     Always,
-    /// `surv[k] ≈ (1−p)^(k+1)·2⁶⁴`, strictly the integer recurrence of
-    /// [`Gap::new`]; non-increasing.  Shared by every clone of the injector.
-    Table(Arc<[u64; Gap::SPAN]>),
+    /// One or more survival tables of [`Gap::SPAN`] entries each, finest
+    /// first: `surv[k] ≈ (1−p)^(k+1)·2⁶⁴` for `k < SPAN`, then the same for
+    /// whole blocks of `SPAN` bits, and so on while a table's last entry is
+    /// `≥ 2⁶³`; strictly the integer recurrence of [`Gap::new`].  Shared by
+    /// every clone of the injector.
+    Table(Arc<[u64]>),
 }
 
 impl Gap {
-    /// Gap lengths one table lookup resolves; longer gaps add `SPAN` and
-    /// look up again.
+    /// Gap lengths one table lookup resolves: the base the digits of a longer
+    /// gap are drawn in.
     const SPAN: usize = 256;
 
     fn new(p: f64) -> Self {
@@ -327,32 +303,59 @@ impl Gap {
         if flip == 0 {
             return Gap::Never;
         }
-        let keep = flip.wrapping_neg(); // 2⁶⁴ − flip, which fits: flip ≥ 1
-        let mut surv = [keep; Gap::SPAN];
-        for k in 1..Gap::SPAN {
-            surv[k] = ((u128::from(surv[k - 1]) * u128::from(keep)) >> 64) as u64;
+        let mut keep = flip.wrapping_neg(); // 2⁶⁴ − flip, which fits: flip ≥ 1
+        let mut surv = Vec::with_capacity(Gap::SPAN);
+        loop {
+            let mut last = keep;
+            surv.push(last);
+            for _ in 1..Gap::SPAN {
+                last = ((u128::from(last) * u128::from(keep)) >> 64) as u64;
+                surv.push(last);
+            }
+            // A gap outruns this table more often than not: let the next one
+            // count whole blocks.  `2⁶⁴ − keep` grows at least 128-fold a
+            // level, so this ends.
+            if last < 1 << 63 {
+                return Gap::Table(surv.into());
+            }
+            keep = last;
         }
-        Gap::Table(Arc::new(surv))
     }
 
-    /// Draws the number of intact bits before the next flip.
+    /// Draws the number of intact bits before the next flip, top digit first.
     #[inline]
-    fn draw(surv: &[u64; Gap::SPAN], rng: &mut DetRng) -> u64 {
-        let mut passed = 0;
+    fn draw(surv: &[u64], rng: &mut DetRng) -> u64 {
+        let above = |table: &[u64], u: u64| table.partition_point(|&s| u < s) as u64;
+        let mut levels = surv.chunks_exact(Gap::SPAN).rev();
+        let top = levels.next().expect("a table has at least one level");
+        let mut gap = 0u64;
         loop {
             let u = rng.next_u64();
-            if u >= surv[Gap::SPAN - 1] {
-                return passed + surv.partition_point(|&s| u < s) as u64;
+            if u >= top[Gap::SPAN - 1] {
+                gap += above(top, u);
+                break;
             }
-            passed += Gap::SPAN as u64;
+            gap += Gap::SPAN as u64;
         }
+        for table in levels {
+            // Uniform over [table[SPAN − 1], 2⁶⁴): the digit given that it is
+            // below SPAN.  Eight tables and a top digit past SPAN outrun
+            // `u64`; a gap that long is never reached, so saturate.
+            let floor = table[Gap::SPAN - 1];
+            let scaled = (u128::from(rng.next_u64()) * u128::from(floor.wrapping_neg())) >> 64;
+            gap = gap
+                .saturating_mul(Gap::SPAN as u64)
+                .saturating_add(above(table, floor + scaled as u64));
+        }
+        gap
     }
 }
 
-/// The two samplers a stored word of one token group is read against.
+/// The samplers a stored word of one token group is read against, one per
+/// significance class.
 #[derive(Debug, Clone)]
 struct WordThresholds {
-    lsb: Threshold,
+    lsb: Gap,
     msb: Gap,
 }
 
@@ -366,7 +369,7 @@ struct Thresholds {
 impl Thresholds {
     fn new(rates: &BitFlipRates) -> Self {
         let word = |group| WordThresholds {
-            lsb: Threshold::new(rates.rate(group, SignificanceGroup::Lsb)),
+            lsb: Gap::new(rates.rate(group, SignificanceGroup::Lsb)),
             msb: Gap::new(rates.rate(group, SignificanceGroup::Msb)),
         };
         Thresholds {
@@ -386,19 +389,15 @@ impl Thresholds {
 /// One deterministic substream of a [`ProbabilisticFaults`] injector.
 ///
 /// A lane owns its own RNG (seeded from the parent seed and the lane's
-/// `(layer, head)` label via [`rng::lane`]), the unread 16-bit chunks of the
-/// last keystream word it drew, each token group's distance to its next MSB
-/// flip, and its own counters, so the draws consumed for one attention head
-/// never shift the stream of another.
+/// `(layer, head)` label via [`rng::lane`]), each rate class's distance to its
+/// next flip, and its own counters, so the draws consumed for one attention
+/// head never shift the stream of another.
 #[derive(Debug, Clone)]
 struct FaultLane {
     rng: DetRng,
-    /// Unread chunks of the last keystream word, next chunk in the low bits.
-    pool: u64,
-    pool_left: u8,
-    /// Per token group: MSB-class bits still to pass before the next flip;
-    /// `None` until the group's first read draws it.
-    msb_gap: [Option<u64>; 2],
+    /// Per (token group, significance): bits of that class still to pass
+    /// before its next flip; `None` until the class's first read draws it.
+    gap: [[Option<u64>; 2]; 2],
     stats: FaultStats,
 }
 
@@ -406,52 +405,22 @@ impl FaultLane {
     fn new(seed: u64, layer: usize, head: usize) -> Self {
         FaultLane {
             rng: rng::lane(seed, layer as u64, head as u64),
-            pool: 0,
-            pool_left: 0,
-            msb_gap: [None; 2],
+            gap: [[None; 2]; 2],
             stats: FaultStats::default(),
         }
     }
 
-    /// One Bernoulli decision: is an 80-bit uniform below `⌊p·2⁸⁰⌋`?  The low
-    /// 64 bits are drawn only when the top 16 tie.
-    #[inline]
-    fn flips(&mut self, t: Threshold) -> bool {
-        if self.pool_left == 0 {
-            self.pool = self.rng.next_u64();
-            self.pool_left = 4;
-        }
-        let chunk = (self.pool & 0xffff) as u32;
-        self.pool >>= 16;
-        self.pool_left -= 1;
-        if chunk == t.hi {
-            self.rng.next_u64() < t.rest
-        } else {
-            chunk < t.hi
-        }
-    }
-
-    /// Flip mask for the eight bits of one byte, lowest bit first; a class
-    /// that can never flip draws nothing.
-    #[inline]
-    fn byte_mask(&mut self, t: Threshold) -> u16 {
-        if t == Threshold::NEVER {
-            return 0;
-        }
-        (0..8).fold(0, |mask, bit| mask | u16::from(self.flips(t)) << bit)
-    }
-
     /// Flip mask for the eight bits of one byte of a `group` token, lowest
-    /// bit first, walked by gaps: whatever flips land in the next eight bits
-    /// of the group's MSB-class sequence.
+    /// bit first: whatever flips land in the next eight bits of the class's
+    /// sequence.
     #[inline]
-    fn gap_mask(&mut self, gap: &Gap, group: TokenGroup) -> u16 {
+    fn gap_mask(&mut self, gap: &Gap, group: TokenGroup, sig: SignificanceGroup) -> u16 {
         let surv = match gap {
             Gap::Never => return 0,
             Gap::Always => return 0xff,
             Gap::Table(surv) => &**surv,
         };
-        let slot = &mut self.msb_gap[group as usize];
+        let slot = &mut self.gap[group as usize][sig as usize];
         let mut left = match *slot {
             Some(left) => left,
             None => Gap::draw(surv, &mut self.rng),
@@ -471,7 +440,8 @@ impl FaultLane {
     /// Flip mask for one stored word: LSB byte first, then MSB byte.
     #[inline]
     fn word_mask(&mut self, t: &WordThresholds, group: TokenGroup) -> u16 {
-        self.byte_mask(t.lsb) | self.gap_mask(&t.msb, group) << 8
+        self.gap_mask(&t.lsb, group, SignificanceGroup::Lsb)
+            | self.gap_mask(&t.msb, group, SignificanceGroup::Msb) << 8
     }
 
     fn corrupt(&mut self, value: f32, t: &WordThresholds, group: TokenGroup) -> f32 {
@@ -539,10 +509,10 @@ impl FaultInjector for LaneHandle<'_> {
 /// threads.  [`stats`](FaultInjector::stats) sums the lane counters.
 ///
 /// `Clone` snapshots the full injector state (rates, every lane's RNG
-/// position, unread keystream chunks, gap counters and statistics — the
-/// survival tables are shared behind an `Arc`); the prefix-sharing
-/// machinery uses this to capture the exact post-prefix fault stream so a
-/// cache-hit session resumes the stream bit-identically to a cold one.
+/// position, gap counters and statistics — the survival tables are shared
+/// behind an `Arc`); the prefix-sharing machinery uses this to capture the
+/// exact post-prefix fault stream so a cache-hit session resumes the stream
+/// bit-identically to a cold one.
 #[derive(Debug, Clone)]
 pub struct ProbabilisticFaults {
     rates: BitFlipRates,
@@ -855,44 +825,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn thresholds_are_the_exact_fixed_point_image_of_the_rate() {
-        let mut rates = vec![
-            0.5,
-            0.25 + 2f64.powi(-40),
-            1.0 / 3.0,
-            1e-5,
-            2f64.powi(-16),
-            2f64.powi(-17),
-            3.0 * 2f64.powi(-80),
-            2f64.powi(-81),
-            f64::MIN_POSITIVE / 4.0,
-            1.0 - f64::EPSILON / 2.0,
-        ];
-        for r in PAPER_RATES {
-            rates.extend([r.hst_msb, r.hst_lsb, r.lst_msb, r.lst_lsb]);
-        }
-        for p in rates {
-            let t = Threshold::new(p);
-            assert_eq!(
-                u128::from(t.hi) << 64 | u128::from(t.rest),
-                floor_p_times_2_80(p),
-                "p = {p:e}"
-            );
-        }
-        assert_eq!(
-            Threshold::new(1.0),
-            Threshold {
-                hi: 1 << 16,
-                rest: 0
-            }
-        );
-        assert_eq!(Threshold::new(7.0), Threshold::new(1.0));
-        for off in [0.0, -0.0, -0.25, f64::NAN, 2f64.powi(-81)] {
-            assert_eq!(Threshold::new(off), Threshold::NEVER, "p = {off:e}");
-        }
-    }
-
     /// `a · b` on little-endian base-2³² limbs.
     fn limbs_mul(a: &[u32], b: &[u32]) -> Vec<u32> {
         let mut out = vec![0u32; a.len() + b.len()];
@@ -983,9 +915,17 @@ mod tests {
     #[test]
     fn gap_lengths_follow_the_geometric_law() {
         const DRAWS: usize = 1_000_000;
-        // Pr[gap ≥ 256] is 0.93 and 0.42 for these two, so both the table
-        // and the add-256-and-redraw tail carry weight.
-        for p in [PAPER_RATES[0].hst_msb, PAPER_RATES[0].lst_msb] {
+        let rates = PAPER_RATES[0];
+        // Pr[gap ≥ 256] is 0.93 and 0.42 for the two MSB rates, so the table
+        // and what lies beyond it (a second table for the first, the
+        // add-256-and-redraw tail for the second) both carry weight; for the
+        // two LSB rates it is 0.004 and 0.0003 and the table body does.
+        for (p, spans) in [
+            (rates.hst_msb, 3),
+            (rates.lst_msb, 3),
+            (rates.hst_lsb, 1),
+            (rates.lst_lsb, 1),
+        ] {
             // One cell per length while its expectation stays ≥ 5, then one
             // cell for everything longer.
             let mut cells = Vec::new();
@@ -995,7 +935,7 @@ mod tests {
                 expected *= 1.0 - p;
             }
             cells.push((0.0, expected / p));
-            assert!(cells.len() > 3 * Gap::SPAN);
+            assert!(cells.len() > spans * Gap::SPAN);
             let last = cells.len() - 1;
             for gap in gaps(p, 41, DRAWS) {
                 cells[(gap as usize).min(last)].0 += 1.0;
@@ -1098,48 +1038,98 @@ mod tests {
         }
     }
 
+    /// How many `next_u64` calls took `before` to `after`, looking no further
+    /// than `limit`.
+    fn draws_between(before: &DetRng, after: &DetRng, limit: usize) -> Option<usize> {
+        let ahead = |rng: &DetRng| {
+            let mut rng = rng.clone();
+            [rng.next_u64(), rng.next_u64()]
+        };
+        let target = ahead(after);
+        let mut probe = before.clone();
+        (0..=limit).find(|_| {
+            let hit = ahead(&probe) == target;
+            probe.next_u64();
+            hit
+        })
+    }
+
     #[test]
     fn zero_rate_classes_consume_no_keystream() {
-        let untouched = FaultLane::new(3, 1, 4).rng.next_u64();
+        let fresh = FaultLane::new(3, 1, 4).rng;
         let group = TokenGroup::LowScore;
 
         let mut lane = FaultLane::new(3, 1, 4);
         let never = WordThresholds {
-            lsb: Threshold::NEVER,
+            lsb: Gap::Never,
             msb: Gap::Never,
         };
         for i in 0..1000 {
             assert_eq!(lane.corrupt(i as f32 * 0.5, &never, group), i as f32 * 0.5);
         }
-        assert_eq!(lane.pool_left, 0);
-        assert_eq!(lane.msb_gap, [None; 2]);
-        assert_eq!(lane.rng.next_u64(), untouched);
+        assert_eq!(lane.gap, [[None; 2]; 2]);
+        assert_eq!(draws_between(&fresh, &lane.rng, 0), Some(0));
         assert_eq!(lane.stats.words_examined, 1000);
 
-        // A certain MSB class flips its byte without reading anything.
+        // A certain class flips its byte without reading anything.
         let mut lane = FaultLane::new(3, 1, 4);
-        let msb_only = WordThresholds {
-            lsb: Threshold::NEVER,
+        let certain = WordThresholds {
+            lsb: Gap::Never,
             msb: Gap::new(1.0),
         };
-        assert_eq!(lane.word_mask(&msb_only, group), 0xff00);
-        assert_eq!(lane.msb_gap, [None; 2]);
-        assert_eq!(lane.rng.next_u64(), untouched);
+        assert_eq!(lane.word_mask(&certain, group), 0xff00);
+        assert_eq!(lane.gap, [[None; 2]; 2]);
+        assert_eq!(draws_between(&fresh, &lane.rng, 0), Some(0));
 
-        // A word whose only live class is the LSB one reads exactly that
-        // byte's eight chunks.
-        let mut lane = FaultLane::new(3, 1, 4);
-        let lsb_only = WordThresholds {
-            lsb: Threshold::new(0.5),
-            msb: Gap::Never,
+        // A word whose only live class is the LSB one draws that class's
+        // first gap plus one redraw per flip, and a `Never` LSB class beside
+        // a live MSB class draws only for the MSB.  One table at p = 0.5, so
+        // a draw is one keystream word unless it adds 256 (never, here).
+        let live = |lsb: bool| {
+            let (lsb, msb) = if lsb {
+                (Gap::new(0.5), Gap::Never)
+            } else {
+                (Gap::Never, Gap::new(0.5))
+            };
+            WordThresholds { lsb, msb }
         };
-        assert_eq!(lane.word_mask(&lsb_only, group) & 0xff00, 0);
-        let mut reference = FaultLane::new(3, 1, 4).rng;
-        reference.next_u64();
-        reference.next_u64();
-        assert_eq!(lane.pool_left, 0);
-        assert_eq!(lane.msb_gap, [None; 2]);
-        assert_eq!(lane.rng.next_u64(), reference.next_u64());
+        for (lsb, byte) in [(true, 0x00ff), (false, 0xff00)] {
+            let live = live(lsb);
+            let mut lane = FaultLane::new(3, 1, 4);
+            let mut flips = 0;
+            for _ in 0..100 {
+                let mask = lane.word_mask(&live, group);
+                assert_eq!(mask & !byte, 0);
+                flips += mask.count_ones() as usize;
+            }
+            assert!(flips > 300);
+            assert_eq!(draws_between(&fresh, &lane.rng, 1000), Some(1 + flips));
+            let [msb_gap, lsb_gap] = lane.gap[group as usize];
+            assert_eq!((lsb_gap.is_some(), msb_gap.is_some()), (lsb, !lsb));
+            assert_eq!(lane.gap[TokenGroup::HighScore as usize], [None; 2]);
+        }
+    }
+
+    #[test]
+    fn a_first_read_at_any_rate_draws_a_bounded_number_of_keystream_words() {
+        // One table would walk a gap of 1/p bits 256 at a time: ≈4·10⁶ draws
+        // at 10⁻⁹, ≈4·10¹⁰ at 10⁻¹³.  Stacked tables draw it digit by digit.
+        for p in [1e-9, 1e-13, 2f64.powi(-64)] {
+            for seed in 0..50 {
+                let mut inj = ProbabilisticFaults::new(BitFlipRates::uniform(p), seed);
+                for group in GROUPS {
+                    assert_eq!(inj.corrupt(0.375, group), 0.375);
+                }
+                // Four first gaps: a draw per table (four to eight of them
+                // at these rates) plus the top table's redraws, each less
+                // likely than not.
+                let draws = draws_between(&rng::lane(seed, 0, 0), &inj.lanes[0].rng, 96);
+                assert!(
+                    draws.is_some_and(|n| n >= 16),
+                    "p = {p:e}, seed {seed}: {draws:?} draws"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1158,17 +1148,21 @@ mod tests {
     }
 
     #[test]
-    fn rates_below_one_chunk_are_reached_through_the_tie_draw() {
-        // p < 2⁻¹⁶: the LSB threshold's `hi` is 0, so an LSB bit can flip only
-        // when its chunk ties at 0 and the extra 64-bit draw falls below
-        // `rest`; the MSB byte reaches the same rate through gaps that are
-        // ~100 000 bits long.  Each byte must show its own eight bits' worth.
+    fn rates_far_below_one_table_are_reached_through_stacked_tables() {
+        // p = 10⁻⁵: gaps are ~100 000 bits long, 400 times what one table
+        // resolves, so both bytes reach their rate through the digit-by-digit
+        // draw.  Each byte must show its own eight bits' worth.
         let p = 1e-5;
-        let t = Threshold::new(p);
-        assert_eq!(t.hi, 0);
-        assert!(t.rest > 0);
         const WORDS: usize = 2_000_000;
         let thresholds = Thresholds::new(&BitFlipRates::uniform(p));
+        let tables = |p: f64| match Gap::new(p) {
+            Gap::Table(surv) => surv.len() / Gap::SPAN,
+            _ => panic!("p = {p:e} has a table"),
+        };
+        assert_eq!(
+            [0.5, 0.0028, 0.0027, 1.1e-5, p, 2f64.powi(-64)].map(tables),
+            [1, 1, 2, 2, 3, 8]
+        );
         let (per_bit, _) = sample_masks(&thresholds, TokenGroup::HighScore, 5, WORDS);
         let mean = 8.0 * WORDS as f64 * p;
         for (byte, bits) in [("LSB", &per_bit[..8]), ("MSB", &per_bit[8..])] {
@@ -1210,58 +1204,52 @@ mod tests {
         assert!(by_row.stats().bits_flipped > 0);
     }
 
+    /// All four classes since the LSB ones walk gaps too; the name dates from
+    /// when only the MSB ones did.
     #[test]
     fn msb_masks_do_not_depend_on_how_a_row_is_split() {
-        // MSB classes only, so every changed word shows a gap-sampled flip.
-        let rates = BitFlipRates {
-            hst_lsb: 0.0,
-            lst_lsb: 0.0,
-            ..PAPER_RATES[2]
-        };
+        let rates = PAPER_RATES[2];
         let row = [0.375f32; 64];
-        let mut whole = ProbabilisticFaults::new(rates, 17);
-        let mut split = ProbabilisticFaults::new(rates, 17);
-        let mut flipped_words = 0;
+        // Length of a row's first part, then of every further part: whole,
+        // 8/8/…, 1/63, word by word.
+        let splits = [(64, 64), (8, 8), (1, 63), (1, 1)];
+        let mut injectors = splits.map(|_| ProbabilisticFaults::new(rates, 17));
+        let mut flipped = [0usize; 2];
         for _ in 0..200 {
             for group in GROUPS {
-                let mut a = row;
-                whole.corrupt_slice(&mut a, group);
-                let mut b = row;
-                for part in b.chunks_mut(8) {
-                    split.corrupt_slice(part, group);
+                let reads: [_; 4] = std::array::from_fn(|i| {
+                    let (first, then) = splits[i];
+                    let mut read = row;
+                    let (head, rest) = read.split_at_mut(first);
+                    for part in std::iter::once(head).chain(rest.chunks_mut(then)) {
+                        injectors[i].corrupt_slice(part, group);
+                    }
+                    read.map(f32::to_bits)
+                });
+                assert!(reads.iter().all(|read| *read == reads[0]));
+                let stored = fp16::f32_to_f16_bits(0.375);
+                for read in reads[0] {
+                    let mask = fp16::f32_to_f16_bits(f32::from_bits(read)) ^ stored;
+                    flipped[0] += usize::from(mask & 0x00ff != 0);
+                    flipped[1] += usize::from(mask & 0xff00 != 0);
                 }
-                assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits));
-                flipped_words += a.iter().filter(|&&v| v != 0.375).count();
             }
         }
-        assert!(flipped_words > 100);
-        let (whole, split) = (&mut whole.lanes[0], &mut split.lanes[0]);
-        assert!(whole.msb_gap.iter().all(Option::is_some));
-        assert_eq!(whole.msb_gap, split.msb_gap);
-        assert_eq!(whole.stats, split.stats);
-        assert_eq!(whole.rng.next_u64(), split.rng.next_u64());
+        assert!(flipped[0] > 1000 && flipped[1] > 100, "{flipped:?}");
+        let [whole, rest @ ..] = &mut injectors;
+        let whole = &mut whole.lanes[0];
+        assert!(whole.gap.as_flattened().iter().all(Option::is_some));
+        let next = whole.rng.next_u64();
+        for split in rest {
+            let split = &mut split.lanes[0];
+            assert_eq!(whole.gap, split.gap);
+            assert_eq!(whole.stats, split.stats);
+            assert_eq!(next, split.rng.next_u64());
+        }
     }
 
     #[test]
-    fn clone_taken_mid_pool_resumes_identically() {
-        let t = Threshold::new(0.3);
-        let unbroken: Vec<bool> = {
-            let mut lane = FaultLane::new(13, 2, 2);
-            (0..67).map(|_| lane.flips(t)).collect()
-        };
-        for taken_after in 1..=3usize {
-            let mut lane = FaultLane::new(13, 2, 2);
-            let mut head: Vec<bool> = (0..taken_after).map(|_| lane.flips(t)).collect();
-            assert_eq!(usize::from(lane.pool_left), 4 - taken_after);
-            let mut snapshot = lane.clone();
-            let mut tail = head.clone();
-            head.extend((taken_after..67).map(|_| lane.flips(t)));
-            tail.extend((taken_after..67).map(|_| snapshot.flips(t)));
-            assert_eq!(head, unbroken, "original after {taken_after} decisions");
-            assert_eq!(tail, unbroken, "snapshot after {taken_after} decisions");
-        }
-
-        // Mid-gap: both groups' counters are part of the snapshot.
+    fn clone_taken_mid_gap_resumes_identically() {
         let thresholds = Thresholds::new(&PAPER_RATES[2]);
         let masks = |lane: &mut FaultLane, words: usize| -> Vec<u16> {
             (0..words)
@@ -1273,18 +1261,46 @@ mod tests {
         };
         let mut lane = FaultLane::new(13, 2, 2);
         let unbroken = masks(&mut lane, 6000);
-        let mut lane = FaultLane::new(13, 2, 2);
-        let head = masks(&mut lane, 12);
-        assert!(lane
-            .msb_gap
-            .iter()
-            .all(|gap| gap.is_some_and(|left| left > 0)));
-        let mut snapshot = lane.clone();
-        for resumed in [&mut lane, &mut snapshot] {
-            let tail = masks(resumed, 6000 - 12);
-            assert_eq!([&head[..], &tail[..]].concat(), unbroken);
+        // All four counters are part of the snapshot, wherever it is taken
+        // (multiples of 3 keep `masks`' group pattern in phase).
+        for taken_after in [3, 12, 15, 999] {
+            let mut lane = FaultLane::new(13, 2, 2);
+            let head = masks(&mut lane, taken_after);
+            let left = lane.gap.as_flattened();
+            assert!(left.iter().all(Option::is_some));
+            let mut snapshot = lane.clone();
+            for resumed in [&mut lane, &mut snapshot] {
+                let tail = masks(resumed, 6000 - taken_after);
+                assert_eq!([&head[..], &tail[..]].concat(), unbroken);
+            }
         }
-        assert!(unbroken.iter().filter(|&&mask| mask >> 8 != 0).count() > 50);
+        for byte in [0x00ff, 0xff00] {
+            assert!(unbroken.iter().filter(|&&mask| mask & byte != 0).count() > 50);
+        }
+    }
+
+    #[test]
+    fn observed_bit_error_rate_is_the_mean_of_the_class_rates() {
+        const WORDS: usize = 2_000_000;
+        for (setting, rates) in PAPER_RATES.iter().enumerate() {
+            for group in GROUPS {
+                let mut inj = ProbabilisticFaults::new(*rates, 61 + setting as u64);
+                let mut row = [0.375f32; 1000];
+                for _ in 0..WORDS / row.len() {
+                    inj.corrupt_slice(&mut row, group);
+                }
+                assert_eq!(inj.stats().words_examined, WORDS as u64);
+                let [msb, lsb] = [SignificanceGroup::Msb, SignificanceGroup::Lsb]
+                    .map(|sig| rates.rate(group, sig));
+                let bits = 8.0 * WORDS as f64;
+                let sigma = (bits * (lsb * (1.0 - lsb) + msb * (1.0 - msb))).sqrt() / (2.0 * bits);
+                let observed = inj.stats().bit_error_rate();
+                assert!(
+                    (observed - (8.0 * lsb + 8.0 * msb) / 16.0).abs() <= 4.0 * sigma,
+                    "setting {setting} {group:?}: {observed:e} ± {sigma:e}"
+                );
+            }
+        }
     }
 
     #[test]
