@@ -22,6 +22,7 @@
 //! constants, so ratios between platforms (speedup, energy efficiency) are the
 //! quantities to compare against the paper; see `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

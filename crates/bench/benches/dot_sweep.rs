@@ -1,24 +1,20 @@
 //! `bench_dot_sweep`: measurement-only sweep behind the
 //! [`DOT_LANES`](kelle::tensor::DOT_LANES) constant.
 //!
-//! Two axes, matching the rationale documented on `DOT_LANES` in
-//! `crates/tensor/src/matrix.rs`:
-//!
-//! * **Accumulator width** — a local generic re-implementation of the
-//!   documented chunked accumulation ordering at widths 1/2/4/8/16, over the
-//!   surrogate's representative row lengths (64–4096 elements), plus the
-//!   library [`dot`] as the shipped-width reference.  Width 1 serializes on
-//!   FP-add latency; the sweep shows where extra chains stop paying.
-//! * **Row-block size** — the blocked matvec
-//!   ([`Matrix::matvec_rows_into_slice`]) at block heights 1/4/16/64/full,
-//!   the partitioning unit the intra-session fan-out hands to workers.
+//! One axis, matching the rationale documented on `DOT_LANES` in
+//! `crates/tensor/src/matrix.rs`: **accumulator width** — a local generic
+//! re-implementation of the documented chunked accumulation ordering at
+//! widths 1/2/4/8/16, over the surrogate's representative row lengths
+//! (64–4096 elements), plus the library [`dot`] as the shipped-width
+//! reference.  Width 1 serializes on FP-add latency; the sweep shows where
+//! extra chains stop paying.
 //!
 //! This harness only measures: changing `DOT_LANES` itself is a
 //! format-breaking change to the reference accumulation ordering (see the
 //! constant's docs), so the tradeoff is re-measured here without touching it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kelle::tensor::{dot, Matrix};
+use kelle::tensor::dot;
 use std::hint::black_box;
 
 /// The documented reference ordering at a generic accumulator width `L`:
@@ -77,40 +73,9 @@ fn bench_accumulator_widths(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_row_blocks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dot_sweep/row_block");
-    // An LM-head-shaped projection: many short rows, the case the row-range
-    // partitioning actually splits.
-    let rows = 512usize;
-    let cols = 256usize;
-    let m = Matrix::from_rows(
-        (0..rows)
-            .map(|r| operand(cols, 0.3 + r as f32 * 1e-3))
-            .collect(),
-    )
-    .expect("rectangular benchmark matrix");
-    let v = operand(cols, 0.9);
-    for block in [1usize, 4, 16, 64, rows] {
-        group.bench_function(format!("block{block}/{rows}x{cols}"), |bch| {
-            let mut out = vec![0.0f32; rows];
-            bch.iter(|| {
-                let mut start = 0;
-                while start < rows {
-                    let end = (start + block).min(rows);
-                    m.matvec_rows_into_slice(start..end, black_box(&v), &mut out[start..end])
-                        .expect("in-range row block");
-                    start = end;
-                }
-                black_box(out[rows - 1])
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_accumulator_widths, bench_row_blocks
+    targets = bench_accumulator_widths
 }
 criterion_main!(benches);

@@ -2,8 +2,8 @@
 //!
 //! Usage: `cargo run -p kelle-bench --bin tables [-- --table <id>]`
 //! where `<id>` is one of `1`, `2`, `3`, `4`, `5`, `6`, `7`, `8`, `9`,
-//! `area-power`, `bandwidth`, `chaos`, `contention`, `decode_perf`, `intra`,
-//! `prefix`, `serving`, `tiering`, `trace`, or `all` (default).
+//! `area-power`, `bandwidth`, `chaos`, `contention`, `decode_perf`, `prefix`,
+//! `serving`, `tiering`, `trace`, or `all` (default).
 
 use kelle::accuracy::{evaluate_all_methods, evaluate_method, AccuracyConfig, Method};
 use kelle::arch::InferenceWorkload;
@@ -63,9 +63,6 @@ fn main() {
     }
     if all || which == "decode_perf" {
         decode_perf();
-    }
-    if all || which == "intra" {
-        intra();
     }
     if all || which == "prefix" {
         prefix();
@@ -363,36 +360,6 @@ fn decode_perf() {
         report.geomean_speedup(),
         report.workload
     );
-}
-
-fn intra() {
-    header("Intra-session parallelism: single-session decode, sequential vs fan-out");
-    let report = kelle_bench::intra_perf::run(kelle_bench::intra_perf::IntraPerfConfig::quick());
-    println!(
-        "policy {}, host parallelism {}",
-        report.policy.name(),
-        report.host_parallelism
-    );
-    println!(
-        "{:>12} {:>12} {:>12} {:>14} {:>9}",
-        "workers", "decode tok", "decode s", "decode tok/s", "speedup"
-    );
-    for row in &report.rows {
-        let workers = row
-            .workers
-            .map(|w| w.to_string())
-            .unwrap_or_else(|| "sequential".to_string());
-        let speedup = row
-            .speedup_vs_sequential
-            .map(|s| format!("{s:.2}x"))
-            .unwrap_or_else(|| "-".to_string());
-        println!(
-            "{:>12} {:>12} {:>12.4} {:>14.0} {:>9}",
-            workers, row.decode_tokens, row.decode_seconds, row.tokens_per_sec, speedup,
-        );
-    }
-    println!("(token streams and probability bits are identical on every row;");
-    println!(" speedup requires a multi-core host — the fan-out only moves wall-clock time)");
 }
 
 fn prefix() {

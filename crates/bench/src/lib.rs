@@ -8,8 +8,6 @@
 //!   figure of the paper from the reproduction models;
 //! * `src/bin/bench_decode.rs` — the decode-throughput comparison emitting
 //!   `BENCH_decode.json`, built on [`decode_perf`];
-//! * `src/bin/bench_intra.rs` — the intra-session decode-parallelism sweep
-//!   emitting `BENCH_intra.json`, built on [`intra_perf`];
 //! * `src/bin/bench_prefix.rs` — the cross-session prefix-sharing sweep
 //!   emitting `BENCH_prefix.json`, built on [`prefix_perf`];
 //! * `src/bin/bench_serving.rs` — the threaded-serving worker-count sweep
@@ -22,11 +20,11 @@
 //!   admission-policy shootout emitting `BENCH_trace.json`, built on
 //!   [`trace_perf`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos_perf;
 pub mod decode_perf;
-pub mod intra_perf;
 pub mod prefix_perf;
 pub mod serving_perf;
 pub mod tiering_perf;

@@ -36,6 +36,7 @@
 //! assert_eq!(cache.name(), "aerp");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

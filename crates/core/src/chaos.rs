@@ -2,9 +2,9 @@
 //! chaos-hardened scheduler.
 //!
 //! The serving stack promises bit-identical token streams for every worker
-//! count and both parallel axes.  This module extends that promise to a
-//! *failing* machine: a seeded [`ChaosPlan`] injects worker-thread panics
-//! mid-tick, transient tier-migration I/O errors and transient
+//! count.  This module extends that promise to a *failing* machine: a seeded
+//! [`ChaosPlan`] injects worker-thread panics mid-tick, transient
+//! tier-migration I/O errors and transient
 //! [`CapacityLedger`](kelle_edram::CapacityLedger) reservation failures, and
 //! the scheduler recovers from all three such that every surviving session's
 //! stream — tokens, probability bits, fault statistics — is bit-identical to

@@ -745,35 +745,4 @@ mod tests {
         assert_eq!(outcome.outcomes[1].shed, None);
         assert_eq!(outcome.outcomes[1].generated.len(), 4);
     }
-
-    #[test]
-    fn sticky_front_crosses_the_queue_less_than_stealing() {
-        // "Stealing" is gone; what is left to pin is the absolute price of
-        // pinned residency — one crossing in with the prefill, one out when
-        // taken, none per tick — on the front and on the synchronous path
-        // alike, since both run the same pool.
-        let engine = KelleEngine::builder().workers(2).build();
-        let long_lived: Vec<ServeRequest> = (0..6)
-            .map(|i| ServeRequest::new(vec![i + 1, i + 2], 24))
-            .collect();
-        let requests = long_lived.clone();
-        let ((), front) = engine.front(FrontConfig::default(), move |front| {
-            for request in requests {
-                front.submit(request).expect("unbounded queue");
-            }
-        });
-        let synchronous = engine
-            .serve(long_lived, crate::engine::ServeOptions::new().parallel())
-            .unwrap();
-        for (a, b) in front.outcomes.iter().zip(synchronous.outcomes.iter()) {
-            assert_eq!(a.generated, b.generated);
-        }
-        assert_eq!(front.parallel, synchronous.parallel);
-        assert_eq!(front.parallel.ticks, 24);
-        assert_eq!(front.parallel.queue_crossings, 2 * 6);
-        assert_eq!(
-            front.parallel.sessions_migrated, 0,
-            "pinning never migrates"
-        );
-    }
 }

@@ -112,6 +112,7 @@
 //! * [`experiment`] — the hardware experiments behind Figs. 3, 13–16 and
 //!   Tables 7–9.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -139,8 +140,8 @@ pub use faults::fault_injector_for_policy;
 pub use front::{FrontConfig, ServingFront, StreamPoll, SubmitError, TokenStream};
 pub use kelle_cache::CachePolicy;
 pub use parallel::{
-    Admission, InlineExecutor, ParallelMetrics, PoolRunner, Prefilled, ResidentStep, StepExecutor,
-    StepRequest, TaskFailure, WorkerPool,
+    Admission, InlineExecutor, ParallelMetrics, Prefilled, ResidentStep, StepExecutor, StepRequest,
+    TaskFailure, WorkerPool,
 };
 pub use prefix::{
     PrefixHit, PrefixKey, PrefixSharingConfig, PrefixStore, PrefixStoreStats, RadixPrefixIndex,

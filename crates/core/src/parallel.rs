@@ -38,24 +38,17 @@
 //! Without a `ChaosConfig` there is no checkpoint and a panicked session is
 //! simply gone.
 //!
-//! **Narrow batches fork inside the step.**  With at most half a session per
-//! worker, each shard fans its step's per-head attention and row-blocked
-//! projection jobs out to the idle workers through a [`PoolRunner`] — the
-//! session still does not move.
-//!
 //! # Why determinism holds
 //!
-//! A step is a pure function of the session it runs on; a session is on one
-//! thread for its whole life; per-head fault draws come from deterministic
-//! `(layer, head)` lanes ([`kelle_model::fault::FaultInjector`]), so fork
-//! order cannot reorder a random stream; and the coordinator sorts each
-//! tick's results by request index before committing — ledger growth,
-//! completions (hardware simulation, `f64` accumulation) and admission
-//! back-fill happen in submission order.  Streams, probability bits, fault
-//! statistics and every [`BatchOutcome`] metric are therefore bit-identical
-//! to single-threaded serving at every worker count, panic storm or not — CI
-//! gates it at `KELLE_TEST_WORKERS=1,2,4` with the
-//! `integration_{parallel,intra,front,chaos}` suites.
+//! A step is a pure function of the session it runs on, and a session is on
+//! one thread for its whole life; the coordinator sorts each tick's results
+//! by request index before committing — ledger growth, completions (hardware
+//! simulation, `f64` accumulation) and admission back-fill happen in
+//! submission order.  Streams, probability bits, fault statistics and every
+//! [`BatchOutcome`] metric are therefore bit-identical to single-threaded
+//! serving at every worker count, panic storm or not — CI gates it at
+//! `KELLE_TEST_WORKERS=1,2,4` with the
+//! `integration_{parallel,front,chaos}` suites.
 //!
 //! [`BatchScheduler`]: crate::scheduler::BatchScheduler
 //! [`BatchOutcome`]: crate::scheduler::BatchOutcome
@@ -64,13 +57,10 @@
 use crate::chaos::Checkpoint;
 use crate::session::{PrefillPlan, Session};
 use kelle_model::DecodeStep;
-use kelle_tensor::par::{Job, ParallelRunner};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::Scope;
 
 /// Cross-thread traffic counters for one batch, reported on
@@ -298,14 +288,7 @@ impl<'e> Shard<'e> {
         Ok(prefilled)
     }
 
-    /// With a `runner`, the step's per-head and row-block jobs fork through
-    /// it — bit-identically to the sequential step by the [`ParallelRunner`]
-    /// partitioning contract.
-    fn step(
-        &mut self,
-        request: StepRequest,
-        runner: Option<&dyn ParallelRunner>,
-    ) -> Result<ResidentStep, TaskFailure> {
+    fn step(&mut self, request: StepRequest) -> Result<ResidentStep, TaskFailure> {
         let StepRequest {
             index,
             checkpoint,
@@ -330,10 +313,7 @@ impl<'e> Shard<'e> {
         let session = &mut resident.session;
         let tokens_before = session.position();
         let stepped = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let step = match runner {
-                Some(runner) => session.decode_one_with(runner),
-                None => session.decode_one(),
-            };
+            let step = session.decode_one();
             if sabotage {
                 panic!("chaos: injected worker panic (request {index})");
             }
@@ -392,71 +372,12 @@ impl<'e> StepExecutor<'e> for InlineExecutor<'e> {
     fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>> {
         requests
             .iter()
-            .map(|&request| self.shard.step(request, None))
+            .map(|&request| self.shard.step(request))
             .collect()
     }
 
     fn take(&mut self, index: usize) -> Option<Session<'e>> {
         self.shard.take(index)
-    }
-}
-
-/// One forked job of a [`PoolRunner::run`] call, heap-boxed for the queue.
-///
-/// The closure is transmuted to `'static` so it can sit in the pool's job
-/// queue; this is sound because the runner blocks on `latch` until every
-/// forked job has run — the borrows inside the closure strictly outlive its
-/// execution (the classic scoped-spawn argument).
-struct HeapJob {
-    job: Job<'static>,
-    latch: Arc<Latch>,
-}
-
-impl HeapJob {
-    /// Runs the job, folding any panic into the latch instead of unwinding
-    /// the worker.
-    fn run(self) {
-        let HeapJob { job, latch } = self;
-        let result = std::panic::catch_unwind(AssertUnwindSafe(job));
-        latch.complete(result.err());
-    }
-}
-
-/// Countdown latch synchronising a [`PoolRunner::run`] fork with its join.
-struct Latch {
-    remaining: AtomicUsize,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl Latch {
-    fn new(count: usize) -> Self {
-        Latch {
-            remaining: AtomicUsize::new(count),
-            panic: Mutex::new(None),
-        }
-    }
-
-    /// Records one finished job (and its panic payload, if it crashed).
-    fn complete(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
-        if let Some(cause) = panic {
-            let mut slot = self.panic.lock().expect("latch panic slot poisoned");
-            slot.get_or_insert(cause);
-        }
-        self.remaining.fetch_sub(1, Ordering::Release);
-    }
-
-    /// Spin-waits (yielding) until every forked job completed.  Jobs are a
-    /// few microseconds of dense math each, so parking through a condvar
-    /// would usually cost more than the remaining work.
-    fn wait(&self) {
-        while self.remaining.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
-        }
-    }
-
-    /// The first panic any forked job raised, if any.
-    fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        self.panic.lock().expect("latch panic slot poisoned").take()
     }
 }
 
@@ -466,95 +387,9 @@ enum Command<'e> {
     // Boxed: an admission carries a whole session, dwarfing the other two —
     // and it is sent once per session, not once per tick.
     Admit(Box<Admission<'e>>),
-    /// Step these resident sessions (all pinned to this shard); `fork` fans
-    /// each step's jobs out to the pool's idle workers.
-    Step {
-        requests: Vec<StepRequest>,
-        fork: bool,
-    },
+    /// Step these resident sessions (all pinned to this shard).
+    Step(Vec<StepRequest>),
     Take(usize),
-}
-
-/// What a pool worker does next.
-enum Work<'e> {
-    Command(Command<'e>),
-    Job(HeapJob),
-}
-
-/// Everything the pool's threads wait on, under one lock: a FIFO mailbox per
-/// shard plus the job queue any idle worker serves.
-struct Lines<'e> {
-    mailboxes: Vec<VecDeque<Command<'e>>>,
-    jobs: VecDeque<HeapJob>,
-    closed: bool,
-}
-
-struct Switchboard<'e> {
-    lines: Mutex<Lines<'e>>,
-    /// One condvar per shard, so a command wakes only the worker it is for.
-    ready: Vec<Condvar>,
-}
-
-impl std::fmt::Debug for Switchboard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Switchboard")
-            .field("shards", &self.ready.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'e> Switchboard<'e> {
-    fn lock(&self) -> MutexGuard<'_, Lines<'e>> {
-        self.lines.lock().expect("pool switchboard poisoned")
-    }
-
-    fn send(&self, shard: usize, command: Command<'e>) {
-        self.lock().mailboxes[shard].push_back(command);
-        self.ready[shard].notify_one();
-    }
-
-    fn fork(&self, jobs: impl Iterator<Item = HeapJob>) {
-        self.lock().jobs.extend(jobs);
-        self.ready.iter().for_each(Condvar::notify_one);
-    }
-
-    /// The next thing for `shard`'s worker to do — forked jobs first, so a
-    /// join never waits behind a mailbox; blocks while there is nothing,
-    /// returns `None` once the pool is closed.
-    fn next(&self, shard: usize) -> Option<Work<'e>> {
-        let mut lines = self.lock();
-        loop {
-            if lines.closed {
-                return None;
-            }
-            if let Some(job) = lines.jobs.pop_front() {
-                return Some(Work::Job(job));
-            }
-            if let Some(command) = lines.mailboxes[shard].pop_front() {
-                return Some(Work::Command(command));
-            }
-            lines = self.ready[shard]
-                .wait(lines)
-                .expect("pool switchboard poisoned");
-        }
-    }
-
-    /// Pops a queued job without blocking (a forking thread helps drain the
-    /// queue while it waits on its latch).
-    fn try_steal_job(&self) -> Option<HeapJob> {
-        self.lock().jobs.pop_front()
-    }
-
-    /// Closes the pool: workers exit at their next wait.  Runs from `Drop`,
-    /// possibly mid-unwind, so a poisoned lock is entered rather than
-    /// panicked on — setting a flag leaves the lines valid.
-    fn close(&self) {
-        self.lines
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed = true;
-        self.ready.iter().for_each(Condvar::notify_one);
-    }
 }
 
 /// The pooled executor: `workers` scoped threads, each one shard of the
@@ -565,18 +400,18 @@ impl<'e> Switchboard<'e> {
 ///
 /// The pool is tied to a [`std::thread::scope`] so sessions may borrow the
 /// engine (`Session<'e>` holds `&'e KelleEngine`) without any `'static`
-/// gymnastics; dropping the pool closes it and the scope joins the workers,
-/// who drop whatever sessions they still hold.  Panics inside a prefill or a
-/// step are caught on the shard and answered as [`TaskFailure`]s — a crashed
-/// session can never leave the coordinator waiting for a reply that will not
-/// come.
+/// gymnastics; dropping the pool closes the mailboxes and the scope joins the
+/// workers, who drop whatever sessions they still hold.  Panics inside a
+/// prefill or a step are caught on the shard and answered as
+/// [`TaskFailure`]s — a crashed session can never leave the coordinator
+/// waiting for a reply that will not come.
 #[derive(Debug)]
 pub struct WorkerPool<'e> {
-    board: Arc<Switchboard<'e>>,
+    /// One mailbox per shard, indexed by shard id.
+    mailboxes: Vec<Sender<Command<'e>>>,
     prefilled: Receiver<Result<Prefilled, TaskFailure>>,
     steps: Receiver<Result<ResidentStep, TaskFailure>>,
     taken: Receiver<Option<Session<'e>>>,
-    workers: usize,
 }
 
 impl<'e> WorkerPool<'e> {
@@ -586,94 +421,65 @@ impl<'e> WorkerPool<'e> {
         'e: 'scope,
     {
         let workers = workers.max(1);
-        let board = Arc::new(Switchboard {
-            lines: Mutex::new(Lines {
-                mailboxes: (0..workers).map(|_| VecDeque::new()).collect(),
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            ready: (0..workers).map(|_| Condvar::new()).collect(),
-        });
         let (prefilled_tx, prefilled) = channel();
         let (steps_tx, steps) = channel();
         let (taken_tx, taken) = channel();
-        for id in 0..workers {
-            let board: Arc<Switchboard<'e>> = Arc::clone(&board);
-            let prefilled: Sender<Result<Prefilled, TaskFailure>> = prefilled_tx.clone();
-            let steps: Sender<Result<ResidentStep, TaskFailure>> = steps_tx.clone();
-            let taken: Sender<Option<Session<'e>>> = taken_tx.clone();
-            scope.spawn(move || {
-                let mut shard = Shard {
-                    worker: Some(id),
-                    resident: HashMap::new(),
-                };
-                // The forking shard is a lane itself; the coordinator, parked
-                // on the reply channel, is not.
-                let runner = PoolRunner {
-                    board: Arc::clone(&board),
-                    lanes: workers,
-                };
-                while let Some(work) = board.next(id) {
-                    let delivered = match work {
-                        // Completion is reported through the fork's latch.
-                        Work::Job(job) => {
-                            job.run();
-                            true
-                        }
-                        Work::Command(Command::Admit(admission)) => {
-                            prefilled.send(shard.admit(*admission)).is_ok()
-                        }
-                        Work::Command(Command::Step { requests, fork }) => {
-                            let runner = fork.then_some(&runner as &dyn ParallelRunner);
-                            requests
-                                .into_iter()
-                                .all(|request| steps.send(shard.step(request, runner)).is_ok())
-                        }
-                        Work::Command(Command::Take(index)) => {
-                            taken.send(shard.take(index)).is_ok()
-                        }
+        let mailboxes = (0..workers)
+            .map(|id| {
+                let (mailbox, commands) = channel::<Command<'e>>();
+                let prefilled: Sender<Result<Prefilled, TaskFailure>> = prefilled_tx.clone();
+                let steps: Sender<Result<ResidentStep, TaskFailure>> = steps_tx.clone();
+                let taken: Sender<Option<Session<'e>>> = taken_tx.clone();
+                scope.spawn(move || {
+                    let mut shard = Shard {
+                        worker: Some(id),
+                        resident: HashMap::new(),
                     };
-                    if !delivered {
-                        // The coordinator is gone; nothing left to work for.
-                        break;
+                    // Ends when the pool (the mailbox's only sender) is gone.
+                    while let Ok(command) = commands.recv() {
+                        let delivered = match command {
+                            Command::Admit(admission) => {
+                                prefilled.send(shard.admit(*admission)).is_ok()
+                            }
+                            Command::Step(requests) => requests
+                                .into_iter()
+                                .all(|request| steps.send(shard.step(request)).is_ok()),
+                            Command::Take(index) => taken.send(shard.take(index)).is_ok(),
+                        };
+                        if !delivered {
+                            // The coordinator is gone; nothing left to work
+                            // for.
+                            break;
+                        }
                     }
-                }
-                // Resident sessions are dropped here, on the shard that owns
-                // them.
-            });
-        }
+                    // Resident sessions are dropped here, on the shard that
+                    // owns them.
+                });
+                mailbox
+            })
+            .collect();
         WorkerPool {
-            board,
+            mailboxes,
             prefilled,
             steps,
             taken,
-            workers,
         }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// A fork-join [`ParallelRunner`] over this pool's workers, with the
-    /// calling thread participating as one extra lane.
-    pub fn runner(&self) -> PoolRunner<'e> {
-        PoolRunner {
-            board: Arc::clone(&self.board),
-            lanes: self.workers + 1,
-        }
+        self.mailboxes.len()
     }
 
     /// The shard that owns request `index` — the pinning function.
     fn shard_of(&self, index: usize) -> usize {
-        index % self.workers
+        index % self.workers()
     }
 
-    /// Whether a decode batch this wide forks inside each step: at most half
-    /// a session per worker leaves enough idle workers to be worth feeding.
-    fn forks(&self, width: usize) -> bool {
-        width * 2 <= self.workers
+    fn send(&self, shard: usize, command: Command<'e>) {
+        self.mailboxes[shard]
+            .send(command)
+            .expect("workers outlive the pool (scoped) and keep their mailboxes open");
     }
 }
 
@@ -694,94 +500,27 @@ impl<'e> StepExecutor<'e> for WorkerPool<'e> {
         let count = admissions.len();
         for admission in admissions {
             let shard = self.shard_of(admission.index());
-            self.board.send(shard, Command::Admit(Box::new(admission)));
+            self.send(shard, Command::Admit(Box::new(admission)));
         }
         drain(&self.prefilled, count)
     }
 
     fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>> {
-        let fork = self.forks(requests.len());
-        let mut per_shard = vec![Vec::new(); self.workers];
+        let mut per_shard = vec![Vec::new(); self.workers()];
         for &request in requests {
             per_shard[self.shard_of(request.index)].push(request);
         }
         for (shard, requests) in per_shard.into_iter().enumerate() {
             if !requests.is_empty() {
-                self.board.send(shard, Command::Step { requests, fork });
+                self.send(shard, Command::Step(requests));
             }
         }
         drain(&self.steps, requests.len())
     }
 
     fn take(&mut self, index: usize) -> Option<Session<'e>> {
-        self.board.send(self.shard_of(index), Command::Take(index));
+        self.send(self.shard_of(index), Command::Take(index));
         drain(&self.taken, 1).pop().flatten()
-    }
-}
-
-impl Drop for WorkerPool<'_> {
-    fn drop(&mut self) {
-        self.board.close();
-    }
-}
-
-/// Fork-join executor over a [`WorkerPool`]'s workers: fans the per-head /
-/// per-row-block [`Job`]s of one decode step out to whichever workers are
-/// idle, with the thread calling [`run`](ParallelRunner::run) participating
-/// as one lane.
-///
-/// `run` queues `jobs[1..]` on the pool, executes `jobs[0]` inline, helps
-/// drain remaining jobs while it waits, and blocks on a countdown latch
-/// until every job has finished — only then does it return, which is what
-/// lets jobs borrow the caller's stack (the [`ParallelRunner`] contract).  A
-/// panicking job is resurfaced here after the join, so a crashed head can
-/// never leave the pool stuck.
-#[derive(Debug)]
-pub struct PoolRunner<'e> {
-    board: Arc<Switchboard<'e>>,
-    lanes: usize,
-}
-
-impl ParallelRunner for PoolRunner<'_> {
-    fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn run<'a>(&self, jobs: Vec<Job<'a>>) {
-        let mut jobs = jobs.into_iter();
-        let Some(first) = jobs.next() else {
-            return;
-        };
-        if jobs.len() == 0 {
-            return first();
-        }
-        let latch = Arc::new(Latch::new(jobs.len()));
-        self.board.fork(jobs.map(|job| {
-            // SAFETY: `run` does not return until the latch counts every
-            // forked job down (even if `first` panics — see below), so the
-            // `'a` borrows inside the closure strictly outlive its execution
-            // although the queue's type erases them to `'static`.
-            let job: Job<'static> = unsafe { std::mem::transmute::<Job<'a>, Job<'static>>(job) };
-            HeapJob {
-                job,
-                latch: Arc::clone(&latch),
-            }
-        }));
-        // The first job runs inline: the caller is a full lane, and with
-        // more jobs than lanes it keeps helping below.  Its panic (if any)
-        // must not unwind past the latch wait — forked jobs still borrow
-        // this stack frame.
-        let first_result = std::panic::catch_unwind(AssertUnwindSafe(first));
-        while let Some(job) = self.board.try_steal_job() {
-            job.run();
-        }
-        latch.wait();
-        if let Err(cause) = first_result {
-            std::panic::resume_unwind(cause);
-        }
-        if let Some(cause) = latch.take_panic() {
-            std::panic::resume_unwind(cause);
-        }
     }
 }
 
@@ -909,11 +648,10 @@ mod tests {
 
     #[test]
     fn every_axis_matches_inline_serving_bitwise() {
-        // The pool forks inside the step when the decode batch is at most
-        // half a session per worker and steps sessions whole otherwise;
-        // widths 1..=3 on 1, 2 and 4 workers cover both sides of that rule.
-        // Neither moves a session, so the streams pin that the choice is
-        // invisible and the crossing count pins that it is free.
+        // Widths 1..=3 on 1, 2 and 4 workers cover pools narrower than,
+        // as wide as and wider than their batch (idle shards).  No session
+        // ever moves, so the streams pin that the pool's width is invisible
+        // and the crossing count pins that a tick costs nothing.
         let all = requests();
         for width in 1..=all.len() {
             let requests = all[..width].to_vec();
@@ -948,15 +686,14 @@ mod tests {
     #[test]
     fn both_axes_match_inline_decode_in_probability_bits_for_all_policies() {
         use kelle_cache::CachePolicy;
-        // On four workers a two-session decode batch forks inside the step
-        // and a four-session batch does not; every step must carry the
+        // On four workers a two-session decode batch leaves two shards idle
+        // and a four-session batch fills them; every step must carry the
         // token, probability bits and fault draws of inline `decode_one`.
         for policy in CachePolicy::all() {
             let engine = KelleEngine::builder().policy(policy).build();
             let prompt = |index: usize| vec![1 + index, 2, 3, 4 + index];
             std::thread::scope(|scope| {
                 let mut pool = WorkerPool::start(scope, 4);
-                assert!(pool.forks(2) && !pool.forks(4));
                 for width in [2, 4] {
                     let prompts: Vec<Vec<usize>> = (0..width).map(prompt).collect();
                     let fleet: Vec<(usize, &[usize])> = prompts
@@ -1007,53 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_runner_joins_before_returning_and_stays_reusable_after_a_panic() {
-        std::thread::scope(|scope| {
-            let pool: WorkerPool<'_> = WorkerPool::start(scope, 2);
-            let runner = pool.runner();
-            assert_eq!(runner.lanes(), 3);
-            // Jobs may borrow the caller's stack: disjoint chunks of a local.
-            let mut data = vec![0u32; 8];
-            let jobs: Vec<Job<'_>> = data
-                .chunks_mut(2)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    let job: Job<'_> = Box::new(move || {
-                        for (j, slot) in chunk.iter_mut().enumerate() {
-                            *slot = (i * 2 + j) as u32;
-                        }
-                    });
-                    job
-                })
-                .collect();
-            runner.run(jobs);
-            assert_eq!(data, (0..8).collect::<Vec<u32>>());
-            // A panicking forked job resurfaces on the caller after the
-            // join...
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                runner.run(vec![
-                    Box::new(|| {}) as Job<'_>,
-                    Box::new(|| panic!("boom")) as Job<'_>,
-                ]);
-            }));
-            assert!(result.is_err(), "the job panic must reach the caller");
-            // ...and the pool keeps serving the next fork.
-            let counter = AtomicUsize::new(0);
-            runner.run(
-                (0..4)
-                    .map(|_| {
-                        let job: Job<'_> = Box::new(|| {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                        });
-                        job
-                    })
-                    .collect(),
-            );
-            assert_eq!(counter.load(Ordering::Relaxed), 4);
-        });
-    }
-
-    #[test]
     fn worker_count_is_clamped_to_one() {
         std::thread::scope(|scope| {
             let pool: WorkerPool<'_> = WorkerPool::start(scope, 0);
@@ -1074,15 +764,15 @@ mod tests {
     fn coordinator_unwind_mid_tick_joins_cleanly() {
         // Regression: a coordinator that unwinds mid-tick — after sending a
         // shard its work but before draining the reply — must still join the
-        // pool cleanly.  Drop closes the switchboard, the worker finishes or
-        // abandons the in-flight command (its reply fails once the receiver
+        // pool cleanly.  Dropping the pool closes the mailboxes, the worker
+        // finishes the in-flight command (its reply fails once the receiver
         // is gone) and exits; the scope joins instead of hanging.
         let engine = engine();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             std::thread::scope(|scope| {
                 let pool: WorkerPool<'_> = WorkerPool::start(scope, 2);
                 let admission = admission(&engine, 0, &[1, 2, 3]);
-                pool.board.send(0, Command::Admit(Box::new(admission)));
+                pool.send(0, Command::Admit(Box::new(admission)));
                 panic!("coordinator unwinds mid-tick");
             });
         }));
@@ -1091,16 +781,14 @@ mod tests {
     }
 
     #[test]
-    fn intra_axis_failures_spare_queued_sessions() {
-        // Two decodes on four workers are narrow enough to fork inside the
-        // step, and requests 0 and 4 share shard 0: the crash of the first
-        // must not take the session queued behind it on the same shard down
-        // with it.
+    fn a_crashed_step_spares_the_session_queued_behind_it_on_its_shard() {
+        // Requests 0 and 4 share shard 0 of a four-worker pool and travel in
+        // one `Step` command: the crash of the first must not take the
+        // session queued behind it down with it.
         let engine = engine();
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, 4);
             admit_all(&mut pool, &engine, &[(0, &[1, 2]), (4, &[1, 2, 3])]);
-            assert!(pool.forks(2));
             let (steps, failures) = partition(pool.step(&[crashing(0), plain(4)]));
             assert_eq!(steps.len(), 1, "the healthy session survives");
             assert_eq!(steps[0].index, 4);
@@ -1253,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn stealing_pool_stamps_the_worker_that_ran_each_task() {
+    fn results_name_the_shard_that_ran_them() {
         // Every result names where it ran: a pool shard, or nowhere but the
         // caller's thread.
         let engine = engine();

@@ -747,8 +747,9 @@ impl<'e> BatchScheduler<'e> {
     /// Pauses or resumes decode for an active request (stream backpressure:
     /// the `kelle::front` pauses a session whose consumer stopped polling).
     /// A paused slot is skipped by decode fan-out — its session stays
-    /// resident where it is — and consumes no queue traffic until resumed.  Returns `false` when the request is not active.
+    /// resident where it is — and consumes no queue traffic until resumed.
     /// Pausing never changes a token stream, only when it is produced.
+    /// Returns `false` when the request is not active.
     pub(crate) fn set_paused(&mut self, index: usize, paused: bool) -> bool {
         match self.states.get_mut(index) {
             Some(RequestState::Active(slot)) => {

@@ -15,11 +15,8 @@ use kelle_arch::{InferenceWorkload, PlatformReport};
 use kelle_cache::{CacheBudget, CachePolicy};
 use kelle_edram::RetentionModel;
 use kelle_model::fault::{FaultInjector, FaultStats, ProbabilisticFaults};
-use kelle_model::generation::{
-    decode_step, decode_step_with_runner, prefill, prefill_extend, DecodeStep, GenerationState,
-};
+use kelle_model::generation::{decode_step, prefill, prefill_extend, DecodeStep, GenerationState};
 use kelle_model::{CacheStats, DecodeTrace, KvCacheBackend, SegmentRecorder, SharedSegment};
-use kelle_tensor::par::ParallelRunner;
 use std::sync::Arc;
 
 /// One unit of serving work.
@@ -709,29 +706,6 @@ impl<'e> Session<'e> {
             None,
             self.cache.as_mut(),
             &mut self.faults,
-        )
-    }
-
-    /// [`decode_one`](Session::decode_one) with the step's per-head
-    /// attention and projection row blocks fanned out through `runner` —
-    /// the intra-session axis of `kelle::parallel`.  Bit-identical to
-    /// [`decode_one`](Session::decode_one) for every lane count: same
-    /// token, same probability bits, same fault statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing has been pre-filled yet.
-    pub fn decode_one_with(&mut self, runner: &dyn ParallelRunner) -> DecodeStep {
-        if let Some(input) = self.state.next_token() {
-            self.context.push(input);
-        }
-        decode_step_with_runner(
-            self.engine.model(),
-            &mut self.state,
-            None,
-            self.cache.as_mut(),
-            &mut self.faults,
-            runner,
         )
     }
 

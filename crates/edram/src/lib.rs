@@ -27,6 +27,7 @@
 //! / 105 °C; neither tool is available here, so the models are analytical and
 //! anchored to the numbers the paper itself reports (see `DESIGN.md` §2).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

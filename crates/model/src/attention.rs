@@ -14,7 +14,9 @@
 //! The hot entry point is [`MultiHeadAttention::forward_with`]: it threads a
 //! caller-owned [`DecodeScratch`] through the whole computation and visits the
 //! cache through the borrowed [`EntryRef`](crate::cache::EntryRef) API, so a
-//! steady-state decode step touches the heap not at all.  Per head it runs:
+//! steady-state decode step touches the heap not at all.  Every decode step
+//! any serving executor runs goes through it, heads one after another on the
+//! session's thread.  Per head it runs:
 //!
 //! 1. one traversal over the `(layer, head)` arena computing all raw scores
 //!    (keys read *by reference* when the fault injector
@@ -39,10 +41,9 @@
 //! in scratch.
 
 use crate::cache::{EntryPayload, KvCacheBackend, PayloadRef, TokenId};
-use crate::fault::{FaultInjector, NoFaults, TokenGroup};
+use crate::fault::{FaultInjector, TokenGroup};
 use crate::weights::LayerWeights;
 use kelle_tensor::ops;
-use kelle_tensor::par::{Job, ParallelRunner};
 
 /// The result of one attention forward pass for a single token.
 #[derive(Debug, Clone)]
@@ -111,57 +112,6 @@ pub struct DecodeScratch {
     pub(crate) hidden: Vec<f32>,
     /// LM-head logits, length `vocab`.
     pub(crate) logits: Vec<f32>,
-    /// Per-head buffer shards for the parallel attention pass
-    /// ([`MultiHeadAttention::forward_with_runner`]); empty until that path
-    /// first runs.
-    pub(crate) heads: Vec<HeadScratch>,
-}
-
-/// One head's private shard of the decode scratch, used when heads run on
-/// different workers.  Mirrors the per-head buffers of [`DecodeScratch`]
-/// (which the sequential loop reuses across heads) plus the head's step
-/// counters, so a parallel pass mutates nothing shared.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct HeadScratch {
-    /// Raw scores, then (after `softmax_into`) probabilities, per entry.
-    scores: Vec<f32>,
-    /// Token ids of the visited entries, parallel to `scores`.
-    tokens: Vec<TokenId>,
-    /// Staged value vectors (corrupted or recomputed), `head_dim` each.
-    stash: Vec<f32>,
-    /// Per entry: whether its value lives in `stash` (vs. by-ref).
-    stash_mask: Vec<bool>,
-    /// Staging buffer for corrupted key reads, length `head_dim`.
-    kbuf: Vec<f32>,
-    /// Staging buffer for corrupted stored-input reads, length `channels`.
-    xbuf: Vec<f32>,
-    /// Recomputed key head-slice, length `head_dim`.
-    rk: Vec<f32>,
-    /// Recomputed value head-slice, length `head_dim`.
-    rv: Vec<f32>,
-    /// Head attention output `y^h`, length `head_dim`.
-    yh: Vec<f32>,
-    /// Cache entries recomputed from stored inputs by this head's pass.
-    recomputed: usize,
-    /// Cache entries read as stored KV by this head's pass.
-    kv_read: usize,
-}
-
-/// Disjoint mutable views over one head's working buffers — either the
-/// shared sequential buffers of [`DecodeScratch`] or one of its
-/// [`HeadScratch`] shards.  [`MultiHeadAttention::attend_head`] is written
-/// against this so the sequential and parallel passes share one
-/// implementation and therefore one floating-point sequence.
-struct HeadBuffers<'a> {
-    scores: &'a mut Vec<f32>,
-    tokens: &'a mut Vec<TokenId>,
-    stash: &'a mut Vec<f32>,
-    stash_mask: &'a mut Vec<bool>,
-    kbuf: &'a mut Vec<f32>,
-    xbuf: &'a mut Vec<f32>,
-    rk: &'a mut Vec<f32>,
-    rv: &'a mut Vec<f32>,
-    yh: &'a mut Vec<f32>,
 }
 
 impl DecodeScratch {
@@ -285,13 +235,67 @@ impl<'w> MultiHeadAttention<'w> {
         scratch: &mut DecodeScratch,
     ) -> (usize, usize) {
         let hd = self.head_dim;
-        let channels = self.heads * hd;
-        let scale = 1.0 / (hd as f32).sqrt();
 
+        self.weights
+            .wq
+            .matvec_into(x, &mut scratch.q)
+            .expect("input length matches channel dimension");
+        for qh in scratch.q.chunks_exact_mut(hd) {
+            ops::apply_rope(qh, position, self.rope_theta);
+        }
+        self.project_kv_into(x, position, &mut scratch.k, &mut scratch.v);
+
+        cache.insert(layer, token, x, &scratch.k, &scratch.v, hd);
+
+        scratch.concat.clear();
+        scratch.concat.resize(self.heads * hd, 0.0);
+        if scratch.attention.len() != self.heads {
+            scratch.attention.resize_with(self.heads, Vec::new);
+        }
+
+        let noop = faults.is_noop();
+        let mut recomputed_entries = 0usize;
+        let mut kv_entries_read = 0usize;
+
+        for h in 0..self.heads {
+            faults.begin_lane(layer, h);
+            let (rec, read) = self.attend_head(layer, h, noop, &*cache, faults, scratch);
+            recomputed_entries += rec;
+            kv_entries_read += read;
+            cache.observe_attention(layer, h, &scratch.attention[h]);
+        }
+
+        self.weights
+            .wo
+            .matvec_into(&scratch.concat, &mut scratch.attn_out)
+            .expect("concatenated head outputs match channel dimension");
+
+        (recomputed_entries, kv_entries_read)
+    }
+
+    /// The complete per-head attention pass — score traversal, in-place
+    /// softmax, weighted-value accumulation — for head `h`, reading the
+    /// head's query slice from `scratch` and writing the head output into its
+    /// `head_dim` slice of the concat buffer and the post-softmax labels into
+    /// its label vector.
+    ///
+    /// The cache is taken by `&` (reads only); reporting the labels back
+    /// through [`KvCacheBackend::observe_attention`] is the caller's
+    /// responsibility.  Returns `(recomputed_entries, kv_entries_read)` for
+    /// this head.
+    fn attend_head(
+        &self,
+        layer: usize,
+        h: usize,
+        noop: bool,
+        cache: &dyn KvCacheBackend,
+        faults: &mut dyn FaultInjector,
+        scratch: &mut DecodeScratch,
+    ) -> (usize, usize) {
+        let hd = self.head_dim;
+        let scale = 1.0 / (hd as f32).sqrt();
         let DecodeScratch {
             q,
-            k,
-            v,
             scores,
             tokens,
             stash,
@@ -302,109 +306,11 @@ impl<'w> MultiHeadAttention<'w> {
             rv,
             yh,
             concat,
-            attn_out,
             attention,
             ..
         } = scratch;
-
-        self.weights
-            .wq
-            .matvec_into(x, q)
-            .expect("input length matches channel dimension");
-        for qh in q.chunks_exact_mut(hd) {
-            ops::apply_rope(qh, position, self.rope_theta);
-        }
-        self.project_kv_into(x, position, k, v);
-
-        cache.insert(layer, token, x, k, v, hd);
-
-        concat.clear();
-        concat.resize(channels, 0.0);
-        if attention.len() != self.heads {
-            attention.resize_with(self.heads, Vec::new);
-        }
-
-        let noop = faults.is_noop();
-        let mut recomputed_entries = 0usize;
-        let mut kv_entries_read = 0usize;
-
-        for h in 0..self.heads {
-            faults.begin_lane(layer, h);
-            let qh = &q[h * hd..(h + 1) * hd];
-            let (rec, read) = self.attend_head(
-                layer,
-                h,
-                qh,
-                scale,
-                noop,
-                &*cache,
-                faults,
-                HeadBuffers {
-                    scores,
-                    tokens,
-                    stash,
-                    stash_mask,
-                    kbuf,
-                    xbuf,
-                    rk,
-                    rv,
-                    yh,
-                },
-                &mut attention[h],
-                &mut concat[h * hd..(h + 1) * hd],
-            );
-            recomputed_entries += rec;
-            kv_entries_read += read;
-            cache.observe_attention(layer, h, &attention[h]);
-        }
-
-        self.weights
-            .wo
-            .matvec_into(concat, attn_out)
-            .expect("concatenated head outputs match channel dimension");
-
-        (recomputed_entries, kv_entries_read)
-    }
-
-    /// The complete per-head attention pass — score traversal, in-place
-    /// softmax, weighted-value accumulation — for head `h`, writing the head
-    /// output into `out` (the head's `head_dim` slice of the concat buffer)
-    /// and the post-softmax labels into `labels`.
-    ///
-    /// Shared verbatim between the sequential head loop
-    /// ([`forward_with`](MultiHeadAttention::forward_with)) and the per-head
-    /// parallel jobs
-    /// ([`forward_with_runner`](MultiHeadAttention::forward_with_runner)), so
-    /// both execute exactly the same floating-point sequence per head.  The
-    /// cache is taken by `&` (reads only); reporting the labels back through
-    /// [`KvCacheBackend::observe_attention`] is the caller's responsibility.
-    /// Returns `(recomputed_entries, kv_entries_read)` for this head.
-    #[allow(clippy::too_many_arguments)] // the per-head slice of the decode-step contract
-    fn attend_head(
-        &self,
-        layer: usize,
-        h: usize,
-        qh: &[f32],
-        scale: f32,
-        noop: bool,
-        cache: &dyn KvCacheBackend,
-        faults: &mut dyn FaultInjector,
-        buf: HeadBuffers<'_>,
-        labels: &mut Vec<(TokenId, f32)>,
-        out: &mut [f32],
-    ) -> (usize, usize) {
-        let hd = self.head_dim;
-        let HeadBuffers {
-            scores,
-            tokens,
-            stash,
-            stash_mask,
-            kbuf,
-            xbuf,
-            rk,
-            rv,
-            yh,
-        } = buf;
+        let qh = &q[h * hd..(h + 1) * hd];
+        let labels = &mut attention[h];
         scores.clear();
         tokens.clear();
         stash.clear();
@@ -525,171 +431,7 @@ impl<'w> MultiHeadAttention<'w> {
 
         labels.clear();
         labels.extend(tokens.iter().copied().zip(scores.iter().copied()));
-        out.copy_from_slice(yh);
-        (recomputed_entries, kv_entries_read)
-    }
-
-    /// Runs one decoding-step attention forward pass with the per-head work
-    /// fanned out across `runner`.
-    ///
-    /// Produces exactly the bits of
-    /// [`forward_with`](MultiHeadAttention::forward_with): the Q/K/V and
-    /// output projections are row-partitioned (each output row is an
-    /// independent [`dot`](kelle_tensor::dot), so per-element accumulation
-    /// order is unchanged); each head's score → softmax → value pass runs the
-    /// shared `attend_head` sequence against its own deterministic fault
-    /// lane ([`FaultInjector::split_lanes`]) and its own private
-    /// `HeadScratch` shard;
-    /// and the [`KvCacheBackend::observe_attention`] calls are replayed
-    /// serially in head order after the heads join — legal because observes
-    /// are per-head confined (see the trait contract).
-    ///
-    /// Falls back to the sequential loop when the runner has a single lane,
-    /// the layer has a single head, or an active fault injector cannot be
-    /// partitioned (`split_lanes` returns `None`).  Unlike the sequential
-    /// path, the fan-out allocates per call (job boxes); the
-    /// zero-steady-state-allocation guarantee covers `forward_with` only.
-    #[allow(clippy::too_many_arguments)] // the decode-step contract + the runner
-    pub fn forward_with_runner(
-        &self,
-        layer: usize,
-        token: TokenId,
-        position: usize,
-        x: &[f32],
-        cache: &mut dyn KvCacheBackend,
-        faults: &mut dyn FaultInjector,
-        scratch: &mut DecodeScratch,
-        runner: &dyn ParallelRunner,
-    ) -> (usize, usize) {
-        if runner.lanes() <= 1 || self.heads == 1 {
-            return self.forward_with(layer, token, position, x, cache, faults, scratch);
-        }
-        let noop = faults.is_noop();
-        if !noop && faults.split_lanes(layer, self.heads).is_none() {
-            // A custom injector without per-head substreams cannot corrupt
-            // from multiple workers deterministically; stay sequential.
-            return self.forward_with(layer, token, position, x, cache, faults, scratch);
-        }
-
-        let hd = self.head_dim;
-        let channels = self.heads * hd;
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        let DecodeScratch {
-            q,
-            k,
-            v,
-            concat,
-            attn_out,
-            attention,
-            heads: head_scratch,
-            ..
-        } = scratch;
-
-        self.weights
-            .wq
-            .matvec_into_par(x, q, runner)
-            .expect("input length matches channel dimension");
-        for qh in q.chunks_exact_mut(hd) {
-            ops::apply_rope(qh, position, self.rope_theta);
-        }
-        self.weights
-            .wk
-            .matvec_into_par(x, k, runner)
-            .expect("input length matches channel dimension");
-        self.weights
-            .wv
-            .matvec_into_par(x, v, runner)
-            .expect("input length matches channel dimension");
-        for kh in k.chunks_exact_mut(hd) {
-            ops::apply_rope(kh, position, self.rope_theta);
-        }
-
-        cache.insert(layer, token, x, k, v, hd);
-
-        concat.clear();
-        concat.resize(channels, 0.0);
-        if attention.len() != self.heads {
-            attention.resize_with(self.heads, Vec::new);
-        }
-        if head_scratch.len() < self.heads {
-            head_scratch.resize_with(self.heads, HeadScratch::default);
-        }
-
-        let lane_handles: Vec<Option<Box<dyn FaultInjector + Send + '_>>> = if noop {
-            (0..self.heads).map(|_| None).collect()
-        } else {
-            faults
-                .split_lanes(layer, self.heads)
-                .expect("split_lanes succeeded above")
-                .into_iter()
-                .map(Some)
-                .collect()
-        };
-
-        {
-            let cache_ref: &dyn KvCacheBackend = cache;
-            let mut jobs: Vec<Job<'_>> = Vec::with_capacity(self.heads);
-            for ((((hs, out), labels), mut lane), (h, qh)) in head_scratch
-                .iter_mut()
-                .zip(concat.chunks_exact_mut(hd))
-                .zip(attention.iter_mut())
-                .zip(lane_handles)
-                .zip(q.chunks_exact(hd).enumerate())
-            {
-                jobs.push(Box::new(move || {
-                    let mut local_noop = NoFaults;
-                    let fault_ref: &mut dyn FaultInjector = match lane.as_deref_mut() {
-                        Some(lane) => lane,
-                        None => &mut local_noop,
-                    };
-                    let (rec, read) = self.attend_head(
-                        layer,
-                        h,
-                        qh,
-                        scale,
-                        noop,
-                        cache_ref,
-                        fault_ref,
-                        HeadBuffers {
-                            scores: &mut hs.scores,
-                            tokens: &mut hs.tokens,
-                            stash: &mut hs.stash,
-                            stash_mask: &mut hs.stash_mask,
-                            kbuf: &mut hs.kbuf,
-                            xbuf: &mut hs.xbuf,
-                            rk: &mut hs.rk,
-                            rv: &mut hs.rv,
-                            yh: &mut hs.yh,
-                        },
-                        labels,
-                        out,
-                    );
-                    hs.recomputed = rec;
-                    hs.kv_read = read;
-                }));
-            }
-            runner.run(jobs);
-        }
-
-        // Join: replay the observes serially in head order (per-head confined
-        // by the backend contract, so this is indistinguishable from the
-        // sequential interleaving) and sum the per-head counters.
-        let mut recomputed_entries = 0usize;
-        let mut kv_entries_read = 0usize;
-        for (h, labels) in attention.iter().enumerate().take(self.heads) {
-            cache.observe_attention(layer, h, labels);
-        }
-        for hs in head_scratch.iter().take(self.heads) {
-            recomputed_entries += hs.recomputed;
-            kv_entries_read += hs.kv_read;
-        }
-
-        self.weights
-            .wo
-            .matvec_into_par(concat, attn_out, runner)
-            .expect("concatenated head outputs match channel dimension");
-
+        concat[h * hd..(h + 1) * hd].copy_from_slice(yh);
         (recomputed_entries, kv_entries_read)
     }
 
@@ -907,80 +649,6 @@ mod tests {
                 out.iter().map(|f| f.to_bits()).collect()
             };
             assert_eq!(run(true), run(false), "faulty = {faulty}");
-        }
-    }
-
-    /// A real fork-join runner over scoped threads: every job runs on its own
-    /// thread, and `run` joins them all before returning.
-    #[derive(Debug)]
-    struct ThreadRunner(usize);
-
-    impl kelle_tensor::par::ParallelRunner for ThreadRunner {
-        fn lanes(&self) -> usize {
-            self.0
-        }
-        fn run<'a>(&self, jobs: Vec<kelle_tensor::par::Job<'a>>) {
-            std::thread::scope(|s| {
-                for job in jobs {
-                    s.spawn(job);
-                }
-            });
-        }
-    }
-
-    /// Everything one pass observes: output bits, per-head attention labels,
-    /// fault statistics.
-    type PassObservables = (Vec<u32>, Vec<Vec<(TokenId, u32)>>, crate::fault::FaultStats);
-
-    /// The per-head fan-out must reproduce the sequential pass bit for bit —
-    /// outputs, attention labels and fault statistics — with and without
-    /// active fault injection, for any lane count.
-    #[test]
-    fn runner_pass_matches_sequential_bitwise() {
-        let (weights, dims) = setup();
-        let attn = MultiHeadAttention::new(&weights.layers[0], dims.heads);
-        for faulty in [false, true] {
-            let run = |lanes: usize| -> PassObservables {
-                let mut cache = FullKvCache::new();
-                let mut noop = NoFaults;
-                let mut prob = ProbabilisticFaults::new(BitFlipRates::uniform(0.02), 11);
-                let faults: &mut dyn FaultInjector = if faulty { &mut prob } else { &mut noop };
-                let mut scratch = DecodeScratch::new();
-                let runner = ThreadRunner(lanes);
-                let mut out = Vec::new();
-                for pos in 0..6 {
-                    let x = weights.embed((pos * 3) % dims.vocab, pos);
-                    if lanes <= 1 {
-                        attn.forward_with(0, pos, pos, &x, &mut cache, faults, &mut scratch);
-                    } else {
-                        attn.forward_with_runner(
-                            0,
-                            pos,
-                            pos,
-                            &x,
-                            &mut cache,
-                            faults,
-                            &mut scratch,
-                            &runner,
-                        );
-                    }
-                    out = scratch.output().to_vec();
-                }
-                let labels = scratch
-                    .attention_labels()
-                    .iter()
-                    .map(|head| head.iter().map(|(t, p)| (*t, p.to_bits())).collect())
-                    .collect();
-                (
-                    out.iter().map(|f| f.to_bits()).collect(),
-                    labels,
-                    faults.stats(),
-                )
-            };
-            let sequential = run(1);
-            for lanes in [2usize, 4, 8] {
-                assert_eq!(sequential, run(lanes), "faulty = {faulty}, lanes = {lanes}");
-            }
         }
     }
 

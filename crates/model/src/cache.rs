@@ -245,27 +245,22 @@ impl CacheStats {
 /// entries in the same order (the fused attention pass traverses twice:
 /// scores, then value accumulation).
 ///
-/// Backends are required to be [`Send`] + [`Sync`]: a serving session owns
-/// its backend and the threaded serving front-end (`kelle::parallel`) moves
-/// whole sessions between the coordinator and its worker shards (`Send`),
-/// while the intra-session decode path shares `&self` across workers that
-/// each traverse a different head's entries concurrently (`Sync`).  Every
-/// stock backend is plain owned data (arenas, hash maps, counters), so the
-/// bounds cost nothing; they only rule out `Rc`/`RefCell`/thread-local
-/// tricks in custom implementations.
+/// Backends are required to be [`Send`]: a serving session owns its backend
+/// and the threaded serving front-end (`kelle::parallel`) moves whole
+/// sessions between the coordinator and its worker shards.  Every stock
+/// backend is plain owned data (arenas, hash maps, counters), so the bound
+/// costs nothing; it only rules out `Rc`/thread-local tricks in custom
+/// implementations.
 ///
 /// `observe_attention(layer, head, ..)` must confine its effects to state
 /// associated with that `(layer, head)` pair — it must not evict, reorder or
 /// rescore entries of *other* heads (evictions belong in
 /// [`insert`](KvCacheBackend::insert) /
-/// [`finish_prefill`](KvCacheBackend::finish_prefill)).  The parallel
-/// attention pass relies on this: it runs all heads' read-only traversals
-/// first and replays the observes serially in head order afterwards, which
-/// is indistinguishable from the interleaved sequential order exactly
-/// because observes are per-head confined.  All stock policies satisfy this
-/// (H2O/AERP accumulate into per-`(layer, head)` score maps; the others
-/// ignore observes).
-pub trait KvCacheBackend: std::fmt::Debug + Send + Sync {
+/// [`finish_prefill`](KvCacheBackend::finish_prefill)), so what a head reads
+/// within a step never depends on the order heads are visited in.  All stock
+/// policies satisfy this (H2O/AERP accumulate into per-`(layer, head)` score
+/// maps; the others ignore observes).
+pub trait KvCacheBackend: std::fmt::Debug + Send {
     /// Inserts the current token for `layer`.
     ///
     /// `x` is the layer-input vector (length `channels`); `keys` / `values`

@@ -97,65 +97,6 @@ impl<'w> DecoderLayer<'w> {
         counters
     }
 
-    /// [`forward_with`](DecoderLayer::forward_with) with the per-head
-    /// attention work and the row space of the FFN projections fanned out
-    /// across `runner` — bit-identical by construction (independent output
-    /// rows; shared per-head pass; see
-    /// [`MultiHeadAttention::forward_with_runner`]).
-    #[allow(clippy::too_many_arguments)] // the decode-step contract + the runner
-    pub fn forward_with_runner(
-        &self,
-        layer_index: usize,
-        token: TokenId,
-        position: usize,
-        hidden: &mut [f32],
-        cache: &mut dyn KvCacheBackend,
-        faults: &mut dyn FaultInjector,
-        scratch: &mut DecodeScratch,
-        runner: &dyn kelle_tensor::par::ParallelRunner,
-    ) -> (usize, usize) {
-        let attn = MultiHeadAttention::new(self.weights, self.heads);
-
-        let mut normed = std::mem::take(&mut scratch.normed);
-        ops::rms_norm_into(hidden, &self.weights.attn_norm, 1e-5, &mut normed);
-        let counters = attn.forward_with_runner(
-            layer_index,
-            token,
-            position,
-            &normed,
-            cache,
-            faults,
-            scratch,
-            runner,
-        );
-        for (r, a) in hidden.iter_mut().zip(scratch.attn_out.iter()) {
-            *r += a;
-        }
-
-        ops::rms_norm_into(hidden, &self.weights.ffn_norm, 1e-5, &mut normed);
-        self.weights
-            .w_gate
-            .matvec_into_par(&normed, &mut scratch.gate, runner)
-            .expect("ffn input matches channel dimension");
-        self.weights
-            .w_up
-            .matvec_into_par(&normed, &mut scratch.up, runner)
-            .expect("ffn input matches channel dimension");
-        for (g, u) in scratch.gate.iter_mut().zip(scratch.up.iter()) {
-            *g = ops::silu(*g) * u;
-        }
-        self.weights
-            .w_down
-            .matvec_into_par(&scratch.gate, &mut scratch.ffn, runner)
-            .expect("gated activation matches ffn dimension");
-        for (r, d) in hidden.iter_mut().zip(scratch.ffn.iter()) {
-            *r += d;
-        }
-        scratch.normed = normed;
-
-        counters
-    }
-
     /// Runs the layer for one token, reading and updating the KV cache.
     ///
     /// Returns the residual-stream output and the per-head attention
@@ -347,56 +288,6 @@ impl SurrogateModel {
         self.weights
             .embedding
             .matvec_into(&normed, &mut scratch.logits)
-            .expect("hidden state matches channel dimension");
-        scratch.normed = normed;
-        scratch.hidden = hidden;
-        stats
-    }
-
-    /// [`forward_token_with`](SurrogateModel::forward_token_with) with every
-    /// layer's attention heads and projection rows (including the LM head)
-    /// fanned out across `runner`.
-    ///
-    /// Logits, cache state and fault statistics are bit-identical to the
-    /// sequential pass for any lane count: output rows are independent dot
-    /// products, heads run the shared per-head sequence against per-`(layer,
-    /// head)` fault lanes, and observes replay in head order.  Unlike the
-    /// sequential path this allocates per call (job boxes); single-lane
-    /// runners fall through to the allocation-free sequential code.
-    pub fn forward_token_with_runner(
-        &self,
-        token: usize,
-        position: usize,
-        cache: &mut dyn KvCacheBackend,
-        faults: &mut dyn FaultInjector,
-        scratch: &mut DecodeScratch,
-        runner: &dyn kelle_tensor::par::ParallelRunner,
-    ) -> ForwardStats {
-        let dims = &self.config.surrogate;
-        let mut hidden = std::mem::take(&mut scratch.hidden);
-        self.weights
-            .embed_into(token % dims.vocab, position, &mut hidden);
-        let mut stats = ForwardStats::default();
-        for (layer_index, layer_weights) in self.weights.layers.iter().enumerate() {
-            let layer = DecoderLayer::new(layer_weights, dims.heads);
-            let (recomputed, read) = layer.forward_with_runner(
-                layer_index,
-                position,
-                position,
-                &mut hidden,
-                cache,
-                faults,
-                scratch,
-                runner,
-            );
-            stats.recomputed_entries += recomputed;
-            stats.kv_entries_read += read;
-        }
-        let mut normed = std::mem::take(&mut scratch.normed);
-        ops::rms_norm_into(&hidden, &self.weights.final_norm, 1e-5, &mut normed);
-        self.weights
-            .embedding
-            .matvec_into_par(&normed, &mut scratch.logits, runner)
             .expect("hidden state matches channel dimension");
         scratch.normed = normed;
         scratch.hidden = hidden;

@@ -65,7 +65,7 @@
 //!
 //! A lane's stream therefore depends only on the injector seed, the lane's
 //! `(layer, head)` label and the lane's own sequence of `(group, len)` reads
-//! — not on the values read, on other lanes, or on which thread runs it.
+//! — not on the values read or on other lanes.
 //! Reading a row through [`FaultInjector::corrupt_slice`] is by definition
 //! the same as reading its words one by one through
 //! [`FaultInjector::corrupt`].  `Clone` captures a lane's generator, its four
@@ -152,30 +152,15 @@ pub trait FaultInjector: std::fmt::Debug {
     /// The attention pass calls this at the start of every `(layer, head)`
     /// iteration — in both the fused and the reference path — so that the
     /// random draws consumed for one head never shift the stream seen by
-    /// another.  That per-head partitioning is what lets heads run on
-    /// different workers while producing exactly the bits of the sequential
-    /// order.  Stateless injectors ignore it (the default is a no-op).
+    /// another.  Heads run one after another on one thread; the lanes are
+    /// per head so that a head's stream depends on that head's read history
+    /// alone: a prefix-hit session that replays a published segment resumes
+    /// every lane exactly where a cold prefill would have left it, and a
+    /// cache policy that changes what one head reads cannot move the bits
+    /// another head sees.  Stateless injectors ignore it (the default is a
+    /// no-op).
     fn begin_lane(&mut self, layer: usize, head: usize) {
         let _ = (layer, head);
-    }
-
-    /// Splits the injector into one independently-usable handle per head of
-    /// `layer`, in head order, for parallel attention.
-    ///
-    /// Each returned handle owns the same substream that
-    /// [`begin_lane`](FaultInjector::begin_lane)`(layer, head)` would select,
-    /// so corrupting head `h`'s reads through handle `h` on any thread is
-    /// bit-identical to the sequential pass.  Counters accumulated through
-    /// the handles must be reflected in [`stats`](FaultInjector::stats)
-    /// afterwards.  Returns `None` when the injector cannot be partitioned
-    /// (the default); callers must then fall back to the sequential pass.
-    fn split_lanes(
-        &mut self,
-        layer: usize,
-        heads: usize,
-    ) -> Option<Vec<Box<dyn FaultInjector + Send + '_>>> {
-        let _ = (layer, heads);
-        None
     }
 
     /// Whether this injector is guaranteed to never change a value *and*
@@ -473,15 +458,14 @@ fn read_flipped(value: f32, mask: u16) -> f32 {
 }
 
 /// One lane of a [`ProbabilisticFaults`] injector borrowed together with the
-/// injector's thresholds: what [`FaultInjector::split_lanes`] hands to each
-/// head, and what the injector's own reads go through.
+/// injector's thresholds: what the injector's reads go through.
 #[derive(Debug)]
 struct LaneHandle<'a> {
     thresholds: &'a Thresholds,
     lane: &'a mut FaultLane,
 }
 
-impl FaultInjector for LaneHandle<'_> {
+impl LaneHandle<'_> {
     fn corrupt(&mut self, value: f32, group: TokenGroup) -> f32 {
         self.lane.corrupt(value, self.thresholds.of(group), group)
     }
@@ -492,10 +476,6 @@ impl FaultInjector for LaneHandle<'_> {
             *v = self.lane.corrupt(*v, t, group);
         }
     }
-
-    fn stats(&self) -> FaultStats {
-        self.lane.stats
-    }
 }
 
 /// A probabilistic fault injector driven by per-group bit-flip rates.
@@ -505,8 +485,8 @@ impl FaultInjector for LaneHandle<'_> {
 /// no preceding [`begin_lane`](FaultInjector::begin_lane) use lane `(0, 0)`).
 /// Each lane's RNG is seeded from the injector seed and the lane label alone,
 /// so the bits a head's reads see depend only on the per-head corruption
-/// history — never on how heads interleave across layers, steps or worker
-/// threads.  [`stats`](FaultInjector::stats) sums the lane counters.
+/// history — never on how heads interleave across layers and steps.
+/// [`stats`](FaultInjector::stats) sums the lane counters.
 ///
 /// `Clone` snapshots the full injector state (rates, every lane's RNG
 /// position, gap counters and statistics — the survival tables are shared
@@ -576,35 +556,6 @@ impl FaultInjector for ProbabilisticFaults {
 
     fn begin_lane(&mut self, layer: usize, head: usize) {
         self.active = self.lane_slot(layer, head);
-    }
-
-    fn split_lanes(
-        &mut self,
-        layer: usize,
-        heads: usize,
-    ) -> Option<Vec<Box<dyn FaultInjector + Send + '_>>> {
-        for head in 0..heads {
-            self.lane_slot(layer, head);
-        }
-        // Map each storage slot back to its head position so one pass over
-        // `lanes` can hand out disjoint `&mut`s in head order.
-        let mut head_of_slot = vec![usize::MAX; self.lanes.len()];
-        for head in 0..heads {
-            head_of_slot[self.index[&(layer as u32, head as u32)]] = head;
-        }
-        let mut out: Vec<Option<Box<dyn FaultInjector + Send + '_>>> =
-            (0..heads).map(|_| None).collect();
-        let thresholds = &self.thresholds;
-        for (slot, lane) in self.lanes.iter_mut().enumerate() {
-            if head_of_slot[slot] != usize::MAX {
-                out[head_of_slot[slot]] = Some(Box::new(LaneHandle { thresholds, lane }));
-            }
-        }
-        Some(
-            out.into_iter()
-                .map(|lane| lane.expect("lane created above"))
-                .collect(),
-        )
     }
 
     fn stats(&self) -> FaultStats {
@@ -718,41 +669,6 @@ mod tests {
             (per_head, inj.stats())
         };
         assert_eq!(run(&[0, 1, 2]), run(&[2, 0, 1]));
-    }
-
-    #[test]
-    fn split_lanes_matches_begin_lane_streams() {
-        let rates = BitFlipRates::uniform(0.25);
-        let draw = |inj: &mut dyn FaultInjector| -> Vec<u32> {
-            (0..8)
-                .map(|i| inj.corrupt(i as f32 * 0.1, TokenGroup::HighScore).to_bits())
-                .collect()
-        };
-        let sequential = {
-            let mut inj = ProbabilisticFaults::new(rates, 9);
-            let mut outs = Vec::new();
-            for h in 0..4 {
-                inj.begin_lane(1, h);
-                outs.push(draw(&mut inj));
-            }
-            (outs, inj.stats())
-        };
-        let split = {
-            let mut inj = ProbabilisticFaults::new(rates, 9);
-            let mut outs = vec![Vec::new(); 4];
-            // Visit the split handles in reverse to prove order irrelevance.
-            for (h, mut lane) in inj.split_lanes(1, 4).unwrap().into_iter().enumerate().rev() {
-                outs[h] = draw(lane.as_mut());
-            }
-            (outs, inj.stats())
-        };
-        assert_eq!(sequential, split);
-    }
-
-    #[test]
-    fn default_split_lanes_is_none() {
-        let mut inj = NoFaults;
-        assert!(inj.split_lanes(0, 4).is_none());
     }
 
     #[test]

@@ -325,55 +325,6 @@ pub fn decode_step(
     }
 }
 
-/// [`decode_step`] with the forward pass fanned out across `runner`
-/// (per-head attention, row-partitioned projections; see
-/// [`SurrogateModel::forward_token_with_runner`]).
-///
-/// Token choice, probability bits, trace record and fault statistics are
-/// bit-identical to [`decode_step`] for any lane count.  Pre-fill stays
-/// sequential by design: it is a one-off cost per session and the
-/// session-axis parallelism of `kelle::parallel` already covers it.
-pub fn decode_step_with_runner(
-    model: &SurrogateModel,
-    state: &mut GenerationState,
-    forced_input: Option<usize>,
-    cache: &mut dyn KvCacheBackend,
-    faults: &mut dyn FaultInjector,
-    runner: &dyn kelle_tensor::par::ParallelRunner,
-) -> DecodeStep {
-    let next = state
-        .next_token()
-        .expect("decode_step requires pre-filled context");
-    let vocab = model.dims().vocab;
-    let input_token = forced_input.map(|t| t % vocab).unwrap_or(next);
-    let position = state.position;
-    let stats = model.forward_token_with_runner(
-        input_token,
-        position,
-        cache,
-        faults,
-        &mut state.scratch,
-        runner,
-    );
-    let probs = SurrogateModel::probabilities(&state.scratch.logits);
-    let choice = SurrogateModel::argmax(&state.scratch.logits);
-    state.last_logits.clear();
-    state.last_logits.extend_from_slice(&state.scratch.logits);
-    state.position += 1;
-    state.decoded_tokens += 1;
-    DecodeStep {
-        token: choice,
-        probs,
-        record: StepRecord {
-            position,
-            token: choice,
-            cache_stats: cache.stats(),
-            recomputed_entries: stats.recomputed_entries,
-            kv_entries_read: stats.kv_entries_read,
-        },
-    }
-}
-
 /// Runs the reference configuration (full cache, no faults) on `prompt`,
 /// decoding `config.decode_len` tokens greedily.
 pub fn run_reference(

@@ -24,6 +24,7 @@
 //!
 //! See `DESIGN.md` §2 for the substitution rationale.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -88,7 +89,7 @@ const _: () = {
     assert_send::<fault::ProbabilisticFaults>();
     assert_send::<fault::NoFaults>();
     assert_send::<generation::GenerationState>();
-    // Cache backends additionally share `&self` across workers during the
-    // intra-session per-head fan-out (the `KvCacheBackend: Sync` bound).
-    assert_send_sync::<cache::FullKvCache>();
+    // Cache backends move with the session that owns them (the
+    // `KvCacheBackend: Send` bound).
+    assert_send::<cache::FullKvCache>();
 };

@@ -27,6 +27,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -34,14 +35,12 @@ mod error;
 pub mod fp16;
 mod matrix;
 pub mod ops;
-pub mod par;
 pub mod quant;
 pub mod rng;
 
 pub use error::TensorError;
 pub use fp16::F16;
 pub use matrix::{dot, Matrix, Vector, DOT_LANES};
-pub use par::{Job, ParallelRunner, SerialRunner};
 pub use quant::{QuantFormat, QuantizedMatrix, QuantizedVector};
 
 /// Crate-wide result alias.

@@ -282,100 +282,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Matrix-vector product restricted to the row range `rows`, written into
-    /// a caller-provided slice of exactly `rows.len()` elements.
-    ///
-    /// This is the building block for partitioned projections: output rows
-    /// are independent [`dot`] products, so disjoint row ranges written into
-    /// disjoint sub-slices of one output buffer reproduce the full
-    /// [`Matrix::matvec`] bit for bit regardless of which range runs first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `v.len() != self.cols()` or
-    /// `out.len() != rows.len()`, and [`TensorError::IndexOutOfBounds`] if the
-    /// range exceeds the row count.
-    pub fn matvec_rows_into_slice(
-        &self,
-        rows: std::ops::Range<usize>,
-        v: &[f32],
-        out: &mut [f32],
-    ) -> Result<()> {
-        if v.len() != self.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_rows_slice",
-                lhs: (self.rows, self.cols),
-                rhs: (v.len(), 1),
-            });
-        }
-        if rows.end > self.rows {
-            return Err(TensorError::IndexOutOfBounds {
-                index: rows.end,
-                len: self.rows,
-            });
-        }
-        if out.len() != rows.len() {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_rows_slice",
-                lhs: (rows.len(), 1),
-                rhs: (out.len(), 1),
-            });
-        }
-        let data = &self.data[rows.start * self.cols..rows.end * self.cols];
-        for (o, row) in out.iter_mut().zip(data.chunks_exact(self.cols)) {
-            *o = dot(row, v);
-        }
-        Ok(())
-    }
-
-    /// Matrix-vector product with the output rows partitioned across a
-    /// [`ParallelRunner`](crate::par::ParallelRunner).
-    ///
-    /// The row space is split into `runner.lanes()` contiguous blocks; each
-    /// job computes its block via [`Matrix::matvec_rows_into_slice`] into a
-    /// disjoint sub-slice of `out`.  Because every output element is an
-    /// independent [`dot`] with the documented reference ordering, the result
-    /// is bitwise identical to [`Matrix::matvec_into`] for any lane count and
-    /// any job interleaving.  `out` is cleared and refilled (no allocation
-    /// once its capacity covers `self.rows()`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `v.len() != self.cols()`.
-    pub fn matvec_into_par(
-        &self,
-        v: &[f32],
-        out: &mut Vec<f32>,
-        runner: &dyn crate::par::ParallelRunner,
-    ) -> Result<()> {
-        let lanes = runner.lanes().clamp(1, self.rows);
-        if lanes <= 1 {
-            return self.matvec_into(v, out);
-        }
-        if v.len() != self.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec",
-                lhs: (self.rows, self.cols),
-                rhs: (v.len(), 1),
-            });
-        }
-        out.clear();
-        out.resize(self.rows, 0.0);
-        let block = self.rows.div_ceil(lanes);
-        let mut jobs: Vec<crate::par::Job> = Vec::with_capacity(lanes);
-        let mut start = 0usize;
-        for piece in out.chunks_mut(block) {
-            let rows = start..start + piece.len();
-            start = rows.end;
-            jobs.push(Box::new(move || {
-                self.matvec_rows_into_slice(rows, v, piece)
-                    .expect("shape checked before partitioning");
-            }));
-        }
-        runner.run(jobs);
-        Ok(())
-    }
-
     /// Vector-matrix product `v^T * self`, i.e. treating `v` as a row vector.
     ///
     /// # Errors
@@ -713,72 +619,6 @@ mod tests {
             buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
         assert!(m.matvec_into(&[1.0], &mut buf).is_err());
-    }
-
-    #[test]
-    fn matvec_rows_into_slice_matches_full_matvec_bitwise() {
-        let m = Matrix::from_rows(vec![
-            vec![0.3, -1.2, 4.5],
-            vec![1.0, 2.0, 3.0],
-            vec![-0.5, 0.25, 9.0],
-            vec![2.0, -2.0, 0.5],
-        ])
-        .unwrap();
-        let v = vec![0.11, -0.5, 2.5];
-        let full = m.matvec(&v).unwrap();
-        let mut out = [0.0f32; 2];
-        m.matvec_rows_into_slice(1..3, &v, &mut out).unwrap();
-        assert_eq!(out[0].to_bits(), full[1].to_bits());
-        assert_eq!(out[1].to_bits(), full[2].to_bits());
-        assert!(m.matvec_rows_into_slice(3..5, &v, &mut out).is_err());
-        assert!(m.matvec_rows_into_slice(0..1, &v, &mut out).is_err());
-        assert!(m.matvec_rows_into_slice(0..2, &[1.0], &mut out).is_err());
-    }
-
-    #[test]
-    fn matvec_into_par_matches_serial_bitwise() {
-        use crate::par::{ParallelRunner, SerialRunner};
-
-        // A runner that claims many lanes but executes inline: exercises the
-        // partitioning logic with block counts above, equal to and below the
-        // row count.
-        #[derive(Debug)]
-        struct WideSerial(usize);
-        impl ParallelRunner for WideSerial {
-            fn lanes(&self) -> usize {
-                self.0
-            }
-            fn run<'a>(&self, jobs: Vec<crate::par::Job<'a>>) {
-                // Reverse order: disjoint blocks must make ordering irrelevant.
-                for job in jobs.into_iter().rev() {
-                    job();
-                }
-            }
-        }
-
-        for rows in [1usize, 2, 3, 7, 16] {
-            let m = Matrix::from_flat(
-                rows,
-                5,
-                (0..rows * 5).map(|i| (i as f32 * 0.37).sin()).collect(),
-            )
-            .unwrap();
-            let v: Vec<f32> = (0..5).map(|i| (i as f32 * 1.1).cos()).collect();
-            let mut reference = Vec::new();
-            m.matvec_into(&v, &mut reference).unwrap();
-            for lanes in [1usize, 2, 3, 4, 32] {
-                let mut out = Vec::new();
-                let runner = WideSerial(lanes);
-                m.matvec_into_par(&v, &mut out, &runner).unwrap();
-                assert_eq!(
-                    reference.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "rows {rows} lanes {lanes}"
-                );
-            }
-            let mut out = Vec::new();
-            assert!(m.matvec_into_par(&[1.0], &mut out, &SerialRunner).is_err());
-        }
     }
 
     #[test]

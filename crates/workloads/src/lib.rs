@@ -12,6 +12,7 @@
 //! reference numbers; [`TokenStreamGenerator`] produces deterministic synthetic
 //! prompts with attention-sink and heavy-hitter structure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

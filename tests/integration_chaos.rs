@@ -2,11 +2,10 @@
 //! (`kelle::chaos`) must leave every surviving token stream, per-step trace,
 //! probability-bearing fault statistics and per-request hardware outcomes
 //! **bit-identical** to a fault-free run — for all five cache policies,
-//! both decode shapes (a wide mix stepped whole on its shards, one-session
-//! batches that fork inside the step), every worker count, with tiering
-//! enabled so
-//! transient migration faults fire alongside worker panics and admission
-//! blips.  Shedding (deadlines, queue timeouts, `cancel`, `drain`) and the
+//! both decode shapes (a wide mix that fills its shards, one-session
+//! batches that leave the other shards idle), every worker count, with
+//! tiering enabled so transient migration faults fire alongside worker panics
+//! and admission blips.  Shedding (deadlines, queue timeouts, `cancel`, `drain`) and the
 //! typed [`ServeError::WorkerLost`] exit must release every byte they held.
 //!
 //! Like the parallel and tiering suites, the CI determinism gate runs this
@@ -181,18 +180,17 @@ fn assert_storm_recovers(
 
 #[test]
 fn chaos_recovery_is_bit_identical_across_policies_axes_workers_and_seeds() {
-    // Session axis: on an eDRAM that admits most of the six-request policy
-    // mix at once (and still overflows, so migrations fire) the batch is
-    // wide enough that every pool under test steps its sessions whole.
+    // Wide mix: an eDRAM that admits most of the six-request policy mix at
+    // once (and still overflows, so migrations fire) keeps every shard of
+    // every pool under test busy.
     let wide_edram = shared_prefix().len() + 30;
     let solo_edram = shared_prefix().len() + 6;
     let baseline = sharing_engine(7, 1)
         .serve(policy_mix(), ServeOptions::new())
         .expect("no chaos configured");
-    // Intra axis: a one-session batch forks inside the step wherever the
-    // pool has an idle worker to feed, so a sabotaged forked step is
-    // restored and replayed on its shard — one long-lived session per
-    // policy.
+    // Lone session: a one-session batch leaves every other shard idle, and
+    // its sabotaged step is restored and replayed on the shard it lives on —
+    // one long-lived session per policy.
     let solo = |policy: CachePolicy| {
         let mut prompt = shared_prefix();
         prompt.extend([41, 42, 43]);
@@ -211,7 +209,7 @@ fn chaos_recovery_is_bit_identical_across_policies_axes_workers_and_seeds() {
         .collect();
     for workers in worker_counts() {
         for seed in chaos_seeds() {
-            let label = format!("session axis, workers={workers}, chaos seed={seed}");
+            let label = format!("wide mix, workers={workers}, chaos seed={seed}");
             let engine = sharing_engine(7, workers);
             let chaotic =
                 assert_storm_recovers(&engine, policy_mix(), wide_edram, &baseline, seed, &label);
@@ -234,7 +232,7 @@ fn chaos_recovery_is_bit_identical_across_policies_axes_workers_and_seeds() {
             let mut solo_panics = 0;
             for (policy, solo_baseline) in CachePolicy::all().into_iter().zip(&solo_baselines) {
                 let label = format!(
-                    "intra axis, policy={}, workers={workers}, chaos seed={seed}",
+                    "lone session, policy={}, workers={workers}, chaos seed={seed}",
                     policy.name()
                 );
                 let engine = sharing_engine(7, workers);
@@ -254,7 +252,7 @@ fn chaos_recovery_is_bit_identical_across_policies_axes_workers_and_seeds() {
             }
             assert!(
                 solo_panics > 0,
-                "workers={workers}, chaos seed={seed}: the storm must panic intra-axis steps"
+                "workers={workers}, chaos seed={seed}: the storm must panic lone-session steps"
             );
         }
     }
@@ -470,8 +468,8 @@ fn a_lost_worker_sheds_its_request_and_leaks_nothing() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random fleets under random fault storms and tiering, on whichever
-    /// axis the pool picks for their width: every stream survives
+    /// Random fleets under random fault storms and tiering, on pools
+    /// narrower and wider than the fleet: every stream survives
     /// bit-identical to the fault-free run, nothing is lost, and tier
     /// traffic stays conserved.
     #[test]

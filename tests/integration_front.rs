@@ -431,11 +431,10 @@ fn chaos_through_the_front_keeps_sessions_pinned() {
 }
 
 #[test]
-fn sticky_shards_cross_the_queue_strictly_less_than_stealing() {
-    // With one pool there is no stealing executor left to compare against;
-    // the price of pinned residency is pinned absolutely instead: one
-    // crossing in with the prefill, one out when taken, none per tick — on
-    // the front and on the synchronous path alike.
+fn sessions_cross_the_queue_twice_per_life_on_front_and_serve() {
+    // The price of pinned residency: one crossing in with the prefill, one
+    // out when taken, none per tick — on the front and on the synchronous
+    // path alike.
     for workers in worker_counts() {
         let engine = KelleEngine::builder().seed(13).workers(workers).build();
         let fleet: Vec<ServeRequest> = (0..6)

@@ -2,13 +2,15 @@
 //! (`kelle::parallel`) must be **bit-identical** to the single-threaded
 //! scheduler — token streams, per-step traces, probability-bearing fault
 //! statistics and every `BatchOutcome` metric — for every worker count, all
-//! five cache policies, prefix-sharing hits and contention-limited
-//! admission.
+//! five cache policies, prefix-sharing hits, contention-limited admission,
+//! retention faults, tiering and pools wider than their batch.
 //!
 //! The CI determinism gate runs this suite at explicit worker counts via the
 //! `KELLE_TEST_WORKERS` environment variable (comma-separated, e.g.
 //! `KELLE_TEST_WORKERS=1,2,4`); without it the suite defaults to {1, 2, 4}.
 
+use kelle::edram::RefreshPolicy;
+use kelle::tier::TierConfig;
 use kelle::{
     AdmissionPolicy, BatchOutcome, CachePolicy, KelleEngine, PrefixSharingConfig, SchedulerConfig,
     ServeOptions, ServeRequest,
@@ -53,6 +55,7 @@ fn assert_outcomes_identical(a: &BatchOutcome, b: &BatchOutcome, label: &str) {
     assert_eq!(a.stats, b.stats, "{label}: aggregate stats");
     assert_eq!(a.contention, b.contention, "{label}: contention metrics");
     assert_eq!(a.prefix, b.prefix, "{label}: prefix metrics");
+    assert_eq!(a.tiering, b.tiering, "{label}: tier metrics");
 }
 
 fn shared_prefix() -> Vec<usize> {
@@ -228,6 +231,101 @@ fn parallel_serializes_auto_publication_like_sequential_serving() {
     }
 }
 
+/// A pool wider than its batch (1 or 2 sessions on 4 workers: idle shards)
+/// and one narrower (5 sessions: shard 0 holds requests 0 and 4) both serve
+/// bit-identically to inline, under retention faults, for all five policies,
+/// and at the same queue traffic: in with the prefill, out when taken,
+/// nothing per tick.
+#[test]
+fn four_worker_pool_matches_inline_at_widths_1_2_5_under_faults() {
+    // A relaxed uniform refresh interval injects faults at a rate that
+    // exercises the per-(layer, head) fault lanes.
+    let faulty_engine = |policy: CachePolicy, workers: usize| {
+        KelleEngine::builder()
+            .policy(policy)
+            .refresh_policy(RefreshPolicy::Uniform(240.0))
+            .seed(11)
+            .workers(workers)
+            .build()
+    };
+    let prompt =
+        |seed: usize| -> Vec<usize> { (0..20).map(|i| (i * 13 + seed * 29 + 3) % 512).collect() };
+    let mut total_flips = 0u64;
+    for policy in CachePolicy::all() {
+        for width in [1usize, 2, 5] {
+            let requests: Vec<ServeRequest> = (0..width)
+                .map(|i| ServeRequest::new(prompt(i), 6))
+                .collect();
+            let sequential = serve(
+                &faulty_engine(policy, 1),
+                requests.clone(),
+                SchedulerConfig::default(),
+            );
+            let parallel = serve_parallel(
+                &faulty_engine(policy, 4),
+                requests,
+                SchedulerConfig::default(),
+            );
+            let label = format!("policy={}, width={width}", policy.name());
+            assert_outcomes_identical(&sequential, &parallel, &label);
+            assert_eq!(
+                parallel.parallel.queue_crossings,
+                2 * width as u64,
+                "{label}: no decode tick crosses the queue"
+            );
+            assert_eq!(parallel.parallel.sessions_migrated, 0, "{label}");
+            total_flips += sequential
+                .outcomes
+                .iter()
+                .map(|outcome| outcome.faults.bits_flipped)
+                .sum::<u64>();
+        }
+    }
+    assert!(
+        total_flips > 0,
+        "the relaxed-refresh fixture must actually inject faults"
+    );
+}
+
+/// Decodes each sampled integer into one request's shape: prompt length in
+/// 1..=12, decode length in 1..=4, policy index in 0..5.
+fn requests_from_shapes(seed: u64, shapes: &[usize]) -> Vec<ServeRequest> {
+    shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &shape)| {
+            let prompt_len = 1 + shape % 12;
+            let decode_len = 1 + (shape / 12) % 4;
+            let policy_idx = (shape / 48) % 5;
+            let prompt: Vec<usize> = (0..prompt_len)
+                .map(|t| (seed as usize + i * 31 + t * 7) % 512)
+                .collect();
+            ServeRequest::builder(prompt)
+                .decode_len(decode_len)
+                .policy(CachePolicy::all()[policy_idx])
+                .build()
+        })
+        .collect()
+}
+
+/// Serves the mix `shapes` encodes inline and on each pool of `workers`
+/// threads under `config`; every pool must match inline bit for bit.
+fn assert_mix_matches_inline(
+    seed: u64,
+    shapes: &[usize],
+    config: SchedulerConfig,
+    workers: &[usize],
+) {
+    let requests = requests_from_shapes(seed, shapes);
+    let engine = KelleEngine::builder().seed(seed).build();
+    let sequential = serve(&engine, requests.clone(), config);
+    for &workers in workers {
+        let engine = KelleEngine::builder().seed(seed).workers(workers).build();
+        let parallel = serve_parallel(&engine, requests.clone(), config);
+        assert_outcomes_identical(&sequential, &parallel, &format!("workers={workers}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -239,38 +337,27 @@ proptest! {
         shapes in proptest::collection::vec(0usize..10_000, 2..6),
         capacity_tokens in 4usize..40,
     ) {
-        // Each sampled integer encodes one request's shape: prompt length in
-        // 1..=12, decode length in 1..=4, policy index in 0..5.
-        let requests: Vec<ServeRequest> = shapes
-            .iter()
-            .enumerate()
-            .map(|(i, &shape)| {
-                let prompt_len = 1 + shape % 12;
-                let decode_len = 1 + (shape / 12) % 4;
-                let policy_idx = (shape / 48) % 5;
-                let prompt: Vec<usize> =
-                    (0..prompt_len).map(|t| (seed as usize + i * 31 + t * 7) % 512).collect();
-                ServeRequest::builder(prompt)
-                    .decode_len(decode_len)
-                    .policy(CachePolicy::all()[policy_idx])
-                    .build()
-            })
-            .collect();
         let engine = KelleEngine::builder().seed(seed).build();
         let config = SchedulerConfig::default()
             .with_kv_capacity_bytes(engine.kv_footprint_bytes(capacity_tokens));
-        let sequential = serve(&engine, requests.clone(), config);
-        for workers in [2, 3] {
-            let engine = KelleEngine::builder().seed(seed).workers(workers).build();
-            let parallel = serve_parallel(&engine, requests.clone(), config);
-            prop_assert_eq!(sequential.outcomes.len(), parallel.outcomes.len());
-            for (a, b) in sequential.outcomes.iter().zip(parallel.outcomes.iter()) {
-                prop_assert_eq!(&a.generated, &b.generated);
-                prop_assert_eq!(a.faults, b.faults);
-                prop_assert_eq!(&a.trace, &b.trace);
-            }
-            prop_assert_eq!(&sequential.contention, &parallel.contention);
-            prop_assert_eq!(sequential.stats, parallel.stats);
-        }
+        assert_mix_matches_inline(seed, &shapes, config, &[2, 3]);
+    }
+
+    /// Random request mixes served with tiering enabled are bit-identical to
+    /// inline serving on pools narrower than the mix (2, 3 workers) and on a
+    /// 10-worker pool at least twice as wide as any mix — idle shards and
+    /// sparse `index % workers` residency compose with the memory-hierarchy
+    /// overlay.
+    #[test]
+    fn tiered_random_mixes_match_inline_on_2_3_and_10_workers(
+        seed in 0u64..500,
+        shapes in proptest::collection::vec(0usize..10_000, 2..6),
+        capacity_tokens in 8usize..40,
+    ) {
+        let engine = KelleEngine::builder().seed(seed).build();
+        let config = SchedulerConfig::default().with_tiering(TierConfig::with_edram_budget(
+            engine.kv_footprint_bytes(capacity_tokens),
+        ));
+        assert_mix_matches_inline(seed, &shapes, config, &[2, 3, 10]);
     }
 }

@@ -461,7 +461,7 @@ fn per_request_policy_overrides_apply() {
 }
 
 /// Reads every row one word at a time: forwards everything but
-/// `corrupt_slice` (the trait's word-by-word default) and `split_lanes`.
+/// `corrupt_slice` (the trait's word-by-word default).
 #[derive(Debug)]
 struct WordByWord(ProbabilisticFaults);
 
