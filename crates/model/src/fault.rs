@@ -28,12 +28,13 @@
 //! The number of intact bits before the next flip of a Bernoulli(`p`)
 //! sequence is geometric, `Pr[gap ≥ k] = (1−p)ᵏ`, so a lane keeps, per class,
 //! the count of that class's bits still to pass before its next flip and
-//! redraws it only when a flip lands: an intact byte costs a compare and a
-//! subtract.  A draw is one `next_u64` `u` looked up in the class's survival
-//! table `surv[k] ≈ (1−p)^(k+1)·2⁶⁴`, `k < 256`: the gap is the number of
-//! entries above `u`, and a `u` below `surv[255]` adds 256 and draws again
-//! (the geometric law is memoryless).  The table is integer-only: `surv[0] =
-//! 2⁶⁴ − ⌊p·2⁶⁴⌋` (an exact power-of-two scaling) and `surv[k+1] =
+//! redraws it only when a flip lands: an intact byte read on its own costs a
+//! compare and a subtract, and a row's intact words are not visited at all
+//! (see "Row walk").  A draw is one `next_u64` `u` looked up in the class's
+//! survival table `surv[k] ≈ (1−p)^(k+1)·2⁶⁴`, `k < 256`: the gap is the
+//! number of entries above `u`, and a `u` below `surv[255]` adds 256 and draws
+//! again (the geometric law is memoryless).  The table is integer-only:
+//! `surv[0] = 2⁶⁴ − ⌊p·2⁶⁴⌋` (an exact power-of-two scaling) and `surv[k+1] =
 //! ⌊surv[k]·surv[0] / 2⁶⁴⌋` in `u128` — no logarithm, no `pow`, so every
 //! platform builds the same table.  Each step truncates by less than one
 //! unit, so `surv[k]` is within `k + 1` units of `(1−p)^(k+1)·2⁶⁴` and every
@@ -62,6 +63,30 @@
 //! configuration never advances any generator (the serving layer relies on
 //! that to share prefixes across fault seeds when the refresh policy cannot
 //! corrupt).
+//!
+//! # Row walk
+//!
+//! A row read through `corrupt_slice` is walked from flip to flip, not word
+//! by word.  The token group's two counters are taken out of the lane for the
+//! length of the row; `min(lsb_left, msb_left) / 8` is the number of whole
+//! words both classes pass intact — a *run* — and the walk steps over it with
+//! one subtraction per counter, touching none of its values.  The word after
+//! a run has a flip within its next eight bits of at least one class: it is
+//! given its flips exactly as a lone read gives them (LSB byte, then MSB
+//! byte, one redraw per flip), and the next run starts behind it.  A row
+//! therefore costs one draw and one FP16 round trip per flipped word and
+//! nothing per intact one; the counters go back into the lane, and the row's
+//! length and flips into its statistics, once at the end.
+//!
+//! No draw is made, moved or dropped, so the stream is the per-word one draw
+//! for draw: a run only defers subtractions that consume no keystream, and
+//! what does consume it — a flipped word's redraws — happens at the same
+//! word in the same order.  The first-read rule is kept by not walking until
+//! it is satisfied: while a class of the group has no counter yet, words go
+//! through the one-word read, which draws it (LSB before MSB, the word's own
+//! redraws in between).  A class that never flips bounds no run and keeps no
+//! counter; a class that flips every bit has no runs, and its rows are read
+//! one word at a time throughout.
 //!
 //! A lane's stream therefore depends only on the injector seed, the lane's
 //! `(layer, head)` label and the lane's own sequence of `(group, len)` reads
@@ -137,9 +162,13 @@ pub trait FaultInjector: std::fmt::Debug {
     fn corrupt(&mut self, value: f32, group: TokenGroup) -> f32;
 
     /// Corrupts a whole row in place — what the attention pass calls for a
-    /// key row, a value row or a stored input row.  Implementations may
-    /// override it to do per-row work once, but the result must equal calling
-    /// [`corrupt`](FaultInjector::corrupt) on each element in order.
+    /// key row, a value row or a stored input row.  This default is the
+    /// definition: [`corrupt`](FaultInjector::corrupt) on each element in
+    /// order.  An override may skip what a row makes skippable (the words no
+    /// flip lands in, see the module docs' "Row walk") but may not change what
+    /// a caller can observe: the values, the [`stats`](FaultInjector::stats)
+    /// and every later read — counters and random draws included — equal
+    /// those of the per-word definition.
     fn corrupt_slice(&mut self, values: &mut [f32], group: TokenGroup) {
         for v in values.iter_mut() {
             *v = self.corrupt(*v, group);
@@ -334,6 +363,23 @@ impl Gap {
         }
         gap
     }
+
+    /// Flip mask of the next eight bits of a class's sequence, lowest bit
+    /// first, with `left` intact bits to pass before its next flip: one
+    /// redraw per flip that lands in the byte.
+    #[inline]
+    fn byte(surv: &[u64], left: &mut u64, rng: &mut DetRng) -> u16 {
+        let mut mask = 0;
+        let mut bit = 0;
+        while *left < 8 - bit {
+            bit += *left;
+            mask |= 1 << bit;
+            bit += 1;
+            *left = Gap::draw(surv, rng);
+        }
+        *left -= 8 - bit;
+        mask
+    }
 }
 
 /// The samplers a stored word of one token group is read against, one per
@@ -410,15 +456,8 @@ impl FaultLane {
             Some(left) => left,
             None => Gap::draw(surv, &mut self.rng),
         };
-        let mut mask = 0;
-        let mut bit = 0;
-        while left < 8 - bit {
-            bit += left;
-            mask |= 1 << bit;
-            bit += 1;
-            left = Gap::draw(surv, &mut self.rng);
-        }
-        *slot = Some(left - (8 - bit));
+        let mask = Gap::byte(surv, &mut left, &mut self.rng);
+        *slot = Some(left);
         mask
     }
 
@@ -457,6 +496,51 @@ fn read_flipped(value: f32, mask: u16) -> f32 {
     }
 }
 
+/// One rate class's side of a row walk: its survival tables (`None` for a
+/// class that never flips) and the bits still to pass before its next flip,
+/// held outside the lane while the row is read.
+struct Run<'a> {
+    surv: Option<&'a [u64]>,
+    left: u64,
+}
+
+impl<'a> Run<'a> {
+    /// `None` when the class's next word has to be read on its own: the
+    /// class flips every bit, or its first gap is still to be drawn.
+    fn of(gap: &'a Gap, left: Option<u64>) -> Option<Self> {
+        let (surv, left) = match gap {
+            Gap::Never => (None, u64::MAX),
+            Gap::Always => return None,
+            Gap::Table(surv) => (Some(&**surv), left?),
+        };
+        Some(Run { surv, left })
+    }
+
+    /// Lets `words` whole words go by without a flip.
+    #[inline]
+    fn pass(&mut self, words: u64) {
+        if self.surv.is_some() {
+            // Cannot underflow: a run is `min(left) / 8` words or fewer.
+            debug_assert!(words <= self.left / 8);
+            self.left -= 8 * words;
+        }
+    }
+
+    /// Flip mask of the class's byte of the next word.
+    #[inline]
+    fn byte(&mut self, rng: &mut DetRng) -> u16 {
+        match self.surv {
+            Some(surv) => Gap::byte(surv, &mut self.left, rng),
+            None => 0,
+        }
+    }
+
+    /// What the lane keeps of the class between rows.
+    fn counter(&self) -> Option<u64> {
+        self.surv.map(|_| self.left)
+    }
+}
+
 /// One lane of a [`ProbabilisticFaults`] injector borrowed together with the
 /// injector's thresholds: what the injector's reads go through.
 #[derive(Debug)]
@@ -470,11 +554,49 @@ impl LaneHandle<'_> {
         self.lane.corrupt(value, self.thresholds.of(group), group)
     }
 
-    fn corrupt_slice(&mut self, values: &mut [f32], group: TokenGroup) {
+    /// Reads a row from flip to flip: the row walk of the module docs.
+    fn corrupt_slice(&mut self, mut values: &mut [f32], group: TokenGroup) {
+        const LSB: usize = SignificanceGroup::Lsb as usize;
+        const MSB: usize = SignificanceGroup::Msb as usize;
         let t = self.thresholds.of(group);
-        for v in values.iter_mut() {
-            *v = self.lane.corrupt(*v, t, group);
+        let lane = &mut *self.lane;
+        let (mut lsb, mut msb) = loop {
+            let left = lane.gap[group as usize];
+            if let (Some(lsb), Some(msb)) = (Run::of(&t.lsb, left[LSB]), Run::of(&t.msb, left[MSB]))
+            {
+                break (lsb, msb);
+            }
+            // One word at a time while a class has its first gap to draw
+            // (this read draws it), and throughout if a class is certain.
+            let Some((word, rest)) = values.split_first_mut() else {
+                return;
+            };
+            *word = lane.corrupt(*word, t, group);
+            values = rest;
+        };
+        let mut flipped = 0;
+        let mut at = 0;
+        loop {
+            let words_left = (values.len() - at) as u64;
+            let run = (lsb.left.min(msb.left) / 8).min(words_left);
+            lsb.pass(run);
+            msb.pass(run);
+            if run == words_left {
+                break;
+            }
+            // The word after a run has a flip among its next eight bits of
+            // at least one class: LSB byte first, then MSB byte.
+            at += run as usize;
+            let mask = lsb.byte(&mut lane.rng) | msb.byte(&mut lane.rng) << 8;
+            debug_assert_ne!(mask, 0);
+            flipped += u64::from(mask.count_ones());
+            values[at] = read_flipped(values[at], mask);
+            at += 1;
         }
+        lane.gap[group as usize][LSB] = lsb.counter();
+        lane.gap[group as usize][MSB] = msb.counter();
+        lane.stats.words_examined += values.len() as u64;
+        lane.stats.bits_flipped += flipped;
     }
 }
 
@@ -1120,8 +1242,9 @@ mod tests {
         assert!(by_row.stats().bits_flipped > 0);
     }
 
-    /// All four classes since the LSB ones walk gaps too; the name dates from
-    /// when only the MSB ones did.
+    /// However a row is cut into `corrupt_slice` calls, the row walk leaves
+    /// every class's counter where the word-by-word read does.  All four
+    /// classes: the name dates from when only the MSB ones walked gaps.
     #[test]
     fn msb_masks_do_not_depend_on_how_a_row_is_split() {
         let rates = PAPER_RATES[2];
@@ -1161,6 +1284,126 @@ mod tests {
             assert_eq!(whole.gap, split.gap);
             assert_eq!(whole.stats, split.stats);
             assert_eq!(next, split.rng.next_u64());
+        }
+    }
+
+    /// The shapes the row walk treats specially — a class that never flips,
+    /// one that always does, a first gap still to draw, an empty row — in
+    /// every combination, held to the per-word definition after each read.
+    #[test]
+    fn row_walk_matches_word_by_word_reads_for_every_pairing_of_classes() {
+        // Never, always, one table, stacked tables.
+        const CLASS_RATES: [f64; 4] = [0.0, 1.0, 0.03, 1e-5];
+        const LENGTHS: [usize; 5] = [0, 1, 8, 64, 1000];
+        let values: Vec<f32> = (0..1000).map(|i| (i as f32 - 400.0) * 0.037).collect();
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut flipped = 0;
+        for pairing in 0..CLASS_RATES.len().pow(4) {
+            let class = |digit: u32| CLASS_RATES[pairing / 4usize.pow(digit) % 4];
+            let rates = BitFlipRates {
+                hst_lsb: class(0),
+                hst_msb: class(1),
+                lst_lsb: class(2),
+                lst_msb: class(3),
+            };
+            // Every length is a fresh lane's first read once; the reads
+            // after it, of either group, find the lane warm.
+            for first in 0..LENGTHS.len() {
+                let seed = (pairing * LENGTHS.len() + first) as u64;
+                let mut by_row = ProbabilisticFaults::new(rates, seed);
+                by_row.begin_lane(0, 0);
+                let mut by_word = by_row.clone();
+                let mut choose = rng::lane(seed, 9, 9);
+                for read in 0..8 {
+                    let len = LENGTHS[(first + read) % LENGTHS.len()];
+                    let group = GROUPS[(choose.next_u64() % 2) as usize];
+                    let cut = (choose.next_u64() % (len as u64 + 1)) as usize;
+                    let mut row = values[..len].to_vec();
+                    let (head, tail) = row.split_at_mut(cut);
+                    by_row.corrupt_slice(head, group);
+                    by_row.corrupt_slice(tail, group);
+                    let word_by_word: Vec<f32> = values[..len]
+                        .iter()
+                        .map(|&v| by_word.corrupt(v, group))
+                        .collect();
+                    let what = format!(
+                        "{rates:?}, first {first}, read {read}: {len} {group:?} words cut at {cut}"
+                    );
+                    assert_eq!(bits(&row), bits(&word_by_word), "{what}");
+                    let (row_lane, word_lane) = (&by_row.lanes[0], &by_word.lanes[0]);
+                    assert_eq!(row_lane.gap, word_lane.gap, "{what}");
+                    assert_eq!(row_lane.stats, word_lane.stats, "{what}");
+                    assert_eq!(
+                        draws_between(&word_lane.rng, &row_lane.rng, 0),
+                        Some(0),
+                        "{what}"
+                    );
+                }
+                flipped += by_row.stats().bits_flipped;
+            }
+        }
+        assert!(flipped > 0);
+    }
+
+    /// A bit-by-bit reading of the model, counting its draws: a row costs
+    /// one draw per first gap and one per flip — an intact word costs none
+    /// and a run loses none.
+    #[test]
+    fn a_row_draws_once_per_first_gap_and_once_per_flip() {
+        let thresholds = Thresholds::new(&PAPER_RATES[0]);
+        let stored = fp16::f32_to_f16_bits(0.375);
+        for group in GROUPS {
+            let t = thresholds.of(group);
+            let tables = [&t.lsb, &t.msb].map(|gap| match gap {
+                Gap::Table(surv) => &**surv,
+                _ => panic!("2DRP's classes all have tables"),
+            });
+            for seed in 0..32 {
+                let mut lane = FaultLane::new(seed, 0, 3);
+                let mut rng = lane.rng.clone();
+                let mut row = [0.375f32; 64];
+                LaneHandle {
+                    thresholds: &thresholds,
+                    lane: &mut lane,
+                }
+                .corrupt_slice(&mut row, group);
+
+                let mut draws = 0;
+                let mut draw = |surv: &[u64]| {
+                    draws += 1;
+                    Gap::draw(surv, &mut rng)
+                };
+                let mut left = [None; 2];
+                let mut flips = 0;
+                for read in row {
+                    let mut mask = 0u16;
+                    for (byte, surv) in tables.into_iter().enumerate() {
+                        let mut intact = left[byte].unwrap_or_else(|| draw(surv));
+                        for bit in 8 * byte..8 * byte + 8 {
+                            if intact == 0 {
+                                mask |= 1 << bit;
+                                intact = draw(surv);
+                            } else {
+                                intact -= 1;
+                            }
+                        }
+                        left[byte] = Some(intact);
+                    }
+                    flips += u64::from(mask.count_ones());
+                    assert_eq!(fp16::f32_to_f16_bits(read) ^ stored, mask);
+                }
+                assert_eq!(draws, 2 + flips);
+                assert_eq!(draws_between(&rng, &lane.rng, 0), Some(0));
+                let [msb_left, lsb_left] = lane.gap[group as usize];
+                assert_eq!([lsb_left, msb_left], left);
+                assert_eq!(
+                    lane.stats,
+                    FaultStats {
+                        words_examined: 64,
+                        bits_flipped: flips
+                    }
+                );
+            }
         }
     }
 
