@@ -21,9 +21,6 @@
 //! and the [`CachePolicy`] registry in [`policy`] builds any of the above as
 //! a `Box<dyn KvCacheBackend>` from a budget — the single factory the serving
 //! engine, sessions and accuracy experiments all construct backends through.
-//! When many sessions share one device, [`partition`] derives each admitted
-//! session's effective `N'` share of a common budget (equal-split or
-//! proportional-to-context).
 //!
 //! ## Example
 //!
@@ -44,7 +41,6 @@ pub mod aerp;
 pub mod budget;
 pub mod h2o;
 pub mod importance;
-pub mod partition;
 pub mod policy;
 pub mod quantized;
 pub mod streaming;
@@ -53,7 +49,6 @@ pub use aerp::{AerpCache, AerpConfig};
 pub use budget::CacheBudget;
 pub use h2o::H2oCache;
 pub use importance::ImportanceTracker;
-pub use partition::{BudgetPartitioner, PartitionMode};
 pub use policy::CachePolicy;
 pub use quantized::QuaRotKvCache;
 pub use streaming::StreamingLlmCache;

@@ -21,6 +21,9 @@
 //! * **Migration and ledger faults** are drawn from per-stream counters.
 //!   Both are only ever consulted on the coordinator thread, whose decision
 //!   sequence is identical for every worker count, so the draws are too.
+//!   The [`TierManager`](crate::tier::TierManager) draws migrations from its
+//!   own clone of the plan: the two counters are separate streams, so the
+//!   clone draws exactly what one shared plan would.
 //!
 //! Recovery leans on the scheduler's per-tick commit protocol and happens
 //! where the session lives: the executor shard snapshots each session into a
@@ -30,8 +33,6 @@
 //! [`ServeError::WorkerLost`] instead of a raw `resume_unwind`.
 
 use std::fmt;
-
-use kelle_edram::MemoryTier;
 
 use crate::session::Session;
 
@@ -117,18 +118,6 @@ impl ChaosConfig {
     }
 }
 
-/// A source of transient tier-migration failures.
-///
-/// [`TierManager`](crate::tier::TierManager) consults this before every
-/// migration attempt; a `true` return means the transfer failed mid-flight
-/// (its cost is charged, no bytes move) and the manager retries a bounded
-/// number of times before leaving the KV on its source tier.
-pub trait MigrationFaults {
-    /// Draws the fate of one migration attempt of `bytes` from `from` to
-    /// `to`.  Implementations may be stateful (each call consumes a draw).
-    fn migration_fails(&mut self, from: MemoryTier, to: MemoryTier, bytes: u64) -> bool;
-}
-
 /// The instantiated fault plan: a [`ChaosConfig`] plus the draw state of the
 /// counter-based fault streams.
 #[derive(Debug, Clone)]
@@ -170,6 +159,21 @@ impl ChaosPlan {
         )
     }
 
+    /// Draws the fate of the next tier-migration attempt: `true` means the
+    /// transfer failed mid-flight.
+    pub(crate) fn migration_fails(&mut self) -> bool {
+        let draw = self.migration_draws;
+        self.migration_draws += 1;
+        hits(
+            self.config.seed,
+            2,
+            draw,
+            0,
+            0,
+            self.config.migration_fault_per_mille,
+        )
+    }
+
     /// Draws the fate of the next capacity-ledger reservation.
     pub(crate) fn ledger_blip(&mut self) -> bool {
         let draw = self.ledger_draws;
@@ -181,21 +185,6 @@ impl ChaosPlan {
             0,
             0,
             self.config.ledger_blip_per_mille,
-        )
-    }
-}
-
-impl MigrationFaults for ChaosPlan {
-    fn migration_fails(&mut self, _from: MemoryTier, _to: MemoryTier, _bytes: u64) -> bool {
-        let draw = self.migration_draws;
-        self.migration_draws += 1;
-        hits(
-            self.config.seed,
-            2,
-            draw,
-            0,
-            0,
-            self.config.migration_fault_per_mille,
         )
     }
 }
@@ -407,13 +396,9 @@ mod tests {
             .with_ledger_blips(250);
         let mut a = ChaosPlan::new(config);
         let mut b = ChaosPlan::new(config);
-        let migrations: Vec<bool> = (0..128)
-            .map(|_| a.migration_fails(MemoryTier::Edram, MemoryTier::Dram, 64))
-            .collect();
+        let migrations: Vec<bool> = (0..128).map(|_| a.migration_fails()).collect();
         let blips: Vec<bool> = (0..128).map(|_| a.ledger_blip()).collect();
-        let migrations_b: Vec<bool> = (0..128)
-            .map(|_| b.migration_fails(MemoryTier::Edram, MemoryTier::Dram, 64))
-            .collect();
+        let migrations_b: Vec<bool> = (0..128).map(|_| b.migration_fails()).collect();
         let blips_b: Vec<bool> = (0..128).map(|_| b.ledger_blip()).collect();
         assert_eq!(migrations, migrations_b);
         assert_eq!(blips, blips_b);

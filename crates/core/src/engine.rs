@@ -394,13 +394,11 @@ impl KelleEngine {
         let model_config = ModelConfig::for_kind(config.model);
         let model = SurrogateModel::new(model_config, config.seed);
         let platform = Platform::preset(config.platform);
-        let noop_faults = crate::faults::to_model_rates(
-            config
-                .refresh_policy
-                .bit_flip_rates(&RetentionModel::default()),
-        ) == BitFlipRates::zero();
-        let prefix =
-            PrefixStore::with_limits(config.prefix.store_budget_bytes, config.prefix.ttl_lookups);
+        let noop_faults = config
+            .refresh_policy
+            .bit_flip_rates(&RetentionModel::default())
+            == BitFlipRates::zero();
+        let prefix = PrefixStore::with_budget(config.prefix.store_budget_bytes);
         KelleEngine {
             config,
             model,

@@ -120,7 +120,6 @@ pub mod accuracy;
 pub mod chaos;
 pub mod engine;
 pub mod experiment;
-pub mod faults;
 pub mod front;
 pub mod parallel;
 pub mod prefix;
@@ -129,16 +128,14 @@ pub mod session;
 pub mod tier;
 
 pub use accuracy::{AccuracyResult, Method};
-pub use chaos::{
-    ChaosConfig, ChaosMetrics, ChaosPlan, Checkpoint, MigrationFaults, ServeError, ShedReason,
-};
+pub use chaos::{ChaosConfig, ChaosMetrics, ChaosPlan, Checkpoint, ServeError, ShedReason};
 pub use engine::{
     EngineBuilder, EngineConfig, EngineStats, KelleEngine, ServeOptions, ServeOutcome,
 };
 pub use experiment::{EndToEndRow, EndToEndSummary};
-pub use faults::fault_injector_for_policy;
 pub use front::{FrontConfig, ServingFront, StreamPoll, SubmitError, TokenStream};
 pub use kelle_cache::CachePolicy;
+pub use kelle_model::fault::fault_injector_for_policy;
 pub use parallel::{
     Admission, InlineExecutor, ParallelMetrics, Prefilled, ResidentStep, StepExecutor, StepRequest,
     TaskFailure, WorkerPool,

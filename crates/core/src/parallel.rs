@@ -136,8 +136,6 @@ pub struct Prefilled {
     pub computed: usize,
     /// Prompt tokens replayed from a shared prefix segment instead.
     pub prefix_hit_tokens: usize,
-    /// Session position after the prefill.
-    pub position: usize,
     /// The pool shard the session now lives on (`None`: inline, on the
     /// caller's thread).
     pub worker: Option<usize>,
@@ -168,8 +166,7 @@ pub struct ResidentStep {
     pub step: DecodeStep,
     /// Session position before the step (for the lease-growth delta).
     pub tokens_before: usize,
-    /// Session position after the step (the coordinator's cursor mirror —
-    /// it cannot ask the session directly).
+    /// Session position after the step (for the lease-growth delta).
     pub position: usize,
     /// The shard that ran the step (`None`: inline).
     pub worker: Option<usize>,
@@ -274,7 +271,6 @@ impl<'e> Shard<'e> {
             index,
             computed,
             prefix_hit_tokens: session.prefix_hit_tokens(),
-            position: session.position(),
             worker: self.worker,
         };
         self.resident.insert(
@@ -934,7 +930,6 @@ mod tests {
             for prefilled in &prefilled {
                 assert_eq!(prefilled.worker, Some(prefilled.index % 2));
                 assert_eq!(prefilled.computed, 2);
-                assert_eq!(prefilled.position, 2);
             }
         });
     }

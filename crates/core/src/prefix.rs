@@ -96,11 +96,6 @@ pub struct PrefixSharingConfig {
     /// later sessions simply take the cold path, which is bit-identical to
     /// the hit path by the store's equivalence guarantee.
     pub store_budget_bytes: Option<u64>,
-    /// Time-to-live for store entries, measured in store operations
-    /// (publications + lookups).  An entry not matched for this many
-    /// operations is expired at the next publication (`None` = never, the
-    /// default).
-    pub ttl_lookups: Option<u64>,
 }
 
 impl Default for PrefixSharingConfig {
@@ -110,7 +105,6 @@ impl Default for PrefixSharingConfig {
             auto_publish_tokens: None,
             min_tokens: 4,
             store_budget_bytes: None,
-            ttl_lookups: None,
         }
     }
 }
@@ -141,12 +135,6 @@ impl PrefixSharingConfig {
     /// (builder style).
     pub fn with_store_budget_bytes(mut self, bytes: u64) -> Self {
         self.store_budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Expires entries unmatched for `ops` store operations (builder style).
-    pub fn with_ttl_lookups(mut self, ops: u64) -> Self {
-        self.ttl_lookups = Some(ops);
         self
     }
 }
@@ -202,7 +190,7 @@ pub struct PrefixStoreStats {
     /// Surrogate-scale KV bytes of all published segments (each counted
     /// once — the resident cost of the store itself).
     pub resident_bytes: u64,
-    /// Entries evicted to honour the store budget or TTL.
+    /// Entries evicted to honour the store budget.
     pub evictions: u64,
     /// Segment bytes released by those evictions.
     pub evicted_bytes: u64,
@@ -449,8 +437,6 @@ pub struct PrefixStore {
     stats: PrefixStoreStats,
     /// Resident-byte budget (`None` = unbounded).
     budget_bytes: Option<u64>,
-    /// Idle-operation TTL (`None` = never expire).
-    ttl_lookups: Option<u64>,
     /// Logical clock: one tick per mutating store operation (publish or
     /// lookup).  Wholly deterministic — no wall time anywhere.
     clock: u64,
@@ -464,13 +450,11 @@ impl PrefixStore {
         PrefixStore::default()
     }
 
-    /// An empty store with a resident-byte budget and/or an idle TTL (in
-    /// store operations), per [`PrefixSharingConfig::store_budget_bytes`]
-    /// and [`PrefixSharingConfig::ttl_lookups`].
-    pub fn with_limits(budget_bytes: Option<u64>, ttl_lookups: Option<u64>) -> Self {
+    /// An empty store with a resident-byte budget, per
+    /// [`PrefixSharingConfig::store_budget_bytes`] (`None` = unbounded).
+    pub fn with_budget(budget_bytes: Option<u64>) -> Self {
         PrefixStore {
             budget_bytes,
-            ttl_lookups,
             ..PrefixStore::default()
         }
     }
@@ -559,9 +543,9 @@ impl PrefixStore {
         }
     }
 
-    /// Applies TTL expiry and LRU eviction until the store honours its
-    /// resident-byte budget.  Called after every publication; a store built
-    /// by [`new`](Self::new) has no limits and this is a no-op.
+    /// Applies LRU eviction until the store honours its resident-byte
+    /// budget.  Called after every publication; a store built by
+    /// [`new`](Self::new) has no budget and this is a no-op.
     ///
     /// Eviction order is fully deterministic: stalest `last_used` first,
     /// entry id as the tie-break.  Evicting an entry that sessions still
@@ -570,18 +554,6 @@ impl PrefixStore {
     /// so only *future* lookups are affected, and those take the cold path
     /// which is bit-identical by the store's equivalence guarantee.
     fn enforce(&mut self) {
-        if let Some(ttl) = self.ttl_lookups {
-            let mut expired: Vec<u64> = self
-                .meta
-                .iter()
-                .filter(|(_, m)| self.clock.saturating_sub(m.last_used) > ttl)
-                .map(|(id, _)| *id)
-                .collect();
-            expired.sort_unstable();
-            for id in expired {
-                self.evict(id);
-            }
-        }
         let Some(budget) = self.budget_bytes else {
             return;
         };
@@ -756,7 +728,7 @@ mod tests {
         let seg = dummy_segment(3);
         let bytes = seg.bytes_fp16() as u64;
         // Budget fits exactly two segments.
-        let mut store = PrefixStore::with_limits(Some(2 * bytes), None);
+        let mut store = PrefixStore::with_budget(Some(2 * bytes));
         store.publish(&[1, 2, 3], key(1), Arc::clone(&seg));
         store.publish(&[4, 5, 6], key(1), dummy_segment(3));
         // Touch the older entry so the *middle* one becomes LRU.
@@ -774,24 +746,10 @@ mod tests {
     }
 
     #[test]
-    fn store_ttl_expires_idle_entries() {
-        let mut store = PrefixStore::with_limits(None, Some(2));
-        store.publish(&[1, 2, 3], key(1), dummy_segment(3));
-        // Two idle lookups elsewhere, then a publication: the first entry is
-        // now 3 operations stale (> ttl 2) and expires.
-        store.lookup(&[9], &key(1));
-        store.lookup(&[9], &key(1));
-        store.publish(&[4, 5, 6], key(1), dummy_segment(3));
-        assert_eq!(store.stats().evictions, 1);
-        assert!(!store.contains(&[1, 2, 3], &key(1)));
-        assert!(store.contains(&[4, 5, 6], &key(1)));
-    }
-
-    #[test]
     fn evicted_entries_free_resident_bytes_and_miss_cleanly() {
         let seg = dummy_segment(4);
         let bytes = seg.bytes_fp16() as u64;
-        let mut store = PrefixStore::with_limits(Some(bytes), None);
+        let mut store = PrefixStore::with_budget(Some(bytes));
         store.publish(&[1, 2, 3, 4], key(1), Arc::clone(&seg));
         // A session attached before eviction keeps its Arc alive.
         let held = store.lookup(&[1, 2, 3, 4], &key(1)).unwrap();

@@ -22,6 +22,35 @@
 //!    each lease by the decoded token's KV bytes, releases capacity when a
 //!    request completes, and back-fills from the waiting queue.
 //!
+//! # The tick
+//!
+//! [`try_step_with`](BatchScheduler::try_step_with) — the body of every step
+//! entry point — is a list of phases, run in this order:
+//!
+//! 1. **admit** what was enqueued since the last tick
+//!    ([`admit_waiting`](BatchScheduler::admit_waiting));
+//! 2. **advance** the tick clock;
+//! 3. **release arrivals** whose arrival tick has come into the waiting queue;
+//! 4. **shed expired** requests — queue timeouts and deadlines — in
+//!    request-index order, before any compute is spent on them;
+//! 5. **promote and fan out**: each unpaused active session is promoted back
+//!    to eDRAM if a rebalance demoted it, then stepped where it lives; under
+//!    chaos, panicked steps are replayed from their checkpoints within the
+//!    retry budget;
+//! 6. **commit** the steps in request-index order: tokens, traces, the tick's
+//!    lease growth as one commit, and every active request's concurrency
+//!    peak;
+//! 7. **finalize** the completions, then shed the losses, each in
+//!    request-index order;
+//! 8. **rebalance** the tiers, now that completions freed their bytes;
+//! 9. **back-fill**: admit from the waiting queue into the freed capacity.
+//!
+//! Every residency operation — fit, admit, promote, grow, release,
+//! rebalance — goes through one owner, `KvPlacement` (see [`crate::tier`]),
+//! which holds the [`CapacityLedger`] and the optional [`TierManager`]
+//! together.  A request
+//! leaves the scheduler through one finalize path, completed or shed.
+//!
 //! # Equivalence guarantee
 //!
 //! Sessions are functionally independent (each owns its cache and fault
@@ -50,19 +79,18 @@
 //! unbounded capacity (the default) every request is admitted at submit time
 //! with the whole memory granted, reproducing the PR 1 scheduler exactly.
 
-use crate::chaos::{ChaosConfig, ChaosMetrics, ChaosPlan, MigrationFaults, ServeError, ShedReason};
+use crate::chaos::{ChaosConfig, ChaosMetrics, ChaosPlan, ServeError, ShedReason};
 use crate::engine::{EngineStats, KelleEngine, ServeOutcome};
 use crate::parallel::{
     Admission, InlineExecutor, ParallelMetrics, Prefilled, ResidentStep, StepExecutor, StepRequest,
+    TaskFailure,
 };
 use crate::session::{ServeRequest, Session};
-use crate::tier::{TierConfig, TierManager, TieringMetrics};
+use crate::tier::{Footprint, KvPlacement, TierConfig, TierManager, TieringMetrics};
 use kelle_arch::{PhaseMetrics, PlatformReport};
-use kelle_cache::{BudgetPartitioner, CacheBudget, PartitionMode};
 use kelle_edram::{CapacityLedger, LeaseId};
 use kelle_model::{CacheStats, DecodeTrace, FaultStats};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Which waiting request the admission stage promotes next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -549,16 +577,11 @@ struct Slot {
     prefilled: usize,
     generated: Vec<usize>,
     trace: DecodeTrace,
-    remaining: usize,
     lease: LeaseId,
     peak_concurrent_bytes: u64,
     /// Shared-pool attachment for the request's prefix hit, if any:
     /// `(tag, full-scale bytes)`.
     shared: Option<(u64, u64)>,
-    /// Coordinator mirror of the session's token position, updated at every
-    /// commit — the scheduler observes the resident session's cursor without
-    /// taking it.
-    position: usize,
     /// Backpressure: a paused slot is skipped by decode fan-out (its session
     /// stays exactly where it is) until resumed.  Pausing can never change a
     /// stream — a session is a pure function of its own state — only *when*
@@ -570,10 +593,17 @@ struct Slot {
     worker: Option<usize>,
 }
 
-/// An admitted request whose prefill is executing (possibly on a worker):
-/// the ledger state was committed at admission time, the [`Prefilled`]
-/// cursors come back through the executor.
+impl Slot {
+    /// Whether the request has generated its whole decode budget.
+    fn is_complete(&self) -> bool {
+        self.generated.len() == self.request.decode_len()
+    }
+}
+
+/// An admission whose prefill is on the executor: what its slot opens with
+/// once the prefill comes back.
 struct Admitted {
+    index: usize,
     request: ServeRequest,
     lease: LeaseId,
     shared: Option<(u64, u64)>,
@@ -584,53 +614,44 @@ struct Admitted {
     live_at_admission: u64,
 }
 
-/// Admission sizing of a waiting request: the bytes charged privately plus
-/// the shared-pool attachment (charged once across the batch).
-#[derive(Debug, Clone, Copy)]
-struct AdmissionFootprint {
-    private_bytes: u64,
-    /// `(tag, bytes)` of the prefix the request will attach to.
-    shared: Option<(u64, u64)>,
-}
-
-enum RequestState {
-    Waiting(ServeRequest),
-    /// Admission committed, prefill in flight through the executor; never
-    /// observable between public calls (admission pumps always flush).
-    Admitted(Box<Admitted>),
-    Active(Box<Slot>),
-    Finished(ServeOutcome),
-    /// Transient placeholder while ownership moves through
-    /// activation/completion; never observable between public calls.
-    Taken,
-}
+/// The admissions planned since the last flush, in admission order.
+type Pending<'e> = Vec<(Admission<'e>, Admitted)>;
 
 /// Interleaves decode steps across many in-flight serving sessions under
 /// shared-capacity admission control (see the [module docs](self)).
+///
+/// Between public calls a request lives in exactly one place: the arrival
+/// map until its arrival tick, the waiting queue until admission, the active
+/// map while it decodes, and the outcome table once it is finalized.  (Within
+/// one admission pump it is briefly a pending admission on its way to the
+/// executor.)
 pub struct BatchScheduler<'e> {
     engine: &'e KelleEngine,
     config: SchedulerConfig,
-    ledger: CapacityLedger,
-    tier: Option<TierManager>,
-    states: Vec<RequestState>,
-    timings: Vec<RequestTiming>,
-    waiting: VecDeque<usize>,
-    /// How many requests at the tail of `waiting` were
-    /// [`enqueue`](BatchScheduler::enqueue)d since the last admission and
-    /// have not been offered to the admission policy yet.
-    fresh: usize,
-    /// Requests in [`RequestState::Active`], counted where the state is
-    /// entered and left.
-    active: usize,
+    /// Where every KV byte lives: the capacity ledger and the tiers.
+    placement: KvPlacement,
     /// Requests submitted with a future [`ServeRequest::arrival_tick`],
     /// keyed `(arrival, index)`: they join the waiting queue — and become
     /// visible to admission — only once the tick clock reaches their
     /// arrival.  This is how a trace's open-loop arrival process drives the
     /// scheduler deterministically.
-    scheduled: BinaryHeap<Reverse<(u64, usize)>>,
+    arrivals: BTreeMap<(u64, usize), ServeRequest>,
+    /// Requests waiting for admission, in queue order.
+    waiting: VecDeque<(usize, ServeRequest)>,
+    /// How many requests at the tail of `waiting` were
+    /// [`enqueue`](BatchScheduler::enqueue)d since the last admission and
+    /// have not been offered to the admission policy yet.
+    fresh: usize,
+    /// Decoding requests by index, so iteration order is commit order.
+    active: BTreeMap<usize, Slot>,
+    /// One entry per submitted request, filled when it is finalized.
+    outcomes: Vec<Option<ServeOutcome>>,
+    timings: Vec<RequestTiming>,
     stats: EngineStats,
     tick: u64,
     spill_bytes: u64,
+    /// Prefix hits; the shared-pool byte counters are the placement's and
+    /// join them at [`finish`](BatchScheduler::finish).
     prefix: PrefixBatchMetrics,
     /// Seeded fault-injection plan; `None` when chaos is disabled.
     chaos: Option<ChaosPlan>,
@@ -663,35 +684,30 @@ impl<'e> BatchScheduler<'e> {
     /// hand-assembled zero capacity is clamped to one byte, like in
     /// [`SchedulerConfig::with_kv_capacity_bytes`].
     pub fn with_config(engine: &'e KelleEngine, config: SchedulerConfig) -> Self {
-        // An unbounded scheduler still runs the ledger (at u64::MAX capacity)
-        // so high-water accounting works identically in both modes.  Under
-        // tiering the ledger spans the whole hierarchy — eDRAM scarcity is
-        // the tier manager's job, so per-request grants and spill stay
-        // identical to an unlimited run and only migration costs differ.
-        let ledger = match (config.kv_capacity_bytes, &config.tiering) {
-            (Some(bytes), _) => CapacityLedger::new(bytes.max(1)),
-            (None, Some(tiering)) => CapacityLedger::for_tier_budgets(&tiering.budgets),
-            (None, None) => CapacityLedger::new(u64::MAX),
-        };
+        let chaos = config
+            .chaos
+            .filter(ChaosConfig::enabled)
+            .map(ChaosPlan::new);
         BatchScheduler {
             engine,
             config,
-            ledger,
-            tier: config.tiering.map(TierManager::new),
-            states: Vec::new(),
-            timings: Vec::new(),
+            placement: KvPlacement::new(
+                config.kv_capacity_bytes,
+                config.tiering,
+                &engine.platform().memory,
+                chaos.as_ref(),
+            ),
+            arrivals: BTreeMap::new(),
             waiting: VecDeque::new(),
             fresh: 0,
-            active: 0,
-            scheduled: BinaryHeap::new(),
+            active: BTreeMap::new(),
+            outcomes: Vec::new(),
+            timings: Vec::new(),
             stats: EngineStats::default(),
             tick: 0,
             spill_bytes: 0,
             prefix: PrefixBatchMetrics::default(),
-            chaos: config
-                .chaos
-                .filter(ChaosConfig::enabled)
-                .map(ChaosPlan::new),
+            chaos,
             chaos_metrics: ChaosMetrics::default(),
             inline: InlineExecutor::default(),
             draining: false,
@@ -707,12 +723,12 @@ impl<'e> BatchScheduler<'e> {
 
     /// The capacity ledger (live bytes, high-water mark, oversubscription).
     pub fn ledger(&self) -> &CapacityLedger {
-        &self.ledger
+        self.placement.ledger()
     }
 
     /// The tier placement manager, when tiering is enabled.
     pub fn tier(&self) -> Option<&TierManager> {
-        self.tier.as_ref()
+        self.placement.tiers()
     }
 
     /// Fault-injection and recovery counters accumulated so far.
@@ -746,13 +762,10 @@ impl<'e> BatchScheduler<'e> {
     /// Pausing never changes a token stream, only when it is produced.
     /// Returns `false` when the request is not active.
     pub(crate) fn set_paused(&mut self, index: usize, paused: bool) -> bool {
-        match self.states.get_mut(index) {
-            Some(RequestState::Active(slot)) => {
-                slot.paused = paused;
-                true
-            }
-            _ => false,
-        }
+        self.active
+            .get_mut(&index)
+            .map(|slot| slot.paused = paused)
+            .is_some()
     }
 
     /// Full-scale KV footprint of `tokens` retained tokens — the unit of
@@ -818,10 +831,10 @@ impl<'e> BatchScheduler<'e> {
     /// measure from arrival).  This is how a whole workload trace is loaded
     /// up front and replayed deterministically.
     pub fn enqueue(&mut self, request: ServeRequest) -> usize {
-        let index = self.states.len();
+        let index = self.outcomes.len();
         let arrival = request.arrival_tick();
         let future = arrival > self.tick;
-        self.states.push(RequestState::Waiting(request));
+        self.outcomes.push(None);
         self.timings.push(RequestTiming {
             submitted_tick: if future { arrival } else { self.tick },
             admitted_tick: 0,
@@ -834,9 +847,9 @@ impl<'e> BatchScheduler<'e> {
             spill_bytes: 0,
         });
         if future {
-            self.scheduled.push(Reverse((arrival, index)));
+            self.arrivals.insert((arrival, index), request);
         } else {
-            self.waiting.push_back(index);
+            self.waiting.push_back((index, request));
             self.fresh += 1;
         }
         index
@@ -862,8 +875,8 @@ impl<'e> BatchScheduler<'e> {
         let fresh = self.waiting.split_off(self.waiting.len() - self.fresh);
         self.fresh = 0;
         let mut pending = Vec::new();
-        for index in fresh {
-            self.waiting.push_back(index);
+        for entry in fresh {
+            self.waiting.push_back(entry);
             self.plan_admissions(executor, &mut pending);
         }
         self.flush_admissions(executor, &mut pending);
@@ -871,7 +884,7 @@ impl<'e> BatchScheduler<'e> {
 
     /// Number of requests currently decoding.
     pub fn active(&self) -> usize {
-        self.active
+        self.active.len()
     }
 
     /// Number of requests still in the waiting queue.
@@ -883,12 +896,12 @@ impl<'e> BatchScheduler<'e> {
     /// for a future arrival tick keeps the machine busy: stepping advances
     /// the clock through the idle gap until it arrives.
     pub fn is_idle(&self) -> bool {
-        self.active == 0 && self.waiting.is_empty() && self.scheduled.is_empty()
+        self.active.is_empty() && self.waiting.is_empty() && self.arrivals.is_empty()
     }
 
     /// Number of requests scheduled for a future arrival tick.
     pub fn scheduled(&self) -> usize {
-        self.scheduled.len()
+        self.arrivals.len()
     }
 
     /// Moves every scheduled request whose arrival tick has been reached
@@ -898,16 +911,12 @@ impl<'e> BatchScheduler<'e> {
     /// `T` and decodes from `T + 1`, exactly like an eager submission at
     /// `T`.
     fn release_arrivals(&mut self) {
-        while let Some(&Reverse((arrival, index))) = self.scheduled.peek() {
-            if arrival > self.tick {
+        while let Some(entry) = self.arrivals.first_entry() {
+            if entry.key().0 > self.tick {
                 break;
             }
-            self.scheduled.pop();
-            // Cancellation may have finalized the request while it was
-            // still scheduled; only genuinely waiting ones join the queue.
-            if matches!(self.states[index], RequestState::Waiting(_)) {
-                self.waiting.push_back(index);
-            }
+            let ((_, index), request) = entry.remove_entry();
+            self.waiting.push_back((index, request));
         }
     }
 
@@ -919,48 +928,41 @@ impl<'e> BatchScheduler<'e> {
     /// footprint caps at the hardware budget `N'`; for prompts beyond it the
     /// shared/private split is proportional on capped bytes, a documented
     /// approximation.)
-    fn prefill_footprint(&self, index: usize) -> AdmissionFootprint {
-        let request = match &self.states[index] {
-            RequestState::Waiting(request) => request,
-            _ => unreachable!("only waiting requests are sized for admission"),
-        };
+    fn footprint(&self, request: &ServeRequest) -> Footprint {
         let total = self.kv_footprint_bytes(request.prompt().len());
         let key = self.engine.prefix_key_for(request);
         match self.engine.prefix_probe(request.prompt(), &key) {
             Some((tag, matched)) if matched > 0 => {
                 let shared_bytes = self.kv_footprint_bytes(matched).min(total);
-                AdmissionFootprint {
+                Footprint {
                     private_bytes: total - shared_bytes,
                     shared: Some((tag, shared_bytes)),
                 }
             }
-            _ => AdmissionFootprint {
+            _ => Footprint {
                 private_bytes: total,
                 shared: None,
             },
         }
     }
 
-    /// Bytes a waiting request would newly charge against capacity right
-    /// now: its private footprint, plus the shared prefix *only if no other
-    /// session charged it yet*.
-    fn admission_charge(&self, footprint: &AdmissionFootprint) -> u64 {
-        let shared_charge = match footprint.shared {
-            Some((tag, bytes)) if !self.ledger.has_shared(tag) => bytes,
-            _ => 0,
-        };
-        footprint.private_bytes + shared_charge
-    }
-
-    /// Whether a new charge fits right now: the ledger must host it, and —
-    /// under tiering — so must the eDRAM tier, since admission plans against
-    /// the on-chip budget only (demoted bytes don't count against it).
-    fn admission_fits(&self, charge: u64) -> bool {
-        self.ledger.can_fit(charge)
-            && self
-                .tier
-                .as_ref()
-                .is_none_or(|tier| tier.edram_fits(charge))
+    /// The waiting-queue position the admission policy offers next.
+    fn next_candidate(&self) -> Option<usize> {
+        let head = (!self.waiting.is_empty()).then_some(0);
+        match self.config.admission {
+            AdmissionPolicy::Fcfs => head,
+            AdmissionPolicy::ShortestPromptFirst => self
+                .waiting
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (index, request))| (request.prompt().len(), *index))
+                .map(|(pos, _)| pos),
+            AdmissionPolicy::CapacityFit => self
+                .waiting
+                .iter()
+                .position(|(_, request)| self.placement.fits(&self.footprint(request)))
+                .or(head),
+        }
     }
 
     /// Promotes waiting requests into decode slots while the ledger can host
@@ -982,8 +984,7 @@ impl<'e> BatchScheduler<'e> {
     ///    on) it immediately: the next candidate's plan — which in
     ///    sequential serving runs after the publication — still observes it.
     ///
-    /// Every admission planned in one call is flushed before it returns, so
-    /// the `Admitted` state is never observable between public calls.
+    /// Every admission planned in one call is flushed before it returns.
     fn pump_admission(&mut self, executor: &mut dyn StepExecutor<'e>) {
         let mut pending = Vec::new();
         self.plan_admissions(executor, &mut pending);
@@ -994,51 +995,18 @@ impl<'e> BatchScheduler<'e> {
     /// admissions onto `pending` until the queue is empty or its next
     /// candidate has to wait.  Only a `Publish` plan is flushed here; the
     /// caller flushes the rest.
-    fn plan_admissions(
-        &mut self,
-        executor: &mut dyn StepExecutor<'e>,
-        pending: &mut Vec<Admission<'e>>,
-    ) {
+    fn plan_admissions(&mut self, executor: &mut dyn StepExecutor<'e>, pending: &mut Pending<'e>) {
         if self.draining {
             // A draining scheduler stops admitting; whatever is active
             // finishes, everything else stays queued (or was already shed by
             // the drain entry point).
             return;
         }
-        let engine = self.engine;
-        loop {
-            let candidate = match self.config.admission {
-                AdmissionPolicy::Fcfs => self.waiting.front().map(|&index| (0, index)),
-                AdmissionPolicy::ShortestPromptFirst => self
-                    .waiting
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &index)| match &self.states[index] {
-                        RequestState::Waiting(request) => (request.prompt().len(), index),
-                        _ => unreachable!("waiting queue holds only waiting requests"),
-                    })
-                    .map(|(pos, &index)| (pos, index)),
-                AdmissionPolicy::CapacityFit => self
-                    .waiting
-                    .iter()
-                    .enumerate()
-                    .find(|&(_, &index)| {
-                        let footprint = self.prefill_footprint(index);
-                        self.admission_fits(self.admission_charge(&footprint))
-                    })
-                    .or(self.waiting.front().map(|front| (0, front)))
-                    .map(|(pos, &index)| (pos, index)),
-            };
-            let Some((queue_pos, index)) = candidate else {
-                break;
-            };
-            let footprint = self.prefill_footprint(index);
-            let charge = self.admission_charge(&footprint);
-            let fits = self.admission_fits(charge);
-            if fits
-                && (self.active > 0 || !pending.is_empty())
-                && self.chaos.as_mut().is_some_and(ChaosPlan::ledger_blip)
-            {
+        while let Some(queue_pos) = self.next_candidate() {
+            let footprint = self.footprint(&self.waiting[queue_pos].1);
+            let fits = self.placement.fits(&footprint);
+            let busy = !self.active.is_empty() || !pending.is_empty();
+            if fits && busy && self.chaos.as_mut().is_some_and(ChaosPlan::ledger_blip) {
                 // Transient reservation failure: the candidate stays queued
                 // and retries on a later pump.  Blips never fire on an empty
                 // machine (mirroring force-admission's forward-progress
@@ -1047,52 +1015,20 @@ impl<'e> BatchScheduler<'e> {
                 self.chaos_metrics.ledger_blips += 1;
                 break;
             }
-            let lease = if fits {
-                self.ledger
-                    .reserve(footprint.private_bytes)
-                    .expect("admission_fits covered the private bytes")
-            } else if self.active == 0 && pending.is_empty() {
-                // Forward-progress guarantee: an empty machine admits the
-                // candidate even if it oversubscribes on its own.  Under
-                // tiering an oversized session lands in eDRAM anyway; the
-                // rebalance demotes it and promote-before-tick swaps it
-                // back up each step, modelling the migration cost of
-                // running beyond the on-chip memory.
-                self.ledger.force_reserve(footprint.private_bytes)
-            } else {
+            // Forward-progress guarantee: an empty machine admits the
+            // candidate even if it oversubscribes on its own.  Under tiering
+            // an oversized session lands in eDRAM anyway; the rebalance
+            // demotes it and promote-before-tick swaps it back up each step,
+            // modelling the migration cost of running beyond the on-chip
+            // memory.
+            if !fits && busy {
+                break;
+            }
+            let Some((index, request)) = self.waiting.remove(queue_pos) else {
                 break;
             };
-            if let Some(tier) = self.tier.as_mut() {
-                tier.place_session(index, footprint.private_bytes, self.tick);
-            }
-            if let Some((tag, bytes)) = footprint.shared {
-                let charged = self.ledger.attach_shared(tag, bytes);
-                if charged {
-                    self.prefix.shared_bytes += bytes;
-                } else {
-                    self.prefix.deduplicated_bytes += bytes;
-                }
-                if let Some(tier) = self.tier.as_mut() {
-                    if charged {
-                        // A new shared-pool residency period: the segment
-                        // materialises in eDRAM alongside its first session.
-                        tier.place_segment(tag, bytes, self.tick);
-                    } else {
-                        // Dedup attach: the segment is replayed into the new
-                        // session, promoting it back on chip if a rebalance
-                        // had demoted it.
-                        tier.touch_segment(
-                            tag,
-                            &engine.platform().memory,
-                            self.tick,
-                            self.chaos.as_mut().map(|p| p as &mut dyn MigrationFaults),
-                        );
-                    }
-                }
-            }
-            self.waiting.remove(queue_pos);
-            let publishes = self.commit_admission(index, lease, footprint.shared, pending);
-            if publishes {
+            let lease = self.placement.admit(index, &footprint, self.tick);
+            if self.commit_admission(index, request, lease, footprint.shared, pending) {
                 // The prefill will publish a prefix boundary; later
                 // candidates' plans must observe the publication, exactly as
                 // they would after a sequential activation.  Flush before
@@ -1109,49 +1045,41 @@ impl<'e> BatchScheduler<'e> {
     fn commit_admission(
         &mut self,
         index: usize,
+        request: ServeRequest,
         lease: LeaseId,
         shared: Option<(u64, u64)>,
-        pending: &mut Vec<Admission<'e>>,
+        pending: &mut Pending<'e>,
     ) -> bool {
-        let request = match std::mem::replace(&mut self.states[index], RequestState::Taken) {
-            RequestState::Waiting(request) => request,
-            _ => unreachable!("only waiting requests are admitted"),
-        };
         let mut session = self.engine.open_session_for(&request);
         let plan = session.plan_prefill(request.prompt());
         let publishes = plan.publishes();
-        self.timings[index].admitted_tick = self.tick;
-        self.timings[index].queue_ticks = self.tick - self.timings[index].submitted_tick;
-        pending.push(Admission::new(
+        let timing = &mut self.timings[index];
+        timing.admitted_tick = self.tick;
+        timing.queue_ticks = self.tick - timing.submitted_tick;
+        let admission = Admission::new(index, session, request.prompt().to_vec(), plan);
+        let admitted = Admitted {
             index,
-            session,
-            request.prompt().to_vec(),
-            plan,
-        ));
-        self.states[index] = RequestState::Admitted(Box::new(Admitted {
             request,
             lease,
             shared,
-            live_at_admission: self.ledger.live_bytes(),
-        }));
+            live_at_admission: self.placement.ledger().live_bytes(),
+        };
+        pending.push((admission, admitted));
         publishes
     }
 
     /// Executes all pending admission prefills and activates their slots in
     /// submission order.
-    fn flush_admissions(
-        &mut self,
-        executor: &mut dyn StepExecutor<'e>,
-        pending: &mut Vec<Admission<'e>>,
-    ) {
+    fn flush_admissions(&mut self, executor: &mut dyn StepExecutor<'e>, pending: &mut Pending<'e>) {
         if pending.is_empty() {
             return;
         }
+        let (admissions, mut admitted): (Vec<_>, Vec<_>) = pending.drain(..).unzip();
         // A crashed prefill has no committed state to replay from: its panic
         // resurfaces on the coordinator — after the whole batch has been
         // answered, so a caller that catches it keeps a reusable executor.
         let mut prefilled: Vec<Prefilled> = executor
-            .admit(std::mem::take(pending))
+            .admit(admissions)
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap_or_else(|failure| {
@@ -1161,55 +1089,44 @@ impl<'e> BatchScheduler<'e> {
                     failure.message()
                 )
             });
+        // The executor answers every admission exactly once.
         prefilled.sort_by_key(|prefilled| prefilled.index);
-        for prefilled in prefilled {
-            self.activate(prefilled);
+        admitted.sort_by_key(|admitted| admitted.index);
+        for (admitted, prefilled) in admitted.into_iter().zip(prefilled) {
+            self.activate(admitted, prefilled);
         }
     }
 
     /// Opens the decode slot of an admitted request whose pre-filled session
     /// is now resident on the executor.
-    fn activate(&mut self, prefilled: Prefilled) {
-        let Prefilled {
-            index,
-            computed,
-            prefix_hit_tokens,
-            position,
-            worker,
-        } = prefilled;
-        let admitted = match std::mem::replace(&mut self.states[index], RequestState::Taken) {
-            RequestState::Admitted(admitted) => admitted,
-            _ => unreachable!("only admitted requests are activated"),
-        };
+    fn activate(&mut self, admitted: Admitted, prefilled: Prefilled) {
         let Admitted {
+            index,
             request,
             lease,
             shared,
             live_at_admission,
-        } = *admitted;
-        if prefix_hit_tokens > 0 {
+        } = admitted;
+        if prefilled.prefix_hit_tokens > 0 {
             self.prefix.hit_requests += 1;
-            self.prefix.hit_tokens += prefix_hit_tokens as u64;
+            self.prefix.hit_tokens += prefilled.prefix_hit_tokens as u64;
         }
-        if worker.is_some() {
+        if prefilled.worker.is_some() {
             // The session crossed to its shard with its prefill; it stays.
             self.parallel.queue_crossings += 1;
         }
-        let remaining = request.decode_len();
-        self.active += 1;
-        self.states[index] = RequestState::Active(Box::new(Slot {
+        let slot = Slot {
+            prefilled: prefilled.computed,
+            generated: Vec::with_capacity(request.decode_len()),
             request,
-            prefilled: computed,
-            generated: Vec::with_capacity(remaining),
             trace: DecodeTrace::default(),
-            remaining,
             lease,
             peak_concurrent_bytes: live_at_admission,
             shared,
-            position,
             paused: false,
-            worker,
-        }));
+            worker: prefilled.worker,
+        };
+        self.active.insert(index, slot);
     }
 
     /// Runs one decode step for every active request, in submission order.
@@ -1224,20 +1141,10 @@ impl<'e> BatchScheduler<'e> {
 
     /// [`step`](BatchScheduler::step) with the per-session decode compute
     /// fanned out through `executor` — the tick protocol of the threaded
-    /// front-end (see [`crate::parallel`]):
-    ///
-    /// 1. **Fan out** — every unpaused active session is stepped where it
-    ///    lives; sessions are mutually independent, so shards may run them
-    ///    in any order and produce bit-identical results.
-    /// 2. **Commit (coordinator, submission order)** — returned steps are
-    ///    applied in request-index order: token/trace bookkeeping, one
-    ///    batched ledger commit
-    ///    ([`CapacityLedger::commit_growth`]), the
-    ///    per-request concurrency peaks, completions (hardware simulation,
-    ///    engine statistics, lease release) and finally admission back-fill.
-    ///
-    /// Every observable — events, metrics, f64 accumulation order — matches
-    /// [`step`](BatchScheduler::step) exactly; only wall-clock time differs.
+    /// front-end (see [`crate::parallel`] and the [module docs](self) for
+    /// the phases).  Every observable — events, metrics, f64 accumulation
+    /// order — matches [`step`](BatchScheduler::step) exactly; only
+    /// wall-clock time differs.
     pub fn step_with(&mut self, executor: &mut dyn StepExecutor<'e>) -> Vec<StepEvent> {
         match self.try_step_with(executor) {
             Ok(events) => events,
@@ -1245,24 +1152,13 @@ impl<'e> BatchScheduler<'e> {
         }
     }
 
-    /// Fallible [`step_with`](BatchScheduler::step_with) — which first
-    /// [admits](BatchScheduler::admit_waiting) whatever was enqueued since
-    /// the last tick.  A worker loss that
-    /// exhausts the chaos retry budget surfaces as
-    /// [`ServeError::WorkerLost`] instead of a panic.  Even on `Err` the
-    /// scheduler stays consistent — the lost request is finalized with its
-    /// partial output ([`ShedReason::WorkerLost`]), every lease and tier
-    /// placement is released, and stepping/draining can continue.
-    ///
-    /// With chaos enabled the tick additionally:
-    ///
-    /// * has each shard checkpoint its sessions at the committed boundary
-    ///   they are about to leave, and arms the ones the [`ChaosPlan`] marks
-    ///   for a worker panic this tick,
-    /// * re-issues the step for sessions whose step panicked (bounded by
-    ///   [`max_retries`](ChaosConfig::max_retries)) — the shard restored the
-    ///   checkpoint in place, so the replay recomputes the identical decode
-    ///   step and surviving streams stay bit-identical to a chaos-free run.
+    /// Fallible [`step_with`](BatchScheduler::step_with): one tick, as the
+    /// phase list of the [module docs](self).  A worker loss that exhausts
+    /// the chaos retry budget surfaces as [`ServeError::WorkerLost`] instead
+    /// of a panic.  Even on `Err` the scheduler stays consistent — the lost
+    /// request is finalized with its partial output
+    /// ([`ShedReason::WorkerLost`]), every lease and tier placement is
+    /// released, and stepping/draining can continue.
     pub fn try_step_with(
         &mut self,
         executor: &mut dyn StepExecutor<'e>,
@@ -1271,43 +1167,89 @@ impl<'e> BatchScheduler<'e> {
         self.tick += 1;
         self.release_arrivals();
         self.shed_expired(executor);
-        let memory = &self.engine.platform().memory;
-        // Per-tick buffers are O(active requests) and amortized into noise
-        // by the decode compute they stand for.
-        let mut requests = Vec::with_capacity(self.states.len());
-        for index in 0..self.states.len() {
-            if let RequestState::Active(slot) = &self.states[index] {
-                if slot.paused {
-                    // Backpressured: the session sits this tick out, resident
-                    // where it is — zero queue traffic.
-                    continue;
-                }
-                if let Some(tier) = self.tier.as_mut() {
-                    // Promote-before-tick: a session demoted by an earlier
-                    // rebalance decodes out of eDRAM, so it migrates back up
-                    // (cost charged) before this step runs.
-                    tier.promote_session(
-                        index,
-                        memory,
-                        self.tick,
-                        self.chaos.as_mut().map(|p| p as &mut dyn MigrationFaults),
-                    );
-                }
-                requests.push(self.step_request(index, 0));
-            }
+        let (steps, lost, attempts) = self.fan_out(executor);
+        let events = self.commit(steps);
+        let retired = self.retire(lost, attempts, executor);
+        self.placement.settle(self.tick);
+        // Freed capacity back-fills the waiting queue; the newly admitted
+        // requests are pre-filled now and decode from the next tick.
+        self.pump_admission(executor);
+        retired.map(|()| events)
+    }
+
+    /// Sheds requests whose deadline or queue-wait budget expired, at the
+    /// start of the tick (before any decode compute is spent on them), in
+    /// request-index order whichever queue they sit in.
+    fn shed_expired(&mut self, executor: &mut dyn StepExecutor<'e>) {
+        let tick = self.tick;
+        let timings = &self.timings;
+        let elapsed = |index: usize| tick.saturating_sub(timings[index].submitted_tick);
+        let timed_out = self
+            .waiting
+            .iter()
+            .filter(|(index, request)| {
+                request
+                    .queue_timeout_ticks()
+                    .is_some_and(|t| elapsed(*index) > t)
+            })
+            .map(|&(index, _)| (index, ShedReason::QueueTimeout));
+        let overdue = self
+            .active
+            .iter()
+            .filter(|(&index, slot)| {
+                slot.request
+                    .deadline_ticks()
+                    .is_some_and(|d| elapsed(index) > d)
+            })
+            .map(|(&index, _)| (index, ShedReason::DeadlineExceeded));
+        let mut expired: Vec<(usize, ShedReason)> = timed_out.chain(overdue).collect();
+        expired.sort_unstable_by_key(|&(index, _)| index);
+        for (index, reason) in expired {
+            self.chaos_metrics.shed_requests += 1;
+            self.shed(index, reason, executor);
         }
+    }
+
+    /// Promote-before-tick and the decode fan-out.  Every unpaused active
+    /// session is promoted back on chip if a rebalance demoted it (cost
+    /// charged), then stepped where it lives; sessions are mutually
+    /// independent, so shards may run them in any order.  Under chaos each
+    /// first attempt checkpoints the boundary it leaves, and steps that
+    /// panicked are re-issued on their restored sessions at most
+    /// [`max_retries`](ChaosConfig::max_retries) times.  Returns the
+    /// surviving steps and the steps still lost, both in request-index
+    /// order, and the executions attempted per lost step.
+    fn fan_out(
+        &mut self,
+        executor: &mut dyn StepExecutor<'e>,
+    ) -> (Vec<ResidentStep>, Vec<TaskFailure>, u32) {
+        // Backpressured slots sit the tick out, resident where they are —
+        // zero queue traffic.
+        let running: Vec<usize> = self
+            .active
+            .iter()
+            .filter(|(_, slot)| !slot.paused)
+            .map(|(&index, _)| index)
+            .collect();
+        for &index in &running {
+            self.placement.promote(index, self.tick);
+        }
+        let mut requests: Vec<StepRequest> = running
+            .into_iter()
+            .map(|index| self.step_request(index, 0))
+            .collect();
         // No chaos, no replay budget: a panicked session has no checkpoint.
         let max_retries = self
             .chaos
             .as_ref()
             .map_or(0, |plan| plan.config().max_retries);
         let mut attempt = 0u32;
-        let mut pending: Vec<ResidentStep> = Vec::with_capacity(requests.len());
+        let mut steps: Vec<ResidentStep> = Vec::with_capacity(requests.len());
         let mut lost = Vec::new();
         loop {
             for result in executor.step(&requests) {
                 match result {
-                    Ok(step) => pending.push(step),
+                    Ok(step) => steps.push(step),
                     Err(failure) => {
                         if self.chaos.is_some() {
                             // The shard put the checkpoint back in place.
@@ -1317,6 +1259,7 @@ impl<'e> BatchScheduler<'e> {
                     }
                 }
             }
+            lost.sort_by_key(TaskFailure::index);
             if lost.is_empty() || attempt == max_retries {
                 break;
             }
@@ -1332,102 +1275,8 @@ impl<'e> BatchScheduler<'e> {
                 requests.push(self.step_request(failure.index(), attempt));
             }
         }
-        // Commit in request index (= submission) order: the ledger, trace,
-        // and tier observations land identically for every executor.
-        pending.sort_by_key(|step| step.index);
-
-        let mut events = Vec::with_capacity(pending.len());
-        let mut completed = Vec::new();
-        let mut growths = Vec::with_capacity(pending.len());
-        for resident in pending {
-            let ResidentStep {
-                index,
-                step,
-                tokens_before,
-                position,
-                worker,
-            } = resident;
-            // Grow the lease by the decoded token's full-scale KV bytes
-            // (zero once the hardware budget N' saturates).
-            let growth = self
-                .engine
-                .kv_footprint_bytes(position)
-                .saturating_sub(self.engine.kv_footprint_bytes(tokens_before));
-            let RequestState::Active(slot) = &mut self.states[index] else {
-                unreachable!("decode steps come from active slots");
-            };
-            slot.position = position;
-            slot.generated.push(step.token);
-            if slot.generated.len() == 1 {
-                self.timings[index].first_token_tick = Some(self.tick);
-            }
-            slot.trace.steps.push(step.record);
-            slot.remaining -= 1;
-            growths.push((slot.lease, growth));
-            if worker != slot.worker {
-                self.parallel.sessions_migrated += 1;
-            }
-            if let Some(tier) = self.tier.as_mut() {
-                // Decode growth lands on the session's tier (eDRAM during a
-                // tick, thanks to promote-before-tick) and counts as a
-                // touch.
-                tier.note_growth(index, growth, self.tick);
-            }
-            let finished = slot.remaining == 0;
-            events.push(StepEvent {
-                request: index,
-                token: step.token,
-                finished,
-            });
-            if finished {
-                completed.push(index);
-            }
-        }
-        // The whole tick's growth lands on the ledger as one commit
-        // (equivalent to per-slot grows — growth is monotone within a tick).
-        self.ledger.commit_growth(&growths);
-        // All of this step's growth is on the ledger: record the concurrency
-        // every active request experienced this tick.
-        let live = self.ledger.live_bytes();
-        for state in &mut self.states {
-            if let RequestState::Active(slot) = state {
-                slot.peak_concurrent_bytes = slot.peak_concurrent_bytes.max(live);
-            }
-        }
-        for index in completed {
-            self.complete(index, executor);
-        }
-        // Requests whose retry budget is exhausted are shed.  Under chaos
-        // the shard restored each to its last committed state, so the shed
-        // takes back a real partial turn to finalize.  The first loss is
-        // reported to the caller; the scheduler itself stays consistent
-        // either way.
-        let worker_lost = lost.first().map(|failure| ServeError::WorkerLost {
-            request: failure.index(),
-            attempts: attempt + 1,
-            message: failure.message().to_string(),
-        });
-        for failure in lost {
-            self.chaos_metrics.lost_requests += 1;
-            self.shed_active(failure.index(), ShedReason::WorkerLost, executor);
-        }
-        if let Some(tier) = self.tier.as_mut() {
-            // End-of-tick rebalance, after completions freed their bytes:
-            // idle and over-budget KV demotes toward DRAM/NVMe so the
-            // admission pump below sees the settled eDRAM occupancy.
-            tier.rebalance(
-                self.tick,
-                memory,
-                self.chaos.as_mut().map(|p| p as &mut dyn MigrationFaults),
-            );
-        }
-        // Freed capacity back-fills the waiting queue; the newly admitted
-        // requests are pre-filled now and decode from the next tick.
-        self.pump_admission(executor);
-        match worker_lost {
-            Some(error) => Err(error),
-            None => Ok(events),
-        }
+        steps.sort_by_key(|step| step.index);
+        (steps, lost, attempt + 1)
     }
 
     /// This tick's step request for `index`, execution `attempt`: under
@@ -1452,125 +1301,232 @@ impl<'e> BatchScheduler<'e> {
         }
     }
 
-    /// Takes a finalizing slot's session back from the executor (one queue
-    /// crossing when it lived on a pool shard).  `None` when the session is
-    /// gone — lost to a decode panic with no checkpoint, or resident on a
-    /// different executor than the one asked — in which case finalization
-    /// degrades to a synthetic outcome.
-    fn take_session(
+    /// Commits the tick's steps in request-index order — tokens, traces and
+    /// first-token ticks, the tick's lease growth as one placement commit —
+    /// then records the concurrency every active request experienced.
+    fn commit(&mut self, steps: Vec<ResidentStep>) -> Vec<StepEvent> {
+        let engine = self.engine;
+        let mut events = Vec::with_capacity(steps.len());
+        let mut growths = Vec::with_capacity(steps.len());
+        let mut steps = steps.into_iter().peekable();
+        for (&index, slot) in &mut self.active {
+            let Some(ResidentStep {
+                step,
+                tokens_before,
+                position,
+                worker,
+                ..
+            }) = steps.next_if(|step| step.index == index)
+            else {
+                continue;
+            };
+            // Grow the lease by the decoded token's full-scale KV bytes
+            // (zero once the hardware budget N' saturates).
+            let growth = engine
+                .kv_footprint_bytes(position)
+                .saturating_sub(engine.kv_footprint_bytes(tokens_before));
+            growths.push((index, slot.lease, growth));
+            slot.generated.push(step.token);
+            if slot.generated.len() == 1 {
+                self.timings[index].first_token_tick = Some(self.tick);
+            }
+            slot.trace.steps.push(step.record);
+            if worker != slot.worker {
+                self.parallel.sessions_migrated += 1;
+            }
+            events.push(StepEvent {
+                request: index,
+                token: step.token,
+                finished: slot.is_complete(),
+            });
+        }
+        self.placement.grow(&growths, self.tick);
+        let live = self.placement.ledger().live_bytes();
+        for slot in self.active.values_mut() {
+            slot.peak_concurrent_bytes = slot.peak_concurrent_bytes.max(live);
+        }
+        events
+    }
+
+    /// Finalizes the tick's completions, then sheds its losses, each in
+    /// request-index order.  Under chaos the shard restored every lost
+    /// session to its last committed state, so the shed takes back a real
+    /// partial turn to finalize.  The first loss is the tick's error; the
+    /// scheduler itself stays consistent either way.
+    fn retire(
+        &mut self,
+        lost: Vec<TaskFailure>,
+        attempts: u32,
+        executor: &mut dyn StepExecutor<'e>,
+    ) -> Result<(), ServeError> {
+        let completed: Vec<(usize, Slot)> = self
+            .active
+            .extract_if(.., |_, slot| slot.is_complete())
+            .collect();
+        for (index, slot) in completed {
+            self.finalize_active(index, slot, None, executor);
+        }
+        let error = lost.first().map(|failure| ServeError::WorkerLost {
+            request: failure.index(),
+            attempts,
+            message: failure.message().to_string(),
+        });
+        for failure in lost {
+            self.chaos_metrics.lost_requests += 1;
+            self.shed(failure.index(), ShedReason::WorkerLost, executor);
+        }
+        error.map_or(Ok(()), Err)
+    }
+
+    /// Sheds request `index` for `reason` from wherever it is — decoding,
+    /// waiting or scheduled.  Returns `false` when it already finished or
+    /// was never submitted.
+    fn shed(
         &mut self,
         index: usize,
-        worker: Option<usize>,
+        reason: ShedReason,
         executor: &mut dyn StepExecutor<'e>,
-    ) -> Option<Session<'e>> {
+    ) -> bool {
+        if let Some(slot) = self.active.remove(&index) {
+            self.finalize_active(index, slot, Some(reason), executor);
+            return true;
+        }
+        let queued = match self.waiting.iter().position(|&(i, _)| i == index) {
+            Some(pos) => self.waiting.remove(pos).is_some(),
+            None => self.timings.get(index).is_some_and(|timing| {
+                self.arrivals
+                    .remove(&(timing.submitted_tick, index))
+                    .is_some()
+            }),
+        };
+        if queued {
+            self.finalize(index, None, Some(reason));
+        }
+        queued
+    }
+
+    /// Takes an active slot's session back from `executor` (one queue
+    /// crossing when it lived on a pool shard) and finalizes the request.
+    fn finalize_active(
+        &mut self,
+        index: usize,
+        slot: Slot,
+        shed: Option<ShedReason>,
+        executor: &mut dyn StepExecutor<'e>,
+    ) {
         let session = executor.take(index);
-        if session.is_some() && worker.is_some() {
+        if session.is_some() && slot.worker.is_some() {
             self.parallel.queue_crossings += 1;
         }
-        session
+        self.finalize(index, Some((slot, session)), shed);
     }
 
-    /// Finalises a request: derives its capacity grant from the contention it
-    /// experienced, simulates its hardware cost, and releases its lease.
-    fn complete(&mut self, index: usize, executor: &mut dyn StepExecutor<'e>) {
-        let state = std::mem::replace(&mut self.states[index], RequestState::Taken);
-        let RequestState::Active(mut slot) = state else {
-            unreachable!("only active requests complete");
+    /// The one way a request leaves the scheduler: completed (`shed` is
+    /// `None`) or shed for `shed`'s reason.  An admitted request releases
+    /// everything it held, and its turn is finalized for real — hardware
+    /// simulation, engine statistics — when its session came back and it has
+    /// tokens to show; a completed request is also costed under the
+    /// contention it experienced.  Anything else (never admitted, no tokens,
+    /// or a session lost with no checkpoint) gets a synthetic outcome.
+    fn finalize(
+        &mut self,
+        index: usize,
+        admitted: Option<(Slot, Option<Session<'e>>)>,
+        shed: Option<ShedReason>,
+    ) {
+        let outcome = match admitted {
+            None => {
+                let timing = &mut self.timings[index];
+                // A drained future arrival can be shed before its arrival
+                // tick: it never queued, so its queue time saturates to zero.
+                timing.queue_ticks = self.tick.saturating_sub(timing.submitted_tick);
+                Self::synthetic_outcome(Vec::new(), DecodeTrace::default(), shed)
+            }
+            Some((slot, session)) => {
+                let kv_bytes = self.placement.release(index, slot.lease, slot.shared);
+                let (granted, spill) = match shed {
+                    None => self.grant(kv_bytes, slot.peak_concurrent_bytes, slot.shared),
+                    Some(_) => (None, 0),
+                };
+                let timing = &mut self.timings[index];
+                timing.kv_bytes = kv_bytes;
+                timing.peak_concurrent_bytes = slot.peak_concurrent_bytes;
+                timing.granted_bytes = granted;
+                timing.spill_bytes = spill;
+                self.spill_bytes += spill;
+                let Slot {
+                    request,
+                    prefilled,
+                    generated,
+                    trace,
+                    ..
+                } = slot;
+                match session {
+                    Some(mut session) if shed.is_none() || !generated.is_empty() => {
+                        let decode_len = generated.len();
+                        let turn = session.finish_turn(
+                            generated,
+                            trace,
+                            prefilled,
+                            decode_len,
+                            request.label(),
+                            granted,
+                        );
+                        self.stats = self.stats.merged(EngineStats::from_turn(&turn));
+                        ServeOutcome {
+                            shed,
+                            ..ServeOutcome::from(turn)
+                        }
+                    }
+                    _ => Self::synthetic_outcome(generated, trace, shed),
+                }
+            }
         };
-        self.active -= 1;
-        let Some(mut session) = self.take_session(index, slot.worker, executor) else {
-            unreachable!("request {index} completed on a step its resident session just ran");
-        };
-        let kv_bytes = self.ledger.lease_bytes(slot.lease);
-        let peak = slot.peak_concurrent_bytes;
-        let capacity = self.ledger.capacity_bytes();
-        // Uncontended (peak within the arbitrated capacity), the request is
-        // costed like a single tenant: the whole KV memory (`None`).  Under
-        // contention it gets its proportional slice `my_bytes / peak` of the
-        // on-chip KV memory (further bounded by the arbitrated capacity, so
-        // a budget below the physical memory models a smaller device), and
-        // the bytes that thereby lose on-chip residency are the spill the
-        // outcome reports — they are charged at DRAM access cost.
-        //
-        // A shared prefix attachment is resident once on behalf of *all* its
-        // sessions, so it rides on top of the proportional private grant
-        // (clamped to the on-chip size); the proportional split itself runs
-        // over private bytes only, keeping Σ private grants ≤ on-chip.
+        self.timings[index].finished_tick = self.tick;
+        if let Some(reason) = shed {
+            self.shed_events.push((index, reason));
+        }
+        self.outcomes[index] = Some(outcome);
+    }
+
+    /// The on-chip residency granted to a completed request and the bytes it
+    /// spilled.  Uncontended (peak within the arbitrated capacity), the
+    /// request is costed like a single tenant: the whole KV memory (`None`).
+    /// Under contention it gets its proportional slice `my_bytes / peak` of
+    /// the on-chip KV memory (further bounded by the arbitrated capacity, so
+    /// a budget below the physical memory models a smaller device), and the
+    /// bytes that thereby lose on-chip residency are the spill the outcome
+    /// reports — they are charged at DRAM access cost.
+    ///
+    /// A shared prefix attachment is resident once on behalf of *all* its
+    /// sessions, so it rides on top of the proportional private grant
+    /// (clamped to the on-chip size); the proportional split itself runs
+    /// over private bytes only, keeping Σ private grants ≤ on-chip.
+    fn grant(&self, kv_bytes: u64, peak: u64, shared: Option<(u64, u64)>) -> (Option<u64>, u64) {
+        let capacity = self.placement.ledger().capacity_bytes();
+        if peak <= capacity {
+            return (None, 0);
+        }
         let physical = self.engine.platform().memory.kv_memory.capacity_bytes;
-        let shared_bytes = slot.shared.map_or(0, |(_, bytes)| bytes);
-        let (granted, spill) = if peak > capacity {
-            let onchip = capacity.min(physical);
-            let granted = ((onchip as u128 * kv_bytes as u128) / peak as u128) as u64;
-            let uncontended_resident = kv_bytes.min(physical);
-            let contended_resident = kv_bytes.min(granted);
-            (
-                Some((granted + shared_bytes).min(onchip)),
-                uncontended_resident - contended_resident,
-            )
-        } else {
-            (None, 0)
-        };
-        let timing = &mut self.timings[index];
-        timing.finished_tick = self.tick;
-        timing.kv_bytes = kv_bytes;
-        timing.peak_concurrent_bytes = peak;
-        timing.granted_bytes = granted;
-        timing.spill_bytes = spill;
-        self.spill_bytes += spill;
-
-        let generated = std::mem::take(&mut slot.generated);
-        let trace = std::mem::take(&mut slot.trace);
-        let turn = session.finish_turn(
-            generated,
-            trace,
-            slot.prefilled,
-            slot.request.decode_len(),
-            slot.request.label(),
-            granted,
-        );
-        self.stats = self.stats.merged(EngineStats::from_turn(&turn));
-        self.ledger.release(slot.lease);
-        if let Some(tier) = self.tier.as_mut() {
-            tier.remove_session(index);
-        }
-        if let Some((tag, _)) = slot.shared {
-            let last_detach = self.ledger.detach_shared(tag);
-            if last_detach {
-                if let Some(tier) = self.tier.as_mut() {
-                    tier.remove_segment(tag);
-                }
-            }
-        }
-        self.states[index] = RequestState::Finished(turn.into());
+        let shared_bytes = shared.map_or(0, |(_, bytes)| bytes);
+        let onchip = capacity.min(physical);
+        let granted = ((onchip as u128 * kv_bytes as u128) / peak as u128) as u64;
+        let uncontended_resident = kv_bytes.min(physical);
+        let contended_resident = kv_bytes.min(granted);
+        (
+            Some((granted + shared_bytes).min(onchip)),
+            uncontended_resident - contended_resident,
+        )
     }
 
-    /// Sheds requests whose deadline or queue-wait budget expired, at the
-    /// start of the tick (before any decode compute is spent on them).
-    fn shed_expired(&mut self, executor: &mut dyn StepExecutor<'e>) {
-        for index in 0..self.states.len() {
-            let elapsed = self.tick.saturating_sub(self.timings[index].submitted_tick);
-            match &self.states[index] {
-                RequestState::Waiting(request)
-                    if request.queue_timeout_ticks().is_some_and(|t| elapsed > t) =>
-                {
-                    self.chaos_metrics.shed_requests += 1;
-                    self.shed_waiting(index, ShedReason::QueueTimeout);
-                }
-                RequestState::Active(slot)
-                    if slot.request.deadline_ticks().is_some_and(|d| elapsed > d) =>
-                {
-                    self.chaos_metrics.shed_requests += 1;
-                    self.shed_active(index, ShedReason::DeadlineExceeded, executor);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// A synthetic outcome for a request shed with `generated` tokens that
-    /// never went through the hardware simulation (nothing was decoded, or
-    /// the session was lost with no checkpoint to finalize from).
-    fn shed_outcome(generated: Vec<usize>, trace: DecodeTrace, reason: ShedReason) -> ServeOutcome {
+    /// An outcome for a request finalized with `generated` tokens that never
+    /// went through the hardware simulation (nothing was decoded, or the
+    /// session was lost with no checkpoint to finalize from).
+    fn synthetic_outcome(
+        generated: Vec<usize>,
+        trace: DecodeTrace,
+        shed: Option<ShedReason>,
+    ) -> ServeOutcome {
         ServeOutcome {
             generated,
             cache: CacheStats::default(),
@@ -1584,88 +1540,8 @@ impl<'e> BatchScheduler<'e> {
             },
             prefilled_tokens: 0,
             prefix_hit_tokens: 0,
-            shed: Some(reason),
+            shed,
         }
-    }
-
-    /// Removes a waiting request from the queue and finalizes it unserved.
-    fn shed_waiting(&mut self, index: usize, reason: ShedReason) {
-        if let Some(pos) = self.waiting.iter().position(|&i| i == index) {
-            self.waiting.remove(pos);
-        }
-        let previous = std::mem::replace(&mut self.states[index], RequestState::Taken);
-        assert!(
-            matches!(previous, RequestState::Waiting(_)),
-            "only waiting requests shed through shed_waiting"
-        );
-        let timing = &mut self.timings[index];
-        timing.finished_tick = self.tick;
-        // A drained future arrival can be shed before its arrival tick:
-        // it never queued, so its queue time saturates to zero.
-        timing.queue_ticks = self.tick.saturating_sub(timing.submitted_tick);
-        self.shed_events.push((index, reason));
-        self.states[index] = RequestState::Finished(Self::shed_outcome(
-            Vec::new(),
-            DecodeTrace::default(),
-            reason,
-        ));
-    }
-
-    /// Finalizes an active request early with whatever it generated so far,
-    /// releasing its lease, tier placement and shared-prefix attachment.
-    /// With a resident session and at least one token the partial turn is
-    /// finalized for real (hardware simulation, engine statistics); a
-    /// token-less or session-less shed produces a synthetic outcome.
-    fn shed_active(
-        &mut self,
-        index: usize,
-        reason: ShedReason,
-        executor: &mut dyn StepExecutor<'e>,
-    ) {
-        let state = std::mem::replace(&mut self.states[index], RequestState::Taken);
-        let RequestState::Active(mut slot) = state else {
-            unreachable!("only active requests shed through shed_active");
-        };
-        self.active -= 1;
-        let kv_bytes = self.ledger.lease_bytes(slot.lease);
-        let generated = std::mem::take(&mut slot.generated);
-        let trace = std::mem::take(&mut slot.trace);
-        let outcome = match self.take_session(index, slot.worker, executor) {
-            Some(mut session) if !generated.is_empty() => {
-                let decode_len = generated.len();
-                let turn = session.finish_turn(
-                    generated,
-                    trace,
-                    slot.prefilled,
-                    decode_len,
-                    slot.request.label(),
-                    None,
-                );
-                self.stats = self.stats.merged(EngineStats::from_turn(&turn));
-                let mut outcome = ServeOutcome::from(turn);
-                outcome.shed = Some(reason);
-                outcome
-            }
-            _ => Self::shed_outcome(generated, trace, reason),
-        };
-        let timing = &mut self.timings[index];
-        timing.finished_tick = self.tick;
-        timing.kv_bytes = kv_bytes;
-        timing.peak_concurrent_bytes = slot.peak_concurrent_bytes;
-        self.ledger.release(slot.lease);
-        if let Some(tier) = self.tier.as_mut() {
-            tier.remove_session(index);
-        }
-        if let Some((tag, _)) = slot.shared {
-            let last_detach = self.ledger.detach_shared(tag);
-            if last_detach {
-                if let Some(tier) = self.tier.as_mut() {
-                    tier.remove_segment(tag);
-                }
-            }
-        }
-        self.shed_events.push((index, reason));
-        self.states[index] = RequestState::Finished(outcome);
     }
 
     /// Cancels a request mid-stream.  A waiting request is finalized
@@ -1690,19 +1566,11 @@ impl<'e> BatchScheduler<'e> {
     /// from the state an eager submission would have put it in.
     pub fn cancel_with(&mut self, request: usize, executor: &mut dyn StepExecutor<'e>) -> bool {
         self.admit_waiting(executor);
-        match self.states.get(request) {
-            Some(RequestState::Waiting(_)) => {
-                self.chaos_metrics.cancelled_requests += 1;
-                self.shed_waiting(request, ShedReason::Cancelled);
-                true
-            }
-            Some(RequestState::Active(_)) => {
-                self.chaos_metrics.cancelled_requests += 1;
-                self.shed_active(request, ShedReason::Cancelled, executor);
-                true
-            }
-            _ => false,
+        let cancelled = self.shed(request, ShedReason::Cancelled, executor);
+        if cancelled {
+            self.chaos_metrics.cancelled_requests += 1;
         }
+        cancelled
     }
 
     /// Gracefully drains the scheduler: admission stops, every waiting
@@ -1721,7 +1589,7 @@ impl<'e> BatchScheduler<'e> {
     pub fn drain_with(&mut self, executor: &mut dyn StepExecutor<'e>) -> Result<(), ServeError> {
         self.admit_waiting(executor);
         self.begin_drain();
-        while self.active > 0 {
+        while !self.active.is_empty() {
             self.try_step_with(executor)?;
         }
         Ok(())
@@ -1739,49 +1607,22 @@ impl<'e> BatchScheduler<'e> {
     pub fn begin_drain(&mut self) {
         self.draining = true;
         self.fresh = 0;
-        let waiting: Vec<usize> = self.waiting.iter().copied().collect();
-        for index in waiting {
+        // The queue in order, then future arrivals (which never run on a
+        // draining scheduler) in arrival order, so the wind-down reaches
+        // idle.
+        let waiting = std::mem::take(&mut self.waiting)
+            .into_iter()
+            .map(|(index, _)| index);
+        let arrivals = std::mem::take(&mut self.arrivals)
+            .into_keys()
+            .map(|(_, index)| index);
+        for index in waiting.chain(arrivals) {
             self.chaos_metrics.drained_requests += 1;
-            self.shed_waiting(index, ShedReason::Drained);
+            self.finalize(index, None, Some(ShedReason::Drained));
         }
-        // Future arrivals never run on a draining scheduler: shed them now
-        // (in arrival order) so the wind-down reaches idle.
-        while let Some(Reverse((_, index))) = self.scheduled.pop() {
-            if matches!(self.states[index], RequestState::Waiting(_)) {
-                self.chaos_metrics.drained_requests += 1;
-                self.shed_waiting(index, ShedReason::Drained);
-            }
+        for slot in self.active.values_mut() {
+            slot.paused = false;
         }
-        for state in &mut self.states {
-            if let RequestState::Active(slot) = state {
-                slot.paused = false;
-            }
-        }
-    }
-
-    /// Effective per-session `N'` shares of the engine's cache budget for the
-    /// currently active sessions, derived from their live context lengths —
-    /// the algorithmic view of the same contention the ledger arbitrates.
-    /// Purely observational: shares are never applied to live caches (that
-    /// would change token streams and break the equivalence guarantee).
-    pub fn partitioned_budgets(&self, mode: PartitionMode) -> Vec<(usize, CacheBudget)> {
-        let active: Vec<(usize, usize)> = self
-            .states
-            .iter()
-            .enumerate()
-            .filter_map(|(index, state)| match state {
-                // The mirror: the session itself is resident on the executor.
-                RequestState::Active(slot) => Some((index, slot.position)),
-                _ => None,
-            })
-            .collect();
-        let contexts: Vec<usize> = active.iter().map(|&(_, context)| context).collect();
-        let partitioner = BudgetPartitioner::new(self.engine.config().budget, mode);
-        active
-            .iter()
-            .map(|&(index, _)| index)
-            .zip(partitioner.shares(&contexts))
-            .collect()
     }
 
     /// Drives [`step`](BatchScheduler::step) until every submitted request
@@ -1864,18 +1705,12 @@ impl<'e> BatchScheduler<'e> {
                 scheduler: Box::new(self),
             });
         }
-        let outcomes: Vec<ServeOutcome> = self
-            .states
-            .into_iter()
-            .map(|state| match state {
-                RequestState::Finished(outcome) => outcome,
-                _ => unreachable!("idle scheduler holds only finished requests"),
-            })
-            .collect();
+        // Idle: every request was finalized.
+        let outcomes: Vec<ServeOutcome> = self.outcomes.into_iter().flatten().collect();
         let slo = Self::slo_report(self.config.slo, &self.timings, &outcomes, self.tick);
         let contention = ContentionMetrics {
             capacity_bytes: self.config.kv_capacity_bytes,
-            peak_residency_bytes: self.ledger.high_water_bytes(),
+            peak_residency_bytes: self.placement.ledger().high_water_bytes(),
             spill_bytes: self.spill_bytes,
             total_queue_ticks: self.timings.iter().map(|t| t.queue_ticks).sum(),
             max_queue_ticks: self
@@ -1892,12 +1727,12 @@ impl<'e> BatchScheduler<'e> {
             outcomes,
             stats: self.stats,
             contention,
-            prefix: self.prefix,
-            tiering: self
-                .tier
-                .as_ref()
-                .map(TierManager::metrics)
-                .unwrap_or_default(),
+            prefix: PrefixBatchMetrics {
+                shared_bytes: self.placement.shared_charged_bytes(),
+                deduplicated_bytes: self.placement.ledger().dedup_savings_bytes(),
+                ..self.prefix
+            },
+            tiering: self.placement.tiering_metrics(),
             chaos: self.chaos_metrics,
             parallel,
             slo,
@@ -1961,10 +1796,10 @@ impl<'e> BatchScheduler<'e> {
 impl std::fmt::Debug for BatchScheduler<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchScheduler")
-            .field("submitted", &self.states.len())
+            .field("submitted", &self.outcomes.len())
             .field("waiting", &self.waiting.len())
             .field("active", &self.active())
-            .field("live_bytes", &self.ledger.live_bytes())
+            .field("live_bytes", &self.placement.ledger().live_bytes())
             .finish()
     }
 }
@@ -2278,7 +2113,7 @@ mod tests {
 
         scheduler.step();
         assert_eq!(scheduler.waiting(), 1, "A still active: no room for B");
-        // A finishes mid-tick: complete() releases its lease, detaches the
+        // A finishes mid-tick: finalizing it releases its lease, detaches the
         // shared prefix (last holder), and the same step() call back-fills B.
         scheduler.step();
         assert_eq!(scheduler.active(), 1, "B admitted by the back-fill");
@@ -2298,22 +2133,6 @@ mod tests {
         // B's stream is unaffected by having queued behind the prefix bytes.
         let unbounded = engine.serve_one(&b_prompt, 1);
         assert_eq!(outcome.outcomes[1].generated, unbounded.generated);
-    }
-
-    #[test]
-    fn partitioned_budgets_reflect_active_sessions() {
-        let engine = engine();
-        let mut scheduler = BatchScheduler::new(&engine);
-        scheduler.submit(ServeRequest::new(vec![1; 6], 4));
-        scheduler.submit(ServeRequest::new(vec![2; 2], 4));
-        let equal = scheduler.partitioned_budgets(PartitionMode::EqualSplit);
-        assert_eq!(equal.len(), 2);
-        assert_eq!(equal[0].1, equal[1].1);
-        let proportional = scheduler.partitioned_budgets(PartitionMode::ProportionalToContext);
-        // The 6-token session holds more context, so it gets the larger N'.
-        assert!(proportional[0].1.max_tokens > proportional[1].1.max_tokens);
-        let total: usize = proportional.iter().map(|(_, b)| b.max_tokens).sum();
-        assert!(total <= engine.config().budget.max_tokens);
     }
 
     #[test]
@@ -2620,6 +2439,29 @@ mod tests {
         let outcome = scheduler.finish().expect("idle");
         assert_eq!(outcome.outcomes[0].shed, None);
         assert_eq!(outcome.outcomes[1].shed, Some(ShedReason::Drained));
+    }
+
+    #[test]
+    fn cancelling_a_future_arrival_leaves_nothing_scheduled() {
+        let engine = engine();
+        let mut scheduler = BatchScheduler::new(&engine);
+        let late = scheduler.submit(
+            ServeRequest::builder(vec![3, 4])
+                .decode_len(1)
+                .arrival_tick(50)
+                .build(),
+        );
+        assert_eq!(scheduler.scheduled(), 1);
+        assert!(scheduler.cancel(late));
+        assert!(!scheduler.cancel(late), "already finished");
+        assert_eq!(scheduler.scheduled(), 0);
+        assert!(
+            scheduler.is_idle(),
+            "a cancelled arrival does not keep the clock running to its tick"
+        );
+        let outcome = scheduler.finish().expect("idle");
+        assert_eq!(outcome.outcomes[late].shed, Some(ShedReason::Cancelled));
+        assert_eq!(outcome.parallel.ticks, 0);
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //!
 //! This is the hand-off point between the device layer (which knows retention
 //! physics and refresh intervals) and the functional model (which knows which
-//! token a value belongs to and which bits are significant).  `kelle-core`
-//! converts a [`GroupBitFlipRates`] into the functional model's
-//! `BitFlipRates` / `ProbabilisticFaults` when running accuracy experiments.
+//! token a value belongs to and which bits are significant): a
+//! [`RefreshPolicy`](crate::RefreshPolicy) yields a [`BitFlipRates`], and
+//! `kelle-model`'s fault injector consumes that same struct.
 
 /// Per-(token-group, bit-significance) retention-failure probabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct GroupBitFlipRates {
+///
+/// A rate is a probability: `p ≥ 1` flips every bit, and `p < 2⁻⁶⁴`, a
+/// negative or a NaN never flips one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BitFlipRates {
     /// High-score tokens, most significant byte.
     pub hst_msb: f64,
     /// High-score tokens, least significant byte.
@@ -19,15 +22,21 @@ pub struct GroupBitFlipRates {
     pub lst_lsb: f64,
 }
 
-impl GroupBitFlipRates {
-    /// A uniform rate across all four groups.
+impl BitFlipRates {
+    /// A uniform rate across all four groups (the "Uniform" ablation in
+    /// Table 4).
     pub fn uniform(rate: f64) -> Self {
-        GroupBitFlipRates {
+        BitFlipRates {
             hst_msb: rate,
             hst_lsb: rate,
             lst_msb: rate,
             lst_lsb: rate,
         }
+    }
+
+    /// No corruption at all.
+    pub fn zero() -> Self {
+        Self::uniform(0.0)
     }
 
     /// Average rate across the four groups (equal weighting, since the four
@@ -56,16 +65,16 @@ mod tests {
 
     #[test]
     fn uniform_and_average() {
-        let r = GroupBitFlipRates::uniform(0.01);
+        let r = BitFlipRates::uniform(0.01);
         assert_eq!(r.average(), 0.01);
         assert_eq!(r.max(), 0.01);
         assert!(!r.is_zero());
-        assert!(GroupBitFlipRates::default().is_zero());
+        assert!(BitFlipRates::zero().is_zero());
     }
 
     #[test]
     fn max_picks_largest() {
-        let r = GroupBitFlipRates {
+        let r = BitFlipRates {
             hst_msb: 0.0,
             hst_lsb: 0.3,
             lst_msb: 0.1,

@@ -43,7 +43,7 @@ pub mod tier;
 pub use banks::{BankGroup, BankedLayout};
 pub use controller::{EdramController, RefreshActivity};
 pub use device::{DramSpec, MemorySpec, MemoryTechnology, NvmeSpec};
-pub use faults::GroupBitFlipRates;
+pub use faults::BitFlipRates;
 pub use ledger::{CapacityLedger, LeaseId, LedgerError};
 pub use refresh::{RefreshIntervals, RefreshPolicy};
 pub use retention::RetentionModel;

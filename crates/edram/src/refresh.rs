@@ -18,7 +18,7 @@
 //! quoted 1.05 ms average interval.
 
 use crate::device::MemorySpec;
-use crate::faults::GroupBitFlipRates;
+use crate::faults::BitFlipRates;
 use crate::retention::RetentionModel;
 
 /// Refresh intervals (µs) for the four 2DRP groups.
@@ -134,9 +134,9 @@ impl RefreshPolicy {
 
     /// Per-group bit-flip probabilities implied by this policy under the given
     /// retention model.
-    pub fn bit_flip_rates(&self, retention: &RetentionModel) -> GroupBitFlipRates {
+    pub fn bit_flip_rates(&self, retention: &RetentionModel) -> BitFlipRates {
         let [hst_msb, hst_lsb, lst_msb, lst_lsb] = self.group_intervals_us(retention);
-        GroupBitFlipRates {
+        BitFlipRates {
             hst_msb: retention.failure_rate(hst_msb),
             hst_lsb: retention.failure_rate(hst_lsb),
             lst_msb: retention.failure_rate(lst_msb),

@@ -13,8 +13,9 @@
 //!
 //! The [`FaultInjector`] trait lets the functional model apply this corruption
 //! when reading cached values, without knowing where the probabilities come
-//! from; `kelle-edram` computes them from retention physics and the configured
-//! refresh intervals, and `kelle-core` wires the two together.
+//! from; `kelle-edram` computes them ([`BitFlipRates`], re-exported here) from
+//! retention physics and the configured refresh intervals, and
+//! [`fault_injector_for_policy`] turns a refresh policy into an injector.
 //!
 //! # Sampling
 //!
@@ -97,6 +98,8 @@
 //! gap counters and its statistics; the survival tables are shared, not
 //! copied.
 
+pub use kelle_edram::BitFlipRates;
+use kelle_edram::{RefreshPolicy, RetentionModel};
 use kelle_tensor::fp16;
 use kelle_tensor::rng::{self, DetRng};
 use rand::RngCore;
@@ -230,58 +233,24 @@ impl FaultInjector for NoFaults {
     }
 }
 
-/// Per-(token-group, bit-group) bit-flip probabilities.
-///
-/// This is the interface point between the refresh policy (which knows refresh
-/// intervals and retention physics) and the functional model (which knows
-/// values and token groups).
-///
-/// A rate is a probability: `p ≥ 1` flips every bit, and `p < 2⁻⁶⁴`, a
-/// negative or a NaN never flips one.  Every rate in between costs a bounded
-/// handful of keystream draws per flip, however small it is (module docs of
-/// [`crate::fault`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BitFlipRates {
-    /// Flip probability per bit for MSBs of high-score tokens.
-    pub hst_msb: f64,
-    /// Flip probability per bit for LSBs of high-score tokens.
-    pub hst_lsb: f64,
-    /// Flip probability per bit for MSBs of low-score tokens.
-    pub lst_msb: f64,
-    /// Flip probability per bit for LSBs of low-score tokens.
-    pub lst_lsb: f64,
+/// The rate of one (token group, bit significance) class.
+fn class_rate(rates: &BitFlipRates, group: TokenGroup, sig: SignificanceGroup) -> f64 {
+    match (group, sig) {
+        (TokenGroup::HighScore, SignificanceGroup::Msb) => rates.hst_msb,
+        (TokenGroup::HighScore, SignificanceGroup::Lsb) => rates.hst_lsb,
+        (TokenGroup::LowScore, SignificanceGroup::Msb) => rates.lst_msb,
+        (TokenGroup::LowScore, SignificanceGroup::Lsb) => rates.lst_lsb,
+    }
 }
 
-impl BitFlipRates {
-    /// A uniform rate across all groups (the "Uniform" ablation in Table 4).
-    pub fn uniform(rate: f64) -> Self {
-        BitFlipRates {
-            hst_msb: rate,
-            hst_lsb: rate,
-            lst_msb: rate,
-            lst_lsb: rate,
-        }
-    }
-
-    /// No corruption at all.
-    pub fn zero() -> Self {
-        Self::uniform(0.0)
-    }
-
-    /// The rate for a given token group and bit significance.
-    pub fn rate(&self, group: TokenGroup, sig: SignificanceGroup) -> f64 {
-        match (group, sig) {
-            (TokenGroup::HighScore, SignificanceGroup::Msb) => self.hst_msb,
-            (TokenGroup::HighScore, SignificanceGroup::Lsb) => self.hst_lsb,
-            (TokenGroup::LowScore, SignificanceGroup::Msb) => self.lst_msb,
-            (TokenGroup::LowScore, SignificanceGroup::Lsb) => self.lst_lsb,
-        }
-    }
-
-    /// Average per-bit flip rate across the four groups (equal weighting).
-    pub fn average(&self) -> f64 {
-        (self.hst_msb + self.hst_lsb + self.lst_msb + self.lst_lsb) / 4.0
-    }
+/// Builds a deterministic fault injector realising a refresh policy under a
+/// retention model.
+pub fn fault_injector_for_policy(
+    policy: &RefreshPolicy,
+    retention: &RetentionModel,
+    seed: u64,
+) -> ProbabilisticFaults {
+    ProbabilisticFaults::new(policy.bit_flip_rates(retention), seed)
 }
 
 /// Gap-sampling form of one rate class: how far it is to the next flipped bit
@@ -399,8 +368,8 @@ struct Thresholds {
 impl Thresholds {
     fn new(rates: &BitFlipRates) -> Self {
         let word = |group| WordThresholds {
-            lsb: Gap::new(rates.rate(group, SignificanceGroup::Lsb)),
-            msb: Gap::new(rates.rate(group, SignificanceGroup::Msb)),
+            lsb: Gap::new(class_rate(rates, group, SignificanceGroup::Lsb)),
+            msb: Gap::new(class_rate(rates, group, SignificanceGroup::Msb)),
         };
         Thresholds {
             hst: word(TokenGroup::HighScore),
@@ -808,15 +777,46 @@ mod tests {
             lst_msb: 0.3,
             lst_lsb: 0.4,
         };
-        assert_eq!(r.rate(TokenGroup::HighScore, SignificanceGroup::Msb), 0.1);
-        assert_eq!(r.rate(TokenGroup::LowScore, SignificanceGroup::Lsb), 0.4);
+        assert_eq!(
+            class_rate(&r, TokenGroup::HighScore, SignificanceGroup::Msb),
+            0.1
+        );
+        assert_eq!(
+            class_rate(&r, TokenGroup::LowScore, SignificanceGroup::Lsb),
+            0.4
+        );
         assert!((r.average() - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn conservative_policy_produces_no_faults() {
+        let mut injector =
+            fault_injector_for_policy(&RefreshPolicy::Conservative, &RetentionModel::default(), 1);
+        for i in 0..200 {
+            let v = i as f32 * 0.01;
+            assert_eq!(injector.corrupt(v, TokenGroup::HighScore), v);
+        }
+    }
+
+    #[test]
+    fn relaxed_policy_produces_faults() {
+        let mut injector = fault_injector_for_policy(
+            &RefreshPolicy::Uniform(20_000.0),
+            &RetentionModel::default(),
+            1,
+        );
+        let changed = (0..2000)
+            .map(|i| 0.5 + i as f32 * 0.001)
+            .filter(|&v| injector.corrupt(v, TokenGroup::LowScore) != v)
+            .count();
+        assert!(changed > 0);
     }
 
     /// `RefreshPolicy::bit_flip_rates(&RetentionModel::default())` of
     /// `kelle-edram` for the default 2DRP intervals and for
-    /// `RefreshIntervals::table4_setting(0)` / `(2)`, copied here because the
-    /// model crate does not depend on the device crate.
+    /// `RefreshIntervals::table4_setting(0)` / `(2)`, written out so the
+    /// sampler's statistical tests keep their fixture if the retention fit
+    /// moves.
     const PAPER_RATES: [BitFlipRates; 3] = [
         BitFlipRates {
             hst_msb: 0.000_302_828_725_051_773_6,
@@ -1025,7 +1025,7 @@ mod tests {
             for group in GROUPS {
                 let (per_bit, _) = sample_masks(&thresholds, group, 31 + setting as u64, WORDS);
                 for (bit, &count) in per_bit.iter().enumerate() {
-                    let p = rates.rate(group, SignificanceGroup::of_bit(bit as u8));
+                    let p = class_rate(rates, group, SignificanceGroup::of_bit(bit as u8));
                     let mean = WORDS as f64 * p;
                     let sigma = (mean * (1.0 - p)).sqrt();
                     assert!(
@@ -1051,8 +1051,8 @@ mod tests {
         for group in GROUPS {
             let (_, observed) = sample_masks(&thresholds, group, 77, WORDS);
             // Flips per word = Binomial(8, lsb) + Binomial(8, msb).
-            let lsb = binomial8(rates.rate(group, SignificanceGroup::Lsb));
-            let msb = binomial8(rates.rate(group, SignificanceGroup::Msb));
+            let lsb = binomial8(class_rate(&rates, group, SignificanceGroup::Lsb));
+            let msb = binomial8(class_rate(&rates, group, SignificanceGroup::Msb));
             let mut expected = [0.0f64; 17];
             for (i, a) in lsb.iter().enumerate() {
                 for (j, b) in msb.iter().enumerate() {
@@ -1449,7 +1449,7 @@ mod tests {
                 }
                 assert_eq!(inj.stats().words_examined, WORDS as u64);
                 let [msb, lsb] = [SignificanceGroup::Msb, SignificanceGroup::Lsb]
-                    .map(|sig| rates.rate(group, sig));
+                    .map(|sig| class_rate(rates, group, sig));
                 let bits = 8.0 * WORDS as f64;
                 let sigma = (bits * (lsb * (1.0 - lsb) + msb * (1.0 - msb))).sqrt() / (2.0 * bits);
                 let observed = inj.stats().bit_error_rate();

@@ -4,7 +4,6 @@
 use kelle::accuracy::{evaluate_method, AccuracyConfig, Method};
 use kelle::cache::CacheBudget;
 use kelle::edram::{RefreshIntervals, RefreshPolicy, RetentionModel};
-use kelle::faults::to_model_rates;
 use kelle::model::fault::{BitFlipRates, ProbabilisticFaults};
 use kelle::model::generation::{evaluate_against_reference, run_reference, GenerationConfig};
 use kelle::model::{FullKvCache, ModelConfig, ModelKind, SurrogateModel};
@@ -224,9 +223,7 @@ fn table4_2drp_beats_uniform_at_matched_average_rate() {
         lst_msb_us: intervals.lst_lsb_us,
         lst_lsb_us: intervals.lst_msb_us,
     };
-    let rates_of = |intervals| {
-        to_model_rates(RefreshPolicy::TwoDimensional(intervals).bit_flip_rates(&retention))
-    };
+    let rates_of = |intervals| RefreshPolicy::TwoDimensional(intervals).bit_flip_rates(&retention);
     let twodrp_rates = rates_of(intervals);
 
     let twodrp = mean_fault_kl(twodrp_rates);

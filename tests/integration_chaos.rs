@@ -13,10 +13,11 @@
 //! default {1, 2, 4}) and chaos seeds via `KELLE_CHAOS_SEEDS` (default
 //! {7, 11, 23}).
 
-use kelle::tier::TierConfig;
+use kelle::tier::{TierConfig, TierUsageMetrics, TieringMetrics};
 use kelle::{
-    BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, InlineExecutor, KelleEngine,
-    PrefixSharingConfig, SchedulerConfig, ServeError, ServeOptions, ServeRequest, ShedReason,
+    BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, ChaosMetrics, InlineExecutor,
+    KelleEngine, PrefixSharingConfig, SchedulerConfig, ServeError, ServeOptions, ServeRequest,
+    ShedReason,
 };
 use proptest::prelude::*;
 
@@ -255,6 +256,99 @@ fn chaos_recovery_is_bit_identical_across_policies_axes_workers_and_seeds() {
                 "workers={workers}, chaos seed={seed}: the storm must panic lone-session steps"
             );
         }
+    }
+}
+
+/// One tiered storm at chaos seed 7 — worker panics, migration faults and
+/// ledger blips all on — pinned to exact tiering and recovery counters, at
+/// every worker count and inline.  Migration draws, blip draws and panic
+/// coordinates all land in these numbers, so any reordering of the
+/// coordinator's residency and recovery decisions moves them.
+#[test]
+fn tiered_storm_metrics_of_seed_7_are_pinned() {
+    const TIERING: TieringMetrics = TieringMetrics {
+        edram: TierUsageMetrics {
+            peak_bytes: 422_156_696,
+            settled_peak_bytes: 207_618_048,
+            in_bytes: 435_997_900,
+            out_bytes: 816_630_987,
+        },
+        dram: TierUsageMetrics {
+            peak_bytes: 221_459_251,
+            settled_peak_bytes: 221_459_251,
+            in_bytes: 816_630_987,
+            out_bytes: 435_997_900,
+        },
+        nvme: TierUsageMetrics {
+            peak_bytes: 0,
+            settled_peak_bytes: 0,
+            in_bytes: 0,
+            out_bytes: 0,
+        },
+        demotions: 4,
+        promotions: 2,
+        migrated_bytes: 1_252_628_887,
+        // 0.05006772709375 s and 0.9125671344831998 J, bit for bit.
+        migration_time_s: f64::from_bits(0x3fa9_a27a_24e7_c986),
+        migration_energy_j: f64::from_bits(0x3fed_33bf_fdc0_5018),
+        migration_retries: 9,
+        failed_migrations: 1,
+    };
+    const CHAOS: ChaosMetrics = ChaosMetrics {
+        injected_panics: 9,
+        replayed_steps: 9,
+        backoff_ticks: 9,
+        ledger_blips: 3,
+        checkpoints_taken: 29,
+        restored_sessions: 9,
+        shed_requests: 0,
+        cancelled_requests: 0,
+        drained_requests: 0,
+        lost_requests: 0,
+    };
+    let chaos = ChaosConfig::default()
+        .with_seed(7)
+        .with_worker_panics(200)
+        .with_migration_faults(400)
+        .with_ledger_blips(400)
+        .with_max_retries(12);
+    let config = |engine: &KelleEngine| {
+        SchedulerConfig::default()
+            .with_tiering(tiny_tiering(engine, shared_prefix().len() + 6))
+            .with_chaos(chaos)
+    };
+    let mut runs: Vec<(String, BatchOutcome)> = worker_counts()
+        .into_iter()
+        .map(|workers| {
+            let engine = sharing_engine(7, workers);
+            let outcome = serve_parallel(&engine, policy_mix(), config(&engine))
+                .expect("the replay budget absorbs every fault");
+            (format!("workers={workers}"), outcome)
+        })
+        .collect();
+    let engine = sharing_engine(7, 1);
+    let inline = engine
+        .serve(
+            policy_mix(),
+            ServeOptions::new().with_scheduler(config(&engine)),
+        )
+        .expect("the replay budget absorbs every fault");
+    runs.push(("inline".to_string(), inline));
+    for (label, outcome) in runs {
+        let tiering = outcome.tiering;
+        assert_eq!(
+            (
+                tiering.migration_time_s.to_bits(),
+                tiering.migration_energy_j.to_bits()
+            ),
+            (
+                TIERING.migration_time_s.to_bits(),
+                TIERING.migration_energy_j.to_bits()
+            ),
+            "{label}: migration cost bits"
+        );
+        assert_eq!(tiering, TIERING, "{label}: tiering metrics");
+        assert_eq!(outcome.chaos, CHAOS, "{label}: chaos metrics");
     }
 }
 

@@ -16,9 +16,9 @@ use kelle::front::{FrontConfig, StreamPoll, SubmitError, TokenStream};
 use kelle::scheduler::ServeEvent;
 use kelle::tier::TierConfig;
 use kelle::{
-    BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, InlineExecutor, KelleEngine,
-    PrefixSharingConfig, SchedulerConfig, ServeOptions, ServeRequest, ServingFront, ShedReason,
-    WorkerPool,
+    AdmissionPolicy, BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, InlineExecutor,
+    KelleEngine, PrefixSharingConfig, SchedulerConfig, ServeOptions, ServeRequest, ServingFront,
+    ShedReason, WorkerPool,
 };
 
 /// Worker counts under test: `KELLE_TEST_WORKERS` or {1, 2, 4} by default.
@@ -547,6 +547,64 @@ fn shed_reasons_surface_through_the_event_stream_as_they_happen() {
             assert!(none.is_empty(), "a queue timeout never decoded");
         },
     );
+}
+
+/// Sheds that fire on one tick surface in request-index order, whichever
+/// queue each request sat in: active requests 0 and 2 pass their deadlines
+/// on the tick request 1's queue timeout expires.
+#[test]
+fn same_tick_sheds_surface_in_request_index_order() {
+    let engine = KelleEngine::builder().seed(3).build();
+    // Shortest-prompt-first under room for the two short prompts only: the
+    // long request 1 queues while request 2 overtakes it.
+    let config = SchedulerConfig::default()
+        .with_kv_capacity_bytes(2 * engine.kv_footprint_bytes(2))
+        .with_admission(AdmissionPolicy::ShortestPromptFirst);
+    let mut scheduler = BatchScheduler::with_config(&engine, config);
+    let mut executor = InlineExecutor::default();
+    let short = |token: usize| {
+        ServeRequest::builder(vec![token, token + 1])
+            .decode_len(10)
+            .deadline_ticks(3)
+            .build()
+    };
+    scheduler.submit_with(short(1), &mut executor);
+    scheduler.submit_with(
+        ServeRequest::builder(vec![7; 8])
+            .decode_len(2)
+            .queue_timeout_ticks(3)
+            .build(),
+        &mut executor,
+    );
+    scheduler.submit_with(short(4), &mut executor);
+    assert_eq!(
+        (scheduler.active(), scheduler.waiting()),
+        (2, 1),
+        "the fixture must run requests 0 and 2 and queue request 1"
+    );
+    let mut sheds = Vec::new();
+    let outcome = scheduler
+        .run_with(&mut executor, |event| {
+            if let ServeEvent::Shed { request, reason } = event {
+                sheds.push((request, reason));
+            }
+        })
+        .expect("no chaos: no worker can be lost");
+    assert_eq!(
+        sheds,
+        vec![
+            (0, ShedReason::DeadlineExceeded),
+            (1, ShedReason::QueueTimeout),
+            (2, ShedReason::DeadlineExceeded),
+        ]
+    );
+    let finished: Vec<u64> = outcome
+        .contention
+        .per_request
+        .iter()
+        .map(|timing| timing.finished_tick)
+        .collect();
+    assert_eq!(finished, vec![4, 4, 4], "all three shed on one tick");
 }
 
 /// Pins the rejection sequence of a bounded queue across deferred admission:
