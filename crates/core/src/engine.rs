@@ -24,16 +24,17 @@
 
 use crate::chaos::ServeError;
 use crate::parallel::{InlineExecutor, StepExecutor, WorkerPool};
-use crate::prefix::{PrefixHit, PrefixKey, PrefixSharingConfig, PrefixStore, PrefixStoreStats};
+use crate::prefix::{
+    PrefixHit, PrefixKey, PrefixSharingConfig, PrefixStore, PrefixStoreStats, MIN_PREFIX_TOKENS,
+};
 use crate::scheduler::{BatchOutcome, BatchScheduler, SchedulerConfig, ServeEvent};
 use crate::session::{ServeRequest, Session, TurnOutcome};
 use kelle_arch::{Platform, PlatformKind, PlatformReport};
 use kelle_cache::{CacheBudget, CachePolicy};
-use kelle_edram::{RefreshPolicy, RetentionModel};
-use kelle_model::fault::{BitFlipRates, FaultStats};
+use kelle_edram::RefreshPolicy;
+use kelle_model::fault::FaultStats;
 use kelle_model::{CacheStats, DecodeTrace, ModelConfig, ModelKind, SurrogateModel};
 use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// Configuration of a [`KelleEngine`].
 #[derive(Debug, Clone, PartialEq)]
@@ -382,10 +383,6 @@ pub struct KelleEngine {
     platform: Platform,
     stats: Mutex<EngineStats>,
     prefix: Mutex<PrefixStore>,
-    /// Whether the engine's refresh policy produces zero bit-flip rates, so
-    /// the fault seed is unobservable (see
-    /// [`effective_prefix_seed`](KelleEngine::effective_prefix_seed)).
-    noop_faults: bool,
 }
 
 impl KelleEngine {
@@ -394,18 +391,12 @@ impl KelleEngine {
         let model_config = ModelConfig::for_kind(config.model);
         let model = SurrogateModel::new(model_config, config.seed);
         let platform = Platform::preset(config.platform);
-        let noop_faults = config
-            .refresh_policy
-            .bit_flip_rates(&RetentionModel::default())
-            == BitFlipRates::zero();
-        let prefix = PrefixStore::with_budget(config.prefix.store_budget_bytes);
         KelleEngine {
             config,
             model,
             platform,
             stats: Mutex::new(EngineStats::default()),
-            prefix: Mutex::new(prefix),
-            noop_faults,
+            prefix: Mutex::new(PrefixStore::new()),
         }
     }
 
@@ -445,50 +436,18 @@ impl KelleEngine {
     }
 
     /// Publishes `tokens` as a shared prefix boundary under the engine's
-    /// default policy, budget and seed: one cold pre-fill is recorded into a
+    /// default policy, budget and seed — the one-boundary case of
+    /// [`publish_prefix_hierarchy`](KelleEngine::publish_prefix_hierarchy).
+    /// One cold pre-fill is recorded into a
     /// [`SharedSegment`](kelle_model::SharedSegment) — the *only* time the
     /// prefix's transformer compute runs — and every later session whose
     /// first prompt starts with `tokens` (same configuration) replays it.
     ///
     /// Returns `false` without doing any work when sharing is disabled, the
-    /// prefix is shorter than the configured minimum, or an identical
-    /// boundary is already published.
+    /// prefix is shorter than four tokens, or an identical boundary is
+    /// already published.
     pub fn publish_prefix(&self, tokens: &[usize]) -> bool {
-        self.publish_prefix_keyed(tokens, None)
-    }
-
-    /// Like [`publish_prefix`](KelleEngine::publish_prefix), honouring a
-    /// request's policy/budget/seed overrides (the request's own prompt and
-    /// decode length are ignored).
-    pub fn publish_prefix_for(&self, tokens: &[usize], request: &ServeRequest) -> bool {
-        self.publish_prefix_keyed(tokens, Some(request))
-    }
-
-    fn publish_prefix_keyed(&self, tokens: &[usize], request: Option<&ServeRequest>) -> bool {
-        if !self.config.prefix.enabled || tokens.len() < self.config.prefix.min_tokens {
-            return false;
-        }
-        // Duplicate check before any session machinery is built: defensive
-        // per-fleet publish calls should cost one radix walk, not a cache
-        // backend + fault injector construction.
-        let key = match request {
-            Some(request) => self.prefix_key_for(request),
-            None => PrefixKey {
-                policy: self.config.policy,
-                budget: self.config.budget.clamped(),
-                seed: self.effective_prefix_seed(self.config.seed),
-            },
-        };
-        if self.prefix.lock().contains(tokens, &key) {
-            return false;
-        }
-        let mut session = match request {
-            Some(request) => Session::for_request(self, request),
-            None => Session::with_defaults(self),
-        };
-        debug_assert_eq!(*session.prefix_key(), key, "key derivations agree");
-        let segment = session.record_prefix(tokens);
-        self.prefix.lock().publish(tokens, key, segment).is_some()
+        !tokens.is_empty() && self.publish_prefix_hierarchy(tokens, &[tokens.len()]) == 1
     }
 
     /// Publishes a **nested prefix hierarchy** from one recording pass: the
@@ -497,14 +456,19 @@ impl KelleEngine {
     /// segment for `tokens[..b]` — e.g. system prompt → per-tool preamble →
     /// per-user history.  Later sessions hit the *deepest* published
     /// boundary their prompt still starts with (radix longest-match), with
-    /// streams bit-identical to cold serving.
+    /// streams bit-identical to cold serving.  Segments are published under
+    /// the engine's default policy, budget and seed; only sessions running
+    /// exactly that configuration hit them.
     ///
-    /// Boundaries must be strictly increasing and at most `tokens.len()`.
-    /// Boundaries shorter than the configured
-    /// [`min_tokens`](PrefixSharingConfig::min_tokens) and boundaries whose
-    /// exact prefix is already published are skipped.  Returns the number of
-    /// boundaries newly published (0 when sharing is disabled or everything
-    /// was already published — no compute runs in that case).
+    /// Boundaries shorter than four tokens and boundaries whose exact prefix
+    /// is already published are skipped.  Returns the number of boundaries
+    /// newly published (0 when sharing is disabled or nothing is left to
+    /// publish — no compute runs in that case).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `boundaries` is not strictly increasing, or if a boundary
+    /// is zero or longer than `tokens`.
     ///
     /// ```rust
     /// use kelle::{KelleEngine, PrefixSharingConfig};
@@ -518,9 +482,6 @@ impl KelleEngine {
     /// assert_eq!(engine.publish_prefix_hierarchy(&prompt, &[8, 24]), 0);
     /// ```
     pub fn publish_prefix_hierarchy(&self, tokens: &[usize], boundaries: &[usize]) -> usize {
-        if !self.config.prefix.enabled || boundaries.is_empty() {
-            return 0;
-        }
         let mut prev = 0;
         for &boundary in boundaries {
             assert!(
@@ -529,14 +490,14 @@ impl KelleEngine {
             );
             prev = boundary;
         }
-        let key = PrefixKey {
-            policy: self.config.policy,
-            budget: self.config.budget.clamped(),
-            seed: self.effective_prefix_seed(self.config.seed),
-        };
-        let wanted = |boundary: usize| boundary >= self.config.prefix.min_tokens;
-        // Same defensive cheap-path as `publish_prefix`: a fleet re-issuing
-        // its publish calls should cost radix walks, not a recording pass.
+        if !self.config.prefix.enabled {
+            return 0;
+        }
+        let key = self.prefix_key(None, None, None);
+        let wanted = |boundary: usize| boundary >= MIN_PREFIX_TOKENS;
+        // Duplicate check before any session machinery is built: a fleet
+        // re-issuing its publish calls should cost radix walks, not a cache
+        // backend, a fault injector and a recording pass.
         {
             let store = self.prefix.lock();
             if boundaries
@@ -546,9 +507,7 @@ impl KelleEngine {
                 return 0;
             }
         }
-        let mut session = Session::with_defaults(self);
-        debug_assert_eq!(*session.prefix_key(), key, "key derivations agree");
-        let segments = session.record_prefix_hierarchy(tokens, boundaries);
+        let segments = Session::with_defaults(self).record_prefix_hierarchy(tokens, boundaries);
         let mut published = 0;
         for (&boundary, segment) in boundaries.iter().zip(segments) {
             if !wanted(boundary) {
@@ -588,42 +547,22 @@ impl KelleEngine {
             .map(|(id, matched, _)| (id, matched))
     }
 
-    /// The fault seed a prefix key carries for a session seeded with `seed`.
-    ///
-    /// When the engine's refresh policy produces **zero bit-flip rates**
-    /// (e.g. [`RefreshPolicy::Conservative`], or a uniform interval short
-    /// enough that nothing decays), the fault RNG is unobservable: every
-    /// seed yields bit-identical values and fault statistics.  Prefix keys
-    /// therefore normalise the seed to `0`, so sessions that differ *only*
-    /// in fault seed share published segments.  Any non-zero rate keeps the
-    /// exact seed — streams then genuinely differ per seed and sharing
-    /// across them would break the bit-equivalence guarantee.
-    pub(crate) fn effective_prefix_seed(&self, seed: u64) -> u64 {
-        if self.noop_faults {
-            0
-        } else {
-            seed
-        }
-    }
-
-    /// The effective prefix-sharing fingerprint a session opened for
-    /// `request` will use (the scheduler probes with it before activation).
-    pub(crate) fn prefix_key_for(&self, request: &ServeRequest) -> PrefixKey {
-        PrefixKey {
-            policy: request.policy().unwrap_or(self.config.policy),
-            budget: request.budget().unwrap_or(self.config.budget).clamped(),
-            seed: self.effective_prefix_seed(request.seed().unwrap_or(self.config.seed)),
-        }
-    }
-
-    /// Publishes an already recorded segment (the auto-publish path).
-    pub(crate) fn prefix_publish(
+    /// The prefix-sharing fingerprint of a session opened with these
+    /// overrides of the engine's policy, budget and fault seed — the one
+    /// place a [`PrefixKey`] is built, so publication, admission footprints
+    /// and session lookups cannot disagree on it.  The budget is clamped
+    /// exactly as the policy registry clamps it when building the backend.
+    pub(crate) fn prefix_key(
         &self,
-        tokens: &[usize],
-        key: PrefixKey,
-        segment: Arc<kelle_model::SharedSegment>,
-    ) -> Option<u64> {
-        self.prefix.lock().publish(tokens, key, segment)
+        policy: Option<CachePolicy>,
+        budget: Option<CacheBudget>,
+        seed: Option<u64>,
+    ) -> PrefixKey {
+        PrefixKey {
+            policy: policy.unwrap_or(self.config.policy),
+            budget: budget.unwrap_or(self.config.budget).clamped(),
+            seed: seed.unwrap_or(self.config.seed),
+        }
     }
 
     /// Opens a persistent serving session with the engine's default policy,
@@ -744,9 +683,9 @@ impl KelleEngine {
     }
 
     /// [`serve`](KelleEngine::serve) on a given executor: the whole list is
-    /// enqueued and then admitted at once, so its prefills reach the
-    /// executor in as few [`admit`](StepExecutor::admit) calls as prefix
-    /// publication allows and fan out over the shards.
+    /// enqueued and then admitted at once, so the prefills that fit reach
+    /// the executor in one [`admit`](StepExecutor::admit) call and fan out
+    /// over the shards.
     fn serve_on<'e>(
         &'e self,
         requests: Vec<ServeRequest>,
@@ -893,83 +832,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_publish_warms_the_store_for_later_sessions() {
-        use crate::prefix::PrefixSharingConfig;
-        let system: Vec<usize> = (0..16).map(|i| (i * 5 + 1) % 512).collect();
-        let engine = KelleEngine::builder()
-            .prefix_sharing(PrefixSharingConfig::enabled().with_auto_publish(system.len()))
-            .build();
-        let mut first: Vec<usize> = system.clone();
-        first.extend([1, 2, 3]);
-        let mut second: Vec<usize> = system.clone();
-        second.extend([4, 5]);
-
-        let a = engine.serve_one(&first, 4);
-        assert_eq!(a.prefix_hit_tokens, 0, "first session is the publisher");
-        let b = engine.serve_one(&second, 4);
-        assert_eq!(b.prefix_hit_tokens, system.len(), "second session hits");
-        assert_eq!(b.prefilled_tokens, 2);
-
-        // Identical to a cold engine without sharing.
-        let cold = KelleEngine::new(EngineConfig::default()).serve_one(&second, 4);
-        assert_eq!(b.generated, cold.generated);
-    }
-
-    #[test]
-    fn auto_publish_deepens_past_a_shorter_published_prefix() {
-        use crate::prefix::PrefixSharingConfig;
-        let system: Vec<usize> = (0..24).map(|i| (i * 11 + 2) % 512).collect();
-        let engine = KelleEngine::builder()
-            .prefix_sharing(PrefixSharingConfig::enabled().with_auto_publish(system.len()))
-            .build();
-        // A shallower boundary is already published (e.g. a shared preamble
-        // of the system prompt).
-        assert!(engine.publish_prefix(&system[..8]));
-
-        let mut prompt = system.clone();
-        prompt.extend([3, 1, 4]);
-        // The first session must not settle for the 8-token hit: it runs
-        // cold once and publishes the configured 24-token boundary.
-        let first = engine.serve_one(&prompt, 2);
-        assert_eq!(first.prefix_hit_tokens, 0);
-        assert_eq!(engine.prefix_stats().published, 2);
-        // From then on the fleet hits the deep boundary.
-        let second = engine.serve_one(&prompt, 2);
-        assert_eq!(second.prefix_hit_tokens, system.len());
-        assert_eq!(second.prefilled_tokens, 3);
-        // Still bit-identical to a cold engine.
-        let cold = KelleEngine::new(EngineConfig::default()).serve_one(&prompt, 2);
-        assert_eq!(first.generated, cold.generated);
-        assert_eq!(second.generated, cold.generated);
-    }
-
-    #[test]
-    fn noop_fault_policies_share_segments_across_seeds() {
-        use crate::prefix::PrefixSharingConfig;
+    fn a_different_fault_seed_misses_under_2drp() {
         let prefix: Vec<usize> = (0..12).map(|i| (i * 13 + 5) % 512).collect();
         let mut prompt = prefix.clone();
         prompt.extend([3, 4]);
-
-        // Conservative refresh injects no faults: the seed is unobservable,
-        // so a session with a different fault seed still hits the boundary.
-        let noop = KelleEngine::builder()
-            .refresh_policy(RefreshPolicy::Conservative)
-            .prefix_sharing(PrefixSharingConfig::enabled())
-            .build();
-        assert!(noop.publish_prefix(&prefix));
-        let other_seed = ServeRequest::builder(prompt.clone())
-            .decode_len(4)
-            .seed(12_345)
-            .build();
-        let hit = noop.serve_request(other_seed.clone());
-        assert_eq!(hit.prefix_hit_tokens, prefix.len());
-        // And the stream matches a cold engine serving the same request.
-        let cold = KelleEngine::builder()
-            .refresh_policy(RefreshPolicy::Conservative)
-            .build()
-            .serve_request(other_seed);
-        assert_eq!(hit.generated, cold.generated);
-        assert_eq!(hit.faults, cold.faults);
 
         // The default 2DRP policy flips bits: seeds genuinely matter and a
         // different seed must keep missing.
@@ -1049,33 +915,5 @@ mod tests {
             .unwrap();
         assert_eq!(executor.admits, vec![vec![0, 1, 2, 3, 4]]);
         assert_eq!(batch.contention.total_queue_ticks, 0);
-    }
-
-    #[test]
-    fn a_publishing_prefill_is_flushed_before_the_next_request_is_planned() {
-        let engine = KelleEngine::builder()
-            .prefix_sharing(PrefixSharingConfig::enabled().with_auto_publish(6))
-            .build();
-        let system: Vec<usize> = (10..16).collect();
-        let behind_system = |tail: usize| {
-            let mut prompt = system.clone();
-            prompt.extend([tail, tail + 1]);
-            ServeRequest::new(prompt, 2)
-        };
-        let requests = vec![
-            ServeRequest::new(vec![1, 2, 3], 2),
-            behind_system(100),
-            behind_system(200),
-            ServeRequest::new(vec![4, 5, 6], 2),
-        ];
-        let mut executor = Recording::default();
-        let batch = engine
-            .serve_on(requests, SchedulerConfig::default(), None, &mut executor)
-            .unwrap();
-        // Request 1 publishes the system prompt: the flush barrier closes the
-        // batch behind it, so request 2's plan sees the publication and hits.
-        assert_eq!(executor.admits, vec![vec![0, 1], vec![2, 3]]);
-        assert_eq!(batch.outcomes[1].prefix_hit_tokens, 0);
-        assert_eq!(batch.outcomes[2].prefix_hit_tokens, system.len());
     }
 }

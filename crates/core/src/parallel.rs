@@ -25,8 +25,7 @@
 //! two queue crossings in its lifetime (in with its prefill, out when taken),
 //! none per tick, and never migrates — [`ParallelMetrics`] reports both.
 //! Everything else stays on the coordinator: the waiting queue, admission
-//! decisions and their prefix-store *plans* (in admission order; a plan that
-//! will publish a prefix is flushed before the next is made), the
+//! decisions and their prefix-store *plans* (in admission order), the
 //! [`CapacityLedger`](kelle_edram::CapacityLedger), timings and statistics.
 //!
 //! **Chaos lives on the shard.**  With a [`ChaosConfig`] each step request
@@ -55,7 +54,8 @@
 //! [`ChaosConfig`]: crate::chaos::ChaosConfig
 
 use crate::chaos::Checkpoint;
-use crate::session::{PrefillPlan, Session};
+use crate::prefix::PrefixHit;
+use crate::session::Session;
 use kelle_model::DecodeStep;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -95,14 +95,14 @@ impl ParallelMetrics {
 }
 
 /// One admission on its way to the shard it will live on: the freshly opened
-/// session together with its planned prefill (the plan was resolved on the
-/// coordinator; `Cold`/`Hit` executions touch no shared state).
+/// session together with its planned prefill — the prefix hit to replay, if
+/// any, resolved on the coordinator; executing it touches no shared state.
 #[derive(Debug)]
 pub struct Admission<'e> {
     index: usize,
     session: Session<'e>,
     tokens: Vec<usize>,
-    plan: PrefillPlan,
+    plan: Option<PrefixHit>,
 }
 
 impl<'e> Admission<'e> {
@@ -110,7 +110,7 @@ impl<'e> Admission<'e> {
         index: usize,
         session: Session<'e>,
         tokens: Vec<usize>,
-        plan: PrefillPlan,
+        plan: Option<PrefixHit>,
     ) -> Self {
         Admission {
             index,
@@ -976,7 +976,7 @@ mod tests {
         let engine = engine();
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, 2);
-            let broken = Admission::new(1, engine.open_session(), Vec::new(), PrefillPlan::Cold);
+            let broken = Admission::new(1, engine.open_session(), Vec::new(), None);
             let results = pool.admit(vec![admission(&engine, 0, &[1, 2, 3]), broken]);
             assert_eq!(results.len(), 2);
             let failure = results

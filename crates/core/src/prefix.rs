@@ -12,18 +12,27 @@
 //!
 //! # Lifecycle
 //!
+//! A segment enters the store only when someone publishes it, and it stays
+//! there: no prefill records on its own and the store never drops an entry,
+//! so the caller decides what it holds.  That keeps the capacity ledger
+//! honest: the scheduler sizes an admission's shared-pool charge from the
+//! same store entry the session then replays, so the shared pool holds
+//! exactly the segments sessions replay.
+//!
 //! ```text
 //!   publish ─────────────────────────────────────────────────────────────
-//!     KelleEngine::publish_prefix(tokens)   (or auto-publish at a
-//!         │                                  configured boundary)
+//!     KelleEngine::publish_prefix(tokens)          (one boundary)
+//!     KelleEngine::publish_prefix_hierarchy(tokens, boundaries)
+//!         │
 //!         ▼
-//!     one cold pre-fill through a SegmentRecorder
+//!     one cold pre-fill of a fresh default session through a
+//!     SegmentRecorder, a boundary marked at the end of every level
 //!         │   · raw per-(layer, head) KV arenas      (the refcounted base)
 //!         │   · insert/observe call sequence          (the replay script)
-//!         │   · post-prefix logits + fault-RNG state  (the cursor snapshot)
+//!         │   · per-boundary logits + fault-RNG state (the cursor snapshot)
 //!         ▼
-//!     PrefixStore::publish → radix node gains an entry under the
-//!     session's PrefixKey (policy, budget, seed)
+//!     PrefixStore::publish → one radix entry per boundary under the
+//!     engine's PrefixKey (policy, clamped budget, seed)
 //!
 //!   hit ─────────────────────────────────────────────────────────────────
 //!     Session::prefill(first prompt)
@@ -39,7 +48,7 @@
 //!     (the prefix's transformer compute is *skipped*)
 //!
 //!   miss ────────────────────────────────────────────────────────────────
-//!     plain cold pre-fill (optionally recording, see auto-publish)
+//!     plain cold pre-fill; nothing is recorded
 //!
 //!   evict (per session) ─────────────────────────────────────────────────
 //!     a policy eviction reaching into the shared region privatizes that
@@ -70,72 +79,25 @@ use kelle_cache::{CacheBudget, CachePolicy};
 use kelle_model::{FastHashMap, SharedSegment};
 use std::sync::Arc;
 
+/// The shortest prefix worth publishing: shorter boundaries are skipped, so
+/// the store never fills with trivial one-token entries.
+pub(crate) const MIN_PREFIX_TOKENS: usize = 4;
+
 /// Configuration of engine-level prefix sharing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrefixSharingConfig {
     /// Master switch.  Disabled by default: sharing never changes token
     /// streams, but it does change capacity accounting and store state, so
     /// it is opt-in.
     pub enabled: bool,
-    /// When set, a session's *first* cold prompt auto-publishes its first
-    /// `auto_publish_tokens` tokens as a shared boundary (if the prompt is
-    /// at least that long and no boundary is published there yet).  This is
-    /// how a fleet sharing a known-length system prompt warms the store
-    /// without an explicit [`publish_prefix`](crate::KelleEngine::publish_prefix)
-    /// call.
-    pub auto_publish_tokens: Option<usize>,
-    /// Minimum prefix length worth publishing (guards the store against
-    /// trivial one-token boundaries).
-    pub min_tokens: usize,
-    /// Byte budget for the store's resident segments.  When a publication
-    /// pushes [`PrefixStoreStats::resident_bytes`] past this budget, the
-    /// least-recently-used entries are evicted until the store fits again
-    /// (`None` = unbounded, the default).  Eviction never changes token
-    /// streams: sessions holding the segment keep their `Arc` (and the
-    /// capacity ledger keeps its shared-pool entry until the last detach);
-    /// later sessions simply take the cold path, which is bit-identical to
-    /// the hit path by the store's equivalence guarantee.
-    pub store_budget_bytes: Option<u64>,
-}
-
-impl Default for PrefixSharingConfig {
-    fn default() -> Self {
-        PrefixSharingConfig {
-            enabled: false,
-            auto_publish_tokens: None,
-            min_tokens: 4,
-            store_budget_bytes: None,
-        }
-    }
 }
 
 impl PrefixSharingConfig {
-    /// Sharing enabled with explicit publication only.
+    /// Sharing enabled: segments enter the store through
+    /// [`publish_prefix`](crate::KelleEngine::publish_prefix) and
+    /// [`publish_prefix_hierarchy`](crate::KelleEngine::publish_prefix_hierarchy).
     pub fn enabled() -> Self {
-        PrefixSharingConfig {
-            enabled: true,
-            ..PrefixSharingConfig::default()
-        }
-    }
-
-    /// Sharing enabled with auto-publication at a fixed boundary (builder
-    /// style).
-    pub fn with_auto_publish(mut self, tokens: usize) -> Self {
-        self.auto_publish_tokens = Some(tokens);
-        self
-    }
-
-    /// Overrides the minimum publishable prefix length (builder style).
-    pub fn with_min_tokens(mut self, tokens: usize) -> Self {
-        self.min_tokens = tokens;
-        self
-    }
-
-    /// Caps the store's resident segment bytes, enabling LRU eviction
-    /// (builder style).
-    pub fn with_store_budget_bytes(mut self, bytes: u64) -> Self {
-        self.store_budget_bytes = Some(bytes);
-        self
+        PrefixSharingConfig { enabled: true }
     }
 }
 
@@ -143,8 +105,10 @@ impl PrefixSharingConfig {
 ///
 /// A segment snapshots policy state and the fault-RNG stream, so a hit is
 /// only bit-equivalent for sessions running the *exact* same effective
-/// policy, budget and fault seed.  (The refresh policy and model are fixed
-/// per engine; the store lives on the engine, so they need no key field.)
+/// policy, budget and fault seed — even under a refresh policy that injects
+/// no faults, the seed is part of the key.  (The refresh policy and model
+/// are fixed per engine; the store lives on the engine, so they need no key
+/// field.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixKey {
     /// Effective cache policy of the session.
@@ -190,10 +154,6 @@ pub struct PrefixStoreStats {
     /// Surrogate-scale KV bytes of all published segments (each counted
     /// once — the resident cost of the store itself).
     pub resident_bytes: u64,
-    /// Entries evicted to honour the store budget.
-    pub evictions: u64,
-    /// Segment bytes released by those evictions.
-    pub evicted_bytes: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -350,46 +310,6 @@ impl<V> RadixPrefixIndex<V> {
         }
     }
 
-    /// Removes the values accepted by `pred` at the exact boundary `seq`,
-    /// returning them.  The boundary count drops when a node's value list
-    /// empties.  Edges are deliberately *not* merged back: the compressed
-    /// paths stay valid for matching, and re-publication at the same
-    /// boundary reuses them — matching cost stays O(query length) either
-    /// way.
-    pub fn remove_at(&mut self, seq: &[usize], mut pred: impl FnMut(&V) -> bool) -> Vec<V> {
-        let RadixPrefixIndex { root, boundaries } = self;
-        let mut node = root;
-        let mut depth = 0usize;
-        loop {
-            if depth == seq.len() {
-                let had_values = !node.values.is_empty();
-                let mut kept = Vec::new();
-                let mut removed = Vec::new();
-                for v in node.values.drain(..) {
-                    if pred(&v) {
-                        removed.push(v);
-                    } else {
-                        kept.push(v);
-                    }
-                }
-                node.values = kept;
-                if had_values && node.values.is_empty() {
-                    *boundaries -= 1;
-                }
-                return removed;
-            }
-            let rest = &seq[depth..];
-            let Some(edge) = node.children.get_mut(&rest[0]) else {
-                return Vec::new();
-            };
-            if rest.len() < edge.label.len() || common_len(&edge.label, rest) < edge.label.len() {
-                return Vec::new();
-            }
-            depth += edge.label.len();
-            node = &mut edge.node;
-        }
-    }
-
     /// Number of token comparisons a [`longest_match`](Self::longest_match)
     /// of `seq` performs — the instrumented twin the O(matched) tests and
     /// the criterion micro-benchmark pin.
@@ -417,46 +337,19 @@ impl<V> RadixPrefixIndex<V> {
 // Store
 // ---------------------------------------------------------------------------
 
-/// Recency/size bookkeeping for one published entry, kept outside the radix
-/// tree so eviction can scan candidates without walking it.
-#[derive(Debug, Clone)]
-struct EntryMeta {
-    /// The exact boundary the entry is published at (needed to remove it).
-    tokens: Vec<usize>,
-    /// Resident segment bytes.
-    bytes: u64,
-    /// Store clock at publication or last matching lookup.
-    last_used: u64,
-}
-
 /// The engine-owned store of published prefixes (behind the engine's mutex).
+/// It holds every entry published into it for its whole life.
 #[derive(Debug, Default)]
 pub struct PrefixStore {
     index: RadixPrefixIndex<PrefixEntry>,
     next_id: u64,
     stats: PrefixStoreStats,
-    /// Resident-byte budget (`None` = unbounded).
-    budget_bytes: Option<u64>,
-    /// Logical clock: one tick per mutating store operation (publish or
-    /// lookup).  Wholly deterministic — no wall time anywhere.
-    clock: u64,
-    /// Per-entry recency metadata, keyed by entry id.
-    meta: FastHashMap<u64, EntryMeta>,
 }
 
 impl PrefixStore {
     /// An empty store.
     pub fn new() -> Self {
         PrefixStore::default()
-    }
-
-    /// An empty store with a resident-byte budget, per
-    /// [`PrefixSharingConfig::store_budget_bytes`] (`None` = unbounded).
-    pub fn with_budget(budget_bytes: Option<u64>) -> Self {
-        PrefixStore {
-            budget_bytes,
-            ..PrefixStore::default()
-        }
     }
 
     /// Store statistics.
@@ -490,7 +383,6 @@ impl PrefixStore {
             tokens.len(),
             "segment length must match the published boundary"
         );
-        self.clock += 1;
         let values = self.index.values_at_mut(tokens);
         if values.iter().any(|e| e.key == key) {
             return None;
@@ -498,88 +390,33 @@ impl PrefixStore {
         let was_empty = values.is_empty();
         let id = self.next_id;
         self.next_id += 1;
-        let bytes = segment.bytes_fp16() as u64;
         self.stats.published += 1;
         self.stats.published_tokens += tokens.len() as u64;
-        self.stats.resident_bytes += bytes;
+        self.stats.resident_bytes += segment.bytes_fp16() as u64;
         values.push(PrefixEntry { id, key, segment });
         if was_empty {
             self.index.note_boundary();
         }
-        self.meta.insert(
-            id,
-            EntryMeta {
-                tokens: tokens.to_vec(),
-                bytes,
-                last_used: self.clock,
-            },
-        );
-        self.enforce();
         Some(id)
     }
 
-    /// Longest-prefix lookup under `key`, updating hit/miss statistics and
-    /// the matched entry's recency.
+    /// Longest-prefix lookup under `key`, updating hit/miss statistics.
     pub fn lookup(&mut self, tokens: &[usize], key: &PrefixKey) -> Option<PrefixHit> {
-        self.clock += 1;
         match self.index.longest_match(tokens, |e| e.key == *key) {
             Some((matched, entry)) => {
                 self.stats.hits += 1;
                 self.stats.hit_tokens += matched as u64;
-                let hit = PrefixHit {
+                Some(PrefixHit {
                     id: entry.id,
                     matched,
                     segment: Arc::clone(&entry.segment),
-                };
-                if let Some(meta) = self.meta.get_mut(&hit.id) {
-                    meta.last_used = self.clock;
-                }
-                Some(hit)
+                })
             }
             None => {
                 self.stats.misses += 1;
                 None
             }
         }
-    }
-
-    /// Applies LRU eviction until the store honours its resident-byte
-    /// budget.  Called after every publication; a store built by
-    /// [`new`](Self::new) has no budget and this is a no-op.
-    ///
-    /// Eviction order is fully deterministic: stalest `last_used` first,
-    /// entry id as the tie-break.  Evicting an entry that sessions still
-    /// reference is safe — they hold their own `Arc<SharedSegment>` (and the
-    /// capacity ledger keeps the shared-pool lease until the last detach),
-    /// so only *future* lookups are affected, and those take the cold path
-    /// which is bit-identical by the store's equivalence guarantee.
-    fn enforce(&mut self) {
-        let Some(budget) = self.budget_bytes else {
-            return;
-        };
-        while self.stats.resident_bytes > budget {
-            let Some(victim) = self
-                .meta
-                .iter()
-                .min_by_key(|(id, m)| (m.last_used, **id))
-                .map(|(id, _)| *id)
-            else {
-                break;
-            };
-            self.evict(victim);
-        }
-    }
-
-    /// Removes entry `id` from the index and books the eviction.
-    fn evict(&mut self, id: u64) {
-        let Some(meta) = self.meta.remove(&id) else {
-            return;
-        };
-        let removed = self.index.remove_at(&meta.tokens, |e| e.id == id);
-        debug_assert_eq!(removed.len(), 1, "meta and index agree on residency");
-        self.stats.resident_bytes -= meta.bytes;
-        self.stats.evictions += 1;
-        self.stats.evicted_bytes += meta.bytes;
     }
 
     /// Like [`lookup`](Self::lookup) but without touching statistics or
@@ -704,60 +541,6 @@ mod tests {
         // Probe is side-effect free.
         assert!(store.probe(&[4, 5, 6], &key(1)).is_some());
         assert_eq!(store.stats().hits, 1);
-    }
-
-    #[test]
-    fn remove_at_drops_boundary_and_keeps_neighbours() {
-        let mut index: RadixPrefixIndex<u32> = RadixPrefixIndex::new();
-        index.values_at_mut(&[1, 2, 3]).push(1);
-        index.values_at_mut(&[1, 2, 3, 4]).push(2);
-        index.boundaries = 2;
-        let removed = index.remove_at(&[1, 2, 3], |v| *v == 1);
-        assert_eq!(removed, vec![1]);
-        assert_eq!(index.boundaries(), 1);
-        assert!(index.longest_match(&[1, 2, 3], |_| true).is_none());
-        // The deeper boundary survives and still matches.
-        assert_eq!(index.longest_match(&[1, 2, 3, 4], |_| true).unwrap().0, 4);
-        // Removing at a non-boundary path is a no-op.
-        assert!(index.remove_at(&[9, 9], |_| true).is_empty());
-        assert!(index.remove_at(&[1, 2], |_| true).is_empty());
-    }
-
-    #[test]
-    fn store_budget_evicts_lru_first() {
-        let seg = dummy_segment(3);
-        let bytes = seg.bytes_fp16() as u64;
-        // Budget fits exactly two segments.
-        let mut store = PrefixStore::with_budget(Some(2 * bytes));
-        store.publish(&[1, 2, 3], key(1), Arc::clone(&seg));
-        store.publish(&[4, 5, 6], key(1), dummy_segment(3));
-        // Touch the older entry so the *middle* one becomes LRU.
-        assert!(store.lookup(&[1, 2, 3], &key(1)).is_some());
-        store.publish(&[7, 8, 9], key(1), dummy_segment(3));
-        let stats = store.stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.evicted_bytes, bytes);
-        assert_eq!(stats.resident_bytes, 2 * bytes);
-        // The recently-touched and newest entries survive; the stale middle
-        // entry is gone.
-        assert!(store.contains(&[1, 2, 3], &key(1)));
-        assert!(!store.contains(&[4, 5, 6], &key(1)));
-        assert!(store.contains(&[7, 8, 9], &key(1)));
-    }
-
-    #[test]
-    fn evicted_entries_free_resident_bytes_and_miss_cleanly() {
-        let seg = dummy_segment(4);
-        let bytes = seg.bytes_fp16() as u64;
-        let mut store = PrefixStore::with_budget(Some(bytes));
-        store.publish(&[1, 2, 3, 4], key(1), Arc::clone(&seg));
-        // A session attached before eviction keeps its Arc alive.
-        let held = store.lookup(&[1, 2, 3, 4], &key(1)).unwrap();
-        store.publish(&[5, 6, 7, 8], key(1), dummy_segment(4));
-        assert_eq!(store.stats().resident_bytes, bytes);
-        assert!(store.lookup(&[1, 2, 3, 4], &key(1)).is_none());
-        // The held segment is unaffected by the store-side eviction.
-        assert_eq!(held.segment.len(), 4);
     }
 
     /// A tiny real segment (recorded through a FullKvCache) for store tests.

@@ -614,7 +614,7 @@ struct Admitted {
     live_at_admission: u64,
 }
 
-/// The admissions planned since the last flush, in admission order.
+/// The admissions one pump planned, in admission order.
 type Pending<'e> = Vec<(Admission<'e>, Admitted)>;
 
 /// Interleaves decode steps across many in-flight serving sessions under
@@ -682,8 +682,14 @@ impl<'e> BatchScheduler<'e> {
 
     /// A scheduler arbitrating the configured shared capacity.  A
     /// hand-assembled zero capacity is clamped to one byte, like in
-    /// [`SchedulerConfig::with_kv_capacity_bytes`].
+    /// [`SchedulerConfig::with_kv_capacity_bytes`], and reported as such by
+    /// [`config`](BatchScheduler::config) and the final
+    /// [`ContentionMetrics::capacity_bytes`].
     pub fn with_config(engine: &'e KelleEngine, config: SchedulerConfig) -> Self {
+        let config = SchedulerConfig {
+            kv_capacity_bytes: config.kv_capacity_bytes.map(|bytes| bytes.max(1)),
+            ..config
+        };
         let chaos = config
             .chaos
             .filter(ChaosConfig::enabled)
@@ -859,9 +865,9 @@ impl<'e> BatchScheduler<'e> {
     /// last admission — the second half of a submission, and a no-op when
     /// there are none.  Admission decisions, ledger reservations and
     /// prefix-store planning stay on the calling thread; the planned
-    /// prefills are handed to `executor` together, one
-    /// [`admit`](StepExecutor::admit) per flush, so they fan out over its
-    /// shards — and each session stays where its prefill ran.
+    /// prefills are handed to `executor` together, in one
+    /// [`admit`](StepExecutor::admit) call, so they fan out over its shards
+    /// — and each session stays where its prefill ran.
     ///
     /// The new requests are offered to the admission policy one at a time,
     /// in submission order — the candidate sequence (and ledger-blip draws)
@@ -877,9 +883,9 @@ impl<'e> BatchScheduler<'e> {
         let mut pending = Vec::new();
         for entry in fresh {
             self.waiting.push_back(entry);
-            self.plan_admissions(executor, &mut pending);
+            self.plan_admissions(&mut pending);
         }
-        self.flush_admissions(executor, &mut pending);
+        self.flush_admissions(executor, pending);
     }
 
     /// Number of requests currently decoding.
@@ -930,7 +936,9 @@ impl<'e> BatchScheduler<'e> {
     /// approximation.)
     fn footprint(&self, request: &ServeRequest) -> Footprint {
         let total = self.kv_footprint_bytes(request.prompt().len());
-        let key = self.engine.prefix_key_for(request);
+        let key = self
+            .engine
+            .prefix_key(request.policy(), request.budget(), request.seed());
         match self.engine.prefix_probe(request.prompt(), &key) {
             Some((tag, matched)) if matched > 0 => {
                 let shared_bytes = self.kv_footprint_bytes(matched).min(total);
@@ -978,24 +986,19 @@ impl<'e> BatchScheduler<'e> {
     ///    ledger reservation, shared-pool attachment and the session's
     ///    prefix-store *plan* ([`Session::plan_prefill`]) all happen here,
     ///    in exactly the sequence single-threaded serving performs them.
-    /// 2. **Execute (any worker)** — the planned prefills run concurrently;
-    ///    `Cold`/`Hit` plans never touch shared state.  A `Publish` plan
-    ///    writes the store when it completes, so the pump flushes (barriers
-    ///    on) it immediately: the next candidate's plan — which in
-    ///    sequential serving runs after the publication — still observes it.
-    ///
-    /// Every admission planned in one call is flushed before it returns.
+    /// 2. **Execute (any worker)** — the planned prefills run concurrently
+    ///    in one [`admit`](StepExecutor::admit) call; no plan touches shared
+    ///    state.
     fn pump_admission(&mut self, executor: &mut dyn StepExecutor<'e>) {
         let mut pending = Vec::new();
-        self.plan_admissions(executor, &mut pending);
-        self.flush_admissions(executor, &mut pending);
+        self.plan_admissions(&mut pending);
+        self.flush_admissions(executor, pending);
     }
 
     /// The commit phase of [`pump_admission`](Self::pump_admission): plans
     /// admissions onto `pending` until the queue is empty or its next
-    /// candidate has to wait.  Only a `Publish` plan is flushed here; the
-    /// caller flushes the rest.
-    fn plan_admissions(&mut self, executor: &mut dyn StepExecutor<'e>, pending: &mut Pending<'e>) {
+    /// candidate has to wait.
+    fn plan_admissions(&mut self, pending: &mut Pending<'e>) {
         if self.draining {
             // A draining scheduler stops admitting; whatever is active
             // finishes, everything else stays queued (or was already shed by
@@ -1028,20 +1031,13 @@ impl<'e> BatchScheduler<'e> {
                 break;
             };
             let lease = self.placement.admit(index, &footprint, self.tick);
-            if self.commit_admission(index, request, lease, footprint.shared, pending) {
-                // The prefill will publish a prefix boundary; later
-                // candidates' plans must observe the publication, exactly as
-                // they would after a sequential activation.  Flush before
-                // planning anything else.
-                self.flush_admissions(executor, pending);
-            }
+            self.commit_admission(index, request, lease, footprint.shared, pending);
         }
     }
 
     /// Commits the admission of a waiting request: opens the session, plans
     /// its first prefill against the prefix store (coordinator-side, in
     /// admission order) and queues session and plan for the executor.
-    /// Returns whether the planned prefill will publish a prefix boundary.
     fn commit_admission(
         &mut self,
         index: usize,
@@ -1049,10 +1045,9 @@ impl<'e> BatchScheduler<'e> {
         lease: LeaseId,
         shared: Option<(u64, u64)>,
         pending: &mut Pending<'e>,
-    ) -> bool {
+    ) {
         let mut session = self.engine.open_session_for(&request);
         let plan = session.plan_prefill(request.prompt());
-        let publishes = plan.publishes();
         let timing = &mut self.timings[index];
         timing.admitted_tick = self.tick;
         timing.queue_ticks = self.tick - timing.submitted_tick;
@@ -1065,16 +1060,16 @@ impl<'e> BatchScheduler<'e> {
             live_at_admission: self.placement.ledger().live_bytes(),
         };
         pending.push((admission, admitted));
-        publishes
     }
 
-    /// Executes all pending admission prefills and activates their slots in
+    /// Executes all pending admission prefills in one
+    /// [`admit`](StepExecutor::admit) call and activates their slots in
     /// submission order.
-    fn flush_admissions(&mut self, executor: &mut dyn StepExecutor<'e>, pending: &mut Pending<'e>) {
+    fn flush_admissions(&mut self, executor: &mut dyn StepExecutor<'e>, pending: Pending<'e>) {
         if pending.is_empty() {
             return;
         }
-        let (admissions, mut admitted): (Vec<_>, Vec<_>) = pending.drain(..).unzip();
+        let (admissions, mut admitted): (Vec<_>, Vec<_>) = pending.into_iter().unzip();
         // A crashed prefill has no committed state to replay from: its panic
         // resurfaces on the coordinator — after the whole batch has been
         // answered, so a caller that catches it keeps a reusable executor.
@@ -1882,6 +1877,10 @@ mod tests {
         };
         let scheduler = BatchScheduler::with_config(&engine, raw);
         assert_eq!(scheduler.ledger().capacity_bytes(), 1);
+        // ...and reported as the one byte the ledger runs at.
+        assert_eq!(scheduler.config().kv_capacity_bytes, Some(1));
+        let outcome = scheduler.finish().expect("nothing was submitted");
+        assert_eq!(outcome.contention.capacity_bytes, Some(1));
     }
 
     #[test]

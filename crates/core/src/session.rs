@@ -212,40 +212,6 @@ impl ServeRequestBuilder {
     }
 }
 
-/// How a session's next [`prefill`](Session::prefill) call will interact
-/// with the engine's prefix store, resolved *before* any model compute runs.
-///
-/// Planning is separated from execution for the threaded front-end
-/// (`kelle::parallel`): the coordinator resolves every plan in admission
-/// order (all prefix-store reads and statistics updates happen there,
-/// exactly as in single-threaded serving), and the compute-only execution
-/// ([`Session::prefill_planned`]) can then run on any worker.  [`Cold`]
-/// (on a non-first prefill or a store miss) and [`Hit`] executions never
-/// touch the store; a [`Publish`] execution writes the recorded segment to
-/// the store when it completes, so the scheduler serialises admission
-/// planning around it.
-///
-/// [`Cold`]: PrefillPlan::Cold
-/// [`Hit`]: PrefillPlan::Hit
-/// [`Publish`]: PrefillPlan::Publish
-#[derive(Debug)]
-pub(crate) enum PrefillPlan {
-    /// Plain computed prefill: every token runs through the model.
-    Cold,
-    /// Replay the matched shared segment, then compute only the suffix.
-    Hit(PrefixHit),
-    /// Cold pass that records and publishes the first `boundary` tokens as a
-    /// shared prefix while serving normally (the auto-publish path).
-    Publish(usize),
-}
-
-impl PrefillPlan {
-    /// Whether executing this plan mutates the prefix store.
-    pub(crate) fn publishes(&self) -> bool {
-        matches!(self, PrefillPlan::Publish(_))
-    }
-}
-
 /// Everything produced by one session turn.
 #[derive(Debug, Clone)]
 pub struct TurnOutcome {
@@ -289,14 +255,14 @@ pub struct TurnOutcome {
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e KelleEngine,
-    policy: CachePolicy,
     cache: Box<dyn KvCacheBackend>,
     faults: ProbabilisticFaults,
     state: GenerationState,
     context: Vec<usize>,
     turns: usize,
     recorded_evictions: u64,
-    /// The session's effective configuration fingerprint for prefix sharing.
+    /// The session's effective policy, budget and fault seed — its
+    /// fingerprint for prefix sharing.
     key: PrefixKey,
     /// Tokens adopted from a shared prefix segment on the first pre-fill.
     prefix_hit_tokens: usize,
@@ -324,35 +290,22 @@ impl<'e> Session<'e> {
         budget: Option<CacheBudget>,
         seed: Option<u64>,
     ) -> Self {
-        let config = engine.config();
-        let policy = policy.unwrap_or(config.policy);
-        let budget = budget.unwrap_or(config.budget);
-        let seed = seed.unwrap_or(config.seed);
-        let heads = engine.model().dims().heads;
-        let cache = policy.build(budget, heads);
+        let key = engine.prefix_key(policy, budget, seed);
+        let cache = key.policy.build(key.budget, engine.model().dims().heads);
         let faults = fault_injector_for_policy(
-            &config.refresh_policy,
+            &engine.config().refresh_policy,
             &RetentionModel::default(),
-            seed ^ 0x5eed,
+            key.seed ^ 0x5eed,
         );
         Session {
             engine,
-            policy,
             cache,
             faults,
             state: GenerationState::new(),
             context: Vec::new(),
             turns: 0,
             recorded_evictions: 0,
-            // The registry clamps budgets when building backends; the key
-            // must fingerprint the same effective budget.  The seed is
-            // normalised away when the refresh policy injects no faults, so
-            // seed-only configuration differences still share segments.
-            key: PrefixKey {
-                policy,
-                budget: budget.clamped(),
-                seed: engine.effective_prefix_seed(seed),
-            },
+            key,
             prefix_hit_tokens: 0,
             prefix_segment: None,
             pending_prefix_hit: 0,
@@ -372,7 +325,6 @@ impl<'e> Session<'e> {
     pub(crate) fn fork(&self) -> Session<'e> {
         Session {
             engine: self.engine,
-            policy: self.policy,
             cache: self.cache.clone_box(),
             faults: self.faults.clone(),
             state: self.state.clone(),
@@ -388,7 +340,7 @@ impl<'e> Session<'e> {
 
     /// The cache policy this session runs.
     pub fn policy(&self) -> CachePolicy {
-        self.policy
+        self.key.policy
     }
 
     /// All input tokens processed so far (prompt tokens of every turn plus
@@ -456,11 +408,6 @@ impl<'e> Session<'e> {
         self.prefix_hit_tokens
     }
 
-    /// The session's effective configuration fingerprint for prefix sharing.
-    pub(crate) fn prefix_key(&self) -> &PrefixKey {
-        &self.key
-    }
-
     /// Appends `tokens` to the session context, pre-filling only them (no
     /// decoding).  Returns the number of tokens whose prefill was actually
     /// *computed*: on the session's first pre-fill with prefix sharing
@@ -476,38 +423,28 @@ impl<'e> Session<'e> {
         self.prefill_planned(tokens, plan)
     }
 
-    /// Resolves how the next [`prefill`](Session::prefill) of `tokens` will
-    /// interact with the prefix store — this is where *all* store reads (and
-    /// their hit/miss statistics) happen, so the batch scheduler can plan
-    /// admissions in order on the coordinating thread and execute the
-    /// compute anywhere.
-    pub(crate) fn plan_prefill(&mut self, tokens: &[usize]) -> PrefillPlan {
+    /// Plans the next [`prefill`](Session::prefill) of `tokens` before any
+    /// model compute runs: the prefix-store hit it will replay, or `None`
+    /// for a plain computed prefill (a non-first prefill or a store miss).
+    /// This is where *all* store reads (and their hit/miss statistics)
+    /// happen, so the batch scheduler can plan admissions in order on the
+    /// coordinating thread and execute the compute anywhere.
+    pub(crate) fn plan_prefill(&mut self, tokens: &[usize]) -> Option<PrefixHit> {
         if self.context.is_empty() && !tokens.is_empty() {
-            // Publishing the configured boundary takes precedence over
-            // hitting a *shorter* published prefix: one cold pass here and
-            // the whole fleet hits the deeper boundary from now on.  (The
-            // boundary check probes the exact boundary, so once it is
-            // published this arm stays cold.)
-            if let Some(boundary) = self.auto_publish_boundary(tokens) {
-                return PrefillPlan::Publish(boundary);
-            }
-            if let Some(hit) = self.engine.prefix_lookup(tokens, &self.key) {
-                return PrefillPlan::Hit(hit);
-            }
+            self.engine.prefix_lookup(tokens, &self.key)
+        } else {
+            None
         }
-        PrefillPlan::Cold
     }
 
-    /// Executes a previously resolved [`PrefillPlan`] for `tokens`.  `Cold`
-    /// and `Hit` plans never touch the prefix store; a `Publish` plan writes
-    /// the recorded segment when the pass completes.  `prefill` is exactly
-    /// `plan_prefill` + `prefill_planned`, so the two-phase path is
-    /// bit-identical to single-call prefilling by construction.
-    pub(crate) fn prefill_planned(&mut self, tokens: &[usize], plan: PrefillPlan) -> usize {
+    /// Executes a previously planned prefill of `tokens`; it never touches
+    /// the prefix store.  `prefill` is exactly `plan_prefill` +
+    /// `prefill_planned`, so the two-phase path is bit-identical to
+    /// single-call prefilling by construction.
+    pub(crate) fn prefill_planned(&mut self, tokens: &[usize], plan: Option<PrefixHit>) -> usize {
         match plan {
-            PrefillPlan::Publish(boundary) => self.prefill_publishing(tokens, boundary),
-            PrefillPlan::Hit(hit) => self.prefill_shared(tokens, hit),
-            PrefillPlan::Cold => {
+            Some(hit) => self.prefill_shared(tokens, hit),
+            None => {
                 let count = prefill(
                     self.engine.model(),
                     &mut self.state,
@@ -556,105 +493,20 @@ impl<'e> Session<'e> {
         computed
     }
 
-    /// Whether this cold first prompt should auto-publish a boundary, and
-    /// where.
-    fn auto_publish_boundary(&self, tokens: &[usize]) -> Option<usize> {
-        let config = self.engine.prefix_config();
-        if !config.enabled {
-            return None;
-        }
-        let boundary = config.auto_publish_tokens?;
-        if boundary < config.min_tokens || tokens.len() < boundary {
-            return None;
-        }
-        // Probe the exact boundary: once it is published, sessions take the
-        // hit path instead of re-recording.  A *shorter* published match
-        // deliberately still returns `Some` — the fleet should deepen to
-        // the configured boundary rather than keep hitting the shallow one.
-        match self.engine.prefix_probe(&tokens[..boundary], &self.key) {
-            Some((_, matched)) if matched == boundary => None,
-            _ => Some(boundary),
-        }
-    }
-
-    /// Cold first pre-fill that records and publishes `tokens[..boundary]`
-    /// as a shared boundary while serving normally.
-    fn prefill_publishing(&mut self, tokens: &[usize], boundary: usize) -> usize {
-        let segment = {
-            let mut recorder = SegmentRecorder::new(self.cache.as_mut());
-            prefill_extend(
-                self.engine.model(),
-                &mut self.state,
-                &tokens[..boundary],
-                &mut recorder,
-                &mut self.faults,
-            );
-            recorder
-        };
-        let segment = Arc::new(segment.finish(self.state.last_logits(), self.faults.clone()));
-        self.engine
-            .prefix_publish(&tokens[..boundary], self.key, segment);
-        let rest = &tokens[boundary..];
-        let mut count = boundary;
-        if !rest.is_empty() {
-            count += prefill_extend(
-                self.engine.model(),
-                &mut self.state,
-                rest,
-                self.cache.as_mut(),
-                &mut self.faults,
-            );
-        }
-        self.cache.finish_prefill(self.state.position());
-        self.context.extend_from_slice(tokens);
-        count
-    }
-
-    /// Records a publication pre-fill of `tokens` on this fresh session and
-    /// returns the frozen segment (the engine's `publish_prefix` driver).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session already has context or `tokens` is empty.
-    pub(crate) fn record_prefix(&mut self, tokens: &[usize]) -> Arc<SharedSegment> {
-        assert!(
-            self.context.is_empty(),
-            "prefix publication requires a fresh session"
-        );
-        assert!(!tokens.is_empty(), "cannot publish an empty prefix");
-        let recorder = {
-            let mut recorder = SegmentRecorder::new(self.cache.as_mut());
-            prefill_extend(
-                self.engine.model(),
-                &mut self.state,
-                tokens,
-                &mut recorder,
-                &mut self.faults,
-            );
-            recorder
-        };
-        self.context.extend_from_slice(tokens);
-        Arc::new(recorder.finish(self.state.last_logits(), self.faults.clone()))
-    }
-
-    /// Records a *nested prefix hierarchy* in one pre-fill pass: the
-    /// transformer runs over `tokens` exactly once, and a segment is frozen
-    /// at every boundary in `boundaries` (strictly increasing prefix
-    /// lengths; the last may equal `tokens.len()`).  Each returned segment
+    /// Records the publication pre-fill of a *nested prefix hierarchy* on
+    /// this fresh session — the one recording body behind every published
+    /// segment.  The transformer runs over `tokens[..boundaries.last()]`
+    /// exactly once, and a segment is frozen at every boundary in
+    /// `boundaries` (strictly increasing prefix lengths, as
+    /// [`KelleEngine::publish_prefix_hierarchy`] checks).  Each segment
     /// carries the cursor state (logits + fault RNG) *at its own boundary*,
-    /// so replaying it is bit-identical to a cold pre-fill of just that
-    /// prefix — this is how system prompt → tool preamble → user history
-    /// hierarchies publish every level for the cost of one recording.
-    ///
-    /// Chunked pre-fill is bit-identical to one-shot pre-fill (the
-    /// generation suite proves it), so segment `k` is exactly what
-    /// [`record_prefix`](Session::record_prefix) of `tokens[..boundaries[k]]`
-    /// would have produced.
+    /// and chunked pre-fill is bit-identical to one-shot pre-fill (the
+    /// generation suite proves it), so replaying segment `k` is
+    /// bit-identical to a cold pre-fill of just `tokens[..boundaries[k]]`.
     ///
     /// # Panics
     ///
-    /// Panics if the session has context, `boundaries` is empty or not
-    /// strictly increasing, or any boundary is zero or beyond `tokens`.
+    /// Panics if the session already has context.
     pub(crate) fn record_prefix_hierarchy(
         &mut self,
         tokens: &[usize],
@@ -664,17 +516,9 @@ impl<'e> Session<'e> {
             self.context.is_empty(),
             "prefix publication requires a fresh session"
         );
-        assert!(
-            !boundaries.is_empty(),
-            "hierarchy needs at least one boundary"
-        );
         let mut recorder = SegmentRecorder::new(self.cache.as_mut());
         let mut start = 0;
         for &boundary in boundaries {
-            assert!(
-                boundary > start && boundary <= tokens.len(),
-                "boundaries must be strictly increasing and within the prefix"
-            );
             prefill_extend(
                 self.engine.model(),
                 &mut self.state,

@@ -561,7 +561,7 @@ impl KvPlacement {
         chaos: Option<&ChaosPlan>,
     ) -> Self {
         let ledger = match (kv_capacity_bytes, &tiering) {
-            (Some(bytes), _) => CapacityLedger::new(bytes.max(1)),
+            (Some(bytes), _) => CapacityLedger::new(bytes),
             (None, Some(tiering)) => CapacityLedger::for_tier_budgets(&tiering.budgets),
             (None, None) => CapacityLedger::new(u64::MAX),
         };

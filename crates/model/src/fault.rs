@@ -61,9 +61,7 @@
 //! per MSB flip from bit 8 up; a class's first gap is drawn by that class's
 //! first read, and the counters carry across words, rows and calls.  A class
 //! that can never flip draws nothing at all, so an all-zero rate
-//! configuration never advances any generator (the serving layer relies on
-//! that to share prefixes across fault seeds when the refresh policy cannot
-//! corrupt).
+//! configuration never advances any generator.
 //!
 //! # Row walk
 //!

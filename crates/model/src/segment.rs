@@ -260,7 +260,7 @@ impl<'a> SegmentRecorder<'a> {
     /// strictly longer than the previous one.
     pub fn mark_boundary(&mut self, logits: &[f32], faults: ProbabilisticFaults) {
         let len = self.recorded_tokens();
-        assert!(len > 0, "cannot mark an empty prefix boundary");
+        assert!(len > 0, "cannot publish an empty prefix segment");
         if let Some(prev) = self.boundaries.last() {
             assert!(
                 len > prev.len,
@@ -327,7 +327,9 @@ impl<'a> SegmentRecorder<'a> {
             .collect()
     }
 
-    /// Freezes the recording into a publishable segment.
+    /// Freezes the recording into one publishable segment of everything
+    /// recorded: the one-boundary case of
+    /// [`finish_hierarchy`](SegmentRecorder::finish_hierarchy).
     ///
     /// `logits` are the last prefix token's logits and `faults` the fault
     /// injector's state right after the prefix pre-fill (both captured by
@@ -336,21 +338,11 @@ impl<'a> SegmentRecorder<'a> {
     /// # Panics
     ///
     /// Panics if nothing was recorded.
-    pub fn finish(self, logits: &[f32], faults: ProbabilisticFaults) -> SharedSegment {
-        let len = self.recorded_tokens();
-        assert!(len > 0, "cannot publish an empty prefix segment");
-        SharedSegment {
-            len,
-            heads: self.heads,
-            head_dim: self.head_dim,
-            channels: self.channels,
-            kv: Arc::new(self.kv),
-            xs: self.xs,
-            events: self.events,
-            scores: self.scores,
-            logits: logits.to_vec(),
-            faults,
-        }
+    pub fn finish(mut self, logits: &[f32], faults: ProbabilisticFaults) -> SharedSegment {
+        self.mark_boundary(logits, faults);
+        self.finish_hierarchy()
+            .pop()
+            .expect("the boundary just marked")
     }
 }
 

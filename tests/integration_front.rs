@@ -666,14 +666,19 @@ enum Op {
 
 const SYSTEM_LEN: usize = 8;
 
+/// The system prompt [`interleaving_engine`] publishes before the run.
+fn system_prompt() -> Vec<usize> {
+    (0..SYSTEM_LEN).map(|i| (i * 11 + 3) % 512).collect()
+}
+
 /// A seeded call sequence: bursts of submits (every cache policy in turn;
-/// one prompt in three starts with a system prompt nobody published, so its
-/// first cold prefill auto-publishes it mid-burst) between pumps, with the
-/// odd cancel and — in the last third, at most once — a drain.
+/// one prompt in three starts with the published system prompt, a hit for
+/// the requests that run the engine's default policy) between pumps, with
+/// the odd cancel and — in the last third, at most once — a drain.
 fn interleaving(seed: u64) -> Vec<Op> {
     let mut rng = Rng(seed);
     let policies = CachePolicy::all();
-    let system: Vec<usize> = (0..SYSTEM_LEN).map(|i| (i * 11 + 3) % 512).collect();
+    let system = system_prompt();
     let (mut ops, mut submitted, mut drained) = (Vec::new(), 0usize, false);
     for step in 0..48 {
         match rng.below(20) {
@@ -705,13 +710,15 @@ fn interleaving(seed: u64) -> Vec<Op> {
     ops
 }
 
-/// An engine whose prefix store starts empty and auto-publishes.
+/// A sharing engine with the system prompt published.
 fn interleaving_engine(workers: usize) -> KelleEngine {
-    KelleEngine::builder()
-        .prefix_sharing(PrefixSharingConfig::enabled().with_auto_publish(SYSTEM_LEN))
+    let engine = KelleEngine::builder()
+        .prefix_sharing(PrefixSharingConfig::enabled())
         .seed(17)
         .workers(workers)
-        .build()
+        .build();
+    assert!(engine.publish_prefix(&system_prompt()));
+    engine
 }
 
 const QUEUE_CAPACITY: usize = 3;
@@ -850,5 +857,8 @@ fn deferred_admission_matches_eager_admission_under_any_interleaving() {
     // The scenarios exercise what could tell the two apart.
     assert!(batched, "some submits must arrive back to back");
     assert!(blips > 0, "some reservation must blip");
-    assert!(hits > 0, "some request must hit a prefix published mid-run");
+    assert!(
+        hits > 0,
+        "some request must hit the published system prompt"
+    );
 }

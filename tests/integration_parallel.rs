@@ -192,45 +192,6 @@ fn parallel_streaming_preserves_token_order_and_engine_stats() {
     }
 }
 
-#[test]
-fn parallel_serializes_auto_publication_like_sequential_serving() {
-    // Auto-publish: the first cold session publishes the boundary and every
-    // later session must hit it — the admission pump serialises planning
-    // around the publication, so hit/miss accounting matches sequentially.
-    let system: Vec<usize> = (0..16).map(|i| (i * 3 + 1) % 512).collect();
-    let build = |workers: usize| {
-        KelleEngine::builder()
-            .prefix_sharing(PrefixSharingConfig::enabled().with_auto_publish(system.len()))
-            .workers(workers)
-            .build()
-    };
-    let requests: Vec<ServeRequest> = (0..4)
-        .map(|i| {
-            let mut prompt = system.clone();
-            prompt.extend([40 + i, 50 + i]);
-            ServeRequest::new(prompt, 3)
-        })
-        .collect();
-
-    let sequential_engine = build(1);
-    let sequential = serve(
-        &sequential_engine,
-        requests.clone(),
-        SchedulerConfig::default(),
-    );
-    for workers in worker_counts() {
-        let engine = build(workers);
-        let parallel = serve_parallel(&engine, requests.clone(), SchedulerConfig::default());
-        assert_outcomes_identical(&sequential, &parallel, &format!("workers={workers}"));
-        assert_eq!(
-            engine.prefix_stats(),
-            sequential_engine.prefix_stats(),
-            "publication/hit accounting must match at workers={workers}"
-        );
-        assert_eq!(parallel.prefix.hit_requests, 3, "publisher runs cold once");
-    }
-}
-
 /// A pool wider than its batch (1 or 2 sessions on 4 workers: idle shards)
 /// and one narrower (5 sessions: shard 0 holds requests 0 and 4) both serve
 /// bit-identically to inline, under retention faults, for all five policies,
@@ -287,8 +248,18 @@ fn four_worker_pool_matches_inline_at_widths_1_2_5_under_faults() {
     );
 }
 
+/// The 8-token prefix a random mix's engines publish.
+fn mix_prefix(seed: u64) -> Vec<usize> {
+    (0..8)
+        .map(|t| (seed as usize * 3 + t * 11 + 1) % 512)
+        .collect()
+}
+
 /// Decodes each sampled integer into one request's shape: prompt length in
-/// 1..=12, decode length in 1..=4, policy index in 0..5.
+/// 1..=12, decode length in 1..=4, policy index in 0..5, and one of three
+/// prefix cases — no [`mix_prefix`], the prefix under that policy (a hit
+/// only for the engine's default, AERP), or the prefix under the engine's
+/// default policy (always a hit).
 fn requests_from_shapes(seed: u64, shapes: &[usize]) -> Vec<ServeRequest> {
     shapes
         .iter()
@@ -297,19 +268,37 @@ fn requests_from_shapes(seed: u64, shapes: &[usize]) -> Vec<ServeRequest> {
             let prompt_len = 1 + shape % 12;
             let decode_len = 1 + (shape / 12) % 4;
             let policy_idx = (shape / 48) % 5;
-            let prompt: Vec<usize> = (0..prompt_len)
-                .map(|t| (seed as usize + i * 31 + t * 7) % 512)
-                .collect();
-            ServeRequest::builder(prompt)
-                .decode_len(decode_len)
-                .policy(CachePolicy::all()[policy_idx])
-                .build()
+            let prefix_case = (shape / 240) % 3;
+            let mut prompt = if prefix_case == 0 {
+                Vec::new()
+            } else {
+                mix_prefix(seed)
+            };
+            prompt.extend((0..prompt_len).map(|t| (seed as usize + i * 31 + t * 7) % 512));
+            let builder = ServeRequest::builder(prompt).decode_len(decode_len);
+            if prefix_case == 2 {
+                builder.build()
+            } else {
+                builder.policy(CachePolicy::all()[policy_idx]).build()
+            }
         })
         .collect()
 }
 
+/// A sharing engine with [`mix_prefix`] published.
+fn mix_engine(seed: u64, workers: usize) -> KelleEngine {
+    let engine = KelleEngine::builder()
+        .prefix_sharing(PrefixSharingConfig::enabled())
+        .seed(seed)
+        .workers(workers)
+        .build();
+    assert!(engine.publish_prefix(&mix_prefix(seed)));
+    engine
+}
+
 /// Serves the mix `shapes` encodes inline and on each pool of `workers`
-/// threads under `config`; every pool must match inline bit for bit.
+/// threads under `config`; every pool must match inline bit for bit, and
+/// the shared pool must hold exactly what the hit requests attached.
 fn assert_mix_matches_inline(
     seed: u64,
     shapes: &[usize],
@@ -317,11 +306,25 @@ fn assert_mix_matches_inline(
     workers: &[usize],
 ) {
     let requests = requests_from_shapes(seed, shapes);
-    let engine = KelleEngine::builder().seed(seed).build();
+    let engine = mix_engine(seed, 1);
     let sequential = serve(&engine, requests.clone(), config);
+    let attached: u64 = requests
+        .iter()
+        .zip(&sequential.outcomes)
+        .filter(|(_, outcome)| outcome.prefix_hit_tokens > 0)
+        .map(|(request, outcome)| {
+            engine
+                .kv_footprint_bytes(outcome.prefix_hit_tokens)
+                .min(engine.kv_footprint_bytes(request.prompt().len()))
+        })
+        .sum();
+    assert_eq!(
+        sequential.prefix.shared_bytes + sequential.prefix.deduplicated_bytes,
+        attached,
+        "shared + deduplicated bytes must equal the bytes hit requests attached"
+    );
     for &workers in workers {
-        let engine = KelleEngine::builder().seed(seed).workers(workers).build();
-        let parallel = serve_parallel(&engine, requests.clone(), config);
+        let parallel = serve_parallel(&mix_engine(seed, workers), requests.clone(), config);
         assert_outcomes_identical(&sequential, &parallel, &format!("workers={workers}"));
     }
 }
@@ -330,7 +333,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random request mixes (policy, seed, prompt, decode length, capacity
-    /// share) serve bit-identically through the worker pool.
+    /// share, prefix hit or miss) serve bit-identically through the worker
+    /// pool and conserve the shared pool.
     #[test]
     fn random_mixes_are_worker_count_invariant(
         seed in 0u64..500,

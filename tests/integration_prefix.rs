@@ -10,13 +10,58 @@ use kelle::edram::RefreshPolicy;
 use kelle::model::CacheStats;
 use kelle::workloads::SharedPromptScenario;
 use kelle::{
-    CachePolicy, EngineConfig, KelleEngine, PrefixSharingConfig, ServeOptions, ServeRequest,
+    BatchOutcome, CachePolicy, EngineConfig, KelleEngine, PrefixBatchMetrics, PrefixSharingConfig,
+    ServeOptions, ServeRequest,
 };
 use proptest::prelude::*;
 
 /// A deterministic prompt of `len` tokens.
 fn prompt_tokens(len: usize, salt: usize) -> Vec<usize> {
     (0..len).map(|i| (i * 13 + salt * 29 + 3) % 512).collect()
+}
+
+/// A sharing engine whose default policy is `policy` — the key
+/// `publish_prefix` publishes under.
+fn sharing_engine_for(policy: CachePolicy) -> KelleEngine {
+    KelleEngine::builder()
+        .policy(policy)
+        .prefix_sharing(PrefixSharingConfig::enabled())
+        .build()
+}
+
+/// The shared pool's conservation law: every hit request attached its
+/// matched prefix to the ledger's shared pool exactly once — as the charge
+/// that opened a residency period or as a deduplicated join — at the bytes
+/// admission sized it with, `min(kv(hit tokens), kv(prompt))`.
+fn assert_shared_pool_conserved(
+    engine: &KelleEngine,
+    requests: &[ServeRequest],
+    batch: &BatchOutcome,
+) {
+    let attached: u64 = requests
+        .iter()
+        .zip(&batch.outcomes)
+        .filter(|(_, outcome)| outcome.prefix_hit_tokens > 0)
+        .map(|(request, outcome)| {
+            engine
+                .kv_footprint_bytes(outcome.prefix_hit_tokens)
+                .min(engine.kv_footprint_bytes(request.prompt().len()))
+        })
+        .sum();
+    assert_eq!(
+        batch.prefix.shared_bytes + batch.prefix.deduplicated_bytes,
+        attached,
+        "shared + deduplicated bytes must equal the bytes hit requests attached"
+    );
+}
+
+/// FNV-1a over little-endian words.
+fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in words.into_iter().flat_map(u32::to_le_bytes) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 /// Serves `prompt` on a fresh session of `engine` (honouring `policy`),
@@ -61,18 +106,9 @@ fn prefix_hit_is_bit_identical_for_all_policies() {
     prompt.extend(prompt_tokens(5, 7));
 
     let cold_engine = KelleEngine::new(EngineConfig::default());
-    let sharing = KelleEngine::builder()
-        .prefix_sharing(PrefixSharingConfig::enabled())
-        .build();
     for policy in CachePolicy::all() {
-        let request = ServeRequest::builder(prefix.clone())
-            .policy(policy)
-            .decode_len(1)
-            .build();
-        assert!(
-            sharing.publish_prefix_for(&prefix, &request),
-            "{policy:?} publish"
-        );
+        let sharing = sharing_engine_for(policy);
+        assert!(sharing.publish_prefix(&prefix), "{policy:?} publish");
         let cold = observe(&cold_engine, policy, &prompt, 8);
         let hit = observe(&sharing, policy, &prompt, 8);
         assert_eq!(hit.5, prefix.len(), "{policy:?} must hit the prefix");
@@ -250,18 +286,11 @@ fn cache_stats_split_sums_at_every_step() {
     let prefix = prompt_tokens(12, 1);
     let mut prompt = prefix.clone();
     prompt.extend([5, 6, 7]);
-    let engine = KelleEngine::builder()
-        .prefix_sharing(PrefixSharingConfig::enabled())
-        .build();
     for policy in CachePolicy::all() {
-        let request = ServeRequest::builder(prompt.clone())
-            .policy(policy)
-            .decode_len(6)
-            .build();
-        // Each policy publishes under its own key; failures (e.g. duplicate
-        // boundaries) are fine — the invariant must hold hit or cold.
-        let _ = engine.publish_prefix_for(&prefix, &request);
-        let outcome = engine.serve_request(request);
+        let engine = sharing_engine_for(policy);
+        assert!(engine.publish_prefix(&prefix), "{policy:?} publish");
+        let outcome = engine.serve_request(ServeRequest::new(prompt.clone(), 6));
+        assert_eq!(outcome.prefix_hit_tokens, prefix.len(), "{policy:?} hit");
         for step in &outcome.trace.steps {
             let stats = &step.cache_stats;
             assert_eq!(
@@ -278,7 +307,8 @@ proptest! {
 
     /// Randomized equivalence: any policy, prefix/suffix/decode lengths and
     /// seed — hit and cold sessions agree on tokens, probability bits and
-    /// fault counters.
+    /// fault counters, and a batch mixing hits and a miss conserves the
+    /// shared pool.
     #[test]
     fn prefix_hit_equivalence_holds_for_random_shapes(
         policy_index in 0usize..5,
@@ -294,14 +324,11 @@ proptest! {
 
         let cold_engine = KelleEngine::builder().seed(seed).build();
         let sharing = KelleEngine::builder()
+            .policy(policy)
             .seed(seed)
             .prefix_sharing(PrefixSharingConfig::enabled())
             .build();
-        let request = ServeRequest::builder(prefix.clone())
-            .policy(policy)
-            .decode_len(1)
-            .build();
-        prop_assert!(sharing.publish_prefix_for(&prefix, &request));
+        prop_assert!(sharing.publish_prefix(&prefix));
 
         let cold = observe(&cold_engine, policy, &prompt, decode_len);
         let hit = observe(&sharing, policy, &prompt, decode_len);
@@ -310,5 +337,104 @@ proptest! {
         prop_assert_eq!(hit.1, cold.1);
         prop_assert_eq!((hit.2, hit.3), (cold.2, cold.3));
         prop_assert_eq!(hit.4.evictions, cold.4.evictions);
+
+        let requests = vec![
+            ServeRequest::new(prompt.clone(), decode_len),
+            ServeRequest::new(prefix[..prefix_len / 2].to_vec(), decode_len),
+            ServeRequest::new(prompt, decode_len),
+        ];
+        let batch = sharing
+            .serve(requests.clone(), ServeOptions::new())
+            .expect("no chaos configured");
+        prop_assert_eq!(batch.prefix.hit_requests, 2);
+        assert_shared_pool_conserved(&sharing, &requests, &batch);
     }
+}
+
+/// One 3-level hierarchy published at seed 7 under 2DRP, then six requests
+/// served through `serve().parallel()` on two workers: two behind the
+/// shallowest and the deepest boundary, one behind the middle one and one
+/// behind nothing.  The
+/// batch's prefix metrics, the store's counters and an FNV-1a of the served
+/// tokens and of each request's next-token probability bits are pinned to
+/// constants captured before explicit publication became the only way into
+/// the store; the shared pool must also balance.
+#[test]
+fn prefix_hierarchy_batch_of_seed_7_is_pinned() {
+    const HIT_TOKENS: [usize; 6] = [8, 16, 24, 24, 8, 0];
+    // kv(8) + kv(16) + kv(24) charged once each; kv(8) + kv(24) joined.
+    const BATCH: PrefixBatchMetrics = PrefixBatchMetrics {
+        hit_requests: 5,
+        hit_tokens: 80,
+        shared_bytes: 332_188_875,
+        deduplicated_bytes: 221_459_250,
+    };
+    // published, published_tokens, hits, misses, hit_tokens, resident_bytes
+    const STORE: [u64; 6] = [3, 48, 5, 1, 80, 49_152];
+    const TOKENS_FNV1A: u64 = 0x8639_a802_8614_a30f;
+    const PROBS_FNV1A: u64 = 0x8ad9_971e_ce3f_cb5d;
+
+    let system = prompt_tokens(24, 5);
+    let behind = |level: usize, salt: usize, decode_len: usize| {
+        let mut prompt = system[..level].to_vec();
+        prompt.extend(prompt_tokens(3 + salt % 3, 40 + salt));
+        ServeRequest::new(prompt, decode_len)
+    };
+    let requests = vec![
+        behind(8, 0, 5),
+        behind(16, 1, 3),
+        behind(24, 2, 6),
+        behind(24, 3, 2),
+        behind(8, 4, 4),
+        ServeRequest::new(prompt_tokens(7, 60), 3),
+    ];
+    let engine = KelleEngine::builder()
+        .prefix_sharing(PrefixSharingConfig::enabled())
+        .seed(7)
+        .workers(2)
+        .build();
+    assert_eq!(engine.publish_prefix_hierarchy(&system, &[8, 16, 24]), 3);
+    let batch = engine
+        .serve(requests.clone(), ServeOptions::new().parallel())
+        .expect("no chaos configured");
+    let stats = engine.prefix_stats();
+    let store = [
+        stats.published,
+        stats.published_tokens,
+        stats.hits,
+        stats.misses,
+        stats.hit_tokens,
+        stats.resident_bytes,
+    ];
+    let hit_tokens: Vec<usize> = batch.outcomes.iter().map(|o| o.prefix_hit_tokens).collect();
+    let tokens = fnv1a(
+        batch
+            .outcomes
+            .iter()
+            .flat_map(|outcome| &outcome.generated)
+            .map(|&t| t as u32),
+    );
+    // The served outcome carries no distributions: replay each request on a
+    // session of the same engine (after the store counters were read) and
+    // hash its per-step probability bits.
+    let mut probs = Vec::new();
+    for (request, outcome) in requests.iter().zip(&batch.outcomes) {
+        let mut session = engine.open_session_for(request);
+        session.prefill(request.prompt());
+        for &token in &outcome.generated {
+            let step = session.decode_one();
+            assert_eq!(step.token, token, "session and batch streams agree");
+            probs.extend(step.probs.iter().map(|p| p.to_bits()));
+        }
+    }
+    let probs = fnv1a(probs);
+    assert_eq!(hit_tokens, HIT_TOKENS);
+    assert_eq!(batch.prefix, BATCH);
+    assert_eq!(store, STORE);
+    assert_eq!(
+        (tokens, probs),
+        (TOKENS_FNV1A, PROBS_FNV1A),
+        "tokens {tokens:#018x}, probabilities {probs:#018x}"
+    );
+    assert_shared_pool_conserved(&engine, &requests, &batch);
 }

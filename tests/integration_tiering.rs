@@ -283,73 +283,6 @@ fn referenced_shared_segment_demotes_and_replays_consistently() {
     assert_streams_identical(&baseline, &tiered, "segment demotion");
 }
 
-#[test]
-fn store_eviction_of_a_referenced_prefix_is_copy_safe_for_budgeted_policies() {
-    let prefix_a = shared_prefix();
-    let prefix_b: Vec<usize> = (0..24).map(|i| (i * 11 + 3) % 512).collect();
-
-    // Probe the store footprint of one published segment.
-    let probe = sharing_engine(19, 1);
-    let segment_store_bytes = probe.prefix_stats().resident_bytes;
-    assert!(segment_store_bytes > 0);
-
-    // A store that holds exactly one segment: publishing B must evict A.
-    let engine = KelleEngine::builder()
-        .prefix_sharing(PrefixSharingConfig::enabled().with_store_budget_bytes(segment_store_bytes))
-        .seed(19)
-        .build();
-    assert!(engine.publish_prefix(&prefix_a));
-
-    let mut prompt = prefix_a.clone();
-    prompt.extend([91, 92]);
-    let request = ServeRequest::builder(prompt.clone())
-        .decode_len(6)
-        .policy(CachePolicy::Aerp)
-        .build();
-
-    let mut scheduler = BatchScheduler::new(&engine);
-    scheduler.submit(request.clone());
-    scheduler.step();
-    // Mid-stream eviction: the active session replays segment A under a
-    // budgeted policy while the store drops it — the session's privatized
-    // copy (copy-on-evict arenas) keeps decoding unperturbed.
-    assert!(engine.publish_prefix(&prefix_b));
-    assert_eq!(engine.prefix_stats().evictions, 1, "A evicted for B");
-    while !scheduler.is_idle() {
-        scheduler.step();
-    }
-    let outcome = scheduler.finish().expect("batch is idle");
-    assert!(
-        outcome.outcomes[0].prefix_hit_tokens > 0,
-        "A was hit before its eviction"
-    );
-
-    // The decode that straddled the eviction matches an eviction-free run.
-    let baseline = serve(
-        &sharing_engine(19, 1),
-        vec![request],
-        SchedulerConfig::default(),
-    );
-    assert_streams_identical(&baseline, &outcome, "eviction mid-stream");
-
-    // A later request on the evicted prefix misses cleanly — and, sharing
-    // being stream-invariant, still generates the same tokens.
-    let follow = serve(
-        &engine,
-        vec![ServeRequest::new(prompt.clone(), 3)],
-        SchedulerConfig::default(),
-    );
-    assert_eq!(
-        follow.outcomes[0].prefix_hit_tokens, 0,
-        "A is gone from the store"
-    );
-    let solo = KelleEngine::builder()
-        .seed(19)
-        .build()
-        .serve_one(&prompt, 3);
-    assert_eq!(follow.outcomes[0].generated, solo.generated);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
