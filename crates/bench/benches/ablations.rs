@@ -55,11 +55,10 @@ fn bench_popularity_threshold(c: &mut Criterion) {
                     let keys: Vec<f32> = (0..8).flat_map(|h| vec![(t + h) as f32; 8]).collect();
                     let values = keys.clone();
                     cache.insert(0, t, &[t as f32; 64], &keys, &values, 8);
-                    let scores: Vec<(usize, f32)> = cache
-                        .entries(0, 0)
-                        .iter()
-                        .map(|e| (e.token, 1.0 / (e.token + 1) as f32))
-                        .collect();
+                    let mut scores: Vec<(usize, f32)> = Vec::new();
+                    cache.for_each_entry(0, 0, &mut |e| {
+                        scores.push((e.token, 1.0 / (e.token + 1) as f32))
+                    });
                     cache.observe_attention(0, 0, &scores);
                 }
                 black_box(cache.stats())

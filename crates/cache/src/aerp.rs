@@ -479,6 +479,20 @@ mod tests {
         );
     }
 
+    /// Token ids retained by `(0, head)`, in entry order.
+    fn retained(cache: &AerpCache, head: usize) -> Vec<usize> {
+        let mut tokens = Vec::new();
+        cache.for_each_entry(0, head, &mut |e| tokens.push(e.token));
+        tokens
+    }
+
+    /// Whether each entry of `(0, 0)` is stored for recomputation.
+    fn recompute_flags(cache: &AerpCache) -> Vec<bool> {
+        let mut flags = Vec::new();
+        cache.for_each_entry(0, 0, &mut |e| flags.push(e.payload.needs_recompute()));
+        flags
+    }
+
     #[test]
     fn respects_per_head_budget() {
         let mut cache = AerpCache::new(CacheBudget::new(4).with_recent_window(1), HEADS);
@@ -487,7 +501,7 @@ mod tests {
             insert_token(&mut cache, 0, t);
         }
         for head in 0..HEADS {
-            assert!(cache.entries(0, head).len() <= 4, "head {head}");
+            assert!(cache.entry_count(0, head) <= 4, "head {head}");
         }
         assert!(cache.stats().evictions > 0);
     }
@@ -512,7 +526,7 @@ mod tests {
         insert(&mut cache, 2);
         cache.observe_attention(0, 0, &[(0, 0.6), (1, 0.05), (2, 0.35)]);
         insert(&mut cache, 3);
-        let tokens: Vec<usize> = cache.entries(0, 0).iter().map(|e| e.token).collect();
+        let tokens = retained(&cache, 0);
         assert!(
             !tokens.contains(&1),
             "lowest-score token evicted: {tokens:?}"
@@ -546,8 +560,8 @@ mod tests {
         // Make token 1 clearly the victim in head 0, token 0 in head 1.
         cache.observe_attention(0, 1, &[(1, 0.3)]);
         insert(&mut cache, 3);
-        let head0: Vec<usize> = cache.entries(0, 0).iter().map(|e| e.token).collect();
-        let head1: Vec<usize> = cache.entries(0, 1).iter().map(|e| e.token).collect();
+        let head0 = retained(&cache, 0);
+        let head1 = retained(&cache, 1);
         assert_ne!(head0, head1, "per-head eviction should diverge");
         assert!(head0.contains(&0));
         assert!(head1.contains(&2));
@@ -560,8 +574,7 @@ mod tests {
             insert_token(&mut cache, 0, t);
         }
         // All tokens retained in all heads -> all popular -> recompute storage.
-        let entries = cache.entries(0, 0);
-        assert!(entries.iter().all(|e| e.payload.needs_recompute()));
+        assert_eq!(recompute_flags(&cache), [true; 4]);
         assert_eq!(cache.popular_tokens(0), 4);
         let stats = cache.stats();
         assert_eq!(stats.kv_entries, 0);
@@ -577,8 +590,7 @@ mod tests {
         for t in 0..4 {
             insert_token(&mut cache, 0, t);
         }
-        let entries = cache.entries(0, 0);
-        assert!(entries.iter().all(|e| !e.payload.needs_recompute()));
+        assert_eq!(recompute_flags(&cache), [false; 4]);
         assert_eq!(cache.name(), "aep");
         assert_eq!(cache.stats().recompute_entries, 0);
     }
@@ -651,10 +663,9 @@ mod tests {
                 &[t as f32; HEAD_DIM],
                 HEAD_DIM,
             );
-            let obs: Vec<(usize, f32)> = cache
-                .entries(0, 0)
-                .iter()
-                .map(|e| match e.token {
+            let obs: Vec<(usize, f32)> = retained(&cache, 0)
+                .into_iter()
+                .map(|t| match t {
                     4 => (4, 0.7),
                     1 => (1, 0.5),
                     t => (t, 0.01),
@@ -663,7 +674,7 @@ mod tests {
             cache.observe_attention(0, 0, &obs);
         }
         cache.finish_prefill(6);
-        let tokens: Vec<usize> = cache.entries(0, 0).iter().map(|e| e.token).collect();
+        let tokens = retained(&cache, 0);
         assert_eq!(tokens.len(), 2);
         assert!(tokens.contains(&1) && tokens.contains(&4), "{tokens:?}");
     }

@@ -210,20 +210,26 @@ mod tests {
         cache.insert(0, token, &[0.0; 8], &keys, &values, 4);
     }
 
+    /// Token ids retained by `(0, 0)`, in entry order.
+    fn retained(cache: &H2oCache) -> Vec<usize> {
+        let mut tokens = Vec::new();
+        cache.for_each_entry(0, 0, &mut |e| tokens.push(e.token));
+        tokens
+    }
+
     #[test]
     fn respects_budget() {
         let mut cache = H2oCache::new(CacheBudget::new(4).with_recent_window(1));
         cache.finish_prefill(0);
         for t in 0..12 {
             insert_token(&mut cache, t, 2);
-            let obs: Vec<(usize, f32)> = cache
-                .entries(0, 0)
-                .iter()
-                .map(|e| (e.token, 1.0 / (e.token + 1) as f32))
+            let obs: Vec<(usize, f32)> = retained(&cache)
+                .into_iter()
+                .map(|t| (t, 1.0 / (t + 1) as f32))
                 .collect();
             cache.observe_attention(0, 0, &obs);
         }
-        assert_eq!(cache.entries(0, 0).len(), 4);
+        assert_eq!(cache.entry_count(0, 0), 4);
         assert!(cache.stats().evictions > 0);
     }
 
@@ -234,20 +240,13 @@ mod tests {
         for t in 0..8 {
             insert_token(&mut cache, t, 1);
             // Token 2 always gets massive attention once present.
-            let obs: Vec<(usize, f32)> = cache
-                .entries(0, 0)
-                .iter()
-                .map(|e| {
-                    if e.token == 2 {
-                        (2, 0.9)
-                    } else {
-                        (e.token, 0.01)
-                    }
-                })
+            let obs: Vec<(usize, f32)> = retained(&cache)
+                .into_iter()
+                .map(|t| if t == 2 { (2, 0.9) } else { (t, 0.01) })
                 .collect();
             cache.observe_attention(0, 0, &obs);
         }
-        let tokens: Vec<usize> = cache.entries(0, 0).iter().map(|e| e.token).collect();
+        let tokens = retained(&cache);
         assert!(tokens.contains(&2), "heavy hitter retained: {tokens:?}");
         assert!(tokens.contains(&7), "most recent retained: {tokens:?}");
     }
@@ -259,7 +258,7 @@ mod tests {
             insert_token(&mut cache, t, 1);
         }
         cache.finish_prefill(16);
-        assert!(cache.entries(0, 0).len() <= 4);
+        assert!(cache.entry_count(0, 0) <= 4);
     }
 
     #[test]
@@ -270,7 +269,7 @@ mod tests {
         insert_token(&mut cache, 1, 1);
         cache.observe_attention(0, 0, &[(0, 0.9), (1, 0.01)]);
         insert_token(&mut cache, 2, 1);
-        let tokens: Vec<usize> = cache.entries(0, 0).iter().map(|e| e.token).collect();
+        let tokens = retained(&cache);
         assert!(tokens.contains(&0));
         assert!(!tokens.contains(&1));
     }

@@ -54,6 +54,6 @@ pub use quantized::QuaRotKvCache;
 pub use streaming::StreamingLlmCache;
 
 pub use kelle_model::{
-    ArenaGrid, CacheEntry, CacheStats, EntryPayload, EntryRef, FullKvCache, InputSlab, KvArena,
-    KvCacheBackend, PayloadRef, TokenId,
+    ArenaGrid, CacheStats, EntryRef, FullKvCache, InputSlab, KvArena, KvCacheBackend, PayloadRef,
+    TokenId,
 };

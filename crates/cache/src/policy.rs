@@ -130,14 +130,11 @@ mod tests {
             for t in 0..40 {
                 let k: Vec<f32> = vec![t as f32; 8];
                 backend.insert(0, t, &[t as f32; 8], &k, &k.clone(), 4);
-                let scores: Vec<(usize, f32)> = backend
-                    .entries(0, 0)
-                    .iter()
-                    .map(|e| (e.token, 0.1))
-                    .collect();
+                let mut scores: Vec<(usize, f32)> = Vec::new();
+                backend.for_each_entry(0, 0, &mut |e| scores.push((e.token, 0.1)));
                 backend.observe_attention(0, 0, &scores);
             }
-            let len = backend.entries(0, 0).len();
+            let len = backend.entry_count(0, 0);
             if policy.is_budgeted() {
                 assert!(len <= budget().max_tokens, "{policy:?} holds {len}");
             } else {

@@ -166,7 +166,16 @@ impl KvCacheBackend for QuaRotKvCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kelle_model::EntryPayload;
+
+    /// The key stored for the first entry of `(0, 0)`.
+    fn first_key(cache: &QuaRotKvCache) -> Vec<f32> {
+        let mut keys = Vec::new();
+        cache.for_each_entry(0, 0, &mut |e| match e.payload {
+            PayloadRef::Kv { key, .. } => keys.push(key.to_vec()),
+            PayloadRef::Recompute { .. } => panic!("expected KV payload"),
+        });
+        keys.swap_remove(0)
+    }
 
     fn insert_token(cache: &mut QuaRotKvCache, token: usize) {
         let key = vec![0.31 * (token as f32 + 1.0); 8];
@@ -180,7 +189,7 @@ mod tests {
         for t in 0..20 {
             insert_token(&mut cache, t);
         }
-        assert_eq!(cache.entries(0, 0).len(), 20);
+        assert_eq!(cache.entry_count(0, 0), 20);
         assert_eq!(cache.stats().evictions, 0);
     }
 
@@ -188,11 +197,7 @@ mod tests {
     fn dequantized_values_are_close_to_original() {
         let mut cache = QuaRotKvCache::int8();
         insert_token(&mut cache, 3);
-        let entries = cache.entries(0, 0);
-        let EntryPayload::Kv { key, .. } = &entries[0].payload else {
-            panic!("expected KV payload");
-        };
-        for k in key {
+        for k in first_key(&cache) {
             assert!((k - 0.31 * 4.0).abs() < 0.02);
         }
     }
@@ -208,10 +213,7 @@ mod tests {
         let fresh = QuantizedVector::quantize(&key, QuantFormat::Int4)
             .unwrap()
             .dequantize();
-        let entries = cache.entries(0, 0);
-        let EntryPayload::Kv { key: stored, .. } = &entries[0].payload else {
-            panic!("expected KV payload");
-        };
+        let stored = first_key(&cache);
         assert_eq!(
             stored.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             fresh.iter().map(|f| f.to_bits()).collect::<Vec<_>>()

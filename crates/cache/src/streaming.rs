@@ -178,8 +178,7 @@ mod tests {
             insert_token(&mut cache, t, 2);
         }
         for head in 0..2 {
-            let entries = cache.entries(0, head);
-            assert_eq!(entries.len(), 4);
+            assert_eq!(cache.entry_count(0, head), 4);
         }
         assert!(cache.stats().evictions > 0);
     }
@@ -190,7 +189,8 @@ mod tests {
         for t in 0..12 {
             insert_token(&mut cache, t, 1);
         }
-        let tokens: Vec<usize> = cache.entries(0, 0).iter().map(|e| e.token).collect();
+        let mut tokens = Vec::new();
+        cache.for_each_entry(0, 0, &mut |e| tokens.push(e.token));
         // The two sinks plus the two most recent tokens.
         assert!(tokens.contains(&0));
         assert!(tokens.contains(&1));
@@ -205,7 +205,7 @@ mod tests {
         for t in 0..8 {
             insert_token(&mut cache, t, 1);
         }
-        assert_eq!(cache.entries(0, 0).len(), 8);
+        assert_eq!(cache.entry_count(0, 0), 8);
         assert_eq!(cache.stats().evictions, 0);
     }
 
@@ -215,9 +215,10 @@ mod tests {
         for t in 0..4 {
             insert_token(&mut cache, t, 1);
         }
-        let entries = cache.entries(0, 0);
-        assert!(entries.iter().find(|e| e.token == 0).unwrap().high_score);
-        assert!(!entries.iter().find(|e| e.token == 3).unwrap().high_score);
+        let mut high_score = Vec::new();
+        cache.for_each_entry(0, 0, &mut |e| high_score.push((e.token, e.high_score)));
+        assert!(high_score.contains(&(0, true)));
+        assert!(high_score.contains(&(3, false)));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!
 //! Eq. 1/2 are order-invariant (§2.2), so *correctness* does not depend on
 //! the order-preserving eviction; bitwise reproducibility of token streams
-//! against the materializing reference adapter (and against the historical
-//! entry order) does, which is why the arenas do not use `swap_remove`.
+//! (the pinned golden fixtures, and the historical entry order) does, which
+//! is why the arenas do not use `swap_remove`.
 //!
 //! # Copy-on-evict sharing
 //!

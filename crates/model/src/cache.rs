@@ -29,15 +29,9 @@
 //!   order of attention — is the same as the historical per-token-`Vec`
 //!   storage produced.
 //!
-//! The materializing [`entries`](KvCacheBackend::entries) adapter (a provided
-//! trait method building owned [`CacheEntry`] values through
-//! `for_each_entry`) survives as the *reference surface*: tests prove the
-//! borrowed path computes **bit-for-bit identical** token streams and
-//! probability distributions to decoding through this adapter, and the
-//! benchmark suite uses it as the allocation-heavy pre-arena baseline.
-//! (Absolute numeric results differ from pre-rewrite *binaries* only through
-//! the independently documented [`dot`](kelle_tensor::dot) reference
-//! ordering, which both paths share.)
+//! There is one way to read a cache: the borrowed visitors.  What attention
+//! computes from those reads is pinned by golden fixtures outside the code
+//! (`tests/integration_decode_alloc.rs`, `tests/integration_golden.rs`).
 //!
 //! The trait is deliberately payload-centric: the attention code does not
 //! care *why* a token survived, only what is stored for it.  Eq. 1 and Eq. 2
@@ -49,50 +43,6 @@ use crate::hash::FastHashMap;
 
 /// Index of a token within the full (pre-eviction) sequence.
 pub type TokenId = usize;
-
-/// What is physically stored for a cached token in one attention head.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EntryPayload {
-    /// The key and value vectors are stored directly (each of length
-    /// `head_dim`).
-    Kv {
-        /// Stored key vector.
-        key: Vec<f32>,
-        /// Stored value vector.
-        value: Vec<f32>,
-    },
-    /// Only the layer-input vector `x` (length `channels`) is stored; the
-    /// key/value must be recomputed through `W_K`/`W_V` before use (§4.1.2).
-    Recompute {
-        /// Stored input vector for the token.
-        x: Vec<f32>,
-    },
-}
-
-impl EntryPayload {
-    /// Whether this payload requires recomputation.
-    pub fn needs_recompute(&self) -> bool {
-        matches!(self, EntryPayload::Recompute { .. })
-    }
-}
-
-/// A single cached token entry for one `(layer, head)` pair, with owned
-/// payload buffers.
-///
-/// This is the *materialized* form produced by the
-/// [`entries`](KvCacheBackend::entries) reference adapter; the decode hot
-/// path works on borrowed [`EntryRef`] views instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheEntry {
-    /// The original sequence index of the token.
-    pub token: TokenId,
-    /// Stored data.
-    pub payload: EntryPayload,
-    /// Whether the policy currently classifies this token as a high-score
-    /// (heavy-hitter) token.  Used by the fault injector to apply the
-    /// HST/LST-dependent corruption rates of 2DRP.
-    pub high_score: bool,
-}
 
 /// Borrowed view of a cached token's stored payload: slices pointing straight
 /// into the backing arena (or input slab), valid for the duration of one
@@ -118,24 +68,12 @@ impl PayloadRef<'_> {
     pub fn needs_recompute(&self) -> bool {
         matches!(self, PayloadRef::Recompute { .. })
     }
-
-    /// Deep-copies the payload into its owned form.
-    pub fn to_owned_payload(&self) -> EntryPayload {
-        match *self {
-            PayloadRef::Kv { key, value } => EntryPayload::Kv {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-            PayloadRef::Recompute { x } => EntryPayload::Recompute { x: x.to_vec() },
-        }
-    }
 }
 
 /// Borrowed view of a single cached token entry for one `(layer, head)`.
 ///
-/// The zero-copy counterpart of [`CacheEntry`]: produced by
-/// [`KvCacheBackend::for_each_entry`] and consumed by the fused attention
-/// pass without touching the allocator.
+/// Produced by [`KvCacheBackend::for_each_entry`] and consumed by the fused
+/// attention pass without touching the allocator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EntryRef<'a> {
     /// The original sequence index of the token.
@@ -143,19 +81,9 @@ pub struct EntryRef<'a> {
     /// Stored data, borrowed from the backend.
     pub payload: PayloadRef<'a>,
     /// Whether the policy currently classifies this token as a high-score
-    /// (heavy-hitter) token.
+    /// (heavy-hitter) token.  Used by the fault injector to apply the
+    /// HST/LST-dependent corruption rates of 2DRP.
     pub high_score: bool,
-}
-
-impl EntryRef<'_> {
-    /// Deep-copies the view into an owned [`CacheEntry`].
-    pub fn to_owned_entry(&self) -> CacheEntry {
-        CacheEntry {
-            token: self.token,
-            payload: self.payload.to_owned_payload(),
-            high_score: self.high_score,
-        }
-    }
 }
 
 /// Aggregate occupancy statistics reported by a cache backend.
@@ -241,8 +169,13 @@ impl CacheStats {
 ///
 /// Within one logical step, consecutive `for_each_entry` calls for the same
 /// `(layer, head)` with no intervening `&mut` access must visit the same
-/// entries in the same order (the fused attention pass traverses twice:
-/// scores, then value accumulation).
+/// entries in the same order, and
+/// [`for_each_payload`](KvCacheBackend::for_each_payload) must visit exactly
+/// the payloads `for_each_entry` hands out, in the same order, with
+/// [`entry_count`](KvCacheBackend::entry_count) equal to the number of
+/// visits.  The fused attention pass relies on this: it scores through
+/// `for_each_entry`, then accumulates values through `for_each_payload`, and
+/// treats a mismatch as unreachable.
 ///
 /// Backends are required to be [`Send`]: a serving session owns its backend
 /// and the threaded serving front-end (`kelle::parallel`) moves whole
@@ -286,8 +219,9 @@ pub trait KvCacheBackend: std::fmt::Debug + Send {
         visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
     );
 
-    /// Visits only the stored payloads of `(layer, head)`, in the same entry
-    /// order as [`for_each_entry`](KvCacheBackend::for_each_entry).
+    /// Visits only the stored payloads of `(layer, head)`: the same payloads,
+    /// bit for bit and in the same order, as
+    /// [`for_each_entry`](KvCacheBackend::for_each_entry) would visit.
     ///
     /// This is the second (value-accumulation) traversal of the fused
     /// attention pass, which needs no token ids or importance labels;
@@ -312,20 +246,6 @@ pub trait KvCacheBackend: std::fmt::Debug + Send {
         let mut n = 0;
         self.for_each_entry(layer, head, &mut |_| n += 1);
         n
-    }
-
-    /// Materializes the cached entries of `(layer, head)` as owned values.
-    ///
-    /// This is the *reference adapter* over
-    /// [`for_each_entry`](KvCacheBackend::for_each_entry): it deep-copies
-    /// every visited view, which makes it convenient for tests, assertions
-    /// and offline tooling — and exactly as allocation-heavy as the
-    /// pre-arena storage layer, which is why the decode benchmark uses it as
-    /// the baseline.  Hot paths must use `for_each_entry` directly.
-    fn entries(&self, layer: usize, head: usize) -> Vec<CacheEntry> {
-        let mut out = Vec::with_capacity(self.entry_count(layer, head));
-        self.for_each_entry(layer, head, &mut |e| out.push(e.to_owned_entry()));
-        out
     }
 
     /// Reports the post-softmax attention probabilities assigned to cached
@@ -537,10 +457,8 @@ mod tests {
         for t in 0..10 {
             insert2(&mut cache, t);
         }
-        assert_eq!(cache.entries(0, 0).len(), 10);
-        assert_eq!(cache.entries(0, 1).len(), 10);
-        assert_eq!(cache.entries(1, 0).len(), 0);
         assert_eq!(cache.entry_count(0, 0), 10);
+        assert_eq!(cache.entry_count(0, 1), 10);
         assert_eq!(cache.entry_count(1, 0), 0);
         assert_eq!(cache.stats().kv_entries, 20);
         assert_eq!(cache.stats().evictions, 0);
@@ -564,11 +482,10 @@ mod tests {
         }
         // Token 2 receives most of the attention mass.
         cache.observe_attention(0, 0, &[(0, 0.05), (1, 0.05), (2, 0.8), (3, 0.1)]);
-        let entries = cache.entries(0, 0);
-        let e2 = entries.iter().find(|e| e.token == 2).unwrap();
-        let e0 = entries.iter().find(|e| e.token == 0).unwrap();
-        assert!(e2.high_score);
-        assert!(!e0.high_score);
+        let mut high_score = Vec::new();
+        cache.for_each_entry(0, 0, &mut |e| high_score.push((e.token, e.high_score)));
+        assert!(high_score.contains(&(2, true)));
+        assert!(high_score.contains(&(0, false)));
     }
 
     #[test]
@@ -578,21 +495,28 @@ mod tests {
             insert2(&mut cache, t);
         }
         cache.observe_attention(0, 0, &[(0, 0.7), (3, 0.1)]);
-        let owned = cache.entries(0, 0);
-        let mut visited = Vec::new();
-        cache.for_each_entry(0, 0, &mut |e| visited.push(e.to_owned_entry()));
-        assert_eq!(owned, visited);
+        // Entries materialized through `for_each_entry`, against the
+        // payload-only visitor the value pass of attention reads.
+        let mut entries = Vec::new();
+        cache.for_each_entry(0, 0, &mut |e| {
+            let PayloadRef::Kv { key, value } = e.payload else {
+                unreachable!("the full cache stores KV")
+            };
+            entries.push((key.to_vec(), value.to_vec()));
+        });
+        let mut payloads = Vec::new();
+        cache.for_each_payload(0, 0, &mut |p| {
+            let PayloadRef::Kv { key, value } = p else {
+                unreachable!("the full cache stores KV")
+            };
+            payloads.push((key.to_vec(), value.to_vec()));
+        });
+        assert_eq!(entries.len(), 6);
+        assert_eq!(entries, payloads);
     }
 
     #[test]
     fn payload_kind_query() {
-        let kv = EntryPayload::Kv {
-            key: vec![1.0],
-            value: vec![2.0],
-        };
-        let rc = EntryPayload::Recompute { x: vec![1.0] };
-        assert!(!kv.needs_recompute());
-        assert!(rc.needs_recompute());
         let kv_ref = PayloadRef::Kv {
             key: &[1.0],
             value: &[2.0],
@@ -600,8 +524,6 @@ mod tests {
         let rc_ref = PayloadRef::Recompute { x: &[1.0] };
         assert!(!kv_ref.needs_recompute());
         assert!(rc_ref.needs_recompute());
-        assert_eq!(kv_ref.to_owned_payload(), kv);
-        assert_eq!(rc_ref.to_owned_payload(), rc);
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //! cache reads pass through the [`FaultInjector`], so accuracy experiments can
 //! swap policies and corruption models without touching the model code.
 //!
-//! The hot entry points ([`DecoderLayer::forward_with`],
-//! [`SurrogateModel::forward_token_with`]) mutate the residual stream in
-//! place and stage every intermediate in a caller-owned [`DecodeScratch`], so
-//! steady-state decoding allocates nothing.  The `*_via_entries` variants
-//! preserve the historical allocate-everything implementation as the bitwise
-//! reference (see [`crate::attention`]).
+//! Each level has one forward body ([`DecoderLayer::forward_with`],
+//! [`SurrogateModel::forward_token_with`]): it mutates the residual stream in
+//! place and stages every intermediate in a caller-owned [`DecodeScratch`],
+//! so steady-state decoding allocates nothing.
 
 use crate::attention::{DecodeScratch, MultiHeadAttention};
 use crate::cache::{KvCacheBackend, TokenId};
@@ -96,110 +94,6 @@ impl<'w> DecoderLayer<'w> {
 
         counters
     }
-
-    /// Runs the layer for one token, reading and updating the KV cache.
-    ///
-    /// Returns the residual-stream output and the per-head attention
-    /// probabilities (for importance tracking by callers that need them).
-    /// Allocating convenience wrapper over
-    /// [`forward_with`](DecoderLayer::forward_with).
-    pub fn forward(
-        &self,
-        layer_index: usize,
-        token: TokenId,
-        position: usize,
-        hidden: &[f32],
-        cache: &mut dyn KvCacheBackend,
-        faults: &mut dyn FaultInjector,
-    ) -> LayerStep {
-        let mut scratch = DecodeScratch::new();
-        let mut out = hidden.to_vec();
-        let (recomputed_entries, kv_entries_read) = self.forward_with(
-            layer_index,
-            token,
-            position,
-            &mut out,
-            cache,
-            faults,
-            &mut scratch,
-        );
-        LayerStep {
-            hidden: out,
-            attention: scratch.attention,
-            recomputed_entries,
-            kv_entries_read,
-        }
-    }
-
-    /// The historical allocate-everything layer forward, driving attention
-    /// through the materializing [`entries`](KvCacheBackend::entries)
-    /// adapter.  Reference implementation for equivalence tests and the
-    /// decode benchmark baseline.
-    pub fn forward_via_entries(
-        &self,
-        layer_index: usize,
-        token: TokenId,
-        position: usize,
-        hidden: &[f32],
-        cache: &mut dyn KvCacheBackend,
-        faults: &mut dyn FaultInjector,
-    ) -> LayerStep {
-        let normed = ops::rms_norm(hidden, &self.weights.attn_norm, 1e-5);
-        let attn = MultiHeadAttention::new(self.weights, self.heads);
-        let attn_out =
-            attn.forward_via_entries(layer_index, token, position, &normed, cache, faults);
-
-        let mut residual: Vec<f32> = hidden
-            .iter()
-            .zip(attn_out.output.iter())
-            .map(|(h, a)| h + a)
-            .collect();
-
-        let ffn_in = ops::rms_norm(&residual, &self.weights.ffn_norm, 1e-5);
-        let gate = self
-            .weights
-            .w_gate
-            .matvec(&ffn_in)
-            .expect("ffn input matches channel dimension");
-        let up = self
-            .weights
-            .w_up
-            .matvec(&ffn_in)
-            .expect("ffn input matches channel dimension");
-        let gated: Vec<f32> = gate
-            .iter()
-            .zip(up.iter())
-            .map(|(g, u)| ops::silu(*g) * u)
-            .collect();
-        let down = self
-            .weights
-            .w_down
-            .matvec(&gated)
-            .expect("gated activation matches ffn dimension");
-        for (r, d) in residual.iter_mut().zip(down.iter()) {
-            *r += d;
-        }
-
-        LayerStep {
-            hidden: residual,
-            attention: attn_out.attention,
-            recomputed_entries: attn_out.recomputed_entries,
-            kv_entries_read: attn_out.kv_entries_read,
-        }
-    }
-}
-
-/// Output of one decoder layer for one token.
-#[derive(Debug, Clone)]
-pub struct LayerStep {
-    /// Residual-stream output.
-    pub hidden: Vec<f32>,
-    /// Per-head post-softmax attention probabilities.
-    pub attention: Vec<Vec<(TokenId, f32)>>,
-    /// Cache entries recomputed from stored inputs during this step.
-    pub recomputed_entries: usize,
-    /// Cache entries read directly as KV vectors during this step.
-    pub kv_entries_read: usize,
 }
 
 /// Aggregate per-token forward-pass statistics across all layers.
@@ -294,55 +188,6 @@ impl SurrogateModel {
         stats
     }
 
-    /// Runs the full decoder stack for one token and returns the logits over
-    /// the surrogate vocabulary plus forward-pass statistics.
-    ///
-    /// Allocating convenience wrapper over
-    /// [`forward_token_with`](SurrogateModel::forward_token_with); resumable
-    /// callers hold a [`DecodeScratch`] (via
-    /// [`GenerationState`](crate::generation::GenerationState)) instead.
-    pub fn forward_token(
-        &self,
-        token: usize,
-        position: usize,
-        cache: &mut dyn KvCacheBackend,
-        faults: &mut dyn FaultInjector,
-    ) -> (Vec<f32>, ForwardStats) {
-        let mut scratch = DecodeScratch::new();
-        let stats = self.forward_token_with(token, position, cache, faults, &mut scratch);
-        (scratch.logits, stats)
-    }
-
-    /// The historical allocate-everything forward pass through the
-    /// materializing entries adapter; reference for equivalence tests and the
-    /// decode benchmark baseline.
-    pub fn forward_token_via_entries(
-        &self,
-        token: usize,
-        position: usize,
-        cache: &mut dyn KvCacheBackend,
-        faults: &mut dyn FaultInjector,
-    ) -> (Vec<f32>, ForwardStats) {
-        let dims = &self.config.surrogate;
-        let mut hidden = self.weights.embed(token % dims.vocab, position);
-        let mut stats = ForwardStats::default();
-        for (layer_index, layer_weights) in self.weights.layers.iter().enumerate() {
-            let layer = DecoderLayer::new(layer_weights, dims.heads);
-            let step =
-                layer.forward_via_entries(layer_index, position, position, &hidden, cache, faults);
-            hidden = step.hidden;
-            stats.recomputed_entries += step.recomputed_entries;
-            stats.kv_entries_read += step.kv_entries_read;
-        }
-        let final_hidden = ops::rms_norm(&hidden, &self.weights.final_norm, 1e-5);
-        let logits = self
-            .weights
-            .embedding
-            .matvec(&final_hidden)
-            .expect("hidden state matches channel dimension");
-        (logits, stats)
-    }
-
     /// Greedy next-token choice from logits.
     pub fn argmax(logits: &[f32]) -> usize {
         logits
@@ -386,49 +231,44 @@ mod tests {
         })
     }
 
+    /// The logits after feeding `tokens` at positions `0..` through a fresh
+    /// full cache.
+    fn last_logits(model: &SurrogateModel, tokens: &[usize]) -> Vec<f32> {
+        let mut cache = FullKvCache::new();
+        let mut faults = NoFaults;
+        let mut scratch = DecodeScratch::new();
+        for (pos, &tok) in tokens.iter().enumerate() {
+            model.forward_token_with(tok, pos, &mut cache, &mut faults, &mut scratch);
+        }
+        scratch.logits().to_vec()
+    }
+
     #[test]
     fn forward_produces_vocab_sized_logits() {
         let model = SurrogateModel::new(small_config(), 9);
         let mut cache = FullKvCache::new();
         let mut faults = NoFaults;
-        let (logits, stats) = model.forward_token(5, 0, &mut cache, &mut faults);
-        assert_eq!(logits.len(), 96);
+        let mut scratch = DecodeScratch::new();
+        let stats = model.forward_token_with(5, 0, &mut cache, &mut faults, &mut scratch);
+        assert_eq!(scratch.logits().len(), 96);
         assert_eq!(stats.kv_entries_read, 2 * 4); // layers * heads, one token each
-        assert!(logits.iter().all(|l| l.is_finite()));
+        assert!(scratch.logits().iter().all(|l| l.is_finite()));
     }
 
     #[test]
     fn forward_is_deterministic() {
         let model = SurrogateModel::new(small_config(), 9);
-        let run = || {
-            let mut cache = FullKvCache::new();
-            let mut faults = NoFaults;
-            let mut last = Vec::new();
-            for (pos, tok) in [3usize, 17, 42, 8].iter().enumerate() {
-                let (logits, _) = model.forward_token(*tok, pos, &mut cache, &mut faults);
-                last = logits;
-            }
-            last
-        };
-        assert_eq!(run(), run());
+        let tokens = [3, 17, 42, 8];
+        assert_eq!(last_logits(&model, &tokens), last_logits(&model, &tokens));
     }
 
     #[test]
     fn different_prefixes_give_different_logits() {
         let model = SurrogateModel::new(small_config(), 9);
-        let run = |prefix: &[usize]| {
-            let mut cache = FullKvCache::new();
-            let mut faults = NoFaults;
-            let mut last = Vec::new();
-            for (pos, tok) in prefix.iter().enumerate() {
-                let (logits, _) = model.forward_token(*tok, pos, &mut cache, &mut faults);
-                last = logits;
-            }
-            last
-        };
-        let a = run(&[1, 2, 3, 4]);
-        let b = run(&[9, 8, 7, 4]);
-        assert_ne!(a, b);
+        assert_ne!(
+            last_logits(&model, &[1, 2, 3, 4]),
+            last_logits(&model, &[9, 8, 7, 4])
+        );
     }
 
     #[test]
@@ -436,35 +276,12 @@ mod tests {
         let model = SurrogateModel::new(small_config(), 9);
         let mut cache = FullKvCache::new();
         let mut faults = NoFaults;
+        let mut scratch = DecodeScratch::new();
         for pos in 0..6 {
-            model.forward_token(pos, pos, &mut cache, &mut faults);
+            model.forward_token_with(pos, pos, &mut cache, &mut faults, &mut scratch);
         }
         // 2 layers * 4 heads * 6 tokens
         assert_eq!(cache.stats().kv_entries, 48);
-    }
-
-    #[test]
-    fn scratch_path_matches_via_entries_bitwise() {
-        let model = SurrogateModel::new(small_config(), 9);
-        let tokens = [3usize, 17, 42, 8, 61];
-        let run = |fused: bool| -> Vec<u32> {
-            let mut cache = FullKvCache::new();
-            let mut faults = NoFaults;
-            let mut scratch = DecodeScratch::new();
-            let mut last = Vec::new();
-            for (pos, tok) in tokens.iter().enumerate() {
-                if fused {
-                    model.forward_token_with(*tok, pos, &mut cache, &mut faults, &mut scratch);
-                    last = scratch.logits().to_vec();
-                } else {
-                    last = model
-                        .forward_token_via_entries(*tok, pos, &mut cache, &mut faults)
-                        .0;
-                }
-            }
-            last.iter().map(|f| f.to_bits()).collect()
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! cache alive across requests (multi-turn sessions, continuous batching in
 //! `kelle-core`) can append context and decode incrementally without
 //! re-processing earlier tokens.  [`run_with`] composes the two into the
-//! classic one-shot run.
+//! classic one-shot run.  Every token goes through the model's one forward
+//! body, [`SurrogateModel::forward_token_with`], on the scratch the
+//! [`GenerationState`] owns.
 //!
 //! Accuracy-style experiments (Tables 2–6, Fig. 8) compare a *test*
 //! configuration (some cache policy + fault model) against the *reference*
@@ -371,67 +373,6 @@ pub fn run_with(
         generated.push(step_out.token);
         step_probs.push(step_out.probs);
         trace.steps.push(step_out.record);
-    }
-
-    GenerationOutput {
-        generated,
-        step_probs,
-        trace,
-    }
-}
-
-/// [`run_with`], driven through the historical materialize-then-compute
-/// forward pass ([`SurrogateModel::forward_token_via_entries`]).
-///
-/// Every cached key/value is deep-cloned on every read and every intermediate
-/// is freshly allocated — the storage layer's behaviour before the arena
-/// rewrite.  The equivalence suite asserts its outputs (tokens *and*
-/// per-step probability bits) are identical to [`run_with`]; the decode
-/// benchmark reports the hot path's throughput win over it as the in-run
-/// pre-arena baseline.
-pub fn run_with_via_entries(
-    model: &SurrogateModel,
-    prompt: &[usize],
-    config: GenerationConfig,
-    forced_tokens: Option<&[usize]>,
-    cache: &mut dyn KvCacheBackend,
-    faults: &mut dyn FaultInjector,
-) -> GenerationOutput {
-    assert!(!prompt.is_empty(), "prompt must contain at least one token");
-    let vocab = model.dims().vocab;
-    let mut position = 0usize;
-    let mut last_logits = Vec::new();
-    for tok in prompt {
-        let (logits, _) = model.forward_token_via_entries(*tok % vocab, position, cache, faults);
-        last_logits = logits;
-        position += 1;
-    }
-    cache.finish_prefill(position);
-
-    let mut generated = Vec::with_capacity(config.decode_len);
-    let mut step_probs = Vec::with_capacity(config.decode_len);
-    let mut trace = DecodeTrace::default();
-
-    for step in 0..config.decode_len {
-        let forced_input = match forced_tokens {
-            Some(forced) if step > 0 => Some(forced[step - 1] % vocab),
-            _ => None,
-        };
-        let input_token = forced_input.unwrap_or_else(|| SurrogateModel::argmax(&last_logits));
-        let (logits, stats) = model.forward_token_via_entries(input_token, position, cache, faults);
-        let probs = SurrogateModel::probabilities(&logits);
-        let choice = SurrogateModel::argmax(&logits);
-        generated.push(choice);
-        step_probs.push(probs);
-        trace.steps.push(StepRecord {
-            position,
-            token: choice,
-            cache_stats: cache.stats(),
-            recomputed_entries: stats.recomputed_entries,
-            kv_entries_read: stats.kv_entries_read,
-        });
-        last_logits = logits;
-        position += 1;
     }
 
     GenerationOutput {

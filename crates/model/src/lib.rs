@@ -41,11 +41,8 @@ pub mod segment;
 pub mod weights;
 
 pub use arena::{ArenaGrid, InputSlab, KvArena, SharedKv};
-pub use attention::{AttentionOutput, DecodeScratch, MultiHeadAttention};
-pub use cache::{
-    CacheEntry, CacheStats, EntryPayload, EntryRef, FullKvCache, KvCacheBackend, PayloadRef,
-    TokenId,
-};
+pub use attention::{DecodeScratch, MultiHeadAttention};
+pub use cache::{CacheStats, EntryRef, FullKvCache, KvCacheBackend, PayloadRef, TokenId};
 pub use config::{ModelConfig, ModelKind, SurrogateDims};
 pub use decoder::{DecoderLayer, SurrogateModel};
 pub use fault::{

@@ -445,6 +445,22 @@ mod tests {
         ProbabilisticFaults::new(BitFlipRates::zero(), 7)
     }
 
+    /// Every entry of `(layer, head)`: token, high-score label, key, value.
+    fn visited(
+        cache: &FullKvCache,
+        layer: usize,
+        head: usize,
+    ) -> Vec<(TokenId, bool, Vec<f32>, Vec<f32>)> {
+        let mut out = Vec::new();
+        cache.for_each_entry(layer, head, &mut |e| {
+            let PayloadRef::Kv { key, value } = e.payload else {
+                unreachable!("the full cache stores KV")
+            };
+            out.push((e.token, e.high_score, key.to_vec(), value.to_vec()));
+        });
+        out
+    }
+
     /// Drives a tiny synthetic "pre-fill" through a recorder: 2 layers,
     /// 2 heads, head_dim 2 (channels 4).
     fn record(inner: &mut dyn KvCacheBackend, tokens: usize) -> SharedSegment {
@@ -479,8 +495,8 @@ mod tests {
         for layer in 0..2 {
             for head in 0..2 {
                 assert_eq!(
-                    original.entries(layer, head),
-                    replayed.entries(layer, head),
+                    visited(&original, layer, head),
+                    visited(&replayed, layer, head),
                     "layer {layer} head {head}"
                 );
             }
@@ -501,7 +517,7 @@ mod tests {
         assert_eq!(stats.private_bytes, 0);
         assert_eq!(stats.bytes_fp16, stats.shared_bytes + stats.private_bytes);
         // Entries are served straight out of the shared grid.
-        assert_eq!(hit.entries(0, 0), original.entries(0, 0));
+        assert_eq!(visited(&hit, 0, 0), visited(&original, 0, 0));
     }
 
     #[test]
@@ -574,8 +590,8 @@ mod tests {
             for layer in 0..2 {
                 for head in 0..2 {
                     assert_eq!(
-                        a.entries(layer, head),
-                        b.entries(layer, head),
+                        visited(&a, layer, head),
+                        visited(&b, layer, head),
                         "len {} layer {layer} head {head}",
                         segment.len()
                     );

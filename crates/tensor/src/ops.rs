@@ -9,7 +9,7 @@
 /// buffer.
 ///
 /// This is the single softmax implementation of the workspace; [`softmax`]
-/// and [`softmax_online`] are thin allocating wrappers over it.  The hot
+/// is a thin allocating wrapper over it.  The hot
 /// decode path calls it directly on a reusable scratch buffer so a decode
 /// step performs no softmax-related heap allocation.
 ///
@@ -61,18 +61,6 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
     let mut out = logits.to_vec();
     softmax_into(&mut out);
     out
-}
-
-/// Online (streaming, Softermax-style) softmax.
-///
-/// Historically a separate implementation that maintained a running maximum
-/// with rescaled sums; it is now a thin wrapper over the consolidated
-/// [`softmax_into`], whose fused exp-and-accumulate pass is the same
-/// hardware-friendly formulation with the maximum hoisted out.  Kept so
-/// existing callers and the SFU-equivalence tests retain their entry point;
-/// results are bitwise identical to [`softmax`].
-pub fn softmax_online(logits: &[f32]) -> Vec<f32> {
-    softmax(logits)
 }
 
 /// Gaussian Error Linear Unit (tanh approximation), the FFN activation used by
@@ -239,10 +227,8 @@ mod tests {
     }
 
     /// The genuinely streaming Softermax formulation (running maximum with
-    /// rescaled sums, no second max pass) that `softmax_online` used to be —
-    /// kept as an independent test reference so consolidating the public
-    /// entry points onto `softmax_into` did not silence the
-    /// hardware-equivalence check.
+    /// rescaled sums, no second max pass), an independent test reference for
+    /// the hardware-equivalence check of the consolidated kernel.
     fn softmax_streaming_reference(logits: &[f32]) -> Vec<f32> {
         if logits.is_empty() {
             return Vec::new();
@@ -267,26 +253,14 @@ mod tests {
 
     #[test]
     fn online_softmax_matches_streaming_formulation() {
-        // `softmax_online` is now a wrapper over the consolidated kernel;
-        // the SFU-equivalence property is that the kernel agrees with the
+        // The SFU-equivalence property: the kernel agrees with the
         // independent running-rescale streaming realization.
         let logits = vec![0.3, -1.2, 4.5, 2.2, -0.7, 3.3, 9.9, -5.0, 9.8];
-        let a = softmax_online(&logits);
+        let a = softmax(&logits);
         let b = softmax_streaming_reference(&logits);
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() < 1e-5);
         }
-        assert_eq!(
-            softmax_online(&logits)
-                .iter()
-                .map(|p| p.to_bits())
-                .collect::<Vec<_>>(),
-            softmax(&logits)
-                .iter()
-                .map(|p| p.to_bits())
-                .collect::<Vec<_>>(),
-            "wrapper must stay bitwise identical to softmax"
-        );
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Decode-hot-path acceptance tests for the arena storage rewrite:
+//! Decode acceptance tests for the one decode body (`forward_with` per
+//! layer, reading the cache through borrowed `EntryRef` views):
 //!
 //! 1. **Zero steady-state heap growth** — once the scratch buffers and policy
 //!    arenas have warmed up, a decode step must not grow the heap at all,
 //!    with `NoFaults` or with 2DRP retention faults (measured with a counting
 //!    global allocator, per thread so parallel tests cannot pollute the
 //!    ledger).
-//! 2. **Byte-identical token streams** — the borrowed `EntryRef` hot path
-//!    must generate exactly the tokens *and* probability bits of the
-//!    historical materialize-then-compute implementation
-//!    (`run_with_via_entries`, the pre-arena algorithm preserved verbatim),
-//!    for every cache policy, with and without active fault injection.
+//! 2. **Golden streams** — for every cache policy, with and without active
+//!    fault injection, `run_with` reproduces pinned constants: an FNV-1a of
+//!    the tokens and of every step's probability bits, the final
+//!    `CacheStats` and the `FaultStats`.  The constants live outside the
+//!    code, so a change that moves one has changed what the model computes
+//!    and must re-capture the table and say why.
 //! 3. **Arena-footprint stats** — `CacheStats::bytes_fp16` tracks live
 //!    entries (stride × count), not retired buffer capacity, across a real
 //!    decode with heavy eviction.
@@ -21,10 +23,8 @@ use kelle::cache::{CacheBudget, CachePolicy};
 use kelle::edram::{RefreshPolicy, RetentionModel};
 use kelle::fault_injector_for_policy;
 use kelle::model::fault::{BitFlipRates, FaultInjector, NoFaults, ProbabilisticFaults};
-use kelle::model::generation::{
-    decode_step, prefill, run_with, run_with_via_entries, GenerationConfig, GenerationState,
-};
-use kelle::model::{ModelConfig, ModelKind, SurrogateDims, SurrogateModel};
+use kelle::model::generation::{decode_step, prefill, run_with, GenerationConfig, GenerationState};
+use kelle::model::{CacheStats, FaultStats, ModelConfig, ModelKind, SurrogateDims, SurrogateModel};
 
 thread_local! {
     /// Net heap bytes held by the current thread (allocations minus frees).
@@ -146,110 +146,262 @@ fn decode_steps_have_zero_steady_state_heap_growth_under_2drp_faults() {
     assert!(faults.stats().bits_flipped > 0);
 }
 
-/// Acceptance criterion 2: for every policy the borrowed-view hot path and
-/// the pre-arena reference implementation produce byte-identical token
-/// streams and probability distributions.
-#[test]
-fn hot_path_streams_match_reference_for_all_policies() {
-    let model = small_model(21);
-    let heads = model.dims().heads;
-    let config = GenerationConfig::greedy(12);
-    let p = prompt(20, 2);
-    for policy in CachePolicy::all() {
-        let mut cache_fast = policy.build(budget(), heads);
-        let mut cache_ref = policy.build(budget(), heads);
-        let mut faults_fast = NoFaults;
-        let mut faults_ref = NoFaults;
-        let fast = run_with(
-            &model,
-            &p,
-            config,
-            None,
-            cache_fast.as_mut(),
-            &mut faults_fast,
-        );
-        let reference = run_with_via_entries(
-            &model,
-            &p,
-            config,
-            None,
-            cache_ref.as_mut(),
-            &mut faults_ref,
-        );
+/// FNV-1a over little-endian words.
+fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in words.into_iter().flat_map(u32::to_le_bytes) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// One row of the model-level golden matrix: what `run_with` produces for
+/// `policy` without faults (model seed 21, 20-token prompt, 12 decode
+/// tokens) or under uniform 1 % bit flips seeded 17 (model seed 33, 16-token
+/// prompt, 8 decode tokens), both at the 12-token budget above.
+struct GoldenRun {
+    policy: CachePolicy,
+    faulted: bool,
+    tokens_fnv1a: u64,
+    probs_fnv1a: u64,
+    cache: CacheStats,
+    faults: FaultStats,
+}
+
+/// Captured while a second, materialize-then-compute decode body still
+/// existed and agreed with the hot path on every row, bit for bit.
+const GOLDEN_RUNS: [GoldenRun; 10] = [
+    GoldenRun {
+        policy: CachePolicy::Full,
+        faulted: false,
+        tokens_fnv1a: 0xbfba_ea6e_70e7_03e3,
+        probs_fnv1a: 0x16a6_4fbd_1f83_9654,
+        cache: CacheStats {
+            kv_entries: 256,
+            recompute_entries: 0,
+            evictions: 0,
+            insertions: 64,
+            bytes_fp16: 8_192,
+            shared_bytes: 0,
+            private_bytes: 8_192,
+        },
+        faults: FaultStats {
+            words_examined: 0,
+            bits_flipped: 0,
+        },
+    },
+    GoldenRun {
+        policy: CachePolicy::StreamingLlm,
+        faulted: false,
+        tokens_fnv1a: 0x4a96_98e8_9b06_025b,
+        probs_fnv1a: 0x8672_cb77_a9b2_47c0,
+        cache: CacheStats {
+            kv_entries: 96,
+            recompute_entries: 0,
+            evictions: 160,
+            insertions: 64,
+            bytes_fp16: 3_072,
+            shared_bytes: 0,
+            private_bytes: 3_072,
+        },
+        faults: FaultStats {
+            words_examined: 0,
+            bits_flipped: 0,
+        },
+    },
+    GoldenRun {
+        policy: CachePolicy::H2o,
+        faulted: false,
+        tokens_fnv1a: 0xde61_74b6_e79c_cbb5,
+        probs_fnv1a: 0x18a4_1c4c_04ee_9017,
+        cache: CacheStats {
+            kv_entries: 96,
+            recompute_entries: 0,
+            evictions: 160,
+            insertions: 64,
+            bytes_fp16: 3_072,
+            shared_bytes: 0,
+            private_bytes: 3_072,
+        },
+        faults: FaultStats {
+            words_examined: 0,
+            bits_flipped: 0,
+        },
+    },
+    GoldenRun {
+        policy: CachePolicy::QuaRotInt4,
+        faulted: false,
+        tokens_fnv1a: 0x7550_5460_e8ec_67b3,
+        probs_fnv1a: 0xafe3_72d1_9c11_93e7,
+        cache: CacheStats {
+            kv_entries: 256,
+            recompute_entries: 0,
+            evictions: 0,
+            insertions: 64,
+            bytes_fp16: 2_048,
+            shared_bytes: 0,
+            private_bytes: 2_048,
+        },
+        faults: FaultStats {
+            words_examined: 0,
+            bits_flipped: 0,
+        },
+    },
+    GoldenRun {
+        policy: CachePolicy::Aerp,
+        faulted: false,
+        tokens_fnv1a: 0xde61_74b6_e79c_cbb5,
+        probs_fnv1a: 0x18a4_1c4c_04ee_9017,
+        cache: CacheStats {
+            kv_entries: 0,
+            recompute_entries: 38,
+            evictions: 160,
+            insertions: 64,
+            bytes_fp16: 2_432,
+            shared_bytes: 0,
+            private_bytes: 2_432,
+        },
+        faults: FaultStats {
+            words_examined: 0,
+            bits_flipped: 0,
+        },
+    },
+    GoldenRun {
+        policy: CachePolicy::Full,
+        faulted: true,
+        tokens_fnv1a: 0xce92_a1fd_76ca_0868,
+        probs_fnv1a: 0x2de0_1af2_6e28_e0dd,
+        cache: CacheStats {
+            kv_entries: 192,
+            recompute_entries: 0,
+            evictions: 0,
+            insertions: 48,
+            bytes_fp16: 6_144,
+            shared_bytes: 0,
+            private_bytes: 6_144,
+        },
+        faults: FaultStats {
+            words_examined: 38_400,
+            bits_flipped: 6_060,
+        },
+    },
+    GoldenRun {
+        policy: CachePolicy::StreamingLlm,
+        faulted: true,
+        tokens_fnv1a: 0x9575_ad08_049f_9dbe,
+        probs_fnv1a: 0x27d8_a933_20e2_4140,
+        cache: CacheStats {
+            kv_entries: 96,
+            recompute_entries: 0,
+            evictions: 96,
+            insertions: 48,
+            bytes_fp16: 3_072,
+            shared_bytes: 0,
+            private_bytes: 3_072,
+        },
+        faults: FaultStats {
+            words_examined: 28_416,
+            bits_flipped: 4_445,
+        },
+    },
+    GoldenRun {
+        policy: CachePolicy::H2o,
+        faulted: true,
+        tokens_fnv1a: 0x9224_a8cb_5978_4945,
+        probs_fnv1a: 0x7e18_3f7b_d476_2f64,
+        cache: CacheStats {
+            kv_entries: 96,
+            recompute_entries: 0,
+            evictions: 96,
+            insertions: 48,
+            bytes_fp16: 3_072,
+            shared_bytes: 0,
+            private_bytes: 3_072,
+        },
+        faults: FaultStats {
+            words_examined: 29_696,
+            bits_flipped: 4_656,
+        },
+    },
+    GoldenRun {
+        policy: CachePolicy::QuaRotInt4,
+        faulted: true,
+        tokens_fnv1a: 0x1831_8eb8_ec09_675e,
+        probs_fnv1a: 0x76a9_7258_6689_6237,
+        cache: CacheStats {
+            kv_entries: 192,
+            recompute_entries: 0,
+            evictions: 0,
+            insertions: 48,
+            bytes_fp16: 1_536,
+            shared_bytes: 0,
+            private_bytes: 1_536,
+        },
+        faults: FaultStats {
+            words_examined: 38_400,
+            bits_flipped: 6_059,
+        },
+    },
+    GoldenRun {
+        policy: CachePolicy::Aerp,
+        faulted: true,
+        tokens_fnv1a: 0x06fc_1798_9de7_8357,
+        probs_fnv1a: 0x5b97_16b0_2d56_6263,
+        cache: CacheStats {
+            kv_entries: 0,
+            recompute_entries: 36,
+            evictions: 96,
+            insertions: 48,
+            bytes_fp16: 2_304,
+            shared_bytes: 0,
+            private_bytes: 2_304,
+        },
+        faults: FaultStats {
+            words_examined: 59_392,
+            bits_flipped: 9_380,
+        },
+    },
+];
+
+/// Runs every `GOLDEN_RUNS` row with the given `faulted` flag and asserts
+/// that its token stream, probability bits, final cache stats and fault
+/// counters equal the pinned reference constants.
+fn assert_golden_rows(faulted: bool) {
+    for row in GOLDEN_RUNS.iter().filter(|row| row.faulted == faulted) {
+        let (model, config, p) = if row.faulted {
+            (small_model(33), GenerationConfig::greedy(8), prompt(16, 3))
+        } else {
+            (small_model(21), GenerationConfig::greedy(12), prompt(20, 2))
+        };
+        let mut noop = NoFaults;
+        let mut flips = ProbabilisticFaults::new(BitFlipRates::uniform(0.01), 17);
+        let faults: &mut dyn FaultInjector = if row.faulted { &mut flips } else { &mut noop };
+        let mut cache = row.policy.build(budget(), model.dims().heads);
+        let output = run_with(&model, &p, config, None, cache.as_mut(), faults);
+        let tokens = fnv1a(output.generated.iter().map(|&t| t as u32));
+        let probs = fnv1a(output.step_probs.iter().flatten().map(|p| p.to_bits()));
+        let observed = (tokens, probs, cache.stats(), faults.stats());
         assert_eq!(
-            fast.generated,
-            reference.generated,
-            "token stream diverged for policy {}",
-            policy.name()
-        );
-        for (step, (a, b)) in fast
-            .step_probs
-            .iter()
-            .zip(reference.step_probs.iter())
-            .enumerate()
-        {
-            let a_bits: Vec<u32> = a.iter().map(|f| f.to_bits()).collect();
-            let b_bits: Vec<u32> = b.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(
-                a_bits,
-                b_bits,
-                "probability bits diverged at step {step} for policy {}",
-                policy.name()
-            );
-        }
-        // The cache ends in the same state either way.
-        assert_eq!(
-            cache_fast.stats(),
-            cache_ref.stats(),
-            "cache stats diverged for policy {}",
-            policy.name()
+            observed,
+            (row.tokens_fnv1a, row.probs_fnv1a, row.cache, row.faults),
+            "policy {} faulted {}: tokens {tokens:#018x}, probabilities {probs:#018x}",
+            row.policy.name(),
+            row.faulted
         );
     }
 }
 
-/// The corrupted-read staging path consumes fault-injector randomness in the
-/// same order as the reference implementation, so streams stay byte-identical
-/// under active fault injection too.
+/// Acceptance criterion 2, without faults: the five `faulted = false` rows.
+#[test]
+fn hot_path_streams_match_reference_for_all_policies() {
+    assert_golden_rows(false);
+}
+
+/// Acceptance criterion 2, under uniform 1 % bit flips: the five
+/// `faulted = true` rows.
 #[test]
 fn hot_path_streams_match_reference_under_faults() {
-    let model = small_model(33);
-    let heads = model.dims().heads;
-    let config = GenerationConfig::greedy(8);
-    let p = prompt(16, 3);
-    for policy in CachePolicy::all() {
-        let mut cache_fast = policy.build(budget(), heads);
-        let mut cache_ref = policy.build(budget(), heads);
-        let mut faults_fast = ProbabilisticFaults::new(BitFlipRates::uniform(0.01), 17);
-        let mut faults_ref = ProbabilisticFaults::new(BitFlipRates::uniform(0.01), 17);
-        let fast = run_with(
-            &model,
-            &p,
-            config,
-            None,
-            cache_fast.as_mut(),
-            &mut faults_fast,
-        );
-        let reference = run_with_via_entries(
-            &model,
-            &p,
-            config,
-            None,
-            cache_ref.as_mut(),
-            &mut faults_ref,
-        );
-        assert_eq!(
-            fast.generated,
-            reference.generated,
-            "faulted token stream diverged for policy {}",
-            policy.name()
-        );
-        assert_eq!(
-            faults_fast.stats(),
-            faults_ref.stats(),
-            "fault RNG consumption diverged for policy {}",
-            policy.name()
-        );
-    }
+    assert_golden_rows(true);
 }
 
 /// Acceptance criterion 3 (stats regression): after a decode with heavy

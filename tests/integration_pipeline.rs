@@ -82,7 +82,7 @@ fn budgeted_policies_stay_within_budget_after_prefill() {
     for layer in 0..layers {
         for head in 0..heads {
             assert!(
-                cache.entries(layer, head).len() <= budget.max_tokens,
+                cache.entry_count(layer, head) <= budget.max_tokens,
                 "layer {layer} head {head} exceeds budget"
             );
         }

@@ -4,7 +4,7 @@
 use kelle::cache::{AerpCache, CacheBudget, KvCacheBackend};
 use kelle::edram::{CapacityLedger, RefreshPolicy, RetentionModel};
 use kelle::model::fault::NoFaults;
-use kelle::model::{FullKvCache, ModelConfig, ModelKind, SurrogateModel};
+use kelle::model::{FullKvCache, ModelConfig, ModelKind, PayloadRef, SurrogateModel};
 use kelle::tensor::{ops, QuantFormat, QuantizedVector};
 use kelle::{
     AdmissionPolicy, CachePolicy, KelleEngine, SchedulerConfig, ServeOptions, ServeRequest,
@@ -28,7 +28,7 @@ proptest! {
     /// must not change the attention output for a fixed query token.
     #[test]
     fn attention_is_permutation_invariant(seed in 0u64..1000) {
-        use kelle::model::attention::MultiHeadAttention;
+        use kelle::model::attention::{DecodeScratch, MultiHeadAttention};
         let model = surrogate();
         let heads = model.dims().heads;
         let weights = &model.weights().layers[0];
@@ -40,7 +40,8 @@ proptest! {
             .map(|position| {
                 let token = ((seed as usize) * 31 + position * 7) % vocab;
                 let x = model.weights().embed(token, position);
-                let (k, v) = attn.project_kv(&x, position);
+                let (mut k, mut v) = (Vec::new(), Vec::new());
+                attn.project_kv_into(&x, position, &mut k, &mut v);
                 (position, x, k, v)
             })
             .collect();
@@ -54,7 +55,9 @@ proptest! {
                 cache.insert(0, *position, x, k, v, head_dim);
             }
             let query_x = model.weights().embed(3 % vocab, 8);
-            attn.forward(0, 8, 8, &query_x, &mut cache, &mut faults).output
+            let mut scratch = DecodeScratch::new();
+            attn.forward_with(0, 8, 8, &query_x, &mut cache, &mut faults, &mut scratch);
+            scratch.output().to_vec()
         };
 
         let forward: Vec<usize> = (0..entries.len()).collect();
@@ -80,14 +83,11 @@ proptest! {
                 .collect();
             let values = keys.clone();
             cache.insert(0, t, &vec![t as f32; head_dim * heads], &keys, &values, head_dim);
-            let scores: Vec<(usize, f32)> = cache
-                .entries(0, 0)
-                .iter()
-                .map(|e| (e.token, 1.0 / (e.token + 1) as f32))
-                .collect();
+            let mut scores: Vec<(usize, f32)> = Vec::new();
+            cache.for_each_entry(0, 0, &mut |e| scores.push((e.token, 1.0 / (e.token + 1) as f32)));
             cache.observe_attention(0, 0, &scores);
             for head in 0..heads {
-                prop_assert!(cache.entries(0, head).len() <= budget);
+                prop_assert!(cache.entry_count(0, head) <= budget);
             }
         }
         prop_assert!(cache.stats().insertions as usize == tokens);
@@ -114,8 +114,7 @@ proptest! {
     /// Softmax output is always a probability distribution, and the
     /// consolidated kernel agrees with an independently written streaming
     /// (Softermax-style, running-max with rescaled sums) realization — the
-    /// hardware-friendly formulation `softmax_online` used to implement
-    /// before it became a wrapper over `softmax_into`.
+    /// hardware-friendly formulation of the SFU.
     #[test]
     fn softmax_invariants(logits in proptest::collection::vec(-30.0f32..30.0, 1..128)) {
         let probs = ops::softmax(&logits);
@@ -136,12 +135,6 @@ proptest! {
         for (x, p) in logits.iter().zip(probs.iter()) {
             let streaming = (x - running_max).exp() / running_sum;
             prop_assert!((streaming - p).abs() < 1e-4);
-        }
-
-        // The public wrapper stays bitwise identical to the kernel.
-        let online = ops::softmax_online(&logits);
-        for (a, b) in probs.iter().zip(online.iter()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -296,27 +289,58 @@ proptest! {
     }
 }
 
+/// A visited payload as the bits of what it stores: `[key, value]` for a KV
+/// entry, `[x]` for a recompute entry.
+fn payload_bits(payload: PayloadRef<'_>) -> Vec<Vec<u32>> {
+    let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|f| f.to_bits()).collect() };
+    match payload {
+        PayloadRef::Kv { key, value } => vec![bits(key), bits(value)],
+        PayloadRef::Recompute { x } => vec![bits(x)],
+    }
+}
+
+/// The visitor contract the fused attention pass relies on, on every
+/// `(layer, head)` of `cache`: `for_each_payload` visits bit for bit the
+/// payloads `for_each_entry` visits, in the same order, and `entry_count`
+/// equals the number of visits.
+fn assert_visitors_agree(cache: &dyn KvCacheBackend, layers: usize, heads: usize, label: &str) {
+    for layer in 0..layers {
+        for head in 0..heads {
+            let mut by_entry = Vec::new();
+            cache.for_each_entry(layer, head, &mut |e| by_entry.push(payload_bits(e.payload)));
+            let mut by_payload = Vec::new();
+            cache.for_each_payload(layer, head, &mut |p| by_payload.push(payload_bits(p)));
+            assert_eq!(by_entry, by_payload, "{label}: layer {layer} head {head}");
+            assert_eq!(
+                cache.entry_count(layer, head),
+                by_entry.len(),
+                "{label}: layer {layer} head {head} entry count"
+            );
+        }
+    }
+}
+
 proptest! {
-    // Each case decodes twice (hot path + reference adapter) across all five
-    // policies; keep the sample count modest.
+    // Each case decodes every policy twice (cold and behind a published
+    // prefix); keep the sample count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The borrowed `EntryRef` visitation API must produce attention outputs
-    /// — and therefore whole token streams and per-step probability bits —
-    /// identical to the materializing `Vec<CacheEntry>` reference adapter,
-    /// for every cache policy under random prompts, budgets and the eviction
-    /// schedules they induce.  This is the Eq. 1/2 order-invariance guarantee
-    /// carried over to the zero-copy storage layer.
+    /// The backend visitor contract holds after every decode step, for every
+    /// policy under random prompts, budgets and the eviction schedules they
+    /// induce: on a cold backend, and on one that attached a published
+    /// prefix segment zero-copy and then decoded past its budget, evicting
+    /// into the shared region (copy-on-evict).
     #[test]
-    fn borrowed_entry_views_match_reference_adapter(
+    fn payload_visitor_matches_entry_visitor_after_every_step(
         seed in 0u64..1000,
         budget in 4usize..20,
         window in 1usize..6,
         prompt_len in 4usize..20,
         decode_len in 1usize..8,
     ) {
-        use kelle::model::generation::{run_with, run_with_via_entries, GenerationConfig};
-        use kelle::model::{SurrogateDims, SurrogateModel as Surrogate};
+        use kelle::model::fault::{BitFlipRates, ProbabilisticFaults};
+        use kelle::model::generation::{decode_step, prefill, prefill_extend, GenerationState};
+        use kelle::model::{SegmentRecorder, SurrogateDims};
 
         let config = ModelConfig::for_kind(ModelKind::Llama2_7b).with_surrogate(SurrogateDims {
             layers: 2,
@@ -325,38 +349,57 @@ proptest! {
             ffn_dim: 64,
             vocab: 96,
         });
-        let model = Surrogate::new(config, seed);
-        let heads = model.dims().heads;
-        let vocab = model.dims().vocab;
+        let model = SurrogateModel::new(config, seed);
+        let (layers, heads, vocab) = (model.dims().layers, model.dims().heads, model.dims().vocab);
         let prompt: Vec<usize> = (0..prompt_len)
             .map(|p| (seed as usize * 131 + p * 17 + 5) % vocab)
             .collect();
-        let budget = kelle::cache::CacheBudget::new(budget)
+        let budget = CacheBudget::new(budget)
             .with_recent_window(window)
             .with_sink_tokens(1);
-        let gen_config = GenerationConfig::greedy(decode_len);
+        let (prefix, rest) = prompt.split_at(prompt_len - 1);
 
         for policy in CachePolicy::all() {
-            let mut cache_fast = policy.build(budget, heads);
-            let mut cache_ref = policy.build(budget, heads);
-            let mut faults_fast = NoFaults;
-            let mut faults_ref = NoFaults;
-            let fast = run_with(
-                &model, &prompt, gen_config, None, cache_fast.as_mut(), &mut faults_fast,
-            );
-            let reference = run_with_via_entries(
-                &model, &prompt, gen_config, None, cache_ref.as_mut(), &mut faults_ref,
-            );
-            prop_assert_eq!(
-                &fast.generated, &reference.generated,
-                "policy {} diverged", policy.name()
-            );
-            for (a, b) in fast.step_probs.iter().zip(reference.step_probs.iter()) {
-                let a_bits: Vec<u32> = a.iter().map(|f| f.to_bits()).collect();
-                let b_bits: Vec<u32> = b.iter().map(|f| f.to_bits()).collect();
-                prop_assert_eq!(a_bits, b_bits, "policy {} probability bits", policy.name());
+            let mut cold = policy.build(budget, heads);
+            let mut state = GenerationState::new();
+            prefill(&model, &mut state, &prompt, cold.as_mut(), &mut NoFaults);
+            for step in 0..decode_len {
+                decode_step(&model, &mut state, None, cold.as_mut(), &mut NoFaults);
+                let label = format!("{} cold step {step}", policy.name());
+                assert_visitors_agree(cold.as_ref(), layers, heads, &label);
             }
-            prop_assert_eq!(cache_fast.stats(), cache_ref.stats());
+
+            // Publish all but the last prompt token, attach the segment to a
+            // fresh backend, and decode until the budget forces evictions.
+            let mut publisher = policy.build(budget, heads);
+            let mut recorder = SegmentRecorder::new(publisher.as_mut());
+            let mut published = GenerationState::new();
+            prefill_extend(&model, &mut published, prefix, &mut recorder, &mut NoFaults);
+            let segment = recorder.finish(
+                published.last_logits(),
+                ProbabilisticFaults::new(BitFlipRates::zero(), seed),
+            );
+            let mut hit = policy.build(budget, heads);
+            segment.attach_and_replay(hit.as_mut());
+            let mut state = GenerationState::new();
+            state.adopt_prefix(segment.len(), segment.logits());
+            prefill(&model, &mut state, rest, hit.as_mut(), &mut NoFaults);
+            for step in 0..decode_len + budget.max_tokens {
+                decode_step(&model, &mut state, None, hit.as_mut(), &mut NoFaults);
+                let label = format!("{} hit step {step}", policy.name());
+                assert_visitors_agree(hit.as_ref(), layers, heads, &label);
+            }
+            match policy {
+                // The full cache never evicts: the prefix stays zero-copy.
+                CachePolicy::Full => prop_assert!(hit.stats().shared_bytes > 0),
+                // StreamingLLM evicts the oldest non-sink token, which lives
+                // in the shared region: its arenas privatized.
+                CachePolicy::StreamingLlm => {
+                    prop_assert!(hit.stats().evictions > 0);
+                    prop_assert_eq!(hit.stats().shared_bytes, 0);
+                }
+                _ => {}
+            }
         }
     }
 }
