@@ -397,50 +397,23 @@ impl KvCacheBackend for AerpCache {
         }
     }
 
-    fn attach_shared_prefix(&mut self, prefix: &kelle_model::SharedKv) {
-        // AERP's per-head arenas hold raw KV in retained order, so the
-        // replayed prefix starts out adopted.  With recomputation enabled
-        // the popularity rule converts prefix tokens to input-vector storage
-        // almost immediately (dropping their KV copies — which privatizes,
-        // copy-on-evict); the AEP ablation (recomputation off) keeps the
-        // prefix shared until eviction reaches it, like H2O.
-        assert_eq!(prefix.heads, self.heads, "shared base head count");
-        let head_dim = prefix.head_dim;
-        for layer in 0..prefix.layers {
-            let state = self.layer_mut(layer, head_dim);
-            for head in 0..prefix.heads {
-                if prefix.grid.get(layer, head).is_some() {
-                    state.kv[head].set_base(prefix, layer, head);
-                }
-            }
-        }
-    }
-
     fn stats(&self) -> CacheStats {
-        let mut kv_entries = 0usize;
-        let mut recompute_entries = 0usize;
-        let mut shared = 0usize;
-        let mut private = 0usize;
+        let mut stats = CacheStats {
+            evictions: self.evictions,
+            insertions: self.insertions,
+            ..CacheStats::default()
+        };
         for state in self.layers.values() {
             // Recompute payloads count once per layer: the input vector is
-            // shared by every retaining head.  The slab is per-session
-            // storage, so it always counts as private bytes.
-            recompute_entries += state.popular.len();
-            private += state.popular.len() * 2 * state.inputs.width();
+            // shared by every retaining head.
+            stats.recompute_entries += state.popular.len();
+            stats.bytes_fp16 += state.popular.len() * 2 * state.inputs.width();
             for kv in &state.kv {
-                kv_entries += kv.len();
-                shared += kv.shared_bytes_fp16();
-                private += kv.private_bytes_fp16();
+                stats.kv_entries += kv.len();
+                stats.bytes_fp16 += kv.bytes_fp16();
             }
         }
-        CacheStats::with_split(
-            kv_entries,
-            recompute_entries,
-            self.evictions,
-            self.insertions,
-            shared,
-            private,
-        )
+        stats
     }
 
     fn name(&self) -> &'static str {

@@ -172,23 +172,14 @@ impl KvCacheBackend for H2oCache {
         }
     }
 
-    fn attach_shared_prefix(&mut self, prefix: &kelle_model::SharedKv) {
-        // H2O stores raw KV and defers evictions until `finish_prefill`, so
-        // the replayed prefix is adopted zero-copy; the prefill-retention
-        // pass (or a later decode eviction) reaching into the shared region
-        // privatizes it (copy-on-evict).
-        self.store.attach_base(prefix);
-    }
-
     fn stats(&self) -> CacheStats {
-        CacheStats::with_split(
-            self.store.total_entries(),
-            0,
-            self.evictions,
-            self.insertions,
-            self.store.shared_bytes_fp16(),
-            self.store.private_bytes_fp16(),
-        )
+        CacheStats {
+            kv_entries: self.store.total_entries(),
+            recompute_entries: 0,
+            evictions: self.evictions,
+            insertions: self.insertions,
+            bytes_fp16: self.store.bytes_fp16(),
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -137,17 +137,18 @@ impl KvCacheBackend for QuaRotKvCache {
     fn stats(&self) -> CacheStats {
         let kv_entries = self.store.total_entries();
         // Quantized footprint of the live entries: two vectors of `head_dim`
-        // codes each, at the format's bit width.  Always private: the stored
-        // dequantized image differs from the raw projections a shared prefix
-        // publishes, so this backend keeps the default (no-op)
-        // `attach_shared_prefix` and replays prefix hits into private
-        // storage — the prefill *compute* is still skipped.
+        // codes each, at the format's bit width.
         let bytes: usize = self
             .store
             .iter()
             .map(|(_, arena)| arena.len() * 2 * self.format.bytes_for(arena.head_dim()))
             .sum();
-        CacheStats::with_split(kv_entries, 0, 0, self.insertions, 0, bytes)
+        CacheStats {
+            kv_entries,
+            insertions: self.insertions,
+            bytes_fp16: bytes,
+            ..CacheStats::default()
+        }
     }
 
     fn name(&self) -> &'static str {

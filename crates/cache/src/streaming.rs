@@ -47,9 +47,7 @@ impl StreamingLlmCache {
         let max = self.budget.max_tokens;
         if let Some(arena) = self.store.get_mut(layer, head) {
             while arena.len() > max {
-                // Evict the oldest non-sink entry.  (Under prefix sharing,
-                // an eviction inside the shared region privatizes the arena
-                // first — copy-on-evict — so the shared copy never mutates.)
+                // Evict the oldest non-sink entry.
                 let victim_index = arena.position_where(|t| t >= sink).unwrap_or(0);
                 arena.remove_at(victim_index);
                 self.evictions += 1;
@@ -130,24 +128,14 @@ impl KvCacheBackend for StreamingLlmCache {
         // StreamingLLM ignores attention scores by design.
     }
 
-    fn attach_shared_prefix(&mut self, prefix: &kelle_model::SharedKv) {
-        // Raw KV in insertion order: replayed prefix inserts adopt the
-        // shared entries.  When the budget covers the prefix, sharing
-        // survives until a later eviction reaches into it (copy-on-evict);
-        // with a budget below the prefix length the replay itself evicts and
-        // the arena privatizes immediately.
-        self.store.attach_base(prefix);
-    }
-
     fn stats(&self) -> CacheStats {
-        CacheStats::with_split(
-            self.store.total_entries(),
-            0,
-            self.evictions,
-            self.insertions,
-            self.store.shared_bytes_fp16(),
-            self.store.private_bytes_fp16(),
-        )
+        CacheStats {
+            kv_entries: self.store.total_entries(),
+            recompute_entries: 0,
+            evictions: self.evictions,
+            insertions: self.insertions,
+            bytes_fp16: self.store.bytes_fp16(),
+        }
     }
 
     fn name(&self) -> &'static str {

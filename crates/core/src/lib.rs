@@ -149,7 +149,7 @@ pub use scheduler::{
     SloSpec, StepEvent,
 };
 pub use session::{ServeRequest, ServeRequestBuilder, Session, TurnOutcome};
-pub use tier::{TierConfig, TierManager, TierUsageMetrics, TieringMetrics, WatermarkConfig};
+pub use tier::{TierConfig, TierManager, TierUsageMetrics, TieringMetrics};
 
 pub use kelle_arch as arch;
 pub use kelle_cache as cache;

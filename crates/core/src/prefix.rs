@@ -5,10 +5,11 @@
 //! *and stored* once per session — pure waste on a device whose whole design
 //! problem is that on-chip KV capacity is scarce.  This module is the fix: a
 //! token-level **radix-tree prefix index** mapping published token prefixes
-//! to refcounted [`SharedSegment`]s (recorded, replayable KV snapshots built
-//! on `kelle_model::arena` — see that module for the copy-on-evict arena
-//! mechanics), plus the [`PrefixStore`] the engine consults on every
-//! session's first pre-fill.
+//! to refcounted [`SharedSegment`]s (recorded, replayable pre-fills — see
+//! `kelle_model::segment`), plus the [`PrefixStore`] the engine consults on
+//! every session's first pre-fill.  A hit skips the prefix's compute; its
+//! storage is deduplicated in the capacity ledger's shared pool, which
+//! charges a segment once however many sessions replay it.
 //!
 //! # Lifecycle
 //!
@@ -27,8 +28,9 @@
 //!         ▼
 //!     one cold pre-fill of a fresh default session through a
 //!     SegmentRecorder, a boundary marked at the end of every level
-//!         │   · raw per-(layer, head) KV arenas      (the refcounted base)
-//!         │   · insert/observe call sequence          (the replay script)
+//!         │   · insert/observe call sequence, with each
+//!         │     insert's x/keys/values rows           (one log, shared by
+//!         │                                            every boundary)
 //!         │   · per-boundary logits + fault-RNG state (the cursor snapshot)
 //!         ▼
 //!     PrefixStore::publish → one radix entry per boundary under the
@@ -39,9 +41,8 @@
 //!         │  radix longest-match under the session's PrefixKey
 //!         ▼
 //!     SharedSegment::attach_and_replay
-//!         │   · backend adopts the shared arenas zero-copy (raw-KV
-//!         │     policies) or replays private copies (quantizing policies)
-//!         │   · replayed call sequence ⇒ bit-identical backend state
+//!         │   · the recorded calls, replayed into the session's own
+//!         │     arenas ⇒ bit-identical backend state
 //!         │   · logits + fault snapshot ⇒ bit-identical decode stream
 //!         ▼
 //!     prefill continues over the unmatched suffix only
@@ -49,11 +50,6 @@
 //!
 //!   miss ────────────────────────────────────────────────────────────────
 //!     plain cold pre-fill; nothing is recorded
-//!
-//!   evict (per session) ─────────────────────────────────────────────────
-//!     a policy eviction reaching into the shared region privatizes that
-//!     arena first (copy-on-evict); the published copy is immutable and
-//!     other sessions keep reading it
 //! ```
 //!
 //! # Equivalence guarantee

@@ -266,9 +266,6 @@ pub struct Session<'e> {
     key: PrefixKey,
     /// Tokens adopted from a shared prefix segment on the first pre-fill.
     prefix_hit_tokens: usize,
-    /// Keeps the matched segment (and its refcount) alive while this
-    /// session may still read its arenas zero-copy.
-    prefix_segment: Option<Arc<SharedSegment>>,
     /// Prefix-hit tokens not yet attributed to a finished turn.
     pending_prefix_hit: usize,
 }
@@ -307,7 +304,6 @@ impl<'e> Session<'e> {
             recorded_evictions: 0,
             key,
             prefix_hit_tokens: 0,
-            prefix_segment: None,
             pending_prefix_hit: 0,
         }
     }
@@ -316,12 +312,12 @@ impl<'e> Session<'e> {
     ///
     /// Everything the next decode step reads is duplicated: the KV-cache
     /// backend (via [`KvCacheBackend::clone_box`]), the fault-RNG stream,
-    /// the generation cursor and the context.  A shared prefix segment is
-    /// *not* duplicated — the `Arc` is cloned, which is exactly right: the
-    /// segment is immutable and its ledger/tier accounting is keyed on the
-    /// original attach, so a fork is accounting-neutral.  Replaying a step
-    /// on the fork therefore produces bit-identical tokens, probability
-    /// bits and fault statistics to the step the original would have run.
+    /// the generation cursor and the context.  A prefix hit leaves nothing
+    /// behind but the replayed cache state, and its ledger/tier accounting
+    /// is keyed on the original attach, so a fork is accounting-neutral.
+    /// Replaying a step on the fork therefore produces bit-identical tokens,
+    /// probability bits and fault statistics to the step the original would
+    /// have run.
     pub(crate) fn fork(&self) -> Session<'e> {
         Session {
             engine: self.engine,
@@ -333,7 +329,6 @@ impl<'e> Session<'e> {
             recorded_evictions: self.recorded_evictions,
             key: self.key,
             prefix_hit_tokens: self.prefix_hit_tokens,
-            prefix_segment: self.prefix_segment.clone(),
             pending_prefix_hit: self.pending_prefix_hit,
         }
     }
@@ -489,7 +484,6 @@ impl<'e> Session<'e> {
         self.cache.finish_prefill(self.state.position());
         self.prefix_hit_tokens = matched;
         self.pending_prefix_hit = matched;
-        self.prefix_segment = Some(hit.segment);
         computed
     }
 

@@ -26,9 +26,9 @@
 //!
 //! Every resident item (a session's private KV lease, or a shared prefix
 //! segment) earns a **credit**: predicted near-term utility per byte, where
-//! utility decays exponentially with ticks since last touch
-//! ([`WatermarkConfig::half_life_ticks`]).  Sessions are touched every
-//! decode tick; segments are touched whenever a session attaches to them.
+//! utility halves every 8 ticks since last touch.  Sessions are touched
+//! every decode tick; segments are touched whenever a session attaches to
+//! them.
 //! At the end of each scheduler tick the manager rebalances every bounded
 //! tier, fastest first:
 //!
@@ -37,8 +37,7 @@
 //! 2. demote any further item whose credit sits below the tier's dynamic
 //!    **watermark**;
 //! 3. raise the watermark above the best credit evicted under pressure
-//!    ([`WatermarkConfig::rise`]), or let it decay toward zero when the tier
-//!    had room ([`WatermarkConfig::decay`]).
+//!    (by 10 %), or let it halve toward zero when the tier had room.
 //!
 //! The watermark is how the tier *learns* its admission bar: after a burst
 //! of pressure, marginal items are demoted pre-emptively instead of
@@ -93,29 +92,16 @@ use std::collections::BTreeMap;
 /// promote-before-tick retries from scratch).
 const MAX_MIGRATION_ATTEMPTS: u32 = 3;
 
-/// Parameters of the watermark-credit eviction scheme.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatermarkConfig {
-    /// Relative margin the watermark rises above the best credit demoted
-    /// under budget pressure (`0.1` = 10 % above it).
-    pub rise: f64,
-    /// Multiplicative decay applied to a tier's watermark every tick the
-    /// tier rebalances without pressure (`0.5` halves it).
-    pub decay: f64,
-    /// Ticks for an untouched item's utility to halve.  Smaller values make
-    /// idle items cold (and demoted) faster.
-    pub half_life_ticks: f64,
-}
+/// Relative margin a tier's watermark rises above the best credit demoted
+/// under budget pressure (10 % above it).
+const WATERMARK_RISE: f64 = 0.1;
 
-impl Default for WatermarkConfig {
-    fn default() -> Self {
-        WatermarkConfig {
-            rise: 0.1,
-            decay: 0.5,
-            half_life_ticks: 8.0,
-        }
-    }
-}
+/// Multiplicative decay applied to a tier's watermark every tick the tier
+/// rebalances without pressure (halves it).
+const WATERMARK_DECAY: f64 = 0.5;
+
+/// Ticks for an untouched item's utility to halve.
+const HALF_LIFE_TICKS: f64 = 8.0;
 
 /// Configuration of the tiered KV memory hierarchy.
 ///
@@ -125,14 +111,11 @@ impl Default for WatermarkConfig {
 pub struct TierConfig {
     /// Per-tier byte budgets (full-scale KV bytes, the ledger's unit).
     pub budgets: TierBudgets,
-    /// Watermark-credit eviction parameters.
-    pub watermark: WatermarkConfig,
 }
 
 impl TierConfig {
     /// A hierarchy bounded by `edram_bytes` on chip, with the default 16 GiB
-    /// DRAM tier, an unbounded NVMe bottom tier and default watermark
-    /// parameters.
+    /// DRAM tier and an unbounded NVMe bottom tier.
     ///
     /// # Panics
     ///
@@ -140,19 +123,12 @@ impl TierConfig {
     pub fn with_edram_budget(edram_bytes: u64) -> Self {
         TierConfig {
             budgets: TierBudgets::with_edram(edram_bytes),
-            watermark: WatermarkConfig::default(),
         }
     }
 
     /// Overrides all tier budgets (builder style).
     pub fn with_budgets(mut self, budgets: TierBudgets) -> Self {
         self.budgets = budgets;
-        self
-    }
-
-    /// Overrides the watermark parameters (builder style).
-    pub fn with_watermark(mut self, watermark: WatermarkConfig) -> Self {
-        self.watermark = watermark;
         self
     }
 }
@@ -435,7 +411,7 @@ impl TierManager {
     /// Predicted near-term utility per byte: recency-decayed value density.
     fn credit(&self, item: &TierItem, tick: u64) -> f64 {
         let age = tick.saturating_sub(item.last_touch) as f64;
-        let utility = 0.5_f64.powf(age / self.config.watermark.half_life_ticks.max(1e-9));
+        let utility = 0.5_f64.powf(age / HALF_LIFE_TICKS);
         utility / item.bytes.max(1) as f64
     }
 
@@ -485,8 +461,8 @@ impl TierManager {
                 self.charge_migration(tier, target, bytes);
             }
             self.watermarks[wi] = match pressure_credit {
-                Some(credit) => credit * (1.0 + self.config.watermark.rise),
-                None => self.watermarks[wi] * self.config.watermark.decay,
+                Some(credit) => credit * (1.0 + WATERMARK_RISE),
+                None => self.watermarks[wi] * WATERMARK_DECAY,
             };
         }
         for tier in MemoryTier::all() {

@@ -106,45 +106,13 @@ pub struct CacheStats {
     /// capacity — slots kept warm for reuse after evictions — is explicitly
     /// *not* counted; the figure feeds the eDRAM capacity/refresh model,
     /// which cares about bits that must be retained, not allocator bookkeeping.
-    ///
-    /// Always equals `shared_bytes + private_bytes` — the unit-of-account
-    /// invariant the prefix-sharing ledger relies on (regression-tested).
     pub bytes_fp16: usize,
-    /// The portion of [`bytes_fp16`](CacheStats::bytes_fp16) currently served
-    /// from a refcounted shared prefix segment (zero-copy; the physical bytes
-    /// are charged once globally, not per session).
-    pub shared_bytes: usize,
-    /// The portion of [`bytes_fp16`](CacheStats::bytes_fp16) stored privately
-    /// by this cache instance.
-    pub private_bytes: usize,
 }
 
 impl CacheStats {
     /// Sum of stored entries of both kinds.
     pub fn total_entries(&self) -> usize {
         self.kv_entries + self.recompute_entries
-    }
-
-    /// Assembles stats from the shared/private byte split, keeping the
-    /// `bytes_fp16 == shared_bytes + private_bytes` invariant by
-    /// construction.  The single constructor every backend reports through.
-    pub fn with_split(
-        kv_entries: usize,
-        recompute_entries: usize,
-        evictions: u64,
-        insertions: u64,
-        shared_bytes: usize,
-        private_bytes: usize,
-    ) -> CacheStats {
-        CacheStats {
-            kv_entries,
-            recompute_entries,
-            evictions,
-            insertions,
-            bytes_fp16: shared_bytes + private_bytes,
-            shared_bytes,
-            private_bytes,
-        }
     }
 }
 
@@ -252,26 +220,6 @@ pub trait KvCacheBackend: std::fmt::Debug + Send {
     /// tokens during the current step.
     fn observe_attention(&mut self, layer: usize, head: usize, scores: &[(TokenId, f32)]);
 
-    /// Offers a refcounted shared prefix base to the backend **before** the
-    /// prefix-sharing machinery replays the prefix's insert/observe sequence
-    /// into it.
-    ///
-    /// Backends whose arenas store the raw KV projections in insertion order
-    /// override this to open their arenas over the base
-    /// ([`ArenaGrid::attach_base`](crate::arena::ArenaGrid::attach_base)):
-    /// the replayed inserts then *adopt* the shared entries zero-copy, and an
-    /// eviction touching the prefix privatizes first (copy-on-evict).  The
-    /// default ignores the offer — the replay simply stores private copies,
-    /// which is always correct (the backend's state is a deterministic
-    /// function of the insert/observe call sequence either way).  Backends
-    /// that transform payloads on insert (e.g. quantization) should keep the
-    /// default: their pushes can never match the raw shared data.
-    ///
-    /// Must only be called on a fresh (empty) cache.
-    fn attach_shared_prefix(&mut self, prefix: &crate::arena::SharedKv) {
-        let _ = prefix;
-    }
-
     /// Signals the end of the pre-filling stage; `context_len` is the number
     /// of context tokens that were inserted.
     fn finish_prefill(&mut self, context_len: usize) {
@@ -291,8 +239,7 @@ pub trait KvCacheBackend: std::fmt::Debug + Send {
     /// The clone must be *bit-faithful*: replaying the same insert/observe
     /// sequence against original and clone must produce identical entries,
     /// statistics and eviction decisions.  All stock policies derive `Clone`
-    /// (arenas, hash maps and counters copy trivially; shared prefix bases
-    /// are refcounted `Arc`s whose clone is ledger-neutral).  The default
+    /// (arenas, hash maps and counters copy trivially).  The default
     /// panics, so ephemeral adapters that can never be checkpointed — e.g.
     /// the borrowing `SegmentRecorder` — need not (and cannot) implement it.
     fn clone_box(&self) -> Box<dyn KvCacheBackend> {
@@ -409,23 +356,14 @@ impl KvCacheBackend for FullKvCache {
         }
     }
 
-    fn attach_shared_prefix(&mut self, prefix: &crate::arena::SharedKv) {
-        // The full cache stores raw KV in insertion order and never evicts:
-        // adopted prefix entries stay zero-copy for the session's lifetime.
-        self.store.attach_base(prefix);
-    }
-
     fn stats(&self) -> CacheStats {
-        CacheStats::with_split(
-            self.store.total_entries(),
-            0,
-            0,
-            self.insertions,
-            self.store.shared_bytes_fp16(),
-            self.store.private_bytes_fp16(),
-        )
+        CacheStats {
+            kv_entries: self.store.total_entries(),
+            insertions: self.insertions,
+            bytes_fp16: self.store.bytes_fp16(),
+            ..CacheStats::default()
+        }
     }
-
     fn name(&self) -> &'static str {
         "full"
     }

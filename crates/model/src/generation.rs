@@ -29,18 +29,12 @@ use crate::metrics::{FidelityAccumulator, FidelityMetrics};
 pub struct GenerationConfig {
     /// Number of decode steps to run after the prompt.
     pub decode_len: usize,
-    /// Whether decoding is greedy (always true for the reproduction; kept as a
-    /// field so sampling strategies can be added without API breakage).
-    pub greedy: bool,
 }
 
 impl GenerationConfig {
     /// A configuration decoding `decode_len` tokens greedily.
     pub fn greedy(decode_len: usize) -> Self {
-        GenerationConfig {
-            decode_len,
-            greedy: true,
-        }
+        GenerationConfig { decode_len }
     }
 }
 

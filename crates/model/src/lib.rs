@@ -40,7 +40,7 @@ pub mod metrics;
 pub mod segment;
 pub mod weights;
 
-pub use arena::{ArenaGrid, InputSlab, KvArena, SharedKv};
+pub use arena::{ArenaGrid, InputSlab, KvArena};
 pub use attention::{DecodeScratch, MultiHeadAttention};
 pub use cache::{CacheStats, EntryRef, FullKvCache, KvCacheBackend, PayloadRef, TokenId};
 pub use config::{ModelConfig, ModelKind, SurrogateDims};
@@ -72,13 +72,13 @@ pub type Result<T> = std::result::Result<T, kelle_tensor::TensorError>;
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
-    // Arena storage: owned flat buffers; shared prefix bases are reached
-    // through `Arc<ArenaGrid>`, which needs `ArenaGrid: Send + Sync`.
-    assert_send_sync::<arena::KvArena>();
-    assert_send_sync::<arena::ArenaGrid>();
-    assert_send_sync::<arena::SharedKv>();
-    assert_send_sync::<arena::InputSlab>();
-    // Published prefix segments are read concurrently by hit sessions.
+    // Arena storage: owned flat buffers that move with the backend owning
+    // them; no session aliases another's arenas.
+    assert_send::<arena::KvArena>();
+    assert_send::<arena::ArenaGrid>();
+    assert_send::<arena::InputSlab>();
+    // Published prefix segments (immutable recorded logs) are read
+    // concurrently by hit sessions.
     assert_send_sync::<segment::SharedSegment>();
     // The model itself is shared by reference across all workers.
     assert_send_sync::<decoder::SurrogateModel>();

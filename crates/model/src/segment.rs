@@ -1,197 +1,156 @@
-//! Shared prefix segments: recorded, replayable KV snapshots of one prompt
+//! Shared prefix segments: recorded, replayable pre-fills of one prompt
 //! prefix, the storage unit of cross-session prefix sharing.
 //!
 //! A backend's state after pre-filling a prefix is a deterministic function
 //! of the *call sequence* it observed: the `insert`s (with the model's KV
 //! projections) interleaved with the `observe_attention` score reports of
 //! each step.  [`SegmentRecorder`] wraps a live backend during a one-time
-//! publication pre-fill and records exactly that sequence — the raw per-head
-//! keys/values into per-`(layer, head)` arenas, the layer-input vectors, and
-//! every score report — together with the post-prefix logits and the fault
-//! injector's RNG snapshot.  The frozen result is a [`SharedSegment`].
+//! publication pre-fill and records exactly that sequence — each insert's
+//! flat head-major `x`/keys/values rows as they were passed, and every score
+//! report — together with the post-prefix logits and the fault injector's
+//! RNG snapshot.  The frozen result is a [`SharedSegment`].
 //!
 //! A later session whose prompt starts with the published prefix *replays*
-//! the segment ([`SharedSegment::replay_into`]) instead of running the
-//! transformer over those tokens: the replayed call sequence reproduces the
-//! backend state **bit-identically** (for every policy — score-tracking,
-//! evicting, quantizing), the adopted logits and fault snapshot restore the
-//! generation cursor, and the expensive part — the matrix work of the prefix
-//! forward passes — is skipped entirely.
+//! the segment ([`SharedSegment::attach_and_replay`]) into its own, private
+//! cache instead of running the transformer over those tokens: the recorded
+//! slices are handed back to `insert` unchanged, so the replayed call
+//! sequence reproduces the backend state **bit-identically** (for every
+//! policy — score-tracking, evicting, quantizing), the adopted logits and
+//! fault snapshot restore the generation cursor, and the expensive part —
+//! the matrix work of the prefix forward passes — is skipped entirely.
 //!
-//! Replay pairs with [`KvCacheBackend::attach_shared_prefix`]: backends that
-//! store raw KV in insertion order open their arenas over the segment's
-//! refcounted grid first, so the replayed inserts adopt the shared entries
-//! zero-copy (see the copy-on-evict notes in [`crate::arena`]).
+//! The segment's bytes are shared in the *model*, not in host memory: the
+//! capacity ledger charges [`SharedSegment::bytes_fp16`] once to its shared
+//! pool however many sessions attach, while each session holds its own copy.
 
-use crate::arena::{ArenaGrid, SharedKv};
+use crate::arena::FP16_BYTES;
 use crate::cache::{CacheStats, EntryRef, KvCacheBackend, PayloadRef, TokenId};
 use crate::fault::ProbabilisticFaults;
 use std::sync::Arc;
 
-/// One recorded backend call of the prefix pre-fill.
+/// One recorded backend call of the prefix pre-fill.  Payloads are consumed
+/// in order from the log's flat pools, so events carry no offsets.
 #[derive(Debug, Clone, Copy)]
 enum ReplayEvent {
-    /// An `insert` call; the payload lives in the segment's KV grid and
-    /// input-vector store at `index`.
-    Insert { layer: u32, token: u32, index: u32 },
-    /// An `observe_attention` call; the scores live in the segment's flat
-    /// score pool at `start..start + len`.
-    Observe {
-        layer: u32,
-        head: u32,
-        start: u32,
-        len: u32,
-    },
+    /// An `insert` call; its `x`/keys/values are the next rows of the log's
+    /// pools.
+    Insert { layer: u32, token: u32 },
+    /// An `observe_attention` call; its scores are the next `len` entries of
+    /// the log's score pool.
+    Observe { layer: u32, head: u32, len: u32 },
 }
 
-/// An immutable, refcounted snapshot of one pre-filled prompt prefix.
-///
-/// Produced by [`SegmentRecorder::finish`], published into the prefix store
-/// behind an `Arc`, and consumed by cache-hit sessions via
-/// [`replay_into`](SharedSegment::replay_into).  See the [module
-/// docs](self) for the hit/miss/publish lifecycle.
-#[derive(Debug)]
-pub struct SharedSegment {
-    /// Prefix length in tokens.
-    len: usize,
-    heads: usize,
+/// The call sequence of one publication pre-fill.  Every boundary segment of
+/// a hierarchy shares one log and replays a prefix of it.
+#[derive(Debug, Default)]
+struct ReplayLog {
     head_dim: usize,
+    /// Length of an insert's `x` row.
     channels: usize,
-    /// Raw per-`(layer, head)` KV of every prefix token, in insertion order —
-    /// the refcounted base that zero-copy sessions alias.
-    kv: Arc<ArenaGrid>,
-    /// Per-layer input vectors, token-major (`index * channels`).
-    xs: Vec<Vec<f32>>,
-    /// The recorded call sequence.
+    /// Length of an insert's flat keys (and values) row: `heads × head_dim`.
+    kv_width: usize,
     events: Vec<ReplayEvent>,
-    /// Flat pool backing the `Observe` events.
+    /// Per insert, in order: the `x` row.
+    xs: Vec<f32>,
+    /// Per insert, in order: the flat head-major keys row.
+    keys: Vec<f32>,
+    /// Per insert, in order: the flat head-major values row.
+    values: Vec<f32>,
+    /// Per observe, in order: the reported scores.
     scores: Vec<(TokenId, f32)>,
+}
+
+/// A prefix boundary marked during recording: the log lengths at the
+/// boundary (its cut point into the [`ReplayLog`]) and the generation-cursor
+/// snapshot (logits + fault RNG) a cold session would hold there.
+#[derive(Debug)]
+struct Boundary {
+    /// Prefix length in tokens.
+    tokens: usize,
+    events: usize,
+    inserts: usize,
     /// Logits of the last prefix token (the generation cursor).
     logits: Vec<f32>,
     /// Fault-injector snapshot taken right after the prefix pre-fill.
     faults: ProbabilisticFaults,
 }
 
+/// An immutable, refcounted recording of one pre-filled prompt prefix.
+///
+/// Produced by [`SegmentRecorder::finish`], published into the prefix store
+/// behind an `Arc`, and consumed by cache-hit sessions via
+/// [`attach_and_replay`](SharedSegment::attach_and_replay).  See the [module
+/// docs](self) for the hit/miss/publish lifecycle.
+#[derive(Debug)]
+pub struct SharedSegment {
+    log: Arc<ReplayLog>,
+    boundary: Boundary,
+}
+
 impl SharedSegment {
     /// Prefix length in tokens.
     pub fn len(&self) -> usize {
-        self.len
+        self.boundary.tokens
     }
 
     /// Whether the segment is empty (never true for published segments).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Decoder layers covered.
-    pub fn layers(&self) -> usize {
-        self.xs.len()
+        self.boundary.tokens == 0
     }
 
     /// The post-prefix logits (restored into the session's generation state
     /// on a hit).
     pub fn logits(&self) -> &[f32] {
-        &self.logits
+        &self.boundary.logits
     }
 
     /// A fresh copy of the post-prefix fault-injector state (restored into
     /// the session on a hit, so the fault RNG stream continues exactly where
     /// a cold session's would be).
     pub fn faults_snapshot(&self) -> ProbabilisticFaults {
-        self.faults.clone()
+        self.boundary.faults.clone()
     }
 
-    /// The refcounted KV base for zero-copy attachment
-    /// ([`KvCacheBackend::attach_shared_prefix`]).
-    pub fn shared_kv(&self) -> SharedKv {
-        SharedKv {
-            grid: Arc::clone(&self.kv),
-            layers: self.layers(),
-            heads: self.heads,
-            head_dim: self.head_dim,
-            tokens: self.len,
-        }
-    }
-
-    /// Logical FP16 footprint of the shared KV data (the bytes a ledger
-    /// charges once, however many sessions attach).
+    /// Logical FP16 footprint of the prefix's raw KV projections (the bytes a
+    /// ledger charges once, however many sessions attach): `inserts × 2 ×
+    /// kv_width × 2`.
     pub fn bytes_fp16(&self) -> usize {
-        self.kv.bytes_fp16()
+        self.boundary.inserts * 2 * self.log.kv_width * FP16_BYTES
     }
 
     /// Replays the recorded insert/observe sequence into a fresh cache,
     /// reproducing the exact backend state a cold pre-fill of the prefix
-    /// would have built — without any model compute.  Call
-    /// [`attach_shared_prefix`](KvCacheBackend::attach_shared_prefix) with
-    /// [`shared_kv`](SharedSegment::shared_kv) first if the backend should
-    /// adopt the storage zero-copy.
+    /// would have built — without any model compute.
     ///
     /// The caller is responsible for *not* signalling
     /// [`finish_prefill`](KvCacheBackend::finish_prefill) until the rest of
     /// the session's first prompt has been pre-filled (matching the cold
     /// call sequence).
-    pub fn replay_into(&self, cache: &mut dyn KvCacheBackend) {
-        let channels = self.channels;
-        let hd = self.head_dim;
-        let mut kbuf = vec![0.0f32; channels];
-        let mut vbuf = vec![0.0f32; channels];
-        for event in &self.events {
+    pub fn attach_and_replay(&self, cache: &mut dyn KvCacheBackend) {
+        let log = &*self.log;
+        let (c, w) = (log.channels, log.kv_width);
+        let (mut row, mut score) = (0, 0);
+        for event in &log.events[..self.boundary.events] {
             match *event {
-                ReplayEvent::Insert {
-                    layer,
-                    token,
-                    index,
-                } => {
-                    let layer = layer as usize;
-                    let index = index as usize;
-                    for h in 0..self.heads {
-                        let arena = self
-                            .kv
-                            .get(layer, h)
-                            .expect("recorded (layer, head) exists");
-                        kbuf[h * hd..(h + 1) * hd].copy_from_slice(arena.key(index));
-                        vbuf[h * hd..(h + 1) * hd].copy_from_slice(arena.value(index));
-                    }
-                    let x = &self.xs[layer][index * channels..(index + 1) * channels];
-                    cache.insert(layer, token as usize, x, &kbuf, &vbuf, hd);
+                ReplayEvent::Insert { layer, token } => {
+                    cache.insert(
+                        layer as usize,
+                        token as usize,
+                        &log.xs[row * c..(row + 1) * c],
+                        &log.keys[row * w..(row + 1) * w],
+                        &log.values[row * w..(row + 1) * w],
+                        log.head_dim,
+                    );
+                    row += 1;
                 }
-                ReplayEvent::Observe {
-                    layer,
-                    head,
-                    start,
-                    len,
-                } => {
-                    let scores = &self.scores[start as usize..(start + len) as usize];
-                    cache.observe_attention(layer as usize, head as usize, scores);
+                ReplayEvent::Observe { layer, head, len } => {
+                    let end = score + len as usize;
+                    cache.observe_attention(layer as usize, head as usize, &log.scores[score..end]);
+                    score = end;
                 }
             }
         }
     }
-
-    /// Convenience: [`attach_shared_prefix`](KvCacheBackend::attach_shared_prefix)
-    /// followed by [`replay_into`](SharedSegment::replay_into).
-    pub fn attach_and_replay(&self, cache: &mut dyn KvCacheBackend) {
-        cache.attach_shared_prefix(&self.shared_kv());
-        self.replay_into(cache);
-    }
-}
-
-/// A frozen view of the recorder's state at one intermediate prefix
-/// boundary, captured by [`SegmentRecorder::mark_boundary`].
-///
-/// Holds everything a [`SharedSegment`] of the boundary prefix needs: its
-/// own copy of the KV grid and input vectors (so shorter prefixes attach a
-/// grid of exactly their own length), the call-sequence cut points, and the
-/// generation-cursor snapshot (logits + fault RNG) at the boundary.
-#[derive(Debug)]
-struct BoundarySnapshot {
-    len: usize,
-    kv: ArenaGrid,
-    xs: Vec<Vec<f32>>,
-    events_len: usize,
-    scores_len: usize,
-    logits: Vec<f32>,
-    faults: ProbabilisticFaults,
 }
 
 /// A pass-through [`KvCacheBackend`] that records the call sequence of a
@@ -206,21 +165,16 @@ struct BoundarySnapshot {
 /// pre-filling each nesting level, then
 /// [`finish_hierarchy`](SegmentRecorder::finish_hierarchy) to obtain one
 /// segment per boundary from the single recording pass — the transformer
-/// runs over the longest prefix exactly once.
+/// runs over the longest prefix exactly once, and every boundary segment
+/// replays a prefix of the same log.
 #[derive(Debug)]
 pub struct SegmentRecorder<'a> {
     inner: &'a mut dyn KvCacheBackend,
-    heads: usize,
-    head_dim: usize,
-    channels: usize,
-    kv: ArenaGrid,
-    xs: Vec<Vec<f32>>,
-    /// Inserts seen per layer (the per-layer payload index).
-    counts: Vec<u32>,
-    events: Vec<ReplayEvent>,
-    scores: Vec<(TokenId, f32)>,
-    /// Intermediate boundaries marked during the recording pass.
-    boundaries: Vec<BoundarySnapshot>,
+    log: ReplayLog,
+    /// Layer-0 inserts seen so far (the recorded prefix length).
+    tokens: usize,
+    /// Boundaries marked during the recording pass.
+    boundaries: Vec<Boundary>,
 }
 
 impl<'a> SegmentRecorder<'a> {
@@ -228,59 +182,39 @@ impl<'a> SegmentRecorder<'a> {
     pub fn new(inner: &'a mut dyn KvCacheBackend) -> Self {
         SegmentRecorder {
             inner,
-            heads: 0,
-            head_dim: 0,
-            channels: 0,
-            kv: ArenaGrid::new(),
-            xs: Vec::new(),
-            counts: Vec::new(),
-            events: Vec::new(),
-            scores: Vec::new(),
+            log: ReplayLog::default(),
+            tokens: 0,
             boundaries: Vec::new(),
         }
     }
 
-    /// Number of prefix tokens recorded so far (layer-0 inserts).
-    pub fn recorded_tokens(&self) -> usize {
-        self.counts.first().map_or(0, |&c| c as usize)
-    }
-
-    /// Marks the current recording position as an intermediate prefix
-    /// boundary of a nested hierarchy.
+    /// Marks the current recording position as a prefix boundary of a
+    /// nested hierarchy.
     ///
     /// `logits` are the logits of the last token pre-filled so far and
     /// `faults` the fault injector's state at this point — exactly what a
     /// cold session's cursor would hold after pre-filling only this much.
-    /// The KV grid and input vectors are snapshotted (copied) so the
-    /// boundary segment attaches a grid of exactly its own length.
     ///
     /// # Panics
     ///
     /// Panics if nothing was recorded yet, or if the boundary would not be
     /// strictly longer than the previous one.
     pub fn mark_boundary(&mut self, logits: &[f32], faults: ProbabilisticFaults) {
-        let len = self.recorded_tokens();
-        assert!(len > 0, "cannot publish an empty prefix segment");
+        let tokens = self.tokens;
+        assert!(tokens > 0, "cannot publish an empty prefix segment");
         if let Some(prev) = self.boundaries.last() {
             assert!(
-                len > prev.len,
+                tokens > prev.tokens,
                 "hierarchy boundaries must be strictly increasing"
             );
         }
-        self.boundaries.push(BoundarySnapshot {
-            len,
-            kv: self.kv.clone(),
-            xs: self.xs.clone(),
-            events_len: self.events.len(),
-            scores_len: self.scores.len(),
+        self.boundaries.push(Boundary {
+            tokens,
+            events: self.log.events.len(),
+            inserts: self.log.xs.len() / self.log.channels,
             logits: logits.to_vec(),
             faults,
         });
-    }
-
-    /// Number of boundaries marked so far.
-    pub fn marked_boundaries(&self) -> usize {
-        self.boundaries.len()
     }
 
     /// Freezes the recording into one publishable segment **per marked
@@ -288,10 +222,10 @@ impl<'a> SegmentRecorder<'a> {
     /// [`finish`](SegmentRecorder::finish).
     ///
     /// Each returned segment replays bit-identically to a cold pre-fill of
-    /// its own prefix: the call sequence is truncated at the boundary's cut
-    /// point and the cursor state (logits + faults) is the boundary's own
-    /// snapshot.  The caller marks the final (longest) boundary too — after
-    /// the last chunk, before calling this.
+    /// its own prefix: its replay stops at the boundary's cut point and the
+    /// cursor state (logits + faults) is the boundary's own snapshot.  The
+    /// caller marks the final (longest) boundary too — after the last
+    /// chunk, before calling this.
     ///
     /// # Panics
     ///
@@ -301,28 +235,12 @@ impl<'a> SegmentRecorder<'a> {
             !self.boundaries.is_empty(),
             "cannot publish an empty prefix hierarchy"
         );
-        let SegmentRecorder {
-            heads,
-            head_dim,
-            channels,
-            events,
-            scores,
-            boundaries,
-            ..
-        } = self;
-        boundaries
+        let log = Arc::new(self.log);
+        self.boundaries
             .into_iter()
-            .map(|b| SharedSegment {
-                len: b.len,
-                heads,
-                head_dim,
-                channels,
-                kv: Arc::new(b.kv),
-                xs: b.xs,
-                events: events[..b.events_len].to_vec(),
-                scores: scores[..b.scores_len].to_vec(),
-                logits: b.logits,
-                faults: b.faults,
+            .map(|boundary| SharedSegment {
+                log: Arc::clone(&log),
+                boundary,
             })
             .collect()
     }
@@ -356,33 +274,25 @@ impl KvCacheBackend for SegmentRecorder<'_> {
         values: &[f32],
         head_dim: usize,
     ) {
-        if self.channels == 0 {
-            self.head_dim = head_dim;
-            self.heads = keys.len() / head_dim;
-            self.channels = x.len();
+        let log = &mut self.log;
+        if log.channels == 0 {
+            log.head_dim = head_dim;
+            log.channels = x.len();
+            log.kv_width = keys.len();
         }
-        debug_assert_eq!(head_dim, self.head_dim, "stride is uniform across layers");
-        if layer >= self.xs.len() {
-            self.xs.resize_with(layer + 1, Vec::new);
-            self.counts.resize(layer + 1, 0);
-        }
-        let index = self.counts[layer];
-        self.counts[layer] += 1;
-        self.xs[layer].extend_from_slice(x);
-        for (head, (k, v)) in keys
-            .chunks_exact(head_dim)
-            .zip(values.chunks_exact(head_dim))
-            .enumerate()
-        {
-            self.kv
-                .get_or_create(layer, head, head_dim)
-                .push(token, k, v);
-        }
-        self.events.push(ReplayEvent::Insert {
+        debug_assert_eq!(head_dim, log.head_dim, "stride is uniform across layers");
+        debug_assert_eq!(x.len(), log.channels, "input width is uniform");
+        debug_assert_eq!(keys.len(), log.kv_width, "key width is uniform");
+        log.xs.extend_from_slice(x);
+        log.keys.extend_from_slice(keys);
+        log.values.extend_from_slice(values);
+        log.events.push(ReplayEvent::Insert {
             layer: layer as u32,
             token: token as u32,
-            index,
         });
+        if layer == 0 {
+            self.tokens += 1;
+        }
         self.inner.insert(layer, token, x, keys, values, head_dim);
     }
 
@@ -409,13 +319,12 @@ impl KvCacheBackend for SegmentRecorder<'_> {
     }
 
     fn observe_attention(&mut self, layer: usize, head: usize, scores: &[(TokenId, f32)]) {
-        self.events.push(ReplayEvent::Observe {
+        self.log.events.push(ReplayEvent::Observe {
             layer: layer as u32,
             head: head as u32,
-            start: self.scores.len() as u32,
             len: scores.len() as u32,
         });
-        self.scores.extend_from_slice(scores);
+        self.log.scores.extend_from_slice(scores);
         self.inner.observe_attention(layer, head, scores);
     }
 
@@ -478,7 +387,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(recorder.recorded_tokens(), tokens);
+        assert_eq!(recorder.tokens, tokens);
         recorder.finish(&[0.5, 0.25], faults())
     }
 
@@ -487,11 +396,9 @@ mod tests {
         let mut original = FullKvCache::new();
         let segment = record(&mut original, 3);
         assert_eq!(segment.len(), 3);
-        assert_eq!(segment.layers(), 2);
-        assert!(segment.bytes_fp16() > 0);
 
         let mut replayed = FullKvCache::new();
-        segment.replay_into(&mut replayed);
+        segment.attach_and_replay(&mut replayed);
         for layer in 0..2 {
             for head in 0..2 {
                 assert_eq!(
@@ -501,23 +408,17 @@ mod tests {
                 );
             }
         }
-        let (a, b) = (original.stats(), replayed.stats());
-        assert_eq!(a.kv_entries, b.kv_entries);
-        assert_eq!(a.insertions, b.insertions);
+        assert_eq!(original.stats(), replayed.stats());
     }
 
     #[test]
-    fn attach_and_replay_adopts_zero_copy() {
+    fn bytes_count_the_raw_kv_of_every_insert() {
         let mut original = FullKvCache::new();
         let segment = record(&mut original, 4);
-        let mut hit = FullKvCache::new();
-        segment.attach_and_replay(&mut hit);
-        let stats = hit.stats();
-        assert_eq!(stats.shared_bytes, segment.bytes_fp16());
-        assert_eq!(stats.private_bytes, 0);
-        assert_eq!(stats.bytes_fp16, stats.shared_bytes + stats.private_bytes);
-        // Entries are served straight out of the shared grid.
-        assert_eq!(visited(&hit, 0, 0), visited(&original, 0, 0));
+        // 4 tokens × 2 layers, each a keys and a values row of 2 heads × 2
+        // elements at 2 bytes: what the full cache stores for the prefix.
+        assert_eq!(segment.bytes_fp16(), 4 * 2 * 2 * 4 * 2);
+        assert_eq!(segment.bytes_fp16(), original.stats().bytes_fp16);
     }
 
     #[test]
@@ -527,8 +428,6 @@ mod tests {
         assert_eq!(segment.logits(), &[0.5, 0.25]);
         let snap = segment.faults_snapshot();
         assert_eq!(snap.stats().words_examined, 0);
-        assert_eq!(segment.shared_kv().tokens, 2);
-        assert_eq!(segment.shared_kv().heads, 2);
     }
 
     #[test]
@@ -585,8 +484,8 @@ mod tests {
             let dedicated = record(&mut dedicated_inner, segment.len());
             let mut a = FullKvCache::new();
             let mut b = FullKvCache::new();
-            segment.replay_into(&mut a);
-            dedicated.replay_into(&mut b);
+            segment.attach_and_replay(&mut a);
+            dedicated.attach_and_replay(&mut b);
             for layer in 0..2 {
                 for head in 0..2 {
                     assert_eq!(
@@ -599,7 +498,7 @@ mod tests {
             }
             // The boundary cursor is the boundary's own, not the final one.
             assert_eq!(segment.logits(), &[(segment.len() - 1) as f32, 0.5]);
-            assert_eq!(segment.shared_kv().tokens, segment.len());
+            assert_eq!(segment.bytes_fp16(), dedicated.bytes_fp16());
         }
     }
 

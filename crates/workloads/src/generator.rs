@@ -39,12 +39,15 @@ impl GeneratedPrompt {
     }
 }
 
+/// Exponent of the Zipf distribution filler tokens are drawn from (how
+/// skewed the token distribution is).
+const ZIPF_EXPONENT: f32 = 1.1;
+
 /// Deterministic prompt generator over a fixed vocabulary.
 #[derive(Debug, Clone)]
 pub struct TokenStreamGenerator {
     vocab: usize,
     seed: u64,
-    zipf_exponent: f32,
     anchor_count: usize,
     anchor_period: usize,
 }
@@ -60,17 +63,9 @@ impl TokenStreamGenerator {
         TokenStreamGenerator {
             vocab,
             seed,
-            zipf_exponent: 1.1,
             anchor_count: 4,
             anchor_period: 17,
         }
-    }
-
-    /// Overrides the Zipf exponent controlling how skewed the token
-    /// distribution is (builder style).
-    pub fn with_zipf_exponent(mut self, exponent: f32) -> Self {
-        self.zipf_exponent = exponent;
-        self
     }
 
     /// Generates the `index`-th prompt for a task.
@@ -90,7 +85,7 @@ impl TokenStreamGenerator {
             } else if position % self.anchor_period == 0 {
                 anchors[rng.gen_range(0..anchors.len())]
             } else {
-                rng::zipf_index(&mut rng, self.vocab / 2, self.zipf_exponent)
+                rng::zipf_index(&mut rng, self.vocab / 2, ZIPF_EXPONENT)
             };
             tokens.push(token);
         }

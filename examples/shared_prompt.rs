@@ -1,9 +1,9 @@
 //! Cross-session prefix KV sharing: N chatbot sessions front their prompts
 //! with the same system prompt, which is published once as a shared prefix
-//! segment — every session replays it (zero model compute, arena storage
-//! adopted zero-copy under non-evicting policies, ledger bytes charged once)
-//! and computes only its own user suffix.  Token streams are asserted
-//! byte-identical to a sharing-oblivious engine.
+//! segment — every session replays it into its own cache (zero model
+//! compute, ledger bytes charged once) and computes only its own user
+//! suffix.  Token streams are asserted byte-identical to a sharing-oblivious
+//! engine.
 //!
 //! Run with `cargo run --example shared_prompt`.
 
@@ -23,10 +23,6 @@ fn main() {
         scenario.sessions, scenario.system_tokens, scenario.user_tokens
     );
 
-    // The full policy never evicts, so hit sessions keep reading the
-    // published arenas zero-copy for their whole lifetime (evicting
-    // policies privatize copy-on-evict instead; the ledger dedup below is
-    // policy-independent).
     let cold_engine = KelleEngine::builder().policy(CachePolicy::Full).build();
     let cold = cold_engine
         .serve(requests.clone(), ServeOptions::new())
@@ -70,12 +66,13 @@ fn main() {
         store.published, store.published_tokens, store.hits, store.misses
     );
 
-    // Surrogate-level zero-copy: per-session cache stats split shared vs
-    // private bytes (the first outcome stands for all).
-    let stats = &batch.outcomes[0].cache;
+    // The ledger's deduplication: every hit attached the prefix, but only
+    // the first attachment of a residency period charged it.
+    let attached = batch.prefix.shared_bytes + batch.prefix.deduplicated_bytes;
     println!(
-        "session cache:   {} B shared (adopted segment) + {} B private = {} B",
-        stats.shared_bytes, stats.private_bytes, stats.bytes_fp16
+        "deduplication:   {} attachments, {:.1}x fewer prefix bytes charged",
+        batch.prefix.hit_requests,
+        attached as f64 / batch.prefix.shared_bytes.max(1) as f64
     );
 
     // The equivalence guarantee: sharing never changes a token.

@@ -182,8 +182,6 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
             evictions: 0,
             insertions: 64,
             bytes_fp16: 8_192,
-            shared_bytes: 0,
-            private_bytes: 8_192,
         },
         faults: FaultStats {
             words_examined: 0,
@@ -201,8 +199,6 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
             evictions: 160,
             insertions: 64,
             bytes_fp16: 3_072,
-            shared_bytes: 0,
-            private_bytes: 3_072,
         },
         faults: FaultStats {
             words_examined: 0,
@@ -220,8 +216,6 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
             evictions: 160,
             insertions: 64,
             bytes_fp16: 3_072,
-            shared_bytes: 0,
-            private_bytes: 3_072,
         },
         faults: FaultStats {
             words_examined: 0,
@@ -239,8 +233,6 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
             evictions: 0,
             insertions: 64,
             bytes_fp16: 2_048,
-            shared_bytes: 0,
-            private_bytes: 2_048,
         },
         faults: FaultStats {
             words_examined: 0,
@@ -258,8 +250,6 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
             evictions: 160,
             insertions: 64,
             bytes_fp16: 2_432,
-            shared_bytes: 0,
-            private_bytes: 2_432,
         },
         faults: FaultStats {
             words_examined: 0,
@@ -277,8 +267,6 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
             evictions: 0,
             insertions: 48,
             bytes_fp16: 6_144,
-            shared_bytes: 0,
-            private_bytes: 6_144,
         },
         faults: FaultStats {
             words_examined: 38_400,
@@ -296,8 +284,6 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
             evictions: 96,
             insertions: 48,
             bytes_fp16: 3_072,
-            shared_bytes: 0,
-            private_bytes: 3_072,
         },
         faults: FaultStats {
             words_examined: 28_416,
@@ -315,8 +301,6 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
             evictions: 96,
             insertions: 48,
             bytes_fp16: 3_072,
-            shared_bytes: 0,
-            private_bytes: 3_072,
         },
         faults: FaultStats {
             words_examined: 29_696,
@@ -334,8 +318,6 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
             evictions: 0,
             insertions: 48,
             bytes_fp16: 1_536,
-            shared_bytes: 0,
-            private_bytes: 1_536,
         },
         faults: FaultStats {
             words_examined: 38_400,
@@ -353,8 +335,6 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
             evictions: 96,
             insertions: 48,
             bytes_fp16: 2_304,
-            shared_bytes: 0,
-            private_bytes: 2_304,
         },
         faults: FaultStats {
             words_examined: 59_392,

@@ -64,15 +64,28 @@ fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
     hash
 }
 
+/// Everything an observer of one served prompt could compare.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    tokens: Vec<usize>,
+    probs: Vec<Vec<u32>>,
+    words_examined: u64,
+    bits_flipped: u64,
+    /// `StepRecord::cache_stats` of every decode step.
+    step_stats: Vec<CacheStats>,
+    /// Cache stats after the last step.
+    cache: CacheStats,
+}
+
 /// Serves `prompt` on a fresh session of `engine` (honouring `policy`),
-/// capturing everything an observer could compare: tokens, per-step
-/// probability bits, fault counters and final cache stats.
+/// capturing tokens, per-step probability bits and cache stats, fault
+/// counters and final cache stats, plus the session's prefix-hit tokens.
 fn observe(
     engine: &KelleEngine,
     policy: CachePolicy,
     prompt: &[usize],
     decode_len: usize,
-) -> (Vec<usize>, Vec<Vec<u32>>, u64, u64, CacheStats, usize) {
+) -> (Observed, usize) {
     let request = ServeRequest::builder(prompt.to_vec())
         .policy(policy)
         .decode_len(decode_len)
@@ -81,24 +94,29 @@ fn observe(
     session.prefill(prompt);
     let mut tokens = Vec::new();
     let mut probs = Vec::new();
+    let mut step_stats = Vec::new();
     for _ in 0..decode_len {
         let step = session.decode_one();
         tokens.push(step.token);
         probs.push(step.probs.iter().map(|p| p.to_bits()).collect());
+        step_stats.push(step.record.cache_stats);
     }
     let faults = session.fault_stats();
-    (
+    let observed = Observed {
         tokens,
         probs,
-        faults.words_examined,
-        faults.bits_flipped,
-        session.cache_stats(),
-        session.prefix_hit_tokens(),
-    )
+        words_examined: faults.words_examined,
+        bits_flipped: faults.bits_flipped,
+        step_stats,
+        cache: session.cache_stats(),
+    };
+    (observed, session.prefix_hit_tokens())
 }
 
 /// Prefix-hit sessions are bit-identical to cold sessions for all five
-/// policies, under the engine's default (non-trivial) 2DRP fault model.
+/// policies, under the engine's default (non-trivial) 2DRP fault model:
+/// tokens, probability bits, fault counters, and the cache stats of every
+/// decode step and after the last one.
 #[test]
 fn prefix_hit_is_bit_identical_for_all_policies() {
     let prefix = prompt_tokens(16, 0);
@@ -109,94 +127,15 @@ fn prefix_hit_is_bit_identical_for_all_policies() {
     for policy in CachePolicy::all() {
         let sharing = sharing_engine_for(policy);
         assert!(sharing.publish_prefix(&prefix), "{policy:?} publish");
-        let cold = observe(&cold_engine, policy, &prompt, 8);
-        let hit = observe(&sharing, policy, &prompt, 8);
-        assert_eq!(hit.5, prefix.len(), "{policy:?} must hit the prefix");
-        assert_eq!(cold.5, 0);
-        assert_eq!(hit.0, cold.0, "{policy:?} token stream");
-        assert_eq!(hit.1, cold.1, "{policy:?} probability bits");
-        assert_eq!(hit.2, cold.2, "{policy:?} fault words examined");
-        assert_eq!(hit.3, cold.3, "{policy:?} fault bits flipped");
-        assert_eq!(
-            hit.4.evictions, cold.4.evictions,
-            "{policy:?} eviction count"
-        );
-        assert_eq!(hit.4.bytes_fp16, cold.4.bytes_fp16, "{policy:?} footprint");
-        // The unit-of-account invariant holds on both sides.
-        assert_eq!(hit.4.bytes_fp16, hit.4.shared_bytes + hit.4.private_bytes);
-        assert_eq!(
-            cold.4.bytes_fp16,
-            cold.4.shared_bytes + cold.4.private_bytes
-        );
-        assert_eq!(cold.4.shared_bytes, 0, "cold sessions hold no shared bytes");
+        let (cold, cold_hit) = observe(&cold_engine, policy, &prompt, 8);
+        let (hit, hit_tokens) = observe(&sharing, policy, &prompt, 8);
+        assert_eq!(hit_tokens, prefix.len(), "{policy:?} must hit the prefix");
+        assert_eq!(cold_hit, 0);
+        assert_eq!(hit.tokens, cold.tokens, "{policy:?} token stream");
+        assert_eq!(hit.probs, cold.probs, "{policy:?} probability bits");
+        assert_eq!(hit.step_stats, cold.step_stats, "{policy:?} per-step stats");
+        assert_eq!(hit, cold, "{policy:?}");
     }
-}
-
-/// A mid-stream eviction reaching into the shared region privatizes the
-/// arenas (copy-on-evict) — and the stream still matches a cold session.
-#[test]
-fn mid_stream_eviction_forces_copy_on_evict_privatization() {
-    use kelle::cache::CacheBudget;
-    let prefix = prompt_tokens(16, 3);
-    let mut prompt = prefix.clone();
-    prompt.extend([7, 11]);
-    // Budget 20 with 2 sinks: prefill holds 18 entries (shared prefix still
-    // intact), decode crosses 20 a few steps in and evicts the oldest
-    // non-sink token — which lives in the shared region.
-    let budget = CacheBudget::new(20).with_sink_tokens(2);
-    let build = |sharing: bool| {
-        let mut builder = KelleEngine::builder()
-            .policy(CachePolicy::StreamingLlm)
-            .budget(budget);
-        if sharing {
-            builder = builder.prefix_sharing(PrefixSharingConfig::enabled());
-        }
-        builder.build()
-    };
-
-    let sharing = build(true);
-    assert!(sharing.publish_prefix(&prefix));
-    let mut session = sharing.open_session();
-    session.prefill(&prompt);
-    assert_eq!(session.prefix_hit_tokens(), prefix.len());
-    let after_prefill = session.cache_stats();
-    assert!(
-        after_prefill.shared_bytes > 0,
-        "prefix is adopted zero-copy through prefill"
-    );
-    assert_eq!(
-        after_prefill.bytes_fp16,
-        after_prefill.shared_bytes + after_prefill.private_bytes
-    );
-
-    let mut generated = Vec::new();
-    for _ in 0..8 {
-        generated.push(session.decode_one().token);
-    }
-    let after_decode = session.cache_stats();
-    assert!(
-        after_decode.evictions > 0,
-        "budget forces mid-stream evictions"
-    );
-    assert_eq!(
-        after_decode.shared_bytes, 0,
-        "eviction into the shared region privatized the arenas"
-    );
-    assert_eq!(after_decode.bytes_fp16, after_decode.private_bytes);
-
-    // The privatization is invisible to the stream.
-    let cold = build(false);
-    let mut cold_session = cold.open_session();
-    cold_session.prefill(&prompt);
-    let mut cold_generated = Vec::new();
-    for _ in 0..8 {
-        cold_generated.push(cold_session.decode_one().token);
-    }
-    assert_eq!(generated, cold_generated);
-    assert_eq!(
-        session.fault_stats().bits_flipped,
-        cold_session.fault_stats().bits_flipped
-    );
 }
 
 /// The headline acceptance: ≥ 8 sessions sharing a 256-token system prompt
@@ -267,39 +206,6 @@ fn eight_sessions_share_a_256_token_system_prompt() {
     for (a, b) in cold_batch.outcomes.iter().zip(batch.outcomes.iter()) {
         assert_eq!(a.generated, b.generated);
     }
-    // Surrogate-level zero-copy under the full policy: each session's cache
-    // reports the segment's bytes as shared, not private.
-    for outcome in &batch.outcomes {
-        assert!(outcome.cache.shared_bytes > 0);
-        assert_eq!(
-            outcome.cache.bytes_fp16,
-            outcome.cache.shared_bytes + outcome.cache.private_bytes
-        );
-    }
-}
-
-/// `CacheStats::bytes_fp16 == shared_bytes + private_bytes` holds at every
-/// decode step of every policy, shared or cold (the split-regression
-/// satellite).
-#[test]
-fn cache_stats_split_sums_at_every_step() {
-    let prefix = prompt_tokens(12, 1);
-    let mut prompt = prefix.clone();
-    prompt.extend([5, 6, 7]);
-    for policy in CachePolicy::all() {
-        let engine = sharing_engine_for(policy);
-        assert!(engine.publish_prefix(&prefix), "{policy:?} publish");
-        let outcome = engine.serve_request(ServeRequest::new(prompt.clone(), 6));
-        assert_eq!(outcome.prefix_hit_tokens, prefix.len(), "{policy:?} hit");
-        for step in &outcome.trace.steps {
-            let stats = &step.cache_stats;
-            assert_eq!(
-                stats.bytes_fp16,
-                stats.shared_bytes + stats.private_bytes,
-                "{policy:?} split must sum at every step"
-            );
-        }
-    }
 }
 
 proptest! {
@@ -330,13 +236,13 @@ proptest! {
             .build();
         prop_assert!(sharing.publish_prefix(&prefix));
 
-        let cold = observe(&cold_engine, policy, &prompt, decode_len);
-        let hit = observe(&sharing, policy, &prompt, decode_len);
-        prop_assert_eq!(hit.5, prefix.len());
-        prop_assert_eq!(hit.0, cold.0);
-        prop_assert_eq!(hit.1, cold.1);
-        prop_assert_eq!((hit.2, hit.3), (cold.2, cold.3));
-        prop_assert_eq!(hit.4.evictions, cold.4.evictions);
+        let (cold, _) = observe(&cold_engine, policy, &prompt, decode_len);
+        let (hit, hit_tokens) = observe(&sharing, policy, &prompt, decode_len);
+        prop_assert_eq!(hit_tokens, prefix.len());
+        prop_assert_eq!(hit.tokens, cold.tokens);
+        prop_assert_eq!(hit.probs, cold.probs);
+        prop_assert_eq!((hit.words_examined, hit.bits_flipped), (cold.words_examined, cold.bits_flipped));
+        prop_assert_eq!(hit.cache.evictions, cold.cache.evictions);
 
         let requests = vec![
             ServeRequest::new(prompt.clone(), decode_len),
