@@ -138,6 +138,34 @@ fn prefix_hit_is_bit_identical_for_all_policies() {
     }
 }
 
+/// A served hit's KV splits into the replayed prefix rows and the rows it
+/// inserts itself; at every step of the served trace the two parts sum to
+/// exactly a cold serve's cache stats, for every policy.
+#[test]
+fn cache_stats_split_sums_at_every_step() {
+    let prefix = prompt_tokens(12, 1);
+    let mut prompt = prefix.clone();
+    prompt.extend([5, 6, 7]);
+    for policy in CachePolicy::all() {
+        let sharing = sharing_engine_for(policy);
+        assert!(sharing.publish_prefix(&prefix), "{policy:?} publish");
+        let hit = sharing.serve_request(ServeRequest::new(prompt.clone(), 6));
+        let cold = KelleEngine::builder()
+            .policy(policy)
+            .build()
+            .serve_request(ServeRequest::new(prompt.clone(), 6));
+        assert_eq!(hit.prefix_hit_tokens, prefix.len(), "{policy:?} hit");
+        assert_eq!(cold.prefix_hit_tokens, 0);
+        assert_eq!(hit.trace.steps.len(), 6);
+        for (step, (hit, cold)) in hit.trace.steps.iter().zip(&cold.trace.steps).enumerate() {
+            assert_eq!(
+                hit.cache_stats, cold.cache_stats,
+                "{policy:?} cache stats at step {step}"
+            );
+        }
+    }
+}
+
 /// The headline acceptance: ≥ 8 sessions sharing a 256-token system prompt
 /// — prefix compute once, ledger bytes once, streams bit-identical.
 #[test]
