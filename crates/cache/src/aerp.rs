@@ -219,6 +219,44 @@ impl AerpCache {
         }
     }
 
+    /// Visits the retained entries of `(layer, head)` in retained order: the
+    /// one walk behind both visitors.  A monotone cursor pairs each KV-format
+    /// token with its arena slot, and a popular token borrows its row (and
+    /// the row's slot) straight from the layer's slab.
+    fn walk<'s>(
+        &'s self,
+        layer: usize,
+        head: usize,
+        mut visit: impl FnMut(TokenId, PayloadRef<'s>),
+    ) {
+        let Some(state) = self.layers.get(&layer) else {
+            return;
+        };
+        let arena = &state.kv[head];
+        let mut cursor = 0usize;
+        for &token in &state.retained[head] {
+            let payload = if state.popular.contains(&token) {
+                let (slot, x) = state
+                    .inputs
+                    .row(token)
+                    .expect("the slab holds the input row of every retained token");
+                PayloadRef::Recompute { x, slot }
+            } else {
+                assert!(
+                    cursor < arena.len() && arena.token_at(cursor) == token,
+                    "the arena holds exactly the retained KV-format tokens, in order"
+                );
+                let i = cursor;
+                cursor += 1;
+                PayloadRef::Kv {
+                    key: arena.key(i),
+                    value: arena.value(i),
+                }
+            };
+            visit(token, payload);
+        }
+    }
+
     /// Re-evaluates popularity-based storage formats for a layer (§4.1.2).
     ///
     /// Tokens retained in at least `θ` of the heads are converted to
@@ -303,43 +341,15 @@ impl KvCacheBackend for AerpCache {
         head: usize,
         visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
     ) {
-        static EMPTY: [f32; 0] = [];
-        let Some(state) = self.layers.get(&layer) else {
-            return;
-        };
-        let arena = &state.kv[head];
-        // One median computation per traversal (not per token), and a
-        // monotone cursor pairing each retained-list entry with its arena
-        // slot (the arena holds exactly the KV-format retained tokens in
-        // retained order).
+        // One median computation per traversal, not per token.
         let median = self.importance.median_threshold(layer, head);
-        let mut cursor = 0usize;
-        for &token in &state.retained[head] {
-            let high_score = median.is_none_or(|m| self.importance.score(layer, head, token) >= m);
-            let payload = if state.popular.contains(&token) {
-                PayloadRef::Recompute {
-                    x: state.inputs.get(token).unwrap_or(&EMPTY),
-                }
-            } else if cursor < arena.len() && arena.token_at(cursor) == token {
-                let p = PayloadRef::Kv {
-                    key: arena.key(cursor),
-                    value: arena.value(cursor),
-                };
-                cursor += 1;
-                p
-            } else {
-                // Defensive fallback: if the KV copy is missing (should not
-                // happen), fall back to recompute storage.
-                PayloadRef::Recompute {
-                    x: state.inputs.get(token).unwrap_or(&EMPTY),
-                }
-            };
+        self.walk(layer, head, |token, payload| {
             visit(EntryRef {
                 token,
                 payload,
-                high_score,
-            });
-        }
+                high_score: median.is_none_or(|m| self.importance.score(layer, head, token) >= m),
+            })
+        });
     }
 
     fn for_each_payload(
@@ -348,31 +358,8 @@ impl KvCacheBackend for AerpCache {
         head: usize,
         visit: &mut dyn for<'e> FnMut(PayloadRef<'e>),
     ) {
-        // Value-accumulation traversal: same cursor walk as for_each_entry,
-        // minus the importance labelling.
-        static EMPTY: [f32; 0] = [];
-        let Some(state) = self.layers.get(&layer) else {
-            return;
-        };
-        let arena = &state.kv[head];
-        let mut cursor = 0usize;
-        for &token in &state.retained[head] {
-            if state.popular.contains(&token) {
-                visit(PayloadRef::Recompute {
-                    x: state.inputs.get(token).unwrap_or(&EMPTY),
-                });
-            } else if cursor < arena.len() && arena.token_at(cursor) == token {
-                visit(PayloadRef::Kv {
-                    key: arena.key(cursor),
-                    value: arena.value(cursor),
-                });
-                cursor += 1;
-            } else {
-                visit(PayloadRef::Recompute {
-                    x: state.inputs.get(token).unwrap_or(&EMPTY),
-                });
-            }
-        }
+        // The same walk minus the importance labelling.
+        self.walk(layer, head, |_, payload| visit(payload));
     }
 
     fn entry_count(&self, layer: usize, head: usize) -> usize {
@@ -650,6 +637,20 @@ mod tests {
         let tokens = retained(&cache, 0);
         assert_eq!(tokens.len(), 2);
         assert!(tokens.contains(&1) && tokens.contains(&4), "{tokens:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "the arena holds exactly the retained KV-format tokens, in order")]
+    fn a_kv_token_missing_from_its_arena_breaks_a_named_invariant() {
+        let mut cache = AerpCache::with_config(
+            AerpConfig::new(CacheBudget::new(8)).without_recompute(),
+            HEADS,
+        );
+        for t in 0..3 {
+            insert_token(&mut cache, 0, t);
+        }
+        cache.layers.get_mut(&0).unwrap().kv[0].remove_token(1);
+        cache.for_each_payload(0, 0, &mut |_| {});
     }
 
     #[test]

@@ -312,11 +312,15 @@ impl InputSlab {
         self.data[slot * self.width..(slot + 1) * self.width].copy_from_slice(x);
     }
 
-    /// Borrows the vector stored for `token`, if present.
-    pub fn get(&self, token: TokenId) -> Option<&[f32]> {
+    /// The slot holding `token` and the vector stored there, if present.
+    ///
+    /// A slot names one live row of the slab: distinct live tokens hold
+    /// distinct slots, and every slot is below the most rows the slab has
+    /// held at once, so a caller can index a per-row table by it.
+    pub fn row(&self, token: TokenId) -> Option<(usize, &[f32])> {
         self.index
             .get(&token)
-            .map(|&slot| &self.data[slot * self.width..(slot + 1) * self.width])
+            .map(|&slot| (slot, &self.data[slot * self.width..(slot + 1) * self.width]))
     }
 
     /// Removes `token`, recycling its slot.  Returns whether it was present.
@@ -404,14 +408,14 @@ mod tests {
         let mut slab = InputSlab::new(3);
         slab.insert(0, &[1.0, 2.0, 3.0]);
         slab.insert(1, &[4.0, 5.0, 6.0]);
-        assert_eq!(slab.get(0), Some(&[1.0, 2.0, 3.0][..]));
+        assert_eq!(slab.row(0), Some((0, &[1.0, 2.0, 3.0][..])));
         assert!(slab.remove(0));
         assert!(!slab.remove(0));
         let backing = slab.data.len();
         slab.insert(2, &[7.0, 8.0, 9.0]);
         // Token 2 reused token 0's slot; the backing store did not grow.
         assert_eq!(slab.data.len(), backing);
-        assert_eq!(slab.get(2), Some(&[7.0, 8.0, 9.0][..]));
+        assert_eq!(slab.row(2), Some((0, &[7.0, 8.0, 9.0][..])));
         assert_eq!(slab.len(), 2);
         assert_eq!(slab.bytes_fp16(), 2 * 3 * 2);
     }
@@ -422,7 +426,7 @@ mod tests {
         slab.insert(5, &[1.0, 1.0]);
         slab.insert(5, &[2.0, 2.0]);
         assert_eq!(slab.len(), 1);
-        assert_eq!(slab.get(5), Some(&[2.0, 2.0][..]));
+        assert_eq!(slab.row(5), Some((0, &[2.0, 2.0][..])));
     }
 
     #[test]

@@ -15,19 +15,34 @@
 //! caller-owned [`DecodeScratch`] through the whole computation and visits the
 //! cache through the borrowed [`EntryRef`](crate::cache::EntryRef) API, so a
 //! steady-state decode step touches the heap not at all.  Every decode step
-//! any serving executor runs goes through it, heads one after another on the
-//! session's thread.  Per head it runs:
+//! any serving executor runs goes through it, on the session's thread.  Per
+//! layer it runs three phases:
 //!
-//! 1. one traversal over the `(layer, head)` arena computing all raw scores
-//!    (keys read *by reference* when the fault injector
-//!    [`is_noop`](FaultInjector::is_noop); staged through scratch otherwise);
-//! 2. [`ops::softmax_into`] in place over the score buffer (the consolidated
-//!    online-softmax formulation);
-//! 3. one weighted-value accumulation pass (values by reference under
-//!    `NoFaults`, from the stash otherwise), through
-//!    [`for_each_payload`](KvCacheBackend::for_each_payload), which visits the
-//!    same payloads in the same order as pass 1's
-//!    [`for_each_entry`](KvCacheBackend::for_each_entry).
+//! 1. **Read the heads.**  One
+//!    [`for_each_entry`](KvCacheBackend::for_each_entry) traversal per head,
+//!    on that head's fault lane.  A `Kv` entry is scored at once — its key
+//!    read *by reference* when the fault injector
+//!    [`is_noop`](FaultInjector::is_noop), staged through scratch and its
+//!    value stashed otherwise.  A `Recompute` entry enters the layer's row
+//!    table under its slot (no hashing) and reserves its value's place in the
+//!    stash.
+//! 2. **Read the rows.**  Each distinct stored row is copied once and
+//!    corrupted once, on the layer's row lane, whatever number of heads
+//!    retain it.  Then, for every head that retains a row and only for those,
+//!    the head's `head_dim` rows of `W_K`/`W_V` recompute its key and value
+//!    (the row-blocked [`Matrix::matvec_rows_into`](kelle_tensor::Matrix::matvec_rows_into)),
+//!    which scores the entry and fills its stashed value.
+//! 3. **Attend per head.**  [`ops::softmax_into`] in place over the head's
+//!    scores, the weighted-value accumulation in entry order (from the stash,
+//!    or through [`for_each_payload`](KvCacheBackend::for_each_payload) when
+//!    `Kv` values are read in place), then
+//!    [`observe_attention`](KvCacheBackend::observe_attention).
+//!
+//! Phase 1 reads every head before phase 3 reports any of them.  That is
+//! sound because `observe_attention(layer, h)` may change nothing that another
+//! head of the layer visits (the [`KvCacheBackend`] contract), and a head's
+//! own reads all precede its own report.  A policy that stores no rows pays
+//! nothing for phase 2.
 //!
 //! What the pass computes is pinned outside the code: the golden matrices in
 //! `tests/integration_decode_alloc.rs` (model level) and
@@ -35,10 +50,12 @@
 //! probability bits, cache and fault counters to captured constants.
 //!
 //! Retention faults are applied by the [`FaultInjector`] to the *stored*
-//! representation at read time: KV vectors for `Kv` entries, the input vector
-//! for `Recompute` entries — matching where the bits physically live in eDRAM.
-//! The stored bits themselves are never modified; corrupted reads are staged
-//! in scratch.
+//! representation at read time, where the bits physically live in eDRAM: a
+//! `Kv` entry's key and value on its `(layer, head)` lane, since they are
+//! stored per head; a `Recompute` entry's input vector once per layer on the
+//! row lane, since it is stored once per layer, at the most demanding group
+//! any retaining head ranks it in (see [`crate::fault`]).  The stored bits
+//! themselves are never modified; corrupted reads are staged in scratch.
 
 use crate::cache::{KvCacheBackend, PayloadRef, TokenId};
 use crate::fault::{FaultInjector, TokenGroup};
@@ -61,24 +78,21 @@ pub struct DecodeScratch {
     pub(crate) k: Vec<f32>,
     /// Value projection of the current token, flat head-major.
     pub(crate) v: Vec<f32>,
-    /// Raw scores, then (after `softmax_into`) probabilities, per entry.
+    /// Raw scores, then (after `softmax_into`) probabilities, of every head's
+    /// entries, head after head.
     pub(crate) scores: Vec<f32>,
     /// Token ids of the visited entries, parallel to `scores`.
     pub(crate) tokens: Vec<TokenId>,
+    /// Per head, where its entries start in `scores` and its staged values in
+    /// `stash`; one more mark closes the last head.
+    heads_at: Vec<(usize, usize)>,
     /// Staged value vectors (corrupted or recomputed), `head_dim` per staged
-    /// entry.
+    /// entry, in entry order.
     pub(crate) stash: Vec<f32>,
-    /// Per entry: whether its value lives in `stash` (vs. by-ref in the
-    /// arena).
-    pub(crate) stash_mask: Vec<bool>,
-    /// Staging buffer for corrupted key reads, length `head_dim`.
+    /// Staging buffer for a corrupted or recomputed key, length `head_dim`.
     pub(crate) kbuf: Vec<f32>,
-    /// Staging buffer for corrupted stored-input reads, length `channels`.
-    pub(crate) xbuf: Vec<f32>,
-    /// Recomputed key head-slice of a `Recompute` entry, length `head_dim`.
-    pub(crate) rk: Vec<f32>,
-    /// Recomputed value head-slice of a `Recompute` entry, length `head_dim`.
-    pub(crate) rv: Vec<f32>,
+    /// The layer's stored input rows, each read once per layer.
+    rows: RowTable,
     /// Per-head attention output `y^h`, length `head_dim`.
     pub(crate) yh: Vec<f32>,
     /// Concatenated head outputs, length `channels`.
@@ -124,6 +138,87 @@ impl DecodeScratch {
     /// call.
     pub fn logits(&self) -> &[f32] {
         &self.logits
+    }
+}
+
+/// The stored input rows of one layer's `Recompute` entries, in the order
+/// phase 1 first visits them, plus every (head, row) pair that reads one.
+#[derive(Debug, Clone, Default)]
+struct RowTable {
+    /// Per input-slab slot: the row's index in this table, or
+    /// [`RowTable::ABSENT`].
+    of_slot: Vec<u32>,
+    /// Per row: its slot (to reset `of_slot`).
+    slot: Vec<usize>,
+    /// Per row: its token, the RoPE position of its recomputed keys.
+    token: Vec<TokenId>,
+    /// Per row: whether any head that retains it ranks it high.
+    high: Vec<bool>,
+    /// The rows' stored inputs, `channels` per row: copied, then corrupted,
+    /// once per layer.
+    x: Vec<f32>,
+    /// Every (head, row) pair phase 2 recomputes, head by head in entry
+    /// order.
+    uses: Vec<RowUse>,
+}
+
+/// One head's `Recompute` entry: which row it reads and where its score and
+/// stashed value go.
+#[derive(Debug, Clone, Copy)]
+struct RowUse {
+    head: usize,
+    row: usize,
+    entry: usize,
+    stash: usize,
+}
+
+impl RowTable {
+    const ABSENT: u32 = u32::MAX;
+
+    /// Empties the table for the next layer.
+    fn clear(&mut self) {
+        for &slot in &self.slot {
+            self.of_slot[slot] = Self::ABSENT;
+        }
+        self.slot.clear();
+        self.token.clear();
+        self.high.clear();
+        self.x.clear();
+        self.uses.clear();
+    }
+
+    /// The index of the row stored in `slot`, copying `x` in on the row's
+    /// first visit.  A row is ranked high once any visit ranks it high.
+    fn visit(&mut self, slot: usize, token: TokenId, x: &[f32], high: bool) -> usize {
+        if slot >= self.of_slot.len() {
+            self.of_slot.resize(slot + 1, Self::ABSENT);
+        }
+        match self.of_slot[slot] {
+            Self::ABSENT => {
+                let row = self.slot.len();
+                self.of_slot[slot] = row as u32;
+                self.slot.push(slot);
+                self.token.push(token);
+                self.high.push(high);
+                self.x.extend_from_slice(x);
+                row
+            }
+            row => {
+                let row = row as usize;
+                debug_assert_eq!(self.token[row], token, "one slot holds one row");
+                self.high[row] |= high;
+                row
+            }
+        }
+    }
+}
+
+/// The token group a read is corrupted at.
+fn group(high_score: bool) -> TokenGroup {
+    if high_score {
+        TokenGroup::HighScore
+    } else {
+        TokenGroup::LowScore
     }
 }
 
@@ -195,12 +290,13 @@ impl<'w> MultiHeadAttention<'w> {
     /// `x` is the normalized layer input for the current token at sequence
     /// position `position`; the current token is inserted into `cache` before
     /// attending, so it always attends at least to itself.  Returns
-    /// `(recomputed_entries, kv_entries_read)`.
+    /// `(recomputed_entries, kv_entries_read)`, both counted per head.
     ///
     /// This is the allocation-free hot path: cache entries are visited as
     /// borrowed [`EntryRef`](crate::cache::EntryRef) views, and when
     /// `faults.is_noop()` keys and values are consumed directly from the
-    /// storage arenas with zero copies.
+    /// storage arenas with zero copies.  The three phases are described in
+    /// the module docs.
     #[allow(clippy::too_many_arguments)] // the decode-step contract: position + data + 3 collaborators
     pub fn forward_with(
         &self,
@@ -230,6 +326,11 @@ impl<'w> MultiHeadAttention<'w> {
         if scratch.attention.len() != self.heads {
             scratch.attention.resize_with(self.heads, Vec::new);
         }
+        scratch.scores.clear();
+        scratch.tokens.clear();
+        scratch.heads_at.clear();
+        scratch.stash.clear();
+        scratch.rows.clear();
 
         let noop = faults.is_noop();
         let mut recomputed_entries = 0usize;
@@ -237,9 +338,16 @@ impl<'w> MultiHeadAttention<'w> {
 
         for h in 0..self.heads {
             faults.begin_lane(layer, h);
-            let (rec, read) = self.attend_head(layer, h, noop, &*cache, faults, scratch);
+            let (rec, read) = self.read_head(layer, h, noop, &*cache, faults, scratch);
             recomputed_entries += rec;
             kv_entries_read += read;
+        }
+        scratch
+            .heads_at
+            .push((scratch.scores.len(), scratch.stash.len()));
+        self.read_rows(layer, noop, faults, scratch);
+        for h in 0..self.heads {
+            self.attend_head(layer, h, &*cache, scratch);
             cache.observe_attention(layer, h, &scratch.attention[h]);
         }
 
@@ -251,17 +359,12 @@ impl<'w> MultiHeadAttention<'w> {
         (recomputed_entries, kv_entries_read)
     }
 
-    /// The complete per-head attention pass — score traversal, in-place
-    /// softmax, weighted-value accumulation — for head `h`, reading the
-    /// head's query slice from `scratch` and writing the head output into its
-    /// `head_dim` slice of the concat buffer and the post-softmax labels into
-    /// its label vector.
-    ///
-    /// The cache is taken by `&` (reads only); reporting the labels back
-    /// through [`KvCacheBackend::observe_attention`] is the caller's
-    /// responsibility.  Returns `(recomputed_entries, kv_entries_read)` for
-    /// this head.
-    fn attend_head(
+    /// Phase 1 for head `h`: one traversal of its entries on its fault lane.
+    /// Scores every `Kv` entry and stashes its value if the read is staged;
+    /// enters every `Recompute` entry's row in the row table and reserves the
+    /// entry's score and stashed value for phase 2.  Returns
+    /// `(recomputed_entries, kv_entries_read)` for this head.
+    fn read_head(
         &self,
         layer: usize,
         h: usize,
@@ -276,141 +379,181 @@ impl<'w> MultiHeadAttention<'w> {
             q,
             scores,
             tokens,
+            heads_at,
             stash,
-            stash_mask,
             kbuf,
-            xbuf,
-            rk,
-            rv,
+            rows,
+            ..
+        } = scratch;
+        heads_at.push((scores.len(), stash.len()));
+        let qh = &q[h * hd..(h + 1) * hd];
+        let mut recomputed_entries = 0usize;
+        let mut kv_entries_read = 0usize;
+
+        cache.for_each_entry(layer, h, &mut |e| {
+            let score = match e.payload {
+                PayloadRef::Kv { key, value } => {
+                    kv_entries_read += 1;
+                    if noop {
+                        kelle_tensor::dot(key, qh) * scale
+                    } else {
+                        let group = group(e.high_score);
+                        kbuf.clear();
+                        kbuf.extend_from_slice(key);
+                        faults.corrupt_slice(kbuf, group);
+                        let start = stash.len();
+                        stash.extend_from_slice(value);
+                        faults.corrupt_slice(&mut stash[start..], group);
+                        kelle_tensor::dot(kbuf, qh) * scale
+                    }
+                }
+                PayloadRef::Recompute { x, slot } => {
+                    recomputed_entries += 1;
+                    let row = rows.visit(slot, e.token, x, e.high_score);
+                    rows.uses.push(RowUse {
+                        head: h,
+                        row,
+                        entry: scores.len(),
+                        stash: stash.len(),
+                    });
+                    stash.resize(stash.len() + hd, 0.0);
+                    0.0 // scored in phase 2
+                }
+            };
+            scores.push(score);
+            tokens.push(e.token);
+        });
+        (recomputed_entries, kv_entries_read)
+    }
+
+    /// Phase 2: reads each of the layer's stored rows once, on the row lane
+    /// `(layer, heads)` at the group of the row's most demanding head, then
+    /// recomputes key and value of every (head, row) pair phase 1 found — the
+    /// head's rows of `W_K`/`W_V` only — scoring the entry and filling its
+    /// stashed value.
+    fn read_rows(
+        &self,
+        layer: usize,
+        noop: bool,
+        faults: &mut dyn FaultInjector,
+        scratch: &mut DecodeScratch,
+    ) {
+        let DecodeScratch {
+            q,
+            scores,
+            stash,
+            kbuf,
+            rows,
+            ..
+        } = scratch;
+        if rows.uses.is_empty() {
+            return;
+        }
+        let hd = self.head_dim;
+        let channels = self.heads * hd;
+        let scale = 1.0 / (hd as f32).sqrt();
+        if !noop {
+            // A label no head uses, so the row lane is snapshotted with the
+            // head lanes.
+            faults.begin_lane(layer, self.heads);
+            for (x, &high) in rows.x.chunks_exact_mut(channels).zip(&rows.high) {
+                faults.corrupt_slice(x, group(high));
+            }
+        }
+        kbuf.clear();
+        kbuf.resize(hd, 0.0);
+        for u in &rows.uses {
+            let x = &rows.x[u.row * channels..(u.row + 1) * channels];
+            let head_rows = u.head * hd..(u.head + 1) * hd;
+            self.weights
+                .wk
+                .matvec_rows_into(head_rows.clone(), x, kbuf)
+                .expect("stored input matches channel dimension");
+            ops::apply_rope(kbuf, rows.token[u.row], self.rope_theta);
+            scores[u.entry] = kelle_tensor::dot(kbuf, &q[head_rows.clone()]) * scale;
+            self.weights
+                .wv
+                .matvec_rows_into(head_rows, x, &mut stash[u.stash..u.stash + hd])
+                .expect("stored input matches channel dimension");
+        }
+    }
+
+    /// Phase 3 for head `h`: in-place softmax over its scores, then the
+    /// weighted-value accumulation (Eq. 2) in entry order, writing the head
+    /// output into its `head_dim` slice of the concat buffer and the
+    /// post-softmax labels into its label vector.
+    ///
+    /// The cache is taken by `&` (reads only); reporting the labels back
+    /// through [`KvCacheBackend::observe_attention`] is the caller's
+    /// responsibility.
+    fn attend_head(
+        &self,
+        layer: usize,
+        h: usize,
+        cache: &dyn KvCacheBackend,
+        scratch: &mut DecodeScratch,
+    ) {
+        let hd = self.head_dim;
+        let DecodeScratch {
+            scores,
+            tokens,
+            heads_at,
+            stash,
             yh,
             concat,
             attention,
             ..
         } = scratch;
-        let qh = &q[h * hd..(h + 1) * hd];
-        let labels = &mut attention[h];
-        scores.clear();
-        tokens.clear();
-        stash.clear();
-        stash_mask.clear();
-
-        let mut recomputed_entries = 0usize;
-        let mut kv_entries_read = 0usize;
-
-        // Pass 1: raw attention scores (Eq. 1 numerator exponents), one
-        // traversal over the head's arena.  Keys are read by reference
-        // when no faults are active; corrupted or recomputed reads are
-        // staged in scratch, and their value vectors stashed for pass 2.
-        {
-            let weights = self.weights;
-            let rope_theta = self.rope_theta;
-            cache.for_each_entry(layer, h, &mut |e| {
-                let group = if e.high_score {
-                    TokenGroup::HighScore
-                } else {
-                    TokenGroup::LowScore
-                };
-                let score = match e.payload {
-                    PayloadRef::Kv { key, value } => {
-                        kv_entries_read += 1;
-                        if noop {
-                            stash_mask.push(false);
-                            kelle_tensor::dot(key, qh) * scale
-                        } else {
-                            kbuf.clear();
-                            kbuf.extend_from_slice(key);
-                            faults.corrupt_slice(kbuf, group);
-                            let start = stash.len();
-                            stash.extend_from_slice(value);
-                            faults.corrupt_slice(&mut stash[start..], group);
-                            stash_mask.push(true);
-                            kelle_tensor::dot(kbuf, qh) * scale
-                        }
-                    }
-                    PayloadRef::Recompute { x: stored_x } => {
-                        recomputed_entries += 1;
-                        // Faults hit the *stored* input vector; the
-                        // recomputed KV inherits the corruption through
-                        // the projection.
-                        let src: &[f32] = if noop {
-                            stored_x
-                        } else {
-                            xbuf.clear();
-                            xbuf.extend_from_slice(stored_x);
-                            faults.corrupt_slice(xbuf, group);
-                            xbuf
-                        };
-                        // Only this head's rows of W_K/W_V are needed;
-                        // the row-range projection is bitwise identical
-                        // to the corresponding slice of the full matvec
-                        // at 1/heads of the cost.
-                        weights
-                            .wk
-                            .matvec_rows_into(h * hd..(h + 1) * hd, src, rk)
-                            .expect("stored input matches channel dimension");
-                        weights
-                            .wv
-                            .matvec_rows_into(h * hd..(h + 1) * hd, src, rv)
-                            .expect("stored input matches channel dimension");
-                        ops::apply_rope(rk, e.token, rope_theta);
-                        stash.extend_from_slice(rv);
-                        stash_mask.push(true);
-                        kelle_tensor::dot(rk, qh) * scale
-                    }
-                };
-                scores.push(score);
-                tokens.push(e.token);
-            });
-        }
-
-        // Pass 2: online softmax in place, then the weighted-value
-        // accumulation (Eq. 2) in entry order.
-        ops::softmax_into(scores);
+        let ((e0, s0), (e1, s1)) = (heads_at[h], heads_at[h + 1]);
+        let probs = &mut scores[e0..e1];
+        let staged = &stash[s0..s1];
+        ops::softmax_into(probs);
 
         yh.clear();
         yh.resize(hd, 0.0);
-        if noop {
-            // Values come straight from the arena by reference; only
-            // recomputed entries were stashed.  The payload-only
-            // traversal skips the backends' importance labelling.
-            let mut idx = 0usize;
-            let mut spos = 0usize;
-            cache.for_each_payload(layer, h, &mut |payload| {
-                let p = scores[idx];
-                let val: &[f32] = if stash_mask[idx] {
-                    let s = &stash[spos..spos + hd];
-                    spos += hd;
-                    s
-                } else {
-                    match payload {
-                        PayloadRef::Kv { value, .. } => value,
-                        // stash_mask[idx] is false only for Kv entries;
-                        // a backend changing its answer between the two
-                        // traversals violates the trait contract.
-                        PayloadRef::Recompute { .. } => {
-                            unreachable!("entry visitation changed between traversals")
-                        }
-                    }
-                };
-                for (o, vi) in yh.iter_mut().zip(val.iter()) {
-                    *o += p * vi;
-                }
-                idx += 1;
-            });
-            debug_assert_eq!(idx, scores.len(), "entry count changed between traversals");
-        } else {
-            // Every value was staged during pass 1.
-            for (p, val) in scores.iter().zip(stash.chunks_exact(hd)) {
-                for (o, vi) in yh.iter_mut().zip(val.iter()) {
-                    *o += p * vi;
-                }
+        let mut accumulate = |p: f32, val: &[f32]| {
+            for (o, vi) in yh.iter_mut().zip(val) {
+                *o += p * vi;
             }
+        };
+        if staged.len() == probs.len() * hd {
+            // Every value was staged: corrupted, or recomputed.
+            for (&p, val) in probs.iter().zip(staged.chunks_exact(hd)) {
+                accumulate(p, val);
+            }
+        } else {
+            // The injector is a no-op, so `Kv` values are read in place;
+            // only recomputed values were staged.  The payload-only
+            // traversal skips the backends' importance labelling.
+            let mut staged = staged.chunks_exact(hd);
+            let mut probs = probs.iter();
+            cache.for_each_payload(layer, h, &mut |payload| {
+                let val = match payload {
+                    PayloadRef::Kv { value, .. } => value,
+                    PayloadRef::Recompute { .. } => staged
+                        .next()
+                        .expect("entry visitation changed between traversals"),
+                };
+                let &p = probs
+                    .next()
+                    .expect("entry count changed between traversals");
+                accumulate(p, val);
+            });
+            debug_assert!(
+                probs.next().is_none(),
+                "entry count changed between traversals"
+            );
         }
 
+        let labels = &mut attention[h];
         labels.clear();
-        labels.extend(tokens.iter().copied().zip(scores.iter().copied()));
+        labels.extend(
+            tokens[e0..e1]
+                .iter()
+                .copied()
+                .zip(scores[e0..e1].iter().copied()),
+        );
         concat[h * hd..(h + 1) * hd].copy_from_slice(yh);
-        (recomputed_entries, kv_entries_read)
     }
 }
 

@@ -56,10 +56,17 @@ pub enum PayloadRef<'a> {
         /// Stored value vector.
         value: &'a [f32],
     },
-    /// Only the layer-input vector `x` (length `channels`) is stored.
+    /// Only the layer-input vector `x` (length `channels`) is stored, once
+    /// per layer for every head that retains the token.
     Recompute {
         /// Stored input vector for the token.
         x: &'a [f32],
+        /// The row's identity within its layer: between two `&mut` accesses
+        /// every visit of one stored row, from any head of the layer, carries
+        /// the same slot and distinct rows carry distinct slots.  Slots are
+        /// small (an [`InputSlab`](crate::arena::InputSlab) slot), so the
+        /// attention pass indexes its per-layer row table by them.
+        slot: usize,
     },
 }
 
@@ -125,10 +132,12 @@ impl CacheStats {
 ///
 /// 1. [`insert`](KvCacheBackend::insert) with the token's input vector and
 ///    the per-head keys/values as flat `channels`-length slices;
-/// 2. [`for_each_entry`](KvCacheBackend::for_each_entry) for each head,
+/// 2. [`for_each_entry`](KvCacheBackend::for_each_entry) for every head,
 ///    visiting borrowed views of the tokens to attend over;
-/// 3. [`observe_attention`](KvCacheBackend::observe_attention) for each head
-///    with the post-softmax probabilities assigned to the visited entries, so
+/// 3. per head, [`for_each_payload`](KvCacheBackend::for_each_payload) (when
+///    a value is read in place) and then
+///    [`observe_attention`](KvCacheBackend::observe_attention) with the
+///    post-softmax probabilities assigned to the visited entries, so
 ///    importance-tracking policies (H2O, AERP) can update their scores.
 ///
 /// After pre-filling, [`finish_prefill`](KvCacheBackend::finish_prefill) lets
@@ -156,10 +165,14 @@ impl CacheStats {
 /// associated with that `(layer, head)` pair — it must not evict, reorder or
 /// rescore entries of *other* heads (evictions belong in
 /// [`insert`](KvCacheBackend::insert) /
-/// [`finish_prefill`](KvCacheBackend::finish_prefill)), so what a head reads
-/// within a step never depends on the order heads are visited in.  All stock
-/// policies satisfy this (H2O/AERP accumulate into per-`(layer, head)` score
-/// maps; the others ignore observes).
+/// [`finish_prefill`](KvCacheBackend::finish_prefill)): nothing
+/// `for_each_entry(layer, h′)` visits for `h′ ≠ head` may change.  This is
+/// what lets the attention pass read every head of a layer before it
+/// reports any of them (step 2 before step 3), and it keeps what a head
+/// reads within a step independent of the order heads are visited in.  All
+/// stock policies satisfy this (H2O/AERP accumulate into per-`(layer, head)`
+/// score maps; the others ignore observes), and a property test holds them
+/// to it.
 pub trait KvCacheBackend: std::fmt::Debug + Send {
     /// Inserts the current token for `layer`.
     ///
@@ -459,7 +472,7 @@ mod tests {
             key: &[1.0],
             value: &[2.0],
         };
-        let rc_ref = PayloadRef::Recompute { x: &[1.0] };
+        let rc_ref = PayloadRef::Recompute { x: &[1.0], slot: 0 };
         assert!(!kv_ref.needs_recompute());
         assert!(rc_ref.needs_recompute());
     }

@@ -95,6 +95,26 @@
 //! [`FaultInjector::corrupt`].  `Clone` captures a lane's generator, its four
 //! gap counters and its statistics; the survival tables are shared, not
 //! copied.
+//!
+//! # Lanes and what reads on them
+//!
+//! A stored word is read on the lane of the memory it sits in, once per
+//! read of that memory:
+//!
+//! * **head lanes** `(layer, head)`, one per attention head: the key and value
+//!   rows of a KV-format entry, which are stored per head;
+//! * **one row lane per layer**, labelled `(layer, heads)` — a head index no
+//!   head uses, so it lives in the same lane table and the same `Clone`
+//!   snapshot as the head lanes: AERP's stored input rows `x`, which are
+//!   stored once per layer.  Each row is read once per layer and step,
+//!   however many heads retain it, in the order the heads first visit the
+//!   rows; every retaining head recomputes its key and value from that one
+//!   read.
+//!
+//! **The group rule.**  One stored row sits in one refresh domain, so a row
+//! that heads rank differently is read at the most demanding group any of
+//! them gives it: [`TokenGroup::HighScore`] if any retaining head ranks it
+//! high, [`TokenGroup::LowScore`] otherwise.
 
 pub use kelle_edram::BitFlipRates;
 use kelle_edram::{RefreshPolicy, RetentionModel};
@@ -178,16 +198,16 @@ pub trait FaultInjector: std::fmt::Debug {
     /// Selects the deterministic substream that subsequent
     /// [`corrupt`](FaultInjector::corrupt) calls draw from.
     ///
-    /// The attention pass calls this at the start of every `(layer, head)`
-    /// iteration — in both the fused and the reference path — so that the
-    /// random draws consumed for one head never shift the stream seen by
-    /// another.  Heads run one after another on one thread; the lanes are
-    /// per head so that a head's stream depends on that head's read history
-    /// alone: a prefix-hit session that replays a published segment resumes
-    /// every lane exactly where a cold prefill would have left it, and a
-    /// cache policy that changes what one head reads cannot move the bits
-    /// another head sees.  Stateless injectors ignore it (the default is a
-    /// no-op).
+    /// The attention pass selects lane `(layer, head)` before it reads a
+    /// head's KV-format entries, and lane `(layer, heads)` — the layer's row
+    /// lane, labelled by a head index no head uses — before it reads the
+    /// layer's stored input rows (see the module docs' "Lanes").  The random
+    /// draws consumed for one lane never shift the stream seen by another,
+    /// so a lane's stream depends on its own read history alone: a
+    /// prefix-hit session that replays a published segment resumes every
+    /// lane exactly where a cold prefill would have left it, and a cache
+    /// policy that changes what one head reads cannot move the bits another
+    /// head sees.  Stateless injectors ignore it (the default is a no-op).
     fn begin_lane(&mut self, layer: usize, head: usize) {
         let _ = (layer, head);
     }
@@ -387,8 +407,9 @@ impl Thresholds {
 ///
 /// A lane owns its own RNG (seeded from the parent seed and the lane's
 /// `(layer, head)` label via [`rng::lane`]), each rate class's distance to its
-/// next flip, and its own counters, so the draws consumed for one attention
-/// head never shift the stream of another.
+/// next flip, and its own counters, so the draws consumed on one lane (an
+/// attention head's, or a layer's row lane) never shift the stream of
+/// another.
 #[derive(Debug, Clone)]
 struct FaultLane {
     rng: DetRng,
@@ -568,12 +589,13 @@ impl LaneHandle<'_> {
 
 /// A probabilistic fault injector driven by per-group bit-flip rates.
 ///
-/// Random draws are partitioned into deterministic per-`(layer, head)` lanes
-/// (created on demand; direct [`corrupt`](FaultInjector::corrupt) calls with
-/// no preceding [`begin_lane`](FaultInjector::begin_lane) use lane `(0, 0)`).
-/// Each lane's RNG is seeded from the injector seed and the lane label alone,
-/// so the bits a head's reads see depend only on the per-head corruption
-/// history — never on how heads interleave across layers and steps.
+/// Random draws are partitioned into deterministic `(layer, head)` lanes — a
+/// head lane per attention head and a row lane per layer (created on demand;
+/// direct [`corrupt`](FaultInjector::corrupt) calls with no preceding
+/// [`begin_lane`](FaultInjector::begin_lane) use lane `(0, 0)`).  Each
+/// lane's RNG is seeded from the injector seed and the lane label alone, so
+/// the bits a lane's reads see depend only on that lane's corruption history
+/// — never on how lanes interleave across layers and steps.
 /// [`stats`](FaultInjector::stats) sums the lane counters.
 ///
 /// `Clone` snapshots the full injector state (rates, every lane's RNG

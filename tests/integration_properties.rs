@@ -290,12 +290,12 @@ proptest! {
 }
 
 /// A visited payload as the bits of what it stores: `[key, value]` for a KV
-/// entry, `[x]` for a recompute entry.
+/// entry, `[x, [slot]]` for a recompute entry.
 fn payload_bits(payload: PayloadRef<'_>) -> Vec<Vec<u32>> {
     let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|f| f.to_bits()).collect() };
     match payload {
         PayloadRef::Kv { key, value } => vec![bits(key), bits(value)],
-        PayloadRef::Recompute { x } => vec![bits(x)],
+        PayloadRef::Recompute { x, slot } => vec![bits(x), vec![slot as u32]],
     }
 }
 
@@ -320,16 +320,64 @@ fn assert_visitors_agree(cache: &dyn KvCacheBackend, layers: usize, heads: usize
     }
 }
 
+/// Every entry `for_each_entry(layer, head)` visits: token, HST/LST label
+/// and payload bits.
+fn visited_entries(
+    cache: &dyn KvCacheBackend,
+    layer: usize,
+    head: usize,
+) -> Vec<(usize, bool, Vec<Vec<u32>>)> {
+    let mut entries = Vec::new();
+    cache.for_each_entry(layer, head, &mut |e| {
+        entries.push((e.token, e.high_score, payload_bits(e.payload)))
+    });
+    entries
+}
+
+/// The contract that lets attention read every head of a layer before it
+/// reports any: on a copy of `cache`, `observe_attention(layer, head)` with a
+/// skewed distribution over the head's entries changes nothing that
+/// `for_each_entry(layer, h′)` visits for any `h′ ≠ head`.
+fn assert_observe_stays_in_its_head(
+    cache: &dyn KvCacheBackend,
+    layers: usize,
+    heads: usize,
+    label: &str,
+) {
+    for layer in 0..layers {
+        let before: Vec<_> = (0..heads)
+            .map(|h| visited_entries(cache, layer, h))
+            .collect();
+        for head in 0..heads {
+            let scores: Vec<(usize, f32)> = before[head]
+                .iter()
+                .enumerate()
+                .map(|(i, &(token, ..))| (token, 1.0 / (i + 1) as f32))
+                .collect();
+            let mut observed = cache.clone_box();
+            observed.observe_attention(layer, head, &scores);
+            for (other, entries) in before.iter().enumerate().filter(|&(h, _)| h != head) {
+                assert_eq!(
+                    &visited_entries(observed.as_ref(), layer, other),
+                    entries,
+                    "{label}: observing layer {layer} head {head} moved head {other}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     // Each case decodes every policy twice (cold and behind a published
     // prefix); keep the sample count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The backend visitor contract holds after every decode step, for every
+    /// The backend visitor contracts hold after every decode step, for every
     /// policy under random prompts, budgets and the eviction schedules they
     /// induce: on a cold backend, and on one that replayed a published
     /// prefix segment and then decoded past its budget, evicting tokens the
-    /// replay inserted.
+    /// replay inserted.  `for_each_payload` agrees with `for_each_entry`, and
+    /// observing one head's attention moves nothing another head visits.
     #[test]
     fn payload_visitor_matches_entry_visitor_after_every_step(
         seed in 0u64..1000,
@@ -367,6 +415,7 @@ proptest! {
                 decode_step(&model, &mut state, None, cold.as_mut(), &mut NoFaults);
                 let label = format!("{} cold step {step}", policy.name());
                 assert_visitors_agree(cold.as_ref(), layers, heads, &label);
+                assert_observe_stays_in_its_head(cold.as_ref(), layers, heads, &label);
             }
 
             // Publish all but the last prompt token, attach the segment to a
@@ -388,6 +437,7 @@ proptest! {
                 decode_step(&model, &mut state, None, hit.as_mut(), &mut NoFaults);
                 let label = format!("{} hit step {step}", policy.name());
                 assert_visitors_agree(hit.as_ref(), layers, heads, &label);
+                assert_observe_stays_in_its_head(hit.as_ref(), layers, heads, &label);
             }
             if policy == CachePolicy::StreamingLlm {
                 // StreamingLLM evicts the oldest non-sink token, which the
