@@ -219,44 +219,6 @@ impl AerpCache {
         }
     }
 
-    /// Visits the retained entries of `(layer, head)` in retained order: the
-    /// one walk behind both visitors.  A monotone cursor pairs each KV-format
-    /// token with its arena slot, and a popular token borrows its row (and
-    /// the row's slot) straight from the layer's slab.
-    fn walk<'s>(
-        &'s self,
-        layer: usize,
-        head: usize,
-        mut visit: impl FnMut(TokenId, PayloadRef<'s>),
-    ) {
-        let Some(state) = self.layers.get(&layer) else {
-            return;
-        };
-        let arena = &state.kv[head];
-        let mut cursor = 0usize;
-        for &token in &state.retained[head] {
-            let payload = if state.popular.contains(&token) {
-                let (slot, x) = state
-                    .inputs
-                    .row(token)
-                    .expect("the slab holds the input row of every retained token");
-                PayloadRef::Recompute { x, slot }
-            } else {
-                assert!(
-                    cursor < arena.len() && arena.token_at(cursor) == token,
-                    "the arena holds exactly the retained KV-format tokens, in order"
-                );
-                let i = cursor;
-                cursor += 1;
-                PayloadRef::Kv {
-                    key: arena.key(i),
-                    value: arena.value(i),
-                }
-            };
-            visit(token, payload);
-        }
-    }
-
     /// Re-evaluates popularity-based storage formats for a layer (§4.1.2).
     ///
     /// Tokens retained in at least `θ` of the heads are converted to
@@ -335,31 +297,47 @@ impl KvCacheBackend for AerpCache {
         self.insertions += 1;
     }
 
+    /// Visits the retained entries in retained order.  A monotone cursor
+    /// pairs each KV-format token with its arena slot, and a popular token
+    /// borrows its row (and the row's slot) straight from the layer's slab.
     fn for_each_entry(
         &self,
         layer: usize,
         head: usize,
         visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
     ) {
+        let Some(state) = self.layers.get(&layer) else {
+            return;
+        };
         // One median computation per traversal, not per token.
         let median = self.importance.median_threshold(layer, head);
-        self.walk(layer, head, |token, payload| {
+        let arena = &state.kv[head];
+        let mut cursor = 0usize;
+        for &token in &state.retained[head] {
+            let payload = if state.popular.contains(&token) {
+                let (slot, x) = state
+                    .inputs
+                    .row(token)
+                    .expect("the slab holds the input row of every retained token");
+                PayloadRef::Recompute { x, slot }
+            } else {
+                assert!(
+                    cursor < arena.len() && arena.token_at(cursor) == token,
+                    "the arena holds exactly the retained KV-format tokens, in order"
+                );
+                let i = cursor;
+                cursor += 1;
+                PayloadRef::Kv {
+                    key: arena.key(i),
+                    value: arena.value(i),
+                }
+            };
             visit(EntryRef {
                 token,
                 payload,
                 high_score: median.is_none_or(|m| self.importance.score(layer, head, token) >= m),
-            })
-        });
-    }
-
-    fn for_each_payload(
-        &self,
-        layer: usize,
-        head: usize,
-        visit: &mut dyn for<'e> FnMut(PayloadRef<'e>),
-    ) {
-        // The same walk minus the importance labelling.
-        self.walk(layer, head, |_, payload| visit(payload));
+            });
+        }
     }
 
     fn entry_count(&self, layer: usize, head: usize) -> usize {
@@ -449,7 +427,9 @@ mod tests {
     /// Whether each entry of `(0, 0)` is stored for recomputation.
     fn recompute_flags(cache: &AerpCache) -> Vec<bool> {
         let mut flags = Vec::new();
-        cache.for_each_entry(0, 0, &mut |e| flags.push(e.payload.needs_recompute()));
+        cache.for_each_entry(0, 0, &mut |e| {
+            flags.push(matches!(e.payload, PayloadRef::Recompute { .. }))
+        });
         flags
     }
 
@@ -650,7 +630,7 @@ mod tests {
             insert_token(&mut cache, 0, t);
         }
         cache.layers.get_mut(&0).unwrap().kv[0].remove_token(1);
-        cache.for_each_payload(0, 0, &mut |_| {});
+        cache.for_each_entry(0, 0, &mut |_| {});
     }
 
     #[test]

@@ -82,20 +82,6 @@ impl CachePolicy {
             CachePolicy::Aerp => Box::new(AerpCache::with_config(AerpConfig::new(budget), heads)),
         }
     }
-
-    /// Builds a backend from a full AERP configuration when the policy is
-    /// [`CachePolicy::Aerp`] (the ablation knobs only exist there); other
-    /// policies fall back to [`CachePolicy::build`] with the config's budget.
-    pub fn build_with_aerp_config(
-        self,
-        config: AerpConfig,
-        heads: usize,
-    ) -> Box<dyn KvCacheBackend> {
-        match self {
-            CachePolicy::Aerp => Box::new(AerpCache::with_config(config, heads)),
-            other => other.build(config.budget, heads),
-        }
-    }
 }
 
 impl std::fmt::Display for CachePolicy {
@@ -141,17 +127,6 @@ mod tests {
                 assert_eq!(len, 40, "{policy:?}");
             }
         }
-    }
-
-    #[test]
-    fn aerp_config_passthrough_disables_recompute() {
-        let config = AerpConfig::new(budget()).without_recompute();
-        let backend = CachePolicy::Aerp.build_with_aerp_config(config, 4);
-        // Recomputation off is the AEP ablation baseline, and the backend
-        // reports itself accordingly.
-        assert_eq!(backend.name(), "aep");
-        let other = CachePolicy::H2o.build_with_aerp_config(config, 4);
-        assert_eq!(other.name(), "h2o");
     }
 
     #[test]

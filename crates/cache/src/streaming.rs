@@ -103,23 +103,6 @@ impl KvCacheBackend for StreamingLlmCache {
         }
     }
 
-    fn for_each_payload(
-        &self,
-        layer: usize,
-        head: usize,
-        visit: &mut dyn for<'e> FnMut(PayloadRef<'e>),
-    ) {
-        let Some(arena) = self.store.get(layer, head) else {
-            return;
-        };
-        for i in 0..arena.len() {
-            visit(PayloadRef::Kv {
-                key: arena.key(i),
-                value: arena.value(i),
-            });
-        }
-    }
-
     fn entry_count(&self, layer: usize, head: usize) -> usize {
         self.store.get(layer, head).map_or(0, |a| a.len())
     }

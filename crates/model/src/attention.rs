@@ -20,11 +20,10 @@
 //!
 //! 1. **Read the heads.**  One
 //!    [`for_each_entry`](KvCacheBackend::for_each_entry) traversal per head,
-//!    on that head's fault lane.  A `Kv` entry is scored at once — its key
-//!    read *by reference* when the fault injector
-//!    [`is_noop`](FaultInjector::is_noop), staged through scratch and its
-//!    value stashed otherwise.  A `Recompute` entry enters the layer's row
-//!    table under its slot (no hashing) and reserves its value's place in the
+//!    on that head's fault lane.  A `Kv` entry's key is copied into scratch
+//!    and its value into the stash, both are corrupted there, and the entry
+//!    is scored at once.  A `Recompute` entry enters the layer's row table
+//!    under its slot (no hashing) and reserves its value's place in the
 //!    stash.
 //! 2. **Read the rows.**  Each distinct stored row is copied once and
 //!    corrupted once, on the layer's row lane, whatever number of heads
@@ -33,10 +32,8 @@
 //!    (the row-blocked [`Matrix::matvec_rows_into`](kelle_tensor::Matrix::matvec_rows_into)),
 //!    which scores the entry and fills its stashed value.
 //! 3. **Attend per head.**  [`ops::softmax_into`] in place over the head's
-//!    scores, the weighted-value accumulation in entry order (from the stash,
-//!    or through [`for_each_payload`](KvCacheBackend::for_each_payload) when
-//!    `Kv` values are read in place), then
-//!    [`observe_attention`](KvCacheBackend::observe_attention).
+//!    scores, the weighted-value accumulation from the stash in entry order,
+//!    then [`observe_attention`](KvCacheBackend::observe_attention).
 //!
 //! Phase 1 reads every head before phase 3 reports any of them.  That is
 //! sound because `observe_attention(layer, h)` may change nothing that another
@@ -86,8 +83,9 @@ pub struct DecodeScratch {
     /// Per head, where its entries start in `scores` and its staged values in
     /// `stash`; one more mark closes the last head.
     heads_at: Vec<(usize, usize)>,
-    /// Staged value vectors (corrupted or recomputed), `head_dim` per staged
-    /// entry, in entry order.
+    /// Staged value vectors, `head_dim` per entry of every head, in entry
+    /// order: a `Kv` entry's value copied and corrupted, a `Recompute`
+    /// entry's value recomputed from its corrupted row.
     pub(crate) stash: Vec<f32>,
     /// Staging buffer for a corrupted or recomputed key, length `head_dim`.
     pub(crate) kbuf: Vec<f32>,
@@ -293,10 +291,9 @@ impl<'w> MultiHeadAttention<'w> {
     /// `(recomputed_entries, kv_entries_read)`, both counted per head.
     ///
     /// This is the allocation-free hot path: cache entries are visited as
-    /// borrowed [`EntryRef`](crate::cache::EntryRef) views, and when
-    /// `faults.is_noop()` keys and values are consumed directly from the
-    /// storage arenas with zero copies.  The three phases are described in
-    /// the module docs.
+    /// borrowed [`EntryRef`](crate::cache::EntryRef) views, and every stored
+    /// word read is staged through `scratch` and `faults`.  The three phases
+    /// are described in the module docs.
     #[allow(clippy::too_many_arguments)] // the decode-step contract: position + data + 3 collaborators
     pub fn forward_with(
         &self,
@@ -332,22 +329,21 @@ impl<'w> MultiHeadAttention<'w> {
         scratch.stash.clear();
         scratch.rows.clear();
 
-        let noop = faults.is_noop();
         let mut recomputed_entries = 0usize;
         let mut kv_entries_read = 0usize;
 
         for h in 0..self.heads {
             faults.begin_lane(layer, h);
-            let (rec, read) = self.read_head(layer, h, noop, &*cache, faults, scratch);
+            let (rec, read) = self.read_head(layer, h, &*cache, faults, scratch);
             recomputed_entries += rec;
             kv_entries_read += read;
         }
         scratch
             .heads_at
             .push((scratch.scores.len(), scratch.stash.len()));
-        self.read_rows(layer, noop, faults, scratch);
+        self.read_rows(layer, faults, scratch);
         for h in 0..self.heads {
-            self.attend_head(layer, h, &*cache, scratch);
+            self.attend_head(h, scratch);
             cache.observe_attention(layer, h, &scratch.attention[h]);
         }
 
@@ -360,15 +356,14 @@ impl<'w> MultiHeadAttention<'w> {
     }
 
     /// Phase 1 for head `h`: one traversal of its entries on its fault lane.
-    /// Scores every `Kv` entry and stashes its value if the read is staged;
-    /// enters every `Recompute` entry's row in the row table and reserves the
-    /// entry's score and stashed value for phase 2.  Returns
+    /// Scores every `Kv` entry from its staged key and stashes its staged
+    /// value; enters every `Recompute` entry's row in the row table and
+    /// reserves the entry's score and stashed value for phase 2.  Returns
     /// `(recomputed_entries, kv_entries_read)` for this head.
     fn read_head(
         &self,
         layer: usize,
         h: usize,
-        noop: bool,
         cache: &dyn KvCacheBackend,
         faults: &mut dyn FaultInjector,
         scratch: &mut DecodeScratch,
@@ -394,18 +389,14 @@ impl<'w> MultiHeadAttention<'w> {
             let score = match e.payload {
                 PayloadRef::Kv { key, value } => {
                     kv_entries_read += 1;
-                    if noop {
-                        kelle_tensor::dot(key, qh) * scale
-                    } else {
-                        let group = group(e.high_score);
-                        kbuf.clear();
-                        kbuf.extend_from_slice(key);
-                        faults.corrupt_slice(kbuf, group);
-                        let start = stash.len();
-                        stash.extend_from_slice(value);
-                        faults.corrupt_slice(&mut stash[start..], group);
-                        kelle_tensor::dot(kbuf, qh) * scale
-                    }
+                    let group = group(e.high_score);
+                    kbuf.clear();
+                    kbuf.extend_from_slice(key);
+                    faults.corrupt_slice(kbuf, group);
+                    let start = stash.len();
+                    stash.extend_from_slice(value);
+                    faults.corrupt_slice(&mut stash[start..], group);
+                    kelle_tensor::dot(kbuf, qh) * scale
                 }
                 PayloadRef::Recompute { x, slot } => {
                     recomputed_entries += 1;
@@ -431,13 +422,7 @@ impl<'w> MultiHeadAttention<'w> {
     /// recomputes key and value of every (head, row) pair phase 1 found — the
     /// head's rows of `W_K`/`W_V` only — scoring the entry and filling its
     /// stashed value.
-    fn read_rows(
-        &self,
-        layer: usize,
-        noop: bool,
-        faults: &mut dyn FaultInjector,
-        scratch: &mut DecodeScratch,
-    ) {
+    fn read_rows(&self, layer: usize, faults: &mut dyn FaultInjector, scratch: &mut DecodeScratch) {
         let DecodeScratch {
             q,
             scores,
@@ -452,13 +437,11 @@ impl<'w> MultiHeadAttention<'w> {
         let hd = self.head_dim;
         let channels = self.heads * hd;
         let scale = 1.0 / (hd as f32).sqrt();
-        if !noop {
-            // A label no head uses, so the row lane is snapshotted with the
-            // head lanes.
-            faults.begin_lane(layer, self.heads);
-            for (x, &high) in rows.x.chunks_exact_mut(channels).zip(&rows.high) {
-                faults.corrupt_slice(x, group(high));
-            }
+        // A label no head uses, so the row lane is snapshotted with the head
+        // lanes.
+        faults.begin_lane(layer, self.heads);
+        for (x, &high) in rows.x.chunks_exact_mut(channels).zip(&rows.high) {
+            faults.corrupt_slice(x, group(high));
         }
         kbuf.clear();
         kbuf.resize(hd, 0.0);
@@ -479,20 +462,12 @@ impl<'w> MultiHeadAttention<'w> {
     }
 
     /// Phase 3 for head `h`: in-place softmax over its scores, then the
-    /// weighted-value accumulation (Eq. 2) in entry order, writing the head
-    /// output into its `head_dim` slice of the concat buffer and the
-    /// post-softmax labels into its label vector.
-    ///
-    /// The cache is taken by `&` (reads only); reporting the labels back
-    /// through [`KvCacheBackend::observe_attention`] is the caller's
-    /// responsibility.
-    fn attend_head(
-        &self,
-        layer: usize,
-        h: usize,
-        cache: &dyn KvCacheBackend,
-        scratch: &mut DecodeScratch,
-    ) {
+    /// weighted-value accumulation (Eq. 2) over its staged values in entry
+    /// order, writing the head output into its `head_dim` slice of the
+    /// concat buffer and the post-softmax labels into its label vector.
+    /// Reporting the labels back through
+    /// [`KvCacheBackend::observe_attention`] is the caller's responsibility.
+    fn attend_head(&self, h: usize, scratch: &mut DecodeScratch) {
         let hd = self.head_dim;
         let DecodeScratch {
             scores,
@@ -506,43 +481,14 @@ impl<'w> MultiHeadAttention<'w> {
         } = scratch;
         let ((e0, s0), (e1, s1)) = (heads_at[h], heads_at[h + 1]);
         let probs = &mut scores[e0..e1];
-        let staged = &stash[s0..s1];
         ops::softmax_into(probs);
 
         yh.clear();
         yh.resize(hd, 0.0);
-        let mut accumulate = |p: f32, val: &[f32]| {
+        for (&p, val) in probs.iter().zip(stash[s0..s1].chunks_exact(hd)) {
             for (o, vi) in yh.iter_mut().zip(val) {
                 *o += p * vi;
             }
-        };
-        if staged.len() == probs.len() * hd {
-            // Every value was staged: corrupted, or recomputed.
-            for (&p, val) in probs.iter().zip(staged.chunks_exact(hd)) {
-                accumulate(p, val);
-            }
-        } else {
-            // The injector is a no-op, so `Kv` values are read in place;
-            // only recomputed values were staged.  The payload-only
-            // traversal skips the backends' importance labelling.
-            let mut staged = staged.chunks_exact(hd);
-            let mut probs = probs.iter();
-            cache.for_each_payload(layer, h, &mut |payload| {
-                let val = match payload {
-                    PayloadRef::Kv { value, .. } => value,
-                    PayloadRef::Recompute { .. } => staged
-                        .next()
-                        .expect("entry visitation changed between traversals"),
-                };
-                let &p = probs
-                    .next()
-                    .expect("entry count changed between traversals");
-                accumulate(p, val);
-            });
-            debug_assert!(
-                probs.next().is_none(),
-                "entry count changed between traversals"
-            );
         }
 
         let labels = &mut attention[h];

@@ -21,7 +21,9 @@
 //!
 //! * **reads are borrows**: [`for_each_entry`](KvCacheBackend::for_each_entry)
 //!   visits [`EntryRef`] views whose key/value/`x` slices point straight into
-//!   the arenas — zero copies, zero allocation;
+//!   the arenas — zero copies, zero allocation; the attention pass copies
+//!   each stored word it reads into its scratch, where the fault injector
+//!   corrupts it, so the stored bits are never modified;
 //! * **inserts append**: flat per-head slices are copied onto the arena tail;
 //!   buffers warm up to the policy budget and then stop growing;
 //! * **evictions splice in place** (order-preserving `copy_within`), so the
@@ -29,7 +31,7 @@
 //!   order of attention — is the same as the historical per-token-`Vec`
 //!   storage produced.
 //!
-//! There is one way to read a cache: the borrowed visitors.  What attention
+//! There is one way to read a cache: `for_each_entry`.  What attention
 //! computes from those reads is pinned by golden fixtures outside the code
 //! (`tests/integration_decode_alloc.rs`, `tests/integration_golden.rs`).
 //!
@@ -68,13 +70,6 @@ pub enum PayloadRef<'a> {
         /// attention pass indexes its per-layer row table by them.
         slot: usize,
     },
-}
-
-impl PayloadRef<'_> {
-    /// Whether this payload requires recomputation.
-    pub fn needs_recompute(&self) -> bool {
-        matches!(self, PayloadRef::Recompute { .. })
-    }
 }
 
 /// Borrowed view of a single cached token entry for one `(layer, head)`.
@@ -132,27 +127,18 @@ impl CacheStats {
 ///
 /// 1. [`insert`](KvCacheBackend::insert) with the token's input vector and
 ///    the per-head keys/values as flat `channels`-length slices;
-/// 2. [`for_each_entry`](KvCacheBackend::for_each_entry) for every head,
+/// 2. one [`for_each_entry`](KvCacheBackend::for_each_entry) per head,
 ///    visiting borrowed views of the tokens to attend over;
-/// 3. per head, [`for_each_payload`](KvCacheBackend::for_each_payload) (when
-///    a value is read in place) and then
-///    [`observe_attention`](KvCacheBackend::observe_attention) with the
-///    post-softmax probabilities assigned to the visited entries, so
-///    importance-tracking policies (H2O, AERP) can update their scores.
+/// 3. per head, [`observe_attention`](KvCacheBackend::observe_attention)
+///    with the post-softmax probabilities assigned to the visited entries,
+///    so importance-tracking policies (H2O, AERP) can update their scores.
 ///
 /// After pre-filling, [`finish_prefill`](KvCacheBackend::finish_prefill) lets
 /// policies apply their prefill retention rule (e.g. keep the top-`N'`
 /// tokens).
 ///
-/// Within one logical step, consecutive `for_each_entry` calls for the same
-/// `(layer, head)` with no intervening `&mut` access must visit the same
-/// entries in the same order, and
-/// [`for_each_payload`](KvCacheBackend::for_each_payload) must visit exactly
-/// the payloads `for_each_entry` hands out, in the same order, with
-/// [`entry_count`](KvCacheBackend::entry_count) equal to the number of
-/// visits.  The fused attention pass relies on this: it scores through
-/// `for_each_entry`, then accumulates values through `for_each_payload`, and
-/// treats a mismatch as unreachable.
+/// [`entry_count`](KvCacheBackend::entry_count) equals the number of entries
+/// `for_each_entry` visits.
 ///
 /// Backends are required to be [`Send`]: a serving session owns its backend
 /// and the threaded serving front-end (`kelle::parallel`) moves whole
@@ -199,24 +185,6 @@ pub trait KvCacheBackend: std::fmt::Debug + Send {
         head: usize,
         visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
     );
-
-    /// Visits only the stored payloads of `(layer, head)`: the same payloads,
-    /// bit for bit and in the same order, as
-    /// [`for_each_entry`](KvCacheBackend::for_each_entry) would visit.
-    ///
-    /// This is the second (value-accumulation) traversal of the fused
-    /// attention pass, which needs no token ids or importance labels;
-    /// backends that pay per-entry cost to classify HST/LST tokens (median
-    /// lookups in score-tracking policies) should override it to skip that
-    /// work.  The default delegates to `for_each_entry`.
-    fn for_each_payload(
-        &self,
-        layer: usize,
-        head: usize,
-        visit: &mut dyn for<'e> FnMut(PayloadRef<'e>),
-    ) {
-        self.for_each_entry(layer, head, &mut |e| visit(e.payload));
-    }
 
     /// Number of cached entries for `(layer, head)`.
     ///
@@ -341,23 +309,6 @@ impl KvCacheBackend for FullKvCache {
         }
     }
 
-    fn for_each_payload(
-        &self,
-        layer: usize,
-        head: usize,
-        visit: &mut dyn for<'e> FnMut(PayloadRef<'e>),
-    ) {
-        let Some(arena) = self.store.get(layer, head) else {
-            return;
-        };
-        for i in 0..arena.len() {
-            visit(PayloadRef::Kv {
-                key: arena.key(i),
-                value: arena.value(i),
-            });
-        }
-    }
-
     fn entry_count(&self, layer: usize, head: usize) -> usize {
         self.store.get(layer, head).map_or(0, |a| a.len())
     }
@@ -442,39 +393,31 @@ mod tests {
     #[test]
     fn borrowed_views_match_materialized_entries() {
         let mut cache = FullKvCache::new();
+        // Head `h` of token `t` stores key `10t + h` and value `−(10t + h)`,
+        // so a view that borrowed the wrong head's slice or the wrong token's
+        // stride shows.
         for t in 0..6 {
-            insert2(&mut cache, t);
+            let keys: Vec<f32> = (0..8).map(|i| (10 * t + i / 4) as f32).collect();
+            let values: Vec<f32> = keys.iter().map(|k| -k).collect();
+            cache.insert(0, t, &[0.0; 8], &keys, &values, 4);
         }
         cache.observe_attention(0, 0, &[(0, 0.7), (3, 0.1)]);
-        // Entries materialized through `for_each_entry`, against the
-        // payload-only visitor the value pass of attention reads.
-        let mut entries = Vec::new();
-        cache.for_each_entry(0, 0, &mut |e| {
-            let PayloadRef::Kv { key, value } = e.payload else {
-                unreachable!("the full cache stores KV")
-            };
-            entries.push((key.to_vec(), value.to_vec()));
-        });
-        let mut payloads = Vec::new();
-        cache.for_each_payload(0, 0, &mut |p| {
-            let PayloadRef::Kv { key, value } = p else {
-                unreachable!("the full cache stores KV")
-            };
-            payloads.push((key.to_vec(), value.to_vec()));
-        });
-        assert_eq!(entries.len(), 6);
-        assert_eq!(entries, payloads);
-    }
-
-    #[test]
-    fn payload_kind_query() {
-        let kv_ref = PayloadRef::Kv {
-            key: &[1.0],
-            value: &[2.0],
-        };
-        let rc_ref = PayloadRef::Recompute { x: &[1.0], slot: 0 };
-        assert!(!kv_ref.needs_recompute());
-        assert!(rc_ref.needs_recompute());
+        for head in 0..2 {
+            let mut entries = Vec::new();
+            cache.for_each_entry(0, head, &mut |e| {
+                let PayloadRef::Kv { key, value } = e.payload else {
+                    unreachable!("the full cache stores KV")
+                };
+                entries.push((e.token, key.to_vec(), value.to_vec()));
+            });
+            let expected: Vec<_> = (0..6)
+                .map(|t| {
+                    let k = (10 * t + head) as f32;
+                    (t, vec![k; 4], vec![-k; 4])
+                })
+                .collect();
+            assert_eq!(entries, expected, "head {head}");
+        }
     }
 
     #[test]

@@ -173,6 +173,12 @@ impl FaultStats {
 }
 
 /// Applies retention-failure corruption to values read from the KV cache.
+///
+/// The attention pass reads every stored word through an injector: it copies
+/// a key, value or input row into its scratch and hands the copy to
+/// [`corrupt_slice`](FaultInjector::corrupt_slice).  There is no in-place
+/// read path, so [`NoFaults`], the FP16 reference, pays the same staging
+/// copy and returns every value unchanged.
 pub trait FaultInjector: std::fmt::Debug {
     /// Possibly corrupts one value belonging to a token of the given group.
     ///
@@ -212,38 +218,18 @@ pub trait FaultInjector: std::fmt::Debug {
         let _ = (layer, head);
     }
 
-    /// Whether this injector is guaranteed to never change a value *and*
-    /// never update its counters, for any input.
-    ///
-    /// The decode hot path consults this once per attention pass: when it
-    /// returns `true`, cached keys and values are read by reference straight
-    /// out of the storage arenas with zero copies; otherwise each read is
-    /// staged through scratch buffers so the stored bits stay pristine while
-    /// the attention math sees the corrupted view.  Defaults to `false`
-    /// (conservative: the staging path is always correct, merely slower).
-    ///
-    /// Implementations must not return `true` if skipping `corrupt` calls
-    /// would be observable — e.g. [`ProbabilisticFaults`] keeps returning
-    /// `false` even for all-zero rates because it counts examined words.
-    fn is_noop(&self) -> bool {
-        false
-    }
-
     /// Corruption counters accumulated so far.
     fn stats(&self) -> FaultStats;
 }
 
-/// A fault injector that never corrupts anything (the FP16 reference setting).
+/// A fault injector that never corrupts anything and counts nothing (the
+/// FP16 reference setting).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFaults;
 
 impl FaultInjector for NoFaults {
     fn corrupt(&mut self, value: f32, _group: TokenGroup) -> f32 {
         value
-    }
-
-    fn is_noop(&self) -> bool {
-        true
     }
 
     fn stats(&self) -> FaultStats {

@@ -24,7 +24,7 @@
 //! pool however many sessions attach, while each session holds its own copy.
 
 use crate::arena::FP16_BYTES;
-use crate::cache::{CacheStats, EntryRef, KvCacheBackend, PayloadRef, TokenId};
+use crate::cache::{CacheStats, EntryRef, KvCacheBackend, TokenId};
 use crate::fault::ProbabilisticFaults;
 use std::sync::Arc;
 
@@ -305,15 +305,6 @@ impl KvCacheBackend for SegmentRecorder<'_> {
         self.inner.for_each_entry(layer, head, visit);
     }
 
-    fn for_each_payload(
-        &self,
-        layer: usize,
-        head: usize,
-        visit: &mut dyn for<'e> FnMut(PayloadRef<'e>),
-    ) {
-        self.inner.for_each_payload(layer, head, visit);
-    }
-
     fn entry_count(&self, layer: usize, head: usize) -> usize {
         self.inner.entry_count(layer, head)
     }
@@ -347,7 +338,7 @@ impl KvCacheBackend for SegmentRecorder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::FullKvCache;
+    use crate::cache::{FullKvCache, PayloadRef};
     use crate::fault::{BitFlipRates, FaultInjector};
 
     fn faults() -> ProbabilisticFaults {

@@ -560,7 +560,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_identity_is_noop() {
+    fn matmul_by_identity_returns_input() {
         let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let id = Matrix::identity(2);
         assert_eq!(m.matmul(&id).unwrap(), m);

@@ -346,9 +346,24 @@ const GOLDEN_RUNS: [GoldenRun; 10] = [
     },
 ];
 
+/// `words_examined` when a no-fault `GOLDEN_RUNS` row is read through
+/// `ProbabilisticFaults` at rate 0, per policy.  Captured while `NoFaults`
+/// still read keys and values in place; the zero-rate injector, which stages
+/// every read, reproduced each row's tokens, probabilities and cache stats
+/// bit for bit.
+const ZERO_RATE_WORDS: [(CachePolicy, u64); 5] = [
+    (CachePolicy::Full, 67_584),
+    (CachePolicy::StreamingLlm, 40_704),
+    (CachePolicy::H2o, 45_312),
+    (CachePolicy::QuaRotInt4, 67_584),
+    (CachePolicy::Aerp, 27_552),
+];
+
 /// Runs every `GOLDEN_RUNS` row with the given `faulted` flag and asserts
 /// that its token stream, probability bits, final cache stats and fault
-/// counters equal the pinned reference constants.
+/// counters equal the pinned reference constants.  A no-fault row must also
+/// come out of a zero-rate `ProbabilisticFaults`, with no bit flipped and
+/// its `ZERO_RATE_WORDS` examined.
 fn assert_golden_rows(faulted: bool) {
     for row in GOLDEN_RUNS.iter().filter(|row| row.faulted == faulted) {
         let (model, config, p) = if row.faulted {
@@ -356,21 +371,51 @@ fn assert_golden_rows(faulted: bool) {
         } else {
             (small_model(21), GenerationConfig::greedy(12), prompt(20, 2))
         };
-        let mut noop = NoFaults;
-        let mut flips = ProbabilisticFaults::new(BitFlipRates::uniform(0.01), 17);
-        let faults: &mut dyn FaultInjector = if row.faulted { &mut flips } else { &mut noop };
-        let mut cache = row.policy.build(budget(), model.dims().heads);
-        let output = run_with(&model, &p, config, None, cache.as_mut(), faults);
-        let tokens = fnv1a(output.generated.iter().map(|&t| t as u32));
-        let probs = fnv1a(output.step_probs.iter().flatten().map(|p| p.to_bits()));
-        let observed = (tokens, probs, cache.stats(), faults.stats());
+        let run = |faults: &mut dyn FaultInjector| {
+            let mut cache = row.policy.build(budget(), model.dims().heads);
+            let output = run_with(&model, &p, config, None, cache.as_mut(), faults);
+            let tokens = fnv1a(output.generated.iter().map(|&t| t as u32));
+            let probs = fnv1a(output.step_probs.iter().flatten().map(|p| p.to_bits()));
+            (tokens, probs, cache.stats(), faults.stats())
+        };
+        let observed = if row.faulted {
+            run(&mut ProbabilisticFaults::new(
+                BitFlipRates::uniform(0.01),
+                17,
+            ))
+        } else {
+            run(&mut NoFaults)
+        };
+        let expected = (row.tokens_fnv1a, row.probs_fnv1a, row.cache, row.faults);
         assert_eq!(
             observed,
-            (row.tokens_fnv1a, row.probs_fnv1a, row.cache, row.faults),
-            "policy {} faulted {}: tokens {tokens:#018x}, probabilities {probs:#018x}",
+            expected,
+            "policy {} faulted {}: tokens {:#018x}, probabilities {:#018x}",
             row.policy.name(),
-            row.faulted
+            row.faulted,
+            observed.0,
+            observed.1
         );
+        if !row.faulted {
+            let &(_, words_examined) = ZERO_RATE_WORDS
+                .iter()
+                .find(|(policy, _)| *policy == row.policy)
+                .expect("every policy has a zero-rate row");
+            let staged = run(&mut ProbabilisticFaults::new(
+                BitFlipRates::uniform(0.0),
+                17,
+            ));
+            let none_flipped = FaultStats {
+                words_examined,
+                bits_flipped: 0,
+            };
+            assert_eq!(
+                staged,
+                (expected.0, expected.1, expected.2, none_flipped),
+                "policy {} at rate 0",
+                row.policy.name()
+            );
+        }
     }
 }
 
