@@ -1,12 +1,10 @@
 //! Criterion benches for the ablation studies of §8.3 and the design choices
 //! called out in DESIGN.md: KV-budget sweep (Table 7), refresh-interval sweep
 //! (Table 8), batch-size sweep (Table 9), recomputation (Fig. 15a/16a),
-//! refresh-policy/scheduler ablation (Fig. 15b), eviction granularity and
-//! popularity-threshold ablations.
+//! refresh-policy/scheduler ablation (Fig. 15b).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kelle::arch::InferenceWorkload;
-use kelle::cache::{AerpCache, AerpConfig, CacheBudget, KvCacheBackend};
 use kelle::experiment;
 use kelle::model::ModelKind;
 use std::hint::black_box;
@@ -40,37 +38,9 @@ fn bench_recompute_and_scheduler(c: &mut Criterion) {
     });
 }
 
-/// Ablation: popularity threshold of the AERP recomputation rule.
-fn bench_popularity_threshold(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_popularity_threshold");
-    for theta in [0.25f64, 0.5, 0.75] {
-        group.bench_function(format!("theta_{theta}"), |b| {
-            b.iter(|| {
-                let mut cache = AerpCache::with_config(
-                    AerpConfig::new(CacheBudget::new(32)).with_popularity_threshold(theta),
-                    8,
-                );
-                cache.finish_prefill(0);
-                for t in 0..128usize {
-                    let keys: Vec<f32> = (0..8).flat_map(|h| vec![(t + h) as f32; 8]).collect();
-                    let values = keys.clone();
-                    cache.insert(0, t, &[t as f32; 64], &keys, &values, 8);
-                    let mut scores: Vec<(usize, f32)> = Vec::new();
-                    cache.for_each_entry(0, 0, &mut |e| {
-                        scores.push((e.token, 1.0 / (e.token + 1) as f32))
-                    });
-                    cache.observe_attention(0, 0, &scores);
-                }
-                black_box(cache.stats())
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_table_sweeps, bench_recompute_and_scheduler, bench_popularity_threshold
+    targets = bench_table_sweeps, bench_recompute_and_scheduler
 }
 criterion_main!(benches);

@@ -1,128 +1,203 @@
-//! AERP — Kelle's attention-based eviction and recomputation policy (§4.1).
+//! AERP — Kelle's attention-based eviction and recomputation policy (§4.1) —
+//! and H2O, which is the same eviction rule without the recomputation.
 //!
-//! AERP manages the KV cache per attention head with three mechanisms:
+//! # One eviction core
 //!
-//! 1. **Attention-based eviction** (§4.1.1): each head keeps at most `N'`
-//!    tokens; when a new token arrives at a full head, the cached token with
-//!    the smallest accumulated attention score is evicted (Eq. 3).  Sink tokens
-//!    and the recent window are never evicted.  Because eviction decisions are
-//!    per head, the retained token set *differs across heads*.
-//! 2. **Popularity-driven recomputation storage** (§4.1.2): a token whose KV
-//!    vectors are retained in at least a fraction `θ` (default 50 %) of the
-//!    heads is *popular*; instead of keeping `2 × C/H` values in every
-//!    retaining head (total `2 · C/H · θH > C`), only the `1 × C` input vector
-//!    `x` is stored once per layer, and K/V are recomputed through `W_K`/`W_V`
-//!    when needed.  Once a token switches to input-vector storage its format
-//!    stays fixed until it is evicted from every head.
-//! 3. **Prefill retention** (§4.1.1): after pre-filling, each head keeps the
-//!    top-`N'` tokens by importance (plus sinks and the recent window).
+//! Each head keeps at most `N'` tokens (§4.1.1).  Every decode step adds the
+//! post-softmax probability a head assigned to each of its cached tokens to
+//! that token's accumulated score (Eq. 3).  When a new token arrives at a
+//! full head, the cached token with the smallest score is evicted, ties going
+//! to the oldest; sink tokens, the recent window and the arriving token are
+//! never chosen (if nothing else is left, the oldest token other than the
+//! arriving one goes).  Decisions are per head, so the retained token sets
+//! *differ across heads*.  Nothing is evicted during pre-fill; after it,
+//! [`finish_prefill`](KvCacheBackend::finish_prefill) keeps each head's
+//! top-`N'` tokens plus the protected ones.
 //!
-//! Storage layout: each head owns a [`KvArena`] holding the KV-format tokens
-//! in retained order; input vectors live once per layer in an [`InputSlab`]
-//! (slot-recycling, so eviction churn is allocation-free).  The per-head
-//! `retained` list is the single source of entry order; because the arena
-//! holds exactly the retained KV-format tokens in that same order, entry
-//! visitation walks the list with a monotone arena cursor — no per-token map
-//! lookups on the hot path, and popular tokens borrow their `x` straight from
-//! the slab.
+//! H2O (Zhang et al., cited as \[98\] in the paper) ranks and evicts by
+//! exactly this rule; it is the paper's "AEP" ablation (§8.1).  So both
+//! policies are this one core, built by [`AerpCache::new`] and
+//! [`AerpCache::h2o`].  Its state is the host-side analogue of the systolic
+//! evictor (§5.3), which keeps one score register per cached token and finds
+//! the minimum as the scores stream out: per head, the retained tokens in
+//! insertion order, a parallel score array, and the median of those scores
+//! (the HST/LST split of 2DRP, §4.2).  The median is re-selected on a reused
+//! buffer after every insert, observe and `finish_prefill`, so a read
+//! allocates nothing.
 //!
-//! The storage-footprint accounting (`CacheStats::bytes_fp16`) reflects the
-//! policy's *declared* storage: popular tokens cost `C` elements **once per
-//! layer** (the input vector is shared across heads), unpopular retained
-//! tokens cost `2 × C/H` elements per retaining head — live entries only,
-//! never retired arena capacity — the quantity the eDRAM capacity/refresh
-//! model consumes downstream.
+//! # Two storage formats
+//!
+//! * **AERP stores `x`** (§4.1.2): a token's layer input (`C` elements) is
+//!   kept once per layer in an [`InputSlab`], and K/V are recomputed through
+//!   `W_K`/`W_V` when the token is read ([`PayloadRef::Recompute`]).  Each
+//!   head holds the row's slab slot; a per-slot count of retaining heads
+//!   frees the row when the last of them evicts the token.
+//! * **H2O stores K/V** ([`PayloadRef::Kv`]): each head keeps a [`KvArena`]
+//!   parallel to its token list, `2 × C/H` elements per token.
+//!
+//! # Why the popularity threshold θ cannot matter
+//!
+//! The paper stores a token as `x` once it is *popular* — retained by at
+//! least a fraction θ of the heads — and as per-head K/V before that, and a
+//! token keeps the `x` format until every head has evicted it.  But the
+//! arriving token is never an eviction victim, so at its own insert every
+//! head retains it: under any θ ≤ 1 every token is popular from its insert
+//! on.  AERP therefore stores every token as `x` and keeps no popularity
+//! state.
+//!
+//! `CacheStats::bytes_fp16` reflects the declared storage of the live
+//! entries, never retired capacity: `C` elements once per layer for each
+//! stored row, `2 × C/H` per retaining head for each KV entry — the quantity
+//! the eDRAM capacity/refresh model consumes downstream.
 
 use crate::budget::CacheBudget;
-use crate::importance::ImportanceTracker;
-use kelle_model::{
-    CacheStats, EntryRef, FastHashMap, FastHashSet, InputSlab, KvArena, KvCacheBackend, PayloadRef,
-    TokenId,
-};
+use kelle_model::{CacheStats, EntryRef, InputSlab, KvArena, KvCacheBackend, PayloadRef, TokenId};
+use std::cmp::Ordering;
 
-/// Configuration of the AERP policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AerpConfig {
-    /// Cache budget (per head).
-    pub budget: CacheBudget,
-    /// Fraction of heads that must retain a token for it to be considered
-    /// *popular* and switched to input-vector storage.  The paper uses 0.5.
-    pub popularity_threshold: f64,
-    /// Whether recomputation storage is enabled.  Disabling it yields the
-    /// "AEP" ablation baseline of §8.1 (eviction only, no recomputation).
-    pub recompute: bool,
+/// What a head stores for its retained tokens, parallel to its token list.
+#[derive(Debug, Clone)]
+enum Stored {
+    /// AERP: the slab slot of each token's input row.
+    Rows(Vec<usize>),
+    /// H2O: each token's key and value.
+    Kv(KvArena),
 }
 
-impl AerpConfig {
-    /// The default AERP configuration for a given budget (θ = 0.5,
-    /// recomputation on).
-    pub fn new(budget: CacheBudget) -> Self {
-        AerpConfig {
-            budget,
-            popularity_threshold: 0.5,
-            recompute: true,
-        }
-    }
+/// One head's retained tokens, in insertion order.
+#[derive(Debug, Clone)]
+struct Head {
+    tokens: Vec<TokenId>,
+    /// The accumulated attention score of each token (Eq. 3).
+    scores: Vec<f32>,
+    stored: Stored,
+    /// The median of `scores`: a token scoring at least this much is a
+    /// high-score token (HST) to 2DRP.
+    median: f32,
+}
 
-    /// Disables recomputation (the AEP baseline).
-    pub fn without_recompute(mut self) -> Self {
-        self.recompute = false;
-        self
-    }
-
-    /// Overrides the popularity threshold θ.
-    pub fn with_popularity_threshold(mut self, theta: f64) -> Self {
-        self.popularity_threshold = theta;
-        self
+impl Head {
+    /// The index of the token to evict: the lowest score among the
+    /// unprotected tokens other than `incoming`, ties to the oldest; if all
+    /// of those are protected, the oldest token other than `incoming`.
+    fn victim(
+        &self,
+        budget: CacheBudget,
+        current_len: usize,
+        incoming: Option<TokenId>,
+    ) -> Option<usize> {
+        let candidates = || {
+            self.tokens
+                .iter()
+                .enumerate()
+                .filter(move |&(_, &t)| Some(t) != incoming)
+        };
+        candidates()
+            .filter(|&(_, &t)| !budget.is_protected(t, current_len))
+            .min_by(|&(a, ta), &(b, tb)| {
+                self.scores[a]
+                    .partial_cmp(&self.scores[b])
+                    .unwrap_or(Ordering::Equal)
+                    .then(ta.cmp(tb))
+            })
+            .or_else(|| candidates().next())
+            .map(|(i, _)| i)
     }
 }
 
 /// Per-layer state.
 #[derive(Debug, Clone)]
-struct LayerState {
-    /// Which tokens each head currently retains (insertion-ordered; the
-    /// single source of entry order).
-    retained: Vec<Vec<TokenId>>,
-    /// Per-head contiguous KV storage, holding exactly the retained
-    /// KV-format (non-popular) tokens in retained order.
-    kv: Vec<KvArena>,
-    /// Input vectors of all currently retained tokens (needed both for
-    /// recomputation storage and for potential later conversion).
-    inputs: InputSlab,
-    /// Tokens currently stored in input-vector (recompute) format.
-    popular: FastHashSet<TokenId>,
+struct Layer {
+    heads: Vec<Head>,
+    /// AERP: the input row of every token some head retains.
+    rows: InputSlab,
+    /// Per slab slot: how many heads retain its row.
+    holders: Vec<usize>,
 }
 
-impl LayerState {
-    fn new(heads: usize, head_dim: usize, channels: usize) -> Self {
-        LayerState {
-            retained: vec![Vec::new(); heads],
-            kv: (0..heads).map(|_| KvArena::new(head_dim)).collect(),
-            inputs: InputSlab::new(channels),
-            popular: FastHashSet::default(),
+impl Layer {
+    fn new(heads: usize, head_dim: usize, recompute: bool) -> Self {
+        let head = Head {
+            tokens: Vec::new(),
+            scores: Vec::new(),
+            stored: if recompute {
+                Stored::Rows(Vec::new())
+            } else {
+                Stored::Kv(KvArena::new(head_dim))
+            },
+            median: f32::NEG_INFINITY,
+        };
+        Layer {
+            heads: vec![head; heads],
+            rows: InputSlab::new(heads * head_dim),
+            holders: Vec::new(),
         }
     }
 
-    fn retaining_heads(&self, token: TokenId) -> usize {
-        self.retained.iter().filter(|r| r.contains(&token)).count()
+    /// Appends `token` to every head with a zero score.
+    fn push(&mut self, token: TokenId, x: &[f32], keys: &[f32], values: &[f32]) {
+        let head_dim = keys.len() / self.heads.len();
+        let mut slot = None;
+        for (head, (key, value)) in self.heads.iter_mut().zip(
+            keys.chunks_exact(head_dim)
+                .zip(values.chunks_exact(head_dim)),
+        ) {
+            head.tokens.push(token);
+            head.scores.push(0.0);
+            match &mut head.stored {
+                Stored::Rows(slots) => slots.push(*slot.get_or_insert_with(|| self.rows.push(x))),
+                Stored::Kv(arena) => arena.push(token, key, value),
+            }
+        }
+        if let Some(slot) = slot {
+            if slot == self.holders.len() {
+                self.holders.push(0);
+            }
+            self.holders[slot] = self.heads.len();
+        }
     }
 
-    fn drop_token_everywhere(&mut self, token: TokenId) {
-        self.inputs.remove(token);
-        self.popular.remove(&token);
-        for kv in &mut self.kv {
-            kv.remove_token(token);
+    /// Removes entry `i` of `head`, and the token's row once no head
+    /// retains it.
+    fn evict(&mut self, head: usize, i: usize) {
+        let head = &mut self.heads[head];
+        head.tokens.remove(i);
+        head.scores.remove(i);
+        match &mut head.stored {
+            Stored::Rows(slots) => {
+                let slot = slots.remove(i);
+                self.holders[slot] -= 1;
+                if self.holders[slot] == 0 {
+                    self.rows.remove(slot);
+                }
+            }
+            Stored::Kv(arena) => arena.remove_at(i),
         }
     }
 }
 
-/// Kelle's attention-based eviction and recomputation policy.
+/// The median of `scores` (the upper one of an even count), selected on
+/// `scratch`; −∞ when there are none.
+fn median(scores: &[f32], scratch: &mut Vec<f32>) -> f32 {
+    scratch.clear();
+    scratch.extend_from_slice(scores);
+    if scratch.is_empty() {
+        return f32::NEG_INFINITY;
+    }
+    let mid = scratch.len() / 2;
+    *scratch
+        .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal))
+        .1
+}
+
+/// The accumulated-attention eviction core behind AERP and H2O (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct AerpCache {
-    config: AerpConfig,
+    budget: CacheBudget,
     heads: usize,
-    layers: FastHashMap<usize, LayerState>,
-    importance: ImportanceTracker,
+    /// Whether tokens are stored as input rows (AERP) or as K/V (H2O).
+    recompute: bool,
+    layers: Vec<Layer>,
     current_len: usize,
     /// While true (until [`KvCacheBackend::finish_prefill`]), insertions do not
     /// trigger evictions: the paper's prefill rule retains the top-`N'` tokens
@@ -130,134 +205,59 @@ pub struct AerpCache {
     in_prefill: bool,
     evictions: u64,
     insertions: u64,
+    /// The median selection's reused buffer.
+    scratch: Vec<f32>,
 }
 
 impl AerpCache {
-    /// Creates an AERP cache with the default configuration for `budget`.
-    pub fn new(budget: CacheBudget, heads: usize) -> Self {
-        Self::with_config(AerpConfig::new(budget), heads)
-    }
-
-    /// Creates an AERP cache with an explicit configuration.
+    /// Creates an AERP cache: per-head eviction, tokens stored as input
+    /// rows.
     ///
     /// # Panics
     ///
-    /// Panics if `heads == 0` or the popularity threshold is outside `(0, 1]`.
-    pub fn with_config(config: AerpConfig, heads: usize) -> Self {
+    /// Panics if `heads == 0`.
+    pub fn new(budget: CacheBudget, heads: usize) -> Self {
+        Self::with_format(budget, heads, true)
+    }
+
+    /// Creates an H2O cache: AERP's eviction with tokens stored as per-head
+    /// K/V (the paper's "AEP" ablation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `heads == 0`.
+    pub fn h2o(budget: CacheBudget, heads: usize) -> Self {
+        Self::with_format(budget, heads, false)
+    }
+
+    fn with_format(budget: CacheBudget, heads: usize, recompute: bool) -> Self {
         assert!(heads > 0, "AERP requires at least one attention head");
-        assert!(
-            config.popularity_threshold > 0.0 && config.popularity_threshold <= 1.0,
-            "popularity threshold must be within (0, 1]"
-        );
         AerpCache {
-            config,
+            budget,
             heads,
-            layers: FastHashMap::default(),
-            importance: ImportanceTracker::new(),
+            recompute,
+            layers: Vec::new(),
             current_len: 0,
             in_prefill: true,
             evictions: 0,
             insertions: 0,
+            scratch: Vec::new(),
         }
     }
 
-    /// The policy configuration.
-    pub fn config(&self) -> &AerpConfig {
-        &self.config
-    }
-
-    /// Number of tokens currently stored in recompute (input-vector) format in
-    /// `layer`.
-    pub fn popular_tokens(&self, layer: usize) -> usize {
-        self.layers.get(&layer).map_or(0, |l| l.popular.len())
-    }
-
-    fn layer_mut(&mut self, layer: usize, head_dim: usize) -> &mut LayerState {
-        let heads = self.heads;
-        self.layers
-            .entry(layer)
-            .or_insert_with(|| LayerState::new(heads, head_dim, heads * head_dim))
-    }
-
-    /// Evicts the minimum-importance unprotected token from a full head.
-    fn enforce_head(&mut self, layer: usize, head: usize, incoming: Option<TokenId>) {
-        loop {
-            let budget = self.config.budget;
-            let current_len = self.current_len;
-            let Some(state) = self.layers.get(&layer) else {
-                return;
+    /// Evicts from `(layer, head)` until it fits the budget (once pre-fill
+    /// is over), then re-selects the head's median.
+    fn settle(&mut self, layer: usize, head: usize, incoming: Option<TokenId>) {
+        let state = &mut self.layers[layer];
+        while !self.in_prefill && state.heads[head].tokens.len() > self.budget.max_tokens {
+            let Some(i) = state.heads[head].victim(self.budget, self.current_len, incoming) else {
+                break;
             };
-            if state.retained[head].len() <= budget.max_tokens {
-                return;
-            }
-            let candidates = state.retained[head]
-                .iter()
-                .copied()
-                .filter(|&t| Some(t) != incoming && !budget.is_protected(t, current_len));
-            let victim = self
-                .importance
-                .min_score_token(layer, head, candidates)
-                .or_else(|| {
-                    state.retained[head]
-                        .iter()
-                        .copied()
-                        .find(|&t| Some(t) != incoming)
-                });
-            let Some(victim) = victim else { return };
-
-            let state = self
-                .layers
-                .get_mut(&layer)
-                .expect("layer state existence checked above");
-            state.retained[head].retain(|&t| t != victim);
-            state.kv[head].remove_token(victim);
-            if state.retaining_heads(victim) == 0 {
-                state.drop_token_everywhere(victim);
-            }
-            self.importance.remove(layer, head, victim);
+            state.evict(head, i);
             self.evictions += 1;
         }
-    }
-
-    /// Re-evaluates popularity-based storage formats for a layer (§4.1.2).
-    ///
-    /// Tokens retained in at least `θ` of the heads are converted to
-    /// input-vector storage; the conversion is one-way (the format stays fixed
-    /// until full eviction), matching the paper's observation that popular
-    /// tokens rarely become unpopular.
-    fn update_popularity(&mut self, layer: usize) {
-        if !self.config.recompute {
-            return;
-        }
-        let threshold = (self.config.popularity_threshold * self.heads as f64).ceil() as usize;
-        let Some(state) = self.layers.get_mut(&layer) else {
-            return;
-        };
-        // Retained order is the scan order; a token appears in `inputs` for as
-        // long as any head retains it.  Dedup via a set so the union build
-        // stays linear in the retained population.
-        let mut tokens: Vec<TokenId> = Vec::new();
-        let mut seen: FastHashSet<TokenId> = FastHashSet::default();
-        for retained in &state.retained {
-            for &t in retained {
-                if seen.insert(t) {
-                    tokens.push(t);
-                }
-            }
-        }
-        for token in tokens {
-            if state.popular.contains(&token) {
-                continue;
-            }
-            let retaining = state.retaining_heads(token);
-            if retaining >= threshold.max(1) {
-                state.popular.insert(token);
-                // KV copies are dropped; the input vector alone is stored.
-                for kv in &mut state.kv {
-                    kv.remove_token(token);
-                }
-            }
-        }
+        let head = &mut state.heads[head];
+        head.median = median(&head.scores, &mut self.scratch);
     }
 }
 
@@ -277,88 +277,86 @@ impl KvCacheBackend for AerpCache {
             "per-head keys must match head count"
         );
         self.current_len = self.current_len.max(token + 1);
-        let state = self.layer_mut(layer, head_dim);
-        state.inputs.insert(token, x);
-        for (head, (k, v)) in keys
-            .chunks_exact(head_dim)
-            .zip(values.chunks_exact(head_dim))
-            .enumerate()
-        {
-            state.retained[head].push(token);
-            state.kv[head].push(token, k, v);
+        if layer >= self.layers.len() {
+            let (heads, recompute) = (self.heads, self.recompute);
+            self.layers
+                .resize_with(layer + 1, || Layer::new(heads, head_dim, recompute));
         }
+        self.layers[layer].push(token, x, keys, values);
         for head in 0..self.heads {
-            self.importance.register(layer, head, token);
-            if !self.in_prefill {
-                self.enforce_head(layer, head, Some(token));
-            }
+            self.settle(layer, head, Some(token));
         }
-        self.update_popularity(layer);
         self.insertions += 1;
     }
 
-    /// Visits the retained entries in retained order.  A monotone cursor
-    /// pairs each KV-format token with its arena slot, and a popular token
-    /// borrows its row (and the row's slot) straight from the layer's slab.
+    /// Visits the retained entries in insertion order: a stored row borrowed
+    /// from the layer's slab under its slot (AERP), or the head's K/V (H2O).
     fn for_each_entry(
         &self,
         layer: usize,
         head: usize,
         visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
     ) {
-        let Some(state) = self.layers.get(&layer) else {
+        let Some(state) = self.layers.get(layer) else {
             return;
         };
-        // One median computation per traversal, not per token.
-        let median = self.importance.median_threshold(layer, head);
-        let arena = &state.kv[head];
-        let mut cursor = 0usize;
-        for &token in &state.retained[head] {
-            let payload = if state.popular.contains(&token) {
-                let (slot, x) = state
-                    .inputs
-                    .row(token)
-                    .expect("the slab holds the input row of every retained token");
-                PayloadRef::Recompute { x, slot }
-            } else {
-                assert!(
-                    cursor < arena.len() && arena.token_at(cursor) == token,
-                    "the arena holds exactly the retained KV-format tokens, in order"
-                );
-                let i = cursor;
-                cursor += 1;
-                PayloadRef::Kv {
+        let head = &state.heads[head];
+        let entries = head.tokens.iter().zip(&head.scores).enumerate();
+        for (i, (&token, &score)) in entries {
+            let payload = match &head.stored {
+                Stored::Rows(slots) => PayloadRef::Recompute {
+                    x: state.rows.row(slots[i]),
+                    slot: slots[i],
+                },
+                Stored::Kv(arena) => PayloadRef::Kv {
                     key: arena.key(i),
                     value: arena.value(i),
-                }
+                },
             };
             visit(EntryRef {
                 token,
                 payload,
-                high_score: median.is_none_or(|m| self.importance.score(layer, head, token) >= m),
+                high_score: score >= head.median,
             });
         }
     }
 
     fn entry_count(&self, layer: usize, head: usize) -> usize {
         self.layers
-            .get(&layer)
-            .map_or(0, |state| state.retained[head].len())
+            .get(layer)
+            .map_or(0, |state| state.heads[head].tokens.len())
     }
 
+    /// Adds each score to its entry's accumulated score, by position.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `scores` names the head's entries token by token, in
+    /// entry order (the trait's contract).
     fn observe_attention(&mut self, layer: usize, head: usize, scores: &[(TokenId, f32)]) {
-        self.importance.accumulate(layer, head, scores);
+        const CONTRACT: &str =
+            "observe_attention reports one score per entry of the head's last for_each_entry, in that order";
+        let Some(state) = self.layers.get_mut(layer) else {
+            assert!(scores.is_empty(), "{CONTRACT}");
+            return;
+        };
+        let head = &mut state.heads[head];
+        assert_eq!(scores.len(), head.tokens.len(), "{CONTRACT}");
+        for ((acc, &token), &(observed, p)) in head.scores.iter_mut().zip(&head.tokens).zip(scores)
+        {
+            assert_eq!(observed, token, "{CONTRACT}");
+            *acc += p;
+        }
+        head.median = median(&head.scores, &mut self.scratch);
     }
 
     fn finish_prefill(&mut self, context_len: usize) {
         self.in_prefill = false;
         self.current_len = self.current_len.max(context_len);
-        let layers: Vec<usize> = self.layers.keys().copied().collect();
-        for layer in layers {
+        for layer in 0..self.layers.len() {
             for head in 0..self.heads {
-                self.enforce_head(layer, head, None);
+                self.settle(layer, head, None);
             }
-            self.update_popularity(layer);
         }
     }
 
@@ -368,24 +366,26 @@ impl KvCacheBackend for AerpCache {
             insertions: self.insertions,
             ..CacheStats::default()
         };
-        for state in self.layers.values() {
-            // Recompute payloads count once per layer: the input vector is
-            // shared by every retaining head.
-            stats.recompute_entries += state.popular.len();
-            stats.bytes_fp16 += state.popular.len() * 2 * state.inputs.width();
-            for kv in &state.kv {
-                stats.kv_entries += kv.len();
-                stats.bytes_fp16 += kv.bytes_fp16();
+        for state in &self.layers {
+            // A stored row counts once per layer: every retaining head
+            // shares it.
+            stats.recompute_entries += state.rows.len();
+            stats.bytes_fp16 += state.rows.bytes_fp16();
+            for head in &state.heads {
+                if let Stored::Kv(arena) = &head.stored {
+                    stats.kv_entries += arena.len();
+                    stats.bytes_fp16 += arena.bytes_fp16();
+                }
             }
         }
         stats
     }
 
     fn name(&self) -> &'static str {
-        if self.config.recompute {
+        if self.recompute {
             "aerp"
         } else {
-            "aep"
+            "h2o"
         }
     }
 
@@ -417,11 +417,26 @@ mod tests {
         );
     }
 
+    /// Inserts `token` into a one-head cache.
+    fn insert_one_head(cache: &mut AerpCache, token: usize) {
+        let v = [token as f32; HEAD_DIM];
+        cache.insert(0, token, &v, &v, &v, HEAD_DIM);
+    }
+
     /// Token ids retained by `(0, head)`, in entry order.
     fn retained(cache: &AerpCache, head: usize) -> Vec<usize> {
         let mut tokens = Vec::new();
         cache.for_each_entry(0, head, &mut |e| tokens.push(e.token));
         tokens
+    }
+
+    /// Reports `score(token)` for every entry of `(0, head)`, in entry order.
+    fn observe(cache: &mut AerpCache, head: usize, score: impl Fn(usize) -> f32) {
+        let scores: Vec<(usize, f32)> = retained(cache, head)
+            .into_iter()
+            .map(|t| (t, score(t)))
+            .collect();
+        cache.observe_attention(0, head, &scores);
     }
 
     /// Whether each entry of `(0, 0)` is stored for recomputation.
@@ -448,38 +463,19 @@ mod tests {
 
     #[test]
     fn eviction_targets_minimum_importance() {
-        let mut cache =
-            AerpCache::with_config(AerpConfig::new(CacheBudget::new(3)).without_recompute(), 1);
+        let mut cache = AerpCache::h2o(CacheBudget::new(3), 1);
         cache.finish_prefill(0);
-        let insert = |cache: &mut AerpCache, token: usize| {
-            cache.insert(
-                0,
-                token,
-                &[token as f32; HEAD_DIM],
-                &[token as f32; HEAD_DIM],
-                &[token as f32; HEAD_DIM],
-                HEAD_DIM,
-            );
-        };
-        insert(&mut cache, 0);
-        insert(&mut cache, 1);
-        insert(&mut cache, 2);
+        for t in 0..3 {
+            insert_one_head(&mut cache, t);
+        }
         cache.observe_attention(0, 0, &[(0, 0.6), (1, 0.05), (2, 0.35)]);
-        insert(&mut cache, 3);
-        let tokens = retained(&cache, 0);
-        assert!(
-            !tokens.contains(&1),
-            "lowest-score token evicted: {tokens:?}"
-        );
-        assert!(tokens.contains(&0));
-        assert!(tokens.contains(&2));
-        assert!(tokens.contains(&3));
+        insert_one_head(&mut cache, 3);
+        assert_eq!(retained(&cache, 0), [0, 2, 3], "lowest-score token evicted");
     }
 
     #[test]
     fn eviction_patterns_differ_across_heads() {
-        let mut cache =
-            AerpCache::with_config(AerpConfig::new(CacheBudget::new(3)).without_recompute(), 2);
+        let mut cache = AerpCache::h2o(CacheBudget::new(3), 2);
         cache.finish_prefill(0);
         let insert = |cache: &mut AerpCache, token: usize| {
             cache.insert(
@@ -498,7 +494,7 @@ mod tests {
         cache.observe_attention(0, 0, &[(0, 0.9), (1, 0.05), (2, 0.05)]);
         cache.observe_attention(0, 1, &[(0, 0.05), (1, 0.05), (2, 0.9)]);
         // Make token 1 clearly the victim in head 0, token 0 in head 1.
-        cache.observe_attention(0, 1, &[(1, 0.3)]);
+        cache.observe_attention(0, 1, &[(0, 0.0), (1, 0.3), (2, 0.0)]);
         insert(&mut cache, 3);
         let head0 = retained(&cache, 0);
         let head1 = retained(&cache, 1);
@@ -513,9 +509,9 @@ mod tests {
         for t in 0..4 {
             insert_token(&mut cache, 0, t);
         }
-        // All tokens retained in all heads -> all popular -> recompute storage.
+        // Every head retains every token at its insert, so all are stored
+        // as input rows.
         assert_eq!(recompute_flags(&cache), [true; 4]);
-        assert_eq!(cache.popular_tokens(0), 4);
         let stats = cache.stats();
         assert_eq!(stats.kv_entries, 0);
         assert_eq!(stats.recompute_entries, 4);
@@ -523,27 +519,27 @@ mod tests {
 
     #[test]
     fn recompute_disabled_stores_kv_only() {
-        let mut cache = AerpCache::with_config(
-            AerpConfig::new(CacheBudget::new(8)).without_recompute(),
-            HEADS,
-        );
+        let mut cache = AerpCache::h2o(CacheBudget::new(8), HEADS);
         for t in 0..4 {
             insert_token(&mut cache, 0, t);
         }
         assert_eq!(recompute_flags(&cache), [false; 4]);
-        assert_eq!(cache.name(), "aep");
         assert_eq!(cache.stats().recompute_entries, 0);
+        assert_eq!(cache.stats().kv_entries, 4 * HEADS);
+    }
+
+    #[test]
+    fn names_are_aerp_and_h2o() {
+        assert_eq!(AerpCache::new(CacheBudget::new(2), 1).name(), "aerp");
+        assert_eq!(AerpCache::h2o(CacheBudget::new(2), 1).name(), "h2o");
     }
 
     #[test]
     fn recompute_storage_is_smaller_for_popular_tokens() {
-        // With θ = 0.5 and all heads retaining, storing x (C elements) must be
-        // cheaper than storing KV in every head (2 * C/H * H = 2C elements).
+        // Storing x (C elements) once must be cheaper than storing KV in
+        // every head (2 * C/H * H = 2C elements).
         let mut with_recompute = AerpCache::new(CacheBudget::new(8), HEADS);
-        let mut without = AerpCache::with_config(
-            AerpConfig::new(CacheBudget::new(8)).without_recompute(),
-            HEADS,
-        );
+        let mut without = AerpCache::h2o(CacheBudget::new(8), HEADS);
         for t in 0..6 {
             insert_token(&mut with_recompute, 0, t);
             insert_token(&mut without, 0, t);
@@ -553,9 +549,9 @@ mod tests {
 
     #[test]
     fn recompute_bytes_counted_once_per_layer() {
-        // Regression for the stats contract: a popular token's input vector
-        // is shared across every retaining head, so it must contribute
-        // exactly `2 × channels` bytes per layer — not per head.
+        // Regression for the stats contract: a stored input vector is shared
+        // across every retaining head, so it must contribute exactly
+        // `2 × channels` bytes per layer — not per head.
         let mut cache = AerpCache::new(CacheBudget::new(8), HEADS);
         for t in 0..3 {
             insert_token(&mut cache, 0, t);
@@ -567,70 +563,241 @@ mod tests {
     }
 
     #[test]
+    fn h2o_bytes_track_live_arena_footprint() {
+        let mut cache = AerpCache::h2o(CacheBudget::new(2), 1);
+        cache.finish_prefill(0);
+        for t in 0..20 {
+            insert_one_head(&mut cache, t);
+        }
+        // 2 live entries × 2 vectors × 4 elements × 2 bytes.
+        assert_eq!(cache.stats().bytes_fp16, 2 * 2 * 4 * 2);
+    }
+
+    #[test]
     fn full_eviction_drops_input_vector() {
         let mut cache = AerpCache::new(CacheBudget::new(2).with_recent_window(1), 1);
         cache.finish_prefill(0);
-        let insert = |cache: &mut AerpCache, token: usize| {
-            cache.insert(
-                0,
-                token,
-                &[token as f32; HEAD_DIM],
-                &[token as f32; HEAD_DIM],
-                &[token as f32; HEAD_DIM],
-                HEAD_DIM,
-            );
-        };
         for t in 0..6 {
-            insert(&mut cache, t);
+            insert_one_head(&mut cache, t);
         }
         // Only two tokens retained; the rest must not linger in input storage.
-        let state = cache.layers.get(&0).unwrap();
-        assert_eq!(state.inputs.len(), 2);
-        assert!(state.popular.len() <= 2);
+        assert_eq!(cache.layers[0].rows.len(), 2);
+        assert_eq!(cache.stats().recompute_entries, 2);
+    }
+
+    #[test]
+    fn a_row_lives_until_the_last_head_evicts_it() {
+        let mut cache = AerpCache::new(CacheBudget::new(2), 2);
+        cache.finish_prefill(0);
+        let insert = |cache: &mut AerpCache, token: usize| {
+            let v = [token as f32; 2 * HEAD_DIM];
+            cache.insert(0, token, &v, &v, &v, HEAD_DIM);
+        };
+        insert(&mut cache, 0);
+        insert(&mut cache, 1);
+        // Head 0 keeps token 0, head 1 keeps token 1.
+        cache.observe_attention(0, 0, &[(0, 0.9), (1, 0.1)]);
+        cache.observe_attention(0, 1, &[(0, 0.1), (1, 0.9)]);
+        insert(&mut cache, 2);
+        assert_eq!(
+            (retained(&cache, 0), retained(&cache, 1)),
+            (vec![0, 2], vec![1, 2])
+        );
+        assert_eq!(cache.stats().recompute_entries, 3);
+        // Token 2 now outscores the others in both heads: token 0 leaves
+        // head 0 and token 1 leaves head 1, so both of their rows go.
+        cache.observe_attention(0, 0, &[(0, 0.0), (2, 5.0)]);
+        cache.observe_attention(0, 1, &[(1, 0.0), (2, 5.0)]);
+        insert(&mut cache, 3);
+        assert_eq!(
+            (retained(&cache, 0), retained(&cache, 1)),
+            (vec![2, 3], vec![2, 3])
+        );
+        assert_eq!(cache.stats().recompute_entries, 2);
+        assert_eq!(cache.stats().bytes_fp16, 2 * 2 * 2 * HEAD_DIM);
     }
 
     #[test]
     fn prefill_retains_top_n_by_importance() {
-        let mut cache =
-            AerpCache::with_config(AerpConfig::new(CacheBudget::new(2)).without_recompute(), 1);
+        let mut cache = AerpCache::h2o(CacheBudget::new(2), 1);
         // Simulate prefill: insert 6 tokens, give token 4 and 1 the highest scores.
         for t in 0..6 {
-            cache.insert(
-                0,
-                t,
-                &[t as f32; HEAD_DIM],
-                &[t as f32; HEAD_DIM],
-                &[t as f32; HEAD_DIM],
-                HEAD_DIM,
-            );
-            let obs: Vec<(usize, f32)> = retained(&cache, 0)
-                .into_iter()
-                .map(|t| match t {
-                    4 => (4, 0.7),
-                    1 => (1, 0.5),
-                    t => (t, 0.01),
-                })
-                .collect();
-            cache.observe_attention(0, 0, &obs);
+            insert_one_head(&mut cache, t);
+            observe(&mut cache, 0, |t| match t {
+                4 => 0.7,
+                1 => 0.5,
+                _ => 0.01,
+            });
         }
         cache.finish_prefill(6);
-        let tokens = retained(&cache, 0);
-        assert_eq!(tokens.len(), 2);
-        assert!(tokens.contains(&1) && tokens.contains(&4), "{tokens:?}");
+        assert_eq!(retained(&cache, 0), [1, 4]);
     }
 
     #[test]
-    #[should_panic(expected = "the arena holds exactly the retained KV-format tokens, in order")]
-    fn a_kv_token_missing_from_its_arena_breaks_a_named_invariant() {
-        let mut cache = AerpCache::with_config(
-            AerpConfig::new(CacheBudget::new(8)).without_recompute(),
-            HEADS,
-        );
-        for t in 0..3 {
-            insert_token(&mut cache, 0, t);
+    fn h2o_prefill_truncates_to_budget() {
+        let mut cache = AerpCache::h2o(CacheBudget::new(4), 1);
+        for t in 0..16 {
+            insert_one_head(&mut cache, t);
         }
-        cache.layers.get_mut(&0).unwrap().kv[0].remove_token(1);
-        cache.for_each_entry(0, 0, &mut |_| {});
+        assert_eq!(cache.entry_count(0, 0), 16, "pre-fill evicts nothing");
+        cache.finish_prefill(16);
+        assert_eq!(cache.entry_count(0, 0), 4);
+    }
+
+    #[test]
+    fn h2o_respects_budget() {
+        let mut cache = AerpCache::h2o(CacheBudget::new(4).with_recent_window(1), 2);
+        cache.finish_prefill(0);
+        for t in 0..12 {
+            let v = [t as f32; 2 * HEAD_DIM];
+            cache.insert(0, t, &v, &v, &v, HEAD_DIM);
+            observe(&mut cache, 0, |t| 1.0 / (t + 1) as f32);
+        }
+        assert_eq!(cache.entry_count(0, 0), 4);
+        assert_eq!(cache.entry_count(0, 1), 4);
+        assert!(cache.stats().evictions > 0);
+    }
+
+    #[test]
+    fn h2o_keeps_heavy_hitters() {
+        let mut cache = AerpCache::h2o(CacheBudget::new(3).with_recent_window(1), 1);
+        cache.finish_prefill(0);
+        for t in 0..8 {
+            insert_one_head(&mut cache, t);
+            // Token 2 always gets massive attention once present.
+            observe(&mut cache, 0, |t| if t == 2 { 0.9 } else { 0.01 });
+        }
+        let tokens = retained(&cache, 0);
+        assert!(tokens.contains(&2), "heavy hitter retained: {tokens:?}");
+        assert!(tokens.contains(&7), "most recent retained: {tokens:?}");
+    }
+
+    #[test]
+    fn h2o_eviction_prefers_low_score() {
+        let mut cache = AerpCache::h2o(CacheBudget::new(2), 1);
+        cache.finish_prefill(0);
+        insert_one_head(&mut cache, 0);
+        insert_one_head(&mut cache, 1);
+        cache.observe_attention(0, 0, &[(0, 0.9), (1, 0.01)]);
+        insert_one_head(&mut cache, 2);
+        assert_eq!(retained(&cache, 0), [0, 2]);
+    }
+
+    #[test]
+    fn ties_go_to_the_oldest_token() {
+        for mut cache in [
+            AerpCache::new(CacheBudget::new(3), 1),
+            AerpCache::h2o(CacheBudget::new(3), 1),
+        ] {
+            cache.finish_prefill(0);
+            for t in 0..3 {
+                insert_one_head(&mut cache, t);
+            }
+            cache.observe_attention(0, 0, &[(0, 0.5), (1, 0.25), (2, 0.25)]);
+            insert_one_head(&mut cache, 3);
+            assert_eq!(retained(&cache, 0), [0, 2, 3], "{}", cache.name());
+        }
+    }
+
+    /// Sinks fill the budget and the recent window is empty, so no token is
+    /// a candidate: the oldest token other than the arriving one goes.
+    #[test]
+    fn fallback_victim_is_the_oldest_non_incoming_token() {
+        for mut cache in [
+            AerpCache::new(CacheBudget::new(2).with_sink_tokens(2), 1),
+            AerpCache::h2o(CacheBudget::new(2).with_sink_tokens(2), 1),
+        ] {
+            cache.finish_prefill(0);
+            insert_one_head(&mut cache, 0);
+            insert_one_head(&mut cache, 1);
+            cache.observe_attention(0, 0, &[(0, 0.9), (1, 0.1)]);
+            insert_one_head(&mut cache, 2);
+            assert_eq!(retained(&cache, 0), [1, 2], "{}", cache.name());
+        }
+    }
+
+    #[test]
+    fn observe_accumulates_scores_by_position() {
+        let mut cache = AerpCache::h2o(CacheBudget::new(8), 1);
+        for t in 0..3 {
+            insert_one_head(&mut cache, t);
+        }
+        cache.observe_attention(0, 0, &[(0, 0.5), (1, 0.25), (2, 0.0)]);
+        cache.observe_attention(0, 0, &[(0, 0.25), (1, 0.25), (2, 0.0)]);
+        assert_eq!(cache.layers[0].heads[0].scores, [0.75, 0.5, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one score per entry of the head's last for_each_entry")]
+    fn observe_rejects_scores_out_of_entry_order() {
+        let mut cache = AerpCache::new(CacheBudget::new(8), 1);
+        for t in 0..2 {
+            insert_one_head(&mut cache, t);
+        }
+        cache.observe_attention(0, 0, &[(1, 0.5), (0, 0.5)]);
+    }
+
+    #[test]
+    fn high_score_labels_split_at_the_median() {
+        let mut cache = AerpCache::h2o(CacheBudget::new(8), 2);
+        for t in 0..4 {
+            let v = [t as f32; 2 * HEAD_DIM];
+            cache.insert(0, t, &v, &v, &v, HEAD_DIM);
+        }
+        cache.observe_attention(0, 0, &[(0, 1.0), (1, 0.8), (2, 0.1), (3, 0.05)]);
+        let labels = |cache: &AerpCache, head: usize| {
+            let mut labels = Vec::new();
+            cache.for_each_entry(0, head, &mut |e| labels.push(e.high_score));
+            labels
+        };
+        assert_eq!(labels(&cache, 0), [true, true, false, false]);
+        // An unobserved head ties at the median: every token is high-score
+        // (the conservative refresh default).
+        assert_eq!(labels(&cache, 1), [true; 4]);
+    }
+
+    /// Through a real decode with eviction at every step, AERP never hands
+    /// attention a `Kv` payload: every stored token is an input row.
+    #[test]
+    fn aerp_visits_no_kv_payload_at_any_decode_step() {
+        use kelle_model::fault::NoFaults;
+        use kelle_model::generation::{decode_step, prefill, GenerationState};
+        use kelle_model::{ModelConfig, ModelKind, SurrogateDims, SurrogateModel};
+
+        let dims = SurrogateDims {
+            layers: 2,
+            heads: 4,
+            channels: 32,
+            ffn_dim: 64,
+            vocab: 96,
+        };
+        let model = SurrogateModel::new(
+            ModelConfig::for_kind(ModelKind::Llama2_7b).with_surrogate(dims),
+            3,
+        );
+        let budget = CacheBudget::new(8)
+            .with_recent_window(2)
+            .with_sink_tokens(1);
+        let mut cache = AerpCache::new(budget, dims.heads);
+        let mut state = GenerationState::new();
+        let prompt: Vec<usize> = (0..12).map(|i| (i * 37 + 5) % dims.vocab).collect();
+        prefill(&model, &mut state, &prompt, &mut cache, &mut NoFaults);
+        for step in 0..24 {
+            let evictions = cache.stats().evictions;
+            decode_step(&model, &mut state, None, &mut cache, &mut NoFaults);
+            assert!(cache.stats().evictions > evictions, "step {step} evicts");
+            for layer in 0..dims.layers {
+                for head in 0..dims.heads {
+                    cache.for_each_entry(layer, head, &mut |e| {
+                        assert!(
+                            matches!(e.payload, PayloadRef::Recompute { .. }),
+                            "step {step}: layer {layer} head {head} visited a KV payload"
+                        );
+                    });
+                }
+            }
+            assert_eq!(cache.stats().kv_entries, 0, "step {step}");
+        }
     }
 
     #[test]

@@ -8,19 +8,19 @@
 //! * [`FullKvCache`] (re-exported) — the uncompressed FP16 reference;
 //! * [`StreamingLlmCache`] — StreamingLLM: attention-sink tokens + a recent
 //!   window (Xiao et al.);
-//! * [`H2oCache`] — H2O: accumulated-attention heavy hitters + a recent window
-//!   (Zhang et al.);
 //! * [`QuaRotKvCache`] — QuaRot-style low-bit KV quantization with full token
 //!   retention (Ashkboos et al.);
-//! * [`AerpCache`] — **Kelle's AERP** (§4.1): per-head attention-based
-//!   eviction, token-popularity-driven recomputation storage, sink and recent
-//!   retention.
+//! * [`AerpCache`] — **Kelle's AERP** (§4.1): per-head eviction by
+//!   accumulated attention, sink and recent retention, and input-vector
+//!   (recomputation) storage.  [`AerpCache::h2o`] builds H2O (Zhang et al.)
+//!   from the same eviction core with per-head K/V storage: H2O's
+//!   accumulated-attention heavy hitters are AERP without the recomputation.
 //!
-//! The shared importance-score bookkeeping lives in [`importance`], the
-//! cache-capacity description shared by all budgeted policies in [`budget`],
-//! and the [`CachePolicy`] registry in [`policy`] builds any of the above as
-//! a `Box<dyn KvCacheBackend>` from a budget — the single factory the serving
-//! engine, sessions and accuracy experiments all construct backends through.
+//! The cache-capacity description shared by all budgeted policies lives in
+//! [`budget`], and the [`CachePolicy`] registry in [`policy`] builds any of
+//! the above as a `Box<dyn KvCacheBackend>` from a budget — the single
+//! factory the serving engine, sessions and accuracy experiments all
+//! construct backends through.
 //!
 //! ## Example
 //!
@@ -31,6 +31,7 @@
 //! let budget = CacheBudget::new(128).with_recent_window(64).with_sink_tokens(10);
 //! let cache = AerpCache::new(budget, 8);
 //! assert_eq!(cache.name(), "aerp");
+//! assert_eq!(AerpCache::h2o(budget, 8).name(), "h2o");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,16 +40,12 @@
 
 pub mod aerp;
 pub mod budget;
-pub mod h2o;
-pub mod importance;
 pub mod policy;
 pub mod quantized;
 pub mod streaming;
 
-pub use aerp::{AerpCache, AerpConfig};
+pub use aerp::AerpCache;
 pub use budget::CacheBudget;
-pub use h2o::H2oCache;
-pub use importance::ImportanceTracker;
 pub use policy::CachePolicy;
 pub use quantized::QuaRotKvCache;
 pub use streaming::StreamingLlmCache;

@@ -7,9 +7,8 @@
 //! [`CachePolicy::build`] is the single factory that turns a description plus
 //! a [`CacheBudget`] into a ready [`KvCacheBackend`] trait object.
 
-use crate::aerp::{AerpCache, AerpConfig};
+use crate::aerp::AerpCache;
 use crate::budget::CacheBudget;
-use crate::h2o::H2oCache;
 use crate::quantized::QuaRotKvCache;
 use crate::streaming::StreamingLlmCache;
 use kelle_model::{FullKvCache, KvCacheBackend};
@@ -24,12 +23,13 @@ pub enum CachePolicy {
     Full,
     /// StreamingLLM: attention sinks + recent window.
     StreamingLlm,
-    /// H2O: accumulated-attention heavy hitters + recent window.
+    /// H2O: accumulated-attention heavy hitters + recent window — AERP's
+    /// eviction with K/V storage ([`AerpCache::h2o`]).
     H2o,
     /// QuaRot-style 4-bit KV quantization with full token retention (ignores
     /// the budget).
     QuaRotInt4,
-    /// Kelle's AERP: per-head eviction + popularity-driven recomputation.
+    /// Kelle's AERP: per-head eviction + input-vector (recompute) storage.
     Aerp,
 }
 
@@ -68,7 +68,7 @@ impl CachePolicy {
     ///
     /// `budget` is consumed by the budgeted policies and ignored by `Full` /
     /// `QuaRotInt4`; `heads` is the surrogate attention-head count, needed by
-    /// AERP's per-head bookkeeping.
+    /// the per-head eviction core of H2O and AERP.
     pub fn build(self, budget: CacheBudget, heads: usize) -> Box<dyn KvCacheBackend> {
         // Defensive normalisation: `CacheBudget`'s fields are public, so a
         // hand-assembled budget may over-protect; every backend built through
@@ -77,9 +77,9 @@ impl CachePolicy {
         match self {
             CachePolicy::Full => Box::new(FullKvCache::new()),
             CachePolicy::StreamingLlm => Box::new(StreamingLlmCache::new(budget)),
-            CachePolicy::H2o => Box::new(H2oCache::new(budget)),
+            CachePolicy::H2o => Box::new(AerpCache::h2o(budget, heads)),
             CachePolicy::QuaRotInt4 => Box::new(QuaRotKvCache::int4()),
-            CachePolicy::Aerp => Box::new(AerpCache::with_config(AerpConfig::new(budget), heads)),
+            CachePolicy::Aerp => Box::new(AerpCache::new(budget, heads)),
         }
     }
 }

@@ -81,16 +81,6 @@ impl KvArena {
         self.tokens.is_empty()
     }
 
-    /// Iterates over the stored token ids, in entry order.
-    pub fn iter_tokens(&self) -> impl Iterator<Item = TokenId> + '_ {
-        self.tokens.iter().copied()
-    }
-
-    /// The first stored token id, if any.
-    pub fn first_token(&self) -> Option<TokenId> {
-        self.tokens.first().copied()
-    }
-
     /// The index of the first entry whose token satisfies `pred`, if any.
     pub fn position_where(&self, mut pred: impl FnMut(TokenId) -> bool) -> Option<usize> {
         self.tokens.iter().position(|&t| pred(t))
@@ -138,11 +128,6 @@ impl KvArena {
         self.values.extend_from_slice(value);
     }
 
-    /// The entry index currently holding `token`, if present.
-    pub fn position(&self, token: TokenId) -> Option<usize> {
-        self.position_where(|t| t == token)
-    }
-
     /// Removes entry `i`, preserving the order of the remaining entries.
     ///
     /// # Panics
@@ -157,18 +142,6 @@ impl KvArena {
         self.keys.truncate((n - 1) * d);
         self.values.copy_within((i + 1) * d.., i * d);
         self.values.truncate((n - 1) * d);
-    }
-
-    /// Removes the entry holding `token`, if present.  Returns whether an
-    /// entry was removed.
-    pub fn remove_token(&mut self, token: TokenId) -> bool {
-        match self.position(token) {
-            Some(i) => {
-                self.remove_at(i);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Drops all entries (capacity is retained for reuse).
@@ -224,11 +197,6 @@ impl ArenaGrid {
         self.arenas.iter()
     }
 
-    /// The `(layer, head)` keys present in the grid.
-    pub fn keys(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.arenas.keys().copied()
-    }
-
     /// Total live entries across all arenas.
     pub fn total_entries(&self) -> usize {
         self.arenas.values().map(KvArena::len).sum()
@@ -243,14 +211,16 @@ impl ArenaGrid {
 /// Slot-recycling storage for per-layer input vectors (`x`, length
 /// `channels`), used by AERP's recomputation format.
 ///
-/// Removing a token pushes its slot onto a free list instead of freeing the
-/// backing memory, so steady-state insert/evict churn performs no heap
-/// traffic at all once the slab has warmed up to the policy budget.
-#[derive(Debug, Clone, Default)]
+/// A row is addressed by the slot [`push`](InputSlab::push) returns; the
+/// slab keeps no token index, so which token a slot holds is the caller's
+/// record.  Removing a row pushes its slot onto a free list instead of
+/// freeing the backing memory, and the next push reuses the most recently
+/// freed slot, so steady-state insert/evict churn performs no heap traffic
+/// at all once the slab has warmed up to the policy budget.
+#[derive(Debug, Clone)]
 pub struct InputSlab {
     width: usize,
     data: Vec<f32>,
-    index: FastHashMap<TokenId, usize>,
     free: Vec<usize>,
 }
 
@@ -265,7 +235,6 @@ impl InputSlab {
         InputSlab {
             width,
             data: Vec::new(),
-            index: FastHashMap::default(),
             free: Vec::new(),
         }
     }
@@ -275,63 +244,49 @@ impl InputSlab {
         self.width
     }
 
-    /// Number of live entries.
+    /// Number of live rows.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.data.len() / self.width - self.free.len()
     }
 
-    /// Whether the slab holds no live entries.
+    /// Whether the slab holds no live rows.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
-    /// Whether `token` is stored.
-    pub fn contains(&self, token: TokenId) -> bool {
-        self.index.contains_key(&token)
-    }
-
-    /// Stores (or overwrites) the vector for `token`.
+    /// Stores `x` in a free slot and returns the slot.
+    ///
+    /// A slot names one live row: distinct live rows hold distinct slots,
+    /// and every slot is below the most rows the slab has held at once, so a
+    /// caller can index a per-row table by it.
     ///
     /// # Panics
     ///
     /// Panics if `x` length differs from the slab width.
-    pub fn insert(&mut self, token: TokenId, x: &[f32]) {
+    pub fn push(&mut self, x: &[f32]) -> usize {
         assert_eq!(x.len(), self.width, "input length must match slab width");
-        let slot = match self.index.get(&token) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.free.pop().unwrap_or_else(|| {
-                    let slot = self.data.len() / self.width;
-                    self.data.resize(self.data.len() + self.width, 0.0);
-                    slot
-                });
-                self.index.insert(token, slot);
-                slot
-            }
-        };
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = self.data.len() / self.width;
+            self.data.resize(self.data.len() + self.width, 0.0);
+            slot
+        });
         self.data[slot * self.width..(slot + 1) * self.width].copy_from_slice(x);
+        slot
     }
 
-    /// The slot holding `token` and the vector stored there, if present.
+    /// The row stored in `slot`.
     ///
-    /// A slot names one live row of the slab: distinct live tokens hold
-    /// distinct slots, and every slot is below the most rows the slab has
-    /// held at once, so a caller can index a per-row table by it.
-    pub fn row(&self, token: TokenId) -> Option<(usize, &[f32])> {
-        self.index
-            .get(&token)
-            .map(|&slot| (slot, &self.data[slot * self.width..(slot + 1) * self.width]))
+    /// # Panics
+    ///
+    /// Panics if `slot` was never pushed.
+    pub fn row(&self, slot: usize) -> &[f32] {
+        &self.data[slot * self.width..(slot + 1) * self.width]
     }
 
-    /// Removes `token`, recycling its slot.  Returns whether it was present.
-    pub fn remove(&mut self, token: TokenId) -> bool {
-        match self.index.remove(&token) {
-            Some(slot) => {
-                self.free.push(slot);
-                true
-            }
-            None => false,
-        }
+    /// Frees `slot` for reuse.  The caller removes each live slot once.
+    pub fn remove(&mut self, slot: usize) {
+        debug_assert!(slot < self.data.len() / self.width, "slot was never pushed");
+        self.free.push(slot);
     }
 
     /// Logical FP16 footprint of the live entries (`width × live entries × 2
@@ -354,7 +309,7 @@ mod tests {
     }
 
     fn tokens_of(arena: &KvArena) -> Vec<TokenId> {
-        arena.iter_tokens().collect()
+        (0..arena.len()).map(|i| arena.token_at(i)).collect()
     }
 
     #[test]
@@ -373,8 +328,7 @@ mod tests {
         assert_eq!(tokens_of(&arena), &[0, 2, 3]);
         assert_eq!(arena.key(1), &[3.0; 4]);
         assert_eq!(arena.value(2), &[-4.0; 4]);
-        assert!(arena.remove_token(3));
-        assert!(!arena.remove_token(99));
+        arena.remove_at(2);
         assert_eq!(tokens_of(&arena), &[0, 2]);
     }
 
@@ -406,27 +360,19 @@ mod tests {
     #[test]
     fn slab_recycles_slots() {
         let mut slab = InputSlab::new(3);
-        slab.insert(0, &[1.0, 2.0, 3.0]);
-        slab.insert(1, &[4.0, 5.0, 6.0]);
-        assert_eq!(slab.row(0), Some((0, &[1.0, 2.0, 3.0][..])));
-        assert!(slab.remove(0));
-        assert!(!slab.remove(0));
+        assert_eq!(slab.push(&[1.0, 2.0, 3.0]), 0);
+        assert_eq!(slab.push(&[4.0, 5.0, 6.0]), 1);
+        assert_eq!(slab.row(0), &[1.0, 2.0, 3.0]);
+        slab.remove(0);
+        assert_eq!(slab.len(), 1);
         let backing = slab.data.len();
-        slab.insert(2, &[7.0, 8.0, 9.0]);
-        // Token 2 reused token 0's slot; the backing store did not grow.
+        // The next row reuses the freed slot; the backing store did not grow.
+        assert_eq!(slab.push(&[7.0, 8.0, 9.0]), 0);
         assert_eq!(slab.data.len(), backing);
-        assert_eq!(slab.row(2), Some((0, &[7.0, 8.0, 9.0][..])));
+        assert_eq!(slab.row(0), &[7.0, 8.0, 9.0]);
+        assert_eq!(slab.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(slab.len(), 2);
         assert_eq!(slab.bytes_fp16(), 2 * 3 * 2);
-    }
-
-    #[test]
-    fn slab_overwrite_keeps_one_slot() {
-        let mut slab = InputSlab::new(2);
-        slab.insert(5, &[1.0, 1.0]);
-        slab.insert(5, &[2.0, 2.0]);
-        assert_eq!(slab.len(), 1);
-        assert_eq!(slab.row(5), Some((0, &[2.0, 2.0][..])));
     }
 
     #[test]

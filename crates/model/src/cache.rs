@@ -12,11 +12,13 @@
 //!
 //! Kelle treats the KV cache as a first-order, contiguously laid out memory
 //! object — that is the whole premise of co-designing it with eDRAM — and the
-//! storage layer mirrors that.  Every policy backs each `(layer, head)` with
-//! a [`KvArena`](crate::arena::KvArena): one `Vec<TokenId>` plus two flat
-//! `Vec<f32>` buffers strided by `head_dim`, entry `i` owning elements
-//! `[i·head_dim, (i+1)·head_dim)`.  AERP's recompute-format input vectors
-//! live in a per-layer slot-recycling [`InputSlab`](crate::arena::InputSlab).
+//! storage layer mirrors that.  Every policy that stores K/V backs each
+//! `(layer, head)` with a [`KvArena`](crate::arena::KvArena): one
+//! `Vec<TokenId>` plus two flat `Vec<f32>` buffers strided by `head_dim`,
+//! entry `i` owning elements `[i·head_dim, (i+1)·head_dim)`.  AERP stores
+//! each token's input vector once per layer in a slot-recycling
+//! [`InputSlab`](crate::arena::InputSlab), and each of its heads holds the
+//! slots of the rows it retains.
 //! The discipline for the decode hot path is:
 //!
 //! * **reads are borrows**: [`for_each_entry`](KvCacheBackend::for_each_entry)
@@ -132,6 +134,9 @@ impl CacheStats {
 /// 3. per head, [`observe_attention`](KvCacheBackend::observe_attention)
 ///    with the post-softmax probabilities assigned to the visited entries,
 ///    so importance-tracking policies (H2O, AERP) can update their scores.
+///    It receives one `(token, probability)` pair per entry of the head's
+///    last `for_each_entry`, in that order; the budgeted policies `assert!`
+///    that the tokens agree one by one and add the scores by position.
 ///
 /// After pre-filling, [`finish_prefill`](KvCacheBackend::finish_prefill) lets
 /// policies apply their prefill retention rule (e.g. keep the top-`N'`
@@ -156,9 +161,10 @@ impl CacheStats {
 /// what lets the attention pass read every head of a layer before it
 /// reports any of them (step 2 before step 3), and it keeps what a head
 /// reads within a step independent of the order heads are visited in.  All
-/// stock policies satisfy this (H2O/AERP accumulate into per-`(layer, head)`
-/// score maps; the others ignore observes), and a property test holds them
-/// to it.
+/// stock policies satisfy this (H2O/AERP add into the observed head's own
+/// score array and re-select that head's median; the full cache keeps a
+/// per-`(layer, head)` score map for its HST/LST labels; the others ignore
+/// observes), and a property test holds them to it.
 pub trait KvCacheBackend: std::fmt::Debug + Send {
     /// Inserts the current token for `layer`.
     ///
@@ -198,7 +204,9 @@ pub trait KvCacheBackend: std::fmt::Debug + Send {
     }
 
     /// Reports the post-softmax attention probabilities assigned to cached
-    /// tokens during the current step.
+    /// tokens during the current step: one `(token, probability)` pair per
+    /// entry of the head's last
+    /// [`for_each_entry`](KvCacheBackend::for_each_entry), in that order.
     fn observe_attention(&mut self, layer: usize, head: usize, scores: &[(TokenId, f32)]);
 
     /// Signals the end of the pre-filling stage; `context_len` is the number

@@ -1,16 +1,18 @@
-//! Fast, deterministic hashing for the cache bookkeeping maps.
+//! Fast, deterministic hashing for maps keyed by small internal integers.
 //!
-//! The decode hot path performs thousands of map lookups per step — token →
-//! importance score, `(layer, head)` → arena, token → input-slab slot — all
-//! keyed by small integers.  `std`'s default SipHash is DoS-resistant but
-//! costs tens of nanoseconds per lookup, which measurably dominates the
-//! per-entry arithmetic (a `head_dim`-wide dot product).  The maps here are
-//! keyed by internal sequence positions, never attacker-controlled data, so
-//! the policies use a Fibonacci-multiplicative hasher instead: one
-//! `wrapping_mul` per word, deterministic across runs (which also keeps map
-//! iteration order reproducible between builds).
+//! A few maps sit on per-step paths — `(layer, head)` → arena in the
+//! per-head grids, `(layer, head)` → token → score in the full cache's
+//! HST/LST labels, the fault lanes' index and the prefix radix tree's
+//! children — all keyed by small integers.  `std`'s default SipHash is
+//! DoS-resistant but costs tens of nanoseconds per lookup, which measurably
+//! dominates the per-entry arithmetic (a `head_dim`-wide dot product).  The
+//! keys here are internal ids, never attacker-controlled data, so these maps
+//! use a Fibonacci-multiplicative hasher instead: one `wrapping_mul` per
+//! word, deterministic across runs (which also keeps map iteration order
+//! reproducible between builds).  The budgeted eviction policies keep no
+//! maps at all: their per-head state is dense arrays.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative hasher for small integer keys (Fibonacci hashing with an
@@ -51,9 +53,6 @@ impl Hasher for FastHasher {
 /// `HashMap` with the deterministic [`FastHasher`].
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// `HashSet` with the deterministic [`FastHasher`].
-pub type FastHashSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,16 +72,6 @@ mod tests {
         let ka: Vec<_> = a.keys().copied().collect();
         let kb: Vec<_> = b.keys().copied().collect();
         assert_eq!(ka, kb);
-    }
-
-    #[test]
-    fn set_basics() {
-        let mut s: FastHashSet<usize> = FastHashSet::default();
-        assert!(s.insert(42));
-        assert!(!s.insert(42));
-        assert!(s.contains(&42));
-        assert!(s.remove(&42));
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use fault::{
 pub use generation::{
     DecodeStep, DecodeTrace, GenerationConfig, GenerationOutput, GenerationState, StepRecord,
 };
-pub use hash::{FastHashMap, FastHashSet};
+pub use hash::FastHashMap;
 pub use metrics::{FidelityAccumulator, FidelityMetrics};
 pub use segment::{SegmentRecorder, SharedSegment};
 

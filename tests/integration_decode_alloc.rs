@@ -3,9 +3,10 @@
 //!
 //! 1. **Zero steady-state heap growth** — once the scratch buffers and policy
 //!    arenas have warmed up, a decode step must not grow the heap at all,
-//!    with `NoFaults` or with 2DRP retention faults (measured with a counting
-//!    global allocator, per thread so parallel tests cannot pollute the
-//!    ledger).
+//!    and must call the allocator exactly once — for the `probs` vector the
+//!    returned `DecodeStep` owns — with `NoFaults` or with 2DRP retention
+//!    faults (measured with a counting global allocator, per thread so
+//!    parallel tests cannot pollute the ledger).
 //! 2. **Golden streams** — for every cache policy, with and without active
 //!    fault injection, `run_with` reproduces pinned constants: an FNV-1a of
 //!    the tokens and of every step's probability bits, the final
@@ -29,9 +30,12 @@ use kelle::model::{CacheStats, FaultStats, ModelConfig, ModelKind, SurrogateDims
 thread_local! {
     /// Net heap bytes held by the current thread (allocations minus frees).
     static NET_HEAP: Cell<isize> = const { Cell::new(0) };
+    /// Allocation and reallocation calls made by the current thread.
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// A `System`-backed allocator that keeps a per-thread net-bytes ledger.
+/// A `System`-backed allocator that keeps a per-thread net-bytes ledger and
+/// a per-thread count of allocating calls.
 struct CountingAllocator;
 
 // SAFETY: defers all allocation to `System`; the bookkeeping only touches a
@@ -39,6 +43,7 @@ struct CountingAllocator;
 // teardown).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             let _ = NET_HEAP.try_with(|c| c.set(c.get() + layout.size() as isize));
@@ -52,6 +57,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             let _ =
@@ -66,6 +72,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn net_heap_bytes() -> isize {
     NET_HEAP.with(Cell::get)
+}
+
+fn alloc_calls() -> usize {
+    ALLOC_CALLS.with(Cell::get)
 }
 
 fn small_model(seed: u64) -> SurrogateModel {
@@ -92,7 +102,9 @@ fn budget() -> CacheBudget {
 /// Asserts that, for each budgeted policy at steady state (arenas at
 /// capacity, scratch warm), each decode step's net heap delta is exactly zero
 /// — transient allocations must be matched by frees, and nothing may
-/// accumulate.
+/// accumulate — and that the step calls the allocator exactly once: for the
+/// `probs` vector the returned `DecodeStep` owns.  Nothing in the cache,
+/// the attention pass or the fault lane allocates.
 fn assert_zero_steady_state_heap_growth(faults: &mut dyn FaultInjector) {
     let model = small_model(7);
     let heads = model.dims().heads;
@@ -113,7 +125,14 @@ fn assert_zero_steady_state_heap_growth(faults: &mut dyn FaultInjector) {
         }
         let start = net_heap_bytes();
         for step in 0..32 {
+            let calls = alloc_calls();
             let out = decode_step(&model, &mut state, None, cache.as_mut(), faults);
+            assert_eq!(
+                alloc_calls() - calls,
+                1,
+                "policy {} called the allocator beyond its probs vector at steady-state step {step}",
+                policy.name()
+            );
             drop(out);
             assert_eq!(
                 net_heap_bytes() - start,

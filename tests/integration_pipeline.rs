@@ -129,8 +129,8 @@ fn aerp_uses_recompute_storage_and_model_recomputes() {
         &mut cache,
         &mut faults,
     );
-    // The popularity rule should have converted at least some tokens to
-    // recompute storage, and the attention path must have exercised them.
+    // AERP stores its tokens as input rows for recomputation, and the
+    // attention path must have exercised them.
     assert!(cache.stats().recompute_entries > 0);
     assert!(trace.recompute_fraction() > 0.0);
 }

@@ -149,19 +149,38 @@ proptest! {
         prop_assert!((rates.hst_msb - model.failure_rate(hi)).abs() < 1e-12);
     }
 
-    /// The importance-score accumulation used for eviction (Eq. 3) always
-    /// evicts a token whose accumulated score is minimal among candidates.
+    /// The accumulated-attention eviction (Eq. 3) evicts a token whose
+    /// accumulated score is minimal: H2O and AERP each take `N` tokens in
+    /// pre-fill, observe one score per token, keep all `N` through
+    /// `finish_prefill`, and on the next insert the token that leaves has
+    /// the lowest score, the oldest of any tie.
     #[test]
     fn eviction_victim_has_minimal_score(scores in proptest::collection::vec(0.0f32..1.0, 4..12)) {
-        use kelle::cache::ImportanceTracker;
-        let mut tracker = ImportanceTracker::new();
-        let labelled: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
-        tracker.accumulate(0, 0, &labelled);
-        let victim = tracker
-            .min_score_token(0, 0, 0..scores.len())
-            .expect("non-empty candidates");
-        let min = scores.iter().copied().fold(f32::INFINITY, f32::min);
-        prop_assert!((scores[victim] - min).abs() < 1e-6);
+        let n = scores.len();
+        for mut cache in [
+            AerpCache::h2o(CacheBudget::new(n), 1),
+            AerpCache::new(CacheBudget::new(n), 1),
+        ] {
+            let insert = |cache: &mut AerpCache, t: usize| {
+                cache.insert(0, t, &[t as f32; 4], &[t as f32; 4], &[t as f32; 4], 4);
+            };
+            for t in 0..n {
+                insert(&mut cache, t);
+            }
+            let labelled: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
+            cache.observe_attention(0, 0, &labelled);
+            cache.finish_prefill(n);
+            prop_assert_eq!(cache.stats().evictions, 0);
+            insert(&mut cache, n);
+            let mut kept = vec![false; n + 1];
+            cache.for_each_entry(0, 0, &mut |e| kept[e.token] = true);
+            let evicted: Vec<usize> = (0..n).filter(|&t| !kept[t]).collect();
+            prop_assert_eq!(evicted.len(), 1, "{}", cache.name());
+            let victim = evicted[0];
+            let min = scores.iter().copied().fold(f32::INFINITY, f32::min);
+            prop_assert_eq!(scores[victim], min);
+            prop_assert_eq!(scores.iter().position(|&s| s == min), Some(victim));
+        }
     }
 
     /// The capacity ledger's accounting invariants hold for any interleaving
