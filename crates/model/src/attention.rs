@@ -16,7 +16,12 @@
 //! cache through the borrowed [`EntryRef`](crate::cache::EntryRef) API, so a
 //! steady-state decode step touches the heap not at all.  Every decode step
 //! any serving executor runs goes through it, on the session's thread.  Per
-//! layer it runs three phases:
+//! layer it first projects the token's query, key and value through the one
+//! four-row-blocked matvec kernel
+//! ([`Matrix::matvec_into`](kelle_tensor::Matrix::matvec_into)) and rotates
+//! every query and key head by one RoPE angle table of the token's position
+//! ([`ops::rope_angles`], applied by [`ops::rotate`]).  Then it runs three
+//! phases:
 //!
 //! 1. **Read the heads.**  One
 //!    [`for_each_entry`](KvCacheBackend::for_each_entry) traversal per head,
@@ -26,11 +31,13 @@
 //!    under its slot (no hashing) and reserves its value's place in the
 //!    stash.
 //! 2. **Read the rows.**  Each distinct stored row is copied once and
-//!    corrupted once, on the layer's row lane, whatever number of heads
-//!    retain it.  Then, for every head that retains a row and only for those,
-//!    the head's `head_dim` rows of `W_K`/`W_V` recompute its key and value
-//!    (the row-blocked [`Matrix::matvec_rows_into`](kelle_tensor::Matrix::matvec_rows_into)),
-//!    which scores the entry and fills its stashed value.
+//!    corrupted once, on the layer's row lane, and gets one angle table of
+//!    its token's position, whatever number of heads retain it.  Then, for
+//!    every head that retains a row and only for those, the head's
+//!    `head_dim` rows of `W_K`/`W_V` recompute its key and value (the
+//!    row-blocked [`Matrix::matvec_rows_into`](kelle_tensor::Matrix::matvec_rows_into)),
+//!    the row's table rotates the key, and the key scores the entry while
+//!    the value fills its stashed slot.
 //! 3. **Attend per head.**  [`ops::softmax_into`] in place over the head's
 //!    scores, the weighted-value accumulation from the stash in entry order,
 //!    then [`observe_attention`](KvCacheBackend::observe_attention).
@@ -40,6 +47,11 @@
 //! head of the layer visits (the [`KvCacheBackend`] contract), and a head's
 //! own reads all precede its own report.  A policy that stores no rows pays
 //! nothing for phase 2.
+//!
+//! Every rotation is the same arithmetic on the same table entries, so a
+//! key recomputed and rotated by its row's table equals, bit for bit, the
+//! key its own forward rotated by its position's table: without faults AERP
+//! (which stores rows) serves exactly what H2O (which stores keys) serves.
 //!
 //! What the pass computes is pinned outside the code: the golden matrices in
 //! `tests/integration_decode_alloc.rs` (model level) and
@@ -89,6 +101,9 @@ pub struct DecodeScratch {
     pub(crate) stash: Vec<f32>,
     /// Staging buffer for a corrupted or recomputed key, length `head_dim`.
     pub(crate) kbuf: Vec<f32>,
+    /// The RoPE angle table of the current token's position, shared by its
+    /// query and key heads.
+    angles: Vec<(f32, f32)>,
     /// The layer's stored input rows, each read once per layer.
     rows: RowTable,
     /// Per-head attention output `y^h`, length `head_dim`.
@@ -152,6 +167,9 @@ struct RowTable {
     token: Vec<TokenId>,
     /// Per row: whether any head that retains it ranks it high.
     high: Vec<bool>,
+    /// The rows' RoPE angle tables, `head_dim / 2` per row, built once per
+    /// layer and shared by every head that recomputes the row's key.
+    angles: Vec<(f32, f32)>,
     /// The rows' stored inputs, `channels` per row: copied, then corrupted,
     /// once per layer.
     x: Vec<f32>,
@@ -181,6 +199,7 @@ impl RowTable {
         self.slot.clear();
         self.token.clear();
         self.high.clear();
+        self.angles.clear();
         self.x.clear();
         self.uses.clear();
     }
@@ -266,8 +285,28 @@ impl<'w> MultiHeadAttention<'w> {
     ///
     /// The result is laid out head-major as flat `channels`-length vectors:
     /// head `h` owns elements `[h·head_dim, (h+1)·head_dim)` — the layout the
-    /// cache [`insert`](KvCacheBackend::insert) contract expects.
+    /// cache [`insert`](KvCacheBackend::insert) contract expects.  Every key
+    /// head is rotated by one angle table of `position`, collected here on
+    /// the heap; the forward pass shares its own table with the query.
     pub fn project_kv_into(&self, x: &[f32], position: usize, k: &mut Vec<f32>, v: &mut Vec<f32>) {
+        let angles: Vec<(f32, f32)> = self.rope_angles(position).collect();
+        self.project_kv_rotated(x, &angles, k, v);
+    }
+
+    /// The RoPE angle table of `position` for one head.
+    fn rope_angles(&self, position: usize) -> impl Iterator<Item = (f32, f32)> {
+        ops::rope_angles(position, self.head_dim, self.rope_theta)
+    }
+
+    /// [`project_kv_into`](Self::project_kv_into) with the position's angle
+    /// table already built.
+    fn project_kv_rotated(
+        &self,
+        x: &[f32],
+        angles: &[(f32, f32)],
+        k: &mut Vec<f32>,
+        v: &mut Vec<f32>,
+    ) {
         self.weights
             .wk
             .matvec_into(x, k)
@@ -277,7 +316,7 @@ impl<'w> MultiHeadAttention<'w> {
             .matvec_into(x, v)
             .expect("input length matches channel dimension");
         for kh in k.chunks_exact_mut(self.head_dim) {
-            ops::apply_rope(kh, position, self.rope_theta);
+            ops::rotate(kh, angles);
         }
     }
 
@@ -307,14 +346,16 @@ impl<'w> MultiHeadAttention<'w> {
     ) -> (usize, usize) {
         let hd = self.head_dim;
 
+        scratch.angles.clear();
+        scratch.angles.extend(self.rope_angles(position));
         self.weights
             .wq
             .matvec_into(x, &mut scratch.q)
             .expect("input length matches channel dimension");
         for qh in scratch.q.chunks_exact_mut(hd) {
-            ops::apply_rope(qh, position, self.rope_theta);
+            ops::rotate(qh, &scratch.angles);
         }
-        self.project_kv_into(x, position, &mut scratch.k, &mut scratch.v);
+        self.project_kv_rotated(x, &scratch.angles, &mut scratch.k, &mut scratch.v);
 
         cache.insert(layer, token, x, &scratch.k, &scratch.v, hd);
 
@@ -418,10 +459,11 @@ impl<'w> MultiHeadAttention<'w> {
     }
 
     /// Phase 2: reads each of the layer's stored rows once, on the row lane
-    /// `(layer, heads)` at the group of the row's most demanding head, then
-    /// recomputes key and value of every (head, row) pair phase 1 found — the
-    /// head's rows of `W_K`/`W_V` only — scoring the entry and filling its
-    /// stashed value.
+    /// `(layer, heads)` at the group of the row's most demanding head, and
+    /// builds its RoPE angle table once; then recomputes key and value of
+    /// every (head, row) pair phase 1 found — the head's rows of `W_K`/`W_V`
+    /// only, the key rotated by the row's table — scoring the entry and
+    /// filling its stashed value.
     fn read_rows(&self, layer: usize, faults: &mut dyn FaultInjector, scratch: &mut DecodeScratch) {
         let DecodeScratch {
             q,
@@ -443,6 +485,10 @@ impl<'w> MultiHeadAttention<'w> {
         for (x, &high) in rows.x.chunks_exact_mut(channels).zip(&rows.high) {
             faults.corrupt_slice(x, group(high));
         }
+        for &token in &rows.token {
+            rows.angles.extend(self.rope_angles(token));
+        }
+        let half = hd / 2;
         kbuf.clear();
         kbuf.resize(hd, 0.0);
         for u in &rows.uses {
@@ -452,7 +498,7 @@ impl<'w> MultiHeadAttention<'w> {
                 .wk
                 .matvec_rows_into(head_rows.clone(), x, kbuf)
                 .expect("stored input matches channel dimension");
-            ops::apply_rope(kbuf, rows.token[u.row], self.rope_theta);
+            ops::rotate(kbuf, &rows.angles[u.row * half..(u.row + 1) * half]);
             scores[u.entry] = kelle_tensor::dot(kbuf, &q[head_rows.clone()]) * scale;
             self.weights
                 .wv

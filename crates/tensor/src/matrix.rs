@@ -219,8 +219,9 @@ impl Matrix {
     /// Matrix-vector product into a caller-owned buffer (cleared and
     /// refilled), so hot loops can reuse one allocation across calls.
     ///
-    /// Each output element is [`dot`] of the corresponding row with `v`, and
-    /// therefore follows the documented multi-accumulator reference ordering;
+    /// This is [`Matrix::matvec_rows_into`] over every row: the one matvec
+    /// kernel, four rows at a time, each output element bitwise equal to
+    /// [`dot`] of its row with `v` in the documented reference ordering.
     /// [`Matrix::matvec`] is a thin allocating wrapper with bitwise-identical
     /// results.
     ///
@@ -236,8 +237,8 @@ impl Matrix {
             });
         }
         out.clear();
-        out.extend(self.data.chunks_exact(self.cols).map(|row| dot(row, v)));
-        Ok(())
+        out.resize(self.rows, 0.0);
+        self.matvec_rows_into(0..self.rows, v, out)
     }
 
     /// Matrix-vector product restricted to the row range `rows`, written into
@@ -253,26 +254,33 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if `v.len() != self.cols()` or
-    /// `out.len() != rows.len()`, and [`TensorError::IndexOutOfBounds`] if the
-    /// range exceeds the row count.
+    /// Returns [`TensorError::IndexOutOfBounds`] if the range is reversed
+    /// (`start > end`) or exceeds the row count, and
+    /// [`TensorError::ShapeMismatch`] if `v.len() != self.cols()` or
+    /// `out.len() != rows.len()`.
     pub fn matvec_rows_into(
         &self,
         rows: std::ops::Range<usize>,
         v: &[f32],
         out: &mut [f32],
     ) -> Result<()> {
-        if v.len() != self.cols || out.len() != rows.len() {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_rows",
-                lhs: (rows.len(), self.cols),
-                rhs: (v.len(), out.len()),
+        if rows.start > rows.end {
+            return Err(TensorError::IndexOutOfBounds {
+                index: rows.start,
+                len: rows.end,
             });
         }
         if rows.end > self.rows {
             return Err(TensorError::IndexOutOfBounds {
                 index: rows.end,
                 len: self.rows,
+            });
+        }
+        if v.len() != self.cols || out.len() != rows.len() {
+            return Err(TensorError::ShapeMismatch {
+                op: "matvec_rows",
+                lhs: (rows.len(), self.cols),
+                rhs: (v.len(), out.len()),
             });
         }
         let block = &self.data[rows.start * self.cols..rows.end * self.cols];
@@ -631,6 +639,9 @@ mod tests {
         }
     }
 
+    /// A row range of the full product equals the reference ordering of each
+    /// of its rows — not `matvec`, which runs the same kernel — and so the
+    /// same slice of the full product.
     #[test]
     fn matvec_rows_into_matches_full_matvec_bitwise() {
         let m = Matrix::from_rows(vec![
@@ -644,11 +655,50 @@ mod tests {
         let full = m.matvec(&v).unwrap();
         let mut slice = [0.0; 2];
         m.matvec_rows_into(1..3, &v, &mut slice).unwrap();
-        assert_eq!(slice[0].to_bits(), full[1].to_bits());
-        assert_eq!(slice[1].to_bits(), full[2].to_bits());
+        for (r, o) in (1..3).zip(&slice) {
+            let expected = dot_reference_ordering(m.row(r).unwrap(), &v);
+            assert_eq!(o.to_bits(), expected.to_bits(), "row {r}");
+            assert_eq!(o.to_bits(), full[r].to_bits(), "row {r}");
+        }
         assert!(m.matvec_rows_into(3..5, &v, &mut slice).is_err());
         assert!(m.matvec_rows_into(0..2, &[1.0], &mut slice).is_err());
         assert!(m.matvec_rows_into(0..3, &v, &mut slice).is_err());
+    }
+
+    /// A reversed range is an index error, whatever the output length.
+    #[test]
+    fn matvec_rows_into_rejects_a_reversed_range() {
+        let m = Matrix::from_flat(4, 3, (0..12).map(|i| i as f32).collect()).unwrap();
+        let v = [1.0, -1.0, 0.5];
+        for out_len in [0, 2] {
+            let mut out = vec![0.0; out_len];
+            #[allow(clippy::reversed_empty_ranges)]
+            let err = m.matvec_rows_into(3..1, &v, &mut out).unwrap_err();
+            assert_eq!(err, TensorError::IndexOutOfBounds { index: 3, len: 1 });
+        }
+    }
+
+    /// The one matvec kernel against a per-row realization of `dot`'s
+    /// documented ordering, at row counts that leave 0–3 rows after the
+    /// four-row blocks and widths with and without a remainder chunk.
+    #[test]
+    fn matvec_into_matches_per_row_reference_bitwise() {
+        for rows in [1usize, 2, 3, 4, 5, 7, 64, 512] {
+            for cols in [1usize, 3, 4, 5, 64, 172] {
+                let data: Vec<f32> = (0..rows * cols)
+                    .map(|i| (i as f32 * 0.37).sin() * 3.0)
+                    .collect();
+                let m = Matrix::from_flat(rows, cols, data).unwrap();
+                let v: Vec<f32> = (0..cols).map(|i| (i as f32 * 1.3).cos() * 2.0).collect();
+                let mut out = vec![f32::NAN; 3];
+                m.matvec_into(&v, &mut out).unwrap();
+                assert_eq!(out.len(), rows);
+                for (r, o) in out.iter().enumerate() {
+                    let expected = dot_reference_ordering(m.row(r).unwrap(), &v);
+                    assert_eq!(o.to_bits(), expected.to_bits(), "{rows}x{cols} row {r}");
+                }
+            }
+        }
     }
 
     /// The four-row blocks and the rows left over after them agree with

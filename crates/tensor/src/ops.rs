@@ -145,17 +145,44 @@ pub fn layer_norm(x: &[f32], gain: &[f32], bias: &[f32], eps: f32) -> Vec<f32> {
 /// by the Llama family; it matters for the surrogate model because RoPE makes
 /// attention scores position-sensitive, giving the recency structure that
 /// StreamingLLM's "recent window" heuristic relies on.
+///
+/// It is the two halves below in one call: the angle table of `position`
+/// ([`rope_angles`]) applied by [`rotate`].  Callers that rotate several
+/// vectors at one position build the table once and [`rotate`] each of them
+/// with it — bit for bit what this function computes for every one.  This
+/// convenience collects its table on the heap; a hot loop keeps its own.
 pub fn apply_rope(x: &mut [f32], position: usize, theta: f32) {
-    let d = x.len();
-    let half = d / 2;
-    for i in 0..half {
-        let freq = 1.0 / theta.powf(2.0 * i as f32 / d as f32);
+    let angles: Vec<(f32, f32)> = rope_angles(position, x.len(), theta).collect();
+    rotate(x, &angles);
+}
+
+/// The angle table of one position for `dim`-wide vectors: for each pair
+/// `i < dim / 2`, the `(sin, cos)` of `position · theta^(-2i/dim)`, computed
+/// as `1 / theta^(2i/dim)` then `position as f32 * freq` then `sin_cos`.
+///
+/// The table depends on the position alone, never on the vector rotated, so
+/// every head of a layer — queries and keys alike — can share one.
+pub fn rope_angles(position: usize, dim: usize, theta: f32) -> impl Iterator<Item = (f32, f32)> {
+    (0..dim / 2).map(move |i| {
+        let freq = 1.0 / theta.powf(2.0 * i as f32 / dim as f32);
         let angle = position as f32 * freq;
-        let (sin, cos) = angle.sin_cos();
-        let a = x[2 * i];
-        let b = x[2 * i + 1];
-        x[2 * i] = a * cos - b * sin;
-        x[2 * i + 1] = a * sin + b * cos;
+        angle.sin_cos()
+    })
+}
+
+/// Rotates the consecutive pairs `(x[2i], x[2i+1])` of `x` in place by the
+/// angles of a [`rope_angles`] table: `(a, b) ↦ (a·cos − b·sin, a·sin +
+/// b·cos)`.  An odd last element is left as it is.
+///
+/// # Panics
+///
+/// Panics if `angles` does not hold exactly one `(sin, cos)` per pair.
+pub fn rotate(x: &mut [f32], angles: &[(f32, f32)]) {
+    assert_eq!(angles.len(), x.len() / 2, "one angle per rotated pair");
+    for (pair, &(sin, cos)) in x.chunks_exact_mut(2).zip(angles) {
+        let (a, b) = (pair[0], pair[1]);
+        pair[0] = a * cos - b * sin;
+        pair[1] = a * sin + b * cos;
     }
 }
 
@@ -342,6 +369,59 @@ mod tests {
         for (a, b) in x.iter().zip(orig.iter()) {
             assert!((a - b).abs() < 1e-6);
         }
+    }
+
+    /// RoPE written out as one loop, angle and rotation per pair: the
+    /// reference the table and the rotation are held to.
+    fn rope_reference(x: &mut [f32], position: usize, theta: f32) {
+        let d = x.len();
+        let half = d / 2;
+        for i in 0..half {
+            let freq = 1.0 / theta.powf(2.0 * i as f32 / d as f32);
+            let angle = position as f32 * freq;
+            let (sin, cos) = angle.sin_cos();
+            let a = x[2 * i];
+            let b = x[2 * i + 1];
+            x[2 * i] = a * cos - b * sin;
+            x[2 * i + 1] = a * sin + b * cos;
+        }
+    }
+
+    /// One table per position rotates every vector of that width exactly as
+    /// the reference does, and `apply_rope` is that pair of calls; an odd
+    /// last element stays as it was.
+    #[test]
+    fn table_rotation_matches_reference_rope_bitwise() {
+        for dim in [2usize, 4, 8, 64, 128, 9] {
+            for position in [0usize, 1, 63, 4_095, 1 << 20] {
+                let angles: Vec<(f32, f32)> = rope_angles(position, dim, 10_000.0).collect();
+                assert_eq!(angles.len(), dim / 2);
+                for vector in 0..3 {
+                    let x: Vec<f32> = (0..dim)
+                        .map(|i| ((i + 7 * vector) as f32 * 0.61).sin() * 2.5)
+                        .collect();
+                    let mut expected = x.clone();
+                    rope_reference(&mut expected, position, 10_000.0);
+                    let mut tabled = x.clone();
+                    rotate(&mut tabled, &angles);
+                    let mut applied = x.clone();
+                    apply_rope(&mut applied, position, 10_000.0);
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&tabled), bits(&expected), "dim {dim} pos {position}");
+                    assert_eq!(bits(&applied), bits(&expected), "dim {dim} pos {position}");
+                    if dim % 2 == 1 {
+                        assert_eq!(tabled[dim - 1].to_bits(), x[dim - 1].to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one angle per rotated pair")]
+    fn rotate_rejects_a_table_of_another_width() {
+        let angles: Vec<(f32, f32)> = rope_angles(3, 8, 10_000.0).collect();
+        rotate(&mut [0.0; 4], &angles);
     }
 
     #[test]

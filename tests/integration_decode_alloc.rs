@@ -16,6 +16,10 @@
 //! 3. **Arena-footprint stats** — `CacheStats::bytes_fp16` tracks live
 //!    entries (stride × count), not retired buffer capacity, across a real
 //!    decode with heavy eviction.
+//! 4. **AERP without faults is H2O** — the same eviction core storing `x`
+//!    instead of K/V serves the same tokens and probability bits, so a key
+//!    rotated by its row's angle table at every read equals the key rotated
+//!    by its position's table at insert.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -489,4 +493,68 @@ fn bytes_fp16_reports_live_arena_footprint_after_decode() {
         stats.kv_entries * 2 * head_dim * 2 + stats.recompute_entries * dims.channels * 2,
         "AERP footprint must be per-head KV plus once-per-layer recompute"
     );
+}
+
+/// Criterion 4: without faults, AERP and H2O differ only in what they store.
+/// AERP recomputes every retained key from its stored row and rotates it by
+/// that row's angle table at each read; H2O stores the key its token's
+/// forward rotated by the position's table at insert.  So equal streams, to
+/// the last probability bit, check the per-row table against the
+/// per-position one at every position a head keeps.  Checked for 1, 4 and 8
+/// heads, budgets below and above the prompt length, and under `NoFaults`
+/// and a zero-rate `ProbabilisticFaults` (which stages every read); only
+/// `CacheStats` and the words examined, both of the stored format, may
+/// differ.
+#[test]
+fn aerp_without_faults_serves_what_h2o_serves() {
+    for heads in [1usize, 4, 8] {
+        let config = ModelConfig::for_kind(ModelKind::Llama2_7b).with_surrogate(SurrogateDims {
+            layers: 2,
+            heads,
+            channels: 64,
+            ffn_dim: 96,
+            vocab: 96,
+        });
+        for seed in [3u64, 19, 40] {
+            let model = SurrogateModel::new(config.clone(), seed);
+            for (budget, prompt_len) in [(8, 20), (12, 20), (40, 20)] {
+                let budget = CacheBudget::new(budget)
+                    .with_recent_window(4)
+                    .with_sink_tokens(2);
+                let p = prompt(prompt_len, seed as usize);
+                let serve = |policy: CachePolicy, faults: &mut dyn FaultInjector| {
+                    let mut cache = policy.build(budget, heads);
+                    let output = run_with(
+                        &model,
+                        &p,
+                        GenerationConfig::greedy(16),
+                        None,
+                        cache.as_mut(),
+                        faults,
+                    );
+                    let probs: Vec<Vec<u32>> = output
+                        .step_probs
+                        .iter()
+                        .map(|step| step.iter().map(|p| p.to_bits()).collect())
+                        .collect();
+                    (output.generated, probs)
+                };
+                let case = format!("{heads} heads, seed {seed}, budget {}", budget.max_tokens);
+                assert_eq!(
+                    serve(CachePolicy::Aerp, &mut NoFaults),
+                    serve(CachePolicy::H2o, &mut NoFaults),
+                    "{case}"
+                );
+                let mut aerp_faults = ProbabilisticFaults::new(BitFlipRates::uniform(0.0), seed);
+                let mut h2o_faults = ProbabilisticFaults::new(BitFlipRates::uniform(0.0), seed);
+                assert_eq!(
+                    serve(CachePolicy::Aerp, &mut aerp_faults),
+                    serve(CachePolicy::H2o, &mut h2o_faults),
+                    "{case} at rate 0"
+                );
+                assert_eq!(aerp_faults.stats().bits_flipped, 0, "{case}");
+                assert_eq!(h2o_faults.stats().bits_flipped, 0, "{case}");
+            }
+        }
+    }
 }
