@@ -26,15 +26,13 @@
 //!   clone draws exactly what one shared plan would.
 //!
 //! Recovery leans on the scheduler's per-tick commit protocol and happens
-//! where the session lives: the executor shard snapshots each session into a
-//! cheap [`Checkpoint`] at the committed tick boundary it is about to leave,
-//! restores it in place when the step panics, the coordinator re-issues the
-//! step with a bounded retry budget, and exhaustion surfaces as the typed
-//! [`ServeError::WorkerLost`] instead of a raw `resume_unwind`.
+//! where the session lives: the executor shard forks each session
+//! (`Session::fork`) at the committed tick boundary it is about to leave,
+//! restores that checkpoint in place when the step panics, the coordinator
+//! re-issues the step with a bounded retry budget, and exhaustion surfaces as
+//! the typed [`ServeError::WorkerLost`] instead of a raw `resume_unwind`.
 
 use std::fmt;
-
-use crate::session::Session;
 
 /// Configuration of the deterministic fault-injection plan.
 ///
@@ -264,39 +262,6 @@ impl ShedReason {
             ShedReason::Drained => "drained",
             ShedReason::WorkerLost => "worker-lost",
         }
-    }
-}
-
-/// A cheap snapshot of a session at a committed tick boundary.
-///
-/// Captured on the executor shard the session lives on, before every decode
-/// step taken while chaos is enabled; when that step panics, the checkpoint
-/// is re-hydrated into a fresh [`Session`] in the lost one's place and the
-/// step replays deterministically (same state, same RNG stream, same token).
-pub struct Checkpoint<'e> {
-    session: Session<'e>,
-}
-
-impl<'e> Checkpoint<'e> {
-    /// Snapshots `session`, which must sit at a committed tick boundary.
-    pub fn capture(session: &Session<'e>) -> Self {
-        Checkpoint {
-            session: session.fork(),
-        }
-    }
-
-    /// Re-hydrates the checkpoint into a live session (the checkpoint
-    /// remains usable for further replays).
-    pub fn restore(&self) -> Session<'e> {
-        self.session.fork()
-    }
-}
-
-impl fmt::Debug for Checkpoint<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Checkpoint")
-            .field("position", &self.session.position())
-            .finish_non_exhaustive()
     }
 }
 

@@ -541,10 +541,7 @@ impl KelleEngine {
         if !self.config.prefix.enabled {
             return None;
         }
-        self.prefix
-            .lock()
-            .probe(tokens, key)
-            .map(|(id, matched, _)| (id, matched))
+        self.prefix.lock().probe(tokens, key)
     }
 
     /// The prefix-sharing fingerprint of a session opened with these

@@ -128,7 +128,7 @@ pub mod session;
 pub mod tier;
 
 pub use accuracy::{AccuracyResult, Method};
-pub use chaos::{ChaosConfig, ChaosMetrics, ChaosPlan, Checkpoint, ServeError, ShedReason};
+pub use chaos::{ChaosConfig, ChaosMetrics, ChaosPlan, ServeError, ShedReason};
 pub use engine::{
     EngineBuilder, EngineConfig, EngineStats, KelleEngine, ServeOptions, ServeOutcome,
 };

@@ -53,7 +53,6 @@
 //! [`BatchOutcome`]: crate::scheduler::BatchOutcome
 //! [`ChaosConfig`]: crate::chaos::ChaosConfig
 
-use crate::chaos::Checkpoint;
 use crate::prefix::PrefixHit;
 use crate::session::Session;
 use kelle_model::DecodeStep;
@@ -232,11 +231,12 @@ pub trait StepExecutor<'e> {
     fn take(&mut self, index: usize) -> Option<Session<'e>>;
 }
 
-/// A resident session and, under chaos, its last committed boundary.
+/// A resident session and, under chaos, a fork of it at its last committed
+/// boundary (the checkpoint a panicked step is restored from).
 #[derive(Debug)]
 struct Resident<'e> {
     session: Session<'e>,
-    checkpoint: Option<Checkpoint<'e>>,
+    checkpoint: Option<Session<'e>>,
 }
 
 /// The one body of the resident-session protocol: a map of the sessions that
@@ -303,7 +303,7 @@ impl<'e> Shard<'e> {
             });
         };
         if checkpoint {
-            resident.checkpoint = Some(Checkpoint::capture(&resident.session));
+            resident.checkpoint = Some(resident.session.fork());
         }
         let session = &mut resident.session;
         let tokens_before = session.position();
@@ -327,7 +327,7 @@ impl<'e> Shard<'e> {
                 // boundary back in its place, or — with no checkpoint — let
                 // it go.
                 match &resident.checkpoint {
-                    Some(checkpoint) => resident.session = checkpoint.restore(),
+                    Some(checkpoint) => resident.session = checkpoint.fork(),
                     None => {
                         self.resident.remove(&index);
                     }

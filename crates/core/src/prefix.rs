@@ -68,8 +68,8 @@
 //! [`RadixPrefixIndex::longest_match`] walks compressed edges and compares
 //! at most one token per matched position: **O(matched prefix length)**,
 //! independent of how many prefixes are published (pinned by a unit test on
-//! [`RadixPrefixIndex::match_cost`] and a criterion micro-benchmark with
-//! 1 000 published prefixes).
+//! [`RadixPrefixIndex::match_cost`] against 1 000 published prefixes, both
+//! fanning out at the first token and sharing one deep spine).
 
 use kelle_cache::{CacheBudget, CachePolicy};
 use kelle_model::{FastHashMap, SharedSegment};
@@ -307,8 +307,7 @@ impl<V> RadixPrefixIndex<V> {
     }
 
     /// Number of token comparisons a [`longest_match`](Self::longest_match)
-    /// of `seq` performs — the instrumented twin the O(matched) tests and
-    /// the criterion micro-benchmark pin.
+    /// of `seq` performs — the instrumented twin the O(matched) test pins.
     pub fn match_cost(&self, seq: &[usize]) -> usize {
         let mut node = &self.root;
         let mut depth = 0usize;
@@ -416,12 +415,13 @@ impl PrefixStore {
     }
 
     /// Like [`lookup`](Self::lookup) but without touching statistics or
-    /// handing out the segment — used by the batch scheduler to size
-    /// admission footprints before the session actually pre-fills.
-    pub fn probe(&self, tokens: &[usize], key: &PrefixKey) -> Option<(u64, usize, u64)> {
+    /// handing out the segment: the `(entry id, matched tokens)` of the
+    /// longest match.  Used by the batch scheduler to size admission
+    /// footprints before the session actually pre-fills.
+    pub fn probe(&self, tokens: &[usize], key: &PrefixKey) -> Option<(u64, usize)> {
         self.index
             .longest_match(tokens, |e| e.key == *key)
-            .map(|(matched, entry)| (entry.id, matched, entry.segment.bytes_fp16() as u64))
+            .map(|(matched, entry)| (entry.id, matched))
     }
 }
 

@@ -20,8 +20,11 @@
 //! the matrix work of the prefix forward passes — is skipped entirely.
 //!
 //! The segment's bytes are shared in the *model*, not in host memory: the
-//! capacity ledger charges [`SharedSegment::bytes_fp16`] once to its shared
-//! pool however many sessions attach, while each session holds its own copy.
+//! capacity ledger charges a hit's matched tokens once to its shared pool,
+//! however many sessions attach, at the full-scale KV footprint the
+//! scheduler sizes admission by — while each session holds its own copy.
+//! [`SharedSegment::bytes_fp16`] is the surrogate-scale size of the
+//! recording, which the prefix store reports as its resident bytes.
 
 use crate::arena::FP16_BYTES;
 use crate::cache::{CacheStats, EntryRef, KvCacheBackend, TokenId};
@@ -111,9 +114,8 @@ impl SharedSegment {
         self.boundary.faults.clone()
     }
 
-    /// Logical FP16 footprint of the prefix's raw KV projections (the bytes a
-    /// ledger charges once, however many sessions attach): `inserts × 2 ×
-    /// kv_width × 2`.
+    /// Logical FP16 footprint of the prefix's raw KV projections at the
+    /// surrogate's scale: `inserts × 2 × kv_width × 2`.
     pub fn bytes_fp16(&self) -> usize {
         self.boundary.inserts * 2 * self.log.kv_width * FP16_BYTES
     }

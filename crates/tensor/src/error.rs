@@ -37,6 +37,13 @@ pub enum TensorError {
         /// Name of the offending dimension.
         what: &'static str,
     },
+    /// A shape's element count `rows * cols` does not fit in `usize`.
+    ShapeOverflow {
+        /// Requested number of rows.
+        rows: usize,
+        /// Requested number of columns.
+        cols: usize,
+    },
     /// A quantization parameter was invalid (e.g. unsupported bit width).
     InvalidQuantization {
         /// Explanation of the failure.
@@ -61,6 +68,9 @@ impl fmt::Display for TensorError {
             ),
             TensorError::EmptyDimension { what } => {
                 write!(f, "dimension `{what}` must be non-zero")
+            }
+            TensorError::ShapeOverflow { rows, cols } => {
+                write!(f, "a {rows}x{cols} shape overflows the element count")
             }
             TensorError::InvalidQuantization { reason } => {
                 write!(f, "invalid quantization: {reason}")

@@ -6,101 +6,9 @@
 //! individual *stored bits*, so the functional model needs a bit-exact 16-bit
 //! representation with explicit encode/decode, not just `f32` arithmetic.
 //!
-//! [`F16`] is a minimal half-precision value type supporting conversion to and
-//! from `f32` (round-to-nearest-even), raw-bit access, and bit flipping.
-
-use std::fmt;
-
-/// A 16-bit IEEE-754 half-precision floating point value.
-///
-/// # Example
-///
-/// ```rust
-/// use kelle_tensor::F16;
-///
-/// let x = F16::from_f32(1.5);
-/// assert_eq!(x.to_f32(), 1.5);
-/// // Flipping the most significant *mantissa* bit perturbs the value,
-/// // flipping a low-order bit barely changes it -- the asymmetry that
-/// // motivates 2DRP's MSB/LSB split.
-/// let msb_err = (x.with_bit_flipped(9).to_f32() - 1.5).abs();
-/// let lsb_err = (x.with_bit_flipped(0).to_f32() - 1.5).abs();
-/// assert!(msb_err > lsb_err);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct F16(u16);
-
-impl F16 {
-    /// Positive zero.
-    pub const ZERO: F16 = F16(0);
-    /// The largest finite value (65504.0).
-    pub const MAX: F16 = F16(0x7BFF);
-    /// The most negative finite value (-65504.0).
-    pub const MIN: F16 = F16(0xFBFF);
-
-    /// Creates an `F16` from its raw bit pattern.
-    pub fn from_bits(bits: u16) -> Self {
-        F16(bits)
-    }
-
-    /// Returns the raw bit pattern.
-    pub fn to_bits(self) -> u16 {
-        self.0
-    }
-
-    /// Converts an `f32` to half precision with round-to-nearest-even and
-    /// saturation to +/- infinity on overflow.
-    pub fn from_f32(value: f32) -> Self {
-        F16(f32_to_f16_bits(value))
-    }
-
-    /// Converts back to `f32` exactly (every f16 value is representable in f32).
-    pub fn to_f32(self) -> f32 {
-        f16_bits_to_f32(self.0)
-    }
-
-    /// Returns a copy with bit `bit` (0 = LSB, 15 = sign) flipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 16`.
-    pub fn with_bit_flipped(self, bit: u8) -> Self {
-        assert!(bit < 16, "f16 bit index must be < 16");
-        F16(self.0 ^ (1u16 << bit))
-    }
-
-    /// Whether the value is NaN.
-    pub fn is_nan(self) -> bool {
-        let exp = (self.0 >> 10) & 0x1F;
-        let mant = self.0 & 0x3FF;
-        exp == 0x1F && mant != 0
-    }
-
-    /// Whether the value is +/- infinity.
-    pub fn is_infinite(self) -> bool {
-        let exp = (self.0 >> 10) & 0x1F;
-        let mant = self.0 & 0x3FF;
-        exp == 0x1F && mant == 0
-    }
-}
-
-impl fmt::Display for F16 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_f32())
-    }
-}
-
-impl From<f32> for F16 {
-    fn from(value: f32) -> Self {
-        F16::from_f32(value)
-    }
-}
-
-impl From<F16> for f32 {
-    fn from(value: F16) -> Self {
-        value.to_f32()
-    }
-}
+//! This module is that representation: [`f32_to_f16_bits`] encodes with
+//! round-to-nearest-even and [`f16_bits_to_f32`] decodes exactly, so the fault
+//! lane can flip stored bits between the two.
 
 /// Converts an `f32` to raw binary16 bits (round-to-nearest-even).
 pub fn f32_to_f16_bits(value: f32) -> u16 {
@@ -135,7 +43,6 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
     }
     if unbiased >= -24 {
         // Subnormal range.
-        let shift = (-1 - unbiased) as u32 + 13 - 13; // bits to drop beyond the 13 for normals
         let full_mant = mant | 0x0080_0000; // implicit leading 1
         let total_shift = 13 + ((-14 - unbiased) as u32);
         let mant16 = (full_mant >> total_shift) as u16;
@@ -146,7 +53,6 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
         if round_bit == 1 && (sticky != 0 || (mant16 & 1) == 1) {
             out = out.wrapping_add(1);
         }
-        let _ = shift;
         return out;
     }
     // Underflow to signed zero.
@@ -191,10 +97,14 @@ pub fn f16_bits_to_f32(bits: u16) -> f32 {
 mod tests {
     use super::*;
 
+    fn round_trip(v: f32) -> f32 {
+        f16_bits_to_f32(f32_to_f16_bits(v))
+    }
+
     #[test]
     fn round_trip_exact_values() {
         for v in [0.0f32, 1.0, -1.0, 0.5, 2.0, 1.5, -3.25, 1024.0, 0.125] {
-            assert_eq!(F16::from_f32(v).to_f32(), v, "value {v}");
+            assert_eq!(round_trip(v), v, "value {v}");
         }
     }
 
@@ -202,7 +112,7 @@ mod tests {
     fn round_trip_is_close_for_random_range() {
         for i in 0..1000 {
             let v = (i as f32 - 500.0) * 0.037;
-            let r = F16::from_f32(v).to_f32();
+            let r = round_trip(v);
             let tol = (v.abs() * 1e-3).max(1e-3);
             assert!((r - v).abs() <= tol, "value {v} -> {r}");
         }
@@ -210,50 +120,49 @@ mod tests {
 
     #[test]
     fn overflow_saturates_to_infinity() {
-        let x = F16::from_f32(1.0e6);
-        assert!(x.is_infinite());
-        assert!(x.to_f32().is_infinite());
+        assert_eq!(f32_to_f16_bits(1.0e6), 0x7C00);
+        assert!(round_trip(1.0e6).is_infinite());
     }
 
     #[test]
     fn nan_propagates() {
-        let x = F16::from_f32(f32::NAN);
-        assert!(x.is_nan());
-        assert!(x.to_f32().is_nan());
+        let bits = f32_to_f16_bits(f32::NAN);
+        assert_eq!(bits & 0x7C00, 0x7C00);
+        assert_ne!(bits & 0x3FF, 0);
+        assert!(f16_bits_to_f32(bits).is_nan());
     }
 
     #[test]
     fn subnormal_round_trip() {
         let tiny = 3.0e-7f32;
-        let r = F16::from_f32(tiny).to_f32();
+        let r = round_trip(tiny);
         assert!((0.0..1e-4).contains(&r));
     }
 
     #[test]
     fn sign_bit_flip_negates() {
-        let x = F16::from_f32(2.0);
-        let y = x.with_bit_flipped(15);
-        assert_eq!(y.to_f32(), -2.0);
+        let bits = f32_to_f16_bits(2.0);
+        assert_eq!(f16_bits_to_f32(bits ^ (1 << 15)), -2.0);
     }
 
     #[test]
     fn msb_flip_larger_error_than_lsb_flip() {
-        let x = F16::from_f32(0.73);
-        let base = x.to_f32();
-        let msb = (x.with_bit_flipped(13).to_f32() - base).abs();
-        let lsb = (x.with_bit_flipped(0).to_f32() - base).abs();
+        let bits = f32_to_f16_bits(0.73);
+        let base = f16_bits_to_f32(bits);
+        let msb = (f16_bits_to_f32(bits ^ (1 << 13)) - base).abs();
+        let lsb = (f16_bits_to_f32(bits ^ 1) - base).abs();
         assert!(msb > lsb * 10.0);
     }
 
     #[test]
     fn zero_is_all_zero_bits() {
-        assert_eq!(F16::from_f32(0.0).to_bits(), 0);
-        assert_eq!(F16::ZERO.to_f32(), 0.0);
+        assert_eq!(f32_to_f16_bits(0.0), 0);
+        assert_eq!(f16_bits_to_f32(0), 0.0);
     }
 
     #[test]
     fn max_constant_matches() {
-        assert!((F16::MAX.to_f32() - 65504.0).abs() < 1.0);
-        assert!((F16::MIN.to_f32() + 65504.0).abs() < 1.0);
+        assert_eq!(f16_bits_to_f32(0x7BFF), 65504.0);
+        assert_eq!(f16_bits_to_f32(0xFBFF), -65504.0);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Numeric substrate for the Kelle reproduction: dense row-major matrices and
 //! vectors, the non-linear operations used by transformer decoders (softmax,
-//! GELU/SiLU, RMSNorm), FP16/INT8/INT4 quantization emulation with bit-exact
-//! storage words (so that retention-failure bit flips can be injected at the
-//! memory level), and deterministic random-number utilities used to build the
+//! SiLU, RMSNorm, RoPE), bit-exact FP16 encode/decode (so that retention-failure
+//! bit flips can be injected into stored words), INT8/INT4 quantization
+//! emulation, and deterministic random-number utilities used to build the
 //! surrogate LLM and the synthetic workloads.
 //!
 //! The crate deliberately avoids SIMD/BLAS dependencies: the evaluation of the
@@ -18,9 +18,9 @@
 //!
 //! # fn main() -> Result<(), kelle_tensor::TensorError> {
 //! let a = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]])?;
-//! let b = Matrix::identity(2);
-//! let c = a.matmul(&b)?;
-//! assert_eq!(c.get(1, 0), 3.0);
+//! let mut out = Vec::new();
+//! a.matvec_into(&[1.0, -1.0], &mut out)?;
+//! assert_eq!(out, vec![-1.0, -1.0]);
 //! let probs = ops::softmax(&[1.0, 2.0, 3.0]);
 //! assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-6);
 //! # Ok(())
@@ -39,7 +39,6 @@ pub mod quant;
 pub mod rng;
 
 pub use error::TensorError;
-pub use fp16::F16;
 pub use matrix::{dot, Matrix, Vector, DOT_LANES};
 pub use quant::{QuantFormat, QuantizedMatrix, QuantizedVector};
 

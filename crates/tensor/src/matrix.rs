@@ -41,33 +41,15 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::EmptyDimension`] if either dimension is zero.
+    /// Returns [`TensorError::EmptyDimension`] if either dimension is zero and
+    /// [`TensorError::ShapeOverflow`] if `rows * cols` overflows `usize`.
     pub fn zeros(rows: usize, cols: usize) -> Result<Self> {
-        if rows == 0 {
-            return Err(TensorError::EmptyDimension { what: "rows" });
-        }
-        if cols == 0 {
-            return Err(TensorError::EmptyDimension { what: "cols" });
-        }
+        let len = element_count(rows, cols)?;
         Ok(Self {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![0.0; len],
         })
-    }
-
-    /// Creates the `n`-by-`n` identity matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn identity(n: usize) -> Self {
-        assert!(n > 0, "identity dimension must be non-zero");
-        let mut m = Self::zeros(n, n).expect("non-zero checked above");
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
     }
 
     /// Builds a matrix from a vector of equal-length rows.
@@ -105,16 +87,11 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if `data.len() != rows * cols`
-    /// and [`TensorError::EmptyDimension`] for zero dimensions.
+    /// Returns [`TensorError::ShapeMismatch`] if `data.len() != rows * cols`,
+    /// [`TensorError::EmptyDimension`] for zero dimensions and
+    /// [`TensorError::ShapeOverflow`] if `rows * cols` overflows `usize`.
     pub fn from_flat(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self> {
-        if rows == 0 {
-            return Err(TensorError::EmptyDimension { what: "rows" });
-        }
-        if cols == 0 {
-            return Err(TensorError::EmptyDimension { what: "cols" });
-        }
-        if data.len() != rows * cols {
+        if data.len() != element_count(rows, cols)? {
             return Err(TensorError::ShapeMismatch {
                 op: "from_flat",
                 lhs: (rows, cols),
@@ -188,21 +165,6 @@ impl Matrix {
             });
         }
         Ok(&self.data[row * self.cols..(row + 1) * self.cols])
-    }
-
-    /// Copies column `col` into a new vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `col >= self.cols()`.
-    pub fn column(&self, col: usize) -> Result<Vector> {
-        if col >= self.cols {
-            return Err(TensorError::IndexOutOfBounds {
-                index: col,
-                len: self.cols,
-            });
-        }
-        Ok((0..self.rows).map(|r| self.get(r, col)).collect())
     }
 
     /// Matrix-vector product `self * v`.
@@ -299,72 +261,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Vector-matrix product `v^T * self`, i.e. treating `v` as a row vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `v.len() != self.rows()`.
-    pub fn vecmat(&self, v: &[f32]) -> Result<Vector> {
-        if v.len() != self.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "vecmat",
-                lhs: (1, v.len()),
-                rhs: (self.rows, self.cols),
-            });
-        }
-        let mut out = vec![0.0f32; self.cols];
-        for (r, &coeff) in v.iter().enumerate() {
-            if coeff == 0.0 {
-                continue;
-            }
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, x) in out.iter_mut().zip(row.iter()) {
-                *o += coeff * x;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix-matrix product `self * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the inner dimensions differ.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul",
-                lhs: (self.rows, self.cols),
-                rhs: (other.rows, other.cols),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols)?;
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    let v = out.get(i, j) + a * other.get(k, j);
-                    out.set(i, j, v);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Returns the transpose of this matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows).expect("shape is non-zero");
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
     /// Scales every element by `factor`, returning a new matrix.
     pub fn scaled(&self, factor: f32) -> Matrix {
         Matrix {
@@ -372,31 +268,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().map(|x| x * factor).collect(),
         }
-    }
-
-    /// Element-wise sum with `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "add",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a + b)
-                .collect(),
-        })
     }
 
     /// The Frobenius norm of the matrix.
@@ -407,11 +278,6 @@ impl Matrix {
     /// Iterates over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols)
-    }
-
-    /// Consumes the matrix, returning the flat row-major buffer.
-    pub fn into_flat(self) -> Vec<f32> {
-        self.data
     }
 
     /// Number of `f32` elements stored.
@@ -425,25 +291,41 @@ impl Matrix {
     }
 }
 
+/// The element count of a `rows × cols` matrix.
+///
+/// # Errors
+///
+/// Returns [`TensorError::EmptyDimension`] if either dimension is zero and
+/// [`TensorError::ShapeOverflow`] if the product overflows `usize`.
+fn element_count(rows: usize, cols: usize) -> Result<usize> {
+    if rows == 0 {
+        return Err(TensorError::EmptyDimension { what: "rows" });
+    }
+    if cols == 0 {
+        return Err(TensorError::EmptyDimension { what: "cols" });
+    }
+    rows.checked_mul(cols)
+        .ok_or(TensorError::ShapeOverflow { rows, cols })
+}
+
 /// Number of independent accumulators (and the chunk width) used by [`dot`].
 ///
 /// # Why 4?
 ///
-/// The `bench_dot_sweep` criterion bench (`crates/bench/benches/dot_sweep.rs`)
-/// sweeps accumulator widths 1/2/4/8/16 and row-block sizes for the blocked
-/// matvec.  On the x86-64 hosts we measure, width 1 serializes on the ~4-cycle
-/// FP add latency; widths 2 and 4 recover most of the throughput by keeping
-/// independent add chains in flight; widths beyond 4 show no further gain at
-/// the surrogate's short row lengths (32–4096 elements) because the loop
-/// becomes load-bound, while burning more registers and a longer reduction
-/// tail on every short row.  4 also matches one 128-bit SIMD lane of `f32`s,
-/// so LLVM's auto-vectorizer maps the lane array directly onto a vector
-/// accumulator.
+/// An accumulator-width sweep (widths 1/2/4/8/16, last run at commit
+/// `bd804f1`) measured the tradeoff.  On the x86-64 hosts we measure, width 1
+/// serializes on the ~4-cycle FP add latency; widths 2 and 4 recover most of
+/// the throughput by keeping independent add chains in flight; widths beyond
+/// 4 show no further gain at the surrogate's short row lengths (32–4096
+/// elements) because the loop becomes load-bound, while burning more
+/// registers and a longer reduction tail on every short row.  4 also matches
+/// one 128-bit SIMD lane of `f32`s, so LLVM's auto-vectorizer maps the lane
+/// array directly onto a vector accumulator.
 ///
 /// Changing this constant changes the documented reference accumulation
-/// ordering and therefore every downstream bit-exactness fixture — it is a
-/// format-breaking change, not a tuning knob.  The sweep bench exists so the
-/// tradeoff can be re-measured without touching the constant.
+/// ordering and therefore moves every digest and bit-exactness fixture
+/// downstream — it is a format-breaking change, not a tuning knob, and a
+/// change to it brings its own re-measurement.
 pub const DOT_LANES: usize = 4;
 
 /// Dot product of two equal-length slices, unrolled into [`DOT_LANES`]
@@ -557,44 +439,13 @@ mod tests {
     }
 
     #[test]
-    fn vecmat_matches_transpose_matvec() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        let v = vec![1.0, -1.0, 2.0];
-        let a = m.vecmat(&v).unwrap();
-        let b = m.transpose().matvec(&v).unwrap();
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn matmul_by_identity_returns_input() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let id = Matrix::identity(2);
-        assert_eq!(m.matmul(&id).unwrap(), m);
-        assert_eq!(id.matmul(&m).unwrap(), m);
-    }
-
-    #[test]
-    fn matmul_shape_mismatch() {
-        let a = Matrix::zeros(2, 3).unwrap();
-        let b = Matrix::zeros(2, 3).unwrap();
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
     fn row_and_column_access() {
         let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         assert_eq!(m.row(1).unwrap(), &[3.0, 4.0]);
-        assert_eq!(m.column(0).unwrap(), vec![1.0, 3.0]);
+        let column: Vec<f32> = m.iter_rows().map(|row| row[0]).collect();
+        assert_eq!(column, vec![1.0, 3.0]);
+        assert_eq!((m.get(0, 1), m.get(1, 0)), (2.0, 3.0));
         assert!(m.row(2).is_err());
-        assert!(m.column(5).is_err());
     }
 
     #[test]
@@ -748,13 +599,32 @@ mod tests {
     fn add_and_scale() {
         let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let s = m.scaled(2.0);
-        let sum = m.add(&m).unwrap();
-        assert_eq!(s, sum);
+        let doubled = Matrix::from_rows(vec![vec![2.0, 4.0], vec![6.0, 8.0]]).unwrap();
+        assert_eq!(s, doubled);
     }
 
     #[test]
     fn frobenius_norm_of_identity() {
-        let id = Matrix::identity(4);
+        let mut id = Matrix::zeros(4, 4).unwrap();
+        for i in 0..4 {
+            id.set(i, i, 1.0);
+        }
         assert!((id.frobenius_norm() - 2.0).abs() < 1e-6);
+    }
+
+    /// A shape whose element count overflows `usize` is a typed error, not a
+    /// wrapped count: an empty matrix that claims 2⁶³ rows would panic on its
+    /// first row access.
+    #[test]
+    fn constructors_reject_a_shape_whose_element_count_overflows() {
+        let (rows, cols) = (usize::MAX / 4 + 1, 8);
+        assert_eq!(
+            Matrix::zeros(rows, cols).unwrap_err(),
+            TensorError::ShapeOverflow { rows, cols }
+        );
+        let rows = usize::MAX / 2 + 1;
+        let err = Matrix::from_flat(rows, 2, Vec::new()).unwrap_err();
+        assert_eq!(err, TensorError::ShapeOverflow { rows, cols: 2 });
+        assert!(err.to_string().contains("overflows"));
     }
 }

@@ -63,33 +63,15 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Gaussian Error Linear Unit (tanh approximation), the FFN activation used by
-/// GPT-style models.
-pub fn gelu(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
-}
-
 /// Sigmoid Linear Unit (a.k.a. swish), the gated-MLP activation used by the
 /// Llama / Mistral family.
 pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
 }
 
-/// Root-mean-square normalization (RMSNorm) with a learned gain vector.
-///
-/// # Panics
-///
-/// Panics if `x` and `gain` have different lengths.
-pub fn rms_norm(x: &[f32], gain: &[f32], eps: f32) -> Vec<f32> {
-    let mut out = Vec::new();
-    rms_norm_into(x, gain, eps, &mut out);
-    out
-}
-
-/// RMSNorm into a caller-owned buffer (cleared and refilled), so the decode
-/// hot path can reuse its scratch allocation across steps.  Identical math
-/// and operation order to [`rms_norm`].
+/// Root-mean-square normalization (RMSNorm) with a learned gain vector, into
+/// a caller-owned buffer (cleared and refilled), so the decode hot path can
+/// reuse its scratch allocation across steps.
 ///
 /// # Panics
 ///
@@ -109,56 +91,16 @@ pub fn rms_norm_into(x: &[f32], gain: &[f32], eps: f32, out: &mut Vec<f32>) {
     out.extend(x.iter().zip(gain.iter()).map(|(v, g)| v / denom * g));
 }
 
-/// Standard layer normalization with learned gain and bias.
+/// The angle table of one position for rotary position embedding (RoPE) of
+/// `dim`-wide vectors: for each pair `i < dim / 2`, the `(sin, cos)` of
+/// `position · theta^(-2i/dim)`, computed as `1 / theta^(2i/dim)` then
+/// `position as f32 * freq` then `sin_cos`.
 ///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn layer_norm(x: &[f32], gain: &[f32], bias: &[f32], eps: f32) -> Vec<f32> {
-    assert_eq!(
-        x.len(),
-        gain.len(),
-        "layer_norm operands must be equal length"
-    );
-    assert_eq!(
-        x.len(),
-        bias.len(),
-        "layer_norm operands must be equal length"
-    );
-    if x.is_empty() {
-        return Vec::new();
-    }
-    let n = x.len() as f32;
-    let mean = x.iter().sum::<f32>() / n;
-    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-    let denom = (var + eps).sqrt();
-    x.iter()
-        .zip(gain.iter().zip(bias.iter()))
-        .map(|(v, (g, b))| (v - mean) / denom * g + b)
-        .collect()
-}
-
-/// Applies rotary position embedding (RoPE) to a query/key vector in place.
-///
-/// Consecutive element pairs `(x[2i], x[2i+1])` are rotated by an angle
-/// `position * theta^(-2i/d)`.  This is the positional-embedding flavour used
-/// by the Llama family; it matters for the surrogate model because RoPE makes
-/// attention scores position-sensitive, giving the recency structure that
-/// StreamingLLM's "recent window" heuristic relies on.
-///
-/// It is the two halves below in one call: the angle table of `position`
-/// ([`rope_angles`]) applied by [`rotate`].  Callers that rotate several
-/// vectors at one position build the table once and [`rotate`] each of them
-/// with it — bit for bit what this function computes for every one.  This
-/// convenience collects its table on the heap; a hot loop keeps its own.
-pub fn apply_rope(x: &mut [f32], position: usize, theta: f32) {
-    let angles: Vec<(f32, f32)> = rope_angles(position, x.len(), theta).collect();
-    rotate(x, &angles);
-}
-
-/// The angle table of one position for `dim`-wide vectors: for each pair
-/// `i < dim / 2`, the `(sin, cos)` of `position · theta^(-2i/dim)`, computed
-/// as `1 / theta^(2i/dim)` then `position as f32 * freq` then `sin_cos`.
+/// RoPE rotates consecutive element pairs `(x[2i], x[2i+1])` of a query or
+/// key by these angles ([`rotate`]).  This is the positional-embedding flavour
+/// used by the Llama family; it matters for the surrogate model because RoPE
+/// makes attention scores position-sensitive, giving the recency structure
+/// that StreamingLLM's "recent window" heuristic relies on.
 ///
 /// The table depends on the position alone, never on the vector rotated, so
 /// every head of a layer — queries and keys alike — can share one.
@@ -320,15 +262,12 @@ mod tests {
         let gain = vec![1.0, 1.0];
         let mut buf = vec![9.0; 17];
         rms_norm_into(&x, &gain, 1e-6, &mut buf);
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf, rms_norm(&x, &gain, 1e-6));
+        let denom = (12.5f32 + 1e-6).sqrt();
+        assert_eq!(buf, vec![3.0 / denom, 4.0 / denom]);
     }
 
     #[test]
     fn gelu_and_silu_basic_shape() {
-        assert!(gelu(0.0).abs() < 1e-6);
-        assert!(gelu(3.0) > 2.9);
-        assert!(gelu(-3.0).abs() < 0.02);
         assert!(silu(0.0).abs() < 1e-6);
         assert!((silu(10.0) - 10.0).abs() < 1e-2);
     }
@@ -337,26 +276,18 @@ mod tests {
     fn rms_norm_unit_scale() {
         let x = vec![3.0, 4.0];
         let gain = vec![1.0, 1.0];
-        let out = rms_norm(&x, &gain, 1e-6);
+        let mut out = Vec::new();
+        rms_norm_into(&x, &gain, 1e-6, &mut out);
         let ms = out.iter().map(|v| v * v).sum::<f32>() / 2.0;
         assert!((ms - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn layer_norm_zero_mean_unit_var() {
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        let gain = vec![1.0; 4];
-        let bias = vec![0.0; 4];
-        let out = layer_norm(&x, &gain, &bias, 1e-6);
-        let mean = out.iter().sum::<f32>() / 4.0;
-        assert!(mean.abs() < 1e-5);
     }
 
     #[test]
     fn rope_preserves_norm() {
         let mut x = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let before: f32 = x.iter().map(|v| v * v).sum();
-        apply_rope(&mut x, 17, 10_000.0);
+        let angles: Vec<(f32, f32)> = rope_angles(17, x.len(), 10_000.0).collect();
+        rotate(&mut x, &angles);
         let after: f32 = x.iter().map(|v| v * v).sum();
         assert!((before - after).abs() < 1e-3);
     }
@@ -365,7 +296,8 @@ mod tests {
     fn rope_position_zero_is_identity() {
         let mut x = vec![0.5, -0.25, 1.5, 2.0];
         let orig = x.clone();
-        apply_rope(&mut x, 0, 10_000.0);
+        let angles: Vec<(f32, f32)> = rope_angles(0, x.len(), 10_000.0).collect();
+        rotate(&mut x, &angles);
         for (a, b) in x.iter().zip(orig.iter()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -388,8 +320,7 @@ mod tests {
     }
 
     /// One table per position rotates every vector of that width exactly as
-    /// the reference does, and `apply_rope` is that pair of calls; an odd
-    /// last element stays as it was.
+    /// the reference does; an odd last element stays as it was.
     #[test]
     fn table_rotation_matches_reference_rope_bitwise() {
         for dim in [2usize, 4, 8, 64, 128, 9] {
@@ -404,11 +335,8 @@ mod tests {
                     rope_reference(&mut expected, position, 10_000.0);
                     let mut tabled = x.clone();
                     rotate(&mut tabled, &angles);
-                    let mut applied = x.clone();
-                    apply_rope(&mut applied, position, 10_000.0);
                     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&tabled), bits(&expected), "dim {dim} pos {position}");
-                    assert_eq!(bits(&applied), bits(&expected), "dim {dim} pos {position}");
                     if dim % 2 == 1 {
                         assert_eq!(tabled[dim - 1].to_bits(), x[dim - 1].to_bits());
                     }

@@ -10,7 +10,7 @@
 //!
 //! [`QuantizedVector`] and [`QuantizedMatrix`] implement symmetric per-tensor
 //! linear quantization with explicit integer storage words so that storage
-//! sizes and bit-level corruption can be modelled faithfully.
+//! sizes and quantization error can be modelled faithfully.
 
 use crate::{Matrix, Result, TensorError};
 
@@ -142,54 +142,6 @@ impl QuantizedVector {
         self.format.bytes_for(self.codes.len())
     }
 
-    /// Flips a single stored bit of element `index`.
-    ///
-    /// For FP16 the 16 stored bits are the IEEE-754 half-precision word; for
-    /// INT8/INT4 they are the two's-complement integer code.  This is the
-    /// primitive used by the eDRAM retention-fault injector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `index` is out of range and
-    /// [`TensorError::InvalidQuantization`] if `bit` exceeds the format width.
-    pub fn flip_bit(&mut self, index: usize, bit: u8) -> Result<()> {
-        if index >= self.codes.len() {
-            return Err(TensorError::IndexOutOfBounds {
-                index,
-                len: self.codes.len(),
-            });
-        }
-        let width = self.format.bits_per_element() as u8;
-        if bit >= width {
-            return Err(TensorError::InvalidQuantization {
-                reason: format!("bit {bit} out of range for {width}-bit format"),
-            });
-        }
-        match self.format {
-            QuantFormat::Fp16 => {
-                let bits = self.codes[index] as u16;
-                self.codes[index] = i32::from(bits ^ (1u16 << bit));
-            }
-            QuantFormat::Int8 => {
-                let bits = self.codes[index] as i8 as u8;
-                self.codes[index] = i32::from((bits ^ (1u8 << bit)) as i8);
-            }
-            QuantFormat::Int4 => {
-                // Codes occupy the low nibble in sign-magnitude-free two's complement.
-                let bits = (self.codes[index] & 0x0F) as u8;
-                let flipped = bits ^ (1u8 << bit);
-                // Sign-extend the nibble.
-                let val = if flipped & 0x8 != 0 {
-                    (flipped as i32) - 16
-                } else {
-                    flipped as i32
-                };
-                self.codes[index] = val;
-            }
-        }
-        Ok(())
-    }
-
     /// Mean absolute reconstruction error against a reference slice.
     ///
     /// # Panics
@@ -317,36 +269,6 @@ mod tests {
         let values = vec![0.0; 8];
         let q = QuantizedVector::quantize(&values, QuantFormat::Int8).unwrap();
         assert_eq!(q.dequantize(), values);
-    }
-
-    #[test]
-    fn bit_flip_changes_value_and_is_reversible() {
-        let values = vec![0.5, -0.25, 0.75];
-        let mut q = QuantizedVector::quantize(&values, QuantFormat::Fp16).unwrap();
-        let before = q.dequantize()[1];
-        q.flip_bit(1, 10).unwrap();
-        let after = q.dequantize()[1];
-        assert_ne!(before, after);
-        q.flip_bit(1, 10).unwrap();
-        assert_eq!(q.dequantize()[1], before);
-    }
-
-    #[test]
-    fn bit_flip_bounds_checked() {
-        let mut q = QuantizedVector::quantize(&[1.0], QuantFormat::Int8).unwrap();
-        assert!(q.flip_bit(1, 0).is_err());
-        assert!(q.flip_bit(0, 8).is_err());
-        assert!(q.flip_bit(0, 7).is_ok());
-    }
-
-    #[test]
-    fn int4_bit_flip_stays_in_range() {
-        let mut q = QuantizedVector::quantize(&[0.3, -0.3], QuantFormat::Int4).unwrap();
-        for bit in 0..4 {
-            q.flip_bit(0, bit).unwrap();
-        }
-        let v = q.dequantize();
-        assert!(v[0].abs() <= 8.0 * q.scale() + 1e-6);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! generation, synthetic workloads, retention-failure sampling — is seeded
 //! explicitly so that experiments are exactly reproducible run-to-run.  This
 //! module provides a thin layer over `rand_chacha::ChaCha12Rng` plus the
-//! distributions the surrogate model needs (Gaussian, Zipf-like heavy-tailed,
-//! and log-normal for eDRAM retention times).
+//! distributions the surrogate model and the workloads need (Gaussian and
+//! Zipf-like heavy-tailed).
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -58,16 +58,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f32, std_dev: f32) -> f32 {
     mean + std_dev * standard_normal(rng)
 }
 
-/// Samples a log-normal value parameterised by the mean and standard deviation
-/// of the underlying normal (i.e. of `ln(X)`).
-///
-/// Used for the eDRAM retention-time distribution: per-cell retention times in
-/// 65nm eDRAM follow a heavy-tailed distribution whose weak tail determines the
-/// refresh-interval-to-failure-rate curve of Fig. 4.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f32, sigma: f32) -> f32 {
-    normal(rng, mu, sigma).exp()
-}
-
 /// Samples an index in `0..n` from a Zipf-like power-law distribution with
 /// exponent `s`.  Smaller indices are more likely.
 ///
@@ -101,12 +91,6 @@ pub fn fill_xavier<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32], fan_in: usize)
     for v in out.iter_mut() {
         *v = normal(rng, 0.0, std_dev);
     }
-}
-
-/// Returns `true` with probability `p` (clamped to `[0, 1]`).
-pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
-    let p = p.clamp(0.0, 1.0);
-    rng.gen::<f64>() < p
 }
 
 #[cfg(test)]
@@ -192,14 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn log_normal_is_positive() {
-        let mut rng = seeded(9);
-        for _ in 0..1000 {
-            assert!(log_normal(&mut rng, 0.0, 1.0) > 0.0);
-        }
-    }
-
-    #[test]
     fn zipf_prefers_small_indices() {
         let mut rng = seeded(11);
         let mut counts = [0usize; 10];
@@ -227,12 +203,5 @@ mod tests {
         fill_xavier(&mut rng, &mut large, 1024);
         let var = |v: &[f32]| v.iter().map(|x| x * x).sum::<f32>() / v.len() as f32;
         assert!(var(&small) > var(&large) * 10.0);
-    }
-
-    #[test]
-    fn bernoulli_edge_probabilities() {
-        let mut rng = seeded(19);
-        assert!(!bernoulli(&mut rng, 0.0));
-        assert!(bernoulli(&mut rng, 1.0));
     }
 }
