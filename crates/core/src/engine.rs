@@ -176,10 +176,11 @@ impl EngineBuilder {
         self.prefix_sharing(PrefixSharingConfig::enabled())
     }
 
-    /// Sets the number of worker threads [`KelleEngine::serve`] under
+    /// Sets the number of workers [`KelleEngine::serve`] under
     /// [`ServeOptions::parallel`] and [`KelleEngine::front`] fan per-session
-    /// prefill/decode steps out to (see [`crate::parallel`] for the
-    /// threading model).  Clamped to at least 1;
+    /// prefill/decode steps out to: the calling thread plus `workers − 1`
+    /// scoped threads (see [`crate::parallel`] for the threading model).
+    /// Clamped to at least 1, which spawns no thread;
     /// the worker count never changes token streams, fault statistics or
     /// batch metrics — only wall-clock time.
     pub fn workers(mut self, workers: usize) -> Self {
@@ -348,9 +349,10 @@ impl<'cb> ServeOptions<'cb> {
         self
     }
 
-    /// Fans per-session compute across the engine's configured worker
-    /// threads (see [`crate::parallel`]).  Bit-identical streams, fault
-    /// statistics and batch metrics for every worker count.
+    /// Fans per-session compute across the engine's configured workers: the
+    /// calling thread and `workers − 1` scoped threads (see
+    /// [`crate::parallel`]).  Bit-identical streams, fault statistics and
+    /// batch metrics for every worker count.
     pub fn parallel(mut self) -> Self {
         self.parallel = true;
         self
@@ -369,7 +371,7 @@ impl<'cb> ServeOptions<'cb> {
         &self.scheduler
     }
 
-    /// Whether the batch fans out across worker threads.
+    /// Whether the batch fans out across the engine's workers.
     pub fn is_parallel(&self) -> bool {
         self.parallel
     }

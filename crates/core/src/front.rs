@@ -517,9 +517,10 @@ impl<'x, 'e> ServingFront<'x, 'e> {
 impl KelleEngine {
     /// Opens a [`ServingFront`] over this engine and hands it to `serve`.
     ///
-    /// The [`WorkerPool`] runs on
-    /// [`workers`](crate::engine::EngineBuilder::workers) scoped threads for
-    /// the duration of the call.  When `serve` returns, any requests still
+    /// The [`WorkerPool`] runs
+    /// [`workers`](crate::engine::EngineBuilder::workers) shards for the
+    /// duration of the call: shard 0 on the calling thread, the others on
+    /// scoped threads.  When `serve` returns, any requests still
     /// in flight are pumped to completion (paused streams are resumed), and
     /// the final [`BatchOutcome`] — bit-identical to
     /// the parallel [`serve`](KelleEngine::serve) path

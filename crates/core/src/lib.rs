@@ -87,9 +87,10 @@
 //!   configurable [`SloSpec`];
 //! * [`parallel`] — the threaded serving back-end:
 //!   [`ServeOptions::parallel`] pins each session to one of
-//!   [`EngineBuilder::workers`] worker threads ([`WorkerPool`]), where it
-//!   lives from its admission prefill until it finishes, so only per-tick
-//!   step results cross threads — with bit-identical token streams, fault
+//!   [`EngineBuilder::workers`] shards ([`WorkerPool`]: the calling thread
+//!   and `workers − 1` scoped threads), where it lives from its admission
+//!   prefill until it finishes, so only per-tick step results cross
+//!   threads — with bit-identical token streams, fault
 //!   statistics and batch metrics for every worker count;
 //! * [`front`] — the non-blocking serving front-end:
 //!   [`KelleEngine::front`] opens submit/poll sessions with per-request

@@ -19,11 +19,16 @@
 //! 3. [`take`](StepExecutor::take) — hand a session back for completion,
 //!    shed or cancellation.
 //!
-//! Both executors run the same private shard body: [`InlineExecutor`] on the
-//! caller's thread, [`WorkerPool`] on each of its threads behind a mailbox,
-//! with request `index` pinned to shard `index % workers`.  A session costs
-//! two queue crossings in its lifetime (in with its prefill, out when taken),
-//! none per tick, and never migrates — [`ParallelMetrics`] reports both.
+//! Both executors run the same private shard body: [`InlineExecutor`] is one
+//! shard on the caller's thread; a [`WorkerPool`] of `workers` shards runs
+//! shard 0 on the caller's thread too and each of the other `workers − 1`
+//! on a scoped thread of its own behind a mailbox, with request `index`
+//! pinned to shard `index % workers`.  So every worker is a busy thread:
+//! the caller decodes its own shard's sessions while the threads decode
+//! theirs, instead of waking them and sleeping.  A session costs two queue
+//! crossings in its lifetime — handed into its pool shard with its prefill,
+//! handed back when taken (shard 0's cross no thread) — none per tick, and
+//! never migrates; [`ParallelMetrics`] reports both.
 //! Everything else stays on the coordinator: the waiting queue, admission
 //! decisions and their prefix-store *plans* (in admission order), the
 //! [`CapacityLedger`](kelle_edram::CapacityLedger), timings and statistics.
@@ -69,9 +74,12 @@ use std::thread::Scope;
 /// threads and counts zero crossings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelMetrics {
-    /// Whole-session cross-thread transfers: +1 when a session goes to its
-    /// pool shard with its prefill, +1 when it is taken back.  Step results
-    /// move no session and count zero, so a tick costs nothing here.
+    /// Whole-session handoffs into and out of a pool shard: +1 when a
+    /// session goes to its shard with its prefill, +1 when it is taken back.
+    /// Shard 0 runs on the caller's thread, so its crossings move a session
+    /// across no thread; they count all the same, keeping the figure a
+    /// function of the batch alone.  Step results move no session and count
+    /// zero, so a tick costs nothing here.
     pub queue_crossings: u64,
     /// Steps that ran on a different shard than the one the session was
     /// admitted to — zero by construction under pinning; counted rather than
@@ -241,7 +249,8 @@ struct Resident<'e> {
 
 /// The one body of the resident-session protocol: a map of the sessions that
 /// live here and the three operations on it.  [`InlineExecutor`] is one
-/// shard on the caller's thread; a [`WorkerPool`] is one per worker thread.
+/// shard on the caller's thread; a [`WorkerPool`] is one per worker, shard 0
+/// on the caller's thread and the others on threads of their own.
 #[derive(Debug, Default)]
 struct Shard<'e> {
     /// Pool shard id stamped on results (`None`: inline).
@@ -387,22 +396,27 @@ enum Command<'e> {
     Take(usize),
 }
 
-/// The pooled executor: `workers` scoped threads, each one shard of the
-/// resident-session protocol behind its own mailbox.  Request `index` lives
-/// on shard `index % workers` from its admission prefill until it is taken,
-/// so per tick one small command goes to each busy shard and one
-/// [`ResidentStep`] per session comes back.
+/// The pooled executor: `workers` shards of the resident-session protocol,
+/// shard 0 on the caller's thread and shards `1..workers` on scoped threads,
+/// each behind its own mailbox.  Request `index` lives on shard
+/// `index % workers` from its admission prefill until it is taken, so per
+/// tick one small command goes to each busy thread shard, the caller steps
+/// shard 0's sessions itself meanwhile, and one [`ResidentStep`] per session
+/// comes back.  A one-worker pool spawns no thread at all.
 ///
 /// The pool is tied to a [`std::thread::scope`] so sessions may borrow the
 /// engine (`Session<'e>` holds `&'e KelleEngine`) without any `'static`
-/// gymnastics; dropping the pool closes the mailboxes and the scope joins the
-/// workers, who drop whatever sessions they still hold.  Panics inside a
-/// prefill or a step are caught on the shard and answered as
-/// [`TaskFailure`]s — a crashed session can never leave the coordinator
-/// waiting for a reply that will not come.
+/// gymnastics; dropping the pool drops shard 0's sessions, closes the
+/// mailboxes, and the scope joins the threads, who drop whatever sessions
+/// they still hold.  Panics inside a prefill or a step are caught on the
+/// shard — shard 0's as well — and answered as [`TaskFailure`]s: a crashed
+/// session can never unwind the caller or leave it waiting for a reply that
+/// will not come.
 #[derive(Debug)]
 pub struct WorkerPool<'e> {
-    /// One mailbox per shard, indexed by shard id.
+    /// Shard 0, run on the calling thread.
+    local: Shard<'e>,
+    /// One mailbox per thread shard: shard `s ≥ 1` at index `s − 1`.
     mailboxes: Vec<Sender<Command<'e>>>,
     prefilled: Receiver<Result<Prefilled, TaskFailure>>,
     steps: Receiver<Result<ResidentStep, TaskFailure>>,
@@ -410,7 +424,8 @@ pub struct WorkerPool<'e> {
 }
 
 impl<'e> WorkerPool<'e> {
-    /// Spawns `workers` (clamped to at least 1) scoped worker threads.
+    /// Builds a pool of `workers` (clamped to at least 1) shards: shard 0
+    /// for the calling thread and `workers − 1` scoped worker threads.
     pub fn start<'scope>(scope: &'scope Scope<'scope, '_>, workers: usize) -> WorkerPool<'e>
     where
         'e: 'scope,
@@ -419,7 +434,7 @@ impl<'e> WorkerPool<'e> {
         let (prefilled_tx, prefilled) = channel();
         let (steps_tx, steps) = channel();
         let (taken_tx, taken) = channel();
-        let mailboxes = (0..workers)
+        let mailboxes = (1..workers)
             .map(|id| {
                 let (mailbox, commands) = channel::<Command<'e>>();
                 let prefilled: Sender<Result<Prefilled, TaskFailure>> = prefilled_tx.clone();
@@ -454,6 +469,10 @@ impl<'e> WorkerPool<'e> {
             })
             .collect();
         WorkerPool {
+            local: Shard {
+                worker: Some(0),
+                resident: HashMap::new(),
+            },
             mailboxes,
             prefilled,
             steps,
@@ -461,9 +480,9 @@ impl<'e> WorkerPool<'e> {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of shards: the calling thread's and one per worker thread.
     pub fn workers(&self) -> usize {
-        self.mailboxes.len()
+        self.mailboxes.len() + 1
     }
 
     /// The shard that owns request `index` — the pinning function.
@@ -471,8 +490,10 @@ impl<'e> WorkerPool<'e> {
         index % self.workers()
     }
 
+    /// Sends `command` to thread shard `shard` (≥ 1; shard 0 has no
+    /// mailbox).
     fn send(&self, shard: usize, command: Command<'e>) {
-        self.mailboxes[shard]
+        self.mailboxes[shard - 1]
             .send(command)
             .expect("workers outlive the pool (scoped) and keep their mailboxes open");
     }
@@ -492,12 +513,25 @@ fn drain<T>(replies: &Receiver<T>, count: usize) -> Vec<T> {
 
 impl<'e> StepExecutor<'e> for WorkerPool<'e> {
     fn admit(&mut self, admissions: Vec<Admission<'e>>) -> Vec<Result<Prefilled, TaskFailure>> {
-        let count = admissions.len();
+        // The threads get their work first, so they prefill while the
+        // caller prefills shard 0's.
+        let mut local = Vec::new();
+        let mut remote = 0;
         for admission in admissions {
-            let shard = self.shard_of(admission.index());
-            self.send(shard, Command::Admit(Box::new(admission)));
+            match self.shard_of(admission.index()) {
+                0 => local.push(admission),
+                shard => {
+                    self.send(shard, Command::Admit(Box::new(admission)));
+                    remote += 1;
+                }
+            }
         }
-        drain(&self.prefilled, count)
+        let mut results: Vec<_> = local
+            .into_iter()
+            .map(|admission| self.local.admit(admission))
+            .collect();
+        results.extend(drain(&self.prefilled, remote));
+        results
     }
 
     fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>> {
@@ -505,17 +539,29 @@ impl<'e> StepExecutor<'e> for WorkerPool<'e> {
         for &request in requests {
             per_shard[self.shard_of(request.index)].push(request);
         }
-        for (shard, requests) in per_shard.into_iter().enumerate() {
+        let mut shards = per_shard.into_iter();
+        let local = shards.next().unwrap_or_default();
+        for (shard, requests) in (1..).zip(shards) {
             if !requests.is_empty() {
                 self.send(shard, Command::Step(requests));
             }
         }
-        drain(&self.steps, requests.len())
+        let mut results: Vec<_> = local
+            .into_iter()
+            .map(|request| self.local.step(request))
+            .collect();
+        results.extend(drain(&self.steps, requests.len() - results.len()));
+        results
     }
 
     fn take(&mut self, index: usize) -> Option<Session<'e>> {
-        self.send(self.shard_of(index), Command::Take(index));
-        drain(&self.taken, 1).pop().flatten()
+        match self.shard_of(index) {
+            0 => self.local.take(index),
+            shard => {
+                self.send(shard, Command::Take(index));
+                drain(&self.taken, 1).pop().flatten()
+            }
+        }
     }
 }
 
@@ -739,6 +785,71 @@ mod tests {
     }
 
     #[test]
+    fn panics_on_the_caller_shard_and_a_thread_shard_in_one_tick_are_both_restored() {
+        // Shard 0 runs on the calling thread: its sabotaged step must come
+        // back as a failure like a thread shard's, not unwind the caller.
+        let engine = engine();
+        std::thread::scope(|scope| {
+            let mut pool = WorkerPool::start(scope, 2);
+            admit_all(&mut pool, &engine, &[(0, &[1, 2]), (1, &[4, 5, 6])]);
+            let sabotaged = |index| StepRequest {
+                index,
+                checkpoint: true,
+                sabotage: true,
+            };
+            let (steps, mut failures) = partition(pool.step(&[sabotaged(0), sabotaged(1)]));
+            assert!(steps.is_empty());
+            failures.sort_by_key(TaskFailure::index);
+            assert_eq!(
+                failures.iter().map(TaskFailure::index).collect::<Vec<_>>(),
+                [0, 1]
+            );
+            assert!(failures
+                .iter()
+                .all(|failure| failure.message().contains("chaos")));
+            // Both checkpoints went back in place: the next tick steps both
+            // sessions from their committed boundaries.
+            let (steps, failures) = partition(pool.step(&[plain(0), plain(1)]));
+            assert!(failures.is_empty());
+            assert_eq!(
+                steps
+                    .iter()
+                    .map(|step| (step.index, step.tokens_before, step.worker))
+                    .collect::<Vec<_>>(),
+                [(0, 2, Some(0)), (1, 3, Some(1))]
+            );
+        });
+    }
+
+    #[test]
+    fn a_one_worker_pool_spawns_no_thread_and_serves_what_inline_serves() {
+        std::thread::scope(|scope| {
+            let pool: WorkerPool<'_> = WorkerPool::start(scope, 1);
+            assert!(pool.mailboxes.is_empty(), "shard 0 is the caller");
+        });
+        fn serve<'e>(engine: &'e KelleEngine, executor: &mut dyn StepExecutor<'e>) -> BatchOutcome {
+            let mut scheduler = BatchScheduler::new(engine);
+            for request in requests() {
+                scheduler.submit_with(request, executor);
+            }
+            scheduler
+                .run_with(executor, |_| {})
+                .expect("no chaos configured")
+        }
+        let engine = engine();
+        let inline = serve(&engine, &mut InlineExecutor::default());
+        let pooled = std::thread::scope(|scope| serve(&engine, &mut WorkerPool::start(scope, 1)));
+        for (a, b) in inline.outcomes.iter().zip(&pooled.outcomes) {
+            assert_eq!(a.generated, b.generated);
+            assert_eq!(a.faults, b.faults);
+        }
+        assert_eq!(inline.stats, pooled.stats);
+        assert_eq!(inline.contention, pooled.contention);
+        assert_eq!(pooled.parallel.queue_crossings, 2 * requests().len() as u64);
+        assert_eq!(pooled.parallel.sessions_migrated, 0);
+    }
+
+    #[test]
     fn worker_count_is_clamped_to_one() {
         std::thread::scope(|scope| {
             let pool: WorkerPool<'_> = WorkerPool::start(scope, 0);
@@ -758,16 +869,16 @@ mod tests {
     #[test]
     fn coordinator_unwind_mid_tick_joins_cleanly() {
         // Regression: a coordinator that unwinds mid-tick — after sending a
-        // shard its work but before draining the reply — must still join the
-        // pool cleanly.  Dropping the pool closes the mailboxes, the worker
-        // finishes the in-flight command (its reply fails once the receiver
-        // is gone) and exits; the scope joins instead of hanging.
+        // thread shard its work but before draining the reply — must still
+        // join the pool cleanly.  Dropping the pool closes the mailboxes, the
+        // worker finishes the in-flight command (its reply fails once the
+        // receiver is gone) and exits; the scope joins instead of hanging.
         let engine = engine();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             std::thread::scope(|scope| {
                 let pool: WorkerPool<'_> = WorkerPool::start(scope, 2);
-                let admission = admission(&engine, 0, &[1, 2, 3]);
-                pool.send(0, Command::Admit(Box::new(admission)));
+                let admission = admission(&engine, 1, &[1, 2, 3]);
+                pool.send(1, Command::Admit(Box::new(admission)));
                 panic!("coordinator unwinds mid-tick");
             });
         }));

@@ -20,8 +20,8 @@
 //! four-row-blocked matvec kernel
 //! ([`Matrix::matvec_into`](kelle_tensor::Matrix::matvec_into)) and rotates
 //! every query and key head by one RoPE angle table of the token's position
-//! ([`ops::rope_angles`], applied by [`ops::rotate`]).  Then it runs three
-//! phases:
+//! ([`ops::rope_angles`], applied by [`ops::rotate`]), built once per
+//! position and shared by every layer.  Then it runs three phases:
 //!
 //! 1. **Read the heads.**  One
 //!    [`for_each_entry`](KvCacheBackend::for_each_entry) traversal per head,
@@ -31,13 +31,20 @@
 //!    under its slot (no hashing) and reserves its value's place in the
 //!    stash.
 //! 2. **Read the rows.**  Each distinct stored row is copied once and
-//!    corrupted once, on the layer's row lane, and gets one angle table of
-//!    its token's position, whatever number of heads retain it.  Then, for
-//!    every head that retains a row and only for those, the head's
-//!    `head_dim` rows of `W_K`/`W_V` recompute its key and value (the
-//!    row-blocked [`Matrix::matvec_rows_into`](kelle_tensor::Matrix::matvec_rows_into)),
-//!    the row's table rotates the key, and the key scores the entry while
-//!    the value fills its stashed slot.
+//!    corrupted once, on the layer's row lane, whatever number of heads
+//!    retain it.  Then, for every head that retains a row and only for
+//!    those, the head's `head_dim` rows of `W_K`/`W_V` recompute its key and
+//!    value, two rows at a time: consecutive (head, row) pairs of one head
+//!    share a pass over its weight rows
+//!    ([`Matrix::matvec_rows_pair_into`](kelle_tensor::Matrix::matvec_rows_pair_into)),
+//!    a lone one takes
+//!    [`Matrix::matvec_rows_into`](kelle_tensor::Matrix::matvec_rows_into),
+//!    and both are bitwise the single-row product.  The row's angle table
+//!    rotates the key, and the key scores the entry while the value fills
+//!    its stashed slot.  Angle tables are kept per (layer, input-slab slot)
+//!    across steps and rebuilt only when the slot holds a new token, so a
+//!    stored row's table is built once in its lifetime and their memory is
+//!    bounded by the slab, not by the context length.
 //! 3. **Attend per head.**  [`ops::softmax_into`] in place over the head's
 //!    scores, the weighted-value accumulation from the stash in entry order,
 //!    then [`observe_attention`](KvCacheBackend::observe_attention).
@@ -102,10 +109,15 @@ pub struct DecodeScratch {
     /// Staging buffer for a corrupted or recomputed key, length `head_dim`.
     pub(crate) kbuf: Vec<f32>,
     /// The RoPE angle table of the current token's position, shared by its
-    /// query and key heads.
+    /// query and key heads in every layer.
     angles: Vec<(f32, f32)>,
+    /// The position `angles` was built for.
+    angles_at: Option<usize>,
     /// The layer's stored input rows, each read once per layer.
     rows: RowTable,
+    /// Per layer, the RoPE angle tables of the rows its input slab stores,
+    /// kept across steps.
+    slot_angles: Vec<SlotAngles>,
     /// Per-head attention output `y^h`, length `head_dim`.
     pub(crate) yh: Vec<f32>,
     /// Concatenated head outputs, length `channels`.
@@ -167,9 +179,6 @@ struct RowTable {
     token: Vec<TokenId>,
     /// Per row: whether any head that retains it ranks it high.
     high: Vec<bool>,
-    /// The rows' RoPE angle tables, `head_dim / 2` per row, built once per
-    /// layer and shared by every head that recomputes the row's key.
-    angles: Vec<(f32, f32)>,
     /// The rows' stored inputs, `channels` per row: copied, then corrupted,
     /// once per layer.
     x: Vec<f32>,
@@ -199,7 +208,6 @@ impl RowTable {
         self.slot.clear();
         self.token.clear();
         self.high.clear();
-        self.angles.clear();
         self.x.clear();
         self.uses.clear();
     }
@@ -227,6 +235,51 @@ impl RowTable {
                 row
             }
         }
+    }
+}
+
+/// One layer's RoPE angle tables of its stored rows, by input-slab slot.
+/// A table depends on its token's position alone, so a slot's table is
+/// rebuilt only when the slot holds a new token: a stored row's table is
+/// built once in its lifetime, and the memory is bounded by the slab.
+#[derive(Debug, Clone, Default)]
+struct SlotAngles {
+    /// Angle pairs per table (`head_dim / 2`).
+    half: usize,
+    /// Per slot: the token its table was built for.
+    token: Vec<Option<TokenId>>,
+    /// The tables, `half` per slot.
+    angles: Vec<(f32, f32)>,
+}
+
+impl SlotAngles {
+    /// The table of the row `token` stored in `slot`, built by `build` when
+    /// the slot's table belongs to another token.
+    fn table<I: Iterator<Item = (f32, f32)>>(
+        &mut self,
+        slot: usize,
+        token: TokenId,
+        half: usize,
+        build: impl FnOnce() -> I,
+    ) -> &[(f32, f32)] {
+        if self.half != half {
+            *self = SlotAngles {
+                half,
+                ..SlotAngles::default()
+            };
+        }
+        if slot >= self.token.len() {
+            self.token.resize(slot + 1, None);
+            self.angles.resize((slot + 1) * half, (0.0, 0.0));
+        }
+        let table = &mut self.angles[slot * half..(slot + 1) * half];
+        if self.token[slot] != Some(token) {
+            for (entry, angle) in table.iter_mut().zip(build()) {
+                *entry = angle;
+            }
+            self.token[slot] = Some(token);
+        }
+        table
     }
 }
 
@@ -346,8 +399,11 @@ impl<'w> MultiHeadAttention<'w> {
     ) -> (usize, usize) {
         let hd = self.head_dim;
 
-        scratch.angles.clear();
-        scratch.angles.extend(self.rope_angles(position));
+        if scratch.angles_at != Some(position) || scratch.angles.len() != hd / 2 {
+            scratch.angles.clear();
+            scratch.angles.extend(self.rope_angles(position));
+            scratch.angles_at = Some(position);
+        }
         self.weights
             .wq
             .matvec_into(x, &mut scratch.q)
@@ -459,11 +515,11 @@ impl<'w> MultiHeadAttention<'w> {
     }
 
     /// Phase 2: reads each of the layer's stored rows once, on the row lane
-    /// `(layer, heads)` at the group of the row's most demanding head, and
-    /// builds its RoPE angle table once; then recomputes key and value of
-    /// every (head, row) pair phase 1 found — the head's rows of `W_K`/`W_V`
-    /// only, the key rotated by the row's table — scoring the entry and
-    /// filling its stashed value.
+    /// `(layer, heads)` at the group of the row's most demanding head, then
+    /// recomputes key and value of every (head, row) pair phase 1 found —
+    /// the head's rows of `W_K`/`W_V` only, two pairs of the same head per
+    /// pass over them — rotating the key by its slot's angle table, scoring
+    /// the entry and filling its stashed value.
     fn read_rows(&self, layer: usize, faults: &mut dyn FaultInjector, scratch: &mut DecodeScratch) {
         let DecodeScratch {
             q,
@@ -471,6 +527,7 @@ impl<'w> MultiHeadAttention<'w> {
             stash,
             kbuf,
             rows,
+            slot_angles,
             ..
         } = scratch;
         if rows.uses.is_empty() {
@@ -485,25 +542,75 @@ impl<'w> MultiHeadAttention<'w> {
         for (x, &high) in rows.x.chunks_exact_mut(channels).zip(&rows.high) {
             faults.corrupt_slice(x, group(high));
         }
-        for &token in &rows.token {
-            rows.angles.extend(self.rope_angles(token));
+        if slot_angles.len() <= layer {
+            slot_angles.resize_with(layer + 1, SlotAngles::default);
         }
-        let half = hd / 2;
+        let tables = &mut slot_angles[layer];
+        let x_of = |row: usize| &rows.x[row * channels..(row + 1) * channels];
         kbuf.clear();
-        kbuf.resize(hd, 0.0);
-        for u in &rows.uses {
-            let x = &rows.x[u.row * channels..(u.row + 1) * channels];
+        kbuf.resize(2 * hd, 0.0);
+        let mut uses = &rows.uses[..];
+        while let [u, rest @ ..] = uses {
             let head_rows = u.head * hd..(u.head + 1) * hd;
-            self.weights
-                .wk
-                .matvec_rows_into(head_rows.clone(), x, kbuf)
-                .expect("stored input matches channel dimension");
-            ops::rotate(kbuf, &rows.angles[u.row * half..(u.row + 1) * half]);
-            scores[u.entry] = kelle_tensor::dot(kbuf, &q[head_rows.clone()]) * scale;
-            self.weights
-                .wv
-                .matvec_rows_into(head_rows, x, &mut stash[u.stash..u.stash + hd])
-                .expect("stored input matches channel dimension");
+            // Two uses of one head share a pass over its weight rows; their
+            // stashed values are disjoint slots, in entry order.
+            let pair = match rest {
+                [w, after @ ..] if w.head == u.head => {
+                    uses = after;
+                    Some(w)
+                }
+                _ => {
+                    uses = rest;
+                    None
+                }
+            };
+            let (k0, k1) = kbuf.split_at_mut(hd);
+            match pair {
+                Some(w) => {
+                    let (v0, v1) = stash.split_at_mut(w.stash);
+                    self.weights
+                        .wk
+                        .matvec_rows_pair_into(
+                            head_rows.clone(),
+                            [x_of(u.row), x_of(w.row)],
+                            [k0, k1],
+                        )
+                        .expect("stored input matches channel dimension");
+                    self.weights
+                        .wv
+                        .matvec_rows_pair_into(
+                            head_rows.clone(),
+                            [x_of(u.row), x_of(w.row)],
+                            [&mut v0[u.stash..u.stash + hd], &mut v1[..hd]],
+                        )
+                        .expect("stored input matches channel dimension");
+                }
+                None => {
+                    self.weights
+                        .wk
+                        .matvec_rows_into(head_rows.clone(), x_of(u.row), k0)
+                        .expect("stored input matches channel dimension");
+                    self.weights
+                        .wv
+                        .matvec_rows_into(
+                            head_rows.clone(),
+                            x_of(u.row),
+                            &mut stash[u.stash..u.stash + hd],
+                        )
+                        .expect("stored input matches channel dimension");
+                }
+            }
+            for (u, k) in std::iter::once(u)
+                .chain(pair)
+                .zip(kbuf.chunks_exact_mut(hd))
+            {
+                let (slot, token) = (rows.slot[u.row], rows.token[u.row]);
+                ops::rotate(
+                    k,
+                    tables.table(slot, token, hd / 2, || self.rope_angles(token)),
+                );
+                scores[u.entry] = kelle_tensor::dot(k, &q[head_rows.clone()]) * scale;
+            }
         }
     }
 

@@ -226,6 +226,34 @@ impl Matrix {
         v: &[f32],
         out: &mut [f32],
     ) -> Result<()> {
+        self.matvec_rows_n_into(rows, [v], [out])
+    }
+
+    /// [`Matrix::matvec_rows_into`] of two vectors over one row range in one
+    /// pass: each four-row block is loaded once for both vectors, and each
+    /// output is bitwise identical to the single-vector call's.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Matrix::matvec_rows_into`], checked for `vs[0]` with
+    /// `outs[0]` before `vs[1]` with `outs[1]`.
+    pub fn matvec_rows_pair_into(
+        &self,
+        rows: std::ops::Range<usize>,
+        vs: [&[f32]; 2],
+        outs: [&mut [f32]; 2],
+    ) -> Result<()> {
+        self.matvec_rows_n_into(rows, vs, outs)
+    }
+
+    /// The row range of the product with each of `N` vectors: the checks,
+    /// then [`dot4`].
+    fn matvec_rows_n_into<const N: usize>(
+        &self,
+        rows: std::ops::Range<usize>,
+        vs: [&[f32]; N],
+        outs: [&mut [f32]; N],
+    ) -> Result<()> {
         if rows.start > rows.end {
             return Err(TensorError::IndexOutOfBounds {
                 index: rows.start,
@@ -238,26 +266,20 @@ impl Matrix {
                 len: self.rows,
             });
         }
-        if v.len() != self.cols || out.len() != rows.len() {
-            return Err(TensorError::ShapeMismatch {
-                op: "matvec_rows",
-                lhs: (rows.len(), self.cols),
-                rhs: (v.len(), out.len()),
-            });
+        for (v, out) in vs.iter().zip(&outs) {
+            if v.len() != self.cols || out.len() != rows.len() {
+                return Err(TensorError::ShapeMismatch {
+                    op: "matvec_rows",
+                    lhs: (rows.len(), self.cols),
+                    rhs: (v.len(), out.len()),
+                });
+            }
         }
-        let block = &self.data[rows.start * self.cols..rows.end * self.cols];
-        let mut quads = block.chunks_exact(4 * self.cols);
-        let mut outs = out.chunks_exact_mut(4);
-        for (quad, o) in (&mut quads).zip(&mut outs) {
-            o.copy_from_slice(&dot4(quad, v));
-        }
-        for (row, o) in quads
-            .remainder()
-            .chunks_exact(self.cols)
-            .zip(outs.into_remainder())
-        {
-            *o = dot(row, v);
-        }
+        dot4(
+            &self.data[rows.start * self.cols..rows.end * self.cols],
+            vs,
+            outs,
+        );
         Ok(())
     }
 
@@ -375,43 +397,66 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// [`dot`] of each of four consecutive rows (`rows`, `4 × v.len()`
-/// elements) with `v`, bit for bit: every row keeps its own [`DOT_LANES`]
-/// accumulators in the reference ordering, while each chunk of `v` is
-/// loaded once for all four.
-fn dot4(rows: &[f32], v: &[f32]) -> [f32; 4] {
-    let n = v.len();
-    debug_assert_eq!(rows.len(), 4 * n);
-    let (r0, rest) = rows.split_at(n);
-    let (r1, rest) = rest.split_at(n);
-    let (r2, r3) = rest.split_at(n);
-    let mut acc = [[0.0f32; DOT_LANES]; 4];
-    for ((((cv, c0), c1), c2), c3) in v
-        .chunks_exact(DOT_LANES)
-        .zip(r0.chunks_exact(DOT_LANES))
-        .zip(r1.chunks_exact(DOT_LANES))
-        .zip(r2.chunks_exact(DOT_LANES))
-        .zip(r3.chunks_exact(DOT_LANES))
-    {
-        for j in 0..DOT_LANES {
-            acc[0][j] += c0[j] * cv[j];
-            acc[1][j] += c1[j] * cv[j];
-            acc[2][j] += c2[j] * cv[j];
-            acc[3][j] += c3[j] * cv[j];
-        }
-    }
-    // An optimisation barrier, not a semantic one: without it LLVM packs the
-    // four rows' final lane sums into shared vectors and transposes the
-    // loop's accumulators to match, shuffling on every chunk (≈3× slower on
-    // x86-64 than the four independent vector chains above).
-    let mut acc = std::hint::black_box(acc);
+/// The one matvec kernel: [`dot`] of every row of `rows` (each as long as
+/// every vector of `vs`) with each vector, into `outs` (one element per
+/// row), bit for bit.  Rows go four at a time: every one of a block's `4·N`
+/// outputs keeps its own [`DOT_LANES`] accumulators in the reference
+/// ordering, while each chunk of a row is loaded once for all `N` vectors
+/// and each chunk of a vector once for the four rows.  The rows left over
+/// go through [`dot`].
+fn dot4<'a, const N: usize>(rows: &'a [f32], vs: [&'a [f32]; N], outs: [&mut [f32]; N]) {
+    let Some(n) = vs.first().map(|v| v.len()) else {
+        return;
+    };
     let full = n - n % DOT_LANES;
-    for (lanes, row) in acc.iter_mut().zip([r0, r1, r2, r3]) {
-        for (j, (x, y)) in row[full..].iter().zip(&v[full..]).enumerate() {
-            lanes[j] += x * y;
+    let chunks = full / DOT_LANES;
+    let cut = |r: &'a [f32]| r[..full].as_chunks::<DOT_LANES>().0;
+    let cvs = vs.map(cut);
+    // With every operand's chunk count stated up front, the chunk lookups
+    // below compile to one shared index and no bounds check.
+    assert!(cvs.iter().all(|cv| cv.len() == chunks));
+    let mut quads = rows.chunks_exact(4 * n);
+    let mut outs = outs.map(|out| out.as_chunks_mut::<4>());
+    assert!(outs.iter().all(|(out, _)| out.len() == quads.len()));
+    for (q, quad) in (&mut quads).enumerate() {
+        let [r0, r1, r2, r3]: [&[f32]; 4] = std::array::from_fn(|i| &quad[i * n..(i + 1) * n]);
+        let cut = |r: &'a [f32]| &r[..full].as_chunks::<DOT_LANES>().0[..chunks];
+        let (c0, c1, c2, c3) = (cut(r0), cut(r1), cut(r2), cut(r3));
+        let mut acc = [[[0.0f32; DOT_LANES]; 4]; N];
+        for c in 0..chunks {
+            let at = |r: &'a [[f32; DOT_LANES]]| &r[..chunks][c];
+            let (c0, c1, c2, c3) = (at(c0), at(c1), at(c2), at(c3));
+            for (acc, cv) in acc.iter_mut().zip(&cvs) {
+                let cv = at(cv);
+                for j in 0..DOT_LANES {
+                    acc[0][j] += c0[j] * cv[j];
+                    acc[1][j] += c1[j] * cv[j];
+                    acc[2][j] += c2[j] * cv[j];
+                    acc[3][j] += c3[j] * cv[j];
+                }
+            }
+        }
+        // An optimisation barrier, not a semantic one: without it LLVM packs
+        // the four rows' final lane sums into shared vectors and transposes
+        // the loop's accumulators to match, shuffling on every chunk (≈3×
+        // slower on x86-64 than the independent vector chains above).
+        let mut acc = std::hint::black_box(acc);
+        for (acc, v) in acc.iter_mut().zip(vs) {
+            for (lanes, row) in acc.iter_mut().zip([r0, r1, r2, r3]) {
+                for (j, (x, y)) in row[full..].iter().zip(&v[full..]).enumerate() {
+                    lanes[j] += x * y;
+                }
+            }
+        }
+        for ((out, _), acc) in outs.iter_mut().zip(acc) {
+            out[q] = acc.map(|a| (a[0] + a[1]) + (a[2] + a[3]));
         }
     }
-    acc.map(|a| (a[0] + a[1]) + (a[2] + a[3]))
+    for (r, row) in quads.remainder().chunks_exact(n).enumerate() {
+        for ((_, rest), v) in outs.iter_mut().zip(vs) {
+            rest[r] = dot(row, v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -574,6 +619,69 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The pair entry point is two `matvec_rows_into` calls, bit for bit,
+    /// over every row range of an 11-row matrix (empty ranges and lengths
+    /// with 0–3 rows after the four-row blocks) at widths with and without
+    /// a remainder chunk.
+    #[test]
+    fn matvec_rows_pair_into_is_two_single_calls_bitwise() {
+        let rows = 11;
+        for cols in [1usize, 3, 4, 5, 7, 13, 64, 66] {
+            let data: Vec<f32> = (0..rows * cols)
+                .map(|i| (i as f32 * 0.37).sin() * 3.0)
+                .collect();
+            let m = Matrix::from_flat(rows, cols, data).unwrap();
+            let a: Vec<f32> = (0..cols).map(|i| (i as f32 * 1.3).cos() * 2.0).collect();
+            let b: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.9 + 0.4).sin()).collect();
+            for start in 0..=rows {
+                for end in start..=rows {
+                    let len = end - start;
+                    let (mut pa, mut pb) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                    m.matvec_rows_pair_into(start..end, [&a, &b], [&mut pa, &mut pb])
+                        .unwrap();
+                    let (mut sa, mut sb) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+                    m.matvec_rows_into(start..end, &a, &mut sa).unwrap();
+                    m.matvec_rows_into(start..end, &b, &mut sb).unwrap();
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let label = format!("cols {cols} rows {start}..{end}");
+                    assert_eq!(bits(&pa), bits(&sa), "{label}");
+                    assert_eq!(bits(&pb), bits(&sb), "{label}");
+                }
+            }
+        }
+    }
+
+    /// A bad call to the pair entry point fails with the error the single
+    /// call gives for the first bad (vector, output) pair.
+    #[test]
+    fn matvec_rows_pair_into_errors_like_matvec_rows_into() {
+        let m = Matrix::from_flat(4, 3, (0..12).map(|i| i as f32).collect()).unwrap();
+        let v = [1.0, -1.0, 0.5];
+        let short = [1.0];
+        // (row range, vectors, output lengths)
+        type Case<'a> = (std::ops::Range<usize>, [&'a [f32]; 2], [usize; 2]);
+        #[allow(clippy::reversed_empty_ranges)]
+        let cases: [Case; 6] = [
+            (3..1, [&v, &v], [0, 0]),
+            (3..5, [&v, &v], [2, 2]),
+            (0..2, [&short, &v], [2, 2]),
+            (0..2, [&v, &short], [2, 2]),
+            (0..2, [&v, &v], [3, 2]),
+            (0..2, [&v, &v], [2, 1]),
+        ];
+        for (rows, vs, lens) in cases {
+            let (mut o0, mut o1) = (vec![0.0; lens[0]], vec![0.0; lens[1]]);
+            let pair = m
+                .matvec_rows_pair_into(rows.clone(), vs, [&mut o0, &mut o1])
+                .unwrap_err();
+            let single = m
+                .matvec_rows_into(rows.clone(), vs[0], &mut o0)
+                .and_then(|()| m.matvec_rows_into(rows.clone(), vs[1], &mut o1))
+                .unwrap_err();
+            assert_eq!(pair, single, "rows {rows:?}, lens {lens:?}");
         }
     }
 

@@ -127,8 +127,11 @@ fn assert_zero_steady_state_heap_growth(faults: &mut dyn FaultInjector) {
         for _ in 0..192 {
             let _ = decode_step(&model, &mut state, None, cache.as_mut(), faults);
         }
+        // Long enough that a buffer growing by one entry per token (say, a
+        // table indexed by position) reaches its next capacity doubling
+        // inside the window instead of after it.
         let start = net_heap_bytes();
-        for step in 0..32 {
+        for step in 0..320 {
             let calls = alloc_calls();
             let out = decode_step(&model, &mut state, None, cache.as_mut(), faults);
             assert_eq!(
