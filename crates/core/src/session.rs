@@ -454,8 +454,9 @@ impl<'e> Session<'e> {
     }
 
     /// The prefix-store hit path: replay the matched segment, compute only
-    /// the suffix, and finish pre-fill once (the cold call sequence).
-    /// Returns the computed token count.
+    /// the suffix, and finish pre-fill once (the cold call sequence).  The
+    /// replayed rows and the suffix are one prompt pass, closed with the
+    /// pre-fill.  Returns the computed token count.
     fn prefill_shared(&mut self, tokens: &[usize], hit: PrefixHit) -> usize {
         let matched = hit.matched;
         debug_assert_eq!(
@@ -482,6 +483,7 @@ impl<'e> Session<'e> {
             computed
         };
         self.cache.finish_prefill(self.state.position());
+        self.state.end_pass();
         self.prefix_hit_tokens = matched;
         self.pending_prefix_hit = matched;
         computed

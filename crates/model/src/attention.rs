@@ -25,14 +25,17 @@
 //!
 //! 1. **Read the heads.**  One
 //!    [`for_each_entry`](KvCacheBackend::for_each_entry) traversal per head,
-//!    on that head's fault lane.  A `Kv` entry's key is copied into scratch
-//!    and its value into the stash, both are corrupted there, and the entry
-//!    is scored at once.  A `Recompute` entry enters the layer's row table
-//!    under its slot (no hashing) and reserves its value's place in the
-//!    stash.
-//! 2. **Read the rows.**  Each distinct stored row is copied once and
-//!    corrupted once, on the layer's row lane, whatever number of heads
-//!    retain it.  Then, for every head that retains a row and only for
+//!    on that head's fault lane.  A `Kv` entry's value is copied into the
+//!    stash; an entry of an earlier pass has its key copied into scratch
+//!    and both corrupted there, an entry of the current pass is read clean
+//!    (its stored key scores it directly, and no lane call is made).  Either
+//!    way the entry is scored at once.  A `Recompute` entry enters the
+//!    layer's row table under its slot (no hashing) and reserves its value's
+//!    place in the stash.
+//! 2. **Read the rows.**  Each distinct stored row is copied once and, if an
+//!    earlier pass computed it, corrupted once on the layer's row lane,
+//!    whatever number of heads retain it; a row of the current pass skips
+//!    the lane.  Then, for every head that retains a row and only for
 //!    those, the head's `head_dim` rows of `W_K`/`W_V` recompute its key and
 //!    value, two rows at a time: consecutive (head, row) pairs of one head
 //!    share a pass over its weight rows
@@ -72,6 +75,16 @@
 //! row lane, since it is stored once per layer, at the most demanding group
 //! any retaining head ranks it in (see [`crate::fault`]).  The stored bits
 //! themselves are never modified; corrupted reads are staged in scratch.
+//!
+//! # The pass rule
+//!
+//! A row computed by the current pass is read clean: it has not yet sat in
+//! eDRAM (see "What is read clean" in [`crate::fault`]).  The pass starts at
+//! the token [`GenerationState`](crate::generation::GenerationState) records
+//! in the scratch — a turn's first prompt token, or the first replayed
+//! token of a prefix hit — and every entry whose token is at or after it is
+//! in the pass.  A forward that no generation state opened a pass for is a
+//! block of one: only the token's own row is clean.
 
 use crate::cache::{KvCacheBackend, PayloadRef, TokenId};
 use crate::fault::{FaultInjector, TokenGroup};
@@ -113,6 +126,10 @@ pub struct DecodeScratch {
     angles: Vec<(f32, f32)>,
     /// The position `angles` was built for.
     angles_at: Option<usize>,
+    /// The first token of the open pass, if a generation state opened one;
+    /// entries from it on are read clean.  `None` makes every forward a
+    /// block of one.
+    pub(crate) pass_start: Option<TokenId>,
     /// The layer's stored input rows, each read once per layer.
     rows: RowTable,
     /// Per layer, the RoPE angle tables of the rows its input slab stores,
@@ -384,8 +401,8 @@ impl<'w> MultiHeadAttention<'w> {
     ///
     /// This is the allocation-free hot path: cache entries are visited as
     /// borrowed [`EntryRef`](crate::cache::EntryRef) views, and every stored
-    /// word read is staged through `scratch` and `faults`.  The three phases
-    /// are described in the module docs.
+    /// word an earlier pass wrote is staged through `scratch` and `faults`.
+    /// The three phases and the pass rule are described in the module docs.
     #[allow(clippy::too_many_arguments)] // the decode-step contract: position + data + 3 collaborators
     pub fn forward_with(
         &self,
@@ -426,19 +443,20 @@ impl<'w> MultiHeadAttention<'w> {
         scratch.stash.clear();
         scratch.rows.clear();
 
+        let pass_start = scratch.pass_start.unwrap_or(token);
         let mut recomputed_entries = 0usize;
         let mut kv_entries_read = 0usize;
 
         for h in 0..self.heads {
             faults.begin_lane(layer, h);
-            let (rec, read) = self.read_head(layer, h, &*cache, faults, scratch);
+            let (rec, read) = self.read_head(layer, h, pass_start, &*cache, faults, scratch);
             recomputed_entries += rec;
             kv_entries_read += read;
         }
         scratch
             .heads_at
             .push((scratch.scores.len(), scratch.stash.len()));
-        self.read_rows(layer, faults, scratch);
+        self.read_rows(layer, pass_start, faults, scratch);
         for h in 0..self.heads {
             self.attend_head(h, scratch);
             cache.observe_attention(layer, h, &scratch.attention[h]);
@@ -454,13 +472,15 @@ impl<'w> MultiHeadAttention<'w> {
 
     /// Phase 1 for head `h`: one traversal of its entries on its fault lane.
     /// Scores every `Kv` entry from its staged key and stashes its staged
-    /// value; enters every `Recompute` entry's row in the row table and
-    /// reserves the entry's score and stashed value for phase 2.  Returns
+    /// value — stored as they are from `pass_start` on, corrupted before it;
+    /// enters every `Recompute` entry's row in the row table and reserves
+    /// the entry's score and stashed value for phase 2.  Returns
     /// `(recomputed_entries, kv_entries_read)` for this head.
     fn read_head(
         &self,
         layer: usize,
         h: usize,
+        pass_start: TokenId,
         cache: &dyn KvCacheBackend,
         faults: &mut dyn FaultInjector,
         scratch: &mut DecodeScratch,
@@ -484,6 +504,11 @@ impl<'w> MultiHeadAttention<'w> {
 
         cache.for_each_entry(layer, h, &mut |e| {
             let score = match e.payload {
+                PayloadRef::Kv { key, value } if e.token >= pass_start => {
+                    kv_entries_read += 1;
+                    stash.extend_from_slice(value);
+                    kelle_tensor::dot(key, qh) * scale
+                }
                 PayloadRef::Kv { key, value } => {
                     kv_entries_read += 1;
                     let group = group(e.high_score);
@@ -514,13 +539,20 @@ impl<'w> MultiHeadAttention<'w> {
         (recomputed_entries, kv_entries_read)
     }
 
-    /// Phase 2: reads each of the layer's stored rows once, on the row lane
-    /// `(layer, heads)` at the group of the row's most demanding head, then
+    /// Phase 2: reads each of the layer's stored rows once — a row from
+    /// before `pass_start` on the row lane `(layer, heads)` at the group of
+    /// its most demanding head, a row of the pass as stored — then
     /// recomputes key and value of every (head, row) pair phase 1 found —
     /// the head's rows of `W_K`/`W_V` only, two pairs of the same head per
     /// pass over them — rotating the key by its slot's angle table, scoring
     /// the entry and filling its stashed value.
-    fn read_rows(&self, layer: usize, faults: &mut dyn FaultInjector, scratch: &mut DecodeScratch) {
+    fn read_rows(
+        &self,
+        layer: usize,
+        pass_start: TokenId,
+        faults: &mut dyn FaultInjector,
+        scratch: &mut DecodeScratch,
+    ) {
         let DecodeScratch {
             q,
             scores,
@@ -539,8 +571,15 @@ impl<'w> MultiHeadAttention<'w> {
         // A label no head uses, so the row lane is snapshotted with the head
         // lanes.
         faults.begin_lane(layer, self.heads);
-        for (x, &high) in rows.x.chunks_exact_mut(channels).zip(&rows.high) {
-            faults.corrupt_slice(x, group(high));
+        for ((x, &high), &token) in rows
+            .x
+            .chunks_exact_mut(channels)
+            .zip(&rows.high)
+            .zip(&rows.token)
+        {
+            if token < pass_start {
+                faults.corrupt_slice(x, group(high));
+            }
         }
         if slot_angles.len() <= layer {
             slot_angles.resize_with(layer + 1, SlotAngles::default);

@@ -10,7 +10,9 @@
 //! Each level has one forward body ([`DecoderLayer::forward_with`],
 //! [`SurrogateModel::forward_token_with`]): it mutates the residual stream in
 //! place and stages every intermediate in a caller-owned [`DecodeScratch`],
-//! so steady-state decoding allocates nothing.
+//! so steady-state decoding allocates nothing.  The model's body is its
+//! layers followed by the LM head; a prompt token whose logits nobody reads
+//! runs the layers alone.
 
 use crate::attention::{DecodeScratch, MultiHeadAttention};
 use crate::cache::{KvCacheBackend, TokenId};
@@ -158,6 +160,23 @@ impl SurrogateModel {
         faults: &mut dyn FaultInjector,
         scratch: &mut DecodeScratch,
     ) -> ForwardStats {
+        let stats = self.forward_layers_with(token, position, cache, faults, scratch);
+        self.lm_head_with(scratch);
+        stats
+    }
+
+    /// [`forward_token_with`](Self::forward_token_with) up to the last
+    /// layer: the token's residual stream is left in the scratch, and no
+    /// logits are computed.  A prompt token whose logits nobody reads stops
+    /// here.
+    pub(crate) fn forward_layers_with(
+        &self,
+        token: usize,
+        position: usize,
+        cache: &mut dyn KvCacheBackend,
+        faults: &mut dyn FaultInjector,
+        scratch: &mut DecodeScratch,
+    ) -> ForwardStats {
         let dims = &self.config.surrogate;
         let mut hidden = std::mem::take(&mut scratch.hidden);
         self.weights
@@ -177,15 +196,24 @@ impl SurrogateModel {
             stats.recomputed_entries += recomputed;
             stats.kv_entries_read += read;
         }
-        let mut normed = std::mem::take(&mut scratch.normed);
-        ops::rms_norm_into(&hidden, &self.weights.final_norm, 1e-5, &mut normed);
-        self.weights
-            .embedding
-            .matvec_into(&normed, &mut scratch.logits)
-            .expect("hidden state matches channel dimension");
-        scratch.normed = normed;
         scratch.hidden = hidden;
         stats
+    }
+
+    /// The final norm and the tied LM head over the residual stream
+    /// [`forward_layers_with`](Self::forward_layers_with) left in the
+    /// scratch, into [`DecodeScratch::logits`].
+    pub(crate) fn lm_head_with(&self, scratch: &mut DecodeScratch) {
+        ops::rms_norm_into(
+            &scratch.hidden,
+            &self.weights.final_norm,
+            1e-5,
+            &mut scratch.normed,
+        );
+        self.weights
+            .embedding
+            .matvec_into(&scratch.normed, &mut scratch.logits)
+            .expect("hidden state matches channel dimension");
     }
 
     /// Greedy next-token choice from logits.

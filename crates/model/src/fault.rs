@@ -115,6 +115,30 @@
 //! that heads rank differently is read at the most demanding group any of
 //! them gives it: [`TokenGroup::HighScore`] if any retaining head ranks it
 //! high, [`TokenGroup::LowScore`] otherwise.
+//!
+//! # What is read clean
+//!
+//! A bit is exposed to retention loss only once it sits in eDRAM (§2.3).
+//! On the device, the K/V a pass computes are read by that same pass from
+//! on-chip buffers, so **a row computed by the current pass is read clean**:
+//! it is not handed to [`FaultInjector::corrupt_slice`], takes no draw and
+//! counts no word.  A *pass* is a turn's prompt pre-fill — from its first
+//! chunk to the end of pre-fill, including the rows a prefix hit replays —
+//! or one decode token, whose own row is the only one it computed (see
+//! [`crate::generation`]).  Rows of earlier passes are read through their
+//! lanes as above.  So a first prompt draws nothing at all, however it is
+//! chunked and whether or not its prefix was replayed, and a decode step
+//! reads every row but its own through the lane.
+//!
+//! An in-pass read skips the lane, not the storage format: under QuaRot it
+//! sees the stored KV4 values, not the FP16 projections.  An AERP row of
+//! the pass is recomputed from its stored `x`, which equals the projection
+//! bit for bit.
+//!
+//! The rule treats "earlier pass" as "has sat in eDRAM long enough to
+//! decay".  Modelling how long a row has sat there — device time per row,
+//! against its refresh interval — would refine it; until then, every row of
+//! an earlier pass is read at its group's full rate.
 
 pub use kelle_edram::BitFlipRates;
 use kelle_edram::{RefreshPolicy, RetentionModel};
@@ -174,11 +198,13 @@ impl FaultStats {
 
 /// Applies retention-failure corruption to values read from the KV cache.
 ///
-/// The attention pass reads every stored word through an injector: it copies
-/// a key, value or input row into its scratch and hands the copy to
-/// [`corrupt_slice`](FaultInjector::corrupt_slice).  There is no in-place
-/// read path, so [`NoFaults`], the FP16 reference, pays the same staging
-/// copy and returns every value unchanged.
+/// The attention pass reads every stored word an earlier pass wrote through
+/// an injector: it copies a key, value or input row into its scratch and
+/// hands the copy to [`corrupt_slice`](FaultInjector::corrupt_slice).  There
+/// is no in-place read path for them, so [`NoFaults`], the FP16 reference,
+/// pays the same staging copy and returns every value unchanged.  Rows of
+/// the current pass are read clean (see "What is read clean" in the
+/// module docs).
 pub trait FaultInjector: std::fmt::Debug {
     /// Possibly corrupts one value belonging to a token of the given group.
     ///

@@ -10,6 +10,24 @@
 //! body, [`SurrogateModel::forward_token_with`], on the scratch the
 //! [`GenerationState`] owns.
 //!
+//! # Passes
+//!
+//! The state groups tokens into *passes*, and a row computed by the current
+//! pass is read clean, not through the fault lane (see "What is read clean"
+//! in [`crate::fault`]):
+//!
+//! * a **prompt pass** opens at the first [`prefill_extend`] when none is
+//!   open — or at position 0 when [`GenerationState::adopt_prefix`] replays
+//!   a shared prefix, whose rows the turn's prompt pass includes — and
+//!   closes in [`prefill`], or when the caller that finishes pre-fill itself
+//!   calls [`GenerationState::end_pass`];
+//! * a **decode pass** is one [`decode_step`]: the token's own row.
+//!
+//! How a prompt is chunked into `prefill_extend` calls therefore changes
+//! nothing a pass reads.  Logits are computed only where someone reads
+//! them: for the last token of each `prefill_extend` call and for every
+//! decode step.
+//!
 //! Accuracy-style experiments (Tables 2–6, Fig. 8) compare a *test*
 //! configuration (some cache policy + fault model) against the *reference*
 //! configuration (full cache, no faults) on the same prompt.  To keep the two
@@ -179,7 +197,8 @@ impl GenerationState {
     /// through the model.  The replayed tokens are **not** counted as
     /// pre-fill work ([`prefilled_tokens`](GenerationState::prefilled_tokens)
     /// reports computed tokens only — the compute was paid once, at
-    /// publication).
+    /// publication).  The replayed rows open the turn's prompt pass, so the
+    /// rest of the prompt reads them clean, as a cold pre-fill would.
     ///
     /// # Panics
     ///
@@ -195,6 +214,15 @@ impl GenerationState {
         self.position = tokens;
         self.last_logits.clear();
         self.last_logits.extend_from_slice(logits);
+        self.scratch.pass_start = Some(0);
+    }
+
+    /// Closes the open prompt pass: rows pre-filled so far are read through
+    /// the fault lane by every later pass.  [`prefill`] calls it; a caller
+    /// that finishes pre-fill itself after [`prefill_extend`] calls it
+    /// alongside [`finish_prefill`](KvCacheBackend::finish_prefill).
+    pub fn end_pass(&mut self) {
+        self.scratch.pass_start = None;
     }
 }
 
@@ -211,7 +239,8 @@ pub struct DecodeStep {
 
 /// Processes `tokens` as additional context at the state's current position,
 /// inserting their KV pairs into `cache`, and signals the end of pre-filling
-/// so budgeted policies can apply their prefill retention rule.
+/// so budgeted policies can apply their prefill retention rule.  The prompt
+/// pass closes with it.
 ///
 /// Returns the number of tokens processed (i.e. `tokens.len()`), which is the
 /// *only* pre-fill work performed — earlier turns' context is reused from the
@@ -232,6 +261,7 @@ pub fn prefill(
     if !tokens.is_empty() {
         cache.finish_prefill(state.position);
     }
+    state.end_pass();
     count
 }
 
@@ -246,6 +276,10 @@ pub fn prefill(
 /// and only then finishes pre-fill once — the exact call sequence of a cold
 /// single-call prefill, which is what makes the resulting backend state
 /// bit-identical.
+///
+/// The first call opens a prompt pass if none is open, and later calls
+/// extend it, so every row they insert is read clean until the pass closes.
+/// Only the call's last token runs the LM head.
 ///
 /// # Panics
 ///
@@ -262,17 +296,16 @@ pub fn prefill_extend(
         "prompt must contain at least one token"
     );
     let vocab = model.dims().vocab;
+    let scratch = &mut state.scratch;
+    scratch.pass_start.get_or_insert(state.position);
     for tok in tokens {
-        model.forward_token_with(
-            *tok % vocab,
-            state.position,
-            cache,
-            faults,
-            &mut state.scratch,
-        );
-        state.last_logits.clear();
-        state.last_logits.extend_from_slice(&state.scratch.logits);
+        model.forward_layers_with(*tok % vocab, state.position, cache, faults, scratch);
         state.position += 1;
+    }
+    if !tokens.is_empty() {
+        model.lm_head_with(scratch);
+        state.last_logits.clear();
+        state.last_logits.extend_from_slice(&scratch.logits);
     }
     state.prefilled_tokens += tokens.len();
     tokens.len()
@@ -283,6 +316,8 @@ pub fn prefill_extend(
 /// The input token is `forced_input` when given (teacher forcing), otherwise
 /// the state's own greedy prediction.  The chosen token, its distribution and
 /// the per-step trace record are returned; the state advances by one position.
+/// The step is a pass of its own: it closes any open prompt pass and reads
+/// only its own row clean.
 ///
 /// # Panics
 ///
@@ -300,6 +335,7 @@ pub fn decode_step(
     let vocab = model.dims().vocab;
     let input_token = forced_input.map(|t| t % vocab).unwrap_or(next);
     let position = state.position;
+    state.end_pass();
     let stats = model.forward_token_with(input_token, position, cache, faults, &mut state.scratch);
     let probs = SurrogateModel::probabilities(&state.scratch.logits);
     let choice = SurrogateModel::argmax(&state.scratch.logits);

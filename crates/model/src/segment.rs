@@ -10,6 +10,12 @@
 //! report — together with the post-prefix logits and the fault injector's
 //! RNG snapshot.  The frozen result is a [`SharedSegment`].
 //!
+//! A first prompt is one pass, and a pass reads its own rows clean (see
+//! "What is read clean" in [`crate::fault`]), so a publication pre-fill
+//! draws nothing from the fault lanes: every boundary snapshot is the fresh
+//! injector, and a hit session's prompt pass, which includes the replayed
+//! rows, draws nothing either.
+//!
 //! A later session whose prompt starts with the published prefix *replays*
 //! the segment ([`SharedSegment::attach_and_replay`]) into its own, private
 //! cache instead of running the transformer over those tokens: the recorded

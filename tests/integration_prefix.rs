@@ -293,7 +293,10 @@ proptest! {
 /// tokens and of each request's next-token probability bits are pinned to
 /// constants captured before explicit publication became the only way into
 /// the store (the two FNVs re-captured when each stored AERP input row came
-/// to be read once per layer); the shared pool must also balance.
+/// to be read once per layer, and again — 0x9deb_465a_a064_e1a6 /
+/// 0xf56c_0233_ba93_a54e → 0x8aa3_b547_af62_8aab / 0xd787_3476_3bf3_ae16 —
+/// when rows of the current pass came to be read clean); the shared pool
+/// must also balance.
 #[test]
 fn prefix_hierarchy_batch_of_seed_7_is_pinned() {
     const HIT_TOKENS: [usize; 6] = [8, 16, 24, 24, 8, 0];
@@ -306,8 +309,8 @@ fn prefix_hierarchy_batch_of_seed_7_is_pinned() {
     };
     // published, published_tokens, hits, misses, hit_tokens, resident_bytes
     const STORE: [u64; 6] = [3, 48, 5, 1, 80, 49_152];
-    const TOKENS_FNV1A: u64 = 0x9deb_465a_a064_e1a6;
-    const PROBS_FNV1A: u64 = 0xf56c_0233_ba93_a54e;
+    const TOKENS_FNV1A: u64 = 0x8aa3_b547_af62_8aab;
+    const PROBS_FNV1A: u64 = 0xd787_3476_3bf3_ae16;
 
     let system = prompt_tokens(24, 5);
     let behind = |level: usize, salt: usize, decode_len: usize| {

@@ -1,34 +1,48 @@
-//! AERP's stored input rows are read once per layer.
+//! What the attention pass reads through the fault lane.
 //!
-//! A popular token's input vector `x` is stored once per layer (§4.1.2), so
-//! the attention pass copies and corrupts each stored row once per layer,
-//! whatever number of heads retain it, and recomputes K/V from that one read
-//! for each retaining head.  These tests count the reads from outside the
-//! pass and pin which token group a row shared by differently-ranking heads
-//! is read at.
+//! AERP's stored input rows are read once per layer.  A popular token's
+//! input vector `x` is stored once per layer (§4.1.2), so the attention pass
+//! copies and corrupts each stored row once per layer, whatever number of
+//! heads retain it, and recomputes K/V from that one read for each retaining
+//! head.  These tests count the reads from outside the pass and pin which
+//! token group a row shared by differently-ranking heads is read at.
+//!
+//! A row computed by the current pass is read clean.  A prompt's K/V are
+//! computed in one pass and read from on-chip buffers; a bit is exposed to
+//! retention loss only once it sits in eDRAM (§2.3).  So a first prompt
+//! draws nothing from the lane, however it is chunked or whether its prefix
+//! was replayed, and a decode step reads every row but its own through it.
+//! These tests hold that rule for every policy under 2DRP, without golden
+//! constants.
 
 use kelle::cache::CacheBudget;
 use kelle::edram::{RefreshPolicy, RetentionModel};
 use kelle::model::fault::BitFlipRates;
-use kelle::model::generation::{decode_step, prefill, GenerationState};
+use kelle::model::generation::{decode_step, prefill, prefill_extend, GenerationState};
 use kelle::model::weights::{ModelWeights, WeightGenConfig};
 use kelle::model::{
     CacheStats, DecodeScratch, EntryRef, FaultInjector, FaultStats, KvCacheBackend, ModelConfig,
-    ModelKind, MultiHeadAttention, NoFaults, PayloadRef, ProbabilisticFaults, SurrogateDims,
-    SurrogateModel, TokenId,
+    ModelKind, MultiHeadAttention, NoFaults, PayloadRef, ProbabilisticFaults, SegmentRecorder,
+    SurrogateDims, SurrogateModel, TokenId,
 };
-use kelle::{fault_injector_for_policy, CachePolicy};
+use kelle::{fault_injector_for_policy, CachePolicy, KelleEngine, PrefixSharingConfig};
 use std::collections::BTreeSet;
 
-/// What one forward pass over `cache` reads, counted through
-/// `for_each_entry`: `(distinct stored rows, recompute visits, KV entries)`
-/// per layer, summed.
-fn census(cache: &dyn KvCacheBackend, layers: usize, heads: usize) -> (usize, usize, usize) {
+/// What one forward pass over `cache` reads of the rows written before token
+/// `before`, counted through `for_each_entry`: `(distinct stored rows,
+/// recompute visits, KV entries)` per layer, summed.
+fn census(
+    cache: &dyn KvCacheBackend,
+    layers: usize,
+    heads: usize,
+    before: TokenId,
+) -> (usize, usize, usize) {
     let (mut rows, mut visits, mut kv) = (0, 0, 0);
     for layer in 0..layers {
         let mut distinct = BTreeSet::new();
         for head in 0..heads {
             cache.for_each_entry(layer, head, &mut |e| match e.payload {
+                _ if e.token >= before => {}
                 PayloadRef::Kv { .. } => kv += 1,
                 PayloadRef::Recompute { .. } => {
                     visits += 1;
@@ -41,38 +55,60 @@ fn census(cache: &dyn KvCacheBackend, layers: usize, heads: usize) -> (usize, us
     (rows, visits, kv)
 }
 
+/// The words a pass over `cache` reads of the rows written before `before`.
+fn census_words(cache: &dyn KvCacheBackend, dims: &SurrogateDims, before: TokenId) -> u64 {
+    let (rows, _, kv) = census(cache, dims.layers, dims.heads, before);
+    (rows * dims.channels + kv * 2 * (dims.channels / dims.heads)) as u64
+}
+
+/// The model, budget and 24-token prompt the pass-rule tests share: every
+/// budgeted policy evicts while the prompt is pre-filled.
+fn fixture() -> (SurrogateModel, CacheBudget, Vec<usize>) {
+    let model = SurrogateModel::new(ModelConfig::for_kind(ModelKind::Llama2_7b), 7);
+    let budget = CacheBudget::new(16)
+        .with_recent_window(4)
+        .with_sink_tokens(2);
+    let prompt = (0..24).map(|t| (3 + 5 * t) % 97).collect();
+    (model, budget, prompt)
+}
+
+/// The 2DRP injector the tests read through.
+fn two_drp(seed: u64) -> ProbabilisticFaults {
+    fault_injector_for_policy(
+        &RefreshPolicy::two_dimensional_default(),
+        &RetentionModel::default(),
+        seed,
+    )
+}
+
 /// Every faulted decode step examines each distinct stored row of a layer
 /// once (`channels` words) plus each head's KV entries (`2 × head_dim` words
 /// each) — not one row read per retaining head.  AERP stores every token it
 /// keeps as a row (a token enters all heads, so it is popular at once); the
-/// other policies store KV only, and are held to the same count.
+/// other policies store KV only, and are held to the same count.  The
+/// step's own row is read clean, so the count covers the rows of earlier
+/// passes.
 #[test]
 fn faulted_pass_examines_each_stored_row_once_per_layer() {
-    let model = SurrogateModel::new(ModelConfig::for_kind(ModelKind::Llama2_7b), 7);
+    let (model, budget, prompt) = fixture();
     let dims = *model.dims();
     let head_dim = dims.channels / dims.heads;
-    let budget = CacheBudget::new(16)
-        .with_recent_window(4)
-        .with_sink_tokens(2);
-    let prompt: Vec<usize> = (0..24).map(|t| (3 + 5 * t) % 97).collect();
 
     for policy in CachePolicy::all() {
         let mut cache = policy.build(budget, dims.heads);
-        let mut faults = fault_injector_for_policy(
-            &RefreshPolicy::two_dimensional_default(),
-            &RetentionModel::default(),
-            7,
-        );
+        let mut faults = two_drp(7);
         let mut state = GenerationState::new();
         prefill(&model, &mut state, &prompt, cache.as_mut(), &mut faults);
 
         let (mut rows, mut visits, mut kv) = (0, 0, 0);
         for step in 0..24 {
             let before = faults.stats().words_examined;
+            let position = state.position();
             decode_step(&model, &mut state, None, cache.as_mut(), &mut faults);
             // Observing attention moves no entry, so what the cache holds
             // after the step is what each layer's pass read.
-            let (step_rows, step_visits, step_kv) = census(cache.as_ref(), dims.layers, dims.heads);
+            let (step_rows, step_visits, step_kv) =
+                census(cache.as_ref(), dims.layers, dims.heads, position);
             assert_eq!(
                 faults.stats().words_examined - before,
                 (step_rows * dims.channels + step_kv * 2 * head_dim) as u64,
@@ -175,8 +211,10 @@ fn a_row_that_one_head_ranks_high_reads_intact_in_every_head() {
         }
         bits
     };
-    // Every row read, once per layer per pass: 1 + 2 + … + TOKENS rows.
-    let words = (TOKENS * (TOKENS + 1) / 2 * dims.channels) as u64;
+    // Every row of an earlier pass read, once per layer per pass:
+    // 0 + 1 + … + (TOKENS − 1) rows.  With no generation state, each forward
+    // is a pass of its own, so only its own row is read clean.
+    let words = (TOKENS * (TOKENS - 1) / 2 * dims.channels) as u64;
 
     // Each row is ranked high by exactly one head, a different one per row.
     let one_head: fn(usize, TokenId) -> bool = |head, token| head == token % HEADS;
@@ -201,4 +239,136 @@ fn a_row_that_one_head_ranks_high_reads_intact_in_every_head() {
             bits_flipped: 16 * words,
         }
     );
+}
+
+/// A first prompt computes every row it reads, so it draws nothing from the
+/// lane: after `prefill` the injector's counters are zero and the last
+/// logits are bitwise those of a `NoFaults` prefill.  The same holds for a
+/// publication's boundary snapshots and for a session whose prompt replays
+/// a published prefix — the replayed rows are part of its prompt pass.
+#[test]
+fn a_first_prompt_reads_nothing_through_the_lane() {
+    let (model, budget, prompt) = fixture();
+    let heads = model.dims().heads;
+    for policy in CachePolicy::all() {
+        let logits = |faults: &mut dyn FaultInjector| {
+            let mut cache = policy.build(budget, heads);
+            let mut state = GenerationState::new();
+            prefill(&model, &mut state, &prompt, cache.as_mut(), faults);
+            let bits: Vec<u32> = state.last_logits().iter().map(|l| l.to_bits()).collect();
+            bits
+        };
+        let mut faults = two_drp(7);
+        assert_eq!(
+            logits(&mut faults),
+            logits(&mut NoFaults),
+            "{}",
+            policy.name()
+        );
+        assert_eq!(faults.stats(), FaultStats::default(), "{}", policy.name());
+
+        let mut backing = policy.build(budget, heads);
+        let mut recorder = SegmentRecorder::new(backing.as_mut());
+        let mut state = GenerationState::new();
+        let mut faults = two_drp(7);
+        for chunk in prompt.chunks(8) {
+            prefill_extend(&model, &mut state, chunk, &mut recorder, &mut faults);
+            recorder.mark_boundary(state.last_logits(), faults.clone());
+        }
+        for segment in recorder.finish_hierarchy() {
+            assert_eq!(
+                segment.faults_snapshot().stats(),
+                FaultStats::default(),
+                "{} boundary {}",
+                policy.name(),
+                segment.len()
+            );
+        }
+
+        let engine = KelleEngine::builder()
+            .policy(policy)
+            .refresh_policy(RefreshPolicy::two_dimensional_default())
+            .budget(budget)
+            .prefix_sharing(PrefixSharingConfig::enabled())
+            .seed(7)
+            .build();
+        assert!(engine.publish_prefix(&prompt[..16]), "{}", policy.name());
+        let mut session = engine.open_session();
+        session.prefill(&prompt);
+        assert_eq!(session.prefix_hit_tokens(), 16, "{}", policy.name());
+        assert_eq!(
+            session.fault_stats(),
+            FaultStats::default(),
+            "{}",
+            policy.name()
+        );
+    }
+}
+
+/// A prompt pass opens at its first `prefill_extend` and closes with
+/// pre-fill, so how the prompt is chunked moves nothing: one `prefill` and
+/// two `prefill_extend`s closed by hand leave the same logits, cache and
+/// fault counters, and the 16 decode steps after them emit the same tokens
+/// and probability bits.
+#[test]
+fn the_pass_rule_is_independent_of_chunking() {
+    let (model, budget, prompt) = fixture();
+    let heads = model.dims().heads;
+    let (a, b) = prompt.split_at(10);
+    for policy in CachePolicy::all() {
+        let run = |chunked: bool| {
+            let mut cache = policy.build(budget, heads);
+            let mut faults = two_drp(11);
+            let mut state = GenerationState::new();
+            if chunked {
+                prefill_extend(&model, &mut state, a, cache.as_mut(), &mut faults);
+                prefill_extend(&model, &mut state, b, cache.as_mut(), &mut faults);
+                cache.finish_prefill(state.position());
+                state.end_pass();
+            } else {
+                prefill(&model, &mut state, &prompt, cache.as_mut(), &mut faults);
+            }
+            let mut bits: Vec<u32> = state.last_logits().iter().map(|l| l.to_bits()).collect();
+            let prefilled = (cache.stats(), faults.stats());
+            for _ in 0..16 {
+                let step = decode_step(&model, &mut state, None, cache.as_mut(), &mut faults);
+                bits.push(step.token as u32);
+                bits.extend(step.probs.iter().map(|p| p.to_bits()));
+            }
+            (bits, prefilled, cache.stats(), faults.stats())
+        };
+        let (whole, chunked) = (run(false), run(true));
+        assert!(whole.3.bits_flipped > 0, "{}", policy.name());
+        assert_eq!(whole, chunked, "{}", policy.name());
+    }
+}
+
+/// A decode step is a pass of one token: it reads every stored row but its
+/// own through the lane.  The words it examines are the census of what the
+/// cache holds after the step less the step's own token, which the cache
+/// does hold.
+#[test]
+fn a_decode_step_reads_its_own_row_clean() {
+    let (model, budget, prompt) = fixture();
+    let dims = *model.dims();
+    for policy in CachePolicy::all() {
+        let mut cache = policy.build(budget, dims.heads);
+        let mut faults = two_drp(7);
+        let mut state = GenerationState::new();
+        prefill(&model, &mut state, &prompt, cache.as_mut(), &mut faults);
+        for step in 0..16 {
+            let before = faults.stats().words_examined;
+            let position = state.position();
+            decode_step(&model, &mut state, None, cache.as_mut(), &mut faults);
+            let earlier = census_words(cache.as_ref(), &dims, position);
+            let all = census_words(cache.as_ref(), &dims, TokenId::MAX);
+            assert!(all > earlier, "{} step {step}: own row held", policy.name());
+            assert_eq!(
+                faults.stats().words_examined - before,
+                earlier,
+                "{} step {step}",
+                policy.name()
+            );
+        }
+    }
 }
