@@ -456,7 +456,9 @@ impl<'e> Session<'e> {
     /// The prefix-store hit path: replay the matched segment, compute only
     /// the suffix, and finish pre-fill once (the cold call sequence).  The
     /// replayed rows and the suffix are one prompt pass, closed with the
-    /// pre-fill.  Returns the computed token count.
+    /// pre-fill: the state holds the replayed rows' keys and values from the
+    /// segment, so the suffix reads them as it reads its own, without
+    /// recomputing them.  Returns the computed token count.
     fn prefill_shared(&mut self, tokens: &[usize], hit: PrefixHit) -> usize {
         let matched = hit.matched;
         debug_assert_eq!(
@@ -465,7 +467,7 @@ impl<'e> Session<'e> {
             "store hands out exact boundaries"
         );
         hit.segment.attach_and_replay(self.cache.as_mut());
-        self.state.adopt_prefix(matched, hit.segment.logits());
+        self.state.adopt_prefix(&hit.segment);
         self.faults = hit.segment.faults_snapshot();
         self.context.extend_from_slice(&tokens[..matched]);
         let rest = &tokens[matched..];

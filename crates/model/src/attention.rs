@@ -29,16 +29,20 @@
 //!    stash; an entry of an earlier pass has its key copied into scratch
 //!    and both corrupted there, an entry of the current pass is read clean
 //!    (its stored key scores it directly, and no lane call is made).  Either
-//!    way the entry is scored at once.  A `Recompute` entry enters the
-//!    layer's row table under its slot (no hashing) and reserves its value's
-//!    place in the stash.
+//!    way the entry is scored at once.  A `Recompute` entry of the open
+//!    pass is scored from the key the pass holds for it, and its held value
+//!    is stashed: no row-table visit, no recompute (see the pass rule
+//!    below).  Any other `Recompute` entry enters the layer's row table
+//!    under its slot (no hashing) and reserves its value's place in the
+//!    stash.
 //! 2. **Read the rows.**  Each distinct stored row is copied once and, if an
 //!    earlier pass computed it, corrupted once on the layer's row lane,
-//!    whatever number of heads retain it; a row of the current pass skips
-//!    the lane.  Then, for every head that retains a row and only for
-//!    those, the head's `head_dim` rows of `W_K`/`W_V` recompute its key and
-//!    value, two rows at a time: consecutive (head, row) pairs of one head
-//!    share a pass over its weight rows
+//!    whatever number of heads retain it; a row of the current pass that
+//!    is not held (a decode step's own) skips the lane.  Then, for every
+//!    head that retains a row and only for those, the head's `head_dim`
+//!    rows of `W_K`/`W_V` recompute its key and value, two rows at a time:
+//!    consecutive (head, row) pairs of one head share a pass over its
+//!    weight rows
 //!    ([`Matrix::matvec_rows_pair_into`](kelle_tensor::Matrix::matvec_rows_pair_into)),
 //!    a lone one takes
 //!    [`Matrix::matvec_rows_into`](kelle_tensor::Matrix::matvec_rows_into),
@@ -85,6 +89,20 @@
 //! token of a prefix hit — and every entry whose token is at or after it is
 //! in the pass.  A forward that no generation state opened a pass for is a
 //! block of one: only the token's own row is clean.
+//!
+//! The pass keeps what it read clean on the host, as the device keeps it in
+//! on-chip buffers: while a pass is open, each forward appends its token's
+//! rotated keys and values to the scratch, per layer, and a prefix hit's
+//! replayed rows are held from the segment's recording of the publication
+//! pass.  Phase 1 reads an AERP entry of the pass from there instead of
+//! recomputing it from its stored row, so a prompt's attention no longer
+//! recomputes every earlier row of the prompt at every step.  The entry
+//! still counts in `recomputed_entries`: the device recomputes it, and that
+//! is what the hardware model bills.  A held key equals the recomputed one
+//! bit for bit (the rotation argument above), and a debug build checks it
+//! at every held read.  Rows of earlier passes go through phase 2 in the
+//! same row-table order as before, so the lanes draw the same words.
+//! Closing the pass drops the held rows; a decode step holds none.
 
 use crate::cache::{KvCacheBackend, PayloadRef, TokenId};
 use crate::fault::{FaultInjector, TokenGroup};
@@ -129,7 +147,10 @@ pub struct DecodeScratch {
     /// The first token of the open pass, if a generation state opened one;
     /// entries from it on are read clean.  `None` makes every forward a
     /// block of one.
-    pub(crate) pass_start: Option<TokenId>,
+    pass_start: Option<TokenId>,
+    /// The rotated keys and values of the open pass's rows, from its first
+    /// token on; empty when no pass is open.
+    held: HeldRows,
     /// The layer's stored input rows, each read once per layer.
     rows: RowTable,
     /// Per layer, the RoPE angle tables of the rows its input slab stores,
@@ -177,9 +198,77 @@ impl DecodeScratch {
 
     /// The logits of the most recent
     /// [`forward_token_with`](crate::decoder::SurrogateModel::forward_token_with)
-    /// call.
+    /// call, or of the last token of the most recent
+    /// [`prefill_extend`](crate::generation::prefill_extend) call, whichever
+    /// came later.
     pub fn logits(&self) -> &[f32] {
         &self.logits
+    }
+
+    /// Opens a pass at `start` unless one is open: every forward until
+    /// [`end_pass`](Self::end_pass) holds its row's keys and values.
+    pub(crate) fn open_pass(&mut self, start: TokenId) {
+        self.pass_start.get_or_insert(start);
+    }
+
+    /// Holds `layer`'s next row of the open pass: a row the pass did not
+    /// compute itself, such as a replayed prefix's.
+    pub(crate) fn hold(&mut self, layer: usize, token: TokenId, keys: &[f32], values: &[f32]) {
+        let start = self.pass_start.expect("rows are held only in an open pass");
+        self.held.push(layer, token - start, keys, values);
+    }
+
+    /// Closes the open pass and drops its held rows.
+    pub(crate) fn end_pass(&mut self) {
+        self.pass_start = None;
+        self.held = HeldRows::default();
+    }
+
+    /// The keys and values of the open pass's rows held for `layer`, flat.
+    #[cfg(test)]
+    pub(crate) fn held_rows(&self, layer: usize) -> (&[f32], &[f32]) {
+        self.held.layer(layer)
+    }
+}
+
+/// The rotated keys and values of the open pass's rows, per layer, in token
+/// order from the pass's first token: `width` (`channels`) floats per row,
+/// head-major.  A `Recompute` entry of the pass reads its key and value
+/// here instead of recomputing them from its stored row.
+#[derive(Debug, Clone, Default)]
+struct HeldRows {
+    width: usize,
+    keys: Vec<Vec<f32>>,
+    values: Vec<Vec<f32>>,
+}
+
+impl HeldRows {
+    /// Appends `layer`'s row `index` (counted from the pass's first token).
+    fn push(&mut self, layer: usize, index: usize, keys: &[f32], values: &[f32]) {
+        if self.keys.len() <= layer {
+            self.keys.resize_with(layer + 1, Vec::new);
+            self.values.resize_with(layer + 1, Vec::new);
+        }
+        self.width = keys.len();
+        // Phase 1 finds a row by its distance from the pass's first token.
+        assert_eq!(self.rows(layer), index, "a pass holds its rows in order");
+        self.keys[layer].extend_from_slice(keys);
+        self.values[layer].extend_from_slice(values);
+    }
+
+    /// The rows held for `layer`.
+    fn rows(&self, layer: usize) -> usize {
+        self.keys
+            .get(layer)
+            .map_or(0, |k| k.len() / self.width.max(1))
+    }
+
+    /// `layer`'s held keys and values, flat.
+    fn layer(&self, layer: usize) -> (&[f32], &[f32]) {
+        match (self.keys.get(layer), self.values.get(layer)) {
+            (Some(k), Some(v)) => (k, v),
+            _ => (&[], &[]),
+        }
     }
 }
 
@@ -431,6 +520,11 @@ impl<'w> MultiHeadAttention<'w> {
         self.project_kv_rotated(x, &scratch.angles, &mut scratch.k, &mut scratch.v);
 
         cache.insert(layer, token, x, &scratch.k, &scratch.v, hd);
+        if let Some(start) = scratch.pass_start {
+            scratch
+                .held
+                .push(layer, token - start, &scratch.k, &scratch.v);
+        }
 
         scratch.concat.clear();
         scratch.concat.resize(self.heads * hd, 0.0);
@@ -473,8 +567,10 @@ impl<'w> MultiHeadAttention<'w> {
     /// Phase 1 for head `h`: one traversal of its entries on its fault lane.
     /// Scores every `Kv` entry from its staged key and stashes its staged
     /// value — stored as they are from `pass_start` on, corrupted before it;
-    /// enters every `Recompute` entry's row in the row table and reserves
-    /// the entry's score and stashed value for phase 2.  Returns
+    /// scores a `Recompute` entry the pass holds from its held key and
+    /// stashes its held value; enters every other `Recompute` entry's row in
+    /// the row table and reserves the entry's score and stashed value for
+    /// phase 2.  Returns
     /// `(recomputed_entries, kv_entries_read)` for this head.
     fn read_head(
         &self,
@@ -495,10 +591,18 @@ impl<'w> MultiHeadAttention<'w> {
             stash,
             kbuf,
             rows,
+            held,
             ..
         } = scratch;
         heads_at.push((scores.len(), stash.len()));
         let qh = &q[h * hd..(h + 1) * hd];
+        let (held_keys, held_values) = held.layer(layer);
+        let held_rows = held.rows(layer);
+        // Where the entry of `token` finds its head's held key and value.
+        let held_at = |token: TokenId| {
+            let index = token.checked_sub(pass_start)?;
+            (index < held_rows).then(|| index * held.width + h * hd)
+        };
         let mut recomputed_entries = 0usize;
         let mut kv_entries_read = 0usize;
 
@@ -522,15 +626,26 @@ impl<'w> MultiHeadAttention<'w> {
                 }
                 PayloadRef::Recompute { x, slot } => {
                     recomputed_entries += 1;
-                    let row = rows.visit(slot, e.token, x, e.high_score);
-                    rows.uses.push(RowUse {
-                        head: h,
-                        row,
-                        entry: scores.len(),
-                        stash: stash.len(),
-                    });
-                    stash.resize(stash.len() + hd, 0.0);
-                    0.0 // scored in phase 2
+                    match held_at(e.token) {
+                        Some(at) => {
+                            let (key, value) = (&held_keys[at..at + hd], &held_values[at..at + hd]);
+                            #[cfg(debug_assertions)]
+                            self.audit_held(h, e.token, x, key, value);
+                            stash.extend_from_slice(value);
+                            kelle_tensor::dot(key, qh) * scale
+                        }
+                        None => {
+                            let row = rows.visit(slot, e.token, x, e.high_score);
+                            rows.uses.push(RowUse {
+                                head: h,
+                                row,
+                                entry: scores.len(),
+                                stash: stash.len(),
+                            });
+                            stash.resize(stash.len() + hd, 0.0);
+                            0.0 // scored in phase 2
+                        }
+                    }
                 }
             };
             scores.push(score);
@@ -651,6 +766,33 @@ impl<'w> MultiHeadAttention<'w> {
                 scores[u.entry] = kelle_tensor::dot(k, &q[head_rows.clone()]) * scale;
             }
         }
+    }
+
+    /// Recomputes head `h`'s key and value of the pass's row `token` from its
+    /// stored input `x`, as phase 2 would, and checks that the held copy
+    /// equals them bit for bit.
+    #[cfg(debug_assertions)]
+    fn audit_held(&self, h: usize, token: TokenId, x: &[f32], key: &[f32], value: &[f32]) {
+        let hd = self.head_dim;
+        let head_rows = h * hd..(h + 1) * hd;
+        let (mut k, mut v) = (vec![0.0; hd], vec![0.0; hd]);
+        self.weights
+            .wk
+            .matvec_rows_into(head_rows.clone(), x, &mut k)
+            .expect("stored input matches channel dimension");
+        self.weights
+            .wv
+            .matvec_rows_into(head_rows, x, &mut v)
+            .expect("stored input matches channel dimension");
+        let angles: Vec<(f32, f32)> = self.rope_angles(token).collect();
+        ops::rotate(&mut k, &angles);
+        let bits = |s: &[f32]| s.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&k), bits(key), "held key of token {token}, head {h}");
+        assert_eq!(
+            bits(&v),
+            bits(value),
+            "held value of token {token}, head {h}"
+        );
     }
 
     /// Phase 3 for head `h`: in-place softmax over its scores, then the

@@ -132,8 +132,10 @@
 //!
 //! An in-pass read skips the lane, not the storage format: under QuaRot it
 //! sees the stored KV4 values, not the FP16 projections.  An AERP row of
-//! the pass is recomputed from its stored `x`, which equals the projection
-//! bit for bit.
+//! the pass is read from the host's copy of its projection, which the pass
+//! holds until pre-fill ends; the device recomputes it from its stored `x`,
+//! which is what `kelle-arch` bills, and a debug build recomputes it too
+//! and checks that the two are equal bit for bit.
 //!
 //! The rule treats "earlier pass" as "has sat in eDRAM long enough to
 //! decay".  Modelling how long a row has sat there — device time per row,

@@ -23,6 +23,13 @@
 //!   calls [`GenerationState::end_pass`];
 //! * a **decode pass** is one [`decode_step`]: the token's own row.
 //!
+//! While a prompt pass is open, the state's scratch holds the rotated keys
+//! and values of its rows, per layer — the rows it computed, and the rows
+//! [`GenerationState::adopt_prefix`] replays, as the segment recorded them
+//! — and attention reads a stored-input (AERP) row of the pass from there
+//! instead of recomputing it (see "The pass rule" in [`crate::attention`]).
+//! Closing the pass drops them, so decoding holds nothing.
+//!
 //! How a prompt is chunked into `prefill_extend` calls therefore changes
 //! nothing a pass reads.  Logits are computed only where someone reads
 //! them: for the last token of each `prefill_extend` call and for every
@@ -41,6 +48,7 @@ use crate::cache::{CacheStats, FullKvCache, KvCacheBackend, TokenId};
 use crate::decoder::SurrogateModel;
 use crate::fault::{FaultInjector, NoFaults};
 use crate::metrics::{FidelityAccumulator, FidelityMetrics};
+use crate::segment::SharedSegment;
 
 /// How a generation run is driven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,37 +200,45 @@ impl GenerationState {
     }
 
     /// Restores the cursor of a fresh state to the end of a replayed shared
-    /// prefix: `tokens` positions are marked processed and `logits` become
-    /// the last-token logits, exactly as if the prefix had been pre-filled
-    /// through the model.  The replayed tokens are **not** counted as
-    /// pre-fill work ([`prefilled_tokens`](GenerationState::prefilled_tokens)
+    /// prefix: the segment's tokens are marked processed and its logits
+    /// become the last-token logits, exactly as if the prefix had been
+    /// pre-filled through the model.  The replayed tokens are **not** counted
+    /// as pre-fill work ([`prefilled_tokens`](GenerationState::prefilled_tokens)
     /// reports computed tokens only — the compute was paid once, at
     /// publication).  The replayed rows open the turn's prompt pass, so the
-    /// rest of the prompt reads them clean, as a cold pre-fill would.
+    /// rest of the prompt reads them clean, as a cold pre-fill would, and
+    /// the pass holds their keys and values as the publication pass
+    /// projected them.
     ///
     /// # Panics
     ///
-    /// Panics if the state has already processed tokens, or if `tokens` is
-    /// zero / `logits` is empty (a prefix snapshot always has both).
-    pub fn adopt_prefix(&mut self, tokens: usize, logits: &[f32]) {
+    /// Panics if the state has already processed tokens, or if the segment
+    /// is empty.
+    pub fn adopt_prefix(&mut self, segment: &SharedSegment) {
         assert_eq!(
             self.position, 0,
             "a prefix can only be adopted by a fresh state"
         );
-        assert!(tokens > 0, "a shared prefix holds at least one token");
-        assert!(!logits.is_empty(), "a prefix snapshot carries logits");
-        self.position = tokens;
+        assert!(
+            !segment.is_empty(),
+            "a shared prefix holds at least one token"
+        );
+        self.position = segment.len();
         self.last_logits.clear();
-        self.last_logits.extend_from_slice(logits);
-        self.scratch.pass_start = Some(0);
+        self.last_logits.extend_from_slice(segment.logits());
+        self.scratch.open_pass(0);
+        segment.for_each_row(|layer, token, keys, values| {
+            self.scratch.hold(layer, token, keys, values)
+        });
     }
 
-    /// Closes the open prompt pass: rows pre-filled so far are read through
-    /// the fault lane by every later pass.  [`prefill`] calls it; a caller
+    /// Closes the open prompt pass and drops the rows it held: rows
+    /// pre-filled so far are read through the fault lane by every later
+    /// pass.  [`prefill`] calls it; a caller
     /// that finishes pre-fill itself after [`prefill_extend`] calls it
     /// alongside [`finish_prefill`](KvCacheBackend::finish_prefill).
     pub fn end_pass(&mut self) {
-        self.scratch.pass_start = None;
+        self.scratch.end_pass();
     }
 }
 
@@ -297,7 +313,7 @@ pub fn prefill_extend(
     );
     let vocab = model.dims().vocab;
     let scratch = &mut state.scratch;
-    scratch.pass_start.get_or_insert(state.position);
+    scratch.open_pass(state.position);
     for tok in tokens {
         model.forward_layers_with(*tok % vocab, state.position, cache, faults, scratch);
         state.position += 1;
@@ -513,6 +529,72 @@ mod tests {
         assert_eq!(generated, one_shot.generated);
         assert_eq!(state.decoded_tokens(), 6);
         assert_eq!(state.position(), 12);
+    }
+
+    /// A prompt pass holds the keys and values of exactly its rows in every
+    /// layer, however it is chunked and whether its prefix was replayed,
+    /// and nothing outlives it.
+    #[test]
+    fn a_prompt_pass_holds_exactly_its_rows() {
+        use crate::fault::{BitFlipRates, ProbabilisticFaults};
+        use crate::segment::SegmentRecorder;
+
+        let m = model();
+        let (layers, channels) = (m.dims().layers, m.dims().channels);
+        let held = |state: &GenerationState| -> Vec<Vec<u32>> {
+            (0..layers)
+                .map(|layer| {
+                    let (keys, values) = state.scratch.held_rows(layer);
+                    assert_eq!(keys.len(), values.len());
+                    keys.iter().chain(values).map(|f| f.to_bits()).collect()
+                })
+                .collect()
+        };
+        let rows = |state: &GenerationState| -> Vec<usize> {
+            held(state)
+                .iter()
+                .map(|l| l.len() / (2 * channels))
+                .collect()
+        };
+        let prompt = [7, 3, 11, 2, 9, 30, 4];
+        let mut faults = NoFaults;
+
+        let mut cache = FullKvCache::new();
+        let mut recorder = SegmentRecorder::new(&mut cache);
+        let mut published = GenerationState::new();
+        let mut done = 0;
+        for chunk in prompt.chunks(3) {
+            prefill_extend(&m, &mut published, chunk, &mut recorder, &mut faults);
+            done += chunk.len();
+            assert_eq!(rows(&published), vec![done; layers]);
+        }
+        let segment = recorder.finish(
+            published.last_logits(),
+            ProbabilisticFaults::new(BitFlipRates::zero(), 1),
+        );
+
+        // A hit holds the replayed rows, bitwise those the publication pass
+        // held, and goes on holding its own.
+        let mut hit = GenerationState::new();
+        hit.adopt_prefix(&segment);
+        assert_eq!(held(&hit), held(&published));
+        let mut replayed = FullKvCache::new();
+        segment.attach_and_replay(&mut replayed);
+        prefill_extend(&m, &mut hit, &[5, 6], &mut replayed, &mut faults);
+        assert_eq!(rows(&hit), vec![prompt.len() + 2; layers]);
+        hit.end_pass();
+        assert_eq!(rows(&hit), vec![0; layers]);
+
+        let mut cache = FullKvCache::new();
+        let mut state = GenerationState::new();
+        prefill(&m, &mut state, &prompt, &mut cache, &mut faults);
+        assert_eq!(rows(&state), vec![0; layers]);
+        prefill_extend(&m, &mut state, &[1, 2], &mut cache, &mut faults);
+        assert_eq!(rows(&state), vec![2; layers]);
+        for _ in 0..3 {
+            decode_step(&m, &mut state, None, &mut cache, &mut faults);
+            assert_eq!(rows(&state), vec![0; layers]);
+        }
     }
 
     #[test]

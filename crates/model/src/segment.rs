@@ -25,6 +25,15 @@
 //! fault snapshot restore the generation cursor, and the expensive part —
 //! the matrix work of the prefix forward passes — is skipped entirely.
 //!
+//! The same log feeds the hit's prompt pass: the recorded keys and values
+//! are the publication pass's own projections of each row, so the hit's
+//! [`GenerationState`](crate::generation::GenerationState) holds them for
+//! its pass and reads the replayed rows without recomputing them.
+//!
+//! The log's pools are compact: recording shrinks them to their lengths,
+//! and an observe label's token is kept as a `u32`, as an insert's is, and
+//! widened back on replay.
+//!
 //! The segment's bytes are shared in the *model*, not in host memory: the
 //! capacity ledger charges a hit's matched tokens once to its shared pool,
 //! however many sessions attach, at the full-scale KV footprint the
@@ -65,8 +74,20 @@ struct ReplayLog {
     keys: Vec<f32>,
     /// Per insert, in order: the flat head-major values row.
     values: Vec<f32>,
-    /// Per observe, in order: the reported scores.
-    scores: Vec<(TokenId, f32)>,
+    /// Per observe, in order: the reported scores, each label's token
+    /// narrowed to `u32` as an insert's is.
+    scores: Vec<(u32, f32)>,
+}
+
+impl ReplayLog {
+    /// Gives back the doubling slack of the pools once recording is done.
+    fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
+        self.xs.shrink_to_fit();
+        self.keys.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.scores.shrink_to_fit();
+    }
 }
 
 /// A prefix boundary marked during recording: the log lengths at the
@@ -126,6 +147,28 @@ impl SharedSegment {
         self.boundary.inserts * 2 * self.log.kv_width * FP16_BYTES
     }
 
+    /// Calls `row(layer, token, keys, values)` for each recorded insert up to
+    /// the boundary, in order: the rotated keys and values the publication
+    /// pass projected for the row.
+    pub(crate) fn for_each_row(&self, mut row: impl FnMut(usize, TokenId, &[f32], &[f32])) {
+        let log = &*self.log;
+        let w = log.kv_width;
+        let inserts = log.events[..self.boundary.events]
+            .iter()
+            .filter_map(|event| match *event {
+                ReplayEvent::Insert { layer, token } => Some((layer, token)),
+                ReplayEvent::Observe { .. } => None,
+            });
+        for (i, (layer, token)) in inserts.enumerate() {
+            row(
+                layer as usize,
+                token as usize,
+                &log.keys[i * w..(i + 1) * w],
+                &log.values[i * w..(i + 1) * w],
+            );
+        }
+    }
+
     /// Replays the recorded insert/observe sequence into a fresh cache,
     /// reproducing the exact backend state a cold pre-fill of the prefix
     /// would have built — without any model compute.
@@ -138,6 +181,7 @@ impl SharedSegment {
         let log = &*self.log;
         let (c, w) = (log.channels, log.kv_width);
         let (mut row, mut score) = (0, 0);
+        let mut labels: Vec<(TokenId, f32)> = Vec::new();
         for event in &log.events[..self.boundary.events] {
             match *event {
                 ReplayEvent::Insert { layer, token } => {
@@ -153,7 +197,13 @@ impl SharedSegment {
                 }
                 ReplayEvent::Observe { layer, head, len } => {
                     let end = score + len as usize;
-                    cache.observe_attention(layer as usize, head as usize, &log.scores[score..end]);
+                    labels.clear();
+                    labels.extend(
+                        log.scores[score..end]
+                            .iter()
+                            .map(|&(token, p)| (token as TokenId, p)),
+                    );
+                    cache.observe_attention(layer as usize, head as usize, &labels);
                     score = end;
                 }
             }
@@ -243,7 +293,9 @@ impl<'a> SegmentRecorder<'a> {
             !self.boundaries.is_empty(),
             "cannot publish an empty prefix hierarchy"
         );
-        let log = Arc::new(self.log);
+        let mut log = self.log;
+        log.shrink_to_fit();
+        let log = Arc::new(log);
         self.boundaries
             .into_iter()
             .map(|boundary| SharedSegment {
@@ -323,7 +375,9 @@ impl KvCacheBackend for SegmentRecorder<'_> {
             head: head as u32,
             len: scores.len() as u32,
         });
-        self.log.scores.extend_from_slice(scores);
+        self.log
+            .scores
+            .extend(scores.iter().map(|&(token, p)| (token as u32, p)));
         self.inner.observe_attention(layer, head, scores);
     }
 

@@ -451,7 +451,7 @@ proptest! {
             let mut hit = policy.build(budget, heads);
             segment.attach_and_replay(hit.as_mut());
             let mut state = GenerationState::new();
-            state.adopt_prefix(segment.len(), segment.logits());
+            state.adopt_prefix(&segment);
             prefill(&model, &mut state, rest, hit.as_mut(), &mut NoFaults);
             for step in 0..decode_len + budget.max_tokens {
                 decode_step(&model, &mut state, None, hit.as_mut(), &mut NoFaults);

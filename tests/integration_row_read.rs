@@ -343,6 +343,79 @@ fn the_pass_rule_is_independent_of_chunking() {
     }
 }
 
+/// One insert a backend was handed.
+#[derive(Debug)]
+struct Insert {
+    layer: usize,
+    token: TokenId,
+    x: Vec<f32>,
+    keys: Vec<f32>,
+    values: Vec<f32>,
+}
+
+/// Records each insert it is handed.
+#[derive(Debug, Default)]
+struct Inserts(Vec<Insert>);
+
+impl KvCacheBackend for Inserts {
+    fn insert(&mut self, layer: usize, token: TokenId, x: &[f32], k: &[f32], v: &[f32], _: usize) {
+        self.0.push(Insert {
+            layer,
+            token,
+            x: x.to_vec(),
+            keys: k.to_vec(),
+            values: v.to_vec(),
+        });
+    }
+
+    fn for_each_entry(&self, _: usize, _: usize, _: &mut dyn for<'e> FnMut(EntryRef<'e>)) {}
+
+    fn observe_attention(&mut self, _: usize, _: usize, _: &[(TokenId, f32)]) {}
+
+    fn stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
+
+    fn name(&self) -> &'static str {
+        "inserts"
+    }
+}
+
+/// A prefix hit holds its replayed rows' keys and values for its prompt
+/// pass instead of recomputing them, which is sound only if the segment
+/// recorded each row's own projection: every replayed insert's keys and
+/// values equal, bit for bit, what `project_kv_into` makes of its `x` at
+/// its token, in every layer, for every policy.
+#[test]
+fn a_published_segment_records_the_projection_of_every_row() {
+    let (model, budget, prompt) = fixture();
+    let dims = *model.dims();
+    let bits = |s: &[f32]| s.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    for policy in CachePolicy::all() {
+        let mut backing = policy.build(budget, dims.heads);
+        let mut recorder = SegmentRecorder::new(backing.as_mut());
+        let mut state = GenerationState::new();
+        let mut faults = two_drp(7);
+        for chunk in prompt.chunks(10) {
+            prefill_extend(&model, &mut state, chunk, &mut recorder, &mut faults);
+        }
+        let segment = recorder.finish(state.last_logits(), faults);
+
+        let mut replayed = Inserts::default();
+        segment.attach_and_replay(&mut replayed);
+        assert_eq!(replayed.0.len(), prompt.len() * dims.layers);
+        let (mut k, mut v) = (Vec::new(), Vec::new());
+        for insert in &replayed.0 {
+            let (layer, token) = (insert.layer, insert.token);
+            let attention = MultiHeadAttention::new(&model.weights().layers[layer], dims.heads);
+            attention.project_kv_into(&insert.x, token, &mut k, &mut v);
+            let at = format!("{} layer {layer} token {token}", policy.name());
+            assert_eq!(bits(&insert.keys), bits(&k), "keys, {at}");
+            assert_eq!(bits(&insert.values), bits(&v), "values, {at}");
+        }
+    }
+}
+
 /// A decode step is a pass of one token: it reads every stored row but its
 /// own through the lane.  The words it examines are the census of what the
 /// cache holds after the step less the step's own token, which the cache
