@@ -244,7 +244,8 @@ pub enum ShedReason {
     /// timeout and was never admitted.
     QueueTimeout,
     /// The request was cancelled via
-    /// [`BatchScheduler::cancel`](crate::scheduler::BatchScheduler::cancel).
+    /// [`BatchScheduler::cancel_with`](crate::scheduler::BatchScheduler::cancel_with)
+    /// or [`ServingFront::cancel`](crate::front::ServingFront::cancel).
     Cancelled,
     /// The request was still waiting when the scheduler drained.
     Drained,

@@ -14,16 +14,17 @@
 //! * [`KelleEngine::serve`] — the batch entry point: a continuous-batching
 //!   scheduler that interleaves decode steps across many sessions, with every
 //!   execution axis selected through [`ServeOptions`] — shared-capacity
-//!   arbitration and admission policy ([`SchedulerConfig`]), inline vs.
-//!   worker-pool execution ([`ServeOptions::parallel`]) and token streaming
-//!   ([`ServeOptions::streaming`]).  Token streams are bit-identical across
-//!   every axis combination; only cost, ordering and metrics change.
+//!   arbitration and admission policy ([`SchedulerConfig`]), the worker
+//!   count of its [`WorkerPool`] ([`ServeOptions::parallel`]) and token
+//!   streaming ([`ServeOptions::streaming`]).  Token streams are
+//!   bit-identical across every axis combination; only cost, ordering and
+//!   metrics change.
 //!
 //! (The non-blocking submit/poll front-end, [`KelleEngine::front`], lives in
 //! [`crate::front`].)
 
 use crate::chaos::ServeError;
-use crate::parallel::{InlineExecutor, StepExecutor, WorkerPool};
+use crate::parallel::WorkerPool;
 use crate::prefix::{
     PrefixHit, PrefixKey, PrefixSharingConfig, PrefixStore, PrefixStoreStats, MIN_PREFIX_TOKENS,
 };
@@ -57,11 +58,11 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Cross-session prefix KV sharing (see [`crate::prefix`]).
     pub prefix: PrefixSharingConfig,
-    /// Worker threads used by [`KelleEngine::serve`] under
-    /// [`ServeOptions::parallel`] and by [`KelleEngine::front`] (see
-    /// [`crate::parallel`]).  `1` (the default) still runs the full
-    /// coordinator/worker protocol on a single worker; token streams and
-    /// batch metrics are bit-identical for every value.
+    /// Shards of the [`WorkerPool`] that [`KelleEngine::serve`] under
+    /// [`ServeOptions::parallel`] and [`KelleEngine::front`] run on (see
+    /// [`crate::parallel`]).  `1` (the default) is one shard on the calling
+    /// thread, the pool a batch without `parallel` runs on; token streams
+    /// and batch metrics are bit-identical for every value.
     pub workers: usize,
 }
 
@@ -176,13 +177,13 @@ impl EngineBuilder {
         self.prefix_sharing(PrefixSharingConfig::enabled())
     }
 
-    /// Sets the number of workers [`KelleEngine::serve`] under
-    /// [`ServeOptions::parallel`] and [`KelleEngine::front`] fan per-session
-    /// prefill/decode steps out to: the calling thread plus `workers − 1`
-    /// scoped threads (see [`crate::parallel`] for the threading model).
-    /// Clamped to at least 1, which spawns no thread;
-    /// the worker count never changes token streams, fault statistics or
-    /// batch metrics — only wall-clock time.
+    /// Sets the number of [`WorkerPool`] shards [`KelleEngine::serve`] under
+    /// [`ServeOptions::parallel`] and [`KelleEngine::front`] pin sessions to:
+    /// the calling thread plus `workers − 1` scoped threads (see
+    /// [`crate::parallel`] for the threading model).  Clamped to at least 1,
+    /// one shard on the calling thread, which spawns no thread; the worker
+    /// count never changes token streams, fault statistics or batch metrics
+    /// — only wall-clock time.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers.max(1);
         self
@@ -291,10 +292,11 @@ impl EngineStats {
 ///   admission policy, tiering, chaos injection and the
 ///   [`SloSpec`](crate::scheduler::SloSpec) the batch's
 ///   [`SloReport`](crate::scheduler::SloReport) is graded against.
-/// * **Execution** — [`parallel`](ServeOptions::parallel) fans per-session
-///   prefill/decode compute across the engine's configured
-///   [`workers`](EngineBuilder::workers); the default runs inline on the
-///   calling thread.  Token streams are bit-identical either way.
+/// * **Execution** — every batch runs on one [`WorkerPool`];
+///   [`parallel`](ServeOptions::parallel) gives it the engine's configured
+///   [`workers`](EngineBuilder::workers) shards instead of the default one,
+///   the calling thread.  Token streams and batch metrics are bit-identical
+///   either way.
 /// * **Streaming** — [`streaming`](ServeOptions::streaming) registers a
 ///   `(request_index, token)` sink invoked on the coordinating thread in
 ///   exactly the order single-threaded serving would deliver tokens.
@@ -336,8 +338,8 @@ impl std::fmt::Debug for ServeOptions<'_> {
 }
 
 impl<'cb> ServeOptions<'cb> {
-    /// Default options: default scheduler (unbounded capacity), inline
-    /// execution, no streaming sink.
+    /// Default options: default scheduler (unbounded capacity), a one-shard
+    /// pool on the calling thread, no streaming sink.
     pub fn new() -> Self {
         ServeOptions::default()
     }
@@ -349,10 +351,11 @@ impl<'cb> ServeOptions<'cb> {
         self
     }
 
-    /// Fans per-session compute across the engine's configured workers: the
-    /// calling thread and `workers − 1` scoped threads (see
-    /// [`crate::parallel`]).  Bit-identical streams, fault statistics and
-    /// batch metrics for every worker count.
+    /// Runs the batch on a pool of the engine's configured
+    /// [`workers`](EngineBuilder::workers) shards — the calling thread and
+    /// `workers − 1` scoped threads (see [`crate::parallel`]) — instead of
+    /// one.  Bit-identical streams, fault statistics and batch metrics for
+    /// every worker count.
     pub fn parallel(mut self) -> Self {
         self.parallel = true;
         self
@@ -369,11 +372,6 @@ impl<'cb> ServeOptions<'cb> {
     /// The scheduler configuration the batch will run under.
     pub fn scheduler(&self) -> &SchedulerConfig {
         &self.scheduler
-    }
-
-    /// Whether the batch fans out across the engine's workers.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
     }
 }
 
@@ -627,8 +625,8 @@ impl KelleEngine {
     ///
     /// [`ServeOptions`] selects every execution axis: the scheduler
     /// configuration (shared-capacity arbitration, admission policy,
-    /// tiering, chaos, SLO spec), inline vs. worker-pool execution, and an
-    /// optional streaming sink.  Requests carrying an
+    /// tiering, chaos, SLO spec), the worker count, and an optional
+    /// streaming sink.  Requests carrying an
     /// [`arrival_tick`](ServeRequest::arrival_tick) join the waiting queue
     /// at that scheduler tick instead of immediately, which is how trace
     /// replay drives open-loop arrivals.
@@ -671,33 +669,29 @@ impl KelleEngine {
             parallel,
             sink,
         } = options;
-        if parallel {
-            std::thread::scope(|scope| {
-                let mut pool = WorkerPool::start(scope, self.config.workers);
-                self.serve_on(requests, scheduler, sink, &mut pool)
-            })
-        } else {
-            self.serve_on(requests, scheduler, sink, &mut InlineExecutor::default())
-        }
+        let workers = if parallel { self.config.workers } else { 1 };
+        std::thread::scope(|scope| {
+            let mut pool = WorkerPool::start(scope, workers);
+            self.serve_on(requests, scheduler, sink, &mut pool)
+        })
     }
 
-    /// [`serve`](KelleEngine::serve) on a given executor: the whole list is
+    /// [`serve`](KelleEngine::serve) on a given pool: the whole list is
     /// enqueued and then admitted at once, so the prefills that fit reach
-    /// the executor in one [`admit`](StepExecutor::admit) call and fan out
-    /// over the shards.
+    /// the pool in one admit call and fan out over its shards.
     fn serve_on<'e>(
         &'e self,
         requests: Vec<ServeRequest>,
         config: SchedulerConfig,
         mut sink: Option<&mut dyn FnMut(usize, usize)>,
-        executor: &mut dyn StepExecutor<'e>,
+        pool: &mut WorkerPool<'e>,
     ) -> Result<BatchOutcome, ServeError> {
         let mut scheduler = BatchScheduler::with_config(self, config);
         for request in requests {
             scheduler.enqueue(request);
         }
-        scheduler.admit_waiting(executor);
-        scheduler.run_with(executor, |event| {
+        scheduler.admit_waiting(pool);
+        scheduler.run_with(pool, |event| {
             if let (ServeEvent::Token { request, token, .. }, Some(sink)) = (event, &mut sink) {
                 sink(request, token);
             }
@@ -714,7 +708,6 @@ impl KelleEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{Admission, Prefilled, ResidentStep, StepRequest, TaskFailure};
 
     fn engine() -> KelleEngine {
         KelleEngine::new(EngineConfig::default())
@@ -878,41 +871,18 @@ mod tests {
         assert!((sum.hardware_energy_j - 8.0).abs() < 1e-12);
     }
 
-    /// An [`InlineExecutor`] that writes down what each `admit` call carried.
-    #[derive(Default)]
-    struct Recording<'e> {
-        inner: InlineExecutor<'e>,
-        /// Request indices of every `admit` call, in call order.
-        admits: Vec<Vec<usize>>,
-    }
-
-    impl<'e> StepExecutor<'e> for Recording<'e> {
-        fn admit(&mut self, admissions: Vec<Admission<'e>>) -> Vec<Result<Prefilled, TaskFailure>> {
-            self.admits
-                .push(admissions.iter().map(Admission::index).collect());
-            self.inner.admit(admissions)
-        }
-
-        fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>> {
-            self.inner.step(requests)
-        }
-
-        fn take(&mut self, index: usize) -> Option<Session<'e>> {
-            self.inner.take(index)
-        }
-    }
-
     #[test]
     fn serve_hands_a_whole_list_to_the_executor_in_one_admit_call() {
         let engine = engine();
         let requests: Vec<ServeRequest> = (0..5)
             .map(|i| ServeRequest::new(vec![i + 1, i + 2, i + 3], 2))
             .collect();
-        let mut executor = Recording::default();
+        // The pool logs the request indices of every admit call.
+        let mut pool = WorkerPool::default();
         let batch = engine
-            .serve_on(requests, SchedulerConfig::default(), None, &mut executor)
+            .serve_on(requests, SchedulerConfig::default(), None, &mut pool)
             .unwrap();
-        assert_eq!(executor.admits, vec![vec![0, 1, 2, 3, 4]]);
+        assert_eq!(pool.admits, vec![vec![0, 1, 2, 3, 4]]);
         assert_eq!(batch.contention.total_queue_ticks, 0);
     }
 }

@@ -97,7 +97,7 @@ use parking_lot::Mutex;
 
 use crate::chaos::{ServeError, ShedReason};
 use crate::engine::KelleEngine;
-use crate::parallel::{StepExecutor, WorkerPool};
+use crate::parallel::WorkerPool;
 use crate::scheduler::{BatchOutcome, BatchScheduler, SchedulerConfig, StepEvent};
 use crate::session::ServeRequest;
 
@@ -246,9 +246,10 @@ impl TokenStream {
 /// The live serving front-end inside [`KelleEngine::front`] — submit
 /// requests, poll streams, cancel, drain.  See the [module docs](crate::front)
 /// for the pumping and backpressure model.
-pub struct ServingFront<'x, 'e> {
+pub struct ServingFront<'e> {
     scheduler: BatchScheduler<'e>,
-    executor: &'x mut dyn StepExecutor<'e>,
+    /// Where the scheduler's sessions live, for the front's whole life.
+    pool: WorkerPool<'e>,
     streams: Vec<Arc<Mutex<StreamState>>>,
     /// Requests whose stream had not terminated when backpressure last
     /// looked — all it walks, so a long-lived front's finished requests cost
@@ -259,7 +260,7 @@ pub struct ServingFront<'x, 'e> {
     worker_losses: Vec<ServeError>,
 }
 
-impl std::fmt::Debug for ServingFront<'_, '_> {
+impl std::fmt::Debug for ServingFront<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServingFront")
             .field("submitted", &self.streams.len())
@@ -270,16 +271,16 @@ impl std::fmt::Debug for ServingFront<'_, '_> {
     }
 }
 
-impl<'x, 'e> ServingFront<'x, 'e> {
+impl<'e> ServingFront<'e> {
     fn new(
         scheduler: BatchScheduler<'e>,
-        executor: &'x mut dyn StepExecutor<'e>,
+        pool: WorkerPool<'e>,
         queue_capacity: Option<usize>,
         stream_capacity: Option<usize>,
     ) -> Self {
         Self {
             scheduler,
-            executor,
+            pool,
             streams: Vec::new(),
             live: Vec::new(),
             queue_capacity,
@@ -330,7 +331,7 @@ impl<'x, 'e> ServingFront<'x, 'e> {
     fn full_queue(&mut self) -> Option<usize> {
         let capacity = self.queue_capacity?;
         if self.scheduler.waiting() >= capacity {
-            self.scheduler.admit_waiting(self.executor);
+            self.scheduler.admit_waiting(&mut self.pool);
         }
         let waiting = self.scheduler.waiting();
         (waiting >= capacity).then_some(waiting)
@@ -359,7 +360,7 @@ impl<'x, 'e> ServingFront<'x, 'e> {
     /// Runs one cooperative scheduler tick: admits everything submitted
     /// since the last pump (one batch of prefills across the worker shards),
     /// applies stream backpressure, steps every unpaused active session
-    /// through the executor, and delivers the committed tokens and sheds
+    /// on the pool, and delivers the committed tokens and sheds
     /// into their streams — so a request's first token arrives with the
     /// pump that follows its submit.  Returns whether the call made
     /// progress (delivered an event or changed admission state); `false`
@@ -373,14 +374,14 @@ impl<'x, 'e> ServingFront<'x, 'e> {
     pub fn pump(&mut self) -> bool {
         // First, so backpressure and the progress verdict below see the
         // state eager admission would have left behind.
-        self.scheduler.admit_waiting(self.executor);
+        self.scheduler.admit_waiting(&mut self.pool);
         self.apply_backpressure();
         if self.scheduler.is_idle() {
             return false;
         }
         let before = (self.scheduler.active(), self.scheduler.waiting());
         let mut delivered = 0usize;
-        match self.scheduler.try_step_with(self.executor) {
+        match self.scheduler.try_step_with(&mut self.pool) {
             Ok(events) => {
                 delivered += events.len();
                 self.deliver(&events);
@@ -411,13 +412,13 @@ impl<'x, 'e> ServingFront<'x, 'e> {
         }
     }
 
-    /// Cancels a request mid-stream through the executor (the resident
-    /// session is taken back so its partial turn finalizes for real).  The stream
+    /// Cancels a request mid-stream on the pool (the resident session is
+    /// taken back so its partial turn finalizes for real).  The stream
     /// terminates with [`ShedReason::Cancelled`]; tokens generated so far
     /// stay buffered and in the final outcome.  Returns `false` when the
     /// request is unknown or already finished.
     pub fn cancel(&mut self, request: usize) -> bool {
-        let cancelled = self.scheduler.cancel_with(request, self.executor);
+        let cancelled = self.scheduler.cancel_with(request, &mut self.pool);
         self.deliver_sheds();
         cancelled
     }
@@ -429,7 +430,7 @@ impl<'x, 'e> ServingFront<'x, 'e> {
     /// the way are absorbed into
     /// [`worker_losses`](ServingFront::worker_losses).
     pub fn drain(&mut self) {
-        self.scheduler.admit_waiting(self.executor);
+        self.scheduler.admit_waiting(&mut self.pool);
         self.scheduler.begin_drain();
         self.deliver_sheds();
         while !self.scheduler.is_idle() {
@@ -502,7 +503,7 @@ impl<'x, 'e> ServingFront<'x, 'e> {
             self.scheduler.set_paused(index, false);
         }
         while !self.scheduler.is_idle() {
-            match self.scheduler.try_step_with(self.executor) {
+            match self.scheduler.try_step_with(&mut self.pool) {
                 Ok(events) => self.deliver(&events),
                 Err(error) => self.worker_losses.push(error),
             }
@@ -517,7 +518,7 @@ impl<'x, 'e> ServingFront<'x, 'e> {
 impl KelleEngine {
     /// Opens a [`ServingFront`] over this engine and hands it to `serve`.
     ///
-    /// The [`WorkerPool`] runs
+    /// The front owns a [`WorkerPool`] of
     /// [`workers`](crate::engine::EngineBuilder::workers) shards for the
     /// duration of the call: shard 0 on the calling thread, the others on
     /// scoped threads.  When `serve` returns, any requests still
@@ -531,7 +532,7 @@ impl KelleEngine {
     pub fn front<R>(
         &self,
         config: FrontConfig,
-        serve: impl FnOnce(&mut ServingFront<'_, '_>) -> R,
+        serve: impl FnOnce(&mut ServingFront<'_>) -> R,
     ) -> (R, BatchOutcome) {
         let FrontConfig {
             scheduler,
@@ -539,10 +540,12 @@ impl KelleEngine {
             stream_capacity,
         } = config;
         std::thread::scope(|scope| {
-            let scheduler = BatchScheduler::with_config(self, scheduler);
-            let mut pool = WorkerPool::start(scope, self.config().workers);
-            let mut front =
-                ServingFront::new(scheduler, &mut pool, queue_capacity, stream_capacity);
+            let mut front = ServingFront::new(
+                BatchScheduler::with_config(self, scheduler),
+                WorkerPool::start(scope, self.config().workers),
+                queue_capacity,
+                stream_capacity,
+            );
             let result = serve(&mut front);
             (result, front.into_outcome())
         })

@@ -85,13 +85,14 @@
 //!   [`CapacityLedger`](kelle_edram::CapacityLedger), the contention
 //!   metrics of [`BatchOutcome`] and the [`SloReport`] graded against a
 //!   configurable [`SloSpec`];
-//! * [`parallel`] — the threaded serving back-end:
-//!   [`ServeOptions::parallel`] pins each session to one of
-//!   [`EngineBuilder::workers`] shards ([`WorkerPool`]: the calling thread
-//!   and `workers − 1` scoped threads), where it lives from its admission
+//! * [`parallel`] — the one executor, [`WorkerPool`]: every batch pins each
+//!   session to one of its shards, where it lives from its admission
 //!   prefill until it finishes, so only per-tick step results cross
-//!   threads — with bit-identical token streams, fault
-//!   statistics and batch metrics for every worker count;
+//!   threads.  A plain [`KelleEngine::serve`] runs one shard on the calling
+//!   thread; [`ServeOptions::parallel`] runs [`EngineBuilder::workers`] —
+//!   the calling thread and `workers − 1` scoped threads — with
+//!   bit-identical token streams, fault statistics and batch metrics for
+//!   every worker count;
 //! * [`front`] — the non-blocking serving front-end:
 //!   [`KelleEngine::front`] opens submit/poll sessions with per-request
 //!   [`TokenStream`]s, typed admission backpressure
@@ -137,10 +138,7 @@ pub use experiment::{EndToEndRow, EndToEndSummary};
 pub use front::{FrontConfig, ServingFront, StreamPoll, SubmitError, TokenStream};
 pub use kelle_cache::CachePolicy;
 pub use kelle_model::fault::fault_injector_for_policy;
-pub use parallel::{
-    Admission, InlineExecutor, ParallelMetrics, Prefilled, ResidentStep, StepExecutor, StepRequest,
-    TaskFailure, WorkerPool,
-};
+pub use parallel::{ParallelMetrics, WorkerPool};
 pub use prefix::{
     PrefixHit, PrefixKey, PrefixSharingConfig, PrefixStore, PrefixStoreStats, RadixPrefixIndex,
 };

@@ -1,34 +1,36 @@
 //! Threaded serving back-end: deterministic multi-worker decode over the
-//! batch scheduler, through one resident-session tick protocol.
+//! batch scheduler, on one executor, the [`WorkerPool`].
 //!
 //! Kelle's serving story keeps the accelerator fed by many concurrent
 //! sessions whose KV state *stays put*.  The functional model has the same
-//! shape: a session lives on its executor from admission to finalization,
+//! shape: a session lives on its pool shard from admission to finalization,
 //! and only results cross back to the coordinator.
 //!
 //! # The protocol
 //!
-//! The [`BatchScheduler`] drives every tick through a [`StepExecutor`]:
+//! The [`BatchScheduler`] drives every tick through a [`WorkerPool`] in
+//! three crate-private calls:
 //!
-//! 1. [`admit`](StepExecutor::admit) — run a planned prefill *where the
-//!    session will live* and keep it there; a [`Prefilled`] (cursors and a
-//!    hit count, no session) comes back.
-//! 2. [`step`](StepExecutor::step) — decode one token on each named resident
-//!    session; a [`ResidentStep`] per survivor and a [`TaskFailure`] per
-//!    panicked step come back.
-//! 3. [`take`](StepExecutor::take) — hand a session back for completion,
-//!    shed or cancellation.
+//! 1. **admit** — run a planned prefill *where the session will live* and
+//!    keep it there; only its cursors and prefix-hit count come back;
+//! 2. **step** — decode one token on each named resident session; one result
+//!    per survivor and one failure per panicked step come back;
+//! 3. **take** — hand a session back for completion, shed or cancellation.
 //!
-//! Both executors run the same private shard body: [`InlineExecutor`] is one
-//! shard on the caller's thread; a [`WorkerPool`] of `workers` shards runs
-//! shard 0 on the caller's thread too and each of the other `workers − 1`
-//! on a scoped thread of its own behind a mailbox, with request `index`
-//! pinned to shard `index % workers`.  So every worker is a busy thread:
-//! the caller decodes its own shard's sessions while the threads decode
-//! theirs, instead of waking them and sleeping.  A session costs two queue
-//! crossings in its lifetime — handed into its pool shard with its prefill,
-//! handed back when taken (shard 0's cross no thread) — none per tick, and
-//! never migrates; [`ParallelMetrics`] reports both.
+//! A pool of `workers` shards runs shard 0 on the caller's thread and each
+//! of the other `workers − 1` on a scoped thread of its own behind a
+//! mailbox, with request `index` pinned to shard `index % workers`.  So
+//! every worker is a busy thread: the caller decodes its own shard's
+//! sessions while the threads decode theirs, instead of waking them and
+//! sleeping.  A one-shard pool — [`WorkerPool::default`], or
+//! [`WorkerPool::start`] at one worker — is that caller shard alone: no
+//! thread, no channel, no scope.  It is what the scheduler's own
+//! [`submit`](crate::scheduler::BatchScheduler::submit) /
+//! [`step`](crate::scheduler::BatchScheduler::step) and a plain
+//! [`KelleEngine::serve`](crate::engine::KelleEngine::serve) run on.  A
+//! session costs two queue crossings in its lifetime — handed into its shard
+//! with its prefill, handed back when taken (shard 0's cross no thread) —
+//! none per tick, and never migrates; [`ParallelMetrics`] reports both.
 //! Everything else stays on the coordinator: the waiting queue, admission
 //! decisions and their prefix-store *plans* (in admission order), the
 //! [`CapacityLedger`](kelle_edram::CapacityLedger), timings and statistics.
@@ -49,10 +51,9 @@
 //! by request index before committing — ledger growth, completions (hardware
 //! simulation, `f64` accumulation) and admission back-fill happen in
 //! submission order.  Streams, probability bits, fault statistics and every
-//! [`BatchOutcome`] metric are therefore bit-identical to single-threaded
-//! serving at every worker count, panic storm or not — CI gates it at
-//! `KELLE_TEST_WORKERS=1,2,4` with the
-//! `integration_{parallel,front,chaos}` suites.
+//! [`BatchOutcome`] metric are therefore bit-identical at every worker
+//! count, panic storm or not — CI gates it at `KELLE_TEST_WORKERS=1,2,4`
+//! with the `integration_{parallel,front,chaos}` suites.
 //!
 //! [`BatchScheduler`]: crate::scheduler::BatchScheduler
 //! [`BatchOutcome`]: crate::scheduler::BatchOutcome
@@ -69,9 +70,8 @@ use std::thread::Scope;
 /// Cross-thread traffic counters for one batch, reported on
 /// [`BatchOutcome::parallel`](crate::scheduler::BatchOutcome::parallel).
 ///
-/// These measure the *executor protocol*, not the streams: every executor
-/// produces bit-identical tokens.  Inline execution moves nothing across
-/// threads and counts zero crossings.
+/// These measure the *executor protocol*, not the streams: every worker
+/// count produces bit-identical tokens, and the same counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelMetrics {
     /// Whole-session handoffs into and out of a pool shard: +1 when a
@@ -105,7 +105,7 @@ impl ParallelMetrics {
 /// session together with its planned prefill — the prefix hit to replay, if
 /// any, resolved on the coordinator; executing it touches no shared state.
 #[derive(Debug)]
-pub struct Admission<'e> {
+pub(crate) struct Admission<'e> {
     index: usize,
     session: Session<'e>,
     tokens: Vec<usize>,
@@ -126,31 +126,25 @@ impl<'e> Admission<'e> {
             plan,
         }
     }
-
-    /// The request index (submission order) being admitted.
-    pub fn index(&self) -> usize {
-        self.index
-    }
 }
 
 /// What comes back from a completed [`Admission`]: everything the coordinator
 /// needs to activate the slot — and not the session, which stays resident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Prefilled {
+pub(crate) struct Prefilled {
     /// The request index the session belongs to.
     pub index: usize,
     /// Prompt tokens whose prefill was actually computed.
     pub computed: usize,
     /// Prompt tokens replayed from a shared prefix segment instead.
     pub prefix_hit_tokens: usize,
-    /// The pool shard the session now lives on (`None`: inline, on the
-    /// caller's thread).
-    pub worker: Option<usize>,
+    /// The pool shard the session now lives on.
+    pub worker: usize,
 }
 
 /// One session's share of a decode fan-out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepRequest {
+pub(crate) struct StepRequest {
     /// The resident session to step.
     pub index: usize,
     /// Chaos: checkpoint the session before stepping (it sits at a committed
@@ -166,7 +160,7 @@ pub struct StepRequest {
 /// One decode step of a resident session: everything the coordinator needs
 /// to commit the tick, and nothing else.
 #[derive(Debug, Clone)]
-pub struct ResidentStep {
+pub(crate) struct ResidentStep {
     /// The request index (submission order) the step belongs to.
     pub index: usize,
     /// The decoded step (token, probability bits, fault draws).
@@ -175,15 +169,15 @@ pub struct ResidentStep {
     pub tokens_before: usize,
     /// Session position after the step (for the lease-growth delta).
     pub position: usize,
-    /// The shard that ran the step (`None`: inline).
-    pub worker: Option<usize>,
+    /// The shard that ran the step.
+    pub worker: usize,
 }
 
 /// A prefill or step that could not run to completion — it panicked, or it
-/// named a session this executor does not hold.  The tick survives: other
+/// named a session this pool does not hold.  The tick survives: other
 /// results still commit and the scheduler decides between replay and shed.
 #[derive(Debug, Clone)]
-pub struct TaskFailure {
+pub(crate) struct TaskFailure {
     index: usize,
     message: String,
 }
@@ -212,33 +206,6 @@ fn panic_message(cause: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Where sessions live while the [`BatchScheduler`](crate::scheduler::BatchScheduler)
-/// serves them (see the [module docs](self) for the protocol).
-///
-/// Results may come back in any order — the scheduler re-establishes
-/// determinism at commit time by sorting on request index — but every
-/// admission and every step request is answered exactly once, and a panic
-/// inside one never unwinds the caller or disturbs another session.  A
-/// scheduler must be driven through one executor from its first submission
-/// to its last take: sessions admitted to one executor are not resident on
-/// another, whose steps for them fail with a [`TaskFailure`] naming the
-/// request.
-pub trait StepExecutor<'e> {
-    /// Runs every planned prefill on the shard its session is pinned to and
-    /// leaves the session resident there.  A panicked prefill loses its
-    /// session and reports a [`TaskFailure`].
-    fn admit(&mut self, admissions: Vec<Admission<'e>>) -> Vec<Result<Prefilled, TaskFailure>>;
-
-    /// Decodes one step on each named resident session without moving it.
-    /// A panicked step restores the session from its checkpoint in place
-    /// when it has one ([`StepRequest::checkpoint`]) and drops it otherwise.
-    fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>>;
-
-    /// Takes the resident session for `index` back (completion, shed,
-    /// cancellation); `None` when this executor does not hold it.
-    fn take(&mut self, index: usize) -> Option<Session<'e>>;
-}
-
 /// A resident session and, under chaos, a fork of it at its last committed
 /// boundary (the checkpoint a panicked step is restored from).
 #[derive(Debug)]
@@ -248,13 +215,13 @@ struct Resident<'e> {
 }
 
 /// The one body of the resident-session protocol: a map of the sessions that
-/// live here and the three operations on it.  [`InlineExecutor`] is one
-/// shard on the caller's thread; a [`WorkerPool`] is one per worker, shard 0
-/// on the caller's thread and the others on threads of their own.
+/// live here and the three operations on it.  A [`WorkerPool`] has one per
+/// worker, shard 0 on the caller's thread and the others on threads of
+/// their own.
 #[derive(Debug, Default)]
 struct Shard<'e> {
-    /// Pool shard id stamped on results (`None`: inline).
-    worker: Option<usize>,
+    /// Pool shard id stamped on results.
+    worker: usize,
     resident: HashMap<usize, Resident<'e>>,
 }
 
@@ -299,15 +266,12 @@ impl<'e> Shard<'e> {
             sabotage,
         } = request;
         let Some(resident) = self.resident.get_mut(&index) else {
-            let place = match self.worker {
-                Some(shard) => format!("pool shard {shard}"),
-                None => "the inline executor".to_string(),
-            };
             return Err(TaskFailure {
                 index,
                 message: format!(
-                    "request {index} is not resident on {place}: \
-                     it was admitted through a different executor, or already taken"
+                    "request {index} is not resident on pool shard {}: \
+                     it was admitted through a different pool, or already taken",
+                    self.worker
                 ),
             });
         };
@@ -356,37 +320,9 @@ impl<'e> Shard<'e> {
     }
 }
 
-/// Keeps every session on the calling thread and steps them in order — the
-/// executor behind the classic single-threaded
-/// [`BatchScheduler::step`](crate::scheduler::BatchScheduler::step) /
-/// [`BatchScheduler::submit`](crate::scheduler::BatchScheduler::submit).
-#[derive(Debug, Default)]
-pub struct InlineExecutor<'e> {
-    shard: Shard<'e>,
-}
-
-impl<'e> StepExecutor<'e> for InlineExecutor<'e> {
-    fn admit(&mut self, admissions: Vec<Admission<'e>>) -> Vec<Result<Prefilled, TaskFailure>> {
-        admissions
-            .into_iter()
-            .map(|admission| self.shard.admit(admission))
-            .collect()
-    }
-
-    fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>> {
-        requests
-            .iter()
-            .map(|&request| self.shard.step(request))
-            .collect()
-    }
-
-    fn take(&mut self, index: usize) -> Option<Session<'e>> {
-        self.shard.take(index)
-    }
-}
-
-/// What the coordinator asks of one shard.  A shard's mailbox is FIFO, so an
-/// `Admit` is always observed before the `Step`/`Take` that names it.
+/// What the coordinator asks of one thread shard.  A shard's mailbox is
+/// FIFO, so an `Admit` is always observed before the `Step`/`Take` that
+/// names it.
 enum Command<'e> {
     // Boxed: an admission carries a whole session, dwarfing the other two —
     // and it is sent once per session, not once per tick.
@@ -396,31 +332,60 @@ enum Command<'e> {
     Take(usize),
 }
 
-/// The pooled executor: `workers` shards of the resident-session protocol,
-/// shard 0 on the caller's thread and shards `1..workers` on scoped threads,
-/// each behind its own mailbox.  Request `index` lives on shard
-/// `index % workers` from its admission prefill until it is taken, so per
-/// tick one small command goes to each busy thread shard, the caller steps
-/// shard 0's sessions itself meanwhile, and one [`ResidentStep`] per session
-/// comes back.  A one-worker pool spawns no thread at all.
-///
-/// The pool is tied to a [`std::thread::scope`] so sessions may borrow the
-/// engine (`Session<'e>` holds `&'e KelleEngine`) without any `'static`
-/// gymnastics; dropping the pool drops shard 0's sessions, closes the
-/// mailboxes, and the scope joins the threads, who drop whatever sessions
-/// they still hold.  Panics inside a prefill or a step are caught on the
-/// shard — shard 0's as well — and answered as [`TaskFailure`]s: a crashed
-/// session can never unwind the caller or leave it waiting for a reply that
-/// will not come.
+/// The thread shards `1..workers` of a pool: one mailbox each and the three
+/// reply lines they all answer on.
 #[derive(Debug)]
-pub struct WorkerPool<'e> {
-    /// Shard 0, run on the calling thread.
-    local: Shard<'e>,
+struct Threads<'e> {
     /// One mailbox per thread shard: shard `s ≥ 1` at index `s − 1`.
     mailboxes: Vec<Sender<Command<'e>>>,
     prefilled: Receiver<Result<Prefilled, TaskFailure>>,
     steps: Receiver<Result<ResidentStep, TaskFailure>>,
     taken: Receiver<Option<Session<'e>>>,
+}
+
+impl<'e> Threads<'e> {
+    /// Sends `command` to thread shard `shard` (≥ 1; shard 0 has no
+    /// mailbox).
+    fn send(&self, shard: usize, command: Command<'e>) {
+        self.mailboxes[shard - 1]
+            .send(command)
+            .expect("workers outlive the pool (scoped) and keep their mailboxes open");
+    }
+}
+
+/// Where sessions live while the [`BatchScheduler`](crate::scheduler::BatchScheduler)
+/// serves them: `workers` shards of the resident-session protocol (see the
+/// [module docs](self)), shard 0 on the caller's thread and shards
+/// `1..workers` on scoped threads, each behind its own mailbox.  Request
+/// `index` lives on shard `index % workers` from its admission prefill until
+/// it is taken, so per tick one small command goes to each busy thread
+/// shard, the caller steps shard 0's sessions itself meanwhile, and one step
+/// result per session comes back.
+///
+/// [`WorkerPool::default`] is the one-shard pool: it needs no thread scope
+/// and holds no channel, and [`start`](WorkerPool::start) at one worker
+/// returns it.  A scheduler must be driven through one pool from its first
+/// submission to its last take: a session admitted to one pool is not
+/// resident on another, whose step for it sheds the request as
+/// [`ShedReason::WorkerLost`](crate::chaos::ShedReason::WorkerLost).
+///
+/// A threaded pool is tied to a [`std::thread::scope`] so sessions may
+/// borrow the engine (`Session<'e>` holds `&'e KelleEngine`) without any
+/// `'static` gymnastics; dropping the pool drops shard 0's sessions, closes
+/// the mailboxes, and the scope joins the threads, who drop whatever
+/// sessions they still hold.  Panics inside a prefill or a step are caught
+/// on the shard — shard 0's as well — and answered as failures: a crashed
+/// session can never unwind the caller or leave it waiting for a reply that
+/// will not come.
+#[derive(Debug, Default)]
+pub struct WorkerPool<'e> {
+    /// Shard 0, run on the calling thread.
+    local: Shard<'e>,
+    /// The other shards; `None` in a one-shard pool.
+    threads: Option<Threads<'e>>,
+    /// Request indices of every `admit` call, in call order.
+    #[cfg(test)]
+    pub(crate) admits: Vec<Vec<usize>>,
 }
 
 impl<'e> WorkerPool<'e> {
@@ -430,7 +395,9 @@ impl<'e> WorkerPool<'e> {
     where
         'e: 'scope,
     {
-        let workers = workers.max(1);
+        if workers <= 1 {
+            return WorkerPool::default();
+        }
         let (prefilled_tx, prefilled) = channel();
         let (steps_tx, steps) = channel();
         let (taken_tx, taken) = channel();
@@ -442,7 +409,7 @@ impl<'e> WorkerPool<'e> {
                 let taken: Sender<Option<Session<'e>>> = taken_tx.clone();
                 scope.spawn(move || {
                     let mut shard = Shard {
-                        worker: Some(id),
+                        worker: id,
                         resident: HashMap::new(),
                     };
                     // Ends when the pool (the mailbox's only sender) is gone.
@@ -469,33 +436,106 @@ impl<'e> WorkerPool<'e> {
             })
             .collect();
         WorkerPool {
-            local: Shard {
-                worker: Some(0),
-                resident: HashMap::new(),
-            },
-            mailboxes,
-            prefilled,
-            steps,
-            taken,
+            threads: Some(Threads {
+                mailboxes,
+                prefilled,
+                steps,
+                taken,
+            }),
+            ..WorkerPool::default()
         }
     }
 
     /// Number of shards: the calling thread's and one per worker thread.
     pub fn workers(&self) -> usize {
-        self.mailboxes.len() + 1
+        self.threads
+            .as_ref()
+            .map_or(1, |threads| threads.mailboxes.len() + 1)
     }
 
-    /// The shard that owns request `index` — the pinning function.
-    fn shard_of(&self, index: usize) -> usize {
-        index % self.workers()
+    /// Runs every planned prefill on the shard its session is pinned to and
+    /// leaves the session resident there.  A panicked prefill loses its
+    /// session and reports a [`TaskFailure`].  Every admission is answered
+    /// exactly once, in any order.
+    pub(crate) fn admit(
+        &mut self,
+        admissions: Vec<Admission<'e>>,
+    ) -> Vec<Result<Prefilled, TaskFailure>> {
+        #[cfg(test)]
+        self.admits
+            .push(admissions.iter().map(|admission| admission.index).collect());
+        let workers = self.workers();
+        let Some(threads) = &self.threads else {
+            return admissions
+                .into_iter()
+                .map(|admission| self.local.admit(admission))
+                .collect();
+        };
+        // The threads get their work first, so they prefill while the
+        // caller prefills shard 0's.
+        let mut local = Vec::new();
+        let mut remote = 0;
+        for admission in admissions {
+            match admission.index % workers {
+                0 => local.push(admission),
+                shard => {
+                    threads.send(shard, Command::Admit(Box::new(admission)));
+                    remote += 1;
+                }
+            }
+        }
+        let mut results: Vec<_> = local
+            .into_iter()
+            .map(|admission| self.local.admit(admission))
+            .collect();
+        results.extend(drain(&threads.prefilled, remote));
+        results
     }
 
-    /// Sends `command` to thread shard `shard` (≥ 1; shard 0 has no
-    /// mailbox).
-    fn send(&self, shard: usize, command: Command<'e>) {
-        self.mailboxes[shard - 1]
-            .send(command)
-            .expect("workers outlive the pool (scoped) and keep their mailboxes open");
+    /// Decodes one step on each named resident session without moving it.
+    /// A panicked step restores the session from its checkpoint in place
+    /// when it has one ([`StepRequest::checkpoint`]) and drops it otherwise.
+    /// Every request is answered exactly once, in any order.
+    pub(crate) fn step(
+        &mut self,
+        requests: &[StepRequest],
+    ) -> Vec<Result<ResidentStep, TaskFailure>> {
+        let workers = self.workers();
+        let Some(threads) = &self.threads else {
+            return requests
+                .iter()
+                .map(|&request| self.local.step(request))
+                .collect();
+        };
+        let mut per_shard = vec![Vec::new(); workers];
+        for &request in requests {
+            per_shard[request.index % workers].push(request);
+        }
+        let mut shards = per_shard.into_iter();
+        let local = shards.next().unwrap_or_default();
+        for (shard, requests) in (1..).zip(shards) {
+            if !requests.is_empty() {
+                threads.send(shard, Command::Step(requests));
+            }
+        }
+        let mut results: Vec<_> = local
+            .into_iter()
+            .map(|request| self.local.step(request))
+            .collect();
+        results.extend(drain(&threads.steps, requests.len() - results.len()));
+        results
+    }
+
+    /// Takes the resident session for `index` back (completion, shed,
+    /// cancellation); `None` when this pool does not hold it.
+    pub(crate) fn take(&mut self, index: usize) -> Option<Session<'e>> {
+        match (&self.threads, index % self.workers()) {
+            (Some(threads), shard) if shard > 0 => {
+                threads.send(shard, Command::Take(index));
+                drain(&threads.taken, 1).pop().flatten()
+            }
+            _ => self.local.take(index),
+        }
     }
 }
 
@@ -509,60 +549,6 @@ fn drain<T>(replies: &Receiver<T>, count: usize) -> Vec<T> {
                 .expect("workers outlive the pool (scoped) and keep their reply senders")
         })
         .collect()
-}
-
-impl<'e> StepExecutor<'e> for WorkerPool<'e> {
-    fn admit(&mut self, admissions: Vec<Admission<'e>>) -> Vec<Result<Prefilled, TaskFailure>> {
-        // The threads get their work first, so they prefill while the
-        // caller prefills shard 0's.
-        let mut local = Vec::new();
-        let mut remote = 0;
-        for admission in admissions {
-            match self.shard_of(admission.index()) {
-                0 => local.push(admission),
-                shard => {
-                    self.send(shard, Command::Admit(Box::new(admission)));
-                    remote += 1;
-                }
-            }
-        }
-        let mut results: Vec<_> = local
-            .into_iter()
-            .map(|admission| self.local.admit(admission))
-            .collect();
-        results.extend(drain(&self.prefilled, remote));
-        results
-    }
-
-    fn step(&mut self, requests: &[StepRequest]) -> Vec<Result<ResidentStep, TaskFailure>> {
-        let mut per_shard = vec![Vec::new(); self.workers()];
-        for &request in requests {
-            per_shard[self.shard_of(request.index)].push(request);
-        }
-        let mut shards = per_shard.into_iter();
-        let local = shards.next().unwrap_or_default();
-        for (shard, requests) in (1..).zip(shards) {
-            if !requests.is_empty() {
-                self.send(shard, Command::Step(requests));
-            }
-        }
-        let mut results: Vec<_> = local
-            .into_iter()
-            .map(|request| self.local.step(request))
-            .collect();
-        results.extend(drain(&self.steps, requests.len() - results.len()));
-        results
-    }
-
-    fn take(&mut self, index: usize) -> Option<Session<'e>> {
-        match self.shard_of(index) {
-            0 => self.local.take(index),
-            shard => {
-                self.send(shard, Command::Take(index));
-                drain(&self.taken, 1).pop().flatten()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -606,7 +592,7 @@ mod tests {
 
     /// Admits one session per `(index, tokens)` pair, asserting none failed.
     fn admit_all<'e>(
-        executor: &mut dyn StepExecutor<'e>,
+        pool: &mut WorkerPool<'e>,
         engine: &'e KelleEngine,
         fleet: &[(usize, &[usize])],
     ) -> Vec<Prefilled> {
@@ -614,7 +600,7 @@ mod tests {
             .iter()
             .map(|&(index, tokens)| admission(engine, index, tokens))
             .collect();
-        let mut prefilled: Vec<Prefilled> = executor
+        let mut prefilled: Vec<Prefilled> = pool
             .admit(admissions)
             .into_iter()
             .map(|result| result.expect("healthy prefill"))
@@ -692,7 +678,8 @@ mod tests {
         // Widths 1..=3 on 1, 2 and 4 workers cover pools narrower than,
         // as wide as and wider than their batch (idle shards).  No session
         // ever moves, so the streams pin that the pool's width is invisible
-        // and the crossing count pins that a tick costs nothing.
+        // and the crossing count pins that a tick costs nothing — on the
+        // one-shard pool of a plain `serve` as on every wider one.
         let all = requests();
         for width in 1..=all.len() {
             let requests = all[..width].to_vec();
@@ -719,8 +706,11 @@ mod tests {
                     "width={width} workers={workers}: in with the prefill, out when taken, nothing per tick"
                 );
                 assert_eq!(parallel.parallel.sessions_migrated, 0);
+                assert_eq!(
+                    baseline.parallel, parallel.parallel,
+                    "width={width} workers={workers}: one shard or many, the same traffic"
+                );
             }
-            assert_eq!(baseline.parallel.queue_crossings, 0, "inline never crosses");
         }
     }
 
@@ -816,28 +806,31 @@ mod tests {
                     .iter()
                     .map(|step| (step.index, step.tokens_before, step.worker))
                     .collect::<Vec<_>>(),
-                [(0, 2, Some(0)), (1, 3, Some(1))]
+                [(0, 2, 0), (1, 3, 1)]
             );
         });
     }
 
     #[test]
     fn a_one_worker_pool_spawns_no_thread_and_serves_what_inline_serves() {
+        // "Inline" is the scope-free default pool: shard 0 on the caller's
+        // thread and nothing else.  A one-worker `start` is that same pool.
         std::thread::scope(|scope| {
             let pool: WorkerPool<'_> = WorkerPool::start(scope, 1);
-            assert!(pool.mailboxes.is_empty(), "shard 0 is the caller");
+            assert!(pool.threads.is_none(), "shard 0 is the caller");
         });
-        fn serve<'e>(engine: &'e KelleEngine, executor: &mut dyn StepExecutor<'e>) -> BatchOutcome {
+        assert!(WorkerPool::default().threads.is_none());
+        fn serve<'e>(engine: &'e KelleEngine, pool: &mut WorkerPool<'e>) -> BatchOutcome {
             let mut scheduler = BatchScheduler::new(engine);
             for request in requests() {
-                scheduler.submit_with(request, executor);
+                scheduler.submit_with(request, pool);
             }
             scheduler
-                .run_with(executor, |_| {})
+                .run_with(pool, |_| {})
                 .expect("no chaos configured")
         }
         let engine = engine();
-        let inline = serve(&engine, &mut InlineExecutor::default());
+        let inline = serve(&engine, &mut WorkerPool::default());
         let pooled = std::thread::scope(|scope| serve(&engine, &mut WorkerPool::start(scope, 1)));
         for (a, b) in inline.outcomes.iter().zip(&pooled.outcomes) {
             assert_eq!(a.generated, b.generated);
@@ -845,6 +838,7 @@ mod tests {
         }
         assert_eq!(inline.stats, pooled.stats);
         assert_eq!(inline.contention, pooled.contention);
+        assert_eq!(inline.parallel, pooled.parallel);
         assert_eq!(pooled.parallel.queue_crossings, 2 * requests().len() as u64);
         assert_eq!(pooled.parallel.sessions_migrated, 0);
     }
@@ -878,7 +872,11 @@ mod tests {
             std::thread::scope(|scope| {
                 let pool: WorkerPool<'_> = WorkerPool::start(scope, 2);
                 let admission = admission(&engine, 1, &[1, 2, 3]);
-                pool.send(1, Command::Admit(Box::new(admission)));
+                let threads = pool
+                    .threads
+                    .as_ref()
+                    .expect("a two-shard pool has a thread");
+                threads.send(1, Command::Admit(Box::new(admission)));
                 panic!("coordinator unwinds mid-tick");
             });
         }));
@@ -898,7 +896,7 @@ mod tests {
             let (steps, failures) = partition(pool.step(&[crashing(0), plain(4)]));
             assert_eq!(steps.len(), 1, "the healthy session survives");
             assert_eq!(steps[0].index, 4);
-            assert_eq!(steps[0].worker, Some(0));
+            assert_eq!(steps[0].worker, 0);
             assert_eq!(failures.len(), 1);
             assert_eq!(failures[0].index(), 0);
         });
@@ -926,14 +924,14 @@ mod tests {
     #[test]
     fn sabotaged_task_fails_with_the_chaos_message() {
         let engine = engine();
-        let mut inline = InlineExecutor::default();
-        admit_all(&mut inline, &engine, &[(5, &[1, 2, 3])]);
+        let mut pool = WorkerPool::default();
+        admit_all(&mut pool, &engine, &[(5, &[1, 2, 3])]);
         let sabotaged = StepRequest {
             index: 5,
             checkpoint: true,
             sabotage: true,
         };
-        let (steps, failures) = partition(inline.step(&[sabotaged]));
+        let (steps, failures) = partition(pool.step(&[sabotaged]));
         assert!(steps.is_empty());
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].index(), 5);
@@ -945,11 +943,11 @@ mod tests {
         // The checkpoint went back in place: the replay attempt (same
         // boundary, so no new checkpoint) steps from position 3 again, and a
         // second sabotage still leaves the boundary to take back.
-        let (steps, _) = partition(inline.step(&[plain(5)]));
+        let (steps, _) = partition(pool.step(&[plain(5)]));
         assert_eq!(steps[0].tokens_before, 3);
-        let (_, failures) = partition(inline.step(&[crashing(5)]));
+        let (_, failures) = partition(pool.step(&[crashing(5)]));
         assert_eq!(failures.len(), 1);
-        let restored = inline.take(5).expect("restored in place, not lost");
+        let restored = pool.take(5).expect("restored in place, not lost");
         assert_eq!(restored.position(), 3);
     }
 
@@ -975,7 +973,7 @@ mod tests {
                 assert_eq!(step.tokens_before, 3);
                 assert_eq!(step.position, 4);
                 // Pinned: the shard is always index % workers.
-                assert_eq!(step.worker, Some(i % 2));
+                assert_eq!(step.worker, i % 2);
             }
             // The sessions stayed resident: a second tick steps them again.
             let (steps, _) = partition(pool.step(&requests));
@@ -1004,7 +1002,7 @@ mod tests {
                 assert!(failures.is_empty());
                 assert_eq!(steps.len(), 1);
                 assert_eq!(steps[0].step.token, expected.token);
-                assert_eq!(steps[0].worker, Some(7 % 3));
+                assert_eq!(steps[0].worker, 7 % 3);
             }
         });
     }
@@ -1039,7 +1037,7 @@ mod tests {
             let prefilled = admit_all(&mut pool, &engine, &[(4, &[1, 2]), (5, &[3, 4])]);
             assert_eq!(prefilled.len(), 2);
             for prefilled in &prefilled {
-                assert_eq!(prefilled.worker, Some(prefilled.index % 2));
+                assert_eq!(prefilled.worker, prefilled.index % 2);
                 assert_eq!(prefilled.computed, 2);
             }
         });
@@ -1047,8 +1045,8 @@ mod tests {
 
     #[test]
     fn results_name_the_shard_that_ran_them() {
-        // Every result names where it ran: a pool shard, or nowhere but the
-        // caller's thread.
+        // Every result names the shard it ran on — shard 0, the caller's
+        // thread, in a one-shard pool.
         let engine = engine();
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, 2);
@@ -1056,14 +1054,14 @@ mod tests {
             let (steps, _) = partition(pool.step(&[plain(0), plain(1)]));
             assert_eq!(steps.len(), 2);
             for step in &steps {
-                assert!(matches!(step.worker, Some(w) if w < 2));
+                assert_eq!(step.worker, step.index % 2);
             }
         });
-        let mut inline = InlineExecutor::default();
-        let prefilled = admit_all(&mut inline, &engine, &[(0, &[1, 2, 3])]);
-        assert_eq!(prefilled[0].worker, None);
-        let (steps, _) = partition(inline.step(&[plain(0)]));
-        assert_eq!(steps[0].worker, None);
+        let mut pool = WorkerPool::default();
+        let prefilled = admit_all(&mut pool, &engine, &[(1, &[1, 2, 3])]);
+        assert_eq!(prefilled[0].worker, 0);
+        let (steps, _) = partition(pool.step(&[plain(1)]));
+        assert_eq!(steps[0].worker, 0);
     }
 
     #[test]
@@ -1110,7 +1108,7 @@ mod tests {
 
     #[test]
     fn misaddressed_steps_fail_naming_the_request() {
-        // A step for an index the executor does not hold answers with a
+        // A step for an index the pool does not hold answers with a
         // failure naming the request — no hang, no silent loss...
         let engine = engine();
         std::thread::scope(|scope| {
@@ -1126,8 +1124,8 @@ mod tests {
                 failures[0].message()
             );
         });
-        // ...and so does a scheduler handed a second executor mid-run: its
-        // session lives in the first one.
+        // ...and so does a scheduler handed a second pool mid-run: its
+        // session lives in its own.
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, 2);
             let mut scheduler = BatchScheduler::new(&engine);

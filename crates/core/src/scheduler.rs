@@ -13,7 +13,7 @@
 //!    footprint (computed at full hardware scale, the same per-token byte
 //!    cost [`Platform::simulate`](kelle_arch::Platform) charges).  Admission
 //!    opens a capacity lease and pre-fills the prompt — all the prefills of
-//!    one boundary as one batch on the executor.
+//!    one boundary as one batch on the [`WorkerPool`].
 //!    [`submit`](BatchScheduler::submit) /
 //!    [`submit_with`](BatchScheduler::submit_with) do both stages in one
 //!    call, for a scheduler driven by hand.
@@ -82,8 +82,7 @@
 use crate::chaos::{ChaosConfig, ChaosMetrics, ChaosPlan, ServeError, ShedReason};
 use crate::engine::{EngineStats, KelleEngine, ServeOutcome};
 use crate::parallel::{
-    Admission, InlineExecutor, ParallelMetrics, Prefilled, ResidentStep, StepExecutor, StepRequest,
-    TaskFailure,
+    Admission, ParallelMetrics, Prefilled, ResidentStep, StepRequest, TaskFailure, WorkerPool,
 };
 use crate::session::{ServeRequest, Session};
 use crate::tier::{Footprint, KvPlacement, TierConfig, TierManager, TieringMetrics};
@@ -489,9 +488,10 @@ pub struct BatchOutcome {
     /// Fault-injection and recovery accounting (all zeros when chaos is
     /// disabled and nothing was shed, cancelled or drained).
     pub chaos: ChaosMetrics,
-    /// Cross-thread traffic accounting of the executor protocol (all zeros
-    /// for inline serving).  Like [`BatchOutcome::tiering`], these are
-    /// *cost* metrics: every executor produces bit-identical streams.
+    /// Cross-thread traffic accounting of the pool protocol: the same
+    /// counters at every worker count, one shard included.  Like
+    /// [`BatchOutcome::tiering`], these are *cost* metrics: every worker
+    /// count produces bit-identical streams.
     pub parallel: ParallelMetrics,
     /// Serving-quality report: TTFT/TPOT/queue-time distributions and
     /// goodput under the configured [`SloSpec`].
@@ -515,7 +515,7 @@ impl BatchOutcome {
 }
 
 /// Every metric block of a [`BatchOutcome`] under one roof: contention,
-/// prefix sharing, tiering, executor traffic, chaos recovery and the SLO
+/// prefix sharing, tiering, pool traffic, chaos recovery and the SLO
 /// report.
 ///
 /// Reporting layers (kbench) keep a `BatchReport` instead of hand-extracting
@@ -528,7 +528,7 @@ pub struct BatchReport {
     pub prefix: PrefixBatchMetrics,
     /// Tiered-memory accounting.
     pub tiering: TieringMetrics,
-    /// Executor-protocol traffic accounting.
+    /// Pool-protocol traffic accounting.
     pub parallel: ParallelMetrics,
     /// Fault-injection and recovery accounting.
     pub chaos: ChaosMetrics,
@@ -570,7 +570,7 @@ impl std::fmt::Display for BatchIncomplete<'_> {
 impl std::error::Error for BatchIncomplete<'_> {}
 
 /// The coordinator's record of an active request.  The [`Session`] itself is
-/// resident on the executor from admission until it is taken back for
+/// resident on its pool shard from admission until it is taken back for
 /// finalization; the slot holds only what commits need.
 struct Slot {
     request: ServeRequest,
@@ -587,10 +587,10 @@ struct Slot {
     /// stream — a session is a pure function of its own state — only *when*
     /// its tokens are produced.
     paused: bool,
-    /// Pool shard the session was admitted to (`None`: inline).  Taking a
-    /// session back from a shard is a queue crossing, and a step reported
-    /// from anywhere else is a migration.
-    worker: Option<usize>,
+    /// Pool shard the session was admitted to.  Taking a session back from
+    /// its shard is a queue crossing, and a step reported from anywhere else
+    /// is a migration.
+    worker: usize,
 }
 
 impl Slot {
@@ -600,7 +600,7 @@ impl Slot {
     }
 }
 
-/// An admission whose prefill is on the executor: what its slot opens with
+/// An admission whose prefill is on the pool: what its slot opens with
 /// once the prefill comes back.
 struct Admitted {
     index: usize,
@@ -624,7 +624,7 @@ type Pending<'e> = Vec<(Admission<'e>, Admitted)>;
 /// map until its arrival tick, the waiting queue until admission, the active
 /// map while it decodes, and the outcome table once it is finalized.  (Within
 /// one admission pump it is briefly a pending admission on its way to the
-/// executor.)
+/// pool.)
 pub struct BatchScheduler<'e> {
     engine: &'e KelleEngine,
     config: SchedulerConfig,
@@ -658,12 +658,12 @@ pub struct BatchScheduler<'e> {
     chaos_metrics: ChaosMetrics,
     /// Where sessions live when the scheduler is driven through its plain
     /// [`submit`](BatchScheduler::submit) / [`step`](BatchScheduler::step)
-    /// entry points.
-    inline: InlineExecutor<'e>,
-    /// Set by [`drain`](BatchScheduler::drain): admission stops pumping and
-    /// the machine winds down to idle.
+    /// entry points: a one-shard pool on the calling thread.
+    pool: WorkerPool<'e>,
+    /// Set by [`begin_drain`](BatchScheduler::begin_drain): admission stops
+    /// pumping and the machine winds down to idle.
     draining: bool,
-    /// Executor-protocol traffic counters (see [`ParallelMetrics`]).
+    /// Pool-protocol traffic counters (see [`ParallelMetrics`]).
     parallel: ParallelMetrics,
     /// Sheds since the last [`take_shed_events`](BatchScheduler::take_shed_events),
     /// in the order they happened — the streaming-path view of
@@ -715,7 +715,7 @@ impl<'e> BatchScheduler<'e> {
             prefix: PrefixBatchMetrics::default(),
             chaos,
             chaos_metrics: ChaosMetrics::default(),
-            inline: InlineExecutor::default(),
+            pool: WorkerPool::default(),
             draining: false,
             parallel: ParallelMetrics::default(),
             shed_events: Vec::new(),
@@ -742,12 +742,13 @@ impl<'e> BatchScheduler<'e> {
         &self.chaos_metrics
     }
 
-    /// Whether [`drain`](BatchScheduler::drain) has stopped admission.
+    /// Whether a drain ([`begin_drain`](BatchScheduler::begin_drain)) has
+    /// stopped admission.
     pub fn is_draining(&self) -> bool {
         self.draining
     }
 
-    /// Executor-protocol traffic counters accumulated so far (`ticks` is
+    /// Pool-protocol traffic counters accumulated so far (`ticks` is
     /// only stamped on the final [`BatchOutcome`]).
     pub fn parallel_metrics(&self) -> &ParallelMetrics {
         &self.parallel
@@ -783,48 +784,45 @@ impl<'e> BatchScheduler<'e> {
 
     /// [`enqueue`](BatchScheduler::enqueue)s a request and immediately
     /// [admits](BatchScheduler::admit_waiting) it on the scheduler's own
-    /// [`InlineExecutor`] (so with room available — always, when unbounded —
-    /// the request is pre-filled right away).  Returns the request's index,
-    /// which later [`StepEvent`]s, timings and the final outcome vector refer
-    /// to.
+    /// one-shard [`WorkerPool`] (so with room available — always, when
+    /// unbounded — the request is pre-filled right away).  Returns the
+    /// request's index, which later [`StepEvent`]s, timings and the final
+    /// outcome vector refer to.  Drive a scheduler submitted to this way
+    /// with [`step`](BatchScheduler::step): its sessions live on its own
+    /// pool.
     pub fn submit(&mut self, request: ServeRequest) -> usize {
-        self.inline(|scheduler, executor| scheduler.submit_with(request, executor))
+        self.on_own_pool(|scheduler, pool| scheduler.submit_with(request, pool))
     }
 
-    /// Runs `f` against the scheduler's own [`InlineExecutor`] — the body of
-    /// every entry point that takes no executor.
-    fn inline<R>(&mut self, f: impl FnOnce(&mut Self, &mut dyn StepExecutor<'e>) -> R) -> R {
-        let mut executor = std::mem::take(&mut self.inline);
-        let result = f(self, &mut executor);
-        self.inline = executor;
+    /// Runs `f` against the scheduler's own one-shard pool — the body of
+    /// every entry point that takes no pool.
+    fn on_own_pool<R>(&mut self, f: impl FnOnce(&mut Self, &mut WorkerPool<'e>) -> R) -> R {
+        let mut pool = std::mem::take(&mut self.pool);
+        let result = f(self, &mut pool);
+        self.pool = pool;
         result
     }
 
     /// [`enqueue`](BatchScheduler::enqueue), then
-    /// [`admit_waiting`](BatchScheduler::admit_waiting) through `executor`
-    /// (e.g. a [`WorkerPool`](crate::parallel::WorkerPool)) — eager
+    /// [`admit_waiting`](BatchScheduler::admit_waiting) on `pool` — eager
     /// submission for a hand-driven scheduler: the call returns once the
     /// request's prefill has run, if it was admitted.  Callers that submit
     /// several requests between two ticks ([`KelleEngine::serve`], the
     /// [`front`](crate::front)) enqueue them all and admit once instead, so
-    /// the prefills run side by side on the executor's shards; the resulting
+    /// the prefills run side by side on the pool's shards; the resulting
     /// state is bit-identical either way.  Drive the scheduler through the
-    /// same executor from here on: that is where its sessions live.
-    pub fn submit_with(
-        &mut self,
-        request: ServeRequest,
-        executor: &mut dyn StepExecutor<'e>,
-    ) -> usize {
+    /// same pool from here on: that is where its sessions live.
+    pub fn submit_with(&mut self, request: ServeRequest, pool: &mut WorkerPool<'e>) -> usize {
         let index = self.enqueue(request);
-        self.admit_waiting(executor);
+        self.admit_waiting(pool);
         index
     }
 
     /// Registers a request — the first half of a submission, with no
-    /// executor work — and returns its index.  The request joins the waiting
+    /// pool work — and returns its index.  The request joins the waiting
     /// queue ([`waiting`](BatchScheduler::waiting) counts it) and is offered
     /// to admission by the next [`admit_waiting`](BatchScheduler::admit_waiting),
-    /// which every entry point that takes an executor runs before anything
+    /// which every entry point that takes a pool runs before anything
     /// else: an enqueued request is admitted in the tick it was submitted in
     /// and decodes from the next, exactly like an eager
     /// [`submit_with`](BatchScheduler::submit_with).
@@ -865,16 +863,16 @@ impl<'e> BatchScheduler<'e> {
     /// last admission — the second half of a submission, and a no-op when
     /// there are none.  Admission decisions, ledger reservations and
     /// prefix-store planning stay on the calling thread; the planned
-    /// prefills are handed to `executor` together, in one
-    /// [`admit`](StepExecutor::admit) call, so they fan out over its shards
-    /// — and each session stays where its prefill ran.
+    /// prefills are handed to `pool` together, in one admit call, so they
+    /// fan out over its shards — and each session stays where its prefill
+    /// ran.
     ///
     /// The new requests are offered to the admission policy one at a time,
     /// in submission order — the candidate sequence (and ledger-blip draws)
     /// of one eager [`submit_with`](BatchScheduler::submit_with) per request
     /// — so batching changes wall-clock time and nothing else, under every
     /// [`AdmissionPolicy`] and [`ChaosConfig`].
-    pub fn admit_waiting(&mut self, executor: &mut dyn StepExecutor<'e>) {
+    pub fn admit_waiting(&mut self, pool: &mut WorkerPool<'e>) {
         if self.fresh == 0 {
             return;
         }
@@ -885,7 +883,7 @@ impl<'e> BatchScheduler<'e> {
             self.waiting.push_back(entry);
             self.plan_admissions(&mut pending);
         }
-        self.flush_admissions(executor, pending);
+        self.flush_admissions(pool, pending);
     }
 
     /// Number of requests currently decoding.
@@ -980,19 +978,18 @@ impl<'e> BatchScheduler<'e> {
     /// progress instead of deadlocking the queue.
     ///
     /// Admission is a two-phase pipeline so prefill compute can fan out to
-    /// an executor's workers without changing any observable state:
+    /// a pool's shards without changing any observable state:
     ///
     /// 1. **Commit (coordinator, admission order)** — candidate selection,
     ///    ledger reservation, shared-pool attachment and the session's
     ///    prefix-store *plan* ([`Session::plan_prefill`]) all happen here,
     ///    in exactly the sequence single-threaded serving performs them.
     /// 2. **Execute (any worker)** — the planned prefills run concurrently
-    ///    in one [`admit`](StepExecutor::admit) call; no plan touches shared
-    ///    state.
-    fn pump_admission(&mut self, executor: &mut dyn StepExecutor<'e>) {
+    ///    in one admit call on the pool; no plan touches shared state.
+    fn pump_admission(&mut self, pool: &mut WorkerPool<'e>) {
         let mut pending = Vec::new();
         self.plan_admissions(&mut pending);
-        self.flush_admissions(executor, pending);
+        self.flush_admissions(pool, pending);
     }
 
     /// The commit phase of [`pump_admission`](Self::pump_admission): plans
@@ -1037,7 +1034,7 @@ impl<'e> BatchScheduler<'e> {
 
     /// Commits the admission of a waiting request: opens the session, plans
     /// its first prefill against the prefix store (coordinator-side, in
-    /// admission order) and queues session and plan for the executor.
+    /// admission order) and queues session and plan for the pool.
     fn commit_admission(
         &mut self,
         index: usize,
@@ -1062,18 +1059,17 @@ impl<'e> BatchScheduler<'e> {
         pending.push((admission, admitted));
     }
 
-    /// Executes all pending admission prefills in one
-    /// [`admit`](StepExecutor::admit) call and activates their slots in
-    /// submission order.
-    fn flush_admissions(&mut self, executor: &mut dyn StepExecutor<'e>, pending: Pending<'e>) {
+    /// Executes all pending admission prefills in one admit call on `pool`
+    /// and activates their slots in submission order.
+    fn flush_admissions(&mut self, pool: &mut WorkerPool<'e>, pending: Pending<'e>) {
         if pending.is_empty() {
             return;
         }
         let (admissions, mut admitted): (Vec<_>, Vec<_>) = pending.into_iter().unzip();
         // A crashed prefill has no committed state to replay from: its panic
         // resurfaces on the coordinator — after the whole batch has been
-        // answered, so a caller that catches it keeps a reusable executor.
-        let mut prefilled: Vec<Prefilled> = executor
+        // answered, so a caller that catches it keeps a reusable pool.
+        let mut prefilled: Vec<Prefilled> = pool
             .admit(admissions)
             .into_iter()
             .collect::<Result<_, _>>()
@@ -1084,7 +1080,7 @@ impl<'e> BatchScheduler<'e> {
                     failure.message()
                 )
             });
-        // The executor answers every admission exactly once.
+        // The pool answers every admission exactly once.
         prefilled.sort_by_key(|prefilled| prefilled.index);
         admitted.sort_by_key(|admitted| admitted.index);
         for (admitted, prefilled) in admitted.into_iter().zip(prefilled) {
@@ -1093,7 +1089,7 @@ impl<'e> BatchScheduler<'e> {
     }
 
     /// Opens the decode slot of an admitted request whose pre-filled session
-    /// is now resident on the executor.
+    /// is now resident on its pool shard.
     fn activate(&mut self, admitted: Admitted, prefilled: Prefilled) {
         let Admitted {
             index,
@@ -1106,10 +1102,8 @@ impl<'e> BatchScheduler<'e> {
             self.prefix.hit_requests += 1;
             self.prefix.hit_tokens += prefilled.prefix_hit_tokens as u64;
         }
-        if prefilled.worker.is_some() {
-            // The session crossed to its shard with its prefill; it stays.
-            self.parallel.queue_crossings += 1;
-        }
+        // The session crossed to its shard with its prefill; it stays.
+        self.parallel.queue_crossings += 1;
         let slot = Slot {
             prefilled: prefilled.computed,
             generated: Vec::with_capacity(request.decode_len()),
@@ -1128,20 +1122,21 @@ impl<'e> BatchScheduler<'e> {
     /// Returns one [`StepEvent`] per request that made progress (every active
     /// request does — the fairness property the tests assert).  Completed
     /// requests release their capacity and the waiting queue is back-filled
-    /// before the call returns.
+    /// before the call returns.  Steps the sessions on the scheduler's own
+    /// pool, where [`submit`](BatchScheduler::submit) put them.
     pub fn step(&mut self) -> Vec<StepEvent> {
-        self.inline(|scheduler, executor| scheduler.try_step_with(executor))
+        self.on_own_pool(|scheduler, pool| scheduler.try_step_with(pool))
             .unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// [`step`](BatchScheduler::step) with the per-session decode compute
-    /// fanned out through `executor` — the tick protocol of the threaded
+    /// fanned out over `pool` — the tick protocol of the threaded
     /// front-end (see [`crate::parallel`] and the [module docs](self) for
     /// the phases).  Every observable — events, metrics, f64 accumulation
     /// order — matches [`step`](BatchScheduler::step) exactly; only
     /// wall-clock time differs.
-    pub fn step_with(&mut self, executor: &mut dyn StepExecutor<'e>) -> Vec<StepEvent> {
-        match self.try_step_with(executor) {
+    pub fn step_with(&mut self, pool: &mut WorkerPool<'e>) -> Vec<StepEvent> {
+        match self.try_step_with(pool) {
             Ok(events) => events,
             Err(error) => panic!("{error}"),
         }
@@ -1156,26 +1151,26 @@ impl<'e> BatchScheduler<'e> {
     /// released, and stepping/draining can continue.
     pub fn try_step_with(
         &mut self,
-        executor: &mut dyn StepExecutor<'e>,
+        pool: &mut WorkerPool<'e>,
     ) -> Result<Vec<StepEvent>, ServeError> {
-        self.admit_waiting(executor);
+        self.admit_waiting(pool);
         self.tick += 1;
         self.release_arrivals();
-        self.shed_expired(executor);
-        let (steps, lost, attempts) = self.fan_out(executor);
+        self.shed_expired(pool);
+        let (steps, lost, attempts) = self.fan_out(pool);
         let events = self.commit(steps);
-        let retired = self.retire(lost, attempts, executor);
+        let retired = self.retire(lost, attempts, pool);
         self.placement.settle(self.tick);
         // Freed capacity back-fills the waiting queue; the newly admitted
         // requests are pre-filled now and decode from the next tick.
-        self.pump_admission(executor);
+        self.pump_admission(pool);
         retired.map(|()| events)
     }
 
     /// Sheds requests whose deadline or queue-wait budget expired, at the
     /// start of the tick (before any decode compute is spent on them), in
     /// request-index order whichever queue they sit in.
-    fn shed_expired(&mut self, executor: &mut dyn StepExecutor<'e>) {
+    fn shed_expired(&mut self, pool: &mut WorkerPool<'e>) {
         let tick = self.tick;
         let timings = &self.timings;
         let elapsed = |index: usize| tick.saturating_sub(timings[index].submitted_tick);
@@ -1201,7 +1196,7 @@ impl<'e> BatchScheduler<'e> {
         expired.sort_unstable_by_key(|&(index, _)| index);
         for (index, reason) in expired {
             self.chaos_metrics.shed_requests += 1;
-            self.shed(index, reason, executor);
+            self.shed(index, reason, pool);
         }
     }
 
@@ -1214,10 +1209,7 @@ impl<'e> BatchScheduler<'e> {
     /// [`max_retries`](ChaosConfig::max_retries) times.  Returns the
     /// surviving steps and the steps still lost, both in request-index
     /// order, and the executions attempted per lost step.
-    fn fan_out(
-        &mut self,
-        executor: &mut dyn StepExecutor<'e>,
-    ) -> (Vec<ResidentStep>, Vec<TaskFailure>, u32) {
+    fn fan_out(&mut self, pool: &mut WorkerPool<'e>) -> (Vec<ResidentStep>, Vec<TaskFailure>, u32) {
         // Backpressured slots sit the tick out, resident where they are —
         // zero queue traffic.
         let running: Vec<usize> = self
@@ -1242,7 +1234,7 @@ impl<'e> BatchScheduler<'e> {
         let mut steps: Vec<ResidentStep> = Vec::with_capacity(requests.len());
         let mut lost = Vec::new();
         loop {
-            for result in executor.step(&requests) {
+            for result in pool.step(&requests) {
                 match result {
                     Ok(step) => steps.push(step),
                     Err(failure) => {
@@ -1352,14 +1344,14 @@ impl<'e> BatchScheduler<'e> {
         &mut self,
         lost: Vec<TaskFailure>,
         attempts: u32,
-        executor: &mut dyn StepExecutor<'e>,
+        pool: &mut WorkerPool<'e>,
     ) -> Result<(), ServeError> {
         let completed: Vec<(usize, Slot)> = self
             .active
             .extract_if(.., |_, slot| slot.is_complete())
             .collect();
         for (index, slot) in completed {
-            self.finalize_active(index, slot, None, executor);
+            self.finalize_active(index, slot, None, pool);
         }
         let error = lost.first().map(|failure| ServeError::WorkerLost {
             request: failure.index(),
@@ -1368,7 +1360,7 @@ impl<'e> BatchScheduler<'e> {
         });
         for failure in lost {
             self.chaos_metrics.lost_requests += 1;
-            self.shed(failure.index(), ShedReason::WorkerLost, executor);
+            self.shed(failure.index(), ShedReason::WorkerLost, pool);
         }
         error.map_or(Ok(()), Err)
     }
@@ -1376,14 +1368,9 @@ impl<'e> BatchScheduler<'e> {
     /// Sheds request `index` for `reason` from wherever it is — decoding,
     /// waiting or scheduled.  Returns `false` when it already finished or
     /// was never submitted.
-    fn shed(
-        &mut self,
-        index: usize,
-        reason: ShedReason,
-        executor: &mut dyn StepExecutor<'e>,
-    ) -> bool {
+    fn shed(&mut self, index: usize, reason: ShedReason, pool: &mut WorkerPool<'e>) -> bool {
         if let Some(slot) = self.active.remove(&index) {
-            self.finalize_active(index, slot, Some(reason), executor);
+            self.finalize_active(index, slot, Some(reason), pool);
             return true;
         }
         let queued = match self.waiting.iter().position(|&(i, _)| i == index) {
@@ -1400,17 +1387,17 @@ impl<'e> BatchScheduler<'e> {
         queued
     }
 
-    /// Takes an active slot's session back from `executor` (one queue
-    /// crossing when it lived on a pool shard) and finalizes the request.
+    /// Takes an active slot's session back from `pool` (one queue crossing)
+    /// and finalizes the request.
     fn finalize_active(
         &mut self,
         index: usize,
         slot: Slot,
         shed: Option<ShedReason>,
-        executor: &mut dyn StepExecutor<'e>,
+        pool: &mut WorkerPool<'e>,
     ) {
-        let session = executor.take(index);
-        if session.is_some() && slot.worker.is_some() {
+        let session = pool.take(index);
+        if session.is_some() {
             self.parallel.queue_crossings += 1;
         }
         self.finalize(index, Some((slot, session)), shed);
@@ -1539,61 +1526,46 @@ impl<'e> BatchScheduler<'e> {
         }
     }
 
-    /// Cancels a request mid-stream.  A waiting request is finalized
+    /// Cancels a request mid-stream, taking its session back from `pool` so
+    /// the partial turn finalizes for real.  A waiting request is finalized
     /// unserved; an active one keeps the tokens it generated so far (its
     /// outcome is marked [`ShedReason::Cancelled`]) and releases all
     /// capacity immediately.  Returns `false` when the index is unknown or
-    /// the request already finished.
-    ///
-    /// A session resident on a [`WorkerPool`](crate::parallel::WorkerPool)
-    /// cannot be taken back through this entry point (it only asks the
-    /// scheduler's own inline executor); its partial output is kept but
-    /// finalized synthetically.  Use
-    /// [`cancel_with`](BatchScheduler::cancel_with) when stepping through a
-    /// pool.
-    pub fn cancel(&mut self, request: usize) -> bool {
-        self.inline(|scheduler, executor| scheduler.cancel_with(request, executor))
-    }
-
-    /// [`cancel`](BatchScheduler::cancel), taking the session back from
-    /// `executor` so the partial turn finalizes for real.  Requests enqueued
-    /// since the last tick are admitted first: the cancelled one is shed
-    /// from the state an eager submission would have put it in.
-    pub fn cancel_with(&mut self, request: usize, executor: &mut dyn StepExecutor<'e>) -> bool {
-        self.admit_waiting(executor);
-        let cancelled = self.shed(request, ShedReason::Cancelled, executor);
+    /// the request already finished.  Requests enqueued since the last tick
+    /// are admitted first: the cancelled one is shed from the state an eager
+    /// submission would have put it in.
+    pub fn cancel_with(&mut self, request: usize, pool: &mut WorkerPool<'e>) -> bool {
+        self.admit_waiting(pool);
+        let cancelled = self.shed(request, ShedReason::Cancelled, pool);
         if cancelled {
             self.chaos_metrics.cancelled_requests += 1;
         }
         cancelled
     }
 
-    /// Gracefully drains the scheduler: admission stops, every waiting
-    /// request is finalized unserved ([`ShedReason::Drained`]) and the
-    /// active ones are stepped to completion.  On return the scheduler is
-    /// idle and every lease, tier placement and shared-prefix reference has
-    /// been released — [`finish`](BatchScheduler::finish) cannot fail.
-    /// Draining is terminal: requests submitted afterwards queue forever.
-    pub fn drain(&mut self) -> Result<(), ServeError> {
-        self.inline(|scheduler, executor| scheduler.drain_with(executor))
-    }
-
-    /// [`drain`](BatchScheduler::drain) stepping through `executor`.  A
+    /// Gracefully drains the scheduler, stepping through `pool`: admission
+    /// stops, every waiting request is finalized unserved
+    /// ([`ShedReason::Drained`]) and the active ones are stepped to
+    /// completion.  On return the scheduler is idle and every lease, tier
+    /// placement and shared-prefix reference has been released —
+    /// [`finish`](BatchScheduler::finish) cannot fail.  Draining is
+    /// terminal: requests submitted afterwards queue forever.  A
     /// [`ServeError::WorkerLost`] mid-drain sheds the lost request and
     /// surfaces the error; calling again resumes the wind-down.
-    pub fn drain_with(&mut self, executor: &mut dyn StepExecutor<'e>) -> Result<(), ServeError> {
-        self.admit_waiting(executor);
+    pub fn drain_with(&mut self, pool: &mut WorkerPool<'e>) -> Result<(), ServeError> {
+        self.admit_waiting(pool);
         self.begin_drain();
         while !self.active.is_empty() {
-            self.try_step_with(executor)?;
+            self.try_step_with(pool)?;
         }
         Ok(())
     }
 
-    /// The non-blocking half of [`drain`](BatchScheduler::drain): stops
-    /// admission, sheds every waiting request as [`ShedReason::Drained`] and
-    /// resumes any backpressure-paused slot so the wind-down cannot stall —
-    /// but does **not** step the active sessions.  A request
+    /// The non-blocking half of [`drain_with`](BatchScheduler::drain_with):
+    /// stops admission, sheds every waiting request as
+    /// [`ShedReason::Drained`] and resumes any backpressure-paused slot so
+    /// the wind-down cannot stall — but does **not** step the active
+    /// sessions.  A request
     /// [`enqueue`](BatchScheduler::enqueue)d and not yet admitted counts as
     /// waiting and is shed too.  Keep calling
     /// [`try_step_with`](BatchScheduler::try_step_with) until
@@ -1620,21 +1592,6 @@ impl<'e> BatchScheduler<'e> {
         }
     }
 
-    /// Drives [`step`](BatchScheduler::step) until every submitted request
-    /// has finished, then collects the outcome — the inline convenience
-    /// over [`run_with`](BatchScheduler::run_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecoverable worker loss, which only a configured
-    /// [`ChaosConfig`] can produce; drive [`run_with`](BatchScheduler::run_with)
-    /// to receive it as a typed error instead.
-    pub fn run_to_completion(mut self) -> BatchOutcome {
-        let mut executor = std::mem::take(&mut self.inline);
-        self.run_with(&mut executor, |_| {})
-            .unwrap_or_else(|error| panic!("{error}"))
-    }
-
     /// Drives [`try_step_with`](BatchScheduler::try_step_with) until every
     /// submitted request has finished, delivering the [`ServeEvent`] stream
     /// from the coordinating thread: tokens as they commit, in the order
@@ -1652,14 +1609,14 @@ impl<'e> BatchScheduler<'e> {
     /// lose the batch should step/drain a scheduler they own instead.
     pub fn run_with(
         mut self,
-        executor: &mut dyn StepExecutor<'e>,
+        pool: &mut WorkerPool<'e>,
         mut on_event: impl FnMut(ServeEvent),
     ) -> Result<BatchOutcome, ServeError> {
         for (request, reason) in self.take_shed_events() {
             on_event(ServeEvent::Shed { request, reason });
         }
         while !self.is_idle() {
-            let stepped = self.try_step_with(executor);
+            let stepped = self.try_step_with(pool);
             // Sheds recorded this tick are delivered even when the tick
             // itself failed with a worker loss.
             let events = match &stepped {
@@ -1688,10 +1645,11 @@ impl<'e> BatchScheduler<'e> {
     /// Returns [`BatchIncomplete`] if any submitted request is still waiting
     /// or decoding; the error hands the scheduler back
     /// ([`BatchIncomplete::resume`]) so the batch can still be driven with
-    /// [`step`](BatchScheduler::step) until
+    /// [`step`](BatchScheduler::step) (or [`step_with`](BatchScheduler::step_with)
+    /// on the pool it was submitted to) until
     /// [`is_idle`](BatchScheduler::is_idle) — or use
-    /// [`run_to_completion`](BatchScheduler::run_to_completion) and never
-    /// deal with the error at all.
+    /// [`run_with`](BatchScheduler::run_with) and never deal with the error
+    /// at all.
     pub fn finish(self) -> Result<BatchOutcome, BatchIncomplete<'e>> {
         if !self.is_idle() {
             return Err(BatchIncomplete {
@@ -1736,7 +1694,7 @@ impl<'e> BatchScheduler<'e> {
 
     /// Derives the batch's [`SloReport`] from the per-request timings and
     /// outcomes.  Pure tick arithmetic: no wall-clock enters, so the report
-    /// is bit-identical across executors and worker counts.
+    /// is bit-identical across worker counts.
     fn slo_report(
         spec: SloSpec,
         timings: &[RequestTiming],
@@ -1808,6 +1766,15 @@ mod tests {
         KelleEngine::new(EngineConfig::default())
     }
 
+    /// Steps a scheduler fed through [`BatchScheduler::submit`] until it is
+    /// idle and collects its outcome.
+    fn run(mut scheduler: BatchScheduler<'_>) -> BatchOutcome {
+        while !scheduler.is_idle() {
+            scheduler.step();
+        }
+        scheduler.finish().expect("idle")
+    }
+
     #[test]
     fn scheduler_round_robins_until_done() {
         let engine = engine();
@@ -1858,7 +1825,7 @@ mod tests {
         assert!(err.to_string().contains("1 request(s) still decoding"));
         // Nothing in flight was lost: the scheduler comes back out of the
         // error and the batch still completes.
-        let outcome = err.resume().run_to_completion();
+        let outcome = run(err.resume());
         assert_eq!(outcome.outcomes[0].generated.len(), 3);
     }
 
@@ -1922,7 +1889,7 @@ mod tests {
         let mut scheduler = BatchScheduler::with_config(&engine, config);
         scheduler.submit(ServeRequest::new(vec![1, 2, 3], 2));
         assert_eq!(scheduler.active(), 1, "empty machine must force-admit");
-        let outcome = scheduler.run_to_completion();
+        let outcome = run(scheduler);
         assert_eq!(outcome.outcomes[0].generated.len(), 2);
         // Everything beyond the 1-byte capacity spilled.
         assert!(outcome.contention.spill_bytes > 0);
@@ -1944,7 +1911,7 @@ mod tests {
         scheduler.submit(ServeRequest::new(vec![2; 6], 1));
         scheduler.submit(ServeRequest::new(vec![3; 2], 1));
         assert_eq!(scheduler.waiting(), 2);
-        let outcome = scheduler.run_to_completion();
+        let outcome = run(scheduler);
         let timings = &outcome.contention.per_request;
         // The short prompt (submitted last) was admitted no later than the
         // 6-token one.
@@ -1968,7 +1935,7 @@ mod tests {
         scheduler.submit(ServeRequest::new(vec![2; 7], 1));
         scheduler.submit(ServeRequest::new(vec![3; 2], 1));
         assert_eq!(scheduler.active(), 2, "first-fit admits around the head");
-        let outcome = scheduler.run_to_completion();
+        let outcome = run(scheduler);
         let timings = &outcome.contention.per_request;
         assert_eq!(timings[2].queue_ticks, 0);
         assert!(timings[1].queue_ticks > 0);
@@ -2011,7 +1978,7 @@ mod tests {
             scheduler.ledger().dedup_savings_bytes(),
             2 * shared_footprint
         );
-        let outcome = scheduler.run_to_completion();
+        let outcome = run(scheduler);
         assert_eq!(outcome.prefix.hit_requests, 3);
         assert_eq!(outcome.prefix.hit_tokens, 3 * prefix.len() as u64);
         assert_eq!(outcome.prefix.shared_bytes, shared_footprint);
@@ -2067,8 +2034,8 @@ mod tests {
         }
         assert_eq!(without.active(), 1, "without sharing the second queues");
         // Streams are identical either way.
-        let a = with.run_to_completion();
-        let b = without.run_to_completion();
+        let a = run(with);
+        let b = run(without);
         for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
             assert_eq!(x.generated, y.generated);
         }
@@ -2145,7 +2112,7 @@ mod tests {
         for request in &requests {
             unbounded.submit(request.clone());
         }
-        let baseline = unbounded.run_to_completion();
+        let baseline = run(unbounded);
 
         // eDRAM holds one 4-token prompt at a time: the fleet's total KV
         // overflows on chip and must queue + demote.
@@ -2155,7 +2122,7 @@ mod tests {
         for request in &requests {
             scheduler.submit(request.clone());
         }
-        let tiered = scheduler.run_to_completion();
+        let tiered = run(scheduler);
 
         // Bit-identical functional and hardware outcomes; only the tiering
         // metrics differ from their all-zero default.
@@ -2193,7 +2160,7 @@ mod tests {
         let config = SchedulerConfig::default().with_tiering(TierConfig::with_edram_budget(edram));
         let mut scheduler = BatchScheduler::with_config(&engine, config);
         scheduler.submit(request);
-        let outcome = scheduler.run_to_completion();
+        let outcome = run(scheduler);
 
         assert_eq!(outcome.outcomes[0].generated, alone.generated);
         assert_eq!(outcome.outcomes[0].hardware, alone.hardware);
@@ -2250,7 +2217,7 @@ mod tests {
             scheduler.step();
         }
         assert_eq!(scheduler.waiting(), 0, "queue timeout expired");
-        let outcome = scheduler.run_to_completion();
+        let outcome = run(scheduler);
         assert_eq!(outcome.outcomes[1].shed, Some(ShedReason::QueueTimeout));
         assert!(outcome.outcomes[1].generated.is_empty());
         assert_eq!(outcome.outcomes[0].shed, None);
@@ -2261,13 +2228,14 @@ mod tests {
     fn cancel_finalizes_mid_stream_and_releases_capacity() {
         let engine = engine();
         let mut scheduler = BatchScheduler::new(&engine);
-        let a = scheduler.submit(ServeRequest::new(vec![1, 2, 3], 8));
-        let b = scheduler.submit(ServeRequest::new(vec![4, 5, 6], 2));
-        scheduler.step();
-        assert!(scheduler.cancel(a));
-        assert!(!scheduler.cancel(a), "already finished");
-        assert!(!scheduler.cancel(99), "unknown index");
-        let outcome = scheduler.run_to_completion();
+        let mut pool = WorkerPool::default();
+        let a = scheduler.submit_with(ServeRequest::new(vec![1, 2, 3], 8), &mut pool);
+        let b = scheduler.submit_with(ServeRequest::new(vec![4, 5, 6], 2), &mut pool);
+        scheduler.step_with(&mut pool);
+        assert!(scheduler.cancel_with(a, &mut pool));
+        assert!(!scheduler.cancel_with(a, &mut pool), "already finished");
+        assert!(!scheduler.cancel_with(99, &mut pool), "unknown index");
+        let outcome = scheduler.run_with(&mut pool, |_| {}).expect("no chaos");
         assert_eq!(outcome.outcomes[a].shed, Some(ShedReason::Cancelled));
         assert_eq!(outcome.outcomes[a].generated.len(), 1);
         assert_eq!(outcome.outcomes[b].shed, None);
@@ -2280,11 +2248,17 @@ mod tests {
         let capacity = engine.kv_footprint_bytes(4);
         let config = SchedulerConfig::default().with_kv_capacity_bytes(capacity);
         let mut scheduler = BatchScheduler::with_config(&engine, config);
-        scheduler.submit(ServeRequest::new(vec![1, 2, 3, 4], 4));
-        scheduler.submit(ServeRequest::new(vec![5, 6, 7, 8], 4));
+        let mut pool = WorkerPool::default();
+        scheduler.submit_with(ServeRequest::new(vec![1, 2, 3, 4], 4), &mut pool);
+        scheduler.submit_with(ServeRequest::new(vec![5, 6, 7, 8], 4), &mut pool);
         assert_eq!((scheduler.active(), scheduler.waiting()), (1, 1));
-        scheduler.step();
-        scheduler.drain().expect("no chaos, drain cannot fail");
+        scheduler.step_with(&mut pool);
+        scheduler
+            .drain_with(&mut pool)
+            .expect("no chaos, drain cannot fail");
+        // The completed session came back from the pool: nothing is left
+        // resident.
+        assert!(pool.take(0).is_none());
         assert!(scheduler.is_draining());
         assert!(scheduler.is_idle());
         assert_eq!(scheduler.ledger().live_bytes(), 0);
@@ -2299,7 +2273,6 @@ mod tests {
 
     #[test]
     fn chaos_recovery_keeps_streams_bit_identical() {
-        use crate::parallel::WorkerPool;
         let engine = engine();
         let requests: Vec<ServeRequest> = (0..4)
             .map(|i| ServeRequest::new(vec![10 + i, 20 + i, 30 + i], 4))
@@ -2309,7 +2282,7 @@ mod tests {
         for request in &requests {
             baseline.submit(request.clone());
         }
-        let clean = baseline.run_to_completion();
+        let clean = run(baseline);
 
         let chaos = ChaosConfig::default()
             .with_seed(7)
@@ -2351,10 +2324,10 @@ mod tests {
             .with_max_retries(0);
         let config = SchedulerConfig::default().with_chaos(chaos);
         let mut scheduler = BatchScheduler::with_config(&engine, config);
-        let mut executor = InlineExecutor::default();
-        scheduler.submit_with(ServeRequest::new(vec![1, 2, 3], 4), &mut executor);
+        let mut pool = WorkerPool::default();
+        scheduler.submit_with(ServeRequest::new(vec![1, 2, 3], 4), &mut pool);
         let err = scheduler
-            .try_step_with(&mut executor)
+            .try_step_with(&mut pool)
             .expect_err("a certain panic with no retries must be lost");
         match err {
             ServeError::WorkerLost {
@@ -2386,7 +2359,7 @@ mod tests {
         assert_eq!(scheduler.active(), 1);
         assert_eq!(scheduler.waiting(), 1);
         assert!(scheduler.ledger().can_fit(edram));
-        let outcome = scheduler.run_to_completion();
+        let outcome = run(scheduler);
         assert!(outcome.contention.total_queue_ticks > 0);
     }
 
@@ -2426,14 +2399,16 @@ mod tests {
     fn drain_sheds_scheduled_arrivals() {
         let engine = engine();
         let mut scheduler = BatchScheduler::new(&engine);
-        scheduler.submit(ServeRequest::new(vec![1, 2], 2));
-        scheduler.submit(
+        let mut pool = WorkerPool::default();
+        scheduler.submit_with(ServeRequest::new(vec![1, 2], 2), &mut pool);
+        scheduler.submit_with(
             ServeRequest::builder(vec![3, 4])
                 .decode_len(1)
                 .arrival_tick(50)
                 .build(),
+            &mut pool,
         );
-        scheduler.drain().expect("no chaos");
+        scheduler.drain_with(&mut pool).expect("no chaos");
         assert!(scheduler.is_idle());
         let outcome = scheduler.finish().expect("idle");
         assert_eq!(outcome.outcomes[0].shed, None);
@@ -2444,15 +2419,17 @@ mod tests {
     fn cancelling_a_future_arrival_leaves_nothing_scheduled() {
         let engine = engine();
         let mut scheduler = BatchScheduler::new(&engine);
-        let late = scheduler.submit(
+        let mut pool = WorkerPool::default();
+        let late = scheduler.submit_with(
             ServeRequest::builder(vec![3, 4])
                 .decode_len(1)
                 .arrival_tick(50)
                 .build(),
+            &mut pool,
         );
         assert_eq!(scheduler.scheduled(), 1);
-        assert!(scheduler.cancel(late));
-        assert!(!scheduler.cancel(late), "already finished");
+        assert!(scheduler.cancel_with(late, &mut pool));
+        assert!(!scheduler.cancel_with(late, &mut pool), "already finished");
         assert_eq!(scheduler.scheduled(), 0);
         assert!(
             scheduler.is_idle(),
@@ -2475,7 +2452,7 @@ mod tests {
         let mut scheduler = BatchScheduler::with_config(&engine, config);
         scheduler.submit(ServeRequest::new(vec![1, 2, 3, 4], 2));
         scheduler.submit(ServeRequest::new(vec![5, 6, 7, 8], 2));
-        let outcome = scheduler.run_to_completion();
+        let outcome = run(scheduler);
         let slo = &outcome.slo;
         assert_eq!((slo.requests, slo.completed, slo.shed), (2, 2, 0));
         assert_eq!(slo.ttft.samples, 2);

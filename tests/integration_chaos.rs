@@ -15,9 +15,9 @@
 
 use kelle::tier::{TierConfig, TierUsageMetrics, TieringMetrics};
 use kelle::{
-    BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, ChaosMetrics, InlineExecutor,
-    KelleEngine, PrefixSharingConfig, SchedulerConfig, ServeError, ServeOptions, ServeRequest,
-    ShedReason,
+    BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, ChaosMetrics, KelleEngine,
+    PrefixSharingConfig, SchedulerConfig, ServeError, ServeOptions, ServeRequest, ShedReason,
+    WorkerPool,
 };
 use proptest::prelude::*;
 
@@ -430,30 +430,27 @@ fn cancel_and_drain_release_everything_after_faults() {
             .with_tiering(tiny_tiering(&engine, shared_prefix().len() + 6))
             .with_chaos(storm(seed));
         let mut scheduler = BatchScheduler::with_config(&engine, config);
-        let mut executor = InlineExecutor::default();
+        let mut pool = WorkerPool::default();
         let requests = policy_mix();
         let total = requests.len();
         for request in requests {
-            scheduler.submit_with(request, &mut executor);
+            scheduler.submit_with(request, &mut pool);
         }
         // Let faults inject and recover for a couple of ticks, then cancel
         // the longest-running request (decode length 7 — still live) and
         // drain the rest.
         for _ in 0..2 {
             scheduler
-                .try_step_with(&mut executor)
+                .try_step_with(&mut pool)
                 .expect("the replay budget absorbs every fault");
         }
         assert!(
-            scheduler.cancel_with(4, &mut executor),
+            scheduler.cancel_with(4, &mut pool),
             "request 4 is live and cancellable"
         );
-        assert!(
-            !scheduler.cancel_with(4, &mut executor),
-            "cancel is idempotent"
-        );
+        assert!(!scheduler.cancel_with(4, &mut pool), "cancel is idempotent");
         scheduler
-            .drain_with(&mut executor)
+            .drain_with(&mut pool)
             .expect("drain finishes in-flight work despite the storm");
         assert!(scheduler.is_draining());
         assert!(scheduler.is_idle());
@@ -512,11 +509,10 @@ fn exhausted_replay_budget_surfaces_typed_worker_lost() {
 
 /// The lost request behind a [`ServeError::WorkerLost`] is finalized as
 /// [`ShedReason::WorkerLost`] and leaves nothing behind on the ledger or in
-/// any tier — on the inline executor and on every pool.
+/// any tier — on the default one-shard pool and on every started pool.
 #[test]
 fn a_lost_worker_sheds_its_request_and_leaks_nothing() {
-    use kelle::{StepExecutor, WorkerPool};
-    fn drive<'e>(engine: &'e KelleEngine, executor: &mut dyn StepExecutor<'e>, label: &str) {
+    fn drive<'e>(engine: &'e KelleEngine, pool: &mut WorkerPool<'e>, label: &str) {
         let chaos = ChaosConfig::default()
             .with_seed(1)
             .with_worker_panics(1000)
@@ -525,9 +521,9 @@ fn a_lost_worker_sheds_its_request_and_leaks_nothing() {
             .with_tiering(tiny_tiering(engine, 8))
             .with_chaos(chaos);
         let mut scheduler = BatchScheduler::with_config(engine, config);
-        scheduler.submit_with(ServeRequest::new(vec![1, 2, 3], 4), executor);
+        scheduler.submit_with(ServeRequest::new(vec![1, 2, 3], 4), pool);
         let error = scheduler
-            .try_step_with(executor)
+            .try_step_with(pool)
             .expect_err("a certain panic with no retries cannot recover");
         assert!(
             matches!(error, ServeError::WorkerLost { request: 0, .. }),
@@ -550,7 +546,7 @@ fn a_lost_worker_sheds_its_request_and_leaks_nothing() {
         assert_eq!(outcome.chaos.lost_requests, 1, "{label}");
     }
     let engine = KelleEngine::builder().seed(5).build();
-    drive(&engine, &mut InlineExecutor::default(), "inline");
+    drive(&engine, &mut WorkerPool::default(), "default pool");
     for workers in worker_counts() {
         std::thread::scope(|scope| {
             let mut pool = WorkerPool::start(scope, workers);

@@ -16,9 +16,9 @@ use kelle::front::{FrontConfig, StreamPoll, SubmitError, TokenStream};
 use kelle::scheduler::ServeEvent;
 use kelle::tier::TierConfig;
 use kelle::{
-    AdmissionPolicy, BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, InlineExecutor,
-    KelleEngine, PrefixSharingConfig, SchedulerConfig, ServeOptions, ServeRequest, ServingFront,
-    ShedReason, WorkerPool,
+    AdmissionPolicy, BatchOutcome, BatchScheduler, CachePolicy, ChaosConfig, KelleEngine,
+    PrefixSharingConfig, SchedulerConfig, ServeOptions, ServeRequest, ServingFront, ShedReason,
+    WorkerPool,
 };
 
 /// Worker counts under test: `KELLE_TEST_WORKERS` or {1, 2, 4} by default.
@@ -53,8 +53,8 @@ fn chaos_seeds() -> Vec<u64> {
 }
 
 /// Asserts two batch outcomes are bit-identical in every stream-affecting
-/// observable.  Executor-protocol traffic (`parallel`) is a cost metric that
-/// differs between inline and pooled execution, so it is not compared here.
+/// observable and in their pool traffic (`parallel`), which is the same on
+/// one shard as on many.
 fn assert_outcomes_identical(a: &BatchOutcome, b: &BatchOutcome, label: &str) {
     assert_eq!(a.outcomes.len(), b.outcomes.len(), "{label}: request count");
     for (i, (x, y)) in a.outcomes.iter().zip(b.outcomes.iter()).enumerate() {
@@ -73,6 +73,7 @@ fn assert_outcomes_identical(a: &BatchOutcome, b: &BatchOutcome, label: &str) {
     assert_eq!(a.stats, b.stats, "{label}: aggregate stats");
     assert_eq!(a.contention, b.contention, "{label}: contention metrics");
     assert_eq!(a.prefix, b.prefix, "{label}: prefix metrics");
+    assert_eq!(a.parallel, b.parallel, "{label}: pool traffic");
 }
 
 fn shared_prefix() -> Vec<usize> {
@@ -127,7 +128,7 @@ fn serve(
 
 /// Drains one stream to its end, returning its tokens and terminal shed.
 fn read_stream(
-    front: &mut ServingFront<'_, '_>,
+    front: &mut ServingFront<'_>,
     stream: &TokenStream,
 ) -> (Vec<usize>, Option<ShedReason>) {
     let mut tokens = Vec::new();
@@ -464,10 +465,13 @@ fn sessions_cross_the_queue_twice_per_life_on_front_and_serve() {
                 "workers={workers}: pinning never migrates"
             );
         }
-        let inline = engine
+        let one_shard = engine
             .serve(fleet, ServeOptions::new())
             .expect("no chaos configured");
-        assert_eq!(inline.parallel.queue_crossings, 0, "inline never crosses");
+        assert_eq!(
+            one_shard.parallel, synchronous.parallel,
+            "workers={workers}: one shard crosses as often as the pool"
+        );
     }
 }
 
@@ -479,26 +483,26 @@ fn shed_reasons_surface_through_the_event_stream_as_they_happen() {
     let capacity = engine.kv_footprint_bytes(4);
     let config = SchedulerConfig::default().with_kv_capacity_bytes(capacity);
     let mut scheduler = BatchScheduler::with_config(&engine, config);
-    let mut executor = InlineExecutor::default();
+    let mut pool = WorkerPool::default();
     scheduler.submit_with(
         ServeRequest::builder(vec![1, 2, 3, 4])
             .decode_len(10)
             .deadline_ticks(4)
             .build(),
-        &mut executor,
+        &mut pool,
     );
     scheduler.submit_with(
         ServeRequest::builder(vec![5, 6, 7, 8])
             .decode_len(2)
             .queue_timeout_ticks(2)
             .build(),
-        &mut executor,
+        &mut pool,
     );
     assert_eq!(scheduler.waiting(), 1, "the fixture must queue request 1");
     let mut tokens = Vec::new();
     let mut sheds = Vec::new();
     let outcome = scheduler
-        .run_with(&mut executor, |event| match event {
+        .run_with(&mut pool, |event| match event {
             ServeEvent::Token { request, token, .. } => tokens.push((request, token)),
             ServeEvent::Shed { request, reason } => sheds.push((request, reason)),
         })
@@ -561,22 +565,22 @@ fn same_tick_sheds_surface_in_request_index_order() {
         .with_kv_capacity_bytes(2 * engine.kv_footprint_bytes(2))
         .with_admission(AdmissionPolicy::ShortestPromptFirst);
     let mut scheduler = BatchScheduler::with_config(&engine, config);
-    let mut executor = InlineExecutor::default();
+    let mut pool = WorkerPool::default();
     let short = |token: usize| {
         ServeRequest::builder(vec![token, token + 1])
             .decode_len(10)
             .deadline_ticks(3)
             .build()
     };
-    scheduler.submit_with(short(1), &mut executor);
+    scheduler.submit_with(short(1), &mut pool);
     scheduler.submit_with(
         ServeRequest::builder(vec![7; 8])
             .decode_len(2)
             .queue_timeout_ticks(3)
             .build(),
-        &mut executor,
+        &mut pool,
     );
-    scheduler.submit_with(short(4), &mut executor);
+    scheduler.submit_with(short(4), &mut pool);
     assert_eq!(
         (scheduler.active(), scheduler.waiting()),
         (2, 1),
@@ -584,7 +588,7 @@ fn same_tick_sheds_surface_in_request_index_order() {
     );
     let mut sheds = Vec::new();
     let outcome = scheduler
-        .run_with(&mut executor, |event| {
+        .run_with(&mut pool, |event| {
             if let ServeEvent::Shed { request, reason } = event {
                 sheds.push((request, reason));
             }

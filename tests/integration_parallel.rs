@@ -56,6 +56,7 @@ fn assert_outcomes_identical(a: &BatchOutcome, b: &BatchOutcome, label: &str) {
     assert_eq!(a.contention, b.contention, "{label}: contention metrics");
     assert_eq!(a.prefix, b.prefix, "{label}: prefix metrics");
     assert_eq!(a.tiering, b.tiering, "{label}: tier metrics");
+    assert_eq!(a.parallel, b.parallel, "{label}: pool traffic");
 }
 
 fn shared_prefix() -> Vec<usize> {
