@@ -20,10 +20,12 @@
 //! [`AerpCache::h2o`].  Its state is the host-side analogue of the systolic
 //! evictor (§5.3), which keeps one score register per cached token and finds
 //! the minimum as the scores stream out: per head, the retained tokens in
-//! insertion order, a parallel score array, and the median of those scores
-//! (the HST/LST split of 2DRP, §4.2).  The median is re-selected on a reused
-//! buffer after every insert, observe and `finish_prefill`, so a read
-//! allocates nothing.
+//! insertion order and a parallel score array.  The HST/LST split of 2DRP
+//! (§4.2) is the median of those scores, and it is selected only when a
+//! read asks for a label: each `for_each_entry` hands its entries their
+//! scores and a [`MedianThreshold`] that selects the head's median on a
+//! reused buffer at the first label asked for.  Inserts, observes and
+//! `finish_prefill` select nothing, and a read allocates nothing.
 //!
 //! # Two storage formats
 //!
@@ -51,7 +53,10 @@
 //! the eDRAM capacity/refresh model consumes downstream.
 
 use crate::budget::CacheBudget;
-use kelle_model::{CacheStats, EntryRef, InputSlab, KvArena, KvCacheBackend, PayloadRef, TokenId};
+use kelle_model::{
+    CacheStats, EntryRef, InputSlab, KvArena, KvCacheBackend, MedianThreshold, PayloadRef, TokenId,
+};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// What a head stores for its retained tokens, parallel to its token list.
@@ -70,9 +75,6 @@ struct Head {
     /// The accumulated attention score of each token (Eq. 3).
     scores: Vec<f32>,
     stored: Stored,
-    /// The median of `scores`: a token scoring at least this much is a
-    /// high-score token (HST) to 2DRP.
-    median: f32,
 }
 
 impl Head {
@@ -124,7 +126,6 @@ impl Layer {
             } else {
                 Stored::Kv(KvArena::new(head_dim))
             },
-            median: f32::NEG_INFINITY,
         };
         Layer {
             heads: vec![head; heads],
@@ -175,20 +176,6 @@ impl Layer {
     }
 }
 
-/// The median of `scores` (the upper one of an even count), selected on
-/// `scratch`; −∞ when there are none.
-fn median(scores: &[f32], scratch: &mut Vec<f32>) -> f32 {
-    scratch.clear();
-    scratch.extend_from_slice(scores);
-    if scratch.is_empty() {
-        return f32::NEG_INFINITY;
-    }
-    let mid = scratch.len() / 2;
-    *scratch
-        .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal))
-        .1
-}
-
 /// The accumulated-attention eviction core behind AERP and H2O (see the
 /// module docs).
 #[derive(Debug, Clone)]
@@ -206,7 +193,7 @@ pub struct AerpCache {
     evictions: u64,
     insertions: u64,
     /// The median selection's reused buffer.
-    scratch: Vec<f32>,
+    ranks: RefCell<Vec<f32>>,
 }
 
 impl AerpCache {
@@ -241,12 +228,12 @@ impl AerpCache {
             in_prefill: true,
             evictions: 0,
             insertions: 0,
-            scratch: Vec::new(),
+            ranks: RefCell::default(),
         }
     }
 
     /// Evicts from `(layer, head)` until it fits the budget (once pre-fill
-    /// is over), then re-selects the head's median.
+    /// is over).
     fn settle(&mut self, layer: usize, head: usize, incoming: Option<TokenId>) {
         let state = &mut self.layers[layer];
         while !self.in_prefill && state.heads[head].tokens.len() > self.budget.max_tokens {
@@ -256,8 +243,6 @@ impl AerpCache {
             state.evict(head, i);
             self.evictions += 1;
         }
-        let head = &mut state.heads[head];
-        head.median = median(&head.scores, &mut self.scratch);
     }
 }
 
@@ -290,7 +275,8 @@ impl KvCacheBackend for AerpCache {
     }
 
     /// Visits the retained entries in insertion order: a stored row borrowed
-    /// from the layer's slab under its slot (AERP), or the head's K/V (H2O).
+    /// from the layer's slab under its slot (AERP), or the head's K/V (H2O),
+    /// each with its accumulated score and the head's threshold.
     fn for_each_entry(
         &self,
         layer: usize,
@@ -301,6 +287,8 @@ impl KvCacheBackend for AerpCache {
             return;
         };
         let head = &state.heads[head];
+        let scores = |buffer: &mut Vec<f32>| buffer.extend_from_slice(&head.scores);
+        let threshold = MedianThreshold::new(&scores, &self.ranks);
         let entries = head.tokens.iter().zip(&head.scores).enumerate();
         for (i, (&token, &score)) in entries {
             let payload = match &head.stored {
@@ -313,11 +301,7 @@ impl KvCacheBackend for AerpCache {
                     value: arena.value(i),
                 },
             };
-            visit(EntryRef {
-                token,
-                payload,
-                high_score: score >= head.median,
-            });
+            visit(EntryRef::scored(token, payload, score, &threshold));
         }
     }
 
@@ -347,7 +331,6 @@ impl KvCacheBackend for AerpCache {
             assert_eq!(observed, token, "{CONTRACT}");
             *acc += p;
         }
-        head.median = median(&head.scores, &mut self.scratch);
     }
 
     fn finish_prefill(&mut self, context_len: usize) {
@@ -747,13 +730,68 @@ mod tests {
         cache.observe_attention(0, 0, &[(0, 1.0), (1, 0.8), (2, 0.1), (3, 0.05)]);
         let labels = |cache: &AerpCache, head: usize| {
             let mut labels = Vec::new();
-            cache.for_each_entry(0, head, &mut |e| labels.push(e.high_score));
+            cache.for_each_entry(0, head, &mut |e| labels.push(e.high_score()));
             labels
         };
         assert_eq!(labels(&cache, 0), [true, true, false, false]);
         // An unobserved head ties at the median: every token is high-score
         // (the conservative refresh default).
         assert_eq!(labels(&cache, 1), [true; 4]);
+    }
+
+    /// Every label a traversal hands out equals the eager rule computed
+    /// here, whenever it is asked: a token is high-score when its score
+    /// reaches the median (the upper one of an even count) of the scores its
+    /// head holds at that moment.  Checked after every insert, observe and
+    /// `finish_prefill` of a seeded sequence with evictions, for AERP and
+    /// H2O.
+    #[test]
+    fn labels_follow_the_median_of_the_current_scores() {
+        // SplitMix64, mapped to [0, 1).
+        fn draw(state: &mut u64) -> f32 {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 24) as f32
+        }
+        fn check(cache: &AerpCache, at: &str) {
+            for head in 0..HEADS {
+                let scores = &cache.layers[0].heads[head].scores;
+                let mut sorted = scores.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                let expected: Vec<bool> = scores
+                    .iter()
+                    .map(|s| *s >= sorted[sorted.len() / 2])
+                    .collect();
+                let mut labels = Vec::new();
+                cache.for_each_entry(0, head, &mut |e| labels.push(e.high_score()));
+                assert_eq!(labels, expected, "{} head {head} {at}", cache.name());
+            }
+        }
+        let budget = CacheBudget::new(6)
+            .with_recent_window(2)
+            .with_sink_tokens(1);
+        for mut cache in [AerpCache::new(budget, HEADS), AerpCache::h2o(budget, HEADS)] {
+            let mut state = 7u64;
+            for t in 0..40 {
+                if t == 10 {
+                    cache.finish_prefill(10);
+                    check(&cache, "after finish_prefill");
+                }
+                insert_token(&mut cache, 0, t);
+                check(&cache, &format!("after insert {t}"));
+                for head in 0..HEADS {
+                    let scores: Vec<(usize, f32)> = retained(&cache, head)
+                        .into_iter()
+                        .map(|t| (t, draw(&mut state)))
+                        .collect();
+                    cache.observe_attention(0, head, &scores);
+                    check(&cache, &format!("after observe {t}, head {head}"));
+                }
+            }
+            assert!(cache.stats().evictions > 0, "{}", cache.name());
+        }
     }
 
     /// Through a real decode with eviction at every step, AERP never hands

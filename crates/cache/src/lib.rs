@@ -51,6 +51,6 @@ pub use quantized::QuaRotKvCache;
 pub use streaming::StreamingLlmCache;
 
 pub use kelle_model::{
-    ArenaGrid, CacheStats, EntryRef, FullKvCache, InputSlab, KvArena, KvCacheBackend, PayloadRef,
-    TokenId,
+    ArenaGrid, CacheStats, EntryRef, FullKvCache, InputSlab, KvArena, KvCacheBackend,
+    MedianThreshold, PayloadRef, TokenId,
 };

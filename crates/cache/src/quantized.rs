@@ -98,14 +98,11 @@ impl KvCacheBackend for QuaRotKvCache {
             return;
         };
         for i in 0..arena.len() {
-            visit(EntryRef {
-                token: arena.token_at(i),
-                payload: PayloadRef::Kv {
-                    key: arena.key(i),
-                    value: arena.value(i),
-                },
-                high_score: true,
-            });
+            let payload = PayloadRef::Kv {
+                key: arena.key(i),
+                value: arena.value(i),
+            };
+            visit(EntryRef::labelled(arena.token_at(i), payload, true));
         }
     }
 

@@ -90,16 +90,17 @@ impl KvCacheBackend for StreamingLlmCache {
         };
         for i in 0..arena.len() {
             let token = arena.token_at(i);
-            visit(EntryRef {
+            let payload = PayloadRef::Kv {
+                key: arena.key(i),
+                value: arena.value(i),
+            };
+            // StreamingLLM keeps no score state; sinks and recent tokens
+            // are its notion of "important".
+            visit(EntryRef::labelled(
                 token,
-                payload: PayloadRef::Kv {
-                    key: arena.key(i),
-                    value: arena.value(i),
-                },
-                // StreamingLLM keeps no score state; sinks and recent
-                // tokens are its notion of "important".
-                high_score: token < self.budget.sink_tokens,
-            });
+                payload,
+                token < self.budget.sink_tokens,
+            ));
         }
     }
 
@@ -187,7 +188,7 @@ mod tests {
             insert_token(&mut cache, t, 1);
         }
         let mut high_score = Vec::new();
-        cache.for_each_entry(0, 0, &mut |e| high_score.push((e.token, e.high_score)));
+        cache.for_each_entry(0, 0, &mut |e| high_score.push((e.token, e.high_score())));
         assert!(high_score.contains(&(0, true)));
         assert!(high_score.contains(&(3, false)));
     }

@@ -515,6 +515,10 @@ impl<'e> Session<'e> {
             "prefix publication requires a fresh session"
         );
         let mut recorder = SegmentRecorder::new(self.cache.as_mut());
+        recorder.reserve_prompt(
+            boundaries.last().copied().unwrap_or(0),
+            self.engine.model().dims(),
+        );
         let mut start = 0;
         for &boundary in boundaries {
             prefill_extend(

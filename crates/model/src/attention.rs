@@ -27,14 +27,17 @@
 //!    [`for_each_entry`](KvCacheBackend::for_each_entry) traversal per head,
 //!    on that head's fault lane.  A `Kv` entry's value is copied into the
 //!    stash; an entry of an earlier pass has its key copied into scratch
-//!    and both corrupted there, an entry of the current pass is read clean
-//!    (its stored key scores it directly, and no lane call is made).  Either
-//!    way the entry is scored at once.  A `Recompute` entry of the open
-//!    pass is scored from the key the pass holds for it, and its held value
-//!    is stashed: no row-table visit, no recompute (see the pass rule
-//!    below).  Any other `Recompute` entry enters the layer's row table
-//!    under its slot (no hashing) and reserves its value's place in the
-//!    stash.
+//!    and both corrupted there at its HST/LST label, an entry of the current
+//!    pass is read clean (its stored key scores it directly, no lane call is
+//!    made and no label is asked for).  Either way the entry is scored at
+//!    once.  A `Recompute` entry of the open pass is scored from the key the
+//!    pass holds for it, and its held value is stashed: no row-table visit,
+//!    no recompute (see the pass rule below).  Any other `Recompute` entry enters the layer's row table
+//!    under its slot (no hashing), with its label if an earlier pass
+//!    computed it, and reserves its value's place in the stash.  A label is
+//!    asked for only where a read goes through the lane, so the head's
+//!    median is selected at most once per traversal, and never in a pass
+//!    that reads every row clean.
 //! 2. **Read the rows.**  Each distinct stored row is copied once and, if an
 //!    earlier pass computed it, corrupted once on the layer's row lane,
 //!    whatever number of heads retain it; a row of the current pass that
@@ -283,7 +286,8 @@ struct RowTable {
     slot: Vec<usize>,
     /// Per row: its token, the RoPE position of its recomputed keys.
     token: Vec<TokenId>,
-    /// Per row: whether any head that retains it ranks it high.
+    /// Per row of an earlier pass: whether any head that retains it ranks
+    /// it high.  A row of the current pass, read clean, is not ranked.
     high: Vec<bool>,
     /// The rows' stored inputs, `channels` per row: copied, then corrupted,
     /// once per layer.
@@ -566,12 +570,13 @@ impl<'w> MultiHeadAttention<'w> {
 
     /// Phase 1 for head `h`: one traversal of its entries on its fault lane.
     /// Scores every `Kv` entry from its staged key and stashes its staged
-    /// value — stored as they are from `pass_start` on, corrupted before it;
-    /// scores a `Recompute` entry the pass holds from its held key and
-    /// stashes its held value; enters every other `Recompute` entry's row in
-    /// the row table and reserves the entry's score and stashed value for
-    /// phase 2.  Returns
-    /// `(recomputed_entries, kv_entries_read)` for this head.
+    /// value — stored as they are from `pass_start` on, corrupted at its
+    /// label before it; scores a `Recompute` entry the pass holds from its
+    /// held key and stashes its held value; enters every other `Recompute`
+    /// entry's row in the row table, labelled if it precedes `pass_start`,
+    /// and reserves the entry's score and stashed value for phase 2.  Asks
+    /// for no other label.  Returns `(recomputed_entries, kv_entries_read)`
+    /// for this head.
     fn read_head(
         &self,
         layer: usize,
@@ -615,7 +620,7 @@ impl<'w> MultiHeadAttention<'w> {
                 }
                 PayloadRef::Kv { key, value } => {
                     kv_entries_read += 1;
-                    let group = group(e.high_score);
+                    let group = group(e.high_score());
                     kbuf.clear();
                     kbuf.extend_from_slice(key);
                     faults.corrupt_slice(kbuf, group);
@@ -635,7 +640,10 @@ impl<'w> MultiHeadAttention<'w> {
                             kelle_tensor::dot(key, qh) * scale
                         }
                         None => {
-                            let row = rows.visit(slot, e.token, x, e.high_score);
+                            // Only a row of an earlier pass is read through the
+                            // lane, so only its label is asked for.
+                            let high = e.token < pass_start && e.high_score();
+                            let row = rows.visit(slot, e.token, x, high);
                             rows.uses.push(RowUse {
                                 head: h,
                                 row,

@@ -44,6 +44,8 @@
 
 use crate::arena::ArenaGrid;
 use crate::hash::FastHashMap;
+use std::cell::{OnceCell, RefCell};
+use std::cmp::Ordering;
 
 /// Index of a token within the full (pre-eviction) sequence.
 pub type TokenId = usize;
@@ -77,17 +79,114 @@ pub enum PayloadRef<'a> {
 /// Borrowed view of a single cached token entry for one `(layer, head)`.
 ///
 /// Produced by [`KvCacheBackend::for_each_entry`] and consumed by the fused
-/// attention pass without touching the allocator.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// attention pass without touching the allocator.  Its HST/LST label is
+/// computed only when [`high_score`](EntryRef::high_score) asks for it: a
+/// policy that ranks by accumulated attention hands out the entry's score
+/// with its head's [`MedianThreshold`] for the traversal, so a read that
+/// asks for no label selects no median.
+#[derive(Debug, Clone, Copy)]
 pub struct EntryRef<'a> {
     /// The original sequence index of the token.
     pub token: TokenId,
     /// Stored data, borrowed from the backend.
     pub payload: PayloadRef<'a>,
+    rank: Rank<'a>,
+}
+
+/// How an entry's HST/LST label is decided.
+#[derive(Debug, Clone, Copy)]
+enum Rank<'a> {
+    /// A label the policy fixes without ranking.
+    Fixed(bool),
+    /// The entry's accumulated score, ranked against its head's median.
+    Scored {
+        score: f32,
+        threshold: &'a MedianThreshold<'a>,
+    },
+}
+
+impl<'a> EntryRef<'a> {
+    /// An entry whose label the policy fixes without ranking.
+    pub fn labelled(token: TokenId, payload: PayloadRef<'a>, high_score: bool) -> Self {
+        EntryRef {
+            token,
+            payload,
+            rank: Rank::Fixed(high_score),
+        }
+    }
+
+    /// An entry with accumulated score `score`, high-score when it reaches
+    /// its head's median.
+    pub fn scored(
+        token: TokenId,
+        payload: PayloadRef<'a>,
+        score: f32,
+        threshold: &'a MedianThreshold<'a>,
+    ) -> Self {
+        EntryRef {
+            token,
+            payload,
+            rank: Rank::Scored { score, threshold },
+        }
+    }
+
     /// Whether the policy currently classifies this token as a high-score
     /// (heavy-hitter) token.  Used by the fault injector to apply the
-    /// HST/LST-dependent corruption rates of 2DRP.
-    pub high_score: bool,
+    /// HST/LST-dependent corruption rates of 2DRP.  The first call in a
+    /// traversal of a ranking policy selects the head's median.
+    pub fn high_score(&self) -> bool {
+        match self.rank {
+            Rank::Fixed(high) => high,
+            Rank::Scored { score, threshold } => score >= threshold.median(),
+        }
+    }
+}
+
+/// The HST/LST threshold of one head for one
+/// [`for_each_entry`](KvCacheBackend::for_each_entry) traversal: the median
+/// of the head's accumulated scores (the upper one of an even count, −∞ for
+/// none), selected on a reused buffer the first time a label is asked for
+/// and kept for the rest of the traversal.
+pub struct MedianThreshold<'a> {
+    /// Appends the head's accumulated scores to the buffer.
+    scores: &'a dyn Fn(&mut Vec<f32>),
+    buffer: &'a RefCell<Vec<f32>>,
+    median: OnceCell<f32>,
+}
+
+impl<'a> MedianThreshold<'a> {
+    /// A threshold over the scores `scores` appends, selected on `buffer`.
+    pub fn new(scores: &'a dyn Fn(&mut Vec<f32>), buffer: &'a RefCell<Vec<f32>>) -> Self {
+        MedianThreshold {
+            scores,
+            buffer,
+            median: OnceCell::new(),
+        }
+    }
+
+    /// The head's median score, selected on the first call.
+    pub fn median(&self) -> f32 {
+        *self.median.get_or_init(|| {
+            let mut buffer = self.buffer.borrow_mut();
+            buffer.clear();
+            (self.scores)(&mut buffer);
+            if buffer.is_empty() {
+                return f32::NEG_INFINITY;
+            }
+            let mid = buffer.len() / 2;
+            *buffer
+                .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal))
+                .1
+        })
+    }
+}
+
+impl std::fmt::Debug for MedianThreshold<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MedianThreshold")
+            .field("median", &self.median.get())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Aggregate occupancy statistics reported by a cache backend.
@@ -162,9 +261,11 @@ impl CacheStats {
 /// reports any of them (step 2 before step 3), and it keeps what a head
 /// reads within a step independent of the order heads are visited in.  All
 /// stock policies satisfy this (H2O/AERP add into the observed head's own
-/// score array and re-select that head's median; the full cache keeps a
-/// per-`(layer, head)` score map for its HST/LST labels; the others ignore
-/// observes), and a property test holds them to it.
+/// score array; the full cache keeps a per-`(layer, head)` score map; the
+/// others ignore observes), and a property test holds them to it.  A
+/// ranking policy keeps no label between calls: each traversal hands its
+/// entries their scores and a [`MedianThreshold`] that selects the head's
+/// median only if a label is asked for.
 pub trait KvCacheBackend: std::fmt::Debug + Send {
     /// Inserts the current token for `layer`.
     ///
@@ -249,6 +350,8 @@ pub struct FullKvCache {
     /// (layer, head, token) -> accumulated attention score (used only to label
     /// HST/LST groups for fault-injection experiments).
     accumulated: FastHashMap<(usize, usize), FastHashMap<TokenId, f32>>,
+    /// The median selection's reused buffer.
+    ranks: RefCell<Vec<f32>>,
     insertions: u64,
 }
 
@@ -256,15 +359,6 @@ impl FullKvCache {
     /// Creates an empty full cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn median_score(scores: &FastHashMap<TokenId, f32>) -> f32 {
-        if scores.is_empty() {
-            return 0.0;
-        }
-        let mut values: Vec<f32> = scores.values().copied().collect();
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        values[values.len() / 2]
     }
 }
 
@@ -300,19 +394,20 @@ impl KvCacheBackend for FullKvCache {
             return;
         };
         let scores = self.accumulated.get(&(layer, head));
-        let median = scores.map(Self::median_score).unwrap_or(0.0);
+        let observed =
+            |buffer: &mut Vec<f32>| buffer.extend(scores.into_iter().flat_map(|s| s.values()));
+        let threshold = MedianThreshold::new(&observed, &self.ranks);
         for i in 0..arena.len() {
             let token = arena.token_at(i);
-            visit(EntryRef {
-                token,
-                payload: PayloadRef::Kv {
-                    key: arena.key(i),
-                    value: arena.value(i),
-                },
-                high_score: scores
-                    .and_then(|s| s.get(&token))
-                    .map(|s| *s >= median)
-                    .unwrap_or(true),
+            let payload = PayloadRef::Kv {
+                key: arena.key(i),
+                value: arena.value(i),
+            };
+            // A token no step has observed yet is high-score: the
+            // conservative refresh default.
+            visit(match scores.and_then(|s| s.get(&token)) {
+                Some(&score) => EntryRef::scored(token, payload, score, &threshold),
+                None => EntryRef::labelled(token, payload, true),
             });
         }
     }
@@ -393,7 +488,7 @@ mod tests {
         // Token 2 receives most of the attention mass.
         cache.observe_attention(0, 0, &[(0, 0.05), (1, 0.05), (2, 0.8), (3, 0.1)]);
         let mut high_score = Vec::new();
-        cache.for_each_entry(0, 0, &mut |e| high_score.push((e.token, e.high_score)));
+        cache.for_each_entry(0, 0, &mut |e| high_score.push((e.token, e.high_score())));
         assert!(high_score.contains(&(2, true)));
         assert!(high_score.contains(&(0, false)));
     }

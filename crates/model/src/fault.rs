@@ -128,7 +128,10 @@
 //! [`crate::generation`]).  Rows of earlier passes are read through their
 //! lanes as above.  So a first prompt draws nothing at all, however it is
 //! chunked and whether or not its prefix was replayed, and a decode step
-//! reads every row but its own through the lane.
+//! reads every row but its own through the lane.  A clean read asks for no
+//! HST/LST label either ([`EntryRef::high_score`](crate::cache::EntryRef::high_score)),
+//! so a prompt pass selects no head's median, and a decode step selects one
+//! per head that holds a row of an earlier pass.
 //!
 //! An in-pass read skips the lane, not the storage format: under QuaRot it
 //! sees the stored KV4 values, not the FP16 projections.  An AERP row of

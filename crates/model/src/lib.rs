@@ -42,7 +42,9 @@ pub mod weights;
 
 pub use arena::{ArenaGrid, InputSlab, KvArena};
 pub use attention::{DecodeScratch, MultiHeadAttention};
-pub use cache::{CacheStats, EntryRef, FullKvCache, KvCacheBackend, PayloadRef, TokenId};
+pub use cache::{
+    CacheStats, EntryRef, FullKvCache, KvCacheBackend, MedianThreshold, PayloadRef, TokenId,
+};
 pub use config::{ModelConfig, ModelKind, SurrogateDims};
 pub use decoder::{DecoderLayer, SurrogateModel};
 pub use fault::{

@@ -30,9 +30,10 @@
 //! [`GenerationState`](crate::generation::GenerationState) holds them for
 //! its pass and reads the replayed rows without recomputing them.
 //!
-//! The log's pools are compact: recording shrinks them to their lengths,
-//! and an observe label's token is kept as a `u32`, as an insert's is, and
-//! widened back on replay.
+//! The log's pools are compact: a publication reserves them at their final
+//! sizes before it records ([`SegmentRecorder::reserve_prompt`]), recording
+//! shrinks them to their lengths, and an observe label's token is kept as a
+//! `u32`, as an insert's is, and widened back on replay.
 //!
 //! The segment's bytes are shared in the *model*, not in host memory: the
 //! capacity ledger charges a hit's matched tokens once to its shared pool,
@@ -43,6 +44,7 @@
 
 use crate::arena::FP16_BYTES;
 use crate::cache::{CacheStats, EntryRef, KvCacheBackend, TokenId};
+use crate::config::SurrogateDims;
 use crate::fault::ProbabilisticFaults;
 use std::sync::Arc;
 
@@ -80,7 +82,7 @@ struct ReplayLog {
 }
 
 impl ReplayLog {
-    /// Gives back the doubling slack of the pools once recording is done.
+    /// Gives back what recording did not use of the pools.
     fn shrink_to_fit(&mut self) {
         self.events.shrink_to_fit();
         self.xs.shrink_to_fit();
@@ -244,6 +246,24 @@ impl<'a> SegmentRecorder<'a> {
             tokens: 0,
             boundaries: Vec::new(),
         }
+    }
+
+    /// Reserves the log for a fresh pre-fill of `tokens` prompt tokens
+    /// through a model of `dims`, so its pools do not grow by doubling: one
+    /// insert per token and layer, and per token, layer and head one observe
+    /// of every token so far, as a policy that evicts nothing during
+    /// pre-fill reports.  A policy that evicts during pre-fill reports fewer
+    /// scores; [`finish_hierarchy`](Self::finish_hierarchy) gives the slack
+    /// back.
+    pub fn reserve_prompt(&mut self, tokens: usize, dims: &SurrogateDims) {
+        let inserts = tokens * dims.layers;
+        let log = &mut self.log;
+        log.events.reserve_exact(inserts * (1 + dims.heads));
+        for pool in [&mut log.xs, &mut log.keys, &mut log.values] {
+            pool.reserve_exact(inserts * dims.channels);
+        }
+        log.scores
+            .reserve_exact(inserts * dims.heads * (tokens + 1) / 2);
     }
 
     /// Marks the current recording position as a prefix boundary of a
@@ -418,7 +438,7 @@ mod tests {
             let PayloadRef::Kv { key, value } = e.payload else {
                 unreachable!("the full cache stores KV")
             };
-            out.push((e.token, e.high_score, key.to_vec(), value.to_vec()));
+            out.push((e.token, e.high_score(), key.to_vec(), value.to_vec()));
         });
         out
     }

@@ -348,7 +348,7 @@ fn visited_entries(
 ) -> Vec<(usize, bool, Vec<Vec<u32>>)> {
     let mut entries = Vec::new();
     cache.for_each_entry(layer, head, &mut |e| {
-        entries.push((e.token, e.high_score, payload_bits(e.payload)))
+        entries.push((e.token, e.high_score(), payload_bits(e.payload)))
     });
     entries
 }

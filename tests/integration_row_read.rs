@@ -14,6 +14,10 @@
 //! was replayed, and a decode step reads every row but its own through it.
 //! These tests hold that rule for every policy under 2DRP, without golden
 //! constants.
+//!
+//! A label is asked for only where a read goes through the lane, so a
+//! prompt pass, which reads every row clean, selects no head's median, and
+//! a decode step selects one per head that holds a row of an earlier pass.
 
 use kelle::cache::CacheBudget;
 use kelle::edram::{RefreshPolicy, RetentionModel};
@@ -21,12 +25,13 @@ use kelle::model::fault::BitFlipRates;
 use kelle::model::generation::{decode_step, prefill, prefill_extend, GenerationState};
 use kelle::model::weights::{ModelWeights, WeightGenConfig};
 use kelle::model::{
-    CacheStats, DecodeScratch, EntryRef, FaultInjector, FaultStats, KvCacheBackend, ModelConfig,
-    ModelKind, MultiHeadAttention, NoFaults, PayloadRef, ProbabilisticFaults, SegmentRecorder,
-    SurrogateDims, SurrogateModel, TokenId,
+    CacheStats, DecodeScratch, EntryRef, FaultInjector, FaultStats, KvCacheBackend,
+    MedianThreshold, ModelConfig, ModelKind, MultiHeadAttention, NoFaults, PayloadRef,
+    ProbabilisticFaults, SegmentRecorder, SurrogateDims, SurrogateModel, TokenId,
 };
 use kelle::{fault_injector_for_policy, CachePolicy, KelleEngine, PrefixSharingConfig};
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What one forward pass over `cache` reads of the rows written before token
 /// `before`, counted through `for_each_entry`: `(distinct stored rows,
@@ -152,11 +157,8 @@ impl KvCacheBackend for RowsOnly {
 
     fn for_each_entry(&self, _: usize, head: usize, visit: &mut dyn for<'e> FnMut(EntryRef<'e>)) {
         for (token, x) in self.rows.iter().enumerate() {
-            visit(EntryRef {
-                token,
-                payload: PayloadRef::Recompute { x, slot: token },
-                high_score: (self.high)(head, token),
-            });
+            let payload = PayloadRef::Recompute { x, slot: token };
+            visit(EntryRef::labelled(token, payload, (self.high)(head, token)));
         }
     }
 
@@ -443,5 +445,142 @@ fn a_decode_step_reads_its_own_row_clean() {
                 policy.name()
             );
         }
+    }
+}
+
+/// Serves a policy's entries ranked by its own record of their accumulated
+/// scores, and counts per `(layer, head)` the medians its thresholds select.
+#[derive(Debug)]
+struct CountedRanks {
+    inner: Box<dyn KvCacheBackend>,
+    scores: HashMap<(usize, usize), HashMap<TokenId, f32>>,
+    buffer: RefCell<Vec<f32>>,
+    selections: RefCell<BTreeMap<(usize, usize), usize>>,
+}
+
+impl CountedRanks {
+    fn new(inner: Box<dyn KvCacheBackend>) -> Self {
+        CountedRanks {
+            inner,
+            scores: HashMap::new(),
+            buffer: RefCell::default(),
+            selections: RefCell::default(),
+        }
+    }
+
+    /// The selections counted since the last call.
+    fn take_selections(&self) -> BTreeMap<(usize, usize), usize> {
+        self.selections.take()
+    }
+}
+
+impl KvCacheBackend for CountedRanks {
+    fn insert(&mut self, layer: usize, token: TokenId, x: &[f32], k: &[f32], v: &[f32], d: usize) {
+        self.inner.insert(layer, token, x, k, v, d);
+    }
+
+    fn for_each_entry(
+        &self,
+        layer: usize,
+        head: usize,
+        visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
+    ) {
+        let observed = self.scores.get(&(layer, head));
+        let select = |buffer: &mut Vec<f32>| {
+            *self
+                .selections
+                .borrow_mut()
+                .entry((layer, head))
+                .or_default() += 1;
+            buffer.extend(observed.into_iter().flat_map(|s| s.values()));
+        };
+        let threshold = MedianThreshold::new(&select, &self.buffer);
+        self.inner.for_each_entry(layer, head, &mut |e| {
+            let score = observed.and_then(|s| s.get(&e.token)).copied();
+            visit(EntryRef::scored(
+                e.token,
+                e.payload,
+                score.unwrap_or(0.0),
+                &threshold,
+            ));
+        });
+    }
+
+    fn observe_attention(&mut self, layer: usize, head: usize, scores: &[(TokenId, f32)]) {
+        let acc = self.scores.entry((layer, head)).or_default();
+        for &(token, p) in scores {
+            *acc.entry(token).or_default() += p;
+        }
+        self.inner.observe_attention(layer, head, scores);
+    }
+
+    fn finish_prefill(&mut self, context_len: usize) {
+        self.inner.finish_prefill(context_len);
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.inner.stats()
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// A 2DRP label is selected only when a read through the lane asks for it.
+/// Under 2DRP, a cold prompt pass and a prefix hit's prompt pass read every
+/// row clean and select no median; each decode step selects exactly one per
+/// `(layer, head)` that holds an entry of an earlier pass, however many of
+/// its entries are read through the lane.
+#[test]
+fn a_label_is_selected_only_for_a_read_through_the_lane() {
+    let (model, budget, prompt) = fixture();
+    let dims = *model.dims();
+    let none = BTreeMap::new();
+    for policy in CachePolicy::all() {
+        let name = policy.name();
+        let mut cache = CountedRanks::new(policy.build(budget, dims.heads));
+        let mut faults = two_drp(7);
+        let mut state = GenerationState::new();
+        prefill(&model, &mut state, &prompt, &mut cache, &mut faults);
+        assert_eq!(cache.take_selections(), none, "{name}: cold prompt pass");
+        for step in 0..8 {
+            let position = state.position();
+            decode_step(&model, &mut state, None, &mut cache, &mut faults);
+            let mut expected = BTreeMap::new();
+            for layer in 0..dims.layers {
+                for head in 0..dims.heads {
+                    let mut earlier = false;
+                    cache
+                        .inner
+                        .for_each_entry(layer, head, &mut |e| earlier |= e.token < position);
+                    if earlier {
+                        expected.insert((layer, head), 1);
+                    }
+                }
+            }
+            assert!(!expected.is_empty(), "{name} step {step}");
+            assert_eq!(cache.take_selections(), expected, "{name} step {step}");
+        }
+
+        let mut backing = policy.build(budget, dims.heads);
+        let mut recorder = SegmentRecorder::new(backing.as_mut());
+        let mut published = GenerationState::new();
+        let mut faults = two_drp(7);
+        prefill_extend(
+            &model,
+            &mut published,
+            &prompt[..16],
+            &mut recorder,
+            &mut faults,
+        );
+        let segment = recorder.finish(published.last_logits(), faults);
+        let mut cache = CountedRanks::new(policy.build(budget, dims.heads));
+        let mut faults = segment.faults_snapshot();
+        let mut state = GenerationState::new();
+        segment.attach_and_replay(&mut cache);
+        state.adopt_prefix(&segment);
+        prefill(&model, &mut state, &prompt[16..], &mut cache, &mut faults);
+        assert_eq!(cache.take_selections(), none, "{name}: prefix hit's pass");
     }
 }
