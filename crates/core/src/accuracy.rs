@@ -9,12 +9,14 @@
 //! quality scores for Table 5).  See `DESIGN.md` §2 for why these proxies
 //! preserve the orderings the paper's tables compare.
 
-use kelle_cache::{CacheBudget, CachePolicy};
 use kelle_edram::{RefreshPolicy, RetentionModel};
 use kelle_model::fault::fault_injector_for_policy;
 use kelle_model::fault::{BitFlipRates, NoFaults, ProbabilisticFaults};
 use kelle_model::generation::{evaluate_against_reference, run_reference};
-use kelle_model::{FidelityMetrics, GenerationConfig, ModelConfig, ModelKind, SurrogateModel};
+use kelle_model::{
+    CacheBudget, CachePolicy, FidelityMetrics, GenerationConfig, ModelConfig, ModelKind,
+    SurrogateModel,
+};
 use kelle_workloads::{TaskKind, TaskMetric, TokenStreamGenerator};
 
 /// A KV-cache management method compared in Table 2.

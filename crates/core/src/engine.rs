@@ -31,10 +31,11 @@ use crate::prefix::{
 use crate::scheduler::{BatchOutcome, BatchScheduler, SchedulerConfig, ServeEvent};
 use crate::session::{ServeRequest, Session, TurnOutcome};
 use kelle_arch::{Platform, PlatformKind, PlatformReport};
-use kelle_cache::{CacheBudget, CachePolicy};
 use kelle_edram::RefreshPolicy;
 use kelle_model::fault::FaultStats;
-use kelle_model::{CacheStats, DecodeTrace, ModelConfig, ModelKind, SurrogateModel};
+use kelle_model::{
+    CacheBudget, CachePolicy, CacheStats, DecodeTrace, ModelConfig, ModelKind, SurrogateModel,
+};
 use parking_lot::Mutex;
 
 /// Configuration of a [`KelleEngine`].

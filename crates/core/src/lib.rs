@@ -2,7 +2,7 @@
 //!
 //! Top-level crate of the Kelle reproduction: the public API that co-simulates
 //! the **algorithm side** (the surrogate LLM with AERP/2DRP-managed KV caches,
-//! from `kelle-model` / `kelle-cache` / `kelle-edram`) and the **hardware
+//! from `kelle-model` / `kelle-edram`) and the **hardware
 //! side** (the eDRAM-based edge accelerator and its baselines, from
 //! `kelle-arch`), plus the experiment catalogue used to regenerate every table
 //! and figure of the paper.
@@ -108,7 +108,8 @@
 //!   and migration-cost overlay
 //!   ([`SchedulerConfig::with_tiering`](scheduler::SchedulerConfig::with_tiering))
 //!   that leaves token streams bit-identical to an unlimited-eDRAM run;
-//! * [`CachePolicy`] — the registry all cache backends are built from;
+//! * [`CachePolicy`] — the registry the one KV store is built from, for
+//!   each of the paper's five cache policies;
 //! * [`accuracy`] — the functional-fidelity experiments behind Tables 2–6 and
 //!   Fig. 8;
 //! * [`experiment`] — the hardware experiments behind Figs. 3, 13–16 and
@@ -136,8 +137,8 @@ pub use engine::{
 };
 pub use experiment::{EndToEndRow, EndToEndSummary};
 pub use front::{FrontConfig, ServingFront, StreamPoll, SubmitError, TokenStream};
-pub use kelle_cache::CachePolicy;
 pub use kelle_model::fault::fault_injector_for_policy;
+pub use kelle_model::CachePolicy;
 pub use parallel::{ParallelMetrics, WorkerPool};
 pub use prefix::{
     PrefixHit, PrefixKey, PrefixSharingConfig, PrefixStore, PrefixStoreStats, RadixPrefixIndex,
@@ -151,8 +152,8 @@ pub use session::{ServeRequest, ServeRequestBuilder, Session, TurnOutcome};
 pub use tier::{TierConfig, TierManager, TierUsageMetrics, TieringMetrics};
 
 pub use kelle_arch as arch;
-pub use kelle_cache as cache;
 pub use kelle_edram as edram;
 pub use kelle_model as model;
+pub use kelle_model::cache;
 pub use kelle_tensor as tensor;
 pub use kelle_workloads as workloads;

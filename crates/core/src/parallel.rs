@@ -716,7 +716,7 @@ mod tests {
 
     #[test]
     fn both_axes_match_inline_decode_in_probability_bits_for_all_policies() {
-        use kelle_cache::CachePolicy;
+        use kelle_model::CachePolicy;
         // On four workers a two-session decode batch leaves two shards idle
         // and a four-session batch fills them; every step must carry the
         // token, probability bits and fault draws of inline `decode_one`.

@@ -71,8 +71,7 @@
 //! [`RadixPrefixIndex::match_cost`] against 1 000 published prefixes, both
 //! fanning out at the first token and sharing one deep spine).
 
-use kelle_cache::{CacheBudget, CachePolicy};
-use kelle_model::{FastHashMap, SharedSegment};
+use kelle_model::{CacheBudget, CachePolicy, FastHashMap, SharedSegment};
 use std::sync::Arc;
 
 /// The shortest prefix worth publishing: shorter boundaries are skipped, so
@@ -539,15 +538,18 @@ mod tests {
         assert_eq!(store.stats().hits, 1);
     }
 
-    /// A tiny real segment (recorded through a FullKvCache) for store tests.
+    /// A tiny real segment (recorded through the full store) for store
+    /// tests: each token observes every entry it reads, itself included.
     pub(crate) fn dummy_segment(tokens: usize) -> Arc<SharedSegment> {
         use kelle_model::fault::{BitFlipRates, ProbabilisticFaults};
-        use kelle_model::{FullKvCache, KvCacheBackend, SegmentRecorder};
-        let mut inner = FullKvCache::new();
-        let mut recorder = SegmentRecorder::new(&mut inner);
+        use kelle_model::{KvCacheBackend, SegmentRecorder};
+        let mut inner = CachePolicy::Full.build(CacheBudget::new(usize::MAX), 1);
+        let mut recorder = SegmentRecorder::new(&mut *inner);
+        let mut scores = Vec::new();
         for t in 0..tokens {
             recorder.insert(0, t, &[t as f32; 4], &[t as f32; 4], &[-(t as f32); 4], 4);
-            recorder.observe_attention(0, 0, &[(t, 1.0)]);
+            scores.push((t, 1.0));
+            recorder.observe_attention(0, 0, &scores);
         }
         Arc::new(recorder.finish(
             &[0.0, 1.0],

@@ -11,12 +11,14 @@
 use crate::engine::KelleEngine;
 use crate::prefix::{PrefixHit, PrefixKey};
 use kelle_arch::{InferenceWorkload, PlatformReport};
-use kelle_cache::{CacheBudget, CachePolicy};
 use kelle_edram::RetentionModel;
 use kelle_model::fault::fault_injector_for_policy;
 use kelle_model::fault::{FaultInjector, FaultStats, ProbabilisticFaults};
 use kelle_model::generation::{decode_step, prefill, prefill_extend, DecodeStep, GenerationState};
-use kelle_model::{CacheStats, DecodeTrace, KvCacheBackend, SegmentRecorder, SharedSegment};
+use kelle_model::{
+    CacheBudget, CachePolicy, CacheStats, DecodeTrace, KvCacheBackend, SegmentRecorder,
+    SharedSegment,
+};
 use std::sync::Arc;
 
 /// One unit of serving work.

@@ -1,11 +1,18 @@
-//! Contiguous arena storage backing the KV-cache policies.
+//! Contiguous storage under the one KV store
+//! ([`KvStore`](crate::KvStore)).
 //!
-//! The original storage layer kept every cached token as a pair of boxed
-//! `Vec<f32>`s inside per-token structs, so each decode step chased pointers
-//! all over the heap and every read materialized fresh clones.  The arenas in
-//! this module are the replacement: one flat `f32` buffer per `(layer, head)`
-//! strided by `head_dim` for KV pairs ([`KvArena`]), and one slot-recycling
-//! slab per layer for AERP's recompute-format input vectors ([`InputSlab`]).
+//! The store keeps, per `(layer, head)`, the retained tokens in insertion
+//! order with one accumulated score each, and beside them what its policy
+//! stores for a token — the *format*, one of the store's four decision
+//! points (the others are the victim rule, when it evicts and how an entry
+//! is labelled; see the store's docs):
+//!
+//! * **FP16 K/V** (Full, StreamingLLM, H2O) and **the dequantized int4 K/V
+//!   image** (QuaRot) go in a [`KvArena`] per head: two flat `f32` buffers
+//!   strided by `head_dim`;
+//! * **the input vector `x`** (AERP, §4.1.2) goes once per layer in a
+//!   slot-recycling [`InputSlab`], and each head holds the slots of the rows
+//!   it retains.
 //!
 //! The allocation discipline is:
 //!
@@ -23,29 +30,25 @@
 //! (the pinned golden fixtures, and the historical entry order) does, which
 //! is why the arenas do not use `swap_remove`.
 //!
-//! Every arena is private to the cache that owns it.  A session that hits a
+//! Every arena is private to the store that owns it.  A session that hits a
 //! published prompt prefix replays the recorded inserts into its own arenas
 //! (`kelle_model::segment`); the deduplication of shared prefixes is
 //! modelled by the capacity ledger's shared pool, not by aliasing host
 //! memory.
 
-use crate::cache::TokenId;
-use crate::hash::FastHashMap;
-
 /// Bytes per stored element under the logical FP16 storage format the cache
 /// statistics report.
 pub const FP16_BYTES: usize = 2;
 
-/// Contiguous KV storage for one `(layer, head)`: a token list plus two flat
-/// `f32` buffers (keys and values) strided by `head_dim`.
+/// Contiguous K/V storage for one `(layer, head)`: two flat `f32` buffers
+/// (keys and values) strided by `head_dim`.
 ///
 /// Entry `i` owns `keys[i*head_dim .. (i+1)*head_dim]` and the corresponding
-/// `values` range; `tokens[i]` is its sequence position.  Entries stay in
-/// insertion order across evictions (see the module docs).
-#[derive(Debug, Clone, Default)]
+/// `values` range; which token it holds is the owning head's record.
+/// Entries stay in insertion order across evictions (see the module docs).
+#[derive(Debug, Clone)]
 pub struct KvArena {
     head_dim: usize,
-    tokens: Vec<TokenId>,
     keys: Vec<f32>,
     values: Vec<f32>,
 }
@@ -60,7 +63,6 @@ impl KvArena {
         assert!(head_dim > 0, "arena stride must be non-zero");
         KvArena {
             head_dim,
-            tokens: Vec::new(),
             keys: Vec::new(),
             values: Vec::new(),
         }
@@ -73,46 +75,13 @@ impl KvArena {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.keys.len() / self.head_dim
     }
 
-    /// Whether the arena holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-
-    /// The index of the first entry whose token satisfies `pred`, if any.
-    pub fn position_where(&self, mut pred: impl FnMut(TokenId) -> bool) -> Option<usize> {
-        self.tokens.iter().position(|&t| pred(t))
-    }
-
-    /// The token id of entry `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn token_at(&self, i: usize) -> TokenId {
-        self.tokens[i]
-    }
-
-    /// Borrows the key vector of entry `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn key(&self, i: usize) -> &[f32] {
+    /// Borrows each entry's key and value vectors, in entry order.
+    pub fn pairs(&self) -> impl Iterator<Item = (&[f32], &[f32])> {
         let d = self.head_dim;
-        &self.keys[i * d..(i + 1) * d]
-    }
-
-    /// Borrows the value vector of entry `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn value(&self, i: usize) -> &[f32] {
-        let d = self.head_dim;
-        &self.values[i * d..(i + 1) * d]
+        self.keys.chunks_exact(d).zip(self.values.chunks_exact(d))
     }
 
     /// Appends an entry.
@@ -120,10 +89,9 @@ impl KvArena {
     /// # Panics
     ///
     /// Panics if `key` or `value` length differs from the arena stride.
-    pub fn push(&mut self, token: TokenId, key: &[f32], value: &[f32]) {
+    pub fn push(&mut self, key: &[f32], value: &[f32]) {
         assert_eq!(key.len(), self.head_dim, "key length must match stride");
         assert_eq!(value.len(), self.head_dim, "value length must match stride");
-        self.tokens.push(token);
         self.keys.extend_from_slice(key);
         self.values.extend_from_slice(value);
     }
@@ -135,20 +103,12 @@ impl KvArena {
     /// Panics if `i` is out of bounds.
     pub fn remove_at(&mut self, i: usize) {
         assert!(i < self.len(), "arena index out of bounds");
-        let n = self.tokens.len();
-        self.tokens.remove(i);
         let d = self.head_dim;
+        let end = self.keys.len() - d;
         self.keys.copy_within((i + 1) * d.., i * d);
-        self.keys.truncate((n - 1) * d);
+        self.keys.truncate(end);
         self.values.copy_within((i + 1) * d.., i * d);
-        self.values.truncate((n - 1) * d);
-    }
-
-    /// Drops all entries (capacity is retained for reuse).
-    pub fn clear(&mut self) {
-        self.tokens.clear();
-        self.keys.clear();
-        self.values.clear();
+        self.values.truncate(end);
     }
 
     /// Logical FP16 footprint of the *live* entries: `stride × live entries ×
@@ -157,54 +117,6 @@ impl KvArena {
     /// `CacheStats::bytes_fp16` contract).
     pub fn bytes_fp16(&self) -> usize {
         self.len() * 2 * self.head_dim * FP16_BYTES
-    }
-}
-
-/// A keyed collection of [`KvArena`]s, one per `(layer, head)`, with lazy
-/// creation at a fixed stride.  Thin convenience wrapper shared by the cache
-/// policies.
-#[derive(Debug, Clone, Default)]
-pub struct ArenaGrid {
-    arenas: FastHashMap<(usize, usize), KvArena>,
-}
-
-impl ArenaGrid {
-    /// Creates an empty grid.
-    pub fn new() -> Self {
-        ArenaGrid::default()
-    }
-
-    /// The arena for `(layer, head)`, if any entries were ever inserted.
-    pub fn get(&self, layer: usize, head: usize) -> Option<&KvArena> {
-        self.arenas.get(&(layer, head))
-    }
-
-    /// Mutable access to the arena for `(layer, head)`, if present.
-    pub fn get_mut(&mut self, layer: usize, head: usize) -> Option<&mut KvArena> {
-        self.arenas.get_mut(&(layer, head))
-    }
-
-    /// The arena for `(layer, head)`, created at `head_dim` stride on first
-    /// use.
-    pub fn get_or_create(&mut self, layer: usize, head: usize, head_dim: usize) -> &mut KvArena {
-        self.arenas
-            .entry((layer, head))
-            .or_insert_with(|| KvArena::new(head_dim))
-    }
-
-    /// Iterates over all arenas.
-    pub fn iter(&self) -> impl Iterator<Item = (&(usize, usize), &KvArena)> {
-        self.arenas.iter()
-    }
-
-    /// Total live entries across all arenas.
-    pub fn total_entries(&self) -> usize {
-        self.arenas.values().map(KvArena::len).sum()
-    }
-
-    /// Total logical FP16 footprint across all arenas (live entries only).
-    pub fn bytes_fp16(&self) -> usize {
-        self.arenas.values().map(KvArena::bytes_fp16).sum()
     }
 }
 
@@ -239,19 +151,9 @@ impl InputSlab {
         }
     }
 
-    /// The vector length the slab stores.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Number of live rows.
     pub fn len(&self) -> usize {
         self.data.len() / self.width - self.free.len()
-    }
-
-    /// Whether the slab holds no live rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Stores `x` in a free slot and returns the slot.
@@ -300,43 +202,49 @@ impl InputSlab {
 mod tests {
     use super::*;
 
-    fn arena_with(entries: &[(TokenId, f32)]) -> KvArena {
+    fn arena_with(entries: &[f32]) -> KvArena {
         let mut arena = KvArena::new(4);
-        for &(t, v) in entries {
-            arena.push(t, &[v; 4], &[-v; 4]);
+        for &v in entries {
+            arena.push(&[v; 4], &[-v; 4]);
         }
         arena
     }
 
-    fn tokens_of(arena: &KvArena) -> Vec<TokenId> {
-        (0..arena.len()).map(|i| arena.token_at(i)).collect()
+    /// The first key element of each entry, in entry order.
+    fn keys_of(arena: &KvArena) -> Vec<f32> {
+        arena.pairs().map(|(key, _)| key[0]).collect()
+    }
+
+    /// Entry `i`'s key and value.
+    fn entry(arena: &KvArena, i: usize) -> (&[f32], &[f32]) {
+        arena.pairs().nth(i).expect("entry in bounds")
     }
 
     #[test]
     fn push_and_borrow() {
-        let arena = arena_with(&[(0, 1.0), (1, 2.0), (2, 3.0)]);
+        let arena = arena_with(&[1.0, 2.0, 3.0]);
         assert_eq!(arena.len(), 3);
-        assert_eq!(tokens_of(&arena), &[0, 1, 2]);
-        assert_eq!(arena.key(1), &[2.0; 4]);
-        assert_eq!(arena.value(2), &[-3.0; 4]);
+        assert_eq!(keys_of(&arena), &[1.0, 2.0, 3.0]);
+        assert_eq!(entry(&arena, 1).0, &[2.0; 4]);
+        assert_eq!(entry(&arena, 2).1, &[-3.0; 4]);
     }
 
     #[test]
     fn remove_preserves_order() {
-        let mut arena = arena_with(&[(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]);
+        let mut arena = arena_with(&[1.0, 2.0, 3.0, 4.0]);
         arena.remove_at(1);
-        assert_eq!(tokens_of(&arena), &[0, 2, 3]);
-        assert_eq!(arena.key(1), &[3.0; 4]);
-        assert_eq!(arena.value(2), &[-4.0; 4]);
+        assert_eq!(keys_of(&arena), &[1.0, 3.0, 4.0]);
+        assert_eq!(entry(&arena, 1).0, &[3.0; 4]);
+        assert_eq!(entry(&arena, 2).1, &[-4.0; 4]);
         arena.remove_at(2);
-        assert_eq!(tokens_of(&arena), &[0, 2]);
+        assert_eq!(keys_of(&arena), &[1.0, 3.0]);
     }
 
     #[test]
     fn bytes_reflect_live_entries_not_capacity() {
         let mut arena = arena_with(&[]);
-        for t in 0..100 {
-            arena.push(t, &[0.5; 4], &[0.5; 4]);
+        for _ in 0..100 {
+            arena.push(&[0.5; 4], &[0.5; 4]);
         }
         while arena.len() > 4 {
             arena.remove_at(0);
@@ -345,16 +253,6 @@ mod tests {
         // capacity the buffers retain from their 100-entry peak.
         assert_eq!(arena.bytes_fp16(), 4 * 2 * 4 * 2);
         assert!(arena.keys.capacity() >= 100 * 4);
-    }
-
-    #[test]
-    fn grid_lazily_creates() {
-        let mut grid = ArenaGrid::new();
-        assert!(grid.get(0, 0).is_none());
-        grid.get_or_create(0, 0, 4).push(7, &[1.0; 4], &[2.0; 4]);
-        assert_eq!(grid.get(0, 0).unwrap().len(), 1);
-        assert_eq!(grid.total_entries(), 1);
-        assert_eq!(grid.bytes_fp16(), 2 * 4 * 2);
     }
 
     #[test]

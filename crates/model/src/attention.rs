@@ -848,7 +848,7 @@ impl<'w> MultiHeadAttention<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::FullKvCache;
+    use crate::cache::{CacheBudget, CachePolicy};
     use crate::config::SurrogateDims;
     use crate::fault::NoFaults;
     use crate::weights::{ModelWeights, WeightGenConfig};
@@ -869,12 +869,12 @@ mod tests {
     fn attention_probabilities_sum_to_one() {
         let (weights, dims) = setup();
         let attn = MultiHeadAttention::new(&weights.layers[0], dims.heads);
-        let mut cache = FullKvCache::new();
+        let mut cache = CachePolicy::Full.build(CacheBudget::new(usize::MAX), dims.heads);
         let mut faults = NoFaults;
         let mut scratch = DecodeScratch::new();
         for pos in 0..5 {
             let x = weights.embed(pos % dims.vocab, pos);
-            attn.forward_with(0, pos, pos, &x, &mut cache, &mut faults, &mut scratch);
+            attn.forward_with(0, pos, pos, &x, &mut *cache, &mut faults, &mut scratch);
             for head in scratch.attention_labels() {
                 let total: f32 = head.iter().map(|(_, p)| p).sum();
                 assert!((total - 1.0).abs() < 1e-4);
@@ -887,11 +887,11 @@ mod tests {
     fn output_dimension_matches_channels() {
         let (weights, dims) = setup();
         let attn = MultiHeadAttention::new(&weights.layers[0], dims.heads);
-        let mut cache = FullKvCache::new();
+        let mut cache = CachePolicy::Full.build(CacheBudget::new(usize::MAX), dims.heads);
         let mut faults = NoFaults;
         let mut scratch = DecodeScratch::new();
         let x = weights.embed(1, 0);
-        attn.forward_with(0, 0, 0, &x, &mut cache, &mut faults, &mut scratch);
+        attn.forward_with(0, 0, 0, &x, &mut *cache, &mut faults, &mut scratch);
         assert_eq!(scratch.output().len(), dims.channels);
         assert_eq!(scratch.attention_labels().len(), dims.heads);
     }
@@ -900,13 +900,13 @@ mod tests {
     fn scratch_reuse_is_stable_across_steps() {
         let (weights, dims) = setup();
         let attn = MultiHeadAttention::new(&weights.layers[0], dims.heads);
-        let mut cache = FullKvCache::new();
+        let mut cache = CachePolicy::Full.build(CacheBudget::new(usize::MAX), dims.heads);
         let mut faults = NoFaults;
         let mut scratch = DecodeScratch::new();
         for pos in 0..4 {
             let x = weights.embed(pos, pos);
             let (rec, read) =
-                attn.forward_with(0, pos, pos, &x, &mut cache, &mut faults, &mut scratch);
+                attn.forward_with(0, pos, pos, &x, &mut *cache, &mut faults, &mut scratch);
             assert_eq!(rec, 0);
             assert_eq!(read, (pos + 1) * dims.heads);
             assert_eq!(scratch.output().len(), dims.channels);

@@ -1,24 +1,36 @@
-//! The KV-cache backend abstraction and the full (uncompressed) reference
-//! cache.
+//! The KV-cache API: the [`KvCacheBackend`] abstraction, the one store that
+//! implements it for every policy, [`KvStore`], and the [`CachePolicy`]
+//! registry that builds it from a [`CacheBudget`].
 //!
 //! During decoding, the model inserts the current token's per-head key/value
 //! vectors into the cache (paper Fig. 1b) and then attends over whatever the
-//! cache exposes.  Different *policies* (full cache, StreamingLLM, H2O,
-//! Kelle's AERP) decide which tokens survive and whether a token is stored as
-//! KV vectors or as the input vector `x` to be recomputed (§4.1.2).  Those
-//! policies live in the `kelle-cache` crate and implement [`KvCacheBackend`].
+//! cache exposes.  The *policies* of the paper's Table 2 (full cache,
+//! StreamingLLM, H2O, QuaRot, Kelle's AERP) are settings of the one store,
+//! which decides at four points by its policy: which token is the victim,
+//! when it evicts, the format a token is stored in — K/V vectors, their int4
+//! image, or the input vector `x` to be recomputed (§4.1.2) — and how an
+//! entry is labelled for 2DRP.  The store under [`CachePolicy::Full`] is the
+//! uncompressed reference.
+//!
+//! ```rust
+//! use kelle_model::cache::{CacheBudget, CachePolicy, KvCacheBackend};
+//!
+//! let budget = CacheBudget::new(128).with_recent_window(64).with_sink_tokens(10);
+//! assert_eq!(CachePolicy::Aerp.build(budget, 8).name(), "aerp");
+//! assert_eq!(CachePolicy::H2o.build(budget, 8).name(), "h2o");
+//! assert_eq!(CachePolicy::Full.build(budget, 8).name(), "full");
+//! ```
 //!
 //! # Arena layout and the decode allocation discipline
 //!
 //! Kelle treats the KV cache as a first-order, contiguously laid out memory
 //! object — that is the whole premise of co-designing it with eDRAM — and the
 //! storage layer mirrors that.  Every policy that stores K/V backs each
-//! `(layer, head)` with a [`KvArena`](crate::arena::KvArena): one
-//! `Vec<TokenId>` plus two flat `Vec<f32>` buffers strided by `head_dim`,
-//! entry `i` owning elements `[i·head_dim, (i+1)·head_dim)`.  AERP stores
-//! each token's input vector once per layer in a slot-recycling
-//! [`InputSlab`](crate::arena::InputSlab), and each of its heads holds the
-//! slots of the rows it retains.
+//! `(layer, head)` with an arena of two flat `Vec<f32>` buffers strided by
+//! `head_dim`, entry `i` owning elements `[i·head_dim, (i+1)·head_dim)`, and
+//! the head keeps its tokens and their scores in parallel arrays.  AERP
+//! stores each token's input vector once per layer in a slot-recycling slab,
+//! and each of its heads holds the slots of the rows it retains.
 //! The discipline for the decode hot path is:
 //!
 //! * **reads are borrows**: [`for_each_entry`](KvCacheBackend::for_each_entry)
@@ -42,8 +54,9 @@
 //! are invariant to the relative order of KV pairs (§2.2), so entries may be
 //! visited in any order — a property the proptest suite checks explicitly.
 
-use crate::arena::ArenaGrid;
-use crate::hash::FastHashMap;
+pub use crate::aerp::{FullKvCache, KvStore};
+pub use crate::budget::CacheBudget;
+pub use crate::policy::CachePolicy;
 use std::cell::{OnceCell, RefCell};
 use std::cmp::Ordering;
 
@@ -70,7 +83,7 @@ pub enum PayloadRef<'a> {
         /// The row's identity within its layer: between two `&mut` accesses
         /// every visit of one stored row, from any head of the layer, carries
         /// the same slot and distinct rows carry distinct slots.  Slots are
-        /// small (an [`InputSlab`](crate::arena::InputSlab) slot), so the
+        /// small (a slot of the layer's slab of stored rows), so the
         /// attention pass indexes its per-layer row table by them.
         slot: usize,
     },
@@ -234,8 +247,9 @@ impl CacheStats {
 ///    with the post-softmax probabilities assigned to the visited entries,
 ///    so importance-tracking policies (H2O, AERP) can update their scores.
 ///    It receives one `(token, probability)` pair per entry of the head's
-///    last `for_each_entry`, in that order; the budgeted policies `assert!`
-///    that the tokens agree one by one and add the scores by position.
+///    last `for_each_entry`, in that order; the store `assert!`s, under
+///    every policy, that the tokens agree one by one, and adds the scores
+///    by position.
 ///
 /// After pre-filling, [`finish_prefill`](KvCacheBackend::finish_prefill) lets
 /// policies apply their prefill retention rule (e.g. keep the top-`N'`
@@ -246,9 +260,9 @@ impl CacheStats {
 ///
 /// Backends are required to be [`Send`]: a serving session owns its backend
 /// and the threaded serving front-end (`kelle::parallel`) moves whole
-/// sessions between the coordinator and its worker shards.  Every stock
-/// backend is plain owned data (arenas, hash maps, counters), so the bound
-/// costs nothing; it only rules out `Rc`/thread-local tricks in custom
+/// sessions between the coordinator and its worker shards.  The store is
+/// plain owned data (arenas, dense arrays, counters), so the bound costs
+/// nothing; it only rules out `Rc`/thread-local tricks in custom
 /// implementations.
 ///
 /// `observe_attention(layer, head, ..)` must confine its effects to state
@@ -259,13 +273,13 @@ impl CacheStats {
 /// `for_each_entry(layer, h′)` visits for `h′ ≠ head` may change.  This is
 /// what lets the attention pass read every head of a layer before it
 /// reports any of them (step 2 before step 3), and it keeps what a head
-/// reads within a step independent of the order heads are visited in.  All
-/// stock policies satisfy this (H2O/AERP add into the observed head's own
-/// score array; the full cache keeps a per-`(layer, head)` score map; the
-/// others ignore observes), and a property test holds them to it.  A
-/// ranking policy keeps no label between calls: each traversal hands its
-/// entries their scores and a [`MedianThreshold`] that selects the head's
-/// median only if a label is asked for.
+/// reads within a step independent of the order heads are visited in.  The
+/// store satisfies this under every policy — an observe adds into the
+/// observed head's own score array and moves its own count of observed
+/// entries — and a property test holds it to that.  A ranking policy keeps no
+/// label between calls: each traversal hands its entries their scores and a
+/// [`MedianThreshold`] that selects the head's median only if a label is
+/// asked for.
 pub trait KvCacheBackend: std::fmt::Debug + Send {
     /// Inserts the current token for `layer`.
     ///
@@ -328,8 +342,8 @@ pub trait KvCacheBackend: std::fmt::Debug + Send {
     ///
     /// The clone must be *bit-faithful*: replaying the same insert/observe
     /// sequence against original and clone must produce identical entries,
-    /// statistics and eviction decisions.  All stock policies derive `Clone`
-    /// (arenas, hash maps and counters copy trivially).  The default
+    /// statistics and eviction decisions.  The store derives `Clone` (arenas,
+    /// dense arrays and counters copy trivially).  The default
     /// panics, so ephemeral adapters that can never be checkpointed — e.g.
     /// the borrowing `SegmentRecorder` — need not (and cannot) implement it.
     fn clone_box(&self) -> Box<dyn KvCacheBackend> {
@@ -337,106 +351,6 @@ pub trait KvCacheBackend: std::fmt::Debug + Send {
             "KV cache backend `{}` does not support checkpoint cloning",
             self.name()
         )
-    }
-}
-
-/// The uncompressed reference cache: every token of every head is retained as
-/// raw KV vectors in per-`(layer, head)` arenas.  This corresponds to the
-/// paper's "FP16 / full KV cache" baseline column in Table 2.
-#[derive(Debug, Default, Clone)]
-pub struct FullKvCache {
-    /// (layer, head) -> contiguous KV arena in insertion order.
-    store: ArenaGrid,
-    /// (layer, head, token) -> accumulated attention score (used only to label
-    /// HST/LST groups for fault-injection experiments).
-    accumulated: FastHashMap<(usize, usize), FastHashMap<TokenId, f32>>,
-    /// The median selection's reused buffer.
-    ranks: RefCell<Vec<f32>>,
-    insertions: u64,
-}
-
-impl FullKvCache {
-    /// Creates an empty full cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl KvCacheBackend for FullKvCache {
-    fn insert(
-        &mut self,
-        layer: usize,
-        token: TokenId,
-        _x: &[f32],
-        keys: &[f32],
-        values: &[f32],
-        head_dim: usize,
-    ) {
-        for (head, (k, v)) in keys
-            .chunks_exact(head_dim)
-            .zip(values.chunks_exact(head_dim))
-            .enumerate()
-        {
-            self.store
-                .get_or_create(layer, head, head_dim)
-                .push(token, k, v);
-        }
-        self.insertions += 1;
-    }
-
-    fn for_each_entry(
-        &self,
-        layer: usize,
-        head: usize,
-        visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
-    ) {
-        let Some(arena) = self.store.get(layer, head) else {
-            return;
-        };
-        let scores = self.accumulated.get(&(layer, head));
-        let observed =
-            |buffer: &mut Vec<f32>| buffer.extend(scores.into_iter().flat_map(|s| s.values()));
-        let threshold = MedianThreshold::new(&observed, &self.ranks);
-        for i in 0..arena.len() {
-            let token = arena.token_at(i);
-            let payload = PayloadRef::Kv {
-                key: arena.key(i),
-                value: arena.value(i),
-            };
-            // A token no step has observed yet is high-score: the
-            // conservative refresh default.
-            visit(match scores.and_then(|s| s.get(&token)) {
-                Some(&score) => EntryRef::scored(token, payload, score, &threshold),
-                None => EntryRef::labelled(token, payload, true),
-            });
-        }
-    }
-
-    fn entry_count(&self, layer: usize, head: usize) -> usize {
-        self.store.get(layer, head).map_or(0, |a| a.len())
-    }
-
-    fn observe_attention(&mut self, layer: usize, head: usize, scores: &[(TokenId, f32)]) {
-        let acc = self.accumulated.entry((layer, head)).or_default();
-        for (token, p) in scores {
-            *acc.entry(*token).or_insert(0.0) += *p;
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            kv_entries: self.store.total_entries(),
-            insertions: self.insertions,
-            bytes_fp16: self.store.bytes_fp16(),
-            ..CacheStats::default()
-        }
-    }
-    fn name(&self) -> &'static str {
-        "full"
-    }
-
-    fn clone_box(&self) -> Box<dyn KvCacheBackend> {
-        Box::new(self.clone())
     }
 }
 
@@ -449,7 +363,7 @@ mod tests {
     }
 
     /// Two-head insert helper using the flat head-major layout.
-    fn insert2(cache: &mut FullKvCache, token: usize) {
+    fn insert2(cache: &mut dyn KvCacheBackend, token: usize) {
         let (k, v) = kv(token);
         let keys: Vec<f32> = k.iter().chain(k.iter()).copied().collect();
         let values: Vec<f32> = v.iter().chain(v.iter()).copied().collect();
@@ -458,9 +372,9 @@ mod tests {
 
     #[test]
     fn full_cache_retains_everything() {
-        let mut cache = FullKvCache::new();
+        let mut cache = CachePolicy::Full.build(CacheBudget::new(usize::MAX), 2);
         for t in 0..10 {
-            insert2(&mut cache, t);
+            insert2(&mut *cache, t);
         }
         assert_eq!(cache.entry_count(0, 0), 10);
         assert_eq!(cache.entry_count(0, 1), 10);
@@ -471,7 +385,7 @@ mod tests {
 
     #[test]
     fn full_cache_stats_bytes() {
-        let mut cache = FullKvCache::new();
+        let mut cache = CachePolicy::Full.build(CacheBudget::new(1), 1);
         let (k, v) = kv(0);
         cache.insert(0, 0, &[0.0; 8], &k, &v, 4);
         // One head, key+value of 4 elements each at 2 bytes.
@@ -480,22 +394,32 @@ mod tests {
 
     #[test]
     fn high_score_labels_follow_attention() {
-        let mut cache = FullKvCache::new();
-        for t in 0..4 {
+        let mut cache = CachePolicy::Full.build(CacheBudget::new(1), 1);
+        let insert = |cache: &mut dyn KvCacheBackend, t: usize| {
             let (k, v) = kv(t);
             cache.insert(0, t, &[0.0; 8], &k, &v, 4);
+        };
+        for t in 0..4 {
+            insert(cache.as_mut(), t);
         }
         // Token 2 receives most of the attention mass.
         cache.observe_attention(0, 0, &[(0, 0.05), (1, 0.05), (2, 0.8), (3, 0.1)]);
+        // Token 4 arrives after the observe: no observe has named it yet.
+        insert(cache.as_mut(), 4);
         let mut high_score = Vec::new();
         cache.for_each_entry(0, 0, &mut |e| high_score.push((e.token, e.high_score())));
-        assert!(high_score.contains(&(2, true)));
-        assert!(high_score.contains(&(0, false)));
+        // The observed four split at their median, 0.1; the unobserved
+        // newest is high and stays out of the median, which would otherwise
+        // fall to 0.05 and lift tokens 0 and 1.
+        assert_eq!(
+            high_score,
+            [(0, false), (1, false), (2, true), (3, true), (4, true)]
+        );
     }
 
     #[test]
     fn borrowed_views_match_materialized_entries() {
-        let mut cache = FullKvCache::new();
+        let mut cache = CachePolicy::Full.build(CacheBudget::new(1), 2);
         // Head `h` of token `t` stores key `10t + h` and value `−(10t + h)`,
         // so a view that borrowed the wrong head's slice or the wrong token's
         // stride shows.
@@ -504,7 +428,8 @@ mod tests {
             let values: Vec<f32> = keys.iter().map(|k| -k).collect();
             cache.insert(0, t, &[0.0; 8], &keys, &values, 4);
         }
-        cache.observe_attention(0, 0, &[(0, 0.7), (3, 0.1)]);
+        let scores = [(0, 0.7), (1, 0.0), (2, 0.0), (3, 0.1), (4, 0.0), (5, 0.0)];
+        cache.observe_attention(0, 0, &scores);
         for head in 0..2 {
             let mut entries = Vec::new();
             cache.for_each_entry(0, head, &mut |e| {

@@ -245,7 +245,7 @@ impl SurrogateModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::FullKvCache;
+    use crate::cache::{CacheBudget, CachePolicy};
     use crate::config::{ModelKind, SurrogateDims};
     use crate::fault::NoFaults;
 
@@ -262,11 +262,11 @@ mod tests {
     /// The logits after feeding `tokens` at positions `0..` through a fresh
     /// full cache.
     fn last_logits(model: &SurrogateModel, tokens: &[usize]) -> Vec<f32> {
-        let mut cache = FullKvCache::new();
+        let mut cache = CachePolicy::Full.build(CacheBudget::new(usize::MAX), model.dims().heads);
         let mut faults = NoFaults;
         let mut scratch = DecodeScratch::new();
         for (pos, &tok) in tokens.iter().enumerate() {
-            model.forward_token_with(tok, pos, &mut cache, &mut faults, &mut scratch);
+            model.forward_token_with(tok, pos, &mut *cache, &mut faults, &mut scratch);
         }
         scratch.logits().to_vec()
     }
@@ -274,10 +274,10 @@ mod tests {
     #[test]
     fn forward_produces_vocab_sized_logits() {
         let model = SurrogateModel::new(small_config(), 9);
-        let mut cache = FullKvCache::new();
+        let mut cache = CachePolicy::Full.build(CacheBudget::new(usize::MAX), model.dims().heads);
         let mut faults = NoFaults;
         let mut scratch = DecodeScratch::new();
-        let stats = model.forward_token_with(5, 0, &mut cache, &mut faults, &mut scratch);
+        let stats = model.forward_token_with(5, 0, &mut *cache, &mut faults, &mut scratch);
         assert_eq!(scratch.logits().len(), 96);
         assert_eq!(stats.kv_entries_read, 2 * 4); // layers * heads, one token each
         assert!(scratch.logits().iter().all(|l| l.is_finite()));
@@ -302,11 +302,11 @@ mod tests {
     #[test]
     fn cache_grows_with_sequence() {
         let model = SurrogateModel::new(small_config(), 9);
-        let mut cache = FullKvCache::new();
+        let mut cache = CachePolicy::Full.build(CacheBudget::new(usize::MAX), model.dims().heads);
         let mut faults = NoFaults;
         let mut scratch = DecodeScratch::new();
         for pos in 0..6 {
-            model.forward_token_with(pos, pos, &mut cache, &mut faults, &mut scratch);
+            model.forward_token_with(pos, pos, &mut *cache, &mut faults, &mut scratch);
         }
         // 2 layers * 4 heads * 6 tokens
         assert_eq!(cache.stats().kv_entries, 48);

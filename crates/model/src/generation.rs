@@ -44,7 +44,7 @@
 //! [`crate::metrics`]).
 
 use crate::attention::DecodeScratch;
-use crate::cache::{CacheStats, FullKvCache, KvCacheBackend, TokenId};
+use crate::cache::{CacheBudget, CachePolicy, CacheStats, KvCacheBackend, TokenId};
 use crate::decoder::SurrogateModel;
 use crate::fault::{FaultInjector, NoFaults};
 use crate::metrics::{FidelityAccumulator, FidelityMetrics};
@@ -379,9 +379,9 @@ pub fn run_reference(
     prompt: &[usize],
     config: GenerationConfig,
 ) -> GenerationOutput {
-    let mut cache = FullKvCache::new();
+    let mut cache = CachePolicy::Full.build(CacheBudget::new(usize::MAX), model.dims().heads);
     let mut faults = NoFaults;
-    run_with(model, prompt, config, None, &mut cache, &mut faults)
+    run_with(model, prompt, config, None, &mut *cache, &mut faults)
 }
 
 /// Runs a test configuration with the given cache backend and fault injector.
@@ -469,6 +469,11 @@ mod tests {
         SurrogateModel::new(config, 21)
     }
 
+    /// The full store over `m`'s heads.
+    fn full_store(m: &SurrogateModel) -> Box<dyn KvCacheBackend> {
+        CachePolicy::Full.build(CacheBudget::new(usize::MAX), m.dims().heads)
+    }
+
     #[test]
     fn reference_run_produces_requested_tokens() {
         let m = model();
@@ -485,10 +490,10 @@ mod tests {
         let prompt = vec![5, 9, 13, 2];
         let config = GenerationConfig::greedy(5);
         let reference = run_reference(&m, &prompt, config);
-        let mut cache = FullKvCache::new();
+        let mut cache = full_store(&m);
         let mut faults = NoFaults;
         let (metrics, _) =
-            evaluate_against_reference(&m, &prompt, config, &reference, &mut cache, &mut faults);
+            evaluate_against_reference(&m, &prompt, config, &reference, &mut *cache, &mut faults);
         assert_eq!(metrics.top1_agreement, 1.0);
         assert!(metrics.mean_kl < 1e-6);
     }
@@ -516,15 +521,15 @@ mod tests {
         let one_shot = run_reference(&m, &[7, 3, 11, 2, 9, 30], config);
 
         // Same run, driven incrementally: prompt split across two prefills.
-        let mut cache = FullKvCache::new();
+        let mut cache = full_store(&m);
         let mut faults = NoFaults;
         let mut state = GenerationState::new();
-        prefill(&m, &mut state, &[7, 3, 11], &mut cache, &mut faults);
-        prefill(&m, &mut state, &[2, 9, 30], &mut cache, &mut faults);
+        prefill(&m, &mut state, &[7, 3, 11], &mut *cache, &mut faults);
+        prefill(&m, &mut state, &[2, 9, 30], &mut *cache, &mut faults);
         assert_eq!(state.prefilled_tokens(), 6);
         let mut generated = Vec::new();
         for _ in 0..6 {
-            generated.push(decode_step(&m, &mut state, None, &mut cache, &mut faults).token);
+            generated.push(decode_step(&m, &mut state, None, &mut *cache, &mut faults).token);
         }
         assert_eq!(generated, one_shot.generated);
         assert_eq!(state.decoded_tokens(), 6);
@@ -559,8 +564,8 @@ mod tests {
         let prompt = [7, 3, 11, 2, 9, 30, 4];
         let mut faults = NoFaults;
 
-        let mut cache = FullKvCache::new();
-        let mut recorder = SegmentRecorder::new(&mut cache);
+        let mut cache = full_store(&m);
+        let mut recorder = SegmentRecorder::new(&mut *cache);
         let mut published = GenerationState::new();
         let mut done = 0;
         for chunk in prompt.chunks(3) {
@@ -578,21 +583,21 @@ mod tests {
         let mut hit = GenerationState::new();
         hit.adopt_prefix(&segment);
         assert_eq!(held(&hit), held(&published));
-        let mut replayed = FullKvCache::new();
-        segment.attach_and_replay(&mut replayed);
-        prefill_extend(&m, &mut hit, &[5, 6], &mut replayed, &mut faults);
+        let mut replayed = full_store(&m);
+        segment.attach_and_replay(&mut *replayed);
+        prefill_extend(&m, &mut hit, &[5, 6], &mut *replayed, &mut faults);
         assert_eq!(rows(&hit), vec![prompt.len() + 2; layers]);
         hit.end_pass();
         assert_eq!(rows(&hit), vec![0; layers]);
 
-        let mut cache = FullKvCache::new();
+        let mut cache = full_store(&m);
         let mut state = GenerationState::new();
-        prefill(&m, &mut state, &prompt, &mut cache, &mut faults);
+        prefill(&m, &mut state, &prompt, &mut *cache, &mut faults);
         assert_eq!(rows(&state), vec![0; layers]);
-        prefill_extend(&m, &mut state, &[1, 2], &mut cache, &mut faults);
+        prefill_extend(&m, &mut state, &[1, 2], &mut *cache, &mut faults);
         assert_eq!(rows(&state), vec![2; layers]);
         for _ in 0..3 {
-            decode_step(&m, &mut state, None, &mut cache, &mut faults);
+            decode_step(&m, &mut state, None, &mut *cache, &mut faults);
             assert_eq!(rows(&state), vec![0; layers]);
         }
     }
@@ -600,12 +605,12 @@ mod tests {
     #[test]
     fn state_reports_next_token_after_prefill() {
         let m = model();
-        let mut cache = FullKvCache::new();
+        let mut cache = full_store(&m);
         let mut faults = NoFaults;
         let mut state = GenerationState::new();
         assert_eq!(state.next_token(), None);
         assert!(!state.has_context());
-        prefill(&m, &mut state, &[1, 2, 3], &mut cache, &mut faults);
+        prefill(&m, &mut state, &[1, 2, 3], &mut *cache, &mut faults);
         assert!(state.has_context());
         assert!(state.next_token().unwrap() < 64);
     }
@@ -614,9 +619,9 @@ mod tests {
     #[should_panic(expected = "requires pre-filled context")]
     fn decode_without_prefill_panics() {
         let m = model();
-        let mut cache = FullKvCache::new();
+        let mut cache = full_store(&m);
         let mut faults = NoFaults;
         let mut state = GenerationState::new();
-        decode_step(&m, &mut state, None, &mut cache, &mut faults);
+        decode_step(&m, &mut state, None, &mut *cache, &mut faults);
     }
 }

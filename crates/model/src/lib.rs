@@ -17,8 +17,10 @@
 //! * synthetically structured weights producing heavy-tailed, sink-biased
 //!   attention-score distributions (the empirical property behind H2O,
 //!   StreamingLLM and AERP);
-//! * hooks for KV-cache policies ([`KvCacheBackend`]) and for bit-level
-//!   retention-fault injection ([`FaultInjector`]) at cache-read time;
+//! * the one KV store ([`KvStore`]) that runs every cache policy of the
+//!   paper's Table 2, picked by [`CachePolicy`], behind the
+//!   [`KvCacheBackend`] hook, and bit-level retention-fault injection
+//!   ([`FaultInjector`]) at cache-read time;
 //! * fidelity metrics (perplexity proxy, divergence, top-1 agreement) computed
 //!   against the full-cache, fault-free reference run.
 //!
@@ -28,8 +30,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod arena;
+mod aerp;
+mod arena;
 pub mod attention;
+mod budget;
 pub mod cache;
 pub mod config;
 pub mod decoder;
@@ -37,13 +41,14 @@ pub mod fault;
 pub mod generation;
 pub mod hash;
 pub mod metrics;
+mod policy;
 pub mod segment;
 pub mod weights;
 
-pub use arena::{ArenaGrid, InputSlab, KvArena};
 pub use attention::{DecodeScratch, MultiHeadAttention};
 pub use cache::{
-    CacheStats, EntryRef, FullKvCache, KvCacheBackend, MedianThreshold, PayloadRef, TokenId,
+    CacheBudget, CachePolicy, CacheStats, EntryRef, FullKvCache, KvCacheBackend, KvStore,
+    MedianThreshold, PayloadRef, TokenId,
 };
 pub use config::{ModelConfig, ModelKind, SurrogateDims};
 pub use decoder::{DecoderLayer, SurrogateModel};
@@ -77,7 +82,6 @@ const _: () = {
     // Arena storage: owned flat buffers that move with the backend owning
     // them; no session aliases another's arenas.
     assert_send::<arena::KvArena>();
-    assert_send::<arena::ArenaGrid>();
     assert_send::<arena::InputSlab>();
     // Published prefix segments (immutable recorded logs) are read
     // concurrently by hit sessions.
@@ -88,7 +92,7 @@ const _: () = {
     assert_send::<fault::ProbabilisticFaults>();
     assert_send::<fault::NoFaults>();
     assert_send::<generation::GenerationState>();
-    // Cache backends move with the session that owns them (the
+    // The store moves with the session that owns it (the
     // `KvCacheBackend: Send` bound).
-    assert_send::<cache::FullKvCache>();
+    assert_send::<cache::KvStore>();
 };

@@ -1,22 +1,20 @@
 //! The KV-cache policy registry.
 //!
-//! Every serving-time consumer of a cache backend — the engine, sessions, the
-//! accuracy experiments, downstream tools — used to hand-roll its own
-//! `Box::new(...)` match over the five policies.  [`CachePolicy`] centralises
-//! that: it is a cheap, copyable description of *which* policy to run, and
-//! [`CachePolicy::build`] is the single factory that turns a description plus
-//! a [`CacheBudget`] into a ready [`KvCacheBackend`] trait object.
+//! [`CachePolicy`] is a cheap, copyable description of *which* policy to
+//! run, and [`CachePolicy::build`] is the single factory the engine,
+//! sessions, the accuracy experiments and downstream tools construct caches
+//! through: it turns a policy plus a [`CacheBudget`] into the one store,
+//! [`KvStore`], set up for that policy, behind a [`KvCacheBackend`] trait
+//! object.
 
-use crate::aerp::AerpCache;
+use crate::aerp::KvStore;
 use crate::budget::CacheBudget;
-use crate::quantized::QuaRotKvCache;
-use crate::streaming::StreamingLlmCache;
-use kelle_model::{FullKvCache, KvCacheBackend};
+use crate::cache::KvCacheBackend;
 
 /// A KV-cache management policy, by name.
 ///
-/// The variants mirror the methods compared in the paper's Table 2; see the
-/// backend types in this crate for the algorithmic details.
+/// The variants mirror the methods compared in the paper's Table 2; the
+/// [`KvStore`] docs set out what each one decides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CachePolicy {
     /// Full FP16 KV retention (the reference; ignores the budget).
@@ -24,7 +22,7 @@ pub enum CachePolicy {
     /// StreamingLLM: attention sinks + recent window.
     StreamingLlm,
     /// H2O: accumulated-attention heavy hitters + recent window — AERP's
-    /// eviction with K/V storage ([`AerpCache::h2o`]).
+    /// eviction with K/V storage.
     H2o,
     /// QuaRot-style 4-bit KV quantization with full token retention (ignores
     /// the budget).
@@ -45,7 +43,7 @@ impl CachePolicy {
         ]
     }
 
-    /// Short display name (matches the backend's `name()`).
+    /// Short display name (matches the store's `name()`).
     pub fn name(self) -> &'static str {
         match self {
             CachePolicy::Full => "full",
@@ -56,31 +54,17 @@ impl CachePolicy {
         }
     }
 
-    /// Whether the policy enforces a token budget (and therefore evicts).
-    pub fn is_budgeted(self) -> bool {
-        matches!(
-            self,
-            CachePolicy::StreamingLlm | CachePolicy::H2o | CachePolicy::Aerp
-        )
-    }
-
-    /// Builds a ready-to-use backend for this policy.
+    /// Builds the store for this policy.
     ///
-    /// `budget` is consumed by the budgeted policies and ignored by `Full` /
-    /// `QuaRotInt4`; `heads` is the surrogate attention-head count, needed by
-    /// the per-head eviction core of H2O and AERP.
+    /// `budget` is consumed by the budgeted policies (StreamingLLM, H2O,
+    /// AERP) and ignored by `Full` / `QuaRotInt4`; `heads` is the surrogate
+    /// attention-head count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `heads == 0`.
     pub fn build(self, budget: CacheBudget, heads: usize) -> Box<dyn KvCacheBackend> {
-        // Defensive normalisation: `CacheBudget`'s fields are public, so a
-        // hand-assembled budget may over-protect; every backend built through
-        // the registry gets a valid one.
-        let budget = budget.clamped();
-        match self {
-            CachePolicy::Full => Box::new(FullKvCache::new()),
-            CachePolicy::StreamingLlm => Box::new(StreamingLlmCache::new(budget)),
-            CachePolicy::H2o => Box::new(AerpCache::h2o(budget, heads)),
-            CachePolicy::QuaRotInt4 => Box::new(QuaRotKvCache::int4()),
-            CachePolicy::Aerp => Box::new(AerpCache::new(budget, heads)),
-        }
+        Box::new(KvStore::for_policy(self, budget, heads))
     }
 }
 
@@ -121,10 +105,11 @@ mod tests {
                 backend.observe_attention(0, 0, &scores);
             }
             let len = backend.entry_count(0, 0);
-            if policy.is_budgeted() {
-                assert!(len <= budget().max_tokens, "{policy:?} holds {len}");
-            } else {
-                assert_eq!(len, 40, "{policy:?}");
+            match policy {
+                CachePolicy::StreamingLlm | CachePolicy::H2o | CachePolicy::Aerp => {
+                    assert!(len <= budget().max_tokens, "{policy:?} holds {len}")
+                }
+                CachePolicy::Full | CachePolicy::QuaRotInt4 => assert_eq!(len, 40, "{policy:?}"),
             }
         }
     }

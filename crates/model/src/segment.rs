@@ -420,8 +420,13 @@ impl KvCacheBackend for SegmentRecorder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{FullKvCache, PayloadRef};
+    use crate::cache::{CacheBudget, CachePolicy, PayloadRef};
     use crate::fault::{BitFlipRates, FaultInjector};
+
+    /// The full store over the recordings' two heads.
+    fn full_store() -> Box<dyn KvCacheBackend> {
+        CachePolicy::Full.build(CacheBudget::new(usize::MAX), 2)
+    }
 
     fn faults() -> ProbabilisticFaults {
         ProbabilisticFaults::new(BitFlipRates::zero(), 7)
@@ -429,7 +434,7 @@ mod tests {
 
     /// Every entry of `(layer, head)`: token, high-score label, key, value.
     fn visited(
-        cache: &FullKvCache,
+        cache: &dyn KvCacheBackend,
         layer: usize,
         head: usize,
     ) -> Vec<(TokenId, bool, Vec<f32>, Vec<f32>)> {
@@ -466,17 +471,17 @@ mod tests {
 
     #[test]
     fn replay_reproduces_recorded_backend_state() {
-        let mut original = FullKvCache::new();
-        let segment = record(&mut original, 3);
+        let mut original = full_store();
+        let segment = record(&mut *original, 3);
         assert_eq!(segment.len(), 3);
 
-        let mut replayed = FullKvCache::new();
-        segment.attach_and_replay(&mut replayed);
+        let mut replayed = full_store();
+        segment.attach_and_replay(&mut *replayed);
         for layer in 0..2 {
             for head in 0..2 {
                 assert_eq!(
-                    visited(&original, layer, head),
-                    visited(&replayed, layer, head),
+                    visited(&*original, layer, head),
+                    visited(&*replayed, layer, head),
                     "layer {layer} head {head}"
                 );
             }
@@ -486,8 +491,8 @@ mod tests {
 
     #[test]
     fn bytes_count_the_raw_kv_of_every_insert() {
-        let mut original = FullKvCache::new();
-        let segment = record(&mut original, 4);
+        let mut original = full_store();
+        let segment = record(&mut *original, 4);
         // 4 tokens × 2 layers, each a keys and a values row of 2 heads × 2
         // elements at 2 bytes: what the full cache stores for the prefix.
         assert_eq!(segment.bytes_fp16(), 4 * 2 * 2 * 4 * 2);
@@ -496,8 +501,8 @@ mod tests {
 
     #[test]
     fn snapshot_carries_cursor_state() {
-        let mut inner = FullKvCache::new();
-        let segment = record(&mut inner, 2);
+        let mut inner = full_store();
+        let segment = record(&mut *inner, 2);
         assert_eq!(segment.logits(), &[0.5, 0.25]);
         let snap = segment.faults_snapshot();
         assert_eq!(snap.stats().words_examined, 0);
@@ -506,8 +511,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty prefix segment")]
     fn empty_recording_cannot_publish() {
-        let mut inner = FullKvCache::new();
-        let recorder = SegmentRecorder::new(&mut inner);
+        let mut inner = full_store();
+        let recorder = SegmentRecorder::new(&mut *inner);
         recorder.finish(&[0.0], faults());
     }
 
@@ -542,8 +547,8 @@ mod tests {
 
     #[test]
     fn one_pass_publishes_every_boundary() {
-        let mut inner = FullKvCache::new();
-        let segments = record_hierarchy(&mut inner, 4, &[1, 2, 4]);
+        let mut inner = full_store();
+        let segments = record_hierarchy(&mut *inner, 4, &[1, 2, 4]);
         assert_eq!(segments.len(), 3);
         assert_eq!(
             segments.iter().map(SharedSegment::len).collect::<Vec<_>>(),
@@ -553,17 +558,17 @@ mod tests {
         // Each boundary segment replays exactly the state a dedicated
         // recording of just that prefix would have produced.
         for segment in &segments {
-            let mut dedicated_inner = FullKvCache::new();
-            let dedicated = record(&mut dedicated_inner, segment.len());
-            let mut a = FullKvCache::new();
-            let mut b = FullKvCache::new();
-            segment.attach_and_replay(&mut a);
-            dedicated.attach_and_replay(&mut b);
+            let mut dedicated_inner = full_store();
+            let dedicated = record(&mut *dedicated_inner, segment.len());
+            let mut a = full_store();
+            let mut b = full_store();
+            segment.attach_and_replay(&mut *a);
+            dedicated.attach_and_replay(&mut *b);
             for layer in 0..2 {
                 for head in 0..2 {
                     assert_eq!(
-                        visited(&a, layer, head),
-                        visited(&b, layer, head),
+                        visited(&*a, layer, head),
+                        visited(&*b, layer, head),
                         "len {} layer {layer} head {head}",
                         segment.len()
                     );
@@ -578,8 +583,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn duplicate_boundary_rejected() {
-        let mut inner = FullKvCache::new();
-        let mut recorder = SegmentRecorder::new(&mut inner);
+        let mut inner = full_store();
+        let mut recorder = SegmentRecorder::new(&mut *inner);
         recorder.insert(0, 0, &[0.0; 4], &[0.0; 4], &[0.0; 4], 2);
         recorder.mark_boundary(&[0.0], faults());
         recorder.mark_boundary(&[0.0], faults());

@@ -2,11 +2,11 @@
 //! Tables 2–4 and Fig. 8 rely on must hold for the surrogate reproduction.
 
 use kelle::accuracy::{evaluate_method, AccuracyConfig, Method};
-use kelle::cache::CacheBudget;
+use kelle::cache::{CacheBudget, CachePolicy};
 use kelle::edram::{RefreshIntervals, RefreshPolicy, RetentionModel};
 use kelle::model::fault::{BitFlipRates, ProbabilisticFaults};
 use kelle::model::generation::{evaluate_against_reference, run_reference, GenerationConfig};
-use kelle::model::{FullKvCache, ModelConfig, ModelKind, SurrogateModel};
+use kelle::model::{ModelConfig, ModelKind, SurrogateModel};
 use kelle::workloads::{TaskKind, TokenStreamGenerator};
 
 fn quick(task: TaskKind) -> AccuracyConfig {
@@ -199,7 +199,7 @@ fn table4_2drp_beats_uniform_at_matched_average_rate() {
     let config = GenerationConfig::greedy(prompt.decode_len);
     let reference = run_reference(&model, &prompt.tokens, config);
     // Mean KL from the fault-free reference with every cached token kept
-    // (`FullKvCache`: no eviction, so retention faults are the only source of
+    // (the full store: no eviction, so retention faults are the only source of
     // divergence), averaged over the fault realisations of `rates`.
     let mean_fault_kl = |rates: BitFlipRates| -> f64 {
         let total: f64 = (0..FAULT_SEEDS)
@@ -209,7 +209,7 @@ fn table4_2drp_beats_uniform_at_matched_average_rate() {
                     &prompt.tokens,
                     config,
                     &reference,
-                    &mut FullKvCache::new(),
+                    &mut *CachePolicy::Full.build(CacheBudget::new(usize::MAX), model.dims().heads),
                     &mut ProbabilisticFaults::new(rates, seed),
                 );
                 fidelity.mean_kl

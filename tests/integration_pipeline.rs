@@ -1,11 +1,9 @@
 //! End-to-end integration tests spanning the whole stack: surrogate model →
 //! cache policies → fault injection → engine → hardware model.
 
-use kelle::cache::{AerpCache, CacheBudget, CachePolicy};
+use kelle::cache::{CacheBudget, CachePolicy};
 use kelle::model::generation::{evaluate_against_reference, run_reference};
-use kelle::model::{
-    fault::NoFaults, GenerationConfig, KvCacheBackend, ModelConfig, ModelKind, SurrogateModel,
-};
+use kelle::model::{fault::NoFaults, GenerationConfig, ModelConfig, ModelKind, SurrogateModel};
 use kelle::workloads::{TaskKind, TokenStreamGenerator};
 use kelle::{EngineConfig, KelleEngine};
 
@@ -67,7 +65,7 @@ fn budgeted_policies_stay_within_budget_after_prefill() {
         .with_recent_window(4)
         .with_sink_tokens(2);
 
-    let mut cache = AerpCache::new(budget, heads);
+    let mut cache = CachePolicy::Aerp.build(budget, heads);
     let mut faults = NoFaults;
     let config = GenerationConfig::greedy(8);
     let reference = run_reference(&model, &prompt.tokens, config);
@@ -76,7 +74,7 @@ fn budgeted_policies_stay_within_budget_after_prefill() {
         &prompt.tokens,
         config,
         &reference,
-        &mut cache,
+        cache.as_mut(),
         &mut faults,
     );
     for layer in 0..layers {
@@ -117,7 +115,7 @@ fn aerp_uses_recompute_storage_and_model_recomputes() {
     let budget = CacheBudget::new(32)
         .with_recent_window(8)
         .with_sink_tokens(2);
-    let mut cache = AerpCache::new(budget, heads);
+    let mut cache = CachePolicy::Aerp.build(budget, heads);
     let mut faults = NoFaults;
     let config = GenerationConfig::greedy(12);
     let reference = run_reference(&model, &prompt.tokens, config);
@@ -126,7 +124,7 @@ fn aerp_uses_recompute_storage_and_model_recomputes() {
         &prompt.tokens,
         config,
         &reference,
-        &mut cache,
+        cache.as_mut(),
         &mut faults,
     );
     // AERP stores its tokens as input rows for recomputation, and the

@@ -1,10 +1,10 @@
 //! Property-based tests (proptest) on the core invariants of the
 //! reproduction, spanning several crates.
 
-use kelle::cache::{AerpCache, CacheBudget, KvCacheBackend};
+use kelle::cache::{CacheBudget, KvCacheBackend};
 use kelle::edram::{CapacityLedger, RefreshPolicy, RetentionModel};
 use kelle::model::fault::NoFaults;
-use kelle::model::{FullKvCache, ModelConfig, ModelKind, PayloadRef, SurrogateModel};
+use kelle::model::{ModelConfig, ModelKind, PayloadRef, SurrogateModel};
 use kelle::tensor::{ops, QuantFormat, QuantizedVector};
 use kelle::{
     AdmissionPolicy, CachePolicy, KelleEngine, SchedulerConfig, ServeOptions, ServeRequest,
@@ -48,7 +48,7 @@ proptest! {
 
         let head_dim = model.dims().channels / heads;
         let output_for = |order: &[usize]| {
-            let mut cache = FullKvCache::new();
+            let mut cache = CachePolicy::Full.build(CacheBudget::new(usize::MAX), heads);
             let mut faults = NoFaults;
             for &idx in order {
                 let (position, x, k, v) = &entries[idx];
@@ -56,7 +56,7 @@ proptest! {
             }
             let query_x = model.weights().embed(3 % vocab, 8);
             let mut scratch = DecodeScratch::new();
-            attn.forward_with(0, 8, 8, &query_x, &mut cache, &mut faults, &mut scratch);
+            attn.forward_with(0, 8, 8, &query_x, &mut *cache, &mut faults, &mut scratch);
             scratch.output().to_vec()
         };
 
@@ -70,11 +70,18 @@ proptest! {
         }
     }
 
-    /// The AERP cache never exceeds its per-head budget once decoding starts,
-    /// for any budget and insertion count.
+    /// No budgeted policy (StreamingLLM, H2O, AERP) ever exceeds its
+    /// per-head budget once decoding starts, for any budget and insertion
+    /// count.
     #[test]
-    fn aerp_budget_never_exceeded(budget in 2usize..32, tokens in 1usize..80, heads in 1usize..6) {
-        let mut cache = AerpCache::new(CacheBudget::new(budget), heads);
+    fn aerp_budget_never_exceeded(
+        budget in 2usize..32,
+        tokens in 1usize..80,
+        heads in 1usize..6,
+        policy in 0usize..3,
+    ) {
+        let policy = [CachePolicy::StreamingLlm, CachePolicy::H2o, CachePolicy::Aerp][policy];
+        let mut cache = policy.build(CacheBudget::new(budget), heads);
         cache.finish_prefill(0);
         let head_dim = 4;
         for t in 0..tokens {
@@ -157,21 +164,19 @@ proptest! {
     #[test]
     fn eviction_victim_has_minimal_score(scores in proptest::collection::vec(0.0f32..1.0, 4..12)) {
         let n = scores.len();
-        for mut cache in [
-            AerpCache::h2o(CacheBudget::new(n), 1),
-            AerpCache::new(CacheBudget::new(n), 1),
-        ] {
-            let insert = |cache: &mut AerpCache, t: usize| {
+        for policy in [CachePolicy::H2o, CachePolicy::Aerp] {
+            let mut cache = policy.build(CacheBudget::new(n), 1);
+            let insert = |cache: &mut dyn KvCacheBackend, t: usize| {
                 cache.insert(0, t, &[t as f32; 4], &[t as f32; 4], &[t as f32; 4], 4);
             };
             for t in 0..n {
-                insert(&mut cache, t);
+                insert(cache.as_mut(), t);
             }
             let labelled: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
             cache.observe_attention(0, 0, &labelled);
             cache.finish_prefill(n);
             prop_assert_eq!(cache.stats().evictions, 0);
-            insert(&mut cache, n);
+            insert(cache.as_mut(), n);
             let mut kept = vec![false; n + 1];
             cache.for_each_entry(0, 0, &mut |e| kept[e.token] = true);
             let evicted: Vec<usize> = (0..n).filter(|&t| !kept[t]).collect();
