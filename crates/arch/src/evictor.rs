@@ -30,7 +30,7 @@ pub struct SystolicEvictor {
 
 impl SystolicEvictor {
     /// The Kelle configuration (unit present).
-    pub fn kelle_default() -> Self {
+    pub(crate) fn kelle_default() -> Self {
         SystolicEvictor {
             present: true,
             area_mm2: 0.06,
@@ -58,7 +58,7 @@ impl SystolicEvictor {
     /// With the SE present this is zero (fully overlapped with the RSA);
     /// without it the scan is a serial pass over `cached_tokens × heads`
     /// scores.
-    pub fn eviction_latency_s(&self, cached_tokens: usize, heads: usize) -> f64 {
+    pub(crate) fn eviction_latency_s(&self, cached_tokens: usize, heads: usize) -> f64 {
         if self.present {
             0.0
         } else {
@@ -70,7 +70,12 @@ impl SystolicEvictor {
     ///
     /// With the SE present the unit draws its (small) power for the duration
     /// of the step; without it the serial scan pays per-element energy.
-    pub fn eviction_energy_j(&self, cached_tokens: usize, heads: usize, step_time_s: f64) -> f64 {
+    pub(crate) fn eviction_energy_j(
+        &self,
+        cached_tokens: usize,
+        heads: usize,
+        step_time_s: f64,
+    ) -> f64 {
         if self.present {
             self.power_w * step_time_s
         } else {

@@ -41,11 +41,7 @@ pub use area::{AreaBreakdown, PowerBreakdown};
 pub use comparators::{Comparator, ComparatorKind};
 pub use evictor::SystolicEvictor;
 pub use memory::MemorySubsystem;
-pub use platform::{
-    CachePolicyKind, EnergyBreakdown, PhaseMetrics, Platform, PlatformKind, PlatformReport,
-};
+pub use platform::{CachePolicyKind, PhaseMetrics, Platform, PlatformKind, PlatformReport};
 pub use roofline::{RooflineModel, RooflinePoint};
-pub use scheduler::{SchedulerKind, StepTiming};
-pub use sfu::SpecialFunctionUnit;
-pub use systolic::SystolicArraySpec;
+pub use scheduler::SchedulerKind;
 pub use workload::InferenceWorkload;

@@ -60,7 +60,7 @@ impl MemorySubsystem {
     /// as the weight buffer, ~1.75 MB as KV storage and 256 KB as activation
     /// buffer (§8.1.1 keeps total on-chip area equal to Kelle, which is why
     /// the SRAM platform ends up with both less storage and a smaller array).
-    pub fn baseline_sram() -> Self {
+    pub(crate) fn baseline_sram() -> Self {
         MemorySubsystem {
             weight_memory: MemorySpec::new(MemoryTechnology::Sram, 2 * 1024 * 1024, 128.0),
             kv_memory: MemorySpec::new(MemoryTechnology::Sram, 1792 * 1024, 128.0),
@@ -81,19 +81,12 @@ impl MemorySubsystem {
     }
 
     /// Whether the KV memory is eDRAM (and therefore needs refresh).
-    pub fn kv_is_edram(&self) -> bool {
+    pub(crate) fn kv_is_edram(&self) -> bool {
         self.kv_memory.technology == MemoryTechnology::Edram
     }
 
-    /// Total on-chip capacity in bytes.
-    pub fn onchip_capacity_bytes(&self) -> u64 {
-        self.weight_memory.capacity_bytes
-            + self.kv_memory.capacity_bytes
-            + self.activation_memory.capacity_bytes
-    }
-
     /// Sum of on-chip leakage power in watts.
-    pub fn onchip_leakage_w(&self) -> f64 {
+    pub(crate) fn onchip_leakage_w(&self) -> f64 {
         self.weight_memory.leakage_w()
             + self.kv_memory.leakage_w()
             + self.activation_memory.leakage_w()
@@ -101,7 +94,7 @@ impl MemorySubsystem {
 
     /// Cost of streaming `bytes` bytes of weights from DRAM through the weight
     /// buffer into the array.
-    pub fn weight_stream_cost(&self, bytes: u64) -> TrafficCost {
+    pub(crate) fn weight_stream_cost(&self, bytes: u64) -> TrafficCost {
         let dram_time = self.dram.access_time_s(bytes);
         let sram_time = self.weight_memory.access_time_s(bytes);
         TrafficCost {
@@ -115,7 +108,7 @@ impl MemorySubsystem {
 
     /// Cost of reading `resident_bytes` of KV data that fit in the on-chip KV
     /// memory plus `overflow_bytes` that must come from DRAM.
-    pub fn kv_read_cost(&self, resident_bytes: u64, overflow_bytes: u64) -> TrafficCost {
+    pub(crate) fn kv_read_cost(&self, resident_bytes: u64, overflow_bytes: u64) -> TrafficCost {
         let onchip_time = self.kv_memory.access_time_s(resident_bytes);
         let dram_time = if overflow_bytes > 0 {
             self.dram.access_time_s(overflow_bytes)
@@ -140,22 +133,16 @@ impl MemorySubsystem {
 
     /// Cost of writing `bytes` of new KV data, split between on-chip residence
     /// and DRAM spill in the same proportion as the read path.
-    pub fn kv_write_cost(&self, resident_bytes: u64, overflow_bytes: u64) -> TrafficCost {
+    pub(crate) fn kv_write_cost(&self, resident_bytes: u64, overflow_bytes: u64) -> TrafficCost {
         // Writes and reads cost the same per byte in the Table 1 model.
         self.kv_read_cost(resident_bytes, overflow_bytes)
     }
 
-    /// Splits a total KV working set into (on-chip, DRAM-overflow) bytes given
-    /// the KV memory capacity.
-    pub fn split_kv_residency(&self, total_bytes: u64) -> (u64, u64) {
-        self.split_kv_residency_capped(total_bytes, None)
-    }
-
-    /// Like [`split_kv_residency`](MemorySubsystem::split_kv_residency), but
-    /// the workload only gets `granted_bytes` of the KV memory (its share
+    /// Splits a total KV working set into (on-chip, DRAM-overflow) bytes when
+    /// the workload gets only `granted_bytes` of the KV memory (its share
     /// under capacity arbitration).  The grant is itself capped by the
     /// physical capacity; `None` grants the whole memory.
-    pub fn split_kv_residency_capped(
+    pub(crate) fn split_kv_residency_capped(
         &self,
         total_bytes: u64,
         granted_bytes: Option<u64>,
@@ -228,17 +215,6 @@ impl MemorySubsystem {
             },
         }
     }
-
-    /// Cost of moving `bytes` of activations through the activation buffer.
-    pub fn activation_cost(&self, bytes: u64) -> TrafficCost {
-        TrafficCost {
-            time_s: self.activation_memory.access_time_s(bytes),
-            onchip_energy_j: self.activation_memory.access_energy_j(bytes),
-            dram_energy_j: 0.0,
-            onchip_bytes: bytes,
-            dram_bytes: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -261,9 +237,12 @@ mod tests {
         assert!(mem.kv_banks.is_none());
         // Area parity: the SRAM platform's on-chip capacity is smaller than
         // Kelle's because SRAM is less dense.
-        assert!(
-            mem.onchip_capacity_bytes() < MemorySubsystem::kelle_default().onchip_capacity_bytes()
-        );
+        let onchip = |m: &MemorySubsystem| {
+            m.weight_memory.capacity_bytes
+                + m.kv_memory.capacity_bytes
+                + m.activation_memory.capacity_bytes
+        };
+        assert!(onchip(&mem) < onchip(&MemorySubsystem::kelle_default()));
     }
 
     #[test]
@@ -278,8 +257,8 @@ mod tests {
     #[test]
     fn kv_residency_split() {
         let mem = MemorySubsystem::kelle_default();
-        assert_eq!(mem.split_kv_residency(1024), (1024, 0));
-        let (resident, overflow) = mem.split_kv_residency(10 * 1024 * 1024);
+        assert_eq!(mem.split_kv_residency_capped(1024, None), (1024, 0));
+        let (resident, overflow) = mem.split_kv_residency_capped(10 * 1024 * 1024, None);
         assert_eq!(resident, 4 * 1024 * 1024);
         assert_eq!(overflow, 6 * 1024 * 1024);
     }
@@ -296,11 +275,6 @@ mod tests {
         assert_eq!(
             mem.split_kv_residency_capped(10 << 20, Some(64 << 20)),
             (4 << 20, 6 << 20)
-        );
-        // No grant behaves exactly like the uncapped split.
-        assert_eq!(
-            mem.split_kv_residency_capped(3 << 20, None),
-            mem.split_kv_residency(3 << 20)
         );
     }
 

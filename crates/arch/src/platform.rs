@@ -58,7 +58,7 @@ const RECOMPUTE_MACS_PER_BYTE: f64 = 48.0;
 
 impl CachePolicyKind {
     /// The default AERP configuration used by the hardware evaluation.
-    pub fn aerp_default() -> Self {
+    pub(crate) fn aerp_default() -> Self {
         CachePolicyKind::EvictionRecompute {
             popular_fraction: 0.35,
             dram_replacement: 0.25,
@@ -78,7 +78,7 @@ impl CachePolicyKind {
     ///
     /// A token stored as KV costs `2 × kv_channels` elements; a popular token
     /// stored as its input vector costs `channels` elements (§4.1.2).
-    pub fn bytes_per_token_per_layer(&self, model: &ModelConfig, kv_bits: u32) -> f64 {
+    pub(crate) fn bytes_per_token_per_layer(&self, model: &ModelConfig, kv_bits: u32) -> f64 {
         let kv_channels = model.kv_heads * model.head_dim();
         let kv_cost = (2 * kv_channels) as f64 * f64::from(kv_bits) / 8.0;
         match self {
@@ -100,7 +100,7 @@ impl CachePolicyKind {
     /// balance point of §8.3.2's load-vs-recompute overlap); the Kelle
     /// scheduler never recomputes more than it can hide, so the effective
     /// fraction is the smaller of the configured and the balanced value.
-    pub fn apply_recompute(&self, overflow_bytes: u64, max_replacement: f64) -> (u64, u64) {
+    pub(crate) fn apply_recompute(&self, overflow_bytes: u64, max_replacement: f64) -> (u64, u64) {
         match self {
             CachePolicyKind::EvictionRecompute {
                 dram_replacement, ..
@@ -119,23 +119,14 @@ impl CachePolicyKind {
     /// The replacement fraction at which recomputation time exactly matches
     /// the remaining DRAM fetch time, for an array with effective throughput
     /// `macs_per_s` over a channel of `dram_bytes_per_s`.
-    pub fn balanced_replacement(macs_per_s: f64, dram_bytes_per_s: f64) -> f64 {
+    pub(crate) fn balanced_replacement(macs_per_s: f64, dram_bytes_per_s: f64) -> f64 {
         1.0 / (1.0 + RECOMPUTE_MACS_PER_BYTE * dram_bytes_per_s / macs_per_s)
     }
 
     /// Whether the policy performs eviction bookkeeping (and therefore needs
     /// either the systolic evictor or a serial scan).
-    pub fn needs_eviction_pass(&self) -> bool {
+    pub(crate) fn needs_eviction_pass(&self) -> bool {
         !matches!(self, CachePolicyKind::FullCache)
-    }
-
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CachePolicyKind::FullCache => "full",
-            CachePolicyKind::Eviction => "aep",
-            CachePolicyKind::EvictionRecompute { .. } => "aerp",
-        }
     }
 }
 
@@ -172,7 +163,7 @@ impl EnergyBreakdown {
     }
 
     /// Element-wise sum of two breakdowns.
-    pub fn merged(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
+    pub(crate) fn merged(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
         EnergyBreakdown {
             rsa_j: self.rsa_j + other.rsa_j,
             sfu_j: self.sfu_j + other.sfu_j,
@@ -398,14 +389,6 @@ impl Platform {
                 kv_bits: 16,
             },
         }
-    }
-
-    /// Builds all five presets.
-    pub fn evaluation_set() -> Vec<Platform> {
-        PlatformKind::all()
-            .into_iter()
-            .map(Platform::preset)
-            .collect()
     }
 
     /// Simulates a workload on this platform.

@@ -42,12 +42,12 @@ impl RooflineModel {
 
     /// Operational intensity at which the kernel transitions from memory-bound
     /// to compute-bound (the ridge point).
-    pub fn ridge_intensity(&self) -> f64 {
+    pub(crate) fn ridge_intensity(&self) -> f64 {
         self.peak_macs_per_s / self.bandwidth_bytes_per_s
     }
 
     /// Attainable performance at a given operational intensity.
-    pub fn attainable_macs_per_s(&self, intensity: f64) -> f64 {
+    pub(crate) fn attainable_macs_per_s(&self, intensity: f64) -> f64 {
         (intensity * self.bandwidth_bytes_per_s).min(self.peak_macs_per_s)
     }
 

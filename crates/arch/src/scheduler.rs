@@ -36,7 +36,7 @@ pub struct StepTiming {
 impl SchedulerKind {
     /// Total transient-data lifetime of the step's activations (`X`, `Q`, `K`,
     /// `V`) in seconds — Eq. 7 for the baseline, Eq. 8 for Kelle.
-    pub fn activation_lifetime_s(&self, timing: StepTiming) -> f64 {
+    pub(crate) fn activation_lifetime_s(&self, timing: StepTiming) -> f64 {
         match self {
             SchedulerKind::Baseline => 6.0 * timing.t_weight_s + 4.0 * timing.t_kv_s,
             SchedulerKind::Kelle => 4.0 * timing.t_weight_s + timing.t_kv_s,
@@ -45,7 +45,7 @@ impl SchedulerKind {
 
     /// Exposed memory-access time of one step: the baseline serialises the
     /// weight and KV streams, Kelle overlaps them on separate memories.
-    pub fn memory_time_s(&self, total_weight_s: f64, total_kv_s: f64) -> f64 {
+    pub(crate) fn memory_time_s(&self, total_weight_s: f64, total_kv_s: f64) -> f64 {
         match self {
             SchedulerKind::Baseline => total_weight_s + total_kv_s,
             SchedulerKind::Kelle => total_weight_s.max(total_kv_s),
@@ -59,7 +59,7 @@ impl SchedulerKind {
     /// hardware's request pipelining; the Kelle pattern of Fig. 12b explicitly
     /// overlaps the weight stream, the KV stream and the dependent
     /// multiplications.
-    pub fn compute_overlap(&self) -> f64 {
+    pub(crate) fn compute_overlap(&self) -> f64 {
         match self {
             SchedulerKind::Baseline => 0.25,
             SchedulerKind::Kelle => 0.90,

@@ -19,7 +19,7 @@ pub struct SpecialFunctionUnit {
 impl SpecialFunctionUnit {
     /// The Kelle SFU: sized to its reported 7 % area / 13 % power share of the
     /// 6.52 W accelerator, processing 16 elements per cycle at 1 GHz.
-    pub fn kelle_default() -> Self {
+    pub(crate) fn kelle_default() -> Self {
         SpecialFunctionUnit {
             elements_per_s: 16.0e9,
             energy_per_element_j: 3.0e-12,
@@ -31,7 +31,7 @@ impl SpecialFunctionUnit {
     /// `context` attention scores for each of `heads` heads and the
     /// normalization/activation work proportional to the channel and FFN
     /// dimensions.
-    pub fn elements_per_decode_step(
+    pub(crate) fn elements_per_decode_step(
         &self,
         context: usize,
         heads: usize,
@@ -42,12 +42,12 @@ impl SpecialFunctionUnit {
     }
 
     /// Time in seconds to process `elements` elements.
-    pub fn time_s(&self, elements: u64) -> f64 {
+    pub(crate) fn time_s(&self, elements: u64) -> f64 {
         elements as f64 / self.elements_per_s
     }
 
     /// Dynamic energy in joules to process `elements` elements.
-    pub fn energy_j(&self, elements: u64) -> f64 {
+    pub(crate) fn energy_j(&self, elements: u64) -> f64 {
         elements as f64 * self.energy_per_element_j
     }
 }

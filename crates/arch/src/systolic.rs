@@ -29,7 +29,7 @@ pub struct SystolicArraySpec {
 
 impl SystolicArraySpec {
     /// The Kelle accelerator's 32×32 array at 1 GHz.
-    pub fn kelle_32x32() -> Self {
+    pub(crate) fn kelle_32x32() -> Self {
         SystolicArraySpec {
             rows: 32,
             cols: 32,
@@ -40,7 +40,7 @@ impl SystolicArraySpec {
     }
 
     /// The area-matched 24×24 array used by the SRAM baselines (§8.1.1).
-    pub fn baseline_24x24() -> Self {
+    pub(crate) fn baseline_24x24() -> Self {
         SystolicArraySpec {
             rows: 24,
             cols: 24,
@@ -51,13 +51,8 @@ impl SystolicArraySpec {
     }
 
     /// Peak MAC throughput in MACs per second.
-    pub fn peak_macs_per_s(&self) -> f64 {
+    pub(crate) fn peak_macs_per_s(&self) -> f64 {
         self.rows as f64 * self.cols as f64 * self.frequency_hz
-    }
-
-    /// Peak arithmetic throughput in INT8 TOPS (2 ops per MAC).
-    pub fn peak_tops(&self) -> f64 {
-        2.0 * self.peak_macs_per_s() / 1e12
     }
 
     /// Utilisation of the array for matrix multiplications with an effective
@@ -68,24 +63,24 @@ impl SystolicArraySpec {
     /// than `rows` independent rows in flight the array is under-utilised, and
     /// there is a fixed ~90 % ceiling from pipeline fill/drain (which also
     /// matches the 4.13 INT8 TOPS the paper reports for the 32×32 array).
-    pub fn utilization(&self, parallel_rows: usize) -> f64 {
+    pub(crate) fn utilization(&self, parallel_rows: usize) -> f64 {
         let fill = (parallel_rows as f64 / self.rows as f64).min(1.0);
         0.905 * fill.max(1.0 / self.rows as f64)
     }
 
     /// Time in seconds to execute `macs` MAC operations with the given
     /// parallelism (paper Eq. 4 with the utilisation-adjusted throughput).
-    pub fn matmul_time_s(&self, macs: u64, parallel_rows: usize) -> f64 {
+    pub(crate) fn matmul_time_s(&self, macs: u64, parallel_rows: usize) -> f64 {
         macs as f64 / (self.peak_macs_per_s() * self.utilization(parallel_rows))
     }
 
     /// Dynamic energy in joules to execute `macs` MAC operations.
-    pub fn matmul_energy_j(&self, macs: u64) -> f64 {
+    pub(crate) fn matmul_energy_j(&self, macs: u64) -> f64 {
         macs as f64 * self.energy_per_mac_j
     }
 
     /// Leakage energy over a window of `duration_s` seconds.
-    pub fn leakage_energy_j(&self, duration_s: f64) -> f64 {
+    pub(crate) fn leakage_energy_j(&self, duration_s: f64) -> f64 {
         self.leakage_w * duration_s
     }
 }
@@ -101,7 +96,7 @@ mod tests {
         // two ops.  (The paper quotes 4.13 INT8 TOPs for the same array, i.e.
         // it counts four ops per 8-bit MAC PE; the ratio-based results are
         // unaffected by the convention.)
-        assert!((rsa.peak_tops() - 2.048).abs() < 0.1);
+        assert!((2.0 * rsa.peak_macs_per_s() * 1e-12 - 2.048).abs() < 0.1);
     }
 
     #[test]

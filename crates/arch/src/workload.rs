@@ -66,12 +66,6 @@ impl InferenceWorkload {
         self
     }
 
-    /// Context tokens that actually require pre-fill work.  Clamped so that
-    /// a hand-written out-of-range `reused_context_len` cannot underflow.
-    pub fn new_context_len(&self) -> usize {
-        self.context_len.saturating_sub(self.reused_context_len)
-    }
-
     /// Caps the on-chip KV residency granted to this workload (builder
     /// style).  `None` restores the single-tenant default of the whole KV
     /// memory.  See [`InferenceWorkload::kv_capacity_bytes`].
@@ -122,16 +116,6 @@ impl InferenceWorkload {
         self.batch = batch;
         self
     }
-
-    /// Final sequence length after decoding completes.
-    pub fn final_seq_len(&self) -> usize {
-        self.context_len + self.decode_len
-    }
-
-    /// Average sequence length over the decode phase.
-    pub fn average_seq_len(&self) -> f64 {
-        self.context_len as f64 + self.decode_len as f64 / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -149,13 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn sequence_lengths() {
-        let w = InferenceWorkload::triviaqa();
-        assert_eq!(w.final_seq_len(), 2560);
-        assert!((w.average_seq_len() - 1536.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn with_batch_overrides() {
         let w = InferenceWorkload::pg19().with_batch(1);
         assert_eq!(w.batch, 1);
@@ -164,11 +141,11 @@ mod tests {
     #[test]
     fn reused_context_reduces_prefill_work_only() {
         let w = InferenceWorkload::new("turn", 14, 4, 1).with_reused_context(12);
-        assert_eq!(w.new_context_len(), 2);
-        assert_eq!(w.final_seq_len(), 18);
+        assert_eq!(w.reused_context_len, 12);
+        assert_eq!((w.context_len, w.decode_len), (14, 4));
         // Full reuse (a decode-only continuation) is allowed.
         let cont = InferenceWorkload::new("cont", 14, 4, 1).with_reused_context(14);
-        assert_eq!(cont.new_context_len(), 0);
+        assert_eq!(cont.reused_context_len, cont.context_len);
     }
 
     #[test]

@@ -233,7 +233,7 @@ pub fn evaluate_all_methods(config: &AccuracyConfig) -> Vec<AccuracyResult> {
 }
 
 /// Maps fidelity metrics onto the paper's reporting scale for a task.
-pub fn score_on_paper_scale(task: TaskKind, fidelity: FidelityMetrics) -> f64 {
+pub(crate) fn score_on_paper_scale(task: TaskKind, fidelity: FidelityMetrics) -> f64 {
     let reference = task.llama2_7b_fp16_reference();
     match task.metric() {
         // Perplexity tasks: the reference PPL is inflated by the distributional

@@ -89,13 +89,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Derives the migration-fault rate from an NVMe device model's
-    /// [`transient_error_rate`](kelle_edram::NvmeSpec::transient_error_rate)
-    /// (builder style).
-    pub fn with_nvme_error_model(self, nvme: &kelle_edram::NvmeSpec) -> Self {
-        self.with_migration_faults((nvme.transient_error_rate * 1000.0).round() as u32)
-    }
-
     /// Overrides the ledger-blip rate in per-mille (builder style).
     pub fn with_ledger_blips(mut self, per_mille: u32) -> Self {
         self.ledger_blip_per_mille = per_mille.min(1000);
@@ -109,7 +102,7 @@ impl ChaosConfig {
     }
 
     /// Whether any fault class is enabled.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.worker_panic_per_mille > 0
             || self.migration_fault_per_mille > 0
             || self.ledger_blip_per_mille > 0
@@ -127,7 +120,7 @@ pub struct ChaosPlan {
 
 impl ChaosPlan {
     /// Instantiates the plan for a config.
-    pub fn new(config: ChaosConfig) -> Self {
+    pub(crate) fn new(config: ChaosConfig) -> Self {
         ChaosPlan {
             config,
             migration_draws: 0,
@@ -136,7 +129,7 @@ impl ChaosPlan {
     }
 
     /// The plan's configuration.
-    pub fn config(&self) -> &ChaosConfig {
+    pub(crate) fn config(&self) -> &ChaosConfig {
         &self.config
     }
 
@@ -146,7 +139,7 @@ impl ChaosPlan {
     /// Pure in its arguments: the draw is a hash of the full coordinate, not
     /// a counter, so injection is independent of executor, worker count and
     /// task completion order.
-    pub fn worker_panic(&self, tick: u64, index: usize, attempt: u32) -> bool {
+    pub(crate) fn worker_panic(&self, tick: u64, index: usize, attempt: u32) -> bool {
         hits(
             self.config.seed,
             1,
@@ -372,13 +365,6 @@ mod tests {
         assert_ne!(migrations, blips);
         assert!(migrations.iter().any(|&f| f));
         assert!(migrations.iter().any(|&f| !f));
-    }
-
-    #[test]
-    fn nvme_error_model_scales_to_per_mille() {
-        let nvme = kelle_edram::NvmeSpec::edge_m2_256gb().with_transient_error_rate(0.05);
-        let config = ChaosConfig::default().with_nvme_error_model(&nvme);
-        assert_eq!(config.migration_fault_per_mille, 50);
     }
 
     #[test]

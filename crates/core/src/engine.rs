@@ -109,13 +109,8 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// Starts from the default configuration.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EngineBuilder::default()
-    }
-
-    /// Starts from an explicit configuration.
-    pub fn from_config(config: EngineConfig) -> Self {
-        EngineBuilder { config }
     }
 
     /// Sets the emulated model.
@@ -142,18 +137,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the evaluated hardware platform.
-    pub fn platform(mut self, platform: PlatformKind) -> Self {
-        self.config.platform = platform;
-        self
-    }
-
-    /// Sets the full-scale hardware KV budget `N'`.
-    pub fn hardware_n_prime(mut self, n_prime: usize) -> Self {
-        self.config.hardware_n_prime = n_prime;
-        self
-    }
-
     /// Sets the batch size assumed by the hardware model.
     pub fn batch(mut self, batch: usize) -> Self {
         self.config.batch = batch;
@@ -170,12 +153,6 @@ impl EngineBuilder {
     pub fn prefix_sharing(mut self, prefix: PrefixSharingConfig) -> Self {
         self.config.prefix = prefix;
         self
-    }
-
-    /// Enables prefix sharing with explicit publication
-    /// ([`PrefixSharingConfig::enabled`]).
-    pub fn enable_prefix_sharing(self) -> Self {
-        self.prefix_sharing(PrefixSharingConfig::enabled())
     }
 
     /// Sets the number of [`WorkerPool`] shards [`KelleEngine::serve`] under
@@ -275,7 +252,7 @@ impl EngineStats {
     /// The stats contribution of one completed turn — the single definition
     /// both the engine's lifetime counters and the batch scheduler's
     /// aggregate fold in, so the two can never drift apart.
-    pub fn from_turn(turn: &TurnOutcome) -> EngineStats {
+    pub(crate) fn from_turn(turn: &TurnOutcome) -> EngineStats {
         EngineStats {
             requests: 1,
             tokens_generated: turn.generated.len() as u64,
@@ -369,11 +346,6 @@ impl<'cb> ServeOptions<'cb> {
         self.sink = Some(sink);
         self
     }
-
-    /// The scheduler configuration the batch will run under.
-    pub fn scheduler(&self) -> &SchedulerConfig {
-        &self.scheduler
-    }
 }
 
 /// The co-designed serving engine.
@@ -429,11 +401,6 @@ impl KelleEngine {
     /// Prefix-store statistics (publications, hits, deduplicated tokens).
     pub fn prefix_stats(&self) -> PrefixStoreStats {
         self.prefix.lock().stats()
-    }
-
-    /// The engine's prefix-sharing configuration.
-    pub fn prefix_config(&self) -> &PrefixSharingConfig {
-        &self.config.prefix
     }
 
     /// Publishes `tokens` as a shared prefix boundary under the engine's
@@ -494,7 +461,7 @@ impl KelleEngine {
         if !self.config.prefix.enabled {
             return 0;
         }
-        let key = self.prefix_key(None, None, None);
+        let key = self.prefix_key(None, None);
         let wanted = |boundary: usize| boundary >= MIN_PREFIX_TOKENS;
         // Duplicate check before any session machinery is built: a fleet
         // re-issuing its publish calls should cost radix walks, not a cache
@@ -546,19 +513,15 @@ impl KelleEngine {
     }
 
     /// The prefix-sharing fingerprint of a session opened with these
-    /// overrides of the engine's policy, budget and fault seed — the one
-    /// place a [`PrefixKey`] is built, so publication, admission footprints
-    /// and session lookups cannot disagree on it.  The budget is clamped
-    /// exactly as the policy registry clamps it when building the backend.
-    pub(crate) fn prefix_key(
-        &self,
-        policy: Option<CachePolicy>,
-        budget: Option<CacheBudget>,
-        seed: Option<u64>,
-    ) -> PrefixKey {
+    /// overrides of the engine's policy and fault seed — the one place a
+    /// [`PrefixKey`] is built, so publication, admission footprints and
+    /// session lookups cannot disagree on it.  The engine's budget is
+    /// clamped exactly as the policy registry clamps it when building the
+    /// backend.
+    pub(crate) fn prefix_key(&self, policy: Option<CachePolicy>, seed: Option<u64>) -> PrefixKey {
         PrefixKey {
             policy: policy.unwrap_or(self.config.policy),
-            budget: budget.unwrap_or(self.config.budget).clamped(),
+            budget: self.config.budget.clamped(),
             seed: seed.unwrap_or(self.config.seed),
         }
     }
@@ -570,7 +533,7 @@ impl KelleEngine {
         Session::with_defaults(self)
     }
 
-    /// Opens a session configured by a request's policy/budget/seed overrides
+    /// Opens a session configured by a request's policy and seed overrides
     /// (the request's prompt and decode length are ignored here; pass them to
     /// [`Session::turn`]).
     pub fn open_session_for(&self, request: &ServeRequest) -> Session<'_> {
@@ -628,7 +591,7 @@ impl KelleEngine {
     /// configuration (shared-capacity arbitration, admission policy,
     /// tiering, chaos, SLO spec), the worker count, and an optional
     /// streaming sink.  Requests carrying an
-    /// [`arrival_tick`](ServeRequest::arrival_tick) join the waiting queue
+    /// `arrival_tick` join the waiting queue
     /// at that scheduler tick instead of immediately, which is how trace
     /// replay drives open-loop arrivals.
     ///
@@ -770,15 +733,12 @@ mod tests {
             .model(ModelKind::Mistral7b)
             .policy(CachePolicy::StreamingLlm)
             .budget(CacheBudget::new(16))
-            .platform(PlatformKind::OriginalSram)
-            .hardware_n_prime(1024)
             .batch(4)
             .seed(99)
             .build();
         let config = engine.config();
         assert_eq!(config.model, ModelKind::Mistral7b);
         assert_eq!(config.policy, CachePolicy::StreamingLlm);
-        assert_eq!(config.hardware_n_prime, 1024);
         assert_eq!(config.batch, 4);
         assert_eq!(config.seed, 99);
     }

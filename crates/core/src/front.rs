@@ -235,12 +235,6 @@ impl TokenStream {
     pub fn buffered(&self) -> usize {
         self.shared.lock().tokens.len()
     }
-
-    /// Whether the stream reached its terminal state (buffered tokens may
-    /// still be unread).
-    pub fn is_terminated(&self) -> bool {
-        self.shared.lock().terminal.is_some()
-    }
 }
 
 /// The live serving front-end inside [`KelleEngine::front`] — submit

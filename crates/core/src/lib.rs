@@ -9,9 +9,9 @@
 //!
 //! ## Quick start
 //!
-//! Engines are configured through [`EngineBuilder`] and serve through three
+//! Engines are configured through [`EngineBuilder`](engine::EngineBuilder) and serve through three
 //! entry points of increasing generality: one-shot [`KelleEngine::serve_one`],
-//! persistent [`Session`]s whose KV cache survives across turns, and the
+//! persistent [`Session`](session::Session)s whose KV cache survives across turns, and the
 //! unified continuous-batching entry [`KelleEngine::serve`], whose
 //! [`ServeOptions`] select capacity arbitration, parallel execution and
 //! streaming on one call.
@@ -74,11 +74,11 @@
 //!
 //! The main entry points are:
 //!
-//! * [`KelleEngine`] / [`EngineBuilder`] — configure and serve on a Kelle
+//! * [`KelleEngine`] / [`EngineBuilder`](engine::EngineBuilder) — configure and serve on a Kelle
 //!   system, obtaining generated tokens, cache behaviour and hardware
 //!   latency/energy;
-//! * [`Session`] / [`ServeRequest`] — multi-turn serving with KV-cache reuse
-//!   and per-request policy/budget/seed overrides;
+//! * [`Session`](session::Session) / [`ServeRequest`] — multi-turn serving with KV-cache reuse
+//!   and per-request policy and seed overrides;
 //! * [`scheduler`] — the continuous-batching admission pipeline behind
 //!   [`KelleEngine::serve`]: waiting queue, [`AdmissionPolicy`], arrival-tick
 //!   release for trace replay, the shared
@@ -89,14 +89,14 @@
 //!   session to one of its shards, where it lives from its admission
 //!   prefill until it finishes, so only per-tick step results cross
 //!   threads.  A plain [`KelleEngine::serve`] runs one shard on the calling
-//!   thread; [`ServeOptions::parallel`] runs [`EngineBuilder::workers`] —
+//!   thread; [`ServeOptions::parallel`] runs [`EngineBuilder::workers`](engine::EngineBuilder::workers) —
 //!   the calling thread and `workers − 1` scoped threads — with
 //!   bit-identical token streams, fault statistics and batch metrics for
 //!   every worker count;
 //! * [`front`] — the non-blocking serving front-end:
 //!   [`KelleEngine::front`] opens submit/poll sessions with per-request
 //!   [`TokenStream`]s, typed admission backpressure
-//!   ([`SubmitError::QueueFull`]), stream-level pause/resume, first-class
+//!   ([`SubmitError::QueueFull`](front::SubmitError::QueueFull)), stream-level pause/resume, first-class
 //!   cancel/deadline/drain, on the same [`WorkerPool`] — bit-identical to
 //!   the synchronous path;
 //! * [`prefix`] — cross-session prefix KV sharing: publish a common system
@@ -130,26 +130,19 @@ pub mod scheduler;
 pub mod session;
 pub mod tier;
 
-pub use accuracy::{AccuracyResult, Method};
-pub use chaos::{ChaosConfig, ChaosMetrics, ChaosPlan, ServeError, ShedReason};
-pub use engine::{
-    EngineBuilder, EngineConfig, EngineStats, KelleEngine, ServeOptions, ServeOutcome,
-};
-pub use experiment::{EndToEndRow, EndToEndSummary};
-pub use front::{FrontConfig, ServingFront, StreamPoll, SubmitError, TokenStream};
+pub use chaos::{ChaosConfig, ChaosMetrics, ServeError, ShedReason};
+pub use engine::{EngineConfig, EngineStats, KelleEngine, ServeOptions, ServeOutcome};
+pub use front::{FrontConfig, ServingFront, StreamPoll, TokenStream};
 pub use kelle_model::fault::fault_injector_for_policy;
 pub use kelle_model::CachePolicy;
-pub use parallel::{ParallelMetrics, WorkerPool};
-pub use prefix::{
-    PrefixHit, PrefixKey, PrefixSharingConfig, PrefixStore, PrefixStoreStats, RadixPrefixIndex,
-};
+pub use parallel::WorkerPool;
+pub use prefix::{PrefixKey, PrefixSharingConfig, PrefixStore};
 pub use scheduler::{
-    AdmissionPolicy, BatchIncomplete, BatchOutcome, BatchReport, BatchScheduler, ContentionMetrics,
-    LatencySummary, PrefixBatchMetrics, RequestTiming, SchedulerConfig, ServeEvent, SloReport,
-    SloSpec, StepEvent,
+    AdmissionPolicy, BatchOutcome, BatchReport, BatchScheduler, PrefixBatchMetrics,
+    SchedulerConfig, SloReport, SloSpec,
 };
-pub use session::{ServeRequest, ServeRequestBuilder, Session, TurnOutcome};
-pub use tier::{TierConfig, TierManager, TierUsageMetrics, TieringMetrics};
+pub use session::ServeRequest;
+pub use tier::TierConfig;
 
 pub use kelle_arch as arch;
 pub use kelle_edram as edram;

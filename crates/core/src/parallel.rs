@@ -184,12 +184,12 @@ pub(crate) struct TaskFailure {
 
 impl TaskFailure {
     /// The request index whose prefill or step failed.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.index
     }
 
     /// The stringified panic payload, or why the request could not be run.
-    pub fn message(&self) -> &str {
+    pub(crate) fn message(&self) -> &str {
         &self.message
     }
 }
@@ -447,7 +447,7 @@ impl<'e> WorkerPool<'e> {
     }
 
     /// Number of shards: the calling thread's and one per worker thread.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.threads
             .as_ref()
             .map_or(1, |threads| threads.mailboxes.len() + 1)

@@ -65,10 +65,10 @@
 //!
 //! # Complexity
 //!
-//! [`RadixPrefixIndex::longest_match`] walks compressed edges and compares
+//! `RadixPrefixIndex::longest_match` walks compressed edges and compares
 //! at most one token per matched position: **O(matched prefix length)**,
-//! independent of how many prefixes are published (pinned by a unit test on
-//! [`RadixPrefixIndex::match_cost`] against 1 000 published prefixes, both
+//! independent of how many prefixes are published (pinned by a unit test
+//! that counts its comparisons against 1 000 published prefixes, both
 //! fanning out at the first token and sharing one deep spine).
 
 use kelle_model::{CacheBudget, CachePolicy, FastHashMap, SharedSegment};
@@ -201,23 +201,13 @@ impl<V> Default for RadixPrefixIndex<V> {
 }
 
 impl<V> RadixPrefixIndex<V> {
-    /// An empty index.
-    pub fn new() -> Self {
-        RadixPrefixIndex::default()
-    }
-
-    /// Number of boundary nodes holding at least one value.
-    pub fn boundaries(&self) -> usize {
-        self.boundaries
-    }
-
     /// The value list at the exact boundary `seq`, creating the path (and
     /// splitting edges) as needed.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is empty (the empty prefix is not a boundary).
-    pub fn values_at_mut(&mut self, seq: &[usize]) -> &mut Vec<V> {
+    pub(crate) fn values_at_mut(&mut self, seq: &[usize]) -> &mut Vec<V> {
         assert!(!seq.is_empty(), "cannot index the empty prefix");
         Self::descend_mut(&mut self.root, seq)
     }
@@ -275,9 +265,8 @@ impl<V> RadixPrefixIndex<V> {
     /// value accepted by `pred`.  Returns `(matched_len, value)`.
     ///
     /// Cost: O(matched prefix length) token comparisons — never a function
-    /// of how many boundaries are published (see
-    /// [`match_cost`](Self::match_cost)).
-    pub fn longest_match<'a>(
+    /// of how many boundaries are published.
+    pub(crate) fn longest_match<'a>(
         &'a self,
         seq: &[usize],
         mut pred: impl FnMut(&V) -> bool,
@@ -299,27 +288,6 @@ impl<V> RadixPrefixIndex<V> {
                 // The edge label is not fully contained in `seq`: no deeper
                 // boundary can be a prefix of it.
                 return best;
-            }
-            depth += edge.label.len();
-            node = &edge.node;
-        }
-    }
-
-    /// Number of token comparisons a [`longest_match`](Self::longest_match)
-    /// of `seq` performs — the instrumented twin the O(matched) test pins.
-    pub fn match_cost(&self, seq: &[usize]) -> usize {
-        let mut node = &self.root;
-        let mut depth = 0usize;
-        let mut cost = 0usize;
-        loop {
-            let Some(edge) = seq.get(depth).and_then(|t| node.children.get(t)) else {
-                return cost;
-            };
-            let rest = &seq[depth..];
-            let common = common_len(&edge.label, rest);
-            cost += common.min(rest.len()).max(1);
-            if rest.len() < edge.label.len() || common < edge.label.len() {
-                return cost;
             }
             depth += edge.label.len();
             node = &edge.node;
@@ -347,17 +315,12 @@ impl PrefixStore {
     }
 
     /// Store statistics.
-    pub fn stats(&self) -> PrefixStoreStats {
+    pub(crate) fn stats(&self) -> PrefixStoreStats {
         self.stats
     }
 
-    /// Number of published boundaries (radix nodes with entries).
-    pub fn boundaries(&self) -> usize {
-        self.index.boundaries()
-    }
-
     /// Whether an entry for exactly `tokens` under `key` exists.
-    pub fn contains(&self, tokens: &[usize], key: &PrefixKey) -> bool {
+    pub(crate) fn contains(&self, tokens: &[usize], key: &PrefixKey) -> bool {
         self.index
             .longest_match(tokens, |e| e.key == *key)
             .is_some_and(|(len, _)| len == tokens.len())
@@ -417,7 +380,7 @@ impl PrefixStore {
     /// handing out the segment: the `(entry id, matched tokens)` of the
     /// longest match.  Used by the batch scheduler to size admission
     /// footprints before the session actually pre-fills.
-    pub fn probe(&self, tokens: &[usize], key: &PrefixKey) -> Option<(u64, usize)> {
+    pub(crate) fn probe(&self, tokens: &[usize], key: &PrefixKey) -> Option<(u64, usize)> {
         self.index
             .longest_match(tokens, |e| e.key == *key)
             .map(|(matched, entry)| (entry.id, matched))
@@ -438,7 +401,7 @@ mod tests {
 
     #[test]
     fn radix_inserts_and_longest_matches() {
-        let mut index: RadixPrefixIndex<&'static str> = RadixPrefixIndex::new();
+        let mut index: RadixPrefixIndex<&'static str> = RadixPrefixIndex::default();
         index.values_at_mut(&[1, 2, 3]).push("abc");
         index.values_at_mut(&[1, 2, 3, 4, 5]).push("abcde");
         index.values_at_mut(&[1, 9]).push("az");
@@ -456,7 +419,7 @@ mod tests {
 
     #[test]
     fn radix_edge_splitting_preserves_existing_boundaries() {
-        let mut index: RadixPrefixIndex<u32> = RadixPrefixIndex::new();
+        let mut index: RadixPrefixIndex<u32> = RadixPrefixIndex::default();
         index.values_at_mut(&[5, 6, 7, 8]).push(1);
         // Diverges inside the existing edge, forcing a split.
         index.values_at_mut(&[5, 6, 9]).push(2);
@@ -469,7 +432,7 @@ mod tests {
 
     #[test]
     fn radix_predicate_filters_entries() {
-        let mut index: RadixPrefixIndex<u64> = RadixPrefixIndex::new();
+        let mut index: RadixPrefixIndex<u64> = RadixPrefixIndex::default();
         index.values_at_mut(&[1, 2]).push(10);
         index.values_at_mut(&[1, 2, 3]).push(20);
         // Only the shorter boundary carries an acceptable value.
@@ -478,29 +441,50 @@ mod tests {
         assert!(index.longest_match(&[1, 2, 3], |v| *v == 99).is_none());
     }
 
+    /// Number of token comparisons a `longest_match` of `seq` performs: the
+    /// instrumented twin of its walk.
+    fn match_cost<V>(index: &RadixPrefixIndex<V>, seq: &[usize]) -> usize {
+        let mut node = &index.root;
+        let mut depth = 0usize;
+        let mut cost = 0usize;
+        loop {
+            let Some(edge) = seq.get(depth).and_then(|t| node.children.get(t)) else {
+                return cost;
+            };
+            let rest = &seq[depth..];
+            let common = common_len(&edge.label, rest);
+            cost += common.min(rest.len()).max(1);
+            if rest.len() < edge.label.len() || common < edge.label.len() {
+                return cost;
+            }
+            depth += edge.label.len();
+            node = &edge.node;
+        }
+    }
+
     #[test]
     fn match_cost_is_bounded_by_query_not_store_size() {
-        let mut index: RadixPrefixIndex<usize> = RadixPrefixIndex::new();
+        let mut index: RadixPrefixIndex<usize> = RadixPrefixIndex::default();
         // 1000 published prefixes fanning out at the first token.
         for i in 0..1000usize {
             let seq: Vec<usize> = (0..16).map(|p| i * 31 + p).collect();
             index.values_at_mut(&seq).push(i);
         }
         let query: Vec<usize> = (0..16).collect();
-        let cost = index.match_cost(&query);
+        let cost = match_cost(&index, &query);
         // O(matched): bounded by the query length plus one mismatch probe,
         // regardless of the 1000 published boundaries.
         assert!(cost <= query.len() + 1, "cost {cost}");
         // And a long query against a deep store still pays only its own
         // length.
-        let mut deep: RadixPrefixIndex<usize> = RadixPrefixIndex::new();
+        let mut deep: RadixPrefixIndex<usize> = RadixPrefixIndex::default();
         for i in 0..1000usize {
             let mut seq: Vec<usize> = (0..64).collect();
             seq.push(1000 + i);
             deep.values_at_mut(&seq).push(i);
         }
         let query: Vec<usize> = (0..64).collect();
-        assert!(deep.match_cost(&query) <= query.len() + 1);
+        assert!(match_cost(&deep, &query) <= query.len() + 1);
     }
 
     #[test]
@@ -517,7 +501,7 @@ mod tests {
             .publish(&[1, 2, 3], key(8), Arc::clone(&segment))
             .is_some());
         assert_eq!(store.stats().published, 2);
-        assert_eq!(store.boundaries(), 1);
+        assert_eq!(store.index.boundaries, 1);
         assert!(store.contains(&[1, 2, 3], &key(7)));
         assert!(!store.contains(&[1, 2], &key(7)));
     }

@@ -3,10 +3,10 @@
 //! [`BatchScheduler`] keeps many [`Session`]s in flight at once, arbitrating
 //! one shared eDRAM budget across them.  Serving is a three-stage pipeline:
 //!
-//! 1. **Submit** — [`enqueue`](BatchScheduler::enqueue) registers a request
+//! 1. **Submit** — `enqueue` registers a request
 //!    in the waiting queue.  It does *not* guarantee immediate service.
 //! 2. **Admit** — at the tick boundary
-//!    ([`admit_waiting`](BatchScheduler::admit_waiting) for the requests
+//!    (`admit_waiting` for the requests
 //!    submitted since the last tick, back-fill at the end of every step) a
 //!    configurable [`AdmissionPolicy`] promotes waiting requests into active
 //!    decode slots whenever the [`CapacityLedger`] can host their prefill KV
@@ -28,7 +28,7 @@
 //! entry point — is a list of phases, run in this order:
 //!
 //! 1. **admit** what was enqueued since the last tick
-//!    ([`admit_waiting`](BatchScheduler::admit_waiting));
+//!    (`admit_waiting`);
 //! 2. **advance** the tick clock;
 //! 3. **release arrivals** whose arrival tick has come into the waiting queue;
 //! 4. **shed expired** requests — queue timeouts and deadlines — in
@@ -314,7 +314,7 @@ pub struct ContentionMetrics {
 
 impl ContentionMetrics {
     /// Mean ticks a request spent in the waiting queue.
-    pub fn mean_queue_ticks(&self) -> f64 {
+    pub(crate) fn mean_queue_ticks(&self) -> f64 {
         if self.per_request.is_empty() {
             0.0
         } else {
@@ -361,7 +361,7 @@ impl SloSpec {
 
     /// Whether a completed request with this TTFT/TPOT meets the objective.
     /// `tpot` is `None` when the request produced fewer than two tokens.
-    pub fn met_by(&self, ttft_ticks: u64, tpot: Option<f64>) -> bool {
+    pub(crate) fn met_by(&self, ttft_ticks: u64, tpot: Option<f64>) -> bool {
         ttft_ticks <= self.ttft_ticks && tpot.is_none_or(|t| t <= self.tpot_ticks)
     }
 }
@@ -389,7 +389,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarizes a sample set (order irrelevant; the samples are sorted).
-    pub fn from_samples(mut samples: Vec<f64>) -> Self {
+    pub(crate) fn from_samples(mut samples: Vec<f64>) -> Self {
         if samples.is_empty() {
             return LatencySummary::default();
         }
@@ -453,16 +453,6 @@ impl SloReport {
             0.0
         } else {
             self.goodput_requests as f64 / self.requests as f64
-        }
-    }
-
-    /// SLO-meeting tokens per kilo-tick: goodput as a throughput, scale-free
-    /// across trace lengths.
-    pub fn goodput_tokens_per_kilotick(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.goodput_tokens as f64 * 1000.0 / self.ticks as f64
         }
     }
 }
@@ -683,8 +673,7 @@ impl<'e> BatchScheduler<'e> {
     /// A scheduler arbitrating the configured shared capacity.  A
     /// hand-assembled zero capacity is clamped to one byte, like in
     /// [`SchedulerConfig::with_kv_capacity_bytes`], and reported as such by
-    /// [`config`](BatchScheduler::config) and the final
-    /// [`ContentionMetrics::capacity_bytes`].
+    /// the final [`ContentionMetrics::capacity_bytes`].
     pub fn with_config(engine: &'e KelleEngine, config: SchedulerConfig) -> Self {
         let config = SchedulerConfig {
             kv_capacity_bytes: config.kv_capacity_bytes.map(|bytes| bytes.max(1)),
@@ -722,11 +711,6 @@ impl<'e> BatchScheduler<'e> {
         }
     }
 
-    /// The admission configuration.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
-    }
-
     /// The capacity ledger (live bytes, high-water mark, oversubscription).
     pub fn ledger(&self) -> &CapacityLedger {
         self.placement.ledger()
@@ -737,12 +721,7 @@ impl<'e> BatchScheduler<'e> {
         self.placement.tiers()
     }
 
-    /// Fault-injection and recovery counters accumulated so far.
-    pub fn chaos_metrics(&self) -> &ChaosMetrics {
-        &self.chaos_metrics
-    }
-
-    /// Whether a drain ([`begin_drain`](BatchScheduler::begin_drain)) has
+    /// Whether a drain (`begin_drain`) has
     /// stopped admission.
     pub fn is_draining(&self) -> bool {
         self.draining
@@ -758,7 +737,7 @@ impl<'e> BatchScheduler<'e> {
     /// happened — the streaming-path complement of the final outcome's
     /// [`ShedReason`]s.  [`run_with`](BatchScheduler::run_with) and the
     /// `kelle::front` streams are built on this.
-    pub fn take_shed_events(&mut self) -> Vec<(usize, ShedReason)> {
+    pub(crate) fn take_shed_events(&mut self) -> Vec<(usize, ShedReason)> {
         std::mem::take(&mut self.shed_events)
     }
 
@@ -778,12 +757,12 @@ impl<'e> BatchScheduler<'e> {
     /// Full-scale KV footprint of `tokens` retained tokens — the unit of
     /// account of the capacity ledger, identical to what the hardware step
     /// simulation charges per token (capped at the hardware budget `N'`).
-    pub fn kv_footprint_bytes(&self, tokens: usize) -> u64 {
+    pub(crate) fn kv_footprint_bytes(&self, tokens: usize) -> u64 {
         self.engine.kv_footprint_bytes(tokens)
     }
 
-    /// [`enqueue`](BatchScheduler::enqueue)s a request and immediately
-    /// [admits](BatchScheduler::admit_waiting) it on the scheduler's own
+    /// `enqueue`s a request and immediately
+    /// admits it on the scheduler's own
     /// one-shard [`WorkerPool`] (so with room available — always, when
     /// unbounded — the request is pre-filled right away).  Returns the
     /// request's index, which later [`StepEvent`]s, timings and the final
@@ -803,8 +782,8 @@ impl<'e> BatchScheduler<'e> {
         result
     }
 
-    /// [`enqueue`](BatchScheduler::enqueue), then
-    /// [`admit_waiting`](BatchScheduler::admit_waiting) on `pool` — eager
+    /// `enqueue`, then
+    /// `admit_waiting` on `pool` — eager
     /// submission for a hand-driven scheduler: the call returns once the
     /// request's prefill has run, if it was admitted.  Callers that submit
     /// several requests between two ticks ([`KelleEngine::serve`], the
@@ -834,7 +813,7 @@ impl<'e> BatchScheduler<'e> {
     /// (`submitted_tick` is its arrival, so queue-time and TTFT metrics
     /// measure from arrival).  This is how a whole workload trace is loaded
     /// up front and replayed deterministically.
-    pub fn enqueue(&mut self, request: ServeRequest) -> usize {
+    pub(crate) fn enqueue(&mut self, request: ServeRequest) -> usize {
         let index = self.outcomes.len();
         let arrival = request.arrival_tick();
         let future = arrival > self.tick;
@@ -872,7 +851,7 @@ impl<'e> BatchScheduler<'e> {
     /// of one eager [`submit_with`](BatchScheduler::submit_with) per request
     /// — so batching changes wall-clock time and nothing else, under every
     /// [`AdmissionPolicy`] and [`ChaosConfig`].
-    pub fn admit_waiting(&mut self, pool: &mut WorkerPool<'e>) {
+    pub(crate) fn admit_waiting(&mut self, pool: &mut WorkerPool<'e>) {
         if self.fresh == 0 {
             return;
         }
@@ -903,11 +882,6 @@ impl<'e> BatchScheduler<'e> {
         self.active.is_empty() && self.waiting.is_empty() && self.arrivals.is_empty()
     }
 
-    /// Number of requests scheduled for a future arrival tick.
-    pub fn scheduled(&self) -> usize {
-        self.arrivals.len()
-    }
-
     /// Moves every scheduled request whose arrival tick has been reached
     /// into the waiting queue, in `(arrival, index)` order — the start-of-
     /// tick half of arrival-driven admission.  The end-of-tick admission
@@ -934,9 +908,7 @@ impl<'e> BatchScheduler<'e> {
     /// approximation.)
     fn footprint(&self, request: &ServeRequest) -> Footprint {
         let total = self.kv_footprint_bytes(request.prompt().len());
-        let key = self
-            .engine
-            .prefix_key(request.policy(), request.budget(), request.seed());
+        let key = self.engine.prefix_key(request.policy(), request.seed());
         match self.engine.prefix_probe(request.prompt(), &key) {
             Some((tag, matched)) if matched > 0 => {
                 let shared_bytes = self.kv_footprint_bytes(matched).min(total);
@@ -1571,7 +1543,7 @@ impl<'e> BatchScheduler<'e> {
     /// [`try_step_with`](BatchScheduler::try_step_with) until
     /// [`is_idle`](BatchScheduler::is_idle); this is what the front-end's
     /// cooperative [`drain`](crate::front::ServingFront::drain) does.
-    pub fn begin_drain(&mut self) {
+    pub(crate) fn begin_drain(&mut self) {
         self.draining = true;
         self.fresh = 0;
         // The queue in order, then future arrivals (which never run on a
@@ -1845,7 +1817,7 @@ mod tests {
         let scheduler = BatchScheduler::with_config(&engine, raw);
         assert_eq!(scheduler.ledger().capacity_bytes(), 1);
         // ...and reported as the one byte the ledger runs at.
-        assert_eq!(scheduler.config().kv_capacity_bytes, Some(1));
+        assert_eq!(scheduler.config.kv_capacity_bytes, Some(1));
         let outcome = scheduler.finish().expect("nothing was submitted");
         assert_eq!(outcome.contention.capacity_bytes, Some(1));
     }
@@ -2374,13 +2346,13 @@ mod tests {
                 .build(),
         );
         assert_eq!(scheduler.active(), 0, "not arrived yet");
-        assert_eq!(scheduler.scheduled(), 1);
+        assert_eq!(scheduler.arrivals.len(), 1);
         assert!(!scheduler.is_idle(), "a scheduled arrival keeps it busy");
         // Ticks 1 and 2 pass idle; tick 3 admits the arrival.
         assert!(scheduler.step().is_empty());
         assert!(scheduler.step().is_empty());
         assert!(scheduler.step().is_empty());
-        assert_eq!((scheduler.active(), scheduler.scheduled()), (1, 0));
+        assert_eq!((scheduler.active(), scheduler.arrivals.len()), (1, 0));
         assert_eq!(scheduler.step().len(), 1);
         scheduler.step();
         assert!(scheduler.is_idle());
@@ -2427,10 +2399,10 @@ mod tests {
                 .build(),
             &mut pool,
         );
-        assert_eq!(scheduler.scheduled(), 1);
+        assert_eq!(scheduler.arrivals.len(), 1);
         assert!(scheduler.cancel_with(late, &mut pool));
         assert!(!scheduler.cancel_with(late, &mut pool), "already finished");
-        assert_eq!(scheduler.scheduled(), 0);
+        assert_eq!(scheduler.arrivals.len(), 0);
         assert!(
             scheduler.is_idle(),
             "a cancelled arrival does not keep the clock running to its tick"
@@ -2465,7 +2437,6 @@ mod tests {
         assert_eq!(slo.goodput_tokens, 2);
         assert_eq!(slo.total_tokens, 4);
         assert!(slo.goodput_fraction() == 0.5);
-        assert!(slo.goodput_tokens_per_kilotick() > 0.0);
         // The unified report carries every block unchanged.
         let report = outcome.report();
         assert_eq!(report.slo, outcome.slo);

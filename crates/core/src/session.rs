@@ -1,8 +1,8 @@
 //! Requests and persistent serving sessions.
 //!
 //! A [`ServeRequest`] describes one unit of serving work — prompt, decode
-//! length, and optional per-request overrides of the engine's cache policy,
-//! budget and fault seed.  A [`Session`] owns the KV-cache backend and decode
+//! length, and optional per-request overrides of the engine's cache policy
+//! and fault seed.  A [`Session`] owns the KV-cache backend and decode
 //! cursor for one conversation: across turns it pre-fills *only the new
 //! tokens* and reuses all earlier KV state, which is the serving lever the
 //! single-shot `serve` API could not express (it re-pre-filled the whole
@@ -16,8 +16,7 @@ use kelle_model::fault::fault_injector_for_policy;
 use kelle_model::fault::{FaultInjector, FaultStats, ProbabilisticFaults};
 use kelle_model::generation::{decode_step, prefill, prefill_extend, DecodeStep, GenerationState};
 use kelle_model::{
-    CacheBudget, CachePolicy, CacheStats, DecodeTrace, KvCacheBackend, SegmentRecorder,
-    SharedSegment,
+    CachePolicy, CacheStats, DecodeTrace, KvCacheBackend, SegmentRecorder, SharedSegment,
 };
 use std::sync::Arc;
 
@@ -27,7 +26,6 @@ pub struct ServeRequest {
     prompt: Vec<usize>,
     decode_len: usize,
     policy: Option<CachePolicy>,
-    budget: Option<CacheBudget>,
     seed: Option<u64>,
     label: &'static str,
     deadline_ticks: Option<u64>,
@@ -64,36 +62,31 @@ impl ServeRequest {
     }
 
     /// The cache-policy override, if any.
-    pub fn policy(&self) -> Option<CachePolicy> {
+    pub(crate) fn policy(&self) -> Option<CachePolicy> {
         self.policy
     }
 
-    /// The budget override, if any.
-    pub fn budget(&self) -> Option<CacheBudget> {
-        self.budget
-    }
-
     /// The fault-seed override, if any.
-    pub fn seed(&self) -> Option<u64> {
+    pub(crate) fn seed(&self) -> Option<u64> {
         self.seed
     }
 
     /// The workload label used in hardware reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         self.label
     }
 
     /// The end-to-end deadline in scheduler ticks, if any.  A request still
     /// active this many ticks after submission is shed with its partial
     /// output ([`ShedReason::DeadlineExceeded`](crate::chaos::ShedReason)).
-    pub fn deadline_ticks(&self) -> Option<u64> {
+    pub(crate) fn deadline_ticks(&self) -> Option<u64> {
         self.deadline_ticks
     }
 
     /// The admission-queue timeout in scheduler ticks, if any.  A request
     /// still waiting this many ticks after submission is shed unserved
     /// ([`ShedReason::QueueTimeout`](crate::chaos::ShedReason)).
-    pub fn queue_timeout_ticks(&self) -> Option<u64> {
+    pub(crate) fn queue_timeout_ticks(&self) -> Option<u64> {
         self.queue_timeout_ticks
     }
 
@@ -101,7 +94,7 @@ impl ServeRequest {
     /// A request submitted before its arrival tick stays invisible to
     /// admission until the scheduler's clock reaches it — the mechanism
     /// workload traces use to replay an arrival process deterministically.
-    pub fn arrival_tick(&self) -> u64 {
+    pub(crate) fn arrival_tick(&self) -> u64 {
         self.arrival_tick
     }
 }
@@ -112,7 +105,6 @@ pub struct ServeRequestBuilder {
     prompt: Vec<usize>,
     decode_len: usize,
     policy: Option<CachePolicy>,
-    budget: Option<CacheBudget>,
     seed: Option<u64>,
     label: &'static str,
     deadline_ticks: Option<u64>,
@@ -126,7 +118,6 @@ impl ServeRequestBuilder {
             prompt: prompt.into(),
             decode_len: 16,
             policy: None,
-            budget: None,
             seed: None,
             label: "serve",
             deadline_ticks: None,
@@ -144,12 +135,6 @@ impl ServeRequestBuilder {
     /// Overrides the engine's default cache policy for this request.
     pub fn policy(mut self, policy: CachePolicy) -> Self {
         self.policy = Some(policy);
-        self
-    }
-
-    /// Overrides the engine's default cache budget for this request.
-    pub fn budget(mut self, budget: CacheBudget) -> Self {
-        self.budget = Some(budget);
         self
     }
 
@@ -204,7 +189,6 @@ impl ServeRequestBuilder {
             prompt: self.prompt,
             decode_len: self.decode_len,
             policy: self.policy,
-            budget: self.budget,
             seed: self.seed,
             label: self.label,
             deadline_ticks: self.deadline_ticks,
@@ -275,21 +259,16 @@ pub struct Session<'e> {
 impl<'e> Session<'e> {
     /// Opens a session with the engine's default policy, budget and seed.
     pub(crate) fn with_defaults(engine: &'e KelleEngine) -> Self {
-        Session::build(engine, None, None, None)
+        Session::build(engine, None, None)
     }
 
     /// Opens a session honouring a request's overrides.
     pub(crate) fn for_request(engine: &'e KelleEngine, request: &ServeRequest) -> Self {
-        Session::build(engine, request.policy(), request.budget(), request.seed())
+        Session::build(engine, request.policy(), request.seed())
     }
 
-    fn build(
-        engine: &'e KelleEngine,
-        policy: Option<CachePolicy>,
-        budget: Option<CacheBudget>,
-        seed: Option<u64>,
-    ) -> Self {
-        let key = engine.prefix_key(policy, budget, seed);
+    fn build(engine: &'e KelleEngine, policy: Option<CachePolicy>, seed: Option<u64>) -> Self {
+        let key = engine.prefix_key(policy, seed);
         let cache = key.policy.build(key.budget, engine.model().dims().heads);
         let faults = fault_injector_for_policy(
             &engine.config().refresh_policy,
@@ -335,11 +314,6 @@ impl<'e> Session<'e> {
         }
     }
 
-    /// The cache policy this session runs.
-    pub fn policy(&self) -> CachePolicy {
-        self.key.policy
-    }
-
     /// All input tokens processed so far (prompt tokens of every turn plus
     /// the decode-time input chain), in sequence order.  Feeding this exact
     /// sequence to a fresh one-shot request reproduces the session's KV state
@@ -349,7 +323,7 @@ impl<'e> Session<'e> {
     }
 
     /// The next sequence position (total tokens processed).
-    pub fn position(&self) -> usize {
+    pub(crate) fn position(&self) -> usize {
         self.state.position()
     }
 
@@ -380,11 +354,6 @@ impl<'e> Session<'e> {
     /// ```
     pub fn prefilled_tokens(&self) -> usize {
         self.state.prefilled_tokens()
-    }
-
-    /// Number of completed turns.
-    pub fn turns(&self) -> usize {
-        self.turns
     }
 
     /// Current cache occupancy statistics.
@@ -570,7 +539,7 @@ impl<'e> Session<'e> {
 
     /// Like [`turn`](Session::turn), invoking `on_token` as each token is
     /// generated.
-    pub fn turn_streaming(
+    pub(crate) fn turn_streaming(
         &mut self,
         tokens: &[usize],
         decode_len: usize,

@@ -185,17 +185,6 @@ pub struct TieringMetrics {
     pub failed_migrations: u64,
 }
 
-impl TieringMetrics {
-    /// Usage of one tier by enum (convenience for sweeps and tables).
-    pub fn tier(&self, tier: MemoryTier) -> TierUsageMetrics {
-        match tier {
-            MemoryTier::Edram => self.edram,
-            MemoryTier::Dram => self.dram,
-            MemoryTier::Nvme => self.nvme,
-        }
-    }
-}
-
 /// Identity of a tiered item.  The `Ord` derive is the deterministic
 /// tie-break for equal credits: sessions (by request index) before segments
 /// (by ledger tag).
@@ -270,19 +259,9 @@ impl TierManager {
         }
     }
 
-    /// The tiering configuration.
-    pub fn config(&self) -> &TierConfig {
-        &self.config
-    }
-
-    /// The byte-level truth: per-tier residency, peaks and traffic.
-    pub fn accounts(&self) -> &TierAccounts {
-        &self.accounts
-    }
-
     /// Whether `bytes` more fit the eDRAM tier's budget right now — the
     /// admission gate (admission plans against the on-chip tier only).
-    pub fn edram_fits(&self, bytes: u64) -> bool {
+    pub(crate) fn edram_fits(&self, bytes: u64) -> bool {
         self.accounts.fits(MemoryTier::Edram, bytes)
     }
 
@@ -298,7 +277,7 @@ impl TierManager {
 
     /// The current metrics snapshot (final values are taken at
     /// [`BatchScheduler::finish`](crate::BatchScheduler::finish)).
-    pub fn metrics(&self) -> TieringMetrics {
+    pub(crate) fn metrics(&self) -> TieringMetrics {
         let usage = |tier: MemoryTier| TierUsageMetrics {
             peak_bytes: self.accounts.peak_bytes(tier),
             settled_peak_bytes: self.settled_peak[tier_index(tier)],
@@ -703,7 +682,7 @@ mod tests {
 
         tiers.rebalance(1);
         assert_eq!(tiers.session_tier(0), Some(MemoryTier::Dram));
-        assert_eq!(tiers.accounts().resident_bytes(MemoryTier::Edram), 0);
+        assert_eq!(tiers.accounts.resident_bytes(MemoryTier::Edram), 0);
 
         tiers.promote_session(0, 2);
         assert_eq!(tiers.session_tier(0), Some(MemoryTier::Edram));
@@ -730,7 +709,7 @@ mod tests {
         tiers.rebalance(10);
         assert_eq!(tiers.session_tier(0), Some(MemoryTier::Dram));
         assert_eq!(tiers.session_tier(1), Some(MemoryTier::Edram));
-        assert!(tiers.accounts().resident_bytes(MemoryTier::Edram) <= 100);
+        assert!(tiers.accounts.resident_bytes(MemoryTier::Edram) <= 100);
     }
 
     #[test]
@@ -780,7 +759,7 @@ mod tests {
         tiers.note_growth(3, 10, 0); // unknown session: ignored
         tiers.place_session(3, 50, 0);
         tiers.note_growth(3, 10, 1);
-        assert_eq!(tiers.accounts().resident_bytes(MemoryTier::Edram), 160);
+        assert_eq!(tiers.accounts.resident_bytes(MemoryTier::Edram), 160);
 
         // Force the segment down, then a dedup attach touches it back up.
         let mut small = manager(10);
@@ -791,7 +770,7 @@ mod tests {
         assert_eq!(small.segment_tier(7), Some(MemoryTier::Edram));
         assert_eq!(small.metrics().promotions, 1);
         small.remove_segment(7);
-        assert_eq!(small.accounts().total_resident_bytes(), 0);
+        assert_eq!(small.accounts.total_resident_bytes(), 0);
     }
 
     proptest::proptest! {
@@ -814,20 +793,20 @@ mod tests {
             }
             for tick in 1..=ticks {
                 tiers.rebalance(tick);
-                prop_assert!(tiers.accounts().resident_bytes(MemoryTier::Edram) <= edram);
+                prop_assert!(tiers.accounts.resident_bytes(MemoryTier::Edram) <= edram);
                 prop_assert!(
-                    tiers.accounts().resident_bytes(MemoryTier::Dram)
-                        <= tiers.config().budgets.budget(MemoryTier::Dram)
+                    tiers.accounts.resident_bytes(MemoryTier::Dram)
+                        <= tiers.config.budgets.budget(MemoryTier::Dram)
                 );
-                prop_assert_eq!(tiers.accounts().total_resident_bytes(), total);
+                prop_assert_eq!(tiers.accounts.total_resident_bytes(), total);
             }
             // Demote→promote round trips restore the placement exactly.
             for i in 0..sizes.len() {
                 tiers.promote_session(i, ticks + 1);
             }
-            prop_assert_eq!(tiers.accounts().resident_bytes(MemoryTier::Edram), total);
-            prop_assert_eq!(tiers.accounts().resident_bytes(MemoryTier::Dram), 0);
-            prop_assert_eq!(tiers.accounts().resident_bytes(MemoryTier::Nvme), 0);
+            prop_assert_eq!(tiers.accounts.resident_bytes(MemoryTier::Edram), total);
+            prop_assert_eq!(tiers.accounts.resident_bytes(MemoryTier::Dram), 0);
+            prop_assert_eq!(tiers.accounts.resident_bytes(MemoryTier::Nvme), 0);
             // Migration traffic is conserved: bytes out of one tier landed
             // in another, and the total is what the metrics report.
             let metrics = tiers.metrics();
@@ -897,7 +876,7 @@ mod tests {
         // The demotion was abandoned: the session stays (over budget) in
         // eDRAM and the accounts still conserve bytes.
         assert_eq!(tiers.session_tier(0), Some(MemoryTier::Edram));
-        assert_eq!(tiers.accounts().total_resident_bytes(), 150);
+        assert_eq!(tiers.accounts.total_resident_bytes(), 150);
         let metrics = tiers.metrics();
         assert_eq!(metrics.failed_migrations, 1);
         assert_eq!(metrics.migration_retries, MAX_MIGRATION_ATTEMPTS as u64);
@@ -908,7 +887,7 @@ mod tests {
         tiers.faults = None;
         tiers.rebalance(2);
         assert_eq!(tiers.session_tier(0), Some(MemoryTier::Dram));
-        assert_eq!(tiers.accounts().total_resident_bytes(), 150);
+        assert_eq!(tiers.accounts.total_resident_bytes(), 150);
     }
 
     #[test]

@@ -8,46 +8,6 @@
 //! banks, which is what lets an evicted token's slot be reused in place
 //! (§8.4.1's permutation-invariance argument).
 
-/// The four bank groups of the KV-cache eDRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BankGroup {
-    /// Most significant byte of key elements.
-    KeyMsb,
-    /// Least significant byte of key elements.
-    KeyLsb,
-    /// Most significant byte of value elements.
-    ValueMsb,
-    /// Least significant byte of value elements.
-    ValueLsb,
-}
-
-impl BankGroup {
-    /// All groups in layout order.
-    pub fn all() -> [BankGroup; 4] {
-        [
-            BankGroup::KeyMsb,
-            BankGroup::KeyLsb,
-            BankGroup::ValueMsb,
-            BankGroup::ValueLsb,
-        ]
-    }
-
-    /// Index of the group within the layout (0–3).
-    pub fn index(self) -> usize {
-        match self {
-            BankGroup::KeyMsb => 0,
-            BankGroup::KeyLsb => 1,
-            BankGroup::ValueMsb => 2,
-            BankGroup::ValueLsb => 3,
-        }
-    }
-
-    /// Whether this group stores most-significant bytes.
-    pub fn is_msb(self) -> bool {
-        matches!(self, BankGroup::KeyMsb | BankGroup::ValueMsb)
-    }
-}
-
 /// The banked organisation of the KV-cache eDRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankedLayout {
@@ -79,52 +39,6 @@ impl BankedLayout {
             per_bank_bandwidth_bytes_per_s: self.per_bank_bandwidth_bytes_per_s,
         }
     }
-
-    /// Number of banks per group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank count is not divisible by the four groups.
-    pub fn banks_per_group(&self) -> usize {
-        assert_eq!(
-            self.total_banks % 4,
-            0,
-            "banks must divide evenly into 4 groups"
-        );
-        self.total_banks / 4
-    }
-
-    /// Aggregate peak bandwidth in bytes per second.
-    pub fn aggregate_bandwidth_bytes_per_s(&self) -> u64 {
-        self.per_bank_bandwidth_bytes_per_s * self.total_banks as u64
-    }
-
-    /// The bank (within its group) that stores a token's data: tokens are
-    /// striped round-robin across the group's banks so consecutive cache slots
-    /// hit different banks.
-    pub fn bank_of(&self, cache_slot: usize, group: BankGroup) -> usize {
-        let per_group = self.banks_per_group();
-        group.index() * per_group + (cache_slot % per_group)
-    }
-
-    /// Whether reading the given set of cache slots from one group is
-    /// conflict-free (each slot maps to a distinct bank).
-    pub fn is_conflict_free(&self, cache_slots: &[usize], group: BankGroup) -> bool {
-        let mut seen = vec![false; self.total_banks];
-        for &slot in cache_slots {
-            let bank = self.bank_of(slot, group);
-            if seen[bank] {
-                return false;
-            }
-            seen[bank] = true;
-        }
-        true
-    }
-
-    /// How many conflict-free parallel reads a group supports per access.
-    pub fn parallel_reads_per_group(&self) -> usize {
-        self.banks_per_group()
-    }
 }
 
 impl Default for BankedLayout {
@@ -141,8 +55,10 @@ mod tests {
     fn default_layout_matches_paper() {
         let layout = BankedLayout::kelle_default();
         assert_eq!(layout.total_banks, 32);
-        assert_eq!(layout.banks_per_group(), 8);
-        assert_eq!(layout.aggregate_bandwidth_bytes_per_s(), 256_000_000_000);
+        assert_eq!(
+            layout.per_bank_bandwidth_bytes_per_s * layout.total_banks as u64,
+            256_000_000_000
+        );
     }
 
     #[test]
@@ -150,40 +66,10 @@ mod tests {
         let layout = BankedLayout::kelle_default();
         let halved = layout.halved_banks();
         assert_eq!(halved.total_banks, 16);
-        assert_eq!(halved.banks_per_group(), 4);
         assert_eq!(
-            halved.aggregate_bandwidth_bytes_per_s() * 2,
-            layout.aggregate_bandwidth_bytes_per_s()
+            halved.per_bank_bandwidth_bytes_per_s,
+            layout.per_bank_bandwidth_bytes_per_s
         );
-    }
-
-    #[test]
-    fn bank_mapping_is_within_group_range() {
-        let layout = BankedLayout::kelle_default();
-        for slot in 0..64 {
-            for group in BankGroup::all() {
-                let bank = layout.bank_of(slot, group);
-                let start = group.index() * 8;
-                assert!(bank >= start && bank < start + 8);
-            }
-        }
-    }
-
-    #[test]
-    fn consecutive_slots_are_conflict_free() {
-        let layout = BankedLayout::kelle_default();
-        let slots: Vec<usize> = (0..8).collect();
-        assert!(layout.is_conflict_free(&slots, BankGroup::KeyMsb));
-        let conflicting: Vec<usize> = vec![0, 8];
-        assert!(!layout.is_conflict_free(&conflicting, BankGroup::KeyMsb));
-    }
-
-    #[test]
-    fn group_indexing() {
-        assert_eq!(BankGroup::KeyMsb.index(), 0);
-        assert_eq!(BankGroup::ValueLsb.index(), 3);
-        assert!(BankGroup::KeyMsb.is_msb());
-        assert!(!BankGroup::KeyLsb.is_msb());
-        assert_eq!(BankGroup::all().len(), 4);
+        assert_eq!(halved.row_bits, layout.row_bits);
     }
 }

@@ -70,21 +70,6 @@ impl EdramController {
         }
     }
 
-    /// The refresh policy in force.
-    pub fn policy(&self) -> &RefreshPolicy {
-        &self.policy
-    }
-
-    /// The memory this controller manages.
-    pub fn spec(&self) -> &MemorySpec {
-        &self.spec
-    }
-
-    /// The retention model.
-    pub fn retention(&self) -> &RetentionModel {
-        &self.retention
-    }
-
     /// Refresh work for *resident* data (the KV cache itself) held for
     /// `duration_s` seconds with the given per-group occupancy
     /// (HST-MSB, HST-LSB, LST-MSB, LST-LSB order).
@@ -137,12 +122,6 @@ impl EdramController {
             },
         }
     }
-
-    /// The average retention-failure rate seen by resident data under the
-    /// current policy (equal-weighted over groups).
-    pub fn average_failure_rate(&self) -> f64 {
-        self.policy.bit_flip_rates(&self.retention).average()
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +145,7 @@ mod tests {
         let twod =
             controller(RefreshPolicy::two_dimensional_default()).resident_refresh(bytes, 1.0);
         assert!(cons.energy_j > 10.0 * relaxed.energy_j);
-        assert!(twod.energy_j < cons.energy_j);
+        assert!(twod.energy_j < cons.energy_j / 5.0);
         assert!(cons.power_w > twod.power_w);
     }
 
@@ -198,14 +177,6 @@ mod tests {
         let act = ctrl.transient_refresh(64 * 1024, 5e-3);
         assert!(act.energy_j > 0.0);
         assert!((act.refreshed_bytes - 5.0 * 65_536.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn average_failure_rate_increases_with_relaxed_policy() {
-        let cons = controller(RefreshPolicy::Conservative).average_failure_rate();
-        let relaxed = controller(RefreshPolicy::Uniform(5000.0)).average_failure_rate();
-        assert_eq!(cons, 0.0);
-        assert!(relaxed > 1e-3);
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl MemorySpec {
         MemorySpec::new(MemoryTechnology::Sram, 2 * 1024 * 1024, 128.0)
     }
 
-    /// The Original+SRAM baseline's 4 MB unified SRAM (§8.1.1).
-    pub fn baseline_sram_4mb() -> Self {
-        MemorySpec::new(MemoryTechnology::Sram, 4 * 1024 * 1024, 128.0)
-    }
-
     /// Area in mm², scaled linearly from the 4 MB Table 1 reference.
     pub fn area_mm2(&self) -> f64 {
         self.technology.area_mm2_4mb() * self.capacity_bytes as f64 / TABLE1_CAPACITY_BYTES as f64
@@ -150,17 +145,8 @@ impl MemorySpec {
     }
 
     /// Energy in joules to refresh `bytes` bytes once.
-    pub fn refresh_energy_j(&self, bytes: u64) -> f64 {
+    pub(crate) fn refresh_energy_j(&self, bytes: u64) -> f64 {
         self.technology.refresh_energy_mj_4mb() * 1e-3 * bytes as f64 / TABLE1_CAPACITY_BYTES as f64
-    }
-
-    /// Average refresh power in watts when `bytes` bytes are refreshed every
-    /// `interval_us` microseconds.
-    pub fn refresh_power_w(&self, bytes: u64, interval_us: f64) -> f64 {
-        if interval_us <= 0.0 {
-            return 0.0;
-        }
-        self.refresh_energy_j(bytes) / (interval_us * 1e-6)
     }
 }
 
@@ -185,14 +171,6 @@ pub struct NvmeSpec {
     pub latency_us: f64,
     /// Background (idle) power in watts.
     pub background_power_w: f64,
-    /// Probability in `[0, 1]` that any single transfer to or from the
-    /// drive fails transiently (media retry, FTL hiccup, link CRC error)
-    /// and must be reissued.  `0.0` — the default, and the value every
-    /// stock constructor uses — models a perfect device; the chaos-injection
-    /// harness (`kelle::chaos`) raises it to exercise the tier-migration
-    /// retry/degrade path.  A failed transfer never corrupts data: the
-    /// failure model is fail-stop per attempt.
-    pub transient_error_rate: f64,
 }
 
 impl NvmeSpec {
@@ -206,15 +184,7 @@ impl NvmeSpec {
             access_energy_pj_per_byte: 1500.0,
             latency_us: 80.0,
             background_power_w: 0.05,
-            transient_error_rate: 0.0,
         }
-    }
-
-    /// Returns the spec with the given transient per-transfer failure
-    /// probability (clamped to `[0, 1]`).
-    pub fn with_transient_error_rate(mut self, rate: f64) -> Self {
-        self.transient_error_rate = rate.clamp(0.0, 1.0);
-        self
     }
 
     /// Energy in joules to transfer `bytes` bytes.
@@ -284,7 +254,7 @@ mod tests {
 
     #[test]
     fn edram_denser_and_cheaper_than_sram() {
-        let sram = MemorySpec::baseline_sram_4mb();
+        let sram = MemorySpec::new(MemoryTechnology::Sram, 4 * 1024 * 1024, 128.0);
         let edram = MemorySpec::kelle_kv_edram();
         assert!(edram.area_mm2() < sram.area_mm2());
         assert!(edram.leakage_w() < sram.leakage_w());
@@ -296,7 +266,7 @@ mod tests {
     #[test]
     fn area_scales_linearly_with_capacity() {
         let m8 = MemorySpec::new(MemoryTechnology::Sram, 8 * 1024 * 1024, 128.0);
-        let m4 = MemorySpec::baseline_sram_4mb();
+        let m4 = MemorySpec::new(MemoryTechnology::Sram, 4 * 1024 * 1024, 128.0);
         assert!((m8.area_mm2() - 2.0 * m4.area_mm2()).abs() < 1e-9);
     }
 
@@ -304,19 +274,11 @@ mod tests {
     fn refresh_power_matches_hand_calculation() {
         let edram = MemorySpec::kelle_kv_edram();
         // Refreshing the full 4 MB every 45 us: 1.14 mJ / 45 us = 25.3 W.
-        let p = edram.refresh_power_w(4 * 1024 * 1024, 45.0);
+        let p = edram.refresh_energy_j(4 * 1024 * 1024) / 45e-6;
         assert!((p - 25.33).abs() < 0.5, "got {p}");
         // Relaxing the interval to 1.05 ms cuts it to ~1.1 W.
-        let relaxed = edram.refresh_power_w(4 * 1024 * 1024, 1050.0);
+        let relaxed = edram.refresh_energy_j(4 * 1024 * 1024) / 1050e-6;
         assert!(relaxed < 1.2 && relaxed > 1.0, "got {relaxed}");
-    }
-
-    #[test]
-    fn refresh_power_zero_for_sram_and_degenerate_interval() {
-        let sram = MemorySpec::baseline_sram_4mb();
-        assert_eq!(sram.refresh_power_w(1024, 45.0), 0.0);
-        let edram = MemorySpec::kelle_kv_edram();
-        assert_eq!(edram.refresh_power_w(1024, 0.0), 0.0);
     }
 
     #[test]

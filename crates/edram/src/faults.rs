@@ -52,11 +52,6 @@ impl BitFlipRates {
             .max(self.lst_msb)
             .max(self.lst_lsb)
     }
-
-    /// Whether every group is corruption-free.
-    pub fn is_zero(&self) -> bool {
-        self.max() <= 0.0
-    }
 }
 
 #[cfg(test)]
@@ -68,8 +63,7 @@ mod tests {
         let r = BitFlipRates::uniform(0.01);
         assert_eq!(r.average(), 0.01);
         assert_eq!(r.max(), 0.01);
-        assert!(!r.is_zero());
-        assert!(BitFlipRates::zero().is_zero());
+        assert_eq!(BitFlipRates::zero().max(), 0.0);
     }
 
     #[test]

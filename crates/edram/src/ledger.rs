@@ -79,7 +79,6 @@ pub struct CapacityLedger {
     leases: Vec<Option<u64>>,
     live_bytes: u64,
     high_water_bytes: u64,
-    peak_oversubscription_bytes: u64,
     shared: Vec<SharedPoolEntry>,
     dedup_savings_bytes: u64,
 }
@@ -108,19 +107,13 @@ impl CapacityLedger {
             leases: Vec::new(),
             live_bytes: 0,
             high_water_bytes: 0,
-            peak_oversubscription_bytes: 0,
             shared: Vec::new(),
             dedup_savings_bytes: 0,
         }
     }
 
-    /// A ledger sized to a memory device's capacity.
-    pub fn for_memory(memory: &crate::MemorySpec) -> Self {
-        CapacityLedger::new(memory.capacity_bytes)
-    }
-
     /// A ledger sized to a whole tiered hierarchy
-    /// ([`TierBudgets::total_bytes`](crate::TierBudgets::total_bytes)): the
+    /// (the sum of its [`TierBudgets`](crate::TierBudgets)): the
     /// ledger bounds *total* live KV across every tier while the per-tier
     /// budgets in [`TierAccounts`](crate::TierAccounts) bound where those
     /// bytes reside.  Under tiering, admission plans against the eDRAM tier's
@@ -142,7 +135,7 @@ impl CapacityLedger {
 
     /// Bytes still available below the capacity line (zero when
     /// oversubscribed).
-    pub fn available_bytes(&self) -> u64 {
+    pub(crate) fn available_bytes(&self) -> u64 {
         self.capacity_bytes.saturating_sub(self.live_bytes)
     }
 
@@ -162,37 +155,14 @@ impl CapacityLedger {
         self.live_bytes.saturating_sub(self.capacity_bytes)
     }
 
-    /// Highest oversubscription ever observed.
-    pub fn peak_oversubscription_bytes(&self) -> u64 {
-        self.peak_oversubscription_bytes
-    }
-
-    /// Fraction of capacity currently in use (may exceed 1.0 when
-    /// oversubscribed).
-    pub fn utilization(&self) -> f64 {
-        self.live_bytes as f64 / self.capacity_bytes as f64
-    }
-
     /// Number of outstanding leases.
     pub fn active_leases(&self) -> usize {
         self.leases.iter().filter(|l| l.is_some()).count()
     }
 
-    /// Bytes held by one lease.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lease was already released.
-    pub fn lease_bytes(&self, lease: LeaseId) -> u64 {
-        self.leases[lease.0].expect("lease already released")
-    }
-
     fn open_lease(&mut self, bytes: u64) -> LeaseId {
         self.live_bytes += bytes;
         self.high_water_bytes = self.high_water_bytes.max(self.live_bytes);
-        self.peak_oversubscription_bytes = self
-            .peak_oversubscription_bytes
-            .max(self.oversubscribed_bytes());
         self.leases.push(Some(bytes));
         LeaseId(self.leases.len() - 1)
     }
@@ -231,9 +201,6 @@ impl CapacityLedger {
         *slot += additional_bytes;
         self.live_bytes += additional_bytes;
         self.high_water_bytes = self.high_water_bytes.max(self.live_bytes);
-        self.peak_oversubscription_bytes = self
-            .peak_oversubscription_bytes
-            .max(self.oversubscribed_bytes());
     }
 
     /// Applies a batch of lease growths as one commit — the per-tick commit
@@ -262,9 +229,6 @@ impl CapacityLedger {
             self.live_bytes += additional_bytes;
         }
         self.high_water_bytes = self.high_water_bytes.max(self.live_bytes);
-        self.peak_oversubscription_bytes = self
-            .peak_oversubscription_bytes
-            .max(self.oversubscribed_bytes());
     }
 
     /// Releases a lease, returning the bytes it held.  Releasing is what lets
@@ -326,9 +290,6 @@ impl CapacityLedger {
         });
         self.live_bytes += bytes;
         self.high_water_bytes = self.high_water_bytes.max(self.live_bytes);
-        self.peak_oversubscription_bytes = self
-            .peak_oversubscription_bytes
-            .max(self.oversubscribed_bytes());
         true
     }
 
@@ -359,7 +320,6 @@ impl CapacityLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemorySpec;
 
     #[test]
     fn reserve_release_roundtrip() {
@@ -400,13 +360,9 @@ mod tests {
         ledger.grow(lease, 30);
         assert_eq!(ledger.live_bytes(), 120);
         assert_eq!(ledger.oversubscribed_bytes(), 20);
-        assert_eq!(ledger.peak_oversubscription_bytes(), 20);
-        assert_eq!(ledger.lease_bytes(lease), 120);
-        assert!((ledger.utilization() - 1.2).abs() < 1e-12);
         ledger.release(lease);
         assert_eq!(ledger.oversubscribed_bytes(), 0);
-        // Peak statistics persist after release.
-        assert_eq!(ledger.peak_oversubscription_bytes(), 20);
+        // The high-water mark persists after release.
         assert_eq!(ledger.high_water_bytes(), 120);
     }
 
@@ -428,11 +384,8 @@ mod tests {
 
         assert_eq!(batched, sequential);
         assert_eq!(batched.live_bytes(), 120);
-        assert_eq!(batched.lease_bytes(b0), 60);
-        assert_eq!(batched.lease_bytes(b1), 60);
         assert_eq!(batched.high_water_bytes(), 120);
         assert_eq!(batched.oversubscribed_bytes(), 20);
-        assert_eq!(batched.peak_oversubscription_bytes(), 20);
         // An empty commit is a no-op.
         batched.commit_growth(&[]);
         assert_eq!(batched, sequential);
@@ -455,12 +408,6 @@ mod tests {
         assert!(!ledger.can_fit(1));
         ledger.release(lease);
         assert!(ledger.can_fit(10));
-    }
-
-    #[test]
-    fn for_memory_uses_device_capacity() {
-        let ledger = CapacityLedger::for_memory(&MemorySpec::kelle_kv_edram());
-        assert_eq!(ledger.capacity_bytes(), 4 * 1024 * 1024);
     }
 
     #[test]
@@ -513,7 +460,6 @@ mod tests {
         // The pool can oversubscribe like force_reserve (the data exists).
         ledger.attach_shared(2, 70);
         assert_eq!(ledger.oversubscribed_bytes(), 30);
-        assert_eq!(ledger.peak_oversubscription_bytes(), 30);
     }
 
     #[test]

@@ -40,11 +40,11 @@ pub mod refresh;
 pub mod retention;
 pub mod tier;
 
-pub use banks::{BankGroup, BankedLayout};
-pub use controller::{EdramController, RefreshActivity};
+pub use banks::BankedLayout;
+pub use controller::EdramController;
 pub use device::{DramSpec, MemorySpec, MemoryTechnology, NvmeSpec};
 pub use faults::BitFlipRates;
-pub use ledger::{CapacityLedger, LeaseId, LedgerError};
+pub use ledger::{CapacityLedger, LeaseId};
 pub use refresh::{RefreshIntervals, RefreshPolicy};
 pub use retention::RetentionModel;
-pub use tier::{MemoryTier, TierAccounts, TierBudgets, TierTraffic};
+pub use tier::{MemoryTier, TierAccounts, TierBudgets};

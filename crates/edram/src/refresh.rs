@@ -17,7 +17,6 @@
 //! for HST-MSB / HST-LSB / LST-MSB / LST-LSB, whose harmonic mean is the
 //! quoted 1.05 ms average interval.
 
-use crate::device::MemorySpec;
 use crate::faults::BitFlipRates;
 use crate::retention::RetentionModel;
 
@@ -71,20 +70,13 @@ impl RefreshIntervals {
     }
 
     /// All four intervals in group order (HST-MSB, HST-LSB, LST-MSB, LST-LSB).
-    pub fn as_array(&self) -> [f64; 4] {
+    pub(crate) fn as_array(&self) -> [f64; 4] {
         [
             self.hst_msb_us,
             self.hst_lsb_us,
             self.lst_msb_us,
             self.lst_lsb_us,
         ]
-    }
-
-    /// Harmonic mean of the four intervals — the effective average interval
-    /// between refresh operations, which is how §7.1 summarises the setting
-    /// ("average retention time of 1.05 ms").
-    pub fn harmonic_mean_us(&self) -> f64 {
-        4.0 / self.as_array().iter().map(|i| 1.0 / i).sum::<f64>()
     }
 
     /// Scales every interval by `factor` (used by the §8.3.4 retention-time
@@ -118,18 +110,12 @@ impl RefreshPolicy {
 
     /// The refresh interval (µs) applied to each of the four groups under this
     /// policy, in the order HST-MSB, HST-LSB, LST-MSB, LST-LSB.
-    pub fn group_intervals_us(&self, retention: &RetentionModel) -> [f64; 4] {
+    pub(crate) fn group_intervals_us(&self, retention: &RetentionModel) -> [f64; 4] {
         match self {
             RefreshPolicy::Conservative => [retention.safe_interval_us; 4],
             RefreshPolicy::Uniform(us) => [*us; 4],
             RefreshPolicy::TwoDimensional(iv) => iv.as_array(),
         }
-    }
-
-    /// Effective average refresh interval (harmonic mean over groups).
-    pub fn average_interval_us(&self, retention: &RetentionModel) -> f64 {
-        let intervals = self.group_intervals_us(retention);
-        4.0 / intervals.iter().map(|i| 1.0 / i).sum::<f64>()
     }
 
     /// Per-group bit-flip probabilities implied by this policy under the given
@@ -142,34 +128,6 @@ impl RefreshPolicy {
             lst_msb: retention.failure_rate(lst_msb),
             lst_lsb: retention.failure_rate(lst_lsb),
         }
-    }
-
-    /// Average refresh power in watts when the four groups hold
-    /// `bytes_per_group` bytes each (HST-MSB, HST-LSB, LST-MSB, LST-LSB order).
-    pub fn refresh_power_w(
-        &self,
-        spec: &MemorySpec,
-        retention: &RetentionModel,
-        bytes_per_group: [u64; 4],
-    ) -> f64 {
-        let intervals = self.group_intervals_us(retention);
-        intervals
-            .iter()
-            .zip(bytes_per_group.iter())
-            .map(|(interval, bytes)| spec.refresh_power_w(*bytes, *interval))
-            .sum()
-    }
-
-    /// Refresh energy in joules over a period of `duration_s` seconds with the
-    /// given per-group occupancy.
-    pub fn refresh_energy_j(
-        &self,
-        spec: &MemorySpec,
-        retention: &RetentionModel,
-        bytes_per_group: [u64; 4],
-        duration_s: f64,
-    ) -> f64 {
-        self.refresh_power_w(spec, retention, bytes_per_group) * duration_s
     }
 
     /// Short name used in reports.
@@ -185,12 +143,18 @@ impl RefreshPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::MemorySpec;
+
+    /// Harmonic mean of a setting's four intervals: the effective average
+    /// interval between refresh operations, which is how §7.1 summarises a
+    /// setting ("average retention time of 1.05 ms").
+    fn harmonic_mean_us(intervals: &RefreshIntervals) -> f64 {
+        4.0 / intervals.as_array().iter().map(|i| 1.0 / i).sum::<f64>()
+    }
 
     #[test]
     fn paper_default_average_is_about_1050us() {
         let iv = RefreshIntervals::paper_default();
-        let avg = iv.harmonic_mean_us();
+        let avg = harmonic_mean_us(&iv);
         assert!((avg - 1050.0).abs() < 30.0, "got {avg}");
     }
 
@@ -216,37 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn refresh_power_decreases_with_longer_intervals() {
-        let retention = RetentionModel::default();
-        let spec = MemorySpec::kelle_kv_edram();
-        let bytes = [1_048_576u64; 4];
-        let conservative = RefreshPolicy::Conservative.refresh_power_w(&spec, &retention, bytes);
-        let uniform = RefreshPolicy::Uniform(1050.0).refresh_power_w(&spec, &retention, bytes);
-        let twod =
-            RefreshPolicy::two_dimensional_default().refresh_power_w(&spec, &retention, bytes);
-        assert!(conservative > uniform);
-        // 2DRP spends slightly more than a uniform policy at the same *average*
-        // interval (it refreshes the HST MSB group much more often) but far
-        // less than the conservative policy.
-        assert!(twod < conservative / 5.0);
-    }
-
-    #[test]
-    fn refresh_energy_scales_with_duration() {
-        let retention = RetentionModel::default();
-        let spec = MemorySpec::kelle_kv_edram();
-        let bytes = [1 << 20; 4];
-        let policy = RefreshPolicy::Uniform(500.0);
-        let e1 = policy.refresh_energy_j(&spec, &retention, bytes, 1.0);
-        let e2 = policy.refresh_energy_j(&spec, &retention, bytes, 2.0);
-        assert!((e2 - 2.0 * e1).abs() < 1e-12);
-    }
-
-    #[test]
     fn table4_settings_are_distinct_and_ordered() {
-        let a = RefreshIntervals::table4_setting(0).harmonic_mean_us();
-        let b = RefreshIntervals::table4_setting(1).harmonic_mean_us();
-        let c = RefreshIntervals::table4_setting(2).harmonic_mean_us();
+        let a = harmonic_mean_us(&RefreshIntervals::table4_setting(0));
+        let b = harmonic_mean_us(&RefreshIntervals::table4_setting(1));
+        let c = harmonic_mean_us(&RefreshIntervals::table4_setting(2));
         assert!(a < b && b < c);
     }
 
@@ -254,7 +191,7 @@ mod tests {
     fn scaled_intervals() {
         let iv = RefreshIntervals::paper_default().scaled(0.5);
         assert_eq!(iv.hst_msb_us, 180.0);
-        assert!((iv.harmonic_mean_us() - 525.0).abs() < 15.0);
+        assert!((harmonic_mean_us(&iv) - 525.0).abs() < 15.0);
     }
 
     #[test]

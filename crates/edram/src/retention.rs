@@ -33,23 +33,11 @@ impl Default for RetentionModel {
 
 impl RetentionModel {
     /// The 65 nm, 105 °C model fitted to Fig. 4.
-    pub fn table1_65nm_105c() -> Self {
+    pub(crate) fn table1_65nm_105c() -> Self {
         RetentionModel {
             mu_ln_us: 12.47,
             sigma_ln: 1.92,
             safe_interval_us: 45.0,
-        }
-    }
-
-    /// A model with the retention distribution shifted by `factor` (e.g. lower
-    /// temperature → longer retention → `factor > 1`).  Used by the §8.3.4
-    /// retention-time sensitivity study.
-    pub fn scaled_retention(&self, factor: f64) -> Self {
-        assert!(factor > 0.0, "retention scale factor must be positive");
-        RetentionModel {
-            mu_ln_us: self.mu_ln_us + factor.ln(),
-            sigma_ln: self.sigma_ln,
-            safe_interval_us: self.safe_interval_us * factor,
         }
     }
 
@@ -63,19 +51,6 @@ impl RetentionModel {
         }
         let z = (interval_us.ln() - self.mu_ln_us) / self.sigma_ln;
         normal_cdf(z).clamp(0.0, 1.0)
-    }
-
-    /// The refresh interval (µs) that yields a given failure rate — the
-    /// inverse of [`failure_rate`](Self::failure_rate).  Returns the safe
-    /// interval for rates at or below zero.
-    pub fn interval_for_failure_rate(&self, rate: f64) -> f64 {
-        if rate <= 0.0 {
-            return self.safe_interval_us;
-        }
-        let z = inverse_normal_cdf(rate.min(0.999_999));
-        (self.mu_ln_us + self.sigma_ln * z)
-            .exp()
-            .max(self.safe_interval_us)
     }
 }
 
@@ -95,55 +70,6 @@ fn erf(x: f64) -> f64 {
             * t
             * (-x * x).exp();
     sign * y
-}
-
-/// Inverse standard normal CDF (Acklam's rational approximation).
-fn inverse_normal_cdf(p: f64) -> f64 {
-    debug_assert!(p > 0.0 && p < 1.0);
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    let p_low = 0.02425;
-    if p < p_low {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - p_low {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -180,28 +106,6 @@ mod tests {
         // 360 us -> well below 1e-3.
         let r = m.failure_rate(360.0);
         assert!(r < 1e-3, "360us -> {r}");
-    }
-
-    #[test]
-    fn inverse_round_trips() {
-        let m = RetentionModel::default();
-        for interval in [500.0, 1000.0, 2000.0, 8000.0] {
-            let rate = m.failure_rate(interval);
-            let back = m.interval_for_failure_rate(rate);
-            assert!(
-                (back - interval).abs() / interval < 0.05,
-                "{interval} -> {back}"
-            );
-        }
-        assert_eq!(m.interval_for_failure_rate(0.0), m.safe_interval_us);
-    }
-
-    #[test]
-    fn scaled_retention_shifts_curve() {
-        let base = RetentionModel::default();
-        let cooler = base.scaled_retention(4.0);
-        assert!(cooler.failure_rate(1050.0) < base.failure_rate(1050.0));
-        assert_eq!(cooler.safe_interval_us, 180.0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl MemoryTier {
     }
 
     /// Short display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MemoryTier::Edram => "edram",
             MemoryTier::Dram => "dram",
@@ -105,12 +105,6 @@ impl TierBudgets {
         self
     }
 
-    /// Overrides the advisory NVMe budget (builder style).
-    pub fn with_nvme(mut self, nvme_bytes: u64) -> Self {
-        self.nvme_bytes = nvme_bytes;
-        self
-    }
-
     /// The budget of one tier.
     pub fn budget(&self, tier: MemoryTier) -> u64 {
         match tier {
@@ -122,7 +116,7 @@ impl TierBudgets {
 
     /// Total bytes of the whole hierarchy (saturating: the advisory NVMe
     /// budget defaults to `u64::MAX`).
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.edram_bytes
             .saturating_add(self.dram_bytes)
             .saturating_add(self.nvme_bytes)
@@ -166,11 +160,6 @@ impl TierAccounts {
         }
     }
 
-    /// The configured budgets.
-    pub fn budgets(&self) -> &TierBudgets {
-        &self.budgets
-    }
-
     /// Bytes currently resident in `tier`.
     pub fn resident_bytes(&self, tier: MemoryTier) -> u64 {
         self.resident[tier.index()]
@@ -197,7 +186,7 @@ impl TierAccounts {
     }
 
     /// Bytes still free under `tier`'s budget (zero when over budget).
-    pub fn free_bytes(&self, tier: MemoryTier) -> u64 {
+    pub(crate) fn free_bytes(&self, tier: MemoryTier) -> u64 {
         self.budgets
             .budget(tier)
             .saturating_sub(self.resident[tier.index()])
@@ -206,11 +195,6 @@ impl TierAccounts {
     /// Whether placing `bytes` more in `tier` stays within its budget.
     pub fn fits(&self, tier: MemoryTier, bytes: u64) -> bool {
         bytes <= self.free_bytes(tier)
-    }
-
-    /// Bytes by which `tier` currently exceeds its budget.
-    pub fn over_budget_bytes(&self, tier: MemoryTier) -> u64 {
-        self.resident[tier.index()].saturating_sub(self.budgets.budget(tier))
     }
 
     /// Total resident bytes across all tiers.
@@ -288,8 +272,6 @@ mod tests {
         assert_eq!(budgets.budget(MemoryTier::Dram), 64 << 20);
         assert_eq!(budgets.budget(MemoryTier::Nvme), u64::MAX);
         assert_eq!(budgets.total_bytes(), u64::MAX, "saturating total");
-        let bounded = budgets.with_nvme(1 << 30);
-        assert_eq!(bounded.total_bytes(), (4 << 20) + (64 << 20) + (1 << 30));
     }
 
     #[test]
@@ -308,7 +290,8 @@ mod tests {
         assert!(!accounts.fits(MemoryTier::Edram, 21));
 
         accounts.place(MemoryTier::Edram, 40);
-        assert_eq!(accounts.over_budget_bytes(MemoryTier::Edram), 20);
+        assert_eq!(accounts.resident_bytes(MemoryTier::Edram), 120);
+        assert_eq!(accounts.free_bytes(MemoryTier::Edram), 0);
         accounts.migrate(MemoryTier::Edram, MemoryTier::Dram, 50);
         assert_eq!(accounts.resident_bytes(MemoryTier::Edram), 70);
         assert_eq!(accounts.resident_bytes(MemoryTier::Dram), 50);

@@ -24,7 +24,7 @@ use crate::arena::{InputSlab, KvArena};
 use crate::budget::CacheBudget;
 use crate::cache::{CacheStats, EntryRef, KvCacheBackend, MedianThreshold, PayloadRef, TokenId};
 use crate::policy::CachePolicy;
-use kelle_tensor::{QuantFormat, QuantizedVector};
+use kelle_tensor::{quant, QuantFormat};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
@@ -130,10 +130,14 @@ impl Layer {
             head.scores.push(0.0);
             match &mut head.stored {
                 Stored::Rows(slots) => slots.push(*slot.get_or_insert_with(|| self.rows.push(x))),
-                Stored::Kv(arena) if format == Format::Int4 => {
-                    arena.push(&int4_image(key), &int4_image(value))
+                Stored::Kv(arena) => {
+                    arena.push(key, value);
+                    if format == Format::Int4 {
+                        let (key, value) = arena.last_mut();
+                        quant::round_trip_in_place(key, QuantFormat::Int4);
+                        quant::round_trip_in_place(value, QuantFormat::Int4);
+                    }
                 }
-                Stored::Kv(arena) => arena.push(key, value),
             }
         }
         if let Some(slot) = slot {
@@ -161,13 +165,6 @@ impl Layer {
             Stored::Kv(arena) => arena.remove_at(i),
         }
     }
-}
-
-/// `v` quantized to symmetric int4 and dequantized back.
-fn int4_image(v: &[f32]) -> Vec<f32> {
-    QuantizedVector::quantize(v, QuantFormat::Int4)
-        .expect("key and value vectors are non-empty by construction")
-        .dequantize()
 }
 
 /// The one KV store.  [`CachePolicy::build`] builds it for every policy.
@@ -538,6 +535,7 @@ impl KvCacheBackend for KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kelle_tensor::QuantizedVector;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const HEADS: usize = 4;

@@ -96,12 +96,26 @@ impl KvArena {
         self.values.extend_from_slice(value);
     }
 
+    /// Borrows the newest entry's key and value vectors mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena is empty.
+    pub(crate) fn last_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        let start = self
+            .keys
+            .len()
+            .checked_sub(self.head_dim)
+            .expect("arena is empty");
+        (&mut self.keys[start..], &mut self.values[start..])
+    }
+
     /// Removes entry `i`, preserving the order of the remaining entries.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
-    pub fn remove_at(&mut self, i: usize) {
+    pub(crate) fn remove_at(&mut self, i: usize) {
         assert!(i < self.len(), "arena index out of bounds");
         let d = self.head_dim;
         let end = self.keys.len() - d;

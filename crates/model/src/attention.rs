@@ -199,15 +199,6 @@ impl DecodeScratch {
         &self.attention
     }
 
-    /// The logits of the most recent
-    /// [`forward_token_with`](crate::decoder::SurrogateModel::forward_token_with)
-    /// call, or of the last token of the most recent
-    /// [`prefill_extend`](crate::generation::prefill_extend) call, whichever
-    /// came later.
-    pub fn logits(&self) -> &[f32] {
-        &self.logits
-    }
-
     /// Opens a pass at `start` unless one is open: every forward until
     /// [`end_pass`](Self::end_pass) holds its row's keys and values.
     pub(crate) fn open_pass(&mut self, start: TokenId) {
@@ -431,16 +422,6 @@ impl<'w> MultiHeadAttention<'w> {
             head_dim: channels / heads,
             rope_theta: 10_000.0,
         }
-    }
-
-    /// Number of heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Per-head dimension.
-    pub fn head_dim(&self) -> usize {
-        self.head_dim
     }
 
     /// Projects an input vector to per-head keys and values (with RoPE applied

@@ -64,11 +64,6 @@ impl CacheBudget {
         self.clamped()
     }
 
-    /// Whether the protected sets fit within the budget.
-    pub fn is_valid(&self) -> bool {
-        self.sink_tokens + self.recent_window <= self.max_tokens
-    }
-
     /// Normalises the budget so `sink_tokens + recent_window <= max_tokens`.
     /// Sink tokens take precedence (they are few and disproportionately
     /// important, §4.1.1); the recent window absorbs the remainder.  Valid
@@ -79,34 +74,9 @@ impl CacheBudget {
         self
     }
 
-    /// The per-task budget configurations used in §7.1 of the paper.
-    ///
-    /// | task group | `N'` | recent window | sinks |
-    /// |---|---|---|---|
-    /// | PQ / LA / A-e / A-c | 128 | 64 | 10 |
-    /// | WK2 | 512 | 256 | 10 |
-    /// | TQ / QP | 1024 | 512 | 10 |
-    /// | PG19 | 2048 | 1024 | 10 |
-    pub fn for_task(task: BudgetTask) -> Self {
-        match task {
-            BudgetTask::ZeroShot => CacheBudget::new(128)
-                .with_recent_window(64)
-                .with_sink_tokens(10),
-            BudgetTask::WikiText2 => CacheBudget::new(512)
-                .with_recent_window(256)
-                .with_sink_tokens(10),
-            BudgetTask::LongQa => CacheBudget::new(1024)
-                .with_recent_window(512)
-                .with_sink_tokens(10),
-            BudgetTask::Pg19 => CacheBudget::new(2048)
-                .with_recent_window(1024)
-                .with_sink_tokens(10),
-        }
-    }
-
     /// Whether a token at `position` is protected from eviction when the
     /// current sequence length is `current_len`.
-    pub fn is_protected(&self, position: usize, current_len: usize) -> bool {
+    pub(crate) fn is_protected(&self, position: usize, current_len: usize) -> bool {
         if position < self.sink_tokens {
             return true;
         }
@@ -133,22 +103,14 @@ impl CacheBudget {
     }
 }
 
-/// Task groups that share a budget configuration in §7.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BudgetTask {
-    /// PIQA, Lambada, ARC-easy, ARC-challenge.
-    ZeroShot,
-    /// WikiText-2 perplexity.
-    WikiText2,
-    /// TriviaQA and Qasper.
-    LongQa,
-    /// PG19 long-form generation.
-    Pg19,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether the protected sets fit within the budget.
+    fn fits(b: &CacheBudget) -> bool {
+        b.sink_tokens + b.recent_window <= b.max_tokens
+    }
 
     #[test]
     fn builder_sets_fields() {
@@ -164,16 +126,6 @@ mod tests {
     #[should_panic(expected = "at least one token")]
     fn zero_budget_panics() {
         CacheBudget::new(0);
-    }
-
-    #[test]
-    fn task_budgets_match_paper() {
-        assert_eq!(CacheBudget::for_task(BudgetTask::ZeroShot).max_tokens, 128);
-        assert_eq!(CacheBudget::for_task(BudgetTask::WikiText2).max_tokens, 512);
-        assert_eq!(CacheBudget::for_task(BudgetTask::LongQa).max_tokens, 1024);
-        assert_eq!(CacheBudget::for_task(BudgetTask::Pg19).max_tokens, 2048);
-        assert_eq!(CacheBudget::for_task(BudgetTask::Pg19).recent_window, 1024);
-        assert_eq!(CacheBudget::for_task(BudgetTask::Pg19).sink_tokens, 10);
     }
 
     #[test]
@@ -200,7 +152,7 @@ mod tests {
             .with_sink_tokens(3)
             .with_recent_window(5);
         assert_eq!((b.max_tokens, b.sink_tokens, b.recent_window), (8, 3, 5));
-        assert!(b.is_valid());
+        assert!(fits(&b));
         assert_eq!(b.clamped(), b);
     }
 
@@ -212,18 +164,18 @@ mod tests {
             .with_sink_tokens(3)
             .with_recent_window(6);
         assert_eq!((b.sink_tokens, b.recent_window), (3, 5));
-        assert!(b.is_valid());
+        assert!(fits(&b));
         // Grossly oversized requests clamp to the budget, sinks first.
         let huge = CacheBudget::new(4)
             .with_recent_window(9)
             .with_sink_tokens(9);
         assert_eq!((huge.sink_tokens, huge.recent_window), (4, 0));
-        assert!(huge.is_valid());
+        assert!(fits(&huge));
         // Order matters only for how the remainder is split, never validity.
         let other = CacheBudget::new(4)
             .with_sink_tokens(9)
             .with_recent_window(9);
-        assert!(other.is_valid());
+        assert!(fits(&other));
         assert_eq!((other.sink_tokens, other.recent_window), (4, 0));
         // A hand-assembled invalid struct is repaired by clamped().
         let raw = CacheBudget {
@@ -231,7 +183,7 @@ mod tests {
             sink_tokens: 10,
             recent_window: 10,
         };
-        assert!(!raw.is_valid());
+        assert!(!fits(&raw));
         let fixed = raw.clamped();
         assert_eq!((fixed.sink_tokens, fixed.recent_window), (6, 0));
     }

@@ -178,7 +178,7 @@ impl<'a> MedianThreshold<'a> {
     }
 
     /// The head's median score, selected on the first call.
-    pub fn median(&self) -> f32 {
+    pub(crate) fn median(&self) -> f32 {
         *self.median.get_or_init(|| {
             let mut buffer = self.buffer.borrow_mut();
             buffer.clear();
@@ -227,7 +227,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Sum of stored entries of both kinds.
-    pub fn total_entries(&self) -> usize {
+    pub(crate) fn total_entries(&self) -> usize {
         self.kv_entries + self.recompute_entries
     }
 }

@@ -39,22 +39,8 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// All model kinds evaluated in Table 2.
-    pub fn all() -> &'static [ModelKind] {
-        &[
-            ModelKind::Llama2_7b,
-            ModelKind::Llama2_13b,
-            ModelKind::Llama2_70b,
-            ModelKind::Llama3_8b,
-            ModelKind::Llama3_2_3b,
-            ModelKind::Mistral7b,
-            ModelKind::Qwen2_7b,
-            ModelKind::Opt6_7b,
-        ]
-    }
-
     /// Human-readable name matching the paper's tables.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ModelKind::Llama2_7b => "LLaMA2-7B",
             ModelKind::Llama2_13b => "LLaMA2-13B",
@@ -262,7 +248,7 @@ impl ModelConfig {
     ///
     /// One token contributes a key and a value vector of `kv_heads * head_dim`
     /// elements each.
-    pub fn kv_bytes_per_token_per_layer(&self, bits_per_element: u32) -> usize {
+    pub(crate) fn kv_bytes_per_token_per_layer(&self, bits_per_element: u32) -> usize {
         let elements = 2 * self.kv_heads * self.head_dim();
         (elements * bits_per_element as usize).div_ceil(8)
     }
@@ -284,16 +270,6 @@ impl ModelConfig {
             FfnKind::GatedMlp => 3 * c * self.ffn_dim as u64,
         };
         (attn + ffn) * self.layers as u64
-    }
-
-    /// Total weight parameters including the embedding and LM head.
-    pub fn total_weight_params(&self) -> u64 {
-        self.decoder_weight_params() + 2 * self.vocab as u64 * self.channels as u64
-    }
-
-    /// Weight storage in bytes for the given weight bit width.
-    pub fn weight_bytes(&self, bits_per_weight: u32) -> u64 {
-        self.total_weight_params() * u64::from(bits_per_weight) / 8
     }
 
     /// MAC operations for a single decoding step at sequence position `n`
@@ -345,7 +321,7 @@ mod tests {
     #[test]
     fn llama2_7b_weight_count_is_about_7b() {
         let cfg = ModelConfig::for_kind(ModelKind::Llama2_7b);
-        let params = cfg.total_weight_params() as f64 / 1e9;
+        let params = cfg.decoder_weight_params() as f64 / 1e9;
         assert!(params > 6.0 && params < 7.5, "got {params}B params");
     }
 
@@ -353,7 +329,7 @@ mod tests {
     fn weight_bytes_8bit_fits_claim() {
         // §8.4.1: 8-bit weights occupy ~6.5 GB of DRAM for LLaMA2-7B.
         let cfg = ModelConfig::for_kind(ModelKind::Llama2_7b);
-        let gib = cfg.weight_bytes(8) as f64 / (1024.0 * 1024.0 * 1024.0);
+        let gib = cfg.decoder_weight_params() as f64 / (1024.0 * 1024.0 * 1024.0);
         assert!(gib > 5.5 && gib < 7.0, "got {gib} GiB");
     }
 
@@ -380,7 +356,16 @@ mod tests {
 
     #[test]
     fn all_models_have_consistent_head_dims() {
-        for &kind in ModelKind::all() {
+        for kind in [
+            ModelKind::Llama2_7b,
+            ModelKind::Llama2_13b,
+            ModelKind::Llama2_70b,
+            ModelKind::Llama3_8b,
+            ModelKind::Llama3_2_3b,
+            ModelKind::Mistral7b,
+            ModelKind::Qwen2_7b,
+            ModelKind::Opt6_7b,
+        ] {
             let cfg = ModelConfig::for_kind(kind);
             assert_eq!(cfg.channels % cfg.heads, 0, "{kind}");
             assert_eq!(cfg.heads % cfg.kv_heads, 0, "{kind}");

@@ -7,8 +7,8 @@
 //! cache reads pass through the [`FaultInjector`], so accuracy experiments can
 //! swap policies and corruption models without touching the model code.
 //!
-//! Each level has one forward body ([`DecoderLayer::forward_with`],
-//! [`SurrogateModel::forward_token_with`]): it mutates the residual stream in
+//! Each level has one forward body (`DecoderLayer::forward_with`,
+//! `SurrogateModel::forward_token_with`): it mutates the residual stream in
 //! place and stages every intermediate in a caller-owned [`DecodeScratch`],
 //! so steady-state decoding allocates nothing.  The model's body is its
 //! layers followed by the LM head; a prompt token whose logits nobody reads
@@ -31,7 +31,7 @@ pub struct DecoderLayer<'w> {
 
 impl<'w> DecoderLayer<'w> {
     /// Binds a layer to its weights.
-    pub fn new(weights: &'w LayerWeights, heads: usize) -> Self {
+    pub(crate) fn new(weights: &'w LayerWeights, heads: usize) -> Self {
         DecoderLayer { weights, heads }
     }
 
@@ -42,7 +42,7 @@ impl<'w> DecoderLayer<'w> {
     /// attention labels of the step remain available in
     /// [`DecodeScratch::attention_labels`].
     #[allow(clippy::too_many_arguments)] // the decode-step contract: position + data + 3 collaborators
-    pub fn forward_with(
+    pub(crate) fn forward_with(
         &self,
         layer_index: usize,
         token: TokenId,
@@ -122,12 +122,6 @@ impl SurrogateModel {
         SurrogateModel { config, weights }
     }
 
-    /// Builds a surrogate model with explicit weight-generation options.
-    pub fn with_weight_config(config: ModelConfig, gen: &WeightGenConfig, seed: u64) -> Self {
-        let weights = ModelWeights::generate(&config.surrogate, gen, seed);
-        SurrogateModel { config, weights }
-    }
-
     /// The model configuration.
     pub fn config(&self) -> &ModelConfig {
         &self.config
@@ -152,7 +146,7 @@ impl SurrogateModel {
     /// sequence position (which doubles as the [`TokenId`] used by caches).
     /// This is the allocation-free hot path; steady-state decoding performs
     /// no heap allocation inside this call.
-    pub fn forward_token_with(
+    pub(crate) fn forward_token_with(
         &self,
         token: usize,
         position: usize,
@@ -217,7 +211,7 @@ impl SurrogateModel {
     }
 
     /// Greedy next-token choice from logits.
-    pub fn argmax(logits: &[f32]) -> usize {
+    pub(crate) fn argmax(logits: &[f32]) -> usize {
         logits
             .iter()
             .enumerate()
@@ -227,18 +221,8 @@ impl SurrogateModel {
     }
 
     /// Softmax distribution over the vocabulary from logits.
-    pub fn probabilities(logits: &[f32]) -> Vec<f32> {
+    pub(crate) fn probabilities(logits: &[f32]) -> Vec<f32> {
         ops::softmax(logits)
-    }
-
-    /// [`probabilities`](SurrogateModel::probabilities) into a caller-owned
-    /// buffer (cleared and refilled), for callers that consume the
-    /// distribution in place — e.g. throughput measurement loops that would
-    /// otherwise pay one vocabulary-sized allocation per decoded token.
-    pub fn probabilities_into(logits: &[f32], out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(logits);
-        ops::softmax_into(out);
     }
 }
 
@@ -268,7 +252,7 @@ mod tests {
         for (pos, &tok) in tokens.iter().enumerate() {
             model.forward_token_with(tok, pos, &mut *cache, &mut faults, &mut scratch);
         }
-        scratch.logits().to_vec()
+        scratch.logits.to_vec()
     }
 
     #[test]
@@ -278,9 +262,9 @@ mod tests {
         let mut faults = NoFaults;
         let mut scratch = DecodeScratch::new();
         let stats = model.forward_token_with(5, 0, &mut *cache, &mut faults, &mut scratch);
-        assert_eq!(scratch.logits().len(), 96);
+        assert_eq!(scratch.logits.len(), 96);
         assert_eq!(stats.kv_entries_read, 2 * 4); // layers * heads, one token each
-        assert!(scratch.logits().iter().all(|l| l.is_finite()));
+        assert!(scratch.logits.iter().all(|l| l.is_finite()));
     }
 
     #[test]

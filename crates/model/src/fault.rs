@@ -170,17 +170,6 @@ pub enum SignificanceGroup {
     Lsb,
 }
 
-impl SignificanceGroup {
-    /// The significance group of a bit position within a 16-bit word.
-    pub fn of_bit(bit: u8) -> Self {
-        if bit >= 8 {
-            SignificanceGroup::Msb
-        } else {
-            SignificanceGroup::Lsb
-        }
-    }
-}
-
 /// Counters describing how much corruption an injector has applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
@@ -615,14 +604,13 @@ impl LaneHandle<'_> {
 /// — never on how lanes interleave across layers and steps.
 /// [`stats`](FaultInjector::stats) sums the lane counters.
 ///
-/// `Clone` snapshots the full injector state (rates, every lane's RNG
+/// `Clone` snapshots the full injector state (every lane's RNG
 /// position, gap counters and statistics — the survival tables are shared
 /// behind an `Arc`); the prefix-sharing machinery uses this to capture the
 /// exact post-prefix fault stream so a cache-hit session resumes the stream
 /// bit-identically to a cold one.
 #[derive(Debug, Clone)]
 pub struct ProbabilisticFaults {
-    rates: BitFlipRates,
     thresholds: Thresholds,
     seed: u64,
     lanes: Vec<FaultLane>,
@@ -634,18 +622,12 @@ impl ProbabilisticFaults {
     /// Creates an injector with the given rates and RNG seed.
     pub fn new(rates: BitFlipRates, seed: u64) -> Self {
         ProbabilisticFaults {
-            rates,
             thresholds: Thresholds::new(&rates),
             seed,
             lanes: Vec::new(),
             index: crate::hash::FastHashMap::default(),
             active: 0,
         }
-    }
-
-    /// The configured rates.
-    pub fn rates(&self) -> BitFlipRates {
-        self.rates
     }
 
     /// Index of the lane for `(layer, head)`, creating it if needed.
@@ -796,14 +778,6 @@ mod tests {
             (per_head, inj.stats())
         };
         assert_eq!(run(&[0, 1, 2]), run(&[2, 0, 1]));
-    }
-
-    #[test]
-    fn significance_of_bit_boundaries() {
-        assert_eq!(SignificanceGroup::of_bit(0), SignificanceGroup::Lsb);
-        assert_eq!(SignificanceGroup::of_bit(7), SignificanceGroup::Lsb);
-        assert_eq!(SignificanceGroup::of_bit(8), SignificanceGroup::Msb);
-        assert_eq!(SignificanceGroup::of_bit(15), SignificanceGroup::Msb);
     }
 
     #[test]
@@ -1062,7 +1036,15 @@ mod tests {
             for group in GROUPS {
                 let (per_bit, _) = sample_masks(&thresholds, group, 31 + setting as u64, WORDS);
                 for (bit, &count) in per_bit.iter().enumerate() {
-                    let p = class_rate(rates, group, SignificanceGroup::of_bit(bit as u8));
+                    let p = class_rate(
+                        rates,
+                        group,
+                        if bit < 8 {
+                            SignificanceGroup::Lsb
+                        } else {
+                            SignificanceGroup::Msb
+                        },
+                    );
                     let mean = WORDS as f64 * p;
                     let sigma = (mean * (1.0 - p)).sqrt();
                     assert!(

@@ -7,7 +7,7 @@
 //! `kelle-core`) can append context and decode incrementally without
 //! re-processing earlier tokens.  [`run_with`] composes the two into the
 //! classic one-shot run.  Every token goes through the model's one forward
-//! body, [`SurrogateModel::forward_token_with`], on the scratch the
+//! body, `SurrogateModel::forward_token_with`, on the scratch the
 //! [`GenerationState`] owns.
 //!
 //! # Passes
@@ -148,7 +148,6 @@ pub struct GenerationState {
     position: usize,
     last_logits: Vec<f32>,
     prefilled_tokens: usize,
-    decoded_tokens: usize,
     scratch: DecodeScratch,
 }
 
@@ -168,13 +167,8 @@ impl GenerationState {
         self.prefilled_tokens
     }
 
-    /// Total decode steps taken through [`decode_step`].
-    pub fn decoded_tokens(&self) -> usize {
-        self.decoded_tokens
-    }
-
     /// Whether any token has been processed yet.
-    pub fn has_context(&self) -> bool {
+    pub(crate) fn has_context(&self) -> bool {
         !self.last_logits.is_empty()
     }
 
@@ -186,11 +180,6 @@ impl GenerationState {
         } else {
             Some(SurrogateModel::argmax(&self.last_logits))
         }
-    }
-
-    /// The reusable scratch the state's forward passes run through.
-    pub fn scratch_mut(&mut self) -> &mut DecodeScratch {
-        &mut self.scratch
     }
 
     /// The logits of the most recently processed token (empty before any
@@ -358,7 +347,6 @@ pub fn decode_step(
     state.last_logits.clear();
     state.last_logits.extend_from_slice(&state.scratch.logits);
     state.position += 1;
-    state.decoded_tokens += 1;
     DecodeStep {
         token: choice,
         probs,
@@ -532,7 +520,6 @@ mod tests {
             generated.push(decode_step(&m, &mut state, None, &mut *cache, &mut faults).token);
         }
         assert_eq!(generated, one_shot.generated);
-        assert_eq!(state.decoded_tokens(), 6);
         assert_eq!(state.position(), 12);
     }
 

@@ -17,7 +17,7 @@
 //! * synthetically structured weights producing heavy-tailed, sink-biased
 //!   attention-score distributions (the empirical property behind H2O,
 //!   StreamingLLM and AERP);
-//! * the one KV store ([`KvStore`]) that runs every cache policy of the
+//! * the one KV store ([`KvStore`](cache::KvStore)) that runs every cache policy of the
 //!   paper's Table 2, picked by [`CachePolicy`], behind the
 //!   [`KvCacheBackend`] hook, and bit-level retention-fault injection
 //!   ([`FaultInjector`]) at cache-read time;
@@ -47,19 +47,15 @@ pub mod weights;
 
 pub use attention::{DecodeScratch, MultiHeadAttention};
 pub use cache::{
-    CacheBudget, CachePolicy, CacheStats, EntryRef, FullKvCache, KvCacheBackend, KvStore,
-    MedianThreshold, PayloadRef, TokenId,
+    CacheBudget, CachePolicy, CacheStats, EntryRef, FullKvCache, KvCacheBackend, MedianThreshold,
+    PayloadRef, TokenId,
 };
 pub use config::{ModelConfig, ModelKind, SurrogateDims};
-pub use decoder::{DecoderLayer, SurrogateModel};
-pub use fault::{
-    FaultInjector, FaultStats, NoFaults, ProbabilisticFaults, SignificanceGroup, TokenGroup,
-};
-pub use generation::{
-    DecodeStep, DecodeTrace, GenerationConfig, GenerationOutput, GenerationState, StepRecord,
-};
+pub use decoder::SurrogateModel;
+pub use fault::{FaultInjector, FaultStats, NoFaults, ProbabilisticFaults};
+pub use generation::{DecodeStep, DecodeTrace, GenerationConfig};
 pub use hash::FastHashMap;
-pub use metrics::{FidelityAccumulator, FidelityMetrics};
+pub use metrics::FidelityMetrics;
 pub use segment::{SegmentRecorder, SharedSegment};
 
 /// Crate-wide result alias (errors are tensor-shaped failures from the substrate).

@@ -63,7 +63,7 @@ pub struct FidelityAccumulator {
 
 impl FidelityAccumulator {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -76,7 +76,7 @@ impl FidelityAccumulator {
     /// # Panics
     ///
     /// Panics if the two distributions have different lengths or are empty.
-    pub fn record(&mut self, reference_probs: &[f32], test_probs: &[f32]) {
+    pub(crate) fn record(&mut self, reference_probs: &[f32], test_probs: &[f32]) {
         assert_eq!(reference_probs.len(), test_probs.len());
         assert!(!reference_probs.is_empty());
         let ref_top1 = argmax(reference_probs);
@@ -89,16 +89,11 @@ impl FidelityAccumulator {
         self.steps += 1;
     }
 
-    /// Number of steps recorded so far.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
     /// Finalizes the metrics.
     ///
     /// Returns conservative defaults (`ppl_proxy = inf`) if no steps were
     /// recorded.
-    pub fn finish(&self) -> FidelityMetrics {
+    pub(crate) fn finish(&self) -> FidelityMetrics {
         if self.steps == 0 {
             return FidelityMetrics {
                 ppl_proxy: f64::INFINITY,

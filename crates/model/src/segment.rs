@@ -132,7 +132,7 @@ impl SharedSegment {
 
     /// The post-prefix logits (restored into the session's generation state
     /// on a hit).
-    pub fn logits(&self) -> &[f32] {
+    pub(crate) fn logits(&self) -> &[f32] {
         &self.boundary.logits
     }
 

@@ -193,11 +193,6 @@ impl ModelWeights {
             }
         }
     }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 #[cfg(test)]

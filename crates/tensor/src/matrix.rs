@@ -83,24 +83,6 @@ impl Matrix {
         })
     }
 
-    /// Builds a matrix from a flat row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `data.len() != rows * cols`,
-    /// [`TensorError::EmptyDimension`] for zero dimensions and
-    /// [`TensorError::ShapeOverflow`] if `rows * cols` overflows `usize`.
-    pub fn from_flat(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self> {
-        if data.len() != element_count(rows, cols)? {
-            return Err(TensorError::ShapeMismatch {
-                op: "from_flat",
-                lhs: (rows, cols),
-                rhs: (data.len(), 1),
-            });
-        }
-        Ok(Self { rows, cols, data })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -114,11 +96,6 @@ impl Matrix {
     /// Shape as `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
-    }
-
-    /// Borrow the underlying row-major data.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
     }
 
     /// Mutably borrow the underlying row-major data.
@@ -298,18 +275,8 @@ impl Matrix {
     }
 
     /// Iterates over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
+    pub(crate) fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols)
-    }
-
-    /// Number of `f32` elements stored.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the matrix holds no elements (never true for a valid matrix).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 }
 
@@ -463,6 +430,12 @@ fn dot4<'a, const N: usize>(rows: &'a [f32], vs: [&'a [f32]; N], outs: [&mut [f3
 mod tests {
     use super::*;
 
+    /// A `rows × cols` matrix from a flat row-major buffer.
+    fn from_flat(rows: usize, cols: usize, data: Vec<f32>) -> Result<Matrix> {
+        assert_eq!(data.len(), rows * cols);
+        Matrix::from_rows(data.chunks(cols).map(<[f32]>::to_vec).collect())
+    }
+
     #[test]
     fn zeros_rejects_empty() {
         assert!(Matrix::zeros(0, 3).is_err());
@@ -564,7 +537,7 @@ mod tests {
     /// A reversed range is an index error, whatever the output length.
     #[test]
     fn matvec_rows_into_rejects_a_reversed_range() {
-        let m = Matrix::from_flat(4, 3, (0..12).map(|i| i as f32).collect()).unwrap();
+        let m = from_flat(4, 3, (0..12).map(|i| i as f32).collect()).unwrap();
         let v = [1.0, -1.0, 0.5];
         for out_len in [0, 2] {
             let mut out = vec![0.0; out_len];
@@ -584,7 +557,7 @@ mod tests {
                 let data: Vec<f32> = (0..rows * cols)
                     .map(|i| (i as f32 * 0.37).sin() * 3.0)
                     .collect();
-                let m = Matrix::from_flat(rows, cols, data).unwrap();
+                let m = from_flat(rows, cols, data).unwrap();
                 let v: Vec<f32> = (0..cols).map(|i| (i as f32 * 1.3).cos() * 2.0).collect();
                 let mut out = vec![f32::NAN; 3];
                 m.matvec_into(&v, &mut out).unwrap();
@@ -607,7 +580,7 @@ mod tests {
             let data: Vec<f32> = (0..rows * cols)
                 .map(|i| (i as f32 * 0.37).sin() * 3.0)
                 .collect();
-            let m = Matrix::from_flat(rows, cols, data).unwrap();
+            let m = from_flat(rows, cols, data).unwrap();
             let v: Vec<f32> = (0..cols).map(|i| (i as f32 * 1.3).cos() * 2.0).collect();
             for start in [0, 2] {
                 for end in start..=rows {
@@ -633,7 +606,7 @@ mod tests {
             let data: Vec<f32> = (0..rows * cols)
                 .map(|i| (i as f32 * 0.37).sin() * 3.0)
                 .collect();
-            let m = Matrix::from_flat(rows, cols, data).unwrap();
+            let m = from_flat(rows, cols, data).unwrap();
             let a: Vec<f32> = (0..cols).map(|i| (i as f32 * 1.3).cos() * 2.0).collect();
             let b: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.9 + 0.4).sin()).collect();
             for start in 0..=rows {
@@ -658,7 +631,7 @@ mod tests {
     /// call gives for the first bad (vector, output) pair.
     #[test]
     fn matvec_rows_pair_into_errors_like_matvec_rows_into() {
-        let m = Matrix::from_flat(4, 3, (0..12).map(|i| i as f32).collect()).unwrap();
+        let m = from_flat(4, 3, (0..12).map(|i| i as f32).collect()).unwrap();
         let v = [1.0, -1.0, 0.5];
         let short = [1.0];
         // (row range, vectors, output lengths)
@@ -730,9 +703,9 @@ mod tests {
             Matrix::zeros(rows, cols).unwrap_err(),
             TensorError::ShapeOverflow { rows, cols }
         );
-        let rows = usize::MAX / 2 + 1;
-        let err = Matrix::from_flat(rows, 2, Vec::new()).unwrap_err();
-        assert_eq!(err, TensorError::ShapeOverflow { rows, cols: 2 });
-        assert!(err.to_string().contains("overflows"));
+        assert!(Matrix::zeros(rows, cols)
+            .unwrap_err()
+            .to_string()
+            .contains("overflows"));
     }
 }

@@ -29,7 +29,7 @@ pub enum QuantFormat {
 
 impl QuantFormat {
     /// Storage cost in bits per element.
-    pub fn bits_per_element(self) -> u32 {
+    pub(crate) fn bits_per_element(self) -> u32 {
         match self {
             QuantFormat::Fp16 => 16,
             QuantFormat::Int8 => 8,
@@ -43,11 +43,53 @@ impl QuantFormat {
     }
 
     /// The number of quantization levels (unused for FP16).
-    pub fn levels(self) -> u32 {
+    pub(crate) fn levels(self) -> u32 {
         match self {
             QuantFormat::Fp16 => 0,
             QuantFormat::Int8 => 256,
             QuantFormat::Int4 => 16,
+        }
+    }
+}
+
+/// The symmetric integer grid a slice quantizes to under an integer format:
+/// one scale for the whole slice, sized so its largest magnitude maps to the
+/// largest positive code.
+#[derive(Debug, Clone, Copy)]
+struct IntGrid {
+    scale: f32,
+    qmax: f32,
+}
+
+impl IntGrid {
+    fn fit(values: &[f32], format: QuantFormat) -> Self {
+        let max_abs = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let qmax = (format.levels() / 2 - 1) as f32;
+        let scale = if max_abs == 0.0 { 1.0 } else { max_abs / qmax };
+        IntGrid { scale, qmax }
+    }
+
+    fn code(self, v: f32) -> i32 {
+        (v / self.scale).round().clamp(-self.qmax - 1.0, self.qmax) as i32
+    }
+}
+
+/// Replaces every value by what it reads back as after quantizing the slice
+/// to `format`: bit for bit `QuantizedVector::quantize(values, format)`
+/// followed by [`dequantize`](QuantizedVector::dequantize), without
+/// allocating.  An empty slice is left as it is.
+pub fn round_trip_in_place(values: &mut [f32], format: QuantFormat) {
+    match format {
+        QuantFormat::Fp16 => {
+            for v in values {
+                *v = crate::fp16::f16_bits_to_f32(crate::fp16::f32_to_f16_bits(*v));
+            }
+        }
+        QuantFormat::Int8 | QuantFormat::Int4 => {
+            let grid = IntGrid::fit(values, format);
+            for v in values {
+                *v = grid.code(*v) as f32 * grid.scale;
+            }
         }
     }
 }
@@ -86,20 +128,11 @@ impl QuantizedVector {
                 })
             }
             QuantFormat::Int8 | QuantFormat::Int4 => {
-                let max_abs = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                let qmax = (format.levels() / 2 - 1) as f32;
-                let scale = if max_abs == 0.0 { 1.0 } else { max_abs / qmax };
-                let codes = values
-                    .iter()
-                    .map(|&v| {
-                        let q = (v / scale).round();
-                        q.clamp(-qmax - 1.0, qmax) as i32
-                    })
-                    .collect();
+                let grid = IntGrid::fit(values, format);
                 Ok(Self {
                     format,
-                    scale,
-                    codes,
+                    scale: grid.scale,
+                    codes: values.iter().map(|&v| grid.code(v)).collect(),
                 })
             }
         }
@@ -117,37 +150,12 @@ impl QuantizedVector {
         }
     }
 
-    /// The storage format.
-    pub fn format(&self) -> QuantFormat {
-        self.format
-    }
-
-    /// The per-tensor scale factor (1.0 for FP16).
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Whether the vector is empty (never true for a constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// Storage footprint in bytes, counting only payload bits (scales excluded).
-    pub fn storage_bytes(&self) -> usize {
-        self.format.bytes_for(self.codes.len())
-    }
-
     /// Mean absolute reconstruction error against a reference slice.
     ///
     /// # Panics
     ///
     /// Panics if `reference` has a different length.
-    pub fn reconstruction_error(&self, reference: &[f32]) -> f32 {
+    pub(crate) fn reconstruction_error(&self, reference: &[f32]) -> f32 {
         assert_eq!(reference.len(), self.codes.len());
         let deq = self.dequantize();
         deq.iter()
@@ -185,27 +193,6 @@ impl QuantizedMatrix {
             cols: matrix.cols(),
             row_vectors,
         })
-    }
-
-    /// Reconstructs the approximate dense matrix.
-    pub fn dequantize(&self) -> Matrix {
-        let rows: Vec<Vec<f32>> = self.row_vectors.iter().map(|r| r.dequantize()).collect();
-        Matrix::from_rows(rows).expect("quantized matrix rows are rectangular by construction")
-    }
-
-    /// The storage format.
-    pub fn format(&self) -> QuantFormat {
-        self.format
-    }
-
-    /// Shape as `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Total payload storage in bytes.
-    pub fn storage_bytes(&self) -> usize {
-        self.row_vectors.iter().map(|r| r.storage_bytes()).sum()
     }
 
     /// Mean absolute reconstruction error against the original matrix.
@@ -260,6 +247,32 @@ mod tests {
     }
 
     #[test]
+    fn round_trip_in_place_matches_quantize_then_dequantize_bitwise() {
+        let values: Vec<f32> = (0..67)
+            .map(|i| ((i * 37) % 101) as f32 * 0.013 - 0.61)
+            .chain([0.0, -0.0, 65_504.0, 1e-9, f32::NAN])
+            .collect();
+        for format in [QuantFormat::Fp16, QuantFormat::Int8, QuantFormat::Int4] {
+            for slice in [&values[..1], &values[..67], &values[..]] {
+                let fresh = QuantizedVector::quantize(slice, format)
+                    .unwrap()
+                    .dequantize();
+                let mut image = slice.to_vec();
+                round_trip_in_place(&mut image, format);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&image),
+                    bits(&fresh),
+                    "{format:?}, {} values",
+                    slice.len()
+                );
+            }
+        }
+        let mut empty: [f32; 0] = [];
+        round_trip_in_place(&mut empty, QuantFormat::Int4);
+    }
+
+    #[test]
     fn empty_vector_rejected() {
         assert!(QuantizedVector::quantize(&[], QuantFormat::Int8).is_err());
     }
@@ -277,17 +290,8 @@ mod tests {
         let q = QuantizedMatrix::quantize(&m, QuantFormat::Int8).unwrap();
         // Per-row scaling keeps both rows accurate despite the magnitude gap.
         assert!(q.reconstruction_error(&m) < 0.2);
-        let d = q.dequantize();
-        assert!((d.get(0, 2) - 0.03).abs() < 0.001);
-        assert!((d.get(1, 2) - 30.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn matrix_storage_bytes() {
-        let m = Matrix::zeros(4, 8).unwrap();
-        let q = QuantizedMatrix::quantize(&m, QuantFormat::Int8).unwrap();
-        assert_eq!(q.storage_bytes(), 32);
-        let q4 = QuantizedMatrix::quantize(&m, QuantFormat::Int4).unwrap();
-        assert_eq!(q4.storage_bytes(), 16);
+        let (small, large) = (q.row_vectors[0].dequantize(), q.row_vectors[1].dequantize());
+        assert!((small[2] - 0.03).abs() < 0.001);
+        assert!((large[2] - 30.0).abs() < 0.5);
     }
 }

@@ -13,11 +13,6 @@ use rand_chacha::ChaCha12Rng;
 /// The deterministic RNG used across the workspace.
 pub type DetRng = ChaCha12Rng;
 
-/// Creates a deterministic RNG from a 64-bit seed.
-pub fn seeded(seed: u64) -> DetRng {
-    ChaCha12Rng::seed_from_u64(seed)
-}
-
 /// Derives a child RNG from a parent seed and a stream label, so that
 /// independent components (e.g. per-layer weights) get decorrelated streams
 /// while remaining reproducible.
@@ -54,7 +49,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
 }
 
 /// Samples a normal value with the given mean and standard deviation.
-pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f32, std_dev: f32) -> f32 {
+pub(crate) fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f32, std_dev: f32) -> f32 {
     mean + std_dev * standard_normal(rng)
 }
 
@@ -99,8 +94,8 @@ mod tests {
 
     #[test]
     fn seeded_is_reproducible() {
-        let mut a = seeded(42);
-        let mut b = seeded(42);
+        let mut a = DetRng::seed_from_u64(42);
+        let mut b = DetRng::seed_from_u64(42);
         for _ in 0..16 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
@@ -115,7 +110,7 @@ mod tests {
     fn first_draws_of_each_constructor_are_pinned() {
         let first4 = |mut rng: DetRng| -> [u64; 4] { std::array::from_fn(|_| rng.gen()) };
         assert_eq!(
-            first4(seeded(7)),
+            first4(DetRng::seed_from_u64(7)),
             [
                 0xe132_b3e7_0b1b_e1a8,
                 0xf26f_73b1_9adb_ac83,
@@ -166,7 +161,7 @@ mod tests {
 
     #[test]
     fn normal_moments_are_close() {
-        let mut rng = seeded(7);
+        let mut rng = DetRng::seed_from_u64(7);
         let n = 20_000;
         let samples: Vec<f32> = (0..n).map(|_| normal(&mut rng, 2.0, 3.0)).collect();
         let mean = samples.iter().sum::<f32>() / n as f32;
@@ -177,7 +172,7 @@ mod tests {
 
     #[test]
     fn zipf_prefers_small_indices() {
-        let mut rng = seeded(11);
+        let mut rng = DetRng::seed_from_u64(11);
         let mut counts = [0usize; 10];
         for _ in 0..10_000 {
             counts[zipf_index(&mut rng, 10, 1.2)] += 1;
@@ -188,7 +183,7 @@ mod tests {
 
     #[test]
     fn zipf_stays_in_range() {
-        let mut rng = seeded(13);
+        let mut rng = DetRng::seed_from_u64(13);
         for _ in 0..1000 {
             assert!(zipf_index(&mut rng, 7, 0.8) < 7);
         }
@@ -196,7 +191,7 @@ mod tests {
 
     #[test]
     fn xavier_scale_shrinks_with_fan_in() {
-        let mut rng = seeded(17);
+        let mut rng = DetRng::seed_from_u64(17);
         let mut small = vec![0.0; 4096];
         let mut large = vec![0.0; 4096];
         fill_xavier(&mut rng, &mut small, 16);

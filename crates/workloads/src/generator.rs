@@ -27,18 +27,6 @@ pub struct GeneratedPrompt {
     pub anchors: Vec<usize>,
 }
 
-impl GeneratedPrompt {
-    /// Length of the prompt in tokens.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Whether the prompt is empty (never true for generated prompts).
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-}
-
 /// Exponent of the Zipf distribution filler tokens are drawn from (how
 /// skewed the token distribution is).
 const ZIPF_EXPONENT: f32 = 1.1;
@@ -129,9 +117,8 @@ mod tests {
         for task in TaskKind::table2() {
             let p = generator.prompt(task, 0);
             let (prompt_len, decode_len) = task.surrogate_lengths();
-            assert_eq!(p.len(), prompt_len);
+            assert_eq!(p.tokens.len(), prompt_len);
             assert_eq!(p.decode_len, decode_len);
-            assert!(!p.is_empty());
             assert!(p.tokens.iter().all(|&t| t < 512));
         }
     }

@@ -21,10 +21,7 @@ pub mod scenario;
 pub mod task;
 pub mod trace;
 
-pub use generator::{GeneratedPrompt, TokenStreamGenerator};
+pub use generator::TokenStreamGenerator;
 pub use scenario::SharedPromptScenario;
 pub use task::{TaskKind, TaskMetric};
-pub use trace::{
-    ArrivalProcess, HierarchyPublication, PrefixHierarchy, SessionArchetype, Trace, TraceConfig,
-    TraceEngine, TraceRequest,
-};
+pub use trace::{PrefixHierarchy, SessionArchetype, Trace, TraceConfig, TraceEngine};

@@ -62,19 +62,6 @@ impl SharedPromptScenario {
         self
     }
 
-    /// Overrides the vocabulary (builder style).
-    pub fn with_vocab(mut self, vocab: usize) -> Self {
-        self.vocab = vocab;
-        self.validate();
-        self
-    }
-
-    /// Overrides the seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     fn validate(&self) {
         assert!(self.sessions > 0, "scenario needs at least one session");
         assert!(self.system_tokens > 0, "system prompt must be non-empty");
@@ -105,12 +92,12 @@ impl SharedPromptScenario {
     }
 
     /// Session `i`'s private user suffix.
-    pub fn user_suffix(&self, session: usize) -> Vec<usize> {
+    pub(crate) fn user_suffix(&self, session: usize) -> Vec<usize> {
         self.stream(&format!("user-{session}"), self.user_tokens)
     }
 
     /// Session `i`'s full first prompt: system prompt + user suffix.
-    pub fn session_prompt(&self, session: usize) -> Vec<usize> {
+    pub(crate) fn session_prompt(&self, session: usize) -> Vec<usize> {
         let mut prompt = self.system_prompt();
         prompt.extend(self.user_suffix(session));
         prompt
@@ -119,17 +106,6 @@ impl SharedPromptScenario {
     /// All session prompts, in session order.
     pub fn prompts(&self) -> Vec<Vec<usize>> {
         (0..self.sessions).map(|i| self.session_prompt(i)).collect()
-    }
-
-    /// Total prompt tokens a sharing-oblivious stack pre-fills.
-    pub fn total_prompt_tokens(&self) -> usize {
-        self.sessions * (self.system_tokens + self.user_tokens)
-    }
-
-    /// Prompt tokens that are redundant recomputation without sharing (the
-    /// system prompt re-pre-filled by every session beyond the first).
-    pub fn redundant_prompt_tokens(&self) -> usize {
-        (self.sessions - 1) * self.system_tokens
     }
 }
 
@@ -154,18 +130,14 @@ mod tests {
 
     #[test]
     fn scenario_is_deterministic() {
-        let a = SharedPromptScenario::new(3, 16, 4).with_seed(9);
-        let b = SharedPromptScenario::new(3, 16, 4).with_seed(9);
+        let seeded = |seed| SharedPromptScenario {
+            seed,
+            ..SharedPromptScenario::new(3, 16, 4)
+        };
+        let (a, b) = (seeded(9), seeded(9));
         assert_eq!(a.prompts(), b.prompts());
-        let c = SharedPromptScenario::new(3, 16, 4).with_seed(10);
+        let c = seeded(10);
         assert_ne!(a.system_prompt(), c.system_prompt());
-    }
-
-    #[test]
-    fn token_accounting() {
-        let scenario = SharedPromptScenario::new(8, 256, 16);
-        assert_eq!(scenario.total_prompt_tokens(), 8 * 272);
-        assert_eq!(scenario.redundant_prompt_tokens(), 7 * 256);
     }
 
     #[test]

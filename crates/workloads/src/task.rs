@@ -136,11 +136,6 @@ impl TaskKind {
             TaskKind::Bbq => (48, 32),
         }
     }
-
-    /// Whether lower scores are better.
-    pub fn lower_is_better(self) -> bool {
-        self.metric() == TaskMetric::Perplexity
-    }
 }
 
 #[cfg(test)]
@@ -157,9 +152,7 @@ mod tests {
     fn labels_and_metrics() {
         assert_eq!(TaskKind::WikiText2.label(), "WK2");
         assert_eq!(TaskKind::WikiText2.metric(), TaskMetric::Perplexity);
-        assert!(TaskKind::WikiText2.lower_is_better());
         assert_eq!(TaskKind::Piqa.metric(), TaskMetric::Accuracy);
-        assert!(!TaskKind::Piqa.lower_is_better());
         assert_eq!(TaskKind::CnnDailyMail.metric(), TaskMetric::Quality);
     }
 

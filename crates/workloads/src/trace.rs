@@ -211,13 +211,8 @@ impl PrefixHierarchy {
         assert!(self.user_tokens > 0, "user histories must be non-empty");
     }
 
-    /// Total depth of the full three-level prefix in tokens.
-    pub fn depth_tokens(&self) -> usize {
-        self.system_tokens + self.tool_tokens + self.user_tokens
-    }
-
     /// Number of distinct `(tool, user)` leaves.
-    pub fn leaves(&self) -> usize {
+    pub(crate) fn leaves(&self) -> usize {
         self.tools * self.users
     }
 }
@@ -262,26 +257,6 @@ impl TraceConfig {
         };
         config.validate();
         config
-    }
-
-    /// Switches the trace to diurnal arrivals (builder style).
-    pub fn with_diurnal(mut self, period_ticks: f64, amplitude: f64) -> Self {
-        let mean = match self.arrival {
-            ArrivalProcess::Poisson {
-                mean_interarrival_ticks,
-            }
-            | ArrivalProcess::Diurnal {
-                mean_interarrival_ticks,
-                ..
-            } => mean_interarrival_ticks,
-        };
-        self.arrival = ArrivalProcess::Diurnal {
-            mean_interarrival_ticks: mean,
-            period_ticks,
-            amplitude,
-        };
-        self.validate();
-        self
     }
 
     /// Overrides the archetype mixture (builder style).
@@ -364,18 +339,6 @@ pub struct Trace {
     pub horizon_ticks: u64,
 }
 
-impl Trace {
-    /// Total decode tokens the trace requests.
-    pub fn total_decode_tokens(&self) -> usize {
-        self.requests.iter().map(|r| r.decode_len).sum()
-    }
-
-    /// Total prompt tokens across all requests.
-    pub fn total_prompt_tokens(&self) -> usize {
-        self.requests.iter().map(|r| r.prompt.len()).sum()
-    }
-}
-
 /// Deterministic trace generator.
 ///
 /// ```rust
@@ -398,11 +361,6 @@ impl TraceEngine {
         TraceEngine { config }
     }
 
-    /// The trace configuration.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
-    }
-
     fn stream(&self, label: &str, len: usize) -> Vec<usize> {
         let mut rng: DetRng = rng::substream(self.config.seed, label);
         let vocab = self.config.vocab;
@@ -421,12 +379,12 @@ impl TraceEngine {
     }
 
     /// The fleet-wide system prompt (hierarchy level 1).
-    pub fn system_prompt(&self) -> Vec<usize> {
+    pub(crate) fn system_prompt(&self) -> Vec<usize> {
         self.stream("hier-system", self.config.hierarchy.system_tokens)
     }
 
     /// Tool preamble `tool` (hierarchy level 2).
-    pub fn tool_preamble(&self, tool: usize) -> Vec<usize> {
+    pub(crate) fn tool_preamble(&self, tool: usize) -> Vec<usize> {
         self.stream(
             &format!("hier-tool-{tool}"),
             self.config.hierarchy.tool_tokens,
@@ -434,7 +392,7 @@ impl TraceEngine {
     }
 
     /// User history `user` under `tool` (hierarchy level 3).
-    pub fn user_history(&self, tool: usize, user: usize) -> Vec<usize> {
+    pub(crate) fn user_history(&self, tool: usize, user: usize) -> Vec<usize> {
         self.stream(
             &format!("hier-user-{tool}-{user}"),
             self.config.hierarchy.user_tokens,
@@ -443,7 +401,7 @@ impl TraceEngine {
 
     /// All `(tool, user)` hierarchy publications, each carrying its three
     /// strictly increasing level boundaries.
-    pub fn publications(&self) -> Vec<HierarchyPublication> {
+    pub(crate) fn publications(&self) -> Vec<HierarchyPublication> {
         let hierarchy = self.config.hierarchy;
         let system = self.system_prompt();
         let mut publications = Vec::with_capacity(hierarchy.leaves());
@@ -558,9 +516,10 @@ mod tests {
 
     #[test]
     fn every_prompt_starts_with_its_hierarchy_leaf() {
-        let engine = TraceEngine::new(TraceConfig::poisson(64, 2.0));
-        let trace = engine.generate();
-        let hierarchy = engine.config().hierarchy;
+        let config = TraceConfig::poisson(64, 2.0);
+        let hierarchy = config.hierarchy;
+        let trace = TraceEngine::new(config).generate();
+        let depth = hierarchy.system_tokens + hierarchy.tool_tokens + hierarchy.user_tokens;
         assert_eq!(trace.publications.len(), hierarchy.leaves());
         for publication in &trace.publications {
             assert_eq!(
@@ -568,13 +527,13 @@ mod tests {
                 vec![
                     hierarchy.system_tokens,
                     hierarchy.system_tokens + hierarchy.tool_tokens,
-                    hierarchy.depth_tokens()
+                    depth
                 ]
             );
-            assert_eq!(publication.tokens.len(), hierarchy.depth_tokens());
+            assert_eq!(publication.tokens.len(), depth);
         }
         for request in &trace.requests {
-            assert!(request.prompt.len() > hierarchy.depth_tokens());
+            assert!(request.prompt.len() > depth);
             let leaf = trace
                 .publications
                 .iter()
@@ -623,10 +582,27 @@ mod tests {
         }
     }
 
+    /// `config` with its Poisson arrivals swapped for diurnal ones at the
+    /// same base rate.
+    fn diurnal(mut config: TraceConfig, period_ticks: f64, amplitude: f64) -> TraceConfig {
+        let ArrivalProcess::Poisson {
+            mean_interarrival_ticks,
+        } = config.arrival
+        else {
+            panic!("a poisson config");
+        };
+        config.arrival = ArrivalProcess::Diurnal {
+            mean_interarrival_ticks,
+            period_ticks,
+            amplitude,
+        };
+        config
+    }
+
     #[test]
     fn diurnal_rate_modulates_arrival_density() {
         let period = 400.0;
-        let config = TraceConfig::poisson(2000, 1.0).with_diurnal(period, 0.9);
+        let config = diurnal(TraceConfig::poisson(2000, 1.0), period, 0.9);
         let trace = TraceEngine::new(config).generate();
         // First arrivals per session only (turn 0), split by phase half.
         let mut peak = 0usize;
@@ -648,6 +624,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "amplitude")]
     fn unit_amplitude_panics() {
-        TraceEngine::new(TraceConfig::poisson(4, 1.0).with_diurnal(100.0, 1.0));
+        TraceEngine::new(diurnal(TraceConfig::poisson(4, 1.0), 100.0, 1.0));
     }
 }

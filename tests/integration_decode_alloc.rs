@@ -195,6 +195,54 @@ fn decode_steps_have_zero_steady_state_heap_growth_under_2drp_faults() {
     assert!(faults.stats().bits_flipped > 0);
 }
 
+/// The allocator calls each of `steps` decode steps makes under `policy`,
+/// after a warm-up of `warm_up` steps from the same prompt.
+fn decode_alloc_calls(policy: CachePolicy, warm_up: usize, steps: usize) -> Vec<usize> {
+    let model = small_model(7);
+    let mut cache = policy.build(budget(), model.dims().heads);
+    let mut state = GenerationState::new();
+    prefill(
+        &model,
+        &mut state,
+        &prompt(24, 1),
+        cache.as_mut(),
+        &mut NoFaults,
+    );
+    for _ in 0..warm_up {
+        let _ = decode_step(&model, &mut state, None, cache.as_mut(), &mut NoFaults);
+    }
+    (0..steps)
+        .map(|_| {
+            let calls = alloc_calls();
+            drop(decode_step(
+                &model,
+                &mut state,
+                None,
+                cache.as_mut(),
+                &mut NoFaults,
+            ));
+            alloc_calls() - calls
+        })
+        .collect()
+}
+
+/// QuaRot stores the int4 image of each key and value, written in place
+/// into the row its arena just pushed, so its insert allocates nothing: a
+/// decode step calls the allocator no more often than Full's does from the
+/// same prompt.  Neither evicts, so both arenas grow by one row a step and
+/// reallocate at the same steps.
+#[test]
+fn quarot_decode_steps_allocate_no_more_than_full_ones() {
+    let full = decode_alloc_calls(CachePolicy::Full, 64, 160);
+    let quarot = decode_alloc_calls(CachePolicy::QuaRotInt4, 64, 160);
+    for (step, (q, f)) in quarot.iter().zip(&full).enumerate() {
+        assert!(
+            q <= f,
+            "QuaRot called the allocator {q} times at step {step}, Full {f}"
+        );
+    }
+}
+
 /// FNV-1a over little-endian words.
 fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
