@@ -506,9 +506,9 @@ impl KvPlacement {
     /// unbounded) over an optional tier hierarchy.  An unbounded scheduler
     /// still runs the ledger (at `u64::MAX` capacity) so high-water
     /// accounting works identically in both modes.  Under tiering the ledger
-    /// spans the whole hierarchy — eDRAM scarcity is the tier manager's job,
-    /// so per-request grants and spill stay identical to an unlimited run and
-    /// only migration costs differ.
+    /// is unbounded too: eDRAM scarcity is the tier manager's job, and the
+    /// NVMe bottom tier has no bound, so per-request grants and spill stay
+    /// identical to an unlimited run and only migration costs differ.
     pub(crate) fn new(
         kv_capacity_bytes: Option<u64>,
         tiering: Option<TierConfig>,
@@ -517,8 +517,7 @@ impl KvPlacement {
     ) -> Self {
         let ledger = match (kv_capacity_bytes, &tiering) {
             (Some(bytes), _) => CapacityLedger::new(bytes),
-            (None, Some(tiering)) => CapacityLedger::for_tier_budgets(&tiering.budgets),
-            (None, None) => CapacityLedger::new(u64::MAX),
+            (None, _) => CapacityLedger::new(u64::MAX),
         };
         KvPlacement {
             ledger,

@@ -112,17 +112,6 @@ impl CapacityLedger {
         }
     }
 
-    /// A ledger sized to a whole tiered hierarchy
-    /// (the sum of its [`TierBudgets`](crate::TierBudgets)): the
-    /// ledger bounds *total* live KV across every tier while the per-tier
-    /// budgets in [`TierAccounts`](crate::TierAccounts) bound where those
-    /// bytes reside.  Under tiering, admission plans against the eDRAM tier's
-    /// free bytes; this ledger only refuses footprints the entire hierarchy
-    /// cannot hold.
-    pub fn for_tier_budgets(budgets: &crate::TierBudgets) -> Self {
-        CapacityLedger::new(budgets.total_bytes().max(1))
-    }
-
     /// The arbitrated capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes

@@ -64,23 +64,24 @@ impl MemoryTier {
 
 /// Byte budgets of the three tiers.
 ///
-/// The NVMe budget is advisory — it is the bottom of the hierarchy, so
-/// rebalancing has nowhere further to demote and the tier may exceed it
-/// (exactly like the ledger's force-reserve oversubscription).  eDRAM and
-/// DRAM budgets are hard: the watermark rebalance demotes until they hold.
+/// eDRAM and DRAM budgets are hard: the watermark rebalance demotes until
+/// they hold.  NVMe is the bottom of the hierarchy, so rebalancing has
+/// nowhere further to demote: its budget is [`TierBudgets::NVME_BYTES`],
+/// unbounded, and not a setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierBudgets {
     /// eDRAM tier budget in full-scale KV bytes.
     pub edram_bytes: u64,
     /// DRAM tier budget in full-scale KV bytes.
     pub dram_bytes: u64,
-    /// NVMe tier budget in full-scale KV bytes (advisory).
-    pub nvme_bytes: u64,
 }
 
 impl TierBudgets {
-    /// Budgets with an explicit eDRAM bound, DRAM at 16 GiB and an unbounded
-    /// NVMe bottom tier.
+    /// The NVMe tier's budget: unbounded, since nothing lies below it.
+    pub const NVME_BYTES: u64 = u64::MAX;
+
+    /// Budgets with an explicit eDRAM bound, DRAM at 16 GiB and the
+    /// unbounded NVMe bottom tier.
     ///
     /// # Panics
     ///
@@ -90,7 +91,6 @@ impl TierBudgets {
         TierBudgets {
             edram_bytes,
             dram_bytes: 16 * 1024 * 1024 * 1024,
-            nvme_bytes: u64::MAX,
         }
     }
 
@@ -110,16 +110,8 @@ impl TierBudgets {
         match tier {
             MemoryTier::Edram => self.edram_bytes,
             MemoryTier::Dram => self.dram_bytes,
-            MemoryTier::Nvme => self.nvme_bytes,
+            MemoryTier::Nvme => Self::NVME_BYTES,
         }
-    }
-
-    /// Total bytes of the whole hierarchy (saturating: the advisory NVMe
-    /// budget defaults to `u64::MAX`).
-    pub(crate) fn total_bytes(&self) -> u64 {
-        self.edram_bytes
-            .saturating_add(self.dram_bytes)
-            .saturating_add(self.nvme_bytes)
     }
 }
 
@@ -271,7 +263,6 @@ mod tests {
         assert_eq!(budgets.budget(MemoryTier::Edram), 4 << 20);
         assert_eq!(budgets.budget(MemoryTier::Dram), 64 << 20);
         assert_eq!(budgets.budget(MemoryTier::Nvme), u64::MAX);
-        assert_eq!(budgets.total_bytes(), u64::MAX, "saturating total");
     }
 
     #[test]

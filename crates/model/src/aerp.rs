@@ -35,15 +35,17 @@ enum Format {
     Fp16,
     /// The int4 image of key and value.
     Int4,
-    /// The layer input `x`, once per layer.
+    /// The layer input `x`, once per layer, billed; plus each head's key
+    /// and value on the host only.
     Input,
 }
 
 /// What a head stores for its retained tokens, parallel to its token list.
 #[derive(Debug, Clone)]
 enum Stored {
-    /// AERP: the slab slot of each token's input row.
-    Rows(Vec<usize>),
+    /// AERP: the slab slot of each token's input row, and the host's copy
+    /// of the head's key and value of it.
+    Rows { slots: Vec<usize>, kv: KvArena },
     /// Every other policy: each token's key and value.
     Kv(KvArena),
 }
@@ -106,7 +108,10 @@ impl Layer {
             scores: Vec::new(),
             observed: 0,
             stored: if format == Format::Input {
-                Stored::Rows(Vec::new())
+                Stored::Rows {
+                    slots: Vec::new(),
+                    kv: KvArena::new(head_dim),
+                }
             } else {
                 Stored::Kv(KvArena::new(head_dim))
             },
@@ -118,8 +123,16 @@ impl Layer {
         }
     }
 
-    /// Appends `token` to every head with a zero score, stored in `format`.
-    fn push(&mut self, token: TokenId, x: &[f32], keys: &[f32], values: &[f32], format: Format) {
+    /// Appends `token` to every head with a zero score, stored in `format`;
+    /// no head holds more than `limit` entries from here on.
+    fn push(
+        &mut self,
+        token: TokenId,
+        x: &[f32],
+        (keys, values): (&[f32], &[f32]),
+        format: Format,
+        limit: usize,
+    ) {
         let head_dim = keys.len() / self.heads.len();
         let mut slot = None;
         for (head, (key, value)) in self.heads.iter_mut().zip(
@@ -129,7 +142,10 @@ impl Layer {
             head.tokens.push(token);
             head.scores.push(0.0);
             match &mut head.stored {
-                Stored::Rows(slots) => slots.push(*slot.get_or_insert_with(|| self.rows.push(x))),
+                Stored::Rows { slots, kv } => {
+                    slots.push(*slot.get_or_insert_with(|| self.rows.push(x)));
+                    kv.push_within(key, value, limit);
+                }
                 Stored::Kv(arena) => {
                     arena.push(key, value);
                     if format == Format::Int4 {
@@ -155,7 +171,8 @@ impl Layer {
         head.tokens.remove(i);
         head.scores.remove(i);
         match &mut head.stored {
-            Stored::Rows(slots) => {
+            Stored::Rows { slots, kv } => {
+                kv.remove_at(i);
                 let slot = slots.remove(i);
                 self.holders[slot] -= 1;
                 if self.holders[slot] == 0 {
@@ -192,7 +209,7 @@ impl Layer {
 /// | StreamingLLM | oldest non-sink | on every insert | FP16 K/V | sinks high |
 /// | H2O | lowest score | after pre-fill | FP16 K/V | median |
 /// | QuaRot | none | never | int4 K/V image | all high |
-/// | AERP | lowest score | after pre-fill | `x` | median |
+/// | AERP | lowest score | after pre-fill | `x` (billed) + host-only K/V | median |
 ///
 /// * **Victim rule.** StreamingLLM (Xiao et al., cited as \[83\]) keeps the
 ///   attention sinks and the most recent tokens, so its victim is the oldest
@@ -214,10 +231,16 @@ impl Layer {
 ///   at every read), and is billed at int4 bytes; the Hadamard rotation is
 ///   left out, as the surrogate has no outliers for it to remove.  AERP
 ///   stores `x` (§4.1.2): a token's layer input (`C` elements) is kept once
-///   per layer in a slot-recycling slab, and K/V are recomputed through
-///   `W_K`/`W_V` when the token is read ([`PayloadRef::Recompute`]).  Each
-///   head holds the row's slab slot; a per-slot count of retaining heads
-///   frees the row when the last of them evicts the token.
+///   per layer in a slot-recycling slab, and the device recomputes K/V
+///   through `W_K`/`W_V` when the token is read ([`PayloadRef::Recompute`]).
+///   Each head holds the row's slab slot; a per-slot count of retaining
+///   heads frees the row when the last of them evicts the token.  Beside
+///   the slot, each head keeps the key and value its insert received in an
+///   arena like H2O's, on the host only: the attention pass reads them
+///   instead of recomputing them, and corrects them for the words a faulted
+///   read of `x` flipped.  That copy is neither stored on the device nor
+///   billed: `CacheStats` counts the row, at `C` elements, and no K/V
+///   entry.
 /// * **Label.** The HST/LST split of 2DRP (§4.2).  StreamingLLM labels its
 ///   sinks high and QuaRot every entry.  H2O and AERP rank each entry
 ///   against the median of its head's scores (a new token scores 0.0): each
@@ -419,7 +442,9 @@ impl KvCacheBackend for KvStore {
             self.layers
                 .resize_with(layer + 1, || Layer::new(heads, head_dim, format));
         }
-        self.layers[layer].push(token, x, keys, values, format);
+        // A head holds its capacity plus the arriving token until it settles.
+        let limit = self.capacity().saturating_add(1);
+        self.layers[layer].push(token, x, (keys, values), format, limit);
         for head in 0..self.heads {
             self.settle(layer, head, Some(token));
         }
@@ -440,12 +465,17 @@ impl KvCacheBackend for KvStore {
         };
         let head = &state.heads[head];
         match &head.stored {
-            Stored::Rows(slots) => self.visit_labelled(
+            Stored::Rows { slots, kv } => self.visit_labelled(
                 head,
-                slots.iter().map(|&slot| PayloadRef::Recompute {
-                    x: state.rows.row(slot),
-                    slot,
-                }),
+                slots
+                    .iter()
+                    .zip(kv.pairs())
+                    .map(|(&slot, (key, value))| PayloadRef::Recompute {
+                        x: state.rows.row(slot),
+                        slot,
+                        key,
+                        value,
+                    }),
                 visit,
             ),
             Stored::Kv(arena) => self.visit_labelled(
@@ -1001,6 +1031,57 @@ mod tests {
                 }
             }
             assert_eq!(cache.stats().kv_entries, 0, "step {step}");
+        }
+    }
+
+    /// The host's key and value beside each stored row are neither billed
+    /// nor leaked: after a faulted decode far past the budget, AERP reports
+    /// no KV entry and bills each stored row's `x` alone, and every head's
+    /// copy holds exactly the entries it retains.
+    #[test]
+    fn the_host_kv_copy_is_neither_billed_nor_leaked() {
+        use crate::fault::{BitFlipRates, ProbabilisticFaults};
+        use crate::generation::{decode_step, prefill, GenerationState};
+        use crate::{FaultInjector, ModelConfig, ModelKind, SurrogateDims, SurrogateModel};
+
+        let dims = SurrogateDims {
+            layers: 2,
+            heads: 4,
+            channels: 32,
+            ffn_dim: 64,
+            vocab: 96,
+        };
+        let model = SurrogateModel::new(
+            ModelConfig::for_kind(ModelKind::Llama2_7b).with_surrogate(dims),
+            3,
+        );
+        let budget = CacheBudget::new(8)
+            .with_recent_window(2)
+            .with_sink_tokens(1);
+        let mut cache = KvStore::for_policy(CachePolicy::Aerp, budget, dims.heads);
+        let mut faults = ProbabilisticFaults::new(BitFlipRates::uniform(1e-2), 9);
+        let mut state = GenerationState::new();
+        let prompt: Vec<usize> = (0..12).map(|i| (i * 37 + 5) % dims.vocab).collect();
+        prefill(&model, &mut state, &prompt, &mut cache, &mut faults);
+        for _ in 0..40 {
+            decode_step(&model, &mut state, None, &mut cache, &mut faults);
+        }
+        assert!(faults.stats().bits_flipped > 0);
+        let stats = cache.stats();
+        assert!(stats.evictions > 0);
+        assert_eq!(stats.kv_entries, 0);
+        let rows: usize = cache.layers.iter().map(|layer| layer.rows.len()).sum();
+        assert_eq!(stats.recompute_entries, rows);
+        assert_eq!(stats.bytes_fp16, rows * dims.channels * 2);
+        for (l, layer) in cache.layers.iter().enumerate() {
+            for (h, head) in layer.heads.iter().enumerate() {
+                let Stored::Rows { slots, kv } = &head.stored else {
+                    unreachable!("AERP stores rows")
+                };
+                assert!(head.tokens.len() <= 8, "layer {l} head {h}");
+                assert_eq!(slots.len(), head.tokens.len(), "layer {l} head {h}");
+                assert_eq!(kv.len(), head.tokens.len(), "layer {l} head {h}");
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 //!   strided by `head_dim`;
 //! * **the input vector `x`** (AERP, §4.1.2) goes once per layer in a
 //!   slot-recycling [`InputSlab`], and each head holds the slots of the rows
-//!   it retains.
+//!   it retains, beside a host-only [`KvArena`] of their keys and values.
 //!
 //! The allocation discipline is:
 //!
@@ -94,6 +94,19 @@ impl KvArena {
         assert_eq!(value.len(), self.head_dim, "value length must match stride");
         self.keys.extend_from_slice(key);
         self.values.extend_from_slice(value);
+    }
+
+    /// [`push`](Self::push), growing full buffers by doubling but never past
+    /// room for `limit` entries: a head that never holds more than `limit`
+    /// keeps no doubling slack beyond it.
+    pub(crate) fn push_within(&mut self, key: &[f32], value: &[f32], limit: usize) {
+        if self.keys.len() == self.keys.capacity() {
+            let len = self.len();
+            let entries = (2 * len).max(4).min(limit).max(len + 1);
+            self.keys.reserve_exact((entries - len) * self.head_dim);
+            self.values.reserve_exact((entries - len) * self.head_dim);
+        }
+        self.push(key, value);
     }
 
     /// Borrows the newest entry's key and value vectors mutably.

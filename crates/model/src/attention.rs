@@ -6,8 +6,8 @@
 //! sum of cached values `v^h_n`.  The cached entries may arrive in any order
 //! (the permutation-invariance property of §2.2 that lets Kelle reuse evicted
 //! slots), and an entry may carry either the KV vectors themselves or the
-//! token's input vector `x_n`, in which case the key/value are recomputed
-//! through `W_K`/`W_V` on the fly (§4.1.2).
+//! token's input vector `x_n`, from which the device recomputes the key and
+//! value through `W_K`/`W_V` (§4.1.2).
 //!
 //! # The fused, allocation-free pass
 //!
@@ -30,31 +30,33 @@
 //!    and both corrupted there at its HST/LST label, an entry of the current
 //!    pass is read clean (its stored key scores it directly, no lane call is
 //!    made and no label is asked for).  Either way the entry is scored at
-//!    once.  A `Recompute` entry of the open pass is scored from the key the
-//!    pass holds for it, and its held value is stashed: no row-table visit,
-//!    no recompute (see the pass rule below).  Any other `Recompute` entry enters the layer's row table
-//!    under its slot (no hashing), with its label if an earlier pass
-//!    computed it, and reserves its value's place in the stash.  A label is
-//!    asked for only where a read goes through the lane, so the head's
-//!    median is selected at most once per traversal, and never in a pass
-//!    that reads every row clean.
-//! 2. **Read the rows.**  Each distinct stored row is copied once and, if an
-//!    earlier pass computed it, corrupted once on the layer's row lane,
-//!    whatever number of heads retain it; a row of the current pass that
-//!    is not held (a decode step's own) skips the lane.  Then, for every
-//!    head that retains a row and only for those, the head's `head_dim`
-//!    rows of `W_K`/`W_V` recompute its key and value, two rows at a time:
-//!    consecutive (head, row) pairs of one head share a pass over its
-//!    weight rows
-//!    ([`Matrix::matvec_rows_pair_into`](kelle_tensor::Matrix::matvec_rows_pair_into)),
-//!    a lone one takes
-//!    [`Matrix::matvec_rows_into`](kelle_tensor::Matrix::matvec_rows_into),
-//!    and both are bitwise the single-row product.  The row's angle table
-//!    rotates the key, and the key scores the entry while the value fills
-//!    its stashed slot.  Angle tables are kept per (layer, input-slab slot)
-//!    across steps and rebuilt only when the slot holds a new token, so a
-//!    stored row's table is built once in its lifetime and their memory is
-//!    bounded by the slab, not by the context length.
+//!    once.  A `Recompute` entry of the current pass is read clean the same
+//!    way, from the key and value the host keeps for it: no row-table visit
+//!    and no recompute (see the pass rule below).  A `Recompute` entry of an
+//!    earlier pass enters the layer's row table under its slot (no hashing),
+//!    with its label; its key is copied beside the table, its value into its
+//!    place in the stash, and its score waits for phase 2.  A label is asked
+//!    for only where a read goes through the lane, so the head's median is
+//!    selected at most once per traversal, and never in a pass that reads
+//!    every row clean.
+//! 2. **Read the rows.**  Each distinct stored row of an earlier pass is
+//!    copied once and corrupted once on the layer's row lane, whatever number
+//!    of heads retain it, and the copy is compared with the stored row bit
+//!    for bit: the words that differ are the row's flipped columns `J`, each
+//!    with `δ_j = x′_j − x_j` in f32.  Then, for every head that retains the
+//!    row and only for those, the host's key and value are corrected for
+//!    exactly those words — `K′ = K + rot(W_K,h[:, J]·δ_J)` and
+//!    `V′ = V + W_V,h[:, J]·δ_J` — instead of recomputed from the whole row.
+//!    The correction reads the layer's head-major column copy of
+//!    `[W_K; W_V]`, `2 × head_dim` floats per flipped word, and accumulates
+//!    over `J` in ascending column order with a separate multiply and add,
+//!    so every platform rounds it alike; only the key's part is rotated, by
+//!    the row's angle table.  A row with no flipped word is read as stored.
+//!    The key scores the entry, and the value stays in its stashed slot.
+//!    Angle tables are kept per (layer, input-slab slot) across steps and
+//!    rebuilt only when the slot holds a new token, so a stored row's table
+//!    is built once in its lifetime and their memory is bounded by the slab,
+//!    not by the context length.
 //! 3. **Attend per head.**  [`ops::softmax_into`] in place over the head's
 //!    scores, the weighted-value accumulation from the stash in entry order,
 //!    then [`observe_attention`](KvCacheBackend::observe_attention).
@@ -65,15 +67,44 @@
 //! own reads all precede its own report.  A policy that stores no rows pays
 //! nothing for phase 2.
 //!
+//! The device recomputes every `Recompute` entry it reads from the stored
+//! `x`, and that is what `recomputed_entries` counts and `kelle-arch` bills;
+//! the host's key and value are neither stored on the device nor billed.
+//!
+//! # Exact reads and corrected reads
+//!
 //! Every rotation is the same arithmetic on the same table entries, so a
 //! key recomputed and rotated by its row's table equals, bit for bit, the
-//! key its own forward rotated by its position's table: without faults AERP
-//! (which stores rows) serves exactly what H2O (which stores keys) serves.
+//! key its own forward rotated by its position's table.  The store keeps
+//! that key and value, so a read of an intact row — every row of the current
+//! pass, every row under [`NoFaults`](crate::fault::NoFaults), and every row
+//! of an earlier pass the lane left untouched — is bitwise what a recompute
+//! from the stored `x` yields: without faults AERP (which stores rows)
+//! serves exactly what H2O (which stores keys) serves.
+//!
+//! A row with flipped words is read as the stored key and value plus a
+//! correction.  Projection and rotation are linear, so in exact arithmetic
+//! that is the recompute from the corrupted row `x′`; in f32 the two differ
+//! in rounding only.  With unit roundoff `u = 2⁻²⁴`, `γ_k = k·u / (1 − k·u)`,
+//! `n = channels` and, for each weight row `r` of the head,
+//! `P_r = Σ_j |w_rj·x_j|`, `P′_r = Σ_j |w_rj·x′_j|` and
+//! `D_r = Σ_{j∈J} |w_rj·δ_j|`, the standard dot-product error bound
+//! (`|fl(w·x) − w·x| ≤ γ_n·Σ|w_i·x_i|`) applied to the stored projection, the
+//! correction, the recompute and their additions gives, for a value element,
+//! `|V′_r − V̂_r| ≤ γ_{n+3}·(P_r + P′_r + D_r)`, where `V̂` is the recompute
+//! from `x′`.  A key element `r` of the rotated pair `(a, b)` mixes both rows
+//! of its pair (`|sin|, |cos| ≤ 1`) and takes two roundings more:
+//! `|K′_r − K̂_r| ≤ γ_{n+5}·Σ_{s∈{a,b}} (P_s + P′_s + D_s)`.  In debug builds
+//! (and in this module's unit tests in release too) every corrected read is
+//! recomputed from the corrupted row and held to these sums times `γ_{n+8}`,
+//! plus `2⁻¹²⁶` for underflow.
 //!
 //! What the pass computes is pinned outside the code: the golden matrices in
 //! `tests/integration_decode_alloc.rs` (model level) and
 //! `tests/integration_golden.rs` (serving level) hold token streams,
-//! probability bits, cache and fault counters to captured constants.
+//! probability bits, cache and fault counters to captured constants, and
+//! `tests/integration_oracle.rs` holds the fault-free logits to an f64
+//! forward.
 //!
 //! Retention faults are applied by the [`FaultInjector`] to the *stored*
 //! representation at read time, where the bits physically live in eDRAM: a
@@ -93,19 +124,14 @@
 //! in the pass.  A forward that no generation state opened a pass for is a
 //! block of one: only the token's own row is clean.
 //!
-//! The pass keeps what it read clean on the host, as the device keeps it in
-//! on-chip buffers: while a pass is open, each forward appends its token's
-//! rotated keys and values to the scratch, per layer, and a prefix hit's
-//! replayed rows are held from the segment's recording of the publication
-//! pass.  Phase 1 reads an AERP entry of the pass from there instead of
-//! recomputing it from its stored row, so a prompt's attention no longer
-//! recomputes every earlier row of the prompt at every step.  The entry
-//! still counts in `recomputed_entries`: the device recomputes it, and that
-//! is what the hardware model bills.  A held key equals the recomputed one
-//! bit for bit (the rotation argument above), and a debug build checks it
-//! at every held read.  Rows of earlier passes go through phase 2 in the
-//! same row-table order as before, so the lanes draw the same words.
-//! Closing the pass drops the held rows; a decode step holds none.
+//! An AERP entry of the pass is read from the key and value the store keeps
+//! beside its row: those its insert received, from the pass's own
+//! projection or, for a prefix hit's replayed rows, from the segment's
+//! recording of the publication pass's projection.  So a prompt's attention
+//! recomputes no row of the prompt.  The entry still counts in
+//! `recomputed_entries`: the device recomputes it, and that is what the
+//! hardware model bills.  Rows of earlier passes go through phase 2 in
+//! row-table order, so the lanes draw the same words.
 
 use crate::cache::{KvCacheBackend, PayloadRef, TokenId};
 use crate::fault::{FaultInjector, TokenGroup};
@@ -138,9 +164,10 @@ pub struct DecodeScratch {
     heads_at: Vec<(usize, usize)>,
     /// Staged value vectors, `head_dim` per entry of every head, in entry
     /// order: a `Kv` entry's value copied and corrupted, a `Recompute`
-    /// entry's value recomputed from its corrupted row.
+    /// entry's value copied and, if its row read flipped, corrected.
     pub(crate) stash: Vec<f32>,
-    /// Staging buffer for a corrupted or recomputed key, length `head_dim`.
+    /// Staging buffer for a corrupted key (`head_dim`) or a key-and-value
+    /// correction (`2 × head_dim`).
     pub(crate) kbuf: Vec<f32>,
     /// The RoPE angle table of the current token's position, shared by its
     /// query and key heads in every layer.
@@ -151,10 +178,8 @@ pub struct DecodeScratch {
     /// entries from it on are read clean.  `None` makes every forward a
     /// block of one.
     pass_start: Option<TokenId>,
-    /// The rotated keys and values of the open pass's rows, from its first
-    /// token on; empty when no pass is open.
-    held: HeldRows,
-    /// The layer's stored input rows, each read once per layer.
+    /// The layer's stored input rows of earlier passes, each read once per
+    /// layer.
     rows: RowTable,
     /// Per layer, the RoPE angle tables of the rows its input slab stores,
     /// kept across steps.
@@ -199,75 +224,21 @@ impl DecodeScratch {
         &self.attention
     }
 
-    /// Opens a pass at `start` unless one is open: every forward until
-    /// [`end_pass`](Self::end_pass) holds its row's keys and values.
+    /// Opens a pass at `start` unless one is open: every row from `start`
+    /// on is read clean until [`end_pass`](Self::end_pass).
     pub(crate) fn open_pass(&mut self, start: TokenId) {
         self.pass_start.get_or_insert(start);
     }
 
-    /// Holds `layer`'s next row of the open pass: a row the pass did not
-    /// compute itself, such as a replayed prefix's.
-    pub(crate) fn hold(&mut self, layer: usize, token: TokenId, keys: &[f32], values: &[f32]) {
-        let start = self.pass_start.expect("rows are held only in an open pass");
-        self.held.push(layer, token - start, keys, values);
-    }
-
-    /// Closes the open pass and drops its held rows.
+    /// Closes the open pass.
     pub(crate) fn end_pass(&mut self) {
         self.pass_start = None;
-        self.held = HeldRows::default();
-    }
-
-    /// The keys and values of the open pass's rows held for `layer`, flat.
-    #[cfg(test)]
-    pub(crate) fn held_rows(&self, layer: usize) -> (&[f32], &[f32]) {
-        self.held.layer(layer)
     }
 }
 
-/// The rotated keys and values of the open pass's rows, per layer, in token
-/// order from the pass's first token: `width` (`channels`) floats per row,
-/// head-major.  A `Recompute` entry of the pass reads its key and value
-/// here instead of recomputing them from its stored row.
-#[derive(Debug, Clone, Default)]
-struct HeldRows {
-    width: usize,
-    keys: Vec<Vec<f32>>,
-    values: Vec<Vec<f32>>,
-}
-
-impl HeldRows {
-    /// Appends `layer`'s row `index` (counted from the pass's first token).
-    fn push(&mut self, layer: usize, index: usize, keys: &[f32], values: &[f32]) {
-        if self.keys.len() <= layer {
-            self.keys.resize_with(layer + 1, Vec::new);
-            self.values.resize_with(layer + 1, Vec::new);
-        }
-        self.width = keys.len();
-        // Phase 1 finds a row by its distance from the pass's first token.
-        assert_eq!(self.rows(layer), index, "a pass holds its rows in order");
-        self.keys[layer].extend_from_slice(keys);
-        self.values[layer].extend_from_slice(values);
-    }
-
-    /// The rows held for `layer`.
-    fn rows(&self, layer: usize) -> usize {
-        self.keys
-            .get(layer)
-            .map_or(0, |k| k.len() / self.width.max(1))
-    }
-
-    /// `layer`'s held keys and values, flat.
-    fn layer(&self, layer: usize) -> (&[f32], &[f32]) {
-        match (self.keys.get(layer), self.values.get(layer)) {
-            (Some(k), Some(v)) => (k, v),
-            _ => (&[], &[]),
-        }
-    }
-}
-
-/// The stored input rows of one layer's `Recompute` entries, in the order
-/// phase 1 first visits them, plus every (head, row) pair that reads one.
+/// The stored input rows of one layer's `Recompute` entries of earlier
+/// passes, in the order phase 1 first visits them, plus every (head, row)
+/// pair that reads one.
 #[derive(Debug, Clone, Default)]
 struct RowTable {
     /// Per input-slab slot: the row's index in this table, or
@@ -275,21 +246,27 @@ struct RowTable {
     of_slot: Vec<u32>,
     /// Per row: its slot (to reset `of_slot`).
     slot: Vec<usize>,
-    /// Per row: its token, the RoPE position of its recomputed keys.
+    /// Per row: its token, the RoPE position of its keys.
     token: Vec<TokenId>,
-    /// Per row of an earlier pass: whether any head that retains it ranks
-    /// it high.  A row of the current pass, read clean, is not ranked.
+    /// Per row: whether any head that retains it ranks it high.
     high: Vec<bool>,
-    /// The rows' stored inputs, `channels` per row: copied, then corrupted,
-    /// once per layer.
+    /// The rows' stored inputs, `channels` per row, as stored.
     x: Vec<f32>,
-    /// Every (head, row) pair phase 2 recomputes, head by head in entry
-    /// order.
+    /// The rows as the row lane read them, `channels` per row.
+    read: Vec<f32>,
+    /// Every flipped word of every row, row after row, each in ascending
+    /// column order: its column and `δ = x′ − x`.
+    flips: Vec<(u32, f32)>,
+    /// Per row: its range of `flips`.
+    flips_at: Vec<(usize, usize)>,
+    /// Every (head, row) pair phase 2 reads, head by head in entry order.
     uses: Vec<RowUse>,
+    /// Per use: the head's stored key, `head_dim` floats, corrected in place.
+    keys: Vec<f32>,
 }
 
-/// One head's `Recompute` entry: which row it reads and where its score and
-/// stashed value go.
+/// One head's `Recompute` entry of an earlier pass: which row it reads and
+/// where its score and stashed value go.
 #[derive(Debug, Clone, Copy)]
 struct RowUse {
     head: usize,
@@ -310,7 +287,11 @@ impl RowTable {
         self.token.clear();
         self.high.clear();
         self.x.clear();
+        self.read.clear();
+        self.flips.clear();
+        self.flips_at.clear();
         self.uses.clear();
+        self.keys.clear();
     }
 
     /// The index of the row stored in `slot`, copying `x` in on the row's
@@ -337,6 +318,41 @@ impl RowTable {
             }
         }
     }
+
+    /// Reads every row once on the row lane, `channels` words each, at its
+    /// group, and records the words the read flipped.
+    fn read_through(&mut self, channels: usize, faults: &mut dyn FaultInjector) {
+        self.read.clear();
+        self.read.extend_from_slice(&self.x);
+        // Every word of every row may flip, so `flips` never outgrows what
+        // the rows bound, and a warm scratch allocates nothing here.
+        self.flips.clear();
+        self.flips.reserve(self.x.len());
+        self.flips_at.clear();
+        for ((read, x), &high) in self
+            .read
+            .chunks_exact_mut(channels)
+            .zip(self.x.chunks_exact(channels))
+            .zip(&self.high)
+        {
+            faults.corrupt_slice(read, group(high));
+            let start = self.flips.len();
+            // The words whose bits differ, 64 at a time as a mask, so the
+            // compare takes no branch per word.
+            for (block, (read, x)) in read.chunks(64).zip(x.chunks(64)).enumerate() {
+                let mut mask = 0u64;
+                for (j, (r, s)) in read.iter().zip(x).enumerate() {
+                    mask |= u64::from(r.to_bits() != s.to_bits()) << j;
+                }
+                while mask != 0 {
+                    let j = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    self.flips.push(((64 * block + j) as u32, read[j] - x[j]));
+                }
+            }
+            self.flips_at.push((start, self.flips.len()));
+        }
+    }
 }
 
 /// One layer's RoPE angle tables of its stored rows, by input-slab slot.
@@ -354,15 +370,15 @@ struct SlotAngles {
 }
 
 impl SlotAngles {
-    /// The table of the row `token` stored in `slot`, built by `build` when
-    /// the slot's table belongs to another token.
-    fn table<I: Iterator<Item = (f32, f32)>>(
+    /// Makes the table of `slot` the one of the row `token` stored there,
+    /// built by `build` when the slot's table belongs to another token.
+    fn hold<I: Iterator<Item = (f32, f32)>>(
         &mut self,
         slot: usize,
         token: TokenId,
         half: usize,
         build: impl FnOnce() -> I,
-    ) -> &[(f32, f32)] {
+    ) {
         if self.half != half {
             *self = SlotAngles {
                 half,
@@ -373,14 +389,18 @@ impl SlotAngles {
             self.token.resize(slot + 1, None);
             self.angles.resize((slot + 1) * half, (0.0, 0.0));
         }
-        let table = &mut self.angles[slot * half..(slot + 1) * half];
         if self.token[slot] != Some(token) {
+            let table = &mut self.angles[slot * half..(slot + 1) * half];
             for (entry, angle) in table.iter_mut().zip(build()) {
                 *entry = angle;
             }
             self.token[slot] = Some(token);
         }
-        table
+    }
+
+    /// The table [`hold`](Self::hold) last made for `slot`.
+    fn of(&self, slot: usize) -> &[(f32, f32)] {
+        &self.angles[slot * self.half..(slot + 1) * self.half]
     }
 }
 
@@ -390,6 +410,34 @@ fn group(high_score: bool) -> TokenGroup {
         TokenGroup::HighScore
     } else {
         TokenGroup::LowScore
+    }
+}
+
+/// `out = Σ columns[j]·δ` over the `(j, δ)` of `flips`, in their order,
+/// one multiply and one add per weight, each column `out.len()` floats of
+/// `columns`.  The surrogate's heads are 8 wide, so a 16-float column takes a
+/// fixed-width body that keeps the sums in registers; every width rounds
+/// alike.
+fn accumulate(out: &mut [f32], columns: &[f32], flips: &[(u32, f32)]) {
+    fn fixed<const W: usize>(out: &mut [f32; W], columns: &[[f32; W]], flips: &[(u32, f32)]) {
+        let mut sums = [0.0f32; W];
+        for &(j, delta) in flips {
+            for (s, &w) in sums.iter_mut().zip(&columns[j as usize]) {
+                *s += w * delta;
+            }
+        }
+        *out = sums;
+    }
+    if let Ok(out) = <&mut [f32; 16]>::try_from(&mut *out) {
+        return fixed(out, columns.as_chunks().0, flips);
+    }
+    let width = out.len();
+    out.fill(0.0);
+    for &(j, delta) in flips {
+        let j = j as usize;
+        for (s, &w) in out.iter_mut().zip(&columns[j * width..(j + 1) * width]) {
+            *s += w * delta;
+        }
     }
 }
 
@@ -407,7 +455,8 @@ impl<'w> MultiHeadAttention<'w> {
     ///
     /// # Panics
     ///
-    /// Panics if the weight matrices are not square or not divisible by `heads`.
+    /// Panics if the weight matrices are not square or not divisible by
+    /// `heads`, or if the weights were generated for another head count.
     pub fn new(weights: &'w LayerWeights, heads: usize) -> Self {
         let channels = weights.wq.rows();
         assert_eq!(weights.wq.shape(), (channels, channels));
@@ -415,6 +464,11 @@ impl<'w> MultiHeadAttention<'w> {
             channels % heads,
             0,
             "channels must divide evenly into heads"
+        );
+        assert_eq!(
+            weights.kv_columns_head_dim(),
+            channels / heads,
+            "the weights were generated for this head count"
         );
         MultiHeadAttention {
             weights,
@@ -505,11 +559,6 @@ impl<'w> MultiHeadAttention<'w> {
         self.project_kv_rotated(x, &scratch.angles, &mut scratch.k, &mut scratch.v);
 
         cache.insert(layer, token, x, &scratch.k, &scratch.v, hd);
-        if let Some(start) = scratch.pass_start {
-            scratch
-                .held
-                .push(layer, token - start, &scratch.k, &scratch.v);
-        }
 
         scratch.concat.clear();
         scratch.concat.resize(self.heads * hd, 0.0);
@@ -535,7 +584,7 @@ impl<'w> MultiHeadAttention<'w> {
         scratch
             .heads_at
             .push((scratch.scores.len(), scratch.stash.len()));
-        self.read_rows(layer, pass_start, faults, scratch);
+        self.read_rows(layer, faults, scratch);
         for h in 0..self.heads {
             self.attend_head(h, scratch);
             cache.observe_attention(layer, h, &scratch.attention[h]);
@@ -552,12 +601,11 @@ impl<'w> MultiHeadAttention<'w> {
     /// Phase 1 for head `h`: one traversal of its entries on its fault lane.
     /// Scores every `Kv` entry from its staged key and stashes its staged
     /// value — stored as they are from `pass_start` on, corrupted at its
-    /// label before it; scores a `Recompute` entry the pass holds from its
-    /// held key and stashes its held value; enters every other `Recompute`
-    /// entry's row in the row table, labelled if it precedes `pass_start`,
-    /// and reserves the entry's score and stashed value for phase 2.  Asks
-    /// for no other label.  Returns `(recomputed_entries, kv_entries_read)`
-    /// for this head.
+    /// label before it; scores a `Recompute` entry from `pass_start` on from
+    /// its stored key and stashes its stored value; enters every earlier
+    /// `Recompute` entry's row in the row table, labelled, keeps its stored
+    /// key for phase 2 and stashes its stored value.  Asks for no other
+    /// label.  Returns `(recomputed_entries, kv_entries_read)` for this head.
     fn read_head(
         &self,
         layer: usize,
@@ -577,18 +625,10 @@ impl<'w> MultiHeadAttention<'w> {
             stash,
             kbuf,
             rows,
-            held,
             ..
         } = scratch;
         heads_at.push((scores.len(), stash.len()));
         let qh = &q[h * hd..(h + 1) * hd];
-        let (held_keys, held_values) = held.layer(layer);
-        let held_rows = held.rows(layer);
-        // Where the entry of `token` finds its head's held key and value.
-        let held_at = |token: TokenId| {
-            let index = token.checked_sub(pass_start)?;
-            (index < held_rows).then(|| index * held.width + h * hd)
-        };
         let mut recomputed_entries = 0usize;
         let mut kv_entries_read = 0usize;
 
@@ -610,31 +650,28 @@ impl<'w> MultiHeadAttention<'w> {
                     faults.corrupt_slice(&mut stash[start..], group);
                     kelle_tensor::dot(kbuf, qh) * scale
                 }
-                PayloadRef::Recompute { x, slot } => {
+                PayloadRef::Recompute { key, value, .. } if e.token >= pass_start => {
                     recomputed_entries += 1;
-                    match held_at(e.token) {
-                        Some(at) => {
-                            let (key, value) = (&held_keys[at..at + hd], &held_values[at..at + hd]);
-                            #[cfg(debug_assertions)]
-                            self.audit_held(h, e.token, x, key, value);
-                            stash.extend_from_slice(value);
-                            kelle_tensor::dot(key, qh) * scale
-                        }
-                        None => {
-                            // Only a row of an earlier pass is read through the
-                            // lane, so only its label is asked for.
-                            let high = e.token < pass_start && e.high_score();
-                            let row = rows.visit(slot, e.token, x, high);
-                            rows.uses.push(RowUse {
-                                head: h,
-                                row,
-                                entry: scores.len(),
-                                stash: stash.len(),
-                            });
-                            stash.resize(stash.len() + hd, 0.0);
-                            0.0 // scored in phase 2
-                        }
-                    }
+                    stash.extend_from_slice(value);
+                    kelle_tensor::dot(key, qh) * scale
+                }
+                PayloadRef::Recompute {
+                    x,
+                    slot,
+                    key,
+                    value,
+                } => {
+                    recomputed_entries += 1;
+                    let row = rows.visit(slot, e.token, x, e.high_score());
+                    rows.uses.push(RowUse {
+                        head: h,
+                        row,
+                        entry: scores.len(),
+                        stash: stash.len(),
+                    });
+                    rows.keys.extend_from_slice(key);
+                    stash.extend_from_slice(value);
+                    0.0 // scored in phase 2
                 }
             };
             scores.push(score);
@@ -643,20 +680,13 @@ impl<'w> MultiHeadAttention<'w> {
         (recomputed_entries, kv_entries_read)
     }
 
-    /// Phase 2: reads each of the layer's stored rows once — a row from
-    /// before `pass_start` on the row lane `(layer, heads)` at the group of
-    /// its most demanding head, a row of the pass as stored — then
-    /// recomputes key and value of every (head, row) pair phase 1 found —
-    /// the head's rows of `W_K`/`W_V` only, two pairs of the same head per
-    /// pass over them — rotating the key by its slot's angle table, scoring
-    /// the entry and filling its stashed value.
-    fn read_rows(
-        &self,
-        layer: usize,
-        pass_start: TokenId,
-        faults: &mut dyn FaultInjector,
-        scratch: &mut DecodeScratch,
-    ) {
+    /// Phase 2: reads each of the layer's stored rows of earlier passes once
+    /// on the row lane `(layer, heads)`, at the group of its most demanding
+    /// head, and finds the words the read flipped; then, for every (head,
+    /// row) pair phase 1 found, corrects the stored key and value for those
+    /// words (a row read intact needs nothing), scores the entry with the
+    /// key and leaves the value in its stashed slot.
+    fn read_rows(&self, layer: usize, faults: &mut dyn FaultInjector, scratch: &mut DecodeScratch) {
         let DecodeScratch {
             q,
             scores,
@@ -675,113 +705,131 @@ impl<'w> MultiHeadAttention<'w> {
         // A label no head uses, so the row lane is snapshotted with the head
         // lanes.
         faults.begin_lane(layer, self.heads);
-        for ((x, &high), &token) in rows
-            .x
-            .chunks_exact_mut(channels)
-            .zip(&rows.high)
-            .zip(&rows.token)
-        {
-            if token < pass_start {
-                faults.corrupt_slice(x, group(high));
-            }
-        }
+        rows.read_through(channels, faults);
         if slot_angles.len() <= layer {
             slot_angles.resize_with(layer + 1, SlotAngles::default);
         }
         let tables = &mut slot_angles[layer];
-        let x_of = |row: usize| &rows.x[row * channels..(row + 1) * channels];
+        for ((&(start, end), &slot), &token) in
+            rows.flips_at.iter().zip(&rows.slot).zip(&rows.token)
+        {
+            if start < end {
+                tables.hold(slot, token, hd / 2, || self.rope_angles(token));
+            }
+        }
         kbuf.clear();
         kbuf.resize(2 * hd, 0.0);
-        let mut uses = &rows.uses[..];
-        while let [u, rest @ ..] = uses {
-            let head_rows = u.head * hd..(u.head + 1) * hd;
-            // Two uses of one head share a pass over its weight rows; their
-            // stashed values are disjoint slots, in entry order.
-            let pair = match rest {
-                [w, after @ ..] if w.head == u.head => {
-                    uses = after;
-                    Some(w)
-                }
-                _ => {
-                    uses = rest;
-                    None
-                }
-            };
-            let (k0, k1) = kbuf.split_at_mut(hd);
-            match pair {
-                Some(w) => {
-                    let (v0, v1) = stash.split_at_mut(w.stash);
-                    self.weights
-                        .wk
-                        .matvec_rows_pair_into(
-                            head_rows.clone(),
-                            [x_of(u.row), x_of(w.row)],
-                            [k0, k1],
-                        )
-                        .expect("stored input matches channel dimension");
-                    self.weights
-                        .wv
-                        .matvec_rows_pair_into(
-                            head_rows.clone(),
-                            [x_of(u.row), x_of(w.row)],
-                            [&mut v0[u.stash..u.stash + hd], &mut v1[..hd]],
-                        )
-                        .expect("stored input matches channel dimension");
-                }
-                None => {
-                    self.weights
-                        .wk
-                        .matvec_rows_into(head_rows.clone(), x_of(u.row), k0)
-                        .expect("stored input matches channel dimension");
-                    self.weights
-                        .wv
-                        .matvec_rows_into(
-                            head_rows.clone(),
-                            x_of(u.row),
-                            &mut stash[u.stash..u.stash + hd],
-                        )
-                        .expect("stored input matches channel dimension");
+        for (u, key) in rows.uses.iter().zip(rows.keys.chunks_exact_mut(hd)) {
+            let (start, end) = rows.flips_at[u.row];
+            if start < end {
+                let angles = tables.of(rows.slot[u.row]);
+                let value = &mut stash[u.stash..u.stash + hd];
+                self.correct(u.head, &rows.flips[start..end], angles, key, value, kbuf);
+                #[cfg(any(debug_assertions, test))]
+                {
+                    let row = u.row * channels..(u.row + 1) * channels;
+                    self.audit_corrected(
+                        u.head,
+                        rows.token[u.row],
+                        (&rows.x[row.clone()], &rows.read[row]),
+                        &rows.flips[start..end],
+                        angles,
+                        (key, value),
+                    );
                 }
             }
-            for (u, k) in std::iter::once(u)
-                .chain(pair)
-                .zip(kbuf.chunks_exact_mut(hd))
-            {
-                let (slot, token) = (rows.slot[u.row], rows.token[u.row]);
-                ops::rotate(
-                    k,
-                    tables.table(slot, token, hd / 2, || self.rope_angles(token)),
-                );
-                scores[u.entry] = kelle_tensor::dot(k, &q[head_rows.clone()]) * scale;
-            }
+            scores[u.entry] = kelle_tensor::dot(key, &q[u.head * hd..(u.head + 1) * hd]) * scale;
         }
     }
 
-    /// Recomputes head `h`'s key and value of the pass's row `token` from its
-    /// stored input `x`, as phase 2 would, and checks that the held copy
-    /// equals them bit for bit.
-    #[cfg(debug_assertions)]
-    fn audit_held(&self, h: usize, token: TokenId, x: &[f32], key: &[f32], value: &[f32]) {
-        let hd = self.head_dim;
-        let head_rows = h * hd..(h + 1) * hd;
-        let (mut k, mut v) = (vec![0.0; hd], vec![0.0; hd]);
-        self.weights
-            .wk
-            .matvec_rows_into(head_rows.clone(), x, &mut k)
-            .expect("stored input matches channel dimension");
-        self.weights
-            .wv
-            .matvec_rows_into(head_rows, x, &mut v)
-            .expect("stored input matches channel dimension");
-        let angles: Vec<(f32, f32)> = self.rope_angles(token).collect();
-        ops::rotate(&mut k, &angles);
-        let bits = |s: &[f32]| s.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&k), bits(key), "held key of token {token}, head {h}");
-        assert_eq!(
-            bits(&v),
-            bits(value),
-            "held value of token {token}, head {h}"
-        );
+    /// Adds head `h`'s correction for the flipped words `flips` (column,
+    /// `δ`) to its stored `key` and `value`: `W_K,h[:, J]·δ_J` rotated by
+    /// the row's `angles` to the key, `W_V,h[:, J]·δ_J` to the value, read
+    /// from the layer's column copy and accumulated into `correction`
+    /// (`2 × head_dim`) over `J` in column order, one multiply and one add
+    /// per weight.
+    fn correct(
+        &self,
+        h: usize,
+        flips: &[(u32, f32)],
+        angles: &[(f32, f32)],
+        key: &mut [f32],
+        value: &mut [f32],
+        correction: &mut [f32],
+    ) {
+        accumulate(correction, self.weights.kv_columns(h), flips);
+        let (dk, dv) = correction.split_at_mut(self.head_dim);
+        ops::rotate(dk, angles);
+        for (k, d) in key.iter_mut().zip(dk.iter()) {
+            *k += d;
+        }
+        for (v, d) in value.iter_mut().zip(dv.iter()) {
+            *v += d;
+        }
+    }
+
+    /// Recomputes head `h`'s key and value of the row of `token` from the
+    /// row as the lane `read` it, a rotated pair of weight rows at a time,
+    /// and checks that the corrected `key` and `value` are within the
+    /// rounding bound of the module docs of them.  `x` is the row as stored,
+    /// `flips` what the read flipped.  Allocates nothing, so a debug build's
+    /// decode stays allocation-free.
+    #[cfg(any(debug_assertions, test))]
+    fn audit_corrected(
+        &self,
+        h: usize,
+        token: TokenId,
+        (x, read): (&[f32], &[f32]),
+        flips: &[(u32, f32)],
+        angles: &[(f32, f32)],
+        (key, value): (&[f32], &[f32]),
+    ) {
+        let unit = f64::from(f32::EPSILON) / 2.0;
+        let steps = (x.len() + 8) as f64;
+        let gamma = steps * unit / (1.0 - steps * unit);
+        let underflow = f64::from(f32::MIN_POSITIVE);
+        // P_r + P′_r + D_r of weight row `r`.
+        let sum = |w: &kelle_tensor::Matrix, r: usize| -> f64 {
+            let row = w.row(r).expect("head row within the matrix");
+            let dense: f64 = row
+                .iter()
+                .zip(x.iter().zip(read))
+                .map(|(&w, (&a, &b))| {
+                    (f64::from(w) * f64::from(a)).abs() + (f64::from(w) * f64::from(b)).abs()
+                })
+                .sum();
+            let sparse: f64 = flips
+                .iter()
+                .map(|&(j, d)| (f64::from(row[j as usize]) * f64::from(d)).abs())
+                .sum();
+            dense + sparse
+        };
+        let check = |what: &str, i: usize, got: f32, want: f32, bound: f64| {
+            assert!(
+                (f64::from(got) - f64::from(want)).abs() <= bound,
+                "corrected {what} of token {token}, head {h}, element {i}: {got} against \
+                 a recompute's {want} (bound {bound:e})"
+            );
+        };
+        let (wk, wv) = (&self.weights.wk, &self.weights.wv);
+        let first = h * self.head_dim;
+        for (p, angle) in angles.iter().enumerate() {
+            let rows = first + 2 * p..first + 2 * p + 2;
+            let mut k = [0.0f32; 2];
+            wk.matvec_rows_into(rows.clone(), read, &mut k)
+                .expect("stored input matches channel dimension");
+            ops::rotate(&mut k, std::slice::from_ref(angle));
+            let bound = gamma * (sum(wk, rows.start) + sum(wk, rows.start + 1)) + underflow;
+            for (i, want) in (2 * p..).zip(k) {
+                check("key", i, key[i], want, bound);
+            }
+            let mut v = [0.0f32; 2];
+            wv.matvec_rows_into(rows.clone(), read, &mut v)
+                .expect("stored input matches channel dimension");
+            for ((i, want), r) in (2 * p..).zip(v).zip(rows) {
+                check("value", i, value[i], want, gamma * sum(wv, r) + underflow);
+            }
+        }
     }
 
     /// Phase 3 for head `h`: in-place softmax over its scores, then the
@@ -831,7 +879,7 @@ mod tests {
     use super::*;
     use crate::cache::{CacheBudget, CachePolicy};
     use crate::config::SurrogateDims;
-    use crate::fault::NoFaults;
+    use crate::fault::{BitFlipRates, NoFaults, ProbabilisticFaults};
     use crate::weights::{ModelWeights, WeightGenConfig};
 
     fn setup() -> (ModelWeights, SurrogateDims) {
@@ -895,6 +943,68 @@ mod tests {
             for head in scratch.attention_labels() {
                 assert_eq!(head.len(), pos + 1);
             }
+        }
+    }
+
+    /// Every corrected read of AERP under uniform 1 % bit flips — MSB
+    /// classes included, so exponent bits flip and some corrections are
+    /// large — is within the rounding bound of a recompute from the
+    /// corrupted row, for 200 steps with eviction at every step.  Phase 2
+    /// audits each corrected read, and this module's tests run that audit
+    /// in release as well as in dev.
+    #[test]
+    fn every_corrected_read_is_within_the_bound_of_a_recompute() {
+        let (weights, dims) = setup();
+        let attn = MultiHeadAttention::new(&weights.layers[0], dims.heads);
+        let budget = CacheBudget::new(16)
+            .with_recent_window(4)
+            .with_sink_tokens(2);
+        let mut cache = CachePolicy::Aerp.build(budget, dims.heads);
+        cache.finish_prefill(0);
+        let mut faults = ProbabilisticFaults::new(BitFlipRates::uniform(1e-2), 5);
+        let mut scratch = DecodeScratch::new();
+        let mut x = Vec::new();
+        let (mut corrected, mut largest_delta) = (0, 0.0f32);
+        for pos in 0..200 {
+            weights.embed_into((pos * 7 + 3) % dims.vocab, pos, &mut x);
+            attn.forward_with(0, pos, pos, &x, &mut *cache, &mut faults, &mut scratch);
+            let rows = &scratch.rows;
+            corrected += rows
+                .uses
+                .iter()
+                .filter(|u| rows.flips_at[u.row].0 < rows.flips_at[u.row].1)
+                .count();
+            for &(_, delta) in &rows.flips {
+                largest_delta = largest_delta.max(delta.abs());
+            }
+        }
+        assert!(cache.stats().evictions > 0);
+        // 15 earlier rows × 4 heads per step, at 32 words a row of which
+        // about 5 flip: nearly every read is corrected.
+        assert!(corrected > 10_000, "{corrected} corrected reads");
+        assert!(
+            largest_delta > 1.0,
+            "an exponent flip moves a word by more than 1: {largest_delta}"
+        );
+    }
+
+    /// The fixed-width body of `accumulate` and the one for any other
+    /// width sum alike: over the flips in order, a multiply then an add.
+    #[test]
+    fn accumulate_sums_the_flipped_columns_in_order_at_every_width() {
+        for width in [6usize, 16, 20] {
+            let columns: Vec<f32> = (0..5 * width).map(|i| (i as f32 * 0.37).sin()).collect();
+            let flips = [(0u32, 1.5f32), (2, -0.25), (3, 1e-3), (4, 300.0)];
+            let mut expected = vec![0.0f32; width];
+            for &(j, delta) in &flips {
+                for (i, e) in expected.iter_mut().enumerate() {
+                    *e += columns[j as usize * width + i] * delta;
+                }
+            }
+            let mut out = vec![f32::NAN; width];
+            accumulate(&mut out, &columns, &flips);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&expected), "width {width}");
         }
     }
 }

@@ -30,7 +30,8 @@
 //! `head_dim`, entry `i` owning elements `[i·head_dim, (i+1)·head_dim)`, and
 //! the head keeps its tokens and their scores in parallel arrays.  AERP
 //! stores each token's input vector once per layer in a slot-recycling slab,
-//! and each of its heads holds the slots of the rows it retains.
+//! and each of its heads holds the slots of the rows it retains, beside a
+//! host-only arena of their keys and values.
 //! The discipline for the decode hot path is:
 //!
 //! * **reads are borrows**: [`for_each_entry`](KvCacheBackend::for_each_entry)
@@ -75,8 +76,11 @@ pub enum PayloadRef<'a> {
         /// Stored value vector.
         value: &'a [f32],
     },
-    /// Only the layer-input vector `x` (length `channels`) is stored, once
-    /// per layer for every head that retains the token.
+    /// The device stores only the layer-input vector `x` (length
+    /// `channels`), once per layer for every head that retains the token,
+    /// and recomputes the key and value from it; the host also keeps the
+    /// head's key and value, so a read that finds `x` intact needs no
+    /// recompute.
     Recompute {
         /// Stored input vector for the token.
         x: &'a [f32],
@@ -86,6 +90,13 @@ pub enum PayloadRef<'a> {
         /// small (a slot of the layer's slab of stored rows), so the
         /// attention pass indexes its per-layer row table by them.
         slot: usize,
+        /// The head's rotated key, as the token's own forward projected it:
+        /// bitwise what a recompute from the intact `x` yields.  Host-only:
+        /// neither stored on the device nor billed.
+        key: &'a [f32],
+        /// The head's value, as the token's own forward projected it.
+        /// Host-only, like `key`.
+        value: &'a [f32],
     },
 }
 

@@ -108,8 +108,8 @@
 //!   snapshot as the head lanes: AERP's stored input rows `x`, which are
 //!   stored once per layer.  Each row is read once per layer and step,
 //!   however many heads retain it, in the order the heads first visit the
-//!   rows; every retaining head recomputes its key and value from that one
-//!   read.
+//!   rows; every retaining head's key and value follow from that one read
+//!   (corrected for the words it flipped, see [`crate::attention`]).
 //!
 //! **The group rule.**  One stored row sits in one refresh domain, so a row
 //! that heads rank differently is read at the most demanding group any of
@@ -135,10 +135,12 @@
 //!
 //! An in-pass read skips the lane, not the storage format: under QuaRot it
 //! sees the stored KV4 values, not the FP16 projections.  An AERP row of
-//! the pass is read from the host's copy of its projection, which the pass
-//! holds until pre-fill ends; the device recomputes it from its stored `x`,
-//! which is what `kelle-arch` bills, and a debug build recomputes it too
-//! and checks that the two are equal bit for bit.
+//! the pass is read from the key and value the store keeps on the host
+//! beside its `x` — its own forward's projection, bitwise what a recompute
+//! from the intact `x` yields; the device recomputes it from its stored
+//! `x`, which is what `kelle-arch` bills.  A row of an earlier pass is read
+//! the same way when the lane flips none of its words, and otherwise as
+//! that key and value corrected for the flipped words.
 //!
 //! The rule treats "earlier pass" as "has sat in eDRAM long enough to
 //! decay".  Modelling how long a row has sat there — device time per row,

@@ -23,13 +23,6 @@
 //!   calls [`GenerationState::end_pass`];
 //! * a **decode pass** is one [`decode_step`]: the token's own row.
 //!
-//! While a prompt pass is open, the state's scratch holds the rotated keys
-//! and values of its rows, per layer — the rows it computed, and the rows
-//! [`GenerationState::adopt_prefix`] replays, as the segment recorded them
-//! — and attention reads a stored-input (AERP) row of the pass from there
-//! instead of recomputing it (see "The pass rule" in [`crate::attention`]).
-//! Closing the pass drops them, so decoding holds nothing.
-//!
 //! How a prompt is chunked into `prefill_extend` calls therefore changes
 //! nothing a pass reads.  Logits are computed only where someone reads
 //! them: for the last token of each `prefill_extend` call and for every
@@ -195,9 +188,7 @@ impl GenerationState {
     /// as pre-fill work ([`prefilled_tokens`](GenerationState::prefilled_tokens)
     /// reports computed tokens only — the compute was paid once, at
     /// publication).  The replayed rows open the turn's prompt pass, so the
-    /// rest of the prompt reads them clean, as a cold pre-fill would, and
-    /// the pass holds their keys and values as the publication pass
-    /// projected them.
+    /// rest of the prompt reads them clean, as a cold pre-fill would.
     ///
     /// # Panics
     ///
@@ -216,14 +207,10 @@ impl GenerationState {
         self.last_logits.clear();
         self.last_logits.extend_from_slice(segment.logits());
         self.scratch.open_pass(0);
-        segment.for_each_row(|layer, token, keys, values| {
-            self.scratch.hold(layer, token, keys, values)
-        });
     }
 
-    /// Closes the open prompt pass and drops the rows it held: rows
-    /// pre-filled so far are read through the fault lane by every later
-    /// pass.  [`prefill`] calls it; a caller
+    /// Closes the open prompt pass: rows pre-filled so far are read through
+    /// the fault lane by every later pass.  [`prefill`] calls it; a caller
     /// that finishes pre-fill itself after [`prefill_extend`] calls it
     /// alongside [`finish_prefill`](KvCacheBackend::finish_prefill).
     pub fn end_pass(&mut self) {
@@ -521,72 +508,6 @@ mod tests {
         }
         assert_eq!(generated, one_shot.generated);
         assert_eq!(state.position(), 12);
-    }
-
-    /// A prompt pass holds the keys and values of exactly its rows in every
-    /// layer, however it is chunked and whether its prefix was replayed,
-    /// and nothing outlives it.
-    #[test]
-    fn a_prompt_pass_holds_exactly_its_rows() {
-        use crate::fault::{BitFlipRates, ProbabilisticFaults};
-        use crate::segment::SegmentRecorder;
-
-        let m = model();
-        let (layers, channels) = (m.dims().layers, m.dims().channels);
-        let held = |state: &GenerationState| -> Vec<Vec<u32>> {
-            (0..layers)
-                .map(|layer| {
-                    let (keys, values) = state.scratch.held_rows(layer);
-                    assert_eq!(keys.len(), values.len());
-                    keys.iter().chain(values).map(|f| f.to_bits()).collect()
-                })
-                .collect()
-        };
-        let rows = |state: &GenerationState| -> Vec<usize> {
-            held(state)
-                .iter()
-                .map(|l| l.len() / (2 * channels))
-                .collect()
-        };
-        let prompt = [7, 3, 11, 2, 9, 30, 4];
-        let mut faults = NoFaults;
-
-        let mut cache = full_store(&m);
-        let mut recorder = SegmentRecorder::new(&mut *cache);
-        let mut published = GenerationState::new();
-        let mut done = 0;
-        for chunk in prompt.chunks(3) {
-            prefill_extend(&m, &mut published, chunk, &mut recorder, &mut faults);
-            done += chunk.len();
-            assert_eq!(rows(&published), vec![done; layers]);
-        }
-        let segment = recorder.finish(
-            published.last_logits(),
-            ProbabilisticFaults::new(BitFlipRates::zero(), 1),
-        );
-
-        // A hit holds the replayed rows, bitwise those the publication pass
-        // held, and goes on holding its own.
-        let mut hit = GenerationState::new();
-        hit.adopt_prefix(&segment);
-        assert_eq!(held(&hit), held(&published));
-        let mut replayed = full_store(&m);
-        segment.attach_and_replay(&mut *replayed);
-        prefill_extend(&m, &mut hit, &[5, 6], &mut *replayed, &mut faults);
-        assert_eq!(rows(&hit), vec![prompt.len() + 2; layers]);
-        hit.end_pass();
-        assert_eq!(rows(&hit), vec![0; layers]);
-
-        let mut cache = full_store(&m);
-        let mut state = GenerationState::new();
-        prefill(&m, &mut state, &prompt, &mut *cache, &mut faults);
-        assert_eq!(rows(&state), vec![0; layers]);
-        prefill_extend(&m, &mut state, &[1, 2], &mut *cache, &mut faults);
-        assert_eq!(rows(&state), vec![2; layers]);
-        for _ in 0..3 {
-            decode_step(&m, &mut state, None, &mut *cache, &mut faults);
-            assert_eq!(rows(&state), vec![0; layers]);
-        }
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //! fault snapshot restore the generation cursor, and the expensive part —
 //! the matrix work of the prefix forward passes — is skipped entirely.
 //!
-//! The same log feeds the hit's prompt pass: the recorded keys and values
-//! are the publication pass's own projections of each row, so the hit's
-//! [`GenerationState`](crate::generation::GenerationState) holds them for
-//! its pass and reads the replayed rows without recomputing them.
+//! The same log feeds the hit's reads: the recorded keys and values are the
+//! publication pass's own projections of each row, and replay hands them to
+//! `insert`, so a stored-input (AERP) store keeps them beside each replayed
+//! row and the hit reads the replayed rows without recomputing them.
 //!
 //! The log's pools are compact: a publication reserves them at their final
 //! sizes before it records ([`SegmentRecorder::reserve_prompt`]), recording
@@ -147,28 +147,6 @@ impl SharedSegment {
     /// surrogate's scale: `inserts × 2 × kv_width × 2`.
     pub fn bytes_fp16(&self) -> usize {
         self.boundary.inserts * 2 * self.log.kv_width * FP16_BYTES
-    }
-
-    /// Calls `row(layer, token, keys, values)` for each recorded insert up to
-    /// the boundary, in order: the rotated keys and values the publication
-    /// pass projected for the row.
-    pub(crate) fn for_each_row(&self, mut row: impl FnMut(usize, TokenId, &[f32], &[f32])) {
-        let log = &*self.log;
-        let w = log.kv_width;
-        let inserts = log.events[..self.boundary.events]
-            .iter()
-            .filter_map(|event| match *event {
-                ReplayEvent::Insert { layer, token } => Some((layer, token)),
-                ReplayEvent::Observe { .. } => None,
-            });
-        for (i, (layer, token)) in inserts.enumerate() {
-            row(
-                layer as usize,
-                token as usize,
-                &log.keys[i * w..(i + 1) * w],
-                &log.values[i * w..(i + 1) * w],
-            );
-        }
     }
 
     /// Replays the recorded insert/observe sequence into a fresh cache,

@@ -41,6 +41,61 @@ pub struct LayerWeights {
     pub attn_norm: Vec<f32>,
     /// RMSNorm gain before the FFN, length `channels`.
     pub ffn_norm: Vec<f32>,
+    /// `W_K` and `W_V` by column, head-major, for the attention pass's
+    /// sparse corrections of a stored row's key and value.
+    kv_columns: KvColumns,
+}
+
+impl LayerWeights {
+    /// Head `head`'s block of the column copy of `W_K`/`W_V`: for each input
+    /// channel `j` in order, the `head_dim` entries of column `j` of `W_K`
+    /// in the head's rows, then those of `W_V`.
+    pub(crate) fn kv_columns(&self, head: usize) -> &[f32] {
+        self.kv_columns.head(head)
+    }
+
+    /// The per-head width the column copy was laid out for.
+    pub(crate) fn kv_columns_head_dim(&self) -> usize {
+        self.kv_columns.head_dim
+    }
+}
+
+/// A head-major transposed copy of `[W_K; W_V]`: per head, per input
+/// channel `j`, the `2 × head_dim` weights that multiply `x_j` in the head's
+/// key and value.  A correction for a few changed input words then reads
+/// one contiguous `2 × head_dim` run per word.  It is built once with the
+/// weights, `2 × channels²` floats per layer, and shared by every session.
+#[derive(Debug, Clone)]
+struct KvColumns {
+    heads: usize,
+    head_dim: usize,
+    /// `heads × channels × 2·head_dim` floats.
+    data: Vec<f32>,
+}
+
+impl KvColumns {
+    fn new(wk: &Matrix, wv: &Matrix, heads: usize) -> Self {
+        let channels = wk.cols();
+        let head_dim = channels / heads;
+        let mut data = Vec::with_capacity(2 * channels * channels);
+        for head in 0..heads {
+            for j in 0..channels {
+                for w in [wk, wv] {
+                    data.extend((head * head_dim..(head + 1) * head_dim).map(|r| w.get(r, j)));
+                }
+            }
+        }
+        KvColumns {
+            heads,
+            head_dim,
+            data,
+        }
+    }
+
+    fn head(&self, head: usize) -> &[f32] {
+        let block = self.data.len() / self.heads;
+        &self.data[head * block..(head + 1) * block]
+    }
 }
 
 /// All weights of the surrogate model.
@@ -135,6 +190,7 @@ impl ModelWeights {
             let w_gate = random_matrix(dims.ffn_dim, dims.channels, &mut lrng);
             let w_up = random_matrix(dims.ffn_dim, dims.channels, &mut lrng);
             let w_down = random_matrix(dims.channels, dims.ffn_dim, &mut lrng);
+            let kv_columns = KvColumns::new(&wk, &wv, dims.heads);
             layers.push(LayerWeights {
                 wq,
                 wk,
@@ -145,6 +201,7 @@ impl ModelWeights {
                 w_down,
                 attn_norm: vec![1.0; dims.channels],
                 ffn_norm: vec![1.0; dims.channels],
+                kv_columns,
             });
         }
 

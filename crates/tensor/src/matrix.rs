@@ -206,25 +206,9 @@ impl Matrix {
         self.matvec_rows_n_into(rows, [v], [out])
     }
 
-    /// [`Matrix::matvec_rows_into`] of two vectors over one row range in one
-    /// pass: each four-row block is loaded once for both vectors, and each
-    /// output is bitwise identical to the single-vector call's.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`Matrix::matvec_rows_into`], checked for `vs[0]` with
-    /// `outs[0]` before `vs[1]` with `outs[1]`.
-    pub fn matvec_rows_pair_into(
-        &self,
-        rows: std::ops::Range<usize>,
-        vs: [&[f32]; 2],
-        outs: [&mut [f32]; 2],
-    ) -> Result<()> {
-        self.matvec_rows_n_into(rows, vs, outs)
-    }
-
     /// The row range of the product with each of `N` vectors: the checks,
-    /// then [`dot4`].
+    /// then [`dot4`].  Only `N = 1` is called today; the kernel stays generic
+    /// so a block of several tokens can share each pass over the rows.
     fn matvec_rows_n_into<const N: usize>(
         &self,
         rows: std::ops::Range<usize>,
@@ -592,69 +576,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// The pair entry point is two `matvec_rows_into` calls, bit for bit,
-    /// over every row range of an 11-row matrix (empty ranges and lengths
-    /// with 0–3 rows after the four-row blocks) at widths with and without
-    /// a remainder chunk.
-    #[test]
-    fn matvec_rows_pair_into_is_two_single_calls_bitwise() {
-        let rows = 11;
-        for cols in [1usize, 3, 4, 5, 7, 13, 64, 66] {
-            let data: Vec<f32> = (0..rows * cols)
-                .map(|i| (i as f32 * 0.37).sin() * 3.0)
-                .collect();
-            let m = from_flat(rows, cols, data).unwrap();
-            let a: Vec<f32> = (0..cols).map(|i| (i as f32 * 1.3).cos() * 2.0).collect();
-            let b: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.9 + 0.4).sin()).collect();
-            for start in 0..=rows {
-                for end in start..=rows {
-                    let len = end - start;
-                    let (mut pa, mut pb) = (vec![f32::NAN; len], vec![f32::NAN; len]);
-                    m.matvec_rows_pair_into(start..end, [&a, &b], [&mut pa, &mut pb])
-                        .unwrap();
-                    let (mut sa, mut sb) = (vec![f32::NAN; len], vec![f32::NAN; len]);
-                    m.matvec_rows_into(start..end, &a, &mut sa).unwrap();
-                    m.matvec_rows_into(start..end, &b, &mut sb).unwrap();
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    let label = format!("cols {cols} rows {start}..{end}");
-                    assert_eq!(bits(&pa), bits(&sa), "{label}");
-                    assert_eq!(bits(&pb), bits(&sb), "{label}");
-                }
-            }
-        }
-    }
-
-    /// A bad call to the pair entry point fails with the error the single
-    /// call gives for the first bad (vector, output) pair.
-    #[test]
-    fn matvec_rows_pair_into_errors_like_matvec_rows_into() {
-        let m = from_flat(4, 3, (0..12).map(|i| i as f32).collect()).unwrap();
-        let v = [1.0, -1.0, 0.5];
-        let short = [1.0];
-        // (row range, vectors, output lengths)
-        type Case<'a> = (std::ops::Range<usize>, [&'a [f32]; 2], [usize; 2]);
-        #[allow(clippy::reversed_empty_ranges)]
-        let cases: [Case; 6] = [
-            (3..1, [&v, &v], [0, 0]),
-            (3..5, [&v, &v], [2, 2]),
-            (0..2, [&short, &v], [2, 2]),
-            (0..2, [&v, &short], [2, 2]),
-            (0..2, [&v, &v], [3, 2]),
-            (0..2, [&v, &v], [2, 1]),
-        ];
-        for (rows, vs, lens) in cases {
-            let (mut o0, mut o1) = (vec![0.0; lens[0]], vec![0.0; lens[1]]);
-            let pair = m
-                .matvec_rows_pair_into(rows.clone(), vs, [&mut o0, &mut o1])
-                .unwrap_err();
-            let single = m
-                .matvec_rows_into(rows.clone(), vs[0], &mut o0)
-                .and_then(|()| m.matvec_rows_into(rows.clone(), vs[1], &mut o1))
-                .unwrap_err();
-            assert_eq!(pair, single, "rows {rows:?}, lens {lens:?}");
         }
     }
 

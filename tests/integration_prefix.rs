@@ -295,8 +295,10 @@ proptest! {
 /// the store (the two FNVs re-captured when each stored AERP input row came
 /// to be read once per layer, and again — 0x9deb_465a_a064_e1a6 /
 /// 0xf56c_0233_ba93_a54e → 0x8aa3_b547_af62_8aab / 0xd787_3476_3bf3_ae16 —
-/// when rows of the current pass came to be read clean); the shared pool
-/// must also balance.
+/// when rows of the current pass came to be read clean, and the
+/// probabilities once more — 0xd787_3476_3bf3_ae16 → 0x3404_babd_a67b_4ac9
+/// — when a corrupted row's key and value came to be corrected for its
+/// flipped words instead of recomputed); the shared pool must also balance.
 #[test]
 fn prefix_hierarchy_batch_of_seed_7_is_pinned() {
     const HIT_TOKENS: [usize; 6] = [8, 16, 24, 24, 8, 0];
@@ -310,7 +312,7 @@ fn prefix_hierarchy_batch_of_seed_7_is_pinned() {
     // published, published_tokens, hits, misses, hit_tokens, resident_bytes
     const STORE: [u64; 6] = [3, 48, 5, 1, 80, 49_152];
     const TOKENS_FNV1A: u64 = 0x8aa3_b547_af62_8aab;
-    const PROBS_FNV1A: u64 = 0xd787_3476_3bf3_ae16;
+    const PROBS_FNV1A: u64 = 0x3404_babd_a67b_4ac9;
 
     let system = prompt_tokens(24, 5);
     let behind = |level: usize, salt: usize, decode_len: usize| {

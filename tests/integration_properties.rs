@@ -314,12 +314,17 @@ proptest! {
 }
 
 /// A visited payload as the bits of what it stores: `[key, value]` for a KV
-/// entry, `[x, [slot]]` for a recompute entry.
+/// entry, `[x, [slot], key, value]` for a recompute entry.
 fn payload_bits(payload: PayloadRef<'_>) -> Vec<Vec<u32>> {
     let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|f| f.to_bits()).collect() };
     match payload {
         PayloadRef::Kv { key, value } => vec![bits(key), bits(value)],
-        PayloadRef::Recompute { x, slot } => vec![bits(x), vec![slot as u32]],
+        PayloadRef::Recompute {
+            x,
+            slot,
+            key,
+            value,
+        } => vec![bits(x), vec![slot as u32], bits(key), bits(value)],
     }
 }
 

@@ -3,8 +3,8 @@
 //! AERP's stored input rows are read once per layer.  A popular token's
 //! input vector `x` is stored once per layer (§4.1.2), so the attention pass
 //! copies and corrupts each stored row once per layer, whatever number of
-//! heads retain it, and recomputes K/V from that one read for each retaining
-//! head.  These tests count the reads from outside the pass and pin which
+//! heads retain it, and corrects each retaining head's key and value for
+//! the words that one read flipped.  These tests count the reads from outside the pass and pin which
 //! token group a row shared by differently-ranking heads is read at.
 //!
 //! A row computed by the current pass is read clean.  A prompt's K/V are
@@ -141,23 +141,33 @@ fn faulted_pass_examines_each_stored_row_once_per_layer() {
     }
 }
 
-/// Stores each token's input row once and serves it to every head as a
-/// `Recompute` entry; `high(head, token)` is the head's ranking of it.
+/// Stores each token's input row once, with its flat keys and values, and
+/// serves it to every head as a `Recompute` entry; `high(head, token)` is
+/// the head's ranking of it.
 #[derive(Debug)]
 struct RowsOnly {
-    rows: Vec<Vec<f32>>,
+    /// Per token: its input row, keys and values.
+    rows: Vec<[Vec<f32>; 3]>,
+    head_dim: usize,
     high: fn(usize, TokenId) -> bool,
 }
 
 impl KvCacheBackend for RowsOnly {
-    fn insert(&mut self, _: usize, token: TokenId, x: &[f32], _: &[f32], _: &[f32], _: usize) {
+    fn insert(&mut self, _: usize, token: TokenId, x: &[f32], k: &[f32], v: &[f32], hd: usize) {
         assert_eq!(token, self.rows.len());
-        self.rows.push(x.to_vec());
+        self.rows.push([x.to_vec(), k.to_vec(), v.to_vec()]);
+        self.head_dim = hd;
     }
 
     fn for_each_entry(&self, _: usize, head: usize, visit: &mut dyn for<'e> FnMut(EntryRef<'e>)) {
-        for (token, x) in self.rows.iter().enumerate() {
-            let payload = PayloadRef::Recompute { x, slot: token };
+        let span = head * self.head_dim..(head + 1) * self.head_dim;
+        for (token, [x, keys, values]) in self.rows.iter().enumerate() {
+            let payload = PayloadRef::Recompute {
+                x,
+                slot: token,
+                key: &keys[span.clone()],
+                value: &values[span.clone()],
+            };
             visit(EntryRef::labelled(token, payload, (self.high)(head, token)));
         }
     }
@@ -200,6 +210,7 @@ fn a_row_that_one_head_ranks_high_reads_intact_in_every_head() {
     let run = |high: fn(usize, TokenId) -> bool, faults: &mut dyn FaultInjector| {
         let mut cache = RowsOnly {
             rows: Vec::new(),
+            head_dim: 0,
             high,
         };
         let mut scratch = DecodeScratch::new();
@@ -383,9 +394,9 @@ impl KvCacheBackend for Inserts {
     }
 }
 
-/// A prefix hit holds its replayed rows' keys and values for its prompt
-/// pass instead of recomputing them, which is sound only if the segment
-/// recorded each row's own projection: every replayed insert's keys and
+/// A prefix hit's store keeps the replayed rows' keys and values, and its
+/// reads use them instead of recomputing them, which is sound only if the
+/// segment recorded each row's own projection: every replayed insert's keys and
 /// values equal, bit for bit, what `project_kv_into` makes of its `x` at
 /// its token, in every layer, for every policy.
 #[test]

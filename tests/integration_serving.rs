@@ -585,7 +585,11 @@ fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
 /// layer's row lane, and last when rows of the current pass came to be read
 /// clean (served 672 768 words / 125 355 flips → 583 680 / 106 918; run
 /// 0x6754_8e6e_19c4_3724 / 0x512d_718f_1ac7_c608 / 125 650 flips →
-/// 0x84b9_8c06_b196_d362 / 0x1567_f442_d270_6580 / 107 732): a change that
+/// 0x84b9_8c06_b196_d362 / 0x1567_f442_d270_6580 / 107 732).  The run's
+/// probabilities moved once more, 0x1567_f442_d270_6580 →
+/// 0x94dc_f3a6_4743_7273, when a corrupted row's key and value came to be
+/// corrected for its flipped words instead of recomputed from the whole row
+/// (their rounding only; no token or fault count moved).  A change that
 /// moves a constant here has moved every digest kbench reports, and has to
 /// say so.
 #[test]
@@ -603,7 +607,7 @@ fn golden_2drp_stream_of_seed_7_is_pinned() {
     // its fault seed from the engine's): it also exposes every step's
     // next-token distribution, so the probability bits are pinned here.
     const RUN_TOKENS_FNV1A: u64 = 0x84b9_8c06_b196_d362;
-    const RUN_PROBS_FNV1A: u64 = 0x1567_f442_d270_6580;
+    const RUN_PROBS_FNV1A: u64 = 0x94dc_f3a6_4743_7273;
     const RUN_FAULTS: FaultStats = FaultStats {
         words_examined: 583_680,
         bits_flipped: 107_732,
