@@ -252,25 +252,27 @@ struct RowTable {
     high: Vec<bool>,
     /// The rows' stored inputs, `channels` per row, as stored.
     x: Vec<f32>,
-    /// The rows as the row lane read them, `channels` per row.
-    read: Vec<f32>,
-    /// Every flipped word of every row, row after row, each in ascending
-    /// column order: its column and `δ = x′ − x`.
-    flips: Vec<(u32, f32)>,
-    /// Per row: its range of `flips`.
-    flips_at: Vec<(usize, usize)>,
+    /// Per row: its last use in `uses`; every row has one.
+    last_use: Vec<u32>,
     /// Every (head, row) pair phase 2 reads, head by head in entry order.
     uses: Vec<RowUse>,
+    /// Per use: the use of the same row before it, or
+    /// [`RowTable::ABSENT`].
+    earlier_use: Vec<u32>,
     /// Per use: the head's stored key, `head_dim` floats, corrected in place.
     keys: Vec<f32>,
+    /// The row phase 2 is reading, as the row lane read it.
+    read: Vec<f32>,
+    /// The words of that row the read flipped, in ascending column order:
+    /// each one's column and `δ = x′ − x`.
+    flips: Vec<(u32, f32)>,
 }
 
-/// One head's `Recompute` entry of an earlier pass: which row it reads and
-/// where its score and stashed value go.
+/// One head's `Recompute` entry of an earlier pass: where its score and
+/// stashed value go.
 #[derive(Debug, Clone, Copy)]
 struct RowUse {
     head: usize,
-    row: usize,
     entry: usize,
     stash: usize,
 }
@@ -287,10 +289,9 @@ impl RowTable {
         self.token.clear();
         self.high.clear();
         self.x.clear();
-        self.read.clear();
-        self.flips.clear();
-        self.flips_at.clear();
+        self.last_use.clear();
         self.uses.clear();
+        self.earlier_use.clear();
         self.keys.clear();
     }
 
@@ -319,38 +320,49 @@ impl RowTable {
         }
     }
 
-    /// Reads every row once on the row lane, `channels` words each, at its
-    /// group, and records the words the read flipped.
-    fn read_through(&mut self, channels: usize, faults: &mut dyn FaultInjector) {
-        self.read.clear();
-        self.read.extend_from_slice(&self.x);
-        // Every word of every row may flip, so `flips` never outgrows what
-        // the rows bound, and a warm scratch allocates nothing here.
-        self.flips.clear();
-        self.flips.reserve(self.x.len());
-        self.flips_at.clear();
-        for ((read, x), &high) in self
-            .read
-            .chunks_exact_mut(channels)
-            .zip(self.x.chunks_exact(channels))
-            .zip(&self.high)
-        {
-            faults.corrupt_slice(read, group(high));
-            let start = self.flips.len();
-            // The words whose bits differ, 64 at a time as a mask, so the
-            // compare takes no branch per word.
-            for (block, (read, x)) in read.chunks(64).zip(x.chunks(64)).enumerate() {
-                let mut mask = 0u64;
-                for (j, (r, s)) in read.iter().zip(x).enumerate() {
-                    mask |= u64::from(r.to_bits() != s.to_bits()) << j;
-                }
-                while mask != 0 {
-                    let j = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    self.flips.push(((64 * block + j) as u32, read[j] - x[j]));
-                }
-            }
-            self.flips_at.push((start, self.flips.len()));
+    /// Records that head `head` reads `row` into entry `entry`, its value
+    /// at `stash`, from its stored `key`.
+    fn add_use(&mut self, head: usize, row: usize, (entry, stash): (usize, usize), key: &[f32]) {
+        let at = self.uses.len() as u32;
+        self.uses.push(RowUse { head, entry, stash });
+        self.keys.extend_from_slice(key);
+        if row == self.last_use.len() {
+            self.earlier_use.push(Self::ABSENT);
+            self.last_use.push(at);
+        } else {
+            self.earlier_use.push(self.last_use[row]);
+            self.last_use[row] = at;
+        }
+    }
+}
+
+/// Reads the stored row `x` on the row lane at `group` into `read`, and
+/// leaves in `flips` the words whose bits the read changed, in ascending
+/// column order, each with `δ = x′ − x`.
+fn read_row(
+    x: &[f32],
+    group: TokenGroup,
+    faults: &mut dyn FaultInjector,
+    read: &mut Vec<f32>,
+    flips: &mut Vec<(u32, f32)>,
+) {
+    read.clear();
+    read.extend_from_slice(x);
+    faults.corrupt_slice(read, group);
+    flips.clear();
+    // Every word may flip, so a warm `flips` never grows.
+    flips.reserve(x.len());
+    // The words whose bits differ, 64 at a time as a mask, so the compare
+    // takes no branch per word.
+    for (block, (read, x)) in read.chunks(64).zip(x.chunks(64)).enumerate() {
+        let mut mask = 0u64;
+        for (j, (r, s)) in read.iter().zip(x).enumerate() {
+            mask |= u64::from(r.to_bits() != s.to_bits()) << j;
+        }
+        while mask != 0 {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            flips.push(((64 * block + j) as u32, read[j] - x[j]));
         }
     }
 }
@@ -663,13 +675,7 @@ impl<'w> MultiHeadAttention<'w> {
                 } => {
                     recomputed_entries += 1;
                     let row = rows.visit(slot, e.token, x, e.high_score());
-                    rows.uses.push(RowUse {
-                        head: h,
-                        row,
-                        entry: scores.len(),
-                        stash: stash.len(),
-                    });
-                    rows.keys.extend_from_slice(key);
+                    rows.add_use(h, row, (scores.len(), stash.len()), key);
                     stash.extend_from_slice(value);
                     0.0 // scored in phase 2
                 }
@@ -680,12 +686,13 @@ impl<'w> MultiHeadAttention<'w> {
         (recomputed_entries, kv_entries_read)
     }
 
-    /// Phase 2: reads each of the layer's stored rows of earlier passes once
-    /// on the row lane `(layer, heads)`, at the group of its most demanding
-    /// head, and finds the words the read flipped; then, for every (head,
-    /// row) pair phase 1 found, corrects the stored key and value for those
-    /// words (a row read intact needs nothing), scores the entry with the
-    /// key and leaves the value in its stashed slot.
+    /// Phase 2: reads each of the layer's stored rows of earlier passes
+    /// once, in row-table order, on the row lane `(layer, heads)` at the
+    /// group of its most demanding head, and finds the words the read
+    /// flipped; then, for every head phase 1 found retaining the row,
+    /// corrects the stored key and value for those words (a row read intact
+    /// needs nothing), scores the entry with the key and leaves the value in
+    /// its stashed slot.
     fn read_rows(&self, layer: usize, faults: &mut dyn FaultInjector, scratch: &mut DecodeScratch) {
         let DecodeScratch {
             q,
@@ -705,40 +712,46 @@ impl<'w> MultiHeadAttention<'w> {
         // A label no head uses, so the row lane is snapshotted with the head
         // lanes.
         faults.begin_lane(layer, self.heads);
-        rows.read_through(channels, faults);
         if slot_angles.len() <= layer {
             slot_angles.resize_with(layer + 1, SlotAngles::default);
         }
         let tables = &mut slot_angles[layer];
-        for ((&(start, end), &slot), &token) in
-            rows.flips_at.iter().zip(&rows.slot).zip(&rows.token)
-        {
-            if start < end {
-                tables.hold(slot, token, hd / 2, || self.rope_angles(token));
-            }
-        }
         kbuf.clear();
         kbuf.resize(2 * hd, 0.0);
-        for (u, key) in rows.uses.iter().zip(rows.keys.chunks_exact_mut(hd)) {
-            let (start, end) = rows.flips_at[u.row];
-            if start < end {
-                let angles = tables.of(rows.slot[u.row]);
-                let value = &mut stash[u.stash..u.stash + hd];
-                self.correct(u.head, &rows.flips[start..end], angles, key, value, kbuf);
-                #[cfg(any(debug_assertions, test))]
-                {
-                    let row = u.row * channels..(u.row + 1) * channels;
-                    self.audit_corrected(
-                        u.head,
-                        rows.token[u.row],
-                        (&rows.x[row.clone()], &rows.read[row]),
-                        &rows.flips[start..end],
-                        angles,
-                        (key, value),
-                    );
-                }
+        let RowTable {
+            slot,
+            token,
+            high,
+            x,
+            last_use,
+            uses,
+            earlier_use,
+            keys,
+            read,
+            flips,
+            ..
+        } = rows;
+        for (row, x) in x.chunks_exact(channels).enumerate() {
+            read_row(x, group(high[row]), faults, read, flips);
+            let (slot, token) = (slot[row], token[row]);
+            if !flips.is_empty() {
+                tables.hold(slot, token, hd / 2, || self.rope_angles(token));
             }
-            scores[u.entry] = kelle_tensor::dot(key, &q[u.head * hd..(u.head + 1) * hd]) * scale;
+            let mut at = last_use[row];
+            while at != RowTable::ABSENT {
+                let (u, at_key) = (uses[at as usize], at as usize * hd);
+                let key = &mut keys[at_key..at_key + hd];
+                if !flips.is_empty() {
+                    let angles = tables.of(slot);
+                    let value = &mut stash[u.stash..u.stash + hd];
+                    self.correct(u.head, flips, angles, key, value, kbuf);
+                    #[cfg(any(debug_assertions, test))]
+                    self.audit_corrected(u.head, token, (x, read), flips, angles, (key, value));
+                }
+                scores[u.entry] =
+                    kelle_tensor::dot(key, &q[u.head * hd..(u.head + 1) * hd]) * scale;
+                at = earlier_use[at as usize];
+            }
         }
     }
 
@@ -965,18 +978,33 @@ mod tests {
         let mut scratch = DecodeScratch::new();
         let mut x = Vec::new();
         let (mut corrected, mut largest_delta) = (0, 0.0f32);
+        let (mut read, mut flips) = (Vec::new(), Vec::new());
         for pos in 0..200 {
             weights.embed_into((pos * 7 + 3) % dims.vocab, pos, &mut x);
+            // The row lane's reads of this step, replayed on a copy of the
+            // injector: AERP reads nothing on the head lanes.
+            let mut replay = faults.clone();
             attn.forward_with(0, pos, pos, &x, &mut *cache, &mut faults, &mut scratch);
             let rows = &scratch.rows;
-            corrected += rows
-                .uses
-                .iter()
-                .filter(|u| rows.flips_at[u.row].0 < rows.flips_at[u.row].1)
-                .count();
-            for &(_, delta) in &rows.flips {
-                largest_delta = largest_delta.max(delta.abs());
+            replay.begin_lane(0, dims.heads);
+            for (row, x) in rows.x.chunks_exact(dims.channels).enumerate() {
+                read_row(x, group(rows.high[row]), &mut replay, &mut read, &mut flips);
+                if let Some(&(_, delta)) =
+                    flips.iter().max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
+                {
+                    largest_delta = largest_delta.max(delta.abs());
+                    let mut at = rows.last_use[row];
+                    while at != RowTable::ABSENT {
+                        corrected += 1;
+                        at = rows.earlier_use[at as usize];
+                    }
+                }
             }
+            assert_eq!(
+                replay.stats(),
+                faults.stats(),
+                "step {pos} replays the lane"
+            );
         }
         assert!(cache.stats().evictions > 0);
         // 15 earlier rows × 4 heads per step, at 32 words a row of which

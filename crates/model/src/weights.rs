@@ -77,12 +77,19 @@ impl KvColumns {
     fn new(wk: &Matrix, wv: &Matrix, heads: usize) -> Self {
         let channels = wk.cols();
         let head_dim = channels / heads;
-        let mut data = Vec::with_capacity(2 * channels * channels);
-        for head in 0..heads {
-            for j in 0..channels {
-                for w in [wk, wv] {
-                    data.extend((head * head_dim..(head + 1) * head_dim).map(|r| w.get(r, j)));
-                }
+        let width = 2 * head_dim;
+        let mut data = vec![0.0; 2 * channels * channels];
+        // Row `r` of `W_K`/`W_V` is output `i` of head `r / head_dim`: its
+        // weights go to place `i` (`W_K`) and `head_dim + i` (`W_V`) of every
+        // column run of that head's block.
+        for r in 0..channels {
+            let (head, i) = (r / head_dim, r % head_dim);
+            let block = &mut data[head * channels * width..(head + 1) * channels * width];
+            let (k, v) = (wk.row(r), wv.row(r));
+            let (k, v) = (k.expect("row within W_K"), v.expect("row within W_V"));
+            for ((run, &k), &v) in block.chunks_exact_mut(width).zip(k).zip(v) {
+                run[i] = k;
+                run[head_dim + i] = v;
             }
         }
         KvColumns {
