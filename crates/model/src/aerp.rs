@@ -40,16 +40,6 @@ enum Format {
     Input,
 }
 
-/// What a head stores for its retained tokens, parallel to its token list.
-#[derive(Debug, Clone)]
-enum Stored {
-    /// AERP: the slab slot of each token's input row, and the host's copy
-    /// of the head's key and value of it.
-    Rows { slots: Vec<usize>, kv: KvArena },
-    /// Every other policy: each token's key and value.
-    Kv(KvArena),
-}
-
 /// One head's retained tokens, in insertion order.
 #[derive(Debug, Clone)]
 struct Head {
@@ -59,7 +49,11 @@ struct Head {
     /// How many of the oldest entries an observe has named; read only under
     /// Full, which never evicts.
     observed: usize,
-    stored: Stored,
+    /// Each token's key and value: what the policy stores, or under AERP the
+    /// host's unbilled copy.
+    kv: KvArena,
+    /// AERP: the slab slot of each token's input row; empty otherwise.
+    slots: Vec<usize>,
 }
 
 impl Head {
@@ -95,6 +89,7 @@ impl Head {
 #[derive(Debug, Clone)]
 struct Layer {
     heads: Vec<Head>,
+    format: Format,
     /// AERP: the input row of every token some head retains.
     rows: InputSlab,
     /// Per slab slot: how many heads retain its row.
@@ -107,32 +102,20 @@ impl Layer {
             tokens: Vec::new(),
             scores: Vec::new(),
             observed: 0,
-            stored: if format == Format::Input {
-                Stored::Rows {
-                    slots: Vec::new(),
-                    kv: KvArena::new(head_dim),
-                }
-            } else {
-                Stored::Kv(KvArena::new(head_dim))
-            },
+            kv: KvArena::new(head_dim),
+            slots: Vec::new(),
         };
         Layer {
             heads: vec![head; heads],
+            format,
             rows: InputSlab::new(heads * head_dim),
             holders: Vec::new(),
         }
     }
 
-    /// Appends `token` to every head with a zero score, stored in `format`;
-    /// no head holds more than `limit` entries from here on.
-    fn push(
-        &mut self,
-        token: TokenId,
-        x: &[f32],
-        (keys, values): (&[f32], &[f32]),
-        format: Format,
-        limit: usize,
-    ) {
+    /// Appends `token` to every head with a zero score, stored in the
+    /// layer's format; no head holds more than `limit` entries from here on.
+    fn push(&mut self, token: TokenId, x: &[f32], (keys, values): (&[f32], &[f32]), limit: usize) {
         let head_dim = keys.len() / self.heads.len();
         let mut slot = None;
         for (head, (key, value)) in self.heads.iter_mut().zip(
@@ -141,19 +124,17 @@ impl Layer {
         ) {
             head.tokens.push(token);
             head.scores.push(0.0);
-            match &mut head.stored {
-                Stored::Rows { slots, kv } => {
-                    slots.push(*slot.get_or_insert_with(|| self.rows.push(x)));
-                    kv.push_within(key, value, limit);
+            head.kv.push(key, value, limit);
+            match self.format {
+                Format::Input => head
+                    .slots
+                    .push(*slot.get_or_insert_with(|| self.rows.push(x))),
+                Format::Int4 => {
+                    let (key, value) = head.kv.last_mut();
+                    quant::round_trip_in_place(key, QuantFormat::Int4);
+                    quant::round_trip_in_place(value, QuantFormat::Int4);
                 }
-                Stored::Kv(arena) => {
-                    arena.push(key, value);
-                    if format == Format::Int4 {
-                        let (key, value) = arena.last_mut();
-                        quant::round_trip_in_place(key, QuantFormat::Int4);
-                        quant::round_trip_in_place(value, QuantFormat::Int4);
-                    }
-                }
+                Format::Fp16 => {}
             }
         }
         if let Some(slot) = slot {
@@ -170,16 +151,13 @@ impl Layer {
         let head = &mut self.heads[head];
         head.tokens.remove(i);
         head.scores.remove(i);
-        match &mut head.stored {
-            Stored::Rows { slots, kv } => {
-                kv.remove_at(i);
-                let slot = slots.remove(i);
-                self.holders[slot] -= 1;
-                if self.holders[slot] == 0 {
-                    self.rows.remove(slot);
-                }
+        head.kv.remove_at(i);
+        if self.format == Format::Input {
+            let slot = head.slots.remove(i);
+            self.holders[slot] -= 1;
+            if self.holders[slot] == 0 {
+                self.rows.remove(slot);
             }
-            Stored::Kv(arena) => arena.remove_at(i),
         }
     }
 }
@@ -224,8 +202,9 @@ impl Layer {
 ///   and AERP evict nothing during pre-fill; after it,
 ///   [`finish_prefill`](KvCacheBackend::finish_prefill) keeps each head's
 ///   top-`N'` tokens plus the protected ones.  Full and QuaRot never evict.
-/// * **Format.** FP16 K/V go in a per-head arena: two flat buffers strided
-///   by `head_dim`.  QuaRot (Ashkboos et al., \[6\]) keeps the dequantized
+/// * **Format.** Every head keeps one K/V arena: two flat buffers strided
+///   by `head_dim`, grown by doubling but never past room for the head's
+///   capacity plus the arriving token.  FP16 K/V go there.  QuaRot (Ashkboos et al., \[6\]) keeps the dequantized
 ///   image of each vector's symmetric int4 quantization, materialized at
 ///   insert (quantizing is deterministic, so the image equals a dequantize
 ///   at every read), and is billed at int4 bytes; the Hadamard rotation is
@@ -235,8 +214,8 @@ impl Layer {
 ///   through `W_K`/`W_V` when the token is read ([`PayloadRef::Recompute`]).
 ///   Each head holds the row's slab slot; a per-slot count of retaining
 ///   heads frees the row when the last of them evicts the token.  Beside
-///   the slot, each head keeps the key and value its insert received in an
-///   arena like H2O's, on the host only: the attention pass reads them
+///   the slot, each head keeps the key and value its insert received in its
+///   arena, on the host only: the attention pass reads them
 ///   instead of recomputing them, and corrects them for the words a faulted
 ///   read of `x` flipped.  That copy is neither stored on the device nor
 ///   billed: `CacheStats` counts the row, at `C` elements, and no K/V
@@ -444,7 +423,7 @@ impl KvCacheBackend for KvStore {
         }
         // A head holds its capacity plus the arriving token until it settles.
         let limit = self.capacity().saturating_add(1);
-        self.layers[layer].push(token, x, (keys, values), format, limit);
+        self.layers[layer].push(token, x, (keys, values), limit);
         for head in 0..self.heads {
             self.settle(layer, head, Some(token));
         }
@@ -464,12 +443,12 @@ impl KvCacheBackend for KvStore {
             return;
         };
         let head = &state.heads[head];
-        match &head.stored {
-            Stored::Rows { slots, kv } => self.visit_labelled(
+        if state.format == Format::Input {
+            self.visit_labelled(
                 head,
-                slots
+                head.slots
                     .iter()
-                    .zip(kv.pairs())
+                    .zip(head.kv.pairs())
                     .map(|(&slot, (key, value))| PayloadRef::Recompute {
                         x: state.rows.row(slot),
                         slot,
@@ -477,14 +456,15 @@ impl KvCacheBackend for KvStore {
                         value,
                     }),
                 visit,
-            ),
-            Stored::Kv(arena) => self.visit_labelled(
+            );
+        } else {
+            self.visit_labelled(
                 head,
-                arena
+                head.kv
                     .pairs()
                     .map(|(key, value)| PayloadRef::Kv { key, value }),
                 visit,
-            ),
+            );
         }
     }
 
@@ -533,21 +513,24 @@ impl KvCacheBackend for KvStore {
             insertions: self.insertions,
             ..CacheStats::default()
         };
-        let int4 = self.format() == Format::Int4;
+        let format = self.format();
         for state in &self.layers {
             // A stored row counts once per layer: every retaining head
             // shares it.
             stats.recompute_entries += state.rows.len();
             stats.bytes_fp16 += state.rows.bytes_fp16();
+            if format == Format::Input {
+                // The host's K/V copy is not billed.
+                continue;
+            }
             for head in &state.heads {
-                if let Stored::Kv(arena) = &head.stored {
-                    stats.kv_entries += arena.len();
-                    stats.bytes_fp16 += if int4 {
-                        arena.len() * 2 * QuantFormat::Int4.bytes_for(arena.head_dim())
-                    } else {
-                        arena.bytes_fp16()
-                    };
-                }
+                let arena = &head.kv;
+                stats.kv_entries += arena.len();
+                stats.bytes_fp16 += if format == Format::Int4 {
+                    arena.len() * 2 * QuantFormat::Int4.bytes_for(arena.head_dim())
+                } else {
+                    arena.bytes_fp16()
+                };
             }
         }
         stats
@@ -1075,12 +1058,9 @@ mod tests {
         assert_eq!(stats.bytes_fp16, rows * dims.channels * 2);
         for (l, layer) in cache.layers.iter().enumerate() {
             for (h, head) in layer.heads.iter().enumerate() {
-                let Stored::Rows { slots, kv } = &head.stored else {
-                    unreachable!("AERP stores rows")
-                };
                 assert!(head.tokens.len() <= 8, "layer {l} head {h}");
-                assert_eq!(slots.len(), head.tokens.len(), "layer {l} head {h}");
-                assert_eq!(kv.len(), head.tokens.len(), "layer {l} head {h}");
+                assert_eq!(head.slots.len(), head.tokens.len(), "layer {l} head {h}");
+                assert_eq!(head.kv.len(), head.tokens.len(), "layer {l} head {h}");
             }
         }
     }

@@ -12,12 +12,13 @@
 //!   strided by `head_dim`;
 //! * **the input vector `x`** (AERP, §4.1.2) goes once per layer in a
 //!   slot-recycling [`InputSlab`], and each head holds the slots of the rows
-//!   it retains, beside a host-only [`KvArena`] of their keys and values.
+//!   it retains; its [`KvArena`] then holds a host-only copy of their keys
+//!   and values, which the statistics do not bill.
 //!
 //! The allocation discipline is:
 //!
 //! * **insert** appends to the arena tail (amortized O(1); the buffers warm
-//!   up to the policy budget and then stop growing);
+//!   up to the policy budget plus the arriving token and then stop growing);
 //! * **evict** removes the entry while *preserving order* (`copy_within` +
 //!   truncate), so entry iteration order — and therefore the floating-point
 //!   accumulation order of attention — is identical to the historical
@@ -84,29 +85,25 @@ impl KvArena {
         self.keys.chunks_exact(d).zip(self.values.chunks_exact(d))
     }
 
-    /// Appends an entry.
+    /// Appends an entry.  Full buffers grow by doubling but never past room
+    /// for `limit` entries, so a head that never holds more than `limit`
+    /// keeps no doubling slack beyond it (`usize::MAX` where nothing is
+    /// evicted).
     ///
     /// # Panics
     ///
     /// Panics if `key` or `value` length differs from the arena stride.
-    pub fn push(&mut self, key: &[f32], value: &[f32]) {
+    pub(crate) fn push(&mut self, key: &[f32], value: &[f32], limit: usize) {
         assert_eq!(key.len(), self.head_dim, "key length must match stride");
         assert_eq!(value.len(), self.head_dim, "value length must match stride");
-        self.keys.extend_from_slice(key);
-        self.values.extend_from_slice(value);
-    }
-
-    /// [`push`](Self::push), growing full buffers by doubling but never past
-    /// room for `limit` entries: a head that never holds more than `limit`
-    /// keeps no doubling slack beyond it.
-    pub(crate) fn push_within(&mut self, key: &[f32], value: &[f32], limit: usize) {
         if self.keys.len() == self.keys.capacity() {
             let len = self.len();
             let entries = (2 * len).max(4).min(limit).max(len + 1);
             self.keys.reserve_exact((entries - len) * self.head_dim);
             self.values.reserve_exact((entries - len) * self.head_dim);
         }
-        self.push(key, value);
+        self.keys.extend_from_slice(key);
+        self.values.extend_from_slice(value);
     }
 
     /// Borrows the newest entry's key and value vectors mutably.
@@ -232,7 +229,7 @@ mod tests {
     fn arena_with(entries: &[f32]) -> KvArena {
         let mut arena = KvArena::new(4);
         for &v in entries {
-            arena.push(&[v; 4], &[-v; 4]);
+            arena.push(&[v; 4], &[-v; 4], usize::MAX);
         }
         arena
     }
@@ -271,7 +268,7 @@ mod tests {
     fn bytes_reflect_live_entries_not_capacity() {
         let mut arena = arena_with(&[]);
         for _ in 0..100 {
-            arena.push(&[0.5; 4], &[0.5; 4]);
+            arena.push(&[0.5; 4], &[0.5; 4], usize::MAX);
         }
         while arena.len() > 4 {
             arena.remove_at(0);
@@ -280,6 +277,21 @@ mod tests {
         // capacity the buffers retain from their 100-entry peak.
         assert_eq!(arena.bytes_fp16(), 4 * 2 * 4 * 2);
         assert!(arena.keys.capacity() >= 100 * 4);
+    }
+
+    #[test]
+    fn push_grows_by_doubling_up_to_the_limit() {
+        let mut arena = arena_with(&[]);
+        let mut capacities = Vec::new();
+        for _ in 0..11 {
+            arena.push(&[0.5; 4], &[0.5; 4], 11);
+            capacities.push(arena.keys.capacity() / 4);
+        }
+        assert_eq!(capacities, [4, 4, 4, 4, 8, 8, 8, 8, 11, 11, 11]);
+        // Past the limit an entry still fits, one at a time.
+        arena.push(&[0.5; 4], &[0.5; 4], 11);
+        assert_eq!(arena.keys.capacity(), 12 * 4);
+        assert_eq!(arena.values.capacity(), 12 * 4);
     }
 
     #[test]

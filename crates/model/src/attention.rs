@@ -48,7 +48,8 @@
 //!    exactly those words — `K′ = K + rot(W_K,h[:, J]·δ_J)` and
 //!    `V′ = V + W_V,h[:, J]·δ_J` — instead of recomputed from the whole row.
 //!    The correction reads the layer's head-major column copy of
-//!    `[W_K; W_V]`, `2 × head_dim` floats per flipped word, and accumulates
+//!    `[W_K; W_V]`, `2 × head_dim` floats per flipped word (padded to whole
+//!    16-float blocks, whose sums stay in registers), and accumulates
 //!    over `J` in ascending column order with a separate multiply and add,
 //!    so every platform rounds it alike; only the key's part is rotated, by
 //!    the row's angle table.  A row with no flipped word is read as stored.
@@ -167,7 +168,7 @@ pub struct DecodeScratch {
     /// entry's value copied and, if its row read flipped, corrected.
     pub(crate) stash: Vec<f32>,
     /// Staging buffer for a corrupted key (`head_dim`) or a key-and-value
-    /// correction (`2 × head_dim`).
+    /// correction (one column run of the layer's column copy).
     pub(crate) kbuf: Vec<f32>,
     /// The RoPE angle table of the current token's position, shared by its
     /// query and key heads in every layer.
@@ -422,34 +423,6 @@ fn group(high_score: bool) -> TokenGroup {
         TokenGroup::HighScore
     } else {
         TokenGroup::LowScore
-    }
-}
-
-/// `out = Σ columns[j]·δ` over the `(j, δ)` of `flips`, in their order,
-/// one multiply and one add per weight, each column `out.len()` floats of
-/// `columns`.  The surrogate's heads are 8 wide, so a 16-float column takes a
-/// fixed-width body that keeps the sums in registers; every width rounds
-/// alike.
-fn accumulate(out: &mut [f32], columns: &[f32], flips: &[(u32, f32)]) {
-    fn fixed<const W: usize>(out: &mut [f32; W], columns: &[[f32; W]], flips: &[(u32, f32)]) {
-        let mut sums = [0.0f32; W];
-        for &(j, delta) in flips {
-            for (s, &w) in sums.iter_mut().zip(&columns[j as usize]) {
-                *s += w * delta;
-            }
-        }
-        *out = sums;
-    }
-    if let Ok(out) = <&mut [f32; 16]>::try_from(&mut *out) {
-        return fixed(out, columns.as_chunks().0, flips);
-    }
-    let width = out.len();
-    out.fill(0.0);
-    for &(j, delta) in flips {
-        let j = j as usize;
-        for (s, &w) in out.iter_mut().zip(&columns[j * width..(j + 1) * width]) {
-            *s += w * delta;
-        }
     }
 }
 
@@ -717,7 +690,7 @@ impl<'w> MultiHeadAttention<'w> {
         }
         let tables = &mut slot_angles[layer];
         kbuf.clear();
-        kbuf.resize(2 * hd, 0.0);
+        kbuf.resize(self.weights.kv_correction_len(), 0.0);
         let RowTable {
             slot,
             token,
@@ -758,9 +731,9 @@ impl<'w> MultiHeadAttention<'w> {
     /// Adds head `h`'s correction for the flipped words `flips` (column,
     /// `δ`) to its stored `key` and `value`: `W_K,h[:, J]·δ_J` rotated by
     /// the row's `angles` to the key, `W_V,h[:, J]·δ_J` to the value, read
-    /// from the layer's column copy and accumulated into `correction`
-    /// (`2 × head_dim`) over `J` in column order, one multiply and one add
-    /// per weight.
+    /// from the layer's column copy and accumulated into `correction` (one
+    /// column run) over `J` in column order, one multiply and one add per
+    /// weight.
     fn correct(
         &self,
         h: usize,
@@ -770,7 +743,7 @@ impl<'w> MultiHeadAttention<'w> {
         value: &mut [f32],
         correction: &mut [f32],
     ) {
-        accumulate(correction, self.weights.kv_columns(h), flips);
+        self.weights.kv_correction(h, flips, correction);
         let (dk, dv) = correction.split_at_mut(self.head_dim);
         ops::rotate(dk, angles);
         for (k, d) in key.iter_mut().zip(dk.iter()) {
@@ -962,12 +935,23 @@ mod tests {
     /// Every corrected read of AERP under uniform 1 % bit flips — MSB
     /// classes included, so exponent bits flip and some corrections are
     /// large — is within the rounding bound of a recompute from the
-    /// corrupted row, for 200 steps with eviction at every step.  Phase 2
-    /// audits each corrected read, and this module's tests run that audit
-    /// in release as well as in dev.
+    /// corrupted row, for 200 steps with eviction at every step, at the
+    /// surrogate's 8-wide heads (a column run of one block) and at 12-wide
+    /// ones (a run padded to two blocks).  Phase 2 audits each corrected
+    /// read, and this module's tests run that audit in release as well as
+    /// in dev.
     #[test]
     fn every_corrected_read_is_within_the_bound_of_a_recompute() {
-        let (weights, dims) = setup();
+        let (_, dims) = setup();
+        every_corrected_read_is_within_the_bound_at(dims);
+        every_corrected_read_is_within_the_bound_at(SurrogateDims {
+            channels: 48,
+            ..dims
+        });
+    }
+
+    fn every_corrected_read_is_within_the_bound_at(dims: SurrogateDims) {
+        let weights = ModelWeights::generate(&dims, &WeightGenConfig::default(), 3);
         let attn = MultiHeadAttention::new(&weights.layers[0], dims.heads);
         let budget = CacheBudget::new(16)
             .with_recent_window(4)
@@ -1007,32 +991,12 @@ mod tests {
             );
         }
         assert!(cache.stats().evictions > 0);
-        // 15 earlier rows × 4 heads per step, at 32 words a row of which
-        // about 5 flip: nearly every read is corrected.
+        // 15 earlier rows × 4 heads per step, at 32 or 48 words a row of
+        // which about 5 or 8 flip: nearly every read is corrected.
         assert!(corrected > 10_000, "{corrected} corrected reads");
         assert!(
             largest_delta > 1.0,
             "an exponent flip moves a word by more than 1: {largest_delta}"
         );
-    }
-
-    /// The fixed-width body of `accumulate` and the one for any other
-    /// width sum alike: over the flips in order, a multiply then an add.
-    #[test]
-    fn accumulate_sums_the_flipped_columns_in_order_at_every_width() {
-        for width in [6usize, 16, 20] {
-            let columns: Vec<f32> = (0..5 * width).map(|i| (i as f32 * 0.37).sin()).collect();
-            let flips = [(0u32, 1.5f32), (2, -0.25), (3, 1e-3), (4, 300.0)];
-            let mut expected = vec![0.0f32; width];
-            for &(j, delta) in &flips {
-                for (i, e) in expected.iter_mut().enumerate() {
-                    *e += columns[j as usize * width + i] * delta;
-                }
-            }
-            let mut out = vec![f32::NAN; width];
-            accumulate(&mut out, &columns, &flips);
-            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&out), bits(&expected), "width {width}");
-        }
     }
 }

@@ -21,13 +21,20 @@ use kelle_tensor::rng::{self, fill_xavier};
 use kelle_tensor::Matrix;
 
 /// Weights of a single decoder layer of the surrogate model.
+///
+/// The fields are public to read.  `wk` and `wv` must not change once the
+/// layer is generated: the attention pass corrects a faulted read through a
+/// private column copy of them taken at generation, and an edit would leave
+/// that copy stale (release builds would then correct with the old weights;
+/// only the debug audit of every corrected read would notice).
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
     /// Query projection, `channels x channels`.
     pub wq: Matrix,
-    /// Key projection, `channels x channels`.
+    /// Key projection, `channels x channels`.  Fixed after generation (see
+    /// the type's docs).
     pub wk: Matrix,
-    /// Value projection, `channels x channels`.
+    /// Value projection, `channels x channels`.  Fixed after generation.
     pub wv: Matrix,
     /// Output projection, `channels x channels`.
     pub wo: Matrix,
@@ -47,11 +54,23 @@ pub struct LayerWeights {
 }
 
 impl LayerWeights {
-    /// Head `head`'s block of the column copy of `W_K`/`W_V`: for each input
-    /// channel `j` in order, the `head_dim` entries of column `j` of `W_K`
-    /// in the head's rows, then those of `W_V`.
-    pub(crate) fn kv_columns(&self, head: usize) -> &[f32] {
-        self.kv_columns.head(head)
+    /// Writes head `head`'s `W_K,h[:, J]·δ_J` and then its `W_V,h[:, J]·δ_J`
+    /// to the start of `out`, summed over the `(j, δ_j)` of `flips` in their
+    /// order with one multiply and one add per weight, from the column copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` is [`kv_correction_len`](Self::kv_correction_len)
+    /// floats long.
+    pub(crate) fn kv_correction(&self, head: usize, flips: &[(u32, f32)], out: &mut [f32]) {
+        assert_eq!(out.len(), self.kv_columns.run, "one column run");
+        accumulate(out, self.kv_columns.head(head), flips);
+    }
+
+    /// The length of the buffer [`kv_correction`](Self::kv_correction)
+    /// writes: `2 × head_dim`, padded to whole column-run blocks.
+    pub(crate) fn kv_correction_len(&self) -> usize {
+        self.kv_columns.run
     }
 
     /// The per-head width the column copy was laid out for.
@@ -60,16 +79,24 @@ impl LayerWeights {
     }
 }
 
+/// The floats a column run of [`KvColumns`] is padded to a multiple of: a
+/// correction sums one block of a run at a time in registers.  The
+/// surrogate's 8-wide heads fill one block exactly.
+const KV_RUN_BLOCK: usize = 16;
+
 /// A head-major transposed copy of `[W_K; W_V]`: per head, per input
 /// channel `j`, the `2 × head_dim` weights that multiply `x_j` in the head's
-/// key and value.  A correction for a few changed input words then reads
-/// one contiguous `2 × head_dim` run per word.  It is built once with the
-/// weights, `2 × channels²` floats per layer, and shared by every session.
+/// key and value, zero-padded to a run of whole [`KV_RUN_BLOCK`]s.  A
+/// correction for a few changed input words then reads one contiguous run
+/// per word.  It is built once with the weights, `2 × channels²` floats per
+/// layer when `2 × head_dim` fills its blocks, and shared by every session.
 #[derive(Debug, Clone)]
 struct KvColumns {
     heads: usize,
     head_dim: usize,
-    /// `heads × channels × 2·head_dim` floats.
+    /// Floats per column run.
+    run: usize,
+    /// `heads × channels × run` floats.
     data: Vec<f32>,
 }
 
@@ -77,17 +104,17 @@ impl KvColumns {
     fn new(wk: &Matrix, wv: &Matrix, heads: usize) -> Self {
         let channels = wk.cols();
         let head_dim = channels / heads;
-        let width = 2 * head_dim;
-        let mut data = vec![0.0; 2 * channels * channels];
+        let run = (2 * head_dim).next_multiple_of(KV_RUN_BLOCK);
+        let mut data = vec![0.0; heads * channels * run];
         // Row `r` of `W_K`/`W_V` is output `i` of head `r / head_dim`: its
         // weights go to place `i` (`W_K`) and `head_dim + i` (`W_V`) of every
         // column run of that head's block.
         for r in 0..channels {
             let (head, i) = (r / head_dim, r % head_dim);
-            let block = &mut data[head * channels * width..(head + 1) * channels * width];
+            let block = &mut data[head * channels * run..(head + 1) * channels * run];
             let (k, v) = (wk.row(r), wv.row(r));
             let (k, v) = (k.expect("row within W_K"), v.expect("row within W_V"));
-            for ((run, &k), &v) in block.chunks_exact_mut(width).zip(k).zip(v) {
+            for ((run, &k), &v) in block.chunks_exact_mut(run).zip(k).zip(v) {
                 run[i] = k;
                 run[head_dim + i] = v;
             }
@@ -95,6 +122,7 @@ impl KvColumns {
         KvColumns {
             heads,
             head_dim,
+            run,
             data,
         }
     }
@@ -102,6 +130,31 @@ impl KvColumns {
     fn head(&self, head: usize) -> &[f32] {
         let block = self.data.len() / self.heads;
         &self.data[head * block..(head + 1) * block]
+    }
+}
+
+/// `out = Σ columns[j]·δ` over the `(j, δ)` of `flips`, in their order,
+/// one multiply and one add per weight, each column `out.len()` floats of
+/// `columns`, laid out in runs of whole [`KV_RUN_BLOCK`]s; the sums of one
+/// block are kept in registers across the flips.
+///
+/// # Panics
+///
+/// Panics unless `out.len()` is a multiple of [`KV_RUN_BLOCK`].
+fn accumulate(out: &mut [f32], columns: &[f32], flips: &[(u32, f32)]) {
+    let (out, []) = out.as_chunks_mut::<KV_RUN_BLOCK>() else {
+        panic!("a column run is whole blocks");
+    };
+    let (columns, _) = columns.as_chunks::<KV_RUN_BLOCK>();
+    let blocks = out.len();
+    for (b, out) in out.iter_mut().enumerate() {
+        let mut sums = [0.0f32; KV_RUN_BLOCK];
+        for &(j, delta) in flips {
+            for (s, &w) in sums.iter_mut().zip(&columns[j as usize * blocks + b]) {
+                *s += w * delta;
+            }
+        }
+        *out = sums;
     }
 }
 
@@ -332,5 +385,25 @@ mod tests {
             1,
         );
         assert!(sharp.layers[0].wk.frobenius_norm() > soft.layers[0].wk.frobenius_norm());
+    }
+
+    /// `accumulate` overwrites its output with the sum over the flips in
+    /// order, a multiply then an add, for runs of one block and of several.
+    #[test]
+    fn accumulate_sums_the_flipped_columns_in_order_at_every_width() {
+        for width in [KV_RUN_BLOCK, 3 * KV_RUN_BLOCK] {
+            let columns: Vec<f32> = (0..5 * width).map(|i| (i as f32 * 0.37).sin()).collect();
+            let flips = [(0u32, 1.5f32), (2, -0.25), (3, 1e-3), (4, 300.0)];
+            let mut expected = vec![0.0f32; width];
+            for &(j, delta) in &flips {
+                for (i, e) in expected.iter_mut().enumerate() {
+                    *e += columns[j as usize * width + i] * delta;
+                }
+            }
+            let mut out = vec![f32::NAN; width];
+            accumulate(&mut out, &columns, &flips);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&expected), "width {width}");
+        }
     }
 }
