@@ -63,25 +63,25 @@ impl ComparatorKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Comparator {
     /// Which system this models.
-    pub kind: ComparatorKind,
+    pub(crate) kind: ComparatorKind,
     /// Effective memory bandwidth in bytes per second.
-    pub bandwidth_bytes_per_s: f64,
+    pub(crate) bandwidth_bytes_per_s: f64,
     /// Effective compute throughput in MACs per second.
-    pub compute_macs_per_s: f64,
+    pub(crate) compute_macs_per_s: f64,
     /// Multiplicative speedup applied to the pre-fill phase only.
-    pub prefill_speedup: f64,
+    pub(crate) prefill_speedup: f64,
     /// Fraction of attention MACs that survive sparsification (1.0 = dense).
-    pub attention_density: f64,
+    pub(crate) attention_density: f64,
     /// Weight precision in bits.
-    pub weight_bits: u32,
+    pub(crate) weight_bits: u32,
     /// KV-cache precision in bits.
-    pub kv_bits: u32,
+    pub(crate) kv_bits: u32,
     /// Energy per byte of memory traffic in joules.
-    pub energy_per_byte_j: f64,
+    pub(crate) energy_per_byte_j: f64,
     /// Energy per MAC in joules.
-    pub energy_per_mac_j: f64,
+    pub(crate) energy_per_mac_j: f64,
     /// Idle/system power in watts.
-    pub system_power_w: f64,
+    pub(crate) system_power_w: f64,
 }
 
 impl Comparator {

@@ -16,16 +16,16 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystolicEvictor {
     /// Whether the unit is present in the platform.
-    pub present: bool,
+    pub(crate) present: bool,
     /// Area of the unit in mm².
-    pub area_mm2: f64,
+    pub(crate) area_mm2: f64,
     /// Power of the unit in watts.
-    pub power_w: f64,
+    pub(crate) power_w: f64,
     /// Elements per second a host-side (non-systolic) minimum search can scan;
     /// used to cost the eviction pass on platforms *without* the SE.
-    pub fallback_scan_rate_per_s: f64,
+    pub(crate) fallback_scan_rate_per_s: f64,
     /// Energy per scanned element of the fallback search in joules.
-    pub fallback_energy_per_element_j: f64,
+    pub(crate) fallback_energy_per_element_j: f64,
 }
 
 impl SystolicEvictor {

@@ -12,8 +12,8 @@
 //!   eDRAM, [`memory`]),
 //! * off-chip LPDDR4 traffic for weights and KV overflow,
 //! * eDRAM refresh energy under the configured refresh policy and scheduler
-//!   ([`kelle_edram`] + [`scheduler`]),
-//! * the systolic evictor's cost/benefit ([`evictor`]),
+//!   ([`kelle_edram`] + `scheduler`),
+//! * the systolic evictor's cost/benefit (`evictor`),
 //!
 //! and rolls them up into a [`platform::PlatformReport`] with the same energy
 //! breakdown categories the paper plots (Figs. 3c, 13, 15, 16).
@@ -26,16 +26,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod area;
-pub mod comparators;
-pub mod evictor;
+pub(crate) mod area;
+pub(crate) mod comparators;
+pub(crate) mod evictor;
 pub mod memory;
 pub mod platform;
-pub mod roofline;
-pub mod scheduler;
+pub(crate) mod roofline;
+pub(crate) mod scheduler;
 pub mod sfu;
 pub mod systolic;
-pub mod workload;
+pub(crate) mod workload;
 
 pub use area::{AreaBreakdown, PowerBreakdown};
 pub use comparators::{Comparator, ComparatorKind};

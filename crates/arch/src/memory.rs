@@ -7,7 +7,7 @@
 //! the LPDDR4 channel through the weight memory; the KV cache is served from
 //! the on-chip KV memory up to its capacity and spills the remainder to DRAM.
 
-use kelle_edram::{BankedLayout, DramSpec, MemorySpec, MemoryTechnology, MemoryTier, NvmeSpec};
+use kelle_edram::{DramSpec, MemorySpec, MemoryTechnology, MemoryTier, NvmeSpec};
 
 /// Cost of one traffic operation, split by where the bytes moved.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -19,38 +19,35 @@ pub struct TrafficCost {
     /// Energy spent on the DRAM channel, in joules.
     pub dram_energy_j: f64,
     /// Bytes served on-chip.
-    pub onchip_bytes: u64,
+    pub(crate) onchip_bytes: u64,
     /// Bytes served from DRAM.
-    pub dram_bytes: u64,
+    pub(crate) dram_bytes: u64,
 }
 
 /// The on-chip + off-chip memory configuration of a platform.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemorySubsystem {
     /// Weight buffer (always SRAM in the evaluated platforms).
-    pub weight_memory: MemorySpec,
-    /// KV-cache memory (SRAM for the baselines, banked eDRAM for Kelle).
+    pub(crate) weight_memory: MemorySpec,
+    /// KV-cache memory (SRAM for the baselines, eDRAM for Kelle).
     pub kv_memory: MemorySpec,
     /// Activation buffer (Kelle uses a small dedicated eDRAM; the SRAM
     /// baselines carve activations out of the unified SRAM).
-    pub activation_memory: MemorySpec,
-    /// Bank organisation of the KV memory (only meaningful for eDRAM).
-    pub kv_banks: Option<BankedLayout>,
+    pub(crate) activation_memory: MemorySpec,
     /// The off-chip DRAM channel.
     pub dram: DramSpec,
     /// The NVMe storage tier backing the coldest KV data (`kelle::tier`).
-    pub nvme: NvmeSpec,
+    pub(crate) nvme: NvmeSpec,
 }
 
 impl MemorySubsystem {
     /// The Kelle accelerator's memory subsystem: 2 MB weight SRAM (128 GB/s),
-    /// 4 MB KV eDRAM (256 GB/s, 32 banks), 256 KB activation eDRAM.
+    /// 4 MB KV eDRAM (256 GB/s), 256 KB activation eDRAM.
     pub fn kelle_default() -> Self {
         MemorySubsystem {
             weight_memory: MemorySpec::kelle_weight_sram(),
             kv_memory: MemorySpec::kelle_kv_edram(),
             activation_memory: MemorySpec::kelle_activation_edram(),
-            kv_banks: Some(BankedLayout::kelle_default()),
             dram: DramSpec::lpddr4_16gb(),
             nvme: NvmeSpec::edge_m2_256gb(),
         }
@@ -65,18 +62,16 @@ impl MemorySubsystem {
             weight_memory: MemorySpec::new(MemoryTechnology::Sram, 2 * 1024 * 1024, 128.0),
             kv_memory: MemorySpec::new(MemoryTechnology::Sram, 1792 * 1024, 128.0),
             activation_memory: MemorySpec::new(MemoryTechnology::Sram, 256 * 1024, 128.0),
-            kv_banks: None,
             dram: DramSpec::lpddr4_16gb(),
             nvme: NvmeSpec::edge_m2_256gb(),
         }
     }
 
     /// A Kelle-style subsystem with the §8.3.7 halved-bandwidth eDRAM (same
-    /// capacity, 16 banks, 128 GB/s).
+    /// capacity, 128 GB/s).
     pub fn kelle_halved_bandwidth() -> Self {
         let mut base = Self::kelle_default();
         base.kv_memory = MemorySpec::new(MemoryTechnology::Edram, 4 * 1024 * 1024, 128.0);
-        base.kv_banks = Some(BankedLayout::kelle_default().halved_banks());
         base
     }
 
@@ -227,14 +222,12 @@ mod tests {
         assert!(mem.kv_is_edram());
         assert_eq!(mem.kv_memory.capacity_bytes, 4 * 1024 * 1024);
         assert_eq!(mem.weight_memory.capacity_bytes, 2 * 1024 * 1024);
-        assert_eq!(mem.kv_banks.unwrap().total_banks, 32);
     }
 
     #[test]
     fn baseline_sram_has_no_refreshable_memory() {
         let mem = MemorySubsystem::baseline_sram();
         assert!(!mem.kv_is_edram());
-        assert!(mem.kv_banks.is_none());
         // Area parity: the SRAM platform's on-chip capacity is smaller than
         // Kelle's because SRAM is less dense.
         let onchip = |m: &MemorySubsystem| {
@@ -334,7 +327,6 @@ mod tests {
     #[test]
     fn halved_bandwidth_variant() {
         let mem = MemorySubsystem::kelle_halved_bandwidth();
-        assert_eq!(mem.kv_banks.unwrap().total_banks, 16);
         assert_eq!(mem.kv_memory.capacity_bytes, 4 * 1024 * 1024);
         let full = MemorySubsystem::kelle_default();
         assert!(mem.kv_read_cost(1 << 22, 0).time_s > full.kv_read_cost(1 << 22, 0).time_s);

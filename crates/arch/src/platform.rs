@@ -137,7 +137,7 @@ pub struct EnergyBreakdown {
     /// Systolic-array dynamic energy.
     pub rsa_j: f64,
     /// Special-function-unit energy.
-    pub sfu_j: f64,
+    pub(crate) sfu_j: f64,
     /// Weight-buffer (SRAM) access energy.
     pub weight_buffer_j: f64,
     /// KV-memory access energy (SRAM or eDRAM).
@@ -289,7 +289,7 @@ impl PlatformKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Compute array.
     pub compute: SystolicArraySpec,
     /// Special-function unit.
@@ -301,17 +301,17 @@ pub struct Platform {
     /// eDRAM refresh policy (ignored when the KV memory is SRAM).
     pub refresh_policy: RefreshPolicy,
     /// eDRAM retention model.
-    pub retention: RetentionModel,
+    pub(crate) retention: RetentionModel,
     /// Computation schedule.
     pub scheduler: SchedulerKind,
     /// Systolic evictor configuration.
     pub evictor: SystolicEvictor,
     /// Weight precision in bits.
-    pub weight_bits: u32,
+    pub(crate) weight_bits: u32,
     /// Activation precision in bits.
-    pub act_bits: u32,
+    pub(crate) act_bits: u32,
     /// KV-cache precision in bits.
-    pub kv_bits: u32,
+    pub(crate) kv_bits: u32,
 }
 
 impl Platform {
@@ -452,10 +452,8 @@ impl Platform {
     ) -> PhaseMetrics {
         let batch = workload.batch as u64;
         let context = workload.context_len;
-        // Defensive clamp: the builder enforces reused <= context, but the
-        // field is public and an out-of-range value must not wrap the
-        // subtractions below.
-        let reused = workload.reused_context_len.min(context);
+        // `with_reused_context` keeps reused <= context.
+        let reused = workload.reused_context_len;
         let new_tokens = context - reused;
 
         // Compute: the *marginal* causal pre-fill — extending an already

@@ -26,9 +26,9 @@ pub struct RooflinePoint {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RooflineModel {
     /// Peak compute throughput in MACs per second.
-    pub peak_macs_per_s: f64,
+    pub(crate) peak_macs_per_s: f64,
     /// Off-chip bandwidth in bytes per second.
-    pub bandwidth_bytes_per_s: f64,
+    pub(crate) bandwidth_bytes_per_s: f64,
 }
 
 impl RooflineModel {

@@ -23,14 +23,14 @@ pub enum SchedulerKind {
 
 /// Per-step memory-stream timings used by the lifetime and overlap models.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepTiming {
+pub(crate) struct StepTiming {
     /// Time to load one projection weight matrix from the weight memory
     /// (`T_SRAM` in Eq. 6; for platforms that stream weights from DRAM this is
     /// the per-matrix share of the DRAM transfer).
-    pub t_weight_s: f64,
+    pub(crate) t_weight_s: f64,
     /// Time to read the cached KV vectors from the KV memory (`T_eDRAM`,
     /// Eq. 5).
-    pub t_kv_s: f64,
+    pub(crate) t_kv_s: f64,
 }
 
 impl SchedulerKind {
@@ -63,14 +63,6 @@ impl SchedulerKind {
         match self {
             SchedulerKind::Baseline => 0.25,
             SchedulerKind::Kelle => 0.90,
-        }
-    }
-
-    /// Short name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerKind::Baseline => "baseline",
-            SchedulerKind::Kelle => "kelle",
         }
     }
 }
@@ -114,11 +106,5 @@ mod tests {
     #[test]
     fn overlap_fractions_ordered() {
         assert!(SchedulerKind::Kelle.compute_overlap() > SchedulerKind::Baseline.compute_overlap());
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(SchedulerKind::Baseline.name(), "baseline");
-        assert_eq!(SchedulerKind::Kelle.name(), "kelle");
     }
 }

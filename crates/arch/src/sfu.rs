@@ -9,11 +9,11 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpecialFunctionUnit {
     /// Elements processed per second (softmax/normalization throughput).
-    pub elements_per_s: f64,
+    pub(crate) elements_per_s: f64,
     /// Energy per processed element in joules.
-    pub energy_per_element_j: f64,
+    pub(crate) energy_per_element_j: f64,
     /// Idle/leakage power in watts.
-    pub leakage_w: f64,
+    pub(crate) leakage_w: f64,
 }
 
 impl SpecialFunctionUnit {

@@ -16,15 +16,15 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystolicArraySpec {
     /// Number of PE rows.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Number of PE columns.
-    pub cols: usize,
+    pub(crate) cols: usize,
     /// Clock frequency in hertz.
-    pub frequency_hz: f64,
+    pub(crate) frequency_hz: f64,
     /// Energy per 8-bit MAC in joules.
-    pub energy_per_mac_j: f64,
+    pub(crate) energy_per_mac_j: f64,
     /// Leakage/idle power of the array in watts.
-    pub leakage_w: f64,
+    pub(crate) leakage_w: f64,
 }
 
 impl SystolicArraySpec {

@@ -11,16 +11,16 @@ pub struct InferenceWorkload {
     /// Human-readable task label.
     pub name: &'static str,
     /// Pre-fill (context) length in tokens.
-    pub context_len: usize,
+    pub(crate) context_len: usize,
     /// Number of decoding steps.
-    pub decode_len: usize,
+    pub(crate) decode_len: usize,
     /// Batch size (sequences decoded together).
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// Context tokens already resident in the KV cache when the request
     /// starts (session/prefix reuse).  Pre-fill work covers only the
     /// remaining `context_len - reused_context_len` new tokens; the decode
     /// phase still attends over the full `context_len`.
-    pub reused_context_len: usize,
+    pub(crate) reused_context_len: usize,
     /// On-chip KV residency granted to this workload, in bytes.  `None` means
     /// the workload gets the platform's whole KV memory to itself (the
     /// single-tenant assumption).  Under shared-capacity arbitration the
@@ -28,7 +28,7 @@ pub struct InferenceWorkload {
     /// beyond the share are charged at off-chip DRAM access cost instead of
     /// eDRAM cost.  The effective residency is always additionally capped by
     /// the physical KV memory capacity.
-    pub kv_capacity_bytes: Option<u64>,
+    pub(crate) kv_capacity_bytes: Option<u64>,
 }
 
 impl InferenceWorkload {
@@ -68,7 +68,7 @@ impl InferenceWorkload {
 
     /// Caps the on-chip KV residency granted to this workload (builder
     /// style).  `None` restores the single-tenant default of the whole KV
-    /// memory.  See [`InferenceWorkload::kv_capacity_bytes`].
+    /// memory.  See `InferenceWorkload::kv_capacity_bytes`.
     pub fn with_kv_capacity_bytes(mut self, bytes: Option<u64>) -> Self {
         self.kv_capacity_bytes = bytes;
         self

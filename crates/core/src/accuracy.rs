@@ -93,14 +93,14 @@ pub struct AccuracyConfig {
     /// Cache budget (scaled to the surrogate sequence lengths).
     pub budget: CacheBudget,
     /// Refresh policy used to derive retention faults (Kelle method only).
-    pub refresh_policy: RefreshPolicy,
+    pub(crate) refresh_policy: RefreshPolicy,
     /// Explicit bit-flip rates overriding the refresh policy (used by the
     /// Fig. 8 sweeps); `None` derives rates from `refresh_policy`.
-    pub explicit_rates: Option<BitFlipRates>,
+    pub(crate) explicit_rates: Option<BitFlipRates>,
     /// Number of prompts averaged per result.
     pub prompts: usize,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl AccuracyConfig {
@@ -156,7 +156,7 @@ pub struct AccuracyResult {
     /// The evaluated method.
     pub method: Method,
     /// The task.
-    pub task: TaskKind,
+    pub(crate) task: TaskKind,
     /// Raw fidelity metrics against the reference run.
     pub fidelity: FidelityMetrics,
     /// The score mapped onto the paper's scale (PPL-like for perplexity tasks,

@@ -43,19 +43,19 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Seed of the fault plan; different seeds fail different steps.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Per-mille probability that a decode step's worker panics mid-tick.
-    pub worker_panic_per_mille: u32,
+    pub(crate) worker_panic_per_mille: u32,
     /// Per-mille probability that a tier-migration attempt fails with a
     /// transient I/O error (the KV stays on its source tier and the attempt
     /// is charged to [`TieringMetrics`](crate::tier::TieringMetrics)).
-    pub migration_fault_per_mille: u32,
+    pub(crate) migration_fault_per_mille: u32,
     /// Per-mille probability that a capacity-ledger reservation transiently
     /// fails during admission (the candidate retries on a later tick).
-    pub ledger_blip_per_mille: u32,
+    pub(crate) ledger_blip_per_mille: u32,
     /// How many times a panicked session step is replayed from checkpoint
     /// before the request is abandoned as [`ServeError::WorkerLost`].
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
 }
 
 impl Default for ChaosConfig {
@@ -112,7 +112,7 @@ impl ChaosConfig {
 /// The instantiated fault plan: a [`ChaosConfig`] plus the draw state of the
 /// counter-based fault streams.
 #[derive(Debug, Clone)]
-pub struct ChaosPlan {
+pub(crate) struct ChaosPlan {
     config: ChaosConfig,
     migration_draws: u64,
     ledger_draws: u64,
@@ -246,19 +246,6 @@ pub enum ShedReason {
     WorkerLost,
 }
 
-impl ShedReason {
-    /// Stable lowercase name for reports and tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShedReason::DeadlineExceeded => "deadline-exceeded",
-            ShedReason::QueueTimeout => "queue-timeout",
-            ShedReason::Cancelled => "cancelled",
-            ShedReason::Drained => "drained",
-            ShedReason::WorkerLost => "worker-lost",
-        }
-    }
-}
-
 /// Infrastructure failures surfaced by
 /// [`KelleEngine::serve`](crate::engine::KelleEngine::serve),
 /// [`BatchScheduler::run_with`](crate::scheduler::BatchScheduler::run_with)
@@ -376,12 +363,6 @@ mod tests {
         assert_eq!(config.worker_panic_per_mille, 1000);
         assert_eq!(config.migration_fault_per_mille, 1000);
         assert_eq!(config.ledger_blip_per_mille, 1000);
-    }
-
-    #[test]
-    fn shed_reasons_have_stable_names() {
-        assert_eq!(ShedReason::DeadlineExceeded.name(), "deadline-exceeded");
-        assert_eq!(ShedReason::WorkerLost.name(), "worker-lost");
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct EndToEndRow {
     /// Workload label.
     pub workload: &'static str,
     /// Model evaluated.
-    pub model: ModelKind,
+    pub(crate) model: ModelKind,
     /// Speedup relative to the row's baseline platform.
     pub speedup: f64,
     /// Energy-efficiency gain relative to the baseline platform.
@@ -456,11 +456,11 @@ pub struct ContentionRow {
     /// eDRAM share.
     pub spill_bytes: u64,
     /// Ledger high-water mark across the batch.
-    pub peak_residency_bytes: u64,
+    pub(crate) peak_residency_bytes: u64,
     /// Total modelled hardware energy in joules.
     pub hardware_energy_j: f64,
     /// Total modelled DRAM energy in joules (grows as residency shrinks).
-    pub dram_energy_j: f64,
+    pub(crate) dram_energy_j: f64,
     /// Total tokens generated (identical at every capacity point — the
     /// equivalence guarantee).
     pub tokens_generated: u64,

@@ -106,15 +106,15 @@ use crate::session::ServeRequest;
 pub struct FrontConfig {
     /// Scheduler configuration (capacity, admission policy, tiering,
     /// chaos) the front drives.
-    pub scheduler: SchedulerConfig,
+    pub(crate) scheduler: SchedulerConfig,
     /// Admission backpressure: maximum waiting (queued, unadmitted)
     /// requests before [`ServingFront::submit`] rejects with
     /// [`SubmitError::QueueFull`].  `None` (default) never rejects.
-    pub queue_capacity: Option<usize>,
+    pub(crate) queue_capacity: Option<usize>,
     /// Stream backpressure: maximum undelivered tokens buffered per
     /// session before its decode is paused.  `None` (default) never
     /// pauses.
-    pub stream_capacity: Option<usize>,
+    pub(crate) stream_capacity: Option<usize>,
 }
 
 impl FrontConfig {
@@ -130,14 +130,14 @@ impl FrontConfig {
         self
     }
 
-    /// Bounds the admission queue (see [`FrontConfig::queue_capacity`]).
+    /// Bounds the admission queue (see `FrontConfig::queue_capacity`).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = Some(capacity);
         self
     }
 
     /// Bounds each per-session token buffer (see
-    /// [`FrontConfig::stream_capacity`]).
+    /// `FrontConfig::stream_capacity`).
     pub fn with_stream_capacity(mut self, capacity: usize) -> Self {
         self.stream_capacity = Some(capacity);
         self
@@ -147,7 +147,7 @@ impl FrontConfig {
 /// Why [`ServingFront::submit`] rejected a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The admission queue is at [`FrontConfig::queue_capacity`]; retry
+    /// The admission queue is at `FrontConfig::queue_capacity`; retry
     /// after polling some streams, or use
     /// [`submit_blocking`](ServingFront::submit_blocking).
     QueueFull {
@@ -294,7 +294,7 @@ impl<'e> ServingFront<'e> {
     /// waiting.  Either way the returned [`TokenStream`] will carry its
     /// tokens.  Rejects with [`SubmitError::QueueFull`] when the waiting
     /// queue — counted after admission, as if every earlier submit had been
-    /// admitted on the spot — is at [`FrontConfig::queue_capacity`], and
+    /// admitted on the spot — is at `FrontConfig::queue_capacity`, and
     /// with [`SubmitError::Draining`] after [`drain`](ServingFront::drain).
     pub fn submit(&mut self, request: ServeRequest) -> Result<TokenStream, SubmitError> {
         if self.scheduler.is_draining() {

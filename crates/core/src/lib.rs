@@ -120,7 +120,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod accuracy;
-pub mod chaos;
+pub(crate) mod chaos;
 pub mod engine;
 pub mod experiment;
 pub mod front;

@@ -133,28 +133,28 @@ impl<'e> Admission<'e> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Prefilled {
     /// The request index the session belongs to.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Prompt tokens whose prefill was actually computed.
-    pub computed: usize,
+    pub(crate) computed: usize,
     /// Prompt tokens replayed from a shared prefix segment instead.
-    pub prefix_hit_tokens: usize,
+    pub(crate) prefix_hit_tokens: usize,
     /// The pool shard the session now lives on.
-    pub worker: usize,
+    pub(crate) worker: usize,
 }
 
 /// One session's share of a decode fan-out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct StepRequest {
     /// The resident session to step.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Chaos: checkpoint the session before stepping (it sits at a committed
     /// boundary) so a panicked step can be restored in place.  Set on the
     /// first attempt of a tick, clear on replays — the boundary has not
     /// moved.
-    pub checkpoint: bool,
+    pub(crate) checkpoint: bool,
     /// Chaos: panic *after* the step computes, so the mutated session is
     /// genuinely lost mid-tick (the strongest case for checkpoint/replay).
-    pub sabotage: bool,
+    pub(crate) sabotage: bool,
 }
 
 /// One decode step of a resident session: everything the coordinator needs
@@ -162,15 +162,15 @@ pub(crate) struct StepRequest {
 #[derive(Debug, Clone)]
 pub(crate) struct ResidentStep {
     /// The request index (submission order) the step belongs to.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The decoded step (token, probability bits, fault draws).
-    pub step: DecodeStep,
+    pub(crate) step: DecodeStep,
     /// Session position before the step (for the lease-growth delta).
-    pub tokens_before: usize,
+    pub(crate) tokens_before: usize,
     /// Session position after the step (for the lease-growth delta).
-    pub position: usize,
+    pub(crate) position: usize,
     /// The shard that ran the step.
-    pub worker: usize,
+    pub(crate) worker: usize,
 }
 
 /// A prefill or step that could not run to completion — it panicked, or it

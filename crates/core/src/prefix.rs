@@ -84,7 +84,7 @@ pub struct PrefixSharingConfig {
     /// Master switch.  Disabled by default: sharing never changes token
     /// streams, but it does change capacity accounting and store state, so
     /// it is opt-in.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
 }
 
 impl PrefixSharingConfig {
@@ -125,12 +125,10 @@ struct PrefixEntry {
 /// A successful prefix lookup.
 #[derive(Debug, Clone)]
 pub struct PrefixHit {
-    /// Store-wide identity of the matched entry (the shared-pool lease tag).
-    pub id: u64,
     /// Matched prefix length in tokens.
-    pub matched: usize,
+    pub(crate) matched: usize,
     /// The segment to attach and replay.
-    pub segment: Arc<SharedSegment>,
+    pub(crate) segment: Arc<SharedSegment>,
 }
 
 /// Aggregate statistics of a [`PrefixStore`].
@@ -161,7 +159,7 @@ pub struct PrefixStoreStats {
 /// published sequence ends on.  `V` is generic so the index can be tested
 /// and benchmarked independently of segments.
 #[derive(Debug)]
-pub struct RadixPrefixIndex<V> {
+pub(crate) struct RadixPrefixIndex<V> {
     root: RadixNode<V>,
     boundaries: usize,
 }
@@ -364,7 +362,6 @@ impl PrefixStore {
                 self.stats.hits += 1;
                 self.stats.hit_tokens += matched as u64;
                 Some(PrefixHit {
-                    id: entry.id,
                     matched,
                     segment: Arc::clone(&entry.segment),
                 })

@@ -135,26 +135,26 @@ pub struct SchedulerConfig {
     /// bytes.  `None` (the default) is the unbounded single-tenant model of
     /// the PR 1 scheduler: every request is admitted at submit time and
     /// costed against the whole KV memory.
-    pub kv_capacity_bytes: Option<u64>,
+    pub(crate) kv_capacity_bytes: Option<u64>,
     /// How waiting requests are promoted when capacity frees up.
-    pub admission: AdmissionPolicy,
+    pub(crate) admission: AdmissionPolicy,
     /// The tiered KV memory hierarchy (see [`crate::tier`]).  `None` (the
     /// default) runs the flat single-budget model above.  When set (and
     /// `kv_capacity_bytes` is `None`), the ledger spans the *whole
     /// hierarchy* while admission plans against the eDRAM tier's budget
     /// only; resident KV is demoted/promoted across tiers with migration
     /// costs reported in [`BatchOutcome::tiering`].
-    pub tiering: Option<TierConfig>,
+    pub(crate) tiering: Option<TierConfig>,
     /// Deterministic fault injection (see [`crate::chaos`]).  `None` or an
     /// all-zero config disables injection entirely — the chaos path then
     /// takes no checkpoints and allocates nothing extra per tick.
-    pub chaos: Option<ChaosConfig>,
+    pub(crate) chaos: Option<ChaosConfig>,
     /// The serving-level objective the batch is judged against (see
     /// [`SloSpec`]).  Purely observational: the spec never changes
     /// scheduling decisions or token streams, it only classifies each
     /// completed request as meeting or missing the objective in the final
     /// [`SloReport`].  The default accepts everything.
-    pub slo: SloSpec,
+    pub(crate) slo: SloSpec,
 }
 
 impl SchedulerConfig {
@@ -247,7 +247,7 @@ pub enum ServeEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestTiming {
     /// Scheduler tick at which the request was submitted.
-    pub submitted_tick: u64,
+    pub(crate) submitted_tick: u64,
     /// Tick at which admission promoted it into a decode slot.
     pub admitted_tick: u64,
     /// Tick at which its last token was generated.
@@ -255,17 +255,17 @@ pub struct RequestTiming {
     /// Tick at which its first decode token committed (`None` for requests
     /// shed before producing any output).  `first_token_tick -
     /// submitted_tick` is the request's time-to-first-token.
-    pub first_token_tick: Option<u64>,
+    pub(crate) first_token_tick: Option<u64>,
     /// Ticks spent in the waiting queue (`admitted - submitted`).
     pub queue_ticks: u64,
     /// Final full-scale KV footprint of the request's *private* lease in
     /// bytes (prompt suffix + decode growth).  Bytes of a matched shared
     /// prefix are charged once batch-wide through the ledger's shared pool
     /// and reported in [`PrefixBatchMetrics`], not here.
-    pub kv_bytes: u64,
+    pub(crate) kv_bytes: u64,
     /// Peak total live bytes observed on the ledger while this request was
     /// active — the contention it actually experienced.
-    pub peak_concurrent_bytes: u64,
+    pub(crate) peak_concurrent_bytes: u64,
     /// On-chip KV residency granted by the arbiter (`None` when the request
     /// was never contended and got the whole memory).
     pub granted_bytes: Option<u64>,
@@ -380,11 +380,11 @@ pub struct LatencySummary {
     /// 99th percentile.
     pub p99: f64,
     /// Arithmetic mean.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Largest sample.
     pub max: f64,
     /// Number of samples summarized.
-    pub samples: u64,
+    pub(crate) samples: u64,
 }
 
 impl LatencySummary {
@@ -420,7 +420,7 @@ impl LatencySummary {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SloReport {
     /// The objective requests were judged against.
-    pub spec: SloSpec,
+    pub(crate) spec: SloSpec,
     /// Requests submitted.
     pub requests: u64,
     /// Requests that ran to natural completion.
@@ -432,13 +432,13 @@ pub struct SloReport {
     pub ttft: LatencySummary,
     /// Mean time-per-output-token distribution over completed requests with
     /// at least two tokens, in ticks.
-    pub tpot: LatencySummary,
+    pub(crate) tpot: LatencySummary,
     /// Queue-wait distribution over all requests, in ticks.
     pub queue: LatencySummary,
     /// Completed requests that met the objective.
     pub goodput_requests: u64,
     /// Tokens generated by those requests.
-    pub goodput_tokens: u64,
+    pub(crate) goodput_tokens: u64,
     /// Tokens generated by the whole batch (shed partials included).
     pub total_tokens: u64,
     /// Ticks the batch ran for.
@@ -513,7 +513,7 @@ impl BatchOutcome {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchReport {
     /// Queueing and shared-capacity accounting.
-    pub contention: ContentionMetrics,
+    pub(crate) contention: ContentionMetrics,
     /// Prefix-sharing accounting.
     pub prefix: PrefixBatchMetrics,
     /// Tiered-memory accounting.
@@ -521,7 +521,7 @@ pub struct BatchReport {
     /// Pool-protocol traffic accounting.
     pub parallel: ParallelMetrics,
     /// Fault-injection and recovery accounting.
-    pub chaos: ChaosMetrics,
+    pub(crate) chaos: ChaosMetrics,
     /// Serving-quality report.
     pub slo: SloReport,
 }
@@ -533,9 +533,9 @@ pub struct BatchReport {
 #[derive(Debug)]
 pub struct BatchIncomplete<'e> {
     /// Requests still decoding.
-    pub active: usize,
+    pub(crate) active: usize,
     /// Requests still in the waiting queue.
-    pub waiting: usize,
+    pub(crate) waiting: usize,
     scheduler: Box<BatchScheduler<'e>>,
 }
 

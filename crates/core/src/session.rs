@@ -219,16 +219,16 @@ pub struct TurnOutcome {
     pub context_len: usize,
     /// Evictions performed during this turn (as opposed to the session-wide
     /// cumulative count in `cache.evictions`).
-    pub evictions_delta: u64,
+    pub(crate) evictions_delta: u64,
     /// Prompt tokens served from a shared prefix segment during this turn
     /// (non-zero only on the session's first turn, where prefix lookup
     /// happens).
-    pub prefix_hit_tokens: usize,
+    pub(crate) prefix_hit_tokens: usize,
     /// Fault-injection counters of the session at the end of the turn
     /// (cumulative across the session's turns, like `cache`).  Deterministic
     /// per seed — the parallel-equivalence suite asserts these bit-match
     /// single-threaded serving.
-    pub faults: FaultStats,
+    pub(crate) faults: FaultStats,
 }
 
 /// A persistent serving session: one conversation's KV cache, fault stream

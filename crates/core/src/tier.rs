@@ -75,7 +75,7 @@
 //!
 //! The [`TierManager`] prices migrations with the platform's
 //! [`MemorySubsystem`] and draws transient migration faults from its own
-//! clone of the scheduler's [`ChaosPlan`], both handed over at construction.
+//! clone of the scheduler's `ChaosPlan`, both handed over at construction.
 //!
 //! Migration time and energy accumulate in [`TieringMetrics`] on the
 //! [`BatchOutcome`](crate::BatchOutcome) — never in per-request hardware
@@ -215,7 +215,7 @@ fn tier_index(tier: MemoryTier) -> usize {
 /// The tier placement manager.
 ///
 /// Owned by the scheduler's residency owner (`KvPlacement`) when
-/// [`SchedulerConfig::tiering`](crate::SchedulerConfig::tiering) is set; all
+/// `SchedulerConfig::tiering` is set; all
 /// mutation happens on the coordinating thread, in the deterministic order
 /// the tick protocol dictates, so parallel serving observes identical
 /// metrics.  The public surface is read-only.

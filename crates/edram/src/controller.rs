@@ -1,9 +1,9 @@
-//! The eDRAM controller: refresh scheduling and eviction bookkeeping (§5.1).
+//! The eDRAM controller: refresh scheduling (§5.1).
 //!
-//! The hardware has one eviction controller shared across the four bank groups
-//! and two refresh controllers (one for the MSB banks, one for the LSB banks),
-//! each with per-score-group counters.  For the analytical simulation we need
-//! the controller to answer two questions about a window of execution:
+//! The hardware has two refresh controllers (one for the MSB banks, one for
+//! the LSB banks), each with per-score-group counters.  For the analytical
+//! simulation we need the controller to answer two questions about a window
+//! of execution:
 //!
 //! 1. how many refresh operations were issued and what they cost, given the
 //!    refresh policy and the occupancy of each 2DRP group; and
@@ -20,36 +20,11 @@ use crate::retention::RetentionModel;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RefreshActivity {
     /// Number of byte-refresh operations issued (bytes x refresh rounds).
-    pub refreshed_bytes: f64,
+    pub(crate) refreshed_bytes: f64,
     /// Energy spent on refresh, in joules.
     pub energy_j: f64,
     /// Average refresh power over the window, in watts.
-    pub power_w: f64,
-}
-
-impl RefreshActivity {
-    /// Combines two activity records.
-    pub fn merged(self, other: RefreshActivity, total_duration_s: f64) -> RefreshActivity {
-        let energy = self.energy_j + other.energy_j;
-        RefreshActivity {
-            refreshed_bytes: self.refreshed_bytes + other.refreshed_bytes,
-            energy_j: energy,
-            power_w: if total_duration_s > 0.0 {
-                energy / total_duration_s
-            } else {
-                0.0
-            },
-        }
-    }
-}
-
-/// Counters kept by the eviction controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EvictionActivity {
-    /// Number of token evictions executed.
-    pub evictions: u64,
-    /// Number of in-place slot reuses (new token written into an evicted row).
-    pub slot_reuses: u64,
+    pub(crate) power_w: f64,
 }
 
 /// The eDRAM controller model.
@@ -177,23 +152,5 @@ mod tests {
         let act = ctrl.transient_refresh(64 * 1024, 5e-3);
         assert!(act.energy_j > 0.0);
         assert!((act.refreshed_bytes - 5.0 * 65_536.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn merged_activity_adds_energy() {
-        let a = RefreshActivity {
-            refreshed_bytes: 10.0,
-            energy_j: 1.0,
-            power_w: 1.0,
-        };
-        let b = RefreshActivity {
-            refreshed_bytes: 20.0,
-            energy_j: 3.0,
-            power_w: 3.0,
-        };
-        let m = a.merged(b, 2.0);
-        assert_eq!(m.refreshed_bytes, 30.0);
-        assert_eq!(m.energy_j, 4.0);
-        assert_eq!(m.power_w, 2.0);
     }
 }

@@ -14,7 +14,7 @@
 //! for the shapes the evaluation reproduces.
 
 /// Reference capacity for the Table 1 area/leakage/refresh numbers.
-pub const TABLE1_CAPACITY_BYTES: u64 = 4 * 1024 * 1024;
+pub(crate) const TABLE1_CAPACITY_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Which on-chip storage technology a buffer is built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,15 +162,15 @@ impl MemorySpec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NvmeSpec {
     /// Capacity in bytes.
-    pub capacity_bytes: u64,
+    pub(crate) capacity_bytes: u64,
     /// Sustained sequential bandwidth in bytes per second.
-    pub bandwidth_bytes_per_s: f64,
+    pub(crate) bandwidth_bytes_per_s: f64,
     /// Transfer energy in picojoules per byte (NAND + controller + link).
-    pub access_energy_pj_per_byte: f64,
+    pub(crate) access_energy_pj_per_byte: f64,
     /// First-access latency in microseconds.
-    pub latency_us: f64,
+    pub(crate) latency_us: f64,
     /// Background (idle) power in watts.
-    pub background_power_w: f64,
+    pub(crate) background_power_w: f64,
 }
 
 impl NvmeSpec {
@@ -202,13 +202,13 @@ impl NvmeSpec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramSpec {
     /// Capacity in bytes (16 GB in the paper's platform).
-    pub capacity_bytes: u64,
+    pub(crate) capacity_bytes: u64,
     /// Peak bandwidth in bytes per second (64 GB/s).
     pub bandwidth_bytes_per_s: f64,
     /// Access energy in picojoules per byte.
     pub access_energy_pj_per_byte: f64,
     /// First-word access latency in nanoseconds.
-    pub latency_ns: f64,
+    pub(crate) latency_ns: f64,
     /// Background (active-idle) power in watts.
     pub background_power_w: f64,
     /// Die area in mm² (the paper reports 16 mm² for its LPDDR4 model).

@@ -44,14 +44,6 @@ impl BitFlipRates {
     pub fn average(&self) -> f64 {
         (self.hst_msb + self.hst_lsb + self.lst_msb + self.lst_lsb) / 4.0
     }
-
-    /// The worst (largest) per-group rate.
-    pub fn max(&self) -> f64 {
-        self.hst_msb
-            .max(self.hst_lsb)
-            .max(self.lst_msb)
-            .max(self.lst_lsb)
-    }
 }
 
 #[cfg(test)]
@@ -62,19 +54,12 @@ mod tests {
     fn uniform_and_average() {
         let r = BitFlipRates::uniform(0.01);
         assert_eq!(r.average(), 0.01);
-        assert_eq!(r.max(), 0.01);
-        assert_eq!(BitFlipRates::zero().max(), 0.0);
-    }
-
-    #[test]
-    fn max_picks_largest() {
         let r = BitFlipRates {
             hst_msb: 0.0,
             hst_lsb: 0.3,
             lst_msb: 0.1,
             lst_lsb: 0.2,
         };
-        assert_eq!(r.max(), 0.3);
         assert!((r.average() - 0.15).abs() < 1e-12);
     }
 }

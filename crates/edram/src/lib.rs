@@ -11,10 +11,8 @@
 //!   **two-dimensional adaptive refresh policy (2DRP)** that assigns different
 //!   intervals per token-importance group and per bit-significance group
 //!   (§4.2), with refresh-energy/power accounting;
-//! * the **banked KV-cache layout** of §5.1 (32 banks split across Key/Value ×
-//!   MSB/LSB groups) with bandwidth and conflict accounting;
-//! * the **eDRAM controller** (refresh + eviction controllers) that turns a
-//!   policy and an occupancy trace into refresh-operation counts and energy;
+//! * the **eDRAM refresh controller** that turns a policy and an occupancy
+//!   trace into refresh-operation counts and energy;
 //! * the **capacity ledger** ([`CapacityLedger`]) that arbitrates one shared
 //!   eDRAM budget across concurrent serving sessions: checked admission
 //!   reservations, unchecked decode-time growth, high-water and
@@ -31,16 +29,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod banks;
 pub mod controller;
-pub mod device;
-pub mod faults;
+pub(crate) mod device;
+pub(crate) mod faults;
 pub mod ledger;
-pub mod refresh;
-pub mod retention;
+pub(crate) mod refresh;
+pub(crate) mod retention;
 pub mod tier;
 
-pub use banks::BankedLayout;
 pub use controller::EdramController;
 pub use device::{DramSpec, MemorySpec, MemoryTechnology, NvmeSpec};
 pub use faults::BitFlipRates;

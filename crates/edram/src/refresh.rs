@@ -129,15 +129,6 @@ impl RefreshPolicy {
             lst_lsb: retention.failure_rate(lst_lsb),
         }
     }
-
-    /// Short name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RefreshPolicy::Conservative => "org",
-            RefreshPolicy::Uniform(_) => "uniform",
-            RefreshPolicy::TwoDimensional(_) => "2drp",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -192,12 +183,5 @@ mod tests {
         let iv = RefreshIntervals::paper_default().scaled(0.5);
         assert_eq!(iv.hst_msb_us, 180.0);
         assert!((harmonic_mean_us(&iv) - 525.0).abs() < 15.0);
-    }
-
-    #[test]
-    fn policy_names() {
-        assert_eq!(RefreshPolicy::Conservative.name(), "org");
-        assert_eq!(RefreshPolicy::Uniform(100.0).name(), "uniform");
-        assert_eq!(RefreshPolicy::two_dimensional_default().name(), "2drp");
     }
 }

@@ -18,11 +18,11 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetentionModel {
     /// Mean of `ln(retention time in µs)`.
-    pub mu_ln_us: f64,
+    pub(crate) mu_ln_us: f64,
     /// Standard deviation of `ln(retention time in µs)`.
-    pub sigma_ln: f64,
+    pub(crate) sigma_ln: f64,
     /// Interval below which refresh guarantees no corruption (Table 1: 45 µs).
-    pub safe_interval_us: f64,
+    pub(crate) safe_interval_us: f64,
 }
 
 impl Default for RetentionModel {

@@ -66,19 +66,19 @@ impl MemoryTier {
 ///
 /// eDRAM and DRAM budgets are hard: the watermark rebalance demotes until
 /// they hold.  NVMe is the bottom of the hierarchy, so rebalancing has
-/// nowhere further to demote: its budget is [`TierBudgets::NVME_BYTES`],
+/// nowhere further to demote: its budget is `TierBudgets::NVME_BYTES`,
 /// unbounded, and not a setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierBudgets {
     /// eDRAM tier budget in full-scale KV bytes.
-    pub edram_bytes: u64,
+    pub(crate) edram_bytes: u64,
     /// DRAM tier budget in full-scale KV bytes.
-    pub dram_bytes: u64,
+    pub(crate) dram_bytes: u64,
 }
 
 impl TierBudgets {
     /// The NVMe tier's budget: unbounded, since nothing lies below it.
-    pub const NVME_BYTES: u64 = u64::MAX;
+    pub(crate) const NVME_BYTES: u64 = u64::MAX;
 
     /// Budgets with an explicit eDRAM bound, DRAM at 16 GiB and the
     /// unbounded NVMe bottom tier.

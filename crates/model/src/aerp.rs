@@ -273,8 +273,8 @@ impl KvStore {
     }
 
     /// The store [`CachePolicy::build`] boxes: `policy` over `heads` heads,
-    /// with `budget` normalised (its fields are public, so a hand-assembled
-    /// one may over-protect).
+    /// with `budget` normalised (its `max_tokens` is public, so a caller may
+    /// have shrunk it below its protected set).
     ///
     /// # Panics
     ///

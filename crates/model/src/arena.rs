@@ -39,7 +39,7 @@
 
 /// Bytes per stored element under the logical FP16 storage format the cache
 /// statistics report.
-pub const FP16_BYTES: usize = 2;
+pub(crate) const FP16_BYTES: usize = 2;
 
 /// Contiguous K/V storage for one `(layer, head)`: two flat `f32` buffers
 /// (keys and values) strided by `head_dim`.
@@ -48,7 +48,7 @@ pub const FP16_BYTES: usize = 2;
 /// `values` range; which token it holds is the owning head's record.
 /// Entries stay in insertion order across evictions (see the module docs).
 #[derive(Debug, Clone)]
-pub struct KvArena {
+pub(crate) struct KvArena {
     head_dim: usize,
     keys: Vec<f32>,
     values: Vec<f32>,
@@ -154,7 +154,7 @@ impl KvArena {
 /// freed slot, so steady-state insert/evict churn performs no heap traffic
 /// at all once the slab has warmed up to the policy budget.
 #[derive(Debug, Clone)]
-pub struct InputSlab {
+pub(crate) struct InputSlab {
     width: usize,
     data: Vec<f32>,
     free: Vec<usize>,

@@ -15,22 +15,21 @@
 /// A budget is *valid* when `sink_tokens + recent_window <= max_tokens`; a
 /// larger protected set than the budget itself would silently over-protect
 /// (the cache could never evict anything and the effective budget would be
-/// the protected set, not `N'`).  The builder methods and
-/// [`scaled`](CacheBudget::scaled) **clamp** rather than reject — the documented
-/// choice, so budget arithmetic (scaling, partitioning) can never produce an
+/// the protected set, not `N'`).  The builder methods **clamp** rather than
+/// reject — the documented choice, so budget arithmetic can never produce an
 /// unusable configuration — with sink tokens taking precedence over the
-/// recent window when both cannot fit.  Because the fields are public, a
-/// hand-assembled struct can still be invalid; consumers normalise through
-/// [`clamped`](CacheBudget::clamped) (the policy factory does this for every
-/// backend it builds).
+/// recent window when both cannot fit.  Because `max_tokens` is public, a
+/// built budget can still be shrunk below its protected set; consumers
+/// normalise through [`clamped`](CacheBudget::clamped) (the policy factory
+/// does this for every backend it builds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheBudget {
     /// Maximum number of tokens retained per head (`N'`).
     pub max_tokens: usize,
     /// Number of initial tokens always retained (attention sinks).
-    pub sink_tokens: usize,
+    pub(crate) sink_tokens: usize,
     /// Number of most recent tokens always retained.
-    pub recent_window: usize,
+    pub(crate) recent_window: usize,
 }
 
 impl CacheBudget {
@@ -81,25 +80,6 @@ impl CacheBudget {
             return true;
         }
         current_len <= self.recent_window || position >= current_len - self.recent_window
-    }
-
-    /// Scales the whole budget (all three fields) by `factor`, rounding down
-    /// but keeping every field at least 1 if it was non-zero.  Used to map the
-    /// paper's full-model budgets onto the smaller surrogate sequence lengths.
-    pub fn scaled(&self, factor: f64) -> Self {
-        let scale = |v: usize| -> usize {
-            if v == 0 {
-                0
-            } else {
-                ((v as f64 * factor).floor() as usize).max(1)
-            }
-        };
-        CacheBudget {
-            max_tokens: scale(self.max_tokens),
-            sink_tokens: scale(self.sink_tokens),
-            recent_window: scale(self.recent_window),
-        }
-        .clamped()
     }
 }
 
@@ -186,18 +166,5 @@ mod tests {
         assert!(!fits(&raw));
         let fixed = raw.clamped();
         assert_eq!((fixed.sink_tokens, fixed.recent_window), (6, 0));
-    }
-
-    #[test]
-    fn scaling_preserves_nonzero_fields() {
-        let b = CacheBudget::new(128)
-            .with_recent_window(64)
-            .with_sink_tokens(10);
-        let s = b.scaled(0.05);
-        assert!(s.max_tokens >= 1);
-        assert!(s.recent_window >= 1);
-        assert!(s.sink_tokens >= 1);
-        let unscaled = b.scaled(1.0);
-        assert_eq!(unscaled, b);
     }
 }

@@ -96,7 +96,7 @@ impl Default for SurrogateDims {
 
 /// Which FFN flavour the model family uses (affects MAC counts and weight size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FfnKind {
+pub(crate) enum FfnKind {
     /// Standard two-matrix MLP (`up`, `down`) as in GPT/OPT.
     Mlp,
     /// Gated MLP with three matrices (`gate`, `up`, `down`) as in Llama/Mistral.
@@ -107,7 +107,7 @@ pub enum FfnKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Which published model this configuration corresponds to.
-    pub kind: ModelKind,
+    pub(crate) kind: ModelKind,
     /// Number of transformer decoder layers.
     pub layers: usize,
     /// Number of attention (query) heads.
@@ -119,11 +119,11 @@ pub struct ModelConfig {
     /// FFN inner dimension.
     pub ffn_dim: usize,
     /// Vocabulary size.
-    pub vocab: usize,
+    pub(crate) vocab: usize,
     /// FFN flavour.
-    pub ffn_kind: FfnKind,
+    pub(crate) ffn_kind: FfnKind,
     /// Number of parameters, in billions (for reporting only).
-    pub params_billion: f64,
+    pub(crate) params_billion: f64,
     /// Surrogate dimensions used by the functional model.
     pub surrogate: SurrogateDims,
 }

@@ -24,7 +24,7 @@ use kelle_tensor::ops;
 /// A single decoder layer: pre-norm self-attention followed by a pre-norm
 /// gated-MLP FFN, both with residual connections.
 #[derive(Debug)]
-pub struct DecoderLayer<'w> {
+pub(crate) struct DecoderLayer<'w> {
     weights: &'w LayerWeights,
     heads: usize,
 }
@@ -100,11 +100,11 @@ impl<'w> DecoderLayer<'w> {
 
 /// Aggregate per-token forward-pass statistics across all layers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ForwardStats {
+pub(crate) struct ForwardStats {
     /// Total recomputed cache entries across layers.
-    pub recomputed_entries: usize,
+    pub(crate) recomputed_entries: usize,
     /// Total KV entries read across layers.
-    pub kv_entries_read: usize,
+    pub(crate) kv_entries_read: usize,
 }
 
 /// The complete surrogate model.

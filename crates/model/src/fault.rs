@@ -165,7 +165,7 @@ pub enum TokenGroup {
 
 /// Bit-significance group within a 16-bit storage word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SignificanceGroup {
+pub(crate) enum SignificanceGroup {
     /// Bits 15–8 (sign, exponent and high mantissa bits of FP16).
     Msb,
     /// Bits 7–0 (low mantissa bits of FP16).

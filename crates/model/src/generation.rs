@@ -34,7 +34,7 @@
 //! runs comparable, decoding is *teacher-forced on the reference trajectory*:
 //! both runs see the token the reference model generated at each step, and the
 //! metric is how much the test run's output distribution drifts (see
-//! [`crate::metrics`]).
+//! the `metrics` module).
 
 use crate::attention::DecodeScratch;
 use crate::cache::{CacheBudget, CachePolicy, CacheStats, KvCacheBackend, TokenId};
@@ -47,7 +47,7 @@ use crate::segment::SharedSegment;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenerationConfig {
     /// Number of decode steps to run after the prompt.
-    pub decode_len: usize,
+    pub(crate) decode_len: usize,
 }
 
 impl GenerationConfig {
@@ -63,7 +63,7 @@ pub struct StepRecord {
     /// Sequence position of the generated token.
     pub position: usize,
     /// Token chosen at this step.
-    pub token: TokenId,
+    pub(crate) token: TokenId,
     /// Cache occupancy after the step.
     pub cache_stats: CacheStats,
     /// Number of cache entries recomputed from stored inputs in this step.
@@ -121,7 +121,7 @@ pub struct GenerationOutput {
     /// Per-step next-token probability distributions.
     pub step_probs: Vec<Vec<f32>>,
     /// Decode trace.
-    pub trace: DecodeTrace,
+    pub(crate) trace: DecodeTrace,
 }
 
 /// Cursor of a resumable generation: the next sequence position, the logits of

@@ -35,14 +35,14 @@ mod arena;
 pub mod attention;
 mod budget;
 pub mod cache;
-pub mod config;
-pub mod decoder;
+pub(crate) mod config;
+pub(crate) mod decoder;
 pub mod fault;
 pub mod generation;
 pub mod hash;
-pub mod metrics;
+pub(crate) mod metrics;
 mod policy;
-pub mod segment;
+pub(crate) mod segment;
 pub mod weights;
 
 pub use attention::{DecodeScratch, MultiHeadAttention};

@@ -54,7 +54,7 @@ impl FidelityMetrics {
 
 /// Accumulates fidelity statistics step by step.
 #[derive(Debug, Clone, Default)]
-pub struct FidelityAccumulator {
+pub(crate) struct FidelityAccumulator {
     sum_ce: f64,
     sum_kl: f64,
     top1_matches: usize,

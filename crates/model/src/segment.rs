@@ -111,8 +111,8 @@ struct Boundary {
 ///
 /// Produced by [`SegmentRecorder::finish`], published into the prefix store
 /// behind an `Arc`, and consumed by cache-hit sessions via
-/// [`attach_and_replay`](SharedSegment::attach_and_replay).  See the [module
-/// docs](self) for the hit/miss/publish lifecycle.
+/// [`attach_and_replay`](SharedSegment::attach_and_replay).  The `segment`
+/// module's docs give the hit/miss/publish lifecycle.
 #[derive(Debug)]
 pub struct SharedSegment {
     log: Arc<ReplayLog>,

@@ -178,11 +178,11 @@ pub struct ModelWeights {
 pub struct WeightGenConfig {
     /// Multiplier on the key projection that sharpens attention score spread.
     /// 1.0 gives near-uniform attention; 2.5–4.0 gives realistic heavy tails.
-    pub attention_sharpness: f32,
+    pub(crate) attention_sharpness: f32,
     /// Strength of the attention-sink component added to early-token keys.
-    pub sink_strength: f32,
+    pub(crate) sink_strength: f32,
     /// Rank of the shared low-rank "topic" component in `W_K`/`W_Q`.
-    pub topic_rank: usize,
+    pub(crate) topic_rank: usize,
 }
 
 impl Default for WeightGenConfig {

@@ -43,4 +43,4 @@ pub use matrix::{dot, Matrix, DOT_LANES};
 pub use quant::{QuantFormat, QuantizedMatrix, QuantizedVector};
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub(crate) type Result<T> = std::result::Result<T, TensorError>;

@@ -13,7 +13,7 @@ use crate::{Result, TensorError};
 /// This is a plain type alias: vectors interoperate directly with slices and
 /// standard iterator adaptors, which keeps the functional-model code close to
 /// the paper's equations.
-pub type Vector = Vec<f32>;
+pub(crate) type Vector = Vec<f32>;
 
 /// A dense, row-major matrix of `f32` values.
 ///

@@ -18,13 +18,13 @@ use rand::Rng;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeneratedPrompt {
     /// Which task the prompt belongs to.
-    pub task: TaskKind,
+    pub(crate) task: TaskKind,
     /// The prompt tokens (vocabulary ids).
     pub tokens: Vec<usize>,
     /// Number of decode steps the experiment should run after the prompt.
     pub decode_len: usize,
     /// The anchor token ids planted in the prompt (long-range dependencies).
-    pub anchors: Vec<usize>,
+    pub(crate) anchors: Vec<usize>,
 }
 
 /// Exponent of the Zipf distribution filler tokens are drawn from (how
@@ -85,16 +85,6 @@ impl TokenStreamGenerator {
             anchors,
         }
     }
-
-    /// Generates `count` prompts for a task.
-    pub fn prompts(&self, task: TaskKind, count: usize) -> Vec<GeneratedPrompt> {
-        (0..count).map(|i| self.prompt(task, i)).collect()
-    }
-
-    /// The vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +104,17 @@ mod tests {
     #[test]
     fn prompt_lengths_match_task() {
         let generator = TokenStreamGenerator::new(512, 7);
-        for task in TaskKind::table2() {
+        let table2 = [
+            TaskKind::WikiText2,
+            TaskKind::Pg19,
+            TaskKind::ArcChallenge,
+            TaskKind::ArcEasy,
+            TaskKind::Piqa,
+            TaskKind::Lambada,
+            TaskKind::TriviaQa,
+            TaskKind::Qasper,
+        ];
+        for task in table2 {
             let p = generator.prompt(task, 0);
             let (prompt_len, decode_len) = task.surrogate_lengths();
             assert_eq!(p.tokens.len(), prompt_len);
@@ -155,13 +155,6 @@ mod tests {
             top16 as f64 > 0.4 * total as f64,
             "top tokens should dominate: {top16}/{total}"
         );
-    }
-
-    #[test]
-    fn prompts_helper_generates_count() {
-        let generator = TokenStreamGenerator::new(128, 3);
-        assert_eq!(generator.prompts(TaskKind::Piqa, 5).len(), 5);
-        assert_eq!(generator.vocab(), 128);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod generator;
-pub mod scenario;
-pub mod task;
+pub(crate) mod scenario;
+pub(crate) mod task;
 pub mod trace;
 
 pub use generator::TokenStreamGenerator;

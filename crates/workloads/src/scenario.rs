@@ -29,9 +29,9 @@ pub struct SharedPromptScenario {
     /// Decode steps each session requests.
     pub decode_len: usize,
     /// Vocabulary size prompts are drawn from.
-    pub vocab: usize,
+    pub(crate) vocab: usize,
     /// Scenario seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl SharedPromptScenario {

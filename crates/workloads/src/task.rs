@@ -40,20 +40,6 @@ pub enum TaskKind {
 }
 
 impl TaskKind {
-    /// The eight Table 2 tasks in column order.
-    pub fn table2() -> [TaskKind; 8] {
-        [
-            TaskKind::WikiText2,
-            TaskKind::Pg19,
-            TaskKind::ArcChallenge,
-            TaskKind::ArcEasy,
-            TaskKind::Piqa,
-            TaskKind::Lambada,
-            TaskKind::TriviaQa,
-            TaskKind::Qasper,
-        ]
-    }
-
     /// The three Table 5 qualitative tasks.
     pub fn table5() -> [TaskKind; 3] {
         [TaskKind::CnnDailyMail, TaskKind::TruthfulQa, TaskKind::Bbq]
@@ -142,11 +128,17 @@ impl TaskKind {
 mod tests {
     use super::*;
 
-    #[test]
-    fn table2_has_eight_tasks() {
-        assert_eq!(TaskKind::table2().len(), 8);
-        assert_eq!(TaskKind::table5().len(), 3);
-    }
+    /// The eight Table 2 tasks in column order.
+    const TABLE2: [TaskKind; 8] = [
+        TaskKind::WikiText2,
+        TaskKind::Pg19,
+        TaskKind::ArcChallenge,
+        TaskKind::ArcEasy,
+        TaskKind::Piqa,
+        TaskKind::Lambada,
+        TaskKind::TriviaQa,
+        TaskKind::Qasper,
+    ];
 
     #[test]
     fn labels_and_metrics() {
@@ -154,6 +146,7 @@ mod tests {
         assert_eq!(TaskKind::WikiText2.metric(), TaskMetric::Perplexity);
         assert_eq!(TaskKind::Piqa.metric(), TaskMetric::Accuracy);
         assert_eq!(TaskKind::CnnDailyMail.metric(), TaskMetric::Quality);
+        assert_eq!(TaskKind::table5().len(), 3);
     }
 
     #[test]
@@ -165,7 +158,7 @@ mod tests {
 
     #[test]
     fn surrogate_lengths_are_positive_and_ordered() {
-        for task in TaskKind::table2().into_iter().chain(TaskKind::table5()) {
+        for task in TABLE2.into_iter().chain(TaskKind::table5()) {
             let (prompt, decode) = task.surrogate_lengths();
             assert!(prompt > 0 && decode > 0, "{task:?}");
         }
@@ -175,7 +168,7 @@ mod tests {
 
     #[test]
     fn chance_below_reference_for_accuracy_tasks() {
-        for task in TaskKind::table2() {
+        for task in TABLE2 {
             if task.metric() == TaskMetric::Accuracy {
                 assert!(task.chance_score() < task.llama2_7b_fp16_reference());
             }

@@ -1,6 +1,6 @@
 //! Fleet-scale serving traces.
 //!
-//! The scenarios in [`crate::scenario`] pin small fixed fleets; capacity
+//! The scenarios in `crate::scenario` pin small fixed fleets; capacity
 //! planning needs *traces*: thousands of sessions arriving over time under a
 //! stochastic arrival process, with heterogeneous prompt/response lengths,
 //! multi-turn conversations separated by think time, and nested prefix
@@ -27,80 +27,6 @@ fn draw_ticks(rng: &mut DetRng, (lo, hi): (u64, u64)) -> u64 {
     rng.gen_range(lo..hi + 1)
 }
 
-/// The request arrival process of a trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalProcess {
-    /// Homogeneous Poisson arrivals: exponential inter-arrival times with
-    /// the given mean (in scheduler ticks).
-    Poisson {
-        /// Mean inter-arrival gap in ticks (> 0).
-        mean_interarrival_ticks: f64,
-    },
-    /// Diurnal arrivals: a Poisson process whose instantaneous rate swings
-    /// sinusoidally around the base rate — the day/night load cycle of an
-    /// edge deployment.
-    Diurnal {
-        /// Mean inter-arrival gap in ticks at the *base* rate (> 0).
-        mean_interarrival_ticks: f64,
-        /// Period of one load cycle in ticks (> 0).
-        period_ticks: f64,
-        /// Relative swing of the rate, in `[0, 1)`: the instantaneous rate
-        /// is `base * (1 + amplitude * sin(2π t / period))`.
-        amplitude: f64,
-    },
-}
-
-impl ArrivalProcess {
-    fn validate(&self) {
-        match *self {
-            ArrivalProcess::Poisson {
-                mean_interarrival_ticks,
-            } => {
-                assert!(
-                    mean_interarrival_ticks > 0.0,
-                    "mean inter-arrival gap must be positive"
-                );
-            }
-            ArrivalProcess::Diurnal {
-                mean_interarrival_ticks,
-                period_ticks,
-                amplitude,
-            } => {
-                assert!(
-                    mean_interarrival_ticks > 0.0,
-                    "mean inter-arrival gap must be positive"
-                );
-                assert!(period_ticks > 0.0, "diurnal period must be positive");
-                assert!(
-                    (0.0..1.0).contains(&amplitude),
-                    "diurnal amplitude must be in [0, 1)"
-                );
-            }
-        }
-    }
-
-    /// Draws the gap to the next arrival given the current time, via
-    /// inverse-CDF sampling of an exponential at the instantaneous rate.
-    fn next_gap(&self, now_ticks: f64, rng: &mut DetRng) -> f64 {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let exponential = -u.ln();
-        match *self {
-            ArrivalProcess::Poisson {
-                mean_interarrival_ticks,
-            } => exponential * mean_interarrival_ticks,
-            ArrivalProcess::Diurnal {
-                mean_interarrival_ticks,
-                period_ticks,
-                amplitude,
-            } => {
-                let phase = (now_ticks / period_ticks) * std::f64::consts::TAU;
-                let rate = (1.0 + amplitude * phase.sin()) / mean_interarrival_ticks;
-                exponential / rate
-            }
-        }
-    }
-}
-
 /// One class of session in the heterogeneous mixture.
 ///
 /// Lengths are drawn uniformly from the inclusive ranges, per session, from
@@ -109,19 +35,19 @@ impl ArrivalProcess {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionArchetype {
     /// Display name (shows up in benchmark tables).
-    pub name: String,
+    pub(crate) name: String,
     /// Sampling weight within the mixture (> 0).
-    pub weight: u32,
+    pub(crate) weight: u32,
     /// Fresh prompt tokens per turn (beyond the shared hierarchy prefix),
     /// as an inclusive `(min, max)` range; min must be > 0.
-    pub prompt_tokens: (usize, usize),
+    pub(crate) prompt_tokens: (usize, usize),
     /// Decode tokens requested per turn, inclusive range; min must be > 0.
-    pub decode_tokens: (usize, usize),
+    pub(crate) decode_tokens: (usize, usize),
     /// Conversation turns per session, inclusive range; min must be > 0.
-    pub turns: (usize, usize),
+    pub(crate) turns: (usize, usize),
     /// Think-time ticks between a turn finishing and the next turn being
     /// issued, inclusive range.
-    pub think_ticks: (u64, u64),
+    pub(crate) think_ticks: (u64, u64),
 }
 
 impl SessionArchetype {
@@ -173,15 +99,15 @@ impl SessionArchetype {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixHierarchy {
     /// Tokens in the fleet-wide system prompt (> 0).
-    pub system_tokens: usize,
+    pub(crate) system_tokens: usize,
     /// Number of distinct tool preambles (> 0).
-    pub tools: usize,
+    pub(crate) tools: usize,
     /// Tokens per tool preamble (> 0).
-    pub tool_tokens: usize,
+    pub(crate) tool_tokens: usize,
     /// Number of distinct per-user histories per tool (> 0).
-    pub users: usize,
+    pub(crate) users: usize,
     /// Tokens per user history (> 0).
-    pub user_tokens: usize,
+    pub(crate) user_tokens: usize,
 }
 
 impl PrefixHierarchy {
@@ -221,17 +147,18 @@ impl PrefixHierarchy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Number of sessions in the trace (> 0).
-    pub sessions: usize,
-    /// The arrival process session starts are drawn from.
-    pub arrival: ArrivalProcess,
+    pub(crate) sessions: usize,
+    /// Mean gap between session starts in ticks (> 0): starts are a
+    /// homogeneous Poisson process.
+    pub(crate) mean_interarrival_ticks: f64,
     /// The heterogeneous session mixture (non-empty).
-    pub archetypes: Vec<SessionArchetype>,
+    pub(crate) archetypes: Vec<SessionArchetype>,
     /// The nested prefix hierarchy prompts are prefixed with.
-    pub hierarchy: PrefixHierarchy,
+    pub(crate) hierarchy: PrefixHierarchy,
     /// Vocabulary size tokens are drawn from (>= 16).
-    pub vocab: usize,
+    pub(crate) vocab: usize,
     /// Trace seed: same seed, same trace, token-for-token.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl TraceConfig {
@@ -241,9 +168,7 @@ impl TraceConfig {
     pub fn poisson(sessions: usize, mean_interarrival_ticks: f64) -> Self {
         let config = TraceConfig {
             sessions,
-            arrival: ArrivalProcess::Poisson {
-                mean_interarrival_ticks,
-            },
+            mean_interarrival_ticks,
             archetypes: vec![
                 SessionArchetype::new("chat-short", 6, (4, 10)).with_decode_tokens((3, 6)),
                 SessionArchetype::new("chat-multi", 3, (6, 14))
@@ -282,7 +207,10 @@ impl TraceConfig {
     fn validate(&self) {
         assert!(self.sessions > 0, "trace needs at least one session");
         assert!(!self.archetypes.is_empty(), "mixture must be non-empty");
-        self.arrival.validate();
+        assert!(
+            self.mean_interarrival_ticks > 0.0,
+            "mean inter-arrival gap must be positive"
+        );
         for archetype in &self.archetypes {
             archetype.validate();
         }
@@ -296,11 +224,11 @@ impl TraceConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRequest {
     /// Session index within the trace.
-    pub session: usize,
+    pub(crate) session: usize,
     /// Zero-based turn index within the session.
-    pub turn: usize,
+    pub(crate) turn: usize,
     /// Index into [`TraceConfig::archetypes`].
-    pub archetype: usize,
+    pub(crate) archetype: usize,
     /// Scheduler tick the request arrives at.
     pub arrival_tick: u64,
     /// Full prompt: hierarchy prefix + conversation history + fresh turn
@@ -318,7 +246,7 @@ pub struct HierarchyPublication {
     /// Tool index of the leaf.
     pub tool: usize,
     /// User index of the leaf.
-    pub user: usize,
+    pub(crate) user: usize,
     /// system ++ tool preamble ++ user history.
     pub tokens: Vec<usize>,
     /// Strictly increasing level boundaries (system, +tool, +user).
@@ -336,7 +264,7 @@ pub struct Trace {
     /// engine deduplicates those.
     pub publications: Vec<HierarchyPublication>,
     /// The last arrival tick in the trace.
-    pub horizon_ticks: u64,
+    pub(crate) horizon_ticks: u64,
 }
 
 /// Deterministic trace generator.
@@ -433,7 +361,9 @@ impl TraceEngine {
         let mut now = 0.0_f64;
         let mut requests = Vec::new();
         for session in 0..config.sessions {
-            now += config.arrival.next_gap(now, &mut arrivals);
+            // Exponential inter-arrival gap, by inverse-CDF sampling.
+            let u: f64 = arrivals.gen_range(f64::EPSILON..1.0);
+            now += -u.ln() * config.mean_interarrival_ticks;
             let mut rng: DetRng = rng::substream(config.seed, &format!("session-{session}"));
 
             // Weighted archetype draw.
@@ -580,50 +510,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// `config` with its Poisson arrivals swapped for diurnal ones at the
-    /// same base rate.
-    fn diurnal(mut config: TraceConfig, period_ticks: f64, amplitude: f64) -> TraceConfig {
-        let ArrivalProcess::Poisson {
-            mean_interarrival_ticks,
-        } = config.arrival
-        else {
-            panic!("a poisson config");
-        };
-        config.arrival = ArrivalProcess::Diurnal {
-            mean_interarrival_ticks,
-            period_ticks,
-            amplitude,
-        };
-        config
-    }
-
-    #[test]
-    fn diurnal_rate_modulates_arrival_density() {
-        let period = 400.0;
-        let config = diurnal(TraceConfig::poisson(2000, 1.0), period, 0.9);
-        let trace = TraceEngine::new(config).generate();
-        // First arrivals per session only (turn 0), split by phase half.
-        let mut peak = 0usize;
-        let mut trough = 0usize;
-        for request in trace.requests.iter().filter(|r| r.turn == 0) {
-            let phase = (request.arrival_tick as f64 % period) / period;
-            if phase < 0.5 {
-                peak += 1; // sin > 0: boosted rate
-            } else {
-                trough += 1;
-            }
-        }
-        assert!(
-            peak > trough * 2,
-            "high-rate half-cycle must be denser: peak={peak} trough={trough}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "amplitude")]
-    fn unit_amplitude_panics() {
-        TraceEngine::new(diurnal(TraceConfig::poisson(4, 1.0), 100.0, 1.0));
     }
 }
