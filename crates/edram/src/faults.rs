@@ -54,6 +54,13 @@ mod tests {
     fn uniform_and_average() {
         let r = BitFlipRates::uniform(0.01);
         assert_eq!(r.average(), 0.01);
+        assert_eq!(BitFlipRates::zero().average(), 0.0);
+    }
+
+    /// The equal-weight average sits strictly between the smallest and the
+    /// largest group rate, so it never stands in for the worst group.
+    #[test]
+    fn max_picks_largest() {
         let r = BitFlipRates {
             hst_msb: 0.0,
             hst_lsb: 0.3,
@@ -61,5 +68,6 @@ mod tests {
             lst_lsb: 0.2,
         };
         assert!((r.average() - 0.15).abs() < 1e-12);
+        assert!(r.hst_msb < r.average() && r.average() < r.hst_lsb);
     }
 }

@@ -127,6 +127,7 @@ impl TaskKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     /// The eight Table 2 tasks in column order.
     const TABLE2: [TaskKind; 8] = [
@@ -146,7 +147,14 @@ mod tests {
         assert_eq!(TaskKind::WikiText2.metric(), TaskMetric::Perplexity);
         assert_eq!(TaskKind::Piqa.metric(), TaskMetric::Accuracy);
         assert_eq!(TaskKind::CnnDailyMail.metric(), TaskMetric::Quality);
+    }
+
+    #[test]
+    fn table2_has_eight_tasks() {
+        let table2: HashSet<TaskKind> = TABLE2.into_iter().collect();
+        assert_eq!(table2.len(), 8);
         assert_eq!(TaskKind::table5().len(), 3);
+        assert!(TaskKind::table5().iter().all(|t| !table2.contains(t)));
     }
 
     #[test]
