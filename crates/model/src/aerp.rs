@@ -22,10 +22,9 @@
 
 use crate::arena::{InputSlab, KvArena};
 use crate::budget::CacheBudget;
-use crate::cache::{CacheStats, EntryRef, KvCacheBackend, MedianThreshold, PayloadRef, TokenId};
+use crate::cache::{CacheStats, HeadView, KvCacheBackend, LabelRule, StoredRows, TokenId};
 use crate::policy::CachePolicy;
 use kelle_tensor::{quant, QuantFormat};
-use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// How a policy stores a token.
@@ -211,7 +210,7 @@ impl Layer {
 ///   left out, as the surrogate has no outliers for it to remove.  AERP
 ///   stores `x` (§4.1.2): a token's layer input (`C` elements) is kept once
 ///   per layer in a slot-recycling slab, and the device recomputes K/V
-///   through `W_K`/`W_V` when the token is read ([`PayloadRef::Recompute`]).
+///   through `W_K`/`W_V` when the token is read ([`StoredRows`]).
 ///   Each head holds the row's slab slot; a per-slot count of retaining
 ///   heads frees the row when the last of them evicts the token.  Beside
 ///   the slot, each head keeps the key and value its insert received in its
@@ -223,14 +222,15 @@ impl Layer {
 /// * **Label.** The HST/LST split of 2DRP (§4.2).  StreamingLLM labels its
 ///   sinks high and QuaRot every entry.  H2O and AERP rank each entry
 ///   against the median of its head's scores (a new token scores 0.0): each
-///   `for_each_entry` hands its entries their scores and a
-///   [`MedianThreshold`] that selects the median on a reused buffer at the
-///   first label asked for, so inserts, observes and `finish_prefill` select
-///   nothing, and a read allocates nothing.  Full ranks only the entries an
-///   observe has named, against the median of their scores; the newer ones
-///   are high, the conservative refresh default.  Every observe names all of
-///   a head's entries and Full evicts nothing, so the unobserved entries are
-///   always a tail, and a per-head count of observed entries marks where it
+///   [`head`](KvCacheBackend::head) view hands out the scores under
+///   [`LabelRule::Ranked`], and the reader selects the median at the first
+///   label it asks for, so inserts, observes and `finish_prefill` select
+///   nothing, and neither does a read that asks for no label.  Full ranks
+///   only the entries an observe has named, against the median of their
+///   scores; the newer ones are high, the conservative refresh default.
+///   Every observe names all of a head's entries and Full evicts nothing, so
+///   the unobserved entries are always a tail, and a per-head count of
+///   observed entries marks where it
 ///   starts.
 #[derive(Debug, Clone)]
 pub struct KvStore {
@@ -247,8 +247,6 @@ pub struct KvStore {
     in_prefill: bool,
     evictions: u64,
     insertions: u64,
-    /// The median selection's reused buffer.
-    ranks: RefCell<Vec<f32>>,
 }
 
 /// The uncompressed reference cache — the paper's "FP16 / full KV cache"
@@ -294,7 +292,6 @@ impl KvStore {
             in_prefill: true,
             evictions: 0,
             insertions: 0,
-            ranks: RefCell::default(),
         }
     }
 
@@ -345,53 +342,19 @@ impl KvStore {
         }
     }
 
-    /// Decision point 4, the label: visits `head`'s entries in insertion
-    /// order, each with the next of `payloads`.
-    fn visit_labelled<'s>(
-        &self,
-        head: &'s Head,
-        mut payloads: impl Iterator<Item = PayloadRef<'s>>,
-        visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
-    ) {
+    /// Decision point 4, the label: how `head`'s entries are labelled.
+    fn label<'s>(&self, head: &'s Head) -> LabelRule<'s> {
         match self.policy {
-            CachePolicy::StreamingLlm => {
-                let sinks = self.budget.sink_tokens;
-                for (&token, payload) in head.tokens.iter().zip(payloads) {
-                    visit(EntryRef::labelled(token, payload, token < sinks));
-                }
-            }
-            CachePolicy::QuaRotInt4 => {
-                for (&token, payload) in head.tokens.iter().zip(payloads) {
-                    visit(EntryRef::labelled(token, payload, true));
-                }
-            }
-            CachePolicy::H2o | CachePolicy::Aerp => {
-                self.ranked(head, head.tokens.len(), payloads, visit);
-            }
-            CachePolicy::Full => {
-                let observed = head.observed;
-                self.ranked(head, observed, payloads.by_ref(), visit);
-                for (&token, payload) in head.tokens[observed..].iter().zip(payloads) {
-                    visit(EntryRef::labelled(token, payload, true));
-                }
-            }
-        }
-    }
-
-    /// Visits the first `n` entries of `head`, each with the next of
-    /// `payloads`, ranked against the median of their scores.
-    fn ranked<'s>(
-        &self,
-        head: &'s Head,
-        n: usize,
-        payloads: impl Iterator<Item = PayloadRef<'s>>,
-        visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
-    ) {
-        let scores = &head.scores[..n];
-        let select = |buffer: &mut Vec<f32>| buffer.extend_from_slice(scores);
-        let threshold = MedianThreshold::new(&select, &self.ranks);
-        for ((&token, &score), payload) in head.tokens.iter().zip(scores).zip(payloads) {
-            visit(EntryRef::scored(token, payload, score, &threshold));
+            CachePolicy::StreamingLlm => LabelRule::Sinks(self.budget.sink_tokens),
+            CachePolicy::QuaRotInt4 => LabelRule::Fixed(true),
+            CachePolicy::H2o | CachePolicy::Aerp => LabelRule::Ranked {
+                scores: &head.scores,
+                ranked: head.tokens.len(),
+            },
+            CachePolicy::Full => LabelRule::Ranked {
+                scores: &head.scores,
+                ranked: head.observed,
+            },
         }
     }
 }
@@ -430,48 +393,25 @@ impl KvCacheBackend for KvStore {
         self.insertions += 1;
     }
 
-    /// Visits the retained entries in insertion order: a stored row borrowed
-    /// from the layer's slab under its slot (AERP), or the head's K/V, each
+    /// The head's arrays as they are: its tokens, its K/V arena (under AERP
+    /// the host copy) and, under AERP, its slots into the layer's slab,
     /// labelled by the policy's rule.
-    fn for_each_entry(
-        &self,
-        layer: usize,
-        head: usize,
-        visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
-    ) {
+    fn head(&self, layer: usize, head: usize) -> HeadView<'_> {
         let Some(state) = self.layers.get(layer) else {
-            return;
+            return HeadView::default();
         };
         let head = &state.heads[head];
-        if state.format == Format::Input {
-            self.visit_labelled(
-                head,
-                head.slots
-                    .iter()
-                    .zip(head.kv.pairs())
-                    .map(|(&slot, (key, value))| PayloadRef::Recompute {
-                        x: state.rows.row(slot),
-                        slot,
-                        key,
-                        value,
-                    }),
-                visit,
-            );
-        } else {
-            self.visit_labelled(
-                head,
-                head.kv
-                    .pairs()
-                    .map(|(key, value)| PayloadRef::Kv { key, value }),
-                visit,
-            );
+        HeadView {
+            tokens: &head.tokens,
+            keys: head.kv.keys(),
+            values: head.kv.values(),
+            rows: (state.format == Format::Input).then(|| StoredRows {
+                slots: &head.slots,
+                slab: state.rows.slab(),
+                width: state.rows.width(),
+            }),
+            label: self.label(head),
         }
-    }
-
-    fn entry_count(&self, layer: usize, head: usize) -> usize {
-        self.layers
-            .get(layer)
-            .map_or(0, |state| state.heads[head].tokens.len())
     }
 
     /// Adds each score to its entry's accumulated score, by position.
@@ -548,6 +488,7 @@ impl KvCacheBackend for KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::PayloadRef;
     use kelle_tensor::QuantizedVector;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 

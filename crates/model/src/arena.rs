@@ -23,8 +23,9 @@
 //!   truncate), so entry iteration order — and therefore the floating-point
 //!   accumulation order of attention — is identical to the historical
 //!   per-token-`Vec` storage; and
-//! * **read** hands out borrowed `&[f32]` slices straight into the arena; the
-//!   steady-state decode path never clones a key or value.
+//! * **read** borrows the arena's and the slab's flat buffers whole (a
+//!   head's view, `KvCacheBackend::head`); the steady-state decode path
+//!   never clones a stored key or value into the heap.
 //!
 //! Eq. 1/2 are order-invariant (§2.2), so *correctness* does not depend on
 //! the order-preserving eviction; bitwise reproducibility of token streams
@@ -79,10 +80,14 @@ impl KvArena {
         self.keys.len() / self.head_dim
     }
 
-    /// Borrows each entry's key and value vectors, in entry order.
-    pub fn pairs(&self) -> impl Iterator<Item = (&[f32], &[f32])> {
-        let d = self.head_dim;
-        self.keys.chunks_exact(d).zip(self.values.chunks_exact(d))
+    /// Every entry's key, in entry order, strided by `head_dim`.
+    pub fn keys(&self) -> &[f32] {
+        &self.keys
+    }
+
+    /// Every entry's value, laid out like [`keys`](Self::keys).
+    pub fn values(&self) -> &[f32] {
+        &self.values
     }
 
     /// Appends an entry.  Full buffers grow by doubling but never past room
@@ -200,13 +205,15 @@ impl InputSlab {
         slot
     }
 
-    /// The row stored in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` was never pushed.
-    pub fn row(&self, slot: usize) -> &[f32] {
-        &self.data[slot * self.width..(slot + 1) * self.width]
+    /// The length of a row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Every slot's row, `width` floats per slot: slot `s` holds
+    /// `[s·width, (s+1)·width)`.  A freed slot still holds its last row.
+    pub fn slab(&self) -> &[f32] {
+        &self.data
     }
 
     /// Frees `slot` for reuse.  The caller removes each live slot once.
@@ -236,12 +243,20 @@ mod tests {
 
     /// The first key element of each entry, in entry order.
     fn keys_of(arena: &KvArena) -> Vec<f32> {
-        arena.pairs().map(|(key, _)| key[0]).collect()
+        arena.keys().chunks_exact(4).map(|key| key[0]).collect()
     }
 
     /// Entry `i`'s key and value.
     fn entry(arena: &KvArena, i: usize) -> (&[f32], &[f32]) {
-        arena.pairs().nth(i).expect("entry in bounds")
+        (
+            &arena.keys()[4 * i..4 * i + 4],
+            &arena.values()[4 * i..4 * i + 4],
+        )
+    }
+
+    /// The row `slab` stores in `slot`.
+    fn row(slab: &InputSlab, slot: usize) -> &[f32] {
+        &slab.slab()[slot * slab.width()..(slot + 1) * slab.width()]
     }
 
     #[test]
@@ -299,15 +314,15 @@ mod tests {
         let mut slab = InputSlab::new(3);
         assert_eq!(slab.push(&[1.0, 2.0, 3.0]), 0);
         assert_eq!(slab.push(&[4.0, 5.0, 6.0]), 1);
-        assert_eq!(slab.row(0), &[1.0, 2.0, 3.0]);
+        assert_eq!(row(&slab, 0), &[1.0, 2.0, 3.0]);
         slab.remove(0);
         assert_eq!(slab.len(), 1);
         let backing = slab.data.len();
         // The next row reuses the freed slot; the backing store did not grow.
         assert_eq!(slab.push(&[7.0, 8.0, 9.0]), 0);
         assert_eq!(slab.data.len(), backing);
-        assert_eq!(slab.row(0), &[7.0, 8.0, 9.0]);
-        assert_eq!(slab.row(1), &[4.0, 5.0, 6.0]);
+        assert_eq!(row(&slab, 0), &[7.0, 8.0, 9.0]);
+        assert_eq!(row(&slab, 1), &[4.0, 5.0, 6.0]);
         assert_eq!(slab.len(), 2);
         assert_eq!(slab.bytes_fp16(), 2 * 3 * 2);
     }

@@ -12,8 +12,9 @@
 //! # The fused, allocation-free pass
 //!
 //! The one forward body is [`MultiHeadAttention::forward_with`]: it threads a
-//! caller-owned [`DecodeScratch`] through the whole computation and visits the
-//! cache through the borrowed [`EntryRef`](crate::cache::EntryRef) API, so a
+//! caller-owned [`DecodeScratch`] through the whole computation and reads
+//! each head of the cache as one borrowed
+//! [`HeadView`](crate::cache::HeadView) of parallel slices, so a
 //! steady-state decode step touches the heap not at all.  Every decode step
 //! any serving executor runs goes through it, on the session's thread.  Per
 //! layer it first projects the token's query, key and value through the one
@@ -23,27 +24,31 @@
 //! ([`ops::rope_angles`], applied by [`ops::rotate`]), built once per
 //! position and shared by every layer.  Then it runs three phases:
 //!
-//! 1. **Read the heads.**  One
-//!    [`for_each_entry`](KvCacheBackend::for_each_entry) traversal per head,
-//!    on that head's fault lane.  A `Kv` entry's value is copied into the
-//!    stash; an entry of an earlier pass has its key copied into scratch
-//!    and both corrupted there at its HST/LST label, an entry of the current
-//!    pass is read clean (its stored key scores it directly, no lane call is
-//!    made and no label is asked for).  Either way the entry is scored at
-//!    once.  A `Recompute` entry of the current pass is read clean the same
-//!    way, from the key and value the host keeps for it: no row-table visit
-//!    and no recompute (see the pass rule below).  A `Recompute` entry of an
-//!    earlier pass enters the layer's row table under its slot (no hashing),
-//!    with its label; its key is copied beside the table, its value into its
-//!    place in the stash, and its score waits for phase 2.  A label is asked
-//!    for only where a read goes through the lane, so the head's median is
-//!    selected at most once per traversal, and never in a pass that reads
-//!    every row clean.
+//! 1. **Read the heads.**  One [`head`](KvCacheBackend::head) view per
+//!    head, split where its tokens reach the pass start (a head's tokens
+//!    ascend, so the entries of the current pass are a suffix).  The prefix
+//!    of earlier passes is read on the head's fault lane, entry by entry in
+//!    entry order: a `Kv` entry has its key copied into scratch and its
+//!    value into the stash, both corrupted there at its HST/LST label, and
+//!    is scored at once; a stored-row (AERP) entry enters the layer's row
+//!    table under its slot (no hashing), with its label, its key is copied
+//!    beside the table, its value into its place in the stash, and its
+//!    score waits for phase 2.  The suffix of the current pass is read clean
+//!    (see the pass rule below): its values are stashed as stored and its
+//!    keys — the stored K/V, or the key the host keeps beside each stored
+//!    row — are scored by one call of the four-row matvec kernel
+//!    ([`kelle_tensor::dot_rows_into`]), bitwise one `dot` per key.  No lane
+//!    call, no row-table visit, no recompute and no label for it.  The
+//!    head's median is selected on a scratch buffer at the first label a
+//!    lane read asks for, so at most once per head and pass, and never in a
+//!    pass that reads every row clean.
 //! 2. **Read the rows.**  Each distinct stored row of an earlier pass is
-//!    copied once and corrupted once on the layer's row lane, whatever number
-//!    of heads retain it, and the copy is compared with the stored row bit
-//!    for bit: the words that differ are the row's flipped columns `J`, each
-//!    with `δ_j = x′_j − x_j` in f32.  Then, for every head that retains the
+//!    read once on the layer's row lane, whatever number of heads retain
+//!    it.  The lane reports the words the read flipped, with their read
+//!    values, without writing the row anywhere
+//!    ([`FaultInjector::read_flips`]); those whose bits differ from the
+//!    stored row are the row's flipped columns `J`, each with
+//!    `δ_j = x′_j − x_j` in f32.  Then, for every head that retains the
 //!    row and only for those, the host's key and value are corrected for
 //!    exactly those words — `K′ = K + rot(W_K,h[:, J]·δ_J)` and
 //!    `V′ = V + W_V,h[:, J]·δ_J` — instead of recomputed from the whole row.
@@ -64,7 +69,7 @@
 //!
 //! Phase 1 reads every head before phase 3 reports any of them.  That is
 //! sound because `observe_attention(layer, h)` may change nothing that another
-//! head of the layer visits (the [`KvCacheBackend`] contract), and a head's
+//! head of the layer shows (the [`KvCacheBackend`] contract), and a head's
 //! own reads all precede its own report.  A policy that stores no rows pays
 //! nothing for phase 2.
 //!
@@ -134,7 +139,7 @@
 //! hardware model bills.  Rows of earlier passes go through phase 2 in
 //! row-table order, so the lanes draw the same words.
 
-use crate::cache::{KvCacheBackend, PayloadRef, TokenId};
+use crate::cache::{select_median, KvCacheBackend, TokenId};
 use crate::fault::{FaultInjector, TokenGroup};
 use crate::weights::LayerWeights;
 use kelle_tensor::ops;
@@ -182,6 +187,10 @@ pub struct DecodeScratch {
     /// The layer's stored input rows of earlier passes, each read once per
     /// layer.
     rows: RowTable,
+    /// The median selection's reused buffer.
+    ranks: Vec<f32>,
+    /// How many head medians the passes through this scratch have selected.
+    medians_selected: u64,
     /// Per layer, the RoPE angle tables of the rows its input slab stores,
     /// kept across steps.
     slot_angles: Vec<SlotAngles>,
@@ -225,6 +234,13 @@ impl DecodeScratch {
         &self.attention
     }
 
+    /// How many head medians the passes through this scratch have selected:
+    /// at most one per head a pass reads through the lane, none for a head
+    /// it reads clean.
+    pub(crate) fn medians_selected(&self) -> u64 {
+        self.medians_selected
+    }
+
     /// Opens a pass at `start` unless one is open: every row from `start`
     /// on is read clean until [`end_pass`](Self::end_pass).
     pub(crate) fn open_pass(&mut self, start: TokenId) {
@@ -262,11 +278,16 @@ struct RowTable {
     earlier_use: Vec<u32>,
     /// Per use: the head's stored key, `head_dim` floats, corrected in place.
     keys: Vec<f32>,
-    /// The row phase 2 is reading, as the row lane read it.
-    read: Vec<f32>,
+    /// The words of the row phase 2 is reading that the row lane may have
+    /// changed, in ascending column order: each one's column and read value
+    /// `x′`.
+    reads: Vec<(u32, f32)>,
     /// The words of that row the read flipped, in ascending column order:
     /// each one's column and `δ = x′ − x`.
     flips: Vec<(u32, f32)>,
+    /// The row as the lane read it, rebuilt for the audit.
+    #[cfg(any(debug_assertions, test))]
+    read: Vec<f32>,
 }
 
 /// One head's `Recompute` entry of an earlier pass: where its score and
@@ -337,33 +358,25 @@ impl RowTable {
     }
 }
 
-/// Reads the stored row `x` on the row lane at `group` into `read`, and
-/// leaves in `flips` the words whose bits the read changed, in ascending
-/// column order, each with `δ = x′ − x`.
+/// Reads the stored row `x` on the row lane at `group`, leaving in `reads`
+/// the words the lane reports with their read values `x′`, and in `flips`
+/// those whose bits the read changed, in ascending column order, each with
+/// `δ = x′ − x`.
 fn read_row(
     x: &[f32],
     group: TokenGroup,
     faults: &mut dyn FaultInjector,
-    read: &mut Vec<f32>,
+    reads: &mut Vec<(u32, f32)>,
     flips: &mut Vec<(u32, f32)>,
 ) {
-    read.clear();
-    read.extend_from_slice(x);
-    faults.corrupt_slice(read, group);
+    faults.read_flips(x, group, reads);
     flips.clear();
     // Every word may flip, so a warm `flips` never grows.
     flips.reserve(x.len());
-    // The words whose bits differ, 64 at a time as a mask, so the compare
-    // takes no branch per word.
-    for (block, (read, x)) in read.chunks(64).zip(x.chunks(64)).enumerate() {
-        let mut mask = 0u64;
-        for (j, (r, s)) in read.iter().zip(x).enumerate() {
-            mask |= u64::from(r.to_bits() != s.to_bits()) << j;
-        }
-        while mask != 0 {
-            let j = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            flips.push(((64 * block + j) as u32, read[j] - x[j]));
+    for &(j, read) in reads.iter() {
+        let stored = x[j as usize];
+        if read.to_bits() != stored.to_bits() {
+            flips.push((j, read - stored));
         }
     }
 }
@@ -512,9 +525,9 @@ impl<'w> MultiHeadAttention<'w> {
     /// attending, so it always attends at least to itself.  Returns
     /// `(recomputed_entries, kv_entries_read)`, both counted per head.
     ///
-    /// This is the allocation-free hot path: cache entries are visited as
-    /// borrowed [`EntryRef`](crate::cache::EntryRef) views, and every stored
-    /// word an earlier pass wrote is staged through `scratch` and `faults`.
+    /// This is the allocation-free hot path: each head is read as one
+    /// borrowed [`HeadView`](crate::cache::HeadView), and every stored word
+    /// an earlier pass wrote is staged through `scratch` and `faults`.
     /// The three phases and the pass rule are described in the module docs.
     #[allow(clippy::too_many_arguments)] // the decode-step contract: position + data + 3 collaborators
     pub fn forward_with(
@@ -583,14 +596,15 @@ impl<'w> MultiHeadAttention<'w> {
         (recomputed_entries, kv_entries_read)
     }
 
-    /// Phase 1 for head `h`: one traversal of its entries on its fault lane.
-    /// Scores every `Kv` entry from its staged key and stashes its staged
-    /// value — stored as they are from `pass_start` on, corrupted at its
-    /// label before it; scores a `Recompute` entry from `pass_start` on from
-    /// its stored key and stashes its stored value; enters every earlier
-    /// `Recompute` entry's row in the row table, labelled, keeps its stored
-    /// key for phase 2 and stashes its stored value.  Asks for no other
-    /// label.  Returns `(recomputed_entries, kv_entries_read)` for this head.
+    /// Phase 1 for head `h`, on its fault lane, over the head's view split
+    /// at `pass_start`.  Each entry of an earlier pass, in entry order: a
+    /// `Kv` entry's key is staged and its value stashed, both corrupted at
+    /// its label, and it is scored from the staged key; a `Recompute`
+    /// entry's row enters the row table, labelled, its stored key is kept
+    /// for phase 2 and its stored value stashed.  The entries of the pass
+    /// are stashed as stored and scored by one kernel call over their keys.
+    /// The head's median is selected at the first label asked for, and only
+    /// then.  Returns `(recomputed_entries, kv_entries_read)` for this head.
     fn read_head(
         &self,
         layer: usize,
@@ -610,53 +624,66 @@ impl<'w> MultiHeadAttention<'w> {
             stash,
             kbuf,
             rows,
+            ranks,
+            medians_selected,
             ..
         } = scratch;
         heads_at.push((scores.len(), stash.len()));
         let qh = &q[h * hd..(h + 1) * hd];
-        let mut recomputed_entries = 0usize;
-        let mut kv_entries_read = 0usize;
+        let view = cache.head(layer, h);
+        let split = view.tokens.partition_point(|&t| t < pass_start);
+        debug_assert!(
+            view.tokens[split..].iter().all(|&t| t >= pass_start),
+            "a head's tokens ascend"
+        );
+        let (keys, values) = (view.keys.chunks_exact(hd), view.values.chunks_exact(hd));
+        let mut median = None;
+        let mut high = |i: usize| {
+            view.high_score(i, |ranked| {
+                *median.get_or_insert_with(|| {
+                    *medians_selected += 1;
+                    select_median(ranked, ranks)
+                })
+            })
+        };
 
-        cache.for_each_entry(layer, h, &mut |e| {
-            let score = match e.payload {
-                PayloadRef::Kv { key, value } if e.token >= pass_start => {
-                    kv_entries_read += 1;
-                    stash.extend_from_slice(value);
-                    kelle_tensor::dot(key, qh) * scale
-                }
-                PayloadRef::Kv { key, value } => {
-                    kv_entries_read += 1;
-                    let group = group(e.high_score());
+        let earlier = keys.zip(values).take(split).enumerate();
+        match view.rows {
+            None => {
+                for (i, (key, value)) in earlier {
+                    let group = group(high(i));
                     kbuf.clear();
                     kbuf.extend_from_slice(key);
                     faults.corrupt_slice(kbuf, group);
                     let start = stash.len();
                     stash.extend_from_slice(value);
                     faults.corrupt_slice(&mut stash[start..], group);
-                    kelle_tensor::dot(kbuf, qh) * scale
+                    scores.push(kelle_tensor::dot(kbuf, qh) * scale);
                 }
-                PayloadRef::Recompute { key, value, .. } if e.token >= pass_start => {
-                    recomputed_entries += 1;
-                    stash.extend_from_slice(value);
-                    kelle_tensor::dot(key, qh) * scale
-                }
-                PayloadRef::Recompute {
-                    x,
-                    slot,
-                    key,
-                    value,
-                } => {
-                    recomputed_entries += 1;
-                    let row = rows.visit(slot, e.token, x, e.high_score());
+            }
+            Some(stored) => {
+                for (i, (key, value)) in earlier {
+                    let (slot, token) = (stored.slots[i], view.tokens[i]);
+                    let row = rows.visit(slot, token, stored.x(i), high(i));
                     rows.add_use(h, row, (scores.len(), stash.len()), key);
                     stash.extend_from_slice(value);
-                    0.0 // scored in phase 2
+                    scores.push(0.0); // scored in phase 2
                 }
-            };
-            scores.push(score);
-            tokens.push(e.token);
-        });
-        (recomputed_entries, kv_entries_read)
+            }
+        }
+
+        stash.extend_from_slice(&view.values[split * hd..]);
+        let at = scores.len();
+        scores.resize(at + view.len() - split, 0.0);
+        kelle_tensor::dot_rows_into(&view.keys[split * hd..], qh, &mut scores[at..]);
+        for score in &mut scores[at..] {
+            *score *= scale;
+        }
+        tokens.extend_from_slice(view.tokens);
+        match view.rows {
+            Some(_) => (view.len(), 0),
+            None => (0, view.len()),
+        }
     }
 
     /// Phase 2: reads each of the layer's stored rows of earlier passes
@@ -700,12 +727,22 @@ impl<'w> MultiHeadAttention<'w> {
             uses,
             earlier_use,
             keys,
-            read,
+            reads,
             flips,
+            #[cfg(any(debug_assertions, test))]
+            read,
             ..
         } = rows;
         for (row, x) in x.chunks_exact(channels).enumerate() {
-            read_row(x, group(high[row]), faults, read, flips);
+            read_row(x, group(high[row]), faults, reads, flips);
+            #[cfg(any(debug_assertions, test))]
+            if !flips.is_empty() {
+                read.clear();
+                read.extend_from_slice(x);
+                for &(j, value) in reads.iter() {
+                    read[j as usize] = value;
+                }
+            }
             let (slot, token) = (slot[row], token[row]);
             if !flips.is_empty() {
                 tables.hold(slot, token, hd / 2, || self.rope_angles(token));
@@ -962,7 +999,7 @@ mod tests {
         let mut scratch = DecodeScratch::new();
         let mut x = Vec::new();
         let (mut corrected, mut largest_delta) = (0, 0.0f32);
-        let (mut read, mut flips) = (Vec::new(), Vec::new());
+        let (mut reads, mut flips) = (Vec::new(), Vec::new());
         for pos in 0..200 {
             weights.embed_into((pos * 7 + 3) % dims.vocab, pos, &mut x);
             // The row lane's reads of this step, replayed on a copy of the
@@ -972,7 +1009,13 @@ mod tests {
             let rows = &scratch.rows;
             replay.begin_lane(0, dims.heads);
             for (row, x) in rows.x.chunks_exact(dims.channels).enumerate() {
-                read_row(x, group(rows.high[row]), &mut replay, &mut read, &mut flips);
+                read_row(
+                    x,
+                    group(rows.high[row]),
+                    &mut replay,
+                    &mut reads,
+                    &mut flips,
+                );
                 if let Some(&(_, delta)) =
                     flips.iter().max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
                 {

@@ -34,39 +34,49 @@
 //! host-only arena of their keys and values.
 //! The discipline for the decode hot path is:
 //!
-//! * **reads are borrows**: [`for_each_entry`](KvCacheBackend::for_each_entry)
-//!   visits [`EntryRef`] views whose key/value/`x` slices point straight into
-//!   the arenas — zero copies, zero allocation; the attention pass copies
-//!   each stored word it reads into its scratch, where the fault injector
-//!   corrupts it, so the stored bits are never modified;
+//! * **reads are borrows**: [`head`](KvCacheBackend::head) hands out a
+//!   [`HeadView`] of one head — its tokens, its flat key and value arenas,
+//!   under AERP its slots into the layer's input slab, and its HST/LST
+//!   [`LabelRule`] — as parallel slices straight into the store, zero
+//!   copies, zero allocation; the attention pass copies each stored word an
+//!   earlier pass wrote into its scratch, where the fault injector corrupts
+//!   it, so the stored bits are never modified, and scores the entries of
+//!   its own pass straight from the key arena;
 //! * **inserts append**: flat per-head slices are copied onto the arena tail;
 //!   buffers warm up to the policy budget and then stop growing;
 //! * **evictions splice in place** (order-preserving `copy_within`), so the
-//!   entry iteration order — and therefore the floating-point accumulation
-//!   order of attention — is the same as the historical per-token-`Vec`
-//!   storage produced.
+//!   entry order — and therefore the floating-point accumulation order of
+//!   attention — is the same as the historical per-token-`Vec` storage
+//!   produced.
 //!
-//! There is one way to read a cache: `for_each_entry`.  What attention
-//! computes from those reads is pinned by golden fixtures outside the code
-//! (`tests/integration_decode_alloc.rs`, `tests/integration_golden.rs`).
+//! There is one read of a cache: `head`.
+//! [`for_each_entry`](KvCacheBackend::for_each_entry) is a provided adapter
+//! over it that hands out one [`EntryRef`] per entry, for callers outside
+//! the attention pass.  What attention computes from those reads is pinned
+//! by golden fixtures outside the code (`tests/integration_decode_alloc.rs`,
+//! `tests/integration_golden.rs`).
 //!
 //! The trait is deliberately payload-centric: the attention code does not
 //! care *why* a token survived, only what is stored for it.  Eq. 1 and Eq. 2
 //! are invariant to the relative order of KV pairs (§2.2), so entries may be
-//! visited in any order — a property the proptest suite checks explicitly.
+//! read in any order — a property the proptest suite checks explicitly.  A
+//! head keeps its entries in insertion order, which is ascending token
+//! order, and the attention pass relies on that to split off the entries of
+//! its own pass as a suffix.
 
 pub use crate::aerp::{FullKvCache, KvStore};
 pub use crate::budget::CacheBudget;
 pub use crate::policy::CachePolicy;
-use std::cell::{OnceCell, RefCell};
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 
 /// Index of a token within the full (pre-eviction) sequence.
 pub type TokenId = usize;
 
-/// Borrowed view of a cached token's stored payload: slices pointing straight
-/// into the backing arena (or input slab), valid for the duration of one
-/// [`for_each_entry`](KvCacheBackend::for_each_entry) visit.
+/// Borrowed view of a cached token's stored payload, as the
+/// [`for_each_entry`](KvCacheBackend::for_each_entry) adapter hands it out:
+/// slices pointing straight into the backing arena (or input slab), valid
+/// for the duration of one visit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PayloadRef<'a> {
     /// Key and value vectors stored directly (each of length `head_dim`).
@@ -84,11 +94,7 @@ pub enum PayloadRef<'a> {
     Recompute {
         /// Stored input vector for the token.
         x: &'a [f32],
-        /// The row's identity within its layer: between two `&mut` accesses
-        /// every visit of one stored row, from any head of the layer, carries
-        /// the same slot and distinct rows carry distinct slots.  Slots are
-        /// small (a slot of the layer's slab of stored rows), so the
-        /// attention pass indexes its per-layer row table by them.
+        /// The row's slot in the layer's slab ([`StoredRows::slots`]).
         slot: usize,
         /// The head's rotated key, as the token's own forward projected it:
         /// bitwise what a recompute from the intact `x` yields.  Host-only:
@@ -100,117 +106,156 @@ pub enum PayloadRef<'a> {
     },
 }
 
-/// Borrowed view of a single cached token entry for one `(layer, head)`.
+/// Borrowed view of a single cached token entry for one `(layer, head)`,
+/// as the [`for_each_entry`](KvCacheBackend::for_each_entry) adapter hands
+/// it out.
 ///
-/// Produced by [`KvCacheBackend::for_each_entry`] and consumed by the fused
-/// attention pass without touching the allocator.  Its HST/LST label is
-/// computed only when [`high_score`](EntryRef::high_score) asks for it: a
-/// policy that ranks by accumulated attention hands out the entry's score
-/// with its head's [`MedianThreshold`] for the traversal, so a read that
-/// asks for no label selects no median.
+/// Its HST/LST label is computed only when
+/// [`high_score`](EntryRef::high_score) asks for it: under a ranking rule
+/// the first call in a traversal selects the head's median, so a traversal
+/// that asks for no label selects none.
 #[derive(Debug, Clone, Copy)]
 pub struct EntryRef<'a> {
     /// The original sequence index of the token.
     pub token: TokenId,
     /// Stored data, borrowed from the backend.
     pub payload: PayloadRef<'a>,
-    rank: Rank<'a>,
+    /// The head the entry belongs to, and its index there.
+    view: &'a HeadView<'a>,
+    index: usize,
+    /// The traversal's median, selected at the first label asked for.
+    median: &'a OnceCell<f32>,
 }
 
-/// How an entry's HST/LST label is decided.
-#[derive(Debug, Clone, Copy)]
-enum Rank<'a> {
-    /// A label the policy fixes without ranking.
-    Fixed(bool),
-    /// The entry's accumulated score, ranked against its head's median.
-    Scored {
-        score: f32,
-        threshold: &'a MedianThreshold<'a>,
-    },
-}
-
-impl<'a> EntryRef<'a> {
-    /// An entry whose label the policy fixes without ranking.
-    pub fn labelled(token: TokenId, payload: PayloadRef<'a>, high_score: bool) -> Self {
-        EntryRef {
-            token,
-            payload,
-            rank: Rank::Fixed(high_score),
-        }
-    }
-
-    /// An entry with accumulated score `score`, high-score when it reaches
-    /// its head's median.
-    pub fn scored(
-        token: TokenId,
-        payload: PayloadRef<'a>,
-        score: f32,
-        threshold: &'a MedianThreshold<'a>,
-    ) -> Self {
-        EntryRef {
-            token,
-            payload,
-            rank: Rank::Scored { score, threshold },
-        }
-    }
-
+impl EntryRef<'_> {
     /// Whether the policy currently classifies this token as a high-score
     /// (heavy-hitter) token.  Used by the fault injector to apply the
     /// HST/LST-dependent corruption rates of 2DRP.  The first call in a
     /// traversal of a ranking policy selects the head's median.
     pub fn high_score(&self) -> bool {
-        match self.rank {
-            Rank::Fixed(high) => high,
-            Rank::Scored { score, threshold } => score >= threshold.median(),
-        }
-    }
-}
-
-/// The HST/LST threshold of one head for one
-/// [`for_each_entry`](KvCacheBackend::for_each_entry) traversal: the median
-/// of the head's accumulated scores (the upper one of an even count, −∞ for
-/// none), selected on a reused buffer the first time a label is asked for
-/// and kept for the rest of the traversal.
-pub struct MedianThreshold<'a> {
-    /// Appends the head's accumulated scores to the buffer.
-    scores: &'a dyn Fn(&mut Vec<f32>),
-    buffer: &'a RefCell<Vec<f32>>,
-    median: OnceCell<f32>,
-}
-
-impl<'a> MedianThreshold<'a> {
-    /// A threshold over the scores `scores` appends, selected on `buffer`.
-    pub fn new(scores: &'a dyn Fn(&mut Vec<f32>), buffer: &'a RefCell<Vec<f32>>) -> Self {
-        MedianThreshold {
-            scores,
-            buffer,
-            median: OnceCell::new(),
-        }
-    }
-
-    /// The head's median score, selected on the first call.
-    pub(crate) fn median(&self) -> f32 {
-        *self.median.get_or_init(|| {
-            let mut buffer = self.buffer.borrow_mut();
-            buffer.clear();
-            (self.scores)(&mut buffer);
-            if buffer.is_empty() {
-                return f32::NEG_INFINITY;
-            }
-            let mid = buffer.len() / 2;
-            *buffer
-                .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal))
-                .1
+        self.view.high_score(self.index, |ranked| {
+            *self
+                .median
+                .get_or_init(|| select_median(ranked, &mut Vec::new()))
         })
     }
 }
 
-impl std::fmt::Debug for MedianThreshold<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MedianThreshold")
-            .field("median", &self.median.get())
-            .finish_non_exhaustive()
+/// One head's retained entries, borrowed from the store as parallel slices
+/// for one read: entry `i` is `tokens[i]`, its key and value are the `i`th
+/// `head_dim`-long runs of `keys` and `values`, and under AERP its stored
+/// input row is `rows`' entry `i`.
+///
+/// A head holds its entries in insertion order, which is ascending token
+/// order, so the entries an open pass computed are a suffix
+/// (`tokens.partition_point(|&t| t < pass_start)` splits it off).
+#[derive(Debug, Clone, Copy)]
+pub struct HeadView<'a> {
+    /// The retained tokens, in insertion order.
+    pub tokens: &'a [TokenId],
+    /// Each entry's key, flat and strided by `head_dim`: what the policy
+    /// stores, or under AERP the host's unbilled copy.
+    pub keys: &'a [f32],
+    /// Each entry's value, laid out like `keys`.
+    pub values: &'a [f32],
+    /// Under AERP, each entry's stored input row; `None` for a policy that
+    /// stores K/V.
+    pub rows: Option<StoredRows<'a>>,
+    /// How each entry's HST/LST label is decided.
+    pub label: LabelRule<'a>,
+}
+
+/// AERP's stored input rows of one head's entries: entry `i`'s row `x`
+/// (`width` floats) sits in slot `slots[i]` of the layer's slab.
+#[derive(Debug, Clone, Copy)]
+pub struct StoredRows<'a> {
+    /// Each entry's slot.  Between two `&mut` accesses every head of the
+    /// layer names one stored row by the same slot and distinct rows by
+    /// distinct slots; slots are small, so the attention pass indexes its
+    /// per-layer row table by them.
+    pub slots: &'a [usize],
+    /// The layer's slab, `width` floats per slot.
+    pub slab: &'a [f32],
+    /// The length of a row (`channels`).
+    pub width: usize,
+}
+
+impl<'a> StoredRows<'a> {
+    /// The stored row of entry `i`.
+    pub fn x(&self, i: usize) -> &'a [f32] {
+        let slot = self.slots[i];
+        &self.slab[slot * self.width..(slot + 1) * self.width]
     }
+}
+
+/// How a head labels its entries HST or LST for 2DRP (§4.2).
+#[derive(Debug, Clone, Copy)]
+pub enum LabelRule<'a> {
+    /// Every entry carries this label.
+    Fixed(bool),
+    /// The attention sinks, tokens below this one, are high; the rest low.
+    Sinks(TokenId),
+    /// The first `ranked` entries are high when their accumulated score
+    /// (`scores`, parallel to the tokens) reaches the median of the first
+    /// `ranked` scores; the entries after them are high.
+    Ranked {
+        /// Every entry's accumulated score.
+        scores: &'a [f32],
+        /// How many of the oldest entries are ranked.
+        ranked: usize,
+    },
+}
+
+impl Default for HeadView<'_> {
+    /// A head that holds nothing.
+    fn default() -> Self {
+        HeadView {
+            tokens: &[],
+            keys: &[],
+            values: &[],
+            rows: None,
+            label: LabelRule::Fixed(true),
+        }
+    }
+}
+
+impl HeadView<'_> {
+    /// The number of entries.
+    pub fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// Whether the head holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.tokens.is_empty()
+    }
+
+    /// The label of entry `i`.  Under [`LabelRule::Ranked`], `median` is
+    /// handed the ranked scores when the entry needs their median, so a
+    /// caller that keeps the first answer selects at most once per read.
+    pub fn high_score(&self, i: usize, median: impl FnOnce(&[f32]) -> f32) -> bool {
+        match self.label {
+            LabelRule::Fixed(high) => high,
+            LabelRule::Sinks(sinks) => self.tokens[i] < sinks,
+            LabelRule::Ranked { scores, ranked } => {
+                i >= ranked || scores[i] >= median(&scores[..ranked])
+            }
+        }
+    }
+}
+
+/// The median of `scores` — the upper one of an even count, −∞ for none —
+/// selected on `buffer`, which is cleared and refilled.
+pub(crate) fn select_median(scores: &[f32], buffer: &mut Vec<f32>) -> f32 {
+    if scores.is_empty() {
+        return f32::NEG_INFINITY;
+    }
+    buffer.clear();
+    buffer.extend_from_slice(scores);
+    let mid = buffer.len() / 2;
+    *buffer
+        .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal))
+        .1
 }
 
 /// Aggregate occupancy statistics reported by a cache backend.
@@ -252,22 +297,22 @@ impl CacheStats {
 ///
 /// 1. [`insert`](KvCacheBackend::insert) with the token's input vector and
 ///    the per-head keys/values as flat `channels`-length slices;
-/// 2. one [`for_each_entry`](KvCacheBackend::for_each_entry) per head,
-///    visiting borrowed views of the tokens to attend over;
+/// 2. one [`head`](KvCacheBackend::head) per head, borrowing the head's
+///    entries as parallel slices to attend over;
 /// 3. per head, [`observe_attention`](KvCacheBackend::observe_attention)
-///    with the post-softmax probabilities assigned to the visited entries,
-///    so importance-tracking policies (H2O, AERP) can update their scores.
+///    with the post-softmax probabilities assigned to those entries, so
+///    importance-tracking policies (H2O, AERP) can update their scores.
 ///    It receives one `(token, probability)` pair per entry of the head's
-///    last `for_each_entry`, in that order; the store `assert!`s, under
-///    every policy, that the tokens agree one by one, and adds the scores
-///    by position.
+///    view, in entry order; the store `assert!`s, under every policy, that
+///    the tokens agree one by one, and adds the scores by position.
 ///
 /// After pre-filling, [`finish_prefill`](KvCacheBackend::finish_prefill) lets
 /// policies apply their prefill retention rule (e.g. keep the top-`N'`
 /// tokens).
 ///
-/// [`entry_count`](KvCacheBackend::entry_count) equals the number of entries
-/// `for_each_entry` visits.
+/// [`for_each_entry`](KvCacheBackend::for_each_entry) visits the view's
+/// entries one at a time and [`entry_count`](KvCacheBackend::entry_count)
+/// counts them; both are provided over `head`.
 ///
 /// Backends are required to be [`Send`]: a serving session owns its backend
 /// and the threaded serving front-end (`kelle::parallel`) moves whole
@@ -281,16 +326,15 @@ impl CacheStats {
 /// rescore entries of *other* heads (evictions belong in
 /// [`insert`](KvCacheBackend::insert) /
 /// [`finish_prefill`](KvCacheBackend::finish_prefill)): nothing
-/// `for_each_entry(layer, h′)` visits for `h′ ≠ head` may change.  This is
-/// what lets the attention pass read every head of a layer before it
-/// reports any of them (step 2 before step 3), and it keeps what a head
-/// reads within a step independent of the order heads are visited in.  The
-/// store satisfies this under every policy — an observe adds into the
-/// observed head's own score array and moves its own count of observed
-/// entries — and a property test holds it to that.  A ranking policy keeps no
-/// label between calls: each traversal hands its entries their scores and a
-/// [`MedianThreshold`] that selects the head's median only if a label is
-/// asked for.
+/// `head(layer, h′)` shows for `h′ ≠ head` may change.  This is what lets
+/// the attention pass read every head of a layer before it reports any of
+/// them (step 2 before step 3), and it keeps what a head reads within a
+/// step independent of the order heads are visited in.  The store satisfies
+/// this under every policy — an observe adds into the observed head's own
+/// score array and moves its own count of observed entries — and a property
+/// test holds it to that.  A ranking policy keeps no label between calls:
+/// its view hands out the head's scores under [`LabelRule::Ranked`], and
+/// the reader selects the median only if it asks for a label.
 pub trait KvCacheBackend: std::fmt::Debug + Send {
     /// Inserts the current token for `layer`.
     ///
@@ -308,31 +352,59 @@ pub trait KvCacheBackend: std::fmt::Debug + Send {
         head_dim: usize,
     );
 
-    /// Visits every cached entry of `(layer, head)` in the backend's entry
-    /// order, handing the visitor borrowed [`EntryRef`] views into the
-    /// backing storage.
+    /// Borrows the retained entries of `(layer, head)` as parallel slices,
+    /// in entry order; an empty view for a layer nothing was inserted into.
+    fn head(&self, layer: usize, head: usize) -> HeadView<'_>;
+
+    /// Visits every cached entry of `(layer, head)` in entry order, handing
+    /// the visitor borrowed [`EntryRef`] views: an adapter over
+    /// [`head`](KvCacheBackend::head) for callers that want one entry at a
+    /// time.
     fn for_each_entry(
         &self,
         layer: usize,
         head: usize,
         visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
-    );
+    ) {
+        let view = self.head(layer, head);
+        let Some(head_dim) = view.keys.len().checked_div(view.len()) else {
+            return;
+        };
+        let median = OnceCell::new();
+        for (index, &token) in view.tokens.iter().enumerate() {
+            let (key, value) = (
+                &view.keys[index * head_dim..(index + 1) * head_dim],
+                &view.values[index * head_dim..(index + 1) * head_dim],
+            );
+            let payload = match view.rows {
+                Some(rows) => PayloadRef::Recompute {
+                    x: rows.x(index),
+                    slot: rows.slots[index],
+                    key,
+                    value,
+                },
+                None => PayloadRef::Kv { key, value },
+            };
+            visit(EntryRef {
+                token,
+                payload,
+                view: &view,
+                index,
+                median: &median,
+            });
+        }
+    }
 
     /// Number of cached entries for `(layer, head)`.
-    ///
-    /// The default implementation counts through
-    /// [`for_each_entry`](KvCacheBackend::for_each_entry); backends with O(1)
-    /// knowledge should override it.
     fn entry_count(&self, layer: usize, head: usize) -> usize {
-        let mut n = 0;
-        self.for_each_entry(layer, head, &mut |_| n += 1);
-        n
+        self.head(layer, head).len()
     }
 
     /// Reports the post-softmax attention probabilities assigned to cached
     /// tokens during the current step: one `(token, probability)` pair per
-    /// entry of the head's last
-    /// [`for_each_entry`](KvCacheBackend::for_each_entry), in that order.
+    /// entry of the head's view ([`head`](KvCacheBackend::head), or what
+    /// [`for_each_entry`](KvCacheBackend::for_each_entry) visits), in entry
+    /// order.
     fn observe_attention(&mut self, layer: usize, head: usize, scores: &[(TokenId, f32)]);
 
     /// Signals the end of the pre-filling stage; `context_len` is the number

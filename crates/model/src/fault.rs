@@ -129,7 +129,7 @@
 //! lanes as above.  So a first prompt draws nothing at all, however it is
 //! chunked and whether or not its prefix was replayed, and a decode step
 //! reads every row but its own through the lane.  A clean read asks for no
-//! HST/LST label either ([`EntryRef::high_score`](crate::cache::EntryRef::high_score)),
+//! HST/LST label either ([`HeadView::high_score`](crate::cache::HeadView::high_score)),
 //! so a prompt pass selects no head's median, and a decode step selects one
 //! per head that holds a row of an earlier pass.
 //!
@@ -223,6 +223,27 @@ pub trait FaultInjector: std::fmt::Debug {
         }
     }
 
+    /// Reads the stored row `row` at `group` without writing it, leaving in
+    /// `flips` each word the read may have changed, in ascending column
+    /// order, with the value the read returned; every word it leaves out
+    /// reads as stored.  What the attention pass calls for a stored input
+    /// row, where it needs only the flipped words.  This default is the
+    /// definition: [`corrupt_slice`](FaultInjector::corrupt_slice) on a copy
+    /// of the row, then every word whose bits differ.  An override has the
+    /// same obligations as `corrupt_slice`'s, and may also list a word that
+    /// reads as stored.
+    fn read_flips(&mut self, row: &[f32], group: TokenGroup, flips: &mut Vec<(u32, f32)>) {
+        let mut read = row.to_vec();
+        self.corrupt_slice(&mut read, group);
+        flips.clear();
+        flips.extend(
+            (0u32..)
+                .zip(read.iter().zip(row))
+                .filter(|(_, (r, x))| r.to_bits() != x.to_bits())
+                .map(|(j, (&r, _))| (j, r)),
+        );
+    }
+
     /// Selects the deterministic substream that subsequent
     /// [`corrupt`](FaultInjector::corrupt) calls draw from.
     ///
@@ -252,6 +273,10 @@ pub struct NoFaults;
 impl FaultInjector for NoFaults {
     fn corrupt(&mut self, value: f32, _group: TokenGroup) -> f32 {
         value
+    }
+
+    fn read_flips(&mut self, _row: &[f32], _group: TokenGroup, flips: &mut Vec<(u32, f32)>) {
+        flips.clear();
     }
 
     fn stats(&self) -> FaultStats {
@@ -550,11 +575,33 @@ impl LaneHandle<'_> {
     }
 
     /// Reads a row from flip to flip: the row walk of the module docs.
-    fn corrupt_slice(&mut self, mut values: &mut [f32], group: TokenGroup) {
+    fn corrupt_slice(&mut self, values: &mut [f32], group: TokenGroup) {
+        self.walk(values.len(), group, |at, mask| {
+            values[at] = read_flipped(values[at], mask);
+        });
+    }
+
+    /// The row walk over `row`, writing nothing: each word it flips goes
+    /// into `flips` with its read value.
+    fn read_flips(&mut self, row: &[f32], group: TokenGroup, flips: &mut Vec<(u32, f32)>) {
+        flips.clear();
+        // Every word may flip, so a warm `flips` never grows.
+        flips.reserve(row.len());
+        self.walk(row.len(), group, |at, mask| {
+            flips.push((at as u32, read_flipped(row[at], mask)));
+        });
+    }
+
+    /// Walks a row of `len` words at `group` from flip to flip, handing
+    /// `flip` each word a flip lands in, in order, with its flip mask; the
+    /// lane's draws and counters move as for a word-by-word read.
+    #[inline]
+    fn walk(&mut self, len: usize, group: TokenGroup, mut flip: impl FnMut(usize, u16)) {
         const LSB: usize = SignificanceGroup::Lsb as usize;
         const MSB: usize = SignificanceGroup::Msb as usize;
         let t = self.thresholds.of(group);
         let lane = &mut *self.lane;
+        let mut at = 0;
         let (mut lsb, mut msb) = loop {
             let left = lane.gap[group as usize];
             if let (Some(lsb), Some(msb)) = (Run::of(&t.lsb, left[LSB]), Run::of(&t.msb, left[MSB]))
@@ -563,16 +610,21 @@ impl LaneHandle<'_> {
             }
             // One word at a time while a class has its first gap to draw
             // (this read draws it), and throughout if a class is certain.
-            let Some((word, rest)) = values.split_first_mut() else {
+            if at == len {
                 return;
-            };
-            *word = lane.corrupt(*word, t, group);
-            values = rest;
+            }
+            lane.stats.words_examined += 1;
+            let mask = lane.word_mask(t, group);
+            if mask != 0 {
+                lane.stats.bits_flipped += u64::from(mask.count_ones());
+                flip(at, mask);
+            }
+            at += 1;
         };
+        let walked = len - at;
         let mut flipped = 0;
-        let mut at = 0;
         loop {
-            let words_left = (values.len() - at) as u64;
+            let words_left = (len - at) as u64;
             let run = (lsb.left.min(msb.left) / 8).min(words_left);
             lsb.pass(run);
             msb.pass(run);
@@ -585,12 +637,12 @@ impl LaneHandle<'_> {
             let mask = lsb.byte(&mut lane.rng) | msb.byte(&mut lane.rng) << 8;
             debug_assert_ne!(mask, 0);
             flipped += u64::from(mask.count_ones());
-            values[at] = read_flipped(values[at], mask);
+            flip(at, mask);
             at += 1;
         }
         lane.gap[group as usize][LSB] = lsb.counter();
         lane.gap[group as usize][MSB] = msb.counter();
-        lane.stats.words_examined += values.len() as u64;
+        lane.stats.words_examined += walked as u64;
         lane.stats.bits_flipped += flipped;
     }
 }
@@ -663,6 +715,10 @@ impl FaultInjector for ProbabilisticFaults {
 
     fn corrupt_slice(&mut self, values: &mut [f32], group: TokenGroup) {
         self.active_lane().corrupt_slice(values, group);
+    }
+
+    fn read_flips(&mut self, row: &[f32], group: TokenGroup, flips: &mut Vec<(u32, f32)>) {
+        self.active_lane().read_flips(row, group, flips);
     }
 
     fn begin_lane(&mut self, layer: usize, head: usize) {

@@ -175,6 +175,13 @@ impl GenerationState {
         }
     }
 
+    /// How many head medians this state's forward passes have selected for
+    /// 2DRP labels: at most one per head a pass reads through the lane, none
+    /// for a head it reads clean.
+    pub fn medians_selected(&self) -> u64 {
+        self.scratch.medians_selected()
+    }
+
     /// The logits of the most recently processed token (empty before any
     /// token was processed).
     pub fn last_logits(&self) -> &[f32] {

@@ -47,8 +47,8 @@ pub mod weights;
 
 pub use attention::{DecodeScratch, MultiHeadAttention};
 pub use cache::{
-    CacheBudget, CachePolicy, CacheStats, EntryRef, FullKvCache, KvCacheBackend, MedianThreshold,
-    PayloadRef, TokenId,
+    CacheBudget, CachePolicy, CacheStats, EntryRef, FullKvCache, HeadView, KvCacheBackend,
+    LabelRule, PayloadRef, StoredRows, TokenId,
 };
 pub use config::{ModelConfig, ModelKind, SurrogateDims};
 pub use decoder::SurrogateModel;

@@ -43,7 +43,7 @@
 //! recording, which the prefix store reports as its resident bytes.
 
 use crate::arena::FP16_BYTES;
-use crate::cache::{CacheStats, EntryRef, KvCacheBackend, TokenId};
+use crate::cache::{CacheStats, HeadView, KvCacheBackend, TokenId};
 use crate::config::SurrogateDims;
 use crate::fault::ProbabilisticFaults;
 use std::sync::Arc;
@@ -354,17 +354,8 @@ impl KvCacheBackend for SegmentRecorder<'_> {
         self.inner.insert(layer, token, x, keys, values, head_dim);
     }
 
-    fn for_each_entry(
-        &self,
-        layer: usize,
-        head: usize,
-        visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
-    ) {
-        self.inner.for_each_entry(layer, head, visit);
-    }
-
-    fn entry_count(&self, layer: usize, head: usize) -> usize {
-        self.inner.entry_count(layer, head)
+    fn head(&self, layer: usize, head: usize) -> HeadView<'_> {
+        self.inner.head(layer, head)
     }
 
     fn observe_attention(&mut self, layer: usize, head: usize, scores: &[(TokenId, f32)]) {

@@ -39,7 +39,7 @@ pub mod quant;
 pub mod rng;
 
 pub use error::TensorError;
-pub use matrix::{dot, Matrix, DOT_LANES};
+pub use matrix::{dot, dot_rows_into, Matrix, DOT_LANES};
 pub use quant::{QuantFormat, QuantizedMatrix, QuantizedVector};
 
 /// Crate-wide result alias.

@@ -348,6 +348,25 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
+/// [`dot`] of each `v.len()`-wide row of the flat block `rows` with `v`,
+/// into `out` (one element per row), bit for bit: the one matvec kernel
+/// ([`Matrix::matvec_rows_into`]'s, four rows at a time) over rows that are
+/// not a [`Matrix`] — e.g. an attention head's stored keys against its
+/// query, one score per key.
+///
+/// # Panics
+///
+/// Panics if `v` is empty or `rows.len() != v.len() * out.len()`.
+pub fn dot_rows_into(rows: &[f32], v: &[f32], out: &mut [f32]) {
+    assert!(!v.is_empty(), "dot_rows_into needs a non-empty vector");
+    assert_eq!(
+        rows.len(),
+        v.len() * out.len(),
+        "dot_rows_into takes one row of v's width per output"
+    );
+    dot4(rows, [v], [out]);
+}
+
 /// The one matvec kernel: [`dot`] of every row of `rows` (each as long as
 /// every vector of `vs`) with each vector, into `outs` (one element per
 /// row), bit for bit.  Rows go four at a time: every one of a block's `4·N`
@@ -556,10 +575,13 @@ mod tests {
 
     /// The four-row blocks and the rows left over after them agree with
     /// per-row `dot` bit for bit, for every row count and for widths with
-    /// and without a remainder chunk.
+    /// and without a remainder chunk — through a matrix's row ranges and
+    /// through `dot_rows_into` on the same rows as a flat block (an
+    /// attention head's keys are 8 wide in the surrogate, 12 in the
+    /// corrected-read audit).
     #[test]
     fn blocked_row_ranges_match_dot_bitwise() {
-        for cols in [1usize, 3, 4, 5, 13, 64] {
+        for cols in [1usize, 3, 4, 5, 8, 12, 13, 64] {
             let rows = 11;
             let data: Vec<f32> = (0..rows * cols)
                 .map(|i| (i as f32 * 0.37).sin() * 3.0)
@@ -570,9 +592,12 @@ mod tests {
                 for end in start..=rows {
                     let mut out = vec![f32::NAN; end - start];
                     m.matvec_rows_into(start..end, &v, &mut out).unwrap();
-                    for (r, o) in (start..end).zip(&out) {
+                    let mut flat = vec![f32::NAN; end - start];
+                    dot_rows_into(&m.data[start * cols..end * cols], &v, &mut flat);
+                    for ((r, o), f) in (start..end).zip(&out).zip(&flat) {
                         let expected = dot(m.row(r).unwrap(), &v);
                         assert_eq!(o.to_bits(), expected.to_bits(), "cols {cols} row {r}");
+                        assert_eq!(f.to_bits(), expected.to_bits(), "flat cols {cols} row {r}");
                     }
                 }
             }

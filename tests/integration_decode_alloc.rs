@@ -1,5 +1,5 @@
 //! Decode acceptance tests for the one decode body (`forward_with` per
-//! layer, reading the cache through borrowed `EntryRef` views):
+//! layer, reading each cache head through one borrowed `HeadView`):
 //!
 //! 1. **Zero steady-state heap growth** — once the scratch buffers and policy
 //!    arenas have warmed up, a decode step must not grow the heap at all,

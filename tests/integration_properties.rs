@@ -396,6 +396,132 @@ fn assert_observe_stays_in_its_head(
     }
 }
 
+/// Every `(layer, head)`'s view of `cache` and the `for_each_entry` adapter
+/// agree entry by entry — token, key, value, slot and stored row, and
+/// label, the view's computed here with an eagerly sorted median — and the
+/// view's tokens ascend.
+fn assert_view_matches_adapter(
+    cache: &dyn KvCacheBackend,
+    layers: usize,
+    heads: usize,
+    label: &str,
+) {
+    let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|f| f.to_bits()).collect() };
+    let median = |scores: &[f32]| {
+        let mut sorted = scores.to_vec();
+        sorted.sort_by(f32::total_cmp);
+        sorted
+            .get(sorted.len() / 2)
+            .copied()
+            .unwrap_or(f32::NEG_INFINITY)
+    };
+    for layer in 0..layers {
+        for head in 0..heads {
+            let at = format!("{label}: layer {layer} head {head}");
+            let view = cache.head(layer, head);
+            assert!(
+                view.tokens.windows(2).all(|w| w[0] < w[1]),
+                "{at}: tokens ascend"
+            );
+            let hd = view.keys.len().checked_div(view.len()).unwrap_or(0);
+            assert_eq!(view.keys.len(), view.len() * hd, "{at}");
+            assert_eq!(view.values.len(), view.len() * hd, "{at}");
+            let mut visited = 0;
+            cache.for_each_entry(layer, head, &mut |e| {
+                let i = visited;
+                visited += 1;
+                assert_eq!(e.token, view.tokens[i], "{at} entry {i}");
+                let stored = vec![
+                    bits(&view.keys[i * hd..(i + 1) * hd]),
+                    bits(&view.values[i * hd..(i + 1) * hd]),
+                ];
+                let payload = payload_bits(e.payload);
+                match view.rows {
+                    None => assert_eq!(payload, stored, "{at} entry {i}"),
+                    Some(rows) => {
+                        let row = vec![bits(rows.x(i)), vec![rows.slots[i] as u32]];
+                        assert_eq!(payload, [row, stored].concat(), "{at} entry {i}");
+                    }
+                }
+                assert_eq!(
+                    e.high_score(),
+                    view.high_score(i, median),
+                    "{at} entry {i} label"
+                );
+            });
+            assert_eq!(visited, view.len(), "{at}: entries visited");
+        }
+    }
+}
+
+/// Decodes every policy for `decode_len` steps after a `prompt_len`-token
+/// prompt under `budget` (a 4-head surrogate from `seed`), on a cold backend,
+/// and on one that replayed a published prefix segment and then decoded past
+/// its budget, evicting tokens the replay inserted; `check` sees the backend
+/// after every decode step with a label naming it.
+fn after_every_step(
+    seed: u64,
+    budget: CacheBudget,
+    prompt_len: usize,
+    decode_len: usize,
+    check: impl Fn(&dyn KvCacheBackend, usize, usize, &str),
+) {
+    use kelle::model::fault::{BitFlipRates, ProbabilisticFaults};
+    use kelle::model::generation::{decode_step, prefill, prefill_extend, GenerationState};
+    use kelle::model::{SegmentRecorder, SurrogateDims};
+
+    let config = ModelConfig::for_kind(ModelKind::Llama2_7b).with_surrogate(SurrogateDims {
+        layers: 2,
+        heads: 4,
+        channels: 32,
+        ffn_dim: 64,
+        vocab: 96,
+    });
+    let model = SurrogateModel::new(config, seed);
+    let (layers, heads, vocab) = (model.dims().layers, model.dims().heads, model.dims().vocab);
+    let prompt: Vec<usize> = (0..prompt_len)
+        .map(|p| (seed as usize * 131 + p * 17 + 5) % vocab)
+        .collect();
+    let (prefix, rest) = prompt.split_at(prompt_len - 1);
+
+    for policy in CachePolicy::all() {
+        let mut cold = policy.build(budget, heads);
+        let mut state = GenerationState::new();
+        prefill(&model, &mut state, &prompt, cold.as_mut(), &mut NoFaults);
+        for step in 0..decode_len {
+            decode_step(&model, &mut state, None, cold.as_mut(), &mut NoFaults);
+            let label = format!("{} cold step {step}", policy.name());
+            check(cold.as_ref(), layers, heads, &label);
+        }
+
+        // Publish all but the last prompt token, attach the segment to a
+        // fresh backend, and decode until the budget forces evictions.
+        let mut publisher = policy.build(budget, heads);
+        let mut recorder = SegmentRecorder::new(publisher.as_mut());
+        let mut published = GenerationState::new();
+        prefill_extend(&model, &mut published, prefix, &mut recorder, &mut NoFaults);
+        let segment = recorder.finish(
+            published.last_logits(),
+            ProbabilisticFaults::new(BitFlipRates::zero(), seed),
+        );
+        let mut hit = policy.build(budget, heads);
+        segment.attach_and_replay(hit.as_mut());
+        let mut state = GenerationState::new();
+        state.adopt_prefix(&segment);
+        prefill(&model, &mut state, rest, hit.as_mut(), &mut NoFaults);
+        for step in 0..decode_len + budget.max_tokens {
+            decode_step(&model, &mut state, None, hit.as_mut(), &mut NoFaults);
+            let label = format!("{} hit step {step}", policy.name());
+            check(hit.as_ref(), layers, heads, &label);
+        }
+        if policy == CachePolicy::StreamingLlm {
+            // StreamingLLM evicts the oldest non-sink token, which the
+            // replayed prefix inserted.
+            assert!(hit.stats().evictions > 0, "{label}", label = policy.name());
+        }
+    }
+}
+
 proptest! {
     // Each case decodes every policy twice (cold and behind a published
     // prefix); keep the sample count modest.
@@ -403,11 +529,9 @@ proptest! {
 
     /// The backend visitor contracts hold after every decode step, for every
     /// policy under random prompts, budgets and the eviction schedules they
-    /// induce: on a cold backend, and on one that replayed a published
-    /// prefix segment and then decoded past its budget, evicting tokens the
-    /// replay inserted.  `entry_count` equals the number of entries
-    /// `for_each_entry` visits, and observing one head's attention moves
-    /// nothing another head visits.
+    /// induce, cold and behind a replayed prefix: `entry_count` equals the
+    /// number of entries `for_each_entry` visits, and observing one head's
+    /// attention moves nothing another head visits.
     #[test]
     fn entry_visitor_contracts_hold_after_every_step(
         seed in 0u64..1000,
@@ -416,65 +540,32 @@ proptest! {
         prompt_len in 4usize..20,
         decode_len in 1usize..8,
     ) {
-        use kelle::model::fault::{BitFlipRates, ProbabilisticFaults};
-        use kelle::model::generation::{decode_step, prefill, prefill_extend, GenerationState};
-        use kelle::model::{SegmentRecorder, SurrogateDims};
-
-        let config = ModelConfig::for_kind(ModelKind::Llama2_7b).with_surrogate(SurrogateDims {
-            layers: 2,
-            heads: 4,
-            channels: 32,
-            ffn_dim: 64,
-            vocab: 96,
-        });
-        let model = SurrogateModel::new(config, seed);
-        let (layers, heads, vocab) = (model.dims().layers, model.dims().heads, model.dims().vocab);
-        let prompt: Vec<usize> = (0..prompt_len)
-            .map(|p| (seed as usize * 131 + p * 17 + 5) % vocab)
-            .collect();
         let budget = CacheBudget::new(budget)
             .with_recent_window(window)
             .with_sink_tokens(1);
-        let (prefix, rest) = prompt.split_at(prompt_len - 1);
+        after_every_step(seed, budget, prompt_len, decode_len, |cache, layers, heads, label| {
+            assert_entry_count_matches_visits(cache, layers, heads, label);
+            assert_observe_stays_in_its_head(cache, layers, heads, label);
+        });
+    }
 
-        for policy in CachePolicy::all() {
-            let mut cold = policy.build(budget, heads);
-            let mut state = GenerationState::new();
-            prefill(&model, &mut state, &prompt, cold.as_mut(), &mut NoFaults);
-            for step in 0..decode_len {
-                decode_step(&model, &mut state, None, cold.as_mut(), &mut NoFaults);
-                let label = format!("{} cold step {step}", policy.name());
-                assert_entry_count_matches_visits(cold.as_ref(), layers, heads, &label);
-                assert_observe_stays_in_its_head(cold.as_ref(), layers, heads, &label);
-            }
-
-            // Publish all but the last prompt token, attach the segment to a
-            // fresh backend, and decode until the budget forces evictions.
-            let mut publisher = policy.build(budget, heads);
-            let mut recorder = SegmentRecorder::new(publisher.as_mut());
-            let mut published = GenerationState::new();
-            prefill_extend(&model, &mut published, prefix, &mut recorder, &mut NoFaults);
-            let segment = recorder.finish(
-                published.last_logits(),
-                ProbabilisticFaults::new(BitFlipRates::zero(), seed),
-            );
-            let mut hit = policy.build(budget, heads);
-            segment.attach_and_replay(hit.as_mut());
-            let mut state = GenerationState::new();
-            state.adopt_prefix(&segment);
-            prefill(&model, &mut state, rest, hit.as_mut(), &mut NoFaults);
-            for step in 0..decode_len + budget.max_tokens {
-                decode_step(&model, &mut state, None, hit.as_mut(), &mut NoFaults);
-                let label = format!("{} hit step {step}", policy.name());
-                assert_entry_count_matches_visits(hit.as_ref(), layers, heads, &label);
-                assert_observe_stays_in_its_head(hit.as_ref(), layers, heads, &label);
-            }
-            if policy == CachePolicy::StreamingLlm {
-                // StreamingLLM evicts the oldest non-sink token, which the
-                // replayed prefix inserted.
-                prop_assert!(hit.stats().evictions > 0);
-            }
-        }
+    /// The per-head view attention reads and the `for_each_entry` adapter
+    /// agree entry by entry after every decode step, for every policy under
+    /// random prompts, budgets and eviction schedules, cold and behind a
+    /// replayed prefix, and a view's tokens ascend (what lets attention
+    /// split a head at the pass start).
+    #[test]
+    fn head_views_match_the_entry_adapter_after_every_step(
+        seed in 0u64..1000,
+        budget in 4usize..20,
+        window in 1usize..6,
+        prompt_len in 4usize..20,
+        decode_len in 1usize..8,
+    ) {
+        let budget = CacheBudget::new(budget)
+            .with_recent_window(window)
+            .with_sink_tokens(1);
+        after_every_step(seed, budget, prompt_len, decode_len, assert_view_matches_adapter);
     }
 }
 

@@ -18,6 +18,9 @@
 //! A label is asked for only where a read goes through the lane, so a
 //! prompt pass, which reads every row clean, selects no head's median, and
 //! a decode step selects one per head that holds a row of an earlier pass.
+//!
+//! The test backends here serve what they store through
+//! [`KvCacheBackend::head`], the one read attention makes.
 
 use kelle::cache::CacheBudget;
 use kelle::edram::{RefreshPolicy, RetentionModel};
@@ -25,16 +28,15 @@ use kelle::model::fault::BitFlipRates;
 use kelle::model::generation::{decode_step, prefill, prefill_extend, GenerationState};
 use kelle::model::weights::{ModelWeights, WeightGenConfig};
 use kelle::model::{
-    CacheStats, DecodeScratch, EntryRef, FaultInjector, FaultStats, KvCacheBackend,
-    MedianThreshold, ModelConfig, ModelKind, MultiHeadAttention, NoFaults, PayloadRef,
-    ProbabilisticFaults, SegmentRecorder, SurrogateDims, SurrogateModel, TokenId,
+    CacheStats, DecodeScratch, FaultInjector, FaultStats, HeadView, KvCacheBackend, LabelRule,
+    ModelConfig, ModelKind, MultiHeadAttention, NoFaults, ProbabilisticFaults, SegmentRecorder,
+    StoredRows, SurrogateDims, SurrogateModel, TokenId,
 };
 use kelle::{fault_injector_for_policy, CachePolicy, KelleEngine, PrefixSharingConfig};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// What one forward pass over `cache` reads of the rows written before token
-/// `before`, counted through `for_each_entry`: `(distinct stored rows,
+/// `before`, counted through each head's view: `(distinct stored rows,
 /// recompute visits, KV entries)` per layer, summed.
 fn census(
     cache: &dyn KvCacheBackend,
@@ -46,14 +48,17 @@ fn census(
     for layer in 0..layers {
         let mut distinct = BTreeSet::new();
         for head in 0..heads {
-            cache.for_each_entry(layer, head, &mut |e| match e.payload {
-                _ if e.token >= before => {}
-                PayloadRef::Kv { .. } => kv += 1,
-                PayloadRef::Recompute { .. } => {
-                    visits += 1;
-                    distinct.insert(e.token);
+            let view = cache.head(layer, head);
+            let earlier = view.tokens.iter().filter(|&&t| t < before);
+            match view.rows {
+                None => kv += earlier.count(),
+                Some(_) => {
+                    for &token in earlier {
+                        visits += 1;
+                        distinct.insert(token);
+                    }
                 }
-            });
+            }
         }
         rows += distinct.len();
     }
@@ -141,34 +146,43 @@ fn faulted_pass_examines_each_stored_row_once_per_layer() {
     }
 }
 
-/// Stores each token's input row once, with its flat keys and values, and
-/// serves it to every head as a `Recompute` entry; `high(head, token)` is
-/// the head's ranking of it.
+/// Stores each token's input row once, under its token as slot, with each
+/// head's key and value, and serves it to every head as a stored-row entry;
+/// `label(head)` is the head's labelling of its entries.
 #[derive(Debug)]
 struct RowsOnly {
-    /// Per token: its input row, keys and values.
-    rows: Vec<[Vec<f32>; 3]>,
-    head_dim: usize,
-    high: fn(usize, TokenId) -> bool,
+    tokens: Vec<TokenId>,
+    /// The input rows, one per token.
+    slab: Vec<f32>,
+    /// Per head: its keys, then its values, `head_dim` per token.
+    kv: Vec<(Vec<f32>, Vec<f32>)>,
+    label: fn(usize) -> LabelRule<'static>,
 }
 
 impl KvCacheBackend for RowsOnly {
     fn insert(&mut self, _: usize, token: TokenId, x: &[f32], k: &[f32], v: &[f32], hd: usize) {
-        assert_eq!(token, self.rows.len());
-        self.rows.push([x.to_vec(), k.to_vec(), v.to_vec()]);
-        self.head_dim = hd;
+        assert_eq!(token, self.tokens.len());
+        self.tokens.push(token);
+        self.slab.extend_from_slice(x);
+        self.kv.resize_with(k.len() / hd, Default::default);
+        for ((keys, values), (k, v)) in self.kv.iter_mut().zip(k.chunks(hd).zip(v.chunks(hd))) {
+            keys.extend_from_slice(k);
+            values.extend_from_slice(v);
+        }
     }
 
-    fn for_each_entry(&self, _: usize, head: usize, visit: &mut dyn for<'e> FnMut(EntryRef<'e>)) {
-        let span = head * self.head_dim..(head + 1) * self.head_dim;
-        for (token, [x, keys, values]) in self.rows.iter().enumerate() {
-            let payload = PayloadRef::Recompute {
-                x,
-                slot: token,
-                key: &keys[span.clone()],
-                value: &values[span.clone()],
-            };
-            visit(EntryRef::labelled(token, payload, (self.high)(head, token)));
+    fn head(&self, _: usize, head: usize) -> HeadView<'_> {
+        let (keys, values) = &self.kv[head];
+        HeadView {
+            tokens: &self.tokens,
+            keys,
+            values,
+            rows: Some(StoredRows {
+                slots: &self.tokens,
+                slab: &self.slab,
+                width: self.slab.len() / self.tokens.len(),
+            }),
+            label: (self.label)(head),
         }
     }
 
@@ -186,7 +200,8 @@ impl KvCacheBackend for RowsOnly {
 /// One stored row sits in one refresh domain: it is read at the most
 /// demanding group any retaining head gives it.  With high-score reads
 /// intact and low-score reads flipping every bit, a row that just one head
-/// ranks high reads intact in every head.
+/// ranks high reads intact in every head — here head 1, which neither
+/// opens nor closes a layer's traversal.
 #[test]
 fn a_row_that_one_head_ranks_high_reads_intact_in_every_head() {
     const HEADS: usize = 4;
@@ -207,11 +222,12 @@ fn a_row_that_one_head_ranks_high_reads_intact_in_every_head() {
         lst_lsb: 1.0,
     };
     // The block output and every head's labels, as bits.
-    let run = |high: fn(usize, TokenId) -> bool, faults: &mut dyn FaultInjector| {
+    let run = |label: fn(usize) -> LabelRule<'static>, faults: &mut dyn FaultInjector| {
         let mut cache = RowsOnly {
-            rows: Vec::new(),
-            head_dim: 0,
-            high,
+            tokens: Vec::new(),
+            slab: Vec::new(),
+            kv: Vec::new(),
+            label,
         };
         let mut scratch = DecodeScratch::new();
         for pos in 0..TOKENS {
@@ -229,8 +245,8 @@ fn a_row_that_one_head_ranks_high_reads_intact_in_every_head() {
     // is a pass of its own, so only its own row is read clean.
     let words = (TOKENS * (TOKENS - 1) / 2 * dims.channels) as u64;
 
-    // Each row is ranked high by exactly one head, a different one per row.
-    let one_head: fn(usize, TokenId) -> bool = |head, token| head == token % HEADS;
+    // Each row is ranked high by exactly one head.
+    let one_head: fn(usize) -> LabelRule<'static> = |head| LabelRule::Fixed(head == 1);
     let mut faults = ProbabilisticFaults::new(rates, 5);
     assert_eq!(run(one_head, &mut faults), run(one_head, &mut NoFaults));
     assert_eq!(
@@ -242,7 +258,7 @@ fn a_row_that_one_head_ranks_high_reads_intact_in_every_head() {
     );
 
     // The control: no head ranks a row high, so every read flips every bit.
-    let no_head: fn(usize, TokenId) -> bool = |_, _| false;
+    let no_head: fn(usize) -> LabelRule<'static> = |_| LabelRule::Fixed(false);
     let mut faults = ProbabilisticFaults::new(rates, 5);
     assert_ne!(run(no_head, &mut faults), run(no_head, &mut NoFaults));
     assert_eq!(
@@ -381,7 +397,9 @@ impl KvCacheBackend for Inserts {
         });
     }
 
-    fn for_each_entry(&self, _: usize, _: usize, _: &mut dyn for<'e> FnMut(EntryRef<'e>)) {}
+    fn head(&self, _: usize, _: usize) -> HeadView<'_> {
+        HeadView::default()
+    }
 
     fn observe_attention(&mut self, _: usize, _: usize, _: &[(TokenId, f32)]) {}
 
@@ -459,62 +477,63 @@ fn a_decode_step_reads_its_own_row_clean() {
     }
 }
 
-/// Serves a policy's entries ranked by its own record of their accumulated
-/// scores, and counts per `(layer, head)` the medians its thresholds select.
+/// Serves a policy's entries labelled by a median rank of its own record of
+/// their accumulated scores, whatever rule the policy labels by.
 #[derive(Debug)]
-struct CountedRanks {
+struct OwnRanks {
     inner: Box<dyn KvCacheBackend>,
     scores: HashMap<(usize, usize), HashMap<TokenId, f32>>,
-    buffer: RefCell<Vec<f32>>,
-    selections: RefCell<BTreeMap<(usize, usize), usize>>,
+    /// Per `(layer, head)`: the recorded score of each entry the inner
+    /// backend holds, in entry order.
+    ranked: HashMap<(usize, usize), Vec<f32>>,
+    heads: usize,
 }
 
-impl CountedRanks {
-    fn new(inner: Box<dyn KvCacheBackend>) -> Self {
-        CountedRanks {
+impl OwnRanks {
+    fn new(inner: Box<dyn KvCacheBackend>, heads: usize) -> Self {
+        OwnRanks {
             inner,
             scores: HashMap::new(),
-            buffer: RefCell::default(),
-            selections: RefCell::default(),
+            ranked: HashMap::new(),
+            heads,
         }
     }
 
-    /// The selections counted since the last call.
-    fn take_selections(&self) -> BTreeMap<(usize, usize), usize> {
-        self.selections.take()
+    /// Lines the recorded scores of `(layer, head)` up with its entries.
+    fn rank(&mut self, layer: usize, head: usize) {
+        let observed = self.scores.get(&(layer, head));
+        let scores = self
+            .inner
+            .head(layer, head)
+            .tokens
+            .iter()
+            .map(|token| observed.and_then(|s| s.get(token)).copied().unwrap_or(0.0));
+        let ranked = self.ranked.entry((layer, head)).or_default();
+        ranked.clear();
+        ranked.extend(scores);
     }
 }
 
-impl KvCacheBackend for CountedRanks {
+impl KvCacheBackend for OwnRanks {
     fn insert(&mut self, layer: usize, token: TokenId, x: &[f32], k: &[f32], v: &[f32], d: usize) {
         self.inner.insert(layer, token, x, k, v, d);
+        for head in 0..self.heads {
+            self.rank(layer, head);
+        }
     }
 
-    fn for_each_entry(
-        &self,
-        layer: usize,
-        head: usize,
-        visit: &mut dyn for<'e> FnMut(EntryRef<'e>),
-    ) {
-        let observed = self.scores.get(&(layer, head));
-        let select = |buffer: &mut Vec<f32>| {
-            *self
-                .selections
-                .borrow_mut()
-                .entry((layer, head))
-                .or_default() += 1;
-            buffer.extend(observed.into_iter().flat_map(|s| s.values()));
-        };
-        let threshold = MedianThreshold::new(&select, &self.buffer);
-        self.inner.for_each_entry(layer, head, &mut |e| {
-            let score = observed.and_then(|s| s.get(&e.token)).copied();
-            visit(EntryRef::scored(
-                e.token,
-                e.payload,
-                score.unwrap_or(0.0),
-                &threshold,
-            ));
-        });
+    fn head(&self, layer: usize, head: usize) -> HeadView<'_> {
+        let scores = self
+            .ranked
+            .get(&(layer, head))
+            .map_or(&[][..], Vec::as_slice);
+        HeadView {
+            label: LabelRule::Ranked {
+                scores,
+                ranked: scores.len(),
+            },
+            ..self.inner.head(layer, head)
+        }
     }
 
     fn observe_attention(&mut self, layer: usize, head: usize, scores: &[(TokenId, f32)]) {
@@ -523,10 +542,15 @@ impl KvCacheBackend for CountedRanks {
             *acc.entry(token).or_default() += p;
         }
         self.inner.observe_attention(layer, head, scores);
+        self.rank(layer, head);
     }
 
     fn finish_prefill(&mut self, context_len: usize) {
         self.inner.finish_prefill(context_len);
+        let keys: Vec<_> = self.ranked.keys().copied().collect();
+        for (layer, head) in keys {
+            self.rank(layer, head);
+        }
     }
 
     fn stats(&self) -> CacheStats {
@@ -539,39 +563,39 @@ impl KvCacheBackend for CountedRanks {
 }
 
 /// A 2DRP label is selected only when a read through the lane asks for it.
-/// Under 2DRP, a cold prompt pass and a prefix hit's prompt pass read every
-/// row clean and select no median; each decode step selects exactly one per
-/// `(layer, head)` that holds an entry of an earlier pass, however many of
-/// its entries are read through the lane.
+/// Under 2DRP, with every policy's entries ranked by median, a cold prompt
+/// pass and a prefix hit's prompt pass read every row clean and select no
+/// median; each decode step selects exactly one per `(layer, head)` that
+/// holds an entry of an earlier pass, however many of its entries are read
+/// through the lane.  The attention pass counts what it selects.
 #[test]
 fn a_label_is_selected_only_for_a_read_through_the_lane() {
     let (model, budget, prompt) = fixture();
     let dims = *model.dims();
-    let none = BTreeMap::new();
     for policy in CachePolicy::all() {
         let name = policy.name();
-        let mut cache = CountedRanks::new(policy.build(budget, dims.heads));
+        let mut cache = OwnRanks::new(policy.build(budget, dims.heads), dims.heads);
         let mut faults = two_drp(7);
         let mut state = GenerationState::new();
         prefill(&model, &mut state, &prompt, &mut cache, &mut faults);
-        assert_eq!(cache.take_selections(), none, "{name}: cold prompt pass");
+        assert_eq!(state.medians_selected(), 0, "{name}: cold prompt pass");
         for step in 0..8 {
             let position = state.position();
+            let before = state.medians_selected();
             decode_step(&model, &mut state, None, &mut cache, &mut faults);
-            let mut expected = BTreeMap::new();
+            let mut expected = 0;
             for layer in 0..dims.layers {
                 for head in 0..dims.heads {
-                    let mut earlier = false;
-                    cache
-                        .inner
-                        .for_each_entry(layer, head, &mut |e| earlier |= e.token < position);
-                    if earlier {
-                        expected.insert((layer, head), 1);
-                    }
+                    let view = cache.inner.head(layer, head);
+                    expected += u64::from(view.tokens.first().is_some_and(|&t| t < position));
                 }
             }
-            assert!(!expected.is_empty(), "{name} step {step}");
-            assert_eq!(cache.take_selections(), expected, "{name} step {step}");
+            assert!(expected > 0, "{name} step {step}");
+            assert_eq!(
+                state.medians_selected() - before,
+                expected,
+                "{name} step {step}"
+            );
         }
 
         let mut backing = policy.build(budget, dims.heads);
@@ -586,12 +610,12 @@ fn a_label_is_selected_only_for_a_read_through_the_lane() {
             &mut faults,
         );
         let segment = recorder.finish(published.last_logits(), faults);
-        let mut cache = CountedRanks::new(policy.build(budget, dims.heads));
+        let mut cache = OwnRanks::new(policy.build(budget, dims.heads), dims.heads);
         let mut faults = segment.faults_snapshot();
         let mut state = GenerationState::new();
         segment.attach_and_replay(&mut cache);
         state.adopt_prefix(&segment);
         prefill(&model, &mut state, &prompt[16..], &mut cache, &mut faults);
-        assert_eq!(cache.take_selections(), none, "{name}: prefix hit's pass");
+        assert_eq!(state.medians_selected(), 0, "{name}: prefix hit's pass");
     }
 }
