@@ -31,7 +31,7 @@
 //!         │   · insert/observe call sequence, with each
 //!         │     insert's x/keys/values rows           (one log, shared by
 //!         │                                            every boundary)
-//!         │   · per-boundary logits + fault-RNG state (the cursor snapshot)
+//!         │   · per-boundary logits (the cursor snapshot)
 //!         ▼
 //!     PrefixStore::publish → one radix entry per boundary under the
 //!     engine's PrefixKey (policy, clamped budget, seed)
@@ -43,7 +43,7 @@
 //!     SharedSegment::attach_and_replay
 //!         │   · the recorded calls, replayed into the session's own
 //!         │     arenas ⇒ bit-identical backend state
-//!         │   · logits + fault snapshot ⇒ bit-identical decode stream
+//!         │   · logits ⇒ bit-identical decode stream
 //!         ▼
 //!     prefill continues over the unmatched suffix only
 //!     (the prefix's transformer compute is *skipped*)
@@ -58,9 +58,9 @@
 //! distributions and fault statistics** to a cold session serving the same
 //! prompt under the same configuration.  This holds because (a) a backend's
 //! state is a deterministic function of its insert/observe call sequence,
-//! which the replay reproduces verbatim; (b) the fault-injector RNG is
-//! snapshotted at the publication boundary and restored on every hit; and
-//! (c) sharing is only offered under an exactly-matching [`PrefixKey`] —
+//! which the replay reproduces verbatim; (b) a row's failing cells are keyed
+//! by the seed and its position, so a hit reads them as a cold session; (c)
+//! sharing is only offered under an exactly-matching [`PrefixKey`] —
 //! the integration and property tests assert this for all five policies.
 //!
 //! # Complexity
@@ -98,8 +98,9 @@ impl PrefixSharingConfig {
 
 /// The configuration fingerprint a published segment is only valid for.
 ///
-/// A segment snapshots policy state and the fault-RNG stream, so a hit is
-/// only bit-equivalent for sessions running the *exact* same effective
+/// A segment snapshots policy state, and the fault seed keys every stored
+/// row's cells, so a hit is only bit-equivalent for sessions running the
+/// *exact* same effective
 /// policy, budget and fault seed — even under a refresh policy that injects
 /// no faults, the seed is part of the key.  (The refresh policy and model
 /// are fixed per engine; the store lives on the engine, so they need no key

@@ -231,8 +231,8 @@ pub struct TurnOutcome {
     pub(crate) faults: FaultStats,
 }
 
-/// A persistent serving session: one conversation's KV cache, fault stream
-/// and decode cursor.
+/// A persistent serving session: one conversation's KV cache, fault
+/// injector and decode cursor.
 ///
 /// Obtained from [`KelleEngine::open_session`] or
 /// [`KelleEngine::open_session_for`].  Each [`turn`](Session::turn) appends
@@ -292,7 +292,7 @@ impl<'e> Session<'e> {
     /// A deep copy of this session for checkpoint/replay recovery.
     ///
     /// Everything the next decode step reads is duplicated: the KV-cache
-    /// backend (via [`KvCacheBackend::clone_box`]), the fault-RNG stream,
+    /// backend (via [`KvCacheBackend::clone_box`]), the fault injector,
     /// the generation cursor and the context.  A prefix hit leaves nothing
     /// behind but the replayed cache state, and its ledger/tier accounting
     /// is keyed on the original attach, so a fork is accounting-neutral.
@@ -362,8 +362,9 @@ impl<'e> Session<'e> {
     }
 
     /// Fault-injection counters accumulated by this session (words examined,
-    /// bits flipped).  A prefix-cache hit resumes the publication snapshot's
-    /// stream, so these match a cold session's counters bit for bit.
+    /// bits flipped).  A row's cells are keyed by its token position, and a
+    /// prompt pass reads none, so a prefix-cache hit's counters match a cold
+    /// session's bit for bit.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.stats()
     }
@@ -439,7 +440,6 @@ impl<'e> Session<'e> {
         );
         hit.segment.attach_and_replay(self.cache.as_mut());
         self.state.adopt_prefix(&hit.segment);
-        self.faults = hit.segment.faults_snapshot();
         self.context.extend_from_slice(&tokens[..matched]);
         let rest = &tokens[matched..];
         let computed = if rest.is_empty() {
@@ -468,7 +468,7 @@ impl<'e> Session<'e> {
     /// exactly once, and a segment is frozen at every boundary in
     /// `boundaries` (strictly increasing prefix lengths, as
     /// [`KelleEngine::publish_prefix_hierarchy`] checks).  Each segment
-    /// carries the cursor state (logits + fault RNG) *at its own boundary*,
+    /// carries the cursor's logits *at its own boundary*,
     /// and chunked pre-fill is bit-identical to one-shot pre-fill (the
     /// generation suite proves it), so replaying segment `k` is
     /// bit-identical to a cold pre-fill of just `tokens[..boundaries[k]]`.
@@ -499,7 +499,7 @@ impl<'e> Session<'e> {
                 &mut recorder,
                 &mut self.faults,
             );
-            recorder.mark_boundary(self.state.last_logits(), self.faults.clone());
+            recorder.mark_boundary(self.state.last_logits());
             start = boundary;
         }
         let segments = recorder.finish_hierarchy();

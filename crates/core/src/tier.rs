@@ -16,7 +16,7 @@
 //! [`TierAccounts`] tiers and charge migration latency/energy through the
 //! `kelle-arch` hardware model
 //! ([`MemorySubsystem::kv_migration_cost`]), while the functional KV state —
-//! cache backends, fault RNGs, decode cursors — never moves.  Token streams,
+//! cache backends, fault injectors, decode cursors — never moves.  Token streams,
 //! probability bits and fault statistics under tiering are therefore
 //! **bit-identical to an unlimited-eDRAM run by construction**, for every
 //! cache policy and worker count; the integration suite asserts it anyway,

@@ -27,28 +27,27 @@
 //! 1. **Read the heads.**  One [`head`](KvCacheBackend::head) view per
 //!    head, split where its tokens reach the pass start (a head's tokens
 //!    ascend, so the entries of the current pass are a suffix).  The prefix
-//!    of earlier passes is read on the head's fault lane, entry by entry in
-//!    entry order: a `Kv` entry has its key copied into scratch and its
-//!    value into the stash, both corrupted there at its HST/LST label, and
-//!    is scored at once; a stored-row (AERP) entry enters the layer's row
+//!    of earlier passes is read entry by entry in entry order: a `Kv` entry
+//!    has its key copied into scratch and its value into the stash, both
+//!    patched there with the words their cells change at its HST/LST label
+//!    (see below), and is scored at once; a stored-row (AERP) entry enters the layer's row
 //!    table under its slot (no hashing), with its label, its key is copied
 //!    beside the table, its value into its place in the stash, and its
 //!    score waits for phase 2.  The suffix of the current pass is read clean
 //!    (see the pass rule below): its values are stashed as stored and its
 //!    keys — the stored K/V, or the key the host keeps beside each stored
 //!    row — are scored by one call of the four-row matvec kernel
-//!    ([`kelle_tensor::dot_rows_into`]), bitwise one `dot` per key.  No lane
-//!    call, no row-table visit, no recompute and no label for it.  The
+//!    ([`kelle_tensor::dot_rows_into`]), bitwise one `dot` per key.  No cell
+//!    read, no row-table visit, no recompute and no label for it.  The
 //!    head's median is selected on a scratch buffer at the first label a
-//!    lane read asks for, so at most once per head and pass, and never in a
-//!    pass that reads every row clean.
+//!    read through the cells asks for, so at most once per head and pass,
+//!    and never in a pass that reads every row clean.
 //! 2. **Read the rows.**  Each distinct stored row of an earlier pass is
-//!    read once on the layer's row lane, whatever number of heads retain
-//!    it.  The lane reports the words the read flipped, with their read
-//!    values, without writing the row anywhere
-//!    ([`FaultInjector::read_flips`]); those whose bits differ from the
-//!    stored row are the row's flipped columns `J`, each with
-//!    `δ_j = x′_j − x_j` in f32.  Then, for every head that retains the
+//!    read once per layer, whatever number of heads retain it, at the group
+//!    of its most demanding head.  The words its cells change at that
+//!    group, with their read values `x′` (see below), are the row's flipped
+//!    columns `J`, each with `δ_j = x′_j − x_j` in f32; nothing writes the
+//!    row.  Then, for every head that retains the
 //!    row and only for those, the host's key and value are corrected for
 //!    exactly those words — `K′ = K + rot(W_K,h[:, J]·δ_J)` and
 //!    `V′ = V + W_V,h[:, J]·δ_J` — instead of recomputed from the whole row.
@@ -59,10 +58,10 @@
 //!    so every platform rounds it alike; only the key's part is rotated, by
 //!    the row's angle table.  A row with no flipped word is read as stored.
 //!    The key scores the entry, and the value stays in its stashed slot.
-//!    Angle tables are kept per (layer, input-slab slot) across steps and
-//!    rebuilt only when the slot holds a new token, so a stored row's table
-//!    is built once in its lifetime and their memory is bounded by the slab,
-//!    not by the context length.
+//!    Angle tables are kept per (layer, input-slab slot) across steps, with
+//!    the row's failing words, and rebuilt only when the slot holds a new
+//!    token, so a stored row's table is built once in its lifetime and their
+//!    memory is bounded by the slab, not by the context length.
 //! 3. **Attend per head.**  [`ops::softmax_into`] in place over the head's
 //!    scores, the weighted-value accumulation from the stash in entry order,
 //!    then [`observe_attention`](KvCacheBackend::observe_attention).
@@ -77,6 +76,20 @@
 //! `x`, and that is what `recomputed_entries` counts and `kelle-arch` bills;
 //! the host's key and value are neither stored on the device nor billed.
 //!
+//! # Reads reuse a row's failures
+//!
+//! A stored row's failing cells are a function of its key ([`crate::fault`]),
+//! so they are computed once, at the row's first read after its pass, by
+//! [`CellMap::fail_row`] for both token groups, and kept in the scratch with
+//! their read values `x′` — AERP's rows by (layer, input-slab slot), a
+//! KV-format entry's key and value rows by (layer, head, entry) — until the
+//! slot or entry holds another token.  A later read takes its group's list:
+//! no draw and no FP16 round trip.  The lists sit in one pool per layer or
+//! head, compacted when full, so their memory is bounded by the store, not by
+//! the context, and a warm pool allocates nothing.  Every read still counts
+//! its words and its group's failing bits ([`FaultInjector::count`]).  One
+//! scratch serves one store under one injector, as a generation state does.
+//!
 //! # Exact reads and corrected reads
 //!
 //! Every rotation is the same arithmetic on the same table entries, so a
@@ -84,7 +97,7 @@
 //! key its own forward rotated by its position's table.  The store keeps
 //! that key and value, so a read of an intact row — every row of the current
 //! pass, every row under [`NoFaults`](crate::fault::NoFaults), and every row
-//! of an earlier pass the lane left untouched — is bitwise what a recompute
+//! of an earlier pass whose cells change no word at its group — is bitwise what a recompute
 //! from the stored `x` yields: without faults AERP (which stores rows)
 //! serves exactly what H2O (which stores keys) serves.
 //!
@@ -112,12 +125,12 @@
 //! `tests/integration_oracle.rs` holds the fault-free logits to an f64
 //! forward.
 //!
-//! Retention faults are applied by the [`FaultInjector`] to the *stored*
-//! representation at read time, where the bits physically live in eDRAM: a
-//! `Kv` entry's key and value on its `(layer, head)` lane, since they are
-//! stored per head; a `Recompute` entry's input vector once per layer on the
-//! row lane, since it is stored once per layer, at the most demanding group
-//! any retaining head ranks it in (see [`crate::fault`]).  The stored bits
+//! Retention faults are applied to the *stored* representation at read
+//! time, where the bits physically live in eDRAM: a `Kv` entry's key and
+//! value under their `(layer, head)` keys, since they are stored per head; a
+//! `Recompute` entry's input vector once per layer under the layer's row
+//! key, since it is stored once per layer, at the most demanding group any
+//! retaining head ranks it in (see [`crate::fault`]).  The stored bits
 //! themselves are never modified; corrupted reads are staged in scratch.
 //!
 //! # The pass rule
@@ -136,11 +149,10 @@
 //! recording of the publication pass's projection.  So a prompt's attention
 //! recomputes no row of the prompt.  The entry still counts in
 //! `recomputed_entries`: the device recomputes it, and that is what the
-//! hardware model bills.  Rows of earlier passes go through phase 2 in
-//! row-table order, so the lanes draw the same words.
+//! hardware model bills.  Rows of earlier passes go through phase 2.
 
 use crate::cache::{select_median, KvCacheBackend, TokenId};
-use crate::fault::{FaultInjector, TokenGroup};
+use crate::fault::{CellKey, CellMap, FaultInjector, FaultStats, RowFailures, TokenGroup};
 use crate::weights::LayerWeights;
 use kelle_tensor::ops;
 
@@ -169,10 +181,11 @@ pub struct DecodeScratch {
     /// `stash`; one more mark closes the last head.
     heads_at: Vec<(usize, usize)>,
     /// Staged value vectors, `head_dim` per entry of every head, in entry
-    /// order: a `Kv` entry's value copied and corrupted, a `Recompute`
-    /// entry's value copied and, if its row read flipped, corrected.
+    /// order: a `Kv` entry's value copied and patched with its failing
+    /// words, a `Recompute` entry's value copied and, if its row read
+    /// changed words, corrected.
     pub(crate) stash: Vec<f32>,
-    /// Staging buffer for a corrupted key (`head_dim`) or a key-and-value
+    /// Staging buffer for a patched key (`head_dim`) or a key-and-value
     /// correction (one column run of the layer's column copy).
     pub(crate) kbuf: Vec<f32>,
     /// The RoPE angle table of the current token's position, shared by its
@@ -194,6 +207,14 @@ pub struct DecodeScratch {
     /// Per layer, the RoPE angle tables of the rows its input slab stores,
     /// kept across steps.
     slot_angles: Vec<SlotAngles>,
+    /// Per layer, its stored rows' failing words, by slot.
+    slot_failing: Vec<KeptRows>,
+    /// Per layer and KV-format head, its entries' failing words.
+    entry_failing: Vec<KeptRows>,
+    /// The row a first read computes.
+    built: RowFailures,
+    /// What the reads of the current forward examined and exposed.
+    read: FaultStats,
     /// Per-head attention output `y^h`, length `head_dim`.
     pub(crate) yh: Vec<f32>,
     /// Concatenated head outputs, length `channels`.
@@ -235,7 +256,7 @@ impl DecodeScratch {
     }
 
     /// How many head medians the passes through this scratch have selected:
-    /// at most one per head a pass reads through the lane, none for a head
+    /// at most one per head a pass reads through its cells, none for a head
     /// it reads clean.
     pub(crate) fn medians_selected(&self) -> u64 {
         self.medians_selected
@@ -278,14 +299,10 @@ struct RowTable {
     earlier_use: Vec<u32>,
     /// Per use: the head's stored key, `head_dim` floats, corrected in place.
     keys: Vec<f32>,
-    /// The words of the row phase 2 is reading that the row lane may have
-    /// changed, in ascending column order: each one's column and read value
-    /// `x′`.
-    reads: Vec<(u32, f32)>,
-    /// The words of that row the read flipped, in ascending column order:
-    /// each one's column and `δ = x′ − x`.
+    /// The words of the row phase 2 is reading that the read changed, in
+    /// ascending column order: each one's column and `δ = x′ − x`.
     flips: Vec<(u32, f32)>,
-    /// The row as the lane read it, rebuilt for the audit.
+    /// The row as read, rebuilt for the audit.
     #[cfg(any(debug_assertions, test))]
     read: Vec<f32>,
 }
@@ -358,25 +375,107 @@ impl RowTable {
     }
 }
 
-/// Reads the stored row `x` on the row lane at `group`, leaving in `reads`
-/// the words the lane reports with their read values `x′`, and in `flips`
-/// those whose bits the read changed, in ascending column order, each with
-/// `δ = x′ − x`.
-fn read_row(
-    x: &[f32],
-    group: TokenGroup,
-    faults: &mut dyn FaultInjector,
-    reads: &mut Vec<(u32, f32)>,
-    flips: &mut Vec<(u32, f32)>,
-) {
-    faults.read_flips(x, group, reads);
-    flips.clear();
-    // Every word may flip, so a warm `flips` never grows.
-    flips.reserve(x.len());
-    for &(j, read) in reads.iter() {
-        let stored = x[j as usize];
-        if read.to_bits() != stored.to_bits() {
-            flips.push((j, read - stored));
+/// One stored row's failing words at both token groups: where its two lists
+/// — the HST list, then the LST one — sit in [`KeptRows::reads`], and the
+/// failing bits a read at each group exposes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Failing {
+    start: u32,
+    /// Per group (indexed by [`TokenGroup`]): the list's length.
+    len: [u32; 2],
+    /// Per group: the failing bits a read exposes.
+    bits: [u32; 2],
+}
+
+/// Stored rows' failing words, kept by an index — a slab slot, or a
+/// KV-format head's entry and part — until it holds another token.  A
+/// rebuilt row leaves its old lists in the pool, and the live ones move to
+/// its front when it fills; it holds a quarter more than its rows' mean
+/// failing words and two rows more, so a warm pool grows only if they fail
+/// far beyond their mean.
+#[derive(Debug, Clone, Default)]
+struct KeptRows {
+    /// Per index: the token its row was built for.
+    token: Vec<Option<TokenId>>,
+    /// Per index: its row's failing words.
+    failing: Vec<Failing>,
+    /// The pool: each word a read changes, with its read value.
+    reads: Vec<(u32, f32)>,
+    /// The compaction's buffer: each live row's start and index.
+    order: Vec<(u32, u32)>,
+}
+
+impl KeptRows {
+    /// The words of the stored row `row` of `key` that a read at `group`
+    /// changes, each with its read value, counting the read into `counted`.
+    /// The row's failing words are computed under `map` (into `built`) when
+    /// `at` holds another token's than `token`, and kept at `at`.
+    fn read(
+        &mut self,
+        (at, token): (usize, TokenId),
+        (map, key, row): (&CellMap, CellKey, &[f32]),
+        group: TokenGroup,
+        built: &mut RowFailures,
+        counted: &mut FaultStats,
+    ) -> &[(u32, f32)] {
+        if at >= self.token.len() {
+            self.token.resize(at + 1, None);
+            self.failing.resize(at + 1, Failing::default());
+            self.order.reserve(at + 1 - self.order.len());
+        }
+        if self.token[at] != Some(token) {
+            // Empty, the old lists are dead to the compaction.
+            self.failing[at] = Failing::default();
+            // Sized by the indices' capacity, which grows only by doubling.
+            let mean = self.token.capacity() as f64 * map.mean_failing_words(row.len());
+            let room = (1.25 * mean) as usize + 2 * row.len();
+            if self.reads.capacity() < room {
+                self.reads.reserve_exact(room - self.reads.len());
+            }
+            map.fail_row(key, row, built);
+            self.failing[at] = self.store(built);
+            self.token[at] = Some(token);
+        }
+        let failing = self.failing[at];
+        counted.words_examined += row.len() as u64;
+        counted.bits_flipped += u64::from(failing.bits[group as usize]);
+        let start = (failing.start + failing.len[0] * group as u32) as usize;
+        &self.reads[start..start + failing.len[group as usize] as usize]
+    }
+
+    /// Appends the lists of `built`, moving the live ones to the front of
+    /// the pool first if they do not fit.
+    fn store(&mut self, built: &RowFailures) -> Failing {
+        const GROUPS: [TokenGroup; 2] = [TokenGroup::HighScore, TokenGroup::LowScore];
+        let len = GROUPS.map(|g| built.reads(g).len() as u32);
+        let need = (len[0] + len[1]) as usize;
+        if self.reads.len() + need > self.reads.capacity() {
+            self.order.clear();
+            self.order
+                .extend((0u32..).zip(&self.failing).map(|(i, row)| (row.start, i)));
+            self.order.sort_unstable();
+            let mut to = 0;
+            for &(start, i) in &self.order {
+                let row = &mut self.failing[i as usize];
+                let end = start + row.len[0] + row.len[1];
+                self.reads
+                    .copy_within(start as usize..end as usize, to as usize);
+                (row.start, to) = (to, to + end - start);
+            }
+            self.reads.truncate(to as usize);
+            if self.reads.len() + need > self.reads.capacity() {
+                // At least double what is live.
+                self.reads.reserve(self.reads.len() + need);
+            }
+        }
+        let start = self.reads.len() as u32;
+        for g in GROUPS {
+            self.reads.extend_from_slice(built.reads(g));
+        }
+        Failing {
+            start,
+            len,
+            bits: GROUPS.map(|g| built.bits(g) as u32),
         }
     }
 }
@@ -527,7 +626,8 @@ impl<'w> MultiHeadAttention<'w> {
     ///
     /// This is the allocation-free hot path: each head is read as one
     /// borrowed [`HeadView`](crate::cache::HeadView), and every stored word
-    /// an earlier pass wrote is staged through `scratch` and `faults`.
+    /// an earlier pass wrote is staged through `scratch` and read through
+    /// the cells of `faults`.
     /// The three phases and the pass rule are described in the module docs.
     #[allow(clippy::too_many_arguments)] // the decode-step contract: position + data + 3 collaborators
     pub fn forward_with(
@@ -573,16 +673,24 @@ impl<'w> MultiHeadAttention<'w> {
         let mut recomputed_entries = 0usize;
         let mut kv_entries_read = 0usize;
 
+        let map = faults.cell_map();
+        scratch.read = FaultStats::default();
+        if scratch.entry_failing.len() < (layer + 1) * self.heads {
+            let heads = (layer + 1) * self.heads;
+            scratch.entry_failing.resize_with(heads, KeptRows::default);
+        }
         for h in 0..self.heads {
-            faults.begin_lane(layer, h);
-            let (rec, read) = self.read_head(layer, h, pass_start, &*cache, faults, scratch);
+            let (rec, read) = self.read_head(layer, h, pass_start, &*cache, map, scratch);
             recomputed_entries += rec;
             kv_entries_read += read;
         }
         scratch
             .heads_at
             .push((scratch.scores.len(), scratch.stash.len()));
-        self.read_rows(layer, faults, scratch);
+        self.read_rows(layer, map, scratch);
+        if map.is_some() {
+            faults.count(scratch.read.words_examined, scratch.read.bits_flipped);
+        }
         for h in 0..self.heads {
             self.attend_head(h, scratch);
             cache.observe_attention(layer, h, &scratch.attention[h]);
@@ -596,12 +704,12 @@ impl<'w> MultiHeadAttention<'w> {
         (recomputed_entries, kv_entries_read)
     }
 
-    /// Phase 1 for head `h`, on its fault lane, over the head's view split
-    /// at `pass_start`.  Each entry of an earlier pass, in entry order: a
-    /// `Kv` entry's key is staged and its value stashed, both corrupted at
-    /// its label, and it is scored from the staged key; a `Recompute`
-    /// entry's row enters the row table, labelled, its stored key is kept
-    /// for phase 2 and its stored value stashed.  The entries of the pass
+    /// Phase 1 for head `h`, over the head's view split at `pass_start`.
+    /// Each entry of an earlier pass, in entry order: a `Kv` entry's key is
+    /// staged and its value stashed, both patched with the words their
+    /// cells under `map` change at its label, and it is scored from the
+    /// staged key; a `Recompute` entry's row enters the row table, labelled,
+    /// its stored key is kept for phase 2 and its stored value stashed.  The entries of the pass
     /// are stashed as stored and scored by one kernel call over their keys.
     /// The head's median is selected at the first label asked for, and only
     /// then.  Returns `(recomputed_entries, kv_entries_read)` for this head.
@@ -611,7 +719,7 @@ impl<'w> MultiHeadAttention<'w> {
         h: usize,
         pass_start: TokenId,
         cache: &dyn KvCacheBackend,
-        faults: &mut dyn FaultInjector,
+        map: Option<&CellMap>,
         scratch: &mut DecodeScratch,
     ) -> (usize, usize) {
         let hd = self.head_dim;
@@ -626,6 +734,9 @@ impl<'w> MultiHeadAttention<'w> {
             rows,
             ranks,
             medians_selected,
+            entry_failing,
+            built,
+            read,
             ..
         } = scratch;
         heads_at.push((scores.len(), stash.len()));
@@ -650,14 +761,27 @@ impl<'w> MultiHeadAttention<'w> {
         let earlier = keys.zip(values).take(split).enumerate();
         match view.rows {
             None => {
+                let kept = &mut entry_failing[layer * self.heads + h];
                 for (i, (key, value)) in earlier {
                     let group = group(high(i));
                     kbuf.clear();
                     kbuf.extend_from_slice(key);
-                    faults.corrupt_slice(kbuf, group);
                     let start = stash.len();
                     stash.extend_from_slice(value);
-                    faults.corrupt_slice(&mut stash[start..], group);
+                    if let Some(map) = map {
+                        let token = view.tokens[i];
+                        let rows = [
+                            (CellKey::key(layer, h, token), key, &mut kbuf[..]),
+                            (CellKey::value(layer, h, token), value, &mut stash[start..]),
+                        ];
+                        for (part, (cells, stored, staged)) in rows.into_iter().enumerate() {
+                            let row = (map, cells, stored);
+                            for &(j, x) in kept.read((2 * i + part, token), row, group, built, read)
+                            {
+                                staged[j as usize] = x;
+                            }
+                        }
+                    }
                     scores.push(kelle_tensor::dot(kbuf, qh) * scale);
                 }
             }
@@ -687,13 +811,13 @@ impl<'w> MultiHeadAttention<'w> {
     }
 
     /// Phase 2: reads each of the layer's stored rows of earlier passes
-    /// once, in row-table order, on the row lane `(layer, heads)` at the
-    /// group of its most demanding head, and finds the words the read
-    /// flipped; then, for every head phase 1 found retaining the row,
-    /// corrects the stored key and value for those words (a row read intact
-    /// needs nothing), scores the entry with the key and leaves the value in
-    /// its stashed slot.
-    fn read_rows(&self, layer: usize, faults: &mut dyn FaultInjector, scratch: &mut DecodeScratch) {
+    /// once, in row-table order, at the group of its most demanding head,
+    /// and takes the words its cells under `map` change there (kept from
+    /// the row's first read); then, for every head phase 1 found retaining
+    /// the row, corrects the stored key and value for those words (a row
+    /// read intact needs nothing), scores the entry with the key and leaves
+    /// the value in its stashed slot.
+    fn read_rows(&self, layer: usize, map: Option<&CellMap>, scratch: &mut DecodeScratch) {
         let DecodeScratch {
             q,
             scores,
@@ -701,6 +825,9 @@ impl<'w> MultiHeadAttention<'w> {
             kbuf,
             rows,
             slot_angles,
+            slot_failing,
+            built,
+            read: counted,
             ..
         } = scratch;
         if rows.uses.is_empty() {
@@ -709,13 +836,11 @@ impl<'w> MultiHeadAttention<'w> {
         let hd = self.head_dim;
         let channels = self.heads * hd;
         let scale = 1.0 / (hd as f32).sqrt();
-        // A label no head uses, so the row lane is snapshotted with the head
-        // lanes.
-        faults.begin_lane(layer, self.heads);
         if slot_angles.len() <= layer {
             slot_angles.resize_with(layer + 1, SlotAngles::default);
+            slot_failing.resize_with(layer + 1, KeptRows::default);
         }
-        let tables = &mut slot_angles[layer];
+        let (tables, kept) = (&mut slot_angles[layer], &mut slot_failing[layer]);
         kbuf.clear();
         kbuf.resize(self.weights.kv_correction_len(), 0.0);
         let RowTable {
@@ -727,23 +852,27 @@ impl<'w> MultiHeadAttention<'w> {
             uses,
             earlier_use,
             keys,
-            reads,
             flips,
             #[cfg(any(debug_assertions, test))]
             read,
             ..
         } = rows;
         for (row, x) in x.chunks_exact(channels).enumerate() {
-            read_row(x, group(high[row]), faults, reads, flips);
-            #[cfg(any(debug_assertions, test))]
-            if !flips.is_empty() {
-                read.clear();
-                read.extend_from_slice(x);
-                for &(j, value) in reads.iter() {
-                    read[j as usize] = value;
+            let (slot, token, group) = (slot[row], token[row], group(high[row]));
+            flips.clear();
+            if let Some(map) = map {
+                let key = CellKey::input(layer, self.heads, token);
+                let reads = kept.read((slot, token), (map, key, x), group, built, counted);
+                flips.extend(reads.iter().map(|&(j, read)| (j, read - x[j as usize])));
+                #[cfg(any(debug_assertions, test))]
+                if !flips.is_empty() {
+                    read.clear();
+                    read.extend_from_slice(x);
+                    for &(j, value) in reads {
+                        read[j as usize] = value;
+                    }
                 }
             }
-            let (slot, token) = (slot[row], token[row]);
             if !flips.is_empty() {
                 tables.hold(slot, token, hd / 2, || self.rope_angles(token));
             }
@@ -792,7 +921,7 @@ impl<'w> MultiHeadAttention<'w> {
     }
 
     /// Recomputes head `h`'s key and value of the row of `token` from the
-    /// row as the lane `read` it, a rotated pair of weight rows at a time,
+    /// row as `read`, a rotated pair of weight rows at a time,
     /// and checks that the corrected `key` and `value` are within the
     /// rounding bound of the module docs of them.  `x` is the row as stored,
     /// `flips` what the read flipped.  Allocates nothing, so a debug build's
@@ -996,30 +1125,32 @@ mod tests {
         let mut cache = CachePolicy::Aerp.build(budget, dims.heads);
         cache.finish_prefill(0);
         let mut faults = ProbabilisticFaults::new(BitFlipRates::uniform(1e-2), 5);
+        let map = faults
+            .cell_map()
+            .expect("a probabilistic injector has cells")
+            .clone();
         let mut scratch = DecodeScratch::new();
         let mut x = Vec::new();
         let (mut corrected, mut largest_delta) = (0, 0.0f32);
-        let (mut reads, mut flips) = (Vec::new(), Vec::new());
+        let mut failures = RowFailures::default();
         for pos in 0..200 {
             weights.embed_into((pos * 7 + 3) % dims.vocab, pos, &mut x);
-            // The row lane's reads of this step, replayed on a copy of the
-            // injector: AERP reads nothing on the head lanes.
-            let mut replay = faults.clone();
+            let before = faults.stats();
             attn.forward_with(0, pos, pos, &x, &mut *cache, &mut faults, &mut scratch);
+            // This step's row reads, recomputed from the cells: AERP reads
+            // nothing per head.
             let rows = &scratch.rows;
-            replay.begin_lane(0, dims.heads);
+            let mut read = before;
             for (row, x) in rows.x.chunks_exact(dims.channels).enumerate() {
-                read_row(
-                    x,
-                    group(rows.high[row]),
-                    &mut replay,
-                    &mut reads,
-                    &mut flips,
-                );
-                if let Some(&(_, delta)) =
-                    flips.iter().max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
-                {
-                    largest_delta = largest_delta.max(delta.abs());
+                let group = group(rows.high[row]);
+                let key = CellKey::input(0, dims.heads, rows.token[row]);
+                map.fail_row(key, x, &mut failures);
+                read.words_examined += dims.channels as u64;
+                read.bits_flipped += failures.bits(group);
+                for &(j, value) in failures.reads(group) {
+                    largest_delta = largest_delta.max((value - x[j as usize]).abs());
+                }
+                if !failures.reads(group).is_empty() {
                     let mut at = rows.last_use[row];
                     while at != RowTable::ABSENT {
                         corrected += 1;
@@ -1027,11 +1158,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(
-                replay.stats(),
-                faults.stats(),
-                "step {pos} replays the lane"
-            );
+            assert_eq!(read, faults.stats(), "step {pos} reads the rows' cells");
         }
         assert!(cache.stats().evictions > 0);
         // 15 earlier rows × 4 heads per step, at 32 or 48 words a row of

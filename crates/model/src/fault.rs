@@ -1,4 +1,4 @@
-//! Bit-level retention-fault injection at KV-cache read time.
+//! Bit-level retention faults in the eDRAM cells that hold the KV cache.
 //!
 //! eDRAM cells lose charge over time; if the refresh interval exceeds a cell's
 //! retention time the stored bit flips (§2.3, Fig. 4).  Kelle's 2DRP assigns
@@ -17,130 +17,108 @@
 //! retention physics and the configured refresh intervals, and
 //! [`fault_injector_for_policy`] turns a refresh policy into an injector.
 //!
-//! # Sampling
+//! # The cell map
 //!
-//! The model is one independent Bernoulli(`p`) decision per stored bit, `p`
-//! being the rate of the bit's (token group, significance) class.  At 2DRP's
-//! rates (`p` ≈ 2–5 % for the LSB classes, 10⁻⁴–10⁻² for the MSB ones) five
-//! LSB bytes in six and 97–99.9 % of MSB bytes hold no flip, so all four
-//! classes are realised by one sampler that pays **one draw per flip**, not
-//! per bit.
+//! Retention time belongs to a cell (`kelle-edram`'s retention model, after
+//! Kong et al., the paper's \[38\]): Fig. 4's failure rate at an interval
+//! `T` is the fraction of cells whose retention time is below `T`.  So a
+//! stored row's failing bits are fixed for the row, not drawn again at every
+//! read.  A [`CellMap`] makes them a pure function of the injector seed and a
+//! [`CellKey`]: the layer, the lane label (the head for a KV-format key or
+//! value row, stored per head; `heads` for AERP's input row `x`, stored once
+//! per layer and read once per layer however many heads retain it), the
+//! token position and, for a KV entry, key or value.  There is no stream
+//! state: a key reads the same bits however often, in whatever order, on
+//! whatever clone of the injector and on whatever worker.
 //!
-//! The number of intact bits before the next flip of a Bernoulli(`p`)
-//! sequence is geometric, `Pr[gap ≥ k] = (1−p)ᵏ`, so a lane keeps, per class,
-//! the count of that class's bits still to pass before its next flip and
-//! redraws it only when a flip lands: an intact byte read on its own costs a
-//! compare and a subtract, and a row's intact words are not visited at all
-//! (see "Row walk").  A draw is one `next_u64` `u` looked up in the class's
-//! survival table `surv[k] ≈ (1−p)^(k+1)·2⁶⁴`, `k < 256`: the gap is the
-//! number of entries above `u`, and a `u` below `surv[255]` adds 256 and draws
-//! again (the geometric law is memoryless).  The table is integer-only:
-//! `surv[0] = 2⁶⁴ − ⌊p·2⁶⁴⌋` (an exact power-of-two scaling) and `surv[k+1] =
-//! ⌊surv[k]·surv[0] / 2⁶⁴⌋` in `u128` — no logarithm, no `pow`, so every
-//! platform builds the same table.  Each step truncates by less than one
-//! unit, so `surv[k]` is within `k + 1` units of `(1−p)^(k+1)·2⁶⁴` and every
-//! gap probability within `2⁻⁵⁵` of the geometric law.  `p < 2⁻⁶⁴` rounds
-//! to "never", `p ≥ 1` is "all eight bits, no draw".
+//! A row's cells come from one generator seeded by its key alone
+//! ([`rng::lane`]), the LSB class and then the MSB class, each over its bits
+//! in ascending word and bit order.  A class's failing set is sampled at the
+//! looser of its two token groups' rates by the gap sampler below; each
+//! failing bit then takes one more uniform draw, and fails at the stricter
+//! group too iff the draw is below `p_strict / p_loose` in `2⁶⁴` fixed point.
+//! So the stricter group's set is a subset of the looser one's (HST ⊂ LST
+//! under 2DRP), each class keeps its own rate, and thinning needs only a
+//! division.  Equal rates thin nothing and a zero strict rate keeps nothing;
+//! neither draws, nor does a class whose looser rate is zero.  A read
+//! returns each word failing at its group as stored with those bits flipped
+//! ([`RowFailures`]).  [`FaultStats`] counts every read — its words and the
+//! failing bits its group exposes — although a row's cells are drawn once.
 //!
-//! One table serves every rate above 0.27 % — all LSB classes 2DRP produces —
-//! at ≈1 draw per gap.  Below that `surv[255] ≥ 2⁶³`: most gaps outrun the
-//! table, and adding 256 per draw would cost `1/(256·p)` draws per gap (a
-//! stall of seconds at `p` = 10⁻¹²).  Such a class stacks a coarser table on
-//! top, built by the same recurrence from `surv[255]` — the survival of one
-//! whole 256-bit block — and so on until a table's last entry is below `2⁶³`
-//! (two tables down to `p` ≈ 10⁻⁵, eight at `p = 2⁻⁶⁴`).  A gap is then drawn
-//! digit by digit in base 256, which is exact because the digits of a
-//! geometric variable are independent: the top digit by add-256-and-redraw
-//! on the top table (under two draws on average), every lower digit by one
-//! draw scaled into the part of its table that lies below 256.  A level's
-//! keep is the truncated last entry of the level below, within `2·256ˡ` units
-//! of `(1−p)^(256ˡ)·2⁶⁴` — less than `2⁻⁶³` per bit it stands for.  Any rate
-//! therefore costs at most a few tens of draws per gap.
+//! Four decisions shape the map:
 //!
-//! Draw order within a word: one redraw per LSB flip from bit 0 up, then one
-//! per MSB flip from bit 8 up; a class's first gap is drawn by that class's
-//! first read, and the counters carry across words, rows and calls.  A class
-//! that can never flip draws nothing at all, so an all-zero rate
-//! configuration never advances any generator.
-//!
-//! # Row walk
-//!
-//! A row read through `corrupt_slice` is walked from flip to flip, not word
-//! by word.  The token group's two counters are taken out of the lane for the
-//! length of the row; `min(lsb_left, msb_left) / 8` is the number of whole
-//! words both classes pass intact — a *run* — and the walk steps over it with
-//! one subtraction per counter, touching none of its values.  The word after
-//! a run has a flip within its next eight bits of at least one class: it is
-//! given its flips exactly as a lone read gives them (LSB byte, then MSB
-//! byte, one redraw per flip), and the next run starts behind it.  A row
-//! therefore costs one draw and one FP16 round trip per flipped word and
-//! nothing per intact one; the counters go back into the lane, and the row's
-//! length and flips into its statistics, once at the end.
-//!
-//! No draw is made, moved or dropped, so the stream is the per-word one draw
-//! for draw: a run only defers subtractions that consume no keystream, and
-//! what does consume it — a flipped word's redraws — happens at the same
-//! word in the same order.  The first-read rule is kept by not walking until
-//! it is satisfied: while a class of the group has no counter yet, words go
-//! through the one-word read, which draws it (LSB before MSB, the word's own
-//! redraws in between).  A class that never flips bounds no run and keeps no
-//! counter; a class that flips every bit has no runs, and its rows are read
-//! one word at a time throughout.
-//!
-//! A lane's stream therefore depends only on the injector seed, the lane's
-//! `(layer, head)` label and the lane's own sequence of `(group, len)` reads
-//! — not on the values read or on other lanes.
-//! Reading a row through [`FaultInjector::corrupt_slice`] is by definition
-//! the same as reading its words one by one through
-//! [`FaultInjector::corrupt`].  `Clone` captures a lane's generator, its four
-//! gap counters and its statistics; the survival tables are shared, not
-//! copied.
-//!
-//! # Lanes and what reads on them
-//!
-//! A stored word is read on the lane of the memory it sits in, once per
-//! read of that memory:
-//!
-//! * **head lanes** `(layer, head)`, one per attention head: the key and value
-//!   rows of a KV-format entry, which are stored per head;
-//! * **one row lane per layer**, labelled `(layer, heads)` — a head index no
-//!   head uses, so it lives in the same lane table and the same `Clone`
-//!   snapshot as the head lanes: AERP's stored input rows `x`, which are
-//!   stored once per layer.  Each row is read once per layer and step,
-//!   however many heads retain it, in the order the heads first visit the
-//!   rows; every retaining head's key and value follow from that one read
-//!   (corrected for the words it flipped, see [`crate::attention`]).
+//! * **The key is the token position**, with the seed — not the physical
+//!   copy.  Every session of one seed that attaches a published segment sees
+//!   the same cells (the ledger charges the segment once, as one copy), and a
+//!   prefix hit reads exactly what a cold pre-fill of the same prompt reads.
+//! * **A relabel keeps the row in place**: only its refresh domain's
+//!   interval changes, so it reads the other group's set of the same cells.
+//!   Migrating it to fresh cells, so failures accumulate, would need a
+//!   per-row history.
+//! * **Flips are symmetric**: a failing bit reads inverted (XOR), whatever it
+//!   stored.  A discharge-only failure would depend on the data.
+//! * **Only a failing word is rounded to FP16**: it reads as its FP16 image
+//!   with its failing bits flipped; every other word reads as stored, in f32.
+//!   Rounding every word at insert would move every no-fault stream.
 //!
 //! **The group rule.**  One stored row sits in one refresh domain, so a row
 //! that heads rank differently is read at the most demanding group any of
 //! them gives it: [`TokenGroup::HighScore`] if any retaining head ranks it
 //! high, [`TokenGroup::LowScore`] otherwise.
 //!
+//! # Sampling
+//!
+//! The model is one independent Bernoulli(`p`) decision per stored bit, `p`
+//! being the rate of the bit's class.  At 2DRP's rates (2–5 % for the LSB
+//! classes, 10⁻⁴–10⁻² for the MSB ones) most bits are intact, so the sampler
+//! pays **one draw per failure**, not per bit.  The number of intact bits
+//! before the next failure is geometric, `Pr[gap ≥ k] = (1−p)ᵏ`.  A draw is
+//! one `next_u64` `u` looked up in the class's survival table
+//! `surv[k] ≈ (1−p)^(k+1)·2⁶⁴`, `k < 256`: the gap is the number of entries
+//! above `u`, and a `u` below `surv[255]` adds 256 and draws again (the law
+//! is memoryless).  The table is integer-only: `surv[0] = 2⁶⁴ − ⌊p·2⁶⁴⌋` (an
+//! exact power-of-two scaling) and `surv[k+1] = ⌊surv[k]·surv[0] / 2⁶⁴⌋` in
+//! `u128` — no logarithm, no `pow`, so every platform builds the same table.
+//! Each step truncates by less than one unit, so every gap probability is
+//! within `2⁻⁵⁵` of the geometric law.  `p < 2⁻⁶⁴` rounds to "never", `p ≥ 1`
+//! is "every bit, no draw".
+//!
+//! Below 0.27 % most gaps outrun one table, and adding 256 per draw would
+//! cost `1/(256·p)` draws per gap.  Such a class stacks coarser tables, built
+//! by the same recurrence from the last entry of the one below (the survival
+//! of a whole block), until a table's last entry is below `2⁶³` (two tables
+//! down to `p` ≈ 10⁻⁵, eight at `2⁻⁶⁴`), and draws a gap digit by digit in
+//! base 256 — exact, as the digits of a geometric variable are independent:
+//! the top digit by add-256-and-redraw, every lower one by one draw scaled
+//! into the part of its table below 256.  A level's keep is within `2·256ˡ`
+//! units of `(1−p)^(256ˡ)·2⁶⁴`, so any rate costs at most a few tens of draws
+//! per gap.
+//!
 //! # What is read clean
 //!
 //! A bit is exposed to retention loss only once it sits in eDRAM (§2.3).
 //! On the device, the K/V a pass computes are read by that same pass from
 //! on-chip buffers, so **a row computed by the current pass is read clean**:
-//! it is not handed to [`FaultInjector::corrupt_slice`], takes no draw and
-//! counts no word.  A *pass* is a turn's prompt pre-fill — from its first
-//! chunk to the end of pre-fill, including the rows a prefix hit replays —
-//! or one decode token, whose own row is the only one it computed (see
-//! [`crate::generation`]).  Rows of earlier passes are read through their
-//! lanes as above.  So a first prompt draws nothing at all, however it is
-//! chunked and whether or not its prefix was replayed, and a decode step
-//! reads every row but its own through the lane.  A clean read asks for no
-//! HST/LST label either ([`HeadView::high_score`](crate::cache::HeadView::high_score)),
-//! so a prompt pass selects no head's median, and a decode step selects one
-//! per head that holds a row of an earlier pass.
+//! it goes through no cell map and counts no word.  A *pass* is a turn's
+//! prompt pre-fill — from its first chunk to the end of pre-fill, including
+//! the rows a prefix hit replays — or one decode token, whose own row is the
+//! only one it computed (see [`crate::generation`]).  Rows of earlier passes
+//! are read through their cells as above.  So a first prompt reads no cell
+//! at all, however it is chunked and whether or not its prefix was replayed,
+//! and a decode step reads every row but its own through its cells.  A clean
+//! read asks for no HST/LST label either
+//! ([`HeadView::high_score`](crate::cache::HeadView::high_score)), so a
+//! prompt pass selects no head's median, and a decode step selects one per
+//! head that holds a row of an earlier pass.
 //!
-//! An in-pass read skips the lane, not the storage format: under QuaRot it
+//! An in-pass read skips the cells, not the storage format: under QuaRot it
 //! sees the stored KV4 values, not the FP16 projections.  An AERP row of
 //! the pass is read from the key and value the store keeps on the host
 //! beside its `x` — its own forward's projection, bitwise what a recompute
 //! from the intact `x` yields; the device recomputes it from its stored
 //! `x`, which is what `kelle-arch` bills.  A row of an earlier pass is read
-//! the same way when the lane flips none of its words, and otherwise as
-//! that key and value corrected for the flipped words.
+//! the same way when its group has no failing word, and otherwise as that
+//! key and value corrected for the failing words.
 //!
 //! The rule treats "earlier pass" as "has sat in eDRAM long enough to
 //! decay".  Modelling how long a row has sat there — device time per row,
@@ -195,74 +173,28 @@ impl FaultStats {
 /// Applies retention-failure corruption to values read from the KV cache.
 ///
 /// The attention pass reads every stored word an earlier pass wrote through
-/// an injector: it copies a key, value or input row into its scratch and
-/// hands the copy to [`corrupt_slice`](FaultInjector::corrupt_slice).  There
-/// is no in-place read path for them, so [`NoFaults`], the FP16 reference,
-/// pays the same staging copy and returns every value unchanged.  Rows of
-/// the current pass are read clean (see "What is read clean" in the
-/// module docs).
+/// the injector's [`cell_map`](FaultInjector::cell_map): it computes a row's
+/// failures at the row's first read, reuses them at every later read (see
+/// [`crate::attention`]), and counts every read through
+/// [`count`](FaultInjector::count).  [`NoFaults`], the FP16 reference, has
+/// no map and counts nothing.  Rows of the current pass are read clean (see
+/// "What is read clean" in the module docs).
 pub trait FaultInjector: std::fmt::Debug {
-    /// Possibly corrupts one value belonging to a token of the given group.
-    ///
-    /// The value is conceptually stored as a 16-bit FP16 word; implementations
-    /// flip stored bits according to their model and return the resulting
-    /// value.
-    fn corrupt(&mut self, value: f32, group: TokenGroup) -> f32;
+    /// The cells reads go through; `None` when no cell ever fails.
+    fn cell_map(&self) -> Option<&CellMap>;
 
-    /// Corrupts a whole row in place — what the attention pass calls for a
-    /// key row, a value row or a stored input row.  This default is the
-    /// definition: [`corrupt`](FaultInjector::corrupt) on each element in
-    /// order.  An override may skip what a row makes skippable (the words no
-    /// flip lands in, see the module docs' "Row walk") but may not change what
-    /// a caller can observe: the values, the [`stats`](FaultInjector::stats)
-    /// and every later read — counters and random draws included — equal
-    /// those of the per-word definition.
-    fn corrupt_slice(&mut self, values: &mut [f32], group: TokenGroup) {
-        for v in values.iter_mut() {
-            *v = self.corrupt(*v, group);
-        }
-    }
-
-    /// Reads the stored row `row` at `group` without writing it, leaving in
-    /// `flips` each word the read may have changed, in ascending column
-    /// order, with the value the read returned; every word it leaves out
-    /// reads as stored.  What the attention pass calls for a stored input
-    /// row, where it needs only the flipped words.  This default is the
-    /// definition: [`corrupt_slice`](FaultInjector::corrupt_slice) on a copy
-    /// of the row, then every word whose bits differ.  An override has the
-    /// same obligations as `corrupt_slice`'s, and may also list a word that
-    /// reads as stored.
-    fn read_flips(&mut self, row: &[f32], group: TokenGroup, flips: &mut Vec<(u32, f32)>) {
-        let mut read = row.to_vec();
-        self.corrupt_slice(&mut read, group);
-        flips.clear();
-        flips.extend(
-            (0u32..)
-                .zip(read.iter().zip(row))
-                .filter(|(_, (r, x))| r.to_bits() != x.to_bits())
-                .map(|(j, (&r, _))| (j, r)),
-        );
-    }
-
-    /// Selects the deterministic substream that subsequent
-    /// [`corrupt`](FaultInjector::corrupt) calls draw from.
-    ///
-    /// The attention pass selects lane `(layer, head)` before it reads a
-    /// head's KV-format entries, and lane `(layer, heads)` — the layer's row
-    /// lane, labelled by a head index no head uses — before it reads the
-    /// layer's stored input rows (see the module docs' "Lanes").  The random
-    /// draws consumed for one lane never shift the stream seen by another,
-    /// so a lane's stream depends on its own read history alone: a
-    /// prefix-hit session that replays a published segment resumes every
-    /// lane exactly where a cold prefill would have left it, and a cache
-    /// policy that changes what one head reads cannot move the bits another
-    /// head sees.  Stateless injectors ignore it (the default is a no-op).
-    fn begin_lane(&mut self, layer: usize, head: usize) {
-        let _ = (layer, head);
-    }
+    /// Counts reads that examined `words` words and exposed `bits` failing
+    /// bits.
+    fn count(&mut self, words: u64, bits: u64);
 
     /// Corruption counters accumulated so far.
     fn stats(&self) -> FaultStats;
+
+    /// Reads `values` in place as a fresh anonymous row at `group`, and
+    /// counts the read.  The serving path never calls it: the benchmark
+    /// times the sampler through it, and it goes when the benchmark stops
+    /// doing so (ROADMAP item 1).
+    fn corrupt_slice(&mut self, values: &mut [f32], group: TokenGroup);
 }
 
 /// A fault injector that never corrupts anything and counts nothing (the
@@ -271,17 +203,17 @@ pub trait FaultInjector: std::fmt::Debug {
 pub struct NoFaults;
 
 impl FaultInjector for NoFaults {
-    fn corrupt(&mut self, value: f32, _group: TokenGroup) -> f32 {
-        value
+    fn cell_map(&self) -> Option<&CellMap> {
+        None
     }
 
-    fn read_flips(&mut self, _row: &[f32], _group: TokenGroup, flips: &mut Vec<(u32, f32)>) {
-        flips.clear();
-    }
+    fn count(&mut self, _words: u64, _bits: u64) {}
 
     fn stats(&self) -> FaultStats {
         FaultStats::default()
     }
+
+    fn corrupt_slice(&mut self, _values: &mut [f32], _group: TokenGroup) {}
 }
 
 /// The rate of one (token group, bit significance) class.
@@ -382,120 +314,228 @@ impl Gap {
         }
         gap
     }
-
-    /// Flip mask of the next eight bits of a class's sequence, lowest bit
-    /// first, with `left` intact bits to pass before its next flip: one
-    /// redraw per flip that lands in the byte.
-    #[inline]
-    fn byte(surv: &[u64], left: &mut u64, rng: &mut DetRng) -> u16 {
-        let mut mask = 0;
-        let mut bit = 0;
-        while *left < 8 - bit {
-            bit += *left;
-            mask |= 1 << bit;
-            bit += 1;
-            *left = Gap::draw(surv, rng);
-        }
-        *left -= 8 - bit;
-        mask
-    }
 }
 
-/// The samplers a stored word of one token group is read against, one per
-/// significance class.
+/// Whether a failing bit of a class's looser group also fails at its stricter
+/// group: one uniform draw against `p_strict / p_loose`, unless the answer
+/// does not depend on it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Thin {
+    /// Equal rates: every failing bit fails at both groups.
+    Keep,
+    /// A strict rate of zero: none does.
+    Drop,
+    /// It does iff a draw is below this (`⌊p_strict / p_loose · 2⁶⁴⌋`).
+    Below(u64),
+}
+
+/// One significance class of a [`CellMap`]: its failing set at the looser
+/// group's rate, and the thinning to the stricter group.
 #[derive(Debug, Clone)]
-struct WordThresholds {
-    lsb: Gap,
-    msb: Gap,
+struct Class {
+    loose: Gap,
+    /// The group that reads the whole failing set.
+    loose_group: TokenGroup,
+    thin: Thin,
 }
 
-/// [`BitFlipRates`] in sampling form.
+impl Class {
+    fn new(rates: &BitFlipRates, sig: SignificanceGroup) -> Self {
+        // A rate is a probability; NaN and negatives are "never".
+        let clamp = |p: f64| if p > 0.0 { p.min(1.0) } else { 0.0 };
+        let [hst, lst] =
+            [TokenGroup::HighScore, TokenGroup::LowScore].map(|g| clamp(class_rate(rates, g, sig)));
+        let (loose_group, loose, strict) = if hst > lst {
+            (TokenGroup::HighScore, hst, lst)
+        } else {
+            (TokenGroup::LowScore, lst, hst)
+        };
+        let thin = if strict == loose {
+            Thin::Keep
+        } else {
+            // Below one, so the exact power-of-two scaling fits and the cast
+            // truncates.
+            match (strict / loose * 18_446_744_073_709_551_616.0) as u64 {
+                0 => Thin::Drop,
+                below => Thin::Below(below),
+            }
+        };
+        Class {
+            loose: Gap::new(loose),
+            loose_group,
+            thin,
+        }
+    }
+
+    /// Walks the first `bits` bits of the class's sequence from failure to
+    /// failure, handing `fail` each failing bit's index and whether it also
+    /// fails at the stricter group: per failing bit, the draw that placed it
+    /// and then its thinning draw.
+    fn walk(&self, bits: u64, rng: &mut DetRng, mut fail: impl FnMut(u64, bool)) {
+        let surv = match &self.loose {
+            Gap::Never => return,
+            Gap::Always => None,
+            Gap::Table(surv) => Some(&**surv),
+        };
+        let gap = |rng: &mut DetRng| surv.map_or(0, |surv| Gap::draw(surv, rng));
+        let mut at = gap(rng);
+        while at < bits {
+            let strict = match self.thin {
+                Thin::Keep => true,
+                Thin::Drop => false,
+                Thin::Below(below) => rng.next_u64() < below,
+            };
+            fail(at, strict);
+            at = at.saturating_add(1).saturating_add(gap(rng));
+        }
+    }
+}
+
+/// The failing cells of every stored row, as a pure function of a
+/// [`CellKey`] under one seed and one set of rates.  See the module docs.
 #[derive(Debug, Clone)]
-struct Thresholds {
-    hst: WordThresholds,
-    lst: WordThresholds,
+pub struct CellMap {
+    seed: u64,
+    rates: BitFlipRates,
+    lsb: Class,
+    msb: Class,
 }
 
-impl Thresholds {
-    fn new(rates: &BitFlipRates) -> Self {
-        let word = |group| WordThresholds {
-            lsb: Gap::new(class_rate(rates, group, SignificanceGroup::Lsb)),
-            msb: Gap::new(class_rate(rates, group, SignificanceGroup::Msb)),
-        };
-        Thresholds {
-            hst: word(TokenGroup::HighScore),
-            lst: word(TokenGroup::LowScore),
+impl CellMap {
+    /// The map of the given rates under `seed`.
+    pub fn new(rates: BitFlipRates, seed: u64) -> Self {
+        CellMap {
+            seed,
+            rates,
+            lsb: Class::new(&rates, SignificanceGroup::Lsb),
+            msb: Class::new(&rates, SignificanceGroup::Msb),
         }
     }
 
-    fn of(&self, group: TokenGroup) -> &WordThresholds {
-        match group {
-            TokenGroup::HighScore => &self.hst,
-            TokenGroup::LowScore => &self.lst,
+    /// The mean number of words, over both groups, that fail in a row of
+    /// `words` words: what its two failure lists hold on average.
+    pub(crate) fn mean_failing_words(&self, words: usize) -> f64 {
+        let intact = |group| {
+            let byte = |sig| 1.0 - class_rate(&self.rates, group, sig).clamp(0.0, 1.0);
+            let bit_pair = byte(SignificanceGroup::Lsb) * byte(SignificanceGroup::Msb);
+            let four = (bit_pair * bit_pair) * (bit_pair * bit_pair);
+            four * four // the eight bit pairs of a word
+        };
+        (2.0 - intact(TokenGroup::HighScore) - intact(TokenGroup::LowScore)) * words as f64
+    }
+
+    /// Fills `failures` with the failing words of the stored row `row` of
+    /// `key`, at both token groups.  The cells depend on the key and
+    /// `row.len()` alone; `row` gives the values the failing words read as.
+    pub fn fail_row(&self, key: CellKey, row: &[f32], failures: &mut RowFailures) {
+        for masks in &mut failures.masks {
+            masks.clear();
+            masks.resize(row.len(), 0);
+        }
+        let mut rng = key.rng(self.seed);
+        for (class, byte) in [(&self.lsb, 0), (&self.msb, 8)] {
+            let loose = class.loose_group as usize;
+            class.walk(8 * row.len() as u64, &mut rng, |at, strict| {
+                let (word, bit) = ((at / 8) as usize, 1 << (byte + at % 8));
+                failures.masks[loose][word] |= bit;
+                if strict {
+                    failures.masks[1 - loose][word] |= bit;
+                }
+            });
+        }
+        let RowFailures { masks, reads, bits } = failures;
+        for ((masks, reads), bits) in masks.iter().zip(reads.iter_mut()).zip(bits.iter_mut()) {
+            reads.clear();
+            *bits = 0;
+            for ((j, &mask), &stored) in (0u32..).zip(masks.iter()).zip(row) {
+                if mask != 0 {
+                    *bits += u64::from(mask.count_ones());
+                    let read = read_flipped(stored, mask);
+                    if read.to_bits() != stored.to_bits() {
+                        reads.push((j, read));
+                    }
+                }
+            }
         }
     }
 }
 
-/// One deterministic substream of a [`ProbabilisticFaults`] injector.
-///
-/// A lane owns its own RNG (seeded from the parent seed and the lane's
-/// `(layer, head)` label via [`rng::lane`]), each rate class's distance to its
-/// next flip, and its own counters, so the draws consumed on one lane (an
-/// attention head's, or a layer's row lane) never shift the stream of
-/// another.
-#[derive(Debug, Clone)]
-struct FaultLane {
-    rng: DetRng,
-    /// Per (token group, significance): bits of that class still to pass
-    /// before its next flip; `None` until the class's first read draws it.
-    gap: [[Option<u64>; 2]; 2],
-    stats: FaultStats,
+/// Which stored row a cell belongs to (see "The cell map" in the module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellKey {
+    layer: u32,
+    lane: u32,
+    token: u64,
+    part: u8,
 }
 
-impl FaultLane {
-    fn new(seed: u64, layer: usize, head: usize) -> Self {
-        FaultLane {
-            rng: rng::lane(seed, layer as u64, head as u64),
-            gap: [[None; 2]; 2],
-            stats: FaultStats::default(),
+impl CellKey {
+    /// AERP's stored input row of `token` in `layer`, on the layer's row
+    /// lane: the lane label `heads`, a head index no head uses.
+    pub fn input(layer: usize, heads: usize, token: usize) -> Self {
+        CellKey::new(layer, heads, token, 0)
+    }
+
+    /// The stored key row of `token` in `(layer, head)`.
+    pub fn key(layer: usize, head: usize, token: usize) -> Self {
+        CellKey::new(layer, head, token, 1)
+    }
+
+    /// The stored value row of `token` in `(layer, head)`.
+    pub fn value(layer: usize, head: usize, token: usize) -> Self {
+        CellKey::new(layer, head, token, 2)
+    }
+
+    /// The `n`th anonymous row [`FaultInjector::corrupt_slice`] reads.
+    fn anonymous(n: usize) -> Self {
+        CellKey::new(usize::MAX, usize::MAX, n, 3)
+    }
+
+    fn new(layer: usize, lane: usize, token: usize, part: u8) -> Self {
+        CellKey {
+            layer: layer as u32,
+            lane: lane as u32,
+            token: token as u64,
+            part,
         }
     }
 
-    /// Flip mask for the eight bits of one byte of a `group` token, lowest
-    /// bit first: whatever flips land in the next eight bits of the class's
-    /// sequence.
-    #[inline]
-    fn gap_mask(&mut self, gap: &Gap, group: TokenGroup, sig: SignificanceGroup) -> u16 {
-        let surv = match gap {
-            Gap::Never => return 0,
-            Gap::Always => return 0xff,
-            Gap::Table(surv) => &**surv,
-        };
-        let slot = &mut self.gap[group as usize][sig as usize];
-        let mut left = match *slot {
-            Some(left) => left,
-            None => Gap::draw(surv, &mut self.rng),
-        };
-        let mask = Gap::byte(surv, &mut left, &mut self.rng);
-        *slot = Some(left);
-        mask
+    /// The generator of the row's cells under `seed`.
+    fn rng(&self, seed: u64) -> DetRng {
+        rng::lane(
+            seed,
+            u64::from(self.layer) << 32 | u64::from(self.lane),
+            self.token << 2 | u64::from(self.part),
+        )
+    }
+}
+
+/// One stored row's failing words at both token groups, as
+/// [`CellMap::fail_row`] computes them.
+#[derive(Debug, Clone, Default)]
+pub struct RowFailures {
+    /// Per group (indexed by [`TokenGroup`]): each word's failing bits.
+    masks: [Vec<u16>; 2],
+    /// Per group: the words a read changes, in ascending column order, each
+    /// with the value it reads.
+    reads: [Vec<(u32, f32)>; 2],
+    /// Per group: the failing bits a read exposes.
+    bits: [u64; 2],
+}
+
+impl RowFailures {
+    /// The words a read at `group` changes, in ascending column order, each
+    /// with the value the read returns; every other word reads as stored.
+    pub fn reads(&self, group: TokenGroup) -> &[(u32, f32)] {
+        &self.reads[group as usize]
     }
 
-    /// Flip mask for one stored word: LSB byte first, then MSB byte.
-    #[inline]
-    fn word_mask(&mut self, t: &WordThresholds, group: TokenGroup) -> u16 {
-        self.gap_mask(&t.lsb, group, SignificanceGroup::Lsb)
-            | self.gap_mask(&t.msb, group, SignificanceGroup::Msb) << 8
-    }
-
-    fn corrupt(&mut self, value: f32, t: &WordThresholds, group: TokenGroup) -> f32 {
-        self.stats.words_examined += 1;
-        let mask = self.word_mask(t, group);
-        if mask == 0 {
-            return value;
-        }
-        self.stats.bits_flipped += u64::from(mask.count_ones());
-        read_flipped(value, mask)
+    /// The failing bits a read at `group` exposes (a failing word may read
+    /// as stored: a flip that reads as Inf or NaN is clamped to the FP16
+    /// range).
+    pub fn bits(&self, group: TokenGroup) -> u64 {
+        self.bits[group as usize]
     }
 }
 
@@ -516,225 +556,58 @@ fn read_flipped(value: f32, mask: u16) -> f32 {
     }
 }
 
-/// One rate class's side of a row walk: its survival tables (`None` for a
-/// class that never flips) and the bits still to pass before its next flip,
-/// held outside the lane while the row is read.
-struct Run<'a> {
-    surv: Option<&'a [u64]>,
-    left: u64,
-}
-
-impl<'a> Run<'a> {
-    /// `None` when the class's next word has to be read on its own: the
-    /// class flips every bit, or its first gap is still to be drawn.
-    fn of(gap: &'a Gap, left: Option<u64>) -> Option<Self> {
-        let (surv, left) = match gap {
-            Gap::Never => (None, u64::MAX),
-            Gap::Always => return None,
-            Gap::Table(surv) => (Some(&**surv), left?),
-        };
-        Some(Run { surv, left })
-    }
-
-    /// Lets `words` whole words go by without a flip.
-    #[inline]
-    fn pass(&mut self, words: u64) {
-        if self.surv.is_some() {
-            // Cannot underflow: a run is `min(left) / 8` words or fewer.
-            debug_assert!(words <= self.left / 8);
-            self.left -= 8 * words;
-        }
-    }
-
-    /// Flip mask of the class's byte of the next word.
-    #[inline]
-    fn byte(&mut self, rng: &mut DetRng) -> u16 {
-        match self.surv {
-            Some(surv) => Gap::byte(surv, &mut self.left, rng),
-            None => 0,
-        }
-    }
-
-    /// What the lane keeps of the class between rows.
-    fn counter(&self) -> Option<u64> {
-        self.surv.map(|_| self.left)
-    }
-}
-
-/// One lane of a [`ProbabilisticFaults`] injector borrowed together with the
-/// injector's thresholds: what the injector's reads go through.
-#[derive(Debug)]
-struct LaneHandle<'a> {
-    thresholds: &'a Thresholds,
-    lane: &'a mut FaultLane,
-}
-
-impl LaneHandle<'_> {
-    fn corrupt(&mut self, value: f32, group: TokenGroup) -> f32 {
-        self.lane.corrupt(value, self.thresholds.of(group), group)
-    }
-
-    /// Reads a row from flip to flip: the row walk of the module docs.
-    fn corrupt_slice(&mut self, values: &mut [f32], group: TokenGroup) {
-        self.walk(values.len(), group, |at, mask| {
-            values[at] = read_flipped(values[at], mask);
-        });
-    }
-
-    /// The row walk over `row`, writing nothing: each word it flips goes
-    /// into `flips` with its read value.
-    fn read_flips(&mut self, row: &[f32], group: TokenGroup, flips: &mut Vec<(u32, f32)>) {
-        flips.clear();
-        // Every word may flip, so a warm `flips` never grows.
-        flips.reserve(row.len());
-        self.walk(row.len(), group, |at, mask| {
-            flips.push((at as u32, read_flipped(row[at], mask)));
-        });
-    }
-
-    /// Walks a row of `len` words at `group` from flip to flip, handing
-    /// `flip` each word a flip lands in, in order, with its flip mask; the
-    /// lane's draws and counters move as for a word-by-word read.
-    #[inline]
-    fn walk(&mut self, len: usize, group: TokenGroup, mut flip: impl FnMut(usize, u16)) {
-        const LSB: usize = SignificanceGroup::Lsb as usize;
-        const MSB: usize = SignificanceGroup::Msb as usize;
-        let t = self.thresholds.of(group);
-        let lane = &mut *self.lane;
-        let mut at = 0;
-        let (mut lsb, mut msb) = loop {
-            let left = lane.gap[group as usize];
-            if let (Some(lsb), Some(msb)) = (Run::of(&t.lsb, left[LSB]), Run::of(&t.msb, left[MSB]))
-            {
-                break (lsb, msb);
-            }
-            // One word at a time while a class has its first gap to draw
-            // (this read draws it), and throughout if a class is certain.
-            if at == len {
-                return;
-            }
-            lane.stats.words_examined += 1;
-            let mask = lane.word_mask(t, group);
-            if mask != 0 {
-                lane.stats.bits_flipped += u64::from(mask.count_ones());
-                flip(at, mask);
-            }
-            at += 1;
-        };
-        let walked = len - at;
-        let mut flipped = 0;
-        loop {
-            let words_left = (len - at) as u64;
-            let run = (lsb.left.min(msb.left) / 8).min(words_left);
-            lsb.pass(run);
-            msb.pass(run);
-            if run == words_left {
-                break;
-            }
-            // The word after a run has a flip among its next eight bits of
-            // at least one class: LSB byte first, then MSB byte.
-            at += run as usize;
-            let mask = lsb.byte(&mut lane.rng) | msb.byte(&mut lane.rng) << 8;
-            debug_assert_ne!(mask, 0);
-            flipped += u64::from(mask.count_ones());
-            flip(at, mask);
-            at += 1;
-        }
-        lane.gap[group as usize][LSB] = lsb.counter();
-        lane.gap[group as usize][MSB] = msb.counter();
-        lane.stats.words_examined += walked as u64;
-        lane.stats.bits_flipped += flipped;
-    }
-}
-
-/// A probabilistic fault injector driven by per-group bit-flip rates.
+/// A probabilistic fault injector driven by per-group bit-flip rates: a
+/// [`CellMap`] and the counters of the reads made through it.
 ///
-/// Random draws are partitioned into deterministic `(layer, head)` lanes — a
-/// head lane per attention head and a row lane per layer (created on demand;
-/// direct [`corrupt`](FaultInjector::corrupt) calls with no preceding
-/// [`begin_lane`](FaultInjector::begin_lane) use lane `(0, 0)`).  Each
-/// lane's RNG is seeded from the injector seed and the lane label alone, so
-/// the bits a lane's reads see depend only on that lane's corruption history
-/// — never on how lanes interleave across layers and steps.
-/// [`stats`](FaultInjector::stats) sums the lane counters.
-///
-/// `Clone` snapshots the full injector state (every lane's RNG
-/// position, gap counters and statistics — the survival tables are shared
-/// behind an `Arc`); the prefix-sharing machinery uses this to capture the
-/// exact post-prefix fault stream so a cache-hit session resumes the stream
-/// bit-identically to a cold one.
+/// `Clone` copies the counters; the map's survival tables are shared behind
+/// an `Arc`.  A clone reads every key's cells as the original does.
 #[derive(Debug, Clone)]
 pub struct ProbabilisticFaults {
-    thresholds: Thresholds,
-    seed: u64,
-    lanes: Vec<FaultLane>,
-    index: crate::hash::FastHashMap<(u32, u32), usize>,
-    active: usize,
+    map: CellMap,
+    stats: FaultStats,
+    /// How many anonymous rows `corrupt_slice` has read.
+    anonymous: usize,
+    /// `corrupt_slice`'s row.
+    failures: RowFailures,
 }
 
 impl ProbabilisticFaults {
     /// Creates an injector with the given rates and RNG seed.
     pub fn new(rates: BitFlipRates, seed: u64) -> Self {
         ProbabilisticFaults {
-            thresholds: Thresholds::new(&rates),
-            seed,
-            lanes: Vec::new(),
-            index: crate::hash::FastHashMap::default(),
-            active: 0,
-        }
-    }
-
-    /// Index of the lane for `(layer, head)`, creating it if needed.
-    fn lane_slot(&mut self, layer: usize, head: usize) -> usize {
-        let key = (layer as u32, head as u32);
-        if let Some(&slot) = self.index.get(&key) {
-            return slot;
-        }
-        let slot = self.lanes.len();
-        self.lanes.push(FaultLane::new(self.seed, layer, head));
-        self.index.insert(key, slot);
-        slot
-    }
-
-    /// The lane selected by the last `begin_lane` (lane `(0, 0)` before any).
-    fn active_lane(&mut self) -> LaneHandle<'_> {
-        if self.lanes.is_empty() {
-            self.active = self.lane_slot(0, 0);
-        }
-        LaneHandle {
-            thresholds: &self.thresholds,
-            lane: &mut self.lanes[self.active],
+            map: CellMap::new(rates, seed),
+            stats: FaultStats::default(),
+            anonymous: 0,
+            failures: RowFailures::default(),
         }
     }
 }
 
 impl FaultInjector for ProbabilisticFaults {
-    fn corrupt(&mut self, value: f32, group: TokenGroup) -> f32 {
-        self.active_lane().corrupt(value, group)
+    fn cell_map(&self) -> Option<&CellMap> {
+        Some(&self.map)
     }
 
-    fn corrupt_slice(&mut self, values: &mut [f32], group: TokenGroup) {
-        self.active_lane().corrupt_slice(values, group);
-    }
-
-    fn read_flips(&mut self, row: &[f32], group: TokenGroup, flips: &mut Vec<(u32, f32)>) {
-        self.active_lane().read_flips(row, group, flips);
-    }
-
-    fn begin_lane(&mut self, layer: usize, head: usize) {
-        self.active = self.lane_slot(layer, head);
+    fn count(&mut self, words: u64, bits: u64) {
+        self.stats.words_examined += words;
+        self.stats.bits_flipped += bits;
     }
 
     fn stats(&self) -> FaultStats {
-        let mut total = FaultStats::default();
-        for lane in &self.lanes {
-            total.words_examined += lane.stats.words_examined;
-            total.bits_flipped += lane.stats.bits_flipped;
+        self.stats
+    }
+
+    fn corrupt_slice(&mut self, values: &mut [f32], group: TokenGroup) {
+        let key = CellKey::anonymous(self.anonymous);
+        self.anonymous += 1;
+        self.map.fail_row(key, values, &mut self.failures);
+        for &(j, read) in self.failures.reads(group) {
+            values[j as usize] = read;
         }
-        total
+        let bits = self.failures.bits(group);
+        self.count(values.len() as u64, bits);
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,18 +615,27 @@ mod tests {
     #[test]
     fn no_faults_is_identity() {
         let mut inj = NoFaults;
-        assert_eq!(inj.corrupt(1.25, TokenGroup::HighScore), 1.25);
-        assert_eq!(inj.stats().bits_flipped, 0);
+        let mut row = [1.25f32, -0.5, 3.0];
+        inj.corrupt_slice(&mut row, TokenGroup::HighScore);
+        assert_eq!(row, [1.25, -0.5, 3.0]);
+        assert!(inj.cell_map().is_none());
+        assert_eq!(inj.stats(), FaultStats::default());
     }
 
     #[test]
     fn zero_rate_never_flips() {
         let mut inj = ProbabilisticFaults::new(BitFlipRates::zero(), 1);
-        for i in 0..100 {
-            let v = i as f32 * 0.01;
-            assert_eq!(inj.corrupt(v, TokenGroup::LowScore), v);
-        }
-        assert_eq!(inj.stats().bits_flipped, 0);
+        let mut row: Vec<f32> = (0..100).map(|i| i as f32 * 0.01).collect();
+        let stored = row.clone();
+        inj.corrupt_slice(&mut row, TokenGroup::LowScore);
+        assert_eq!(row, stored);
+        assert_eq!(
+            inj.stats(),
+            FaultStats {
+                words_examined: 100,
+                bits_flipped: 0
+            }
+        );
     }
 
     #[test]
@@ -799,14 +681,15 @@ mod tests {
         };
         let mean_abs_err = |rates: BitFlipRates| {
             let mut inj = ProbabilisticFaults::new(rates, 11);
-            let mut total = 0.0f64;
-            let n = 5000;
-            for i in 0..n {
-                let v = 0.3 + (i as f32 % 7.0) * 0.1;
-                let c = inj.corrupt(v, TokenGroup::HighScore);
-                total += f64::from((c - v).abs());
-            }
-            total / n as f64
+            let stored: Vec<f32> = (0..5000).map(|i| 0.3 + (i as f32 % 7.0) * 0.1).collect();
+            let mut read = stored.clone();
+            inj.corrupt_slice(&mut read, TokenGroup::HighScore);
+            let total: f64 = read
+                .iter()
+                .zip(&stored)
+                .map(|(c, v)| f64::from((c - v).abs()))
+                .sum();
+            total / stored.len() as f64
         };
         assert!(mean_abs_err(msb_only) > 10.0 * mean_abs_err(lsb_only));
     }
@@ -814,28 +697,78 @@ mod tests {
     #[test]
     fn corrupted_values_stay_finite() {
         let mut inj = ProbabilisticFaults::new(BitFlipRates::uniform(0.2), 13);
-        for i in 0..2000 {
-            let v = (i as f32 - 1000.0) * 0.05;
-            assert!(inj.corrupt(v, TokenGroup::HighScore).is_finite());
-        }
+        let mut row: Vec<f32> = (0..2000).map(|i| (i as f32 - 1000.0) * 0.05).collect();
+        inj.corrupt_slice(&mut row, TokenGroup::HighScore);
+        assert!(row.iter().all(|v| v.is_finite()));
     }
 
+    /// Per group, each word a read changes with its read value's bits.
+    type Reads = [Vec<(u32, u32)>; 2];
+
+    /// A key's cells are a function of the seed and the key alone: a row
+    /// read again, after other rows, in another order, on a clone of the
+    /// injector or on another thread reads the same failing words, and
+    /// distinct keys read distinct cells.
     #[test]
-    fn lane_streams_are_independent_of_visit_order() {
-        let rates = BitFlipRates::uniform(0.3);
-        let run = |head_order: &[usize]| -> (Vec<Vec<u32>>, FaultStats) {
-            let mut inj = ProbabilisticFaults::new(rates, 5);
-            let mut per_head = vec![Vec::new(); 3];
-            for &h in head_order {
-                inj.begin_lane(0, h);
-                for i in 0..16 {
-                    let v = 0.1 + i as f32 * 0.05;
-                    per_head[h].push(inj.corrupt(v, TokenGroup::LowScore).to_bits());
-                }
-            }
-            (per_head, inj.stats())
+    fn a_key_reads_the_same_cells_whatever_the_read_count_order_clone_or_worker() {
+        let faults = ProbabilisticFaults::new(PAPER_RATES[2], 5);
+        let map = faults
+            .cell_map()
+            .expect("a probabilistic injector has cells");
+        let row: Vec<f32> = (0..64).map(|i| (i as f32 - 20.0) * 0.13).collect();
+        let keys: Vec<CellKey> = (0..3)
+            .flat_map(|head| {
+                (0..8).flat_map(move |token| {
+                    [CellKey::key(1, head, token), CellKey::value(1, head, token)]
+                })
+            })
+            .chain((0..8).map(|token| CellKey::input(1, 3, token)))
+            .collect();
+        let read = |map: &CellMap, order: &mut dyn Iterator<Item = &CellKey>| {
+            let mut failures = RowFailures::default();
+            let mut out: Vec<(CellKey, Reads, [u64; 2])> = order
+                .map(|&key| {
+                    map.fail_row(key, &row, &mut failures);
+                    let bits = |g| {
+                        failures
+                            .reads(g)
+                            .iter()
+                            .map(|&(j, v)| (j, v.to_bits()))
+                            .collect()
+                    };
+                    (key, GROUPS.map(bits), GROUPS.map(|g| failures.bits(g)))
+                })
+                .collect();
+            out.sort_by_key(|(key, ..)| (key.layer, key.lane, key.token, key.part));
+            out
         };
-        assert_eq!(run(&[0, 1, 2]), run(&[2, 0, 1]));
+        let once = read(map, &mut keys.iter());
+        assert_eq!(read(map, &mut keys.iter().rev()), once);
+        let evens_first = keys.iter().step_by(2).chain(keys.iter().skip(1).step_by(2));
+        assert_eq!(read(map, &mut evens_first.into_iter()), once);
+        let twice: Vec<_> = read(map, &mut keys.iter().flat_map(|k| [k, k]))
+            .into_iter()
+            .step_by(2)
+            .collect();
+        assert_eq!(twice, once);
+        let clone = faults.clone();
+        assert_eq!(read(clone.cell_map().unwrap(), &mut keys.iter()), once);
+        std::thread::scope(|scope| {
+            let halves = keys.split_at(keys.len() / 2);
+            let [a, b] =
+                [halves.0, halves.1].map(|half| scope.spawn(|| read(map, &mut half.iter())));
+            let mut joined = a.join().unwrap();
+            joined.extend(b.join().unwrap());
+            joined.sort_by_key(|(key, ..)| (key.layer, key.lane, key.token, key.part));
+            assert_eq!(joined, once);
+        });
+        // 56 keys at ≈20 changed words a row: distinct keys, distinct cells.
+        let distinct: std::collections::HashSet<_> =
+            once.iter().map(|(_, reads, _)| reads).collect();
+        assert_eq!(distinct.len(), keys.len());
+        // Another seed fails other cells.
+        let other = CellMap::new(PAPER_RATES[2], 6);
+        assert_ne!(read(&other, &mut keys.iter()), once);
     }
 
     #[test]
@@ -861,10 +794,10 @@ mod tests {
     fn conservative_policy_produces_no_faults() {
         let mut injector =
             fault_injector_for_policy(&RefreshPolicy::Conservative, &RetentionModel::default(), 1);
-        for i in 0..200 {
-            let v = i as f32 * 0.01;
-            assert_eq!(injector.corrupt(v, TokenGroup::HighScore), v);
-        }
+        let stored: Vec<f32> = (0..200).map(|i| i as f32 * 0.01).collect();
+        let mut row = stored.clone();
+        injector.corrupt_slice(&mut row, TokenGroup::HighScore);
+        assert_eq!(row, stored);
     }
 
     #[test]
@@ -874,11 +807,10 @@ mod tests {
             &RetentionModel::default(),
             1,
         );
-        let changed = (0..2000)
-            .map(|i| 0.5 + i as f32 * 0.001)
-            .filter(|&v| injector.corrupt(v, TokenGroup::LowScore) != v)
-            .count();
-        assert!(changed > 0);
+        let stored: Vec<f32> = (0..2000).map(|i| 0.5 + i as f32 * 0.001).collect();
+        let mut row = stored.clone();
+        injector.corrupt_slice(&mut row, TokenGroup::LowScore);
+        assert!(row.iter().zip(&stored).any(|(r, s)| r != s));
     }
 
     /// `RefreshPolicy::bit_flip_rates(&RetentionModel::default())` of
@@ -1065,49 +997,74 @@ mod tests {
         assert!(r.abs() <= 4.0 / (DRAWS as f64).sqrt(), "lag-1 r = {r:e}");
     }
 
-    /// Per-bit-position flip counts and the flips-per-word histogram of
-    /// `words` words of a `group` token read on a fresh lane.
-    fn sample_masks(
-        thresholds: &Thresholds,
-        group: TokenGroup,
-        seed: u64,
-        words: usize,
-    ) -> ([u64; 16], [u64; 17]) {
-        let mut lane = FaultLane::new(seed, 2, 5);
-        let mut per_bit = [0u64; 16];
-        let mut per_word = [0u64; 17];
-        for _ in 0..words {
-            let mask = lane.word_mask(thresholds.of(group), group);
-            per_word[mask.count_ones() as usize] += 1;
-            for (bit, count) in per_bit.iter_mut().enumerate() {
-                *count += u64::from(mask >> bit & 1);
-            }
-        }
-        (per_bit, per_word)
+    /// How many `next_u64` calls took `before` to `after`, looking no further
+    /// than `limit`.
+    fn draws_between(before: &DetRng, after: &DetRng, limit: usize) -> Option<usize> {
+        let ahead = |rng: &DetRng| {
+            let mut rng = rng.clone();
+            [rng.next_u64(), rng.next_u64()]
+        };
+        let target = ahead(after);
+        let mut probe = before.clone();
+        (0..=limit).find(|_| {
+            let hit = ahead(&probe) == target;
+            probe.next_u64();
+            hit
+        })
     }
 
+    /// A 64-word row, the width of the surrogate's stored input rows.
+    const ROW: [f32; 64] = [0.375; 64];
+
+    /// Per-bit-position failure counts and the failures-per-word histogram,
+    /// per group, of `words` words of fresh rows of `map`.
+    fn sample_masks(map: &CellMap, words: usize) -> [([u64; 16], [u64; 17]); 2] {
+        let mut failures = RowFailures::default();
+        let mut counts = [([0u64; 16], [0u64; 17]); 2];
+        for token in 0..words / ROW.len() {
+            map.fail_row(CellKey::input(2, 5, token), &ROW, &mut failures);
+            for (group, (per_bit, per_word)) in GROUPS.into_iter().zip(&mut counts) {
+                for &mask in &failures.masks[group as usize] {
+                    per_word[mask.count_ones() as usize] += 1;
+                    for (bit, count) in per_bit.iter_mut().enumerate() {
+                        *count += u64::from(mask >> bit & 1);
+                    }
+                }
+            }
+        }
+        counts
+    }
+
+    /// Every bit position fails at its class's rate (4σ over 2·10⁶ words),
+    /// and so does each whole class (5σ over its 1.6·10⁷ cells).
     #[test]
     fn per_bit_flip_frequencies_match_their_class_rate() {
         const WORDS: usize = 2_000_000;
         for (setting, rates) in PAPER_RATES.iter().enumerate() {
-            let thresholds = Thresholds::new(rates);
-            for group in GROUPS {
-                let (per_bit, _) = sample_masks(&thresholds, group, 31 + setting as u64, WORDS);
-                for (bit, &count) in per_bit.iter().enumerate() {
-                    let p = class_rate(
-                        rates,
-                        group,
-                        if bit < 8 {
-                            SignificanceGroup::Lsb
-                        } else {
-                            SignificanceGroup::Msb
-                        },
-                    );
-                    let mean = WORDS as f64 * p;
-                    let sigma = (mean * (1.0 - p)).sqrt();
+            let map = CellMap::new(*rates, 31 + setting as u64);
+            let counts = sample_masks(&map, WORDS);
+            for (group, (per_bit, _)) in GROUPS.into_iter().zip(counts) {
+                for (sig, bits) in [
+                    (SignificanceGroup::Lsb, &per_bit[..8]),
+                    (SignificanceGroup::Msb, &per_bit[8..]),
+                ] {
+                    let p = class_rate(rates, group, sig);
+                    let cells = WORDS as f64;
+                    for (bit, &count) in bits.iter().enumerate() {
+                        let (mean, sigma) = (cells * p, (cells * p * (1.0 - p)).sqrt());
+                        assert!(
+                            (count as f64 - mean).abs() <= 4.0 * sigma,
+                            "setting {setting} {group:?} {sig:?} bit {bit}: {count} failures, \
+                             expected {mean:.0} ± {sigma:.0}"
+                        );
+                    }
+                    let cells = 8.0 * cells;
+                    let (mean, sigma) = (cells * p, (cells * p * (1.0 - p)).sqrt());
+                    let count: u64 = bits.iter().sum();
                     assert!(
-                        (count as f64 - mean).abs() <= 4.0 * sigma,
-                        "setting {setting} {group:?} bit {bit}: {count} flips, expected {mean:.0} ± {sigma:.0}"
+                        (count as f64 - mean).abs() <= 5.0 * sigma,
+                        "setting {setting} {group:?} {sig:?}: {count} failures, expected \
+                         {mean:.0} ± {sigma:.0}"
                     );
                 }
             }
@@ -1124,9 +1081,8 @@ mod tests {
     fn flips_per_word_follow_the_binomial_mixture() {
         const WORDS: usize = 2_000_000;
         let rates = PAPER_RATES[0];
-        let thresholds = Thresholds::new(&rates);
-        for group in GROUPS {
-            let (_, observed) = sample_masks(&thresholds, group, 77, WORDS);
+        let counts = sample_masks(&CellMap::new(rates, 77), WORDS);
+        for (group, (_, observed)) in GROUPS.into_iter().zip(counts) {
             // Flips per word = Binomial(8, lsb) + Binomial(8, msb).
             let lsb = binomial8(class_rate(&rates, group, SignificanceGroup::Lsb));
             let msb = binomial8(class_rate(&rates, group, SignificanceGroup::Msb));
@@ -1152,75 +1108,107 @@ mod tests {
         }
     }
 
-    /// How many `next_u64` calls took `before` to `after`, looking no further
-    /// than `limit`.
-    fn draws_between(before: &DetRng, after: &DetRng, limit: usize) -> Option<usize> {
-        let ahead = |rng: &DetRng| {
-            let mut rng = rng.clone();
-            [rng.next_u64(), rng.next_u64()]
+    /// Every failing set at a stricter group lies inside the set at the
+    /// looser one, word by word, for both significance classes — whichever
+    /// group is the looser.
+    #[test]
+    fn hst_failures_are_a_subset_of_lst_failures() {
+        let swapped = |r: BitFlipRates| BitFlipRates {
+            hst_msb: r.lst_msb,
+            hst_lsb: r.lst_lsb,
+            lst_msb: r.hst_msb,
+            lst_lsb: r.hst_lsb,
         };
-        let target = ahead(after);
-        let mut probe = before.clone();
-        (0..=limit).find(|_| {
-            let hit = ahead(&probe) == target;
-            probe.next_u64();
-            hit
-        })
+        let mut failures = RowFailures::default();
+        for (setting, rates) in PAPER_RATES.into_iter().enumerate() {
+            for (strict, rates) in [
+                (TokenGroup::HighScore, rates),
+                (TokenGroup::LowScore, swapped(rates)),
+            ] {
+                let loose = GROUPS[1 - strict as usize];
+                let map = CellMap::new(rates, 3 + setting as u64);
+                assert_eq!([map.lsb.loose_group, map.msb.loose_group], [loose; 2]);
+                let mut thinned = [0u64; 2];
+                for token in 0..2_000 {
+                    map.fail_row(CellKey::key(0, 1, token), &ROW, &mut failures);
+                    for (&inner, &outer) in failures.masks[strict as usize]
+                        .iter()
+                        .zip(&failures.masks[loose as usize])
+                    {
+                        assert_eq!(inner & !outer, 0, "setting {setting}, token {token}");
+                        thinned[0] += u64::from((outer & !inner & 0x00ff).count_ones());
+                        thinned[1] += u64::from((outer & !inner & 0xff00).count_ones());
+                    }
+                    assert!(failures.bits(strict) <= failures.bits(loose));
+                }
+                assert!(
+                    thinned.iter().all(|&t| t > 0),
+                    "both classes thin: {thinned:?}"
+                );
+            }
+        }
+    }
+
+    /// Each failing bit, per class in walk order, with whether it also fails
+    /// at the stricter group, and the generator after the walk.
+    fn walk_row(map: &CellMap, key: CellKey, words: usize) -> ([Vec<(u64, bool)>; 2], DetRng) {
+        let mut rng = key.rng(map.seed);
+        let mut fails = [Vec::new(), Vec::new()];
+        for (class, fails) in [&map.lsb, &map.msb].into_iter().zip(&mut fails) {
+            class.walk(8 * words as u64, &mut rng, |at, strict| {
+                fails.push((at, strict))
+            });
+        }
+        (fails, rng)
     }
 
     #[test]
     fn zero_rate_classes_consume_no_keystream() {
-        let fresh = FaultLane::new(3, 1, 4).rng;
-        let group = TokenGroup::LowScore;
-
-        let mut lane = FaultLane::new(3, 1, 4);
-        let never = WordThresholds {
-            lsb: Gap::Never,
-            msb: Gap::Never,
+        let key = CellKey::value(1, 4, 9);
+        let fresh = key.rng(3);
+        let class = |hst: f64, lst: f64| {
+            CellMap::new(
+                BitFlipRates {
+                    hst_msb: 0.0,
+                    hst_lsb: hst,
+                    lst_msb: 0.0,
+                    lst_lsb: lst,
+                },
+                3,
+            )
         };
-        for i in 0..1000 {
-            assert_eq!(lane.corrupt(i as f32 * 0.5, &never, group), i as f32 * 0.5);
+
+        // Nothing fails at either group, and nothing is drawn.
+        let never = class(0.0, 0.0);
+        let ([lsb, msb], rng) = walk_row(&never, key, 1000);
+        assert!(lsb.is_empty() && msb.is_empty());
+        assert_eq!(draws_between(&fresh, &rng, 0), Some(0));
+        let mut failures = RowFailures::default();
+        never.fail_row(key, &ROW, &mut failures);
+        for group in GROUPS {
+            assert!(failures.reads(group).is_empty());
+            assert_eq!(failures.bits(group), 0);
+            assert!(failures.masks[group as usize].iter().all(|&m| m == 0));
         }
-        assert_eq!(lane.gap, [[None; 2]; 2]);
-        assert_eq!(draws_between(&fresh, &lane.rng, 0), Some(0));
-        assert_eq!(lane.stats.words_examined, 1000);
 
-        // A certain class flips its byte without reading anything.
-        let mut lane = FaultLane::new(3, 1, 4);
-        let certain = WordThresholds {
-            lsb: Gap::Never,
-            msb: Gap::new(1.0),
-        };
-        assert_eq!(lane.word_mask(&certain, group), 0xff00);
-        assert_eq!(lane.gap, [[None; 2]; 2]);
-        assert_eq!(draws_between(&fresh, &lane.rng, 0), Some(0));
+        // A certain class fails every bit of its byte without a draw.
+        let ([lsb, _], rng) = walk_row(&class(1.0, 1.0), key, 64);
+        assert_eq!(lsb.len(), 512);
+        assert!(lsb.iter().all(|&(_, strict)| strict));
+        assert_eq!(draws_between(&fresh, &rng, 0), Some(0));
 
-        // A word whose only live class is the LSB one draws that class's
-        // first gap plus one redraw per flip, and a `Never` LSB class beside
-        // a live MSB class draws only for the MSB.  One table at p = 0.5, so
-        // a draw is one keystream word unless it adds 256 (never, here).
-        let live = |lsb: bool| {
-            let (lsb, msb) = if lsb {
-                (Gap::new(0.5), Gap::Never)
-            } else {
-                (Gap::Never, Gap::new(0.5))
-            };
-            WordThresholds { lsb, msb }
-        };
-        for (lsb, byte) in [(true, 0x00ff), (false, 0xff00)] {
-            let live = live(lsb);
-            let mut lane = FaultLane::new(3, 1, 4);
-            let mut flips = 0;
-            for _ in 0..100 {
-                let mask = lane.word_mask(&live, group);
-                assert_eq!(mask & !byte, 0);
-                flips += mask.count_ones() as usize;
-            }
-            assert!(flips > 300);
-            assert_eq!(draws_between(&fresh, &lane.rng, 1000), Some(1 + flips));
-            let [msb_gap, lsb_gap] = lane.gap[group as usize];
-            assert_eq!((lsb_gap.is_some(), msb_gap.is_some()), (lsb, !lsb));
-            assert_eq!(lane.gap[TokenGroup::HighScore as usize], [None; 2]);
+        // Equal rates thin nothing and a zero strict rate keeps nothing:
+        // neither takes a thinning draw, so a row draws its first gap and
+        // one gap per failure.  One table at p = 0.5, so a draw is one
+        // keystream word unless it adds 256 (never, here).
+        for (hst, strict) in [(0.5, true), (0.0, false)] {
+            let map = class(hst, 0.5);
+            assert_eq!(map.lsb.thin, if strict { Thin::Keep } else { Thin::Drop });
+            let ([lsb, msb], rng) = walk_row(&map, key, 100);
+            assert!(msb.is_empty());
+            assert!(lsb.len() > 300);
+            assert!(lsb.iter().all(|&(_, s)| s == strict));
+            assert_eq!(draws_between(&fresh, &rng, 1000), Some(1 + lsb.len()));
         }
     }
 
@@ -1229,17 +1217,20 @@ mod tests {
         // One table would walk a gap of 1/p bits 256 at a time: ≈4·10⁶ draws
         // at 10⁻⁹, ≈4·10¹⁰ at 10⁻¹³.  Stacked tables draw it digit by digit.
         for p in [1e-9, 1e-13, 2f64.powi(-64)] {
+            let Gap::Table(surv) = Gap::new(p) else {
+                panic!("p = {p:e} has a table");
+            };
+            let tables = surv.len() / Gap::SPAN;
             for seed in 0..50 {
-                let mut inj = ProbabilisticFaults::new(BitFlipRates::uniform(p), seed);
-                for group in GROUPS {
-                    assert_eq!(inj.corrupt(0.375, group), 0.375);
-                }
-                // Four first gaps: a draw per table (four to eight of them
-                // at these rates) plus the top table's redraws, each less
-                // likely than not.
-                let draws = draws_between(&rng::lane(seed, 0, 0), &inj.lanes[0].rng, 96);
+                let map = CellMap::new(BitFlipRates::uniform(p), seed);
+                let key = CellKey::input(0, 8, seed as usize);
+                let ([lsb, msb], rng) = walk_row(&map, key, 1000);
+                assert!(lsb.is_empty() && msb.is_empty());
+                // Two first gaps, one per class: a draw per table plus the
+                // top table's redraws, each less likely than not.
+                let draws = draws_between(&key.rng(seed), &rng, 96);
                 assert!(
-                    draws.is_some_and(|n| n >= 16),
+                    draws.is_some_and(|n| n >= 2 * tables),
                     "p = {p:e}, seed {seed}: {draws:?} draws"
                 );
             }
@@ -1248,10 +1239,13 @@ mod tests {
 
     #[test]
     fn certain_rate_flips_all_sixteen_bits() {
-        let mut lane = FaultLane::new(9, 0, 0);
-        let always = Thresholds::new(&BitFlipRates::uniform(1.0));
-        let group = TokenGroup::LowScore;
-        assert!((0..4096).all(|_| lane.word_mask(always.of(group), group) == 0xffff));
+        let map = CellMap::new(BitFlipRates::uniform(1.0), 9);
+        let mut failures = RowFailures::default();
+        map.fail_row(CellKey::key(0, 0, 0), &ROW, &mut failures);
+        for group in GROUPS {
+            assert!(failures.masks[group as usize].iter().all(|&m| m == 0xffff));
+            assert_eq!(failures.bits(group), 16 * 64);
+        }
 
         let mut inj = ProbabilisticFaults::new(BitFlipRates::uniform(1.0), 9);
         let mut row = vec![0.375f32; 64];
@@ -1268,7 +1262,6 @@ mod tests {
         // draw.  Each byte must show its own eight bits' worth.
         let p = 1e-5;
         const WORDS: usize = 2_000_000;
-        let thresholds = Thresholds::new(&BitFlipRates::uniform(p));
         let tables = |p: f64| match Gap::new(p) {
             Gap::Table(surv) => surv.len() / Gap::SPAN,
             _ => panic!("p = {p:e} has a table"),
@@ -1277,7 +1270,7 @@ mod tests {
             [0.5, 0.0028, 0.0027, 1.1e-5, p, 2f64.powi(-64)].map(tables),
             [1, 1, 2, 2, 3, 8]
         );
-        let (per_bit, _) = sample_masks(&thresholds, TokenGroup::HighScore, 5, WORDS);
+        let [(per_bit, _), _] = sample_masks(&CellMap::new(BitFlipRates::uniform(p), 5), WORDS);
         let mean = 8.0 * WORDS as f64 * p;
         for (byte, bits) in [("LSB", &per_bit[..8]), ("MSB", &per_bit[8..])] {
             let flips: u64 = bits.iter().sum();
@@ -1289,91 +1282,117 @@ mod tests {
         }
     }
 
+    /// `corrupt_slice` reads each call's values as a row of its own: the
+    /// `n`th call reads the cells of the `n`th anonymous key, a clone goes on
+    /// from where it was taken, and every call counts its words and the
+    /// failing bits its group exposes.
     #[test]
-    fn corrupt_slice_is_corrupt_word_by_word() {
+    fn corrupt_slice_reads_a_fresh_anonymous_row() {
         let rates = PAPER_RATES[2];
-        let row: Vec<f32> = (0..96).map(|i| (i as f32 - 40.0) * 0.37).collect();
-        let reads = [
-            (0, TokenGroup::LowScore),
-            (3, TokenGroup::HighScore),
-            (0, TokenGroup::HighScore),
-            (3, TokenGroup::LowScore),
-        ];
-        let mut by_row = ProbabilisticFaults::new(rates, 21);
-        let mut by_word = ProbabilisticFaults::new(rates, 21);
-        for _ in 0..50 {
-            for (head, group) in reads {
-                by_row.begin_lane(1, head);
-                by_word.begin_lane(1, head);
-                let mut a = row.clone();
-                by_row.corrupt_slice(&mut a, group);
-                let b: Vec<f32> = row.iter().map(|&v| by_word.corrupt(v, group)).collect();
+        let stored: Vec<f32> = (0..96).map(|i| (i as f32 - 40.0) * 0.37).collect();
+        let map = CellMap::new(rates, 21);
+        let mut inj = ProbabilisticFaults::new(rates, 21);
+        let mut failures = RowFailures::default();
+        let mut expected = FaultStats::default();
+        let mut reads = Vec::new();
+        for n in 0..20 {
+            let group = GROUPS[n % 2];
+            let mut row = stored.clone();
+            if n == 10 {
+                inj = inj.clone();
+            }
+            inj.corrupt_slice(&mut row, group);
+            map.fail_row(CellKey::anonymous(n), &stored, &mut failures);
+            let mut want = stored.clone();
+            for &(j, read) in failures.reads(group) {
+                want[j as usize] = read;
+            }
+            assert_eq!(
+                row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "call {n}"
+            );
+            expected.words_examined += 96;
+            expected.bits_flipped += failures.bits(group);
+            reads.push(row.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        }
+        assert_eq!(inj.stats(), expected);
+        assert!(expected.bits_flipped > 0);
+        reads.sort();
+        reads.dedup();
+        assert_eq!(reads.len(), 20, "every call reads fresh cells");
+    }
+
+    /// A bit-by-bit reading of the model, counting its draws: per class, a
+    /// row draws its first gap, and per failing bit one thinning draw and
+    /// the gap to the next failure — an intact bit costs nothing.
+    #[test]
+    fn a_row_draws_once_per_first_gap_and_once_per_flip() {
+        let map = CellMap::new(PAPER_RATES[0], 4);
+        let mut failures = RowFailures::default();
+        for token in 0..32 {
+            let key = CellKey::key(0, 3, token);
+            let (walked, after) = walk_row(&map, key, 64);
+
+            let mut rng = key.rng(map.seed);
+            let (mut draws, mut thins) = (0, 0);
+            let mut by_bit = [Vec::new(), Vec::new()];
+            for (class, fails) in [&map.lsb, &map.msb].into_iter().zip(&mut by_bit) {
+                let (Gap::Table(surv), Thin::Below(below)) = (&class.loose, class.thin) else {
+                    panic!("2DRP's classes all have tables and thin");
+                };
+                let mut draw = |rng: &mut DetRng| {
+                    draws += 1;
+                    Gap::draw(surv, rng)
+                };
+                let mut intact = draw(&mut rng);
+                for bit in 0..8 * 64 {
+                    if intact == 0 {
+                        thins += 1;
+                        fails.push((bit, rng.next_u64() < below));
+                        intact = draw(&mut rng);
+                    } else {
+                        intact -= 1;
+                    }
+                }
+            }
+            assert_eq!(walked, by_bit, "token {token}");
+            let failing = by_bit[0].len() + by_bit[1].len();
+            assert_eq!((draws, thins), (2 + failing, failing));
+            assert_eq!(draws_between(&rng, &after, 0), Some(0));
+
+            map.fail_row(key, &ROW, &mut failures);
+            for (group, strict_only) in
+                [(TokenGroup::HighScore, true), (TokenGroup::LowScore, false)]
+            {
+                let mut masks = [0u16; 64];
+                for (byte, fails) in [0, 8].into_iter().zip(&by_bit) {
+                    for &(at, strict) in fails {
+                        if strict || !strict_only {
+                            masks[(at / 8) as usize] |= 1 << (byte + at % 8);
+                        }
+                    }
+                }
                 assert_eq!(
-                    a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    failures.masks[group as usize], masks,
+                    "token {token} {group:?}"
                 );
             }
         }
-        assert_eq!(by_row.stats(), by_word.stats());
-        assert!(by_row.stats().bits_flipped > 0);
     }
 
-    /// However a row is cut into `corrupt_slice` calls, the row walk leaves
-    /// every class's counter where the word-by-word read does.  All four
-    /// classes: the name dates from when only the MSB ones walked gaps.
+    /// The shapes the walk treats specially — a class that never fails, one
+    /// that always does, one table, stacked tables — in every pairing of
+    /// the four (token group, significance) rates, at every row length,
+    /// held to a bit-by-bit reading of the model built from the rates
+    /// alone.
     #[test]
-    fn msb_masks_do_not_depend_on_how_a_row_is_split() {
-        let rates = PAPER_RATES[2];
-        let row = [0.375f32; 64];
-        // Length of a row's first part, then of every further part: whole,
-        // 8/8/…, 1/63, word by word.
-        let splits = [(64, 64), (8, 8), (1, 63), (1, 1)];
-        let mut injectors = splits.map(|_| ProbabilisticFaults::new(rates, 17));
-        let mut flipped = [0usize; 2];
-        for _ in 0..200 {
-            for group in GROUPS {
-                let reads: [_; 4] = std::array::from_fn(|i| {
-                    let (first, then) = splits[i];
-                    let mut read = row;
-                    let (head, rest) = read.split_at_mut(first);
-                    for part in std::iter::once(head).chain(rest.chunks_mut(then)) {
-                        injectors[i].corrupt_slice(part, group);
-                    }
-                    read.map(f32::to_bits)
-                });
-                assert!(reads.iter().all(|read| *read == reads[0]));
-                let stored = fp16::f32_to_f16_bits(0.375);
-                for read in reads[0] {
-                    let mask = fp16::f32_to_f16_bits(f32::from_bits(read)) ^ stored;
-                    flipped[0] += usize::from(mask & 0x00ff != 0);
-                    flipped[1] += usize::from(mask & 0xff00 != 0);
-                }
-            }
-        }
-        assert!(flipped[0] > 1000 && flipped[1] > 100, "{flipped:?}");
-        let [whole, rest @ ..] = &mut injectors;
-        let whole = &mut whole.lanes[0];
-        assert!(whole.gap.as_flattened().iter().all(Option::is_some));
-        let next = whole.rng.next_u64();
-        for split in rest {
-            let split = &mut split.lanes[0];
-            assert_eq!(whole.gap, split.gap);
-            assert_eq!(whole.stats, split.stats);
-            assert_eq!(next, split.rng.next_u64());
-        }
-    }
-
-    /// The shapes the row walk treats specially — a class that never flips,
-    /// one that always does, a first gap still to draw, an empty row — in
-    /// every combination, held to the per-word definition after each read.
-    #[test]
-    fn row_walk_matches_word_by_word_reads_for_every_pairing_of_classes() {
-        // Never, always, one table, stacked tables.
+    fn cell_map_matches_a_bit_by_bit_reading_for_every_pairing_of_classes() {
         const CLASS_RATES: [f64; 4] = [0.0, 1.0, 0.03, 1e-5];
         const LENGTHS: [usize; 5] = [0, 1, 8, 64, 1000];
         let values: Vec<f32> = (0..1000).map(|i| (i as f32 - 400.0) * 0.037).collect();
-        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let mut flipped = 0;
+        let mut failures = RowFailures::default();
+        let mut failing = 0;
         for pairing in 0..CLASS_RATES.len().pow(4) {
             let class = |digit: u32| CLASS_RATES[pairing / 4usize.pow(digit) % 4];
             let rates = BitFlipRates {
@@ -1382,136 +1401,70 @@ mod tests {
                 lst_lsb: class(2),
                 lst_msb: class(3),
             };
-            // Every length is a fresh lane's first read once; the reads
-            // after it, of either group, find the lane warm.
-            for first in 0..LENGTHS.len() {
-                let seed = (pairing * LENGTHS.len() + first) as u64;
-                let mut by_row = ProbabilisticFaults::new(rates, seed);
-                by_row.begin_lane(0, 0);
-                let mut by_word = by_row.clone();
-                let mut choose = rng::lane(seed, 9, 9);
-                for read in 0..8 {
-                    let len = LENGTHS[(first + read) % LENGTHS.len()];
-                    let group = GROUPS[(choose.next_u64() % 2) as usize];
-                    let cut = (choose.next_u64() % (len as u64 + 1)) as usize;
-                    let mut row = values[..len].to_vec();
-                    let (head, tail) = row.split_at_mut(cut);
-                    by_row.corrupt_slice(head, group);
-                    by_row.corrupt_slice(tail, group);
-                    let word_by_word: Vec<f32> = values[..len]
-                        .iter()
-                        .map(|&v| by_word.corrupt(v, group))
-                        .collect();
-                    let what = format!(
-                        "{rates:?}, first {first}, read {read}: {len} {group:?} words cut at {cut}"
-                    );
-                    assert_eq!(bits(&row), bits(&word_by_word), "{what}");
-                    let (row_lane, word_lane) = (&by_row.lanes[0], &by_word.lanes[0]);
-                    assert_eq!(row_lane.gap, word_lane.gap, "{what}");
-                    assert_eq!(row_lane.stats, word_lane.stats, "{what}");
-                    assert_eq!(
-                        draws_between(&word_lane.rng, &row_lane.rng, 0),
-                        Some(0),
-                        "{what}"
-                    );
-                }
-                flipped += by_row.stats().bits_flipped;
-            }
-        }
-        assert!(flipped > 0);
-    }
+            let map = CellMap::new(rates, pairing as u64);
+            for (n, &len) in LENGTHS.iter().enumerate() {
+                let key = CellKey::input(n, 8, pairing);
+                let row = &values[..len];
+                map.fail_row(key, row, &mut failures);
 
-    /// A bit-by-bit reading of the model, counting its draws: a row costs
-    /// one draw per first gap and one per flip — an intact word costs none
-    /// and a run loses none.
-    #[test]
-    fn a_row_draws_once_per_first_gap_and_once_per_flip() {
-        let thresholds = Thresholds::new(&PAPER_RATES[0]);
-        let stored = fp16::f32_to_f16_bits(0.375);
-        for group in GROUPS {
-            let t = thresholds.of(group);
-            let tables = [&t.lsb, &t.msb].map(|gap| match gap {
-                Gap::Table(surv) => &**surv,
-                _ => panic!("2DRP's classes all have tables"),
-            });
-            for seed in 0..32 {
-                let mut lane = FaultLane::new(seed, 0, 3);
-                let mut rng = lane.rng.clone();
-                let mut row = [0.375f32; 64];
-                LaneHandle {
-                    thresholds: &thresholds,
-                    lane: &mut lane,
-                }
-                .corrupt_slice(&mut row, group);
-
-                let mut draws = 0;
-                let mut draw = |surv: &[u64]| {
-                    draws += 1;
-                    Gap::draw(surv, &mut rng)
-                };
-                let mut left = [None; 2];
-                let mut flips = 0;
-                for read in row {
-                    let mut mask = 0u16;
-                    for (byte, surv) in tables.into_iter().enumerate() {
-                        let mut intact = left[byte].unwrap_or_else(|| draw(surv));
-                        for bit in 8 * byte..8 * byte + 8 {
-                            if intact == 0 {
-                                mask |= 1 << bit;
-                                intact = draw(surv);
-                            } else {
-                                intact -= 1;
-                            }
+                let mut rng = key.rng(pairing as u64);
+                let mut masks = [vec![0u16; len], vec![0u16; len]];
+                for (byte, sig) in [(0, SignificanceGroup::Lsb), (8, SignificanceGroup::Msb)] {
+                    let [hst, lst] = GROUPS.map(|g| class_rate(&rates, g, sig));
+                    let (loose, strict) = if hst > lst { (0, 1) } else { (1, 0) };
+                    let [p_loose, p_strict] = [hst.max(lst), hst.min(lst)];
+                    if p_loose == 0.0 {
+                        continue;
+                    }
+                    let gap = Gap::new(p_loose);
+                    let draw = |rng: &mut DetRng| match &gap {
+                        Gap::Table(surv) => Gap::draw(surv, rng),
+                        _ => 0,
+                    };
+                    let mut intact = draw(&mut rng);
+                    for bit in 0..8 * len {
+                        if intact > 0 {
+                            intact -= 1;
+                            continue;
                         }
-                        left[byte] = Some(intact);
+                        let mask = 1 << (byte + bit % 8);
+                        masks[loose][bit / 8] |= mask;
+                        let both = if p_strict == p_loose {
+                            true
+                        } else if p_strict == 0.0 {
+                            false
+                        } else {
+                            let below = (p_strict / p_loose * 2f64.powi(64)) as u64;
+                            rng.next_u64() < below
+                        };
+                        if both {
+                            masks[strict][bit / 8] |= mask;
+                        }
+                        intact = draw(&mut rng);
                     }
-                    flips += u64::from(mask.count_ones());
-                    assert_eq!(fp16::f32_to_f16_bits(read) ^ stored, mask);
                 }
-                assert_eq!(draws, 2 + flips);
-                assert_eq!(draws_between(&rng, &lane.rng, 0), Some(0));
-                let [msb_left, lsb_left] = lane.gap[group as usize];
-                assert_eq!([lsb_left, msb_left], left);
-                assert_eq!(
-                    lane.stats,
-                    FaultStats {
-                        words_examined: 64,
-                        bits_flipped: flips
-                    }
-                );
+                for (group, masks) in GROUPS.into_iter().zip(&masks) {
+                    let what = format!("{rates:?}: {len} words at {group:?}");
+                    assert_eq!(failures.masks[group as usize], &masks[..], "{what}");
+                    let bits: u64 = masks.iter().map(|m| u64::from(m.count_ones())).sum();
+                    assert_eq!(failures.bits(group), bits, "{what}");
+                    let reads: Vec<(u32, u32)> = (0u32..)
+                        .zip(masks.iter().zip(row))
+                        .filter(|(_, (&m, _))| m != 0)
+                        .map(|(j, (&m, &x))| (j, read_flipped(x, m).to_bits()))
+                        .filter(|&(j, read)| read != row[j as usize].to_bits())
+                        .collect();
+                    let got: Vec<(u32, u32)> = failures
+                        .reads(group)
+                        .iter()
+                        .map(|&(j, v)| (j, v.to_bits()))
+                        .collect();
+                    assert_eq!(got, reads, "{what}");
+                    failing += bits;
+                }
             }
         }
-    }
-
-    #[test]
-    fn clone_taken_mid_gap_resumes_identically() {
-        let thresholds = Thresholds::new(&PAPER_RATES[2]);
-        let masks = |lane: &mut FaultLane, words: usize| -> Vec<u16> {
-            (0..words)
-                .map(|i| {
-                    let group = GROUPS[i % 3 % 2];
-                    lane.word_mask(thresholds.of(group), group)
-                })
-                .collect()
-        };
-        let mut lane = FaultLane::new(13, 2, 2);
-        let unbroken = masks(&mut lane, 6000);
-        // All four counters are part of the snapshot, wherever it is taken
-        // (multiples of 3 keep `masks`' group pattern in phase).
-        for taken_after in [3, 12, 15, 999] {
-            let mut lane = FaultLane::new(13, 2, 2);
-            let head = masks(&mut lane, taken_after);
-            let left = lane.gap.as_flattened();
-            assert!(left.iter().all(Option::is_some));
-            let mut snapshot = lane.clone();
-            for resumed in [&mut lane, &mut snapshot] {
-                let tail = masks(resumed, 6000 - taken_after);
-                assert_eq!([&head[..], &tail[..]].concat(), unbroken);
-            }
-        }
-        for byte in [0x00ff, 0xff00] {
-            assert!(unbroken.iter().filter(|&&mask| mask & byte != 0).count() > 50);
-        }
+        assert!(failing > 0);
     }
 
     #[test]
@@ -1520,8 +1473,8 @@ mod tests {
         for (setting, rates) in PAPER_RATES.iter().enumerate() {
             for group in GROUPS {
                 let mut inj = ProbabilisticFaults::new(*rates, 61 + setting as u64);
-                let mut row = [0.375f32; 1000];
-                for _ in 0..WORDS / row.len() {
+                for _ in 0..WORDS / 1000 {
+                    let mut row = [0.375f32; 1000];
                     inj.corrupt_slice(&mut row, group);
                 }
                 assert_eq!(inj.stats().words_examined, WORDS as u64);

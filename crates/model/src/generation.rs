@@ -13,7 +13,7 @@
 //! # Passes
 //!
 //! The state groups tokens into *passes*, and a row computed by the current
-//! pass is read clean, not through the fault lane (see "What is read clean"
+//! pass is read clean, not through its retention cells (see "What is read clean"
 //! in [`crate::fault`]):
 //!
 //! * a **prompt pass** opens at the first [`prefill_extend`] when none is
@@ -176,7 +176,7 @@ impl GenerationState {
     }
 
     /// How many head medians this state's forward passes have selected for
-    /// 2DRP labels: at most one per head a pass reads through the lane, none
+    /// 2DRP labels: at most one per head a pass reads through its cells, none
     /// for a head it reads clean.
     pub fn medians_selected(&self) -> u64 {
         self.scratch.medians_selected()
@@ -217,7 +217,7 @@ impl GenerationState {
     }
 
     /// Closes the open prompt pass: rows pre-filled so far are read through
-    /// the fault lane by every later pass.  [`prefill`] calls it; a caller
+    /// their cells by every later pass.  [`prefill`] calls it; a caller
     /// that finishes pre-fill itself after [`prefill_extend`] calls it
     /// alongside [`finish_prefill`](KvCacheBackend::finish_prefill).
     pub fn end_pass(&mut self) {

@@ -2,7 +2,7 @@
 //!
 //! A few maps sit on per-step paths — `(layer, head)` → arena in the
 //! per-head grids, `(layer, head)` → token → score in the full cache's
-//! HST/LST labels, the fault lanes' index and the prefix radix tree's
+//! HST/LST labels and the prefix radix tree's
 //! children — all keyed by small integers.  `std`'s default SipHash is
 //! DoS-resistant but costs tens of nanoseconds per lookup, which measurably
 //! dominates the per-entry arithmetic (a `head_dim`-wide dot product).  The

@@ -66,7 +66,7 @@ pub type Result<T> = std::result::Result<T, kelle_tensor::TensorError>;
 // ---------------------------------------------------------------------------
 //
 // The threaded serving front-end (`kelle::parallel`) moves per-session state
-// (cache backends over arenas, the fault-RNG stream, the generation cursor)
+// (cache backends over arenas, the fault injector, the generation cursor)
 // onto worker threads and shares published prefix segments across them
 // through `Arc`s.  These compile-time assertions pin the thread-safety
 // contract of every type that crosses that boundary, so an accidental

@@ -7,22 +7,24 @@
 //! each step.  [`SegmentRecorder`] wraps a live backend during a one-time
 //! publication pre-fill and records exactly that sequence — each insert's
 //! flat head-major `x`/keys/values rows as they were passed, and every score
-//! report — together with the post-prefix logits and the fault injector's
-//! RNG snapshot.  The frozen result is a [`SharedSegment`].
+//! report — together with the post-prefix logits.  The frozen result is a
+//! [`SharedSegment`].
 //!
 //! A first prompt is one pass, and a pass reads its own rows clean (see
 //! "What is read clean" in [`crate::fault`]), so a publication pre-fill
-//! draws nothing from the fault lanes: every boundary snapshot is the fresh
-//! injector, and a hit session's prompt pass, which includes the replayed
-//! rows, draws nothing either.
+//! reads no cell, and neither does a hit session's prompt pass, which
+//! includes the replayed rows.  A row's cells are keyed by its token
+//! position, not by the session, so a hit session's later passes read the
+//! replayed rows' cells exactly as a cold session of the same seed reads its
+//! own: a segment carries no fault state.
 //!
 //! A later session whose prompt starts with the published prefix *replays*
 //! the segment ([`SharedSegment::attach_and_replay`]) into its own, private
 //! cache instead of running the transformer over those tokens: the recorded
 //! slices are handed back to `insert` unchanged, so the replayed call
 //! sequence reproduces the backend state **bit-identically** (for every
-//! policy — score-tracking, evicting, quantizing), the adopted logits and
-//! fault snapshot restore the generation cursor, and the expensive part —
+//! policy — score-tracking, evicting, quantizing), the adopted logits
+//! restore the generation cursor, and the expensive part —
 //! the matrix work of the prefix forward passes — is skipped entirely.
 //!
 //! The same log feeds the hit's reads: the recorded keys and values are the
@@ -93,8 +95,8 @@ impl ReplayLog {
 }
 
 /// A prefix boundary marked during recording: the log lengths at the
-/// boundary (its cut point into the [`ReplayLog`]) and the generation-cursor
-/// snapshot (logits + fault RNG) a cold session would hold there.
+/// boundary (its cut point into the [`ReplayLog`]) and the logits a cold
+/// session's generation cursor would hold there.
 #[derive(Debug)]
 struct Boundary {
     /// Prefix length in tokens.
@@ -103,8 +105,6 @@ struct Boundary {
     inserts: usize,
     /// Logits of the last prefix token (the generation cursor).
     logits: Vec<f32>,
-    /// Fault-injector snapshot taken right after the prefix pre-fill.
-    faults: ProbabilisticFaults,
 }
 
 /// An immutable, refcounted recording of one pre-filled prompt prefix.
@@ -134,13 +134,6 @@ impl SharedSegment {
     /// on a hit).
     pub(crate) fn logits(&self) -> &[f32] {
         &self.boundary.logits
-    }
-
-    /// A fresh copy of the post-prefix fault-injector state (restored into
-    /// the session on a hit, so the fault RNG stream continues exactly where
-    /// a cold session's would be).
-    pub fn faults_snapshot(&self) -> ProbabilisticFaults {
-        self.boundary.faults.clone()
     }
 
     /// Logical FP16 footprint of the prefix's raw KV projections at the
@@ -196,7 +189,7 @@ impl SharedSegment {
 ///
 /// Wrap the publishing session's cache, run the prefix through
 /// `prefill_extend`, then [`finish`](SegmentRecorder::finish) with the
-/// post-prefix logits and fault snapshot to obtain the [`SharedSegment`].
+/// post-prefix logits to obtain the [`SharedSegment`].
 ///
 /// For **nested prefix hierarchies** (system prompt → tool preamble → user
 /// history), call [`mark_boundary`](SegmentRecorder::mark_boundary) after
@@ -247,15 +240,15 @@ impl<'a> SegmentRecorder<'a> {
     /// Marks the current recording position as a prefix boundary of a
     /// nested hierarchy.
     ///
-    /// `logits` are the logits of the last token pre-filled so far and
-    /// `faults` the fault injector's state at this point — exactly what a
-    /// cold session's cursor would hold after pre-filling only this much.
+    /// `logits` are the logits of the last token pre-filled so far —
+    /// exactly what a cold session's cursor would hold after pre-filling
+    /// only this much.
     ///
     /// # Panics
     ///
     /// Panics if nothing was recorded yet, or if the boundary would not be
     /// strictly longer than the previous one.
-    pub fn mark_boundary(&mut self, logits: &[f32], faults: ProbabilisticFaults) {
+    pub fn mark_boundary(&mut self, logits: &[f32]) {
         let tokens = self.tokens;
         assert!(tokens > 0, "cannot publish an empty prefix segment");
         if let Some(prev) = self.boundaries.last() {
@@ -269,7 +262,6 @@ impl<'a> SegmentRecorder<'a> {
             events: self.log.events.len(),
             inserts: self.log.xs.len() / self.log.channels,
             logits: logits.to_vec(),
-            faults,
         });
     }
 
@@ -279,7 +271,7 @@ impl<'a> SegmentRecorder<'a> {
     ///
     /// Each returned segment replays bit-identically to a cold pre-fill of
     /// its own prefix: its replay stops at the boundary's cut point and the
-    /// cursor state (logits + faults) is the boundary's own snapshot.  The
+    /// cursor's logits are the boundary's own.  The
     /// caller marks the final (longest) boundary too — after the last
     /// chunk, before calling this.
     ///
@@ -307,15 +299,17 @@ impl<'a> SegmentRecorder<'a> {
     /// recorded: the one-boundary case of
     /// [`finish_hierarchy`](SegmentRecorder::finish_hierarchy).
     ///
-    /// `logits` are the last prefix token's logits and `faults` the fault
-    /// injector's state right after the prefix pre-fill (both captured by
-    /// the publishing session).
+    /// `logits` are the last prefix token's logits, captured by the
+    /// publishing session.  `faults` is read by nothing — a segment carries
+    /// no fault state — and goes when the benchmark stops passing it
+    /// (ROADMAP item 1).
     ///
     /// # Panics
     ///
     /// Panics if nothing was recorded.
     pub fn finish(mut self, logits: &[f32], faults: ProbabilisticFaults) -> SharedSegment {
-        self.mark_boundary(logits, faults);
+        let _ = faults;
+        self.mark_boundary(logits);
         self.finish_hierarchy()
             .pop()
             .expect("the boundary just marked")
@@ -390,7 +384,7 @@ impl KvCacheBackend for SegmentRecorder<'_> {
 mod tests {
     use super::*;
     use crate::cache::{CacheBudget, CachePolicy, PayloadRef};
-    use crate::fault::{BitFlipRates, FaultInjector};
+    use crate::fault::BitFlipRates;
 
     /// The full store over the recordings' two heads.
     fn full_store() -> Box<dyn KvCacheBackend> {
@@ -473,8 +467,6 @@ mod tests {
         let mut inner = full_store();
         let segment = record(&mut *inner, 2);
         assert_eq!(segment.logits(), &[0.5, 0.25]);
-        let snap = segment.faults_snapshot();
-        assert_eq!(snap.stats().words_examined, 0);
     }
 
     #[test]
@@ -507,7 +499,7 @@ mod tests {
                 }
             }
             if next < boundaries.len() && boundaries[next] == t + 1 {
-                recorder.mark_boundary(&[t as f32, 0.5], faults());
+                recorder.mark_boundary(&[t as f32, 0.5]);
                 next += 1;
             }
         }
@@ -555,7 +547,7 @@ mod tests {
         let mut inner = full_store();
         let mut recorder = SegmentRecorder::new(&mut *inner);
         recorder.insert(0, 0, &[0.0; 4], &[0.0; 4], &[0.0; 4], 2);
-        recorder.mark_boundary(&[0.0], faults());
-        recorder.mark_boundary(&[0.0], faults());
+        recorder.mark_boundary(&[0.0]);
+        recorder.mark_boundary(&[0.0]);
     }
 }

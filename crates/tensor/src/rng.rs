@@ -26,8 +26,8 @@ pub fn substream(seed: u64, label: &str) -> DetRng {
 }
 
 /// Derives a child RNG from a parent seed and a pair of integer labels, for
-/// components indexed by position rather than name — e.g. the per-`(layer,
-/// head)` fault-injection lanes.  Unlike [`substream`] this never allocates or
+/// components indexed by position rather than name — e.g. the retention
+/// cells of one stored KV row.  Unlike [`substream`] this never allocates or
 /// hashes bytes, so it is safe to call on hot paths.
 ///
 /// The labels are mixed through a SplitMix64-style finalizer so that adjacent

@@ -74,6 +74,19 @@ struct GoldenServe {
 /// recomputed from the whole row, which changes their rounding only:
 /// 0x7ca8_f87d_13c4_97ee → 0xa47b_acdd_7707_b4a9.  Its tokens and
 /// `FaultStats` did not move, and its three columns still agree.
+///
+/// Every 2DRP row was re-captured when a stored row's failing cells came to
+/// be fixed for the row instead of drawn again at every read.  Old tokens /
+/// probabilities FNVs and bits flipped: full 0xb631_e062_f6aa_e1b6 /
+/// 0xd921_af3d_3d73_92db / 46 719, streaming-llm 0x0371_faf2_d856_7afb /
+/// 0xfaf8_dc56_e5c7_68aa / 32 055, h2o 0x7b0d_d40d_84fd_072b /
+/// 0x13f7_c94c_ad4a_7ed7 / 27 267, quarot-kv4 0xac37_7565_9e7c_71c4 /
+/// 0x304d_52e2_d341_a841 / 36 881 and aerp 0x08e3_a8b0_6c66_6498 /
+/// 0xa47b_acdd_7707_b4a9 / 19 396.  AERP's failures moved which rows it
+/// keeps, so its words examined moved too (100 096 → 97 984); no other
+/// words-examined count and no conservative-refresh row moved.  The three
+/// columns of each row still agree: a prefix hit reads the replayed rows'
+/// cells as a cold serve reads its own.
 const GOLDEN_SERVES: [GoldenServe; 10] = [
     GoldenServe {
         policy: CachePolicy::Full,
@@ -128,51 +141,51 @@ const GOLDEN_SERVES: [GoldenServe; 10] = [
     GoldenServe {
         policy: CachePolicy::Full,
         two_drp: true,
-        tokens_fnv1a: 0xb631_e062_f6aa_e1b6,
-        probs_fnv1a: 0xd921_af3d_3d73_92db,
+        tokens_fnv1a: 0x3086_3ee3_faaf_dd66,
+        probs_fnv1a: 0x081b_fe14_a934_9fb5,
         faults: FaultStats {
             words_examined: 208_896,
-            bits_flipped: 46_719,
+            bits_flipped: 45_396,
         },
     },
     GoldenServe {
         policy: CachePolicy::StreamingLlm,
         two_drp: true,
-        tokens_fnv1a: 0x0371_faf2_d856_7afb,
-        probs_fnv1a: 0xfaf8_dc56_e5c7_68aa,
+        tokens_fnv1a: 0xa21b_37f8_232c_055c,
+        probs_fnv1a: 0x22f1_8400_a38e_d524,
         faults: FaultStats {
             words_examined: 122_880,
-            bits_flipped: 32_055,
+            bits_flipped: 31_089,
         },
     },
     GoldenServe {
         policy: CachePolicy::H2o,
         two_drp: true,
-        tokens_fnv1a: 0x7b0d_d40d_84fd_072b,
-        probs_fnv1a: 0x13f7_c94c_ad4a_7ed7,
+        tokens_fnv1a: 0x7a1f_a122_3aaa_93b9,
+        probs_fnv1a: 0xfc04_b61a_8ecc_3052,
         faults: FaultStats {
             words_examined: 122_880,
-            bits_flipped: 27_267,
+            bits_flipped: 27_203,
         },
     },
     GoldenServe {
         policy: CachePolicy::QuaRotInt4,
         two_drp: true,
-        tokens_fnv1a: 0xac37_7565_9e7c_71c4,
-        probs_fnv1a: 0x304d_52e2_d341_a841,
+        tokens_fnv1a: 0xba21_ede1_7a0d_e706,
+        probs_fnv1a: 0x2c07_3be6_ed5c_9804,
         faults: FaultStats {
             words_examined: 208_896,
-            bits_flipped: 36_881,
+            bits_flipped: 36_412,
         },
     },
     GoldenServe {
         policy: CachePolicy::Aerp,
         two_drp: true,
-        tokens_fnv1a: 0x08e3_a8b0_6c66_6498,
-        probs_fnv1a: 0xa47b_acdd_7707_b4a9,
+        tokens_fnv1a: 0xdf88_945e_40cf_94e4,
+        probs_fnv1a: 0xbac1_9a2b_a7d5_a57b,
         faults: FaultStats {
-            words_examined: 100_096,
-            bits_flipped: 19_396,
+            words_examined: 97_984,
+            bits_flipped: 20_334,
         },
     },
 ];

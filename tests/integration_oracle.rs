@@ -9,7 +9,7 @@
 //! `W_O` and the residual, then a pre-norm gated-MLP FFN (SiLU) and its
 //! residual, and finally RMSNorm and the tied LM head.  It reads the weights
 //! through the public `ModelWeights`/`LayerWeights` fields and uses no
-//! arena, scratch or lane.
+//! arena or scratch.
 //!
 //! A cache policy decides *which* tokens a head attends to, not how
 //! attention is computed.  So a teacher-forced, fault-free run is served
@@ -36,6 +36,19 @@
 //! tell the two apart: moving one code of the sink's key moves a logit by
 //! up to 0.70 of the step's largest, more than all of int4's rounding does.
 //!
+//! Under retention faults the oracle reads each row of an earlier pass as
+//! the cells fail it: a wrapping backend records, before each head reports
+//! its attention, the entries its read saw — token, HST/LST label and the
+//! stored rows — and the oracle asks the public cell map
+//! ([`CellMap::fail_row`]) for each row's failing words at its group.  For
+//! AERP it recomputes the head's key and value in f64 from its own `x` with
+//! those words read as `x′`, the row at the group of its most demanding
+//! head; for `full` it reads its own key and value with the failing words
+//! of the stored key and value rows replaced.  `aerp` and `full` are held to
+//! the no-fault bound under uniform 1 % flips, which fail exponent bits,
+//! and under 2DRP, whose groups differ.  A row read at the other group, or
+//! a retaining head left uncorrected, moves a logit far past it.
+//!
 //! The bound is an f32 one: the served forward rounds every product and sum
 //! to f32 (unit roundoff 2⁻²⁴ ≈ 6·10⁻⁸) through four layers of 64-wide dot
 //! products, softmax and RMSNorm, while the oracle's rounding is ≈10⁻¹⁶.  The
@@ -44,10 +57,14 @@
 //! seven.  A wrong rotation, a missing score scale or a retained set off by
 //! one token moves a logit by orders of magnitude more.
 
-use kelle::cache::{CacheBudget, CachePolicy, KvCacheBackend};
+use kelle::cache::{CacheBudget, CachePolicy, CacheStats, HeadView, KvCacheBackend, PayloadRef};
+use kelle::edram::{RefreshPolicy, RetentionModel};
+use kelle::model::fault::{
+    BitFlipRates, CellKey, CellMap, FaultInjector, ProbabilisticFaults, RowFailures, TokenGroup,
+};
 use kelle::model::generation::{decode_step, prefill_extend, GenerationState};
 use kelle::model::weights::{LayerWeights, ModelWeights};
-use kelle::model::{ModelConfig, ModelKind, NoFaults, SurrogateModel};
+use kelle::model::{ModelConfig, ModelKind, NoFaults, SurrogateModel, TokenId};
 use kelle::tensor::Matrix;
 
 /// Allowed gap between a served logit and the oracle's, as a fraction of
@@ -149,7 +166,12 @@ struct Oracle<'w> {
     ties: Vec<Nudge>,
     /// `[layer][position]`: the position's rotated keys and its values.
     kv: Vec<Vec<(Vec<f64>, Vec<f64>)>>,
+    /// `[layer][position]`: the position's normalized layer input `x`.
+    xs: Vec<Vec<Vec<f64>>>,
 }
+
+/// The cells a faulted step read through, and what each head's read saw.
+type Faulted<'a> = Option<(&'a CellMap, &'a StepReads)>;
 
 impl<'w> Oracle<'w> {
     fn new(weights: &'w ModelWeights, heads: usize, int4: bool, nudge: Option<Nudge>) -> Self {
@@ -160,12 +182,20 @@ impl<'w> Oracle<'w> {
             nudge,
             ties: Vec::new(),
             kv: vec![Vec::new(); weights.layers.len()],
+            xs: vec![Vec::new(); weights.layers.len()],
         }
     }
 
     /// The logits of `token` at `position`, each head of each layer
-    /// attending over `retained[layer][head]`.
-    fn forward(&mut self, token: usize, position: usize, retained: &Retained) -> Vec<f64> {
+    /// attending over `retained[layer][head]`, reading the rows of earlier
+    /// positions through `faulted`'s cells if given.
+    fn forward(
+        &mut self,
+        token: usize,
+        position: usize,
+        retained: &Retained,
+        faulted: Faulted,
+    ) -> Vec<f64> {
         let w = self.weights;
         let embedding = w.embedding.row(token).expect("token in vocabulary");
         let mut hidden: Vec<f64> = embedding.iter().map(|&e| e as f64).collect();
@@ -175,7 +205,7 @@ impl<'w> Oracle<'w> {
             }
         }
         for (layer, lw) in w.layers.iter().enumerate() {
-            let attn = self.attention(layer, lw, &hidden, position, &retained[layer]);
+            let attn = self.attention(layer, lw, &hidden, position, &retained[layer], faulted);
             for (h, a) in hidden.iter_mut().zip(attn) {
                 *h += a;
             }
@@ -198,6 +228,7 @@ impl<'w> Oracle<'w> {
         hidden: &[f64],
         position: usize,
         retained: &[Vec<usize>],
+        faulted: Faulted,
     ) -> Vec<f64> {
         let x = rms_norm(hidden, &lw.attn_norm);
         let (mut q, mut k) = (matvec(&lw.wq, &x), matvec(&lw.wk, &x));
@@ -228,13 +259,24 @@ impl<'w> Oracle<'w> {
         }
         assert_eq!(self.kv[layer].len(), position, "tokens arrive in order");
         self.kv[layer].push((k, v));
+        self.xs[layer].push(x.clone());
         let mut concat = vec![0.0; x.len()];
         for (h, tokens) in retained.iter().enumerate() {
             let span = h * hd..(h + 1) * hd;
-            let scores: Vec<f64> = tokens
+            let read: Vec<(Vec<f64>, Vec<f64>)> = tokens
                 .iter()
-                .map(|&n| {
-                    let key = &self.kv[layer][n].0[span.clone()];
+                .enumerate()
+                .map(|(i, &n)| match faulted {
+                    Some(cells) if n < position => self.read(cells, (layer, h), (i, n), lw),
+                    _ => {
+                        let (key, value) = &self.kv[layer][n];
+                        (key[span.clone()].to_vec(), value[span.clone()].to_vec())
+                    }
+                })
+                .collect();
+            let scores: Vec<f64> = read
+                .iter()
+                .map(|(key, _)| {
                     let dot: f64 = q[span.clone()].iter().zip(key).map(|(a, b)| a * b).sum();
                     dot / (hd as f64).sqrt()
                 })
@@ -242,14 +284,155 @@ impl<'w> Oracle<'w> {
             let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let exps: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
             let sum: f64 = exps.iter().sum();
-            for (&n, e) in tokens.iter().zip(exps) {
-                let value = &self.kv[layer][n].1[span.clone()];
+            for ((_, value), e) in read.iter().zip(exps) {
                 for (o, vi) in concat[span.clone()].iter_mut().zip(value) {
                     *o += e / sum * vi;
                 }
             }
         }
         matvec(&lw.wo, &concat)
+    }
+
+    /// Head `h`'s key and value of entry `i`, token `n`, at `layer` as an
+    /// earlier pass's row reads through `cells`: under AERP recomputed from
+    /// the oracle's own `x` with the row's failing words read as `x′`, at
+    /// the group of its most demanding head; for a KV-format head its own
+    /// key and value with the failing words of the stored rows replaced, at
+    /// the head's group.
+    fn read(
+        &self,
+        (map, reads): (&CellMap, &StepReads),
+        (layer, h): (usize, usize),
+        (i, n): (usize, usize),
+        lw: &LayerWeights,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let group = |high: bool| {
+            if high {
+                TokenGroup::HighScore
+            } else {
+                TokenGroup::LowScore
+            }
+        };
+        let head = &reads[layer][h];
+        assert_eq!(
+            head.tokens[i], n,
+            "layer {layer} head {h}: the read's entry {i}"
+        );
+        let hd = head.keys[i].len();
+        let span = h * hd..(h + 1) * hd;
+        let mut failures = RowFailures::default();
+        if head.xs.is_empty() {
+            let (key, value) = &self.kv[layer][n];
+            let mut read = [key[span.clone()].to_vec(), value[span].to_vec()];
+            let keys = [CellKey::key(layer, h, n), CellKey::value(layer, h, n)];
+            for ((read, stored), cells) in read
+                .iter_mut()
+                .zip([&head.keys[i], &head.values[i]])
+                .zip(keys)
+            {
+                map.fail_row(cells, stored, &mut failures);
+                for &(j, x) in failures.reads(group(head.high[i])) {
+                    read[j as usize] = f64::from(x);
+                }
+            }
+            let [key, value] = read;
+            return (key, value);
+        }
+        let high = reads[layer].iter().any(|other| {
+            other
+                .tokens
+                .iter()
+                .zip(&other.high)
+                .any(|(&t, &high)| t == n && high)
+        });
+        map.fail_row(
+            CellKey::input(layer, reads[layer].len(), n),
+            &head.xs[i],
+            &mut failures,
+        );
+        let mut x = self.xs[layer][n].clone();
+        for &(j, read) in failures.reads(group(high)) {
+            x[j as usize] = f64::from(read);
+        }
+        let project = |w: &Matrix| -> Vec<f64> {
+            span.clone()
+                .map(|r| (0..w.cols()).map(|c| w.get(r, c) as f64 * x[c]).sum())
+                .collect()
+        };
+        let mut key = project(&lw.wk);
+        rope(&mut key, n, hd);
+        (key, project(&lw.wv))
+    }
+}
+
+/// One head's entries as one served step's attention read them, in entry
+/// order: token, HST label, the stored key and value rows and, under AERP,
+/// the stored input row.
+#[derive(Debug, Clone, Default)]
+struct HeadRead {
+    tokens: Vec<usize>,
+    high: Vec<bool>,
+    keys: Vec<Vec<f32>>,
+    values: Vec<Vec<f32>>,
+    xs: Vec<Vec<f32>>,
+}
+
+/// Per layer and head, what one served step's attention read.
+type StepReads = Vec<Vec<HeadRead>>;
+
+/// A backend that records, before each head reports its attention, the
+/// entries the head's read saw: nothing between a head's read and its
+/// report changes them (the backend contract).
+#[derive(Debug)]
+struct Reads {
+    inner: Box<dyn KvCacheBackend>,
+    step: StepReads,
+}
+
+impl KvCacheBackend for Reads {
+    fn insert(&mut self, layer: usize, token: TokenId, x: &[f32], k: &[f32], v: &[f32], d: usize) {
+        self.inner.insert(layer, token, x, k, v, d);
+    }
+
+    fn head(&self, layer: usize, head: usize) -> HeadView<'_> {
+        self.inner.head(layer, head)
+    }
+
+    fn observe_attention(&mut self, layer: usize, head: usize, scores: &[(TokenId, f32)]) {
+        if self.step.len() <= layer {
+            self.step.resize_with(layer + 1, Vec::new);
+        }
+        if self.step[layer].len() <= head {
+            self.step[layer].resize_with(head + 1, HeadRead::default);
+        }
+        let read = &mut self.step[layer][head];
+        *read = HeadRead::default();
+        self.inner.for_each_entry(layer, head, &mut |entry| {
+            read.tokens.push(entry.token);
+            read.high.push(entry.high_score());
+            let (key, value) = match entry.payload {
+                PayloadRef::Kv { key, value } => (key, value),
+                PayloadRef::Recompute { x, key, value, .. } => {
+                    read.xs.push(x.to_vec());
+                    (key, value)
+                }
+            };
+            read.keys.push(key.to_vec());
+            read.values.push(value.to_vec());
+        });
+        self.inner.observe_attention(layer, head, scores);
+    }
+
+    fn finish_prefill(&mut self, context_len: usize) {
+        self.inner.finish_prefill(context_len);
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.inner.stats()
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
     }
 }
 
@@ -276,39 +459,71 @@ fn retained(cache: &dyn KvCacheBackend, layers: usize, heads: usize) -> Retained
         .collect()
 }
 
-/// Serves a teacher-forced, fault-free run of `policy` token by token and
-/// returns, per token, its input, the served logits and the retained sets
-/// its attention read.
+/// One served token: its input, the served logits, the retained sets its
+/// attention read and, for a decode step, what each head's read saw.
+type Step = (usize, Vec<f32>, Retained, Option<StepReads>);
+
+/// Serves a teacher-forced run of `policy` under `faults` token by token and
+/// returns every token's [`Step`].  The prompt is one pass, so only decode
+/// steps read rows of an earlier pass.
 fn served_run(
     model: &SurrogateModel,
     policy: CachePolicy,
     budget: CacheBudget,
-    prompt: &[usize],
-    forced: &[usize],
-) -> Vec<(usize, Vec<f32>, Retained)> {
+    (prompt, forced): (&[usize], &[usize]),
+    faults: &mut dyn FaultInjector,
+) -> Vec<Step> {
     let dims = *model.dims();
-    let mut cache = policy.build(budget, dims.heads);
+    let mut cache = Reads {
+        inner: policy.build(budget, dims.heads),
+        step: Vec::new(),
+    };
     let mut state = GenerationState::new();
     let mut steps = Vec::new();
     for &token in prompt {
-        prefill_extend(model, &mut state, &[token], cache.as_mut(), &mut NoFaults);
-        let sets = retained(&*cache, dims.layers, dims.heads);
-        steps.push((token, state.last_logits().to_vec(), sets));
+        prefill_extend(model, &mut state, &[token], &mut cache, faults);
+        let sets = retained(&*cache.inner, dims.layers, dims.heads);
+        steps.push((token, state.last_logits().to_vec(), sets, None));
     }
     cache.finish_prefill(state.position());
     state.end_pass();
     for &token in forced {
-        decode_step(
-            model,
-            &mut state,
-            Some(token),
-            cache.as_mut(),
-            &mut NoFaults,
-        );
+        decode_step(model, &mut state, Some(token), &mut cache, faults);
         let logits = state.last_logits().to_vec();
-        steps.push((token, logits, retained(&*cache, dims.layers, dims.heads)));
+        let sets = retained(&*cache.inner, dims.layers, dims.heads);
+        steps.push((token, logits, sets, Some(std::mem::take(&mut cache.step))));
     }
     steps
+}
+
+/// Asserts that every served logit of `steps` is within the oracle's bound,
+/// the oracle reading earlier rows through `map`'s cells if given, and
+/// returns each step's gap as a fraction of its largest logit.
+fn assert_within_bound(
+    what: &str,
+    model: &SurrogateModel,
+    steps: &[Step],
+    map: Option<&CellMap>,
+) -> Vec<f64> {
+    let mut oracle = Oracle::new(model.weights(), model.dims().heads, false, None);
+    steps
+        .iter()
+        .enumerate()
+        .map(|(position, (token, served, sets, reads))| {
+            let faulted = map.zip(reads.as_ref());
+            let expected = oracle.forward(*token, position, sets, faulted);
+            let scale = expected.iter().fold(1.0f64, |m, l| m.max(l.abs()));
+            let served: Vec<f64> = served.iter().map(|&l| l as f64).collect();
+            let gap = max_gap(&served, &expected);
+            assert!(
+                gap <= LOGIT_TOLERANCE * scale,
+                "{what} token {position}: served logits are {gap:e} from the oracle's \
+                 (bound {:e})",
+                LOGIT_TOLERANCE * scale
+            );
+            gap / scale
+        })
+        .collect()
 }
 
 #[test]
@@ -328,26 +543,26 @@ fn served_logits_match_the_f64_oracle_for_every_policy_without_faults() {
         CachePolicy::Aerp,
         CachePolicy::QuaRotInt4,
     ] {
-        let steps = served_run(&model, policy, budget, &prompt, &forced);
+        let steps = served_run(&model, policy, budget, (&prompt, &forced), &mut NoFaults);
         let int4 = policy == CachePolicy::QuaRotInt4;
         let mut oracle = Oracle::new(model.weights(), dims.heads, int4, None);
         let expected: Vec<Vec<f64>> = steps
             .iter()
             .enumerate()
-            .map(|(position, (token, _, sets))| oracle.forward(*token, position, sets))
+            .map(|(position, (token, _, sets, _))| oracle.forward(*token, position, sets, None))
             .collect();
         // Each code at a rounding tie widens every step's bound by what
         // moving it one step to the other side does to that step's logits.
         let mut slack = vec![0.0f64; steps.len()];
         for &tie in &oracle.ties {
             let mut moved = Oracle::new(model.weights(), dims.heads, int4, Some(tie));
-            for (position, (token, _, sets)) in steps.iter().enumerate() {
-                let logits = moved.forward(*token, position, sets);
+            for (position, (token, _, sets, _)) in steps.iter().enumerate() {
+                let logits = moved.forward(*token, position, sets, None);
                 slack[position] += max_gap(&logits, &expected[position]);
             }
         }
         let mut evicted = false;
-        for (position, (_, served, sets)) in steps.iter().enumerate() {
+        for (position, (_, served, sets, _)) in steps.iter().enumerate() {
             evicted |= sets
                 .iter()
                 .flatten()
@@ -369,4 +584,63 @@ fn served_logits_match_the_f64_oracle_for_every_policy_without_faults() {
             "{policy:?}: a budgeted policy must evict in this run"
         );
     }
+}
+
+/// AERP and `full` under uniform 1 % flips (exponent bits included) and
+/// under 2DRP (whose two groups fail different sets): every decode step
+/// reads the rows of earlier passes through their cells, and every served
+/// logit is within the no-fault bound of the oracle reading the same cells.
+#[test]
+fn served_logits_match_the_f64_oracle_under_faults() {
+    let model = SurrogateModel::new(ModelConfig::for_kind(ModelKind::Llama2_7b), 7);
+    let vocab = model.dims().vocab;
+    let prompt: Vec<usize> = (0..16).map(|t| (11 + 37 * t) % vocab).collect();
+    let forced: Vec<usize> = (0..24).map(|t| (5 + 101 * t) % vocab).collect();
+    let budget = CacheBudget::new(10)
+        .with_recent_window(3)
+        .with_sink_tokens(2);
+    let two_drp =
+        RefreshPolicy::two_dimensional_default().bit_flip_rates(&RetentionModel::default());
+    for (rates, name) in [
+        (BitFlipRates::uniform(1e-2), "uniform 1e-2"),
+        (two_drp, "2DRP"),
+    ] {
+        for policy in [CachePolicy::Aerp, CachePolicy::Full] {
+            let what = format!("{policy:?} under {name}");
+            let mut faults = ProbabilisticFaults::new(rates, 11);
+            let steps = served_run(&model, policy, budget, (&prompt, &forced), &mut faults);
+            let map = faults
+                .cell_map()
+                .expect("a probabilistic injector has cells");
+            assert!(
+                faults.stats().bits_flipped > 1_000,
+                "{what}: {:?}",
+                faults.stats()
+            );
+            let gaps = assert_within_bound(&what, &model, &steps, Some(map));
+            let largest = gaps.iter().copied().fold(0.0, f64::max);
+            // The cells move the logits: the no-fault oracle is far off.
+            let clean = largest_gap_to_an_intact_read(&model, &steps);
+            assert!(
+                clean > 100.0 * LOGIT_TOLERANCE,
+                "{what}: the faults moved no logit ({clean:e} against {largest:e})"
+            );
+        }
+    }
+}
+
+/// The largest gap, as a fraction of its step's largest logit, between the
+/// served logits of `steps` and an oracle that reads every row intact.
+fn largest_gap_to_an_intact_read(model: &SurrogateModel, steps: &[Step]) -> f64 {
+    let mut oracle = Oracle::new(model.weights(), model.dims().heads, false, None);
+    steps
+        .iter()
+        .enumerate()
+        .map(|(position, (token, served, sets, _))| {
+            let expected = oracle.forward(*token, position, sets, None);
+            let scale = expected.iter().fold(1.0f64, |m, l| m.max(l.abs()));
+            let served: Vec<f64> = served.iter().map(|&l| l as f64).collect();
+            max_gap(&served, &expected) / scale
+        })
+        .fold(0.0, f64::max)
 }

@@ -201,7 +201,7 @@ fn parallel_streaming_preserves_token_order_and_engine_stats() {
 #[test]
 fn four_worker_pool_matches_inline_at_widths_1_2_5_under_faults() {
     // A relaxed uniform refresh interval injects faults at a rate that
-    // exercises the per-(layer, head) fault lanes.
+    // exercises the per-(layer, head) cell reads.
     let faulty_engine = |policy: CachePolicy, workers: usize| {
         KelleEngine::builder()
             .policy(policy)

@@ -138,6 +138,91 @@ fn prefix_hit_is_bit_identical_for_all_policies() {
     }
 }
 
+/// Worker counts under test: `KELLE_TEST_WORKERS` or {1, 2, 4} by default.
+fn worker_counts() -> Vec<usize> {
+    match std::env::var("KELLE_TEST_WORKERS") {
+        Ok(raw) => raw
+            .split(',')
+            .map(|part| {
+                part.trim()
+                    .parse::<usize>()
+                    .unwrap_or_else(|_| panic!("bad KELLE_TEST_WORKERS entry: {part:?}"))
+            })
+            .collect(),
+        Err(_) => vec![1, 2, 4],
+    }
+}
+
+/// Under 2DRP a prefix hit reads the replayed rows' cells as a cold serve of
+/// the same prompt reads its own: a row's failing cells are keyed by the
+/// fault seed and its token position, and a relabel keeps it in its cells.
+/// At a 16-token budget a 24-token hit evicts during its prompt and every
+/// decode step relabels rows, and the batch — served on the engine's pool
+/// at every worker count — must equal a cold batch bit for bit: tokens,
+/// fault counters and every step's cache stats, with each hit's probability
+/// bits equal to a cold session's.  The benchmark's cold-replay check of
+/// every shared-prefix round rests on this.
+#[test]
+fn a_faulted_prefix_hit_serves_what_a_cold_serve_serves_at_every_worker_count() {
+    let prefix = prompt_tokens(24, 3);
+    let requests: Vec<ServeRequest> = (0..4)
+        .map(|salt| {
+            let mut prompt = prefix.clone();
+            prompt.extend(prompt_tokens(3 + salt, 50 + salt));
+            ServeRequest::new(prompt, 12 + 4 * salt)
+        })
+        .collect();
+    let budget = kelle::cache::CacheBudget::new(16)
+        .with_recent_window(4)
+        .with_sink_tokens(2);
+    for policy in [CachePolicy::Aerp, CachePolicy::H2o] {
+        for workers in worker_counts() {
+            let build = |sharing: bool| {
+                let builder = KelleEngine::builder()
+                    .policy(policy)
+                    .refresh_policy(RefreshPolicy::two_dimensional_default())
+                    .budget(budget)
+                    .seed(7)
+                    .workers(workers);
+                if sharing {
+                    builder
+                        .prefix_sharing(PrefixSharingConfig::enabled())
+                        .build()
+                } else {
+                    builder.build()
+                }
+            };
+            let (sharing, unshared) = (build(true), build(false));
+            assert!(sharing.publish_prefix(&prefix), "{policy:?} publish");
+            let serve = |engine: &KelleEngine| {
+                engine
+                    .serve(requests.clone(), ServeOptions::new().parallel())
+                    .expect("no chaos configured")
+            };
+            let (hit, cold_batch) = (serve(&sharing), serve(&unshared));
+            let what = format!("{policy:?} at {workers} workers");
+            for (request, (hit, cold)) in requests
+                .iter()
+                .zip(hit.outcomes.iter().zip(&cold_batch.outcomes))
+            {
+                assert_eq!(hit.prefix_hit_tokens, prefix.len(), "{what}");
+                assert_eq!(cold.prefix_hit_tokens, 0, "{what}");
+                assert!(hit.cache.evictions > 0, "{what}: the hit evicts");
+                assert!(
+                    hit.faults.bits_flipped > 0,
+                    "{what}: the decode reads failing cells"
+                );
+                assert_eq!(hit.generated, cold.generated, "{what} tokens");
+                assert_eq!(hit.faults, cold.faults, "{what} fault counters");
+                assert_eq!(hit.trace, cold.trace, "{what} per-step stats");
+                let (hit_session, _) = observe(&sharing, policy, request.prompt(), 6);
+                let (cold_session, _) = observe(&unshared, policy, request.prompt(), 6);
+                assert_eq!(hit_session, cold_session, "{what} session");
+            }
+        }
+    }
+}
+
 /// A served hit's KV splits into the replayed prefix rows and the rows it
 /// inserts itself; at every step of the served trace the two parts sum to
 /// exactly a cold serve's cache stats, for every policy.
@@ -298,7 +383,10 @@ proptest! {
 /// when rows of the current pass came to be read clean, and the
 /// probabilities once more — 0xd787_3476_3bf3_ae16 → 0x3404_babd_a67b_4ac9
 /// — when a corrupted row's key and value came to be corrected for its
-/// flipped words instead of recomputed); the shared pool must also balance.
+/// flipped words instead of recomputed, and both — 0x8aa3_b547_af62_8aab /
+/// 0x3404_babd_a67b_4ac9 → 0x7f24_3994_5781_7659 / 0x6898_328a_6379_1896 —
+/// when a stored row's failing cells came to be fixed for the row); the
+/// shared pool must also balance.
 #[test]
 fn prefix_hierarchy_batch_of_seed_7_is_pinned() {
     const HIT_TOKENS: [usize; 6] = [8, 16, 24, 24, 8, 0];
@@ -311,8 +399,8 @@ fn prefix_hierarchy_batch_of_seed_7_is_pinned() {
     };
     // published, published_tokens, hits, misses, hit_tokens, resident_bytes
     const STORE: [u64; 6] = [3, 48, 5, 1, 80, 49_152];
-    const TOKENS_FNV1A: u64 = 0x8aa3_b547_af62_8aab;
-    const PROBS_FNV1A: u64 = 0x3404_babd_a67b_4ac9;
+    const TOKENS_FNV1A: u64 = 0x7f24_3994_5781_7659;
+    const PROBS_FNV1A: u64 = 0x6898_328a_6379_1896;
 
     let system = prompt_tokens(24, 5);
     let behind = |level: usize, salt: usize, decode_len: usize| {

@@ -1,21 +1,21 @@
-//! What the attention pass reads through the fault lane.
+//! What the attention pass reads through the retention cells.
 //!
 //! AERP's stored input rows are read once per layer.  A popular token's
 //! input vector `x` is stored once per layer (§4.1.2), so the attention pass
-//! copies and corrupts each stored row once per layer, whatever number of
-//! heads retain it, and corrects each retaining head's key and value for
-//! the words that one read flipped.  These tests count the reads from outside the pass and pin which
+//! reads each stored row once per layer, whatever number of heads retain
+//! it, and corrects each retaining head's key and value for the words that
+//! one read changed.  These tests count the reads from outside the pass and pin which
 //! token group a row shared by differently-ranking heads is read at.
 //!
 //! A row computed by the current pass is read clean.  A prompt's K/V are
 //! computed in one pass and read from on-chip buffers; a bit is exposed to
 //! retention loss only once it sits in eDRAM (§2.3).  So a first prompt
-//! draws nothing from the lane, however it is chunked or whether its prefix
+//! reads no cell, however it is chunked or whether its prefix
 //! was replayed, and a decode step reads every row but its own through it.
 //! These tests hold that rule for every policy under 2DRP, without golden
 //! constants.
 //!
-//! A label is asked for only where a read goes through the lane, so a
+//! A label is asked for only where a read goes through the cells, so a
 //! prompt pass, which reads every row clean, selects no head's median, and
 //! a decode step selects one per head that holds a row of an earlier pass.
 //!
@@ -273,8 +273,9 @@ fn a_row_that_one_head_ranks_high_reads_intact_in_every_head() {
 /// A first prompt computes every row it reads, so it draws nothing from the
 /// lane: after `prefill` the injector's counters are zero and the last
 /// logits are bitwise those of a `NoFaults` prefill.  The same holds for a
-/// publication's boundary snapshots and for a session whose prompt replays
-/// a published prefix — the replayed rows are part of its prompt pass.
+/// publication pass at every boundary it marks and for a session whose
+/// prompt replays a published prefix — the replayed rows are part of its
+/// prompt pass.
 #[test]
 fn a_first_prompt_reads_nothing_through_the_lane() {
     let (model, budget, prompt) = fixture();
@@ -302,17 +303,16 @@ fn a_first_prompt_reads_nothing_through_the_lane() {
         let mut faults = two_drp(7);
         for chunk in prompt.chunks(8) {
             prefill_extend(&model, &mut state, chunk, &mut recorder, &mut faults);
-            recorder.mark_boundary(state.last_logits(), faults.clone());
-        }
-        for segment in recorder.finish_hierarchy() {
+            recorder.mark_boundary(state.last_logits());
             assert_eq!(
-                segment.faults_snapshot().stats(),
+                faults.stats(),
                 FaultStats::default(),
                 "{} boundary {}",
                 policy.name(),
-                segment.len()
+                state.position()
             );
         }
+        assert_eq!(recorder.finish_hierarchy().len(), prompt.len().div_ceil(8));
 
         let engine = KelleEngine::builder()
             .policy(policy)
@@ -448,7 +448,7 @@ fn a_published_segment_records_the_projection_of_every_row() {
 }
 
 /// A decode step is a pass of one token: it reads every stored row but its
-/// own through the lane.  The words it examines are the census of what the
+/// own through its cells.  The words it examines are the census of what the
 /// cache holds after the step less the step's own token, which the cache
 /// does hold.
 #[test]
@@ -562,12 +562,12 @@ impl KvCacheBackend for OwnRanks {
     }
 }
 
-/// A 2DRP label is selected only when a read through the lane asks for it.
+/// A 2DRP label is selected only when a read through the cells asks for it.
 /// Under 2DRP, with every policy's entries ranked by median, a cold prompt
 /// pass and a prefix hit's prompt pass read every row clean and select no
 /// median; each decode step selects exactly one per `(layer, head)` that
 /// holds an entry of an earlier pass, however many of its entries are read
-/// through the lane.  The attention pass counts what it selects.
+/// through the cells.  The attention pass counts what it selects.
 #[test]
 fn a_label_is_selected_only_for_a_read_through_the_lane() {
     let (model, budget, prompt) = fixture();
@@ -611,7 +611,7 @@ fn a_label_is_selected_only_for_a_read_through_the_lane() {
         );
         let segment = recorder.finish(published.last_logits(), faults);
         let mut cache = OwnRanks::new(policy.build(budget, dims.heads), dims.heads);
-        let mut faults = segment.faults_snapshot();
+        let mut faults = two_drp(7);
         let mut state = GenerationState::new();
         segment.attach_and_replay(&mut cache);
         state.adopt_prefix(&segment);
