@@ -705,70 +705,132 @@ mod tests {
     /// Per group, each word a read changes with its read value's bits.
     type Reads = [Vec<(u32, u32)>; 2];
 
-    /// A key's cells are a function of the seed and the key alone: a row
-    /// read again, after other rows, in another order, on a clone of the
-    /// injector or on another thread reads the same failing words, and
-    /// distinct keys read distinct cells.
-    #[test]
-    fn a_key_reads_the_same_cells_whatever_the_read_count_order_clone_or_worker() {
-        let faults = ProbabilisticFaults::new(PAPER_RATES[2], 5);
-        let map = faults
-            .cell_map()
-            .expect("a probabilistic injector has cells");
-        let row: Vec<f32> = (0..64).map(|i| (i as f32 - 20.0) * 0.13).collect();
-        let keys: Vec<CellKey> = (0..3)
+    /// What a read of each key's row exposes, sorted by key.
+    type KeyedReads = Vec<(CellKey, Reads, [u64; 2])>;
+
+    /// Three heads' key and value rows and AERP's input rows, eight tokens
+    /// each, in layer 1.
+    fn lane_keys() -> Vec<CellKey> {
+        (0..3)
             .flat_map(|head| {
                 (0..8).flat_map(move |token| {
                     [CellKey::key(1, head, token), CellKey::value(1, head, token)]
                 })
             })
             .chain((0..8).map(|token| CellKey::input(1, 3, token)))
+            .collect()
+    }
+
+    /// Reads one stored row under every key of `order`, sorted by key.
+    fn read_keys<'a>(map: &CellMap, order: impl Iterator<Item = &'a CellKey>) -> KeyedReads {
+        let row: Vec<f32> = (0..64).map(|i| (i as f32 - 20.0) * 0.13).collect();
+        let mut failures = RowFailures::default();
+        let mut out: KeyedReads = order
+            .map(|&key| {
+                map.fail_row(key, &row, &mut failures);
+                let bits = |g| {
+                    failures
+                        .reads(g)
+                        .iter()
+                        .map(|&(j, v)| (j, v.to_bits()))
+                        .collect()
+                };
+                (key, GROUPS.map(bits), GROUPS.map(|g| failures.bits(g)))
+            })
             .collect();
-        let read = |map: &CellMap, order: &mut dyn Iterator<Item = &CellKey>| {
-            let mut failures = RowFailures::default();
-            let mut out: Vec<(CellKey, Reads, [u64; 2])> = order
-                .map(|&key| {
-                    map.fail_row(key, &row, &mut failures);
-                    let bits = |g| {
-                        failures
-                            .reads(g)
-                            .iter()
-                            .map(|&(j, v)| (j, v.to_bits()))
-                            .collect()
-                    };
-                    (key, GROUPS.map(bits), GROUPS.map(|g| failures.bits(g)))
-                })
-                .collect();
-            out.sort_by_key(|(key, ..)| (key.layer, key.lane, key.token, key.part));
-            out
-        };
-        let once = read(map, &mut keys.iter());
-        assert_eq!(read(map, &mut keys.iter().rev()), once);
+        out.sort_by_key(|(key, ..)| (key.layer, key.lane, key.token, key.part));
+        out
+    }
+
+    /// A head's rows (its lane: the key's `lane` field) read the same cells
+    /// whatever order heads and tokens are visited in, and on whichever
+    /// worker thread reads them.
+    #[test]
+    fn lane_streams_are_independent_of_visit_order() {
+        let map = CellMap::new(PAPER_RATES[2], 5);
+        let keys = lane_keys();
+        let once = read_keys(&map, keys.iter());
+        assert_eq!(read_keys(&map, keys.iter().rev()), once);
         let evens_first = keys.iter().step_by(2).chain(keys.iter().skip(1).step_by(2));
-        assert_eq!(read(map, &mut evens_first.into_iter()), once);
-        let twice: Vec<_> = read(map, &mut keys.iter().flat_map(|k| [k, k]))
-            .into_iter()
-            .step_by(2)
-            .collect();
-        assert_eq!(twice, once);
-        let clone = faults.clone();
-        assert_eq!(read(clone.cell_map().unwrap(), &mut keys.iter()), once);
+        assert_eq!(read_keys(&map, evens_first), once);
+        // Head-major against token-major: every head's token 0, then 1, …
+        let token_major = (0..8u64).flat_map(|token| {
+            keys.iter()
+                .filter(move |key| key.token == token)
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(read_keys(&map, token_major), once);
         std::thread::scope(|scope| {
             let halves = keys.split_at(keys.len() / 2);
             let [a, b] =
-                [halves.0, halves.1].map(|half| scope.spawn(|| read(map, &mut half.iter())));
+                [halves.0, halves.1].map(|half| scope.spawn(|| read_keys(&map, half.iter())));
             let mut joined = a.join().unwrap();
             joined.extend(b.join().unwrap());
             joined.sort_by_key(|(key, ..)| (key.layer, key.lane, key.token, key.part));
             assert_eq!(joined, once);
         });
+    }
+
+    /// A clone taken between reads carries the injector's whole state: it
+    /// and the original read the next anonymous rows, and every key's row,
+    /// identically, and count the same.
+    #[test]
+    fn clone_taken_mid_gap_resumes_identically() {
+        let mut faults = ProbabilisticFaults::new(PAPER_RATES[2], 5);
+        let stored: Vec<f32> = (0..96).map(|i| (i as f32 - 40.0) * 0.07).collect();
+        for group in [
+            TokenGroup::LowScore,
+            TokenGroup::HighScore,
+            TokenGroup::LowScore,
+        ] {
+            faults.corrupt_slice(&mut stored.clone(), group);
+        }
+        let mut clone = faults.clone();
+        assert_eq!(clone.stats(), faults.stats());
+        for group in [
+            TokenGroup::HighScore,
+            TokenGroup::LowScore,
+            TokenGroup::LowScore,
+        ] {
+            let [mut a, mut b] = [stored.clone(), stored.clone()];
+            faults.corrupt_slice(&mut a, group);
+            clone.corrupt_slice(&mut b, group);
+            let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b));
+            assert_ne!(
+                bits(&a),
+                bits(&stored),
+                "PAPER_RATES[2] fails a 96-word row"
+            );
+        }
+        assert_eq!(clone.stats(), faults.stats());
+        let keys = lane_keys();
+        assert_eq!(
+            read_keys(clone.cell_map().unwrap(), keys.iter()),
+            read_keys(faults.cell_map().unwrap(), keys.iter())
+        );
+    }
+
+    /// A key's cells are a function of the seed and the key alone: a row
+    /// read again reads the same failing words, distinct keys read distinct
+    /// cells, and another seed fails other cells.
+    #[test]
+    fn a_key_reads_the_same_cells_whatever_the_read_count_or_seed() {
+        let map = CellMap::new(PAPER_RATES[2], 5);
+        let keys = lane_keys();
+        let once = read_keys(&map, keys.iter());
+        let twice: Vec<_> = read_keys(&map, keys.iter().flat_map(|k| [k, k]))
+            .into_iter()
+            .step_by(2)
+            .collect();
+        assert_eq!(twice, once);
         // 56 keys at ≈20 changed words a row: distinct keys, distinct cells.
         let distinct: std::collections::HashSet<_> =
             once.iter().map(|(_, reads, _)| reads).collect();
         assert_eq!(distinct.len(), keys.len());
         // Another seed fails other cells.
         let other = CellMap::new(PAPER_RATES[2], 6);
-        assert_ne!(read(&other, &mut keys.iter()), once);
+        assert_ne!(read_keys(&other, keys.iter()), once);
     }
 
     #[test]
