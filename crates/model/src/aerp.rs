@@ -409,6 +409,7 @@ impl KvCacheBackend for KvStore {
                 slots: &head.slots,
                 slab: state.rows.slab(),
                 width: state.rows.width(),
+                capacity: state.rows.capacity(),
             }),
             label: self.label(head),
         }

@@ -86,7 +86,10 @@
 //! slot or entry holds another token.  A later read takes its group's list:
 //! no draw and no FP16 round trip.  The lists sit in one pool per layer or
 //! head, compacted when full, so their memory is bounded by the store, not by
-//! the context, and a warm pool allocates nothing.  Every read still counts
+//! the context.  The per-slot tables are sized by the slab's capacity
+//! ([`StoredRows::capacity`](crate::cache::StoredRows::capacity)), so a slot
+//! first used after warm-up finds its place ready, and a warm decode
+//! allocates nothing.  Every read still counts
 //! its words and its group's failing bits ([`FaultInjector::count`]).  One
 //! scratch serves one store under one injector, as a generation state does.
 //!
@@ -205,8 +208,8 @@ pub struct DecodeScratch {
     /// How many head medians the passes through this scratch have selected.
     medians_selected: u64,
     /// Per layer, the RoPE angle tables of the rows its input slab stores,
-    /// kept across steps.
-    slot_angles: Vec<SlotAngles>,
+    /// `head_dim / 2` pairs per slot, built with the row's failing words.
+    slot_angles: Vec<Vec<(f32, f32)>>,
     /// Per layer, its stored rows' failing words, by slot.
     slot_failing: Vec<KeptRows>,
     /// Per layer and KV-format head, its entries' failing words.
@@ -334,12 +337,21 @@ impl RowTable {
         self.keys.clear();
     }
 
+    /// Makes room for a slab of `slots` slots of `width`-float rows.
+    fn fit(&mut self, slots: usize, width: usize) {
+        if slots > self.of_slot.len() {
+            self.of_slot.resize(slots, Self::ABSENT);
+            self.slot.reserve(slots);
+            self.token.reserve(slots);
+            self.high.reserve(slots);
+            self.x.reserve(slots * width);
+            self.last_use.reserve(slots);
+        }
+    }
+
     /// The index of the row stored in `slot`, copying `x` in on the row's
     /// first visit.  A row is ranked high once any visit ranks it high.
     fn visit(&mut self, slot: usize, token: TokenId, x: &[f32], high: bool) -> usize {
-        if slot >= self.of_slot.len() {
-            self.of_slot.resize(slot + 1, Self::ABSENT);
-        }
         match self.of_slot[slot] {
             Self::ABSENT => {
                 let row = self.slot.len();
@@ -388,11 +400,16 @@ struct Failing {
 }
 
 /// Stored rows' failing words, kept by an index — a slab slot, or a
-/// KV-format head's entry and part — until it holds another token.  A
-/// rebuilt row leaves its old lists in the pool, and the live ones move to
-/// its front when it fills; it holds a quarter more than its rows' mean
-/// failing words and two rows more, so a warm pool grows only if they fail
-/// far beyond their mean.
+/// KV-format head's entry and part — until it holds another token.  The
+/// lists of every index share one pool: a rebuilt row appends its lists and
+/// leaves its old ones dead, and the live ones move to the pool's front when
+/// it fills.  [`fit`](Self::fit) sizes the pool at twice the mean failing
+/// words of a row at every index, and two rows more, so a warm pool
+/// allocates only if its rows fail far beyond their mean.  Lists of
+/// their own per index would not stay allocation-free: at the 2DRP default
+/// rates a 64-word row fails in 10–16 words a group, a list's capacity
+/// follows the longest row its index has held, and an index first used
+/// after warm-up allocates at its first row.
 #[derive(Debug, Clone, Default)]
 struct KeptRows {
     /// Per index: the token its row was built for.
@@ -406,6 +423,24 @@ struct KeptRows {
 }
 
 impl KeptRows {
+    /// Makes room for `indices` indices of `words`-word rows whose cells
+    /// are those of `map`.
+    fn fit(&mut self, indices: usize, words: usize, map: &CellMap) {
+        if indices > self.token.len() {
+            self.token.resize(indices, None);
+            self.failing.resize(indices, Failing::default());
+            self.order.clear();
+            self.order.reserve(indices);
+            let room = (2.0 * map.mean_failing_words(words) * indices as f64) as usize + 2 * words;
+            self.reads.reserve(room.saturating_sub(self.reads.len()));
+        }
+    }
+
+    /// Whether `at` keeps the failing words of `token`'s row.
+    fn holds(&self, at: usize, token: TokenId) -> bool {
+        self.token[at] == Some(token)
+    }
+
     /// The words of the stored row `row` of `key` that a read at `group`
     /// changes, each with its read value, counting the read into `counted`.
     /// The row's failing words are computed under `map` (into `built`) when
@@ -418,20 +453,9 @@ impl KeptRows {
         built: &mut RowFailures,
         counted: &mut FaultStats,
     ) -> &[(u32, f32)] {
-        if at >= self.token.len() {
-            self.token.resize(at + 1, None);
-            self.failing.resize(at + 1, Failing::default());
-            self.order.reserve(at + 1 - self.order.len());
-        }
-        if self.token[at] != Some(token) {
+        if !self.holds(at, token) {
             // Empty, the old lists are dead to the compaction.
             self.failing[at] = Failing::default();
-            // Sized by the indices' capacity, which grows only by doubling.
-            let mean = self.token.capacity() as f64 * map.mean_failing_words(row.len());
-            let room = (1.25 * mean) as usize + 2 * row.len();
-            if self.reads.capacity() < room {
-                self.reads.reserve_exact(room - self.reads.len());
-            }
             map.fail_row(key, row, built);
             self.failing[at] = self.store(built);
             self.token[at] = Some(token);
@@ -477,55 +501,6 @@ impl KeptRows {
             len,
             bits: GROUPS.map(|g| built.bits(g) as u32),
         }
-    }
-}
-
-/// One layer's RoPE angle tables of its stored rows, by input-slab slot.
-/// A table depends on its token's position alone, so a slot's table is
-/// rebuilt only when the slot holds a new token: a stored row's table is
-/// built once in its lifetime, and the memory is bounded by the slab.
-#[derive(Debug, Clone, Default)]
-struct SlotAngles {
-    /// Angle pairs per table (`head_dim / 2`).
-    half: usize,
-    /// Per slot: the token its table was built for.
-    token: Vec<Option<TokenId>>,
-    /// The tables, `half` per slot.
-    angles: Vec<(f32, f32)>,
-}
-
-impl SlotAngles {
-    /// Makes the table of `slot` the one of the row `token` stored there,
-    /// built by `build` when the slot's table belongs to another token.
-    fn hold<I: Iterator<Item = (f32, f32)>>(
-        &mut self,
-        slot: usize,
-        token: TokenId,
-        half: usize,
-        build: impl FnOnce() -> I,
-    ) {
-        if self.half != half {
-            *self = SlotAngles {
-                half,
-                ..SlotAngles::default()
-            };
-        }
-        if slot >= self.token.len() {
-            self.token.resize(slot + 1, None);
-            self.angles.resize((slot + 1) * half, (0.0, 0.0));
-        }
-        if self.token[slot] != Some(token) {
-            let table = &mut self.angles[slot * half..(slot + 1) * half];
-            for (entry, angle) in table.iter_mut().zip(build()) {
-                *entry = angle;
-            }
-            self.token[slot] = Some(token);
-        }
-    }
-
-    /// The table [`hold`](Self::hold) last made for `slot`.
-    fn of(&self, slot: usize) -> &[(f32, f32)] {
-        &self.angles[slot * self.half..(slot + 1) * self.half]
     }
 }
 
@@ -762,6 +737,9 @@ impl<'w> MultiHeadAttention<'w> {
         match view.rows {
             None => {
                 let kept = &mut entry_failing[layer * self.heads + h];
+                if let Some(map) = map {
+                    kept.fit(2 * split, hd, map);
+                }
                 for (i, (key, value)) in earlier {
                     let group = group(high(i));
                     kbuf.clear();
@@ -786,6 +764,7 @@ impl<'w> MultiHeadAttention<'w> {
                 }
             }
             Some(stored) => {
+                rows.fit(stored.capacity, stored.width);
                 for (i, (key, value)) in earlier {
                     let (slot, token) = (stored.slots[i], view.tokens[i]);
                     let row = rows.visit(slot, token, stored.x(i), high(i));
@@ -836,13 +815,20 @@ impl<'w> MultiHeadAttention<'w> {
         let hd = self.head_dim;
         let channels = self.heads * hd;
         let scale = 1.0 / (hd as f32).sqrt();
+        let half = hd / 2;
         if slot_angles.len() <= layer {
-            slot_angles.resize_with(layer + 1, SlotAngles::default);
+            slot_angles.resize_with(layer + 1, Vec::new);
             slot_failing.resize_with(layer + 1, KeptRows::default);
         }
         let (tables, kept) = (&mut slot_angles[layer], &mut slot_failing[layer]);
+        if let Some(map) = map {
+            kept.fit(rows.of_slot.len(), channels, map);
+            tables.resize(rows.of_slot.len() * half, (0.0, 0.0));
+        }
         kbuf.clear();
         kbuf.resize(self.weights.kv_correction_len(), 0.0);
+        // Room for every word of a row, so it never grows.
+        rows.flips.reserve(channels);
         let RowTable {
             slot,
             token,
@@ -862,6 +848,12 @@ impl<'w> MultiHeadAttention<'w> {
             flips.clear();
             if let Some(map) = map {
                 let key = CellKey::input(layer, self.heads, token);
+                if !kept.holds(slot, token) {
+                    let table = &mut tables[slot * half..(slot + 1) * half];
+                    for (entry, angle) in table.iter_mut().zip(self.rope_angles(token)) {
+                        *entry = angle;
+                    }
+                }
                 let reads = kept.read((slot, token), (map, key, x), group, built, counted);
                 flips.extend(reads.iter().map(|&(j, read)| (j, read - x[j as usize])));
                 #[cfg(any(debug_assertions, test))]
@@ -873,15 +865,12 @@ impl<'w> MultiHeadAttention<'w> {
                     }
                 }
             }
-            if !flips.is_empty() {
-                tables.hold(slot, token, hd / 2, || self.rope_angles(token));
-            }
             let mut at = last_use[row];
             while at != RowTable::ABSENT {
                 let (u, at_key) = (uses[at as usize], at as usize * hd);
                 let key = &mut keys[at_key..at_key + hd];
                 if !flips.is_empty() {
-                    let angles = tables.of(slot);
+                    let angles = &tables[slot * half..(slot + 1) * half];
                     let value = &mut stash[u.stash..u.stash + hd];
                     self.correct(u.head, flips, angles, key, value, kbuf);
                     #[cfg(any(debug_assertions, test))]

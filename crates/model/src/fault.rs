@@ -446,6 +446,8 @@ impl CellMap {
         let RowFailures { masks, reads, bits } = failures;
         for ((masks, reads), bits) in masks.iter().zip(reads.iter_mut()).zip(bits.iter_mut()) {
             reads.clear();
+            // Room for every word, so reused lists never grow.
+            reads.reserve(row.len());
             *bits = 0;
             for ((j, &mask), &stored) in (0u32..).zip(masks.iter()).zip(row) {
                 if mask != 0 {
