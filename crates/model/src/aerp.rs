@@ -409,7 +409,6 @@ impl KvCacheBackend for KvStore {
                 slots: &head.slots,
                 slab: state.rows.slab(),
                 width: state.rows.width(),
-                capacity: state.rows.capacity(),
             }),
             label: self.label(head),
         }

@@ -216,12 +216,6 @@ impl InputSlab {
         &self.data
     }
 
-    /// How many slots the slab holds before its buffer grows: at least one
-    /// past every slot it has handed out.
-    pub fn capacity(&self) -> usize {
-        self.data.capacity() / self.width
-    }
-
     /// Frees `slot` for reuse.  The caller removes each live slot once.
     pub fn remove(&mut self, slot: usize) {
         debug_assert!(slot < self.data.len() / self.width, "slot was never pushed");

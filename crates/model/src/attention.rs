@@ -86,10 +86,9 @@
 //! slot or entry holds another token.  A later read takes its group's list:
 //! no draw and no FP16 round trip.  The lists sit in one pool per layer or
 //! head, compacted when full, so their memory is bounded by the store, not by
-//! the context.  The per-slot tables are sized by the slab's capacity
-//! ([`StoredRows::capacity`](crate::cache::StoredRows::capacity)), so a slot
-//! first used after warm-up finds its place ready, and a warm decode
-//! allocates nothing.  Every read still counts
+//! the context.  The per-slot tables grow to the next power of two of the
+//! slab's slots, so a slot first used after warm-up finds its place ready,
+//! and a warm decode allocates nothing.  Every read still counts
 //! its words and its group's failing bits ([`FaultInjector::count`]).  One
 //! scratch serves one store under one injector, as a generation state does.
 //!
@@ -337,8 +336,10 @@ impl RowTable {
         self.keys.clear();
     }
 
-    /// Makes room for a slab of `slots` slots of `width`-float rows.
+    /// Makes room for a slab of `slots` slots of `width`-float rows,
+    /// rounded up to a power of two as the slab's own buffer grows.
     fn fit(&mut self, slots: usize, width: usize) {
+        let slots = slots.next_power_of_two();
         if slots > self.of_slot.len() {
             self.of_slot.resize(slots, Self::ABSENT);
             self.slot.reserve(slots);
@@ -436,11 +437,6 @@ impl KeptRows {
         }
     }
 
-    /// Whether `at` keeps the failing words of `token`'s row.
-    fn holds(&self, at: usize, token: TokenId) -> bool {
-        self.token[at] == Some(token)
-    }
-
     /// The words of the stored row `row` of `key` that a read at `group`
     /// changes, each with its read value, counting the read into `counted`.
     /// The row's failing words are computed under `map` (into `built`) when
@@ -453,7 +449,7 @@ impl KeptRows {
         built: &mut RowFailures,
         counted: &mut FaultStats,
     ) -> &[(u32, f32)] {
-        if !self.holds(at, token) {
+        if self.token[at] != Some(token) {
             // Empty, the old lists are dead to the compaction.
             self.failing[at] = Failing::default();
             map.fail_row(key, row, built);
@@ -764,7 +760,7 @@ impl<'w> MultiHeadAttention<'w> {
                 }
             }
             Some(stored) => {
-                rows.fit(stored.capacity, stored.width);
+                rows.fit(stored.slab.len() / stored.width, stored.width);
                 for (i, (key, value)) in earlier {
                     let (slot, token) = (stored.slots[i], view.tokens[i]);
                     let row = rows.visit(slot, token, stored.x(i), high(i));
@@ -848,7 +844,7 @@ impl<'w> MultiHeadAttention<'w> {
             flips.clear();
             if let Some(map) = map {
                 let key = CellKey::input(layer, self.heads, token);
-                if !kept.holds(slot, token) {
+                if kept.token[slot] != Some(token) {
                     let table = &mut tables[slot * half..(slot + 1) * half];
                     for (entry, angle) in table.iter_mut().zip(self.rope_angles(token)) {
                         *entry = angle;

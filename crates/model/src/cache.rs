@@ -178,9 +178,6 @@ pub struct StoredRows<'a> {
     pub slab: &'a [f32],
     /// The length of a row (`channels`).
     pub width: usize,
-    /// How many slots the slab holds before it grows, so that per-slot
-    /// tables sized by it grow with the slab, not with each new slot.
-    pub capacity: usize,
 }
 
 impl<'a> StoredRows<'a> {

@@ -428,28 +428,41 @@ impl CellMap {
     /// `key`, at both token groups.  The cells depend on the key and
     /// `row.len()` alone; `row` gives the values the failing words read as.
     pub fn fail_row(&self, key: CellKey, row: &[f32], failures: &mut RowFailures) {
-        for masks in &mut failures.masks {
+        let RowFailures {
+            masks,
+            words,
+            reads,
+            bits,
+        } = failures;
+        for masks in masks.iter_mut() {
             masks.clear();
             masks.resize(row.len(), 0);
         }
+        words.clear();
+        // Room for every word, so reused lists never grow.
+        words.reserve(row.len());
         let mut rng = key.rng(self.seed);
         for (class, byte) in [(&self.lsb, 0), (&self.msb, 8)] {
             let loose = class.loose_group as usize;
             class.walk(8 * row.len() as u64, &mut rng, |at, strict| {
                 let (word, bit) = ((at / 8) as usize, 1 << (byte + at % 8));
-                failures.masks[loose][word] |= bit;
+                if masks[0][word] | masks[1][word] == 0 {
+                    words.push(word as u32);
+                }
+                masks[loose][word] |= bit;
                 if strict {
-                    failures.masks[1 - loose][word] |= bit;
+                    masks[1 - loose][word] |= bit;
                 }
             });
         }
-        let RowFailures { masks, reads, bits } = failures;
+        // The LSB walk's words, then the MSB walk's new ones.
+        words.sort_unstable();
         for ((masks, reads), bits) in masks.iter().zip(reads.iter_mut()).zip(bits.iter_mut()) {
             reads.clear();
-            // Room for every word, so reused lists never grow.
             reads.reserve(row.len());
             *bits = 0;
-            for ((j, &mask), &stored) in (0u32..).zip(masks.iter()).zip(row) {
+            for &j in words.iter() {
+                let (mask, stored) = (masks[j as usize], row[j as usize]);
                 if mask != 0 {
                     *bits += u64::from(mask.count_ones());
                     let read = read_flipped(stored, mask);
@@ -519,6 +532,8 @@ impl CellKey {
 pub struct RowFailures {
     /// Per group (indexed by [`TokenGroup`]): each word's failing bits.
     masks: [Vec<u16>; 2],
+    /// The words failing at either group, ascending: those the reads scan.
+    words: Vec<u32>,
     /// Per group: the words a read changes, in ascending column order, each
     /// with the value it reads.
     reads: [Vec<(u32, f32)>; 2],

@@ -181,7 +181,6 @@ impl KvCacheBackend for RowsOnly {
                 slots: &self.tokens,
                 slab: &self.slab,
                 width: self.slab.len() / self.tokens.len(),
-                capacity: self.tokens.len(),
             }),
             label: (self.label)(head),
         }
